@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short race diff torture chaos fed serve coverage-floor bench bench-recovery bench-fed bench-serve fuzz-smoke ci
+.PHONY: build test test-short bench-check race diff torture chaos fed serve coverage-floor bench bench-fed bench-serve fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ test:
 
 test-short:
 	$(GO) test -short ./...
+
+# The benchmark is its own module (bench/) compiled against this tree:
+# a signature change in wal/serve/federation must break here, not in
+# the benchmark driver.
+bench-check:
+	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
 
 race:
 	$(GO) test -race ./...
@@ -71,11 +77,6 @@ bench:
 	scripts/bench-json.sh 5x > BENCH_runtime.json
 	@cat BENCH_runtime.json
 
-# Regenerate the committed recovery-time-vs-log-length baseline.
-bench-recovery:
-	scripts/bench-recovery.sh > BENCH_recovery.json
-	@cat BENCH_recovery.json
-
 # Regenerate the committed federation node-count throughput sweep.
 bench-fed:
 	$(GO) run ./cmd/tpsim fed -bench -json > BENCH_fed.json
@@ -96,4 +97,4 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzFreeSpaceMap -fuzztime 30s -run '^$$' ./internal/store
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s -run '^$$' ./internal/federation
 
-ci: build test race diff torture chaos fed serve coverage-floor
+ci: build test bench-check race diff torture chaos fed serve coverage-floor

@@ -11,7 +11,6 @@
 //	tpsim chaos [-seeds N] [-first S] [-seed K] [-json]
 //	tpsim fed [-nodes N] [-procs P] [-seed S] [-mode M] [-torture|-bench] [-json]
 //	tpsim serve [-addr A] [-dir D] [-world spec.json] [-fed N] [-torture|-bench] [-json]
-//	tpsim benchrec [-quick]
 //
 // where experiment is one of e1..e14, b1, b2, b4, b5, or "all" (default),
 // and mode is pred (default), pred-cascade, serial, conservative or
@@ -22,9 +21,7 @@
 // "torture" runs the deterministic crash-torture battery (internal/fault)
 // and exits non-zero when any seeded scenario violates a recovery
 // guarantee; -ckpt/-compact force fuzzy checkpointing (and compaction)
-// onto every scenario. "benchrec" emits the recovery-time-vs-log-length
-// sweep behind BENCH_recovery.json: the same crashed run recovered over
-// a full log and over a checkpointed, compacted one.
+// onto every scenario.
 // "chaos" runs the unreliable-subsystem chaos battery
 // (internal/chaos) — flaky transport, typed retries, circuit breakers,
 // ◁-path failover — and exits non-zero on any resilience violation.
@@ -103,13 +100,6 @@ func main() {
 	if len(args) >= 1 && args[0] == "torture" {
 		if err := runTorture(args[1:]); err != nil {
 			fmt.Fprintf(os.Stderr, "torture failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(args) >= 1 && args[0] == "benchrec" {
-		if err := benchRecovery(args[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "benchrec failed: %v\n", err)
 			os.Exit(1)
 		}
 		return

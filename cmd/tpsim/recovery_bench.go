@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -24,18 +23,15 @@ import (
 // and compacts the log before the live run — the history then enters
 // recovery only as the checkpoint summary instead of replayed records.
 type recoveryStats struct {
-	HistoryRecords int     `json:"historyRecords"`
-	TotalRecords   int     `json:"totalRecords"`
-	ReplayRecords  int     `json:"replayRecords"`
-	LiveTail       int     `json:"liveTail"`
-	RecoverMillis  float64 `json:"recoverMillis"`
-	InDoubt        int     `json:"inDoubt"`
-	NonTerminal    int     `json:"nonTerminal"`
+	HistoryRecords int
+	ReplayRecords  int
+	LiveTail       int
+	RecoverMillis  float64
+	InDoubt        int
+	NonTerminal    int
 	// Durable-variant extras: what the composed page recovery did.
-	RestoredInDoubt int `json:"restoredInDoubt,omitempty"`
-	RedoItems       int `json:"redoItems,omitempty"`
-	UndoItems       int `json:"undoItems,omitempty"`
-	FlushedPages    int `json:"flushedPages,omitempty"`
+	RedoItems    int
+	FlushedPages int
 }
 
 // benchSeed fixes the synthetic-history workload; the template run and
@@ -198,7 +194,6 @@ func recoveryFixture(size int, withCkpt, durable bool, dir string) (recoveryStat
 		return st, err
 	}
 	exp := wal.Expand(recs)
-	st.TotalRecords = len(recs)
 	st.ReplayRecords = len(exp.Records)
 	// The live tail is everything the crashed run appended after the
 	// synthetic history (and, in the checkpointed variant, after the
@@ -215,9 +210,7 @@ func recoveryFixture(size int, withCkpt, durable bool, dir string) (recoveryStat
 		if err != nil {
 			return st, fmt.Errorf("durable recovery: %w", err)
 		}
-		st.RestoredInDoubt = rep.RestoredInDoubt
 		st.RedoItems = rep.RedoItems
-		st.UndoItems = rep.UndoItems
 		st.FlushedPages = rep.FlushedPages
 	} else if _, err := scheduler.Recover(w.Fed, rlog, defs); err != nil {
 		return st, fmt.Errorf("recovery: %w", err)
@@ -248,56 +241,6 @@ func recoveryFixture(size int, withCkpt, durable bool, dir string) (recoveryStat
 	}
 	st.InDoubt = len(w.Fed.InDoubt())
 	return st, nil
-}
-
-// benchRecovery implements "tpsim benchrec": the recovery-time vs
-// log-length sweep behind BENCH_recovery.json. For each history size
-// the same crashed run is recovered twice — over the full log and over
-// a checkpointed, compacted one — so the cost of replaying history is
-// isolated from the cost of finishing the crashed processes.
-func benchRecovery(args []string) error {
-	sizes := []int{1000, 10000, 100000}
-	if len(args) > 0 && args[0] == "-quick" {
-		sizes = []int{500, 2000, 8000}
-	}
-	dir, err := os.MkdirTemp("", "tpsim-benchrec")
-	if err != nil {
-		return err
-	}
-	defer os.RemoveAll(dir)
-
-	type point struct {
-		Size    int           `json:"size"`
-		Full    recoveryStats `json:"full"`
-		Ckpt    recoveryStats `json:"ckpt"`
-		Durable recoveryStats `json:"durable"`
-	}
-	out := struct {
-		Name   string  `json:"name"`
-		Points []point `json:"points"`
-	}{Name: "recovery-vs-log-length"}
-
-	for _, size := range sizes {
-		full, err := recoveryFixture(size, false, false, dir)
-		if err != nil {
-			return fmt.Errorf("size %d full: %w", size, err)
-		}
-		ckpt, err := recoveryFixture(size, true, false, dir)
-		if err != nil {
-			return fmt.Errorf("size %d ckpt: %w", size, err)
-		}
-		durable, err := recoveryFixture(size, false, true, dir)
-		if err != nil {
-			return fmt.Errorf("size %d durable: %w", size, err)
-		}
-		fmt.Fprintf(os.Stderr, "size %6d: full replay=%6d in %8.1fms | ckpt replay=%4d in %8.1fms | durable replay=%6d in %8.1fms (%d redo, %d pages)\n",
-			size, full.ReplayRecords, full.RecoverMillis, ckpt.ReplayRecords, ckpt.RecoverMillis,
-			durable.ReplayRecords, durable.RecoverMillis, durable.RedoItems, durable.FlushedPages)
-		out.Points = append(out.Points, point{Size: size, Full: full, Ckpt: ckpt, Durable: durable})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // e14 checks the bounded-time recovery claim deterministically: with a

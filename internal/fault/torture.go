@@ -571,47 +571,41 @@ func runUntilCrash(sc Scenario, fed *subsystem.Federation, log wal.Log, inj *Inj
 	}
 }
 
-// tearTail truncates up to n bytes off the file's final record (never
+// lastFrame reads the log file at path and returns its intact frames
+// and where the final one begins (at the end, for a log without one).
+func lastFrame(path string) (data []byte, start int, err error) {
+	data, err = os.ReadFile(path)
+	if err != nil {
+		return nil, 0, err
+	}
+	b := wal.FrameBounds(data)
+	if len(b) < 2 {
+		return data, len(data), nil
+	}
+	return data[:b[len(b)-1]], b[len(b)-2], nil
+}
+
+// tearTail truncates up to n bytes off the file's final frame (never
 // reaching into earlier, acknowledged records): the write that was in
 // flight when the crash hit reached the disk only partially.
 func tearTail(path string, n int) error {
-	data, err := os.ReadFile(path)
+	data, start, err := lastFrame(path)
 	if err != nil {
 		return err
 	}
-	if len(data) == 0 {
-		return nil
-	}
-	// The final record spans from after the second-to-last newline to
-	// the end (including its own terminating newline).
-	end := len(data)
-	body := data[:end-1] // strip the final '\n' before searching
-	lastStart := 0
-	for i := len(body) - 1; i >= 0; i-- {
-		if body[i] == '\n' {
-			lastStart = i + 1
-			break
-		}
-	}
-	lastLen := end - lastStart
-	if n > lastLen {
-		n = lastLen
-	}
-	return os.Truncate(path, int64(end-n))
+	return os.Truncate(path, int64(len(data)-min(n, len(data)-start)))
 }
 
-// appendGarbage writes a partial junk record with no terminating
-// newline — the torn write left arbitrary bytes behind.
+// appendGarbage leaves what a torn write of this format leaves behind:
+// a frame header promising more body than follows (a cut copy of the
+// final frame).
 func appendGarbage(path string) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	data, start, err := lastFrame(path)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write([]byte(`{"lsn":9999,"type":2,"pr`)); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	frame := data[start:]
+	return os.WriteFile(path, append(data, frame[:len(frame)-len(frame)/4]...), 0o644)
 }
 
 // Summary aggregates a torture batch.

@@ -54,47 +54,28 @@ func (w *WAL) Release() {
 }
 
 // Append delegates to the backend, panicking with the crash sentinel
-// on the budget-exhausting record; post-crash appends are dropped.
-func (w *WAL) Append(rec wal.Record) (int64, error) {
-	w.mu.Lock()
-	if w.tripped {
-		w.mu.Unlock()
-		return 0, nil // the crashed system's writes go nowhere
-	}
-	lsn, err := w.inner.Append(rec)
-	if err != nil {
-		w.mu.Unlock()
-		return lsn, err
-	}
-	w.accepted++
-	if w.budget > 0 && w.accepted >= w.budget {
-		w.tripped = true
-		w.mu.Unlock()
-		panic(Crash{Point: PointWALAppend})
-	}
-	w.mu.Unlock()
-	return lsn, nil
-}
+// on the budget-exhausting record; post-crash appends are dropped
+// (LSN 0: the record is in no log).
+func (w *WAL) Append(rec wal.Record) (int64, error) { return w.append(rec, w.inner.Append) }
 
 // AppendNoSync implements wal.BatchBackend through the injection seam:
 // same budget accounting and crash window as Append, but the record is
 // only buffered — a group-commit leader syncs the batch afterwards.
 // When the backend has no batch support it degrades to Append.
 func (w *WAL) AppendNoSync(rec wal.Record) (int64, error) {
+	if bb, ok := w.inner.(wal.BatchBackend); ok {
+		return w.append(rec, bb.AppendNoSync)
+	}
+	return w.append(rec, w.inner.Append)
+}
+
+func (w *WAL) append(rec wal.Record, write func(wal.Record) (int64, error)) (int64, error) {
 	w.mu.Lock()
 	if w.tripped {
 		w.mu.Unlock()
-		return 0, nil
+		return 0, nil // the crashed system's writes go nowhere
 	}
-	var (
-		lsn int64
-		err error
-	)
-	if bb, ok := w.inner.(wal.BatchBackend); ok {
-		lsn, err = bb.AppendNoSync(rec)
-	} else {
-		lsn, err = w.inner.Append(rec)
-	}
+	lsn, err := write(rec)
 	if err != nil {
 		w.mu.Unlock()
 		return lsn, err

@@ -4,10 +4,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"sync"
+
+	"transproc/internal/wal"
 )
 
 // The hub journal persists the handful of facts only the hub knows and
@@ -83,30 +82,40 @@ func (j *MemJournal) Entries() ([]JEntry, error) {
 // Close is a no-op.
 func (j *MemJournal) Close() error { return nil }
 
-// FileJournal force-logs entries to an append-only file, fsyncing each
-// append. The on-disk format is length-prefixed CRC-framed records; a
-// torn tail (partial last record from a crash mid-write) is tolerated
-// on replay, a corrupt interior record is not.
+// FileJournal force-logs entries to a wal.FrameFile (the one log format
+// of DESIGN.md §6k), fsyncing each append: a torn final entry is
+// dropped on open, any other damage is ErrJournalCorrupt.
 type FileJournal struct {
-	mu   sync.Mutex
-	f    *os.File
-	sync bool
+	mu sync.Mutex
+	ff *wal.FrameFile
 }
 
-// ErrJournalCorrupt reports a CRC mismatch before the journal tail.
-var ErrJournalCorrupt = errors.New("federation: hub journal corrupt")
+// ErrJournalCorrupt reports damage to the hub journal that is not a
+// torn tail.
+var ErrJournalCorrupt = fmt.Errorf("federation: hub journal corrupt: %w", wal.ErrCorrupt)
+
+// journalErr marks corruption found by the frame file as the journal's.
+func journalErr(err error) error {
+	if errors.Is(err, wal.ErrCorrupt) {
+		return fmt.Errorf("%w: %v", ErrJournalCorrupt, err)
+	}
+	return err
+}
 
 // OpenFileJournal opens (creating if needed) an append-only journal
 // file. When noSync is true fsync is skipped (test speed).
 func OpenFileJournal(path string, noSync bool) (*FileJournal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	ff, err := wal.OpenFrameFile(path, !noSync, func(p []byte) error {
+		_, err := decodeJEntry(p)
+		return err
+	})
 	if err != nil {
-		return nil, err
+		return nil, journalErr(err)
 	}
-	return &FileJournal{f: f, sync: !noSync}, nil
+	return &FileJournal{ff: ff}, nil
 }
 
-// encodeJEntry serializes one record body (without prefix or CRC).
+// encodeJEntry serializes one entry as a frame payload.
 func encodeJEntry(e JEntry) []byte {
 	b := make([]byte, 0, 32+len(e.Origin)+len(e.Proc))
 	b = append(b, e.Kind)
@@ -120,7 +129,7 @@ func encodeJEntry(e JEntry) []byte {
 	return b
 }
 
-// decodeJEntry parses one record body.
+// decodeJEntry parses one frame payload.
 func decodeJEntry(b []byte) (JEntry, error) {
 	var e JEntry
 	if len(b) < 21 {
@@ -149,63 +158,31 @@ func decodeJEntry(b []byte) (JEntry, error) {
 	return e, nil
 }
 
-// Append force-logs one entry: length prefix, CRC32 of the body, body,
-// then fsync.
+// Append force-logs one entry.
 func (j *FileJournal) Append(e JEntry) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	body := encodeJEntry(e)
-	rec := make([]byte, 0, 8+len(body))
-	rec = binary.LittleEndian.AppendUint32(rec, uint32(len(body)))
-	rec = binary.LittleEndian.AppendUint32(rec, crc32.ChecksumIEEE(body))
-	rec = append(rec, body...)
-	if _, err := j.f.Write(rec); err != nil {
+	if err := j.ff.Append(encodeJEntry(e)); err != nil {
 		return err
 	}
-	if j.sync {
-		return j.f.Sync()
-	}
-	return nil
+	return j.ff.Sync()
 }
 
-// Entries replays the journal from the start, stopping silently at a
-// torn tail and failing loudly on interior corruption.
+// Entries replays the journal from the start.
 func (j *FileJournal) Entries() ([]JEntry, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if _, err := j.f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	data, err := io.ReadAll(j.f)
-	if err != nil {
-		return nil, err
-	}
 	var out []JEntry
-	for off := 0; off < len(data); {
-		if len(data)-off < 8 {
-			break // torn tail: prefix cut mid-header
-		}
-		n := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if n > MaxFrame {
-			return nil, fmt.Errorf("%w: record length %d at offset %d", ErrJournalCorrupt, n, off)
-		}
-		if len(data)-off-8 < n {
-			break // torn tail: body cut short
-		}
-		body := data[off+8 : off+8+n]
-		if crc32.ChecksumIEEE(body) != sum {
-			if off+8+n == len(data) {
-				break // torn tail: last record half-written
-			}
-			return nil, fmt.Errorf("%w: bad CRC at offset %d", ErrJournalCorrupt, off)
-		}
-		e, err := decodeJEntry(body)
+	err := j.ff.Scan(func(p []byte) error {
+		e, err := decodeJEntry(p)
 		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrJournalCorrupt, err)
+			return err
 		}
 		out = append(out, e)
-		off += 8 + n
+		return nil
+	})
+	if err != nil {
+		return nil, journalErr(err)
 	}
 	return out, nil
 }
@@ -214,7 +191,7 @@ func (j *FileJournal) Entries() ([]JEntry, error) {
 func (j *FileJournal) Close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.f.Close()
+	return j.ff.Close()
 }
 
 // JournalState is the fold of a journal replay: the facts a reopening

@@ -1,11 +1,14 @@
 package federation
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"transproc/internal/wal"
 )
 
 func journalFixture() []JEntry {
@@ -63,23 +66,9 @@ func TestFileJournalRoundTrip(t *testing.T) {
 // (kill -9 mid-write) replays as the intact prefix, silently, at every
 // truncation point.
 func TestFileJournalTornTail(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "hub.journal")
-	j, err := OpenFileJournal(path, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	path, full := writeJournalFixture(t)
+	dir := filepath.Dir(path)
 	want := journalFixture()
-	for _, e := range want {
-		if err := j.Append(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	j.Close()
-	full, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Find the last record's start so every cut lands inside it.
 	last := len(full)
@@ -106,13 +95,11 @@ func TestFileJournalTornTail(t *testing.T) {
 	}
 }
 
-// TestFileJournalInteriorCorruption pins the loud-failure contract: a
-// flipped byte before the tail is ErrJournalCorrupt, never a silent
-// skip — the journal is the hub's force-log, a hole in the middle
-// means the recovery inputs can't be trusted.
-func TestFileJournalInteriorCorruption(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "hub.journal")
+// writeJournalFixture writes the fixture to a fresh journal file and
+// returns its path and bytes.
+func writeJournalFixture(t *testing.T) (string, []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "hub.journal")
 	j, err := OpenFileJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
@@ -122,22 +109,78 @@ func TestFileJournalInteriorCorruption(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	j.Close()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[10] ^= 0xFF // inside the first record's body
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	return path, data
+}
+
+// TestFileJournalInteriorCorruption pins the loud-failure contract: a
+// flipped byte before the tail is ErrJournalCorrupt (and the shared
+// wal.ErrCorrupt) at reopen, never a silent skip or a truncation — the
+// journal is the hub's force-log, a hole in the middle means the
+// recovery inputs can't be trusted.
+func TestFileJournalInteriorCorruption(t *testing.T) {
+	path, data := writeJournalFixture(t)
+	bounds := wal.FrameBounds(data)
+	for i := 0; i < bounds[len(bounds)-2]; i++ {
+		image := append([]byte(nil), data...)
+		image[i] ^= 0xFF
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cj, err := OpenFileJournal(path, true)
+		if err == nil {
+			cj.Close()
+			t.Fatalf("byte %d flipped: journal reopened, want ErrJournalCorrupt", i)
+		}
+		if !errors.Is(err, ErrJournalCorrupt) || !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("byte %d flipped: got %v, want ErrJournalCorrupt wrapping wal.ErrCorrupt", i, err)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, image) {
+			t.Fatalf("byte %d flipped: the corrupt journal was modified", i)
+		}
+	}
+}
+
+// TestFileJournalAppendAfterTornTail pins torn-tail truncation: a
+// journal whose last entry was torn by a crash is reopened, appended to
+// and reopened again — the intact prefix plus the new entry replay. An
+// open that leaves the torn bytes in place splices the new entry onto
+// garbage, and the second reopen is corrupt or drops the acked entry.
+func TestFileJournalAppendAfterTornTail(t *testing.T) {
+	path, data := writeJournalFixture(t)
+	want := journalFixture()
+	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cj, err := OpenFileJournal(path, true)
+	j, err := OpenFileJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cj.Close()
-	if _, err := cj.Entries(); !errors.Is(err, ErrJournalCorrupt) {
-		t.Fatalf("interior corruption: got %v, want ErrJournalCorrupt", err)
+	added := JEntry{Kind: jLease, Stamp: 2048}
+	if err := j.Append(added); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := OpenFileJournal(path, true)
+	if err != nil {
+		t.Fatalf("reopen after torn tail + append: %v", err)
+	}
+	defer j2.Close()
+	got, err := j2.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want[:len(want)-1:len(want)-1], added)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replay after torn tail + append:\ngot  %+v\nwant %+v", got, want)
 	}
 }
 

@@ -451,10 +451,21 @@ func (r *Runtime) append(rec wal.Record) bool {
 	if r.stopped.Load() {
 		return false
 	}
-	return r.guard(func() {
-		r.log.Append(rec)
+	logged := false
+	ok := r.guard(func() {
+		lsn, err := r.log.Append(rec)
+		if err != nil {
+			r.fail(fmt.Errorf("runtime: force-log: %w", err))
+			return
+		}
+		// A log that took the record gave it a positive LSN. LSN 0 is
+		// the fault wrapper dropping the write of a system that already
+		// crashed in another worker, whose guard has not stopped the
+		// run yet: the record is not in the log.
+		logged = lsn > 0
 		r.maybeCheckpoint()
 	})
+	return ok && logged
 }
 
 // maybeCheckpoint takes a fuzzy checkpoint (and optionally compacts)

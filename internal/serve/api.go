@@ -187,7 +187,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	entry := &JournalEntry{ID: origin, Tenant: req.Tenant, Key: req.Key, Proc: &req.Proc}
-	if err := s.jr.append(entry, true); err != nil {
+	if err := s.jr.append(entry); err != nil {
 		s.mu.Unlock()
 		s.crashNow("journal:" + err.Error())
 		writeJSON(w, http.StatusInternalServerError, apiError{Error: err.Error()})

@@ -3,7 +3,8 @@
 // carry no process structure, and scheduler.Recover needs the
 // definition of every process mentioned in the log. The server
 // therefore force-logs each accepted submission (tenant, idempotency
-// key, declarative process spec) to an append-only JSONL journal —
+// key, declarative process spec) to an append-only journal — JSON
+// entries in a wal.FrameFile, the one log format of DESIGN.md §6k —
 // fsynced before the submission is enqueued, so by induction every
 // process the WAL can mention is rebuildable after a crash. A second
 // entry kind ("done") seals a submission once its fate is final; on
@@ -12,14 +13,12 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 
 	"transproc/internal/spec"
+	"transproc/internal/wal"
 )
 
 // JournalEntry is one line of the intake journal.
@@ -35,72 +34,56 @@ type JournalEntry struct {
 	Committed bool `json:"committed,omitempty"`
 }
 
-// journal is the append-only intake log. Appends under the mutex are
-// written and (for submission entries) fsynced before they return —
-// the force-log discipline of the WAL applied to admissions.
+// journal is the append-only intake log. Every append is fsynced
+// before it returns — the force-log discipline of the WAL applied to
+// admissions.
 type journal struct {
 	mu   sync.Mutex
-	f    *os.File
+	ff   *wal.FrameFile // nil once closed
 	next int64
 }
 
-// openJournal opens (creating if absent) the journal and replays its
-// valid prefix. A torn tail — a partial or corrupt final line from a
-// crash mid-append — is truncated away, mirroring wal.OpenFile.
+// openJournal opens (creating if absent) the journal and replays it.
+// A torn final entry is dropped; any other damage is wal.ErrCorrupt.
 func openJournal(path string) (*journal, []JournalEntry, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
 	var entries []JournalEntry
-	var valid int64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	for sc.Scan() {
-		line := sc.Bytes()
+	ff, err := wal.OpenFrameFile(path, true, func(p []byte) error {
 		var e JournalEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			break // torn or corrupt tail: keep the valid prefix
+		if err := json.Unmarshal(p, &e); err != nil {
+			return err
 		}
 		entries = append(entries, e)
-		valid += int64(len(line)) + 1
+		return nil
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("serve: intake journal: %w", err)
 	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("serve: truncate journal tail: %w", err)
-	}
-	if _, err := f.Seek(valid, 0); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	j := &journal{f: f}
+	j := &journal{ff: ff}
 	if n := len(entries); n > 0 {
 		j.next = entries[n-1].Seq
 	}
 	return j, entries, nil
 }
 
-// append writes one entry; sync forces it to disk before returning.
-// The assigned sequence number is stored into e.
-func (j *journal) append(e *JournalEntry, sync bool) error {
+// append force-logs one entry. The assigned sequence number is stored
+// into e.
+func (j *journal) append(e *JournalEntry) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.ff == nil {
 		return fmt.Errorf("serve: journal closed")
 	}
 	j.next++
 	e.Seq = j.next
-	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(e); err != nil {
+	b, err := json.Marshal(e)
+	if err != nil {
 		return err
 	}
-	if _, err := j.f.Write(buf.Bytes()); err != nil {
-		return fmt.Errorf("serve: journal append: %w", err)
+	if err = j.ff.Append(b); err == nil {
+		err = j.ff.Sync()
 	}
-	if sync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("serve: journal fsync: %w", err)
-		}
+	if err != nil {
+		return fmt.Errorf("serve: journal append: %w", err)
 	}
 	return nil
 }
@@ -110,13 +93,10 @@ func (j *journal) append(e *JournalEntry, sync bool) error {
 func (j *journal) close() error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.f == nil {
+	if j.ff == nil {
 		return nil
 	}
-	err := j.f.Sync()
-	if cerr := j.f.Close(); err == nil {
-		err = cerr
-	}
-	j.f = nil
+	err := j.ff.Close()
+	j.ff = nil
 	return err
 }

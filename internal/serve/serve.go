@@ -481,7 +481,7 @@ func foldImages(images map[string]*wal.ProcImage) map[string]fold {
 func (s *Server) seal(sub *submission, committed bool) {
 	sub.final = true
 	sub.version++
-	if err := s.jr.append(&JournalEntry{ID: sub.id, Tenant: sub.tenant, Done: true, Committed: committed}, true); err != nil && !s.crashed.Load() {
+	if err := s.jr.append(&JournalEntry{ID: sub.id, Tenant: sub.tenant, Done: true, Committed: committed}); err != nil && !s.crashed.Load() {
 		s.crashNow("journal:" + err.Error())
 	}
 }

@@ -3,14 +3,19 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"transproc/internal/spec"
 	"transproc/internal/subsystem"
+	"transproc/internal/wal"
 )
 
 // testWorld is a small fixed federation: a compensatable booking, a
@@ -199,5 +204,92 @@ func TestServeLifecycle(t *testing.T) {
 	st2, ok := srv2.StatusOf("acme/trip0")
 	if !ok || st2.State != stateCommitted {
 		t.Fatalf("restart lost status: %+v (ok=%v)", st2, ok)
+	}
+}
+
+// journalAfterRun runs three trips to completion in a fresh directory,
+// closes the server and returns the directory, the intake journal's
+// path and its bytes (three submissions, three seals).
+func journalAfterRun(t *testing.T) (dir, path string, data []byte) {
+	t.Helper()
+	dir = t.TempDir()
+	srv, err := Open(testWorld(t), Config{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := srv.Handler()
+	for i := 0; i < 3; i++ {
+		body, _ := json.Marshal(SubmitRequest{Tenant: "acme", Key: fmt.Sprintf("k%d", i), Proc: tripSpec(fmt.Sprintf("trip%d", i))})
+		rec := httptest.NewRecorder()
+		handler.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/processes", bytes.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("submit %d: %d %s", i, rec.Code, rec.Body.String())
+		}
+	}
+	if !srv.WaitIdle(10 * time.Second) {
+		t.Fatal("server did not go idle")
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path = filepath.Join(dir, "intake.journal")
+	data, err = os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, path, data
+}
+
+// An interior-corrupt intake journal refuses to open, loudly, and is
+// left byte-for-byte untouched: truncating at the first bad entry would
+// silently un-admit every acknowledged submission behind it.
+func TestOpenRejectsInteriorCorruptJournal(t *testing.T) {
+	dir, path, data := journalAfterRun(t)
+	bounds := wal.FrameBounds(data)
+	if len(bounds) != 7 {
+		t.Fatalf("journal frame bounds %v, want 6 entries", bounds)
+	}
+	for _, i := range []int{0, bounds[0], bounds[0] + 4, bounds[0] + 20, bounds[2] + 1, bounds[5] - 1} {
+		image := append([]byte(nil), data...)
+		image[i] ^= 0xFF
+		if err := os.WriteFile(path, image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := Open(testWorld(t), Config{Dir: dir, NoSync: true})
+		if err == nil {
+			srv.Close()
+			t.Fatalf("byte %d flipped: server opened, want wal.ErrCorrupt", i)
+		}
+		if !errors.Is(err, wal.ErrCorrupt) {
+			t.Fatalf("byte %d flipped: got %v, want wal.ErrCorrupt", i, err)
+		}
+		if after, _ := os.ReadFile(path); !bytes.Equal(after, image) {
+			t.Fatalf("byte %d flipped: the corrupt journal was modified", i)
+		}
+	}
+}
+
+// A torn last journal entry (crash mid-append) is dropped on open and
+// everything before it recovers.
+func TestOpenDropsTornLastJournalEntry(t *testing.T) {
+	dir, path, data := journalAfterRun(t)
+	// The last entry is trip2's seal: without it trip2 is resumed and
+	// found committed in the WAL.
+	if err := os.WriteFile(path, data[:len(data)-3], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Open(testWorld(t), Config{Dir: dir, NoSync: true})
+	if err != nil {
+		t.Fatalf("open over a torn journal tail: %v", err)
+	}
+	defer srv.Close()
+	if !srv.WaitIdle(10 * time.Second) {
+		t.Fatal("server did not go idle")
+	}
+	for i := 0; i < 3; i++ {
+		st, ok := srv.StatusOf(fmt.Sprintf("acme/trip%d", i))
+		if !ok || st.State != stateCommitted {
+			t.Fatalf("trip%d after torn-tail recovery: %+v (ok=%v)", i, st, ok)
+		}
 	}
 }

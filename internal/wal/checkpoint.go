@@ -10,11 +10,8 @@
 package wal
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"transproc/internal/metrics"
@@ -439,16 +436,9 @@ type Compactor interface {
 func (l *MemLog) Compact(inject func(string)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	idx := latestCheckpoint(l.recs)
-	if idx < 0 {
+	kept := compacted(l.recs)
+	if kept == nil {
 		return nil
-	}
-	cp := l.recs[idx].Checkpoint
-	kept := []Record{l.recs[idx]}
-	for _, r := range l.recs {
-		if r.Type != RecCheckpoint && r.LSN > cp.Horizon {
-			kept = append(kept, r)
-		}
 	}
 	if inject != nil {
 		inject(PointCompactRename)
@@ -459,22 +449,38 @@ func (l *MemLog) Compact(inject func(string)) error {
 	return nil
 }
 
-// Compact implements Compactor: the file is rewritten as [latest valid
-// checkpoint record, post-horizon tail] via temp file → fsync → rename
-// → parent-directory fsync, so a crash at any point leaves either the
-// old complete log or the new complete log. The LSN counter is
-// preserved (compaction renumbers nothing; the log simply gains a
-// gap). A log without a usable checkpoint is left untouched.
+// Compact implements Compactor: the file is atomically rewritten
+// (FrameFile.Rewrite) as [latest valid checkpoint record, post-horizon
+// tail]. The LSN counter is preserved (compaction renumbers nothing;
+// the log simply gains a gap). A log without a usable checkpoint is
+// left untouched.
 func (l *FileLog) Compact(inject func(string)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: compact flush: %w", err)
-	}
-	recs, err := l.readLocked()
+	recs, err := l.recordsLocked()
 	if err != nil {
 		return err
 	}
+	kept := compacted(recs)
+	if kept == nil {
+		return nil
+	}
+	payloads := make([][]byte, len(kept))
+	for i, r := range kept {
+		if payloads[i], err = json.Marshal(r); err != nil {
+			return fmt.Errorf("wal: compact marshal: %w", err)
+		}
+	}
+	if err := l.ff.Rewrite(payloads, inject); err != nil {
+		return err
+	}
+	l.m.Inc(metrics.Compactions)
+	return nil
+}
+
+// compacted returns [latest valid checkpoint record, post-horizon
+// tail] of recs, or nil without a usable checkpoint.
+func compacted(recs []Record) []Record {
 	idx := latestCheckpoint(recs)
 	if idx < 0 {
 		return nil
@@ -486,84 +492,7 @@ func (l *FileLog) Compact(inject func(string)) error {
 			kept = append(kept, r)
 		}
 	}
-
-	tmp := l.path + ".compact"
-	os.Remove(tmp) // a crashed earlier compaction may have left one
-	tf, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: compact temp: %w", err)
-	}
-	bw := bufio.NewWriter(tf)
-	for _, r := range kept {
-		b, err := json.Marshal(r)
-		if err != nil {
-			tf.Close()
-			return fmt.Errorf("wal: compact marshal: %w", err)
-		}
-		if _, err := bw.Write(append(b, '\n')); err != nil {
-			tf.Close()
-			return fmt.Errorf("wal: compact write: %w", err)
-		}
-	}
-	if err := bw.Flush(); err != nil {
-		tf.Close()
-		return fmt.Errorf("wal: compact flush temp: %w", err)
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		return fmt.Errorf("wal: compact fsync temp: %w", err)
-	}
-	if err := tf.Close(); err != nil {
-		return fmt.Errorf("wal: compact close temp: %w", err)
-	}
-	if inject != nil {
-		inject(PointCompactRename)
-	}
-	if err := os.Rename(tmp, l.path); err != nil {
-		return fmt.Errorf("wal: compact rename: %w", err)
-	}
-	if inject != nil {
-		inject(PointCompactDirSync)
-	}
-	if err := syncDir(filepath.Dir(l.path)); err != nil {
-		return err
-	}
-	// The open descriptor still references the replaced inode: swap it
-	// for the compacted file before any further append.
-	nf, err := os.OpenFile(l.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("wal: reopening compacted log: %w", err)
-	}
-	l.f.Close()
-	l.f = nf
-	l.w = bufio.NewWriter(nf)
-	l.m.Inc(metrics.Compactions)
-	return nil
-}
-
-// readLocked re-reads the decodable records of the file; the caller
-// holds l.mu and has flushed the writer.
-func (l *FileLog) readLocked() ([]Record, error) {
-	if _, err := l.f.Seek(0, 0); err != nil {
-		return nil, fmt.Errorf("wal: seek: %w", err)
-	}
-	var out []Record
-	sc := bufio.NewScanner(l.f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		var r Record
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			break
-		}
-		out = append(out, r)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("wal: scan: %w", err)
-	}
-	if _, err := l.f.Seek(0, 2); err != nil {
-		return nil, fmt.Errorf("wal: seek end: %w", err)
-	}
-	return out, nil
+	return kept
 }
 
 // latestCheckpoint returns the index of the last structurally valid
@@ -575,18 +504,4 @@ func latestCheckpoint(recs []Record) int {
 		}
 	}
 	return -1
-}
-
-// syncDir fsyncs a directory so a just-created or just-renamed file
-// inside it survives power loss.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: open dir %s: %w", dir, err)
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return fmt.Errorf("wal: fsync dir %s: %w", dir, err)
-	}
-	return d.Close()
 }

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,28 +10,33 @@ import (
 
 // FuzzCheckpointDecode feeds arbitrary bytes to the checkpoint
 // expansion path: whatever checkpoint payload is on disk, OpenFile must
-// come up, Expand must not panic, a corrupt checkpoint must only widen
-// the replay window (fall back toward full replay, never drop
-// post-horizon records or return an error), and Analyze over the
-// expansion must not panic.
+// come up or refuse with ErrCorrupt; when it comes up, Expand must not
+// panic, a structurally invalid checkpoint must only widen the replay
+// window (fall back toward full replay, never drop post-horizon records
+// or return an error), and Analyze over the expansion must not panic.
 func FuzzCheckpointDecode(f *testing.F) {
 	valid := `{"lsn":5,"type":9,"proc":"","ckpt":{"horizon":4,"live":[{"lsn":3,"type":0,"proc":"L1"}],"applied":{"a":1},"procs":1,"dropped":4}}`
 	tail := `{"lsn":6,"type":0,"proc":"W9"}`
+	f.Add(frameImage(valid, tail))
+	f.Add(frameImage(valid[:40], tail))
+	f.Add(frameImage(`{"lsn":5,"type":9,"ckpt":{"horizon":-3}}`, tail))
+	f.Add(frameImage(`{"lsn":5,"type":9,"ckpt":{"horizon":1,"live":[{"lsn":9,"type":0,"proc":"X"}]}}`, tail))
+	f.Add(frameImage(`{"lsn":5,"type":9,"ckpt":{"horizon":2,"applied":{"a":-7}}}`))
+	f.Add(frameImage(`{"lsn":5,"type":9,"ckpt":"garbage"}`, tail))
+	f.Add(frameImage(`{"lsn":5,"type":9}`))
+	// The retired JSON-lines format: rejected.
 	f.Add([]byte(valid + "\n" + tail + "\n"))
-	f.Add([]byte(valid[:40] + "\n" + tail + "\n"))
-	f.Add([]byte(`{"lsn":5,"type":9,"ckpt":{"horizon":-3}}` + "\n" + tail + "\n"))
-	f.Add([]byte(`{"lsn":5,"type":9,"ckpt":{"horizon":1,"live":[{"lsn":9,"type":0,"proc":"X"}]}}` + "\n" + tail + "\n"))
-	f.Add([]byte(`{"lsn":5,"type":9,"ckpt":{"horizon":2,"applied":{"a":-7}}}` + "\n"))
-	f.Add([]byte(`{"lsn":5,"type":9,"ckpt":"garbage"}` + "\n" + tail + "\n"))
-	f.Add([]byte(`{"lsn":5,"type":9}` + "\n"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.jsonl")
+		path := filepath.Join(t.TempDir(), "fuzz.log")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		l, err := OpenFile(path, false)
+		if errors.Is(err, ErrCorrupt) {
+			return
+		}
 		if err != nil {
-			t.Fatalf("OpenFile on arbitrary bytes: %v", err)
+			t.Fatalf("OpenFile on arbitrary bytes: %v, want success or ErrCorrupt", err)
 		}
 		defer l.Close()
 		recs, err := l.Records()

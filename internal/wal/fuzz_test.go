@@ -2,43 +2,55 @@ package wal
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
 // FuzzWALReplay feeds arbitrary bytes to the file log's open/replay
-// path: whatever is on disk after a crash, OpenFile must come up (the
-// torn tail truncated away, never an error for mere corruption),
-// Records must return only decodable records, Analyze must not panic,
-// and an append to the reopened log must be durable across a further
-// reopen.
+// path. Whatever is on disk, OpenFile never panics: it either comes up
+// (a torn tail truncated away) or refuses with ErrCorrupt and leaves
+// the file untouched. When it comes up, Analyze must not panic, an
+// append must be durable across a further reopen, and no record the
+// first open returned may disappear.
 func FuzzWALReplay(f *testing.F) {
+	start := `{"lsn":1,"type":0,"proc":"W1"}`
+	torn := frameImage(start, `{"lsn":2,"type":2,"proc":"W1","local":1}`)
 	f.Add([]byte(""))
-	f.Add([]byte("{\"lsn\":1,\"type\":0,\"proc\":\"W1\"}\n"))
-	f.Add([]byte("{\"lsn\":1,\"type\":0,\"proc\":\"W1\"}\n{\"lsn\":2,\"type\":2,\"pr"))
-	f.Add([]byte("garbage\n{\"lsn\":1,\"type\":0,\"proc\":\"W1\"}\n"))
+	f.Add([]byte(fileMagic))
+	f.Add(frameImage(start))
+	f.Add(torn[:len(torn)-9])
+	f.Add(frameImage("garbage", start))
+	f.Add(frameImage("", "", ""))
+	f.Add(append(frameImage(start), bytes.Repeat([]byte{0xff, 0x00, '\n'}, 7)...))
+	// The retired JSON-lines format: rejected, not emptied.
+	f.Add([]byte(start + "\n"))
+	f.Add([]byte(start + "\n{\"lsn\":2,\"type\":2,\"pr"))
 	f.Add([]byte("\n\n\n"))
-	f.Add(bytes.Repeat([]byte{0xff, 0x00, '\n'}, 7))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		path := filepath.Join(t.TempDir(), "fuzz.jsonl")
+		path := filepath.Join(t.TempDir(), "fuzz.log")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		l, err := OpenFile(path, false)
 		if err != nil {
-			t.Fatalf("OpenFile on arbitrary bytes: %v", err)
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("OpenFile on arbitrary bytes: %v, want success or ErrCorrupt", err)
+			}
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+				t.Fatalf("a corrupt log was modified")
+			}
+			return
 		}
 		recs, err := l.Records()
 		if err != nil {
 			t.Fatalf("Records after open: %v", err)
 		}
-		if _, err := Analyze(recs); err != nil && err != ErrNoLog {
-			// Analyze may reject inconsistent logs, but only with its
-			// sentinel or a descriptive error — reaching here is fine;
-			// the fuzz target only guards against panics.
-			_ = err
-		}
+		// Analyze may reject an inconsistent log with an error; the
+		// fuzz target only guards against panics.
+		_, _ = Analyze(recs)
 		lsn, err := l.Append(Record{Type: RecStart, Proc: "fuzz"})
 		if err != nil {
 			t.Fatalf("Append after recovery open: %v", err)
@@ -55,8 +67,8 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Records after reopen: %v", err)
 		}
-		if len(again) != len(recs)+1 {
-			t.Fatalf("append not durable: %d records before, %d after", len(recs), len(again))
+		if len(again) != len(recs)+1 || (len(recs) > 0 && !reflect.DeepEqual(again[:len(recs)], recs)) {
+			t.Fatalf("records changed across reopen: %d before the append, %d after", len(recs), len(again))
 		}
 		last := again[len(again)-1]
 		if last.Proc != "fuzz" || last.LSN != lsn {

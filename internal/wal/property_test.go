@@ -111,10 +111,10 @@ func TestPropertyAnalyzeDeterministic(t *testing.T) {
 }
 
 // Property: for EVERY byte-prefix of a valid log file — any point a
-// crash could cut the file at — OpenFile succeeds, yields exactly the
-// complete newline-terminated records contained in the prefix (at most
-// the final partial record is dropped), and a subsequent append is
-// durable across a reopen.
+// crash could cut the file at, cuts inside the file magic included —
+// OpenFile succeeds, yields exactly the records whose frames are
+// complete in the prefix (at most the final partial record is dropped),
+// and a subsequent append is durable across a reopen.
 func TestPropertyEveryBytePrefixRecovers(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
@@ -141,12 +141,13 @@ func TestPropertyEveryBytePrefixRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Complete records at cut k = number of newline-terminated lines
-	// fully inside data[:k].
+	// Complete records at cut k = number of frames that end inside
+	// data[:k].
+	bounds := FrameBounds(data)
 	completeAt := func(k int) int {
 		n := 0
-		for _, b := range data[:k] {
-			if b == '\n' {
+		for _, end := range bounds[1:] {
+			if end <= k {
 				n++
 			}
 		}

@@ -3,17 +3,15 @@
 // effect, so that after a crash the recovery manager can reconstruct the
 // state of every active process and execute the group abort
 // A(P_{n_1} … P_{n_s}) of Definition 8.2b — completing B-REC processes
-// backward and F-REC processes forward.
+// backward and F-REC processes forward. On disk the log is a FrameFile
+// (framefile.go; DESIGN.md §6k, "one log format"), as are the serve
+// intake journal and the hub journal.
 package wal
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
 	"sync"
 
 	"transproc/internal/metrics"
@@ -107,25 +105,17 @@ type Record struct {
 	Stamp int64 `json:"stamp,omitempty"`
 }
 
-// Backend is the minimal append-only store a write-ahead log is built
-// on. MemLog and FileLog are the default implementations; the interface
-// is the seam for fault injection — a wrapper (internal/fault) can
-// interpose on Append to simulate crashes and torn writes while
-// delegating to a real backend underneath.
-type Backend interface {
+// Log is an append-only record log. MemLog and FileLog are the default
+// implementations; the interface is also the seam for fault injection —
+// a wrapper (internal/fault) can interpose on Append to simulate crashes
+// and torn writes while delegating to a real log underneath.
+type Log interface {
 	// Append writes a record (assigning its LSN) and returns the LSN.
 	Append(Record) (int64, error)
 	// Records returns all records in order.
 	Records() ([]Record, error)
 	// Close releases resources.
 	Close() error
-}
-
-// Log is an append-only record log. It is identical to Backend; the
-// distinct name keeps the scheduler/2PC/recovery call sites decoupled
-// from the injection seam.
-type Log interface {
-	Backend
 }
 
 // Instrumented is implemented by logs that can record append/fsync
@@ -180,13 +170,11 @@ func (l *MemLog) Records() ([]Record, error) {
 // Close implements Log.
 func (l *MemLog) Close() error { return nil }
 
-// FileLog is a JSON-lines file-backed Log.
+// FileLog is the file-backed Log: JSON-encoded records in a FrameFile.
 type FileLog struct {
 	mu   sync.Mutex
-	f    *os.File
-	w    *bufio.Writer
+	ff   *FrameFile
 	next int64
-	path string
 	sync bool
 	m    *metrics.Registry
 }
@@ -201,108 +189,40 @@ func (l *FileLog) SetMetrics(m *metrics.Registry) {
 
 // OpenFile opens (or creates) a file log at path. When syncEvery is
 // true every append is flushed and fsynced — the write-ahead guarantee;
-// false trades durability for speed in simulations.
-//
-// A torn tail (a final record left unterminated or undecodable by a
-// crash mid-write) is truncated away on open, so that at most the final
-// partial record is lost and subsequent appends never splice into
-// garbage — the tail would otherwise shadow every later record from
-// Records.
+// false trades durability for speed in simulations. A torn tail is
+// truncated away; any other damage, or a file in another format, is
+// ErrCorrupt and the file is left untouched (see OpenFrameFile).
 func OpenFile(path string, syncEvery bool) (*FileLog, error) {
-	_, statErr := os.Stat(path)
-	created := os.IsNotExist(statErr)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	l := &FileLog{sync: syncEvery}
+	ff, err := OpenFrameFile(path, syncEvery, func(p []byte) error {
+		r, err := decodeRecord(p)
+		// max, not last: compaction puts the checkpoint record ahead
+		// of fuzzy-window records with smaller LSNs.
+		l.next = max(l.next, r.LSN)
+		return err
+	})
 	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	if created {
-		// Make the new directory entry durable: without the parent-dir
-		// fsync a freshly created (and even fsynced) log file can
-		// vanish wholesale on power loss.
-		if err := syncDir(filepath.Dir(path)); err != nil {
-			f.Close()
-			return nil, err
-		}
-	}
-	recs, validEnd, err := scanValid(f)
-	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if fi, err := f.Stat(); err == nil && fi.Size() > validEnd {
-		if err := f.Truncate(validEnd); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("wal: truncating torn tail of %s: %w", path, err)
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: seek end: %w", err)
-	}
-	l := &FileLog{f: f, w: bufio.NewWriter(f), path: path, sync: syncEvery}
-	if n := len(recs); n > 0 {
-		l.next = recs[n-1].LSN
-	}
+	l.ff = ff
 	return l, nil
 }
 
-// scanValid reads the decodable newline-terminated prefix of a log file
-// and the byte offset where it ends. A final line that lacks its
-// newline is treated as torn even if it happens to parse: an append
-// must never concatenate onto it.
-func scanValid(f *os.File) ([]Record, int64, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0, fmt.Errorf("wal: seek: %w", err)
-	}
-	br := bufio.NewReaderSize(f, 64*1024)
-	var (
-		recs []Record
-		off  int64
-	)
-	for {
-		line, err := br.ReadBytes('\n')
-		if err == nil {
-			var r Record
-			if json.Unmarshal(line, &r) != nil {
-				break // torn or corrupt: stop at the last valid record
-			}
-			recs = append(recs, r)
-			off += int64(len(line))
-			continue
-		}
-		if err == io.EOF {
-			break
-		}
-		return nil, 0, fmt.Errorf("wal: scan: %w", err)
-	}
-	return recs, off, nil
+func decodeRecord(p []byte) (Record, error) {
+	var r Record
+	err := json.Unmarshal(p, &r)
+	return r, err
 }
 
 // Append implements Log.
 func (l *FileLog) Append(r Record) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.next++
-	r.LSN = l.next
-	b, err := json.Marshal(r)
-	if err != nil {
-		return 0, fmt.Errorf("wal: marshal: %w", err)
+	lsn, err := l.appendLocked(r)
+	if err == nil && l.sync {
+		err = l.syncLocked()
 	}
-	if _, err := l.w.Write(append(b, '\n')); err != nil {
-		return 0, fmt.Errorf("wal: write: %w", err)
-	}
-	l.m.Inc(metrics.WALAppends)
-	l.m.Add(metrics.WALBytes, int64(len(b))+1)
-	if l.sync {
-		if err := l.w.Flush(); err != nil {
-			return 0, fmt.Errorf("wal: flush: %w", err)
-		}
-		if err := l.f.Sync(); err != nil {
-			return 0, fmt.Errorf("wal: fsync: %w", err)
-		}
-		l.m.Inc(metrics.WALFsyncs)
-	}
-	return r.LSN, nil
+	return lsn, err
 }
 
 // AppendNoSync implements BatchBackend: the record reaches the
@@ -311,17 +231,21 @@ func (l *FileLog) Append(r Record) (int64, error) {
 func (l *FileLog) AppendNoSync(r Record) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.next++
-	r.LSN = l.next
+	return l.appendLocked(r)
+}
+
+func (l *FileLog) appendLocked(r Record) (int64, error) {
+	r.LSN = l.next + 1
 	b, err := json.Marshal(r)
 	if err != nil {
 		return 0, fmt.Errorf("wal: marshal: %w", err)
 	}
-	if _, err := l.w.Write(append(b, '\n')); err != nil {
-		return 0, fmt.Errorf("wal: write: %w", err)
+	if err := l.ff.Append(b); err != nil {
+		return 0, err
 	}
+	l.next = r.LSN
 	l.m.Inc(metrics.WALAppends)
-	l.m.Add(metrics.WALBytes, int64(len(b))+1)
+	l.m.Add(metrics.WALBytes, int64(frameHeader+len(b)))
 	return r.LSN, nil
 }
 
@@ -331,68 +255,52 @@ func (l *FileLog) AppendNoSync(r Record) (int64, error) {
 func (l *FileLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return fmt.Errorf("wal: flush: %w", err)
+	return l.syncLocked()
+}
+
+func (l *FileLog) syncLocked() error {
+	if err := l.ff.Sync(); err != nil {
+		return err
 	}
-	if !l.sync {
-		return nil
+	if l.sync {
+		l.m.Inc(metrics.WALFsyncs)
 	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
-	}
-	l.m.Inc(metrics.WALFsyncs)
 	return nil
 }
 
-// Records implements Log. It tolerates a torn final line (crash during
-// append) by stopping at the first undecodable record.
+// Records implements Log.
 func (l *FileLog) Records() ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return nil, fmt.Errorf("wal: flush: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("wal: seek: %w", err)
-	}
+	return l.recordsLocked()
+}
+
+func (l *FileLog) recordsLocked() ([]Record, error) {
 	var out []Record
-	sc := bufio.NewScanner(l.f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		var r Record
-		if err := json.Unmarshal(sc.Bytes(), &r); err != nil {
-			break // torn tail record: ignore it and everything after
+	err := l.ff.Scan(func(p []byte) error {
+		r, err := decodeRecord(p)
+		if err != nil {
+			return err
 		}
 		out = append(out, r)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("wal: scan: %w", err)
-	}
-	if _, err := l.f.Seek(0, io.SeekEnd); err != nil {
-		return nil, fmt.Errorf("wal: seek end: %w", err)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
 // Close implements Log. Under syncEvery the buffered tail is fsynced,
-// not merely flushed to the OS, before the descriptor closes — a clean
-// shutdown must leave nothing in the page cache that a subsequent
-// power loss could take away.
+// not merely flushed to the OS, before the descriptor closes.
 func (l *FileLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		l.f.Close()
-		return err
-	}
-	if l.sync {
-		if err := l.f.Sync(); err != nil {
-			l.f.Close()
-			return err
-		}
+	err := l.ff.Close()
+	if err == nil && l.sync {
 		l.m.Inc(metrics.WALFsyncs)
 	}
-	return l.f.Close()
+	return err
 }
 
 // ErrNoLog marks analysis of an empty log.

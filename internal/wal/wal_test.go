@@ -1,6 +1,10 @@
 package wal
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -60,22 +64,37 @@ func TestFileLogRoundTrip(t *testing.T) {
 	}
 }
 
-func TestFileLogTornTail(t *testing.T) {
-	t.Parallel()
-	path := filepath.Join(t.TempDir(), "wal.jsonl")
+// sixRecordLog writes a synced six-record log and returns its path and
+// bytes.
+func sixRecordLog(t *testing.T) (string, []byte) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "wal.log")
 	l, err := OpenFile(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Append(Record{Type: RecStart, Proc: "P1"})
-	l.Close()
-	// Simulate a torn write.
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+	for i := 0; i < 6; i++ {
+		if _, err := l.Append(Record{Type: RecOutcome, Proc: fmt.Sprintf("P%d", i), Local: i, Service: "svc", Outcome: "committed"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteString(`{"lsn":2,"type":1,"proc":"P1","loc`)
-	f.Close()
+	return path, data
+}
+
+func TestFileLogTornTail(t *testing.T) {
+	t.Parallel()
+	path, data := sixRecordLog(t)
+	// Simulate a torn write: the sixth frame lost its last bytes.
+	if err := os.WriteFile(path, data[:len(data)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	l2, err := OpenFile(path, false)
 	if err != nil {
 		t.Fatal(err)
@@ -85,9 +104,85 @@ func TestFileLogTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(recs) != 1 {
-		t.Fatalf("torn tail must be ignored, got %d records", len(recs))
+	if len(recs) != 5 {
+		t.Fatalf("torn tail must be ignored, got %d records, want 5", len(recs))
 	}
+}
+
+// openMustBeCorrupt asserts that OpenFile refuses the image with
+// ErrCorrupt and leaves the file byte-for-byte untouched.
+func openMustBeCorrupt(t *testing.T, path string, image []byte, what string) {
+	t.Helper()
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := OpenFile(path, true)
+	if err == nil {
+		recs, _ := l.Records()
+		l.Close()
+		t.Fatalf("%s: OpenFile succeeded with %d records, want ErrCorrupt", what, len(recs))
+	}
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("%s: got %v, want ErrCorrupt", what, err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, image) {
+		t.Fatalf("%s: a corrupt log was modified (%d bytes before, %d after)", what, len(image), len(after))
+	}
+}
+
+// No acknowledged record is ever silently dropped: damage to any byte
+// of the magic or of any frame but the last — length, checksum or
+// payload — is a loud ErrCorrupt, never a "torn tail" that truncates
+// the synced records behind it.
+func TestInteriorByteFlipIsCorrupt(t *testing.T) {
+	t.Parallel()
+	path, data := sixRecordLog(t)
+	bounds := FrameBounds(data)
+	if len(bounds) != 7 {
+		t.Fatalf("frame bounds %v, want 6 frames", bounds)
+	}
+	lastStart := bounds[len(bounds)-2]
+	for _, mask := range []byte{0xFF, 0x01, 0x80} {
+		for i := 0; i < lastStart; i++ {
+			image := append([]byte(nil), data...)
+			image[i] ^= mask
+			openMustBeCorrupt(t, path, image, fmt.Sprintf("byte %d ^ %#x", i, mask))
+		}
+	}
+}
+
+// A log in the retired JSON-lines format (or any other file) is
+// rejected and left intact, not emptied as a "torn tail".
+func TestForeignFileIsCorrupt(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "wal.log")
+	openMustBeCorrupt(t, path, []byte("{\"lsn\":1,\"type\":0,\"proc\":\"W1\"}\n{\"lsn\":2,\"type\":8,\"proc\":\"W1\"}\n"), "JSONL log")
+	openMustBeCorrupt(t, path, []byte("{\"l"), "short JSONL fragment")
+	// An intact frame whose payload the record codec rejects.
+	_, data := sixRecordLog(t)
+	openMustBeCorrupt(t, path, frameImage("{\"lsn\":1,\"type\":0,\"proc\":\"W1\"}", "not json"), "undecodable payload")
+	// Intact frames after a frame that was cut short.
+	b := FrameBounds(data)
+	spliced := append(append([]byte(nil), data[:b[3]-4]...), data[b[3]:]...)
+	openMustBeCorrupt(t, path, spliced, "frame cut short mid-file")
+}
+
+// frameImage builds a log image holding the given payloads.
+func frameImage(payloads ...string) []byte {
+	var buf bytes.Buffer
+	w := bufio.NewWriter(&buf)
+	w.WriteString(fileMagic)
+	for _, p := range payloads {
+		if err := writeFrame(w, []byte(p)); err != nil {
+			panic(err)
+		}
+	}
+	w.Flush()
+	return buf.Bytes()
 }
 
 func TestAnalyzeEmpty(t *testing.T) {
