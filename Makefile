@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench-check race diff torture chaos fed serve coverage-floor bench bench-fed bench-serve fuzz-smoke ci
+.PHONY: build test test-short loc bench-check race diff torture chaos fed serve coverage-floor bench bench-fed bench-serve fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,14 @@ test:
 
 test-short:
 	$(GO) test -short ./...
+
+# Non-test lines of product code, in total and per package: the counter
+# behind the ROADMAP's "net lines removed" metric, reported the same way
+# in every PR.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs cat | wc -l | xargs echo total
+	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
+		echo "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d"; done
 
 # The benchmark is its own module (bench/) compiled against this tree:
 # a signature change in wal/serve/federation must break here, not in

@@ -16,6 +16,7 @@ import (
 	"transproc/internal/scheduler"
 	"transproc/internal/scheduler/policy"
 	"transproc/internal/subsystem"
+	"transproc/internal/wal"
 )
 
 // HubConfig configures the coordination hub.
@@ -56,54 +57,27 @@ type HubConfig struct {
 // stamps, and a reopened hub's counter jumps at most this far ahead.
 const leaseChunk = 512
 
-// hubPhase mirrors the engine's procState.
-type hubPhase int
+// hubProc is the hub-side mirror of one process incarnation: the shared
+// driver's record plus what only the hub tracks. The hub applies the
+// same deterministic instance transitions as the owning node, in the
+// order of the node's RPCs — each node drives its processes
+// single-threaded, so per-process operations are serial and the two
+// instances stay in lockstep.
+type hubProc struct {
+	scheduler.Proc
+	node uint32
 
-const (
-	hubRunning hubPhase = iota
-	hubAborting
-	hubDone
-	// hubParked is Done for the policy view but distinguishable for the
+	// parked is Done for the policy view but distinguishable for the
 	// dispatch handlers: a parked process's remaining completion steps
 	// run only during post-run recovery — after every live event in the
 	// stitched log — so the hub must bounce the owner's racing RPCs
 	// (StPark) and hold conflicting live work behind the parked
 	// footprint, or admitted work would order before steps that replay
 	// after it and invert the forced serialization order.
-	hubParked
-)
-
-// hubTx is a subsystem transaction the hub tracks on behalf of a node.
-type hubTx struct {
-	sub     *subsystem.Subsystem
-	tx      subsystem.TxID
-	service string
-}
-
-// hubProc is the hub-side mirror of one process incarnation. The hub
-// applies the same deterministic instance transitions as the owning
-// node, in the order of the node's RPCs — each node drives its
-// processes single-threaded, so per-process operations are serial and
-// the two instances stay in lockstep.
-type hubProc struct {
-	id      process.ID
-	origin  process.ID
-	node    uint32
-	arrival int
-
-	def  *process.Process
-	inst *process.Instance
-
-	phase           hubPhase
-	running         map[int]string // local -> service (frontier in flight)
-	inflight        map[int]hubTx  // local -> prepared tx awaiting CommitLocal
-	prepared        map[int]hubTx  // Lemma-1 deferred transactions
-	recovery        []process.Step
-	recoveryBusy    bool
-	recoveryBusySvc string
-	stepTx          hubTx // in-flight recovery-step transaction
-	abortPending    bool
-	decided         bool // 2PC commit decision granted (point of no return)
+	parked   bool
+	inflight map[int]scheduler.PreparedTx // local -> prepared tx awaiting CommitLocal
+	stepTx   scheduler.PreparedTx         // in-flight recovery-step transaction
+	decided  bool                         // 2PC commit decision granted (point of no return)
 	// committedEvents counts the process's committed (non-tentative)
 	// policy events — the adoption gate: an orphan with zero committed
 	// events has nothing recovery must compensate, so its origin can be
@@ -115,10 +89,13 @@ type hubProc struct {
 	// even if the owner later revives: its subsystem residue was
 	// settled at death and only recovery (or adoption) finishes it.
 	zombie bool
-	// fate is the terminal outcome once phase is hubDone (true =
+	// fate is the terminal outcome once the process is settled (true =
 	// committed), served to re-attaching owners that lost the response.
 	fate bool
 }
+
+// settled reports a terminated (not merely parked) incarnation.
+func (hp *hubProc) settled() bool { return hp.Phase == policy.Done && !hp.parked }
 
 // hubNode is the hub's view of one scheduler node.
 type hubNode struct {
@@ -150,12 +127,16 @@ type Hub struct {
 	fed   *subsystem.Federation
 	table *conflict.Table
 	pol   *policy.State
-	cfg   HubConfig
-	reg   *metrics.Registry
+	// drv is the shared protocol driver over the mirrors. In this stage
+	// the hub uses its process table (the policy view), gates, cascade
+	// marking and victim choice; the logging transitions stay split
+	// between the handlers here and the owning node.
+	drv *scheduler.Driver
+	cfg HubConfig
+	reg *metrics.Registry
 
-	defs  map[string]*process.Process // by origin id
-	order []process.ID                // admission order
-	byID  map[process.ID]*hubProc
+	defs map[string]*process.Process // by origin id
+	byID map[process.ID]*hubProc
 
 	nodes map[uint32]*hubNode
 	dedup map[uint32]map[uint64]*Frame
@@ -214,6 +195,7 @@ func NewHub(fed *subsystem.Federation, defs []*process.Process, cfg HubConfig) (
 		maxSuffix: make(map[string]int),
 		pending:   make(map[string]bool),
 	}
+	h.drv = &scheduler.Driver{Host: hubHost{h}, Fed: fed, Pol: h.pol, Reg: cfg.Metrics}
 	if cfg.Metrics != nil {
 		fed.SetMetrics(cfg.Metrics)
 	}
@@ -274,63 +256,16 @@ func (h *Hub) Epoch() uint32 {
 	return h.epoch
 }
 
-// hubView adapts the mirrors to the policy's View.
-type hubView struct{ h *Hub }
+// hubHost is the hub as the driver's Host. Only the clock is live in
+// this stage: the hub grants stamps and has the owning node force-log
+// the records inside its own handlers, not through driver transitions,
+// so a force-log asked of it is refused.
+type hubHost struct{ h *Hub }
 
-func (v hubView) Procs() []process.ID { return v.h.order }
-
-func (v hubView) Phase(id process.ID) policy.Phase {
-	hp := v.h.byID[id]
-	if hp == nil {
-		return policy.Done
-	}
-	switch hp.phase {
-	case hubRunning:
-		return policy.Running
-	case hubAborting:
-		return policy.Aborting
-	default:
-		return policy.Done
-	}
-}
-
-func (v hubView) Arrival(id process.ID) int {
-	if hp := v.h.byID[id]; hp != nil {
-		return hp.arrival
-	}
-	return 0
-}
-
-func (v hubView) Instance(id process.ID) *process.Instance {
-	if hp := v.h.byID[id]; hp != nil {
-		return hp.inst
-	}
-	return nil
-}
-
-func (v hubView) RecoverySteps(id process.ID) []process.Step {
-	if hp := v.h.byID[id]; hp != nil {
-		return hp.recovery
-	}
-	return nil
-}
-
-func (v hubView) InFlight(id process.ID) []string {
-	hp := v.h.byID[id]
-	if hp == nil {
-		return nil
-	}
-	out := make([]string, 0, len(hp.running)+1)
-	for _, svc := range hp.running {
-		out = append(out, svc)
-	}
-	if hp.recoveryBusy && hp.recoveryBusySvc != "" {
-		out = append(out, hp.recoveryBusySvc)
-	}
-	return out
-}
-
-func (h *Hub) view() policy.View { return hubView{h} }
+func (hh hubHost) NextSeq() int64           { return hh.h.next() }
+func (hh hubHost) ForceLog(wal.Record) bool { return false }
+func (hh hubHost) Now() int64               { return hh.h.stamp }
+func (hh hubHost) Released()                {}
 
 // resp builds a response frame, carrying the current progress
 // generation so idle nodes can tell stale quiescence from real, and the
@@ -491,7 +426,7 @@ func (h *Hub) handleAdmit(req *Frame) *Frame {
 		// force a second RecStart record.
 		out := h.resp(StOK)
 		out.Flag2 = true
-		if hp := h.byID[id]; hp.phase == hubDone {
+		if hp := h.byID[id]; hp.settled() {
 			// The incarnation was settled while the admitting node was
 			// out (retired for re-homing, or terminated by a previous
 			// owner). Carry the fate so the node files it as done instead
@@ -512,13 +447,10 @@ func (h *Hub) handleAdmit(req *Frame) *Frame {
 		def = def.WithID(id)
 	}
 	hp := &hubProc{
-		id: id, origin: process.ID(req.Origin), node: req.Node,
-		arrival: int(req.Local), def: def, inst: process.NewInstance(def),
-		running:  make(map[int]string),
-		inflight: make(map[int]hubTx),
-		prepared: make(map[int]hubTx),
+		Proc: *scheduler.NewProc(def, int(req.Local), process.ID(req.Origin), process.ID(req.Origin), int(req.Extra)),
+		node: req.Node, inflight: make(map[int]scheduler.PreparedTx),
 	}
-	h.order = append(h.order, id)
+	h.drv.Add(&hp.Proc)
 	h.byID[id] = hp
 	delete(h.pending, req.Origin)
 	if s := int(req.Extra); s > h.maxSuffix[req.Origin] {
@@ -552,40 +484,40 @@ func (h *Hub) handleDispatch(req *Frame) *Frame {
 	if hp == nil {
 		return h.errf("dispatch for unknown process %s", req.Proc)
 	}
-	if hp.phase == hubParked {
+	if hp.parked {
 		out := h.resp(StPark)
-		out.Victim = string(hp.id)
+		out.Victim = string(hp.ID)
 		return out
 	}
-	if hp.phase != hubRunning {
-		return h.errf("dispatch for %s in phase %d", hp.id, hp.phase)
+	if hp.Phase != policy.Running {
+		return h.errf("dispatch for %s in phase %d", hp.ID, hp.Phase)
 	}
-	if hp.abortPending {
+	if hp.AbortPending {
 		return h.resp(StVictim)
 	}
 	local := int(req.Local)
-	a := hp.def.Activity(local)
+	a := hp.Def.Activity(local)
 	if a == nil {
-		return h.errf("dispatch for unknown activity %s/%d", hp.id, local)
+		return h.errf("dispatch for unknown activity %s/%d", hp.ID, local)
 	}
-	if ok, _ := h.pol.MayDispatch(h.view(), hp.id, a); !ok {
+	if !h.drv.MayDispatch(&hp.Proc, a) {
 		return h.resp(StPolicyWait)
 	}
-	if h.parkedConflict(hp.id, a.Service) {
+	if h.parkedConflict(hp.ID, a.Service) {
 		return h.resp(StPolicyWait)
 	}
-	res, err := h.fed.Invoke(string(hp.origin), a.Service, subsystem.Prepare)
+	res, err := h.fed.Invoke(string(hp.Origin), a.Service, subsystem.Prepare)
 	switch {
 	case errors.Is(err, subsystem.ErrLocked):
 		return h.resp(StLockWait)
 	case subsystem.IsInvocationFailure(err):
 		return h.invocationFailed(hp, local, a.Service, a.Kind)
 	case err != nil:
-		return h.errf("invoke %s/%s: %v", hp.id, a.Service, err)
+		return h.errf("invoke %s/%s: %v", hp.ID, a.Service, err)
 	}
 	sub, _ := h.fed.Owner(a.Service)
-	hp.running[local] = a.Service
-	hp.inflight[local] = hubTx{sub: sub, tx: res.Tx, service: a.Service}
+	hp.Running[local] = a.Service
+	hp.inflight[local] = scheduler.PreparedTx{Sub: sub, Tx: res.Tx, Service: a.Service}
 	h.pol.Bump()
 	out := h.resp(StOK)
 	out.Tx = int64(res.Tx)
@@ -600,9 +532,10 @@ func (h *Hub) handleDispatch(req *Frame) *Frame {
 	return out
 }
 
-// invocationFailed mirrors the engine's failed-completion block: a
-// retriable activity re-invokes (the node logs the aborted outcome at
-// the stamp); anything else is a definitive failure (Definition 4).
+// invocationFailed is the policy half of the driver's failed completion
+// (Driver.Complete): a retriable activity re-invokes (the node logs the
+// aborted outcome at the stamp); anything else is a definitive failure
+// (Definition 4).
 func (h *Hub) invocationFailed(hp *hubProc, local int, service string, kind activity.Kind) *Frame {
 	if kind.GuaranteedToCommit() {
 		out := h.resp(StFailedTransient)
@@ -615,46 +548,41 @@ func (h *Hub) invocationFailed(hp *hubProc, local int, service string, kind acti
 	// the response only carries stamps and which block ran.
 	stampFail := h.next() // for the node's RecFailed record
 	h.pol.AppendEvent(&policy.Event{
-		Seq: stampFail, Proc: hp.id, Local: local, Service: service, Kind: kind,
+		Seq: stampFail, Proc: hp.ID, Local: local, Service: service, Kind: kind,
 		Typ: schedule.FailedInvoke,
 	})
-	plan, err := hp.inst.MarkFailed(local)
+	plan, err := hp.Inst.MarkFailed(local)
 	if err != nil {
-		return h.errf("mark failed %s/%d: %v", hp.id, local, err)
+		return h.errf("mark failed %s/%d: %v", hp.ID, local, err)
 	}
 	out := h.resp(StFailedPermanent)
 	out.Stamp = stampFail
-	if hp.abortPending {
+	if hp.AbortPending {
 		// A pending abort supersedes the failure's local plan.
 		out.Flag2 = true
 		h.pol.Bump()
 		return out
 	}
 	if plan.Abort {
-		hp.phase = hubAborting
-		hp.recovery = plan.Steps
+		hp.Phase = policy.Aborting
+		hp.Recovery = plan.Steps
 		out.Flag = true
 		out.Stamp2 = h.next() // for the node's RecAbortBegin record
-		h.pol.AppendEvent(&policy.Event{Seq: out.Stamp2, Proc: hp.id, Typ: schedule.AbortBegin})
+		h.pol.AppendEvent(&policy.Event{Seq: out.Stamp2, Proc: hp.ID, Typ: schedule.AbortBegin})
 		h.cascadeDependents(hp)
 	} else {
-		hp.recovery = plan.Steps
+		hp.Recovery = plan.Steps
 	}
 	h.pol.Bump()
 	return out
 }
 
-// cascadeDependents mirrors the engine's cascading aborts (PREDCascade).
-// Victims may be owned by other nodes; they learn through StVictim on
-// their next dispatch-class RPC or an idle poll.
+// cascadeDependents is the driver's cascade marking (PREDCascade) over
+// the undecided mirrors. Victims may be owned by other nodes; they learn
+// through StVictim on their next dispatch-class RPC or an idle poll.
 func (h *Hub) cascadeDependents(hp *hubProc) {
-	for _, id := range h.pol.CascadeVictims(h.view(), hp.id, hp.recovery) {
-		q := h.byID[id]
-		if q == nil || q.phase != hubRunning || q.abortPending || q.decided {
-			continue
-		}
-		q.abortPending = true
-		h.queueVictim(q)
+	for _, q := range h.drv.Cascade(&hp.Proc, func(q *scheduler.Proc) bool { return h.byID[q.ID].decided }) {
+		h.queueVictim(h.byID[q.ID])
 	}
 }
 
@@ -662,7 +590,7 @@ func (h *Hub) cascadeDependents(hp *hubProc) {
 // idle polls (dispatch-class RPCs deliver it redundantly).
 func (h *Hub) queueVictim(hp *hubProc) {
 	if n := h.nodes[hp.node]; n != nil && !n.dead {
-		n.victims = append(n.victims, hp.id)
+		n.victims = append(n.victims, hp.ID)
 	}
 }
 
@@ -679,102 +607,85 @@ func (h *Hub) handleCommitLocal(req *Frame) *Frame {
 	local := int(req.Local)
 	ptx, ok := hp.inflight[local]
 	if !ok {
-		return h.errf("commit-local for %s/%d with no in-flight transaction", hp.id, local)
+		return h.errf("commit-local for %s/%d with no in-flight transaction", hp.ID, local)
 	}
-	a := hp.def.Activity(local)
-	delete(hp.running, local)
+	a := hp.Def.Activity(local)
+	delete(hp.Running, local)
 	delete(hp.inflight, local)
 	h.pol.Bump()
-	if a.Kind == activity.Compensatable || !h.pol.HasActiveConflictPred(h.view(), hp.id) {
-		if err := ptx.sub.CommitPrepared(ptx.tx); err != nil {
-			return h.errf("commit %s/%s: %v", hp.id, ptx.service, err)
+	if h.drv.CommitsNow(&hp.Proc, a.Kind) {
+		if err := ptx.Sub.CommitPrepared(ptx.Tx); err != nil {
+			return h.errf("commit %s/%s: %v", hp.ID, ptx.Service, err)
 		}
 		stamp := h.next() // for the node's RecResolved(commit) record
-		if err := hp.inst.MarkCommitted(local); err != nil {
+		if err := hp.Inst.MarkCommitted(local); err != nil {
 			return h.errf("%v", err)
 		}
 		hp.committedEvents++
 		h.pol.AppendEvent(&policy.Event{
-			Seq: stamp, Proc: hp.id, Local: local, Service: ptx.service, Kind: a.Kind,
+			Seq: stamp, Proc: hp.ID, Local: local, Service: ptx.Service, Kind: a.Kind,
 			Typ: schedule.Invoke,
 		})
 		out := h.resp(StOK)
 		out.Stamp = stamp
-		out.Tx = int64(ptx.tx)
-		out.Subsystem = ptx.sub.Name()
-		out.Service = ptx.service
+		out.Tx = int64(ptx.Tx)
+		out.Subsystem = ptx.Sub.Name()
+		out.Service = ptx.Service
 		return out
 	}
-	if err := hp.inst.MarkPrepared(local); err != nil {
+	if err := hp.Inst.MarkPrepared(local); err != nil {
 		return h.errf("%v", err)
 	}
-	hp.prepared[local] = ptx
+	hp.Prepared[local] = ptx
 	h.pol.AppendEvent(&policy.Event{
-		Seq: h.next(), Proc: hp.id, Local: local, Service: ptx.service, Kind: a.Kind,
+		Seq: h.next(), Proc: hp.ID, Local: local, Service: ptx.Service, Kind: a.Kind,
 		Typ: schedule.Invoke, Tentative: true,
 	})
 	return h.resp(StDeferred)
 }
 
-// handleStepDispatch gates and prepares a recovery step (Lemmas 2 and 3
-// plus the forced-order and defer-to-aborting guards, exactly the
-// engine's dispatchRecoveryStep). Step invocation failures are always
-// transient: the node re-invokes, no record is written.
+// handleStepDispatch gates (the driver's step gate: Lemmas 2 and 3 plus
+// the forced-order and defer-to-aborting guards) and prepares a recovery
+// step. Step invocation failures are always transient: the node
+// re-invokes, no record is written.
 func (h *Hub) handleStepDispatch(req *Frame) *Frame {
 	hp := h.byID[process.ID(req.Proc)]
 	if hp == nil {
 		return h.errf("step-dispatch for unknown process %s", req.Proc)
 	}
-	if hp.phase == hubParked {
+	if hp.parked {
 		// The park raced an in-flight (or next-round retried) dispatch
 		// from the owner: the process was parked between the node's last
 		// observation and this RPC. Granting here would execute a step
 		// the composed recovery also replans.
 		out := h.resp(StPark)
-		out.Victim = string(hp.id)
+		out.Victim = string(hp.ID)
 		return out
 	}
-	if h.parkedConflict(hp.id, req.Service) {
+	if h.parkedConflict(hp.ID, req.Service) {
 		return h.resp(StPolicyWait)
 	}
 	st := process.Step{Kind: process.StepKind(req.Extra), Local: int(req.Local), Service: req.Service}
-	var kind activity.Kind
-	switch st.Kind {
-	case process.StepCompensate:
-		if !h.pol.Lemma2Clear(h.view(), hp.id, st) {
-			return h.resp(StPolicyWait)
-		}
-		kind = activity.Compensation
-	case process.StepInvoke:
-		if !h.pol.Lemma3Clear(h.view(), hp.id, st) {
-			return h.resp(StPolicyWait)
-		}
-		if !h.pol.Lemma1ClearForward(h.view(), hp.id, st) {
-			return h.resp(StPolicyWait)
-		}
-		if !h.pol.StepForcedClear(h.view(), hp.id, st) {
-			return h.resp(StPolicyWait)
-		}
-		if _, deferred := h.pol.DeferToAborting(h.view(), hp.id, st); deferred {
-			return h.resp(StPolicyWait)
-		}
-		kind = hp.def.Activity(st.Local).Kind
-	default:
+	if st.Kind != process.StepCompensate && st.Kind != process.StepInvoke {
 		return h.errf("step-dispatch with kind %v", st.Kind)
 	}
-	res, err := h.fed.Invoke(string(hp.origin), st.Service, subsystem.Prepare)
+	if !h.drv.StepGate(&hp.Proc, st) {
+		return h.resp(StPolicyWait)
+	}
+	kind := hp.StepWork(st).Kind
+	res, err := h.fed.Invoke(string(hp.Origin), st.Service, subsystem.Prepare)
 	switch {
 	case errors.Is(err, subsystem.ErrLocked):
 		return h.resp(StLockWait)
 	case subsystem.IsInvocationFailure(err):
 		return h.resp(StFailedTransient)
 	case err != nil:
-		return h.errf("invoke step %s/%s: %v", hp.id, st.Service, err)
+		return h.errf("invoke step %s/%s: %v", hp.ID, st.Service, err)
 	}
 	sub, _ := h.fed.Owner(st.Service)
-	hp.recoveryBusy = true
-	hp.recoveryBusySvc = st.Service
-	hp.stepTx = hubTx{sub: sub, tx: res.Tx, service: st.Service}
+	hp.StepBusy = true
+	hp.StepSvc = st.Service
+	hp.stepTx = scheduler.PreparedTx{Sub: sub, Tx: res.Tx, Service: st.Service}
 	h.pol.Bump()
 	out := h.resp(StOK)
 	out.Tx = int64(res.Tx)
@@ -792,36 +703,36 @@ func (h *Hub) handleStepCommit(req *Frame) *Frame {
 	if hp == nil {
 		return h.errf("step-commit for unknown process %s", req.Proc)
 	}
-	if !hp.recoveryBusy {
-		return h.errf("step-commit for %s with no step in flight", hp.id)
+	if !hp.StepBusy {
+		return h.errf("step-commit for %s with no step in flight", hp.ID)
 	}
 	st := process.Step{Kind: process.StepKind(req.Extra), Local: int(req.Local), Service: req.Service}
 	ptx := hp.stepTx
-	hp.recoveryBusy = false
-	hp.recoveryBusySvc = ""
-	hp.stepTx = hubTx{}
+	hp.StepBusy = false
+	hp.StepSvc = ""
+	hp.stepTx = scheduler.PreparedTx{}
 	h.pol.Bump()
-	if err := ptx.sub.CommitPrepared(ptx.tx); err != nil {
-		return h.errf("commit step %s/%s: %v", hp.id, st.Service, err)
+	if err := ptx.Sub.CommitPrepared(ptx.Tx); err != nil {
+		return h.errf("commit step %s/%s: %v", hp.ID, st.Service, err)
 	}
-	if len(hp.recovery) > 0 && hp.recovery[0] == st {
-		hp.recovery = hp.recovery[1:]
+	if len(hp.Recovery) > 0 && hp.Recovery[0] == st {
+		hp.Recovery = hp.Recovery[1:]
 	}
 	hp.committedEvents++
 	switch st.Kind {
 	case process.StepCompensate:
-		h.pol.MarkCompensated(hp.id, st.Local)
+		h.pol.MarkCompensated(hp.ID, st.Local)
 		h.pol.AppendEvent(&policy.Event{
-			Seq: h.next(), Proc: hp.id, Local: st.Local, Service: st.Service,
+			Seq: h.next(), Proc: hp.ID, Local: st.Local, Service: st.Service,
 			Kind: activity.Compensation, Typ: schedule.Invoke, Inverse: true,
 		})
 	case process.StepInvoke:
 		h.pol.AppendEvent(&policy.Event{
-			Seq: h.next(), Proc: hp.id, Local: st.Local, Service: st.Service,
+			Seq: h.next(), Proc: hp.ID, Local: st.Local, Service: st.Service,
 			Kind: activity.Kind(req.Kind), Typ: schedule.Invoke,
 		})
 	}
-	if err := hp.inst.ApplyStep(st); err != nil {
+	if err := hp.Inst.ApplyStep(st); err != nil {
 		return h.errf("%v", err)
 	}
 	return h.resp(StOK)
@@ -839,23 +750,23 @@ func (h *Hub) handleAbortTx(req *Frame) *Frame {
 	}
 	local := int(req.Local)
 	st := process.Step{Kind: process.StepAbortPrepared, Local: local, Service: req.Service}
-	if req.Flag && len(hp.recovery) > 0 && hp.recovery[0].Kind == process.StepAbortPrepared && hp.recovery[0].Local == local {
-		hp.recovery = hp.recovery[1:]
+	if req.Flag && len(hp.Recovery) > 0 && hp.Recovery[0].Kind == process.StepAbortPrepared && hp.Recovery[0].Local == local {
+		hp.Recovery = hp.Recovery[1:]
 	}
 	out := h.resp(StOK)
-	if ptx, ok := hp.prepared[local]; ok {
-		if err := ptx.sub.AbortPrepared(ptx.tx); err == nil {
+	if ptx, ok := hp.Prepared[local]; ok {
+		if err := ptx.Sub.AbortPrepared(ptx.Tx); err == nil {
 			out.Flag = true
-			out.Tx = int64(ptx.tx)
-			out.Subsystem = ptx.sub.Name()
-			out.Service = ptx.service
+			out.Tx = int64(ptx.Tx)
+			out.Subsystem = ptx.Sub.Name()
+			out.Service = ptx.Service
 			out.Stamp = h.next() // for the node's RecResolved(abort) record
 		}
-		delete(hp.prepared, local)
+		delete(hp.Prepared, local)
 	}
-	h.pol.EraseTentative(hp.id, local)
+	h.pol.EraseTentative(hp.ID, local)
 	if req.Flag {
-		_ = hp.inst.ApplyStep(st)
+		_ = hp.Inst.ApplyStep(st)
 	}
 	h.pol.Bump()
 	return out
@@ -868,16 +779,16 @@ func (h *Hub) handleAbortBegin(req *Frame) *Frame {
 	if hp == nil {
 		return h.errf("abort-begin for unknown process %s", req.Proc)
 	}
-	steps, err := hp.inst.Abort()
+	steps, err := hp.Inst.Abort()
 	if err != nil {
-		return h.errf("abort %s: %v", hp.id, err)
+		return h.errf("abort %s: %v", hp.ID, err)
 	}
-	hp.abortPending = false
-	hp.phase = hubAborting
-	hp.recovery = steps
+	hp.AbortPending = false
+	hp.Phase = policy.Aborting
+	hp.Recovery = steps
 	out := h.resp(StOK)
 	out.Stamp = h.next() // for the node's RecAbortBegin record
-	h.pol.AppendEvent(&policy.Event{Seq: out.Stamp, Proc: hp.id, Typ: schedule.AbortBegin})
+	h.pol.AppendEvent(&policy.Event{Seq: out.Stamp, Proc: hp.ID, Typ: schedule.AbortBegin})
 	h.cascadeDependents(hp)
 	h.pol.Bump()
 	return out
@@ -895,21 +806,21 @@ func (h *Hub) handleCommitClear(req *Frame) *Frame {
 	if hp == nil {
 		return h.errf("commit-clear for unknown process %s", req.Proc)
 	}
-	if hp.abortPending {
+	if hp.AbortPending {
 		return h.resp(StVictim)
 	}
 	// The Lemma-1 gate only guards a deferred prepared set — a process
 	// with nothing prepared terminates unconditionally, exactly like the
 	// engine's tryFinish (otherwise a zombie predecessor could block a
 	// fully committed process forever).
-	if len(hp.prepared) == 0 {
+	if len(hp.Prepared) == 0 {
 		return h.resp(StOK)
 	}
-	if h.pol.HasActiveConflictPred(h.view(), hp.id) {
+	if h.pol.HasActiveConflictPred(h.drv, hp.ID) {
 		return h.resp(StNotClear)
 	}
 	out := h.resp(StOK)
-	if hp.inst.Done() {
+	if hp.Inst.Done() {
 		hp.decided = true
 	}
 	out.Flag = true
@@ -932,26 +843,26 @@ func (h *Hub) handleResolve(req *Frame) *Frame {
 		return h.errf("resolve for unknown process %s", req.Proc)
 	}
 	local := int(req.Local)
-	ptx, ok := hp.prepared[local]
+	ptx, ok := hp.Prepared[local]
 	if !ok {
-		return h.errf("resolve for %s/%d with no prepared transaction", hp.id, local)
+		return h.errf("resolve for %s/%d with no prepared transaction", hp.ID, local)
 	}
-	if err := ptx.sub.CommitPrepared(ptx.tx); err != nil {
-		return h.errf("resolve %s/%s: %v", hp.id, ptx.service, err)
+	if err := ptx.Sub.CommitPrepared(ptx.Tx); err != nil {
+		return h.errf("resolve %s/%s: %v", hp.ID, ptx.Service, err)
 	}
 	stamp := h.next() // for the node's RecResolved(commit) record
-	if err := hp.inst.MarkCommitted(local); err != nil {
+	if err := hp.Inst.MarkCommitted(local); err != nil {
 		return h.errf("%v", err)
 	}
-	h.pol.FinalizeTentative(hp.id, local, stamp)
-	delete(hp.prepared, local)
+	h.pol.FinalizeTentative(hp.ID, local, stamp)
+	delete(hp.Prepared, local)
 	hp.committedEvents++
 	h.pol.Bump()
 	out := h.resp(StOK)
 	out.Stamp = stamp
-	out.Tx = int64(ptx.tx)
-	out.Subsystem = ptx.sub.Name()
-	out.Service = ptx.service
+	out.Tx = int64(ptx.Tx)
+	out.Subsystem = ptx.Sub.Name()
+	out.Service = ptx.Service
 	// Kill window: the participant is committed at its subsystem but
 	// the node never logs RecResolved — with RecDecision already
 	// logged, the reopen's recovery presumes commit and redoes the
@@ -960,28 +871,29 @@ func (h *Hub) handleResolve(req *Frame) *Frame {
 	return out
 }
 
-// handleTerminate emits the terminal transition. The engine's
-// commitDeferredIfPossible has no hub-side equivalent — blocked nodes
-// poll CommitClear and observe the unblocking themselves.
+// handleTerminate emits the terminal transition. The engine's sweep
+// over waiting prepared sets (Engine.terminate) has no hub-side
+// equivalent — blocked nodes poll CommitClear and observe the
+// unblocking themselves.
 func (h *Hub) handleTerminate(req *Frame) *Frame {
 	hp := h.byID[process.ID(req.Proc)]
 	if hp == nil {
 		return h.errf("terminate for unknown process %s", req.Proc)
 	}
-	if hp.phase == hubParked {
+	if hp.parked {
 		// A quiescence sweep on another node's idle poll parked this
 		// process while its terminate was in flight. Parked processes
 		// must not log a terminate record — recovery finishes them.
 		out := h.resp(StPark)
-		out.Victim = string(hp.id)
+		out.Victim = string(hp.ID)
 		return out
 	}
-	hp.phase = hubDone
+	hp.Phase = policy.Done
 	hp.fate = req.Flag
 	out := h.resp(StOK)
 	out.Stamp = h.next() // for the node's RecTerminate record
-	h.pol.AppendEvent(&policy.Event{Seq: out.Stamp, Proc: hp.id, Typ: schedule.Terminate, Committed: req.Flag})
-	hp.inst.MarkTerminated(req.Flag)
+	h.pol.AppendEvent(&policy.Event{Seq: out.Stamp, Proc: hp.ID, Typ: schedule.Terminate, Committed: req.Flag})
+	hp.Inst.MarkTerminated(req.Flag)
 	h.pol.Bump()
 	return out
 }
@@ -995,9 +907,9 @@ func (h *Hub) handleFailed(req *Frame) *Frame {
 	if hp == nil {
 		return h.errf("failed-report for unknown process %s", req.Proc)
 	}
-	a := hp.def.Activity(int(req.Local))
+	a := hp.Def.Activity(int(req.Local))
 	if a == nil {
-		return h.errf("failed-report for unknown activity %s/%d", hp.id, req.Local)
+		return h.errf("failed-report for unknown activity %s/%d", hp.ID, req.Local)
 	}
 	return h.invocationFailed(hp, int(req.Local), a.Service, a.Kind)
 }
@@ -1038,12 +950,12 @@ func (h *Hub) handleReattach(req *Frame) *Frame {
 	out := h.resp(StOK)
 	if hp := h.byID[id]; hp != nil {
 		switch {
-		case hp.phase == hubDone && hp.fate:
+		case hp.settled() && hp.fate:
 			out.Extra = ReattachCommitted
-		case hp.phase == hubDone:
+		case hp.settled():
 			out.Extra = ReattachAborted
-			h.maybeGrantRestart(req, hp.origin, out)
-		case hp.phase == hubParked || hp.zombie:
+			h.maybeGrantRestart(req, hp.Origin, out)
+		case hp.parked || hp.zombie:
 			out.Extra = ReattachParked
 		default:
 			out.Extra = ReattachLive
@@ -1079,8 +991,8 @@ func (h *Hub) maybeGrantRestart(req *Frame, origin process.ID, out *Frame) {
 		// though byID can't see it yet.
 		return
 	}
-	for _, oid := range h.order {
-		if q := h.byID[oid]; q.origin == origin && q.phase != hubDone {
+	for _, oid := range h.drv.Procs() {
+		if q := h.byID[oid]; q.Origin == origin && !q.settled() {
 			return
 		}
 	}
@@ -1096,8 +1008,8 @@ func (h *Hub) maybeGrantRestart(req *Frame, origin process.ID, out *Frame) {
 // progress generation (Gen) of its latest response when a full driver
 // round made no progress; Flag marks the node as finished (all owned
 // work terminal). When every live node is idle at the current
-// generation, the hub designates a victim exactly like the engine's
-// resolveStall — the abort breaks the cross-node wait cycle.
+// generation, the hub designates a victim by the driver's stall-victim
+// choice — the abort breaks the cross-node wait cycle.
 func (h *Hub) handleIdle(req *Frame) *Frame {
 	n := h.nodes[req.Node]
 	if n == nil {
@@ -1107,7 +1019,7 @@ func (h *Hub) handleIdle(req *Frame) *Frame {
 	for len(n.victims) > 0 {
 		id := n.victims[0]
 		n.victims = n.victims[1:]
-		if hp := h.byID[id]; hp != nil && hp.abortPending && hp.phase == hubRunning {
+		if hp := h.byID[id]; hp != nil && hp.AbortPending && hp.Phase == policy.Running {
 			out := h.resp(StVictim)
 			out.Victim = string(id)
 			return out
@@ -1159,12 +1071,12 @@ func (h *Hub) handleIdle(req *Frame) *Frame {
 	if victim == nil {
 		return h.parkBlocked(req)
 	}
-	victim.abortPending = true
+	victim.AbortPending = true
 	h.reg.Inc(metrics.FedVictims)
 	h.next() // progress bump: every idle mark is now stale
 	if victim.node == req.Node {
 		out := h.resp(StVictim)
-		out.Victim = string(victim.id)
+		out.Victim = string(victim.ID)
 		return out
 	}
 	h.queueVictim(victim)
@@ -1197,8 +1109,8 @@ func (h *Hub) parkBlocked(req *Frame) *Frame {
 	if !anyDead {
 		// A revived node clears its dead flag but leaves its pre-death
 		// processes as zombies, which block survivors just the same.
-		for _, id := range h.order {
-			if hp := h.byID[id]; hp.zombie && hp.phase != hubDone {
+		for _, id := range h.drv.Procs() {
+			if hp := h.byID[id]; hp.zombie && !hp.settled() {
 				anyDead = true
 				break
 			}
@@ -1209,23 +1121,23 @@ func (h *Hub) parkBlocked(req *Frame) *Frame {
 	}
 	var own *hubProc
 	parked := 0
-	for _, id := range h.order {
+	for _, id := range h.drv.Procs() {
 		hp := h.byID[id]
 		n := h.nodes[hp.node]
-		if n == nil || n.dead || hp.zombie || hp.phase != hubAborting ||
-			len(hp.running) > 0 || hp.recoveryBusy {
+		if n == nil || n.dead || hp.zombie || hp.Phase != policy.Aborting ||
+			len(hp.Running) > 0 || hp.StepBusy {
 			continue
 		}
-		for local, ptx := range hp.prepared {
-			_ = ptx.sub.AbortPrepared(ptx.tx)
-			delete(hp.prepared, local)
+		for local, ptx := range hp.Prepared {
+			_ = ptx.Sub.AbortPrepared(ptx.Tx)
+			delete(hp.Prepared, local)
 		}
-		hp.phase = hubParked
+		hp.Phase, hp.parked = policy.Done, true
 		parked++
 		if hp.node == req.Node && own == nil {
 			own = hp
 		} else {
-			n.parks = append(n.parks, hp.id)
+			n.parks = append(n.parks, hp.ID)
 		}
 	}
 	if parked == 0 {
@@ -1235,7 +1147,7 @@ func (h *Hub) parkBlocked(req *Frame) *Frame {
 	h.next() // progress bump: every idle mark is now stale
 	if own != nil {
 		out := h.resp(StPark)
-		out.Victim = string(own.id)
+		out.Victim = string(own.ID)
 		return out
 	}
 	return h.resp(StOK)
@@ -1251,12 +1163,12 @@ func (h *Hub) parkBlocked(req *Frame) *Frame {
 // remaining conflicting work. StepAbortPrepared entries are skipped:
 // parkBlocked already rolled the prepared transactions back.
 func (h *Hub) parkedConflict(id process.ID, svc string) bool {
-	for _, qid := range h.order {
+	for _, qid := range h.drv.Procs() {
 		q := h.byID[qid]
-		if q.phase != hubParked || q.id == id {
+		if !q.parked || q.ID == id {
 			continue
 		}
-		for _, st := range q.recovery {
+		for _, st := range q.Recovery {
 			if st.Kind == process.StepAbortPrepared {
 				continue
 			}
@@ -1268,46 +1180,22 @@ func (h *Hub) parkedConflict(id process.ID, svc string) bool {
 	return false
 }
 
-// designateVictim mirrors the engine's resolveStall over live-owned
-// processes: the youngest-arrival running process with no in-flight
-// work, falling back to a finished process blocked on its deferred 2PC
-// commit. Dead nodes' processes are zombies — they stay policy-active
-// (their uncommitted work must block conflicting survivors until
-// recovery compensates it) but are never designated.
+// designateVictim is the driver's stall-victim choice over live-owned,
+// undecided processes. Dead nodes' processes are zombies — they stay
+// policy-active (their uncommitted work must block conflicting
+// survivors until recovery compensates it) but are never designated; a
+// zombie stays undesignatable even after its owner revives: its residue
+// was settled at death and belongs to recovery.
 func (h *Hub) designateVictim() *hubProc {
-	live := func(hp *hubProc) bool {
+	victim := h.drv.ChooseVictim(func(p *scheduler.Proc) bool {
+		hp := h.byID[p.ID]
 		n := h.nodes[hp.node]
-		// A zombie stays undesignatable even after its owner revives:
-		// its residue was settled at death and belongs to recovery.
-		return n != nil && !n.dead && !hp.zombie
+		return n == nil || n.dead || hp.zombie || hp.decided
+	})
+	if victim == nil {
+		return nil
 	}
-	var victim *hubProc
-	for _, id := range h.order {
-		hp := h.byID[id]
-		if !live(hp) || hp.phase != hubRunning || len(hp.running) > 0 ||
-			hp.recoveryBusy || hp.abortPending || hp.decided || hp.inst.Done() {
-			continue
-		}
-		if victim == nil || hp.arrival > victim.arrival {
-			victim = hp
-		}
-	}
-	if victim != nil {
-		return victim
-	}
-	for _, id := range h.order {
-		hp := h.byID[id]
-		if !live(hp) || hp.phase != hubRunning || len(hp.running) > 0 ||
-			hp.recoveryBusy || hp.abortPending || hp.decided {
-			continue
-		}
-		if hp.inst.Done() && len(hp.prepared) > 0 && h.pol.HasActiveConflictPred(h.view(), hp.id) {
-			if victim == nil || hp.arrival > victim.arrival {
-				victim = hp
-			}
-		}
-	}
-	return victim
+	return h.byID[victim.ID]
 }
 
 // NodeDown declares a scheduler node dead. Its processes become
@@ -1349,30 +1237,30 @@ func (h *Hub) nodeDownLocked(node uint32) bool {
 	}
 	n.dead = true
 	h.reg.Inc(metrics.FedNodeDeaths)
-	for _, id := range h.order {
+	for _, id := range h.drv.Procs() {
 		hp := h.byID[id]
-		if hp.node != node || hp.phase == hubDone {
+		if hp.node != node || hp.settled() {
 			continue
 		}
 		hp.zombie = true
-		if hp.phase == hubParked {
+		if hp.parked {
 			continue // parked residue was already settled by parkBlocked
 		}
 		if hp.decided {
-			for local, ptx := range hp.prepared {
-				if err := ptx.sub.CommitPrepared(ptx.tx); err == nil {
-					_ = hp.inst.MarkCommitted(local)
+			for local, ptx := range hp.Prepared {
+				if err := ptx.Sub.CommitPrepared(ptx.Tx); err == nil {
+					_ = hp.Inst.MarkCommitted(local)
 				}
 			}
 			continue
 		}
 		for local, ptx := range hp.inflight {
-			_ = ptx.sub.AbortPrepared(ptx.tx)
+			_ = ptx.Sub.AbortPrepared(ptx.Tx)
 			delete(hp.inflight, local)
-			delete(hp.running, local)
+			delete(hp.Running, local)
 		}
-		for _, ptx := range hp.prepared {
-			_ = ptx.sub.AbortPrepared(ptx.tx)
+		for _, ptx := range hp.Prepared {
+			_ = ptx.Sub.AbortPrepared(ptx.Tx)
 		}
 	}
 	h.pol.Bump()
@@ -1432,28 +1320,28 @@ func (h *Hub) adoptOrphans(node uint32) {
 	}
 	sort.Slice(survivors, func(i, j int) bool { return survivors[i] < survivors[j] })
 	adopted := 0
-	for _, id := range h.order {
+	for _, id := range h.drv.Procs() {
 		hp := h.byID[id]
-		if hp.node != node || hp.phase != hubRunning || hp.decided ||
-			hp.recoveryBusy || len(hp.recovery) > 0 || hp.committedEvents > 0 {
+		if hp.node != node || hp.Phase != policy.Running || hp.decided ||
+			hp.StepBusy || len(hp.Recovery) > 0 || hp.committedEvents > 0 {
 			continue
 		}
 		// Erase the tentative events of the (already aborted) Lemma-1
 		// deferred set and retire the incarnation; recovery will
 		// abort-terminate it from its RecStart record.
-		for local := range hp.prepared {
-			h.pol.EraseTentative(hp.id, local)
-			delete(hp.prepared, local)
+		for local := range hp.Prepared {
+			h.pol.EraseTentative(hp.ID, local)
+			delete(hp.Prepared, local)
 		}
-		hp.phase = hubDone
+		hp.Phase = policy.Done
 		hp.fate = false
-		suffix := h.maxSuffix[string(hp.origin)] + 1
-		h.maxSuffix[string(hp.origin)] = suffix
-		h.pending[string(hp.origin)] = true
-		newID := process.ID(fmt.Sprintf("%s+r%d", hp.origin, suffix))
+		suffix := h.maxSuffix[string(hp.Origin)] + 1
+		h.maxSuffix[string(hp.Origin)] = suffix
+		h.pending[string(hp.Origin)] = true
+		newID := process.ID(fmt.Sprintf("%s+r%d", hp.Origin, suffix))
 		dst := survivors[adopted%len(survivors)]
 		h.nodes[dst].adopts = append(h.nodes[dst].adopts, adoptOffer{
-			origin: hp.origin, id: newID, arrival: hp.arrival, suffix: suffix,
+			origin: hp.Origin, id: newID, arrival: hp.Arrival, suffix: suffix,
 		})
 		// The done report, if the survivor already filed one, is stale:
 		// it has work again and must resume polling.
@@ -1497,12 +1385,12 @@ func (h *Hub) dumpLocked() string {
 	sort.Strings(ids)
 	for _, id := range ids {
 		hp := h.byID[process.ID(id)]
-		if hp.phase == hubDone {
+		if hp.settled() {
 			continue
 		}
 		s += fmt.Sprintf("  %s node=%d phase=%d done=%v running=%d recovery=%d busy=%v abortPending=%v prepared=%d decided=%v\n",
-			hp.id, hp.node, hp.phase, hp.inst.Done(), len(hp.running), len(hp.recovery),
-			hp.recoveryBusy, hp.abortPending, len(hp.prepared), hp.decided)
+			hp.ID, hp.node, hp.Phase, hp.Inst.Done(), len(hp.Running), len(hp.Recovery),
+			hp.StepBusy, hp.AbortPending, len(hp.Prepared), hp.decided)
 	}
 	return s
 }

@@ -237,7 +237,8 @@ func TestHubParkedBounces(t *testing.T) {
 
 	origin := string(defs[0].ID)
 	c.call(&Frame{Type: MsgAdmit, Proc: origin, Origin: origin})
-	h.byID[process.ID(origin)].phase = hubParked
+	hp := h.byID[process.ID(origin)]
+	hp.Phase, hp.parked = policy.Done, true
 
 	if got := c.call(&Frame{Type: MsgDispatch, Proc: origin, Local: 1}); got.Status != StPark || got.Victim != origin {
 		t.Errorf("dispatch against a parked process: %+v, want StPark naming it", got)

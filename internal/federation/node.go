@@ -11,6 +11,7 @@ import (
 	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/scheduler"
+	"transproc/internal/scheduler/policy"
 	"transproc/internal/wal"
 )
 
@@ -55,8 +56,9 @@ type NodeConfig struct {
 }
 
 // nodeProc is the node-side state of one process incarnation — the
-// counterpart of the engine's procRT, driven by RPC responses instead
-// of completion events.
+// log half of what scheduler.Proc is to the other hosts, driven by RPC
+// responses instead of completion events (it moves onto the shared
+// driver with the handler halves in hub.go, DESIGN.md §6l).
 type nodeProc struct {
 	id      process.ID
 	origin  process.ID
@@ -67,7 +69,7 @@ type nodeProc struct {
 	admitted bool
 	backoff  int // driver rounds to wait before (re-)admission
 
-	state        hubPhase
+	state        policy.Phase
 	recovery     []process.Step
 	abortPending bool
 	restartable  bool
@@ -207,7 +209,7 @@ func (n *Node) roundOnce() (bool, error) {
 	pendingRestart := false
 	allDone := true
 	for _, p := range n.procs {
-		if p.state == hubDone {
+		if p.state == policy.Done {
 			continue
 		}
 		allDone = false
@@ -325,7 +327,7 @@ func (n *Node) reattach() error {
 	}
 	n.Reattached++
 	for _, p := range n.procs {
-		if p.state == hubDone {
+		if p.state == policy.Done {
 			continue
 		}
 		// Not-yet-admitted procs are queried too: a pending adopted
@@ -345,13 +347,13 @@ func (n *Node) reattach() error {
 		case ReattachCommitted:
 			// Terminated committed; the terminate record already exists
 			// (pre-crash or in the recovery tail) — log nothing.
-			p.state = hubDone
+			p.state = policy.Done
 			out := n.outcome(p)
 			out.Committed = true
 			out.Aborted = false
 			out.Restarts = p.restarts
 		case ReattachAborted:
-			p.state = hubDone
+			p.state = policy.Done
 			out := n.outcome(p)
 			out.Committed = false
 			out.Aborted = true
@@ -368,7 +370,7 @@ func (n *Node) reattach() error {
 				})
 			}
 		case ReattachParked:
-			p.state = hubDone
+			p.state = policy.Done
 			p.restartable = false
 			out := n.outcome(p)
 			out.Aborted = true
@@ -382,7 +384,7 @@ func (n *Node) reattach() error {
 			// have settled it and re-admitting the same id is safe.
 			p.admitted = false
 			p.abortPending = false
-			p.state = hubRunning
+			p.state = policy.Running
 			p.recovery = nil
 			p.inst = process.NewInstance(p.def)
 			p.prepared = make(map[int]preparedRemote)
@@ -395,7 +397,7 @@ func (n *Node) reattach() error {
 
 func (n *Node) markVictim(id process.ID) {
 	for _, p := range n.procs {
-		if p.id == id && p.admitted && p.state == hubRunning && !p.abortPending {
+		if p.id == id && p.admitted && p.state == policy.Running && !p.abortPending {
 			p.abortPending = true
 			p.restartable = true
 		}
@@ -408,8 +410,8 @@ func (n *Node) markVictim(id process.ID) {
 // and finishes its group abort in correct global order.
 func (n *Node) markParked(id process.ID) {
 	for _, p := range n.procs {
-		if p.id == id && p.admitted && p.state != hubDone {
-			p.state = hubDone
+		if p.id == id && p.admitted && p.state != policy.Done {
+			p.state = policy.Done
 			p.restartable = false // recovery finishes it; no fresh incarnation
 			out := n.Outcomes[p.id]
 			out.Aborted = true
@@ -444,7 +446,7 @@ func (n *Node) admit(p *nodeProc) error {
 		// The replayed incarnation was settled while this node was out
 		// (re-homed after a lease expiry, or finished by another owner):
 		// file the fate instead of driving a dead incarnation.
-		p.state = hubDone
+		p.state = policy.Done
 		out := n.outcome(p)
 		out.Committed = resp.Extra == ReattachCommitted
 		out.Aborted = resp.Extra == ReattachAborted
@@ -467,10 +469,10 @@ func (n *Node) driveProc(p *nodeProc) (bool, error) {
 	if len(p.recovery) > 0 {
 		return n.driveStep(p)
 	}
-	if p.abortPending && p.state != hubAborting {
+	if p.abortPending && p.state != policy.Aborting {
 		return true, n.beginAbort(p)
 	}
-	if p.state == hubAborting {
+	if p.state == policy.Aborting {
 		return true, n.finishAbort(p)
 	}
 	if p.inst.Done() {
@@ -493,9 +495,9 @@ func (n *Node) driveProc(p *nodeProc) (bool, error) {
 		}
 	}
 	if !progress && len(p.prepared) > 0 {
-		// Deferred-commit poll: the engine unblocks these sets inside
-		// commitDeferredIfPossible when a predecessor terminates; here
-		// the owning node polls the same Lemma-1 gate.
+		// Deferred-commit poll: the engine unblocks these sets when a
+		// predecessor terminates (Engine.terminate); here the owning
+		// node polls the same Lemma-1 gate.
 		return n.pollDeferred(p)
 	}
 	return progress, nil
@@ -577,8 +579,9 @@ func (n *Node) dispatchFrontier(p *nodeProc, local int) (bool, error) {
 	return false, fmt.Errorf("federation: unexpected dispatch status %v for %s/%d", resp.Status, p.id, local)
 }
 
-// permanentFailure mirrors the engine's handlePermanentFailure using
-// the plan the node's own instance computes (identical to the hub's).
+// permanentFailure is the log half of the driver's permanent-failure
+// transition, using the plan the node's own instance computes
+// (identical to the hub's).
 func (n *Node) permanentFailure(p *nodeProc, local int, service string, resp *Frame) error {
 	n.force(wal.Record{Type: wal.RecFailed, Proc: string(p.id), Local: local, Service: service}, resp.Stamp)
 	plan, err := p.inst.MarkFailed(local)
@@ -598,7 +601,7 @@ func (n *Node) permanentFailure(p *nodeProc, local int, service string, resp *Fr
 	}
 	if plan.Abort {
 		p.restartable = false
-		p.state = hubAborting
+		p.state = policy.Aborting
 		p.recovery = plan.Steps
 		n.force(wal.Record{Type: wal.RecAbortBegin, Proc: string(p.id)}, resp.Stamp2)
 	} else {
@@ -618,7 +621,7 @@ func (n *Node) beginAbort(p *nodeProc) error {
 	}
 	n.force(wal.Record{Type: wal.RecAbortBegin, Proc: string(p.id)}, resp.Stamp)
 	p.abortPending = false
-	p.state = hubAborting
+	p.state = policy.Aborting
 	p.recovery = steps
 	return nil
 }
@@ -742,7 +745,7 @@ func (n *Node) terminate(p *nodeProc, committed bool) error {
 		return nil
 	}
 	n.force(wal.Record{Type: wal.RecTerminate, Proc: string(p.id), Committed: committed}, resp.Stamp)
-	p.state = hubDone
+	p.state = policy.Done
 	out := n.Outcomes[p.id]
 	out.Committed = committed
 	out.Aborted = !committed

@@ -6,7 +6,11 @@
 //
 // Every scheduling decision a node needs (dispatch admissibility,
 // Lemma 1-3 gates, commit-immediately vs defer, stall victims) is one
-// RPC into the hub's serial section; the response carries the stamps
+// RPC into the hub's serial section, where the shared protocol driver
+// (scheduler.Driver) takes it over the hub's mirrors — the same gates,
+// cascade marking and victim choice the single-node hosts run; the
+// logging transitions are still split between the hub's handlers and
+// the owning node (DESIGN.md §6l). The response carries the stamps
 // under which the node force-logs the corresponding records into its
 // per-node WAL. Stitching the per-node logs by stamp yields one global
 // history that the existing single-node machinery consumes unchanged:

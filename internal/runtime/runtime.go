@@ -1,14 +1,17 @@
 // Package runtime is the concurrent execution engine for transactional
 // process management: one goroutine per process drives invocations
 // against the (already internally locked) subsystems, while every
-// scheduling decision — conflict-predecessor checks, Lemma-1 commit
-// deferral, Lemma-2/3 recovery ordering, forced-order acyclicity — is
-// taken inside a serial section shared with the pure policy layer
-// (internal/scheduler/policy).
+// scheduling decision and every protocol transition — conflict-
+// predecessor checks, Lemma-1 commit deferral, Lemma-2/3 recovery
+// ordering, forced-order acyclicity, completions, aborts, 2PC — is the
+// shared driver's (scheduler.Driver over internal/scheduler/policy),
+// called inside a serial section. The runtime adds what a concurrent
+// host needs: goroutines, the group mutexes, admission control and the
+// wait graph.
 //
 // The sequential discrete-event engine (internal/scheduler) remains the
-// reference oracle: both engines share the identical decision code, so
-// a schedule the runtime produces differs from the oracle's only in
+// reference oracle: both host the identical driver, so a schedule the
+// runtime produces differs from the oracle's only in
 // interleaving, never in admissibility. The differential test in this
 // package asserts exactly that: every concurrently observed schedule is
 // PRED and per-process terminal outcomes match the oracle.
@@ -21,8 +24,8 @@
 //     disjoint shard sets can never conflict, never block on each
 //     other's item locks (a lock-blocking pair always conflicts, hence
 //     shares a shard) and never gate each other's Lemma decisions, so
-//     each group runs under its own mutex with its own policy.State
-//     and the groups proceed fully in parallel.
+//     each group runs under its own mutex with its own driver (process
+//     table + policy.State) and the groups proceed fully in parallel.
 //   - All group states share one frozen policy.Universe (immutable
 //     after construction, safe for concurrent reads) and one global
 //     atomic sequence counter, so the per-group histories merge into a
@@ -49,7 +52,6 @@ package runtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	gort "runtime"
 	"sort"
@@ -57,7 +59,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"transproc/internal/activity"
 	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/schedule"
@@ -158,54 +159,27 @@ type Result struct {
 	ConflictShards int
 }
 
-type procState int
+// member is one process of a shard group: its protocol state (the
+// shared driver's record) plus the park-time stall machinery. All fields
+// are guarded by the owning group's mutex (the owning worker mutates
+// them only under it).
+type member struct {
+	*scheduler.Proc
+	adm *admEntry
 
-const (
-	psRunning procState = iota
-	psAborting
-	psDone
-)
-
-type preparedTx struct {
-	sub     *subsystem.Subsystem
-	tx      subsystem.TxID
-	service string
-}
-
-// procRT is the runtime of one process; its fields are guarded by the
-// owning group's mutex (the owning worker mutates them only under it).
-type procRT struct {
-	id           process.ID
-	def          *process.Process
-	inst         *process.Instance
-	state        procState
-	arrival      int
-	origin       process.ID
-	restarts     int
-	recovery     []process.Step
-	recoveryBusy bool
-	busySvc      string
-	abortPending bool
-	restartable  bool
-	prepared     map[int]preparedTx
-	running      map[int]string // in-flight invocation: local -> service
-	keySeq       int            // idempotency-key counter (resilient invocations)
-	start        time.Time
-	adm          *admEntry
-
-	// Stall machinery: lastEval is the group progress generation at
-	// which this process last found nothing to do; parked marks it
-	// blocked in cond.Wait; waitAlts, when non-nil, is the complete
-	// wait-for disjunction recorded at the last sWait — the process can
-	// proceed iff for SOME alternative ALL listed blockers acted
-	// (terminated or released their locks). nil means the wait has
-	// edges the policy cannot name and only the quiescence backstop may
-	// break it. lockProbes lists the services found item-lock-blocked
-	// during the last evaluation; extLock marks that at least one of
-	// those locks is held by a process of ANOTHER group (commutative
-	// services share items without conflicting, so lock waits may cross
-	// the conflict partition) — such parks are registered globally and
-	// woken by cross-group lock releases.
+	// lastEval is the group progress generation at which this process
+	// last found nothing to do; parked marks it blocked in cond.Wait;
+	// waitAlts, when non-nil, is the complete wait-for disjunction
+	// recorded at the last sWait — the process can proceed iff for SOME
+	// alternative ALL listed blockers acted (terminated or released
+	// their locks). nil means the wait has edges the policy cannot name
+	// and only the quiescence backstop may break it. lockProbes lists
+	// the services found item-lock-blocked during the last evaluation;
+	// extLock marks that at least one of those locks is held by a
+	// process of ANOTHER group (commutative services share items without
+	// conflicting, so lock waits may cross the conflict partition) —
+	// such parks are registered globally and woken by cross-group lock
+	// releases.
 	lastEval   int64
 	parked     bool
 	waitAlts   [][]process.ID
@@ -216,7 +190,7 @@ type procRT struct {
 // waitEntry is one parked process's wait-for disjunction in the global
 // wait graph, guarded by the admission mutex. The victim-selection
 // fields (arrival, abortable) are snapshotted at park time so the
-// detector never touches another group's procRT. An entry is trusted
+// detector never touches another group's members. An entry is trusted
 // only while gen matches its group's progress generation — a woken but
 // not yet rescheduled process is never mistaken for stuck.
 type waitEntry struct {
@@ -231,15 +205,14 @@ type waitEntry struct {
 // admEntry is the admission-control view of one admitted incarnation,
 // guarded by the admission mutex.
 type admEntry struct {
-	def  *process.Process
 	fp   []string
 	done bool
 }
 
-// shardGroup is one sharded serial section: the processes of one
-// connected component of the conflict partition, their policy state and
-// the group-local stall machinery. All fields below mu are guarded by
-// it.
+// shardGroup is one sharded serial section: the shared protocol driver
+// over the processes of one connected component of the conflict
+// partition (with their policy state), plus the group-local stall
+// machinery. All fields below mu are guarded by it.
 type shardGroup struct {
 	r      *Runtime
 	idx    int
@@ -247,12 +220,11 @@ type shardGroup struct {
 
 	mu       sync.Mutex
 	cond     *sync.Cond
-	pol      *policy.State
-	procs    []*procRT // admitted, admission order (includes done)
-	byID     map[process.ID]*procRT
-	live     int // workers currently driving a process of this group
-	inFlight int // workers outside the lock doing subsystem work
-	waiting  int // workers blocked on cond (diagnostics)
+	drv      *scheduler.Driver
+	members  []*member // admission order (includes done)
+	live     int       // workers currently driving a process of this group
+	inFlight int       // workers outside the lock doing subsystem work
+	waiting  int       // workers blocked on cond (diagnostics)
 
 	// Quiescence detection, per group: progress increments on every
 	// state change that could unblock a member; upToDate counts live
@@ -263,10 +235,6 @@ type shardGroup struct {
 	// their mutex.
 	progress atomic.Int64
 	upToDate int
-
-	metrics  scheduler.Metrics
-	outcomes map[process.ID]*scheduler.Outcome
-	allProcs []*process.Process
 }
 
 // Runtime executes processes concurrently, one goroutine each.
@@ -313,12 +281,7 @@ type Runtime struct {
 	nudge          chan struct{}
 
 	start time.Time
-
-	// Checkpointing state (Config.CheckpointEvery); ckptMu is a leaf.
-	ckptMu      sync.Mutex
-	ckptAppends int
-	ckptTaken   int
-	ckptBusy    bool
+	ckpt  scheduler.Checkpointer
 }
 
 // New creates a runtime over the federation.
@@ -347,6 +310,10 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 		pendingVictims: make(map[process.ID]bool),
 		liveByOrigin:   make(map[process.ID]process.ID),
 		nudge:          make(chan struct{}, 1),
+	}
+	r.ckpt = scheduler.Checkpointer{
+		Every: cfg.CheckpointEvery, Limit: cfg.CheckpointLimit, Compact: cfg.CompactOnCheckpoint,
+		Log: cfg.Log, Fed: fed, Conflicts: r.uni.Conflicts, Inject: cfg.Inject, Reg: cfg.Metrics,
 	}
 	r.gcond = sync.NewCond(&r.gmu)
 	if r.reg != nil {
@@ -444,10 +411,28 @@ func (r *Runtime) guard(f func()) (ok bool) {
 	return true
 }
 
-// append force-logs a record unless the run already crashed; false
-// means the record did not reach the log (the caller must not apply
-// the state change the record announces).
-func (r *Runtime) append(rec wal.Record) bool {
+// runtimeHost is the runtime as the driver's Host, one for all groups.
+type runtimeHost struct{ r *Runtime }
+
+func (h runtimeHost) NextSeq() int64 { return h.r.seq.Add(1) }
+func (h runtimeHost) Released()      { h.r.nudgeRelease() }
+
+// Now converts the wall clock into virtual ticks since the run started
+// (0 when Tick is unset).
+func (h runtimeHost) Now() int64 {
+	if h.r.cfg.Tick <= 0 {
+		return 0
+	}
+	return int64(time.Since(h.r.start) / h.r.cfg.Tick)
+}
+
+// ForceLog appends a record unless the run already crashed. The
+// checkpointer runs inside the appending group's serial section while
+// other groups keep appending — exactly the fuzzy-checkpoint window the
+// recovery path must tolerate — and inside the guard: an injected crash
+// sentinel unwinds into guard's recover like any other force-log crash.
+func (h runtimeHost) ForceLog(rec wal.Record) bool {
+	r := h.r
 	if r.stopped.Load() {
 		return false
 	}
@@ -463,58 +448,9 @@ func (r *Runtime) append(rec wal.Record) bool {
 		// crashed in another worker, whose guard has not stopped the
 		// run yet: the record is not in the log.
 		logged = lsn > 0
-		r.maybeCheckpoint()
+		r.ckpt.Appended()
 	})
 	return ok && logged
-}
-
-// maybeCheckpoint takes a fuzzy checkpoint (and optionally compacts)
-// once CheckpointEvery appends accumulated across all groups. The
-// counter handshake runs under the leaf ckptMu; the checkpoint itself
-// runs with only the calling group's mutex held, so other groups keep
-// appending into the fuzzy window (Expand tolerates the post-horizon
-// tail). Called from inside the append guard: an injected crash
-// sentinel unwinds into guard's recover like any other force-log
-// crash. A failed (non-crash) attempt is dropped — checkpointing never
-// fails the run.
-func (r *Runtime) maybeCheckpoint() {
-	if r.cfg.CheckpointEvery <= 0 {
-		return
-	}
-	r.ckptMu.Lock()
-	r.ckptAppends++
-	due := !r.ckptBusy && r.ckptAppends >= r.cfg.CheckpointEvery &&
-		(r.cfg.CheckpointLimit <= 0 || r.ckptTaken < r.cfg.CheckpointLimit)
-	if due {
-		r.ckptBusy = true
-		r.ckptAppends = 0
-	}
-	r.ckptMu.Unlock()
-	if !due {
-		return
-	}
-	defer func() {
-		r.ckptMu.Lock()
-		r.ckptBusy = false
-		r.ckptMu.Unlock()
-	}()
-	if _, err := wal.TakeCheckpoint(r.log, r.uni.Conflicts, r.cfg.Inject, r.reg); err != nil {
-		return
-	}
-	// Durable subsystems flush their pages at every checkpoint (the
-	// store's write-ahead barrier forces the log first). Errors are
-	// dropped like a failed checkpoint — the WAL stays authoritative.
-	if r.fed.Durable() {
-		r.fed.FlushStores()
-	}
-	r.ckptMu.Lock()
-	r.ckptTaken++
-	r.ckptMu.Unlock()
-	if r.cfg.CompactOnCheckpoint {
-		if c, ok := r.log.(wal.Compactor); ok {
-			c.Compact(r.cfg.Inject)
-		}
-	}
 }
 
 // inject fires a named crash point; false when it tripped the crash.
@@ -526,21 +462,6 @@ func (r *Runtime) inject(point string) bool {
 		return false
 	}
 	return r.guard(func() { r.cfg.Inject(point) })
-}
-
-func policyMode(m scheduler.Mode) policy.Mode {
-	switch m {
-	case scheduler.PRED:
-		return policy.PRED
-	case scheduler.PREDCascade:
-		return policy.PREDCascade
-	case scheduler.Serial:
-		return policy.Serial
-	case scheduler.Conservative:
-		return policy.Conservative
-	default:
-		return policy.CCOnly
-	}
 }
 
 // buildGroups partitions the jobs into shard groups: union-find over
@@ -585,13 +506,14 @@ func (r *Runtime) buildGroups(jobs []scheduler.Job) []*shardGroup {
 		root := find(i)
 		g := byRoot[root]
 		if g == nil {
-			g = &shardGroup{
-				r:        r,
-				idx:      len(r.groups),
-				pol:      policy.NewShard(r.uni, policy.Config{Mode: policyMode(r.cfg.Mode)}),
-				byID:     make(map[process.ID]*procRT),
-				outcomes: make(map[process.ID]*scheduler.Outcome),
-			}
+			g = &shardGroup{r: r, idx: len(r.groups), drv: &scheduler.Driver{
+				Host:       runtimeHost{r},
+				Fed:        r.fed,
+				Pol:        policy.NewShard(r.uni, policy.Config{Mode: r.cfg.Mode}),
+				Coord:      r.coord,
+				Reg:        r.reg,
+				Resilience: r.cfg.Resilience,
+			}}
 			g.cond = sync.NewCond(&g.mu)
 			byRoot[root] = g
 			r.groups = append(r.groups, g)
@@ -669,12 +591,12 @@ func (r *Runtime) Run(ctx context.Context, jobs []scheduler.Job) (*Result, error
 	states := make([]*policy.State, 0, len(r.groups))
 	for _, g := range r.groups {
 		g.mu.Lock()
-		addMetrics(&m, &g.metrics)
-		for id, o := range g.outcomes {
-			outcomes[id] = o
+		addMetrics(&m, &g.drv.Metrics)
+		for _, p := range g.drv.All() {
+			outcomes[p.ID] = p.Outcome
+			allProcs = append(allProcs, p.Def)
 		}
-		allProcs = append(allProcs, g.allProcs...)
-		states = append(states, g.pol)
+		states = append(states, g.drv.Pol)
 		g.mu.Unlock()
 	}
 	if r.cfg.Tick > 0 {
@@ -752,27 +674,18 @@ func (r *Runtime) sleepTicks(n int64) {
 	}
 }
 
-func (r *Runtime) cost(service string) int64 {
-	spec, ok := r.fed.Spec(service)
-	if !ok || spec.Cost < 1 {
-		return 1
-	}
-	return int64(spec.Cost)
-}
-
 // worker drives one process (including its restarts) to termination.
 func (r *Runtime) worker(g *shardGroup, idx int, job scheduler.Job) {
 	if job.Arrival > 0 {
 		r.sleepTicks(job.Arrival)
 	}
-	def := job.Proc
-	restarts := 0
+	p := scheduler.NewProc(job.Proc, idx, scheduler.Origin(job.Proc.ID), job.Proc.ID, 0)
 	for {
-		rt := r.admit(g, def, idx, scheduler.Origin(job.Proc.ID), restarts)
-		if rt == nil {
+		m := r.admit(g, p)
+		if m == nil {
 			break // run is over (error or canceled)
 		}
-		if !g.drive(rt) {
+		if !g.drive(m) {
 			break
 		}
 		// Restart under a derived id after exponential backoff. Backoff
@@ -782,10 +695,8 @@ func (r *Runtime) worker(g *shardGroup, idx int, job scheduler.Job) {
 		// (or for the system to go idle). A wall-clock sleep would be
 		// no backoff at all under Tick=0 — the deadlock would re-form
 		// instantly with the same opponents and the same victim.
-		restarts = rt.restarts + 1
-		newID := process.ID(fmt.Sprintf("%s+r%d", job.Proc.ID, restarts))
-		def = rt.def.WithID(newID)
-		if !r.backoff(int64(4 << restarts)) {
+		p = p.Restarted()
+		if !r.backoff(int64(4 << p.Restarts)) {
 			break
 		}
 	}
@@ -808,8 +719,8 @@ func (r *Runtime) backoff(n int64) bool {
 
 // admit blocks until the admission policy lets the process in, then
 // registers it with its group; nil when the run ended first.
-func (r *Runtime) admit(g *shardGroup, def *process.Process, idx int, origin process.ID, restarts int) *procRT {
-	ent := &admEntry{def: def, fp: scheduler.Footprint(def)}
+func (r *Runtime) admit(g *shardGroup, p *scheduler.Proc) *member {
+	ent := &admEntry{fp: scheduler.Footprint(p.Def)}
 	r.gmu.Lock()
 	for {
 		if r.stopped.Load() || r.canceled.Load() {
@@ -825,47 +736,38 @@ func (r *Runtime) admit(g *shardGroup, def *process.Process, idx int, origin pro
 	r.admitted = append(r.admitted, ent)
 	// Subsystems identify lock holders by origin id (incarnations share
 	// locks); map it to this incarnation for wait-for edges.
-	r.liveByOrigin[origin] = def.ID
+	r.liveByOrigin[p.Origin] = p.ID
 	r.gmu.Unlock()
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	rt := &procRT{
-		id:       def.ID,
-		def:      def,
-		inst:     process.NewInstance(def),
-		arrival:  idx,
-		origin:   origin,
-		restarts: restarts,
-		prepared: make(map[int]preparedTx),
-		running:  make(map[int]string),
-		start:    time.Now(),
-		adm:      ent,
-		lastEval: -1,
+	if !g.drv.Admit(p) {
+		r.retire(p, ent)
+		return nil
 	}
-	g.procs = append(g.procs, rt)
-	g.byID[rt.id] = rt
-	g.allProcs = append(g.allProcs, def)
-	g.outcomes[rt.id] = &scheduler.Outcome{Restarts: restarts, Start: r.ticksSince(rt.start)}
+	m := &member{Proc: p, adm: ent, lastEval: -1}
+	g.members = append(g.members, m)
 	g.live++
-	r.append(wal.Record{Type: wal.RecStart, Proc: string(rt.id)})
-	r.reg.Inc(metrics.ProcsAdmitted)
-	if restarts > 0 {
-		g.metrics.Restarts++
+	if p.Restarts > 0 {
+		g.drv.Metrics.Restarts++
 		r.reg.Inc(metrics.ProcsRestarted)
 	}
-	g.pol.Bump()
 	g.bump()
-	return rt
+	return m
 }
 
-// ticksSince converts a wall-clock instant into virtual ticks since the
-// run started (0 when Tick is unset).
-func (r *Runtime) ticksSince(t time.Time) int64 {
-	if r.cfg.Tick <= 0 {
-		return 0
+// retire takes an incarnation out of admission control (it terminated,
+// or its start record never reached the log) and wakes admission and
+// backoff waiters; the admission mutex is a leaf under any group mutex.
+func (r *Runtime) retire(p *scheduler.Proc, ent *admEntry) {
+	r.gmu.Lock()
+	r.active--
+	ent.done = true
+	if r.liveByOrigin[p.Origin] == p.ID {
+		delete(r.liveByOrigin, p.Origin)
 	}
-	return int64(t.Sub(r.start) / r.cfg.Tick)
+	r.gcond.Broadcast()
+	r.gmu.Unlock()
 }
 
 // mayStartLocked implements admission control: the worker cap plus the
@@ -901,7 +803,7 @@ func (r *Runtime) mayStartLocked(fp []string) bool {
 // wait blocks the process's worker on the group condition variable
 // until some state changes. Three stall breakers guard the park:
 //
-//   - When the wait carries complete edge information (rt.waitAlts),
+//   - When the wait carries complete edge information (m.waitAlts),
 //     the park is registered in the GLOBAL wait graph and a precise
 //     wait-for analysis fires immediately once a closed set of parked
 //     processes waits only on itself — no quiescence needed, so victim
@@ -923,33 +825,33 @@ func (r *Runtime) mayStartLocked(fp []string) bool {
 //     holder's nudgeRelease is then guaranteed to see extWaiters > 0).
 //
 // Returns false when the run is over. Called with g.mu held.
-func (g *shardGroup) wait(rt *procRT) bool {
+func (g *shardGroup) wait(m *member) bool {
 	r := g.r
 	if r.stopped.Load() || r.canceled.Load() {
 		return false
 	}
-	if p := g.progress.Load(); rt.lastEval != p {
-		rt.lastEval = p
+	if p := g.progress.Load(); m.lastEval != p {
+		m.lastEval = p
 		g.upToDate++
 	}
 
 	registered := false
 	extCounted := false
-	if rt.waitAlts != nil || rt.extLock {
+	if m.waitAlts != nil || m.extLock {
 		r.gmu.Lock()
 		// A victim designation from another group's detector may
 		// already be waiting for us.
-		if r.pendingVictims[rt.id] {
-			delete(r.pendingVictims, rt.id)
+		if r.pendingVictims[m.ID] {
+			delete(r.pendingVictims, m.ID)
 			r.gmu.Unlock()
-			g.consumeVictim(rt)
+			g.consumeVictim(m.Proc)
 			return true
 		}
-		if rt.extLock {
+		if m.extLock {
 			r.extWaiters++
 			extCounted = true
-			for _, svc := range rt.lockProbes {
-				if r.fed.Lockable(string(rt.origin), svc) {
+			for _, svc := range m.lockProbes {
+				if r.fed.Lockable(string(m.Origin), svc) {
 					// Released between probe and park: re-evaluate.
 					r.extWaiters--
 					r.gmu.Unlock()
@@ -957,22 +859,21 @@ func (g *shardGroup) wait(rt *procRT) bool {
 				}
 			}
 		}
-		if rt.waitAlts != nil {
+		if m.waitAlts != nil {
 			e := &waitEntry{
-				id: rt.id, alts: rt.waitAlts, g: g, gen: rt.lastEval,
-				arrival: rt.arrival, abortable: rt.state == psRunning && !rt.abortPending,
+				id: m.ID, alts: m.waitAlts, g: g, gen: m.lastEval,
+				arrival: m.Arrival, abortable: m.Phase == policy.Running && !m.AbortPending,
 			}
-			r.waits[rt.id] = e
+			r.waits[m.ID] = e
 			registered = true
 			if v := r.detectDeadlockLocked(e); v != nil {
 				if v.g == g {
-					victim := g.byID[v.id]
-					delete(r.waits, rt.id)
+					delete(r.waits, m.ID)
 					if extCounted {
 						r.extWaiters--
 					}
 					r.gmu.Unlock()
-					g.consumeVictim(victim)
+					g.consumeVictim(g.drv.Get(v.id))
 					return true
 				}
 				// Foreign victim: deliver the designation through the
@@ -991,9 +892,8 @@ func (g *shardGroup) wait(rt *procRT) bool {
 	if g.upToDate >= g.live && g.inFlight == 0 && !g.actionableAbortPending() && !g.crossGroupWait() {
 		// Genuine stall: every gate was re-checked this generation and
 		// no member's wake-up can come from another group.
-		g.deregister(rt, registered, extCounted)
-		victim := g.resolveStall()
-		if victim == nil {
+		g.deregister(m, registered, extCounted)
+		if !g.resolveStall() {
 			r.fail(fmt.Errorf("runtime: unresolvable stall (mode %v, group %d)\n%s", r.cfg.Mode, g.idx, g.stallDump()))
 			return false
 		}
@@ -1001,26 +901,26 @@ func (g *shardGroup) wait(rt *procRT) bool {
 		return true
 	}
 
-	rt.parked = true
+	m.parked = true
 	g.waiting++
 	g.cond.Wait()
 	g.waiting--
-	rt.parked = false
+	m.parked = false
 	if registered || extCounted {
 		r.gmu.Lock()
 		if registered {
-			delete(r.waits, rt.id)
+			delete(r.waits, m.ID)
 		}
 		if extCounted {
 			r.extWaiters--
 		}
-		pv := r.pendingVictims[rt.id]
+		pv := r.pendingVictims[m.ID]
 		if pv {
-			delete(r.pendingVictims, rt.id)
+			delete(r.pendingVictims, m.ID)
 		}
 		r.gmu.Unlock()
 		if pv {
-			g.consumeVictim(rt)
+			g.consumeVictim(m.Proc)
 		}
 	}
 	return !r.stopped.Load() && !r.canceled.Load()
@@ -1028,14 +928,14 @@ func (g *shardGroup) wait(rt *procRT) bool {
 
 // deregister undoes wait()'s global registration on a no-park exit.
 // Called with g.mu held.
-func (g *shardGroup) deregister(rt *procRT, registered, extCounted bool) {
+func (g *shardGroup) deregister(m *member, registered, extCounted bool) {
 	if !registered && !extCounted {
 		return
 	}
 	r := g.r
 	r.gmu.Lock()
 	if registered {
-		delete(r.waits, rt.id)
+		delete(r.waits, m.ID)
 	}
 	if extCounted {
 		r.extWaiters--
@@ -1047,14 +947,11 @@ func (g *shardGroup) deregister(rt *procRT, registered, extCounted bool) {
 // processes. The MaxStalls budget was consumed at designation time; a
 // designation that arrives after the process already started aborting
 // (or terminated) is dropped. Called with g.mu held.
-func (g *shardGroup) consumeVictim(rt *procRT) {
-	if rt == nil || rt.state != psRunning || rt.abortPending {
+func (g *shardGroup) consumeVictim(p *scheduler.Proc) {
+	if p == nil || p.Phase != policy.Running || p.AbortPending {
 		return
 	}
-	rt.abortPending = true
-	rt.restartable = true
-	g.metrics.VictimAborts++
-	g.r.reg.Inc(metrics.VictimAborts)
+	g.drv.MarkVictim(p, "wait-for cycle")
 	g.bump()
 }
 
@@ -1065,8 +962,8 @@ func (g *shardGroup) consumeVictim(rt *procRT) {
 // suppressing the local backstop for them cannot hide a deadlock.
 // Called with g.mu held.
 func (g *shardGroup) crossGroupWait() bool {
-	for _, rt := range g.procs {
-		if rt.state != psDone && rt.extLock && rt.waitAlts != nil {
+	for _, m := range g.members {
+		if m.Phase != policy.Done && m.extLock && m.waitAlts != nil {
 			return true
 		}
 	}
@@ -1081,7 +978,7 @@ func (g *shardGroup) crossGroupWait() bool {
 // (terminates, commits or rolls back prepared transactions, becomes
 // quasi-safe) — which a parked process never does — so such a set can
 // never be unblocked from outside and one member must be victim-aborted
-// (the youngest abortable one, mirroring the sequential engine).
+// (the youngest abortable one, as in the driver's stall-victim choice).
 // Entries are trusted only if their process re-evaluated its gates at
 // its group's current progress generation, so a signaled-but-not-
 // rescheduled process is never mistaken for stuck. Called with gmu
@@ -1153,60 +1050,33 @@ func (r *Runtime) detectDeadlockLocked(self *waitEntry) *waitEntry {
 // waiting on it could deadlock, so another victim may be taken
 // (bounded by MaxStalls, as in the sequential engine).
 func (g *shardGroup) actionableAbortPending() bool {
-	for _, rt := range g.procs {
-		if rt.state != psDone && rt.abortPending && len(rt.recovery) == 0 && !rt.recoveryBusy && len(rt.running) == 0 {
+	for _, p := range g.drv.All() {
+		if p.Phase != policy.Done && p.AbortPending && len(p.Recovery) == 0 && p.Idle() {
 			return true
 		}
 	}
 	return false
 }
 
-// resolveStall aborts the youngest runnable process (it restarts); a
-// done process blocked on its deferred 2PC commit is the fallback
-// victim, mirroring the sequential engine.
-func (g *shardGroup) resolveStall() *procRT {
+// resolveStall is the quiescence backstop: the driver's stall-victim
+// choice under the run-wide MaxStalls budget. Called with g.mu held.
+func (g *shardGroup) resolveStall() bool {
 	r := g.r
 	r.gmu.Lock()
 	exhausted := r.victims >= r.cfg.MaxStalls
 	r.gmu.Unlock()
 	if exhausted {
-		return nil
+		return false
 	}
-	var victim *procRT
-	for _, rt := range g.procs {
-		if rt.state != psRunning || len(rt.running) > 0 || rt.recoveryBusy || rt.abortPending {
-			continue
-		}
-		if rt.inst.Done() {
-			continue
-		}
-		if victim == nil || rt.arrival > victim.arrival {
-			victim = rt
-		}
-	}
+	victim := g.drv.ChooseVictim(nil)
 	if victim == nil {
-		for _, rt := range g.procs {
-			if rt.state != psRunning || len(rt.running) > 0 || rt.recoveryBusy || rt.abortPending {
-				continue
-			}
-			if rt.inst.Done() && len(rt.prepared) > 0 && g.pol.HasActiveConflictPred(g.view(), rt.id) {
-				if victim == nil || rt.arrival > victim.arrival {
-					victim = rt
-				}
-			}
-		}
-	}
-	if victim == nil {
-		return nil
+		return false
 	}
 	r.gmu.Lock()
 	r.victims++
 	r.gmu.Unlock()
-	g.metrics.VictimAborts++
-	r.reg.Inc(metrics.VictimAborts)
-	victim.restartable = true
-	victim.abortPending = true
-	return victim
+	g.drv.MarkVictim(victim, "stall resolution")
+	return true
 }
 
 // stepKind is the action the serial section hands a worker.
@@ -1219,71 +1089,45 @@ const (
 	sDone                   // process terminated
 )
 
-type workItem struct {
-	local   int
-	service string
-	kind    activity.Kind
-	isStep  bool
-	step    process.Step
-}
-
 // drive runs one admitted process to termination. Returns true when the
 // process aborted restartably and should re-enter.
-func (g *shardGroup) drive(rt *procRT) (restart bool) {
+func (g *shardGroup) drive(m *member) (restart bool) {
 	g.mu.Lock()
-	restart = g.driveLocked(rt)
+	restart = g.driveLocked(m)
 	g.live--
 	g.bump()
 	g.mu.Unlock()
 	return restart
 }
 
-func (g *shardGroup) driveLocked(rt *procRT) (restart bool) {
-	r := g.r
+func (g *shardGroup) driveLocked(m *member) (restart bool) {
+	r, d, p := g.r, g.drv, m.Proc
 	for {
 		if r.stopped.Load() || r.canceled.Load() {
 			return false
 		}
-		kind, item := g.step(rt)
+		kind, item := g.step(m)
 		switch kind {
 		case sAgain:
 			g.bump()
 			continue
 		case sDone:
-			return rt.restartable && rt.restarts < r.cfg.MaxRestarts
+			return p.Restartable && p.Restarts < r.cfg.MaxRestarts
 		case sWait:
-			if !g.wait(rt) {
+			if !g.wait(m) {
 				return false
 			}
 			continue
 		}
-		// sInvoke: the in-flight registration (running / recoveryBusy)
-		// happened in step(); do the subsystem work unlocked.
+		// sInvoke: the in-flight registration happened in step(); do the
+		// subsystem work unlocked (the idempotency key is allocated
+		// under the lock).
 		g.inFlight++
-		var key string
-		if r.cfg.Resilience != nil {
-			// Key allocated under the lock: fresh per logical invocation
-			// and per incarnation (rt.id carries the restart suffix).
-			key = fmt.Sprintf("%s#%d", rt.id, rt.keySeq)
-			rt.keySeq++
-		}
+		key := d.InvokeKey(p)
 		g.mu.Unlock()
-		var res *subsystem.Result
-		var err error
-		var extraLat int64
-		if r.cfg.Resilience != nil {
-			res, extraLat, err = r.cfg.Resilience.InvokeResilient(
-				string(rt.origin), item.service, item.kind, subsystem.Prepare, key)
-		} else {
-			res, err = r.fed.Invoke(string(rt.origin), item.service, subsystem.Prepare)
-		}
-		locked := errors.Is(err, subsystem.ErrLocked)
-		failed := subsystem.IsInvocationFailure(err)
-		if err != nil && !locked && !failed {
-			panic(fmt.Sprintf("runtime: invoke %s/%s: %v", rt.id, item.service, err))
-		}
+		res, extraLat, locked := d.Invoke(p, item, key)
 		if !locked {
-			r.sleepTicks(r.cost(item.service) + extraLat)
+			r.sleepTicks(d.Cost(item.Service) + extraLat)
 		}
 		g.mu.Lock()
 		g.inFlight--
@@ -1292,182 +1136,113 @@ func (g *shardGroup) driveLocked(rt *procRT) (restart bool) {
 			// not commit, log or apply its outcome. A prepared local
 			// transaction stays in doubt with no prepared record — the
 			// orphan recovery rule presumes it aborted.
-			g.unregister(rt, item)
+			d.Undispatch(p, item)
 			return false
 		}
+		d.Metrics.Invocations++
 		if locked {
 			// Lost the probe/acquire race: a conflicting local
 			// transaction grabbed the item locks between step()'s probe
 			// and the Invoke. Undo the registration and re-evaluate —
 			// the next step() re-probes and parks with the holder's
 			// identity as a wait-for edge.
-			g.unregister(rt, item)
-			g.metrics.Invocations++
-			g.metrics.LockWaits++
-			r.reg.Inc(metrics.InvokeLockBlocked)
+			d.Undispatch(p, item)
+			d.LockWait(p, item, "lost the probe/acquire race")
 			g.bump()
 			continue
 		}
-		g.complete(rt, item, res, failed)
+		r.noteCompletion()
+		if err := d.Complete(p, item, res); err != nil {
+			r.fail(err)
+		}
 		g.bump()
 	}
 }
 
-func (g *shardGroup) unregister(rt *procRT, item workItem) {
-	if item.isStep {
-		rt.recoveryBusy = false
-		rt.busySvc = ""
-	} else {
-		delete(rt.running, item.local)
-	}
-	g.pol.Bump()
-}
-
 // step is the serial-section decision: what should this worker do next?
 // Called with g.mu held. Every sWait return records the wait-for edge
-// information of the park in rt.waitAlts (nil when the policy cannot
+// information of the park in m.waitAlts (nil when the policy cannot
 // name the blockers).
-func (g *shardGroup) step(rt *procRT) (stepKind, workItem) {
-	r := g.r
-	rt.waitAlts = nil
-	rt.extLock = false
-	rt.lockProbes = rt.lockProbes[:0]
-	v := g.view()
+func (g *shardGroup) step(m *member) (stepKind, scheduler.Work) {
+	r, d, p := g.r, g.drv, m.Proc
+	m.waitAlts = nil
+	m.extLock = false
+	m.lockProbes = m.lockProbes[:0]
 	// Recovery steps drain strictly sequentially, before a pending
 	// abort is honoured.
-	if len(rt.recovery) > 0 {
-		st := rt.recovery[0]
-		switch st.Kind {
-		case process.StepAbortPrepared:
-			rt.recovery = rt.recovery[1:]
-			if ptx, ok := rt.prepared[st.Local]; ok {
-				if err := ptx.sub.AbortPrepared(ptx.tx); err == nil {
-					g.metrics.Rollbacks++
-					r.reg.Inc(metrics.DeferredRolledBack)
-					r.append(wal.Record{
-						Type: wal.RecResolved, Proc: string(rt.id), Local: st.Local,
-						Service: ptx.service, Subsystem: ptx.sub.Name(), Tx: int64(ptx.tx), Commit: false,
-					})
-				}
-				delete(rt.prepared, st.Local)
-			}
-			g.pol.EraseTentative(rt.id, st.Local)
-			_ = rt.inst.ApplyStep(st)
-			g.pol.Bump()
-			r.nudgeRelease()
-			return sAgain, workItem{}
-		case process.StepCompensate:
-			if r.cfg.Mode != scheduler.CCOnly && !g.pol.Lemma2Clear(v, rt.id, st) {
-				g.metrics.PolicyWaits++
-				return sWait, workItem{}
-			}
-			if holder, free := r.fed.LockBlocker(string(rt.origin), st.Service); !free {
-				g.lockWait(rt, holder, st.Service)
-				return sWait, workItem{}
-			}
-			return g.register(rt, workItem{local: st.Local, service: st.Service, kind: activity.Compensation, isStep: true, step: st})
-		case process.StepInvoke:
-			if r.cfg.Mode != scheduler.CCOnly {
-				if !g.pol.Lemma3Clear(v, rt.id, st) || !g.pol.Lemma1ClearForward(v, rt.id, st) ||
-					!g.pol.StepForcedClear(v, rt.id, st) {
-					g.metrics.PolicyWaits++
-					return sWait, workItem{}
-				}
-				if _, defer2 := g.pol.DeferToAborting(v, rt.id, st); defer2 {
-					g.metrics.PolicyWaits++
-					return sWait, workItem{}
-				}
-			}
-			if holder, free := r.fed.LockBlocker(string(rt.origin), st.Service); !free {
-				g.lockWait(rt, holder, st.Service)
-				return sWait, workItem{}
-			}
-			a := rt.def.Activity(st.Local)
-			return g.register(rt, workItem{local: st.Local, service: st.Service, kind: a.Kind, isStep: true, step: st})
+	if len(p.Recovery) > 0 {
+		st := p.Recovery[0]
+		if st.Kind == process.StepAbortPrepared {
+			d.AbortPreparedStep(p)
+			return sAgain, scheduler.Work{}
 		}
-		return sWait, workItem{}
-	}
-	if rt.abortPending && rt.state != psAborting {
-		steps, err := rt.inst.Abort()
-		if err != nil {
-			r.fail(fmt.Errorf("runtime: abort %s: %w", rt.id, err))
-			return sDone, workItem{}
+		if !d.StepGate(p, st) {
+			return sWait, scheduler.Work{}
 		}
-		rt.abortPending = false
-		rt.state = psAborting
-		rt.recovery = steps
-		r.append(wal.Record{Type: wal.RecAbortBegin, Proc: string(rt.id)})
-		r.reg.Inc(metrics.BackwardRecoveries)
-		g.pol.AppendEvent(&policy.Event{Seq: r.seq.Add(1), Proc: rt.id, Typ: schedule.AbortBegin})
-		g.cascadeDependents(rt)
-		return sAgain, workItem{}
+		if holder, free := r.fed.LockBlocker(string(p.Origin), st.Service); !free {
+			g.lockWait(m, holder, st.Service)
+			return sWait, scheduler.Work{}
+		}
+		return g.register(p, p.StepWork(st))
 	}
-	if rt.state == psAborting {
+	if p.AbortPending && p.Phase != policy.Aborting {
+		if err := d.BeginAbort(p); err != nil {
+			r.fail(err)
+			return sDone, scheduler.Work{}
+		}
+		return sAgain, scheduler.Work{}
+	}
+	if p.Phase == policy.Aborting {
 		// Completion drained: roll back leftovers and terminate.
-		for l, ptx := range rt.prepared {
-			if err := ptx.sub.AbortPrepared(ptx.tx); err == nil {
-				g.metrics.Rollbacks++
-				r.reg.Inc(metrics.DeferredRolledBack)
-				r.append(wal.Record{
-					Type: wal.RecResolved, Proc: string(rt.id), Local: l,
-					Service: ptx.service, Subsystem: ptx.sub.Name(), Tx: int64(ptx.tx), Commit: false,
-				})
-			}
-			g.pol.EraseTentative(rt.id, l)
-			delete(rt.prepared, l)
-		}
-		g.terminate(rt, false)
-		return sDone, workItem{}
+		d.RollbackLeftovers(p)
+		return g.terminate(m, false), scheduler.Work{}
 	}
-	if rt.inst.Done() {
-		if len(rt.prepared) > 0 {
-			if g.pol.HasActiveConflictPred(v, rt.id) {
+	if p.Inst.Done() {
+		if len(p.Prepared) > 0 {
+			if d.Lemma1Blocked(p) {
 				// Lemma 1: hold the 2PC commit. The wait resolves only
 				// when every active conflict predecessor terminated —
 				// one AND-alternative for the deadlock detector.
-				rt.waitAlts = [][]process.ID{g.pol.ActiveConflictPreds(v, rt.id)}
-				return sWait, workItem{}
+				m.waitAlts = [][]process.ID{d.Pol.ActiveConflictPreds(d, p.ID)}
+				return sWait, scheduler.Work{}
 			}
-			if !g.commitPreparedSet(rt) {
-				return sWait, workItem{}
+			if !g.commitPreparedSet(p) {
+				return sWait, scheduler.Work{}
 			}
 		}
-		g.terminate(rt, true)
-		return sDone, workItem{}
+		return g.terminate(m, true), scheduler.Work{}
 	}
 	// Mid-process deferred commits (Lemma 1): successors of a prepared
 	// activity stay off the frontier until the prepared set commits, so
 	// a process wedges behind its own deferral unless it is resolved
 	// here the moment the last active conflict predecessor terminates
-	// (the concurrent analog of the sequential engine's
-	// commitDeferredIfPossible). While predecessors are still active,
-	// the deferral contributes one AND-alternative to the wait-for
+	// (the sequential engine does this for every waiting process when a
+	// process terminates). While predecessors are still active, the
+	// deferral contributes one AND-alternative to the wait-for
 	// disjunction below — parallel branches may keep executing.
 	var deferAlt []process.ID
-	if midProcessPrepared(rt) {
-		if g.pol.HasActiveConflictPred(v, rt.id) {
-			deferAlt = g.pol.ActiveConflictPreds(v, rt.id)
+	if p.HasDeferred() {
+		if d.Pol.HasActiveConflictPred(d, p.ID) {
+			deferAlt = d.Pol.ActiveConflictPreds(d, p.ID)
 		} else {
-			if !g.commitPreparedSet(rt) {
-				return sWait, workItem{} // injected crash mid-2PC
+			if !g.commitPreparedSet(p) {
+				return sWait, scheduler.Work{} // injected crash mid-2PC
 			}
-			return sAgain, workItem{} // successors joined the frontier
+			return sAgain, scheduler.Work{} // successors joined the frontier
 		}
 	}
 	// Regular forward execution. The single worker linearizes parallel
 	// branches: pick the first dispatchable frontier activity.
 	var blocked [][]process.ID
 	complete := true
-	for _, local := range rt.inst.Frontier() {
-		a := rt.def.Activity(local)
-		if !predsCommitted(rt, local) {
+	for _, local := range p.Inst.Frontier() {
+		a := p.Def.Activity(local)
+		if !p.PredsCommitted(local) {
 			complete = false
 			continue
 		}
-		if ok, _ := g.pol.MayDispatch(v, rt.id, a); !ok {
-			g.metrics.PolicyWaits++
-			r.reg.Inc(metrics.InvokePolicyBlocked)
-			if bs := g.pol.DispatchBlockers(v, rt.id, a); len(bs) > 0 {
+		if !d.MayDispatch(p, a) {
+			if bs := d.Pol.DispatchBlockers(d, p.ID, a); len(bs) > 0 {
 				blocked = append(blocked, bs)
 			} else {
 				complete = false // denial without pred-wait semantics
@@ -1480,19 +1255,19 @@ func (g *shardGroup) step(rt *procRT) (stepKind, workItem) {
 		// workers in an endless retry storm. The holder — possibly in
 		// another group, since commutative services share items without
 		// conflicting — becomes a wait-for edge.
-		if holder, free := r.fed.LockBlocker(string(rt.origin), a.Service); !free {
-			rt.lockProbes = append(rt.lockProbes, a.Service)
+		if holder, free := r.fed.LockBlocker(string(p.Origin), a.Service); !free {
+			m.lockProbes = append(m.lockProbes, a.Service)
 			if cur, ok := r.incarnation(process.ID(holder)); ok {
 				blocked = append(blocked, []process.ID{cur})
-				if g.byID[cur] == nil {
-					rt.extLock = true
+				if d.Get(cur) == nil {
+					m.extLock = true
 				}
 			} else {
 				complete = false // holder unknown (terminating); re-probe on wake
 			}
 			continue
 		}
-		return g.register(rt, workItem{local: local, service: a.Service, kind: a.Kind})
+		return g.register(p, scheduler.Work{Local: local, Service: a.Service, Kind: a.Kind})
 	}
 	// The park's wait-for information is complete only when EVERY
 	// frontier alternative was denied by a named blocker set (conflict
@@ -1504,129 +1279,33 @@ func (g *shardGroup) step(rt *procRT) (stepKind, workItem) {
 		blocked = append(blocked, deferAlt)
 	}
 	if complete && len(blocked) > 0 {
-		rt.waitAlts = blocked
+		m.waitAlts = blocked
 	}
-	return sWait, workItem{}
-}
-
-// midProcessPrepared reports whether a non-done process holds a
-// prepared (deferred-commit) local whose successors are off the
-// frontier waiting for it.
-func midProcessPrepared(rt *procRT) bool {
-	for l := range rt.prepared {
-		if rt.inst.Status(l) == process.Prepared {
-			return true
-		}
-	}
-	return false
+	return sWait, scheduler.Work{}
 }
 
 // lockWait records the wait-for edge of an item-lock-blocked recovery
 // step: the single pending step is the only alternative, its lock
 // holder the only blocker. Called with g.mu held.
-func (g *shardGroup) lockWait(rt *procRT, holder, service string) {
-	rt.lockProbes = append(rt.lockProbes, service)
+func (g *shardGroup) lockWait(m *member, holder, service string) {
+	m.lockProbes = append(m.lockProbes, service)
 	cur, ok := g.r.incarnation(process.ID(holder))
 	if !ok {
 		return // holder unknown (terminating); quiescence backstop only
 	}
-	rt.waitAlts = [][]process.ID{{cur}}
-	if g.byID[cur] == nil {
-		rt.extLock = true
+	m.waitAlts = [][]process.ID{{cur}}
+	if g.drv.Get(cur) == nil {
+		m.extLock = true
 	}
 }
 
-// register records the invocation as in flight (visible to concurrent
-// forced-order decisions) and hands it to the worker.
-func (g *shardGroup) register(rt *procRT, item workItem) (stepKind, workItem) {
-	r := g.r
-	if !r.inject("runtime:dispatch") {
-		return sAgain, workItem{} // crash tripped; drive's loop head exits
+// register passes the dispatch crash point, logs the invocation as in
+// flight and hands it to the worker.
+func (g *shardGroup) register(p *scheduler.Proc, w scheduler.Work) (stepKind, scheduler.Work) {
+	if !g.r.inject("runtime:dispatch") || !g.drv.Dispatch(p, w) {
+		return sAgain, scheduler.Work{} // crash tripped; drive's loop head exits
 	}
-	if item.isStep {
-		rt.recoveryBusy = true
-		rt.busySvc = item.service
-	} else {
-		rt.running[item.local] = item.service
-	}
-	g.pol.Bump()
-	if !r.append(wal.Record{Type: wal.RecDispatch, Proc: string(rt.id), Local: item.local, Service: item.service}) {
-		g.unregister(rt, item)
-		return sAgain, workItem{}
-	}
-	r.reg.Inc(metrics.InvokeDispatched)
-	return sInvoke, item
-}
-
-func predsCommitted(rt *procRT, local int) bool {
-	for _, h := range rt.def.Preds(local) {
-		if rt.inst.Status(h) != process.Committed {
-			return false
-		}
-	}
-	return true
-}
-
-// complete handles a finished invocation under the lock.
-func (g *shardGroup) complete(rt *procRT, item workItem, res *subsystem.Result, failed bool) {
-	r := g.r
-	g.metrics.Invocations++
-	r.noteCompletion()
-	g.unregister(rt, item)
-	r.reg.ObserveService(item.service, r.cost(item.service))
-	if item.isStep {
-		g.completeStep(rt, item, res, failed)
-		return
-	}
-	if failed {
-		if item.kind.GuaranteedToCommit() {
-			g.metrics.Retries++
-			r.reg.Inc(metrics.RetriesTransient)
-			r.append(wal.Record{Type: wal.RecOutcome, Proc: string(rt.id), Local: item.local, Service: item.service, Outcome: "aborted"})
-			return
-		}
-		g.permanentFailure(rt, item)
-		return
-	}
-	if !r.append(wal.Record{
-		Type: wal.RecOutcome, Proc: string(rt.id), Local: item.local, Service: item.service,
-		Subsystem: r.subsystemOf(item.service), Tx: int64(res.Tx), Outcome: "prepared",
-	}) {
-		return // crashed: the transaction stays in doubt for recovery
-	}
-	sub, _ := r.fed.Owner(item.service)
-	seq := r.seq.Add(1)
-	if g.commitImmediately(rt, item.kind) {
-		if err := sub.CommitPrepared(res.Tx); err != nil {
-			r.fail(fmt.Errorf("runtime: commit %s/%s: %w", rt.id, item.service, err))
-			return
-		}
-		r.append(wal.Record{
-			Type: wal.RecResolved, Proc: string(rt.id), Local: item.local,
-			Service: item.service, Subsystem: sub.Name(), Tx: int64(res.Tx), Commit: true,
-		})
-		if err := rt.inst.MarkCommitted(item.local); err != nil {
-			r.fail(fmt.Errorf("runtime: %w", err))
-			return
-		}
-		g.pol.AppendEvent(&policy.Event{
-			Seq: seq, Proc: rt.id, Local: item.local, Service: item.service, Kind: item.kind, Typ: schedule.Invoke,
-		})
-		r.reg.Inc(metrics.CommitsImmediate)
-		r.nudgeRelease()
-	} else {
-		g.metrics.Deferrals++
-		r.reg.Inc(metrics.CommitsDeferred)
-		if err := rt.inst.MarkPrepared(item.local); err != nil {
-			r.fail(fmt.Errorf("runtime: %w", err))
-			return
-		}
-		rt.prepared[item.local] = preparedTx{sub: sub, tx: res.Tx, service: item.service}
-		g.pol.AppendEvent(&policy.Event{
-			Seq: seq, Proc: rt.id, Local: item.local, Service: item.service, Kind: item.kind,
-			Typ: schedule.Invoke, Tentative: true,
-		})
-	}
+	return sInvoke, w
 }
 
 // noteCompletion counts one finished invocation and wakes backoff
@@ -1638,270 +1317,34 @@ func (r *Runtime) noteCompletion() {
 	r.gmu.Unlock()
 }
 
-func (g *shardGroup) commitImmediately(rt *procRT, kind activity.Kind) bool {
-	if kind == activity.Compensatable {
-		return true
-	}
-	switch g.r.cfg.Mode {
-	case scheduler.CCOnly, scheduler.Serial, scheduler.Conservative:
-		return true
-	default:
-		return !g.pol.HasActiveConflictPred(g.view(), rt.id)
-	}
-}
-
-func (r *Runtime) subsystemOf(service string) string {
-	if sub, ok := r.fed.Owner(service); ok {
-		return sub.Name()
-	}
-	return ""
-}
-
-// permanentFailure reacts to the definitive failure of a compensatable
-// or pivot activity.
-func (g *shardGroup) permanentFailure(rt *procRT, item workItem) {
-	r := g.r
-	r.append(wal.Record{Type: wal.RecFailed, Proc: string(rt.id), Local: item.local, Service: item.service})
-	g.pol.AppendEvent(&policy.Event{
-		Seq: r.seq.Add(1), Proc: rt.id, Local: item.local, Service: item.service, Kind: item.kind, Typ: schedule.FailedInvoke,
-	})
-	plan, err := rt.inst.MarkFailed(item.local)
-	if err != nil {
-		r.fail(fmt.Errorf("runtime: %w", err))
-		return
-	}
-	if rt.abortPending {
-		return // the queued abort supersedes the local plan
-	}
-	if plan.Abort {
-		rt.restartable = false
-		rt.state = psAborting
-		rt.recovery = plan.Steps
-		r.append(wal.Record{Type: wal.RecAbortBegin, Proc: string(rt.id)})
-		r.reg.Inc(metrics.BackwardRecoveries)
-		g.pol.AppendEvent(&policy.Event{Seq: r.seq.Add(1), Proc: rt.id, Typ: schedule.AbortBegin})
-		g.cascadeDependents(rt)
-		return
-	}
-	rt.recovery = plan.Steps
-	r.reg.Inc(metrics.ForwardRecoveries)
-}
-
-// cascadeDependents marks conflicting dependents of an unwinding
-// process for cascading abort (PREDCascade mode only). Dependents
-// always conflict with the unwinding process, so they live in the same
-// group.
-func (g *shardGroup) cascadeDependents(rt *procRT) {
-	for _, id := range g.pol.CascadeVictims(g.view(), rt.id, rt.recovery) {
-		q := g.byID[id]
-		if q == nil || q.state != psRunning || q.abortPending {
-			continue
-		}
-		g.metrics.Cascades++
-		g.r.reg.Inc(metrics.CascadeAborts)
-		q.abortPending = true
-		q.restartable = true
-	}
-}
-
-// completeStep handles a finished recovery-step invocation.
-func (g *shardGroup) completeStep(rt *procRT, item workItem, res *subsystem.Result, failed bool) {
-	r := g.r
-	if failed {
-		// Compensations and forward-recovery steps are retriable.
-		g.metrics.Retries++
-		r.reg.Inc(metrics.RetriesTransient)
-		return
-	}
-	// Log the step outcome (with subsystem and transaction id), then
-	// commit: a crash between the two is repaired by recovery's redo
-	// rule (ProcImage.RedoCommit), a crash before the log write leaves
-	// an orphan that recovery presumes aborted and re-executes.
-	sub, _ := r.fed.Owner(item.service)
-	var logged bool
-	switch item.step.Kind {
-	case process.StepCompensate:
-		logged = r.append(wal.Record{
-			Type: wal.RecCompensate, Proc: string(rt.id), Local: item.local, Service: item.service,
-			Subsystem: sub.Name(), Tx: int64(res.Tx),
-		})
-	case process.StepInvoke:
-		logged = r.append(wal.Record{
-			Type: wal.RecOutcome, Proc: string(rt.id), Local: item.local, Service: item.service,
-			Subsystem: sub.Name(), Tx: int64(res.Tx), Outcome: "committed",
-		})
-	}
-	if !logged {
-		return // crashed: the step never happened as far as the log knows
-	}
-	if err := sub.CommitPrepared(res.Tx); err != nil {
-		r.fail(fmt.Errorf("runtime: commit step %s/%s: %w", rt.id, item.service, err))
-		return
-	}
-	if len(rt.recovery) > 0 && rt.recovery[0] == item.step {
-		rt.recovery = rt.recovery[1:]
-	}
-	seq := r.seq.Add(1)
-	switch item.step.Kind {
-	case process.StepCompensate:
-		g.metrics.Compensations++
-		r.reg.Inc(metrics.CompensationsIssued)
-		g.pol.MarkCompensated(rt.id, item.local)
-		g.pol.AppendEvent(&policy.Event{
-			Seq: seq, Proc: rt.id, Local: item.local, Service: item.service,
-			Kind: activity.Compensation, Typ: schedule.Invoke, Inverse: true,
-		})
-	case process.StepInvoke:
-		g.pol.AppendEvent(&policy.Event{
-			Seq: seq, Proc: rt.id, Local: item.local, Service: item.service, Kind: item.kind, Typ: schedule.Invoke,
-		})
-	}
-	if err := rt.inst.ApplyStep(item.step); err != nil {
-		r.fail(fmt.Errorf("runtime: %w", err))
-		return
-	}
-	r.nudgeRelease()
-}
-
-// commitPreparedSet performs the atomic 2PC commit of the prepared set
-// once Lemma 1 released it. Called with g.mu held (lock order
-// g.mu -> subsystem.mu).
-func (g *shardGroup) commitPreparedSet(rt *procRT) bool {
-	r := g.r
-	locals := make([]int, 0, len(rt.prepared))
-	for l := range rt.prepared {
-		if rt.inst.Status(l) == process.Prepared {
-			locals = append(locals, l)
-		}
-	}
-	sort.Ints(locals)
-	if len(locals) == 0 {
-		return true
-	}
-	parts := make([]twopc.Participant, 0, len(locals))
-	for _, l := range locals {
-		ptx := rt.prepared[l]
-		parts = append(parts, twopc.Participant{
-			Sub: ptx.sub, Tx: ptx.tx, Proc: string(rt.id), Local: l, Service: ptx.service,
-		})
-	}
-	var cerr error
-	if !r.guard(func() { cerr = r.coord.CommitAll(string(rt.id), parts) }) {
+// commitPreparedSet runs the driver's 2PC commit under the crash guard:
+// the coordinator's crash points must not unwind past the critical
+// section. Called with g.mu held (lock order g.mu -> subsystem.mu).
+func (g *shardGroup) commitPreparedSet(p *scheduler.Proc) bool {
+	var ok bool
+	var err error
+	if !g.r.guard(func() { ok, err = g.drv.CommitPreparedSet(p) }) {
 		return false // injected crash mid-2PC; recovery finishes the job
 	}
-	if cerr != nil {
-		r.fail(fmt.Errorf("runtime: 2PC commit of %s: %w", rt.id, cerr))
-		return false
+	if err != nil {
+		g.r.fail(err)
 	}
-	for _, l := range locals {
-		g.metrics.TwoPCCommits++
-		r.reg.Inc(metrics.DeferredCommitted2PC)
-		if err := rt.inst.MarkCommitted(l); err != nil {
-			r.fail(fmt.Errorf("runtime: %w", err))
-			return false
-		}
-		g.pol.FinalizeTentative(rt.id, l, r.seq.Add(1))
-		delete(rt.prepared, l)
-	}
-	g.pol.Bump()
-	return true
+	return ok
 }
 
-// terminate emits the terminal event. Called with g.mu held.
-func (g *shardGroup) terminate(rt *procRT, committed bool) {
-	r := g.r
-	rt.state = psDone
-	out := g.outcomes[rt.id]
-	out.End = r.ticksSince(time.Now())
-	out.Committed = committed
-	out.Aborted = !committed
-	if committed {
-		g.metrics.CommittedProcs++
-		r.reg.Inc(metrics.ProcsCommitted)
-	} else {
-		g.metrics.AbortedProcs++
-		r.reg.Inc(metrics.ProcsAborted)
+// terminate emits the terminal event and releases the admission slot.
+// Called with g.mu held.
+func (g *shardGroup) terminate(m *member, committed bool) stepKind {
+	if !g.drv.Terminate(m.Proc, committed) {
+		return sAgain // not logged: the run is ending, drive's loop head exits
 	}
-	r.reg.Observe(metrics.HistProcDuration, r.ticksSince(time.Now())-out.Start)
-	r.append(wal.Record{Type: wal.RecTerminate, Proc: string(rt.id), Committed: committed})
-	g.pol.AppendEvent(&policy.Event{Seq: r.seq.Add(1), Proc: rt.id, Typ: schedule.Terminate, Committed: committed})
-	rt.inst.MarkTerminated(committed)
-	r.gmu.Lock()
-	r.active--
-	rt.adm.done = true
-	if r.liveByOrigin[rt.origin] == rt.id {
-		delete(r.liveByOrigin, rt.origin)
-	}
-	r.gcond.Broadcast()
-	r.gmu.Unlock()
+	g.r.retire(m.Proc, m.adm)
 	// Termination released whatever this process still held (2PC commit
-	// or rollback of its prepared set happened on the way here); waiters
-	// in other groups only learn about it through a nudge.
-	r.nudgeRelease()
-}
-
-// view adapts the group's process table to the policy View.
-type rtView struct{ g *shardGroup }
-
-func (g *shardGroup) view() policy.View { return rtView{g} }
-
-func (v rtView) Procs() []process.ID {
-	out := make([]process.ID, len(v.g.procs))
-	for i, rt := range v.g.procs {
-		out[i] = rt.id
-	}
-	return out
-}
-
-func (v rtView) Phase(id process.ID) policy.Phase {
-	rt := v.g.byID[id]
-	if rt == nil {
-		return policy.Done
-	}
-	switch rt.state {
-	case psRunning:
-		return policy.Running
-	case psAborting:
-		return policy.Aborting
-	default:
-		return policy.Done
-	}
-}
-
-func (v rtView) Arrival(id process.ID) int {
-	if rt := v.g.byID[id]; rt != nil {
-		return rt.arrival
-	}
-	return 0
-}
-
-func (v rtView) Instance(id process.ID) *process.Instance {
-	if rt := v.g.byID[id]; rt != nil {
-		return rt.inst
-	}
-	return nil
-}
-
-func (v rtView) RecoverySteps(id process.ID) []process.Step {
-	if rt := v.g.byID[id]; rt != nil {
-		return rt.recovery
-	}
-	return nil
-}
-
-func (v rtView) InFlight(id process.ID) []string {
-	rt := v.g.byID[id]
-	if rt == nil {
-		return nil
-	}
-	out := make([]string, 0, len(rt.running)+1)
-	for _, svc := range rt.running {
-		out = append(out, svc)
-	}
-	if rt.recoveryBusy && rt.busySvc != "" {
-		out = append(out, rt.busySvc)
-	}
-	return out
+	// or rollback of its prepared set happened on the way here), and a
+	// waiter that found the holder's origin unmapped re-probes; waiters
+	// in other groups only learn about either through a nudge.
+	g.r.nudgeRelease()
+	return sDone
 }
 
 // stallDump renders the group state for stall diagnostics.
@@ -1911,18 +1354,8 @@ func (g *shardGroup) stallDump() string {
 	victims := r.victims
 	active := r.active
 	r.gmu.Unlock()
-	s := fmt.Sprintf("group=%d shards=%v live=%d active=%d inFlight=%d waiting=%d victims=%d progress=%d\n",
-		g.idx, g.shards, g.live, active, g.inFlight, g.waiting, victims, g.progress.Load())
-	for _, rt := range g.procs {
-		if rt.state == psDone {
-			continue
-		}
-		s += fmt.Sprintf("  %s state=%d mode=%v done=%v running=%d recovery=%d busy=%v abortPending=%v prepared=%d frontier=%v\n",
-			rt.id, rt.state, rt.inst.Mode(), rt.inst.Done(), len(rt.running), len(rt.recovery), rt.recoveryBusy, rt.abortPending, len(rt.prepared), rt.inst.Frontier())
-	}
-	for _, k := range g.pol.EdgeList() {
-		s += fmt.Sprintf("  edge %s->%s\n", k[0], k[1])
-	}
+	s := fmt.Sprintf("group=%d shards=%v live=%d active=%d inFlight=%d waiting=%d victims=%d progress=%d\n%s",
+		g.idx, g.shards, g.live, active, g.inFlight, g.waiting, victims, g.progress.Load(), g.drv.Dump())
 	r.gmu.Lock()
 	for id, e := range r.waits {
 		s += fmt.Sprintf("  wait %s alts=%v fresh=%v\n", id, e.alts, e.gen == e.g.progress.Load())

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"transproc/internal/metrics"
 	"transproc/internal/runtime"
 	"transproc/internal/scheduler"
 	"transproc/internal/workload"
@@ -170,5 +171,47 @@ func TestRuntimeCancellation(t *testing.T) {
 	}
 	if runErr != context.Canceled {
 		t.Fatalf("got %v, want context.Canceled", runErr)
+	}
+}
+
+// TestRuntimeDecisionTrace: the runtime hosts the same driver as the
+// sequential engine, so a run with a registry carries the decision
+// trace — for every committed process an admission, a dispatch, a commit
+// (immediate or deferred) and the termination.
+func TestRuntimeDecisionTrace(t *testing.T) {
+	t.Parallel()
+	p := workload.DefaultProfile(5)
+	p.Processes = 10
+	p.ConflictProb = 0.5
+	w := workload.MustGenerate(p)
+	reg := metrics.NewSized(1 << 16)
+	rt, err := runtime.New(w.Fed, runtime.Config{Mode: scheduler.PRED, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := rt.Run(context.Background(), w.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kinds := make(map[string]map[metrics.TraceKind]int)
+	for _, ev := range reg.Events() {
+		if kinds[ev.Proc] == nil {
+			kinds[ev.Proc] = make(map[metrics.TraceKind]int)
+		}
+		kinds[ev.Proc][ev.Kind]++
+	}
+	committed := 0
+	for id, out := range res.Outcomes {
+		if !out.Committed {
+			continue
+		}
+		committed++
+		k := kinds[string(id)]
+		if k[metrics.TAdmit] != 1 || k[metrics.TDispatch] == 0 || k[metrics.TCommit]+k[metrics.TDeferCommit] == 0 || k[metrics.TTerminate] != 1 {
+			t.Errorf("%s committed with trace %v", id, k)
+		}
+	}
+	if committed == 0 {
+		t.Fatal("no process committed")
 	}
 }

@@ -36,54 +36,22 @@ package scheduler
 
 import (
 	"transproc/internal/metrics"
+	"transproc/internal/scheduler/policy"
 	"transproc/internal/subsystem"
 	"transproc/internal/wal"
 )
 
-// Mode selects the scheduling policy.
-type Mode int
+// Mode selects the scheduling policy; the policy layer defines it.
+type Mode = policy.Mode
 
+// The scheduling policies (documented on the policy constants).
 const (
-	// PRED is the paper's protocol in avoidance flavour: dependencies on
-	// active processes are allowed only when the active process's
-	// potential completions provably cannot conflict (quasi-commit).
-	// No cascading aborts ever occur.
-	PRED Mode = iota
-	// PREDCascade additionally allows compensatable activities to
-	// depend on active backward-recoverable processes (the Figure 7
-	// pattern); if such a predecessor aborts, dependents are
-	// cascade-aborted in reverse order (Lemma 2) and restarted.
-	PREDCascade
-	// Serial runs one process at a time.
-	Serial
-	// Conservative admits a process only when its full service
-	// footprint does not conflict with any running process
-	// (process-level conservative locking).
-	Conservative
-	// CCOnly orders conflicting activities for serializability but
-	// ignores recovery entirely: no deferred commits, no Lemma-1
-	// blocking. Under failures it produces non-PRED schedules and can
-	// leave inconsistencies (Section 2.2's motivating anomaly).
-	CCOnly
+	PRED         = policy.PRED
+	PREDCascade  = policy.PREDCascade
+	Serial       = policy.Serial
+	Conservative = policy.Conservative
+	CCOnly       = policy.CCOnly
 )
-
-// String returns the mode name.
-func (m Mode) String() string {
-	switch m {
-	case PRED:
-		return "pred"
-	case PREDCascade:
-		return "pred-cascade"
-	case Serial:
-		return "serial"
-	case Conservative:
-		return "conservative"
-	case CCOnly:
-		return "cc-only"
-	default:
-		return "unknown"
-	}
-}
 
 // Config parameterizes an engine run.
 type Config struct {
@@ -150,9 +118,6 @@ type Config struct {
 	// the same append stream shape as the concurrent runtime,
 	// including the "wal:group-fsync" crash point.
 	GroupCommit wal.GroupCommit
-	// DebugFirstStall prints the engine state at the first stall
-	// resolution (diagnostic aid).
-	DebugFirstStall bool
 	// Resilience, when non-nil, routes regular (strong-order) activity
 	// invocations through a resilience layer (internal/chaos): flaky
 	// transport, typed retries, circuit breakers. The layer surfaces

@@ -1,0 +1,395 @@
+package scheduler_test
+
+import (
+	"fmt"
+	"reflect"
+	"strings"
+	"testing"
+
+	"transproc/internal/activity"
+	"transproc/internal/process"
+	"transproc/internal/scheduler"
+	"transproc/internal/scheduler/policy"
+	"transproc/internal/subsystem"
+	"transproc/internal/twopc"
+	"transproc/internal/wal"
+)
+
+// fakeHost records, in order, every force-log and sequence grant a
+// driver transition asks for, each force-log tagged with the number of
+// local transactions in doubt at that moment — the position of the
+// subsystem's commit or rollback relative to the log write.
+type fakeHost struct {
+	fed      *subsystem.Federation
+	calls    []string
+	seq      int64
+	released int
+	refuse   func(wal.Record) bool
+}
+
+func (h *fakeHost) NextSeq() int64 { h.seq++; h.calls = append(h.calls, "seq"); return h.seq }
+func (h *fakeHost) Now() int64     { return 0 }
+func (h *fakeHost) Released()      { h.released++ }
+
+func (h *fakeHost) ForceLog(rec wal.Record) bool {
+	tag := rec.Type.String()
+	if rec.Outcome != "" {
+		tag += "/" + rec.Outcome
+	}
+	if rec.Type == wal.RecResolved {
+		tag += fmt.Sprintf("/commit=%v", rec.Commit)
+	}
+	if h.refuse != nil && h.refuse(rec) {
+		h.calls = append(h.calls, "refused:"+tag)
+		return false
+	}
+	h.calls = append(h.calls, fmt.Sprintf("log:%s(indoubt=%d)", tag, inDoubt(h.fed)))
+	return true
+}
+
+func inDoubt(fed *subsystem.Federation) int {
+	n := 0
+	for _, recs := range fed.InDoubt() {
+		n += len(recs)
+	}
+	return n
+}
+
+// driverWorld is one subsystem whose services all write item x, so any
+// two of them conflict.
+type driverWorld struct {
+	host *fakeHost
+	d    *scheduler.Driver
+	log  *wal.MemLog
+}
+
+func newDriverWorld(t *testing.T) *driverWorld {
+	t.Helper()
+	sub := subsystem.New("rm", 1)
+	for name, kind := range map[string]activity.Kind{
+		"qc": activity.Compensatable, "pc": activity.Compensatable,
+		"pp": activity.Pivot, "pr": activity.Retriable, "yc": activity.Compensatable,
+	} {
+		spec := activity.Spec{Name: name, Kind: kind, Subsystem: "rm", WriteSet: []string{"x"}}
+		if kind == activity.Compensatable {
+			spec.Compensation = name + "⁻¹"
+		}
+		sub.MustRegister(spec)
+	}
+	fed := subsystem.NewFederation()
+	fed.MustAdd(sub)
+	table, err := fed.ConflictTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &driverWorld{host: &fakeHost{fed: fed}, log: wal.NewMemLog()}
+	w.d = &scheduler.Driver{
+		Host: w.host, Fed: fed,
+		Pol:   policy.New(table, policy.Config{Mode: policy.PRED}),
+		Coord: twopc.New(w.log),
+	}
+	return w
+}
+
+func (w *driverWorld) admit(t *testing.T, def *process.Process, arrival int) *scheduler.Proc {
+	t.Helper()
+	p := scheduler.NewProc(def, arrival, def.ID, def.ID, 0)
+	if !w.d.Admit(p) {
+		t.Fatalf("admit %s refused", def.ID)
+	}
+	return p
+}
+
+// invoke dispatches a frontier activity and prepares it at the
+// subsystem, leaving the completion to the caller.
+func (w *driverWorld) invoke(t *testing.T, p *scheduler.Proc, wk scheduler.Work) *subsystem.Result {
+	t.Helper()
+	if !w.d.Dispatch(p, wk) {
+		t.Fatalf("dispatch %s/%d refused", p.ID, wk.Local)
+	}
+	res, _, locked := w.d.Invoke(p, wk, "")
+	if locked || res == nil {
+		t.Fatalf("invoke %s/%s: locked=%v res=%v", p.ID, wk.Service, locked, res)
+	}
+	return res
+}
+
+func (w *driverWorld) run(t *testing.T, p *scheduler.Proc, local int) {
+	t.Helper()
+	a := p.Def.Activity(local)
+	wk := scheduler.Work{Local: local, Service: a.Service, Kind: a.Kind}
+	if err := w.d.Complete(p, wk, w.invoke(t, p, wk)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func procQ() *process.Process {
+	return process.NewBuilder("Q").Add(1, "qc", activity.Compensatable).MustBuild()
+}
+
+func procP() *process.Process {
+	return process.NewBuilder("P").
+		Add(1, "pc", activity.Compensatable).Add(2, "pp", activity.Pivot).Seq(1, 2).MustBuild()
+}
+
+// since returns the host calls recorded after mark.
+func (h *fakeHost) since(mark int) []string { return h.calls[mark:] }
+
+func wantCalls(t *testing.T, got []string, want ...string) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("host calls\n got %q\nwant %q", got, want)
+	}
+}
+
+// TestDriverLogsBeforeItCommits pins the write-ahead order of the three
+// completions: the outcome record is forced while the local transaction
+// is still in doubt, and only then is it committed (or held, under
+// Lemma 1). For a recovery step that window is the redo rule's.
+func TestDriverLogsBeforeItCommits(t *testing.T) {
+	w := newDriverWorld(t)
+	q, p := w.admit(t, procQ(), 0), w.admit(t, procP(), 1)
+	w.run(t, q, 1) // Q's committed qc precedes everything P does on x
+
+	t.Run("compensatable commits at completion", func(t *testing.T) {
+		mark := len(w.host.calls)
+		w.run(t, p, 1)
+		wantCalls(t, w.host.since(mark),
+			"log:dispatch(indoubt=0)", "log:outcome/prepared(indoubt=1)", "seq", "log:resolved/commit=true(indoubt=0)")
+		if p.Inst.Status(1) != process.Committed || len(p.Prepared) != 0 {
+			t.Fatalf("status %v, prepared %d", p.Inst.Status(1), len(p.Prepared))
+		}
+	})
+
+	t.Run("pivot behind an active predecessor defers", func(t *testing.T) {
+		mark := len(w.host.calls)
+		w.run(t, p, 2)
+		wantCalls(t, w.host.since(mark), "log:dispatch(indoubt=0)", "log:outcome/prepared(indoubt=1)", "seq")
+		if p.Inst.Status(2) != process.Prepared || len(p.Prepared) != 1 || inDoubt(w.host.fed) != 1 {
+			t.Fatalf("status %v, prepared %d, in doubt %d", p.Inst.Status(2), len(p.Prepared), inDoubt(w.host.fed))
+		}
+		evs := w.d.Pol.Events()
+		if last := evs[len(evs)-1]; !last.Tentative || last.Proc != "P" || last.Local != 2 {
+			t.Fatalf("last event %v, want P/2 tentative", last)
+		}
+		if w.d.Metrics.Deferrals != 1 {
+			t.Fatalf("deferrals %d", w.d.Metrics.Deferrals)
+		}
+	})
+
+	t.Run("recovery step commits after its record", func(t *testing.T) {
+		// P aborts: its completion rolls back the prepared pp and
+		// compensates pc.
+		p.AbortPending = true
+		if err := w.d.BeginAbort(p); err != nil {
+			t.Fatal(err)
+		}
+		for len(p.Recovery) > 0 {
+			st := p.Recovery[0]
+			if st.Kind == process.StepAbortPrepared {
+				w.d.AbortPreparedStep(p)
+				continue
+			}
+			if !w.d.StepGate(p, st) {
+				t.Fatalf("step %v of P gated", st)
+			}
+			mark := len(w.host.calls)
+			wk := p.StepWork(st)
+			if err := w.d.Complete(p, wk, w.invoke(t, p, wk)); err != nil {
+				t.Fatal(err)
+			}
+			wantCalls(t, w.host.since(mark), "log:dispatch(indoubt=0)", "log:compensate(indoubt=1)", "seq")
+			if inDoubt(w.host.fed) != 0 {
+				t.Fatal("step transaction not committed")
+			}
+		}
+		if w.d.Metrics.Compensations != 1 || p.Inst.Status(1) != process.Compensated {
+			t.Fatalf("compensations %d, status %v", w.d.Metrics.Compensations, p.Inst.Status(1))
+		}
+	})
+}
+
+// procImage is everything of a Proc a refused transition must leave
+// alone.
+func procImage(p *scheduler.Proc) string {
+	return fmt.Sprint(p.Phase, p.Inst.Snapshot(), p.Recovery, p.StepBusy, p.Running, len(p.Prepared), p.AbortPending, *p.Outcome)
+}
+
+// TestDriverRefusedForceLog: a host that refuses the append leaves the
+// Proc, the policy state and the subsystem untouched, for every
+// transition that announces its change in the log first.
+func TestDriverRefusedForceLog(t *testing.T) {
+	refuseAll := func(wal.Record) bool { return true }
+	cases := []struct {
+		name string
+		// setup brings the world to the point of the transition; run
+		// performs it under a refusing host.
+		setup func(t *testing.T, w *driverWorld) *scheduler.Proc
+		run   func(t *testing.T, w *driverWorld, p *scheduler.Proc)
+	}{
+		{"admit", func(t *testing.T, w *driverWorld) *scheduler.Proc {
+			return scheduler.NewProc(procQ(), 0, "Q", "Q", 0)
+		}, func(t *testing.T, w *driverWorld, p *scheduler.Proc) {
+			if w.d.Admit(p) || w.d.Get("Q") != nil {
+				t.Fatal("admitted without a start record")
+			}
+		}},
+		{"dispatch", func(t *testing.T, w *driverWorld) *scheduler.Proc {
+			return w.admit(t, procQ(), 0)
+		}, func(t *testing.T, w *driverWorld, p *scheduler.Proc) {
+			if w.d.Dispatch(p, scheduler.Work{Local: 1, Service: "qc", Kind: activity.Compensatable}) {
+				t.Fatal("dispatched without a record")
+			}
+		}},
+		{"prepared outcome", func(t *testing.T, w *driverWorld) *scheduler.Proc {
+			return w.admit(t, procQ(), 0)
+		}, func(t *testing.T, w *driverWorld, p *scheduler.Proc) {
+			wk := scheduler.Work{Local: 1, Service: "qc", Kind: activity.Compensatable}
+			w.host.refuse = nil
+			res := w.invoke(t, p, wk)
+			w.d.Undispatch(p, wk) // Complete's first act; not what is under test
+			w.host.refuse = refuseAll
+			before, events := procImage(p), len(w.d.Pol.Events())
+			if err := w.d.Complete(p, wk, res); err != nil {
+				t.Fatal(err)
+			}
+			if procImage(p) != before || len(w.d.Pol.Events()) != events || inDoubt(w.host.fed) != 1 {
+				t.Fatalf("unlogged completion applied: %s -> %s, in doubt %d", before, procImage(p), inDoubt(w.host.fed))
+			}
+		}},
+		{"step outcome", func(t *testing.T, w *driverWorld) *scheduler.Proc {
+			p := w.admit(t, procQ(), 0)
+			w.run(t, p, 1)
+			p.AbortPending = true
+			if err := w.d.BeginAbort(p); err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}, func(t *testing.T, w *driverWorld, p *scheduler.Proc) {
+			wk := p.StepWork(p.Recovery[0])
+			w.host.refuse = nil
+			res := w.invoke(t, p, wk)
+			w.d.Undispatch(p, wk)
+			w.host.refuse = refuseAll
+			before, events := procImage(p), len(w.d.Pol.Events())
+			if err := w.d.Complete(p, wk, res); err != nil {
+				t.Fatal(err)
+			}
+			if procImage(p) != before || len(w.d.Pol.Events()) != events || inDoubt(w.host.fed) != 1 {
+				t.Fatalf("unlogged step applied: %s -> %s, in doubt %d", before, procImage(p), inDoubt(w.host.fed))
+			}
+		}},
+		{"abort begin", func(t *testing.T, w *driverWorld) *scheduler.Proc {
+			p := w.admit(t, procQ(), 0)
+			p.AbortPending = true
+			return p
+		}, func(t *testing.T, w *driverWorld, p *scheduler.Proc) {
+			if err := w.d.BeginAbort(p); err != nil {
+				t.Fatal(err)
+			}
+			if p.Phase != policy.Running || !p.AbortPending || len(w.d.Pol.Events()) != 0 {
+				t.Fatalf("unlogged abort began: phase %v pending %v", p.Phase, p.AbortPending)
+			}
+		}},
+		{"terminate", func(t *testing.T, w *driverWorld) *scheduler.Proc {
+			p := w.admit(t, procQ(), 0)
+			w.run(t, p, 1)
+			return p
+		}, func(t *testing.T, w *driverWorld, p *scheduler.Proc) {
+			before, events := procImage(p), len(w.d.Pol.Events())
+			if w.d.Terminate(p, true) {
+				t.Fatal("terminated without a record")
+			}
+			if procImage(p) != before || len(w.d.Pol.Events()) != events || w.d.Metrics.CommittedProcs != 0 {
+				t.Fatalf("unlogged termination applied: %s -> %s", before, procImage(p))
+			}
+		}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := newDriverWorld(t)
+			p := c.setup(t, w)
+			w.host.refuse = refuseAll
+			seq := w.host.seq
+			c.run(t, w, p)
+			if w.host.seq != seq {
+				t.Fatalf("%d sequence numbers granted to a refused transition", w.host.seq-seq)
+			}
+		})
+	}
+}
+
+// TestDriverRollbackLeftovers: concluding an abort rolls back every
+// still-prepared local, logs each resolution and erases each tentative
+// event with its edges.
+func TestDriverRollbackLeftovers(t *testing.T) {
+	w := newDriverWorld(t)
+	q, p := w.admit(t, procQ(), 0), w.admit(t, procP(), 1)
+	w.run(t, q, 1)
+	w.run(t, p, 1)
+	w.run(t, p, 2) // deferred behind Q
+	// A second prepared local, as a parallel non-compensatable branch
+	// would leave one.
+	sub, _ := w.host.fed.Owner("pr")
+	res, err := w.host.fed.Invoke("P", "pr", subsystem.Prepare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Prepared[7] = scheduler.PreparedTx{Sub: sub, Tx: res.Tx, Service: "pr"}
+	w.d.Pol.AppendEvent(&policy.Event{Seq: w.host.NextSeq(), Proc: "P", Local: 7, Service: "pr", Kind: activity.Retriable, Tentative: true})
+
+	mark, released := len(w.host.calls), w.host.released
+	w.d.RollbackLeftovers(p)
+	got := w.host.since(mark)
+	if len(got) != 2 || !strings.HasPrefix(got[0], "log:resolved/commit=false") || !strings.HasPrefix(got[1], "log:resolved/commit=false") {
+		t.Fatalf("host calls %q, want two abort resolutions", got)
+	}
+	if len(p.Prepared) != 0 || inDoubt(w.host.fed) != 0 || w.host.released != released+2 {
+		t.Fatalf("prepared %d, in doubt %d, released %d", len(p.Prepared), inDoubt(w.host.fed), w.host.released-released)
+	}
+	for _, ev := range w.d.Pol.Events() {
+		if ev.Tentative && !ev.Erased {
+			t.Fatalf("tentative event %v survived the rollback", ev)
+		}
+	}
+	if w.d.Metrics.Rollbacks != 2 {
+		t.Fatalf("rollbacks %d", w.d.Metrics.Rollbacks)
+	}
+}
+
+// TestDriverChooseVictim: the youngest process stalled at dispatch with
+// nothing in flight is preferred; a finished process held back by Lemma
+// 1 is the fallback; skipped and busy processes are never chosen.
+func TestDriverChooseVictim(t *testing.T) {
+	w := newDriverWorld(t)
+	q, p := w.admit(t, procQ(), 0), w.admit(t, procP(), 1)
+	old := w.admit(t, process.NewBuilder("O").Add(1, "yc", activity.Compensatable).MustBuild(), 2)
+	young := w.admit(t, process.NewBuilder("Y").Add(1, "yc", activity.Compensatable).MustBuild(), 3)
+	busy := w.admit(t, process.NewBuilder("B").Add(1, "yc", activity.Compensatable).MustBuild(), 4)
+	w.run(t, q, 1)
+	w.run(t, p, 1)
+	w.run(t, p, 2) // P: finished, prepared set deferred behind the running Q
+	busy.Running[1] = "yc"
+
+	if v := w.d.ChooseVictim(nil); v != young {
+		t.Fatalf("victim %v, want the youngest idle dispatch-stalled process Y", v.ID)
+	}
+	if v := w.d.ChooseVictim(func(c *scheduler.Proc) bool { return c == young }); v != old {
+		t.Fatalf("victim %v with Y exempt, want O", v.ID)
+	}
+	// Q is the oldest dispatch-stalled candidate; with every unfinished
+	// process out of the picture only the Lemma-1-blocked P remains.
+	for _, c := range []*scheduler.Proc{q, old, young} {
+		c.AbortPending = true
+	}
+	if v := w.d.ChooseVictim(nil); v != p {
+		t.Fatalf("fallback victim %v, want the Lemma-1-blocked P", v)
+	}
+	w.d.MarkVictim(p, "test")
+	if !p.AbortPending || !p.Restartable || w.d.Metrics.VictimAborts != 1 {
+		t.Fatalf("victim not marked: %+v", p)
+	}
+	if v := w.d.ChooseVictim(nil); v != nil {
+		t.Fatalf("victim %v, want none left", v.ID)
+	}
+}

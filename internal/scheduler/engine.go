@@ -4,7 +4,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
 
 	"transproc/internal/activity"
 	"transproc/internal/conflict"
@@ -21,65 +20,21 @@ import (
 // reached; federation and log state survive for Recover.
 var ErrCrashed = errors.New("scheduler: injected crash")
 
-// procState is the engine-level state of a process.
-type procState int
-
-const (
-	psRunning procState = iota
-	psAborting
-	psDone
-)
-
-// preparedTx remembers an in-doubt local transaction per activity.
-type preparedTx struct {
-	sub     *subsystem.Subsystem
-	tx      subsystem.TxID
-	service string
-	seq     int64 // global completion sequence of the prepare
-	weak    bool  // invoked under the weak order
-}
-
-// procRT is the runtime of one process.
-type procRT struct {
-	id      process.ID
-	def     *process.Process
-	inst    *process.Instance
-	state   procState
-	arrival int
-
-	arrivalTime     int64
-	recovery        []process.Step // queued recovery steps (sequential)
-	recoveryBusy    bool           // a recovery step is in flight
-	recoveryBusySvc string
-	abortPending    bool       // abort requested, waiting for in-flight work
-	restartable     bool       // restart after the pending abort completes
-	origin          process.ID // subsystem identity (all restart suffixes stripped)
-	base            process.ID // admitted job id restarts derive from ("base+rN")
-	restarts        int
-	prepared        map[int]preparedTx
-	running         map[int]string // in-flight invocations: local -> service
-	attempts        map[int]int
-	keySeq          int // idempotency-key counter (resilient invocations)
-	start, end      int64
-	// blockedSince is the clock at which the finished process first
-	// found its deferred 2PC commit blocked by an active conflicting
-	// predecessor (-1 while not blocked); feeds HistProcBlocked.
-	blockedSince int64
+// pendingProc is an incarnation waiting for admission: a submitted job
+// before its arrival time (or behind Serial/Conservative gating), or a
+// restart serving its backoff.
+type pendingProc struct {
+	*Proc
+	at int64 // earliest admission, in virtual ticks
 }
 
 // completion is a scheduled future event in virtual time.
 type completion struct {
-	at, seq int64
-	proc    process.ID
-	isStep  bool
-	step    process.Step
-	local   int
-	service string
-	kind    activity.Kind
-	res     *subsystem.Result
-	failed  bool // the local transaction aborted
-	weak    bool // invoked under the weak order (Section 3.6)
-	tries   int  // commit-order wait retries (safety bound)
+	Work
+	at, order int64 // order breaks ties: invocation order
+	proc      *Proc
+	res       *subsystem.Result // nil: the local transaction aborted
+	tries     int               // commit-order wait retries (safety bound)
 }
 
 type completionHeap []*completion
@@ -89,7 +44,7 @@ func (h completionHeap) Less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
-	return h[i].seq < h[j].seq
+	return h[i].order < h[j].order
 }
 func (h completionHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *completionHeap) Push(x any)   { *h = append(*h, x.(*completion)) }
@@ -104,123 +59,29 @@ func (h *completionHeap) Pop() any {
 // Engine executes a set of processes against a federation of
 // transactional subsystems under a scheduling policy. The pure PRED
 // decisions (conflict graph, forced ordering, Lemma 1-3 gates) live in
-// internal/scheduler/policy and are shared with the concurrent runtime;
-// the engine contributes the discrete-event loop, virtual time,
-// subsystem interaction, 2PC, the WAL and the weak order.
+// internal/scheduler/policy and the per-process protocol transitions in
+// Driver, both shared with the concurrent runtime; the engine hosts the
+// driver with a discrete-event loop and virtual time, invokes the
+// subsystems inline and adds the weak order.
 type Engine struct {
 	cfg   Config
 	fed   *subsystem.Federation
 	table *conflict.Table
 	log   wal.Log
-	coord *twopc.Coordinator
-	pol   *policy.State
+	drv   *Driver
+	ckpt  Checkpointer
 
 	clock   int64
-	seq     int64
+	seq     int64 // event sequence (Host.NextSeq)
+	order   int64 // invocation order (completion-heap tie break)
 	queue   completionHeap
-	procs   []*procRT
-	byID    map[process.ID]*procRT
-	pending []*procRT // not yet admitted (Serial/Conservative gating)
+	pending []pendingProc
 
-	metrics     Metrics
-	reg         *metrics.Registry // observability registry (nil = no-op)
 	completions int
 	crashed     bool
+	err         error // first run-ending error (failed force-log, broken transition)
 	outcomes    map[process.ID]*Outcome
-	origProcs   []*process.Process
 	allProcs    []*process.Process // including restarts
-
-	// Checkpointing state (Config.CheckpointEvery).
-	ckptAppends int  // force-log appends since the last checkpoint
-	ckptTaken   int  // checkpoints taken this run
-	ckptBusy    bool // a checkpoint append must not recurse
-}
-
-// engView adapts the engine's process table to the policy's View.
-type engView struct{ e *Engine }
-
-func (v engView) Procs() []process.ID {
-	out := make([]process.ID, len(v.e.procs))
-	for i, rt := range v.e.procs {
-		out[i] = rt.id
-	}
-	return out
-}
-
-func (v engView) Phase(id process.ID) policy.Phase {
-	rt := v.e.byID[id]
-	if rt == nil {
-		return policy.Done
-	}
-	switch rt.state {
-	case psRunning:
-		return policy.Running
-	case psAborting:
-		return policy.Aborting
-	default:
-		return policy.Done
-	}
-}
-
-func (v engView) Arrival(id process.ID) int {
-	if rt := v.e.byID[id]; rt != nil {
-		return rt.arrival
-	}
-	return 0
-}
-
-func (v engView) Instance(id process.ID) *process.Instance {
-	if rt := v.e.byID[id]; rt != nil {
-		return rt.inst
-	}
-	return nil
-}
-
-func (v engView) RecoverySteps(id process.ID) []process.Step {
-	if rt := v.e.byID[id]; rt != nil {
-		return rt.recovery
-	}
-	return nil
-}
-
-func (v engView) InFlight(id process.ID) []string {
-	rt := v.e.byID[id]
-	if rt == nil {
-		return nil
-	}
-	out := make([]string, 0, len(rt.running)+1)
-	for _, svc := range rt.running {
-		out = append(out, svc)
-	}
-	if rt.recoveryBusy && rt.recoveryBusySvc != "" {
-		out = append(out, rt.recoveryBusySvc)
-	}
-	return out
-}
-
-// view returns the policy view over the engine.
-func (e *Engine) view() policy.View { return engView{e} }
-
-// bump invalidates the policy's forced-graph cache.
-func (e *Engine) bump() { e.pol.Bump() }
-
-// conflicts is the memoized conflict check shared with the policy.
-func (e *Engine) conflicts(a, b string) bool { return e.pol.Conflicts(a, b) }
-
-// policyMode maps the engine mode onto the policy layer's mode.
-func policyMode(m Mode) policy.Mode {
-	switch m {
-	case PRED:
-		return policy.PRED
-	case PREDCascade:
-		return policy.PREDCascade
-	case Serial:
-		return policy.Serial
-	case Conservative:
-		return policy.Conservative
-	default:
-		return policy.CCOnly
-	}
 }
 
 // New creates an engine over the federation. The conflict table is
@@ -239,72 +100,64 @@ func New(fed *subsystem.Federation, cfg Config) (*Engine, error) {
 		fed:      fed,
 		table:    table,
 		log:      cfg.Log,
-		coord:    twopc.New(cfg.Log),
-		reg:      cfg.Metrics,
-		pol:      policy.New(table, policy.Config{Mode: policyMode(cfg.Mode), BlockPivots: cfg.BlockPivots}),
-		byID:     make(map[process.ID]*procRT),
 		outcomes: make(map[process.ID]*Outcome),
 	}
-	if e.reg != nil {
+	e.drv = &Driver{
+		Host:       engineHost{e},
+		Fed:        fed,
+		Pol:        policy.New(table, policy.Config{Mode: cfg.Mode, BlockPivots: cfg.BlockPivots}),
+		Coord:      twopc.New(cfg.Log),
+		Reg:        cfg.Metrics,
+		Resilience: cfg.Resilience,
+	}
+	e.ckpt = Checkpointer{
+		Every: cfg.CheckpointEvery, Limit: cfg.CheckpointLimit, Compact: cfg.CompactOnCheckpoint,
+		Log: cfg.Log, Fed: fed, Conflicts: e.drv.Pol.Conflicts, Inject: cfg.Inject, Reg: cfg.Metrics,
+	}
+	if cfg.Metrics != nil {
 		// Wire the registry through the whole stack: the coordinator
 		// (prepared-set sizes), every subsystem (invocation counters,
 		// in-doubt sizes) and the WAL (append/fsync totals).
-		e.coord.Metrics = e.reg
-		fed.SetMetrics(e.reg)
+		e.drv.Coord.Metrics = cfg.Metrics
+		fed.SetMetrics(cfg.Metrics)
 		if il, ok := e.log.(wal.Instrumented); ok {
-			il.SetMetrics(e.reg)
+			il.SetMetrics(cfg.Metrics)
 		}
 	}
-	e.coord.Inject = cfg.Inject
+	e.drv.Coord.Inject = cfg.Inject
 	return e, nil
 }
 
-// append force-logs a record, bracketing the write with the configured
-// crash points. Crash injection aside, it behaves exactly like a
-// direct Append to the WAL.
-func (e *Engine) append(rec wal.Record) {
+// engineHost is the engine as the driver's Host (kept off the exported
+// Engine API).
+type engineHost struct{ e *Engine }
+
+func (h engineHost) NextSeq() int64 { h.e.seq++; return h.e.seq }
+func (h engineHost) Now() int64     { return h.e.clock }
+func (h engineHost) Released()      {}
+
+// ForceLog appends a record, bracketing the write with the configured
+// crash points. A failed append ends the run with its error, and every
+// later force-log is refused: no state change is applied unlogged.
+func (h engineHost) ForceLog(rec wal.Record) bool {
+	e := h.e
+	if e.err != nil {
+		return false
+	}
 	e.inject("sched:before-forcelog")
-	e.log.Append(rec)
-	e.maybeCheckpoint()
+	if _, err := e.log.Append(rec); err != nil {
+		e.fail(fmt.Errorf("scheduler: force-log: %w", err))
+		return false
+	}
+	e.ckpt.Appended()
 	e.inject("sched:after-forcelog")
+	return true
 }
 
-// maybeCheckpoint takes a fuzzy checkpoint (and optionally compacts
-// the log) once CheckpointEvery force-log appends have accumulated.
-// Checkpointing is an optimization: a failed attempt is dropped, never
-// surfaced into the run. Injected crash sentinels do propagate — a
-// crash inside a checkpoint is exactly what the torture battery
-// exercises.
-func (e *Engine) maybeCheckpoint() {
-	if e.cfg.CheckpointEvery <= 0 || e.ckptBusy {
-		return
-	}
-	e.ckptAppends++
-	if e.ckptAppends < e.cfg.CheckpointEvery {
-		return
-	}
-	if e.cfg.CheckpointLimit > 0 && e.ckptTaken >= e.cfg.CheckpointLimit {
-		return
-	}
-	e.ckptBusy = true
-	defer func() { e.ckptBusy = false }()
-	if _, err := wal.TakeCheckpoint(e.log, e.conflicts, e.cfg.Inject, e.reg); err != nil {
-		return
-	}
-	// Durable subsystems flush their pages at every checkpoint: the
-	// write-ahead barrier inside the store has already forced the log,
-	// and a bounded-replay recovery then also starts from near-fresh
-	// pages. A flush error is dropped like a failed checkpoint — the
-	// WAL remains the source of truth.
-	if e.fed.Durable() {
-		e.fed.FlushStores()
-	}
-	e.ckptAppends = 0
-	e.ckptTaken++
-	if e.cfg.CompactOnCheckpoint {
-		if c, ok := e.log.(wal.Compactor); ok {
-			c.Compact(e.cfg.Inject)
-		}
+// fail records the first run-ending error; RunJobs returns it.
+func (e *Engine) fail(err error) {
+	if e.err == nil {
+		e.err = err
 	}
 }
 
@@ -394,39 +247,25 @@ func (e *Engine) RunJobs(jobs []Job) (res *Result, err error) {
 			panic(v)
 		}
 		e.crashed = true
-		e.metrics.Makespan = e.clock
-		res = &Result{
-			Schedule: e.buildSchedule(),
-			Metrics:  e.metrics,
-			Outcomes: e.outcomes,
-			Crashed:  true,
-		}
+		res = e.result()
 		err = fmt.Errorf("%w (injected at %s)", ErrCrashed, crash.InjectedCrash())
 	}()
 	if err := ValidateJobs(e.fed, jobs); err != nil {
 		return nil, err
 	}
-	procs := make([]*process.Process, len(jobs))
 	for i, j := range jobs {
-		procs[i] = j.Proc
-	}
-	e.origProcs = procs
-	for i, j := range jobs {
-		rt := e.newRT(j.Proc, i, resolveOrigin(j.Proc.ID))
-		rt.base = j.Proc.ID
-		rt.arrivalTime = j.Arrival
-		e.pending = append(e.pending, rt)
+		e.enqueue(NewProc(j.Proc, i, resolveOrigin(j.Proc.ID), j.Proc.ID, 0), j.Arrival)
 	}
 	e.admit()
 
 	stalls := 0
-	for {
-		if e.crashed {
-			break
-		}
+	for !e.crashed {
 		progressed := e.dispatchAll()
 		if e.admit() {
 			progressed = true
+		}
+		if e.err != nil {
+			return nil, e.err
 		}
 		if len(e.queue) == 0 {
 			if progressed {
@@ -445,6 +284,9 @@ func (e *Engine) RunJobs(jobs []Job) (res *Result, err error) {
 				return nil, fmt.Errorf("scheduler: stalled with active processes and no progress (mode %v)\n%s", e.cfg.Mode, e.stallDump())
 			}
 			if !e.resolveStall() {
+				if e.err != nil {
+					return nil, e.err
+				}
 				return nil, fmt.Errorf("scheduler: unresolvable stall (mode %v)\n%s", e.cfg.Mode, e.stallDump())
 			}
 			continue
@@ -461,70 +303,55 @@ func (e *Engine) RunJobs(jobs []Job) (res *Result, err error) {
 		if ev.at > e.clock {
 			e.clock = ev.at
 		}
-		if err := e.handleCompletion(ev); err != nil {
-			return nil, err
-		}
+		e.handleCompletion(ev)
 		e.completions++
 		if e.cfg.CrashAfterEvents > 0 && e.completions >= e.cfg.CrashAfterEvents {
 			e.crashed = true
 		}
 	}
-
-	e.metrics.Makespan = e.clock
-	res = &Result{
-		Schedule: e.buildSchedule(),
-		Metrics:  e.metrics,
-		Outcomes: e.outcomes,
-		Crashed:  e.crashed,
+	if e.err != nil {
+		return nil, e.err
 	}
+	res = e.result()
 	if e.crashed {
 		return res, ErrCrashed
 	}
 	return res, nil
 }
 
-func (e *Engine) newRT(p *process.Process, arrival int, origin process.ID) *procRT {
-	rt := &procRT{
-		id:           p.ID,
-		def:          p,
-		inst:         process.NewInstance(p),
-		state:        psRunning,
-		arrival:      arrival,
-		origin:       origin,
-		prepared:     make(map[int]preparedTx),
-		running:      make(map[int]string),
-		attempts:     make(map[int]int),
-		start:        e.clock,
-		blockedSince: -1,
+// result materializes the observed process schedule from the finalized
+// events, with the run's metrics and outcomes.
+func (e *Engine) result() *Result {
+	e.drv.Metrics.Makespan = e.clock
+	return &Result{
+		Schedule: e.drv.Pol.BuildSchedule(e.allProcs),
+		Metrics:  e.drv.Metrics,
+		Outcomes: e.outcomes,
+		Crashed:  e.crashed,
 	}
-	e.allProcs = append(e.allProcs, p)
-	e.outcomes[p.ID] = &Outcome{Start: e.clock}
-	return rt
+}
+
+// enqueue registers an incarnation for admission at the given time.
+func (e *Engine) enqueue(p *Proc, at int64) {
+	e.allProcs = append(e.allProcs, p.Def)
+	e.outcomes[p.ID] = p.Outcome
+	p.Outcome.Start = e.clock
+	e.pending = append(e.pending, pendingProc{p, at})
 }
 
 // admit moves pending processes into the running set per the policy and
 // reports whether any process was admitted.
 func (e *Engine) admit() bool {
-	var keep []*procRT
+	var keep []pendingProc
 	admitted := false
-	for _, rt := range e.pending {
-		if e.mayStart(rt) {
-			e.procs = append(e.procs, rt)
-			e.byID[rt.id] = rt
-			rt.start = e.clock
-			e.outcomes[rt.id].Start = e.clock
-			e.append(wal.Record{Type: wal.RecStart, Proc: string(rt.id)})
-			e.reg.Inc(metrics.ProcsAdmitted)
-			e.reg.Trace(metrics.TAdmit, e.clock, string(rt.id), 0, "", "")
+	for _, pp := range e.pending {
+		if e.mayStart(pp) && e.drv.Admit(pp.Proc) {
 			admitted = true
 		} else {
-			keep = append(keep, rt)
+			keep = append(keep, pp)
 		}
 	}
 	e.pending = keep
-	if admitted {
-		e.bump()
-	}
 	return admitted
 }
 
@@ -532,9 +359,9 @@ func (e *Engine) admit() bool {
 func (e *Engine) nextArrival() (int64, bool) {
 	found := false
 	var min int64
-	for _, rt := range e.pending {
-		if rt.arrivalTime > e.clock && (!found || rt.arrivalTime < min) {
-			min = rt.arrivalTime
+	for _, pp := range e.pending {
+		if pp.at > e.clock && (!found || pp.at < min) {
+			min = pp.at
 			found = true
 		}
 	}
@@ -542,14 +369,14 @@ func (e *Engine) nextArrival() (int64, bool) {
 }
 
 // mayStart implements the admission policies.
-func (e *Engine) mayStart(rt *procRT) bool {
-	if rt.arrivalTime > e.clock {
+func (e *Engine) mayStart(pp pendingProc) bool {
+	if pp.at > e.clock {
 		return false
 	}
 	switch e.cfg.Mode {
 	case Serial:
-		for _, o := range e.procs {
-			if o.state != psDone {
+		for _, o := range e.drv.All() {
+			if o.Phase != policy.Done {
 				return false
 			}
 		}
@@ -557,13 +384,13 @@ func (e *Engine) mayStart(rt *procRT) bool {
 	case Conservative:
 		// Admit only when the process's full service footprint does not
 		// conflict with that of any running process.
-		mine := Footprint(rt.def)
-		for _, o := range e.procs {
-			if o.state == psDone {
+		mine := Footprint(pp.Def)
+		for _, o := range e.drv.All() {
+			if o.Phase == policy.Done {
 				continue
 			}
 			for _, s1 := range mine {
-				for _, s2 := range Footprint(o.def) {
+				for _, s2 := range Footprint(o.Def) {
 					if e.table.Conflicts(s1, s2) {
 						return false
 					}
@@ -593,21 +420,12 @@ func (e *Engine) allDone() bool {
 	if len(e.pending) > 0 {
 		return false
 	}
-	for _, rt := range e.procs {
-		if rt.state != psDone {
+	for _, p := range e.drv.All() {
+		if p.Phase != policy.Done {
 			return false
 		}
 	}
 	return true
-}
-
-// cost returns the virtual duration of a service invocation.
-func (e *Engine) cost(service string) int64 {
-	spec, ok := e.fed.Spec(service)
-	if !ok || spec.Cost < 1 {
-		return 1
-	}
-	return int64(spec.Cost)
 }
 
 // dispatchAll attempts to make progress on every process; returns true
@@ -615,78 +433,70 @@ func (e *Engine) cost(service string) int64 {
 // occurred.
 func (e *Engine) dispatchAll() bool {
 	progressed := false
-	for _, rt := range e.procs {
-		if rt.state == psDone {
-			continue
+	for _, p := range e.drv.All() {
+		if e.err != nil {
+			break
 		}
-		if e.dispatchProc(rt) {
+		if p.Phase != policy.Done && e.dispatchProc(p) {
 			progressed = true
 		}
 	}
 	return progressed
 }
 
-func (e *Engine) dispatchProc(rt *procRT) bool {
+func (e *Engine) dispatchProc(p *Proc) bool {
+	d := e.drv
 	// Recovery steps run strictly sequentially and drain before a
 	// pending abort is honoured (the instance's alternative bookkeeping
 	// must settle before the completion is computed).
-	if len(rt.recovery) > 0 {
-		if rt.recoveryBusy {
+	if len(p.Recovery) > 0 {
+		if p.StepBusy {
 			return false
 		}
-		return e.dispatchRecoveryStep(rt)
-	}
-	// Abort requested while work was in flight: start it when drained.
-	if rt.abortPending && len(rt.running) == 0 && !rt.recoveryBusy && rt.state != psAborting {
-		if err := e.beginAbort(rt); err == nil {
+		st := p.Recovery[0]
+		if st.Kind == process.StepAbortPrepared {
+			// Resolve immediately (no subsystem work to simulate).
+			d.AbortPreparedStep(p)
 			return true
 		}
-		return false
+		return d.StepGate(p, st) && e.invoke(p, p.StepWork(st))
 	}
-	if rt.state == psAborting {
-		if rt.recoveryBusy || len(rt.running) > 0 {
+	// Abort requested while work was in flight: start it when drained.
+	if p.AbortPending && p.Idle() && p.Phase != policy.Aborting {
+		if err := d.BeginAbort(p); err != nil {
+			e.fail(err)
+		}
+		return p.Phase == policy.Aborting
+	}
+	if p.Phase == policy.Aborting {
+		if !p.Idle() {
 			return false
 		}
-		e.finishAbort(rt)
+		// The completion drained: conclude the abort.
+		d.RollbackLeftovers(p)
+		if !e.terminate(p, false) {
+			return false
+		}
+		if p.Restartable && p.Restarts < e.cfg.MaxRestarts {
+			e.restart(p)
+		}
 		return true
 	}
 	// Regular execution: finish or dispatch frontier activities.
-	if rt.inst.Done() && len(rt.running) == 0 {
-		return e.tryFinish(rt)
+	if p.Inst.Done() && len(p.Running) == 0 {
+		return e.tryFinish(p)
 	}
 	progressed := false
-	for _, local := range rt.inst.Frontier() {
-		if _, inFlight := rt.running[local]; inFlight {
+	for _, local := range p.Inst.Frontier() {
+		if _, inFlight := p.Running[local]; inFlight || !p.PredsCommitted(local) {
 			continue
 		}
-		a := rt.def.Activity(local)
-		// Intra-process: all predecessors must be fully committed (a
-		// prepared non-compensatable defers its successors, so that a
-		// rolled-back prepared transaction never has committed
-		// successors).
-		if !e.predsCommitted(rt, local) {
-			continue
-		}
-		if ok, why := e.pol.MayDispatch(e.view(), rt.id, a); !ok {
-			e.metrics.PolicyWaits++
-			e.reg.Inc(metrics.InvokePolicyBlocked)
-			e.reg.Trace(metrics.TPolicyWait, e.clock, string(rt.id), local, a.Service, why)
-			continue
-		}
-		if e.invoke(rt, local, a.Service, a.Kind, false, process.Step{}) {
+		a := p.Def.Activity(local)
+		if d.MayDispatch(p, a) && e.invoke(p, Work{Local: local, Service: a.Service, Kind: a.Kind}) {
 			progressed = true
 		}
 	}
 	return progressed
-}
-
-func (e *Engine) predsCommitted(rt *procRT, local int) bool {
-	for _, h := range rt.def.Preds(local) {
-		if rt.inst.Status(h) != process.Committed {
-			return false
-		}
-	}
-	return true
 }
 
 // invoke issues a subsystem invocation and schedules its completion.
@@ -694,19 +504,19 @@ func (e *Engine) predsCommitted(rt *procRT, local int) bool {
 // subsystem locks: conflicting in-doubt transactions become commit-order
 // dependencies instead (Section 3.6). Recovery steps always use the
 // strong order.
-func (e *Engine) invoke(rt *procRT, local int, service string, kind activity.Kind, isStep bool, step process.Step) bool {
+func (e *Engine) invoke(p *Proc, w Work) bool {
+	d := e.drv
 	var res *subsystem.Result
-	var err error
 	var extraLat int64
-	weak := e.cfg.WeakOrder && !isStep &&
-		(e.cfg.Mode == PRED || e.cfg.Mode == PREDCascade)
-	if weak {
-		sub, ok := e.fed.Owner(service)
+	var locked bool
+	w.Weak = e.cfg.WeakOrder && !w.IsStep && (e.cfg.Mode == PRED || e.cfg.Mode == PREDCascade)
+	if w.Weak {
+		sub, ok := e.fed.Owner(w.Service)
 		if !ok {
-			panic(fmt.Sprintf("scheduler: unknown service %q", service))
+			panic(fmt.Sprintf("scheduler: unknown service %q", w.Service))
 		}
-		var deps []subsystem.TxID
-		res, deps, err = sub.InvokeWeak(string(rt.origin), service)
+		prepared, deps, err := sub.InvokeWeak(string(p.Origin), w.Service)
+		res, locked = invoked(p, w, prepared, err)
 		// A commit-order dependency is only safe on a transaction that
 		// resolves at its own completion — a compensatable activity's
 		// local transaction. Non-compensatable ones may have their 2PC
@@ -714,8 +524,8 @@ func (e *Engine) invoke(rt *procRT, local int, service string, kind activity.Kin
 		// which would deadlock the commit order. On such a dependency,
 		// roll back and wait like a strong lock conflict.
 		if err == nil {
-			for _, d := range deps {
-				svc, ok := sub.TxService(d)
+			for _, dep := range deps {
+				svc, ok := sub.TxService(dep)
 				risky := !ok
 				if ok {
 					if spec, found := e.fed.Spec(svc); found {
@@ -726,668 +536,129 @@ func (e *Engine) invoke(rt *procRT, local int, service string, kind activity.Kin
 					if rbErr := sub.AbortPrepared(res.Tx); rbErr != nil {
 						panic(fmt.Sprintf("scheduler: weak fallback rollback: %v", rbErr))
 					}
-					e.metrics.Invocations++
-					e.metrics.LockWaits++
-					e.reg.Inc(metrics.InvokeLockBlocked)
-					e.reg.Trace(metrics.TLockWait, e.clock, string(rt.id), local, service, "weak-order dependency on non-compensatable")
+					d.Metrics.Invocations++
+					d.LockWait(p, w, "weak-order dependency on non-compensatable")
 					return false
 				}
 			}
 		}
-		e.metrics.WeakDeps += int64(len(deps))
-		e.reg.Add(metrics.WeakDeps, int64(len(deps)))
-	} else if e.cfg.Resilience != nil {
-		// Idempotency key: fresh per logical invocation (keySeq) and per
-		// incarnation (rt.id carries the restart suffix), reused by the
-		// layer across transport attempts of this one invocation.
-		key := fmt.Sprintf("%s#%d", rt.id, rt.keySeq)
-		rt.keySeq++
-		res, extraLat, err = e.cfg.Resilience.InvokeResilient(
-			string(rt.origin), service, kind, subsystem.Prepare, key)
+		d.Metrics.WeakDeps += int64(len(deps))
+		d.Reg.Add(metrics.WeakDeps, int64(len(deps)))
 	} else {
-		res, err = e.fed.Invoke(string(rt.origin), service, subsystem.Prepare)
+		res, extraLat, locked = d.Invoke(p, w, d.InvokeKey(p))
 	}
-	e.metrics.Invocations++
-	switch {
-	case errors.Is(err, subsystem.ErrLocked):
-		e.metrics.LockWaits++
-		e.reg.Inc(metrics.InvokeLockBlocked)
-		e.reg.Trace(metrics.TLockWait, e.clock, string(rt.id), local, service, "")
+	d.Metrics.Invocations++
+	if locked {
+		d.LockWait(p, w, "")
 		return false
-	case subsystem.IsInvocationFailure(err):
-		// A genuine local abort, or a transport failure the resilience
-		// layer could not mask (retry budget exhausted, circuit open, or
-		// a non-retriable kind). Either way the invocation provably left
-		// no prepared transaction: take the failed-completion path —
-		// retriable activities are re-invoked, others go to ◁
-		// alternatives / backward recovery.
-		res = nil
-	case err != nil:
-		panic(fmt.Sprintf("scheduler: invoke %s/%s: %v", rt.id, service, err))
 	}
-	e.seq++
-	c := &completion{
-		at: e.clock + e.cost(service) + extraLat, seq: e.seq,
-		proc: rt.id, isStep: isStep, step: step,
-		local: local, service: service, kind: kind,
-		res: res, failed: res == nil, weak: weak,
+	if !d.Dispatch(p, w) {
+		return false // not logged: the prepared transaction stays in doubt for recovery
 	}
-	if isStep {
-		rt.recoveryBusy = true
-		rt.recoveryBusySvc = service
-	} else {
-		rt.running[local] = service
-	}
-	e.bump()
-	e.append(wal.Record{
-		Type: wal.RecDispatch, Proc: string(rt.id), Local: local, Service: service,
+	e.order++
+	heap.Push(&e.queue, &completion{
+		Work: w, at: e.clock + d.Cost(w.Service) + extraLat, order: e.order, proc: p, res: res,
 	})
-	e.reg.Inc(metrics.InvokeDispatched)
-	e.reg.Trace(metrics.TDispatch, e.clock, string(rt.id), local, service, "")
-	heap.Push(&e.queue, c)
 	return true
 }
 
 // handleCompletion processes one finished invocation.
-func (e *Engine) handleCompletion(c *completion) error {
-	rt := e.byID[c.proc]
-	if rt == nil {
-		return fmt.Errorf("scheduler: completion for unknown process %s", c.proc)
-	}
-	if c.isStep {
-		return e.handleStepCompletion(rt, c)
-	}
-	delete(rt.running, c.local)
-	e.bump()
-	if c.tries == 0 {
-		// First completion of this invocation (not a commit-order wait
-		// retry): record the per-service latency.
-		e.reg.ObserveService(c.service, e.cost(c.service))
-	}
-
-	// Orphaned completion: while the invocation was in flight, its
-	// branch was abandoned or the process began aborting (a parallel
-	// sibling failed). The outcome is discarded; a successful local
-	// transaction is rolled back — atomicity guarantees no effects.
-	if st := rt.inst.Status(c.local); st != process.Pending {
-		if !c.failed && c.res != nil {
-			sub, _ := e.fed.Owner(c.service)
-			if err := sub.AbortPrepared(c.res.Tx); err == nil {
-				e.metrics.Rollbacks++
-				e.reg.Inc(metrics.RollbacksOrphaned)
-				e.reg.Trace(metrics.TRollback, e.clock, string(rt.id), c.local, c.service, "orphaned completion")
-				e.append(wal.Record{
-					Type: wal.RecResolved, Proc: string(rt.id), Local: c.local,
-					Service: c.service, Subsystem: sub.Name(), Tx: int64(c.res.Tx), Commit: false,
-				})
+func (e *Engine) handleCompletion(c *completion) {
+	d, p := e.drv, c.proc
+	// Commit-order serializability (Section 3.6): a weakly invoked
+	// transaction that would commit at its completion may have to wait
+	// for weakly preceding transactions, or be redone when one of them
+	// aborted. The check runs ahead of the shared completion, so a
+	// waiting transaction stays in flight and unlogged — in doubt.
+	if c.Weak && c.res != nil && p.Inst.Status(c.Local) == process.Pending && d.CommitsNow(p, c.Kind) {
+		sub, _ := e.fed.Owner(c.Service)
+		switch err := sub.WeakCommittable(c.res.Tx); {
+		case errors.Is(err, subsystem.ErrOrder):
+			c.tries++
+			if c.tries > 100000 {
+				e.fail(fmt.Errorf("scheduler: weak commit of %s/%s starved (commit-order wait)", p.ID, c.Service))
+				return
 			}
-		}
-		return nil
-	}
-
-	if c.failed {
-		if c.kind.GuaranteedToCommit() {
-			// Transient failure of a retriable activity: re-invoke.
-			e.metrics.Retries++
-			e.reg.Inc(metrics.RetriesTransient)
-			e.reg.Trace(metrics.TRetry, e.clock, string(rt.id), c.local, c.service, "")
-			rt.attempts[c.local]++
-			e.append(wal.Record{Type: wal.RecOutcome, Proc: string(rt.id), Local: c.local, Service: c.service, Outcome: "aborted"})
-			return nil
-		}
-		return e.handlePermanentFailure(rt, c)
-	}
-
-	// Success: the local transaction is prepared at the subsystem.
-	e.append(wal.Record{
-		Type: wal.RecOutcome, Proc: string(rt.id), Local: c.local, Service: c.service,
-		Subsystem: e.subsystemOf(c.service), Tx: int64(c.res.Tx), Outcome: "prepared",
-	})
-	if e.commitImmediately(rt, c.kind) {
-		sub, _ := e.fed.Owner(c.service)
-		if c.weak {
-			// Commit-order serializability (Section 3.6): the commit
-			// may have to wait for weakly preceding transactions, or
-			// the invocation may have to be redone when one of them
-			// aborted.
-			switch err := sub.WeakCommittable(c.res.Tx); {
-			case errors.Is(err, subsystem.ErrOrder):
-				c.tries++
-				if c.tries > 100000 {
-					return fmt.Errorf("scheduler: weak commit of %s/%s starved (commit-order wait)", rt.id, c.service)
-				}
-				e.metrics.WeakOrderWaits++
-				e.reg.Inc(metrics.WeakOrderWaits)
-				e.reg.Trace(metrics.TWeakWait, e.clock, string(rt.id), c.local, c.service, "")
-				e.seq++
-				c.at = e.clock + 1
-				c.seq = e.seq
-				rt.running[c.local] = c.service // still occupies its slot
-				heap.Push(&e.queue, c)
-				return nil
-			case errors.Is(err, subsystem.ErrDependencyAborted):
-				e.metrics.WeakRestarts++
-				e.reg.Inc(metrics.WeakRestarts)
-				e.reg.Trace(metrics.TWeakRestart, e.clock, string(rt.id), c.local, c.service, "")
-				if err := sub.AbortPrepared(c.res.Tx); err != nil {
-					return fmt.Errorf("scheduler: weak rollback %s/%s: %w", rt.id, c.service, err)
-				}
-				// The activity stays pending and is simply re-invoked;
-				// this is not a failure of the process (Section 3.6).
-				return nil
-			case err != nil:
-				return fmt.Errorf("scheduler: weak commit %s/%s: %w", rt.id, c.service, err)
+			d.weakWait(p, c.Local, c.Service)
+			e.order++
+			c.at, c.order = e.clock+1, e.order
+			heap.Push(&e.queue, c)
+			return
+		case errors.Is(err, subsystem.ErrDependencyAborted):
+			d.Undispatch(p, c.Work)
+			if err := d.weakRestart(p, c.Local, PreparedTx{Sub: sub, Tx: c.res.Tx, Service: c.Service}); err != nil {
+				e.fail(err)
 			}
+			return
+		case err != nil:
+			e.fail(fmt.Errorf("scheduler: weak commit %s/%s: %w", p.ID, c.Service, err))
+			return
 		}
-		if err := sub.CommitPrepared(c.res.Tx); err != nil {
-			return fmt.Errorf("scheduler: commit %s/%s: %w", rt.id, c.service, err)
-		}
-		e.append(wal.Record{
-			Type: wal.RecResolved, Proc: string(rt.id), Local: c.local,
-			Service: c.service, Subsystem: sub.Name(), Tx: int64(c.res.Tx), Commit: true,
-		})
-		if err := rt.inst.MarkCommitted(c.local); err != nil {
-			return fmt.Errorf("scheduler: %w", err)
-		}
-		e.pol.AppendEvent(&policy.Event{
-			Seq: c.seq, Proc: rt.id, Local: c.local, Service: c.service, Kind: c.kind, Typ: schedule.Invoke,
-		})
-		e.reg.Inc(metrics.CommitsImmediate)
-		e.reg.Trace(metrics.TCommit, e.clock, string(rt.id), c.local, c.service, "")
-	} else {
-		// Deferred commit (Lemma 1): hold the prepared transaction.
-		e.metrics.Deferrals++
-		e.reg.Inc(metrics.CommitsDeferred)
-		if e.reg != nil {
-			e.reg.Trace(metrics.TDeferCommit, e.clock, string(rt.id), c.local, c.service, e.pol.FirstActivePred(e.view(), rt.id))
-		}
-		if err := rt.inst.MarkPrepared(c.local); err != nil {
-			return fmt.Errorf("scheduler: %w", err)
-		}
-		sub, _ := e.fed.Owner(c.service)
-		rt.prepared[c.local] = preparedTx{sub: sub, tx: c.res.Tx, service: c.service, seq: c.seq, weak: c.weak}
-		e.pol.AppendEvent(&policy.Event{
-			Seq: c.seq, Proc: rt.id, Local: c.local, Service: c.service, Kind: c.kind,
-			Typ: schedule.Invoke, Tentative: true,
-		})
 	}
-	return nil
-}
-
-// commitImmediately decides whether an activity's local transaction
-// commits right at completion. Compensatable activities always commit
-// (they are undoable); non-compensatable ones commit immediately only
-// when the mode ignores recovery (CCOnly) or never interleaves
-// (Serial/Conservative), or when the process has no active conflicting
-// predecessor (Lemma 1's deferral condition is already satisfied).
-func (e *Engine) commitImmediately(rt *procRT, kind activity.Kind) bool {
-	if kind == activity.Compensatable {
-		return true
+	if err := d.Complete(p, c.Work, c.res); err != nil {
+		e.fail(err)
 	}
-	switch e.cfg.Mode {
-	case CCOnly, Serial, Conservative:
-		return true
-	default:
-		return !e.pol.HasActiveConflictPred(e.view(), rt.id)
-	}
-}
-
-// subsystemOf names the owning subsystem of a service.
-func (e *Engine) subsystemOf(service string) string {
-	if sub, ok := e.fed.Owner(service); ok {
-		return sub.Name()
-	}
-	return ""
-}
-
-// handlePermanentFailure reacts to the definitive failure of a
-// compensatable or pivot activity (Definition 4).
-func (e *Engine) handlePermanentFailure(rt *procRT, c *completion) error {
-	e.append(wal.Record{Type: wal.RecFailed, Proc: string(rt.id), Local: c.local, Service: c.service})
-	e.reg.Trace(metrics.TFail, e.clock, string(rt.id), c.local, c.service, "")
-	e.seq++
-	e.pol.AppendEvent(&policy.Event{
-		Seq: e.seq, Proc: rt.id, Local: c.local, Service: c.service, Kind: c.kind, Typ: schedule.FailedInvoke,
-	})
-	plan, err := rt.inst.MarkFailed(c.local)
-	if err != nil {
-		return fmt.Errorf("scheduler: %w", err)
-	}
-	if rt.abortPending {
-		// An abort is already queued; its completion supersedes the
-		// failure's local plan.
-		return nil
-	}
-	if plan.Abort {
-		rt.restartable = false
-		rt.state = psAborting
-		rt.recovery = plan.Steps
-		e.append(wal.Record{Type: wal.RecAbortBegin, Proc: string(rt.id)})
-		e.reg.Inc(metrics.BackwardRecoveries)
-		e.reg.Trace(metrics.TBackward, e.clock, string(rt.id), c.local, c.service, "")
-		e.seq++
-		e.pol.AppendEvent(&policy.Event{Seq: e.seq, Proc: rt.id, Typ: schedule.AbortBegin})
-		e.cascadeDependents(rt)
-		return nil
-	}
-	rt.recovery = plan.Steps
-	e.reg.Inc(metrics.ForwardRecoveries)
-	e.reg.Trace(metrics.TForward, e.clock, string(rt.id), c.local, c.service, "")
-	return nil
-}
-
-// beginAbort starts the abort A_i of a process, computing its completion
-// C(P_i) and queueing the steps.
-func (e *Engine) beginAbort(rt *procRT) error {
-	steps, err := rt.inst.Abort()
-	if err != nil {
-		return fmt.Errorf("scheduler: abort %s: %w", rt.id, err)
-	}
-	rt.abortPending = false
-	rt.state = psAborting
-	rt.recovery = steps
-	e.append(wal.Record{Type: wal.RecAbortBegin, Proc: string(rt.id)})
-	e.reg.Inc(metrics.BackwardRecoveries)
-	e.reg.Trace(metrics.TBackward, e.clock, string(rt.id), 0, "", "")
-	e.seq++
-	e.pol.AppendEvent(&policy.Event{Seq: e.seq, Proc: rt.id, Typ: schedule.AbortBegin})
-	e.cascadeDependents(rt)
-	return nil
-}
-
-// cascadeDependents aborts active processes that depend on rt through
-// conflict edges when rt's completion will compensate conflicting work
-// (cascading aborts, only possible in PREDCascade mode). The Lemma-2
-// dispatch guard makes the dependents' compensations execute before
-// rt's own.
-func (e *Engine) cascadeDependents(rt *procRT) {
-	for _, id := range e.pol.CascadeVictims(e.view(), rt.id, rt.recovery) {
-		q := e.byID[id]
-		if q == nil || q.state != psRunning || q.abortPending {
-			continue
-		}
-		e.metrics.Cascades++
-		e.reg.Inc(metrics.CascadeAborts)
-		e.reg.Trace(metrics.TCascade, e.clock, string(q.id), 0, "", string(rt.id))
-		q.abortPending = true
-		q.restartable = true
-	}
-}
-
-// dispatchRecoveryStep issues the next queued recovery step, honouring
-// the cross-process ordering constraints of Lemmas 2 and 3.
-func (e *Engine) dispatchRecoveryStep(rt *procRT) bool {
-	st := rt.recovery[0]
-	switch st.Kind {
-	case process.StepAbortPrepared:
-		// Resolve immediately (no subsystem work to simulate).
-		rt.recovery = rt.recovery[1:]
-		ptx, ok := rt.prepared[st.Local]
-		if ok {
-			if err := ptx.sub.AbortPrepared(ptx.tx); err == nil {
-				e.metrics.Rollbacks++
-				e.reg.Inc(metrics.DeferredRolledBack)
-				e.reg.Trace(metrics.TRollback, e.clock, string(rt.id), st.Local, ptx.service, "abandoned branch")
-				e.append(wal.Record{
-					Type: wal.RecResolved, Proc: string(rt.id), Local: st.Local,
-					Service: ptx.service, Subsystem: ptx.sub.Name(), Tx: int64(ptx.tx), Commit: false,
-				})
-			}
-			delete(rt.prepared, st.Local)
-		}
-		// Erase the tentative event and its edges.
-		e.pol.EraseTentative(rt.id, st.Local)
-		_ = rt.inst.ApplyStep(st)
-		e.bump()
-		return true
-	case process.StepCompensate:
-		if e.cfg.Mode != CCOnly && !e.pol.Lemma2Clear(e.view(), rt.id, st) {
-			e.metrics.PolicyWaits++
-			return false
-		}
-		return e.invoke(rt, st.Local, st.Service, activity.Compensation, true, st)
-	case process.StepInvoke:
-		if e.cfg.Mode != CCOnly {
-			if !e.pol.Lemma3Clear(e.view(), rt.id, st) {
-				e.debugDeny(rt, st, "lemma3")
-				e.metrics.PolicyWaits++
-				return false
-			}
-			if !e.pol.Lemma1ClearForward(e.view(), rt.id, st) {
-				e.debugDeny(rt, st, "lemma1fwd")
-				e.metrics.PolicyWaits++
-				return false
-			}
-			if !e.pol.StepForcedClear(e.view(), rt.id, st) {
-				e.debugDeny(rt, st, "forced-cycle")
-				e.metrics.PolicyWaits++
-				return false
-			}
-			if o, defer2 := e.pol.DeferToAborting(e.view(), rt.id, st); defer2 {
-				e.debugDeny(rt, st, fmt.Sprintf("defer-to-%s", o))
-				e.metrics.PolicyWaits++
-				return false
-			}
-		}
-		a := rt.def.Activity(st.Local)
-		return e.invoke(rt, st.Local, st.Service, a.Kind, true, st)
-	}
-	return false
-}
-
-// handleStepCompletion finishes a recovery-step invocation.
-func (e *Engine) handleStepCompletion(rt *procRT, c *completion) error {
-	rt.recoveryBusy = false
-	rt.recoveryBusySvc = ""
-	e.bump()
-	e.reg.ObserveService(c.service, e.cost(c.service))
-	if c.failed {
-		// Compensations and forward-recovery activities are retriable;
-		// transient failures are re-invoked.
-		e.metrics.Retries++
-		e.reg.Inc(metrics.RetriesTransient)
-		e.reg.Trace(metrics.TRetry, e.clock, string(rt.id), c.local, c.service, "recovery step")
-		return nil
-	}
-	// Log the step outcome, then commit its local transaction. The
-	// record carries the subsystem and transaction id so that a crash
-	// in the window between the force-log and the commit is repaired by
-	// recovery's redo rule (Analyze collects these into
-	// ProcImage.RedoCommit) instead of presuming abort.
-	sub, _ := e.fed.Owner(c.service)
-	switch c.step.Kind {
-	case process.StepCompensate:
-		e.append(wal.Record{
-			Type: wal.RecCompensate, Proc: string(rt.id), Local: c.local, Service: c.service,
-			Subsystem: sub.Name(), Tx: int64(c.res.Tx),
-		})
-	case process.StepInvoke:
-		e.append(wal.Record{
-			Type: wal.RecOutcome, Proc: string(rt.id), Local: c.local, Service: c.service,
-			Subsystem: sub.Name(), Tx: int64(c.res.Tx), Outcome: "committed",
-		})
-	}
-	if err := sub.CommitPrepared(c.res.Tx); err != nil {
-		return fmt.Errorf("scheduler: commit step %s/%s: %w", rt.id, c.service, err)
-	}
-	if len(rt.recovery) > 0 && rt.recovery[0] == c.step {
-		rt.recovery = rt.recovery[1:]
-	}
-	switch c.step.Kind {
-	case process.StepCompensate:
-		e.metrics.Compensations++
-		e.reg.Inc(metrics.CompensationsIssued)
-		e.reg.Trace(metrics.TCompensate, e.clock, string(rt.id), c.local, c.service, "")
-		// The base event stops contributing conflicts.
-		e.pol.MarkCompensated(rt.id, c.local)
-		e.pol.AppendEvent(&policy.Event{
-			Seq: c.seq, Proc: rt.id, Local: c.local, Service: c.service,
-			Kind: activity.Compensation, Typ: schedule.Invoke, Inverse: true,
-		})
-	case process.StepInvoke:
-		e.reg.Trace(metrics.TRecoveryStep, e.clock, string(rt.id), c.local, c.service, "")
-		e.pol.AppendEvent(&policy.Event{
-			Seq: c.seq, Proc: rt.id, Local: c.local, Service: c.service, Kind: c.kind, Typ: schedule.Invoke,
-		})
-	}
-	if err := rt.inst.ApplyStep(c.step); err != nil {
-		return fmt.Errorf("scheduler: %w", err)
-	}
-	return nil
 }
 
 // tryFinish commits a process whose selected path has fully executed:
 // the prepared non-compensatable activities are committed atomically
 // via 2PC once no active conflicting predecessor remains (Lemma 1),
 // then C_i is emitted.
-func (e *Engine) tryFinish(rt *procRT) bool {
-	if len(rt.prepared) > 0 {
-		if e.pol.HasActiveConflictPred(e.view(), rt.id) {
-			if rt.blockedSince < 0 {
-				rt.blockedSince = e.clock
-			}
-			return false
+func (e *Engine) tryFinish(p *Proc) bool {
+	if len(p.Prepared) > 0 && (e.drv.Lemma1Blocked(p) || !e.commitPreparedSet(p)) {
+		return false
+	}
+	return e.terminate(p, true)
+}
+
+func (e *Engine) commitPreparedSet(p *Proc) bool {
+	ok, err := e.drv.CommitPreparedSet(p)
+	if err != nil {
+		e.fail(err)
+	}
+	return ok
+}
+
+// terminate emits the terminal event of a process. Other processes
+// waiting on it may now commit their prepared sets and continue (their
+// successors were deferred).
+func (e *Engine) terminate(p *Proc, committed bool) bool {
+	if !e.drv.Terminate(p, committed) {
+		return false
+	}
+	for _, q := range e.drv.All() {
+		if e.err != nil {
+			break
 		}
-		if !e.commitPreparedSet(rt) {
-			return false
+		if q.Phase == policy.Running && len(q.Prepared) > 0 && !q.AbortPending && len(q.Recovery) == 0 &&
+			!e.drv.Pol.HasActiveConflictPred(e.drv, q.ID) {
+			e.commitPreparedSet(q)
 		}
 	}
-	e.terminate(rt, true)
 	return true
-}
-
-// commitPreparedSet performs the atomic 2PC commit of rt's prepared set.
-func (e *Engine) commitPreparedSet(rt *procRT) bool {
-	locals := make([]int, 0, len(rt.prepared))
-	for l := range rt.prepared {
-		// Skip transactions already marked for rollback (a failure plan
-		// abandoned their branch; the queued StepAbortPrepared resolves
-		// them).
-		if rt.inst.Status(l) == process.Prepared {
-			locals = append(locals, l)
-		}
-	}
-	sort.Ints(locals)
-	if len(locals) == 0 {
-		return true
-	}
-	// Weak-order preflight: every weakly invoked participant must be
-	// committable (its commit-order predecessors committed). A still-
-	// pending predecessor delays the whole set; an aborted predecessor
-	// rolls the participant back for re-invocation.
-	for _, l := range locals {
-		ptx := rt.prepared[l]
-		if !ptx.weak {
-			continue
-		}
-		switch err := ptx.sub.WeakCommittable(ptx.tx); {
-		case errors.Is(err, subsystem.ErrOrder):
-			e.metrics.WeakOrderWaits++
-			e.reg.Inc(metrics.WeakOrderWaits)
-			e.reg.Trace(metrics.TWeakWait, e.clock, string(rt.id), l, ptx.service, "")
-			return false
-		case errors.Is(err, subsystem.ErrDependencyAborted):
-			e.metrics.WeakRestarts++
-			e.reg.Inc(metrics.WeakRestarts)
-			e.reg.Inc(metrics.DeferredRolledBack)
-			e.reg.Trace(metrics.TWeakRestart, e.clock, string(rt.id), l, ptx.service, "")
-			if err := ptx.sub.AbortPrepared(ptx.tx); err != nil {
-				panic(fmt.Sprintf("scheduler: weak rollback: %v", err))
-			}
-			if err := rt.inst.ResetPrepared(l); err != nil {
-				panic(fmt.Sprintf("scheduler: %v", err))
-			}
-			e.pol.EraseTentative(rt.id, l)
-			delete(rt.prepared, l)
-			e.bump()
-			return false // the activity re-invokes; try again later
-		case err != nil:
-			panic(fmt.Sprintf("scheduler: weak committable: %v", err))
-		}
-	}
-	parts := make([]twopc.Participant, 0, len(locals))
-	for _, l := range locals {
-		ptx := rt.prepared[l]
-		parts = append(parts, twopc.Participant{
-			Sub: ptx.sub, Tx: ptx.tx, Proc: string(rt.id), Local: l, Service: ptx.service,
-		})
-	}
-	if err := e.coord.CommitAll(string(rt.id), parts); err != nil {
-		panic(fmt.Sprintf("scheduler: 2PC commit of %s: %v", rt.id, err))
-	}
-	for _, l := range locals {
-		e.metrics.TwoPCCommits++
-		e.reg.Inc(metrics.DeferredCommitted2PC)
-		e.reg.Trace(metrics.TTwoPCCommit, e.clock, string(rt.id), l, rt.prepared[l].service, "")
-		if err := rt.inst.MarkCommitted(l); err != nil {
-			panic(fmt.Sprintf("scheduler: %v", err))
-		}
-		e.seq++
-		e.pol.FinalizeTentative(rt.id, l, e.seq)
-		delete(rt.prepared, l)
-	}
-	if rt.blockedSince >= 0 {
-		e.reg.Observe(metrics.HistProcBlocked, e.clock-rt.blockedSince)
-		rt.blockedSince = -1
-	}
-	e.bump()
-	return true
-}
-
-// commitDeferredIfPossible is called when a process terminates: other
-// processes waiting on it may now commit their prepared sets and
-// continue (their successors were deferred).
-func (e *Engine) commitDeferredIfPossible() {
-	for _, rt := range e.procs {
-		if rt.state != psRunning || len(rt.prepared) == 0 || rt.abortPending || len(rt.recovery) > 0 {
-			continue
-		}
-		if !e.pol.HasActiveConflictPred(e.view(), rt.id) {
-			e.commitPreparedSet(rt)
-		}
-	}
-}
-
-// finishAbort concludes an abort whose completion steps have drained.
-func (e *Engine) finishAbort(rt *procRT) {
-	// Roll back any leftover prepared transactions (safety net; the
-	// completion normally contains explicit StepAbortPrepared steps).
-	for l, ptx := range rt.prepared {
-		if err := ptx.sub.AbortPrepared(ptx.tx); err == nil {
-			e.metrics.Rollbacks++
-			e.reg.Inc(metrics.DeferredRolledBack)
-			e.reg.Trace(metrics.TRollback, e.clock, string(rt.id), l, ptx.service, "abort leftover")
-			e.append(wal.Record{
-				Type: wal.RecResolved, Proc: string(rt.id), Local: l,
-				Service: ptx.service, Subsystem: ptx.sub.Name(), Tx: int64(ptx.tx), Commit: false,
-			})
-		}
-		e.pol.EraseTentative(rt.id, l)
-		delete(rt.prepared, l)
-	}
-	e.terminate(rt, false)
-	if rt.restartable && rt.restarts < e.cfg.MaxRestarts {
-		e.restart(rt)
-	}
-}
-
-// terminate emits the terminal event of a process.
-func (e *Engine) terminate(rt *procRT, committed bool) {
-	rt.state = psDone
-	rt.end = e.clock
-	out := e.outcomes[rt.id]
-	out.End = e.clock
-	out.Committed = committed
-	out.Aborted = !committed
-	fate := "aborted"
-	if committed {
-		e.metrics.CommittedProcs++
-		e.reg.Inc(metrics.ProcsCommitted)
-		fate = "committed"
-	} else {
-		e.metrics.AbortedProcs++
-		e.reg.Inc(metrics.ProcsAborted)
-	}
-	e.reg.Observe(metrics.HistProcDuration, e.clock-rt.start)
-	e.reg.Trace(metrics.TTerminate, e.clock, string(rt.id), 0, "", fate)
-	e.append(wal.Record{Type: wal.RecTerminate, Proc: string(rt.id), Committed: committed})
-	e.seq++
-	e.pol.AppendEvent(&policy.Event{Seq: e.seq, Proc: rt.id, Typ: schedule.Terminate, Committed: committed})
-	rt.inst.MarkTerminated(committed)
-	e.commitDeferredIfPossible()
 }
 
 // restart re-enters an aborted process as a fresh instance under a
-// derived id.
-func (e *Engine) restart(rt *procRT) {
-	e.metrics.Restarts++
-	e.reg.Inc(metrics.ProcsRestarted)
-	newID := process.ID(fmt.Sprintf("%s+r%d", rt.base, rt.restarts+1))
-	def := rt.def.WithID(newID)
-	nrt := e.newRT(def, rt.arrival, rt.origin)
-	nrt.base = rt.base
-	nrt.restarts = rt.restarts + 1
-	// Exponential backoff before re-entry, so the contention that
-	// caused the abort can drain first.
-	nrt.arrivalTime = e.clock + int64(4<<nrt.restarts)
-	e.outcomes[newID].Restarts = nrt.restarts
-	e.pending = append(e.pending, nrt) // admitted (and logged) at its backoff arrival
-}
-
-// debugDeny traces step denials when DebugFirstStall is on.
-func (e *Engine) debugDeny(rt *procRT, st process.Step, why string) {
-	if e.cfg.DebugFirstStall && e.metrics.PolicyWaits%500 == 0 {
-		fmt.Printf("DENY step %s/%v: %s (clock %d)\n", rt.id, st, why, e.clock)
-	}
-}
-
-// stallDump renders the engine state for stall diagnostics.
-func (e *Engine) stallDump() string {
-	s := fmt.Sprintf("clock=%d pending=%d\n", e.clock, len(e.pending))
-	for _, rt := range e.procs {
-		if rt.state == psDone {
-			continue
-		}
-		s += fmt.Sprintf("  %s state=%d mode=%v done=%v running=%d recovery=%d busy=%v abortPending=%v prepared=%d frontier=%v\n",
-			rt.id, rt.state, rt.inst.Mode(), rt.inst.Done(), len(rt.running), len(rt.recovery), rt.recoveryBusy, rt.abortPending, len(rt.prepared), rt.inst.Frontier())
-		if len(rt.recovery) > 0 {
-			s += fmt.Sprintf("    next step: %v\n", rt.recovery[0])
-		}
-	}
-	for _, k := range e.pol.EdgeList() {
-		s += fmt.Sprintf("  edge %s->%s\n", k[0], k[1])
-	}
-	for sub, recs := range e.fed.InDoubt() {
-		s += fmt.Sprintf("  in-doubt at %s: %v\n", sub, recs)
-	}
-	return s
+// derived id, admitted (and logged) after an exponential backoff so the
+// contention that caused the abort can drain first.
+func (e *Engine) restart(p *Proc) {
+	e.drv.Metrics.Restarts++
+	e.drv.Reg.Inc(metrics.ProcsRestarted)
+	np := p.Restarted()
+	e.enqueue(np, e.clock+int64(4<<np.Restarts))
 }
 
 // resolveStall aborts one blocked process to break a scheduling stall.
 func (e *Engine) resolveStall() bool {
-	var victim *procRT
-	for _, rt := range e.procs {
-		if rt.state != psRunning || len(rt.running) > 0 || rt.recoveryBusy || rt.abortPending {
-			continue
-		}
-		if rt.inst.Done() {
-			continue // waiting to finish, not a dispatch stall
-		}
-		if victim == nil || rt.arrival > victim.arrival {
-			victim = rt
-		}
-	}
-	if victim == nil {
-		// A done process blocked on its deferred 2PC commit can still
-		// deadlock with an aborting process's completion; abort it too
-		// (it restarts afterwards).
-		for _, rt := range e.procs {
-			if rt.state != psRunning || len(rt.running) > 0 || rt.recoveryBusy || rt.abortPending {
-				continue
-			}
-			if rt.inst.Done() && len(rt.prepared) > 0 && e.pol.HasActiveConflictPred(e.view(), rt.id) {
-				if victim == nil || rt.arrival > victim.arrival {
-					victim = rt
-				}
-			}
-		}
-	}
+	victim := e.drv.ChooseVictim(nil)
 	if victim == nil {
 		return false
 	}
-	if e.cfg.DebugFirstStall && e.metrics.VictimAborts == 0 {
-		fmt.Printf("FIRST STALL victim=%s\n%s\n", victim.id, e.stallDump())
-	}
-	e.metrics.VictimAborts++
-	e.reg.Inc(metrics.VictimAborts)
-	e.reg.Trace(metrics.TVictim, e.clock, string(victim.id), 0, "", "stall resolution")
-	victim.restartable = true
-	victim.abortPending = true
+	e.drv.MarkVictim(victim, "stall resolution")
 	return e.dispatchProc(victim)
 }
 
-// buildSchedule materializes the observed process schedule from the
-// finalized events.
-func (e *Engine) buildSchedule() *schedule.Schedule {
-	return e.pol.BuildSchedule(e.allProcs)
+// stallDump renders the engine state for stall diagnostics.
+func (e *Engine) stallDump() string {
+	return fmt.Sprintf("clock=%d pending=%d\n%s", e.clock, len(e.pending), e.drv.Dump())
 }

@@ -6,16 +6,17 @@
 // Lemma 2/3 ordering of compensations and forward-recovery steps, and
 // cascade-victim selection.
 //
-// Two engines share this layer: the sequential discrete-event engine
-// (internal/scheduler) — the reference oracle — and the concurrent
-// goroutine-per-process runtime (internal/runtime). The policy State is
-// NOT internally synchronized: the sequential engine calls it from its
-// single event loop, the concurrent runtime from within its serial
-// section (all calls under the runtime mutex).
+// The protocol driver (scheduler.Driver) calls this layer for all of its
+// hosts: the sequential discrete-event engine (internal/scheduler) — the
+// reference oracle — the concurrent goroutine-per-process runtime
+// (internal/runtime) and the federation hub. The policy State is NOT
+// internally synchronized: each host calls it from its serial section
+// (the engine's single event loop, the runtime's group mutex, the hub
+// mutex).
 //
-// Engine-dynamic facts (process phases, instances, queued recovery
-// steps, in-flight invocations) are supplied through the View interface
-// so that the decisions stay pure functions of the observable state.
+// Host-dynamic facts (process phases, instances, queued recovery steps,
+// in-flight invocations) are supplied through the View interface so
+// that the decisions stay pure functions of the observable state.
 package policy
 
 import (
@@ -27,25 +28,52 @@ import (
 	"transproc/internal/schedule"
 )
 
-// Mode selects the scheduling policy (mirrors the engine-level mode; the
-// policy layer defines its own copy to stay import-cycle free).
+// Mode selects the scheduling policy.
 type Mode int
 
 const (
-	// PRED is the paper's protocol in avoidance flavour.
+	// PRED is the paper's protocol in avoidance flavour: dependencies on
+	// active processes are allowed only when the active process's
+	// potential completions provably cannot conflict (quasi-commit).
+	// No cascading aborts ever occur.
 	PRED Mode = iota
-	// PREDCascade additionally allows compensatable activities to depend
-	// on active backward-recoverable processes (the Figure 7 pattern).
+	// PREDCascade additionally allows compensatable activities to
+	// depend on active backward-recoverable processes (the Figure 7
+	// pattern); if such a predecessor aborts, dependents are
+	// cascade-aborted in reverse order (Lemma 2) and restarted.
 	PREDCascade
 	// Serial runs one process at a time (admission-level policy; every
 	// per-activity dispatch is allowed).
 	Serial
-	// Conservative admits only non-conflicting footprints (admission
-	// level; every per-activity dispatch is allowed).
+	// Conservative admits a process only when its full service
+	// footprint does not conflict with any running process
+	// (process-level conservative locking; admission level, every
+	// per-activity dispatch is allowed).
 	Conservative
-	// CCOnly orders conflicts for serializability but ignores recovery.
+	// CCOnly orders conflicting activities for serializability but
+	// ignores recovery entirely: no deferred commits, no Lemma-1
+	// blocking. Under failures it produces non-PRED schedules and can
+	// leave inconsistencies (Section 2.2's motivating anomaly).
 	CCOnly
 )
+
+// String returns the mode name.
+func (m Mode) String() string {
+	switch m {
+	case PRED:
+		return "pred"
+	case PREDCascade:
+		return "pred-cascade"
+	case Serial:
+		return "serial"
+	case Conservative:
+		return "conservative"
+	case CCOnly:
+		return "cc-only"
+	default:
+		return "unknown"
+	}
+}
 
 // Config parameterizes the decision rules.
 type Config struct {
@@ -70,8 +98,9 @@ const (
 )
 
 // View supplies the per-process dynamic facts the pure decisions need.
-// Implementations are engine-specific; all methods must be cheap and
-// must tolerate ids the engine no longer tracks (report them Done).
+// The driver's process table (scheduler.Table) is the implementation;
+// all methods must be cheap and must tolerate ids the table does not
+// hold (report them Done).
 type View interface {
 	// Procs lists the admitted processes (any phase), in admission
 	// order — decision iteration order follows it.

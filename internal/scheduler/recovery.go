@@ -281,22 +281,24 @@ func RecoverWithMetrics(fed *subsystem.Federation, log wal.Log, defs []*process.
 			if !ok {
 				return fmt.Errorf("scheduler: recovery found unknown service %q", gs.st.Service)
 			}
+			rec := wal.Record{
+				Type: wal.RecCompensate, Proc: string(gs.pc.id), Local: gs.st.Local,
+				Service: gs.st.Service, Subsystem: sub.Name(), Tx: int64(res.Tx),
+			}
 			if gs.st.Kind == process.StepCompensate {
 				report.Compensations++
 				m.Inc(metrics.RecoveryCompensations)
 				m.Trace(metrics.TCompensate, 0, string(gs.pc.id), gs.st.Local, gs.st.Service, "recovery")
-				log.Append(wal.Record{
-					Type: wal.RecCompensate, Proc: string(gs.pc.id), Local: gs.st.Local,
-					Service: gs.st.Service, Subsystem: sub.Name(), Tx: int64(res.Tx),
-				})
 			} else {
 				report.ForwardInvocations++
 				m.Inc(metrics.RecoveryForwardInvokes)
 				m.Trace(metrics.TRecoveryStep, 0, string(gs.pc.id), gs.st.Local, gs.st.Service, "recovery")
-				log.Append(wal.Record{
-					Type: wal.RecOutcome, Proc: string(gs.pc.id), Local: gs.st.Local,
-					Service: gs.st.Service, Subsystem: sub.Name(), Tx: int64(res.Tx), Outcome: "committed",
-				})
+				rec.Type, rec.Outcome = wal.RecOutcome, "committed"
+			}
+			// An unlogged step must not commit: the next recovery would
+			// not know it ran and would repeat it.
+			if _, err := log.Append(rec); err != nil {
+				return fmt.Errorf("scheduler: recovery logging %s: %w", gs.st.Service, err)
 			}
 			if err := sub.CommitPrepared(res.Tx); err != nil {
 				return fmt.Errorf("scheduler: recovery committing %s: %w", gs.st.Service, err)
@@ -347,7 +349,9 @@ func RecoverWithMetrics(fed *subsystem.Federation, log wal.Log, defs []*process.
 	}
 	for _, pc := range completions {
 		pc.inst.MarkTerminated(false)
-		log.Append(wal.Record{Type: wal.RecTerminate, Proc: string(pc.id), Committed: false})
+		if _, err := log.Append(wal.Record{Type: wal.RecTerminate, Proc: string(pc.id), Committed: false}); err != nil {
+			return nil, fmt.Errorf("scheduler: recovery logging termination of %s: %w", pc.id, err)
+		}
 	}
 	return report, nil
 }

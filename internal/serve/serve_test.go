@@ -157,7 +157,8 @@ func TestServeLifecycle(t *testing.T) {
 		t.Fatalf("list page 2: items=%d next=%d", len(page2.Items), page2.NextOffset)
 	}
 
-	// SSE stream of a finished process delivers status then done.
+	// SSE stream of a finished process delivers status, the scheduling
+	// decisions the runtime traced for it, then done.
 	sseResp, err := http.Get(base + "/v1/processes/acme/trip1/events")
 	if err != nil {
 		t.Fatal(err)
@@ -173,8 +174,13 @@ func TestServeLifecycle(t *testing.T) {
 		}
 	}
 	sseResp.Body.Close()
-	if !strings.Contains(sse.String(), "event: status") || !strings.Contains(sse.String(), "event: done") {
-		t.Fatalf("SSE stream missing events:\n%s", sse.String())
+	for _, ev := range []string{"event: status", "event: trace", "event: done"} {
+		if !strings.Contains(sse.String(), ev) {
+			t.Fatalf("SSE stream missing %q:\n%s", ev, sse.String())
+		}
+	}
+	if len(srv.TraceTail("acme/trip1")) == 0 {
+		t.Fatal("TraceTail of a settled submission is empty")
 	}
 
 	// Drain closes the WAL; admissions now bounce.
