@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short loc bench-check race diff torture chaos fed serve coverage-floor bench bench-fed bench-serve fuzz-smoke ci
+.PHONY: build test test-short loc layers bench-check race diff torture chaos fed serve coverage-floor bench fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -22,6 +22,13 @@ loc:
 	@for d in $$(find internal cmd -name '*.go' ! -name '*_test.go' | xargs -n1 dirname | sort -u); do \
 		echo "$$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go' | xargs cat | wc -l) $$d"; done
 
+# Fault model at the edges (DESIGN.md §6m): the engines, the federation
+# and the service reach faults only through injected hooks, so none of
+# them may depend on the fault libraries or the batteries.
+layers:
+	@bad=$$($(GO) list -deps ./internal/scheduler ./internal/runtime ./internal/federation ./internal/serve | grep -E 'internal/(fault|chaos|battery)$$'); \
+	if [ -n "$$bad" ]; then echo "product packages depend on:" $$bad >&2; exit 1; fi
+
 # The benchmark is its own module (bench/) compiled against this tree:
 # a signature change in wal/serve/federation must break here, not in
 # the benchmark driver.
@@ -36,45 +43,44 @@ race:
 diff:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestDifferential' ./internal/runtime -v
 
-# The crash-torture battery: 200 deterministic crash/recover scenarios
-# under the race detector — as seeded, with fuzzy checkpointing and
-# compaction forced onto every scenario, and with file-backed durable
-# subsystem stores forced onto every scenario. Reproduce one failure
-# with `go test ./internal/fault -run TortureBattery -torture.seed=N
-# [-torture.ckpt] [-torture.durable] -v`.
+# The five seeded batteries (internal/battery) under the race detector,
+# 200 seeds each. Reproduce one failure with the line it prints:
+# `go test ./internal/battery -v -run 'TestBattery/<name>$$'
+# -battery.seed=N [-battery.ckpt] [-battery.durable]`, or `tpsim battery
+# <name> -seed=N [-ckpt] [-durable]`.
+BATTERY = $(GO) test -race -v ./internal/battery -run
+
+# Crash torture — as seeded, with fuzzy checkpointing and compaction
+# forced onto every scenario, and with file-backed durable subsystem
+# stores forced onto every scenario.
 torture:
-	$(GO) test -race -v ./internal/fault -run TestTortureBattery -torture.count=200
-	$(GO) test -race -v ./internal/fault -run TestTortureBattery -torture.count=200 -torture.ckpt
-	$(GO) test -race -v ./internal/fault -run TestTortureBattery -torture.count=200 -torture.durable
+	$(BATTERY) 'TestBattery/torture$$' -battery.count=200
+	$(BATTERY) 'TestBattery/torture$$' -battery.count=200 -battery.ckpt
+	$(BATTERY) 'TestBattery/torture$$' -battery.count=200 -battery.durable
 	$(GO) test -race -run TestRuntimeKillRecover ./internal/runtime
 	$(GO) test -race -run TestCheckpointConcurrentWithAppends ./internal/runtime
 
-# The chaos battery: 200 deterministic unreliable-subsystem scenarios
-# (flaky transport, retries, breakers, ◁ failover) under the race
-# detector. Reproduce one failure with
-# `go test ./internal/chaos -run TestChaosBattery -chaos.seed=N -v`.
+# Unreliable subsystems: flaky transport, retries, breakers, ◁ failover.
 chaos:
-	GOMAXPROCS=4 $(GO) test -race -v ./internal/chaos -run TestChaosBattery -chaos.count=200
+	GOMAXPROCS=4 $(BATTERY) 'TestBattery/chaos$$' -battery.count=200
 
-# The federation batteries: the cross-node differential battery (60
-# seeded workloads partitioned over 2–4 scheduler nodes vs the
-# single-node sequential oracle) and the 200-scenario federation
-# torture battery (node kills mid-2PC, partition windows during
-# cross-node resolution, crash + re-join) under the race detector.
-# Reproduce one failure with
-# `go test ./internal/federation -run FedTortureBattery -fed.seed=N -v`.
+# The cross-node differential battery (60 seeded workloads partitioned
+# over 2–4 scheduler nodes vs the single-node sequential oracle), the
+# federation torture battery (node kills mid-2PC, partition windows
+# during cross-node resolution, crash + re-join) and the hub-kill
+# battery. Plain `go test ./...` runs 30 and 20 seeds of the two.
 fed:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestFedDifferential' -v ./internal/federation
-	GOMAXPROCS=4 $(GO) test -race -v ./internal/federation -run TestFedTortureBattery -fed.count=200
+	GOMAXPROCS=4 $(BATTERY) 'TestBattery/fed$$' -battery.count=200
+	GOMAXPROCS=4 $(BATTERY) 'TestBattery/hub$$' -battery.count=60
 
-# The serve crash battery: 200 deterministic ingestion-service
-# scenarios (crash between WAL ack and HTTP ack, kill -9 mid-drain,
-# double crashes, overload shedding, budget exhaustion) against the
-# real HTTP server, under the race detector. Reproduce one failure
-# with `tpsim serve -torture -seed=N`.
+# The serve crash battery: ingestion-service scenarios (crash between
+# WAL ack and HTTP ack, kill -9 mid-drain, double crashes, overload
+# shedding, budget exhaustion) against the real HTTP server.
 serve:
 	GOMAXPROCS=4 $(GO) test -race -v ./internal/serve
-	$(GO) run -race ./cmd/tpsim serve -torture -seeds 200
+	GOMAXPROCS=4 $(BATTERY) TestRestartResumeDifferential
+	GOMAXPROCS=4 $(BATTERY) 'TestBattery/serve$$' -battery.count=200
 
 # Coverage floor for the recovery-critical packages.
 coverage-floor:
@@ -84,16 +90,6 @@ coverage-floor:
 bench:
 	scripts/bench-json.sh 5x > BENCH_runtime.json
 	@cat BENCH_runtime.json
-
-# Regenerate the committed federation node-count throughput sweep.
-bench-fed:
-	$(GO) run ./cmd/tpsim fed -bench -json > BENCH_fed.json
-	@cat BENCH_fed.json
-
-# Regenerate the committed ingestion-service saturation sweep.
-bench-serve:
-	$(GO) run ./cmd/tpsim serve -bench -json > BENCH_serve.json
-	@cat BENCH_serve.json
 
 # Short native-fuzzing smoke (CI runs 30s per target).
 fuzz-smoke:
@@ -105,4 +101,4 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzFreeSpaceMap -fuzztime 30s -run '^$$' ./internal/store
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s -run '^$$' ./internal/federation
 
-ci: build test bench-check race diff torture chaos fed serve coverage-floor
+ci: build layers test bench-check race diff torture chaos fed serve coverage-floor

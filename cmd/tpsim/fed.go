@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -21,9 +20,6 @@ import (
 //
 //	tpsim fed [-nodes N] [-procs P] [-seed S] [-mode pred|pred-cascade]
 //	          [-lease D] [-heartbeat D]
-//	tpsim fed -torture [-seeds N] [-first S] [-fedseed K] [-json]
-//	tpsim fed -hubtorture [-seeds N] [-first S] [-hubseed K] [-json]
-//	tpsim fed -bench [-procs P] [-seed S] [-reps R] [-json]
 //	tpsim fed -benchhub [-procs P] [-seed S] [-reps R] [-json]
 //
 // The default form partitions a seeded workload across N scheduler
@@ -32,14 +28,9 @@ import (
 // -lease/-heartbeat enable lease-based membership: nodes heartbeat the
 // hub and silent nodes are declared dead by lease expiry instead of an
 // explicit death report.
-// -torture runs the federation-torture battery (node kills mid-2PC,
-// partition windows, crash + re-join; see internal/federation).
-// -hubtorture runs the hub-kill battery (hub killed mid-dispatch and
-// inside the 2PC window, hub+node double faults, lease-expiry
-// re-assignment), each seed judged by CheckRecovered at every reopen
-// and over the final stitched multi-incarnation history.
-// -bench sweeps 1, 2 and 4 nodes over the identical workload and
-// reports throughput — the measurement behind BENCH_fed.json (E16).
+// The federation and hub-kill batteries are `tpsim battery fed|hub`;
+// node-count throughput is the layered benchmark's fed-3node workload
+// (`go run -C bench . -workload fed-3node`, E16).
 // -benchhub measures hub-kill MTTR (detection + journal reopen +
 // recovery + node reattach) per node count — BENCH_fed_hub.json (E18).
 func runFed(args []string) error {
@@ -47,45 +38,25 @@ func runFed(args []string) error {
 	nodes := fs.Int("nodes", 2, "scheduler node count")
 	procs := fs.Int("procs", 24, "process count")
 	seed := fs.Int64("seed", 1, "workload seed")
-	mode := fs.String("mode", "pred", "scheduling mode: pred or pred-cascade")
+	modeName := fs.String("mode", "pred", "scheduling mode: pred or pred-cascade")
 	lease := fs.Duration("lease", 0, "lease TTL for membership (0 = explicit death reports)")
 	heartbeat := fs.Duration("heartbeat", 0, "node heartbeat interval (default lease/4 when -lease is set)")
-	torture := fs.Bool("torture", false, "run the federation-torture battery")
-	hubTorture := fs.Bool("hubtorture", false, "run the hub-kill torture battery")
-	seeds := fs.Int64("seeds", 200, "torture: number of seeds")
-	first := fs.Int64("first", 0, "torture: first seed")
-	one := fs.Int64("fedseed", -1, "torture: run only this seed (verbose reproduction)")
-	oneHub := fs.Int64("hubseed", -1, "hubtorture: run only this seed (verbose reproduction)")
-	bench := fs.Bool("bench", false, "sweep node counts and report throughput")
 	benchHub := fs.Bool("benchhub", false, "measure hub-kill MTTR per node count")
-	reps := fs.Int("reps", 3, "bench: repetitions per node count")
+	reps := fs.Int("reps", 3, "benchhub: repetitions per node count")
 	asJSON := fs.Bool("json", false, "emit results as JSON")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	if *torture {
-		return runFedTortureCmd(*first, *seeds, *one, *asJSON)
-	}
-	if *hubTorture {
-		return runHubTortureCmd(*first, *seeds, *oneHub, *asJSON)
-	}
-	if *bench {
-		return runFedBench(*procs, *seed, *reps, *asJSON)
-	}
 	if *benchHub {
 		return runFedBenchHub(*procs, *seed, *reps, *asJSON)
 	}
 
-	m := policy.PRED
-	switch *mode {
-	case "pred":
-	case "pred-cascade":
-		m = policy.PREDCascade
-	default:
-		return fmt.Errorf("unknown mode %q (pred, pred-cascade)", *mode)
+	mode, err := policy.ParseMode(*modeName)
+	if err != nil {
+		return err
 	}
-	res, elapsed, err := fedRunLease(*procs, *seed, *nodes, m, *lease, *heartbeat)
+	res, elapsed, err := fedRun(*procs, *seed, *nodes, mode, *lease, *heartbeat)
 	if err != nil {
 		return err
 	}
@@ -104,13 +75,9 @@ func runFed(args []string) error {
 
 // fedRun executes one federated workload and verifies the stitched
 // schedule, returning the run result and wall-clock duration.
-func fedRun(procs int, seed int64, nodes int, mode policy.Mode) (*federation.RunResult, time.Duration, error) {
-	return fedRunLease(procs, seed, nodes, mode, 0, 0)
-}
-
-// fedRunLease is fedRun with lease-based membership enabled when
-// lease > 0 (heartbeat defaults to lease/4).
-func fedRunLease(procs int, seed int64, nodes int, mode policy.Mode, lease, heartbeat time.Duration) (*federation.RunResult, time.Duration, error) {
+// Lease-based membership is enabled when lease > 0 (heartbeat defaults
+// to lease/4).
+func fedRun(procs int, seed int64, nodes int, mode policy.Mode, lease, heartbeat time.Duration) (*federation.RunResult, time.Duration, error) {
 	p := workload.DefaultProfile(seed)
 	p.Processes = procs
 	p.ConflictProb = 0.4
@@ -166,102 +133,6 @@ func fedRunLease(procs int, seed int64, nodes int, mode policy.Mode, lease, hear
 		return nil, 0, fmt.Errorf("in-doubt transactions after run: %v", doubt)
 	}
 	return res, elapsed, nil
-}
-
-func runFedTortureCmd(first, seeds, one int64, asJSON bool) error {
-	if one >= 0 {
-		sc := federation.FedScenarioFor(one)
-		fmt.Printf("seed %d: class=%s mode=%v nodes=%d crash={node %d, %q, count %d} wire=%+v\n",
-			sc.Seed, sc.Class, sc.Mode, sc.Nodes, sc.CrashNode, sc.CrashPoint, sc.CrashCount, sc.Wire)
-		alt, err := federation.RunFedScenario(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("scenario passed (alternatives fired: %v)\n", alt)
-		return nil
-	}
-	progress, stop := seedTrap("tpsim fed -torture -fedseed=")
-	sum := federation.RunFedTortureProgress(first, seeds, progress)
-	stop()
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sum); err != nil {
-			return err
-		}
-	} else {
-		fmt.Printf("fed torture: %d scenarios (seeds %d..%d), alternatives fired in %d\n",
-			sum.Scenarios, first, first+seeds-1, sum.AltFires)
-		classes := make([]string, 0, len(sum.ByClass))
-		for class := range sum.ByClass {
-			classes = append(classes, class)
-		}
-		sort.Strings(classes)
-		for _, class := range classes {
-			fmt.Printf("  %-24s %d\n", class, sum.ByClass[class])
-		}
-		for _, f := range sum.Failures {
-			fmt.Printf("  FAIL %s\n", f)
-		}
-	}
-	if n := len(sum.Failures); n > 0 {
-		return fmt.Errorf("%d of %d scenarios violated a recovery guarantee (reproduce with: tpsim fed -torture -fedseed=N)", n, sum.Scenarios)
-	}
-	return nil
-}
-
-func runHubTortureCmd(first, seeds, one int64, asJSON bool) error {
-	if one >= 0 {
-		sc := federation.HubScenarioFor(one)
-		fmt.Printf("seed %d: class=%s mode=%v nodes=%d hub={%q, count %d} crash={node %d, %q, count %d} lease=%s wire=%+v\n",
-			sc.Seed, sc.Class, sc.Mode, sc.Nodes, sc.HubPoint, sc.HubCount,
-			sc.CrashNode, sc.CrashPoint, sc.CrashCount, sc.LeaseTTL, sc.Wire)
-		st, err := federation.RunHubScenario(sc)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("scenario passed: %d kills ridden out by %d reopens (%d adoptions, %d lease expiries, %d reattaches)\n",
-			st.Kills, st.Reopens, st.Adoptions, st.LeaseExpiries, st.Reattached)
-		return nil
-	}
-	progress, stop := seedTrap("tpsim fed -hubtorture -hubseed=")
-	sum := federation.RunHubTortureProgress(first, seeds, progress)
-	stop()
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sum); err != nil {
-			return err
-		}
-	} else {
-		fmt.Printf("hub torture: %d scenarios (seeds %d..%d): %d kills, %d reopens, %d adoptions, %d lease expiries, %d reattaches\n",
-			sum.Scenarios, first, first+seeds-1, sum.Kills, sum.Reopens,
-			sum.Adoptions, sum.LeaseExpiries, sum.Reattached)
-		classes := make([]string, 0, len(sum.ByClass))
-		for class := range sum.ByClass {
-			classes = append(classes, class)
-		}
-		sort.Strings(classes)
-		for _, class := range classes {
-			fmt.Printf("  %-24s %d\n", class, sum.ByClass[class])
-		}
-		for _, f := range sum.Failures {
-			fmt.Printf("  FAIL %s\n", f)
-		}
-	}
-	if n := len(sum.Failures); n > 0 {
-		return fmt.Errorf("%d of %d scenarios violated a recovery guarantee (reproduce with: tpsim fed -hubtorture -hubseed=N)", n, sum.Scenarios)
-	}
-	return nil
-}
-
-// fedBenchPoint is one row of BENCH_fed.json.
-type fedBenchPoint struct {
-	Nodes       int     `json:"nodes"`
-	Processes   int     `json:"processes"`
-	Reps        int     `json:"reps"`
-	MeanMillis  float64 `json:"meanMillis"`
-	ProcsPerSec float64 `json:"procsPerSec"`
 }
 
 // hubBenchPoint is one row of BENCH_fed_hub.json: hub-kill MTTR at one
@@ -346,7 +217,7 @@ func fedHubBenchRun(procs int, seed int64, nodes int) (mttr, elapsed time.Durati
 	c, err := federation.NewCluster(w.Fed, defs, federation.Config{
 		Nodes: nodes, Mode: policy.PRED, MaxRestarts: 8,
 		LeaseTTL: 200 * time.Millisecond, HeartbeatEvery: 20 * time.Millisecond,
-		HubKill: federation.CrashSpec{Point: fault.PointHubDispatch, Count: 3},
+		HubInject: fault.NewInjector(fault.Plan{CrashAtPoint: federation.PointHubDispatch, CrashAtCount: 3}).Point,
 		OnHubDown: func() {
 			mu.Lock()
 			down = time.Now()
@@ -380,34 +251,4 @@ func fedHubBenchRun(procs int, seed int64, nodes int) (mttr, elapsed time.Durati
 	mttr = downtime
 	mu.Unlock()
 	return mttr, elapsed, res.Reattached, res.HubRestarts, nil
-}
-
-func runFedBench(procs int, seed int64, reps int, asJSON bool) error {
-	var points []fedBenchPoint
-	for _, nodes := range []int{1, 2, 4} {
-		var total time.Duration
-		for r := 0; r < reps; r++ {
-			_, elapsed, err := fedRun(procs, seed+int64(r), nodes, policy.PRED)
-			if err != nil {
-				return fmt.Errorf("nodes=%d rep=%d: %w", nodes, r, err)
-			}
-			total += elapsed
-		}
-		mean := total / time.Duration(reps)
-		points = append(points, fedBenchPoint{
-			Nodes: nodes, Processes: procs, Reps: reps,
-			MeanMillis:  float64(mean.Microseconds()) / 1000.0,
-			ProcsPerSec: float64(procs) / mean.Seconds(),
-		})
-	}
-	if asJSON {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		return enc.Encode(points)
-	}
-	fmt.Println("nodes  mean(ms)  procs/sec")
-	for _, p := range points {
-		fmt.Printf("%5d  %8.1f  %9.1f\n", p.Nodes, p.MeanMillis, p.ProcsPerSec)
-	}
-	return nil
 }

@@ -7,10 +7,9 @@
 //	tpsim [experiment ...]
 //	tpsim -metrics[=text|json]
 //	tpsim run [-metrics[=text|json]] [-runtime=concurrent] <spec.json> [mode]
-//	tpsim torture [-seeds N] [-first S] [-seed K] [-ckpt N] [-compact] [-json]
-//	tpsim chaos [-seeds N] [-first S] [-seed K] [-json]
-//	tpsim fed [-nodes N] [-procs P] [-seed S] [-mode M] [-torture|-bench] [-json]
-//	tpsim serve [-addr A] [-dir D] [-world spec.json] [-fed N] [-torture|-bench] [-json]
+//	tpsim battery <torture|chaos|fed|hub|serve> [-seeds N] [-first S] [-seed K] [-ckpt] [-durable] [-json]
+//	tpsim fed [-nodes N] [-procs P] [-seed S] [-mode M] [-benchhub] [-json]
+//	tpsim serve [-addr A] [-dir D] [-world spec.json] [-fed N]
 //
 // where experiment is one of e1..e14, b1, b2, b4, b5, or "all" (default),
 // and mode is pred (default), pred-cascade, serial, conservative or
@@ -18,26 +17,21 @@
 // internal/spec for the format and examples/specs for samples);
 // -runtime=concurrent executes it on the goroutine-per-process runtime
 // (internal/runtime) instead of the sequential discrete-event engine.
-// "torture" runs the deterministic crash-torture battery (internal/fault)
-// and exits non-zero when any seeded scenario violates a recovery
-// guarantee; -ckpt/-compact force fuzzy checkpointing (and compaction)
-// onto every scenario.
-// "chaos" runs the unreliable-subsystem chaos battery
-// (internal/chaos) — flaky transport, typed retries, circuit breakers,
-// ◁-path failover — and exits non-zero on any resilience violation.
+// "battery" runs one of the five seeded batteries (internal/battery):
+// crash torture (-ckpt / -durable force fuzzy checkpointing with
+// compaction, or file-backed stores, onto every scenario), subsystem
+// chaos, federation torture, hub-kill torture and the serve crash
+// battery. It exits non-zero when any scenario violates a guarantee,
+// prints the line that re-runs each failure, and traps SIGINT/SIGTERM
+// to print that line for the scenario in flight.
 // "fed" partitions a workload across N scheduler nodes over localhost
 // TCP (internal/federation) and verifies the stitched cross-node
-// schedule; -torture runs the federation-torture battery and -bench
-// the node-count throughput sweep behind BENCH_fed.json.
+// schedule; -benchhub measures hub-kill MTTR (BENCH_fed_hub.json).
 // "serve" runs the long-running ingestion service (internal/serve):
 // an HTTP API that admits declarative processes into the concurrent
 // runtime (or a federation cluster with -fed) with admission control,
 // per-tenant budgets, graceful drain on SIGTERM and crash-safe restart
-// over its data directory; -torture runs the serve crash battery and
-// -bench the saturation load harness behind BENCH_serve.json. The
-// battery subcommands (torture, chaos, fed -torture, serve -torture)
-// all trap SIGINT/SIGTERM and print the seed that reproduces the
-// scenario that was in flight.
+// over its data directory.
 //
 // -metrics attaches an observability registry to the run and dumps its
 // snapshot (counters, histograms, per-service latencies, WAL totals and
@@ -97,16 +91,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	if len(args) >= 1 && args[0] == "torture" {
-		if err := runTorture(args[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "torture failed: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(args) >= 1 && args[0] == "chaos" {
-		if err := runChaos(args[1:]); err != nil {
-			fmt.Fprintf(os.Stderr, "chaos failed: %v\n", err)
+	if len(args) >= 1 && args[0] == "battery" {
+		if err := runBattery(args[1:]); err != nil {
+			fmt.Fprintf(os.Stderr, "battery failed: %v\n", err)
 			os.Exit(1)
 		}
 		return

@@ -10,6 +10,7 @@ import (
 	"transproc/internal/runtime"
 	"transproc/internal/schedule"
 	"transproc/internal/scheduler"
+	"transproc/internal/scheduler/policy"
 	"transproc/internal/sim"
 	"transproc/internal/spec"
 	"transproc/internal/wal"
@@ -31,7 +32,7 @@ func runSpecFile(path string, modeName string, metricsFormat string, engine stri
 	if err != nil {
 		return err
 	}
-	mode, err := parseMode(modeName)
+	mode, err := policy.ParseMode(modeName)
 	if err != nil {
 		return err
 	}
@@ -94,21 +95,4 @@ func runSpecFile(path string, modeName string, metricsFormat string, engine stri
 		return dumpSnapshot(reg, metricsFormat)
 	}
 	return nil
-}
-
-func parseMode(s string) (scheduler.Mode, error) {
-	switch s {
-	case "", "pred":
-		return scheduler.PRED, nil
-	case "pred-cascade":
-		return scheduler.PREDCascade, nil
-	case "serial":
-		return scheduler.Serial, nil
-	case "conservative":
-		return scheduler.Conservative, nil
-	case "cc-only":
-		return scheduler.CCOnly, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (pred|pred-cascade|serial|conservative|cc-only)", s)
-	}
 }

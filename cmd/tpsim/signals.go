@@ -10,11 +10,11 @@ import (
 
 // seedTrap installs a SIGINT/SIGTERM handler for a seeded battery run.
 // The returned progress hook records the scenario currently in flight;
-// on a signal the handler prints that seed and the exact command that
-// reproduces it, then exits 130 — so an interrupted nightly job (or an
+// on a signal the handler prints that seed and the command repro
+// composes for it, then exits 130 — so an interrupted nightly job (or an
 // impatient ^C) never loses the pointer into the battery. stop
 // uninstalls the handler; call it once the battery returns normally.
-func seedTrap(repro string) (progress func(seed int64, class string), stop func()) {
+func seedTrap(repro func(seed int64) string) (progress func(seed int64, class string), stop func()) {
 	var seed atomic.Int64
 	seed.Store(-1)
 	var class atomic.Value
@@ -27,8 +27,8 @@ func seedTrap(repro string) (progress func(seed int64, class string), stop func(
 		select {
 		case sig := <-ch:
 			if s := seed.Load(); s >= 0 {
-				fmt.Fprintf(os.Stderr, "\n%v: interrupted at seed %d (class %s); reproduce with: %s%d\n",
-					sig, s, class.Load(), repro, s)
+				fmt.Fprintf(os.Stderr, "\n%v: interrupted at seed %d (class %s); reproduce with: %s\n",
+					sig, s, class.Load(), repro(s))
 			} else {
 				fmt.Fprintf(os.Stderr, "\n%v: interrupted before the first scenario\n", sig)
 			}

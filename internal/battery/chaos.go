@@ -1,4 +1,4 @@
-package chaos
+package battery
 
 import (
 	"context"
@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"transproc/internal/chaos"
 	"transproc/internal/fault"
 	"transproc/internal/metrics"
 	"transproc/internal/paper"
@@ -18,21 +19,21 @@ import (
 	"transproc/internal/workload"
 )
 
-// Scenario is one fully determined chaos case: a seeded workload (or a
+// ChaosScenario is one fully determined chaos case: a seeded workload (or a
 // directed paper fixture), a transport-fault plan, the retry/breaker
-// configuration and the engine to run it under. ScenarioFor(seed) is a
+// configuration and the engine to run it under. chaosScenarioFor(seed) is a
 // pure function, so a failing seed reproduces the exact same scenario
 // anywhere.
-type Scenario struct {
+type ChaosScenario struct {
 	Seed  int64
 	Class string
 	Mode  scheduler.Mode
 	// Engine selects the execution engine: "engine" (sequential) or
 	// "runtime" (concurrent).
 	Engine  string
-	Plan    Plan
-	Policy  RetryPolicy
-	Breaker BreakerConfig
+	Plan    chaos.Plan
+	Policy  chaos.RetryPolicy
+	Breaker chaos.BreakerConfig
 	// CrashAfterWAL, when positive, composes the chaos layer with the
 	// crash injector: the run dies after that many WAL appends and must
 	// recover (fault.CheckRecovered judges the result).
@@ -43,16 +44,16 @@ type Scenario struct {
 	GroupCommit wal.GroupCommit
 }
 
-// ScenarioFor derives the deterministic scenario of a seed. Eight
+// chaosScenarioFor derives the deterministic scenario of a seed. Eight
 // classes cycle by seed: transient storms, timeout ambiguity, duplicate
 // deliveries, latency spikes, a sustained outage steering the CIM
 // construction process onto its ◁ alternative, a sustained outage
 // forcing the CIM production process into backward recovery, a mixed
 // plan under the concurrent runtime, and chaos composed with a
 // mid-chaos crash plus recovery.
-func ScenarioFor(seed int64) Scenario {
+func chaosScenarioFor(seed int64) ChaosScenario {
 	rng := rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
-	sc := Scenario{Seed: seed, Engine: "engine", Mode: scheduler.PRED}
+	sc := ChaosScenario{Seed: seed, Engine: "engine", Mode: scheduler.PRED}
 	if seed%3 == 0 {
 		sc.Mode = scheduler.PREDCascade
 	}
@@ -83,15 +84,15 @@ func ScenarioFor(seed int64) Scenario {
 		// The PDM never answers: enterBOM (compensatable) fails at the
 		// transport, and the construction process must take its ◁
 		// alternative (document the CAD drawing) instead of stalling.
-		sc.Plan.Outages = []Outage{{Subsystem: "pdm", From: 0, To: 1 << 40}}
-		sc.Breaker = BreakerConfig{FailThreshold: 2, Cooldown: 16}
+		sc.Plan.Outages = []chaos.Outage{{Subsystem: "pdm", From: 0, To: 1 << 40}}
+		sc.Breaker = chaos.BreakerConfig{FailThreshold: 2, Cooldown: 16}
 	case 5:
 		sc.Class = "outage-backward"
 		// The production floor never answers: produce (pivot, no
 		// alternative) fails and the production process falls back to
 		// backward recovery, compensating everything before the pivot.
-		sc.Plan.Outages = []Outage{{Subsystem: "floor", From: 0, To: 1 << 40}}
-		sc.Breaker = BreakerConfig{FailThreshold: 2, Cooldown: 16}
+		sc.Plan.Outages = []chaos.Outage{{Subsystem: "floor", From: 0, To: 1 << 40}}
+		sc.Breaker = chaos.BreakerConfig{FailThreshold: 2, Cooldown: 16}
 	case 6:
 		sc.Class = "runtime-mixed"
 		sc.Engine = "runtime"
@@ -119,8 +120,8 @@ func chaosProfile(seed int64) workload.Profile {
 	return p
 }
 
-// fixtures builds the scenario's federation and jobs.
-func fixtures(sc Scenario) (*subsystem.Federation, []scheduler.Job, error) {
+// chaosFixtures builds the scenario's federation and jobs.
+func chaosFixtures(sc ChaosScenario) (*subsystem.Federation, []scheduler.Job, error) {
 	switch sc.Class {
 	case "outage-failover":
 		fed := paper.CIMFederation(sc.Seed)
@@ -149,14 +150,14 @@ func fixtures(sc Scenario) (*subsystem.Federation, []scheduler.Job, error) {
 	}
 }
 
-// RunScenario executes one scenario end to end and checks every
+// runChaosScenario executes one scenario end to end and checks every
 // resilience invariant; the returned error describes the violated one
 // and embeds the reproducing seed. nil means the scenario passed.
-func RunScenario(sc Scenario) error {
+func runChaosScenario(sc ChaosScenario) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("seed %d (%s): %s", sc.Seed, sc.Class, fmt.Sprintf(format, args...))
 	}
-	fed, jobs, err := fixtures(sc)
+	fed, jobs, err := chaosFixtures(sc)
 	if err != nil {
 		return fail("fixtures: %v", err)
 	}
@@ -165,7 +166,7 @@ func RunScenario(sc Scenario) error {
 		defs = append(defs, j.Proc)
 	}
 	reg := metrics.New()
-	layer := NewLayer(fed, sc.Plan, sc.Policy, sc.Breaker, reg)
+	layer := chaos.NewLayer(fed, sc.Plan, sc.Policy, sc.Breaker, reg)
 
 	// The run writes through the (possibly crash-armed) wrapper; recovery
 	// and checks read and write the backend directly — the wrapper drops
@@ -176,7 +177,7 @@ func RunScenario(sc Scenario) error {
 		log = fault.WrapWAL(backend, sc.CrashAfterWAL)
 	}
 
-	var res runResult
+	var res chaosResult
 	crashed := false
 	switch sc.Engine {
 	case "runtime":
@@ -196,7 +197,7 @@ func RunScenario(sc Scenario) error {
 			}
 		}
 		if out != nil {
-			res = runResult{sched: out.Schedule, metrics: out.Metrics, outcomes: out.Outcomes}
+			res = chaosResult{sched: out.Schedule, metrics: out.Metrics, outcomes: out.Outcomes}
 		}
 	default:
 		eng, nerr := scheduler.New(fed, scheduler.Config{
@@ -215,7 +216,7 @@ func RunScenario(sc Scenario) error {
 			}
 		}
 		if out != nil {
-			res = runResult{sched: out.Schedule, metrics: out.Metrics, outcomes: out.Outcomes}
+			res = chaosResult{sched: out.Schedule, metrics: out.Metrics, outcomes: out.Outcomes}
 		}
 	}
 
@@ -271,19 +272,19 @@ func RunScenario(sc Scenario) error {
 		return fail("stuck breakers (open but last delivery succeeded): %v", stuck)
 	}
 
-	return checkClass(sc, fed, layer, res, fail)
+	return checkChaosClass(sc, fed, layer, res, fail)
 }
 
-// runResult is the engine-independent slice of a run result the checks
+// chaosResult is the engine-independent slice of a run result the checks
 // need.
-type runResult struct {
+type chaosResult struct {
 	sched    *schedule.Schedule
 	metrics  scheduler.Metrics
 	outcomes map[process.ID]*scheduler.Outcome
 }
 
-// checkClass asserts the scenario class did what it is named for.
-func checkClass(sc Scenario, fed *subsystem.Federation, layer *Layer, res runResult, fail func(string, ...any) error) error {
+// checkChaosClass asserts the scenario class did what it is named for.
+func checkChaosClass(sc ChaosScenario, fed *subsystem.Federation, layer *chaos.Layer, res chaosResult, fail func(string, ...any) error) error {
 	ts := layer.Transport().Stats()
 	ls := layer.Stats()
 	bt := layer.Breakers().Transitions()
@@ -364,36 +365,23 @@ func checkClass(sc Scenario, fed *subsystem.Federation, layer *Layer, res runRes
 	return nil
 }
 
-// Summary aggregates a chaos batch.
-type Summary struct {
-	Scenarios int            `json:"scenarios"`
-	Failures  []string       `json:"failures,omitempty"`
-	ByClass   map[string]int `json:"byClass"`
-}
-
-// RunChaos runs the scenarios of seeds [first, first+n) and collects a
-// summary; every failure message embeds the reproducing seed.
-func RunChaos(first, n int64) Summary {
-	return RunChaosProgress(first, n, nil)
-}
-
-// RunChaosProgress is RunChaos with a per-seed progress hook, called
-// before each scenario runs; the CLI uses it to report the in-flight
-// reproducing seed when the battery is interrupted.
-func RunChaosProgress(first, n int64, progress func(seed int64, class string)) Summary {
-	sum := Summary{ByClass: make(map[string]int)}
-	for seed := first; seed < first+n; seed++ {
-		sc := ScenarioFor(seed)
-		if progress != nil {
-			progress(seed, sc.Class)
-		}
-		sum.Scenarios++
-		sum.ByClass[sc.Class]++
-		if err := RunScenario(sc); err != nil {
-			sum.Failures = append(sum.Failures, err.Error())
-		}
-	}
-	return sum
+// Chaos is the unreliable-subsystem battery: flaky transport, typed
+// retries, circuit breakers and ◁-path failover through both engines,
+// judged by fault.CheckRecovered, PRED of the observed schedule, the
+// Lemma-2 log check and the resilience layer's own accounting.
+var Chaos = &Battery{
+	Name: "chaos",
+	Classes: []string{
+		"transient-storm", "timeout-ambiguity", "duplicate-delivery", "latency-spike",
+		"outage-failover", "outage-backward", "runtime-mixed", "chaos-crash",
+	},
+	ScenarioFor: func(seed int64, _ Variants) (string, string) {
+		sc := chaosScenarioFor(seed)
+		return sc.Class, fmt.Sprintf("%+v", sc)
+	},
+	Run: func(seed int64, _ Variants, _ string) (Stats, error) {
+		return nil, runChaosScenario(chaosScenarioFor(seed))
+	},
 }
 
 // checkCompensationOrder asserts Lemma 2 over a run's log: when two

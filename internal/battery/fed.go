@@ -1,17 +1,15 @@
-package federation
+package battery
 
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
-	"transproc/internal/activity"
 	"transproc/internal/chaos"
 	"transproc/internal/fault"
+	"transproc/internal/federation"
 	"transproc/internal/metrics"
 	"transproc/internal/process"
-	"transproc/internal/scheduler"
 	"transproc/internal/scheduler/policy"
 	"transproc/internal/subsystem"
 	"transproc/internal/wal"
@@ -20,7 +18,7 @@ import (
 
 // FedScenario is one fully determined federation-torture case: a
 // seeded workload partitioned across nodes, a transport fault plan and
-// an optional node-crash point. FedScenarioFor(seed) is a pure
+// an optional node-crash point. fedScenarioFor(seed) is a pure
 // function, so a failing seed reproduces the exact scenario anywhere.
 type FedScenario struct {
 	Seed  int64
@@ -45,14 +43,14 @@ type FedScenario struct {
 	Rejoin bool
 }
 
-// FedScenarioFor derives the deterministic scenario of a seed. Three
+// fedScenarioFor derives the deterministic scenario of a seed. Three
 // classes cycle by seed: a node killed mid-2PC (after the decision
 // record or between participant commits), a partition window cutting a
 // node off during cross-node resolution (sometimes long enough to void
 // dispatches), and a node crash in the dispatch window followed by
 // recovery plus a re-join session. Every class runs under background
 // wire chaos.
-func FedScenarioFor(seed int64) FedScenario {
+func fedScenarioFor(seed int64) FedScenario {
 	rng := rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
 	sc := FedScenario{
 		Seed:  seed,
@@ -107,9 +105,9 @@ func FedScenarioFor(seed int64) FedScenario {
 		// federation.
 		sc.Class = "fed-crash-rejoin"
 		sc.CrashNode = rng.Intn(sc.Nodes)
-		sc.CrashPoint = fault.PointFedDispatch
+		sc.CrashPoint = federation.PointFedDispatch
 		if rng.Intn(2) == 0 {
-			sc.CrashPoint = fault.PointFedAfterPrepared
+			sc.CrashPoint = federation.PointFedAfterPrepared
 		}
 		sc.CrashCount = 1 + rng.Intn(25)
 		sc.Rejoin = true
@@ -128,41 +126,12 @@ func fedTortureProfile(seed int64) workload.Profile {
 	return p
 }
 
-// fedChooseFailures picks deterministic permanent failures for roughly
-// a third of the processes (compensatable or pivot forward services
-// only), exactly like the crash-torture battery.
-func fedChooseFailures(w *workload.Workload, seed int64) []fault.SubsystemFail {
-	rng := rand.New(rand.NewSource(seed*7919 + 13))
-	var rules []fault.SubsystemFail
-	for _, j := range w.Jobs {
-		if rng.Float64() >= 0.35 {
-			continue
-		}
-		var candidates []string
-		for _, svc := range scheduler.Footprint(j.Proc) {
-			spec, ok := w.Fed.Spec(svc)
-			if ok && (spec.Kind == activity.Compensatable || spec.Kind == activity.Pivot) {
-				candidates = append(candidates, svc)
-			}
-		}
-		if len(candidates) == 0 {
-			continue
-		}
-		sort.Strings(candidates)
-		rules = append(rules, fault.SubsystemFail{
-			Proc:    string(j.Proc.ID),
-			Service: candidates[rng.Intn(len(candidates))],
-		})
-	}
-	return rules
-}
-
 func fedTortureWorld(sc FedScenario) (*subsystem.Federation, []*process.Process, []fault.SubsystemFail, error) {
 	w, err := workload.Generate(fedTortureProfile(sc.Seed))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("seed %d: generating workload: %w", sc.Seed, err)
 	}
-	rules := fedChooseFailures(w, sc.Seed)
+	rules := chooseFailures(w, sc.Seed)
 	for _, r := range rules {
 		sub, ok := w.Fed.Owner(r.Service)
 		if !ok {
@@ -177,27 +146,23 @@ func fedTortureWorld(sc FedScenario) (*subsystem.Federation, []*process.Process,
 	return w.Fed, defs, rules, nil
 }
 
-// RunFedScenario executes one scenario end to end: cluster run (a
+// runFedScenario executes one scenario end to end: cluster run (a
 // crashed node is declared dead and the survivors drain), stitched
 // composed recovery, CheckRecovered over the global history, and — for
 // re-join scenarios — a second cluster session over the recovered
 // federation. altFired reports whether some origin with a permanently
 // failing service still committed, i.e. a ◁ alternative carried it
-// forward on a surviving node.
-func RunFedScenario(sc FedScenario) (altFired bool, err error) {
+// forward on a surviving node; reg collects the run's counters.
+func runFedScenario(sc FedScenario, reg *metrics.Registry) (altFired bool, err error) {
 	fed, defs, rules, err := fedTortureWorld(sc)
 	if err != nil {
 		return false, err
 	}
-	reg := metrics.New()
-	cfg := Config{
+	c, err := federation.NewCluster(fed, defs, federation.Config{
 		Nodes: sc.Nodes, Mode: sc.Mode, MaxRestarts: 8,
-		Metrics: reg, Wire: sc.Wire, DispatchBudget: sc.DispatchBudget,
-	}
-	if sc.CrashPoint != "" {
-		cfg.Crash = CrashSpec{Node: sc.CrashNode, Point: sc.CrashPoint, Count: sc.CrashCount}
-	}
-	c, err := NewCluster(fed, defs, cfg)
+		Metrics: reg, WrapTransport: ChaosWire(sc.Wire, reg), DispatchBudget: sc.DispatchBudget,
+		NodeInject: crashNode(sc.CrashNode, sc.CrashPoint, sc.CrashCount),
+	})
 	if err != nil {
 		return false, fmt.Errorf("seed %d (%s): %w", sc.Seed, sc.Class, err)
 	}
@@ -237,7 +202,7 @@ func RunFedScenario(sc FedScenario) (altFired bool, err error) {
 // altsFired reports whether an origin with a permanent failure rule
 // both failed an activity (a RecFailed record exists) and still
 // committed — only a ◁ alternative path can do that.
-func altsFired(res *RunResult, rules []fault.SubsystemFail, c *Cluster) bool {
+func altsFired(res *federation.RunResult, rules []fault.SubsystemFail, c *federation.Cluster) bool {
 	recs, err := c.Stitched()
 	if err != nil {
 		return false
@@ -279,8 +244,8 @@ func runRejoin(fed *subsystem.Federation, defs []*process.Process, sc FedScenari
 	for i, def := range defs {
 		redefs[i] = def.WithID(def.ID + "-rj")
 	}
-	c, err := NewCluster(fed, redefs, Config{
-		Nodes: sc.Nodes, Mode: sc.Mode, MaxRestarts: 8, Wire: chaos.Plan{Seed: sc.Seed + 1},
+	c, err := federation.NewCluster(fed, redefs, federation.Config{
+		Nodes: sc.Nodes, Mode: sc.Mode, MaxRestarts: 8,
 	})
 	if err != nil {
 		return fmt.Errorf("seed %d (%s): rejoin: %w", sc.Seed, sc.Class, err)
@@ -325,40 +290,61 @@ func runRejoin(fed *subsystem.Federation, defs []*process.Process, sc FedScenari
 	return nil
 }
 
-// FedSummary aggregates a federation-torture batch.
-type FedSummary struct {
-	Scenarios int            `json:"scenarios"`
-	AltFires  int            `json:"altFires"`
-	Failures  []string       `json:"failures,omitempty"`
-	ByClass   map[string]int `json:"byClass"`
-}
-
-// RunFedTorture runs the scenarios of seeds [first, first+n) and
-// collects a summary; every failure message embeds the reproducing
-// seed.
-func RunFedTorture(first, n int64) FedSummary {
-	return RunFedTortureProgress(first, n, nil)
-}
-
-// RunFedTortureProgress is RunFedTorture with a per-seed progress hook,
-// called before each scenario runs; the CLI uses it to report the
-// in-flight reproducing seed when the battery is interrupted.
-func RunFedTortureProgress(first, n int64, progress func(seed int64, class string)) FedSummary {
-	sum := FedSummary{ByClass: make(map[string]int)}
-	for seed := first; seed < first+n; seed++ {
-		sc := FedScenarioFor(seed)
-		if progress != nil {
-			progress(seed, sc.Class)
+// crashNode is the Config.NodeInject hook that arms one crash point on
+// one node (point "" arms nothing).
+func crashNode(node int, point string, count int) func(int) func(string) {
+	inj := fault.NewInjector(fault.Plan{CrashAtPoint: point, CrashAtCount: count})
+	return func(i int) func(string) {
+		if i != node {
+			return nil
 		}
-		sum.Scenarios++
-		sum.ByClass[sc.Class]++
-		alt, err := RunFedScenario(sc)
-		if alt {
-			sum.AltFires++
-		}
-		if err != nil {
-			sum.Failures = append(sum.Failures, err.Error())
-		}
+		return inj.Point
 	}
-	return sum
+}
+
+// Fed is the federation-torture battery: a workload partitioned across
+// 2-3 scheduler nodes under background wire chaos with a node killed
+// mid-2PC, a partition window during cross-node resolution, or a node
+// crash followed by composed recovery and a re-join session; the
+// stitched per-node WALs are judged by fault.CheckRecovered.
+var Fed = &Battery{
+	Name:    "fed",
+	Classes: []string{"fed-kill-mid-2pc", "fed-partition-resolve", "fed-crash-rejoin"},
+	Full:    30,
+	ScenarioFor: func(seed int64, _ Variants) (string, string) {
+		sc := fedScenarioFor(seed)
+		return sc.Class, fmt.Sprintf("%+v", sc)
+	},
+	Run: func(seed int64, _ Variants, _ string) (Stats, error) {
+		reg := metrics.New()
+		alt, err := runFedScenario(fedScenarioFor(seed), reg)
+		st := Stats{
+			"wireDrops":      int(reg.Counter(metrics.FedWireDrops)),
+			"wireDuplicates": int(reg.Counter(metrics.FedWireDuplicates)),
+			"rpcRetries":     int(reg.Counter(metrics.FedRPCRetries)),
+			"dedupReplays":   int(reg.Counter(metrics.FedDedupReplays)),
+		}
+		if alt {
+			st["altFires"] = 1
+		}
+		return st, err
+	},
+	Check: func(st Stats) []string {
+		var problems []string
+		// The partition/kill classes must leave room for forward recovery:
+		// some origin with a permanently failing service has to commit
+		// through a ◁ alternative on a surviving node.
+		if st["altFires"] == 0 {
+			problems = append(problems, "no scenario committed a failed origin through an alternative path")
+		}
+		// The wire model must have been on the wire: drops, duplicates,
+		// retries and the hub's dedup replays all fire under the
+		// background plan.
+		for _, k := range []string{"wireDrops", "wireDuplicates", "rpcRetries", "dedupReplays"} {
+			if st[k] == 0 {
+				problems = append(problems, "no "+k+" across the battery: the wire fault model never acted")
+			}
+		}
+		return problems
+	},
 }

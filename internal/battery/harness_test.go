@@ -1,0 +1,204 @@
+package battery
+
+import (
+	"bufio"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"os"
+	"reflect"
+	"regexp"
+	"strings"
+	"testing"
+
+	"transproc/internal/wal"
+)
+
+// TestSeedClassTable holds every battery's ScenarioFor to the committed
+// table of seeds 0..199: the class, and a hash of the scenario's %+v, as
+// the ScenarioFor functions of the commit before the batteries moved
+// here derived them — so "no class or seed edited" is checked, not
+// asserted. It also pins purity: the same seed derives the same scenario.
+func TestSeedClassTable(t *testing.T) {
+	f, err := os.Open("testdata/classes.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	lines := 0
+	for sc := bufio.NewScanner(f); sc.Scan(); lines++ {
+		var name, class, hash string
+		var seed int64
+		if _, err := fmt.Sscan(sc.Text(), &name, &seed, &class, &hash); err != nil {
+			t.Fatalf("line %d: %v", lines+1, err)
+		}
+		b, ok := Named(name)
+		if !ok {
+			t.Fatalf("line %d: unknown battery %s", lines+1, name)
+		}
+		gotClass, desc := b.ScenarioFor(seed, Variants{})
+		h := fnv.New32a()
+		h.Write([]byte(desc))
+		if got := fmt.Sprintf("%08x", h.Sum32()); gotClass != class || got != hash {
+			t.Errorf("%s seed %d: class %s scenario %s, table has %s %s\n%s", name, seed, gotClass, got, class, hash, desc)
+		}
+		if _, again := b.ScenarioFor(seed, Variants{}); again != desc {
+			t.Errorf("%s seed %d: ScenarioFor not pure", name, seed)
+		}
+	}
+	if want := 200 * len(All); lines != want {
+		t.Fatalf("table has %d lines, want %d", lines, want)
+	}
+}
+
+// fakeBattery fails every odd seed and never produces class "rare".
+func fakeBattery(ran *[]int64) *Battery {
+	return &Battery{
+		Name:    "fake",
+		Classes: []string{"even", "odd", "rare"},
+		Accepts: Variants{Ckpt: true},
+		ScenarioFor: func(seed int64, v Variants) (string, string) {
+			class := []string{"even", "odd"}[seed%2]
+			return class, fmt.Sprintf("{Seed:%d Class:%s Ckpt:%v}", seed, class, v.Ckpt)
+		},
+		Run: func(seed int64, _ Variants, dir string) (Stats, error) {
+			*ran = append(*ran, seed)
+			if _, err := os.Stat(dir); err != nil {
+				return nil, err
+			}
+			if seed%2 == 1 {
+				return Stats{"fired": 1}, fmt.Errorf("seed %d broke", seed)
+			}
+			return Stats{"fired": 2}, nil
+		},
+		Check: func(st Stats) []string { return []string{fmt.Sprintf("fired=%d", st["fired"])} },
+	}
+}
+
+func TestHarnessRun(t *testing.T) {
+	var ran, seen []int64
+	sum, err := Run(fakeBattery(&ran), Options{
+		First: 10, Count: 4, Seed: -1, FrontEnd: CLI, Variants: Variants{Ckpt: true},
+		Progress: func(seed int64, class string) {
+			if len(ran) != len(seen) {
+				t.Errorf("progress for seed %d came after its run", seed)
+			}
+			if want := []string{"even", "odd"}[seed%2]; class != want {
+				t.Errorf("progress saw class %s for seed %d", class, seed)
+			}
+			seen = append(seen, seed)
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{10, 11, 12, 13}; !reflect.DeepEqual(ran, want) || !reflect.DeepEqual(seen, want) {
+		t.Fatalf("ran %v, progress saw %v, want %v", ran, seen, want)
+	}
+	if sum.Scenarios != 4 || sum.ByClass["even"] != 2 || sum.ByClass["odd"] != 2 || sum.Stats["fired"] != 6 {
+		t.Errorf("summary %+v", sum)
+	}
+	want := []Failure{
+		{Seed: 11, Class: "odd", Err: "seed 11 broke", Repro: "tpsim battery fake -seed=11 -ckpt"},
+		{Seed: 13, Class: "odd", Err: "seed 13 broke", Repro: "tpsim battery fake -seed=13 -ckpt"},
+	}
+	if !reflect.DeepEqual(sum.Failures, want) {
+		t.Errorf("failures %+v, want %+v", sum.Failures, want)
+	}
+	if want := []string{"battery never exercised class rare", "fired=6"}; !reflect.DeepEqual(sum.Problems, want) {
+		t.Errorf("problems %v, want %v", sum.Problems, want)
+	}
+	if sum.OK() {
+		t.Error("a run with failures reports OK")
+	}
+}
+
+func TestHarnessSmokeAndSingleSeed(t *testing.T) {
+	var ran []int64
+	// Fewer seeds than classes: a smoke, not held to the whole-battery checks.
+	sum, err := Run(fakeBattery(&ran), Options{First: 0, Count: 2, Seed: -1})
+	if err != nil || len(sum.Problems) != 0 {
+		t.Errorf("smoke run: problems %v, err %v", sum.Problems, err)
+	}
+	// Single-seed mode logs the description and skips the checks.
+	var logged string
+	sum, err = Run(fakeBattery(&ran), Options{
+		Count: 200, Seed: 4, Logf: func(f string, a ...any) { logged += fmt.Sprintf(f, a...) },
+	})
+	if err != nil || !sum.OK() || sum.Scenarios != 1 || sum.First != 4 {
+		t.Errorf("single seed: %+v, err %v", sum, err)
+	}
+	if want := "seed 4: {Seed:4 Class:even Ckpt:false}"; logged != want {
+		t.Errorf("logged %q, want %q", logged, want)
+	}
+	if _, err := Run(fakeBattery(&ran), Options{Seed: 4, Variants: Variants{Durable: true}}); err == nil {
+		t.Error("a variant the battery does not accept was not refused")
+	}
+}
+
+// TestReproLineGoTest parses every battery's reproducing line, in every
+// variant it accepts, back through this front-end's own flags and
+// requires the scenario it names to be the one that was reported.
+func TestReproLineGoTest(t *testing.T) {
+	runArg := regexp.MustCompile(`-run '(TestBattery/(\w+)\$)'`)
+	for _, b := range All {
+		for _, v := range []Variants{{}, {Ckpt: true}, {Durable: true}, {Ckpt: true, Durable: true}} {
+			if !b.Supports(v) {
+				continue
+			}
+			const seed = 137
+			line := GoTest.Repro(b.Name, seed, v)
+			m := runArg.FindStringSubmatch(line)
+			if m == nil || m[2] != b.Name || !regexp.MustCompile(m[1]).MatchString("TestBattery/"+b.Name) {
+				t.Fatalf("%q does not select subtest %s", line, b.Name)
+			}
+			var flags []string
+			for _, f := range strings.Fields(line) {
+				if strings.HasPrefix(f, GoTest.FlagPrefix) {
+					flags = append(flags, f)
+				}
+			}
+			fs := flag.NewFlagSet("go test", flag.ContinueOnError)
+			sel := bindFlags(fs)
+			if err := fs.Parse(flags); err != nil {
+				t.Fatalf("%q: %v", line, err)
+			}
+			_, want := b.ScenarioFor(seed, v)
+			if _, got := b.ScenarioFor(sel.seed, sel.v); got != want {
+				t.Errorf("%q re-runs\n%s\nnot\n%s", line, got, want)
+			}
+		}
+	}
+}
+
+func TestTornTailNeverEatsAcknowledgedRecords(t *testing.T) {
+	// Regardless of how large the tear is, only the final record may be
+	// affected.
+	dir := t.TempDir()
+	path := dir + "/wal.log"
+	fl, err := wal.OpenFile(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := fl.Append(wal.Record{Type: wal.RecStart, Proc: fmt.Sprintf("W%d", i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fl.Close()
+	if err := tearTail(path, 1<<20); err != nil {
+		t.Fatal(err)
+	}
+	re, err := wal.OpenFile(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	recs, err := re.Records()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 4 {
+		t.Fatalf("after max tear %d records survive, want 4 (all but the last)", len(recs))
+	}
+}

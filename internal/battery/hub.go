@@ -7,7 +7,7 @@
 // a node under lease-based membership and requires the hub to detect
 // the death by lease expiry alone and re-home the safe orphans. Every
 // failure message embeds the reproducing seed.
-package federation
+package battery
 
 import (
 	"fmt"
@@ -17,14 +17,15 @@ import (
 
 	"transproc/internal/chaos"
 	"transproc/internal/fault"
+	"transproc/internal/federation"
 	"transproc/internal/metrics"
 	"transproc/internal/scheduler/policy"
 )
 
-// HubScenario is one fully determined hub-torture case. HubScenarioFor
+// HubScenario is one fully determined hub-torture case. hubScenarioFor
 // is a pure function of the seed, so a failing seed reproduces the
 // exact same scenario anywhere. The seed space is independent of
-// FedScenarioFor's — adding this battery shifts no existing seeds.
+// fedScenarioFor's — adding this battery shifts no existing seeds.
 type HubScenario struct {
 	Seed  int64
 	Class string
@@ -48,7 +49,7 @@ type HubScenario struct {
 	Wire chaos.Plan
 }
 
-// HubScenarioFor derives the deterministic scenario of a seed. Four
+// hubScenarioFor derives the deterministic scenario of a seed. Four
 // classes cycle by seed: the hub killed in the dispatch window (before
 // the node's force-log lands), the hub killed inside the 2PC window
 // (between the decision stamp and the resolve), a double fault where a
@@ -56,7 +57,7 @@ type HubScenario struct {
 // crash under lease-based membership where expiry — not an explicit
 // death declaration — must trigger the re-assignment. Every class runs
 // under background wire chaos.
-func HubScenarioFor(seed int64) HubScenario {
+func hubScenarioFor(seed int64) HubScenario {
 	rng := rand.New(rand.NewSource(seed*2862933555777941757 + 7046029254386353087))
 	sc := HubScenario{
 		Seed:  seed,
@@ -79,16 +80,16 @@ func HubScenarioFor(seed int64) HubScenario {
 		// for it may or may not have landed — both sides of that race
 		// are legal crash windows the reopen's recovery must resolve.
 		sc.Class = "hub-kill-mid-dispatch"
-		sc.HubPoint = fault.PointHubDispatch
+		sc.HubPoint = federation.PointHubDispatch
 		sc.HubCount = 1 + rng.Intn(30)
 	case 1:
 		// Kill the hub between a 2PC decision stamp and the resolve
 		// fan-out: the in-doubt transactions must settle exactly as
 		// scheduler.Recover's presumed-commit/-abort rules dictate.
 		sc.Class = "hub-kill-2pc-window"
-		sc.HubPoint = fault.PointHubDecision
+		sc.HubPoint = federation.PointHubDecision
 		if rng.Intn(2) == 0 {
-			sc.HubPoint = fault.PointHubResolve
+			sc.HubPoint = federation.PointHubResolve
 		}
 		sc.HubCount = 1 + rng.Intn(3)
 	case 2:
@@ -96,12 +97,12 @@ func HubScenarioFor(seed int64) HubScenario {
 		// the same run. Whichever order the points fire in, the reopen
 		// plus the final composed recovery must leave no residue.
 		sc.Class = "hub-kill-double-fault"
-		sc.HubPoint = fault.PointHubDispatch
+		sc.HubPoint = federation.PointHubDispatch
 		sc.HubCount = 5 + rng.Intn(20)
 		sc.CrashNode = rng.Intn(sc.Nodes)
 		sc.CrashPoint = fault.PointAfterDecision
 		if rng.Intn(2) == 0 {
-			sc.CrashPoint = fault.PointFedAfterPrepared
+			sc.CrashPoint = federation.PointFedAfterPrepared
 		}
 		sc.CrashCount = 1 + rng.Intn(2)
 	default:
@@ -112,9 +113,9 @@ func HubScenarioFor(seed int64) HubScenario {
 		// window on a survivor for extra reconnect churn.
 		sc.Class = "fed-lease-expiry"
 		sc.CrashNode = rng.Intn(sc.Nodes)
-		sc.CrashPoint = fault.PointFedDispatch
+		sc.CrashPoint = federation.PointFedDispatch
 		if rng.Intn(2) == 0 {
-			sc.CrashPoint = fault.PointFedAfterPrepared
+			sc.CrashPoint = federation.PointFedAfterPrepared
 		}
 		sc.CrashCount = 1 + rng.Intn(3)
 		sc.LeaseTTL = 20 * time.Millisecond
@@ -131,24 +132,14 @@ func HubScenarioFor(seed int64) HubScenario {
 	return sc
 }
 
-// HubStats are the per-scenario fault-path counters the summary
-// aggregates (how often each rare path actually fired).
-type HubStats struct {
-	Kills         int
-	Reopens       int
-	Adoptions     int
-	LeaseExpiries int
-	Reattached    int
-}
-
-// RunHubScenario executes one scenario end to end: cluster run with the
+// runHubScenario executes one scenario end to end: cluster run with the
 // hub kill armed (the monitor reopens every killed incarnation and the
 // OnReopen judge runs CheckRecovered at each reopen boundary), then the
 // final composed recovery over the full stitched multi-incarnation
 // history, judged again by CheckRecovered, with no in-doubt subsystem
 // transactions left behind.
-func RunHubScenario(sc HubScenario) (HubStats, error) {
-	var st HubStats
+func runHubScenario(sc HubScenario) (Stats, error) {
+	var st Stats
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("seed %d (%s): %s", sc.Seed, sc.Class, fmt.Sprintf(format, args...))
 	}
@@ -164,11 +155,13 @@ func RunHubScenario(sc HubScenario) (HubStats, error) {
 	// pre-crash history before it).
 	var bmu sync.Mutex
 	var boundStamps []int64
-	cfg := Config{
+	c, err := federation.NewCluster(fed, defs, federation.Config{
 		Nodes: sc.Nodes, Mode: sc.Mode, MaxRestarts: 8,
-		Metrics: reg, Wire: sc.Wire,
+		Metrics: reg, WrapTransport: ChaosWire(sc.Wire, reg),
 		LeaseTTL: sc.LeaseTTL, HeartbeatEvery: sc.HeartbeatEvery,
-		OnReopen: func(rep *ReopenReport) error {
+		HubInject:  fault.NewInjector(fault.Plan{CrashAtPoint: sc.HubPoint, CrashAtCount: sc.HubCount}).Point,
+		NodeInject: crashNode(sc.CrashNode, sc.CrashPoint, sc.CrashCount),
+		OnReopen: func(rep *federation.ReopenReport) error {
 			bmu.Lock()
 			if len(rep.Tail) > 0 {
 				boundStamps = append(boundStamps, rep.Tail[0].Stamp)
@@ -179,25 +172,18 @@ func RunHubScenario(sc HubScenario) (HubStats, error) {
 				PreCrashRecords: rep.Pre, PreCrashFull: rep.Pre,
 			})
 		},
-	}
-	if sc.HubPoint != "" {
-		cfg.HubKill = CrashSpec{Point: sc.HubPoint, Count: sc.HubCount}
-	}
-	if sc.CrashPoint != "" {
-		cfg.Crash = CrashSpec{Node: sc.CrashNode, Point: sc.CrashPoint, Count: sc.CrashCount}
-	}
-	c, err := NewCluster(fed, defs, cfg)
+	})
 	if err != nil {
 		return st, fail("%v", err)
 	}
 	defer c.Close()
 	res := c.Run()
-	st = HubStats{
-		Kills:         int(reg.Counter(metrics.FedHubKills)),
-		Reopens:       res.HubRestarts,
-		Adoptions:     int(reg.Counter(metrics.FedAdoptions)),
-		LeaseExpiries: int(reg.Counter(metrics.FedLeaseExpiries)),
-		Reattached:    res.Reattached,
+	st = Stats{
+		"kills":         int(reg.Counter(metrics.FedHubKills)),
+		"reopens":       res.HubRestarts,
+		"adoptions":     int(reg.Counter(metrics.FedAdoptions)),
+		"leaseExpiries": int(reg.Counter(metrics.FedLeaseExpiries)),
+		"reattached":    res.Reattached,
 	}
 	if res.HubErr != nil {
 		return st, fail("hub reopen: %v", res.HubErr)
@@ -210,11 +196,11 @@ func RunHubScenario(sc HubScenario) (HubStats, error) {
 	// The kill counts are soft (a high count can outlive the run, and
 	// hub:resolve only fires on cross-node 2PC), but a kill that DID
 	// fire must have been ridden out by a reopen.
-	if st.Kills > 0 && st.Reopens == 0 {
-		return st, fail("hub killed %d times but never reopened", st.Kills)
+	if st["kills"] > 0 && st["reopens"] == 0 {
+		return st, fail("hub killed %d times but never reopened", st["kills"])
 	}
 	if sc.Class == "fed-lease-expiry" && crashedAny(res) {
-		if st.LeaseExpiries == 0 {
+		if st["leaseExpiries"] == 0 {
 			// The survivors drained before the dead node's lease lapsed,
 			// so the in-run sweeps never caught it. Let the TTL elapse
 			// and sweep once more — the exact path the monitor runs
@@ -222,9 +208,9 @@ func RunHubScenario(sc HubScenario) (HubStats, error) {
 			// detection (the hub was never told about the crash).
 			time.Sleep(sc.LeaseTTL + sc.LeaseTTL/2)
 			c.Hub().ExpireLeases()
-			st.LeaseExpiries = int(reg.Counter(metrics.FedLeaseExpiries))
+			st["leaseExpiries"] = int(reg.Counter(metrics.FedLeaseExpiries))
 		}
-		if st.LeaseExpiries == 0 {
+		if st["leaseExpiries"] == 0 {
 			return st, fail("crashed node's lease never expired (expiry is the only death detector here)")
 		}
 	}
@@ -271,7 +257,7 @@ func RunHubScenario(sc HubScenario) (HubStats, error) {
 }
 
 // crashedAny reports whether any node's armed crash point fired.
-func crashedAny(res *RunResult) bool {
+func crashedAny(res *federation.RunResult) bool {
 	for _, c := range res.Crashed {
 		if c {
 			return true
@@ -280,45 +266,36 @@ func crashedAny(res *RunResult) bool {
 	return false
 }
 
-// HubSummary aggregates a hub-torture batch.
-type HubSummary struct {
-	Scenarios     int            `json:"scenarios"`
-	Kills         int            `json:"kills"`
-	Reopens       int            `json:"reopens"`
-	Adoptions     int            `json:"adoptions"`
-	LeaseExpiries int            `json:"leaseExpiries"`
-	Reattached    int            `json:"reattached"`
-	Failures      []string       `json:"failures,omitempty"`
-	ByClass       map[string]int `json:"byClass"`
-}
-
-// RunHubTorture runs the scenarios of seeds [first, first+n); every
-// failure message embeds the reproducing seed.
-func RunHubTorture(first, n int64) HubSummary {
-	return RunHubTortureProgress(first, n, nil)
-}
-
-// RunHubTortureProgress is RunHubTorture with a per-seed progress hook,
-// called before each scenario runs; the CLI uses it to report the
-// in-flight reproducing seed when the battery is interrupted.
-func RunHubTortureProgress(first, n int64, progress func(seed int64, class string)) HubSummary {
-	sum := HubSummary{ByClass: make(map[string]int)}
-	for seed := first; seed < first+n; seed++ {
-		sc := HubScenarioFor(seed)
-		if progress != nil {
-			progress(seed, sc.Class)
+// Hub is the hub-kill battery: the coordination hub killed -9 at a
+// seeded point (mid-dispatch, inside the 2PC window, or alongside a
+// dying node), or a node crash only lease expiry may detect; every
+// reopen and the final multi-incarnation history are judged by
+// fault.CheckRecovered.
+var Hub = &Battery{
+	Name:    "hub",
+	Classes: []string{"hub-kill-mid-dispatch", "hub-kill-2pc-window", "hub-kill-double-fault", "fed-lease-expiry"},
+	Full:    16,
+	ScenarioFor: func(seed int64, _ Variants) (string, string) {
+		sc := hubScenarioFor(seed)
+		return sc.Class, fmt.Sprintf("%+v", sc)
+	},
+	Run: func(seed int64, _ Variants, _ string) (Stats, error) {
+		return runHubScenario(hubScenarioFor(seed))
+	},
+	// The battery as a whole must exercise the rare paths: hubs die and
+	// get reopened, dead nodes' leases expire, and survivors re-attach
+	// across restarts.
+	Check: func(st Stats) []string {
+		var problems []string
+		if st["kills"] == 0 || st["reopens"] == 0 {
+			problems = append(problems, fmt.Sprintf("no hub kill was ridden out (kills %d, reopens %d)", st["kills"], st["reopens"]))
 		}
-		sum.Scenarios++
-		sum.ByClass[sc.Class]++
-		st, err := RunHubScenario(sc)
-		sum.Kills += st.Kills
-		sum.Reopens += st.Reopens
-		sum.Adoptions += st.Adoptions
-		sum.LeaseExpiries += st.LeaseExpiries
-		sum.Reattached += st.Reattached
-		if err != nil {
-			sum.Failures = append(sum.Failures, err.Error())
+		if st["leaseExpiries"] == 0 {
+			problems = append(problems, "no lease ever expired across the battery")
 		}
-	}
-	return sum
+		if st["reattached"] == 0 {
+			problems = append(problems, "no node ever re-attached across a hub restart")
+		}
+		return problems
+	},
 }

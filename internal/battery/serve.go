@@ -8,7 +8,7 @@
 // set and asserts that every admitted submission settles to a terminal
 // state with exactly-once effects and a prefix-reducible accumulated
 // history. Every failure message embeds the reproducing seed.
-package serve
+package battery
 
 import (
 	"bytes"
@@ -23,19 +23,22 @@ import (
 
 	"transproc/internal/activity"
 	"transproc/internal/fault"
+	"transproc/internal/federation"
 	"transproc/internal/metrics"
+	"transproc/internal/process"
 	"transproc/internal/schedule"
 	"transproc/internal/scheduler"
+	"transproc/internal/serve"
 	"transproc/internal/spec"
 	"transproc/internal/subsystem"
 	"transproc/internal/wal"
 	"transproc/internal/workload"
 )
 
-// Scenario is one fully determined serve-torture case. ScenarioFor is a
+// ServeScenario is one fully determined serve-torture case. serveScenarioFor is a
 // pure function of the seed, so a failing seed reproduces the exact
 // same scenario anywhere.
-type Scenario struct {
+type ServeScenario struct {
 	Seed  int64
 	Class string
 	Mode  scheduler.Mode
@@ -81,7 +84,7 @@ type Scenario struct {
 // serveClasses is the scenario-class cycle.
 const serveClasses = 10
 
-// ScenarioFor derives the deterministic scenario of a seed. Nine
+// serveScenarioFor derives the deterministic scenario of a seed. Nine
 // classes cycle by seed: a crash after the journal append but before
 // the enqueue (mid-request), after the enqueue but before the 202
 // (mid-ack, followed by an idempotent retry after restart), inside the
@@ -90,9 +93,9 @@ const serveClasses = 10
 // its fsync, under overload with live shedding, a clean mid-flight
 // drain that parks work for the restart, and a double crash where the
 // restarted server dies again while re-running the resume set.
-func ScenarioFor(seed int64) Scenario {
+func serveScenarioFor(seed int64) ServeScenario {
 	rng := rand.New(rand.NewSource(seed*2862933555777941757 + 3037000493))
-	sc := Scenario{
+	sc := ServeScenario{
 		Seed: seed, Mode: scheduler.PRED, RetryIndex: -1,
 		Procs: 10, Tenants: 1 + int(seed%3),
 	}
@@ -111,17 +114,17 @@ func ScenarioFor(seed int64) Scenario {
 	switch seed % serveClasses {
 	case 0:
 		sc.Class = "admit-crash"
-		sc.Plan.CrashAtPoint = fault.PointServeAdmit
+		sc.Plan.CrashAtPoint = serve.PointAdmit
 		sc.Plan.CrashAtCount = 1 + rng.Intn(sc.Procs)
 	case 1:
 		sc.Class = "ack-crash"
-		sc.Plan.CrashAtPoint = fault.PointServeAck
+		sc.Plan.CrashAtPoint = serve.PointAck
 		sc.Plan.CrashAtCount = 1 + rng.Intn(sc.Procs)
 		sc.RetryIndex = sc.Plan.CrashAtCount - 1
 	case 2:
 		sc.Class = "drain-crash"
 		sc.DrainCrash = true
-		sc.Plan.CrashAtPoint = fault.PointServeDrain
+		sc.Plan.CrashAtPoint = serve.PointDrain
 		sc.Plan.CrashAtCount = 1
 		sc.Tick = 200 * time.Microsecond
 	case 3:
@@ -168,10 +171,10 @@ func ScenarioFor(seed int64) Scenario {
 		// Dispatch kills are guaranteed to fire (any admitted work hits
 		// them) so they carry double weight; the 2PC-window kills ride
 		// along when the batch exercises those paths.
-		pts := []string{fault.PointHubDispatch, fault.PointHubDispatch,
-			fault.PointHubDecision, fault.PointHubResolve}
+		pts := []string{federation.PointHubDispatch, federation.PointHubDispatch,
+			federation.PointHubDecision, federation.PointHubResolve}
 		sc.FedHubPoint = pts[rng.Intn(len(pts))]
-		if sc.FedHubPoint == fault.PointHubDispatch {
+		if sc.FedHubPoint == federation.PointHubDispatch {
 			sc.FedHubCount = 1 + rng.Intn(4)
 		} else {
 			sc.FedHubCount = 1
@@ -188,7 +191,7 @@ func ScenarioFor(seed int64) Scenario {
 // serveProfile is the workload a scenario runs: conflict-heavy, no
 // probabilistic permanent failures (those are chosen deterministically
 // below), mild transient noise.
-func serveProfile(sc Scenario) workload.Profile {
+func serveProfile(sc ServeScenario) workload.Profile {
 	p := workload.DefaultProfile(sc.Seed)
 	p.Processes = sc.Procs
 	p.ConflictProb = 0.4
@@ -201,24 +204,24 @@ func serveProfile(sc Scenario) workload.Profile {
 // submissions in wire form (tenant + declarative spec, in submission
 // order) and the deterministic permanent-failure rules keyed by origin
 // ("tenant/proc"), applied to the federation.
-func serveWorld(sc Scenario) (*subsystem.Federation, []SubmitRequest, error) {
+func serveWorld(sc ServeScenario) (*subsystem.Federation, []serve.SubmitRequest, error) {
 	return serveWorldFrom(sc, serveProfile(sc))
 }
 
 // serveWorldFrom is serveWorld over an explicit profile (the
 // differential test zeroes transient noise so outcomes are a pure
 // function of the world).
-func serveWorldFrom(sc Scenario, p workload.Profile) (*subsystem.Federation, []SubmitRequest, error) {
+func serveWorldFrom(sc ServeScenario, p workload.Profile) (*subsystem.Federation, []serve.SubmitRequest, error) {
 	w, err := workload.Generate(p)
 	if err != nil {
 		return nil, nil, fmt.Errorf("seed %d: generating workload: %w", sc.Seed, err)
 	}
 	rng := rand.New(rand.NewSource(sc.Seed*7919 + 13))
-	var reqs []SubmitRequest
+	var reqs []serve.SubmitRequest
 	for i, j := range w.Jobs {
 		tenant := fmt.Sprintf("t%d", i%sc.Tenants)
 		ps := spec.FromProcess(j.Proc)
-		reqs = append(reqs, SubmitRequest{
+		reqs = append(reqs, serve.SubmitRequest{
 			Tenant: tenant, Key: fmt.Sprintf("key-%s", ps.ID), Proc: ps,
 		})
 		origin := tenant + "/" + ps.ID
@@ -250,8 +253,8 @@ func serveWorldFrom(sc Scenario, p workload.Profile) (*subsystem.Federation, []S
 }
 
 // scenarioConfig builds the server config of one incarnation.
-func scenarioConfig(sc Scenario, dir string, plan fault.Plan, walBudget int, hold bool) Config {
-	cfg := Config{
+func scenarioConfig(sc ServeScenario, fed *subsystem.Federation, dir string, plan fault.Plan, walBudget int, hold bool) serve.Config {
+	cfg := serve.Config{
 		Dir: dir, Mode: sc.Mode, NoSync: true,
 		Tick:            sc.Tick,
 		CheckpointEvery: sc.CheckpointEvery, CompactOnCheckpoint: sc.CompactOnCheckpoint,
@@ -277,9 +280,25 @@ func scenarioConfig(sc Scenario, dir string, plan fault.Plan, walBudget int, hol
 		cfg.BatchWait = 30 * time.Millisecond
 		if !hold {
 			// Only the first incarnation arms the kill; a restart resumes
-			// over a healthy hub.
-			cfg.FedHubKillPoint = sc.FedHubPoint
-			cfg.FedHubKillCount = sc.FedHubCount
+			// over a healthy hub. The injector is inert after it trips, so
+			// only the first batch's hub dies. Every mid-batch reopen is
+			// judged at its boundary: the stitched history plus the
+			// reopen's recovery tail must satisfy the same invariants a
+			// single-node crash recovery is held to.
+			inj := fault.NewInjector(fault.Plan{CrashAtPoint: sc.FedHubPoint, CrashAtCount: sc.FedHubCount})
+			cfg.FedCluster = func(fc *federation.Config, defs []*process.Process) {
+				fc.HubInject = inj.Point
+				record := fc.OnReopen
+				fc.OnReopen = func(rep *federation.ReopenReport) error {
+					if err := record(rep); err != nil {
+						return err
+					}
+					return fault.CheckRecovered(fault.CheckInput{
+						Fed: fed, Log: rep.Log, Defs: defs,
+						PreCrashRecords: rep.Pre, PreCrashFull: rep.Pre,
+					})
+				}
+			}
 		}
 	}
 	if plan.CrashAtPoint != "" {
@@ -295,7 +314,7 @@ func scenarioConfig(sc Scenario, dir string, plan fault.Plan, walBudget int, hol
 // submitAll drives the submissions over HTTP. Sequential normally;
 // overload scenarios submit concurrently against a tiny admission
 // window. Returns per-request HTTP status (0 = connection died).
-func submitAll(base string, reqs []SubmitRequest, concurrent bool) []int {
+func submitAll(base string, reqs []serve.SubmitRequest, concurrent bool) []int {
 	codes := make([]int, len(reqs))
 	post := func(i int) {
 		data, err := json.Marshal(reqs[i])
@@ -338,7 +357,7 @@ func submitAll(base string, reqs []SubmitRequest, concurrent bool) []int {
 // disk; judging against a shorter log would be judging an impossible
 // world. Production servers run with per-append fsync, where the
 // buffer is always empty.
-func flushAbandoned(s *Server) {
+func flushAbandoned(s *serve.Server) {
 	if _, crashed := s.Crashed(); crashed {
 		s.Log().Records()
 	}
@@ -377,10 +396,10 @@ func preCrashBoundary(dir string) (pre, preFull int, lsn int64, err error) {
 // prefix-reducible, and subsystem state equals exactly the committed
 // work in the log — nothing lost, nothing doubled across any number of
 // crashes and restarts.
-func checkSettled(s *Server, crashLSNs []int64) error {
+func checkSettled(s *serve.Server, crashLSNs []int64) error {
 	sts := s.Statuses("", "")
 	for _, st := range sts {
-		if !st.Final || (st.State != stateCommitted && st.State != stateAborted) {
+		if !st.Final || (st.State != "committed" && st.State != "aborted") {
 			return fmt.Errorf("submission %s not terminal: %+v", st.ID, st)
 		}
 	}
@@ -464,8 +483,8 @@ func checkSettled(s *Server, crashLSNs []int64) error {
 // directory with the resume set held, runs CheckRecovered at the
 // post-recovery point, then releases the resume set. walBudget > 0 arms
 // the next crash.
-func restartAndJudge(sc Scenario, fed *subsystem.Federation, dir string, pre, preFull, walBudget int, priorLSNs []int64) (*Server, error) {
-	srv, err := Open(fed, scenarioConfig(sc, dir, fault.Plan{}, walBudget, true))
+func restartAndJudge(sc ServeScenario, fed *subsystem.Federation, dir string, pre, preFull, walBudget int, priorLSNs []int64) (*serve.Server, error) {
+	srv, err := serve.Open(fed, scenarioConfig(sc, fed, dir, fault.Plan{}, walBudget, true))
 	if err != nil {
 		return nil, fmt.Errorf("restart: %w", err)
 	}
@@ -484,11 +503,11 @@ func restartAndJudge(sc Scenario, fed *subsystem.Federation, dir string, pre, pr
 
 const serveWait = 30 * time.Second
 
-// RunScenario executes one scenario end to end. dir must be an empty
+// runServeScenario executes one scenario end to end. dir must be an empty
 // directory the scenario may fill (the server's data dir). The returned
 // error describes the violated invariant; nil means the scenario
 // passed.
-func RunScenario(sc Scenario, dir string) error {
+func runServeScenario(sc ServeScenario, dir string) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("seed %d (%s): %s", sc.Seed, sc.Class, fmt.Sprintf(format, args...))
 	}
@@ -496,7 +515,7 @@ func RunScenario(sc Scenario, dir string) error {
 	if err != nil {
 		return err
 	}
-	srv, err := Open(fed, scenarioConfig(sc, dir, sc.Plan, sc.Plan.CrashAfterWALRecords, false))
+	srv, err := serve.Open(fed, scenarioConfig(sc, fed, dir, sc.Plan, sc.Plan.CrashAfterWALRecords, false))
 	if err != nil {
 		return fail("open: %v", err)
 	}
@@ -560,10 +579,10 @@ func RunScenario(sc Scenario, dir string) error {
 		// been ridden out; decision/resolve points fire only when the
 		// batch exercises cross-node 2PC windows (soft, as in the
 		// federation hub battery).
-		if got := srv.Metrics().Counter(metrics.FedHubReopens); got == 0 && sc.FedHubPoint == fault.PointHubDispatch {
+		if got := srv.Metrics().Counter(metrics.FedHubReopens); got == 0 && sc.FedHubPoint == federation.PointHubDispatch {
 			return fail("armed hub kill at %q never fired (no reopen)", sc.FedHubPoint)
 		}
-		if srv.hubDegraded.Load() {
+		if srv.HubDegraded() {
 			return fail("readiness still degraded after the batch settled")
 		}
 	}
@@ -598,7 +617,7 @@ func RunScenario(sc Scenario, dir string) error {
 			srv2.Close()
 			return fail("retry after restart: %v", err)
 		}
-		var sr SubmitResponse
+		var sr serve.SubmitResponse
 		err = json.NewDecoder(resp.Body).Decode(&sr)
 		resp.Body.Close()
 		if err != nil {
@@ -689,28 +708,21 @@ func (timeoutCtx) Done() <-chan struct{}         { return nil }
 func (timeoutCtx) Err() error                    { return nil }
 func (timeoutCtx) Value(any) any                 { return nil }
 
-// Summary aggregates a serve-torture batch.
-type Summary struct {
-	Scenarios int            `json:"scenarios"`
-	Failures  []string       `json:"failures,omitempty"`
-	ByClass   map[string]int `json:"byClass"`
-}
-
-// RunBattery runs the scenarios of seeds [first, first+n). The progress
-// hook (nil ok) fires before each seed — the CLI uses it to print the
-// in-flight reproducing seed when interrupted.
-func RunBattery(first, n int64, dirFor func(seed int64) string, progress func(seed int64, class string)) Summary {
-	sum := Summary{ByClass: make(map[string]int)}
-	for seed := first; seed < first+n; seed++ {
-		sc := ScenarioFor(seed)
-		if progress != nil {
-			progress(seed, sc.Class)
-		}
-		sum.Scenarios++
-		sum.ByClass[sc.Class]++
-		if err := RunScenario(sc, dirFor(seed)); err != nil {
-			sum.Failures = append(sum.Failures, err.Error())
-		}
-	}
-	return sum
+// Serve is the serve crash battery: seeded kill -9 scenarios against
+// a real server over real HTTP, each restart judged by
+// fault.CheckRecovered and the settled end state by PRED and
+// exactly-once accounting over the whole accumulated history.
+var Serve = &Battery{
+	Name: "serve",
+	Classes: []string{
+		"admit-crash", "ack-crash", "drain-crash", "wal-budget", "engine-point",
+		"group-fsync", "overload", "drain-park", "double-crash", "fed-hub-bounce",
+	},
+	ScenarioFor: func(seed int64, _ Variants) (string, string) {
+		sc := serveScenarioFor(seed)
+		return sc.Class, fmt.Sprintf("%+v", sc)
+	},
+	Run: func(seed int64, _ Variants, dir string) (Stats, error) {
+		return nil, runServeScenario(serveScenarioFor(seed), dir)
+	},
 }

@@ -1,4 +1,4 @@
-package serve
+package battery
 
 import (
 	"fmt"
@@ -7,6 +7,7 @@ import (
 
 	"transproc/internal/fault"
 	"transproc/internal/scheduler"
+	"transproc/internal/serve"
 )
 
 // TestRestartResumeDifferential is the restart-resume differential: a
@@ -37,7 +38,7 @@ func TestRestartResumeDifferential(t *testing.T) {
 }
 
 func runDifferential(t *testing.T, seed int64) {
-	sc := ScenarioFor(seed)
+	sc := serveScenarioFor(seed)
 	// Plain PRED only: under PREDCascade a permanent failer's retries
 	// cascade-abort conflicting neighbors, so their final outcome
 	// depends on how the work happened to be batched — not a
@@ -52,7 +53,7 @@ func runDifferential(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	dirA := t.TempDir()
-	srvA, err := Open(fedA, scenarioConfig(sc, dirA, fault.Plan{}, 0, false))
+	srvA, err := serve.Open(fedA, scenarioConfig(sc, fedA, dirA, fault.Plan{}, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func runDifferential(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	dirB := t.TempDir()
-	srv, err := Open(fedB, scenarioConfig(sc, dirB, sc.Plan, sc.Plan.CrashAfterWALRecords, false))
+	srv, err := serve.Open(fedB, scenarioConfig(sc, fedB, dirB, sc.Plan, sc.Plan.CrashAfterWALRecords, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +114,9 @@ func runDifferential(t *testing.T, seed int64) {
 	if _, _, lsn, err := preCrashBoundary(dirB); err == nil {
 		crashLSNs = append(crashLSNs, lsn)
 	}
-	var final *Server
+	var final *serve.Server
 	for attempt := 0; attempt < 4; attempt++ {
-		rs, err := Open(fedB, scenarioConfig(sc, dirB, fault.Plan{}, 0, false))
+		rs, err := serve.Open(fedB, scenarioConfig(sc, fedB, dirB, fault.Plan{}, 0, false))
 		if err != nil {
 			t.Fatalf("restart %d: %v", attempt, err)
 		}

@@ -1,4 +1,4 @@
-package fault
+package battery
 
 import (
 	"context"
@@ -10,19 +10,21 @@ import (
 	"sort"
 
 	"transproc/internal/activity"
+	"transproc/internal/fault"
 	"transproc/internal/process"
 	"transproc/internal/runtime"
 	"transproc/internal/scheduler"
+	"transproc/internal/store"
 	"transproc/internal/subsystem"
 	"transproc/internal/wal"
 	"transproc/internal/workload"
 )
 
-// Scenario is one fully determined crash-torture case: a seeded
+// TortureScenario is one fully determined crash-torture case: a seeded
 // workload, a fault plan and the engine/log flavour to run it under.
-// ScenarioFor(seed) is a pure function, so a failing seed reproduces
+// tortureScenarioFor(seed) is a pure function, so a failing seed reproduces
 // the exact same scenario anywhere.
-type Scenario struct {
+type TortureScenario struct {
 	Seed  int64
 	Class string
 	Mode  scheduler.Mode
@@ -52,8 +54,8 @@ type Scenario struct {
 	// Durable backs every subsystem with a file-backed heap store
 	// (internal/store): the crash kills scheduler state AND the
 	// subsystems' in-memory state, recovery reopens the pages and runs
-	// scheduler.RecoverDurable, and CheckDurableStores verifies the
-	// storage-level guarantees on top of CheckRecovered.
+	// scheduler.RecoverDurable, and fault.CheckDurableStores verifies the
+	// storage-level guarantees on top of fault.CheckRecovered.
 	Durable bool
 	// StorePoolPages sets the buffer-pool size (0 = store default); a
 	// tiny pool forces constant eviction traffic.
@@ -73,10 +75,10 @@ type Scenario struct {
 	// the processes) so its heap file spans multiple pages and a tiny
 	// buffer pool must constantly evict.
 	StoreStress bool
-	Plan        Plan
+	Plan        fault.Plan
 }
 
-// ScenarioFor derives the deterministic scenario of a seed. Nineteen
+// tortureScenarioFor derives the deterministic scenario of a seed. Nineteen
 // scenario classes cycle by seed: WAL-budget crashes (mem and file,
 // torn and garbage tails), every named crash point, concurrent-runtime
 // kills, crash-during-recovery double faults, the checkpointing
@@ -89,9 +91,9 @@ type Scenario struct {
 // the page-recovery pass itself. Independently of the class, half of
 // all scenarios run with group commit enabled so every crash flavour
 // is also exercised through the batching appender.
-func ScenarioFor(seed int64) Scenario {
+func tortureScenarioFor(seed int64) TortureScenario {
 	rng := rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
-	sc := Scenario{Seed: seed, Engine: "engine", Mode: scheduler.PRED}
+	sc := TortureScenario{Seed: seed, Engine: "engine", Mode: scheduler.PRED}
 	if seed%3 == 0 {
 		sc.Mode = scheduler.PREDCascade
 	}
@@ -107,19 +109,19 @@ func ScenarioFor(seed int64) Scenario {
 		sc.Plan.CrashAfterWALRecords = budget
 	case 1:
 		sc.Class = "before-forcelog"
-		sc.Plan.CrashAtPoint = PointBeforeForceLog
+		sc.Plan.CrashAtPoint = fault.PointBeforeForceLog
 		sc.Plan.CrashAtCount = hits
 	case 2:
 		sc.Class = "after-forcelog"
-		sc.Plan.CrashAtPoint = PointAfterForceLog
+		sc.Plan.CrashAtPoint = fault.PointAfterForceLog
 		sc.Plan.CrashAtCount = hits
 	case 3:
 		sc.Class = "2pc-after-decision"
-		sc.Plan.CrashAtPoint = PointAfterDecision
+		sc.Plan.CrashAtPoint = fault.PointAfterDecision
 		sc.Plan.CrashAtCount = 1 + rng.Intn(3)
 	case 4:
 		sc.Class = "2pc-mid-resolve"
-		sc.Plan.CrashAtPoint = PointMidResolve
+		sc.Plan.CrashAtPoint = fault.PointMidResolve
 		sc.Plan.CrashAtCount = 1 + rng.Intn(3)
 	case 5:
 		sc.Class = "file-torn-tail"
@@ -151,9 +153,9 @@ func ScenarioFor(seed int64) Scenario {
 		sc.Class = "ckpt-mid-build"
 		sc.CheckpointEvery = 4 + rng.Intn(8)
 		sc.FileWAL = rng.Intn(2) == 0
-		sc.Plan.CrashAtPoint = PointCheckpointBuild
+		sc.Plan.CrashAtPoint = fault.PointCheckpointBuild
 		if rng.Intn(2) == 0 {
-			sc.Plan.CrashAtPoint = PointCheckpointAppend
+			sc.Plan.CrashAtPoint = fault.PointCheckpointAppend
 		}
 		sc.Plan.CrashAtCount = 1 + rng.Intn(3)
 	case 11:
@@ -165,9 +167,9 @@ func ScenarioFor(seed int64) Scenario {
 		sc.FileWAL = true
 		sc.CheckpointEvery = 4 + rng.Intn(8)
 		sc.CompactOnCheckpoint = true
-		sc.Plan.CrashAtPoint = PointCompactRename
+		sc.Plan.CrashAtPoint = fault.PointCompactRename
 		if rng.Intn(2) == 0 {
-			sc.Plan.CrashAtPoint = PointCompactDirSync
+			sc.Plan.CrashAtPoint = fault.PointCompactDirSync
 		}
 		sc.Plan.CrashAtCount = 1 + rng.Intn(2)
 	case 12:
@@ -231,10 +233,10 @@ func ScenarioFor(seed int64) Scenario {
 		sc.Durable = true
 		sc.StorePoolPages = 1
 		sc.StoreStress = true
-		pts := []string{PointStoreEvict, PointStorePageWrite, PointStoreAlloc}
+		pts := []string{fault.PointStoreEvict, fault.PointStorePageWrite, fault.PointStoreAlloc}
 		sc.Plan.CrashAtPoint = pts[rng.Intn(len(pts))]
 		sc.Plan.CrashAtCount = 1 + rng.Intn(12)
-		if sc.Plan.CrashAtPoint == PointStoreAlloc {
+		if sc.Plan.CrashAtPoint == fault.PointStoreAlloc {
 			// The heap grows by a page only a couple of times per run.
 			sc.Plan.CrashAtCount = 1 + rng.Intn(2)
 		}
@@ -246,7 +248,7 @@ func ScenarioFor(seed int64) Scenario {
 		sc.Class = "store-flush-vs-wal"
 		sc.Durable = true
 		sc.StoreFlushEach = true
-		sc.Plan.CrashAtPoint = PointBeforeForceLog
+		sc.Plan.CrashAtPoint = fault.PointBeforeForceLog
 		sc.Plan.CrashAtCount = hits
 	case 18:
 		// Double fault during the page-recovery pass: the first
@@ -258,9 +260,9 @@ func ScenarioFor(seed int64) Scenario {
 		sc.Durable = true
 		sc.StoreFlushEach = true
 		sc.Plan.CrashAfterWALRecords = budget
-		sc.StoreRecoveryPoint = PointStorePageWrite
+		sc.StoreRecoveryPoint = fault.PointStorePageWrite
 		if rng.Intn(2) == 0 {
-			sc.StoreRecoveryPoint = PointStorePageFsync
+			sc.StoreRecoveryPoint = fault.PointStorePageFsync
 		}
 		sc.StoreRecoveryCount = 1 + rng.Intn(4)
 	}
@@ -269,7 +271,7 @@ func ScenarioFor(seed int64) Scenario {
 	// the differential battery: retriables fail only transiently and
 	// compensations never, per the paper's perfect-compensation
 	// assumption).
-	sc.Plan.SubsystemFail = chooseFailures(sc)
+	sc.Plan.SubsystemFail = tortureFailures(sc)
 	return sc
 }
 
@@ -277,7 +279,7 @@ func ScenarioFor(seed int64) Scenario {
 // scenarios concentrate everything into a single subsystem with twice
 // the processes, so one heap file accumulates enough records (2PC
 // fates, data items) to span multiple pages.
-func tortureProfile(sc Scenario) workload.Profile {
+func tortureProfile(sc TortureScenario) workload.Profile {
 	p := workload.DefaultProfile(sc.Seed)
 	p.Processes = 12
 	p.ConflictProb = 0.4
@@ -290,16 +292,23 @@ func tortureProfile(sc Scenario) workload.Profile {
 	return p
 }
 
-// chooseFailures picks the deterministic failure rules of a seed
+// tortureFailures picks the deterministic failure rules of a scenario
 // against its own workload.
-func chooseFailures(sc Scenario) []SubsystemFail {
+func tortureFailures(sc TortureScenario) []fault.SubsystemFail {
 	w, err := workload.Generate(tortureProfile(sc))
 	if err != nil {
 		return nil
 	}
-	seed := sc.Seed
+	return chooseFailures(w, sc.Seed)
+}
+
+// chooseFailures picks deterministic permanent failures for roughly a
+// third of a workload's processes (compensatable or pivot forward
+// services only); the crash-torture, federation and hub batteries share
+// it.
+func chooseFailures(w *workload.Workload, seed int64) []fault.SubsystemFail {
 	rng := rand.New(rand.NewSource(seed*7919 + 13))
-	var rules []SubsystemFail
+	var rules []fault.SubsystemFail
 	for _, j := range w.Jobs {
 		if rng.Float64() >= 0.35 {
 			continue
@@ -315,7 +324,7 @@ func chooseFailures(sc Scenario) []SubsystemFail {
 			continue
 		}
 		sort.Strings(candidates)
-		rules = append(rules, SubsystemFail{
+		rules = append(rules, fault.SubsystemFail{
 			Proc:    string(j.Proc.ID),
 			Service: candidates[rng.Intn(len(candidates))],
 		})
@@ -329,7 +338,7 @@ func chooseFailures(sc Scenario) []SubsystemFail {
 // simulated crash — a crash kills the subsystems' in-memory state too,
 // so recovery starts from a factory-fresh federation plus whatever the
 // heap files retained.
-func tortureWorld(sc Scenario) (*subsystem.Federation, []scheduler.Job, []*process.Process, error) {
+func tortureWorld(sc TortureScenario) (*subsystem.Federation, []scheduler.Job, []*process.Process, error) {
 	w, err := workload.Generate(tortureProfile(sc))
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("seed %d: generating workload: %w", sc.Seed, err)
@@ -348,14 +357,14 @@ func tortureWorld(sc Scenario) (*subsystem.Federation, []scheduler.Job, []*proce
 	return w.Fed, w.Jobs, defs, nil
 }
 
-// RunScenario executes one scenario end to end: run until the injected
+// runTortureScenario executes one scenario end to end: run until the injected
 // crash (or clean finish), mangle the log tail where the plan says so,
 // recover — possibly crashing and re-recovering — and check every
 // recovery guarantee. dir is where file-backed logs and heap files
 // live (a temp dir is created under os.TempDir when empty). The
 // returned error describes the violated invariant; nil means the
 // scenario passed.
-func RunScenario(sc Scenario, dir string) error {
+func runTortureScenario(sc TortureScenario, dir string) error {
 	fed, jobs, defs, err := tortureWorld(sc)
 	if err != nil {
 		return err
@@ -381,8 +390,8 @@ func RunScenario(sc Scenario, dir string) error {
 	} else {
 		inner = wal.NewMemLog()
 	}
-	fw := WrapWAL(inner, sc.Plan.CrashAfterWALRecords)
-	inj := NewInjector(sc.Plan)
+	fw := fault.WrapWAL(inner, sc.Plan.CrashAfterWALRecords)
+	inj := fault.NewInjector(sc.Plan)
 	if sc.Durable {
 		if err := attachStores(fed, sc, dir, fw, inj); err != nil {
 			return fmt.Errorf("seed %d (%s): %w", sc.Seed, sc.Class, err)
@@ -456,21 +465,21 @@ func RunScenario(sc Scenario, dir string) error {
 	if crashed && (sc.CrashRecoveryAfter > 0 || (sc.Durable && sc.StoreRecoveryCount > 0)) {
 		var rw wal.Log = recLog
 		if sc.CrashRecoveryAfter > 0 {
-			rw = WrapWAL(recLog, sc.CrashRecoveryAfter)
+			rw = fault.WrapWAL(recLog, sc.CrashRecoveryAfter)
 		}
 		rfed, rdefs := fed, defs
 		// The armed store crash point can fire anywhere in the pass —
 		// including inside AttachStore's own write-throughs while the
 		// pages are being reopened — so the whole reopen+recover runs
-		// under Protect.
-		rerr := Protect(func() error {
+		// under fault.Protect.
+		rerr := fault.Protect(func() error {
 			if sc.Durable {
 				ffed, _, fdefs, err := tortureWorld(sc)
 				if err != nil {
 					return err
 				}
 				rfed, rdefs = ffed, fdefs
-				recInj := NewInjector(Plan{CrashAtPoint: sc.StoreRecoveryPoint, CrashAtCount: sc.StoreRecoveryCount})
+				recInj := fault.NewInjector(fault.Plan{CrashAtPoint: sc.StoreRecoveryPoint, CrashAtCount: sc.StoreRecoveryCount})
 				if err := reopenStores(rfed, sc, dir, rw, recInj); err != nil {
 					return fmt.Errorf("reopening stores for interrupted recovery: %w", err)
 				}
@@ -481,7 +490,7 @@ func RunScenario(sc Scenario, dir string) error {
 			return e
 		})
 		if rerr != nil {
-			if _, isCrash := AsCrash(rerr); !isCrash {
+			if _, isCrash := fault.AsCrash(rerr); !isCrash {
 				return fmt.Errorf("seed %d (%s): interrupted recovery: %w", sc.Seed, sc.Class, rerr)
 			}
 		}
@@ -507,14 +516,14 @@ func RunScenario(sc Scenario, dir string) error {
 		return fmt.Errorf("seed %d (%s): recovery: %w", sc.Seed, sc.Class, err)
 	}
 
-	if err := CheckRecovered(CheckInput{
+	if err := fault.CheckRecovered(fault.CheckInput{
 		Fed: fed, Log: recLog, Defs: defs, PreCrashRecords: pre,
 		PreCrashFull: preFull, Compacted: sc.CompactOnCheckpoint,
 	}); err != nil {
 		return fmt.Errorf("seed %d (%s): %w", sc.Seed, sc.Class, err)
 	}
 	if sc.Durable {
-		if err := CheckDurableStores(fed); err != nil {
+		if err := fault.CheckDurableStores(fed); err != nil {
 			return fmt.Errorf("seed %d (%s): %w", sc.Seed, sc.Class, err)
 		}
 	}
@@ -522,7 +531,7 @@ func RunScenario(sc Scenario, dir string) error {
 }
 
 // tortureMaxRestarts bounds per-process restarts in torture runs.
-// Permanently failed services (SubsystemFail rules) make their process
+// Permanently failed services (fault.SubsystemFail rules) make their process
 // retry until the budget is exhausted and then group-abort; a large
 // budget turns that into a retry storm whose multi-thousand-record log
 // makes the PRED invariant check (quadratic in prefixes) take minutes
@@ -532,7 +541,7 @@ const tortureMaxRestarts = 24
 
 // runUntilCrash drives the scenario's engine until the injected crash
 // or clean completion; crashed reports which.
-func runUntilCrash(sc Scenario, fed *subsystem.Federation, log wal.Log, inj *Injector, jobs []scheduler.Job) (crashed bool, err error) {
+func runUntilCrash(sc TortureScenario, fed *subsystem.Federation, log wal.Log, inj *fault.Injector, jobs []scheduler.Job) (crashed bool, err error) {
 	switch sc.Engine {
 	case "runtime":
 		r, err := runtime.New(fed, runtime.Config{
@@ -608,80 +617,150 @@ func appendGarbage(path string) error {
 	return os.WriteFile(path, append(data, frame[:len(frame)-len(frame)/4]...), 0o644)
 }
 
-// Summary aggregates a torture batch.
-type Summary struct {
-	Scenarios int            `json:"scenarios"`
-	Crashed   int            `json:"crashed"`
-	Clean     int            `json:"clean"`
-	Failures  []string       `json:"failures,omitempty"`
-	ByClass   map[string]int `json:"byClass"`
-}
-
-// TortureOpts force checkpointing onto every scenario of a batch (on
-// top of whatever the scenario class already configures), so the whole
-// battery can be re-run with checkpoints live under every crash class.
-type TortureOpts struct {
-	// CheckpointEvery forces fuzzy checkpoints every N force-log
-	// appends on scenarios that don't already checkpoint.
-	CheckpointEvery int
-	// CheckpointLimit caps forced checkpoints (0 = unlimited).
-	CheckpointLimit int
-	// Compact compacts after every checkpoint on file-backed scenarios.
-	Compact bool
-	// Durable forces file-backed subsystem stores onto every scenario,
-	// so the whole battery also runs with durable pages under every
-	// crash class.
-	Durable bool
-	// Progress, when set, is called with each seed before its scenario
-	// runs; the CLI uses it to report the in-flight reproducing seed
-	// when the battery is interrupted.
-	Progress func(seed int64, class string)
-}
-
-// Apply overlays the forced options onto a scenario without disturbing
-// classes that configure their own checkpoint cadence.
-func (o TortureOpts) Apply(sc *Scenario) {
-	if o.CheckpointEvery > 0 && sc.CheckpointEvery == 0 {
-		sc.CheckpointEvery = o.CheckpointEvery
-		sc.CheckpointLimit = o.CheckpointLimit
-	}
-	if o.Compact && sc.CheckpointEvery > 0 {
+// forceVariants overlays the run's variants onto a scenario without
+// disturbing classes that configure their own checkpoint cadence.
+func forceVariants(sc *TortureScenario, v Variants) {
+	if v.Ckpt {
+		if sc.CheckpointEvery == 0 {
+			sc.CheckpointEvery = 6
+		}
 		sc.CompactOnCheckpoint = true
 	}
-	if o.Durable {
+	if v.Durable {
 		sc.Durable = true
 	}
 }
 
-// RunTorture runs the scenarios of seeds [first, first+n) and collects
-// a summary; every failure message embeds the reproducing seed.
-func RunTorture(first, n int64, dir string) Summary {
-	return RunTortureOpts(first, n, dir, TortureOpts{})
+// Torture is the crash-torture battery: a seeded workload run under a
+// seeded fault plan, recovered, and checked against every recovery
+// guarantee (fault.CheckRecovered, fault.CheckDurableStores).
+var Torture = &Battery{
+	Name: "torture",
+	Classes: []string{
+		"wal-budget", "before-forcelog", "after-forcelog", "2pc-after-decision",
+		"2pc-mid-resolve", "file-torn-tail", "file-garbage-tail",
+		"runtime-kill-dispatch", "runtime-wal-budget", "crash-during-recovery",
+		"ckpt-mid-build", "compact-crash", "stale-ckpt-long-tail", "ckpt-recovery-crash",
+		"group-fsync", "store-torn-page", "store-evict-crash", "store-flush-vs-wal",
+		"store-recovery-crash",
+	},
+	Accepts: Variants{Ckpt: true, Durable: true},
+	ScenarioFor: func(seed int64, v Variants) (string, string) {
+		sc := tortureScenarioFor(seed)
+		forceVariants(&sc, v)
+		return sc.Class, fmt.Sprintf("%+v", sc)
+	},
+	Run: func(seed int64, v Variants, dir string) (Stats, error) {
+		sc := tortureScenarioFor(seed)
+		forceVariants(&sc, v)
+		// Armed-plan attribution only (a plan can legitimately outlive the
+		// run, e.g. a budget larger than the log; the scenario checks its
+		// invariants either way).
+		st := Stats{"unarmed": 1}
+		if sc.Plan.CrashAfterWALRecords > 0 || sc.Plan.CrashAtPoint != "" || sc.Plan.KillAtDispatch > 0 {
+			st = Stats{"armed": 1}
+		}
+		return st, runTortureScenario(sc, dir)
+	},
 }
 
-// RunTortureOpts is RunTorture with forced checkpoint options overlaid
-// on every scenario.
-func RunTortureOpts(first, n int64, dir string, opts TortureOpts) Summary {
-	sum := Summary{ByClass: make(map[string]int)}
-	for seed := first; seed < first+n; seed++ {
-		sc := ScenarioFor(seed)
-		opts.Apply(&sc)
-		if opts.Progress != nil {
-			opts.Progress(seed, sc.Class)
+// storePath names a subsystem's heap file within a scenario.
+func storePath(dir string, seed int64, sub string) string {
+	return filepath.Join(dir, fmt.Sprintf("store-%d-%s.pages", seed, sub))
+}
+
+// storeOptions builds the store configuration of a scenario: the
+// scenario's pool size and flush mode, the fault injector as the crash
+// hook, and the scenario WAL's Sync as the write-ahead barrier (a dirty
+// page never reaches the device before the log it depends on).
+func storeOptions(sc TortureScenario, log wal.Log, inj *fault.Injector) store.Options {
+	opts := store.Options{
+		PoolPages: sc.StorePoolPages,
+		FlushEach: sc.StoreFlushEach,
+		Inject:    inj.Point,
+	}
+	// wal.Log deliberately omits Sync; every real log (MemLog, FileLog,
+	// the fault wrapper) has it, so the barrier is wired by assertion.
+	if s, ok := log.(interface{ Sync() error }); ok {
+		opts.Barrier = s.Sync
+	}
+	return opts
+}
+
+// attachStores opens a fresh heap file per subsystem (removing any
+// leftover from an earlier run of the same seed) and attaches it.
+func attachStores(fed *subsystem.Federation, sc TortureScenario, dir string, log wal.Log, inj *fault.Injector) error {
+	for _, sub := range fed.Subsystems() {
+		path := storePath(dir, sc.Seed, sub.Name())
+		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("removing stale store %s: %w", path, err)
 		}
-		sum.Scenarios++
-		sum.ByClass[sc.Class]++
-		// Armed-plan attribution (the scenario checks its invariants
-		// either way; a plan can legitimately outlive the run, e.g. a
-		// budget larger than the log).
-		if sc.Plan.CrashAfterWALRecords > 0 || sc.Plan.CrashAtPoint != "" || sc.Plan.KillAtDispatch > 0 {
-			sum.Crashed++
-		} else {
-			sum.Clean++
+		st, err := store.OpenFile(path, storeOptions(sc, log, inj))
+		if err != nil {
+			return fmt.Errorf("opening store %s: %w", path, err)
 		}
-		if err := RunScenario(sc, dir); err != nil {
-			sum.Failures = append(sum.Failures, err.Error())
+		if err := sub.AttachStore(st); err != nil {
+			return fmt.Errorf("attaching store %s: %w", path, err)
 		}
 	}
-	return sum
+	return nil
+}
+
+// reopenStores reopens the scenario's heap files — whatever the crash
+// left on disk — into a (fresh) federation's subsystems.
+func reopenStores(fed *subsystem.Federation, sc TortureScenario, dir string, log wal.Log, inj *fault.Injector) error {
+	for _, sub := range fed.Subsystems() {
+		path := storePath(dir, sc.Seed, sub.Name())
+		st, err := store.OpenFile(path, storeOptions(sc, log, inj))
+		if err != nil {
+			return fmt.Errorf("reopening store %s: %w", path, err)
+		}
+		if err := sub.AttachStore(st); err != nil {
+			return fmt.Errorf("attaching reopened store %s: %w", path, err)
+		}
+	}
+	return nil
+}
+
+// abandonStores closes every attached store crash-style: dirty pool
+// pages are dropped, only what reached the device survives.
+func abandonStores(fed *subsystem.Federation) {
+	for _, sub := range fed.Subsystems() {
+		if st := sub.DurableStore(); st != nil {
+			st.Abandon()
+		}
+	}
+}
+
+// tearStorePage simulates a torn page write: one byte of one page of
+// one subsystem's heap file is flipped (seed-deterministic choice), so
+// the page's checksum fails at the next Open and the store must repair
+// it and recovery must redo its lost records from the WAL. Files with
+// no pages are skipped.
+func tearStorePage(fed *subsystem.Federation, sc TortureScenario, dir string) error {
+	rng := rand.New(rand.NewSource(sc.Seed*2654435761 + 97))
+	subs := fed.Subsystems()
+	for _, off := range rng.Perm(len(subs)) {
+		path := storePath(dir, sc.Seed, subs[off].Name())
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return fmt.Errorf("reading store for tear: %w", err)
+		}
+		if len(data) < store.PageSize {
+			continue
+		}
+		page := rng.Intn(len(data) / store.PageSize)
+		at := int64(page*store.PageSize + rng.Intn(store.PageSize))
+		f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
+		if err != nil {
+			return err
+		}
+		b := []byte{data[at] ^ 0xff}
+		if _, err := f.WriteAt(b, at); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}
+	return nil // no store has a full page yet — nothing to tear
 }

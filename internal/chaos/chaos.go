@@ -26,11 +26,11 @@
 //     processes steer onto their next ◁ alternative instead of burning
 //     retries against a dead subsystem, falling back to backward
 //     recovery only when no alternative avoids it.
-//   - The battery (battery.go) runs hundreds of seeded scenarios
-//     through both engines and asserts CheckRecovered-style invariants:
-//     PRED of the observed schedule, all processes terminal,
-//     exactly-once effects despite duplicates and retries, Lemma-2
-//     compensation order, and zero stuck breakers.
+//
+// The package is a library: the engines reach it only as an injected
+// subsystem.ResilientInvoker, and the seeded chaos battery that drives
+// it through both engines lives in internal/battery, as does the wrapper
+// that puts the wire fates (wire.go) on the federation's transport seam.
 //
 // Everything is deterministic per seed: the per-attempt fate of an
 // invocation depends only on (seed, process, service, attempt index),

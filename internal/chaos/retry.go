@@ -49,15 +49,6 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// Backoff exposes the seeded jittered retry schedule for transports
-// that reconnect outside the Layer's retry loop — the federation
-// client's hub-redial storm after a hub restart reuses it so reconnect
-// timing stays deterministic under a test seed. Zero-value fields take
-// the same defaults as the internal loop.
-func (p RetryPolicy) Backoff(plan Plan, proc, service string, retryIdx int) int64 {
-	return p.withDefaults().backoff(plan, proc, service, retryIdx)
-}
-
 // backoff returns the jittered delay in virtual ticks before retry
 // number retryIdx (1-based) of the (proc, service) invocation, under
 // the plan seed. Deterministic: same inputs, same schedule.

@@ -1,8 +1,8 @@
 package chaos
 
-// Wire-level fate adapter: the federation transport
-// (internal/federation) reuses the chaos fault model for its hub RPCs,
-// keyed by scheduler-node name instead of process name. Partitions are
+// Wire-level fate adapter: the same fault model for the federation's
+// hub RPCs (applied by battery.ChaosWire on federation.Transport), keyed
+// by scheduler-node name instead of process name. Partitions are
 // expressed as Outage windows whose Subsystem field names a node; the
 // windows are measured in per-node delivery-attempt counts, so a
 // partition deterministically heals once the node has burned through

@@ -1,18 +1,23 @@
-// Package fault is a deterministic fault-injection subsystem for
-// torturing the recovery path: seedable fault plans crash a scheduler
-// or runtime run at named points (around force-log writes, mid-2PC,
-// at dispatch), after a WAL-record budget, or with a torn tail on a
-// file-backed log — then the crash-torture battery recovers the
-// surviving state and checks the paper's guarantees (prefix-reducible
-// combined schedule, every process terminal, compensations in reverse
-// base order per Lemma 2, idempotent recovery, exactly-once subsystem
-// effects).
+// Package fault is a library of deterministic crash faults and
+// recovery judges. Faults: a seedable Plan arms an Injector that crashes
+// a run at a named point (around force-log writes, mid-2PC, at
+// dispatch, inside a checkpoint, a store flush, a hub handler, an HTTP
+// request), and WrapWAL crashes it after a record budget. Judges:
+// CheckRecovered and CheckDurableStores hold a recovered system to the
+// paper's guarantees (prefix-reducible combined schedule, every process
+// terminal, compensations in reverse base order per Lemma 2, idempotent
+// recovery, exactly-once subsystem effects, byte-identical durable
+// pages), over the schedule ScheduleFromWAL reconstructs.
 //
-// Crashes are simulated by panicking with the Crash sentinel. The
-// engines recognize it structurally (interface{ InjectedCrash() string
-// }) without importing this package, convert it into
-// scheduler.ErrCrashed, and return the partial result; log and
-// subsystem state survive for scheduler.Recover.
+// No product package imports this one (DESIGN.md §6m). Product code
+// fires the point names it declares through an injected
+// func(point string) and reaches its log through wal.Log; a battery
+// (internal/battery) or a benchmark hands it Injector.Point or a
+// wrapped log. Crashes are simulated by panicking with the Crash
+// sentinel, which the hosts recognize structurally (interface{
+// InjectedCrash() string }, scheduler.OnInjectedCrash), convert into
+// their own "crashed" state and stop; log and subsystem state survive
+// for scheduler.Recover.
 package fault
 
 import (
@@ -23,7 +28,10 @@ import (
 	"transproc/internal/wal"
 )
 
-// Crash point names threaded through the engines.
+// The crash point names of the engines, the WAL and the stores, gathered
+// for fault plans. Each is declared (or written as a literal) by the
+// package that fires it; federation.Point* and serve.Point* are used
+// from there.
 const (
 	// PointBeforeForceLog / PointAfterForceLog bracket every force-log
 	// write of the sequential scheduler.
@@ -40,25 +48,6 @@ const (
 	// PointWALAppend is reported by the fault WAL wrapper when its
 	// record budget trips.
 	PointWALAppend = "wal:append"
-	// Federation crash points (fired by scheduler nodes,
-	// internal/federation): before a frontier dispatch RPC is sent, and
-	// in the window after the node force-logged a prepared outcome but
-	// before the hub was asked to commit it (the orphan-prepared
-	// window that recovery resolves by presumed abort). Node-side 2PC
-	// reuses PointAfterDecision and PointMidResolve.
-	PointFedDispatch      = "fed:dispatch"
-	PointFedAfterPrepared = "fed:after-prepared"
-	// Hub crash points (fired inside the federation hub's serial
-	// section, internal/federation): after a frontier dispatch prepared
-	// its subsystem transaction but before the node learns the stamp
-	// (the response is lost with the hub), after the Lemma-1 gate
-	// granted a 2PC decision stamp, and after a prepared participant
-	// was committed during resolution. Each models kill -9 of the
-	// coordination agent with mutated in-memory state the reopen must
-	// rebuild from the stitched WALs plus the hub journal.
-	PointHubDispatch = "hub:dispatch"
-	PointHubDecision = "hub:decision"
-	PointHubResolve  = "hub:resolve"
 	// Checkpoint/compaction crash points (defined in internal/wal and
 	// re-exported here): before the checkpoint build, before the
 	// checkpoint record append, between the compacted temp file and the
@@ -78,17 +67,6 @@ const (
 	PointStorePageFsync = store.PointPageFsync
 	PointStoreEvict     = store.PointEvict
 	PointStoreAlloc     = store.PointAlloc
-	// Serve crash points (fired by the ingestion server, internal/serve):
-	// after a submission was journaled but before it is enqueued for
-	// execution (kill mid-request), after the batch runner picked the
-	// submission up but before the HTTP acknowledgement window closes
-	// (kill mid-ack — the client never learns whether the submission
-	// landed, so dedupe by idempotency key must make the retry safe),
-	// and inside the drain sequence after admission stopped but before
-	// the final checkpoint (kill mid-drain).
-	PointServeAdmit = "serve:admit"
-	PointServeAck   = "serve:ack"
-	PointServeDrain = "serve:drain"
 )
 
 // Crash is the sentinel an armed fault panics with. The engines
@@ -128,8 +106,8 @@ type SubsystemFail struct {
 // Plan is a deterministic, seedable fault scenario. The zero value
 // injects nothing.
 type Plan struct {
-	// Seed identifies the scenario; RunScenario derives the workload
-	// and every random choice from it.
+	// Seed identifies the scenario; a battery derives the workload and
+	// every random choice from it.
 	Seed int64
 	// CrashAfterWALRecords crashes the run when the WAL has accepted
 	// that many records (the fault WAL wrapper panics from inside the

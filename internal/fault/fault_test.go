@@ -2,8 +2,6 @@ package fault
 
 import (
 	"errors"
-	"fmt"
-	"reflect"
 	"testing"
 
 	"transproc/internal/wal"
@@ -152,76 +150,4 @@ func TestProtect(t *testing.T) {
 		}()
 		Protect(func() error { panic("not a crash") })
 	}()
-}
-
-func TestScenarioForDeterministicAndCovering(t *testing.T) {
-	classes := make(map[string]bool)
-	for seed := int64(0); seed < 20; seed++ {
-		a, b := ScenarioFor(seed), ScenarioFor(seed)
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("seed %d: ScenarioFor not deterministic:\n%+v\n%+v", seed, a, b)
-		}
-		classes[a.Class] = true
-	}
-	for _, want := range []string{
-		"wal-budget", "before-forcelog", "after-forcelog", "2pc-after-decision",
-		"2pc-mid-resolve", "file-torn-tail", "file-garbage-tail",
-		"runtime-kill-dispatch", "runtime-wal-budget", "crash-during-recovery",
-	} {
-		if !classes[want] {
-			t.Errorf("class %q never generated in 20 seeds", want)
-		}
-	}
-}
-
-func TestRunTortureSummary(t *testing.T) {
-	sum := RunTorture(0, 4, t.TempDir())
-	if sum.Scenarios != 4 {
-		t.Fatalf("Scenarios = %d, want 4", sum.Scenarios)
-	}
-	if len(sum.Failures) != 0 {
-		t.Fatalf("failures: %v", sum.Failures)
-	}
-	total := 0
-	for _, n := range sum.ByClass {
-		total += n
-	}
-	if total != 4 {
-		t.Fatalf("ByClass sums to %d, want 4", total)
-	}
-	if sum.Crashed+sum.Clean != 4 {
-		t.Fatalf("Crashed(%d)+Clean(%d) != 4", sum.Crashed, sum.Clean)
-	}
-}
-
-func TestTornTailNeverEatsAcknowledgedRecords(t *testing.T) {
-	// Regardless of how large the tear is, only the final record may be
-	// affected.
-	dir := t.TempDir()
-	path := dir + "/wal.log"
-	fl, err := wal.OpenFile(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := fl.Append(wal.Record{Type: wal.RecStart, Proc: fmt.Sprintf("W%d", i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fl.Close()
-	if err := tearTail(path, 1<<20); err != nil {
-		t.Fatal(err)
-	}
-	re, err := wal.OpenFile(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	recs, err := re.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 4 {
-		t.Fatalf("after max tear %d records survive, want 4 (all but the last)", len(recs))
-	}
 }

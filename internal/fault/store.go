@@ -3,115 +3,10 @@ package fault
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
-	"os"
-	"path/filepath"
 
 	"transproc/internal/store"
 	"transproc/internal/subsystem"
-	"transproc/internal/wal"
 )
-
-// storePath names a subsystem's heap file within a scenario.
-func storePath(dir string, seed int64, sub string) string {
-	return filepath.Join(dir, fmt.Sprintf("store-%d-%s.pages", seed, sub))
-}
-
-// storeOptions builds the store configuration of a scenario: the
-// scenario's pool size and flush mode, the fault injector as the crash
-// hook, and the scenario WAL's Sync as the write-ahead barrier (a dirty
-// page never reaches the device before the log it depends on).
-func storeOptions(sc Scenario, log wal.Log, inj *Injector) store.Options {
-	opts := store.Options{
-		PoolPages: sc.StorePoolPages,
-		FlushEach: sc.StoreFlushEach,
-		Inject:    inj.Point,
-	}
-	// wal.Log deliberately omits Sync; every real log (MemLog, FileLog,
-	// the fault wrapper) has it, so the barrier is wired by assertion.
-	if s, ok := log.(interface{ Sync() error }); ok {
-		opts.Barrier = s.Sync
-	}
-	return opts
-}
-
-// attachStores opens a fresh heap file per subsystem (removing any
-// leftover from an earlier run of the same seed) and attaches it.
-func attachStores(fed *subsystem.Federation, sc Scenario, dir string, log wal.Log, inj *Injector) error {
-	for _, sub := range fed.Subsystems() {
-		path := storePath(dir, sc.Seed, sub.Name())
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("removing stale store %s: %w", path, err)
-		}
-		st, err := store.OpenFile(path, storeOptions(sc, log, inj))
-		if err != nil {
-			return fmt.Errorf("opening store %s: %w", path, err)
-		}
-		if err := sub.AttachStore(st); err != nil {
-			return fmt.Errorf("attaching store %s: %w", path, err)
-		}
-	}
-	return nil
-}
-
-// reopenStores reopens the scenario's heap files — whatever the crash
-// left on disk — into a (fresh) federation's subsystems.
-func reopenStores(fed *subsystem.Federation, sc Scenario, dir string, log wal.Log, inj *Injector) error {
-	for _, sub := range fed.Subsystems() {
-		path := storePath(dir, sc.Seed, sub.Name())
-		st, err := store.OpenFile(path, storeOptions(sc, log, inj))
-		if err != nil {
-			return fmt.Errorf("reopening store %s: %w", path, err)
-		}
-		if err := sub.AttachStore(st); err != nil {
-			return fmt.Errorf("attaching reopened store %s: %w", path, err)
-		}
-	}
-	return nil
-}
-
-// abandonStores closes every attached store crash-style: dirty pool
-// pages are dropped, only what reached the device survives.
-func abandonStores(fed *subsystem.Federation) {
-	for _, sub := range fed.Subsystems() {
-		if st := sub.DurableStore(); st != nil {
-			st.Abandon()
-		}
-	}
-}
-
-// tearStorePage simulates a torn page write: one byte of one page of
-// one subsystem's heap file is flipped (seed-deterministic choice), so
-// the page's checksum fails at the next Open and the store must repair
-// it and recovery must redo its lost records from the WAL. Files with
-// no pages are skipped.
-func tearStorePage(fed *subsystem.Federation, sc Scenario, dir string) error {
-	rng := rand.New(rand.NewSource(sc.Seed*2654435761 + 97))
-	subs := fed.Subsystems()
-	for _, off := range rng.Perm(len(subs)) {
-		path := storePath(dir, sc.Seed, subs[off].Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("reading store for tear: %w", err)
-		}
-		if len(data) < store.PageSize {
-			continue
-		}
-		page := rng.Intn(len(data) / store.PageSize)
-		at := int64(page*store.PageSize + rng.Intn(store.PageSize))
-		f, err := os.OpenFile(path, os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		b := []byte{data[at] ^ 0xff}
-		if _, err := f.WriteAt(b, at); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	return nil // no store has a full page yet — nothing to tear
-}
 
 // CheckDurableStores asserts the storage-level recovery guarantees
 // after a durable scenario's recovery completed (run it after

@@ -4,10 +4,10 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net"
 	"time"
 
-	"transproc/internal/chaos"
 	"transproc/internal/metrics"
 )
 
@@ -23,142 +23,145 @@ var ErrVoided = errors.New("federation: request voided after transport retry exh
 // re-attach its in-flight processes before retrying anything.
 var ErrHubRestart = errors.New("federation: hub incarnation changed (stale epoch); re-attach required")
 
-// backoffTick converts the chaos retry engine's virtual ticks into real
-// reconnect-sleep time. At the default policy (base 2, cap 64) the
-// per-retry sleep ranges ~100µs–6.4ms — long enough to ride out a hub
-// reopen (close, recover, rebind) without a busy spin, short enough to
-// keep torture runs fast.
-const backoffTick = 100 * time.Microsecond
+// ErrLost is what a Transport returns for a delivery attempt it knows
+// was lost without the connection being at fault (a fault model's
+// simulated drop or lost reply). The client retries at once under the
+// same request id; the attempt still counts against the budget. Real
+// I/O errors take the reconnect-backoff path instead.
+var ErrLost = errors.New("federation: delivery attempt lost")
 
-// Client is a node's connection to the hub with the chaos transport
-// fault model applied deterministically per delivery attempt: drops and
-// partition-window attempts are not sent; an executed-but-lost reply is
-// read and discarded (the retry under the same request id hits the
-// hub's dedup table); a duplicate is sent twice and both replies are
-// read. The wire itself is reliable TCP — unreliability is simulated,
-// which is what makes it deterministic and seedable.
-type Client struct {
-	node uint32
-	name string
+// Transport carries one request frame to the hub and brings back its
+// response. It is the seam a fault model wraps from outside the package
+// (Config.WrapTransport); the only product implementation is the TCP
+// connection below.
+type Transport interface {
+	RoundTrip(*Frame) (*Frame, error)
+	Close()
+}
+
+// tcpTransport is a lazily dialed TCP connection to the hub that drops
+// the connection on any I/O error, so the next round trip redials.
+type tcpTransport struct {
 	addr string
-	plan chaos.Plan
-	reg  *metrics.Registry
-
 	conn net.Conn
 	rd   *bufio.Reader
-
-	req     uint64 // request-id counter
-	attempt int64  // delivery-attempt counter (drives fates and outages)
-
-	// dispatchBudget bounds transport attempts of invocation-class RPCs
-	// (Dispatch, StepDispatch) before the Cancel flow; controlBudget
-	// bounds everything else and must outlast any partition window
-	// (windows are finite attempt counts, so control RPCs always land).
-	dispatchBudget int
-	controlBudget  int
-
-	// epoch is the hub incarnation learned from the last hello; every
-	// frame is stamped with it, so a restarted hub bounces the client
-	// (StStale → ErrHubRestart) until the node re-hellos.
-	epoch uint32
-	// reconnect bounds consecutive hard I/O failures per attempt loop;
-	// between failures the client sleeps on the chaos retry engine's
-	// seeded exponential-backoff schedule instead of hammering the
-	// listener, which is what lets it ride out a hub restart.
-	reconnect int
-	retry     chaos.RetryPolicy
 }
 
-// NewClient prepares a client; the connection is dialed lazily.
-// reconnectAttempts bounds consecutive connection failures before a
-// call is abandoned (0 = default 256, sized to outlast a hub reopen
-// under the seeded backoff schedule).
-func NewClient(node uint32, name, addr string, plan chaos.Plan, dispatchBudget, controlBudget, reconnectAttempts int, reg *metrics.Registry) *Client {
-	if dispatchBudget <= 0 {
-		dispatchBudget = 4096
-	}
-	if controlBudget <= 0 {
-		controlBudget = 1 << 20
-	}
-	if reconnectAttempts <= 0 {
-		reconnectAttempts = 256
-	}
-	return &Client{
-		node: node, name: name, addr: addr, plan: plan, reg: reg,
-		dispatchBudget: dispatchBudget, controlBudget: controlBudget,
-		reconnect: reconnectAttempts,
-	}
-}
-
-// Epoch reports the hub incarnation the client last learned.
-func (c *Client) Epoch() uint32 { return c.epoch }
-
-// backoffSleep sleeps before reconnect attempt k (1-based) using the
-// seeded jittered schedule, so a whole cluster's redial storm after a
-// hub kill is deterministic under the test seed yet de-synchronized
-// across nodes (jitter is keyed by the node name).
-func (c *Client) backoffSleep(k int) {
-	ticks := c.retry.Backoff(c.plan, c.name, "hub-reconnect", k)
-	time.Sleep(time.Duration(ticks) * backoffTick)
-}
-
-func (c *Client) dial() error {
-	if c.conn != nil {
-		return nil
-	}
-	conn, err := net.Dial("tcp", c.addr)
-	if err != nil {
-		return err
-	}
-	c.conn = conn
-	c.rd = bufio.NewReader(conn)
-	return nil
-}
-
-func (c *Client) redial() {
-	if c.conn != nil {
-		c.conn.Close()
-		c.conn = nil
-		c.rd = nil
-	}
-}
+// Dial returns the TCP transport to the hub at addr; the connection is
+// established on first use.
+func Dial(addr string) Transport { return &tcpTransport{addr: addr} }
 
 // Close severs the connection.
-func (c *Client) Close() {
-	c.redial()
+func (t *tcpTransport) Close() {
+	if t.conn != nil {
+		t.conn.Close()
+		t.conn, t.rd = nil, nil
+	}
 }
 
-// roundTrip sends one frame and reads one response, redialing on I/O
-// errors. The response must echo the request id.
-func (c *Client) roundTrip(f *Frame) (*Frame, error) {
-	if err := c.dial(); err != nil {
+// RoundTrip sends one frame and reads one response, which must echo the
+// request id.
+func (t *tcpTransport) RoundTrip(f *Frame) (*Frame, error) {
+	if t.conn == nil {
+		conn, err := net.Dial("tcp", t.addr)
+		if err != nil {
+			return nil, err
+		}
+		t.conn, t.rd = conn, bufio.NewReader(conn)
+	}
+	if err := WriteFrame(t.conn, f); err != nil {
+		t.Close()
 		return nil, err
 	}
-	if err := WriteFrame(c.conn, f); err != nil {
-		c.redial()
-		return nil, err
-	}
-	resp, err := ReadFrame(c.rd)
+	resp, err := ReadFrame(t.rd)
 	if err != nil {
-		c.redial()
+		t.Close()
 		return nil, err
 	}
 	if resp.Req != f.Req {
-		c.redial()
+		t.Close()
 		return nil, fmt.Errorf("federation: response for request %d, expected %d", resp.Req, f.Req)
 	}
 	return resp, nil
 }
 
-// Call performs one RPC under the fault model. invocation marks the
-// dispatch-class calls that may be voided; control calls retry until
-// they land.
+const (
+	// backoffTick is the first reconnect sleep; it doubles per
+	// consecutive failure up to backoffCap. 100µs–6.4ms is long enough to
+	// ride out a hub reopen (close, recover, rebind) without a busy spin,
+	// short enough to keep torture runs fast.
+	backoffTick = 100 * time.Microsecond
+	backoffCap  = 64 * backoffTick
+	// controlBudget bounds transport attempts of control RPCs. It must
+	// outlast any partition window a fault model opens (windows are
+	// finite attempt counts, so control RPCs always land).
+	controlBudget = 1 << 20
+	// reconnectAttempts bounds consecutive connection failures before a
+	// call is abandoned, sized to outlast a hub reopen under the backoff
+	// schedule.
+	reconnectAttempts = 256
+)
+
+// Client is a node's RPC endpoint over a Transport: it numbers
+// requests, stamps them with the hub epoch, retries lost attempts under
+// the same request id within a budget (the hub's dedup table makes the
+// retry exactly-once), backs off across real connection failures, and
+// resolves an exhausted invocation through fetch-or-void.
+type Client struct {
+	node uint32
+	name string
+	tr   Transport
+	reg  *metrics.Registry
+
+	req uint64 // request-id counter
+
+	// dispatchBudget bounds transport attempts of invocation-class RPCs
+	// (Dispatch, StepDispatch) before the Cancel flow.
+	dispatchBudget int
+
+	// epoch is the hub incarnation learned from the last hello; every
+	// frame is stamped with it, so a restarted hub bounces the client
+	// (StStale → ErrHubRestart) until the node re-hellos.
+	epoch uint32
+}
+
+// NewClient prepares a client over the transport (dispatchBudget 0 =
+// default 4096).
+func NewClient(node uint32, name string, tr Transport, dispatchBudget int, reg *metrics.Registry) *Client {
+	if dispatchBudget <= 0 {
+		dispatchBudget = 4096
+	}
+	return &Client{node: node, name: name, tr: tr, reg: reg, dispatchBudget: dispatchBudget}
+}
+
+// Epoch reports the hub incarnation the client last learned.
+func (c *Client) Epoch() uint32 { return c.epoch }
+
+// Close severs the transport.
+func (c *Client) Close() { c.tr.Close() }
+
+// backoffSleep sleeps before reconnect attempt k (1-based): exponential
+// with a jitter factor in [0.5, 1) that is a fixed function of the node
+// name and k, so a cluster's redial storm after a hub kill repeats run
+// to run yet is de-synchronized across nodes.
+func (c *Client) backoffSleep(k int) {
+	d := backoffCap
+	if k < 7 {
+		d = backoffTick << (k - 1)
+	}
+	h := fnv.New32a()
+	fmt.Fprintf(h, "%s/%d", c.name, k)
+	time.Sleep(d/2 + d/2*time.Duration(h.Sum32()%1024)/1024)
+}
+
+// Call performs one RPC. invocation marks the dispatch-class calls that
+// may be voided; control calls retry until they land.
 func (c *Client) Call(f *Frame, invocation bool) (*Frame, error) {
 	f.Node = c.node
 	f.Epoch = c.epoch
 	c.req++
 	f.Req = c.req
-	budget := c.controlBudget
+	budget := controlBudget
 	if invocation {
 		budget = c.dispatchBudget
 	}
@@ -179,7 +182,7 @@ func (c *Client) Call(f *Frame, invocation bool) (*Frame, error) {
 	cancel := &Frame{Type: MsgCancel, Node: c.node, Proc: f.Proc, Gen: int64(f.Req), Epoch: c.epoch}
 	c.req++
 	cancel.Req = c.req
-	cresp, cerr := c.attemptLoop(cancel, c.controlBudget)
+	cresp, cerr := c.attemptLoop(cancel, controlBudget)
 	if cerr != nil {
 		return nil, fmt.Errorf("federation: cancel of request %d failed: %w", f.Req, cerr)
 	}
@@ -192,91 +195,27 @@ func (c *Client) Call(f *Frame, invocation bool) (*Frame, error) {
 	return nil, ErrVoided
 }
 
-// errBudget marks budget exhaustion internally (distinct from hard I/O
-// failure so the Cancel flow only runs when the hub is reachable).
-var errBudget = errors.New("retry budget exhausted")
-
+// attemptLoop delivers f within budget attempts. A lost attempt is
+// retried at once; a connection failure sleeps on the backoff schedule
+// first and gives up after reconnectAttempts of them in the call.
 func (c *Client) attemptLoop(f *Frame, budget int) (*Frame, error) {
 	var lastErr error
-	consecutiveIO := 0
+	ioFailures := 0
 	for try := 0; try < budget; try++ {
-		c.attempt++
-		if c.plan.WireOutage(c.name, c.attempt) {
-			c.reg.Inc(metrics.FedWireDrops)
+		resp, err := c.tr.RoundTrip(f)
+		if err == nil {
+			return resp, nil
+		}
+		lastErr = err
+		if errors.Is(err, ErrLost) {
 			c.reg.Inc(metrics.FedRPCRetries)
 			continue
 		}
-		switch c.plan.WireFateAt(c.name, c.attempt) {
-		case chaos.WireDrop:
-			c.reg.Inc(metrics.FedWireDrops)
-			c.reg.Inc(metrics.FedRPCRetries)
-			continue
-		case chaos.WireExecLostReply:
-			// Delivered and executed, reply lost: read and discard, then
-			// retry under the same request id — the hub's dedup table
-			// replays the cached response.
-			if _, err := c.roundTrip(f); err != nil {
-				lastErr = err
-				consecutiveIO++
-				if consecutiveIO > c.reconnect {
-					return nil, lastErr
-				}
-				c.backoffSleep(consecutiveIO)
-				continue
-			}
-			consecutiveIO = 0
-			c.reg.Inc(metrics.FedRPCRetries)
-			continue
-		case chaos.WireDuplicate:
-			c.reg.Inc(metrics.FedWireDuplicates)
-			if err := c.dial(); err != nil {
-				lastErr = err
-				consecutiveIO++
-				if consecutiveIO > c.reconnect {
-					return nil, lastErr
-				}
-				c.backoffSleep(consecutiveIO)
-				continue
-			}
-			if err := WriteFrame(c.conn, f); err != nil {
-				c.redial()
-				lastErr = err
-				continue
-			}
-			first, err := c.roundTrip(f)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			_ = first // both deliveries answered identically (dedup)
-			resp, err := ReadFrame(c.rd)
-			if err != nil {
-				c.redial()
-				lastErr = err
-				continue
-			}
-			if resp.Req != f.Req {
-				c.redial()
-				lastErr = fmt.Errorf("federation: duplicate response for request %d, expected %d", resp.Req, f.Req)
-				continue
-			}
-			return resp, nil
-		default:
-			resp, err := c.roundTrip(f)
-			if err != nil {
-				lastErr = err
-				consecutiveIO++
-				if consecutiveIO > c.reconnect {
-					return nil, lastErr
-				}
-				c.backoffSleep(consecutiveIO)
-				continue
-			}
-			return resp, nil
+		ioFailures++
+		if ioFailures > reconnectAttempts {
+			break
 		}
-	}
-	if lastErr == nil {
-		lastErr = errBudget
+		c.backoffSleep(ioFailures)
 	}
 	return nil, lastErr
 }

@@ -6,8 +6,6 @@ import (
 	"sync"
 	"time"
 
-	"transproc/internal/chaos"
-	"transproc/internal/fault"
 	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/scheduler"
@@ -15,13 +13,6 @@ import (
 	"transproc/internal/subsystem"
 	"transproc/internal/wal"
 )
-
-// CrashSpec arms a crash point on one node's fault injector.
-type CrashSpec struct {
-	Node  int    // node index
-	Point string // crash point name (fed:dispatch, twopc:after-decision, ...)
-	Count int    // 1-based hit count (0 = first)
-}
 
 // Config configures a cluster run.
 type Config struct {
@@ -34,18 +25,22 @@ type Config struct {
 	MaxRestarts int
 	MaxStalls   int
 	Metrics     *metrics.Registry
-	// Wire is the transport fault plan, shared by all nodes (fates are
-	// keyed by node name, so nodes see independent streams).
-	Wire chaos.Plan
-	// Crash arms a node-side crash point.
-	Crash CrashSpec
-	// HubKill arms a hub-side crash point (hub:dispatch, hub:decision,
-	// hub:resolve — Node is ignored). When it fires, the hub dies
-	// mid-handler (kill -9 semantics: no response, in-memory state
-	// lost), the cluster monitor reopens a new incarnation from the
-	// stitched WALs plus the hub journal, rebinds the same address, and
-	// the nodes ride through via stale-epoch bounces and re-attachment.
-	HubKill CrashSpec
+	// WrapTransport, if set, wraps each node's TCP transport to the hub
+	// (a fault model drops, loses or duplicates deliveries here, keyed
+	// by the node name it is given).
+	WrapTransport func(node string, t Transport) Transport
+	// NodeInject, if set, supplies node i's crash-point hook (the
+	// PointFed* names and the 2PC coordinator's); a nil hook arms
+	// nothing on that node.
+	NodeInject func(node int) func(point string)
+	// HubInject, if set, is the crash-point hook of every hub
+	// incarnation (PointHub*). When a fault plan panics through it, the
+	// hub dies mid-handler (kill -9 semantics: no response, in-memory
+	// state lost), the cluster monitor reopens a new incarnation from
+	// the stitched WALs plus the hub journal, rebinds the same address,
+	// and the nodes ride through via stale-epoch bounces and
+	// re-attachment.
+	HubInject func(point string)
 	// HubJournal is the hub's force-logged side channel (default: a
 	// fresh MemJournal).
 	HubJournal HubJournal
@@ -56,21 +51,19 @@ type Config struct {
 	// HeartbeatEvery makes nodes refresh their lease while otherwise
 	// silent. Zero disables.
 	HeartbeatEvery time.Duration
-	// ReconnectAttempts bounds a client's consecutive connection
-	// failures (0 = default 256) — must outlast a hub reopen.
-	ReconnectAttempts int
-	// OnReopen, if set, judges every hub reopen at its boundary (e.g.
-	// fault.CheckRecovered over the reopen's stitched history). An error
-	// fails the run.
+	// OnReopen, if set, observes every hub reopen at its boundary (a
+	// battery judges the reopen's stitched history here). An error fails
+	// the run.
 	OnReopen func(*ReopenReport) error
 	// OnHubDown / OnHubUp observe the hub availability window (the serve
 	// layer degrades its readiness probe between them).
 	OnHubDown func()
 	OnHubUp   func()
 	// NodeWAL supplies per-node logs (default: fresh MemLogs).
-	NodeWAL        func(node int) wal.Log
+	NodeWAL func(node int) wal.Log
+	// DispatchBudget bounds transport attempts of an invocation RPC
+	// before fetch-or-void (0 = default 4096).
 	DispatchBudget int
-	ControlBudget  int
 }
 
 // RunResult is the aggregate of a cluster run.
@@ -123,16 +116,9 @@ func NewCluster(fed *subsystem.Federation, defs []*process.Process, cfg Config) 
 	}
 	hubCfg := HubConfig{
 		Mode: cfg.Mode, MaxStalls: cfg.MaxStalls, Metrics: cfg.Metrics,
-		Journal: cfg.HubJournal, LeaseTTL: cfg.LeaseTTL,
+		Journal: cfg.HubJournal, LeaseTTL: cfg.LeaseTTL, Inject: cfg.HubInject,
 	}
-	var hubInject func(string)
-	if cfg.HubKill.Point != "" {
-		inj := fault.NewInjector(fault.Plan{CrashAtPoint: cfg.HubKill.Point, CrashAtCount: cfg.HubKill.Count})
-		hubInject = inj.Point
-	}
-	firstCfg := hubCfg
-	firstCfg.Inject = hubInject // only the first incarnation is armed
-	hub, err := NewHub(fed, defs, firstCfg)
+	hub, err := NewHub(fed, defs, hubCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -158,24 +144,25 @@ func NewCluster(fed *subsystem.Federation, defs []*process.Process, cfg Config) 
 			log = wal.NewMemLog()
 		}
 		c.logs = append(c.logs, log)
+		name := fmt.Sprintf("node%d", i)
+		tr := Dial(server.Addr())
+		if cfg.WrapTransport != nil {
+			tr = cfg.WrapTransport(name, tr)
+		}
 		var inject func(string)
-		if cfg.Crash.Point != "" && cfg.Crash.Node == i {
-			inj := fault.NewInjector(fault.Plan{CrashAtPoint: cfg.Crash.Point, CrashAtCount: cfg.Crash.Count})
-			inject = inj.Point
+		if cfg.NodeInject != nil {
+			inject = cfg.NodeInject(i)
 		}
 		c.nodes = append(c.nodes, NewNode(NodeConfig{
 			ID:   uint32(i + 1),
-			Name: fmt.Sprintf("node%d", i),
-			Addr: server.Addr(),
-			WAL:  log, Jobs: jobs[i],
+			Name: name, Transport: tr,
+			WAL: log, Jobs: jobs[i],
 			MaxRestarts:    cfg.MaxRestarts,
-			Wire:           cfg.Wire,
-			DispatchBudget: cfg.DispatchBudget, ControlBudget: cfg.ControlBudget,
-			Inject:            inject,
-			Metrics:           cfg.Metrics,
-			Defs:              defsByID,
-			HeartbeatEvery:    cfg.HeartbeatEvery,
-			ReconnectAttempts: cfg.ReconnectAttempts,
+			DispatchBudget: cfg.DispatchBudget,
+			Inject:         inject,
+			Metrics:        cfg.Metrics,
+			Defs:           defsByID,
+			HeartbeatEvery: cfg.HeartbeatEvery,
 		}))
 	}
 	return c, nil
@@ -365,8 +352,8 @@ func (c *Cluster) Stitched() ([]wal.Record, error) {
 }
 
 // StitchedLog materializes the stitched history into a fresh MemLog and
-// returns it with the record count (the pre-recovery boundary for
-// fault.CheckRecovered).
+// returns it with the record count (the pre-recovery boundary a
+// recovery judge needs).
 func (c *Cluster) StitchedLog() (*wal.MemLog, int, error) {
 	recs, err := c.Stitched()
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"transproc/internal/battery"
 	"transproc/internal/chaos"
 	"transproc/internal/federation"
 	"transproc/internal/process"
@@ -75,7 +76,7 @@ func runFedDifferential(t *testing.T, seed int64, mode policy.Mode, nodes int, w
 
 	cfg := federation.Config{Nodes: nodes, Mode: mode, MaxRestarts: 64}
 	if wire {
-		cfg.Wire = chaos.Plan{Seed: seed, PTransient: 0.03, PTimeout: 0.06, PDuplicate: 0.06}
+		cfg.WrapTransport = battery.ChaosWire(chaos.Plan{Seed: seed, PTransient: 0.03, PTimeout: 0.06, PDuplicate: 0.06}, nil)
 		cfg.DispatchBudget = 1 << 16
 	}
 	defs := defsOf(fedW)

@@ -9,7 +9,6 @@ import (
 
 	"transproc/internal/activity"
 	"transproc/internal/conflict"
-	"transproc/internal/fault"
 	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/schedule"
@@ -39,11 +38,10 @@ type HubConfig struct {
 	// arrives for this long; zero disables lease expiry (nodes then die
 	// only through an explicit NodeDown).
 	LeaseTTL time.Duration
-	// Inject fires named hub crash points (hub:dispatch, hub:decision,
-	// hub:resolve). A fault plan panics through it with a crash
-	// sentinel that Handle converts into a dead hub: the in-flight
-	// request — and every later one — gets no response, modeling
-	// kill -9 of the coordination agent.
+	// Inject fires the named hub crash points (PointHub*). A fault plan
+	// panics through it with a crash sentinel that Handle converts into
+	// a dead hub: the in-flight request — and every later one — gets no
+	// response, modeling kill -9 of the coordination agent.
 	Inject func(string)
 	// Epoch seeds the hub incarnation number; ReopenHub bumps it so
 	// frames from the previous incarnation bounce with StStale.
@@ -51,6 +49,19 @@ type HubConfig struct {
 	// Now is the lease clock (default time.Now); tests pin it.
 	Now func() time.Time
 }
+
+// Crash points fired inside the hub's serial section: after a frontier
+// dispatch prepared its subsystem transaction but before the node
+// learns the stamp (the response is lost with the hub), after the
+// Lemma-1 gate granted a 2PC decision stamp, and after a prepared
+// participant was committed during resolution. Each models kill -9 of
+// the coordination agent with mutated in-memory state the reopen must
+// rebuild from the stitched WALs plus the hub journal.
+const (
+	PointHubDispatch = "hub:dispatch"
+	PointHubDecision = "hub:decision"
+	PointHubResolve  = "hub:resolve"
+)
 
 // leaseChunk is how far past the journaled floor the hub extends its
 // stamp lease per force-log: one journal fsync amortizes over this many
@@ -296,17 +307,12 @@ func (h *Hub) Handle(req *Frame) (out *Frame) {
 	if h.killed {
 		return nil
 	}
-	defer func() {
-		if v := recover(); v != nil {
-			if _, ok := fault.AsCrash(v); !ok {
-				panic(v)
-			}
-			h.killed = true
-			close(h.killedCh)
-			h.reg.Inc(metrics.FedHubKills)
-			out = nil
-		}
-	}()
+	defer scheduler.OnInjectedCrash(func(string) {
+		h.killed = true
+		close(h.killedCh)
+		h.reg.Inc(metrics.FedHubKills)
+		out = nil
+	})
 	h.reg.Inc(metrics.FedRPCs)
 
 	if req.Type == MsgHello {
@@ -528,7 +534,7 @@ func (h *Hub) handleDispatch(req *Frame) *Frame {
 	// issued, but the response dies with the hub — the node never logs
 	// the prepared outcome, leaving an orphan the reopen's recovery
 	// presumes aborted.
-	h.injectPoint(fault.PointHubDispatch)
+	h.injectPoint(PointHubDispatch)
 	return out
 }
 
@@ -829,7 +835,7 @@ func (h *Hub) handleCommitClear(req *Frame) *Frame {
 	// with the hub before the node can log RecDecision — the reopen's
 	// recovery sees only an undecided prepared set and presumes abort,
 	// reconciling any already-settled participant through TxFate.
-	h.injectPoint(fault.PointHubDecision)
+	h.injectPoint(PointHubDecision)
 	return out
 }
 
@@ -867,7 +873,7 @@ func (h *Hub) handleResolve(req *Frame) *Frame {
 	// the node never logs RecResolved — with RecDecision already
 	// logged, the reopen's recovery presumes commit and redoes the
 	// resolution idempotently through the subsystem's TxFate.
-	h.injectPoint(fault.PointHubResolve)
+	h.injectPoint(PointHubResolve)
 	return out
 }
 

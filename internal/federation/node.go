@@ -6,8 +6,6 @@ import (
 	"sort"
 	"time"
 
-	"transproc/internal/chaos"
-	"transproc/internal/fault"
 	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/scheduler"
@@ -25,20 +23,23 @@ type NodeJob struct {
 type NodeConfig struct {
 	ID   uint32
 	Name string
-	Addr string
+	// Transport reaches the hub (Dial, possibly wrapped by a fault
+	// model).
+	Transport Transport
 	// WAL is the node's private log; records carry hub-issued stamps so
 	// the stitcher can merge the per-node logs into one global history.
 	WAL  wal.Log
 	Jobs []NodeJob
 	// MaxRestarts bounds restart incarnations per origin process.
 	MaxRestarts int
-	// Wire is the transport fault plan (applied per delivery attempt).
-	Wire           chaos.Plan
+	// DispatchBudget bounds transport attempts of an invocation RPC
+	// (0 = default).
 	DispatchBudget int
-	ControlBudget  int
-	// Inject fires named crash points (fed:dispatch, fed:after-prepared,
-	// twopc:after-decision, twopc:mid-resolve); a fault plan panics
-	// through it with a crash sentinel the node recovers.
+	// Inject fires the node's named crash points (PointFedDispatch,
+	// PointFedAfterPrepared and, since node-side 2PC plays the
+	// coordinator's part, internal/twopc's "twopc:after-decision" and
+	// "twopc:mid-resolve"); a fault plan panics through it with a crash
+	// sentinel the node recovers.
 	Inject  func(string)
 	Metrics *metrics.Registry
 	// Defs maps origin id → definition for every process in the cluster,
@@ -49,11 +50,16 @@ type NodeConfig struct {
 	// is sleeping (its RPCs refresh the lease implicitly otherwise);
 	// zero disables heartbeats.
 	HeartbeatEvery time.Duration
-	// ReconnectAttempts bounds consecutive connection failures per RPC
-	// (0 = default), each preceded by a seeded backoff sleep — the knob
-	// that must outlast a hub reopen.
-	ReconnectAttempts int
 }
+
+// Crash points fired by scheduler nodes: before a frontier dispatch RPC
+// is sent, and in the window after the node force-logged a prepared
+// outcome but before the hub was asked to commit it (the
+// orphan-prepared window that recovery resolves by presumed abort).
+const (
+	PointFedDispatch      = "fed:dispatch"
+	PointFedAfterPrepared = "fed:after-prepared"
+)
 
 // nodeProc is the node-side state of one process incarnation — the
 // log half of what scheduler.Proc is to the other hosts, driven by RPC
@@ -152,20 +158,11 @@ func (n *Node) call(f *Frame, invocation bool) (*Frame, error) {
 // surfacing as ErrHubRestart from any RPC triggers the re-attach flow
 // (re-hello, per-process fate query) and the driver resumes.
 func (n *Node) Run() (err error) {
-	defer func() {
-		v := recover()
-		if v == nil {
-			return
-		}
-		if _, ok := fault.AsCrash(v); ok {
-			n.Crashed = true
-			n.cli.Close()
-			return
-		}
-		panic(v)
-	}()
-	n.cli = NewClient(n.cfg.ID, n.cfg.Name, n.cfg.Addr, n.cfg.Wire,
-		n.cfg.DispatchBudget, n.cfg.ControlBudget, n.cfg.ReconnectAttempts, n.reg)
+	defer scheduler.OnInjectedCrash(func(string) {
+		n.Crashed = true
+		n.cli.Close()
+	})
+	n.cli = NewClient(n.cfg.ID, n.cfg.Name, n.cfg.Transport, n.cfg.DispatchBudget, n.reg)
 	defer n.cli.Close()
 	if _, err := n.call(&Frame{Type: MsgHello, Origin: n.cfg.Name}, false); err != nil {
 		return err
@@ -514,7 +511,7 @@ func (n *Node) predsCommitted(p *nodeProc, local int) bool {
 
 func (n *Node) dispatchFrontier(p *nodeProc, local int) (bool, error) {
 	a := p.def.Activity(local)
-	n.inject(fault.PointFedDispatch)
+	n.inject(PointFedDispatch)
 	resp, err := n.call(&Frame{
 		Type: MsgDispatch, Proc: string(p.id), Local: int32(local), Kind: uint8(a.Kind),
 	}, true)
@@ -552,7 +549,7 @@ func (n *Node) dispatchFrontier(p *nodeProc, local int) (bool, error) {
 			Type: wal.RecOutcome, Proc: string(p.id), Local: local, Service: resp.Service,
 			Subsystem: resp.Subsystem, Tx: resp.Tx, Outcome: "prepared",
 		}, resp.Stamp)
-		n.inject(fault.PointFedAfterPrepared)
+		n.inject(PointFedAfterPrepared)
 		cresp, err := n.call(&Frame{Type: MsgCommitLocal, Proc: string(p.id), Local: int32(local)}, false)
 		if err != nil {
 			return false, err
@@ -827,7 +824,7 @@ func (n *Node) resolvePrepared(p *nodeProc, decisionStamp int64) error {
 		return nil
 	}
 	n.force(wal.Record{Type: wal.RecDecision, Proc: string(p.id)}, decisionStamp)
-	n.inject(fault.PointAfterDecision)
+	n.inject("twopc:after-decision")
 	for i, l := range locals {
 		resp, err := n.call(&Frame{Type: MsgResolve, Proc: string(p.id), Local: int32(l)}, false)
 		if err != nil {
@@ -845,7 +842,7 @@ func (n *Node) resolvePrepared(p *nodeProc, decisionStamp int64) error {
 		}
 		delete(p.prepared, l)
 		if i == 0 {
-			n.inject(fault.PointMidResolve)
+			n.inject("twopc:mid-resolve")
 		}
 	}
 	return nil

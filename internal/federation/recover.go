@@ -19,8 +19,8 @@ import (
 type ReopenReport struct {
 	// Log is the stitched pre-crash history with the recovery-appended
 	// tail (tail records carry stamp zero here, exactly as a single-node
-	// recovery pass leaves them — fault.CheckRecovered consumes it with
-	// Pre as the boundary).
+	// recovery pass leaves them — a battery's recovery judge consumes it
+	// with Pre as the boundary).
 	Log *wal.MemLog
 	// Pre is the pre-crash record count.
 	Pre int

@@ -14,15 +14,16 @@
 // under which the node force-logs the corresponding records into its
 // per-node WAL. Stitching the per-node logs by stamp yields one global
 // history that the existing single-node machinery consumes unchanged:
-// wal.Analyze, scheduler.Recover and fault.CheckRecovered — that reuse
-// is the recovery composition.
+// wal.Analyze, scheduler.Recover and the batteries' recovery judge —
+// that reuse is the recovery composition.
 //
 // The wire is a hand-rolled length-prefixed binary codec over localhost
-// TCP (dependency-free). The transport fault model is internal/chaos:
-// per-attempt fates (drops, executed-but-reply-lost timeouts, duplicate
-// delivery) and partition windows are deterministic per seed. The hub
-// dedups requests by (node, request id), so retries and duplicates are
-// exactly-once; crash consistency of the node-side logging protocol
+// TCP (dependency-free), behind the two-method Transport. The package
+// knows no fault model: crash points fire through injected hooks
+// (Config.HubInject, NodeInject) and an unreliable wire is a wrapper a
+// battery puts around Transport (Config.WrapTransport, DESIGN.md §6m).
+// The hub dedups requests by (node, request id), so retries and
+// duplicates are exactly-once; crash consistency of the node-side logging protocol
 // reduces every loss window to a rule recovery already implements
 // (orphan presumed abort, redo-commit, presumed commit after decision).
 package federation

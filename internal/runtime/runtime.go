@@ -396,17 +396,9 @@ func (r *Runtime) incarnation(origin process.ID) (process.ID, bool) {
 // unwind past the critical section, so it is caught right here.
 // Non-sentinel panics propagate.
 func (r *Runtime) guard(f func()) (ok bool) {
-	defer func() {
-		v := recover()
-		if v == nil {
-			return
-		}
-		crash, isCrash := v.(interface{ InjectedCrash() string })
-		if !isCrash {
-			panic(v)
-		}
-		r.fail(fmt.Errorf("%w (injected at %s)", scheduler.ErrCrashed, crash.InjectedCrash()))
-	}()
+	defer scheduler.OnInjectedCrash(func(point string) {
+		r.fail(fmt.Errorf("%w (injected at %s)", scheduler.ErrCrashed, point))
+	})
 	f()
 	return true
 }

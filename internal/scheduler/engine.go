@@ -20,6 +20,24 @@ import (
 // reached; federation and log state survive for Recover.
 var ErrCrashed = errors.New("scheduler: injected crash")
 
+// OnInjectedCrash is the recover shim of every host that fires crash
+// points through an Inject hook: deferred directly (`defer
+// scheduler.OnInjectedCrash(func(point string) { ... })`), it hands
+// the crash point of a sentinel panic to died and lets every other
+// panic propagate. The sentinel is recognized by its method, not its
+// type, so no host imports the package that throws it.
+func OnInjectedCrash(died func(point string)) {
+	v := recover()
+	if v == nil {
+		return
+	}
+	crash, ok := v.(interface{ InjectedCrash() string })
+	if !ok {
+		panic(v)
+	}
+	died(crash.InjectedCrash())
+}
+
 // pendingProc is an incarnation waiting for admission: a submitted job
 // before its arrival time (or behind Serial/Conservative gating), or a
 // restart serving its backoff.
@@ -237,19 +255,11 @@ func (e *Engine) RunJobs(jobs []Job) (res *Result, err error) {
 	// the run by panicking with a crash sentinel; recover it here and
 	// hand back the partial result so the caller can drive Recover over
 	// the surviving log and subsystem state.
-	defer func() {
-		v := recover()
-		if v == nil {
-			return
-		}
-		crash, ok := v.(interface{ InjectedCrash() string })
-		if !ok {
-			panic(v)
-		}
+	defer OnInjectedCrash(func(point string) {
 		e.crashed = true
 		res = e.result()
-		err = fmt.Errorf("%w (injected at %s)", ErrCrashed, crash.InjectedCrash())
-	}()
+		err = fmt.Errorf("%w (injected at %s)", ErrCrashed, point)
+	})
 	if err := ValidateJobs(e.fed, jobs); err != nil {
 		return nil, err
 	}

@@ -20,6 +20,7 @@
 package policy
 
 import (
+	"fmt"
 	"sort"
 
 	"transproc/internal/activity"
@@ -73,6 +74,20 @@ func (m Mode) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// ParseMode is the inverse of String ("" means PRED). Hosts that
+// support fewer modes refuse the parsed value themselves.
+func ParseMode(s string) (Mode, error) {
+	if s == "" {
+		return PRED, nil
+	}
+	for m := PRED; m <= CCOnly; m++ {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown mode %q (pred|pred-cascade|serial|conservative|cc-only)", s)
 }
 
 // Config parameterizes the decision rules.

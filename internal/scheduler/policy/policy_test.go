@@ -1,0 +1,443 @@
+package policy_test
+
+import (
+	"reflect"
+	"testing"
+
+	"transproc/internal/conflict"
+	"transproc/internal/paper"
+	"transproc/internal/process"
+	"transproc/internal/schedule"
+	"transproc/internal/scheduler/policy"
+)
+
+// The tests below drive the decision functions directly over hand-built
+// histories of the paper's example processes (internal/paper): P1 and
+// P2 conflict on (a11, a21), (a12, a24) and (a15, a25); P3 conflicts
+// with P1 on (a11, a31). Figure 7 is "a21 after a11 while P1 can still
+// abort", Figure 8 is what must not follow from it (P2 passing its pivot
+// a23), Figure 9 is the quasi-commit: once P1 committed its pivot a12,
+// nothing it may still do conflicts with a31.
+
+// proc is one row of the fake process table.
+type proc struct {
+	id       process.ID
+	phase    policy.Phase
+	inst     *process.Instance
+	steps    []process.Step
+	inFlight []string
+}
+
+// world is a policy state with a hand-written view and history.
+type world struct {
+	t     *testing.T
+	st    *policy.State
+	procs []*proc
+	seq   int64
+}
+
+// newWorld builds the state the way the concurrent runtime does, over a
+// universe frozen on every service the processes can invoke, so a
+// decision does not depend on which services earlier decisions happened
+// to intern.
+func newWorld(t *testing.T, mode policy.Mode, table *conflict.Table, defs ...*process.Process) *world {
+	w := &world{t: t}
+	var services []string
+	for _, d := range defs {
+		w.procs = append(w.procs, &proc{id: d.ID, inst: process.NewInstance(d)})
+		for _, a := range d.Activities() {
+			services = append(services, a.Service)
+			if a.Compensation != "" {
+				services = append(services, a.Compensation)
+			}
+		}
+	}
+	w.st = policy.NewShard(policy.NewUniverse(table, services), policy.Config{Mode: mode})
+	return w
+}
+
+func (w *world) find(id process.ID) (int, *proc) {
+	for i, p := range w.procs {
+		if p.id == id {
+			return i, p
+		}
+	}
+	return -1, nil
+}
+
+func (w *world) Procs() []process.ID {
+	ids := make([]process.ID, len(w.procs))
+	for i, p := range w.procs {
+		ids[i] = p.id
+	}
+	return ids
+}
+
+func (w *world) Phase(id process.ID) policy.Phase {
+	if _, p := w.find(id); p != nil {
+		return p.phase
+	}
+	return policy.Done
+}
+
+func (w *world) Arrival(id process.ID) int { i, _ := w.find(id); return i }
+
+func (w *world) Instance(id process.ID) *process.Instance {
+	if _, p := w.find(id); p != nil {
+		return p.inst
+	}
+	return nil
+}
+
+func (w *world) RecoverySteps(id process.ID) []process.Step { _, p := w.find(id); return p.steps }
+func (w *world) InFlight(id process.ID) []string            { _, p := w.find(id); return p.inFlight }
+
+// exec puts the committed execution of an activity into the history.
+func (w *world) exec(id process.ID, local int) {
+	w.t.Helper()
+	_, p := w.find(id)
+	a := p.inst.Process().Activity(local)
+	if err := p.inst.MarkCommitted(local); err != nil {
+		w.t.Fatal(err)
+	}
+	w.seq++
+	w.st.AppendEvent(&policy.Event{Seq: w.seq, Proc: id, Local: local, Service: a.Service, Kind: a.Kind, Typ: schedule.Invoke})
+}
+
+// prepare puts a prepared (commit deferred) execution into the history.
+func (w *world) prepare(id process.ID, local int) {
+	w.t.Helper()
+	_, p := w.find(id)
+	a := p.inst.Process().Activity(local)
+	if err := p.inst.MarkPrepared(local); err != nil {
+		w.t.Fatal(err)
+	}
+	w.seq++
+	w.st.AppendEvent(&policy.Event{Seq: w.seq, Proc: id, Local: local, Service: a.Service, Kind: a.Kind, Typ: schedule.Invoke, Tentative: true})
+}
+
+// set changes a process's phase and queued completion.
+func (w *world) set(id process.ID, ph policy.Phase, steps ...process.Step) {
+	_, p := w.find(id)
+	p.phase, p.steps = ph, steps
+	w.st.Bump()
+}
+
+func compensate(local int, base string) process.Step {
+	return process.Step{Kind: process.StepCompensate, Local: local, Service: process.DefaultCompensationName(base)}
+}
+
+func invoke(local int, svc string) process.Step {
+	return process.Step{Kind: process.StepInvoke, Local: local, Service: svc}
+}
+
+func with(pairs ...[2]string) *conflict.Table {
+	t := paper.Conflicts()
+	for _, p := range pairs {
+		t.AddConflict(p[0], p[1])
+	}
+	return t
+}
+
+func TestMayDispatchAndBlockers(t *testing.T) {
+	p1, p2, p3 := paper.P1(), paper.P2(), paper.P3()
+
+	t.Run("figure 8: a21 behind backward-recoverable P1 is denied", func(t *testing.T) {
+		w := newWorld(t, policy.PRED, paper.Conflicts(), p1, p2)
+		w.exec("P1", 1)
+		ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(1))
+		if ok || rule != "recovery: depends on active process P1 (Lemma 1)" {
+			t.Errorf("MayDispatch = %v %q", ok, rule)
+		}
+		if got := w.st.DispatchBlockers(w, "P2", p2.Activity(1)); !reflect.DeepEqual(got, []process.ID{"P1"}) {
+			t.Errorf("DispatchBlockers = %v, want [P1]", got)
+		}
+		// Once P1 terminated the dependency is on history, not on an
+		// active process.
+		w.set("P1", policy.Done)
+		if ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(1)); !ok {
+			t.Errorf("after P1 terminated: denied by %q", rule)
+		}
+		if got := w.st.DispatchBlockers(w, "P2", p2.Activity(1)); len(got) != 0 {
+			t.Errorf("after P1 terminated: blockers %v", got)
+		}
+	})
+
+	t.Run("figure 9: a31 behind quasi-committed P1 is allowed", func(t *testing.T) {
+		w := newWorld(t, policy.PRED, paper.Conflicts(), p1, p3)
+		w.exec("P1", 1)
+		w.exec("P1", 2) // pivot a12: P1 is forward-recoverable, a11 is locked in
+		if ok, rule := w.st.MayDispatch(w, "P3", p3.Activity(1)); !ok {
+			t.Errorf("denied by %q", rule)
+		}
+		if got := w.st.DispatchBlockers(w, "P3", p3.Activity(1)); len(got) != 0 {
+			t.Errorf("blockers %v", got)
+		}
+	})
+
+	t.Run("figure 7 under PREDCascade: passes Lemma 1, stopped by the forced order", func(t *testing.T) {
+		// The cascade rule lets a compensatable a21 depend on the older,
+		// running P1, so no process blocks it; the forced-order check
+		// then sees P1→P2 (a11 before a21) against P2→P1 (a21 before a
+		// potential a11⁻¹) and refuses — the branch ROADMAP item 8 is
+		// about.
+		w := newWorld(t, policy.PREDCascade, paper.Conflicts(), p1, p2)
+		w.exec("P1", 1)
+		if got := w.st.DispatchBlockers(w, "P2", p2.Activity(1)); len(got) != 0 {
+			t.Errorf("blockers %v", got)
+		}
+		if ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(1)); ok || rule != "completed-schedule ordering would become cyclic" {
+			t.Errorf("MayDispatch = %v %q", ok, rule)
+		}
+	})
+
+	t.Run("non-conflicting and admission-level modes", func(t *testing.T) {
+		w := newWorld(t, policy.PRED, paper.Conflicts(), p1, p2)
+		w.exec("P1", 1)
+		if ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(2)); !ok { // a22 conflicts with nothing
+			t.Errorf("a22 denied by %q", rule)
+		}
+		for _, mode := range []policy.Mode{policy.Serial, policy.Conservative, policy.CCOnly} {
+			w := newWorld(t, mode, paper.Conflicts(), p1, p2)
+			w.exec("P1", 1)
+			if ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(1)); !ok {
+				t.Errorf("%v: a21 denied by %q", mode, rule)
+			}
+			if got := w.st.DispatchBlockers(w, "P2", p2.Activity(1)); got != nil {
+				t.Errorf("%v: blockers %v", mode, got)
+			}
+		}
+		// CC-only still refuses a conflict cycle: a11 a21 a25 then a15
+		// would order P1 both before and after P2.
+		cc := newWorld(t, policy.CCOnly, paper.Conflicts(), p1, p2)
+		cc.exec("P1", 1)
+		cc.exec("P2", 1)
+		cc.exec("P2", 5)
+		if ok, rule := cc.st.MayDispatch(cc, "P1", p1.Activity(5)); ok || rule != "serializability: edge would close a cycle" {
+			t.Errorf("cc-only cycle: %v %q", ok, rule)
+		}
+	})
+}
+
+func TestHasActiveConflictPred(t *testing.T) {
+	w := newWorld(t, policy.PRED, paper.Conflicts(), paper.P1(), paper.P2())
+	w.exec("P1", 1)
+	w.exec("P2", 1)
+	if !w.st.HasActiveConflictPred(w, "P2") {
+		t.Error("P2 follows a11 of the running P1: its commit must be deferred")
+	}
+	if w.st.HasActiveConflictPred(w, "P1") {
+		t.Error("P1 has no predecessor")
+	}
+	w.set("P1", policy.Done)
+	if w.st.HasActiveConflictPred(w, "P2") {
+		t.Error("a terminated predecessor defers nothing")
+	}
+}
+
+func TestLemma1ClearForward(t *testing.T) {
+	p1, p2 := paper.P1(), paper.P2()
+	a24 := invoke(4, paper.SvcA24)
+	// Allow: P1 committed its pivot a12, which conflicts with a24, but it
+	// is forward-recoverable and can no longer produce anything that
+	// conflicts with a24.
+	w := newWorld(t, policy.PRED, paper.Conflicts(), p1, p2)
+	w.exec("P1", 1)
+	w.exec("P1", 2)
+	w.set("P2", policy.Aborting, a24)
+	if !w.st.Lemma1ClearForward(w, "P2", a24) {
+		t.Error("a24 behind forward-recoverable P1 must be clear")
+	}
+	// Deny: with (a11, a24) conflicting, P1 — still backward-recoverable
+	// after a11 — may compensate a11 after our a24.
+	w = newWorld(t, policy.PRED, with([2]string{paper.SvcA11, paper.SvcA24}), p1, p2)
+	w.exec("P1", 1)
+	w.set("P2", policy.Aborting, a24)
+	if w.st.Lemma1ClearForward(w, "P2", a24) {
+		t.Error("a24 behind backward-recoverable P1 must wait")
+	}
+	// An aborting predecessor is waited for through its queued
+	// compensations (Lemma 3), not here.
+	w.set("P1", policy.Aborting, compensate(1, paper.SvcA11))
+	if !w.st.Lemma1ClearForward(w, "P2", a24) {
+		t.Error("an aborting predecessor must not block Lemma 1's forward gate")
+	}
+}
+
+func TestLemma2Clear(t *testing.T) {
+	// Figure 7's completion: a21 followed a11, so a21⁻¹ precedes a11⁻¹.
+	w := newWorld(t, policy.PRED, paper.Conflicts(), paper.P1(), paper.P2())
+	w.exec("P1", 1)
+	w.exec("P2", 1)
+	if w.st.Lemma2Clear(w, "P1", compensate(1, paper.SvcA11)) {
+		t.Error("a11⁻¹ must wait for the later conflicting a21 of the active P2")
+	}
+	if !w.st.Lemma2Clear(w, "P2", compensate(1, paper.SvcA21)) {
+		t.Error("a21⁻¹ has nothing after it")
+	}
+	w.st.MarkCompensated("P2", 1)
+	if !w.st.Lemma2Clear(w, "P1", compensate(1, paper.SvcA11)) {
+		t.Error("a11⁻¹ is clear once a21 is compensated")
+	}
+}
+
+func TestLemma3Clear(t *testing.T) {
+	// With (a11, a33) conflicting, P3's retriable a33 must follow P1's
+	// queued a11⁻¹.
+	w := newWorld(t, policy.PRED, with([2]string{paper.SvcA11, paper.SvcA33}), paper.P1(), paper.P3())
+	w.exec("P1", 1)
+	a33 := invoke(3, paper.SvcA33)
+	w.set("P1", policy.Aborting, compensate(1, paper.SvcA11))
+	if w.st.Lemma3Clear(w, "P3", a33) {
+		t.Error("a33 must wait for the queued conflicting compensation a11⁻¹")
+	}
+	w.set("P1", policy.Aborting) // compensation done
+	if !w.st.Lemma3Clear(w, "P3", a33) {
+		t.Error("a33 is clear once no conflicting compensation is queued")
+	}
+}
+
+func TestStepForcedClear(t *testing.T) {
+	p1, p2 := paper.P1(), paper.P2()
+	a24 := invoke(4, paper.SvcA24)
+	// Allow: a12 before a24 orders P1 before P2 and nothing orders them
+	// the other way.
+	w := newWorld(t, policy.PRED, paper.Conflicts(), p1, p2)
+	w.exec("P1", 1)
+	w.exec("P1", 2)
+	w.set("P2", policy.Aborting, a24)
+	if !w.st.StepForcedClear(w, "P2", a24) {
+		t.Error("a24 after a12 closes no cycle")
+	}
+	// Deny: a21 ran before a11, so P2 is already before P1; a24 after
+	// a12 would also put P1 before P2.
+	w = newWorld(t, policy.PRED, paper.Conflicts(), p1, p2)
+	w.exec("P2", 1)
+	w.exec("P1", 1)
+	w.exec("P1", 2)
+	w.set("P2", policy.Aborting, a24)
+	if w.st.StepForcedClear(w, "P2", a24) {
+		t.Error("a24 after a12 closes the cycle P2→P1→P2 while P1 is active")
+	}
+}
+
+func TestDeferToAborting(t *testing.T) {
+	p1, p2 := paper.P1(), paper.P2()
+	a15, a25 := invoke(5, paper.SvcA15), invoke(5, paper.SvcA25)
+	// Deny (defer): P1 is aborting with a15 queued, a25 conflicts with
+	// it, and a11 before a21 forces P1 before P2.
+	w := newWorld(t, policy.PRED, paper.Conflicts(), p1, p2)
+	w.exec("P1", 1)
+	w.exec("P2", 1)
+	w.set("P1", policy.Aborting, a15)
+	w.set("P2", policy.Aborting, a25)
+	if to, deferred := w.st.DeferToAborting(w, "P2", a25); !deferred || to != "P1" {
+		t.Errorf("DeferToAborting(P2, a25) = %q %v, want P1", to, deferred)
+	}
+	// The older P1 does not defer to the younger P2 in return.
+	if to, deferred := w.st.DeferToAborting(w, "P1", a15); deferred {
+		t.Errorf("P1 defers to %q", to)
+	}
+	// Allow: without the a11/a21 history nothing is forced between them.
+	w = newWorld(t, policy.PRED, paper.Conflicts(), p1, p2)
+	w.set("P1", policy.Aborting, a15)
+	w.set("P2", policy.Aborting, a25)
+	if to, deferred := w.st.DeferToAborting(w, "P2", a25); deferred {
+		t.Errorf("unforced: P2 defers to %q", to)
+	}
+}
+
+func TestCascadeVictims(t *testing.T) {
+	build := func(mode policy.Mode) *world {
+		w := newWorld(t, mode, paper.Conflicts(), paper.P1(), paper.P2())
+		w.exec("P1", 1)
+		w.exec("P2", 1)
+		return w
+	}
+	recovery := []process.Step{compensate(1, paper.SvcA11)}
+	w := build(policy.PREDCascade)
+	if got := w.st.CascadeVictims(w, "P1", recovery); !reflect.DeepEqual(got, []process.ID{"P2"}) {
+		t.Errorf("victims %v, want [P2]: its a21 followed the a11 that P1 will compensate", got)
+	}
+	w.st.MarkCompensated("P2", 1)
+	if got := w.st.CascadeVictims(w, "P1", recovery); len(got) != 0 {
+		t.Errorf("victims %v after a21 was compensated", got)
+	}
+	w = build(policy.PREDCascade)
+	if got := w.st.CascadeVictims(w, "P1", []process.Step{invoke(5, paper.SvcA15)}); len(got) != 0 {
+		t.Errorf("victims %v although P1 compensates nothing", got)
+	}
+	w = build(policy.PRED)
+	if got := w.st.CascadeVictims(w, "P1", recovery); got != nil {
+		t.Errorf("victims %v outside cascade mode", got)
+	}
+}
+
+func TestPartitionShardOf(t *testing.T) {
+	p := policy.NewPartition(paper.Conflicts())
+	if p.Shards() != 3 {
+		t.Fatalf("%d shards, want 3: {a11 a21 a31} {a12 a24} {a15 a25}", p.Shards())
+	}
+	same := func(a, b string) bool { return p.ShardOf(a) >= 0 && p.ShardOf(a) == p.ShardOf(b) }
+	if !same(paper.SvcA11, paper.SvcA21) || !same(paper.SvcA21, paper.SvcA31) || !same(paper.SvcA12, paper.SvcA24) {
+		t.Error("conflicting services must share a shard")
+	}
+	if same(paper.SvcA11, paper.SvcA12) || same(paper.SvcA12, paper.SvcA15) {
+		t.Error("services of different conflict components share a shard")
+	}
+	if !same(process.DefaultCompensationName(paper.SvcA21), paper.SvcA11) {
+		t.Error("a compensation belongs to its base's shard")
+	}
+	if got := p.ShardOf(paper.SvcA22); got != -1 {
+		t.Errorf("conflict-free a22 in shard %d, want -1", got)
+	}
+}
+
+func TestTentativeEventLifecycle(t *testing.T) {
+	w := newWorld(t, policy.PRED, paper.Conflicts(), paper.P1(), paper.P2())
+	w.exec("P1", 1)
+	w.prepare("P2", 1) // a21 prepared, commit deferred
+	if !w.st.HasActiveConflictPred(w, "P2") {
+		t.Fatal("a prepared a21 already follows a11")
+	}
+	// Rolled back: the event and its edge vanish, once.
+	if !w.st.EraseTentative("P2", 1) {
+		t.Fatal("EraseTentative found no live tentative event")
+	}
+	if w.st.EraseTentative("P2", 1) {
+		t.Error("EraseTentative erased the same event twice")
+	}
+	if w.st.HasActiveConflictPred(w, "P2") || w.st.BaseSeq("P2", 1) != 0 {
+		t.Error("an erased event still contributes")
+	}
+
+	// Prepared again, then committed at 2PC time: the event moves to its
+	// commit point at the end of the history and is no longer tentative.
+	if err := w.Instance("P2").ResetPrepared(1); err != nil {
+		t.Fatal(err)
+	}
+	w.prepare("P2", 1)
+	w.exec("P1", 2)
+	if !w.st.FinalizeTentative("P2", 1, 10) {
+		t.Fatal("FinalizeTentative found no live tentative event")
+	}
+	events := w.st.Events()
+	if last := events[len(events)-1]; last.Proc != "P2" || last.Seq != 10 || last.Tentative {
+		t.Errorf("finalized event is %v, want P2/1 at seq 10 at the end of the history", last)
+	}
+	if w.st.BaseSeq("P2", 1) != 10 {
+		t.Errorf("BaseSeq = %d, want the commit point 10", w.st.BaseSeq("P2", 1))
+	}
+	if w.st.FinalizeTentative("P2", 1, 11) || w.st.EraseTentative("P2", 1) {
+		t.Error("a finalized event is still treated as tentative")
+	}
+	if !w.st.HasActiveConflictPred(w, "P2") {
+		t.Error("the committed a21 must keep its edge from a11")
+	}
+
+	// Compensated: the base stops contributing edges.
+	w.st.MarkCompensated("P2", 1)
+	if w.st.HasActiveConflictPred(w, "P2") || w.st.BaseSeq("P2", 1) != 0 {
+		t.Error("a compensated base still contributes")
+	}
+}

@@ -19,8 +19,8 @@ import (
 	"strings"
 	"time"
 
-	"transproc/internal/fault"
 	"transproc/internal/metrics"
+	"transproc/internal/scheduler"
 	"transproc/internal/spec"
 )
 
@@ -69,17 +69,7 @@ func (s *Server) Handler() http.Handler {
 // must simply see the connection die.
 func (s *Server) guard(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		defer func() {
-			v := recover()
-			if v == nil {
-				return
-			}
-			c, ok := fault.AsCrash(v)
-			if !ok {
-				panic(v)
-			}
-			s.crashNow(c.Point)
-		}()
+		defer scheduler.OnInjectedCrash(s.crashNow)
 		if s.crashed.Load() {
 			writeJSON(w, http.StatusServiceUnavailable, apiError{Error: "server crashed"})
 			return
@@ -208,7 +198,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	// Durable but not yet enqueued: a crash here is the lost-admission
 	// window restart recovery must close (resume from the journal).
-	s.inject(fault.PointServeAdmit)
+	s.inject(PointAdmit)
 	s.pending.Add(1)
 	s.queue <- sub
 	s.mu.Lock()
@@ -216,7 +206,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	// Enqueued but unacknowledged: a crash here leaves the client
 	// uncertain — its retry with the same key must dedupe.
-	s.inject(fault.PointServeAck)
+	s.inject(PointAck)
 	s.reg.Inc(metrics.ServeAccepted)
 	admitLatency()
 	writeJSON(w, http.StatusAccepted, SubmitResponse{ID: origin, State: stateQueued, Status: statusURL(origin)})

@@ -51,13 +51,11 @@ import (
 	"time"
 
 	"transproc/internal/conflict"
-	"transproc/internal/fault"
 	"transproc/internal/federation"
 	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/runtime"
 	"transproc/internal/scheduler"
-	"transproc/internal/scheduler/policy"
 	"transproc/internal/spec"
 	"transproc/internal/subsystem"
 	"transproc/internal/wal"
@@ -106,9 +104,9 @@ type Config struct {
 	Tenant TenantConfig
 	// Metrics is the observability registry (default: a fresh one).
 	Metrics *metrics.Registry
-	// Inject is the crash-point hook (internal/fault); nil is a no-op.
-	// The server fires serve:admit / serve:ack / serve:drain and hands
-	// the hook to the engines for their own points.
+	// Inject is the crash-point hook; nil is a no-op. The server fires
+	// PointAdmit / PointAck / PointDrain and hands the hook to the
+	// engines for their own points.
 	Inject func(point string)
 	// WrapLog, when set, wraps the engine-visible WAL (the fault
 	// batteries install record-budget crash wrappers here). Recovery
@@ -133,14 +131,27 @@ type Config struct {
 	// expires and its safe orphans re-home to survivors mid-batch.
 	FedLeaseTTL  time.Duration
 	FedHeartbeat time.Duration
-	// FedHubKillPoint arms a hub-side crash point (hub:dispatch,
-	// hub:decision, hub:resolve) on the FIRST federated batch only —
-	// the hub dies kill -9 style mid-batch and the cluster reopens it
-	// from the stitched WALs plus its journal while /readyz reports
-	// degraded. Battery use.
-	FedHubKillPoint string
-	FedHubKillCount int
+	// FedCluster, if set, edits each federated batch's cluster
+	// configuration before the cluster is built; defs are the batch's
+	// process definitions. A battery arms a hub kill (HubInject) and
+	// chains its recovery judge behind OnReopen here — the hub then dies
+	// kill -9 style mid-batch and the cluster reopens it from the
+	// stitched WALs plus its journal while /readyz reports degraded.
+	FedCluster func(cfg *federation.Config, defs []*process.Process)
 }
+
+// Crash points fired by the server: after a submission was journaled
+// but before it is enqueued for execution (kill mid-request), after the
+// batch runner picked the submission up but before the HTTP
+// acknowledgement window closes (kill mid-ack — the client never learns
+// whether the submission landed, so dedupe by idempotency key must make
+// the retry safe), and inside the drain sequence after admission
+// stopped but before the final checkpoint (kill mid-drain).
+const (
+	PointAdmit = "serve:admit"
+	PointAck   = "serve:ack"
+	PointDrain = "serve:drain"
+)
 
 // submission states.
 const (
@@ -219,7 +230,6 @@ type Server struct {
 	crashed     atomic.Bool
 	closed      atomic.Bool
 	hubDegraded atomic.Bool  // federation hub unreachable (reopen in progress)
-	hubKillUsed atomic.Bool  // FedHubKillPoint armed once already
 	crashPt     atomic.Value // string
 	stopOnce    sync.Once
 	stopCh      chan struct{}
@@ -515,18 +525,10 @@ func (s *Server) crashNow(point string) {
 
 // protect converts an escaped crash sentinel into server death.
 func (s *Server) protect(f func()) (crashed bool) {
-	defer func() {
-		v := recover()
-		if v == nil {
-			return
-		}
-		c, ok := fault.AsCrash(v)
-		if !ok {
-			panic(v)
-		}
-		s.crashNow(c.Point)
+	defer scheduler.OnInjectedCrash(func(point string) {
+		s.crashNow(point)
 		crashed = true
-	}()
+	})
 	f()
 	return false
 }
@@ -661,34 +663,24 @@ func (s *Server) executeFed(jobs []scheduler.Job) (map[process.ID]*scheduler.Out
 	for i, j := range jobs {
 		defs[i] = j.Proc
 	}
-	mode := policy.PRED
-	if s.cfg.Mode == scheduler.PREDCascade {
-		mode = policy.PREDCascade
-	}
 	var bmu sync.Mutex
 	var boundStamps []int64 // first re-stamped tail stamp per hub reopen
 	fcfg := federation.Config{
-		Nodes: s.cfg.FedNodes, Mode: mode, MaxRestarts: s.cfg.MaxRestarts, Metrics: s.reg,
+		Nodes: s.cfg.FedNodes, Mode: s.cfg.Mode, MaxRestarts: s.cfg.MaxRestarts, Metrics: s.reg,
 		LeaseTTL: s.cfg.FedLeaseTTL, HeartbeatEvery: s.cfg.FedHeartbeat,
 		OnHubDown: func() { s.hubDegraded.Store(true) },
 		OnHubUp:   func() { s.hubDegraded.Store(false) },
-		// A mid-batch hub reopen is judged at its boundary: the stitched
-		// history plus the reopen's recovery tail must satisfy the same
-		// invariants a single-node crash recovery is held to.
 		OnReopen: func(rep *federation.ReopenReport) error {
 			bmu.Lock()
 			if len(rep.Tail) > 0 {
 				boundStamps = append(boundStamps, rep.Tail[0].Stamp)
 			}
 			bmu.Unlock()
-			return fault.CheckRecovered(fault.CheckInput{
-				Fed: s.fed, Log: rep.Log, Defs: defs,
-				PreCrashRecords: rep.Pre, PreCrashFull: rep.Pre,
-			})
+			return nil
 		},
 	}
-	if s.cfg.FedHubKillPoint != "" && s.hubKillUsed.CompareAndSwap(false, true) {
-		fcfg.HubKill = federation.CrashSpec{Point: s.cfg.FedHubKillPoint, Count: s.cfg.FedHubKillCount}
+	if s.cfg.FedCluster != nil {
+		s.cfg.FedCluster(&fcfg, defs)
 	}
 	c, err := federation.NewCluster(s.fed, defs, fcfg)
 	if err != nil {
@@ -739,8 +731,8 @@ func (s *Server) executeFed(jobs []scheduler.Job) (map[process.ID]*scheduler.Out
 
 // ReopenBoundaries returns the server-log LSN boundary of every
 // federation hub reopen its batches rode through, in occurrence order —
-// the crash-epoch boundaries the battery judges feed to
-// fault.ScheduleFromWALEpochs / CheckRecovered.
+// the crash-epoch boundaries a judge of the accumulated history needs
+// (recovery-tail records replay in recovering mode).
 func (s *Server) ReopenBoundaries() []int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -812,7 +804,7 @@ func (s *Server) Drain(ctx context.Context) (*DrainReport, error) {
 	if s.crashed.Load() {
 		return nil, fmt.Errorf("serve: crashed during drain at %v", s.crashPt.Load())
 	}
-	if s.protect(func() { s.inject(fault.PointServeDrain) }) {
+	if s.protect(func() { s.inject(PointDrain) }) {
 		return nil, fmt.Errorf("serve: crashed during drain at %v", s.crashPt.Load())
 	}
 	if recs, err := s.log.Records(); err == nil && len(recs) > 0 {
@@ -914,6 +906,10 @@ func (s *Server) Defs() []*process.Process {
 	defer s.mu.Unlock()
 	return s.defsList()
 }
+
+// HubDegraded reports whether a federated batch's hub is unreachable (a
+// reopen is in progress); /readyz answers 503 meanwhile.
+func (s *Server) HubDegraded() bool { return s.hubDegraded.Load() }
 
 // Metrics returns the server's registry.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
