@@ -52,11 +52,13 @@ BATTERY = $(GO) test -race -v ./internal/battery -run
 
 # Crash torture — as seeded, with fuzzy checkpointing and compaction
 # forced onto every scenario, and with file-backed durable subsystem
-# stores forced onto every scenario.
+# stores forced onto every scenario — and the exhaustive small sweep: a
+# crash at every force-log of a run and of its recovery.
 torture:
 	$(BATTERY) 'TestBattery/torture$$' -battery.count=200
 	$(BATTERY) 'TestBattery/torture$$' -battery.count=200 -battery.ckpt
 	$(BATTERY) 'TestBattery/torture$$' -battery.count=200 -battery.durable
+	$(BATTERY) TestRecoveryCrashSweep
 	$(GO) test -race -run TestRuntimeKillRecover ./internal/runtime
 	$(GO) test -race -run TestCheckpointConcurrentWithAppends ./internal/runtime
 

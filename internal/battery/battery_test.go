@@ -15,7 +15,7 @@ func bindFlags(fs *flag.FlagSet) *selection {
 	s := &selection{}
 	fs.Int64Var(&s.seed, "battery.seed", -1, "run only this seed of the selected battery, verbosely (reproduce a failure)")
 	fs.Int64Var(&s.first, "battery.first", 0, "first seed")
-	fs.Int64Var(&s.count, "battery.count", 0, "number of seeds (0 = the battery's tier-1 count)")
+	fs.Int64Var(&s.count, "battery.count", 0, "number of seeds (0 = the battery's tier-1 count); TestRecoveryCrashSweep: processes per geometry (0 = 2)")
 	fs.BoolVar(&s.v.Ckpt, "battery.ckpt", false, "torture: force fuzzy checkpoints (every 6 appends, compacting) onto every scenario")
 	fs.BoolVar(&s.v.Durable, "battery.durable", false, "torture: force file-backed subsystem stores onto every scenario")
 	return s

@@ -378,14 +378,9 @@ func preCrashBoundary(dir string) (pre, preFull int, lsn int64, err error) {
 	if err != nil {
 		return 0, 0, 0, err
 	}
-	pre = len(wal.Expand(recs).Records)
+	pre, preFull = crashBoundaries(recs)
 	for _, r := range recs {
-		if r.Type != wal.RecCheckpoint {
-			preFull++
-		}
-		if r.LSN > lsn {
-			lsn = r.LSN
-		}
+		lsn = max(lsn, r.LSN)
 	}
 	return pre, preFull, lsn, nil
 }

@@ -357,26 +357,15 @@ func tortureWorld(sc TortureScenario) (*subsystem.Federation, []scheduler.Job, [
 	return w.Fed, w.Jobs, defs, nil
 }
 
-// runTortureScenario executes one scenario end to end: run until the injected
-// crash (or clean finish), mangle the log tail where the plan says so,
-// recover — possibly crashing and re-recovering — and check every
-// recovery guarantee. dir is where file-backed logs and heap files
-// live (a temp dir is created under os.TempDir when empty). The
-// returned error describes the violated invariant; nil means the
-// scenario passed.
-func runTortureScenario(sc TortureScenario, dir string) error {
+// crashTortureScenario runs one scenario until the injected crash (or
+// clean finish), mangles the log tail where the plan says so and reopens
+// the log across the crash: what it returns is what a restart finds.
+// dir is where file-backed logs and heap files live. The caller closes
+// the returned log.
+func crashTortureScenario(sc TortureScenario, dir string) (fed *subsystem.Federation, defs []*process.Process, recLog wal.Log, crashed bool, err error) {
 	fed, jobs, defs, err := tortureWorld(sc)
 	if err != nil {
-		return err
-	}
-
-	if dir == "" && (sc.FileWAL || sc.Durable) {
-		td, err := os.MkdirTemp("", "torture")
-		if err != nil {
-			return fmt.Errorf("seed %d: %w", sc.Seed, err)
-		}
-		defer os.RemoveAll(td)
-		dir = td
+		return nil, nil, nil, false, err
 	}
 	var inner wal.Log
 	var path string
@@ -384,7 +373,7 @@ func runTortureScenario(sc TortureScenario, dir string) error {
 		path = filepath.Join(dir, fmt.Sprintf("wal-%d.log", sc.Seed))
 		fl, err := wal.OpenFile(path, false)
 		if err != nil {
-			return fmt.Errorf("seed %d: opening log: %w", sc.Seed, err)
+			return nil, nil, nil, false, fmt.Errorf("seed %d: opening log: %w", sc.Seed, err)
 		}
 		inner = fl
 	} else {
@@ -394,13 +383,13 @@ func runTortureScenario(sc TortureScenario, dir string) error {
 	inj := fault.NewInjector(sc.Plan)
 	if sc.Durable {
 		if err := attachStores(fed, sc, dir, fw, inj); err != nil {
-			return fmt.Errorf("seed %d (%s): %w", sc.Seed, sc.Class, err)
+			return nil, nil, nil, false, fmt.Errorf("seed %d (%s): %w", sc.Seed, sc.Class, err)
 		}
 	}
 
-	crashed, err := runUntilCrash(sc, fed, fw, inj, jobs)
+	crashed, err = runUntilCrash(sc, fed, fw, inj, jobs)
 	if err != nil {
-		return fmt.Errorf("seed %d (%s): run: %w", sc.Seed, sc.Class, err)
+		return nil, nil, nil, false, fmt.Errorf("seed %d (%s): run: %w", sc.Seed, sc.Class, err)
 	}
 	if sc.Durable {
 		// The crash (or shutdown) drops every dirty pool page: only what
@@ -410,7 +399,7 @@ func runTortureScenario(sc TortureScenario, dir string) error {
 		abandonStores(fed)
 		if crashed && sc.TornStorePage {
 			if err := tearStorePage(fed, sc, dir); err != nil {
-				return fmt.Errorf("seed %d (%s): tearing store page: %w", sc.Seed, sc.Class, err)
+				return nil, nil, nil, false, fmt.Errorf("seed %d (%s): tearing store page: %w", sc.Seed, sc.Class, err)
 			}
 		}
 	}
@@ -419,44 +408,59 @@ func runTortureScenario(sc TortureScenario, dir string) error {
 	// file-backed logs and only make sense when the run actually
 	// crashed (a clean run's final append returned — tearing it would
 	// simulate losing an acknowledged write, which no log survives).
-	recLog := inner
-	if sc.FileWAL {
-		if err := inner.Close(); err != nil {
-			return fmt.Errorf("seed %d: closing log: %w", sc.Seed, err)
-		}
-		if crashed {
-			if sc.Plan.TornTailBytes > 0 {
-				if err := tearTail(path, sc.Plan.TornTailBytes); err != nil {
-					return fmt.Errorf("seed %d: tearing tail: %w", sc.Seed, err)
-				}
-			}
-			if sc.GarbageTail {
-				if err := appendGarbage(path); err != nil {
-					return fmt.Errorf("seed %d: garbage tail: %w", sc.Seed, err)
-				}
-			}
-		}
-		fl, err := wal.OpenFile(path, false)
-		if err != nil {
-			return fmt.Errorf("seed %d: reopening log: %w", sc.Seed, err)
-		}
-		recLog = fl
-		defer fl.Close()
+	if !sc.FileWAL {
+		return fed, defs, inner, crashed, nil
 	}
-	preRecs, err := recLog.Records()
+	if err := inner.Close(); err != nil {
+		return nil, nil, nil, false, fmt.Errorf("seed %d: closing log: %w", sc.Seed, err)
+	}
+	if crashed {
+		if sc.Plan.TornTailBytes > 0 {
+			if err := tearTail(path, sc.Plan.TornTailBytes); err != nil {
+				return nil, nil, nil, false, fmt.Errorf("seed %d: tearing tail: %w", sc.Seed, err)
+			}
+		}
+		if sc.GarbageTail {
+			if err := appendGarbage(path); err != nil {
+				return nil, nil, nil, false, fmt.Errorf("seed %d: garbage tail: %w", sc.Seed, err)
+			}
+		}
+	}
+	fl, err := wal.OpenFile(path, false)
 	if err != nil {
-		return fmt.Errorf("seed %d: reading pre-recovery log: %w", sc.Seed, err)
+		return nil, nil, nil, false, fmt.Errorf("seed %d: reopening log: %w", sc.Seed, err)
 	}
-	// Invariants run in expanded coordinates (checkpoint live set +
-	// post-horizon tail); the full-replay differential also needs the
-	// boundary in raw non-checkpoint coordinates.
-	pre := len(wal.Expand(preRecs).Records)
-	preFull := 0
-	for _, r := range preRecs {
+	return fed, defs, fl, crashed, nil
+}
+
+// crashBoundaries locates the end of a crashed log for
+// fault.CheckInput: the invariants run in expanded coordinates
+// (checkpoint live set + post-horizon tail), the full-replay differential
+// also needs the boundary in raw non-checkpoint coordinates.
+func crashBoundaries(recs []wal.Record) (pre, preFull int) {
+	for _, r := range recs {
 		if r.Type != wal.RecCheckpoint {
 			preFull++
 		}
 	}
+	return len(wal.Expand(recs).Records), preFull
+}
+
+// runTortureScenario executes one scenario end to end: crash it, recover
+// — possibly crashing and re-recovering — and check every recovery
+// guarantee. The returned error describes the violated invariant; nil
+// means the scenario passed.
+func runTortureScenario(sc TortureScenario, dir string) error {
+	fed, defs, recLog, crashed, err := crashTortureScenario(sc, dir)
+	if err != nil {
+		return err
+	}
+	defer recLog.Close()
+	preRecs, err := recLog.Records()
+	if err != nil {
+		return fmt.Errorf("seed %d: reading pre-recovery log: %w", sc.Seed, err)
+	}
+	pre, preFull := crashBoundaries(preRecs)
 
 	// First recovery, optionally crashed mid-way by a fresh WAL budget
 	// (double-fault: the recovering system dies too) and/or — durable

@@ -330,15 +330,12 @@ func (c *Cluster) Close() {
 	srv.Close()
 }
 
-// Stitched merges the per-node WALs (plus any reopen recovery tails)
-// into one global history by sorting on the hub-issued stamps (stable,
-// so a node's same-stamp records — which cannot exist — would keep
-// their local order). Records appended by a later recovery pass carry
-// stamp zero and land at the front; callers stitch before recovering.
-func (c *Cluster) Stitched() ([]wal.Record, error) {
-	c.mu.Lock()
-	logs := append([]wal.Log(nil), c.logs...)
-	c.mu.Unlock()
+// stitch merges per-node WALs (plus any reopen recovery tails) into one
+// global history by sorting on the hub-issued stamps (stable, so a
+// node's same-stamp records — which cannot exist — would keep their
+// local order). Records appended by a later recovery pass carry stamp
+// zero and land at the front; callers stitch before recovering.
+func stitch(logs []wal.Log) ([]wal.Record, error) {
 	var all []wal.Record
 	for _, log := range logs {
 		recs, err := log.Records()
@@ -351,33 +348,43 @@ func (c *Cluster) Stitched() ([]wal.Record, error) {
 	return all, nil
 }
 
-// StitchedLog materializes the stitched history into a fresh MemLog and
-// returns it with the record count (the pre-recovery boundary a
-// recovery judge needs).
-func (c *Cluster) StitchedLog() (*wal.MemLog, int, error) {
-	recs, err := c.Stitched()
+// stitchedLog materializes the stitched history into a fresh MemLog and
+// returns it with the stitched records (their count is the pre-recovery
+// boundary a recovery judge needs).
+func stitchedLog(logs []wal.Log) (*wal.MemLog, []wal.Record, error) {
+	recs, err := stitch(logs)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, err
 	}
 	log := wal.NewMemLog()
 	for _, r := range recs {
 		r.LSN = 0
 		if _, err := log.Append(r); err != nil {
-			return nil, 0, err
+			return nil, nil, err
 		}
 	}
-	return log, len(recs), nil
+	return log, recs, nil
 }
+
+// nodeLogs snapshots the cluster's stitch set.
+func (c *Cluster) nodeLogs() []wal.Log {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return append([]wal.Log(nil), c.logs...)
+}
+
+// Stitched is the global history of the cluster's WALs (see stitch).
+func (c *Cluster) Stitched() ([]wal.Record, error) { return stitch(c.nodeLogs()) }
 
 // Recover runs the single-node crash recovery over the stitched global
 // history and the surviving federation state — the composed recovery:
 // per-node logs merge into one history the existing machinery consumes
 // unchanged.
 func (c *Cluster) Recover() (*wal.MemLog, int, *scheduler.RecoveryReport, error) {
-	log, pre, err := c.StitchedLog()
+	log, recs, err := stitchedLog(c.nodeLogs())
 	if err != nil {
 		return nil, 0, nil, err
 	}
 	report, err := scheduler.Recover(c.fed, log, c.defs)
-	return log, pre, report, err
+	return log, len(recs), report, err
 }

@@ -2,7 +2,6 @@ package federation
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -65,27 +64,15 @@ func ReopenHub(fed *subsystem.Federation, defs []*process.Process, logs []wal.Lo
 
 	// Stitch the per-node WALs into the single global history the
 	// existing recovery machinery consumes unchanged.
-	var all []wal.Record
-	for _, l := range logs {
-		recs, err := l.Records()
-		if err != nil {
-			return nil, nil, fmt.Errorf("federation: reopen stitch: %w", err)
-		}
-		all = append(all, recs...)
-	}
-	sort.SliceStable(all, func(i, j int) bool { return all[i].Stamp < all[j].Stamp })
-	log := wal.NewMemLog()
-	var maxStamp int64
-	for _, r := range all {
-		r.LSN = 0
-		if _, err := log.Append(r); err != nil {
-			return nil, nil, err
-		}
-		if r.Stamp > maxStamp {
-			maxStamp = r.Stamp
-		}
+	log, all, err := stitchedLog(logs)
+	if err != nil {
+		return nil, nil, fmt.Errorf("federation: reopen stitch: %w", err)
 	}
 	pre := len(all)
+	var maxStamp int64
+	if pre > 0 {
+		maxStamp = all[pre-1].Stamp
+	}
 
 	report, err := scheduler.Recover(fed, log, defs)
 	if err != nil {

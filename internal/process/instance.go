@@ -133,6 +133,10 @@ type Instance struct {
 	p      *Process
 	status map[int]Status
 	altIdx map[chainKey]int
+	// commitRank orders the committed activities by when they committed
+	// (1, 2, …): two activities ≪ leaves unordered are compensated in the
+	// reverse of it.
+	commitRank map[int]int
 
 	// pendingAdvance holds, while a failure recovery is in progress, the
 	// chain to advance once the branch's compensations have been applied.
@@ -150,6 +154,7 @@ func NewInstance(p *Process) *Instance {
 		p:           p,
 		status:      make(map[int]Status, p.Len()),
 		altIdx:      make(map[chainKey]int),
+		commitRank:  make(map[int]int),
 		pendingComp: make(map[int]bool),
 	}
 	for _, id := range p.order {
@@ -302,6 +307,7 @@ func (in *Instance) MarkCommitted(local int) error {
 		return fmt.Errorf("process %s: activity %d cannot commit from %v", in.p.ID, local, st)
 	}
 	in.status[local] = Committed
+	in.commitRank[local] = len(in.commitRank) + 1
 	return nil
 }
 
@@ -509,7 +515,9 @@ func (in *Instance) abandonNodes(nodes []int) ([]Step, error) {
 
 // sortReverseOrder sorts locals so that ≪-later activities come first
 // (compensating activities must be executed in reverse order of the
-// original activities, Lemma 2).
+// original activities, Lemma 2); activities ≪ leaves unordered come in
+// the reverse of the order they committed in, which is the order of the
+// schedule they are part of.
 func (in *Instance) sortReverseOrder(locals []int) {
 	sort.Slice(locals, func(i, j int) bool {
 		a, b := locals[i], locals[j]
@@ -518,6 +526,9 @@ func (in *Instance) sortReverseOrder(locals []int) {
 		}
 		if in.p.Before(a, b) {
 			return false
+		}
+		if ra, rb := in.commitRank[a], in.commitRank[b]; ra != rb {
+			return ra > rb
 		}
 		return a > b
 	})
@@ -895,6 +906,7 @@ func (in *Instance) Clone() *Instance {
 		p:           in.p,
 		status:      make(map[int]Status, len(in.status)),
 		altIdx:      make(map[chainKey]int, len(in.altIdx)),
+		commitRank:  make(map[int]int, len(in.commitRank)),
 		pendingComp: make(map[int]bool, len(in.pendingComp)),
 		aborting:    in.aborting,
 		terminated:  in.terminated,
@@ -905,6 +917,9 @@ func (in *Instance) Clone() *Instance {
 	}
 	for k, v := range in.altIdx {
 		cp.altIdx[k] = v
+	}
+	for k, v := range in.commitRank {
+		cp.commitRank[k] = v
 	}
 	for k, v := range in.pendingComp {
 		cp.pendingComp[k] = v

@@ -26,8 +26,8 @@
 //     shares a shard) and never gate each other's Lemma decisions, so
 //     each group runs under its own mutex with its own driver (process
 //     table + policy.State) and the groups proceed fully in parallel.
-//   - All group states share one frozen policy.Universe (immutable
-//     after construction, safe for concurrent reads) and one global
+//   - All group states share one policy.Universe (built over every
+//     service, so only ever read concurrently) and one global
 //     atomic sequence counter, so the per-group histories merge into a
 //     single observed schedule ordered by Seq.
 //   - Admission control (worker cap, Serial/Conservative policies),
@@ -300,9 +300,10 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 		log:   cfg.Log,
 		coord: twopc.New(cfg.Log),
 		reg:   cfg.Metrics,
-		// The frozen universe covers every routable service (activity
-		// services and auto-registered compensations); ValidateJobs
-		// rejects anything outside it before a run starts.
+		// The universe covers every routable service (activity services
+		// and auto-registered compensations) and ValidateJobs rejects
+		// anything outside it before a run starts, so the shards never
+		// intern into the universe they share.
 		uni:            policy.NewUniverse(table, fed.Services()),
 		part:           policy.NewPartition(table),
 		stopCh:         make(chan struct{}),

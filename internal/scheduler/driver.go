@@ -582,8 +582,12 @@ func (d *Driver) unwind(p *Proc, steps []process.Step, local int, service string
 	}
 	p.Phase = policy.Aborting
 	p.Recovery = steps
-	d.Reg.Inc(metrics.BackwardRecoveries)
-	d.trace(metrics.TBackward, p, local, service, "")
+	counter, kind := metrics.BackwardRecoveries, metrics.TBackward
+	if p.Inst.Mode() == process.FREC { // past its pivot the abort completes forward
+		counter, kind = metrics.ForwardRecoveries, metrics.TForward
+	}
+	d.Reg.Inc(counter)
+	d.trace(kind, p, local, service, "")
 	d.Pol.AppendEvent(&policy.Event{Seq: d.Host.NextSeq(), Proc: p.ID, Typ: schedule.AbortBegin})
 	d.Cascade(p, nil)
 	return true

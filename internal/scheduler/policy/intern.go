@@ -1,7 +1,6 @@
 package policy
 
 import (
-	"fmt"
 	"sort"
 
 	"transproc/internal/conflict"
@@ -13,56 +12,46 @@ import (
 // Lemma gates) test conflicts with an index and a word-AND instead of
 // hashing a pair of strings into a map.
 //
-// Two construction modes exist. NewUniverse builds a *frozen* universe
-// eagerly from the full service list; it is immutable afterwards and
-// therefore safe to share across the per-shard policy states of the
-// concurrent runtime without locking. newLazyUniverse (used by
-// policy.New for the single-threaded sequential engine) assigns ids on
-// first sight and grows the masks incrementally; it must only be used
-// under one lock.
+// The table's conflicting base names are interned at construction, so a
+// service's mask is exact from the first decision on: "no bit set" means
+// the service conflicts with nothing, not "with nothing seen so far".
+// Every other name is interned on first sight, which mutates the
+// universe: one shared across goroutines — the per-shard policy states
+// of the concurrent runtime — must be built over every service they will
+// see.
 type Universe struct {
-	table  *conflict.Table
-	frozen bool
-	ids    map[string]int
-	names  []string
+	table *conflict.Table
+	ids   map[string]int
+	names []string
 	// masks[i] is the bitset of service ids conflicting with i (bit i
 	// itself is set for self-conflicting services).
 	masks [][]uint64
 }
 
-// NewUniverse builds a frozen universe over the given service names
-// (duplicates are fine). The conflict relation is resolved eagerly
-// through the table, including base-name mapping of compensations.
+// NewUniverse builds the universe of a conflict table, with the given
+// service names (duplicates are fine) interned ahead of use. The
+// conflict relation is resolved eagerly through the table, including
+// base-name mapping of compensations.
 func NewUniverse(table *conflict.Table, services []string) *Universe {
-	u := &Universe{
-		table: table,
-		ids:   make(map[string]int, len(services)),
+	u := &Universe{table: table, ids: make(map[string]int, len(services))}
+	for _, p := range table.Pairs() {
+		u.intern(p[0])
+		u.intern(p[1])
 	}
 	for _, s := range services {
 		u.intern(s)
 	}
-	u.frozen = true
 	return u
-}
-
-func newLazyUniverse(table *conflict.Table) *Universe {
-	return &Universe{table: table, ids: make(map[string]int)}
 }
 
 // Table returns the conflict table the universe resolves through.
 func (u *Universe) Table() *conflict.Table { return u.table }
 
 // intern assigns (or returns) the id of a service name, growing the
-// conflict masks. Calling it on a frozen universe with an unknown name
-// panics: the engines validate every job's services against the
-// federation before running, so an unknown name here is a bug, and a
-// silent fallback would mean silently wrong scheduling.
+// conflict masks.
 func (u *Universe) intern(name string) int {
 	if id, ok := u.ids[name]; ok {
 		return id
-	}
-	if u.frozen {
-		panic(fmt.Sprintf("policy: service %q not in frozen universe", name))
 	}
 	id := len(u.names)
 	u.ids[name] = id
@@ -85,14 +74,6 @@ func (u *Universe) intern(name string) int {
 	}
 	u.masks = append(u.masks, row)
 	return id
-}
-
-// ID returns the interned id of a service, or -1 when unknown.
-func (u *Universe) ID(name string) int {
-	if id, ok := u.ids[name]; ok {
-		return id
-	}
-	return -1
 }
 
 // Size returns the number of interned services.

@@ -171,7 +171,7 @@ func (ev *Event) effective() bool {
 // interned conflict relation.
 //
 // In the sharded concurrent runtime one State exists per conflict
-// shard; the States then share one frozen Universe and each observes
+// shard; the States then share one Universe and each observes
 // only the events of its own shard (conflicting services always share
 // a shard, so every conflict edge, forced ordering and Lemma gate is
 // fully visible inside one State).
@@ -193,19 +193,14 @@ type State struct {
 	predScratch map[process.ID]bool
 }
 
-// New creates an empty decision state over a fixed conflict table,
-// interning services lazily (single-threaded callers only).
+// New creates an empty decision state over a fixed conflict table.
 func New(table *conflict.Table, cfg Config) *State {
-	return newState(newLazyUniverse(table), cfg)
+	return NewShard(NewUniverse(table, nil), cfg)
 }
 
-// NewShard creates a decision state over a shared frozen universe —
-// the per-shard constructor of the concurrent runtime.
+// NewShard creates a decision state over a shared universe — the
+// per-shard constructor of the concurrent runtime.
 func NewShard(u *Universe, cfg Config) *State {
-	return newState(u, cfg)
-}
-
-func newState(u *Universe, cfg Config) *State {
 	return &State{
 		cfg:         cfg,
 		u:           u,
@@ -216,9 +211,6 @@ func newState(u *Universe, cfg Config) *State {
 
 // Table returns the conflict table decisions are made under.
 func (s *State) Table() *conflict.Table { return s.u.table }
-
-// Universe returns the service-interning universe of the state.
-func (s *State) Universe() *Universe { return s.u }
 
 // Mode returns the configured policy mode.
 func (s *State) Mode() Mode { return s.cfg.Mode }
@@ -255,6 +247,33 @@ func (s *State) AppendEvent(ev *Event) {
 		}
 	}
 	s.events = append(s.events, ev)
+	s.Bump()
+}
+
+// SeedSummary enters what a checkpoint kept of the order that ran through
+// the terminated processes it summarized away (wal.Checkpoint): edges,
+// the closure of the order among its live processes, and shadow, per live
+// process p the committed services of summarized processes p is ordered
+// before. Those become the surviving activities of a stand-in that p
+// precedes. The stand-in is in no process table, so it reads as
+// terminated (View.Phase): it orders every later conflicting event and
+// completion step after p, as the summarized processes would have, and
+// like them never holds back a compensation (Lemma2Clear). Nothing is
+// ordered before a stand-in; what preceded the summarized processes is
+// in edges. seq is the history position of the checkpoint's horizon.
+func (s *State) SeedSummary(edges [][2]string, shadow map[string][]string, seq int64) {
+	for _, ed := range edges {
+		s.addEdge(process.ID(ed[0]), process.ID(ed[1]))
+	}
+	for p, services := range shadow {
+		standIn := process.ID(p + "~summarized")
+		s.addEdge(process.ID(p), standIn)
+		for _, svc := range services {
+			s.events = append(s.events, &Event{
+				Seq: seq, Proc: standIn, Service: svc, svc: s.u.intern(svc), Typ: schedule.Invoke,
+			})
+		}
+	}
 	s.Bump()
 }
 

@@ -36,23 +36,12 @@ type world struct {
 	seq   int64
 }
 
-// newWorld builds the state the way the concurrent runtime does, over a
-// universe frozen on every service the processes can invoke, so a
-// decision does not depend on which services earlier decisions happened
-// to intern.
+// newWorld builds the state the way every host does.
 func newWorld(t *testing.T, mode policy.Mode, table *conflict.Table, defs ...*process.Process) *world {
-	w := &world{t: t}
-	var services []string
+	w := &world{t: t, st: policy.New(table, policy.Config{Mode: mode})}
 	for _, d := range defs {
 		w.procs = append(w.procs, &proc{id: d.ID, inst: process.NewInstance(d)})
-		for _, a := range d.Activities() {
-			services = append(services, a.Service)
-			if a.Compensation != "" {
-				services = append(services, a.Compensation)
-			}
-		}
 	}
-	w.st = policy.NewShard(policy.NewUniverse(table, services), policy.Config{Mode: mode})
 	return w
 }
 
@@ -294,6 +283,15 @@ func TestLemma3Clear(t *testing.T) {
 	w.set("P1", policy.Aborting) // compensation done
 	if !w.st.Lemma3Clear(w, "P3", a33) {
 		t.Error("a33 is clear once no conflicting compensation is queued")
+	}
+	// A restart: every process enters aborting and no decision has named
+	// a service yet. A mask that only knew the services interned so far
+	// made a33 "conflict with nothing" and waved it through.
+	w = newWorld(t, policy.PRED, with([2]string{paper.SvcA11, paper.SvcA33}), paper.P1(), paper.P3())
+	w.set("P1", policy.Aborting, compensate(1, paper.SvcA11))
+	w.set("P3", policy.Aborting, a33)
+	if w.st.Lemma3Clear(w, "P3", a33) {
+		t.Error("fresh state: a33 must wait for the queued conflicting compensation a11⁻¹")
 	}
 }
 

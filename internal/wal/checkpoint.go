@@ -38,11 +38,10 @@ const (
 // maxCheckpointGraphEvents bounds the pairwise conflict-graph
 // construction of BuildCheckpoint. A build over more committed events
 // than this skips the Edges/Shadow computation (marking the checkpoint
-// Truncated) instead of going quadratic; recovery then falls back to
-// the tie-break order for forward steps whose ordering constraints ran
-// through summarized processes. Engine-driven checkpoints (every
-// CheckpointEvery appends, folding the previous checkpoint) stay far
-// below this bound.
+// Truncated) instead of going quadratic; recovery's step gates then do
+// not see the ordering constraints that ran through summarized
+// processes. Engine-driven checkpoints (every CheckpointEvery appends,
+// folding the previous checkpoint) stay far below this bound.
 const maxCheckpointGraphEvents = 4096
 
 // Checkpoint is the payload of a RecCheckpoint record: a fuzzy summary
@@ -229,33 +228,50 @@ func BuildCheckpoint(recs []Record, conflicts func(a, b string) bool) *Checkpoin
 	return cp
 }
 
-// buildCheckpointGraph computes Edges (live×live reachability through
-// the commit serialization graph) and Shadow (summarized committed
-// services reachable from each live process). Committed events sit at
-// their commit position and compensated bases no longer constrain —
-// the same event set commitSerializationRanks derives at recovery.
-func buildCheckpointGraph(cp *Checkpoint, base []Record, old *Checkpoint, live func(string) bool, conflicts func(a, b string) bool) {
-	type cpEv struct {
-		proc, svc string
-		lsn       int64
+// EffectiveCommits returns, in log order, the indices of the records
+// that commit an activity whose effect still stands: a committed outcome
+// or a committing resolution — the activity's *commit* position, for a
+// 2PC-deferred one the RecResolved record (Lemma 1) — of an activity no
+// RecCompensate undoes. An activity is reported once: a redo-commit's
+// resolution does not repeat a commit already in the log. keep, when
+// non-nil, restricts the result to the processes it accepts.
+func EffectiveCommits(recs []Record, keep func(proc string) bool) []int {
+	type key struct {
+		proc  string
+		local int
 	}
-	compensated := make(map[string]bool)
-	for _, r := range base {
-		if r.Type == RecCompensate {
-			compensated[fmt.Sprintf("%s/%d", r.Proc, r.Local)] = true
+	compensated := make(map[key]bool)
+	for _, r := range recs {
+		if r.Type == RecCompensate && (keep == nil || keep(r.Proc)) {
+			compensated[key{r.Proc, r.Local}] = true
 		}
 	}
-	var evs []cpEv
-	emitted := make(map[string]bool)
-	for _, r := range base {
+	var out []int
+	emitted := make(map[key]bool)
+	for i, r := range recs {
 		committed := (r.Type == RecOutcome && r.Outcome == "committed") ||
 			(r.Type == RecResolved && r.Commit)
-		key := fmt.Sprintf("%s/%d", r.Proc, r.Local)
-		if !committed || compensated[key] || emitted[key] {
+		if !committed || (keep != nil && !keep(r.Proc)) {
 			continue
 		}
-		emitted[key] = true
-		evs = append(evs, cpEv{proc: r.Proc, svc: r.Service, lsn: r.LSN})
+		k := key{r.Proc, r.Local}
+		if compensated[k] || emitted[k] {
+			continue
+		}
+		emitted[k] = true
+		out = append(out, i)
+	}
+	return out
+}
+
+// buildCheckpointGraph computes Edges (live×live reachability through
+// the commit serialization graph) and Shadow (summarized committed
+// services reachable from each live process) over EffectiveCommits — the
+// event set restart recovery seeds its policy state with.
+func buildCheckpointGraph(cp *Checkpoint, base []Record, old *Checkpoint, live func(string) bool, conflicts func(a, b string) bool) {
+	var evs []Record
+	for _, i := range EffectiveCommits(base, nil) {
+		evs = append(evs, base[i])
 	}
 	if len(evs) > maxCheckpointGraphEvents {
 		cp.Truncated = true
@@ -283,17 +299,17 @@ func buildCheckpointGraph(cp *Checkpoint, base []Record, old *Checkpoint, live f
 	perSvc := make(map[string]map[string]bool)
 	for _, e := range evs {
 		for svc, procs := range perSvc {
-			if !conflicts(svc, e.svc) {
+			if !conflicts(svc, e.Service) {
 				continue
 			}
 			for p := range procs {
-				addEdge(p, e.proc)
+				addEdge(p, e.Proc)
 			}
 		}
-		if perSvc[e.svc] == nil {
-			perSvc[e.svc] = make(map[string]bool)
+		if perSvc[e.Service] == nil {
+			perSvc[e.Service] = make(map[string]bool)
 		}
-		perSvc[e.svc][e.proc] = true
+		perSvc[e.Service][e.Proc] = true
 	}
 	// Fold the previous checkpoint: its closure edges become direct
 	// edges, and its shadow services conflict-check against the events
@@ -305,8 +321,8 @@ func buildCheckpointGraph(cp *Checkpoint, base []Record, old *Checkpoint, live f
 		for p, svcs := range old.Shadow {
 			for _, s := range svcs {
 				for _, e := range evs {
-					if e.lsn > old.Horizon && conflicts(s, e.svc) {
-						addEdge(p, e.proc)
+					if e.LSN > old.Horizon && conflicts(s, e.Service) {
+						addEdge(p, e.Proc)
 					}
 				}
 			}
@@ -316,13 +332,13 @@ func buildCheckpointGraph(cp *Checkpoint, base []Record, old *Checkpoint, live f
 	// Committed services of the processes being summarized away.
 	termSvc := make(map[string]map[string]bool)
 	for _, e := range evs {
-		if live(e.proc) {
+		if live(e.Proc) {
 			continue
 		}
-		if termSvc[e.proc] == nil {
-			termSvc[e.proc] = make(map[string]bool)
+		if termSvc[e.Proc] == nil {
+			termSvc[e.Proc] = make(map[string]bool)
 		}
-		termSvc[e.proc][e.svc] = true
+		termSvc[e.Proc][e.Service] = true
 	}
 	oldShadow := map[string][]string{}
 	if old != nil {
@@ -338,7 +354,7 @@ func buildCheckpointGraph(cp *Checkpoint, base []Record, old *Checkpoint, live f
 		}
 	}
 	for _, e := range evs {
-		collect(e.proc)
+		collect(e.Proc)
 	}
 	for _, r := range base {
 		if r.Proc != "" {

@@ -181,7 +181,8 @@ func NewEngine(fed *Federation, cfg Config) (*Engine, error) { return scheduler.
 
 // Recover performs crash recovery from a write-ahead log: it resolves
 // in-doubt transactions and executes the group abort of all active
-// processes (Definition 8.2b).
+// processes (Definition 8.2b) on the protocol driver the engines run,
+// from the process table and policy state the log holds.
 func Recover(fed *Federation, log WAL, defs []*Process) (*scheduler.RecoveryReport, error) {
 	return scheduler.Recover(fed, log, defs)
 }
