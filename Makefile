@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short loc layers bench-check race diff torture chaos fed serve coverage-floor bench fuzz-smoke ci
+.PHONY: build test test-short loc layers bench-check experiments experiments-check race diff torture chaos fed serve coverage-floor bench fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -34,6 +34,18 @@ layers:
 # the benchmark driver.
 bench-check:
 	$(GO) vet -C bench ./... && $(GO) test -C bench ./...
+
+# Everything the experiments print comes from the sequential engine's
+# virtual clock, except the two values masked here: E9's count of random
+# schedules that happen to be PRED and E14's wall-clock milliseconds. The
+# rest is pinned byte for byte, so a change to the driver or the policy
+# that moves any experiment shows up as a diff. After an intended change:
+# `make -s experiments > cmd/tpsim/testdata/experiments.golden`.
+experiments:
+	@$(GO) run ./cmd/tpsim | sed -E 's/(random schedules, )[0-9]+/\1N/;s/[0-9.]+ms/Tms/g'
+
+experiments-check:
+	@$(MAKE) -s experiments | diff cmd/tpsim/testdata/experiments.golden -
 
 race:
 	$(GO) test -race ./...
@@ -103,4 +115,4 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzFreeSpaceMap -fuzztime 30s -run '^$$' ./internal/store
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s -run '^$$' ./internal/federation
 
-ci: build layers test bench-check race diff torture chaos fed serve coverage-floor
+ci: build layers test bench-check experiments-check race diff torture chaos fed serve coverage-floor

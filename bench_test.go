@@ -192,8 +192,7 @@ func runScheduler(b *testing.B, mode scheduler.Mode, p workload.Profile) {
 // locking while preserving correctness; CC-only is fast but unsafe.
 func BenchmarkSchedulers(b *testing.B) {
 	for _, mode := range []scheduler.Mode{
-		scheduler.Serial, scheduler.Conservative, scheduler.CCOnly,
-		scheduler.PRED, scheduler.PREDCascade,
+		scheduler.Serial, scheduler.Conservative, scheduler.CCOnly, scheduler.PRED,
 	} {
 		b.Run(mode.String(), func(b *testing.B) {
 			runScheduler(b, mode, benchProfile(0.4, 0.08))
@@ -253,21 +252,6 @@ func BenchmarkQuasiCommitAblation(b *testing.B) {
 			}
 			b.ReportMetric(float64(last.Metrics.Makespan), "vticks")
 			b.ReportMetric(float64(last.Metrics.Deferrals), "deferrals")
-		})
-	}
-}
-
-// BenchmarkDeferredCommitAblation is the cascade-mode variant of B3.
-func BenchmarkDeferredCommitAblation(b *testing.B) {
-	for _, v := range []struct {
-		name string
-		cfg  scheduler.Config
-	}{
-		{"cascade-defer", scheduler.Config{Mode: scheduler.PREDCascade}},
-		{"cascade-block", scheduler.Config{Mode: scheduler.PREDCascade, BlockPivots: true}},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			runScheduler(b, v.cfg.Mode, benchProfile(0.5, 0.0))
 		})
 	}
 }
@@ -349,7 +333,7 @@ func BenchmarkCrashRecovery(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		w := workload.MustGenerate(p)
-		eng, err := scheduler.New(w.Fed, scheduler.Config{Mode: scheduler.PREDCascade, CrashAfterEvents: 20})
+		eng, err := scheduler.New(w.Fed, scheduler.Config{Mode: scheduler.PRED, CrashAfterEvents: 20})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -385,7 +369,7 @@ func BenchmarkEngineInstrumentation(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				w := workload.MustGenerate(p)
-				eng, err := scheduler.New(w.Fed, scheduler.Config{Mode: scheduler.PREDCascade, Metrics: v.reg()})
+				eng, err := scheduler.New(w.Fed, scheduler.Config{Mode: scheduler.PRED, Metrics: v.reg()})
 				if err != nil {
 					b.Fatal(err)
 				}

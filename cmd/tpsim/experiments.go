@@ -290,7 +290,7 @@ func e9() error {
 // e10 verifies the lemma-level behaviour of the live scheduler.
 func e10() error {
 	fed := paper.Federation(3)
-	eng, err := scheduler.New(fed, scheduler.Config{Mode: scheduler.PREDCascade})
+	eng, err := scheduler.New(fed, scheduler.Config{Mode: scheduler.PRED})
 	if err != nil {
 		return err
 	}
@@ -455,7 +455,7 @@ func b1() error {
 	}
 	fmt.Println()
 	t2.Render(os.Stdout)
-	t3, err := sim.FailureSweep(p, []float64{0.0, 0.1, 0.2, 0.3}, []scheduler.Mode{scheduler.PRED, scheduler.PREDCascade, scheduler.CCOnly})
+	t3, err := sim.FailureSweep(p, []float64{0.0, 0.1, 0.2, 0.3}, []scheduler.Mode{scheduler.PRED, scheduler.CCOnly})
 	if err != nil {
 		return err
 	}
@@ -483,7 +483,7 @@ func b5() error {
 	p.PermFailureProb = 0
 	p.Subsystems = 2
 	p.ServicesPerSubsystem = 3
-	t, err := sim.FaultMatrix(p, scheduler.PREDCascade)
+	t, err := sim.FaultMatrix(p, scheduler.PRED)
 	if err != nil {
 		return err
 	}

@@ -11,15 +11,13 @@ import (
 	"transproc/internal/fault"
 	"transproc/internal/federation"
 	"transproc/internal/process"
-	"transproc/internal/scheduler/policy"
 	"transproc/internal/workload"
 )
 
 // runFed implements "tpsim fed": a multi-node federated run as a
 // command.
 //
-//	tpsim fed [-nodes N] [-procs P] [-seed S] [-mode pred|pred-cascade]
-//	          [-lease D] [-heartbeat D]
+//	tpsim fed [-nodes N] [-procs P] [-seed S] [-lease D] [-heartbeat D]
 //	tpsim fed -benchhub [-procs P] [-seed S] [-reps R] [-json]
 //
 // The default form partitions a seeded workload across N scheduler
@@ -38,7 +36,6 @@ func runFed(args []string) error {
 	nodes := fs.Int("nodes", 2, "scheduler node count")
 	procs := fs.Int("procs", 24, "process count")
 	seed := fs.Int64("seed", 1, "workload seed")
-	modeName := fs.String("mode", "pred", "scheduling mode: pred or pred-cascade")
 	lease := fs.Duration("lease", 0, "lease TTL for membership (0 = explicit death reports)")
 	heartbeat := fs.Duration("heartbeat", 0, "node heartbeat interval (default lease/4 when -lease is set)")
 	benchHub := fs.Bool("benchhub", false, "measure hub-kill MTTR per node count")
@@ -52,11 +49,7 @@ func runFed(args []string) error {
 		return runFedBenchHub(*procs, *seed, *reps, *asJSON)
 	}
 
-	mode, err := policy.ParseMode(*modeName)
-	if err != nil {
-		return err
-	}
-	res, elapsed, err := fedRun(*procs, *seed, *nodes, mode, *lease, *heartbeat)
+	res, elapsed, err := fedRun(*procs, *seed, *nodes, *lease, *heartbeat)
 	if err != nil {
 		return err
 	}
@@ -77,7 +70,7 @@ func runFed(args []string) error {
 // schedule, returning the run result and wall-clock duration.
 // Lease-based membership is enabled when lease > 0 (heartbeat defaults
 // to lease/4).
-func fedRun(procs int, seed int64, nodes int, mode policy.Mode, lease, heartbeat time.Duration) (*federation.RunResult, time.Duration, error) {
+func fedRun(procs int, seed int64, nodes int, lease, heartbeat time.Duration) (*federation.RunResult, time.Duration, error) {
 	p := workload.DefaultProfile(seed)
 	p.Processes = procs
 	p.ConflictProb = 0.4
@@ -95,7 +88,7 @@ func fedRun(procs int, seed int64, nodes int, mode policy.Mode, lease, heartbeat
 		heartbeat = lease / 4
 	}
 	c, err := federation.NewCluster(w.Fed, defs, federation.Config{
-		Nodes: nodes, Mode: mode, MaxRestarts: 8,
+		Nodes: nodes, MaxRestarts: 8,
 		LeaseTTL: lease, HeartbeatEvery: heartbeat,
 	})
 	if err != nil {
@@ -215,7 +208,7 @@ func fedHubBenchRun(procs int, seed int64, nodes int) (mttr, elapsed time.Durati
 	var down time.Time
 	var downtime time.Duration
 	c, err := federation.NewCluster(w.Fed, defs, federation.Config{
-		Nodes: nodes, Mode: policy.PRED, MaxRestarts: 8,
+		Nodes: nodes, MaxRestarts: 8,
 		LeaseTTL: 200 * time.Millisecond, HeartbeatEvery: 20 * time.Millisecond,
 		HubInject: fault.NewInjector(fault.Plan{CrashAtPoint: federation.PointHubDispatch, CrashAtCount: 3}).Point,
 		OnHubDown: func() {

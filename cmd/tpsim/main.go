@@ -8,13 +8,13 @@
 //	tpsim -metrics[=text|json]
 //	tpsim run [-metrics[=text|json]] [-runtime=concurrent] <spec.json> [mode]
 //	tpsim battery <torture|chaos|fed|hub|serve> [-seeds N] [-first S] [-seed K] [-ckpt] [-durable] [-json]
-//	tpsim fed [-nodes N] [-procs P] [-seed S] [-mode M] [-benchhub] [-json]
-//	tpsim serve [-addr A] [-dir D] [-world spec.json] [-fed N]
+//	tpsim fed [-nodes N] [-procs P] [-seed S] [-benchhub] [-json]
+//	tpsim serve [-addr A] [-dir D] [-world spec.json] [-mode M] [-fed N]
 //
 // where experiment is one of e1..e14, b1, b2, b4, b5, or "all" (default),
-// and mode is pred (default), pred-cascade, serial, conservative or
-// cc-only. "run" executes a declarative process definition (see
-// internal/spec for the format and examples/specs for samples);
+// and mode is pred (default), serial, conservative or cc-only. "run"
+// executes a declarative process definition (see internal/spec for the
+// format and examples/specs for samples);
 // -runtime=concurrent executes it on the goroutine-per-process runtime
 // (internal/runtime) instead of the sequential discrete-event engine.
 // "battery" runs one of the five seeded batteries (internal/battery):

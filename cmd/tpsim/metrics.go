@@ -71,7 +71,7 @@ func dumpSnapshot(reg *metrics.Registry, format string) error {
 }
 
 // metricsDemo (bare "tpsim -metrics") runs a fault-injected workload
-// under the instrumented PRED-cascade scheduler — behind a mildly flaky
+// under the instrumented PRED scheduler — behind a mildly flaky
 // chaos transport so the resilience counters (retries, idempotent
 // replays, breaker transitions, retry-latency histograms) show up
 // alongside the scheduler's — and dumps the full observability
@@ -89,7 +89,7 @@ func metricsDemo(format string) error {
 	plan := chaos.Plan{Seed: p.Seed, PTransient: 0.12, PTimeout: 0.05, PDuplicate: 0.05, PSlow: 0.08}
 	layer := chaos.NewLayer(w.Fed, plan, chaos.RetryPolicy{}, chaos.BreakerConfig{}, reg)
 	eng, err := scheduler.New(w.Fed, scheduler.Config{
-		Mode: scheduler.PREDCascade, Metrics: reg, Resilience: layer,
+		Mode: scheduler.PRED, Metrics: reg, Resilience: layer,
 	})
 	if err != nil {
 		return err
@@ -98,7 +98,7 @@ func metricsDemo(format string) error {
 		return err
 	}
 	if format == "text" {
-		fmt.Printf("instrumented demo run: %d processes, conflict=%.2f, permFail=%.2f, seed=%d (mode pred-cascade, chaos transport)\n\n",
+		fmt.Printf("instrumented demo run: %d processes, conflict=%.2f, permFail=%.2f, seed=%d (mode pred, chaos transport)\n\n",
 			p.Processes, p.ConflictProb, p.PermFailureProb, p.Seed)
 	}
 	return dumpSnapshot(reg, format)

@@ -20,7 +20,7 @@ import (
 // service.
 //
 //	tpsim serve [-addr :8080] [-dir serve-data] [-world spec.json]
-//	            [-mode pred|pred-cascade] [-fed N] [-lease D] [-heartbeat D]
+//	            [-mode M] [-fed N] [-lease D] [-heartbeat D]
 //	            [-queue N] [-batch N] [-tick D] [-drain D] [-ckpt N]
 //	            [-compact] [-nosync] [-rate R] [-burst B] [-retries N]
 //
@@ -30,16 +30,16 @@ import (
 // is ignored — processes arrive over HTTP) or from a built-in demo
 // world, and serves the ingestion API until SIGINT/SIGTERM triggers a
 // graceful drain. -fed N routes batches through an N-node federation
-// cluster instead of the in-process runtime. The serve crash battery is
-// `tpsim battery serve`; load is measured by the layered benchmark's
-// open-loop serve-open workload (`go run -C bench . -workload
-// serve-open`, E17).
+// cluster instead of the in-process runtime (mode pred only). The serve
+// crash battery is `tpsim battery serve`; load is measured by the
+// layered benchmark's open-loop serve-open workload (`go run -C bench .
+// -workload serve-open`, E17).
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	dir := fs.String("dir", "serve-data", "data directory (wal.log + intake.journal)")
 	world := fs.String("world", "", "spec file declaring the subsystem federation (default: built-in demo world)")
-	modeName := fs.String("mode", "pred", "scheduling mode: pred or pred-cascade")
+	modeName := fs.String("mode", "pred", "scheduling mode: pred, serial, conservative or cc-only (-fed runs pred only)")
 	fed := fs.Int("fed", 0, "route batches through an N-node federation cluster (0 = in-process runtime)")
 	lease := fs.Duration("lease", 0, "federation: lease TTL for hub membership (0 = explicit death reports; /readyz degrades while the hub is unreachable)")
 	heartbeat := fs.Duration("heartbeat", 0, "federation: node heartbeat interval (default lease/4 when -lease is set)")
@@ -63,9 +63,6 @@ func runServe(args []string) error {
 
 	fedr, err := serveWorldFromFlag(*world)
 	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		return err
 	}
 	if *lease > 0 && *heartbeat <= 0 {

@@ -90,7 +90,7 @@ func main() {
 	// failure could hit any trip depending on interleaving; what is
 	// guaranteed is that every trip terminates: preferred path, fallback
 	// path, or effect-free abort.
-	eng, err := transproc.NewEngine(fed, transproc.Config{Mode: transproc.PREDCascade})
+	eng, err := transproc.NewEngine(fed, transproc.Config{Mode: transproc.PRED})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -27,7 +27,6 @@ import (
 type ChaosScenario struct {
 	Seed  int64
 	Class string
-	Mode  scheduler.Mode
 	// Engine selects the execution engine: "engine" (sequential) or
 	// "runtime" (concurrent).
 	Engine  string
@@ -53,10 +52,7 @@ type ChaosScenario struct {
 // mid-chaos crash plus recovery.
 func chaosScenarioFor(seed int64) ChaosScenario {
 	rng := rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
-	sc := ChaosScenario{Seed: seed, Engine: "engine", Mode: scheduler.PRED}
-	if seed%3 == 0 {
-		sc.Mode = scheduler.PREDCascade
-	}
+	sc := ChaosScenario{Seed: seed, Engine: "engine"}
 	if seed%2 == 1 {
 		sc.GroupCommit = wal.GroupCommit{MaxBatch: 2 + rng.Intn(15)}
 	}
@@ -182,7 +178,7 @@ func runChaosScenario(sc ChaosScenario) error {
 	switch sc.Engine {
 	case "runtime":
 		r, nerr := runtime.New(fed, runtime.Config{
-			Mode: sc.Mode, Log: log, MaxRestarts: 64,
+			Mode: scheduler.PRED, Log: log, MaxRestarts: 64,
 			Metrics: reg, Resilience: layer, GroupCommit: sc.GroupCommit,
 		})
 		if nerr != nil {
@@ -201,7 +197,7 @@ func runChaosScenario(sc ChaosScenario) error {
 		}
 	default:
 		eng, nerr := scheduler.New(fed, scheduler.Config{
-			Mode: sc.Mode, Log: log, MaxRestarts: 64,
+			Mode: scheduler.PRED, Log: log, MaxRestarts: 64,
 			Metrics: reg, Resilience: layer, GroupCommit: sc.GroupCommit,
 		})
 		if nerr != nil {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"hash/fnv"
+	"math/rand"
 	"os"
 	"reflect"
 	"regexp"
@@ -19,6 +20,7 @@ import (
 // the ScenarioFor functions of the commit before the batteries moved
 // here derived them — so "no class or seed edited" is checked, not
 // asserted. It also pins purity: the same seed derives the same scenario.
+// The scenarios have since lost one field, Mode (see tableDesc).
 func TestSeedClassTable(t *testing.T) {
 	f, err := os.Open("testdata/classes.txt")
 	if err != nil {
@@ -38,7 +40,7 @@ func TestSeedClassTable(t *testing.T) {
 		}
 		gotClass, desc := b.ScenarioFor(seed, Variants{})
 		h := fnv.New32a()
-		h.Write([]byte(desc))
+		h.Write([]byte(tableDesc(name, seed, gotClass, desc)))
 		if got := fmt.Sprintf("%08x", h.Sum32()); gotClass != class || got != hash {
 			t.Errorf("%s seed %d: class %s scenario %s, table has %s %s\n%s", name, seed, gotClass, got, class, hash, desc)
 		}
@@ -49,6 +51,31 @@ func TestSeedClassTable(t *testing.T) {
 	if want := 200 * len(All); lines != want {
 		t.Fatalf("table has %d lines, want %d", lines, want)
 	}
+}
+
+// tableDesc puts back the Mode field the table's scenarios carried
+// behind Class: it chose between PRED and a cascading mode that was
+// removed because it never cascaded, by seed%3 in torture, chaos and
+// serve and by the second draw of the seed's generator in fed and hub.
+// With it back the table is compared as committed, which pins every
+// other parameter of every seed across the removal.
+func tableDesc(name string, seed int64, class, desc string) string {
+	cascade := seed%3 == 0
+	switch name {
+	case "fed", "hub":
+		src := seed*6364136223846793005 + 1442695040888963407
+		if name == "hub" {
+			src = seed*2862933555777941757 + 7046029254386353087
+		}
+		rng := rand.New(rand.NewSource(src))
+		rng.Intn(2)
+		cascade = rng.Intn(3) == 0
+	}
+	mode := " Mode:pred"
+	if cascade {
+		mode += "-cascade"
+	}
+	return strings.Replace(desc, "Class:"+class, "Class:"+class+mode, 1)
 }
 
 // fakeBattery fails every odd seed and never produces class "rare".

@@ -106,8 +106,8 @@ func TestRecoveryReportTable(t *testing.T) {
 
 // TestRecoveryCrashSweep crashes small runs at every force-log and each
 // of those recoveries at every one of its own: the geometries of the
-// paper's Figures 7 (a21 behind a backward-recoverable P1, allowed under
-// PREDCascade), 8 (the same pair under PRED) and 9 (a31 behind a
+// paper's Figures 7 and 8 (a21 behind a backward-recoverable P1; figure7
+// admits the pair in the other order, a11 behind P2) and 9 (a31 behind a
 // quasi-committed P1), clean and with a permanent failure at each
 // activity that can fail, on a plain log and with a checkpoint every six
 // appends plus compaction. fault.CheckRecovered judges every recovery,
@@ -120,12 +120,11 @@ func TestRecoveryCrashSweep(t *testing.T) {
 	}
 	for _, g := range []struct {
 		name  string
-		mode  scheduler.Mode
 		procs []*process.Process
 	}{
-		{"figure7", scheduler.PREDCascade, []*process.Process{paper.P1(), paper.P2(), paper.P3()}},
-		{"figure8", scheduler.PRED, []*process.Process{paper.P1(), paper.P2(), paper.P3()}},
-		{"figure9", scheduler.PRED, []*process.Process{paper.P1(), paper.P3(), paper.P2()}},
+		{"figure7", []*process.Process{paper.P2(), paper.P1(), paper.P3()}},
+		{"figure8", []*process.Process{paper.P1(), paper.P2(), paper.P3()}},
+		{"figure9", []*process.Process{paper.P1(), paper.P3(), paper.P2()}},
 	} {
 		defs := g.procs[:perGeometry]
 		failures := [][2]string{{}} // {process, service}; the first is "none"
@@ -140,7 +139,7 @@ func TestRecoveryCrashSweep(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/ckpt=%v", g.name, ckpt), func(t *testing.T) {
 				t.Parallel()
 				for _, fail := range failures {
-					sweepCrashes(t, g.mode, defs, fail, ckpt)
+					sweepCrashes(t, defs, fail, ckpt)
 				}
 			})
 		}
@@ -149,7 +148,7 @@ func TestRecoveryCrashSweep(t *testing.T) {
 
 // sweepCrashes is one cell of TestRecoveryCrashSweep: fail names the
 // {process, service} that fails permanently ("" for none).
-func sweepCrashes(t *testing.T, mode scheduler.Mode, defs []*process.Process, fail [2]string, ckpt bool) {
+func sweepCrashes(t *testing.T, defs []*process.Process, fail [2]string, ckpt bool) {
 	// crash runs the processes until the k-th force-log.
 	crash := func(k int) (*subsystem.Federation, wal.Log, bool) {
 		fed := paper.Federation(1)
@@ -158,7 +157,7 @@ func sweepCrashes(t *testing.T, mode scheduler.Mode, defs []*process.Process, fa
 			sub.FailService(fail[0], fail[1])
 		}
 		log := wal.NewMemLog()
-		cfg := scheduler.Config{Mode: mode, Log: fault.WrapWAL(log, k)}
+		cfg := scheduler.Config{Mode: scheduler.PRED, Log: fault.WrapWAL(log, k)}
 		if ckpt {
 			cfg.CheckpointEvery, cfg.CompactOnCheckpoint = 6, true
 		}

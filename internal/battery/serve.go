@@ -41,7 +41,6 @@ import (
 type ServeScenario struct {
 	Seed  int64
 	Class string
-	Mode  scheduler.Mode
 	// Plan arms the first server incarnation's crash (the injected
 	// kill -9); the WAL-budget field is applied via Config.WrapLog.
 	Plan fault.Plan
@@ -96,11 +95,8 @@ const serveClasses = 10
 func serveScenarioFor(seed int64) ServeScenario {
 	rng := rand.New(rand.NewSource(seed*2862933555777941757 + 3037000493))
 	sc := ServeScenario{
-		Seed: seed, Mode: scheduler.PRED, RetryIndex: -1,
+		Seed: seed, RetryIndex: -1,
 		Procs: 10, Tenants: 1 + int(seed%3),
-	}
-	if seed%3 == 0 {
-		sc.Mode = scheduler.PREDCascade
 	}
 	if seed%2 == 1 {
 		sc.GroupCommit = wal.GroupCommit{MaxBatch: 2 + rng.Intn(8)}
@@ -255,7 +251,7 @@ func serveWorldFrom(sc ServeScenario, p workload.Profile) (*subsystem.Federation
 // scenarioConfig builds the server config of one incarnation.
 func scenarioConfig(sc ServeScenario, fed *subsystem.Federation, dir string, plan fault.Plan, walBudget int, hold bool) serve.Config {
 	cfg := serve.Config{
-		Dir: dir, Mode: sc.Mode, NoSync: true,
+		Dir: dir, NoSync: true,
 		Tick:            sc.Tick,
 		CheckpointEvery: sc.CheckpointEvery, CompactOnCheckpoint: sc.CompactOnCheckpoint,
 		GroupCommit: sc.GroupCommit,

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"transproc/internal/fault"
-	"transproc/internal/scheduler"
 	"transproc/internal/serve"
 )
 
@@ -39,11 +38,6 @@ func TestRestartResumeDifferential(t *testing.T) {
 
 func runDifferential(t *testing.T, seed int64) {
 	sc := serveScenarioFor(seed)
-	// Plain PRED only: under PREDCascade a permanent failer's retries
-	// cascade-abort conflicting neighbors, so their final outcome
-	// depends on how the work happened to be batched — not a
-	// world-determined quantity the differential can compare.
-	sc.Mode = scheduler.PRED
 	prof := serveProfile(sc)
 	prof.TransientFailureProb = 0
 

@@ -27,7 +27,6 @@ import (
 type TortureScenario struct {
 	Seed  int64
 	Class string
-	Mode  scheduler.Mode
 	// Engine selects the execution engine: "engine" (sequential
 	// discrete-event scheduler) or "runtime" (concurrent).
 	Engine string
@@ -93,10 +92,7 @@ type TortureScenario struct {
 // is also exercised through the batching appender.
 func tortureScenarioFor(seed int64) TortureScenario {
 	rng := rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
-	sc := TortureScenario{Seed: seed, Engine: "engine", Mode: scheduler.PRED}
-	if seed%3 == 0 {
-		sc.Mode = scheduler.PREDCascade
-	}
+	sc := TortureScenario{Seed: seed, Engine: "engine"}
 	if seed%2 == 1 {
 		sc.GroupCommit = wal.GroupCommit{MaxBatch: 2 + rng.Intn(15)}
 	}
@@ -549,7 +545,7 @@ func runUntilCrash(sc TortureScenario, fed *subsystem.Federation, log wal.Log, i
 	switch sc.Engine {
 	case "runtime":
 		r, err := runtime.New(fed, runtime.Config{
-			Mode: sc.Mode, Log: log, MaxRestarts: tortureMaxRestarts, Inject: inj.Point,
+			Mode: scheduler.PRED, Log: log, MaxRestarts: tortureMaxRestarts, Inject: inj.Point,
 			CheckpointEvery: sc.CheckpointEvery, CheckpointLimit: sc.CheckpointLimit,
 			CompactOnCheckpoint: sc.CompactOnCheckpoint, GroupCommit: sc.GroupCommit,
 		})
@@ -566,7 +562,7 @@ func runUntilCrash(sc TortureScenario, fed *subsystem.Federation, log wal.Log, i
 		return false, err
 	default:
 		eng, err := scheduler.New(fed, scheduler.Config{
-			Mode: sc.Mode, Log: log, MaxRestarts: tortureMaxRestarts, Inject: inj.Point,
+			Mode: scheduler.PRED, Log: log, MaxRestarts: tortureMaxRestarts, Inject: inj.Point,
 			CheckpointEvery: sc.CheckpointEvery, CheckpointLimit: sc.CheckpointLimit,
 			CompactOnCheckpoint: sc.CompactOnCheckpoint, GroupCommit: sc.GroupCommit,
 		})

@@ -9,7 +9,6 @@ import (
 	"transproc/internal/federation"
 	"transproc/internal/metrics"
 	"transproc/internal/process"
-	"transproc/internal/scheduler/policy"
 	"transproc/internal/workload"
 )
 
@@ -94,7 +93,7 @@ func wireHub(t *testing.T, plan chaos.Plan, dispatchBudget int) (*federation.Cli
 		defs[i] = j.Proc
 	}
 	reg := metrics.New()
-	hub, err := federation.NewHub(wl.Fed, defs, federation.HubConfig{Mode: policy.PRED, Metrics: reg})
+	hub, err := federation.NewHub(wl.Fed, defs, federation.HubConfig{Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

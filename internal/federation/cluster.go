@@ -9,7 +9,6 @@ import (
 	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/scheduler"
-	"transproc/internal/scheduler/policy"
 	"transproc/internal/subsystem"
 	"transproc/internal/wal"
 )
@@ -19,7 +18,6 @@ type Config struct {
 	// Nodes is the scheduler-node count; processes are partitioned
 	// round-robin by arrival rank.
 	Nodes int
-	Mode  policy.Mode
 	// MaxRestarts per origin process; MaxStalls bounds cluster-wide
 	// victim designations.
 	MaxRestarts int
@@ -108,14 +106,11 @@ func NewCluster(fed *subsystem.Federation, defs []*process.Process, cfg Config) 
 	if cfg.Nodes <= 0 {
 		cfg.Nodes = 2
 	}
-	if cfg.Mode == 0 {
-		cfg.Mode = policy.PRED
-	}
 	if cfg.HubJournal == nil {
 		cfg.HubJournal = NewMemJournal()
 	}
 	hubCfg := HubConfig{
-		Mode: cfg.Mode, MaxStalls: cfg.MaxStalls, Metrics: cfg.Metrics,
+		MaxStalls: cfg.MaxStalls, Metrics: cfg.Metrics,
 		Journal: cfg.HubJournal, LeaseTTL: cfg.LeaseTTL, Inject: cfg.HubInject,
 	}
 	hub, err := NewHub(fed, defs, hubCfg)

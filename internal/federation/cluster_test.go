@@ -15,7 +15,6 @@ import (
 	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/scheduler"
-	"transproc/internal/scheduler/policy"
 	"transproc/internal/subsystem"
 	"transproc/internal/workload"
 )
@@ -184,12 +183,13 @@ func TestClusterFailures(t *testing.T) {
 	}
 }
 
-// TestClusterCascadeMode exercises PREDCascade across node boundaries.
+// TestClusterCascadeMode runs a failure-injected workload across node
+// boundaries under a tight restart bound.
 func TestClusterCascadeMode(t *testing.T) {
 	w := workload.MustGenerate(fedProfile(5))
 	defs := defsOf(w)
 	injectRules(t, w.Fed, chooseRules(w, 5))
-	c, err := federation.NewCluster(w.Fed, defs, federation.Config{Nodes: 2, Mode: policy.PREDCascade, MaxRestarts: 4})
+	c, err := federation.NewCluster(w.Fed, defs, federation.Config{Nodes: 2, MaxRestarts: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

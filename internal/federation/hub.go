@@ -20,11 +20,6 @@ import (
 
 // HubConfig configures the coordination hub.
 type HubConfig struct {
-	// Mode is the scheduling policy; the federation supports PRED and
-	// PREDCascade (the modes whose decisions are per-event and therefore
-	// liftable behind RPCs; Serial/Conservative admission gating would
-	// serialize the cluster anyway).
-	Mode policy.Mode
 	// MaxStalls bounds cluster-wide victim designations.
 	MaxStalls int
 	// Metrics is the optional observability registry.
@@ -139,9 +134,9 @@ type Hub struct {
 	table *conflict.Table
 	pol   *policy.State
 	// drv is the shared protocol driver over the mirrors. In this stage
-	// the hub uses its process table (the policy view), gates, cascade
-	// marking and victim choice; the logging transitions stay split
-	// between the handlers here and the owning node.
+	// the hub uses its process table (the policy view), gates and
+	// victim choice; the logging transitions stay split between the
+	// handlers here and the owning node.
 	drv *scheduler.Driver
 	cfg HubConfig
 	reg *metrics.Registry
@@ -179,9 +174,6 @@ type Hub struct {
 // NewHub builds the hub over a federation and the process definitions
 // (by origin id; restart incarnations derive from them).
 func NewHub(fed *subsystem.Federation, defs []*process.Process, cfg HubConfig) (*Hub, error) {
-	if cfg.Mode != policy.PRED && cfg.Mode != policy.PREDCascade {
-		return nil, fmt.Errorf("federation: unsupported mode %v (PRED and PREDCascade only)", cfg.Mode)
-	}
 	table, err := fed.ConflictTable()
 	if err != nil {
 		return nil, err
@@ -192,7 +184,7 @@ func NewHub(fed *subsystem.Federation, defs []*process.Process, cfg HubConfig) (
 	h := &Hub{
 		fed:       fed,
 		table:     table,
-		pol:       policy.New(table, policy.Config{Mode: cfg.Mode}),
+		pol:       policy.New(table, policy.Config{Mode: policy.PRED}),
 		cfg:       cfg,
 		reg:       cfg.Metrics,
 		defs:      make(map[string]*process.Process, len(defs)),
@@ -575,21 +567,11 @@ func (h *Hub) invocationFailed(hp *hubProc, local int, service string, kind acti
 		out.Flag = true
 		out.Stamp2 = h.next() // for the node's RecAbortBegin record
 		h.pol.AppendEvent(&policy.Event{Seq: out.Stamp2, Proc: hp.ID, Typ: schedule.AbortBegin})
-		h.cascadeDependents(hp)
 	} else {
 		hp.Recovery = plan.Steps
 	}
 	h.pol.Bump()
 	return out
-}
-
-// cascadeDependents is the driver's cascade marking (PREDCascade) over
-// the undecided mirrors. Victims may be owned by other nodes; they learn
-// through StVictim on their next dispatch-class RPC or an idle poll.
-func (h *Hub) cascadeDependents(hp *hubProc) {
-	for _, q := range h.drv.Cascade(&hp.Proc, func(q *scheduler.Proc) bool { return h.byID[q.ID].decided }) {
-		h.queueVictim(h.byID[q.ID])
-	}
 }
 
 // queueVictim records a designation for delivery through the owner's
@@ -795,7 +777,6 @@ func (h *Hub) handleAbortBegin(req *Frame) *Frame {
 	out := h.resp(StOK)
 	out.Stamp = h.next() // for the node's RecAbortBegin record
 	h.pol.AppendEvent(&policy.Event{Seq: out.Stamp, Proc: hp.ID, Typ: schedule.AbortBegin})
-	h.cascadeDependents(hp)
 	h.pol.Bump()
 	return out
 }

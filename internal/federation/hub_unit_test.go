@@ -33,9 +33,6 @@ func unitWorld(t *testing.T) (*subsystem.Federation, []*process.Process) {
 func unitHub(t *testing.T, cfg HubConfig) (*Hub, []*process.Process) {
 	t.Helper()
 	fed, defs := unitWorld(t)
-	if cfg.Mode != policy.PRED && cfg.Mode != policy.PREDCascade {
-		cfg.Mode = policy.PRED
-	}
 	h, err := NewHub(fed, defs, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -7,8 +7,9 @@
 // Every scheduling decision a node needs (dispatch admissibility,
 // Lemma 1-3 gates, commit-immediately vs defer, stall victims) is one
 // RPC into the hub's serial section, where the shared protocol driver
-// (scheduler.Driver) takes it over the hub's mirrors — the same gates,
-// cascade marking and victim choice the single-node hosts run; the
+// (scheduler.Driver) takes it over the hub's mirrors — the same gates
+// and victim choice the single-node hosts run, under PRED, the one mode
+// whose decisions are per-event and therefore liftable behind RPCs; the
 // logging transitions are still split between the hub's handlers and
 // the owning node (DESIGN.md §6l). The response carries the stamps
 // under which the node force-logs the corresponding records into its

@@ -53,7 +53,6 @@ const (
 	CompensationsIssued
 	BackwardRecoveries
 	ForwardRecoveries
-	CascadeAborts
 	VictimAborts
 	GroupAborts
 	RecoveryCompensations
@@ -174,7 +173,6 @@ var counterNames = [numCounters]string{
 	CompensationsIssued:    "sched.compensations",
 	BackwardRecoveries:     "sched.recovery.backward",
 	ForwardRecoveries:      "sched.recovery.forward",
-	CascadeAborts:          "sched.cascade_aborts",
 	VictimAborts:           "sched.victim_aborts",
 	GroupAborts:            "recovery.group_aborts",
 	RecoveryCompensations:  "recovery.compensations",
@@ -437,7 +435,6 @@ const (
 	TRetry
 	TBackward
 	TForward
-	TCascade
 	TVictim
 	TTerminate
 	TGroupAbort
@@ -463,7 +460,6 @@ var traceKindNames = [numTraceKinds]string{
 	TRetry:         "retry",
 	TBackward:      "backward-recovery",
 	TForward:       "forward-recovery",
-	TCascade:       "cascade-abort",
 	TVictim:        "victim-abort",
 	TTerminate:     "terminate",
 	TGroupAbort:    "group-abort",

@@ -855,26 +855,6 @@ func (in *Instance) PotentialRecoveryServices() map[string]bool {
 	return out
 }
 
-// PotentialForwardServices returns the services of retriable activities
-// that are not yet committed: the set of services that can appear on a
-// *forward* recovery path of this process. Unlike compensations (which a
-// cascading scheduler can order correctly by aborting dependents first),
-// forward-path activities cannot be cancelled — another process must not
-// be allowed to conflict-precede them unless it can never need to.
-func (in *Instance) PotentialForwardServices() map[string]bool {
-	out := make(map[string]bool)
-	for _, id := range in.p.order {
-		a := in.p.byID[id]
-		if a.Kind != activity.Retriable {
-			continue
-		}
-		if st := in.status[id]; st != Committed && st != Compensated {
-			out[a.Service] = true
-		}
-	}
-	return out
-}
-
 // UncommittedServices returns the services of activities that have not
 // (yet) committed — pending, abandoned, prepared or rolled back, on any
 // path. A scheduler uses this as the set of service classes the process

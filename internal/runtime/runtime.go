@@ -72,8 +72,8 @@ import (
 // Config parameterizes a runtime run.
 type Config struct {
 	// Mode selects the scheduling policy. The runtime supports PRED,
-	// PREDCascade, Serial, Conservative and CCOnly; the weak order of
-	// the sequential engine is not implemented here.
+	// Serial, Conservative and CCOnly; the weak order of the sequential
+	// engine is not implemented here.
 	Mode scheduler.Mode
 	// Log is the write-ahead log; defaults to an in-memory log.
 	Log wal.Log
@@ -627,7 +627,6 @@ func addMetrics(dst, src *scheduler.Metrics) {
 	dst.TwoPCCommits += src.TwoPCCommits
 	dst.LockWaits += src.LockWaits
 	dst.PolicyWaits += src.PolicyWaits
-	dst.Cascades += src.Cascades
 	dst.WeakDeps += src.WeakDeps
 	dst.WeakOrderWaits += src.WeakOrderWaits
 	dst.WeakRestarts += src.WeakRestarts

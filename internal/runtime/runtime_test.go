@@ -49,8 +49,7 @@ func TestRuntimeZeroFailure(t *testing.T) {
 func TestRuntimeModes(t *testing.T) {
 	t.Parallel()
 	modes := []scheduler.Mode{
-		scheduler.PRED, scheduler.PREDCascade, scheduler.Serial,
-		scheduler.Conservative, scheduler.CCOnly,
+		scheduler.PRED, scheduler.Serial, scheduler.Conservative, scheduler.CCOnly,
 	}
 	for _, mode := range modes {
 		for seed := int64(1); seed <= 4; seed++ {

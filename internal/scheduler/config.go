@@ -12,9 +12,9 @@
 //   - an activity may conflict with an executed activity of an *active*
 //     process only when that process can provably no longer invalidate
 //     it — it is forward-recoverable and none of its potential recovery
-//     services conflicts (the quasi-commit exploitation of Example 10) —
-//     or, in cascading mode, when the new activity is compensatable
-//     (Lemma 1.2) and the scheduler accepts a cascading abort;
+//     services conflicts (the quasi-commit exploitation of Example 10);
+//     no dependency is ever taken that an abort would have to cascade
+//     through (DESIGN.md §6 note 4);
 //   - commits of non-compensatable activities are deferred and performed
 //     atomically per process with a two phase commit protocol once every
 //     conflicting predecessor process has terminated (Lemma 1,
@@ -47,7 +47,6 @@ type Mode = policy.Mode
 // The scheduling policies (documented on the policy constants).
 const (
 	PRED         = policy.PRED
-	PREDCascade  = policy.PREDCascade
 	Serial       = policy.Serial
 	Conservative = policy.Conservative
 	CCOnly       = policy.CCOnly
@@ -59,15 +58,15 @@ type Config struct {
 	// Log is the scheduler's write-ahead log; defaults to an in-memory
 	// log.
 	Log wal.Log
-	// MaxRestarts bounds per-process restarts after cascading, wound or
-	// victim aborts; beyond it the process terminates aborted.
+	// MaxRestarts bounds per-process restarts after wound or victim
+	// aborts; beyond it the process terminates aborted.
 	// Restarts re-enter with exponential backoff. Default 8.
 	MaxRestarts int
 	// CrashAfterEvents, when positive, stops the run abruptly after
 	// that many invocation completions, simulating a scheduler crash;
 	// subsystem and log state survive for recovery.
 	CrashAfterEvents int
-	// BlockPivots switches the PRED modes from "execute non-compensatable
+	// BlockPivots switches PRED from "execute non-compensatable
 	// activities into the prepared state and defer their commit" to
 	// "do not even execute them while conflicting predecessors are
 	// active" (the ablation of the deferred-commit design).
@@ -78,7 +77,7 @@ type Config struct {
 	// (commit-order serializability). When a weakly preceding
 	// transaction aborts, overlapped dependents are rolled back and
 	// re-invoked — not treated as failures of their processes. Applies
-	// to the PRED-family modes.
+	// to PRED only.
 	WeakOrder bool
 	// Metrics is the observability registry the engine (and the
 	// subsystems, 2PC coordinator and WAL it drives) records counters,
@@ -154,7 +153,6 @@ type Metrics struct {
 	TwoPCCommits   int64 // prepared transactions committed via 2PC
 	LockWaits      int64 // dispatch attempts denied by subsystem locks
 	PolicyWaits    int64 // dispatch attempts denied by the policy
-	Cascades       int64 // cascading aborts triggered
 	WeakDeps       int64 // commit-order dependencies recorded (weak order)
 	WeakOrderWaits int64 // weak commits delayed by ErrOrder
 	WeakRestarts   int64 // re-invocations forced by aborted weak dependencies

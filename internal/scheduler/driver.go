@@ -560,9 +560,9 @@ func (d *Driver) permanentFailure(p *Proc, w Work) error {
 	return nil
 }
 
-// BeginAbort starts the abort A_i a victim designation or a cascade
-// requested, once the process's in-flight work has drained: its
-// completion C(P_i) becomes the recovery queue.
+// BeginAbort starts the abort A_i a victim designation requested, once
+// the process's in-flight work has drained: its completion C(P_i)
+// becomes the recovery queue.
 func (d *Driver) BeginAbort(p *Proc) error {
 	steps, err := p.Inst.Abort()
 	if err != nil {
@@ -575,7 +575,7 @@ func (d *Driver) BeginAbort(p *Proc) error {
 }
 
 // unwind puts the process into backward recovery over the given
-// completion and marks its dependents for cascading abort.
+// completion.
 func (d *Driver) unwind(p *Proc, steps []process.Step, local int, service string) bool {
 	if !d.Host.ForceLog(wal.Record{Type: wal.RecAbortBegin, Proc: string(p.ID)}) {
 		return false
@@ -589,30 +589,7 @@ func (d *Driver) unwind(p *Proc, steps []process.Step, local int, service string
 	d.Reg.Inc(counter)
 	d.trace(kind, p, local, service, "")
 	d.Pol.AppendEvent(&policy.Event{Seq: d.Host.NextSeq(), Proc: p.ID, Typ: schedule.AbortBegin})
-	d.Cascade(p, nil)
 	return true
-}
-
-// Cascade marks for abort the running processes that depend on the
-// unwinding p through conflict edges when p's completion will compensate
-// conflicting work (cascading aborts, PREDCascade only). The Lemma-2
-// gate makes the dependents' compensations execute before p's own. skip,
-// when non-nil, exempts processes; the marked ones are returned.
-func (d *Driver) Cascade(p *Proc, skip func(*Proc) bool) []*Proc {
-	var marked []*Proc
-	for _, id := range d.Pol.CascadeVictims(d, p.ID, p.Recovery) {
-		q := d.Get(id)
-		if q == nil || q.Phase != policy.Running || q.AbortPending || (skip != nil && skip(q)) {
-			continue
-		}
-		d.Metrics.Cascades++
-		d.Reg.Inc(metrics.CascadeAborts)
-		d.trace(metrics.TCascade, q, 0, "", string(p.ID))
-		q.AbortPending = true
-		q.Restartable = true
-		marked = append(marked, q)
-	}
-	return marked
 }
 
 // rollback aborts a prepared local transaction and logs the resolution.

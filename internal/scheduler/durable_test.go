@@ -180,11 +180,10 @@ func TestOriginStripsRestartSuffixes(t *testing.T) {
 	}
 }
 
-// cascadeWorld builds a deterministic cascade scenario: P1 writes x
-// compensatably and then fails its pivot; P2 reads x after P1 (a
-// cascading dependency in PREDCascade mode) and is still busy with a
-// long activity when P1 begins to abort — so P2 must be cascade-aborted
-// and its compensation must run before P1's (Lemma 2 order).
+// cascadeWorld builds the deterministic scenario in which a scheduler
+// that took dependencies on backward-recoverable processes would have to
+// cascade: P1 writes x compensatably and then fails its pivot; P2 wants
+// to read x after P1 while P1 is still running its pivot.
 func cascadeWorld(t *testing.T) (*subsystem.Federation, []scheduler.Job) {
 	t.Helper()
 	f := &spec.File{
@@ -206,8 +205,7 @@ func cascadeWorld(t *testing.T) (*subsystem.Federation, []scheduler.Job) {
 				{Local: 2, Service: "gate"},
 			}, Seq: [][2]int{{1, 2}}},
 			// P2 arrives once writeX has executed but while P1 is still
-			// running its pivot, so the dependency points old -> young
-			// as the cascade rule requires.
+			// running its pivot.
 			{ID: "P2", Arrival: 1, Activities: []spec.ActivitySpec{
 				{Local: 1, Service: "readX"},
 				{Local: 2, Service: "slow"},
@@ -221,23 +219,16 @@ func cascadeWorld(t *testing.T) (*subsystem.Federation, []scheduler.Job) {
 	return fed, jobs
 }
 
-// TestCascadeModeDefersFigure7Dependency pins how PREDCascade handles
-// the Figure-7 geometry today: the dependency P2 would need on P1 is
-// permitted by the cascade rule itself but refused by the forced-graph
-// acyclicity check, because P2's readX conflicts both with P1's
-// executed writeX (survivor edge P1→P2) and with writeX's *potential
-// compensation* (completion edge P2→P1) — a two-cycle. P2 therefore
-// waits out P1's abort instead of risking a cascade, and the outcome
-// matches avoidance mode: P1 aborts alone, P2 commits untouched.
-// Making the acyclicity check cascade-aware (so this dependency forms
-// and a real cascade fires) also requires cascade support in the
-// concurrent runtime and federation layers — a ROADMAP item, not this
-// test's job.
+// TestCascadeModeDefersFigure7Dependency pins how PRED handles the
+// Figure-7 geometry: P2's readX conflicts with P1's executed writeX while
+// P1 can still compensate it, so Lemma 1 holds readX back. P2 waits out
+// P1's abort instead of risking a cascade: P1 aborts alone, P2 commits
+// untouched and is never restarted.
 func TestCascadeModeDefersFigure7Dependency(t *testing.T) {
 	fed, jobs := cascadeWorld(t)
 	s2, _ := fed.Subsystem("s2")
 	s2.ForceFail("gate", 1)
-	eng, err := scheduler.New(fed, scheduler.Config{Mode: scheduler.PREDCascade})
+	eng, err := scheduler.New(fed, scheduler.Config{Mode: scheduler.PRED})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,8 +236,8 @@ func TestCascadeModeDefersFigure7Dependency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics.Cascades != 0 {
-		t.Fatalf("acyclicity guard should have deferred readX, metrics = %+v", res.Metrics)
+	if res.Metrics.Restarts != 0 {
+		t.Fatalf("Lemma 1 should have deferred readX, metrics = %+v", res.Metrics)
 	}
 	if res.Metrics.PolicyWaits == 0 {
 		t.Fatal("readX must have been policy-deferred at least once")

@@ -519,7 +519,7 @@ func (e *Engine) invoke(p *Proc, w Work) bool {
 	var res *subsystem.Result
 	var extraLat int64
 	var locked bool
-	w.Weak = e.cfg.WeakOrder && !w.IsStep && (e.cfg.Mode == PRED || e.cfg.Mode == PREDCascade)
+	w.Weak = e.cfg.WeakOrder && !w.IsStep && e.cfg.Mode == PRED
 	if w.Weak {
 		sub, ok := e.fed.Owner(w.Service)
 		if !ok {

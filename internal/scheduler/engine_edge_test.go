@@ -95,7 +95,7 @@ func TestFileWALEndToEnd(t *testing.T) {
 	}
 	fed := paper.Federation(5)
 	eng, _ := scheduler.New(fed, scheduler.Config{
-		Mode: scheduler.PREDCascade, Log: log, CrashAfterEvents: 5,
+		Mode: scheduler.PRED, Log: log, CrashAfterEvents: 5,
 	})
 	procs := []*process.Process{paper.P1(), paper.P2()}
 	_, err = eng.Run(procs)
@@ -223,7 +223,7 @@ func TestDeferredCommitVisibleOnlyAfter2PC(t *testing.T) {
 		Add(2, "piv", activity.Pivot).
 		Seq(1, 2).MustBuild()
 
-	eng, _ := scheduler.New(fed, scheduler.Config{Mode: scheduler.PREDCascade})
+	eng, _ := scheduler.New(fed, scheduler.Config{Mode: scheduler.PRED})
 	res, err := eng.Run([]*process.Process{p1, p2})
 	if err != nil {
 		t.Fatal(err)

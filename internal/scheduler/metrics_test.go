@@ -33,69 +33,68 @@ func instrumentedRun(t *testing.T, seed int64, mode scheduler.Mode, weak bool) (
 // own per-run metrics and the observed schedule after fault-injected
 // runs: every view of the run must tell the same story.
 func TestMetricsInvariants(t *testing.T) {
-	for _, mode := range []scheduler.Mode{scheduler.PRED, scheduler.PREDCascade} {
-		for seed := int64(1); seed <= 6; seed++ {
-			res, reg := instrumentedRun(t, seed, mode, false)
-			m := res.Metrics
+	const mode = scheduler.PRED
+	for seed := int64(1); seed <= 6; seed++ {
+		res, reg := instrumentedRun(t, seed, mode, false)
+		m := res.Metrics
 
-			// Compensations: engine counter == registry counter ==
-			// decision-trace events == inverse invokes in the schedule.
-			comp := reg.Counter(metrics.CompensationsIssued)
-			if comp != m.Compensations {
-				t.Errorf("%v seed %d: registry compensations %d, engine %d", mode, seed, comp, m.Compensations)
+		// Compensations: engine counter == registry counter ==
+		// decision-trace events == inverse invokes in the schedule.
+		comp := reg.Counter(metrics.CompensationsIssued)
+		if comp != m.Compensations {
+			t.Errorf("%v seed %d: registry compensations %d, engine %d", mode, seed, comp, m.Compensations)
+		}
+		if tr := reg.CountTrace(metrics.TCompensate); tr != comp {
+			t.Errorf("%v seed %d: compensation trace events %d, counter %d", mode, seed, tr, comp)
+		}
+		inverse := int64(0)
+		for _, ev := range res.Schedule.Events() {
+			if ev.Inverse {
+				inverse++
 			}
-			if tr := reg.CountTrace(metrics.TCompensate); tr != comp {
-				t.Errorf("%v seed %d: compensation trace events %d, counter %d", mode, seed, tr, comp)
-			}
-			inverse := int64(0)
-			for _, ev := range res.Schedule.Events() {
-				if ev.Inverse {
-					inverse++
-				}
-			}
-			if inverse != comp {
-				t.Errorf("%v seed %d: schedule has %d inverse invokes, counter %d", mode, seed, inverse, comp)
-			}
+		}
+		if inverse != comp {
+			t.Errorf("%v seed %d: schedule has %d inverse invokes, counter %d", mode, seed, inverse, comp)
+		}
 
-			// Lemma-1 deferral accounting: every deferred commit resolves
-			// exactly once, to a 2PC commit or a rollback.
-			deferred := reg.Counter(metrics.CommitsDeferred)
-			resolved := reg.Counter(metrics.DeferredCommitted2PC) + reg.Counter(metrics.DeferredRolledBack)
-			if deferred != resolved {
-				t.Errorf("%v seed %d: %d deferred commits but %d resolutions (2pc %d + rollback %d)",
-					mode, seed, deferred, resolved,
-					reg.Counter(metrics.DeferredCommitted2PC), reg.Counter(metrics.DeferredRolledBack))
-			}
-			if got := reg.Counter(metrics.DeferredCommitted2PC); got != m.TwoPCCommits {
-				t.Errorf("%v seed %d: registry 2PC commits %d, engine %d", mode, seed, got, m.TwoPCCommits)
-			}
-			if deferred != m.Deferrals {
-				t.Errorf("%v seed %d: registry deferrals %d, engine %d", mode, seed, deferred, m.Deferrals)
-			}
+		// Lemma-1 deferral accounting: every deferred commit resolves
+		// exactly once, to a 2PC commit or a rollback.
+		deferred := reg.Counter(metrics.CommitsDeferred)
+		resolved := reg.Counter(metrics.DeferredCommitted2PC) + reg.Counter(metrics.DeferredRolledBack)
+		if deferred != resolved {
+			t.Errorf("%v seed %d: %d deferred commits but %d resolutions (2pc %d + rollback %d)",
+				mode, seed, deferred, resolved,
+				reg.Counter(metrics.DeferredCommitted2PC), reg.Counter(metrics.DeferredRolledBack))
+		}
+		if got := reg.Counter(metrics.DeferredCommitted2PC); got != m.TwoPCCommits {
+			t.Errorf("%v seed %d: registry 2PC commits %d, engine %d", mode, seed, got, m.TwoPCCommits)
+		}
+		if deferred != m.Deferrals {
+			t.Errorf("%v seed %d: registry deferrals %d, engine %d", mode, seed, deferred, m.Deferrals)
+		}
 
-			// Process lifecycle: every admitted process terminates, and
-			// the schedule agrees.
-			admitted := reg.Counter(metrics.ProcsAdmitted)
-			done := reg.Counter(metrics.ProcsCommitted) + reg.Counter(metrics.ProcsAborted)
-			if admitted != done {
-				t.Errorf("%v seed %d: %d admitted, %d terminated", mode, seed, admitted, done)
-			}
-			if got := int(reg.Counter(metrics.ProcsCommitted)); got != m.CommittedProcs {
-				t.Errorf("%v seed %d: registry committed %d, engine %d", mode, seed, got, m.CommittedProcs)
-			}
-			if tr := reg.CountTrace(metrics.TTerminate); tr != done {
-				t.Errorf("%v seed %d: %d terminate trace events, %d terminations", mode, seed, tr, done)
-			}
+		// Process lifecycle: every admitted process terminates, and
+		// the schedule agrees.
+		admitted := reg.Counter(metrics.ProcsAdmitted)
+		done := reg.Counter(metrics.ProcsCommitted) + reg.Counter(metrics.ProcsAborted)
+		if admitted != done {
+			t.Errorf("%v seed %d: %d admitted, %d terminated", mode, seed, admitted, done)
+		}
+		if got := int(reg.Counter(metrics.ProcsCommitted)); got != m.CommittedProcs {
+			t.Errorf("%v seed %d: registry committed %d, engine %d", mode, seed, got, m.CommittedProcs)
+		}
+		if tr := reg.CountTrace(metrics.TTerminate); tr != done {
+			t.Errorf("%v seed %d: %d terminate trace events, %d terminations", mode, seed, tr, done)
+		}
 
-			// The duration histogram sees one observation per termination.
-			if h := reg.Hist(metrics.HistProcDuration); h.Count != done {
-				t.Errorf("%v seed %d: duration histogram count %d, terminations %d", mode, seed, h.Count, done)
-			}
+		// The duration histogram sees one observation per termination.
+		if h := reg.Hist(metrics.HistProcDuration); h.Count != done {
+			t.Errorf("%v seed %d: duration histogram count %d, terminations %d", mode, seed, h.Count, done)
+		}
 
-			// Dispatch/trace agreement.
-			if d, tr := reg.Counter(metrics.InvokeDispatched), reg.CountTrace(metrics.TDispatch); d != tr {
-				t.Errorf("%v seed %d: dispatched %d, dispatch trace events %d", mode, seed, d, tr)
-			}
+		// Dispatch/trace agreement.
+		if d, tr := reg.Counter(metrics.InvokeDispatched), reg.CountTrace(metrics.TDispatch); d != tr {
+			t.Errorf("%v seed %d: dispatched %d, dispatch trace events %d", mode, seed, d, tr)
 		}
 	}
 }
@@ -105,7 +104,7 @@ func TestMetricsInvariants(t *testing.T) {
 // from aborted commit-order dependencies.
 func TestMetricsInvariantsWeakOrder(t *testing.T) {
 	for seed := int64(10); seed <= 14; seed++ {
-		_, reg := instrumentedRun(t, seed, scheduler.PREDCascade, true)
+		_, reg := instrumentedRun(t, seed, scheduler.PRED, true)
 		deferred := reg.Counter(metrics.CommitsDeferred)
 		resolved := reg.Counter(metrics.DeferredCommitted2PC) + reg.Counter(metrics.DeferredRolledBack)
 		if deferred != resolved {
@@ -121,7 +120,7 @@ func TestRecoverWithMetrics(t *testing.T) {
 	p := workload.DefaultProfile(3)
 	p.PermFailureProb = 0.1
 	w := workload.MustGenerate(p)
-	eng, err := scheduler.New(w.Fed, scheduler.Config{Mode: scheduler.PREDCascade, CrashAfterEvents: 25})
+	eng, err := scheduler.New(w.Fed, scheduler.Config{Mode: scheduler.PRED, CrashAfterEvents: 25})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,24 +3,28 @@ package policy
 import (
 	"fmt"
 
-	"transproc/internal/activity"
 	"transproc/internal/process"
 	"transproc/internal/schedule"
 )
+
+// activePreds calls yield for each non-terminated process with an edge
+// into id in the conflict graph, in arbitrary order, until yield returns
+// false.
+func (s *State) activePreds(v View, id process.ID, yield func(process.ID) bool) {
+	for k, n := range s.edges {
+		if n > 0 && k[1] == id && v.Phase(k[0]) != Done && !yield(k[0]) {
+			return
+		}
+	}
+}
 
 // HasActiveConflictPred reports whether any non-terminated process has
 // an edge into id in the conflict graph — Lemma 1's commit-deferral
 // condition.
 func (s *State) HasActiveConflictPred(v View, id process.ID) bool {
-	for k, n := range s.edges {
-		if n <= 0 || k[1] != id {
-			continue
-		}
-		if v.Phase(k[0]) != Done {
-			return true
-		}
-	}
-	return false
+	found := false
+	s.activePreds(v, id, func(process.ID) bool { found = true; return false })
+	return found
 }
 
 // ActiveConflictPreds lists the non-terminated processes with an edge
@@ -30,47 +34,7 @@ func (s *State) HasActiveConflictPred(v View, id process.ID) bool {
 // detector.
 func (s *State) ActiveConflictPreds(v View, id process.ID) []process.ID {
 	var out []process.ID
-	for k, n := range s.edges {
-		if n <= 0 || k[1] != id {
-			continue
-		}
-		if v.Phase(k[0]) != Done {
-			out = append(out, k[0])
-		}
-	}
-	return out
-}
-
-// DispatchBlockers lists the active predecessors on which MayDispatch's
-// Lemma-1 loop would deny a regular dispatch of a by id: the processes
-// that must all terminate (or become exempt by acting) before the
-// activity can run. An empty result means the denial — if any — came
-// from a rule without pred-wait semantics (forced-order acyclicity, the
-// ablation pivot gate, or a non-PRED mode), so the caller has no edge
-// information and must fall back to quiescence-based stall handling.
-func (s *State) DispatchBlockers(v View, id process.ID, a *process.Activity) []process.ID {
-	switch s.cfg.Mode {
-	case Serial, Conservative, CCOnly:
-		return nil
-	}
-	svcID := s.u.intern(a.Service)
-	if !anyBit(s.u.mask(svcID)) {
-		return nil
-	}
-	var out []process.ID
-	for q := range s.conflictPreds(v, id, svcID) {
-		if v.Phase(q) == Done {
-			continue
-		}
-		if s.safeQuasiCommit(v, q, svcID) {
-			continue
-		}
-		if s.cfg.Mode == PREDCascade && a.Kind == activity.Compensatable && v.Phase(q) == Running &&
-			v.Arrival(q) <= v.Arrival(id) && !s.forwardConflict(v, q, a.Service) {
-			continue
-		}
-		out = append(out, q)
-	}
+	s.activePreds(v, id, func(q process.ID) bool { out = append(out, q); return true })
 	return out
 }
 
@@ -79,15 +43,41 @@ func (s *State) DispatchBlockers(v View, id process.ID, a *process.Activity) []p
 // defer-commit decision). Which one is named is arbitrary when several
 // exist; "" when none.
 func (s *State) FirstActivePred(v View, id process.ID) string {
-	for k, n := range s.edges {
-		if n <= 0 || k[1] != id {
-			continue
-		}
-		if v.Phase(k[0]) != Done {
-			return string(k[0])
+	first := ""
+	s.activePreds(v, id, func(q process.ID) bool { first = string(q); return false })
+	return first
+}
+
+// lemma1Blocks is the Lemma-1 dispatch rule for one conflicting
+// predecessor q of a regular activity on svcID: q blocks the dispatch
+// while it is active, unless it can no longer produce a recovery
+// activity conflicting with the service (quasi-commit, Example 10).
+func (s *State) lemma1Blocks(v View, q process.ID, svcID int) bool {
+	return v.Phase(q) != Done && !s.safeQuasiCommit(v, q, svcID)
+}
+
+// DispatchBlockers lists the active predecessors on which MayDispatch's
+// Lemma-1 rule denies a regular dispatch of a by id: the processes that
+// must all terminate (or become exempt by acting) before the activity
+// can run. An empty result means the denial — if any — came from a rule
+// without pred-wait semantics (forced-order acyclicity, the ablation
+// pivot gate, or a non-PRED mode), so the caller has no edge information
+// and must fall back to quiescence-based stall handling.
+func (s *State) DispatchBlockers(v View, id process.ID, a *process.Activity) []process.ID {
+	if s.cfg.Mode != PRED {
+		return nil
+	}
+	svcID := s.u.intern(a.Service)
+	if !anyBit(s.u.mask(svcID)) {
+		return nil
+	}
+	var out []process.ID
+	for q := range s.conflictPreds(v, id, svcID) {
+		if s.lemma1Blocks(v, q, svcID) {
+			out = append(out, q)
 		}
 	}
-	return ""
+	return out
 }
 
 // wouldCycle reports whether adding edges from the given predecessors to
@@ -170,30 +160,11 @@ func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (bool, s
 		}
 		return true, ""
 	}
-	// PRED modes: dependencies on active processes are restricted.
+	// PRED: dependencies on active processes are restricted.
 	for q := range preds {
-		if v.Phase(q) == Done {
-			continue
+		if s.lemma1Blocks(v, q, svcID) {
+			return false, fmt.Sprintf("recovery: depends on active process %s (Lemma 1)", q)
 		}
-		if s.safeQuasiCommit(v, q, svcID) {
-			continue
-		}
-		if s.cfg.Mode == PREDCascade && a.Kind == activity.Compensatable && v.Phase(q) == Running &&
-			v.Arrival(q) <= v.Arrival(id) && !s.forwardConflict(v, q, a.Service) {
-			// Figure-7 pattern: a compensatable activity may depend on
-			// an active process — if that process unwinds, the
-			// dependent is cascade-aborted first (Lemma 2 order). Two
-			// guards keep this from wedging: none of the predecessor's
-			// still-uncommitted services may conflict (a conflicting
-			// forward-recovery activity could not be cancelled, and a
-			// conflicting regular activity would later be blocked by
-			// *our* new survivor, wedging the predecessor behind its
-			// own follower); and dependencies may only point from older
-			// to younger processes (age priority), keeping the
-			// wait-for relation among deferred commits acyclic.
-			continue
-		}
-		return false, fmt.Sprintf("recovery: depends on active process %s (Lemma 1)", q)
 	}
 	// The dispatch must keep the forced ordering graph of the completed
 	// current schedule acyclic (prefix-reducibility, maintained
@@ -219,21 +190,6 @@ func (s *State) safeQuasiCommit(v View, q process.ID, svcID int) bool {
 		return false
 	}
 	return !intersects(s.forced(v).pots[q], s.u.mask(svcID))
-}
-
-// forwardConflict reports whether q's potential forward recovery
-// services conflict with the given service.
-func (s *State) forwardConflict(v View, q process.ID, service string) bool {
-	inst := v.Instance(q)
-	if inst == nil {
-		return false
-	}
-	for svc := range inst.PotentialForwardServices() {
-		if s.u.Conflicts(svc, service) {
-			return true
-		}
-	}
-	return false
 }
 
 // Lemma1ClearForward gates a forward-recovery invocation (StepInvoke):
@@ -354,63 +310,6 @@ func (s *State) DeferToAborting(v View, id process.ID, st process.Step) (process
 		}
 	}
 	return "", false
-}
-
-// CascadeVictims selects the running processes that must cascade-abort
-// when `of` aborts and will compensate conflicting work (PREDCascade
-// mode): a dependent q cascades only if it holds effective
-// (uncompensated) work that conflicts with one of of's upcoming
-// compensations and was executed *after* the compensated base — only
-// then would the base's compensation pair be blocked (Lemma 2 demands
-// q's conflicting work unwinds first). Callers filter processes whose
-// abort is already pending.
-func (s *State) CascadeVictims(v View, of process.ID, recovery []process.Step) []process.ID {
-	if s.cfg.Mode != PREDCascade {
-		return nil
-	}
-	// Which bases will `of` compensate, and from which position on?
-	type comp struct {
-		svcID   int
-		baseSeq int64
-	}
-	comps := make([]comp, 0, len(recovery))
-	for _, st := range recovery {
-		if st.Kind == process.StepCompensate {
-			comps = append(comps, comp{s.u.intern(st.Service), s.BaseSeq(of, st.Local)})
-		}
-	}
-	if len(comps) == 0 {
-		return nil
-	}
-	var victims []process.ID
-	for k, n := range s.edges {
-		if n <= 0 || k[0] != of {
-			continue
-		}
-		q := k[1]
-		if v.Phase(q) != Running {
-			continue
-		}
-		depends := false
-		for _, ev := range s.events {
-			if ev.Proc != q || !ev.effective() {
-				continue
-			}
-			for _, c := range comps {
-				if ev.Seq > c.baseSeq && s.u.conflictsID(ev.svc, c.svcID) {
-					depends = true
-					break
-				}
-			}
-			if depends {
-				break
-			}
-		}
-		if depends {
-			victims = append(victims, q)
-		}
-	}
-	return victims
 }
 
 // String renders one effective-history line (diagnostics).

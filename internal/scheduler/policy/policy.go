@@ -2,9 +2,8 @@
 // paper, factored out of any particular execution engine: the effective
 // event history and process conflict graph, the forced-ordering context
 // that maintains prefix-reducibility inductively, Lemma 1's commit
-// deferral condition, the quasi-commit exploitation of Example 10, the
-// Lemma 2/3 ordering of compensations and forward-recovery steps, and
-// cascade-victim selection.
+// deferral condition, the quasi-commit exploitation of Example 10 and
+// the Lemma 2/3 ordering of compensations and forward-recovery steps.
 //
 // The protocol driver (scheduler.Driver) calls this layer for all of its
 // hosts: the sequential discrete-event engine (internal/scheduler) — the
@@ -33,16 +32,11 @@ import (
 type Mode int
 
 const (
-	// PRED is the paper's protocol in avoidance flavour: dependencies on
-	// active processes are allowed only when the active process's
-	// potential completions provably cannot conflict (quasi-commit).
-	// No cascading aborts ever occur.
+	// PRED is the paper's protocol: dependencies on active processes
+	// are allowed only when the active process's potential completions
+	// provably cannot conflict (quasi-commit). No cascading aborts ever
+	// occur.
 	PRED Mode = iota
-	// PREDCascade additionally allows compensatable activities to
-	// depend on active backward-recoverable processes (the Figure 7
-	// pattern); if such a predecessor aborts, dependents are
-	// cascade-aborted in reverse order (Lemma 2) and restarted.
-	PREDCascade
 	// Serial runs one process at a time (admission-level policy; every
 	// per-activity dispatch is allowed).
 	Serial
@@ -63,8 +57,6 @@ func (m Mode) String() string {
 	switch m {
 	case PRED:
 		return "pred"
-	case PREDCascade:
-		return "pred-cascade"
 	case Serial:
 		return "serial"
 	case Conservative:
@@ -87,13 +79,13 @@ func ParseMode(s string) (Mode, error) {
 			return m, nil
 		}
 	}
-	return 0, fmt.Errorf("unknown mode %q (pred|pred-cascade|serial|conservative|cc-only)", s)
+	return 0, fmt.Errorf("unknown mode %q (pred|serial|conservative|cc-only)", s)
 }
 
 // Config parameterizes the decision rules.
 type Config struct {
 	Mode Mode
-	// BlockPivots switches the PRED modes from "prepare and defer the
+	// BlockPivots switches PRED from "prepare and defer the
 	// commit" to "do not even execute non-compensatable activities while
 	// conflicting predecessors are active" (ablation mode).
 	BlockPivots bool
@@ -277,8 +269,8 @@ func (s *State) SeedSummary(edges [][2]string, shadow map[string][]string, seq i
 	s.Bump()
 }
 
-// Events exposes the raw history (for diagnostics and cascade
-// decisions); callers must not mutate the returned slice.
+// Events exposes the raw history (for diagnostics); callers must not
+// mutate the returned slice.
 func (s *State) Events() []*Event { return s.events }
 
 func (s *State) addEdge(a, b process.ID) {

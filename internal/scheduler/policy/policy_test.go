@@ -2,6 +2,7 @@ package policy_test
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"transproc/internal/conflict"
@@ -164,19 +165,23 @@ func TestMayDispatchAndBlockers(t *testing.T) {
 		}
 	})
 
-	t.Run("figure 7 under PREDCascade: passes Lemma 1, stopped by the forced order", func(t *testing.T) {
-		// The cascade rule lets a compensatable a21 depend on the older,
-		// running P1, so no process blocks it; the forced-order check
-		// then sees P1→P2 (a11 before a21) against P2→P1 (a21 before a
-		// potential a11⁻¹) and refuses — the branch ROADMAP item 8 is
-		// about.
-		w := newWorld(t, policy.PREDCascade, paper.Conflicts(), p1, p2)
+	t.Run("figure 7 under PRED: waits for a12", func(t *testing.T) {
+		// Figure 7 runs the compensatable a21 right behind a11 and would
+		// cascade-abort P2 if P1 unwound. PRED takes no such dependency
+		// (DESIGN.md §6 note 4): a21 is held behind P1 by Lemma 1
+		// until the pivot a12 locks a11 in.
+		w := newWorld(t, policy.PRED, paper.Conflicts(), p1, p2)
 		w.exec("P1", 1)
-		if got := w.st.DispatchBlockers(w, "P2", p2.Activity(1)); len(got) != 0 {
-			t.Errorf("blockers %v", got)
+		ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(1))
+		if ok || !strings.Contains(rule, "Lemma 1") || !strings.Contains(rule, "P1") {
+			t.Errorf("MayDispatch = %v %q, want a Lemma 1 denial naming P1", ok, rule)
 		}
-		if ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(1)); ok || rule != "completed-schedule ordering would become cyclic" {
-			t.Errorf("MayDispatch = %v %q", ok, rule)
+		if got := w.st.DispatchBlockers(w, "P2", p2.Activity(1)); !reflect.DeepEqual(got, []process.ID{"P1"}) {
+			t.Errorf("DispatchBlockers = %v, want [P1]", got)
+		}
+		w.exec("P1", 2)
+		if ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(1)); !ok {
+			t.Errorf("after a12: denied by %q", rule)
 		}
 	})
 
@@ -215,12 +220,36 @@ func TestHasActiveConflictPred(t *testing.T) {
 	if !w.st.HasActiveConflictPred(w, "P2") {
 		t.Error("P2 follows a11 of the running P1: its commit must be deferred")
 	}
+	if got := w.st.ActiveConflictPreds(w, "P2"); !reflect.DeepEqual(got, []process.ID{"P1"}) {
+		t.Errorf("ActiveConflictPreds(P2) = %v, want [P1]", got)
+	}
+	if got := w.st.FirstActivePred(w, "P2"); got != "P1" {
+		t.Errorf("FirstActivePred(P2) = %q, want P1", got)
+	}
 	if w.st.HasActiveConflictPred(w, "P1") {
 		t.Error("P1 has no predecessor")
 	}
+	// The boolean form sits on the commit path of every host.
+	if n := testing.AllocsPerRun(100, func() { w.st.HasActiveConflictPred(w, "P2") }); n != 0 {
+		t.Errorf("HasActiveConflictPred allocates %v times per call", n)
+	}
 	w.set("P1", policy.Done)
-	if w.st.HasActiveConflictPred(w, "P2") {
+	if w.st.HasActiveConflictPred(w, "P2") || w.st.ActiveConflictPreds(w, "P2") != nil || w.st.FirstActivePred(w, "P2") != "" {
 		t.Error("a terminated predecessor defers nothing")
+	}
+}
+
+func TestModeNamesRoundTrip(t *testing.T) {
+	for _, m := range []policy.Mode{policy.PRED, policy.Serial, policy.Conservative, policy.CCOnly} {
+		if got, err := policy.ParseMode(m.String()); err != nil || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if got, err := policy.ParseMode(""); err != nil || got != policy.PRED {
+		t.Errorf(`ParseMode("") = %v, %v, want pred`, got, err)
+	}
+	if _, err := policy.ParseMode("pred-cascade"); err == nil || !strings.Contains(err.Error(), "unknown mode") {
+		t.Errorf(`ParseMode("pred-cascade") error = %v, want unknown mode`, err)
 	}
 }
 
@@ -342,32 +371,6 @@ func TestDeferToAborting(t *testing.T) {
 	w.set("P2", policy.Aborting, a25)
 	if to, deferred := w.st.DeferToAborting(w, "P2", a25); deferred {
 		t.Errorf("unforced: P2 defers to %q", to)
-	}
-}
-
-func TestCascadeVictims(t *testing.T) {
-	build := func(mode policy.Mode) *world {
-		w := newWorld(t, mode, paper.Conflicts(), paper.P1(), paper.P2())
-		w.exec("P1", 1)
-		w.exec("P2", 1)
-		return w
-	}
-	recovery := []process.Step{compensate(1, paper.SvcA11)}
-	w := build(policy.PREDCascade)
-	if got := w.st.CascadeVictims(w, "P1", recovery); !reflect.DeepEqual(got, []process.ID{"P2"}) {
-		t.Errorf("victims %v, want [P2]: its a21 followed the a11 that P1 will compensate", got)
-	}
-	w.st.MarkCompensated("P2", 1)
-	if got := w.st.CascadeVictims(w, "P1", recovery); len(got) != 0 {
-		t.Errorf("victims %v after a21 was compensated", got)
-	}
-	w = build(policy.PREDCascade)
-	if got := w.st.CascadeVictims(w, "P1", []process.Step{invoke(5, paper.SvcA15)}); len(got) != 0 {
-		t.Errorf("victims %v although P1 compensates nothing", got)
-	}
-	w = build(policy.PRED)
-	if got := w.st.CascadeVictims(w, "P1", recovery); got != nil {
-		t.Errorf("victims %v outside cascade mode", got)
 	}
 }
 

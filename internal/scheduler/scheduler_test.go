@@ -176,9 +176,9 @@ func runConcurrent(t *testing.T, mode scheduler.Mode, seed int64) (*scheduler.Re
 }
 
 func TestConcurrentPREDModes(t *testing.T) {
-	for _, mode := range []scheduler.Mode{scheduler.PRED, scheduler.PREDCascade, scheduler.Serial, scheduler.Conservative} {
-		t.Run(mode.String(), func(t *testing.T) {
-			res, _ := runConcurrent(t, mode, 7)
+	for _, m := range sweepRuns(scheduler.Serial, scheduler.Conservative) {
+		t.Run(m.name, func(t *testing.T) {
+			res, _ := runConcurrent(t, m.mode, 7)
 			s := verifySchedule(t, res)
 			if res.Metrics.CommittedProcs < 3 {
 				t.Fatalf("all three processes must commit, got %d (schedule %s)", res.Metrics.CommittedProcs, s)
@@ -225,7 +225,7 @@ func TestLemma1DeferralObserved(t *testing.T) {
 	// started together, at least one deferral must occur in PRED mode
 	// when the conflict materializes.
 	fed := paper.Federation(3)
-	eng, _ := scheduler.New(fed, scheduler.Config{Mode: scheduler.PREDCascade})
+	eng, _ := scheduler.New(fed, scheduler.Config{Mode: scheduler.PRED})
 	res, err := eng.Run([]*process.Process{paper.P1(), paper.P2()})
 	if err != nil {
 		t.Fatal(err)
@@ -240,13 +240,13 @@ func TestLemma1DeferralObserved(t *testing.T) {
 }
 
 func TestCascadeModeUnderPredecessorAbort(t *testing.T) {
-	// Force P1's pivot a12 to fail so P1 backward-recovers a11; if P2
-	// executed the conflicting a21 under a cascading dependency, it is
-	// cascade-aborted and restarted.
+	// Force P1's pivot a12 to fail so P1 backward-recovers a11; P2's
+	// conflicting a21 must survive that exactly once, however the two
+	// were interleaved.
 	fed := paper.Federation(3)
 	subB, _ := fed.Subsystem("subB")
 	subB.ForceFail(paper.SvcA12, 1)
-	eng, _ := scheduler.New(fed, scheduler.Config{Mode: scheduler.PREDCascade})
+	eng, _ := scheduler.New(fed, scheduler.Config{Mode: scheduler.PRED})
 	res, err := eng.Run([]*process.Process{paper.P1(), paper.P2()})
 	if err != nil {
 		t.Fatal(err)
@@ -285,8 +285,8 @@ func TestAvoidanceModeNoCascades(t *testing.T) {
 		t.Fatal(err)
 	}
 	verifySchedule(t, res)
-	if res.Metrics.Cascades != 0 {
-		t.Fatal("avoidance mode must never cascade")
+	if res.Metrics.Restarts != 0 {
+		t.Fatal("PRED must never cascade: no process may be restarted by P1's abort")
 	}
 	if !res.Outcomes["P2"].Committed {
 		t.Fatal("P2 must commit")
@@ -422,7 +422,7 @@ func TestCrashRecoveryAllPoints(t *testing.T) {
 	// always terminates every process and resolves all in-doubt state.
 	for k := 1; k <= 20; k++ {
 		fed := paper.Federation(int64(100 + k))
-		eng, _ := scheduler.New(fed, scheduler.Config{Mode: scheduler.PREDCascade, CrashAfterEvents: k})
+		eng, _ := scheduler.New(fed, scheduler.Config{Mode: scheduler.PRED, CrashAfterEvents: k})
 		procs := []*process.Process{paper.P1(), paper.P2(), paper.P3()}
 		_, err := eng.Run(procs)
 		if err == nil {

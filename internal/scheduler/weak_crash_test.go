@@ -23,7 +23,7 @@ func TestWeakOrderCrashRecovery(t *testing.T) {
 		p.PermFailureProb = 0.1
 		w := workload.MustGenerate(p)
 		eng, err := scheduler.New(w.Fed, scheduler.Config{
-			Mode: scheduler.PREDCascade, WeakOrder: true, CrashAfterEvents: k,
+			Mode: scheduler.PRED, WeakOrder: true, CrashAfterEvents: k,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -13,15 +13,15 @@ import (
 // TestWeakOrderRunsAllModesCorrectly sweeps workloads with weak order
 // enabled and asserts the PRED invariant still holds.
 func TestWeakOrderRunsCorrectly(t *testing.T) {
-	for _, mode := range []scheduler.Mode{scheduler.PRED, scheduler.PREDCascade} {
+	for _, run := range sweepRuns() {
 		for seed := int64(1); seed <= 8; seed++ {
-			t.Run(fmt.Sprintf("%v/seed%d", mode, seed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/seed%d", run.name, seed), func(t *testing.T) {
 				p := workload.DefaultProfile(seed)
 				p.Processes = 10
 				p.ConflictProb = 0.5
 				p.PermFailureProb = 0.1
 				w := workload.MustGenerate(p)
-				eng, err := scheduler.New(w.Fed, scheduler.Config{Mode: mode, WeakOrder: true})
+				eng, err := scheduler.New(w.Fed, scheduler.Config{Mode: run.mode, WeakOrder: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -96,7 +96,7 @@ func TestWeakOrderReducesLockWaits(t *testing.T) {
 // TestWeakOrderPaperProcesses runs the paper fixtures with weak order.
 func TestWeakOrderPaperProcesses(t *testing.T) {
 	fed := paper.Federation(7)
-	eng, err := scheduler.New(fed, scheduler.Config{Mode: scheduler.PREDCascade, WeakOrder: true})
+	eng, err := scheduler.New(fed, scheduler.Config{Mode: scheduler.PRED, WeakOrder: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,8 @@ import (
 type Config struct {
 	// Dir is the data directory: wal.log + intake.journal.
 	Dir string
-	// Mode is the scheduling policy (default PRED).
+	// Mode is the scheduling policy (default PRED). With FedNodes > 0 it
+	// must be PRED, the one mode the federation runs.
 	Mode scheduler.Mode
 	// Workers caps concurrently admitted processes inside a batch
 	// (0 = unlimited).
@@ -258,6 +259,9 @@ type Server struct {
 func Open(fed *subsystem.Federation, cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("serve: Config.Dir is required")
+	}
+	if cfg.FedNodes > 0 && cfg.Mode != scheduler.PRED {
+		return nil, fmt.Errorf("serve: mode %v cannot run federated (FedNodes=%d): the federation runs PRED only", cfg.Mode, cfg.FedNodes)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -666,7 +670,7 @@ func (s *Server) executeFed(jobs []scheduler.Job) (map[process.ID]*scheduler.Out
 	var bmu sync.Mutex
 	var boundStamps []int64 // first re-stamped tail stamp per hub reopen
 	fcfg := federation.Config{
-		Nodes: s.cfg.FedNodes, Mode: s.cfg.Mode, MaxRestarts: s.cfg.MaxRestarts, Metrics: s.reg,
+		Nodes: s.cfg.FedNodes, MaxRestarts: s.cfg.MaxRestarts, Metrics: s.reg,
 		LeaseTTL: s.cfg.FedLeaseTTL, HeartbeatEvery: s.cfg.FedHeartbeat,
 		OnHubDown: func() { s.hubDegraded.Store(true) },
 		OnHubUp:   func() { s.hubDegraded.Store(false) },

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"transproc/internal/scheduler"
 	"transproc/internal/spec"
 	"transproc/internal/subsystem"
 	"transproc/internal/wal"
@@ -244,6 +245,29 @@ func journalAfterRun(t *testing.T) (dir, path string, data []byte) {
 		t.Fatal(err)
 	}
 	return dir, path, data
+}
+
+// The federation runs PRED only. Any other mode with FedNodes > 0 is
+// refused before the data directory exists: accepted, the first batch
+// would fail after its submissions were journaled and acknowledged, and
+// every restart would replay the journal into the same failure.
+func TestOpenRejectsFederatedNonPRED(t *testing.T) {
+	for _, mode := range []scheduler.Mode{scheduler.Serial, scheduler.Conservative, scheduler.CCOnly} {
+		dir := filepath.Join(t.TempDir(), "data")
+		srv, err := Open(testWorld(t), Config{Dir: dir, Mode: mode, FedNodes: 2, NoSync: true})
+		if err == nil {
+			srv.Close()
+			t.Fatalf("mode %v with FedNodes=2: server opened", mode)
+		}
+		if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
+			t.Fatalf("mode %v: refused with %v, but the data directory was created", mode, err)
+		}
+	}
+	srv, err := Open(testWorld(t), Config{Dir: t.TempDir(), FedNodes: 2, NoSync: true})
+	if err != nil {
+		t.Fatalf("PRED with FedNodes=2: %v", err)
+	}
+	srv.Close()
 }
 
 // An interior-corrupt intake journal refuses to open, loudly, and is

@@ -20,7 +20,7 @@ import (
 // calls and exhausted per-process retry budgets.
 func ResilienceSweep(p workload.Profile, rates []float64) (*Table, error) {
 	t := &Table{
-		Title: fmt.Sprintf("E13 resilience sweep (procs=%d, conflict=%.2f, seed=%d, mode pred-cascade)",
+		Title: fmt.Sprintf("E13 resilience sweep (procs=%d, conflict=%.2f, seed=%d, mode pred)",
 			p.Processes, p.ConflictProb, p.Seed),
 		Columns: []string{"outageRate", "makespan", "throughput", "committed", "aborted",
 			"terminated", "retries", "recovered", "breakerTrips", "fastFails", "budgetStops"},
@@ -34,7 +34,7 @@ func ResilienceSweep(p workload.Profile, rates []float64) (*Table, error) {
 		plan := chaos.Plan{Seed: p.Seed, PTransient: rate * 0.75, PTimeout: rate * 0.25}
 		layer := chaos.NewLayer(w.Fed, plan, chaos.RetryPolicy{}, chaos.BreakerConfig{}, reg)
 		eng, err := scheduler.New(w.Fed, scheduler.Config{
-			Mode: scheduler.PREDCascade, Metrics: reg, Resilience: layer,
+			Mode: scheduler.PRED, Metrics: reg, Resilience: layer,
 		})
 		if err != nil {
 			return nil, err

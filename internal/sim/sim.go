@@ -62,8 +62,7 @@ func (t *Table) Render(w io.Writer) {
 // AllModes lists the scheduler modes in comparison order.
 func AllModes() []scheduler.Mode {
 	return []scheduler.Mode{
-		scheduler.Serial, scheduler.Conservative, scheduler.CCOnly,
-		scheduler.PRED, scheduler.PREDCascade,
+		scheduler.Serial, scheduler.Conservative, scheduler.CCOnly, scheduler.PRED,
 	}
 }
 
@@ -83,7 +82,7 @@ func RunMode(p workload.Profile, cfg scheduler.Config) (*scheduler.Result, error
 
 // CompareSchedulers runs the same workload under every mode (experiment
 // B1): who wins on makespan/throughput, at what cost in compensations,
-// deferrals, cascades and restarts. Each run carries its own metrics
+// deferrals and restarts. Each run carries its own metrics
 // registry; the derived columns report the deferred-commit rate (share
 // of successful activity commits that went through Lemma-1 deferral),
 // the compensation rate (compensations per terminated process) and the
@@ -94,7 +93,7 @@ func CompareSchedulers(p workload.Profile, modes []scheduler.Mode) (*Table, erro
 			p.Processes, p.ConflictProb, p.PermFailureProb, p.Seed),
 		Columns: []string{"mode", "makespan", "throughput", "committed", "aborted",
 			"compens", "defer", "deferRate", "compRate", "meanBlocked",
-			"2pc", "cascades", "restarts", "retries", "policyWaits", "lockWaits", "PRED"},
+			"2pc", "restarts", "retries", "policyWaits", "lockWaits", "PRED"},
 	}
 	for _, mode := range modes {
 		reg := metrics.New()
@@ -136,7 +135,6 @@ func CompareSchedulers(p workload.Profile, modes []scheduler.Mode) (*Table, erro
 			fmt.Sprintf("%.2f", compRate),
 			fmt.Sprintf("%.1f", meanBlocked),
 			fmt.Sprintf("%d", m.TwoPCCommits),
-			fmt.Sprintf("%d", m.Cascades),
 			fmt.Sprintf("%d", m.Restarts),
 			fmt.Sprintf("%d", reg.Counter(metrics.TransportRetries)),
 			fmt.Sprintf("%d", m.PolicyWaits),
@@ -218,8 +216,6 @@ func QuasiCommitAblation(p workload.Profile) (*Table, error) {
 	}{
 		{"pred (defer via 2PC)", scheduler.Config{Mode: scheduler.PRED}},
 		{"pred (block pivots)", scheduler.Config{Mode: scheduler.PRED, BlockPivots: true}},
-		{"pred-cascade (defer)", scheduler.Config{Mode: scheduler.PREDCascade}},
-		{"pred-cascade (block)", scheduler.Config{Mode: scheduler.PREDCascade, BlockPivots: true}},
 	} {
 		res, err := RunMode(p, v.cfg)
 		if err != nil {
@@ -251,8 +247,6 @@ func WeakOrderEngineAblation(p workload.Profile) (*Table, error) {
 	}{
 		{"pred strong order", scheduler.Config{Mode: scheduler.PRED}},
 		{"pred weak order", scheduler.Config{Mode: scheduler.PRED, WeakOrder: true}},
-		{"pred-cascade strong", scheduler.Config{Mode: scheduler.PREDCascade}},
-		{"pred-cascade weak", scheduler.Config{Mode: scheduler.PREDCascade, WeakOrder: true}},
 	} {
 		res, err := RunMode(p, v.cfg)
 		if err != nil {
@@ -418,7 +412,7 @@ func CrashRecoverySweep(p workload.Profile, crashPoints []int) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng, err := scheduler.New(w.Fed, scheduler.Config{Mode: scheduler.PREDCascade, CrashAfterEvents: k})
+		eng, err := scheduler.New(w.Fed, scheduler.Config{Mode: scheduler.PRED, CrashAfterEvents: k})
 		if err != nil {
 			return nil, err
 		}

@@ -45,7 +45,7 @@ func TestCompareSchedulers(t *testing.T) {
 	makespan := map[string]int{}
 	for _, r := range tab.Rows {
 		makespan[r[0]], _ = strconv.Atoi(r[1])
-		if r[0] == "pred" || r[0] == "pred-cascade" || r[0] == "serial" || r[0] == "conservative" {
+		if r[0] == "pred" || r[0] == "serial" || r[0] == "conservative" {
 			if r[len(r)-1] != "true" {
 				t.Fatalf("mode %s reported PRED=%s", r[0], r[len(r)-1])
 			}
@@ -85,7 +85,7 @@ func TestQuasiCommitAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 4 {
+	if len(tab.Rows) != 2 {
 		t.Fatalf("rows = %d", len(tab.Rows))
 	}
 }
@@ -153,7 +153,7 @@ func TestFaultMatrix(t *testing.T) {
 	p.PermFailureProb = 0
 	p.Subsystems = 2
 	p.ServicesPerSubsystem = 2
-	tab, err := FaultMatrix(p, scheduler.PREDCascade)
+	tab, err := FaultMatrix(p, scheduler.PRED)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -145,10 +145,8 @@ func NewFederation() *Federation { return subsystem.NewFederation() }
 
 // Scheduler modes.
 const (
-	// PRED is the paper's protocol, avoidance flavour.
+	// PRED is the paper's protocol.
 	PRED = scheduler.PRED
-	// PREDCascade additionally permits cascading aborts (Figure 7).
-	PREDCascade = scheduler.PREDCascade
 	// Serial runs one process at a time.
 	Serial = scheduler.Serial
 	// Conservative uses process-level conservative locking.

@@ -103,7 +103,7 @@ func TestFacadeWorkloadAndRecovery(t *testing.T) {
 	}
 	log := transproc.NewMemWAL()
 	eng, err := transproc.NewEngine(w.Fed, transproc.Config{
-		Mode: transproc.PREDCascade, Log: log, CrashAfterEvents: 10,
+		Mode: transproc.PRED, Log: log, CrashAfterEvents: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
