@@ -82,11 +82,16 @@ chaos:
 # over 2–4 scheduler nodes vs the single-node sequential oracle), the
 # federation torture battery (node kills mid-2PC, partition windows
 # during cross-node resolution, crash + re-join) and the hub-kill
-# battery. Plain `go test ./...` runs 30 and 20 seeds of the two.
+# battery. Plain `go test ./...` runs 30 and 20 seeds of the two. Both
+# batteries run a second time on one P: with a single thread to share,
+# a node's idle poll and the hub's quiescence check interleave at their
+# tightest, which is where the idle handshake is exercised hardest.
 fed:
 	GOMAXPROCS=4 $(GO) test -race -run 'TestFedDifferential' -v ./internal/federation
 	GOMAXPROCS=4 $(BATTERY) 'TestBattery/fed$$' -battery.count=200
 	GOMAXPROCS=4 $(BATTERY) 'TestBattery/hub$$' -battery.count=60
+	GOMAXPROCS=1 $(BATTERY) 'TestBattery/fed$$' -battery.count=200
+	GOMAXPROCS=1 $(BATTERY) 'TestBattery/hub$$' -battery.count=60
 
 # The serve crash battery: ingestion-service scenarios (crash between
 # WAL ack and HTTP ack, kill -9 mid-drain, double crashes, overload

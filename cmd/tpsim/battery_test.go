@@ -39,13 +39,14 @@ func TestReproLineCLI(t *testing.T) {
 // seed given to the wrong command once ran a different workload and
 // printed a pass).
 func TestBatteryFlagsElsewhereAreErrors(t *testing.T) {
+	fed := func(args []string) error { return runFed(args, "") }
 	for _, c := range []struct {
 		run  func([]string) error
 		args []string
 	}{
-		{runFed, []string{"-fedseed", "4"}},
-		{runFed, []string{"-torture"}},
-		{runFed, []string{"-hubtorture", "-hubseed", "2"}},
+		{fed, []string{"-fedseed", "4"}},
+		{fed, []string{"-torture"}},
+		{fed, []string{"-hubtorture", "-hubseed", "2"}},
 		{runServe, []string{"-torture", "-seed", "3"}},
 		{runBattery, []string{"chaos", "-ckpt"}},
 		{runBattery, []string{"fed", "-v"}},

@@ -10,6 +10,7 @@ import (
 
 	"transproc/internal/fault"
 	"transproc/internal/federation"
+	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/workload"
 )
@@ -17,7 +18,7 @@ import (
 // runFed implements "tpsim fed": a multi-node federated run as a
 // command.
 //
-//	tpsim fed [-nodes N] [-procs P] [-seed S] [-lease D] [-heartbeat D]
+//	tpsim fed [-metrics[=text|json]] [-nodes N] [-procs P] [-seed S] [-lease D] [-heartbeat D]
 //	tpsim fed -benchhub [-procs P] [-seed S] [-reps R] [-json]
 //
 // The default form partitions a seeded workload across N scheduler
@@ -25,13 +26,15 @@ import (
 // hub stamp and verifies the combined schedule is prefix-reducible.
 // -lease/-heartbeat enable lease-based membership: nodes heartbeat the
 // hub and silent nodes are declared dead by lease expiry instead of an
-// explicit death report.
+// explicit death report. -metrics dumps the run's registry: the shared
+// driver's counters and decision trace as the hub hosted them, next to
+// the fed.* wire counters.
 // The federation and hub-kill batteries are `tpsim battery fed|hub`;
 // node-count throughput is the layered benchmark's fed-3node workload
 // (`go run -C bench . -workload fed-3node`, E16).
 // -benchhub measures hub-kill MTTR (detection + journal reopen +
 // recovery + node reattach) per node count — BENCH_fed_hub.json (E18).
-func runFed(args []string) error {
+func runFed(args []string, metricsFormat string) error {
 	fs := flag.NewFlagSet("fed", flag.ContinueOnError)
 	nodes := fs.Int("nodes", 2, "scheduler node count")
 	procs := fs.Int("procs", 24, "process count")
@@ -49,7 +52,11 @@ func runFed(args []string) error {
 		return runFedBenchHub(*procs, *seed, *reps, *asJSON)
 	}
 
-	res, elapsed, err := fedRun(*procs, *seed, *nodes, *lease, *heartbeat)
+	var reg *metrics.Registry
+	if metricsFormat != "" {
+		reg = metrics.New()
+	}
+	res, elapsed, err := fedRun(*procs, *seed, *nodes, *lease, *heartbeat, reg)
 	if err != nil {
 		return err
 	}
@@ -63,6 +70,9 @@ func runFed(args []string) error {
 	}
 	fmt.Printf("fed: %d processes over %d nodes (%s): %d committed, %d aborted incarnations, stitched schedule PRED ✓\n",
 		*procs, *nodes, elapsed.Round(time.Millisecond), committed, aborted)
+	if reg != nil {
+		return dumpSnapshot(reg, metricsFormat)
+	}
 	return nil
 }
 
@@ -70,7 +80,7 @@ func runFed(args []string) error {
 // schedule, returning the run result and wall-clock duration.
 // Lease-based membership is enabled when lease > 0 (heartbeat defaults
 // to lease/4).
-func fedRun(procs int, seed int64, nodes int, lease, heartbeat time.Duration) (*federation.RunResult, time.Duration, error) {
+func fedRun(procs int, seed int64, nodes int, lease, heartbeat time.Duration, reg *metrics.Registry) (*federation.RunResult, time.Duration, error) {
 	p := workload.DefaultProfile(seed)
 	p.Processes = procs
 	p.ConflictProb = 0.4
@@ -88,7 +98,7 @@ func fedRun(procs int, seed int64, nodes int, lease, heartbeat time.Duration) (*
 		heartbeat = lease / 4
 	}
 	c, err := federation.NewCluster(w.Fed, defs, federation.Config{
-		Nodes: nodes, MaxRestarts: 8,
+		Nodes: nodes, MaxRestarts: 8, Metrics: reg,
 		LeaseTTL: lease, HeartbeatEvery: heartbeat,
 	})
 	if err != nil {

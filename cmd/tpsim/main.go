@@ -8,7 +8,7 @@
 //	tpsim -metrics[=text|json]
 //	tpsim run [-metrics[=text|json]] [-runtime=concurrent] <spec.json> [mode]
 //	tpsim battery <torture|chaos|fed|hub|serve> [-seeds N] [-first S] [-seed K] [-ckpt] [-durable] [-json]
-//	tpsim fed [-nodes N] [-procs P] [-seed S] [-benchhub] [-json]
+//	tpsim fed [-metrics[=text|json]] [-nodes N] [-procs P] [-seed S] [-benchhub] [-json]
 //	tpsim serve [-addr A] [-dir D] [-world spec.json] [-mode M] [-fed N]
 //
 // where experiment is one of e1..e14, b1, b2, b4, b5, or "all" (default),
@@ -99,7 +99,7 @@ func main() {
 		return
 	}
 	if len(args) >= 1 && args[0] == "fed" {
-		if err := runFed(args[1:]); err != nil {
+		if err := runFed(args[1:], metricsFormat); err != nil {
 			fmt.Fprintf(os.Stderr, "fed failed: %v\n", err)
 			os.Exit(1)
 		}

@@ -116,7 +116,7 @@ type Client struct {
 	req uint64 // request-id counter
 
 	// dispatchBudget bounds transport attempts of invocation-class RPCs
-	// (Dispatch, StepDispatch) before the Cancel flow.
+	// (MsgDispatch) before the Cancel flow.
 	dispatchBudget int
 
 	// epoch is the hub incarnation learned from the last hello; every

@@ -122,14 +122,10 @@ func NewCluster(fed *subsystem.Federation, defs []*process.Process, cfg Config) 
 		return nil, err
 	}
 	c := &Cluster{cfg: cfg, fed: fed, defs: defs, hub: hub, server: server, hubCfg: hubCfg}
-	defsByID := make(map[string]*process.Process, len(defs))
-	for _, d := range defs {
-		defsByID[string(d.ID)] = d
-	}
 	jobs := make([][]NodeJob, cfg.Nodes)
 	for i, def := range defs {
 		n := i % cfg.Nodes
-		jobs[n] = append(jobs[n], NodeJob{Def: def, Arrival: i})
+		jobs[n] = append(jobs[n], NodeJob{ID: def.ID, Arrival: i})
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		var log wal.Log
@@ -156,7 +152,6 @@ func NewCluster(fed *subsystem.Federation, defs []*process.Process, cfg Config) 
 			DispatchBudget: cfg.DispatchBudget,
 			Inject:         inject,
 			Metrics:        cfg.Metrics,
-			Defs:           defsByID,
 			HeartbeatEvery: cfg.HeartbeatEvery,
 		}))
 	}

@@ -115,13 +115,37 @@ func checkStitched(t *testing.T, c *federation.Cluster, fed *subsystem.Federatio
 	}
 }
 
+// checkDriverWorked asserts the cluster's processes were run by the
+// shared protocol driver at the hub: its counters add up to the
+// incarnations the nodes report, and its decision trace holds one admit
+// and one terminate per incarnation.
+func checkDriverWorked(t *testing.T, reg *metrics.Registry, res *federation.RunResult) {
+	t.Helper()
+	inc := int64(len(res.Outcomes))
+	if got := reg.Counter(metrics.ProcsAdmitted); got != inc {
+		t.Errorf("procs.admitted = %d, want the %d incarnations", got, inc)
+	}
+	if c, a := reg.Counter(metrics.ProcsCommitted), reg.Counter(metrics.ProcsAborted); c+a != inc {
+		t.Errorf("procs.committed + procs.aborted = %d + %d, want the %d incarnations", c, a, inc)
+	}
+	if reg.Counter(metrics.CommitsImmediate)+reg.Counter(metrics.CommitsDeferred) == 0 {
+		t.Error("the driver committed no activity")
+	}
+	for _, kind := range []metrics.TraceKind{metrics.TAdmit, metrics.TTerminate} {
+		if got := reg.CountTrace(kind); got != inc {
+			t.Errorf("%d %v trace events, want one per incarnation (%d)", got, kind, inc)
+		}
+	}
+}
+
 // TestClusterBasic drives a two-node cluster over a failure-free
 // workload: every process must commit and the stitched schedule must be
 // prefix-reducible.
 func TestClusterBasic(t *testing.T) {
 	w := workload.MustGenerate(fedProfile(1))
 	defs := defsOf(w)
-	c, err := federation.NewCluster(w.Fed, defs, federation.Config{Nodes: 2})
+	reg := metrics.NewSized(1 << 20)
+	c, err := federation.NewCluster(w.Fed, defs, federation.Config{Nodes: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,6 +165,7 @@ func TestClusterBasic(t *testing.T) {
 		}
 	}
 	checkStitched(t, c, w.Fed, defs)
+	checkDriverWorked(t, reg, res)
 }
 
 // TestClusterFailures injects deterministic permanent failures and
@@ -154,7 +179,8 @@ func TestClusterFailures(t *testing.T) {
 			w := workload.MustGenerate(fedProfile(3))
 			defs := defsOf(w)
 			injectRules(t, w.Fed, chooseRules(w, 3))
-			c, err := federation.NewCluster(w.Fed, defs, federation.Config{Nodes: nodes, MaxRestarts: 4})
+			reg := metrics.NewSized(1 << 20)
+			c, err := federation.NewCluster(w.Fed, defs, federation.Config{Nodes: nodes, MaxRestarts: 4, Metrics: reg})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,6 +205,10 @@ func TestClusterFailures(t *testing.T) {
 				t.Fatalf("only %d/%d origins reached a terminal fate", len(seen), len(defs))
 			}
 			checkStitched(t, c, w.Fed, defs)
+			checkDriverWorked(t, reg, res)
+			if reg.Counter(metrics.CompensationsIssued) == 0 {
+				t.Error("permanent failures compensated nothing")
+			}
 		})
 	}
 }
@@ -246,5 +276,43 @@ func TestClusterDedup(t *testing.T) {
 	}
 	if reg.Counter(metrics.FedDedupReplays) == 0 {
 		t.Error("lost replies produced no dedup replays")
+	}
+}
+
+// TestClusterRoundTrips pins the cost of the protocol on a conflict-free
+// workload, where nothing waits: one hello, one final idle, and per
+// process one admit, two requests per invocation (the second
+// acknowledges the invocation's "prepared" record and commits it) and
+// one to terminate; the log holds per process a start and a terminate
+// and per invocation a dispatch, a prepared outcome and a resolution.
+func TestClusterRoundTrips(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		p := fedProfile(seed)
+		p.ConflictProb = 0
+		w := workload.MustGenerate(p)
+		defs := defsOf(w)
+		reg := metrics.New()
+		c, err := federation.NewCluster(w.Fed, defs, federation.Config{Nodes: 1, Metrics: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := c.Run()
+		for _, nerr := range res.NodeErrs {
+			if nerr != nil {
+				t.Fatalf("seed %d: %v", seed, nerr)
+			}
+		}
+		recs, err := c.Stitched()
+		c.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs, inv := int64(len(defs)), reg.Counter(metrics.InvokeDispatched)
+		if got, want := reg.Counter(metrics.FedRPCs), 2+2*procs+2*inv; got != want {
+			t.Errorf("seed %d: %d RPCs for %d processes and %d invocations, want %d", seed, got, procs, inv, want)
+		}
+		if got, want := int64(len(recs)), 2*procs+3*inv; got != want {
+			t.Errorf("seed %d: %d log records for %d processes and %d invocations, want %d", seed, got, procs, inv, want)
+		}
 	}
 }

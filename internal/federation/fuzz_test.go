@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"transproc/internal/wal"
 )
 
 // FuzzWireDecode fuzzes the frame decoder: arbitrary bytes must either
@@ -11,20 +13,30 @@ import (
 // successful decode must re-encode to the identical bytes (the codec
 // is canonical: one frame, one byte string).
 func FuzzWireDecode(f *testing.F) {
-	// Seed corpus: one well-formed frame per message type, plus the
-	// malformed classes the decoder distinguishes.
+	// Seed corpus: one well-formed frame per message type and per
+	// transition reply, plus the malformed classes the decoder
+	// distinguishes.
 	for t := MsgHello; t <= msgTypeMax; t++ {
 		f.Add(EncodePayload(&Frame{Type: t}))
+	}
+	for _, tr := range transitionReplies() {
+		f.Add(EncodePayload(tr.f))
 	}
 	full := EncodePayload(&Frame{
 		Type: MsgDispatch, Status: StOK, Kind: 2, Flag: true, Flag2: true,
 		Node: 3, Req: 99, Local: 4, Extra: -1, Tx: 1 << 40, Stamp: -7,
-		Stamp2: 1, Gen: 123, Proc: "W1+r2", Origin: "W1", Service: "rm0/c1",
-		Subsystem: "rm0", Victim: "W2", Err: "boom",
+		Gen: 123, Proc: "W1+r2", Origin: "W1", Service: "rm0/c1",
+		Subsystem: "rm0", Err: "boom",
+		Records: []wal.Record{
+			{Type: wal.RecDispatch, Proc: "W1+r2", Local: 4, Service: "rm0/c1", Stamp: 41},
+			{Type: wal.RecOutcome, Proc: "W1+r2", Local: 4, Service: "rm0/c1", Subsystem: "rm0", Tx: 9, Outcome: "prepared", Stamp: 42},
+			{Type: wal.RecTerminate, Proc: "W1+r2", Committed: true, Stamp: 43},
+		},
 	})
 	f.Add(full)
-	f.Add(full[:len(full)-3]) // truncated string
-	f.Add(full[:fixedHeader]) // strings missing entirely
+	f.Add(full[:len(full)-3])  // truncated string inside the last record
+	f.Add(full[:len(full)-40]) // truncated record list
+	f.Add(full[:fixedHeader])  // strings missing entirely
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add(append(append([]byte{}, full...), 1, 2, 3)) // trailing bytes

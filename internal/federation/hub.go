@@ -7,14 +7,13 @@ import (
 	"sync"
 	"time"
 
-	"transproc/internal/activity"
 	"transproc/internal/conflict"
 	"transproc/internal/metrics"
 	"transproc/internal/process"
-	"transproc/internal/schedule"
 	"transproc/internal/scheduler"
 	"transproc/internal/scheduler/policy"
 	"transproc/internal/subsystem"
+	"transproc/internal/twopc"
 	"transproc/internal/wal"
 )
 
@@ -24,10 +23,10 @@ type HubConfig struct {
 	MaxStalls int
 	// Metrics is the optional observability registry.
 	Metrics *metrics.Registry
-	// Journal force-logs the few facts only the hub knows and that
+	// Journal force-logs the two facts only the hub knows and that
 	// stitched-WAL recovery cannot rebuild: stamp leases (so a
-	// reopened hub never reissues an issued-but-unacked stamp), the
-	// epoch, and the ownership table. Nil disables journaling.
+	// reopened hub never reissues an issued-but-unacked stamp) and the
+	// epoch. Nil disables journaling.
 	Journal HubJournal
 	// LeaseTTL expires a node's membership lease when no frame from it
 	// arrives for this long; zero disables lease expiry (nodes then die
@@ -45,11 +44,15 @@ type HubConfig struct {
 	Now func() time.Time
 }
 
-// Crash points fired inside the hub's serial section: after a frontier
-// dispatch prepared its subsystem transaction but before the node
-// learns the stamp (the response is lost with the hub), after the
-// Lemma-1 gate granted a 2PC decision stamp, and after a prepared
-// participant was committed during resolution. Each models kill -9 of
+// Crash points fired inside the hub's serial section, each right after
+// the record it names was stamped onto the reply the kill destroys:
+// the "prepared" outcome of a frontier dispatch (the subsystem
+// transaction is prepared, the node never logs it — an orphan the
+// reopen's recovery presumes aborted), the 2PC decision (the node never
+// logs RecDecision — an undecided prepared set, presumed aborted), and
+// the resolution of a 2PC participant (committed at its subsystem with
+// RecDecision logged but RecResolved not — presumed commit, redone
+// idempotently through the subsystem's TxFate). Each models kill -9 of
 // the coordination agent with mutated in-memory state the reopen must
 // rebuild from the stitched WALs plus the hub journal.
 const (
@@ -63,45 +66,60 @@ const (
 // stamps, and a reopened hub's counter jumps at most this far ahead.
 const leaseChunk = 512
 
-// hubProc is the hub-side mirror of one process incarnation: the shared
-// driver's record plus what only the hub tracks. The hub applies the
-// same deterministic instance transitions as the owning node, in the
-// order of the node's RPCs — each node drives its processes
-// single-threaded, so per-process operations are serial and the two
-// instances stay in lockstep.
+// hubProc is one process incarnation: the shared driver's record — the
+// only instance of the process in the cluster — plus what only the hub
+// tracks.
 type hubProc struct {
 	scheduler.Proc
 	node uint32
 
-	// parked is Done for the policy view but distinguishable for the
-	// dispatch handlers: a parked process's remaining completion steps
-	// run only during post-run recovery — after every live event in the
-	// stitched log — so the hub must bounce the owner's racing RPCs
-	// (StPark) and hold conflicting live work behind the parked
-	// footprint, or admitted work would order before steps that replay
-	// after it and invert the forced serialization order.
-	parked   bool
-	inflight map[int]scheduler.PreparedTx // local -> prepared tx awaiting CommitLocal
-	stepTx   scheduler.PreparedTx         // in-flight recovery-step transaction
-	decided  bool                         // 2PC commit decision granted (point of no return)
-	// committedEvents counts the process's committed (non-tentative)
-	// policy events — the adoption gate: an orphan with zero committed
-	// events has nothing recovery must compensate, so its origin can be
-	// re-assigned to a survivor immediately instead of waiting for the
-	// post-run composed recovery.
-	committedEvents int
+	// parked is Done for the policy view but distinguishable for
+	// advance: a parked process's remaining completion steps run only
+	// during post-run recovery — after every live event in the stitched
+	// log — so the hub must bounce the owner's racing requests (StPark)
+	// and hold conflicting live work behind the parked footprint, or
+	// admitted work would order before steps that replay after it and
+	// invert the forced serialization order.
+	parked bool
+	// call is the invocation whose completion is parked: its write-ahead
+	// record went out on a reply (sent) and the transition re-enters
+	// when the owner's next request acknowledges the append (acked). A
+	// parked 2PC decision uses the same two flags, with decided set.
+	call        *hubCall
+	sent, acked bool
+	// decided marks a 2PC commit decision handed out and not yet carried
+	// through: the point of no return — the process is exempt from
+	// victim designation and its death settles the prepared set by
+	// commit.
+	decided bool
 	// zombie marks a process whose owner died (crash or lease expiry).
 	// It stays excluded from victim designation and liveness checks
 	// even if the owner later revives: its subsystem residue was
 	// settled at death and only recovery (or adoption) finishes it.
 	zombie bool
-	// fate is the terminal outcome once the process is settled (true =
-	// committed), served to re-attaching owners that lost the response.
-	fate bool
+}
+
+// hubCall is a finished subsystem invocation awaiting its completion.
+type hubCall struct {
+	w   scheduler.Work
+	res *subsystem.Result
 }
 
 // settled reports a terminated (not merely parked) incarnation.
 func (hp *hubProc) settled() bool { return hp.Phase == policy.Done && !hp.parked }
+
+// everCommitted is the adoption gate: an orphan none of whose activities
+// ever committed has nothing recovery must compensate, so its origin can
+// be re-assigned to a survivor immediately instead of waiting for the
+// post-run composed recovery.
+func (hp *hubProc) everCommitted() bool {
+	for _, st := range hp.Inst.Snapshot() {
+		if st == process.Committed || st == process.Compensated {
+			return true
+		}
+	}
+	return false
+}
 
 // hubNode is the hub's view of one scheduler node.
 type hubNode struct {
@@ -109,8 +127,6 @@ type hubNode struct {
 	dead    bool
 	done    bool  // reported all owned work terminal
 	idleGen int64 // progress generation of the last idle report
-	victims []process.ID
-	parks   []process.ID
 	adopts  []adoptOffer
 }
 
@@ -120,24 +136,25 @@ type adoptOffer struct {
 	origin  process.ID
 	id      process.ID // the fresh incarnation the survivor admits
 	arrival int
-	suffix  int // restart-suffix number of the fresh incarnation
 }
 
 // Hub is the coordination agent: it owns the subsystem federation, the
-// single policy state, the global stamp counter and the process
-// mirrors. Every handler runs under one mutex — the serial section that
-// makes cross-node decisions total-ordered; the stamps it hands out
-// place the nodes' WAL records into that order.
+// single policy state, the global stamp counter and the process table.
+// Every handler runs under one mutex — the serial section that makes
+// cross-node decisions total-ordered; the stamps it puts on the records
+// place the nodes' WALs into that order.
 type Hub struct {
 	mu    sync.Mutex
 	fed   *subsystem.Federation
 	table *conflict.Table
 	pol   *policy.State
-	// drv is the shared protocol driver over the mirrors. In this stage
-	// the hub uses its process table (the policy view), gates and
-	// victim choice; the logging transitions stay split between the
-	// handlers here and the owning node.
+	// drv is the shared protocol driver, hosted in full: its process
+	// table is the policy view and every transition of a process is one
+	// of its calls (advance).
 	drv *scheduler.Driver
+	// out is the reply under construction: the records the current
+	// request's transition force-logs land on it (hubHost.ForceLog).
+	out *Frame
 	cfg HubConfig
 	reg *metrics.Registry
 
@@ -166,9 +183,8 @@ type Hub struct {
 	pending map[string]bool
 	// fates is set by ReopenHub: the recovered terminal fate of every
 	// pre-crash incarnation (true = committed), served to re-attaching
-	// nodes. reopened distinguishes "no fate" answers.
-	fates    map[process.ID]bool
-	reopened bool
+	// nodes.
+	fates map[process.ID]bool
 }
 
 // NewHub builds the hub over a federation and the process definitions
@@ -198,8 +214,9 @@ func NewHub(fed *subsystem.Federation, defs []*process.Process, cfg HubConfig) (
 		maxSuffix: make(map[string]int),
 		pending:   make(map[string]bool),
 	}
-	h.drv = &scheduler.Driver{Host: hubHost{h}, Fed: fed, Pol: h.pol, Reg: cfg.Metrics}
+	h.drv = &scheduler.Driver{Host: hubHost{h}, Fed: fed, Pol: h.pol, Coord: twopc.New(hubLog{h}), Reg: cfg.Metrics}
 	if cfg.Metrics != nil {
+		h.drv.Coord.Metrics = cfg.Metrics
 		fed.SetMetrics(cfg.Metrics)
 	}
 	for _, p := range defs {
@@ -259,16 +276,75 @@ func (h *Hub) Epoch() uint32 {
 	return h.epoch
 }
 
-// hubHost is the hub as the driver's Host. Only the clock is live in
-// this stage: the hub grants stamps and has the owning node force-log
-// the records inside its own handlers, not through driver transitions,
-// so a force-log asked of it is refused.
+// hubHost is the hub as the driver's Host; its log is the owning node's
+// WAL, one round trip away.
 type hubHost struct{ h *Hub }
 
-func (hh hubHost) NextSeq() int64           { return hh.h.next() }
-func (hh hubHost) ForceLog(wal.Record) bool { return false }
-func (hh hubHost) Now() int64               { return hh.h.stamp }
-func (hh hubHost) Released()                {}
+func (hh hubHost) NextSeq() int64 { return hh.h.next() }
+func (hh hubHost) Now() int64     { return hh.h.stamp }
+func (hh hubHost) Released()      {}
+
+// ForceLog stamps the record and puts it on the reply under
+// construction; the owning node appends a reply's records in order
+// before it asks for the process again. A write-ahead record — a
+// "prepared" outcome, a recovery-step record, RecDecision: the ones a
+// subsystem commit follows — is refused on the way out, which parks the
+// transition (the driver leaves everything as it was), and accepted
+// when the transition re-enters on the request that acknowledges the
+// append. Every other record announces a change the log may lose with
+// the reply: recovery then redoes or presumes it (DESIGN.md §6j).
+func (hh hubHost) ForceLog(rec wal.Record) bool {
+	h := hh.h
+	ahead := writeAhead(rec)
+	var hp *hubProc
+	if ahead {
+		if hp = h.byID[process.ID(rec.Proc)]; hp.acked {
+			hp.acked = false
+			return true
+		}
+	}
+	rec.Stamp = h.next()
+	h.out.Records = append(h.out.Records, rec)
+	if !ahead {
+		return true
+	}
+	hp.sent = true
+	switch {
+	case rec.Type == wal.RecDecision:
+		hp.decided = true
+		h.injectPoint(PointHubDecision)
+	case rec.Outcome == "prepared":
+		h.injectPoint(PointHubDispatch)
+	}
+	return false
+}
+
+// writeAhead reports a record a subsystem commit follows: a "prepared"
+// outcome, a recovery-step record (RecCompensate, or the "committed"
+// outcome of a forward step), the 2PC decision.
+func writeAhead(rec wal.Record) bool {
+	return rec.Type == wal.RecDecision || rec.Type == wal.RecCompensate ||
+		rec.Type == wal.RecOutcome && rec.Outcome != "aborted"
+}
+
+// errParked is how the 2PC coordinator sees a refused force-log.
+var errParked = errors.New("federation: write-ahead record awaits the node's acknowledgement")
+
+// hubLog is the log of the hub's 2PC coordinator: the same force-log,
+// so the decision parks like every other write-ahead record.
+type hubLog struct{ h *Hub }
+
+func (l hubLog) Append(rec wal.Record) (int64, error) {
+	if !(hubHost{l.h}).ForceLog(rec) {
+		return 0, errParked
+	}
+	if rec.Type == wal.RecResolved {
+		l.h.injectPoint(PointHubResolve)
+	}
+	return l.h.stamp, nil
+}
+func (l hubLog) Records() ([]wal.Record, error) { return nil, nil }
+func (l hubLog) Close() error                   { return nil }
 
 // resp builds a response frame, carrying the current progress
 // generation so idle nodes can tell stale quiescence from real, and the
@@ -343,24 +419,6 @@ func (h *Hub) Handle(req *Frame) (out *Frame) {
 		out = h.handleAdmit(req)
 	case MsgDispatch:
 		out = h.handleDispatch(req)
-	case MsgCommitLocal:
-		out = h.handleCommitLocal(req)
-	case MsgStepDispatch:
-		out = h.handleStepDispatch(req)
-	case MsgStepCommit:
-		out = h.handleStepCommit(req)
-	case MsgAbortTx:
-		out = h.handleAbortTx(req)
-	case MsgAbortBegin:
-		out = h.handleAbortBegin(req)
-	case MsgCommitClear:
-		out = h.handleCommitClear(req)
-	case MsgResolve:
-		out = h.handleResolve(req)
-	case MsgTerminate:
-		out = h.handleTerminate(req)
-	case MsgFailed:
-		out = h.handleFailed(req)
 	case MsgIdle:
 		out = h.handleIdle(req)
 	case MsgHeartbeat:
@@ -415,26 +473,35 @@ func (h *Hub) handleCancel(req *Frame, cache map[uint64]*Frame) *Frame {
 	return out
 }
 
+// done answers for a settled incarnation: its fate (an incarnation
+// retired without a terminate record counts as aborted), and whether
+// the owner may restart the origin.
+func (h *Hub) done(hp *hubProc) *Frame {
+	out := h.resp(StDone)
+	out.Extra, out.Flag = ReattachAborted, hp.Restartable
+	if hp.Outcome.Committed {
+		out.Extra = ReattachCommitted
+	}
+	return out
+}
+
 func (h *Hub) handleAdmit(req *Frame) *Frame {
 	id := process.ID(req.Proc)
-	if h.byID[id] != nil {
+	if hp := h.byID[id]; hp != nil {
 		// Replayed admit of a known incarnation (a lost response whose
 		// retry missed the dedup table, e.g. across a revival): answer
-		// idempotently with Stamp 0 and Flag2 set — the node must not
-		// force a second RecStart record.
+		// idempotently, without a second RecStart record. An incarnation
+		// settled while the admitting node was out (retired for
+		// re-homing, or terminated by a previous owner) answers with its
+		// fate, so the node files it as done instead of driving a dead
+		// incarnation — never restartable: the origin was re-homed.
+		if hp.settled() {
+			out := h.done(hp)
+			out.Flag = false
+			return out
+		}
 		out := h.resp(StOK)
 		out.Flag2 = true
-		if hp := h.byID[id]; hp.settled() {
-			// The incarnation was settled while the admitting node was
-			// out (retired for re-homing, or terminated by a previous
-			// owner). Carry the fate so the node files it as done instead
-			// of driving a dead incarnation.
-			if hp.fate {
-				out.Extra = ReattachCommitted
-			} else {
-				out.Extra = ReattachAborted
-			}
-		}
 		return out
 	}
 	def := h.defs[req.Origin]
@@ -446,459 +513,167 @@ func (h *Hub) handleAdmit(req *Frame) *Frame {
 	}
 	hp := &hubProc{
 		Proc: *scheduler.NewProc(def, int(req.Local), process.ID(req.Origin), process.ID(req.Origin), int(req.Extra)),
-		node: req.Node, inflight: make(map[int]scheduler.PreparedTx),
+		node: req.Node,
 	}
-	h.drv.Add(&hp.Proc)
+	h.out = h.resp(StOK)
+	h.drv.Admit(&hp.Proc)
 	h.byID[id] = hp
 	delete(h.pending, req.Origin)
 	if s := int(req.Extra); s > h.maxSuffix[req.Origin] {
 		h.maxSuffix[req.Origin] = s
 	}
-	if h.journal != nil {
-		// Ownership row: lets a reopened hub (or an operator) answer
-		// "who owned this origin, at which incarnation" without the
-		// stitched WALs.
-		if err := h.journal.Append(JEntry{
-			Kind: jAssign, Node: req.Node, Origin: req.Origin,
-			Proc: req.Proc, Arrival: int64(req.Local),
-		}); err != nil {
-			panic(fmt.Sprintf("federation: hub journal append: %v", err))
-		}
-	}
-	h.pol.Bump()
-	out := h.resp(StOK)
-	out.Stamp = h.next() // for the node's RecStart record
-	return out
+	h.out.Stamp = h.out.Records[0].Stamp
+	return h.out
 }
 
-// handleDispatch policy-checks and prepares a frontier activity. On
-// success the node must force-log the prepared outcome at the returned
-// stamp BEFORE asking for CommitLocal: a crash after the subsystem
-// prepare but before that record is the orphan window recovery resolves
-// by presumed abort, and a committed effect without a log record would
-// be unrepairable.
+// handleDispatch drives a process one transition for its owner. The
+// request is the acknowledgement that the node appended every record of
+// the process's earlier replies — it sends none before it has — so a
+// parked transition re-enters here.
 func (h *Hub) handleDispatch(req *Frame) *Frame {
 	hp := h.byID[process.ID(req.Proc)]
 	if hp == nil {
 		return h.errf("dispatch for unknown process %s", req.Proc)
 	}
-	if hp.parked {
-		out := h.resp(StPark)
-		out.Victim = string(hp.ID)
-		return out
+	if hp.sent {
+		hp.sent, hp.acked = false, true
 	}
-	if hp.Phase != policy.Running {
-		return h.errf("dispatch for %s in phase %d", hp.ID, hp.Phase)
-	}
-	if hp.AbortPending {
-		return h.resp(StVictim)
-	}
-	local := int(req.Local)
-	a := hp.Def.Activity(local)
-	if a == nil {
-		return h.errf("dispatch for unknown activity %s/%d", hp.ID, local)
-	}
-	if !h.drv.MayDispatch(&hp.Proc, a) {
-		return h.resp(StPolicyWait)
-	}
-	if h.parkedConflict(hp.ID, a.Service) {
-		return h.resp(StPolicyWait)
-	}
-	res, err := h.fed.Invoke(string(hp.Origin), a.Service, subsystem.Prepare)
+	h.out = h.resp(StOK)
+	st, err := h.advance(hp, req.Flag)
 	switch {
-	case errors.Is(err, subsystem.ErrLocked):
-		return h.resp(StLockWait)
-	case subsystem.IsInvocationFailure(err):
-		return h.invocationFailed(hp, local, a.Service, a.Kind)
 	case err != nil:
-		return h.errf("invoke %s/%s: %v", hp.ID, a.Service, err)
-	}
-	sub, _ := h.fed.Owner(a.Service)
-	hp.Running[local] = a.Service
-	hp.inflight[local] = scheduler.PreparedTx{Sub: sub, Tx: res.Tx, Service: a.Service}
-	h.pol.Bump()
-	out := h.resp(StOK)
-	out.Tx = int64(res.Tx)
-	out.Subsystem = sub.Name()
-	out.Service = a.Service
-	out.Stamp = h.next() // for the node's "prepared" outcome record
-	// Kill window: the subsystem transaction is prepared and the stamp
-	// issued, but the response dies with the hub — the node never logs
-	// the prepared outcome, leaving an orphan the reopen's recovery
-	// presumes aborted.
-	h.injectPoint(PointHubDispatch)
-	return out
-}
-
-// invocationFailed is the policy half of the driver's failed completion
-// (Driver.Complete): a retriable activity re-invokes (the node logs the
-// aborted outcome at the stamp); anything else is a definitive failure
-// (Definition 4).
-func (h *Hub) invocationFailed(hp *hubProc, local int, service string, kind activity.Kind) *Frame {
-	if kind.GuaranteedToCommit() {
-		out := h.resp(StFailedTransient)
-		out.Stamp = h.next() // for the node's "aborted" outcome record
-		return out
-	}
-	// Permanent failure: FailedInvoke event, then the instance's failure
-	// plan — ◁ alternative / forward recovery, or backward recovery.
-	// The node computes the identical plan from its own mirror instance;
-	// the response only carries stamps and which block ran.
-	stampFail := h.next() // for the node's RecFailed record
-	h.pol.AppendEvent(&policy.Event{
-		Seq: stampFail, Proc: hp.ID, Local: local, Service: service, Kind: kind,
-		Typ: schedule.FailedInvoke,
-	})
-	plan, err := hp.Inst.MarkFailed(local)
-	if err != nil {
-		return h.errf("mark failed %s/%d: %v", hp.ID, local, err)
-	}
-	out := h.resp(StFailedPermanent)
-	out.Stamp = stampFail
-	if hp.AbortPending {
-		// A pending abort supersedes the failure's local plan.
-		out.Flag2 = true
-		h.pol.Bump()
-		return out
-	}
-	if plan.Abort {
-		hp.Phase = policy.Aborting
-		hp.Recovery = plan.Steps
-		out.Flag = true
-		out.Stamp2 = h.next() // for the node's RecAbortBegin record
-		h.pol.AppendEvent(&policy.Event{Seq: out.Stamp2, Proc: hp.ID, Typ: schedule.AbortBegin})
-	} else {
-		hp.Recovery = plan.Steps
-	}
-	h.pol.Bump()
-	return out
-}
-
-// queueVictim records a designation for delivery through the owner's
-// idle polls (dispatch-class RPCs deliver it redundantly).
-func (h *Hub) queueVictim(hp *hubProc) {
-	if n := h.nodes[hp.node]; n != nil && !n.dead {
-		n.victims = append(n.victims, hp.ID)
-	}
-}
-
-// handleCommitLocal resolves a prepared frontier activity after the
-// node force-logged it: commit immediately when the activity is
-// compensatable or the process has no active conflicting predecessor,
-// else defer under Lemma 1 (the transaction stays prepared, its event
-// tentative).
-func (h *Hub) handleCommitLocal(req *Frame) *Frame {
-	hp := h.byID[process.ID(req.Proc)]
-	if hp == nil {
-		return h.errf("commit-local for unknown process %s", req.Proc)
-	}
-	local := int(req.Local)
-	ptx, ok := hp.inflight[local]
-	if !ok {
-		return h.errf("commit-local for %s/%d with no in-flight transaction", hp.ID, local)
-	}
-	a := hp.Def.Activity(local)
-	delete(hp.Running, local)
-	delete(hp.inflight, local)
-	h.pol.Bump()
-	if h.drv.CommitsNow(&hp.Proc, a.Kind) {
-		if err := ptx.Sub.CommitPrepared(ptx.Tx); err != nil {
-			return h.errf("commit %s/%s: %v", hp.ID, ptx.Service, err)
-		}
-		stamp := h.next() // for the node's RecResolved(commit) record
-		if err := hp.Inst.MarkCommitted(local); err != nil {
-			return h.errf("%v", err)
-		}
-		hp.committedEvents++
-		h.pol.AppendEvent(&policy.Event{
-			Seq: stamp, Proc: hp.ID, Local: local, Service: ptx.Service, Kind: a.Kind,
-			Typ: schedule.Invoke,
-		})
-		out := h.resp(StOK)
-		out.Stamp = stamp
-		out.Tx = int64(ptx.Tx)
-		out.Subsystem = ptx.Sub.Name()
-		out.Service = ptx.Service
-		return out
-	}
-	if err := hp.Inst.MarkPrepared(local); err != nil {
 		return h.errf("%v", err)
-	}
-	hp.Prepared[local] = ptx
-	h.pol.AppendEvent(&policy.Event{
-		Seq: h.next(), Proc: hp.ID, Local: local, Service: ptx.Service, Kind: a.Kind,
-		Typ: schedule.Invoke, Tentative: true,
-	})
-	return h.resp(StDeferred)
-}
-
-// handleStepDispatch gates (the driver's step gate: Lemmas 2 and 3 plus
-// the forced-order and defer-to-aborting guards) and prepares a recovery
-// step. Step invocation failures are always transient: the node
-// re-invokes, no record is written.
-func (h *Hub) handleStepDispatch(req *Frame) *Frame {
-	hp := h.byID[process.ID(req.Proc)]
-	if hp == nil {
-		return h.errf("step-dispatch for unknown process %s", req.Proc)
-	}
-	if hp.parked {
-		// The park raced an in-flight (or next-round retried) dispatch
-		// from the owner: the process was parked between the node's last
-		// observation and this RPC. Granting here would execute a step
-		// the composed recovery also replans.
-		out := h.resp(StPark)
-		out.Victim = string(hp.ID)
+	case len(h.out.Records) > MaxRecords:
+		return h.errf("transition of %s logs %d records, over the frame's %d", hp.ID, len(h.out.Records), MaxRecords)
+	case st == StDone:
+		out := h.done(hp)
+		out.Records = h.out.Records
 		return out
 	}
-	if h.parkedConflict(hp.ID, req.Service) {
-		return h.resp(StPolicyWait)
-	}
-	st := process.Step{Kind: process.StepKind(req.Extra), Local: int(req.Local), Service: req.Service}
-	if st.Kind != process.StepCompensate && st.Kind != process.StepInvoke {
-		return h.errf("step-dispatch with kind %v", st.Kind)
-	}
-	if !h.drv.StepGate(&hp.Proc, st) {
-		return h.resp(StPolicyWait)
-	}
-	kind := hp.StepWork(st).Kind
-	res, err := h.fed.Invoke(string(hp.Origin), st.Service, subsystem.Prepare)
+	h.out.Status = st
+	return h.out
+}
+
+// advance drives hp one transition — the engine's dispatchProc with the
+// hub's own gates in front: a parked process bounces, a parked
+// transition re-enters before anything else is looked at, and work
+// conflicting with a parked footprint waits. voided marks the re-send
+// of a request the transport gave up on (Cancel certified it never
+// ran): the invocation this call would make fails instead — the
+// engine's path for a failure the resilience layer could not mask.
+func (h *Hub) advance(hp *hubProc, voided bool) (Status, error) {
+	d, p := h.drv, &hp.Proc
 	switch {
-	case errors.Is(err, subsystem.ErrLocked):
-		return h.resp(StLockWait)
-	case subsystem.IsInvocationFailure(err):
-		return h.resp(StFailedTransient)
-	case err != nil:
-		return h.errf("invoke step %s/%s: %v", hp.ID, st.Service, err)
+	case hp.parked:
+		// The park raced the owner's request: granting now would execute
+		// a step the composed recovery also replans, or log a terminate
+		// record for a process recovery must see non-terminal.
+		return StPark, nil
+	case p.Phase == policy.Done:
+		return StDone, nil
+	case hp.call != nil:
+		return h.complete(hp)
+	case hp.decided:
+		return h.finish(hp)
 	}
-	sub, _ := h.fed.Owner(st.Service)
-	hp.StepBusy = true
-	hp.StepSvc = st.Service
-	hp.stepTx = scheduler.PreparedTx{Sub: sub, Tx: res.Tx, Service: st.Service}
-	h.pol.Bump()
-	out := h.resp(StOK)
-	out.Tx = int64(res.Tx)
-	out.Subsystem = sub.Name()
-	out.Kind = uint8(kind)
-	out.Stamp = h.next() // for the node's RecCompensate / committed-outcome record
-	return out
-}
-
-// handleStepCommit commits the prepared step transaction after the node
-// force-logged it (the log-then-commit order whose crash window lands
-// on recovery's redo rule).
-func (h *Hub) handleStepCommit(req *Frame) *Frame {
-	hp := h.byID[process.ID(req.Proc)]
-	if hp == nil {
-		return h.errf("step-commit for unknown process %s", req.Proc)
-	}
-	if !hp.StepBusy {
-		return h.errf("step-commit for %s with no step in flight", hp.ID)
-	}
-	st := process.Step{Kind: process.StepKind(req.Extra), Local: int(req.Local), Service: req.Service}
-	ptx := hp.stepTx
-	hp.StepBusy = false
-	hp.StepSvc = ""
-	hp.stepTx = scheduler.PreparedTx{}
-	h.pol.Bump()
-	if err := ptx.Sub.CommitPrepared(ptx.Tx); err != nil {
-		return h.errf("commit step %s/%s: %v", hp.ID, st.Service, err)
-	}
-	if len(hp.Recovery) > 0 && hp.Recovery[0] == st {
-		hp.Recovery = hp.Recovery[1:]
-	}
-	hp.committedEvents++
-	switch st.Kind {
-	case process.StepCompensate:
-		h.pol.MarkCompensated(hp.ID, st.Local)
-		h.pol.AppendEvent(&policy.Event{
-			Seq: h.next(), Proc: hp.ID, Local: st.Local, Service: st.Service,
-			Kind: activity.Compensation, Typ: schedule.Invoke, Inverse: true,
-		})
-	case process.StepInvoke:
-		h.pol.AppendEvent(&policy.Event{
-			Seq: h.next(), Proc: hp.ID, Local: st.Local, Service: st.Service,
-			Kind: activity.Kind(req.Kind), Typ: schedule.Invoke,
-		})
-	}
-	if err := hp.Inst.ApplyStep(st); err != nil {
-		return h.errf("%v", err)
-	}
-	return h.resp(StOK)
-}
-
-// handleAbortTx rolls back one prepared transaction: the
-// StepAbortPrepared resolution of an abandoned branch (Flag set — the
-// mirror step is applied) or an abort-completion leftover. The node
-// logs the abort resolution at the stamp when Flag is set in the
-// response.
-func (h *Hub) handleAbortTx(req *Frame) *Frame {
-	hp := h.byID[process.ID(req.Proc)]
-	if hp == nil {
-		return h.errf("abort-tx for unknown process %s", req.Proc)
-	}
-	local := int(req.Local)
-	st := process.Step{Kind: process.StepAbortPrepared, Local: local, Service: req.Service}
-	if req.Flag && len(hp.Recovery) > 0 && hp.Recovery[0].Kind == process.StepAbortPrepared && hp.Recovery[0].Local == local {
-		hp.Recovery = hp.Recovery[1:]
-	}
-	out := h.resp(StOK)
-	if ptx, ok := hp.Prepared[local]; ok {
-		if err := ptx.Sub.AbortPrepared(ptx.Tx); err == nil {
-			out.Flag = true
-			out.Tx = int64(ptx.Tx)
-			out.Subsystem = ptx.Sub.Name()
-			out.Service = ptx.Service
-			out.Stamp = h.next() // for the node's RecResolved(abort) record
+	// Recovery steps run strictly sequentially and drain before a
+	// pending abort is honoured.
+	if len(p.Recovery) > 0 {
+		st := p.Recovery[0]
+		if st.Kind == process.StepAbortPrepared {
+			d.AbortPreparedStep(p)
+			return StOK, nil
 		}
-		delete(hp.Prepared, local)
+		if h.parkedConflict(p.ID, st.Service) || !d.StepGate(p, st) {
+			return StWait, nil
+		}
+		return h.invoke(hp, p.StepWork(st), voided)
 	}
-	h.pol.EraseTentative(hp.ID, local)
-	if req.Flag {
-		_ = hp.Inst.ApplyStep(st)
+	if p.AbortPending && p.Phase != policy.Aborting {
+		return StOK, d.BeginAbort(p)
 	}
-	h.pol.Bump()
-	return out
+	if p.Phase == policy.Aborting {
+		// The completion drained: conclude the abort.
+		d.RollbackLeftovers(p)
+		d.Terminate(p, false)
+		return StDone, nil
+	}
+	if p.Inst.Done() {
+		return h.finish(hp)
+	}
+	for _, local := range p.Inst.Frontier() {
+		a := p.Def.Activity(local)
+		if !p.PredsCommitted(local) || !d.MayDispatch(p, a) || h.parkedConflict(p.ID, a.Service) {
+			continue
+		}
+		st, err := h.invoke(hp, scheduler.Work{Local: local, Service: a.Service, Kind: a.Kind}, voided)
+		if st != StWait || err != nil {
+			return st, err
+		}
+	}
+	if p.HasDeferred() {
+		// Nothing else moves: poll the Lemma-1 gate of the deferred set
+		// that blocks the successors (the engine unblocks such sets when
+		// a predecessor terminates; here the owner's requests do).
+		return h.finish(hp)
+	}
+	return StWait, nil
 }
 
-// handleAbortBegin starts backward recovery: both mirrors compute the
-// identical completion C(P_i) from their instances.
-func (h *Hub) handleAbortBegin(req *Frame) *Frame {
-	hp := h.byID[process.ID(req.Proc)]
-	if hp == nil {
-		return h.errf("abort-begin for unknown process %s", req.Proc)
+// invoke performs a subsystem invocation and, unless item locks deny it,
+// its completion.
+func (h *Hub) invoke(hp *hubProc, w scheduler.Work, voided bool) (Status, error) {
+	d, p := h.drv, &hp.Proc
+	var res *subsystem.Result
+	if !voided {
+		var locked bool
+		if res, _, locked = d.Invoke(p, w, ""); locked {
+			d.LockWait(p, w, "")
+			return StWait, nil
+		}
 	}
-	steps, err := hp.Inst.Abort()
-	if err != nil {
-		return h.errf("abort %s: %v", hp.ID, err)
-	}
-	hp.AbortPending = false
-	hp.Phase = policy.Aborting
-	hp.Recovery = steps
-	out := h.resp(StOK)
-	out.Stamp = h.next() // for the node's RecAbortBegin record
-	h.pol.AppendEvent(&policy.Event{Seq: out.Stamp, Proc: hp.ID, Typ: schedule.AbortBegin})
-	h.pol.Bump()
-	return out
+	d.Dispatch(p, w)
+	hp.call = &hubCall{w, res}
+	return h.complete(hp)
 }
 
-// handleCommitClear is the Lemma-1 gate for the 2PC commit of a
-// process's prepared set. Granting is stable: active conflicting
-// predecessor sets only shrink (new events of other processes order
-// after ours; tentative events only finalize to later positions or
-// erase), so a granted decision cannot be invalidated — the grant marks
-// the process decided, excluding it from victim designation, and the
-// node force-logs RecDecision at the stamp before resolving.
-func (h *Hub) handleCommitClear(req *Frame) *Frame {
-	hp := h.byID[process.ID(req.Proc)]
-	if hp == nil {
-		return h.errf("commit-clear for unknown process %s", req.Proc)
+// complete applies (or re-enters) the completion of hp's invocation; it
+// stays parked while its write-ahead record is on the way to the log.
+func (h *Hub) complete(hp *hubProc) (Status, error) {
+	err := h.drv.Complete(&hp.Proc, hp.call.w, hp.call.res)
+	if !hp.sent {
+		hp.call = nil
 	}
-	if hp.AbortPending {
-		return h.resp(StVictim)
-	}
-	// The Lemma-1 gate only guards a deferred prepared set — a process
-	// with nothing prepared terminates unconditionally, exactly like the
-	// engine's tryFinish (otherwise a zombie predecessor could block a
-	// fully committed process forever).
-	if len(hp.Prepared) == 0 {
-		return h.resp(StOK)
-	}
-	if h.pol.HasActiveConflictPred(h.drv, hp.ID) {
-		return h.resp(StNotClear)
-	}
-	out := h.resp(StOK)
-	if hp.Inst.Done() {
-		hp.decided = true
-	}
-	out.Flag = true
-	out.Stamp = h.next() // for the node's RecDecision record
-	// Kill window: the decision is granted hub-side but the stamp dies
-	// with the hub before the node can log RecDecision — the reopen's
-	// recovery sees only an undecided prepared set and presumes abort,
-	// reconciling any already-settled participant through TxFate.
-	h.injectPoint(PointHubDecision)
-	return out
+	return StOK, err
 }
 
-// handleResolve commits one prepared 2PC participant; the tentative
-// event finalizes at the resolve stamp (its locks were held throughout,
-// so the move is conflict-safe — same argument as FinalizeTentative in
-// the engine).
-func (h *Hub) handleResolve(req *Frame) *Frame {
-	hp := h.byID[process.ID(req.Proc)]
-	if hp == nil {
-		return h.errf("resolve for unknown process %s", req.Proc)
-	}
-	local := int(req.Local)
-	ptx, ok := hp.Prepared[local]
-	if !ok {
-		return h.errf("resolve for %s/%d with no prepared transaction", hp.ID, local)
-	}
-	if err := ptx.Sub.CommitPrepared(ptx.Tx); err != nil {
-		return h.errf("resolve %s/%s: %v", hp.ID, ptx.Service, err)
-	}
-	stamp := h.next() // for the node's RecResolved(commit) record
-	if err := hp.Inst.MarkCommitted(local); err != nil {
-		return h.errf("%v", err)
-	}
-	h.pol.FinalizeTentative(hp.ID, local, stamp)
-	delete(hp.Prepared, local)
-	hp.committedEvents++
-	h.pol.Bump()
-	out := h.resp(StOK)
-	out.Stamp = stamp
-	out.Tx = int64(ptx.Tx)
-	out.Subsystem = ptx.Sub.Name()
-	out.Service = ptx.Service
-	// Kill window: the participant is committed at its subsystem but
-	// the node never logs RecResolved — with RecDecision already
-	// logged, the reopen's recovery presumes commit and redoes the
-	// resolution idempotently through the subsystem's TxFate.
-	h.injectPoint(PointHubResolve)
-	return out
-}
-
-// handleTerminate emits the terminal transition. The engine's sweep
-// over waiting prepared sets (Engine.terminate) has no hub-side
-// equivalent — blocked nodes poll CommitClear and observe the
+// finish is the engine's tryFinish: the prepared set commits atomically
+// via 2PC once no active conflicting predecessor remains (Lemma 1) —
+// granting is stable: active conflicting predecessor sets only shrink,
+// so a decision handed out is carried through without asking again —
+// and a process whose path has fully executed then terminates. The
+// engine's sweep over waiting prepared sets after a terminate has no
+// hub-side equivalent: blocked owners poll finish and observe the
 // unblocking themselves.
-func (h *Hub) handleTerminate(req *Frame) *Frame {
-	hp := h.byID[process.ID(req.Proc)]
-	if hp == nil {
-		return h.errf("terminate for unknown process %s", req.Proc)
+func (h *Hub) finish(hp *hubProc) (Status, error) {
+	d, p := h.drv, &hp.Proc
+	if len(p.Prepared) > 0 {
+		if !hp.decided && d.Lemma1Blocked(p) {
+			return StWait, nil
+		}
+		if _, err := d.CommitPreparedSet(p); err != nil {
+			if errors.Is(err, errParked) {
+				err = nil
+			}
+			return StOK, err
+		}
+		hp.decided = false
 	}
-	if hp.parked {
-		// A quiescence sweep on another node's idle poll parked this
-		// process while its terminate was in flight. Parked processes
-		// must not log a terminate record — recovery finishes them.
-		out := h.resp(StPark)
-		out.Victim = string(hp.ID)
-		return out
+	if !p.Inst.Done() {
+		return StOK, nil
 	}
-	hp.Phase = policy.Done
-	hp.fate = req.Flag
-	out := h.resp(StOK)
-	out.Stamp = h.next() // for the node's RecTerminate record
-	h.pol.AppendEvent(&policy.Event{Seq: out.Stamp, Proc: hp.ID, Typ: schedule.Terminate, Committed: req.Flag})
-	hp.Inst.MarkTerminated(req.Flag)
-	h.pol.Bump()
-	return out
-}
-
-// handleFailed is the node-reported invocation failure: the transport
-// voided a dispatch after retry exhaustion (Cancel certified it never
-// ran), which the engine treats as an invocation failure the resilience
-// layer could not mask.
-func (h *Hub) handleFailed(req *Frame) *Frame {
-	hp := h.byID[process.ID(req.Proc)]
-	if hp == nil {
-		return h.errf("failed-report for unknown process %s", req.Proc)
-	}
-	a := hp.Def.Activity(int(req.Local))
-	if a == nil {
-		return h.errf("failed-report for unknown activity %s/%d", hp.ID, req.Local)
-	}
-	return h.invocationFailed(hp, int(req.Local), a.Service, a.Kind)
+	d.Terminate(p, true)
+	return StDone, nil
 }
 
 // Reattach fates, carried in the response Extra field. After a hub
@@ -918,7 +693,7 @@ const (
 	// ReattachAborted: the incarnation terminated aborted (or recovery
 	// will abort it). If the node asked for a restart (Flag) and the
 	// origin is not already live elsewhere, the response carries a fresh
-	// incarnation grant: Flag set, Victim = new id, Stamp2 = suffix.
+	// incarnation grant: Flag set, Proc = new id.
 	ReattachAborted
 	// ReattachParked: the incarnation is a zombie or parked — the node
 	// must stop driving it and log nothing; post-run composed recovery
@@ -937,7 +712,7 @@ func (h *Hub) handleReattach(req *Frame) *Frame {
 	out := h.resp(StOK)
 	if hp := h.byID[id]; hp != nil {
 		switch {
-		case hp.settled() && hp.fate:
+		case hp.settled() && hp.Outcome.Committed:
 			out.Extra = ReattachCommitted
 		case hp.settled():
 			out.Extra = ReattachAborted
@@ -987,46 +762,29 @@ func (h *Hub) maybeGrantRestart(req *Frame, origin process.ID, out *Frame) {
 	h.maxSuffix[string(origin)] = suffix
 	h.pending[string(origin)] = true
 	out.Flag = true
-	out.Victim = fmt.Sprintf("%s+r%d", origin, suffix)
-	out.Stamp2 = int64(suffix)
+	out.Proc = fmt.Sprintf("%s+r%d", origin, suffix)
 }
 
 // handleIdle is cluster-wide stall detection. A node reports the
-// progress generation (Gen) of its latest response when a full driver
-// round made no progress; Flag marks the node as finished (all owned
-// work terminal). When every live node is idle at the current
-// generation, the hub designates a victim by the driver's stall-victim
-// choice — the abort breaks the cross-node wait cycle.
+// progress generation (Gen) of its latest response when a full round
+// over its processes made no progress; Flag marks the node as finished
+// (all owned work terminal). When every live node is idle at the
+// current generation, the hub designates a victim by the driver's
+// stall-victim choice — the abort breaks the cross-node wait cycle. The
+// designation bumps the generation, so every idle mark is stale and the
+// owner's next round drives the victim into its abort.
 func (h *Hub) handleIdle(req *Frame) *Frame {
 	n := h.nodes[req.Node]
 	if n == nil {
 		return h.errf("idle from unknown node %d", req.Node)
-	}
-	// Deliver a queued victim or park designation first.
-	for len(n.victims) > 0 {
-		id := n.victims[0]
-		n.victims = n.victims[1:]
-		if hp := h.byID[id]; hp != nil && hp.AbortPending && hp.Phase == policy.Running {
-			out := h.resp(StVictim)
-			out.Victim = string(id)
-			return out
-		}
-	}
-	if len(n.parks) > 0 {
-		id := n.parks[0]
-		n.parks = n.parks[1:]
-		out := h.resp(StPark)
-		out.Victim = string(id)
-		return out
 	}
 	if len(n.adopts) > 0 {
 		of := n.adopts[0]
 		n.adopts = n.adopts[1:]
 		out := h.resp(StAdopt)
 		out.Origin = string(of.origin)
-		out.Victim = string(of.id)
-		out.Stamp2 = int64(of.arrival)
-		out.Extra = int32(of.suffix)
+		out.Proc = string(of.id)
+		out.Local = int32(of.arrival)
 		return out
 	}
 	if req.Flag {
@@ -1056,17 +814,11 @@ func (h *Hub) handleIdle(req *Frame) *Frame {
 	}
 	victim := h.designateVictim()
 	if victim == nil {
-		return h.parkBlocked(req)
+		return h.parkBlocked()
 	}
-	victim.AbortPending = true
+	h.drv.MarkVictim(victim, "cluster-wide stall")
 	h.reg.Inc(metrics.FedVictims)
 	h.next() // progress bump: every idle mark is now stale
-	if victim.node == req.Node {
-		out := h.resp(StVictim)
-		out.Victim = string(victim.ID)
-		return out
-	}
-	h.queueVictim(victim)
 	return h.resp(StOK)
 }
 
@@ -1085,7 +837,7 @@ func (h *Hub) handleIdle(req *Frame) *Frame {
 // still cannot commit past work that recovery will compensate.
 // Without a dead node a nil victim means the stall logic itself is
 // broken, which stays a hard error.
-func (h *Hub) parkBlocked(req *Frame) *Frame {
+func (h *Hub) parkBlocked() *Frame {
 	anyDead := false
 	for _, n := range h.nodes {
 		if n.dead {
@@ -1106,13 +858,11 @@ func (h *Hub) parkBlocked(req *Frame) *Frame {
 	if !anyDead {
 		return h.errf("unresolvable stall")
 	}
-	var own *hubProc
 	parked := 0
 	for _, id := range h.drv.Procs() {
 		hp := h.byID[id]
 		n := h.nodes[hp.node]
-		if n == nil || n.dead || hp.zombie || hp.Phase != policy.Aborting ||
-			len(hp.Running) > 0 || hp.StepBusy {
+		if n == nil || n.dead || hp.zombie || hp.Phase != policy.Aborting || !hp.Idle() {
 			continue
 		}
 		for local, ptx := range hp.Prepared {
@@ -1121,22 +871,12 @@ func (h *Hub) parkBlocked(req *Frame) *Frame {
 		}
 		hp.Phase, hp.parked = policy.Done, true
 		parked++
-		if hp.node == req.Node && own == nil {
-			own = hp
-		} else {
-			n.parks = append(n.parks, hp.ID)
-		}
 	}
 	if parked == 0 {
 		return h.errf("unresolvable stall\n%s", h.dumpLocked())
 	}
 	h.pol.Bump()
 	h.next() // progress bump: every idle mark is now stale
-	if own != nil {
-		out := h.resp(StPark)
-		out.Victim = string(own.ID)
-		return out
-	}
 	return h.resp(StOK)
 }
 
@@ -1173,16 +913,12 @@ func (h *Hub) parkedConflict(id process.ID, svc string) bool {
 // survivors until recovery compensates it) but are never designated; a
 // zombie stays undesignatable even after its owner revives: its residue
 // was settled at death and belongs to recovery.
-func (h *Hub) designateVictim() *hubProc {
-	victim := h.drv.ChooseVictim(func(p *scheduler.Proc) bool {
+func (h *Hub) designateVictim() *scheduler.Proc {
+	return h.drv.ChooseVictim(func(p *scheduler.Proc) bool {
 		hp := h.byID[p.ID]
 		n := h.nodes[hp.node]
 		return n == nil || n.dead || hp.zombie || hp.decided
 	})
-	if victim == nil {
-		return nil
-	}
-	return h.byID[victim.ID]
 }
 
 // NodeDown declares a scheduler node dead. Its processes become
@@ -1192,18 +928,18 @@ func (h *Hub) designateVictim() *hubProc {
 // transactions are settled the way recovery will see them, releasing
 // locks so surviving compensations cannot deadlock on a corpse:
 //
-//   - decided processes (RecDecision granted): prepared participants
-//     COMMIT — recovery presumes commit after a logged decision, and if
-//     the record never made it the presumed abort reconciles through
-//     the subsystem's journaled fate (TxFate wins);
-//   - everything else (in-flight prepares, Lemma-1 deferred sets):
-//     ABORT — the node's log shows at most an unresolved prepare, which
-//     recovery presumes aborted; again TxFate reconciles.
+//   - decided processes (RecDecision handed out, the commit not yet
+//     carried through): prepared participants COMMIT — recovery presumes
+//     commit after a logged decision, and if the record never made it
+//     the presumed abort reconciles through the subsystem's journaled
+//     fate (TxFate wins);
+//   - everything else (a parked frontier completion, Lemma-1 deferred
+//     sets): ABORT — the node's log shows at most an unresolved prepare,
+//     which recovery presumes aborted; again TxFate reconciles.
 //
-// In-flight recovery-step transactions are left alone: the node may
-// have force-logged the step outcome, which recovery must redo-COMMIT,
-// and the hub cannot know — the defined federation crash points never
-// fall in that window.
+// A parked recovery-step transaction is left alone: the node may have
+// force-logged the step record, which recovery must redo-COMMIT, and
+// the hub cannot know; unlogged, it is an orphan recovery rolls back.
 func (h *Hub) NodeDown(node uint32) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -1234,17 +970,16 @@ func (h *Hub) nodeDownLocked(node uint32) bool {
 			continue // parked residue was already settled by parkBlocked
 		}
 		if hp.decided {
-			for local, ptx := range hp.Prepared {
-				if err := ptx.Sub.CommitPrepared(ptx.Tx); err == nil {
-					_ = hp.Inst.MarkCommitted(local)
-				}
+			for _, ptx := range hp.Prepared {
+				_ = ptx.Sub.CommitPrepared(ptx.Tx)
 			}
 			continue
 		}
-		for local, ptx := range hp.inflight {
-			_ = ptx.Sub.AbortPrepared(ptx.Tx)
-			delete(hp.inflight, local)
-			delete(hp.Running, local)
+		if c := hp.call; c != nil && !c.w.IsStep {
+			sub, _ := h.fed.Owner(c.w.Service)
+			_ = sub.AbortPrepared(c.res.Tx)
+			h.drv.Undispatch(&hp.Proc, c.w)
+			hp.call, hp.sent = nil, false
 		}
 		for _, ptx := range hp.Prepared {
 			_ = ptx.Sub.AbortPrepared(ptx.Tx)
@@ -1286,7 +1021,7 @@ func (h *Hub) expireLocked() {
 }
 
 // adoptOrphans re-homes a dead node's safe orphans: running,
-// undecided processes with zero committed policy events. Such a
+// undecided processes none of whose activities ever committed. Such a
 // process has nothing the composed recovery must compensate (its
 // in-flight and deferred subsystem transactions were just aborted by
 // nodeDownLocked), so its origin can restart on a survivor immediately
@@ -1310,7 +1045,7 @@ func (h *Hub) adoptOrphans(node uint32) {
 	for _, id := range h.drv.Procs() {
 		hp := h.byID[id]
 		if hp.node != node || hp.Phase != policy.Running || hp.decided ||
-			hp.StepBusy || len(hp.Recovery) > 0 || hp.committedEvents > 0 {
+			hp.StepBusy || len(hp.Recovery) > 0 || hp.everCommitted() {
 			continue
 		}
 		// Erase the tentative events of the (already aborted) Lemma-1
@@ -1321,14 +1056,13 @@ func (h *Hub) adoptOrphans(node uint32) {
 			delete(hp.Prepared, local)
 		}
 		hp.Phase = policy.Done
-		hp.fate = false
 		suffix := h.maxSuffix[string(hp.Origin)] + 1
 		h.maxSuffix[string(hp.Origin)] = suffix
 		h.pending[string(hp.Origin)] = true
 		newID := process.ID(fmt.Sprintf("%s+r%d", hp.Origin, suffix))
 		dst := survivors[adopted%len(survivors)]
 		h.nodes[dst].adopts = append(h.nodes[dst].adopts, adoptOffer{
-			origin: hp.Origin, id: newID, arrival: hp.Arrival, suffix: suffix,
+			origin: hp.Origin, id: newID, arrival: hp.Arrival,
 		})
 		// The done report, if the survivor already filed one, is stale:
 		// it has work again and must resume polling.
@@ -1364,20 +1098,11 @@ func (h *Hub) DumpState() string {
 }
 
 func (h *Hub) dumpLocked() string {
-	s := fmt.Sprintf("stamp=%d stalls=%d\n", h.stamp, h.stalls)
-	ids := make([]string, 0, len(h.byID))
-	for id := range h.byID {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		hp := h.byID[process.ID(id)]
-		if hp.settled() {
-			continue
+	s := fmt.Sprintf("stamp=%d stalls=%d\n%s", h.stamp, h.stalls, h.drv.Dump())
+	for _, p := range h.drv.All() {
+		if hp := h.byID[p.ID]; !hp.settled() {
+			s += fmt.Sprintf("  %s node=%d decided=%v zombie=%v parked=%v\n", hp.ID, hp.node, hp.decided, hp.zombie, hp.parked)
 		}
-		s += fmt.Sprintf("  %s node=%d phase=%d done=%v running=%d recovery=%d busy=%v abortPending=%v prepared=%d decided=%v\n",
-			hp.ID, hp.node, hp.Phase, hp.Inst.Done(), len(hp.Running), len(hp.Recovery),
-			hp.StepBusy, hp.AbortPending, len(hp.Prepared), hp.decided)
 	}
 	return s
 }

@@ -8,6 +8,7 @@ import (
 	"transproc/internal/process"
 	"transproc/internal/scheduler/policy"
 	"transproc/internal/subsystem"
+	"transproc/internal/wal"
 	"transproc/internal/workload"
 )
 
@@ -60,6 +61,28 @@ func (c *hubCaller) hello() *Frame {
 	return c.h.Handle(&Frame{Type: MsgHello, Node: c.node, Origin: fmt.Sprintf("n%d", c.node)})
 }
 
+// finish drives a process to its end the way its owner would — one
+// MsgDispatch per transition, each acknowledging the records of the one
+// before — and returns the terminal reply. abort designates it a victim
+// first, so the end is an abort.
+func (c *hubCaller) finish(t *testing.T, proc string, abort bool) *Frame {
+	t.Helper()
+	if abort {
+		c.h.drv.MarkVictim(&c.h.byID[process.ID(proc)].Proc, "test")
+	}
+	for i := 0; i < 1000; i++ {
+		switch got := c.call(&Frame{Type: MsgDispatch, Proc: proc}); got.Status {
+		case StOK:
+		case StDone:
+			return got
+		default:
+			t.Fatalf("driving %s: %+v", proc, got)
+		}
+	}
+	t.Fatalf("%s did not terminate", proc)
+	return nil
+}
+
 // TestHubStaleFrameBounces pins the incarnation and membership gates:
 // a frame carrying a previous hub epoch bounces StStale, as does any
 // non-hello frame from a dead node; MsgHello alone bypasses both and
@@ -102,9 +125,10 @@ func TestHubStaleFrameBounces(t *testing.T) {
 
 // TestHubAdmitReplayCarriesFate pins the idempotent-admit contract: a
 // replayed admit of a known incarnation (a lost response re-asked
-// outside the dedup window) answers Flag2 without a second start stamp,
-// and once the incarnation is terminal the replay carries its fate so
-// the returning node files it instead of driving a dead incarnation.
+// outside the dedup window) answers Flag2 without a second start
+// record, and once the incarnation is terminal the replay answers
+// StDone with its fate — and no restart grant — so the returning node
+// files it instead of driving a dead incarnation.
 func TestHubAdmitReplayCarriesFate(t *testing.T) {
 	h, defs := unitHub(t, HubConfig{})
 	c := &hubCaller{h: h, node: 1}
@@ -113,30 +137,28 @@ func TestHubAdmitReplayCarriesFate(t *testing.T) {
 	committed, aborted := string(defs[0].ID), string(defs[1].ID)
 	for _, origin := range []string{committed, aborted} {
 		first := c.call(&Frame{Type: MsgAdmit, Proc: origin, Origin: origin})
-		if first.Status != StOK || first.Flag2 || first.Stamp == 0 {
+		if first.Status != StOK || first.Flag2 || len(first.Records) != 1 ||
+			first.Records[0].Type != wal.RecStart || first.Stamp != first.Records[0].Stamp || first.Stamp == 0 {
 			t.Fatalf("first admit of %s: %+v", origin, first)
 		}
 		replay := c.call(&Frame{Type: MsgAdmit, Proc: origin, Origin: origin})
-		if replay.Status != StOK || !replay.Flag2 {
+		if replay.Status != StOK || !replay.Flag2 || len(replay.Records) != 0 {
 			t.Fatalf("live replay of %s: %+v", origin, replay)
 		}
-		if replay.Extra != ReattachUnknown {
-			t.Fatalf("live replay of %s carries fate %d, want none", origin, replay.Extra)
-		}
 	}
 
-	if got := c.call(&Frame{Type: MsgTerminate, Proc: committed, Flag: true}); got.Status != StOK {
-		t.Fatalf("terminate: %+v", got)
+	if got := c.finish(t, committed, false); got.Extra != ReattachCommitted || got.Flag {
+		t.Fatalf("end of %s: %+v, want committed", committed, got)
 	}
-	if got := c.call(&Frame{Type: MsgTerminate, Proc: aborted, Flag: false}); got.Status != StOK {
-		t.Fatalf("terminate: %+v", got)
+	if got := c.finish(t, aborted, true); got.Extra != ReattachAborted || !got.Flag {
+		t.Fatalf("end of the victim %s: %+v, want aborted and restartable", aborted, got)
 	}
 
-	if got := c.call(&Frame{Type: MsgAdmit, Proc: committed, Origin: committed}); !got.Flag2 || got.Extra != ReattachCommitted {
-		t.Errorf("replayed admit of a committed incarnation: %+v, want Flag2 + ReattachCommitted", got)
+	if got := c.call(&Frame{Type: MsgAdmit, Proc: committed, Origin: committed}); got.Status != StDone || got.Extra != ReattachCommitted {
+		t.Errorf("replayed admit of a committed incarnation: %+v, want StDone + ReattachCommitted", got)
 	}
-	if got := c.call(&Frame{Type: MsgAdmit, Proc: aborted, Origin: aborted}); !got.Flag2 || got.Extra != ReattachAborted {
-		t.Errorf("replayed admit of an aborted incarnation: %+v, want Flag2 + ReattachAborted", got)
+	if got := c.call(&Frame{Type: MsgAdmit, Proc: aborted, Origin: aborted}); got.Status != StDone || got.Extra != ReattachAborted || got.Flag {
+		t.Errorf("replayed admit of an aborted incarnation: %+v, want StDone + ReattachAborted, no restart", got)
 	}
 }
 
@@ -160,7 +182,7 @@ func TestHubReattachFates(t *testing.T) {
 		t.Fatalf("running incarnation: fate %d, want ReattachLive", got.Extra)
 	}
 
-	c1.call(&Frame{Type: MsgTerminate, Proc: origin, Flag: true})
+	c1.finish(t, origin, false)
 	if got := c1.call(&Frame{Type: MsgReattach, Proc: origin}); got.Extra != ReattachCommitted {
 		t.Fatalf("committed incarnation: fate %d, want ReattachCommitted", got.Extra)
 	}
@@ -169,7 +191,11 @@ func TestHubReattachFates(t *testing.T) {
 	// the node stops driving it and recovery finishes it.
 	zorigin := string(defs[1].ID)
 	c1.call(&Frame{Type: MsgAdmit, Proc: zorigin, Origin: zorigin})
-	h.byID[process.ID(zorigin)].committedEvents = 1 // not a safe orphan
+	for !h.byID[process.ID(zorigin)].everCommitted() { // not a safe orphan
+		if got := c1.call(&Frame{Type: MsgDispatch, Proc: zorigin}); got.Status != StOK {
+			t.Fatalf("driving %s: %+v", zorigin, got)
+		}
+	}
 	h.NodeDown(1)
 	if got := c2.call(&Frame{Type: MsgReattach, Proc: zorigin}); got.Extra != ReattachParked {
 		t.Fatalf("zombie incarnation: fate %d, want ReattachParked", got.Extra)
@@ -190,7 +216,7 @@ func TestHubRestartGrantSingleLineage(t *testing.T) {
 
 	origin := string(defs[0].ID)
 	c1.call(&Frame{Type: MsgAdmit, Proc: origin, Origin: origin})
-	c1.call(&Frame{Type: MsgTerminate, Proc: origin, Flag: false})
+	c1.finish(t, origin, true)
 
 	// Fate query without a restart request: no grant.
 	if got := c1.call(&Frame{Type: MsgReattach, Proc: origin}); got.Extra != ReattachAborted || got.Flag {
@@ -199,7 +225,7 @@ func TestHubRestartGrantSingleLineage(t *testing.T) {
 
 	grant := c1.call(&Frame{Type: MsgReattach, Proc: origin, Flag: true})
 	wantID := origin + "+r1"
-	if !grant.Flag || grant.Victim != wantID || grant.Stamp2 != 1 {
+	if !grant.Flag || grant.Proc != wantID {
 		t.Fatalf("first restart request: %+v, want grant of %s", grant, wantID)
 	}
 
@@ -218,15 +244,16 @@ func TestHubRestartGrantSingleLineage(t *testing.T) {
 	if got := c1.call(&Frame{Type: MsgReattach, Proc: origin, Flag: true}); got.Flag {
 		t.Fatalf("restart request while %s is live: %+v, want no grant", wantID, got)
 	}
-	c2.call(&Frame{Type: MsgTerminate, Proc: wantID, Flag: false})
-	if got := c1.call(&Frame{Type: MsgReattach, Proc: origin, Flag: true}); !got.Flag || got.Victim != origin+"+r2" {
+	c2.finish(t, wantID, true)
+	if got := c1.call(&Frame{Type: MsgReattach, Proc: origin, Flag: true}); !got.Flag || got.Proc != origin+"+r2" {
 		t.Fatalf("restart request after %s aborted: %+v, want grant of %s+r2", wantID, got, origin)
 	}
 }
 
-// TestHubParkedBounces pins the StPark contract: a parked process's
-// racing dispatch and terminate RPCs bounce with StPark naming the
-// process, and a dispatch for a retired incarnation is a hard error.
+// TestHubParkedBounces pins the StPark contract: every request to drive
+// a parked process bounces with StPark and logs nothing; a request for
+// a retired incarnation answers its fate again, and one for an unknown
+// process is a hard error.
 func TestHubParkedBounces(t *testing.T) {
 	h, defs := unitHub(t, HubConfig{})
 	c := &hubCaller{h: h, node: 1}
@@ -237,21 +264,68 @@ func TestHubParkedBounces(t *testing.T) {
 	hp := h.byID[process.ID(origin)]
 	hp.Phase, hp.parked = policy.Done, true
 
-	if got := c.call(&Frame{Type: MsgDispatch, Proc: origin, Local: 1}); got.Status != StPark || got.Victim != origin {
-		t.Errorf("dispatch against a parked process: %+v, want StPark naming it", got)
-	}
-	if got := c.call(&Frame{Type: MsgTerminate, Proc: origin, Flag: false}); got.Status != StPark || got.Victim != origin {
-		t.Errorf("terminate against a parked process: %+v, want StPark naming it", got)
+	for i := 0; i < 2; i++ {
+		if got := c.call(&Frame{Type: MsgDispatch, Proc: origin}); got.Status != StPark || len(got.Records) != 0 {
+			t.Errorf("dispatch against a parked process: %+v, want a bare StPark", got)
+		}
 	}
 
 	done := string(defs[1].ID)
 	c.call(&Frame{Type: MsgAdmit, Proc: done, Origin: done})
-	c.call(&Frame{Type: MsgTerminate, Proc: done, Flag: true})
-	if got := c.call(&Frame{Type: MsgDispatch, Proc: done, Local: 1}); got.Status != StError {
-		t.Errorf("dispatch against a retired incarnation: %+v, want StError", got)
+	c.finish(t, done, false)
+	if got := c.call(&Frame{Type: MsgDispatch, Proc: done}); got.Status != StDone || got.Extra != ReattachCommitted || len(got.Records) != 0 {
+		t.Errorf("dispatch against a retired incarnation: %+v, want its fate and no records", got)
 	}
-	if got := c.call(&Frame{Type: MsgDispatch, Proc: "ghost", Local: 1}); got.Status != StError {
+	if got := c.call(&Frame{Type: MsgDispatch, Proc: "ghost"}); got.Status != StError {
 		t.Errorf("dispatch for an unknown process: %+v, want StError", got)
+	}
+}
+
+// TestHubParksWriteAheadRecords walks one process through the hub and
+// checks the parking rule on every reply: a write-ahead record ("prepared"
+// outcome, decision, recovery step) is the last record of its reply and
+// its subsystem transaction stays in doubt until the next request
+// acknowledges it; stamps rise strictly along the whole log.
+func TestHubParksWriteAheadRecords(t *testing.T) {
+	h, defs := unitHub(t, HubConfig{})
+	c := &hubCaller{h: h, node: 1}
+	c.hello()
+	origin := string(defs[0].ID)
+	log := c.call(&Frame{Type: MsgAdmit, Proc: origin, Origin: origin}).Records
+	parked := 0
+	for done := false; !done; {
+		got := c.call(&Frame{Type: MsgDispatch, Proc: origin})
+		if got.Status != StOK && got.Status != StDone {
+			t.Fatalf("driving %s: %+v", origin, got)
+		}
+		done = got.Status == StDone
+		for i, r := range got.Records {
+			ahead := writeAhead(r)
+			if ahead && i != len(got.Records)-1 {
+				t.Fatalf("write-ahead record %+v is not the last of its reply %+v", r, got.Records)
+			}
+			if ahead && r.Type == wal.RecOutcome {
+				parked++
+				if n := len(h.fed.InDoubt()); n == 0 {
+					t.Fatalf("transaction of %+v resolved before the record was acknowledged", r)
+				}
+			}
+		}
+		log = append(log, got.Records...)
+	}
+	if parked == 0 {
+		t.Fatal("no invocation parked on its outcome record")
+	}
+	for i := 1; i < len(log); i++ {
+		if log[i].Stamp <= log[i-1].Stamp {
+			t.Fatalf("stamps not strictly rising: %+v then %+v", log[i-1], log[i])
+		}
+	}
+	if last := log[len(log)-1]; last.Type != wal.RecTerminate || !last.Committed {
+		t.Fatalf("log ends with %+v, want a committed terminate", last)
+	}
+	if n := len(h.fed.InDoubt()); n != 0 {
+		t.Fatalf("%d subsystems hold in-doubt transactions after the end", n)
 	}
 }
 
@@ -326,8 +400,8 @@ func TestHubLeaseExpiry(t *testing.T) {
 	if n := len(h.nodes[1].adopts); n != 1 {
 		t.Fatalf("survivor holds %d adoption offers, want 1", n)
 	}
-	if offer := h.nodes[1].adopts[0]; string(offer.origin) != origin || offer.suffix != 1 {
-		t.Fatalf("adoption offer %+v, want origin %s at suffix 1", offer, origin)
+	if offer := h.nodes[1].adopts[0]; string(offer.origin) != origin || string(offer.id) != origin+"+r1" {
+		t.Fatalf("adoption offer %+v, want origin %s as %s+r1", offer, origin, origin)
 	}
 	if !h.pending[origin] {
 		t.Error("re-homed origin not marked pending")
@@ -343,7 +417,7 @@ func TestHubLeaseExpiry(t *testing.T) {
 		t.Fatalf("reviving hello: %+v", got)
 	}
 	replay := c2.call(&Frame{Type: MsgAdmit, Proc: origin, Origin: origin})
-	if !replay.Flag2 || replay.Extra != ReattachAborted {
-		t.Fatalf("revived owner's admit replay: %+v, want Flag2 + ReattachAborted", replay)
+	if replay.Status != StDone || replay.Extra != ReattachAborted || replay.Flag {
+		t.Fatalf("revived owner's admit replay: %+v, want StDone + ReattachAborted, no restart", replay)
 	}
 }

@@ -9,38 +9,37 @@ import (
 	"transproc/internal/wal"
 )
 
-// The hub journal persists the handful of facts only the hub knows and
-// that the stitched per-node WALs cannot reconstruct:
+// The hub journal persists the two facts only the hub knows and that the
+// stitched per-node WALs cannot reconstruct:
 //
 //   - stamp leases: before the hub issues a stamp past the journaled
 //     floor it force-logs a new floor one chunk ahead, so a restarted
 //     hub resumes the counter strictly above every stamp it may ever
 //     have handed out — issued-but-unacked stamps are never reissued
 //     and plain stamp sorting of the stitched history stays total;
-//   - the ownership table: which node owns which process origin (and
-//     its submission arrival / restart suffix), so a reopened hub can
-//     re-assign orphans of nodes that never come back;
 //   - the epoch: a monotone hub-incarnation counter bumped on every
 //     reopen; frames from a previous epoch bounce with StStale.
 //
-// Everything else (policy events, phases, 2PC decisions) is rebuilt
-// from the stitched WALs by scheduler.Recover — see recover.go.
+// Everything else (policy events, phases, 2PC decisions, who owned
+// what) is rebuilt from the stitched WALs by scheduler.Recover and the
+// nodes' re-attachment — see recover.go.
 
-// Journal entry kinds.
+// Journal entry kinds. Kind 2 was a per-admission ownership row nothing
+// ever read back; the decoder still accepts it (journals written before
+// it went) and the fold ignores it.
 const (
-	jLease  uint8 = 1 // Stamp = new lease floor
-	jAssign uint8 = 2 // Node/Origin/Proc/Arrival: ownership row
-	jEpoch  uint8 = 3 // Node = epoch
+	jLease uint8 = 1 // Stamp = new lease floor
+	jEpoch uint8 = 3 // Node = epoch
 )
 
 // JEntry is one hub-journal record.
 type JEntry struct {
 	Kind    uint8
-	Node    uint32 // owner node (jAssign) or epoch (jEpoch)
+	Node    uint32 // epoch (jEpoch)
 	Stamp   int64  // lease floor (jLease)
-	Arrival int64  // submission arrival order (jAssign)
-	Origin  string // process origin id (jAssign)
-	Proc    string // incarnation id (jAssign)
+	Arrival int64  // unused since kind 2 went; kept for the file format
+	Origin  string // likewise
+	Proc    string // likewise
 }
 
 // HubJournal is the hub's force-logged side channel. Append must be
@@ -199,29 +198,17 @@ func (j *FileJournal) Close() error {
 type JournalState struct {
 	Epoch      uint32
 	LeaseFloor int64
-	// Owners maps origin → its journaled assignment (latest row wins;
-	// re-assignment after lease expiry appends a new row).
-	Owners map[string]JAssign
-}
-
-// JAssign is one folded ownership row.
-type JAssign struct {
-	Node    uint32
-	Proc    string // latest incarnation id
-	Arrival int64
 }
 
 // FoldJournal replays entries into the latest-wins state.
 func FoldJournal(entries []JEntry) JournalState {
-	st := JournalState{Owners: make(map[string]JAssign)}
+	var st JournalState
 	for _, e := range entries {
 		switch e.Kind {
 		case jLease:
 			if e.Stamp > st.LeaseFloor {
 				st.LeaseFloor = e.Stamp
 			}
-		case jAssign:
-			st.Owners[e.Origin] = JAssign{Node: e.Node, Proc: e.Proc, Arrival: e.Arrival}
 		case jEpoch:
 			if e.Node > st.Epoch {
 				st.Epoch = e.Node

@@ -45,13 +45,13 @@ type ReopenReport struct {
 // re-hello and learn each in-flight process's settled fate through
 // MsgReattach.
 //
-// The journal contributes the three facts the WALs cannot: the stamp
+// The journal contributes the two facts the WALs cannot: the stamp
 // lease floor (the counter resumes above every stamp the dead hub may
-// have issued, acked or not), the epoch (bumped, so stale frames
-// bounce), and the ownership table (diagnostics; re-attachment is
-// driven by the nodes). A nil journal falls back to the highest
-// stitched stamp — safe only when no issued-but-unacked stamp can
-// exist, i.e. outside torture runs.
+// have issued, acked or not) and the epoch (bumped, so stale frames
+// bounce); who owned what is not among them — re-attachment is driven
+// by the nodes. A nil journal falls back to the highest stitched stamp
+// — safe only when no issued-but-unacked stamp can exist, i.e. outside
+// torture runs.
 func ReopenHub(fed *subsystem.Federation, defs []*process.Process, logs []wal.Log, cfg HubConfig) (*Hub, *ReopenReport, error) {
 	var jst JournalState
 	if cfg.Journal != nil {
@@ -138,7 +138,6 @@ func ReopenHub(fed *subsystem.Federation, defs []*process.Process, logs []wal.Lo
 	for _, id := range report.ForwardRecovered {
 		h.fates[id] = true
 	}
-	h.reopened = true
 	h.reg.Inc(metrics.FedHubReopens)
 
 	return h, &ReopenReport{Log: log, Pre: pre, Report: report, Tail: tail}, nil

@@ -1,22 +1,24 @@
 // Package federation splits the transactional process manager across
 // scheduler nodes connected by a real wire: N nodes each own a
-// partition of the processes and drive their execution, while one hub —
-// the paper's transactional coordination agent — owns the federation of
-// subsystems, the shared PRED policy state, and a global stamp counter.
+// partition of the processes, while one hub — the paper's transactional
+// coordination agent — owns the federation of subsystems, the shared
+// PRED policy state, a global stamp counter and the one instance of
+// every process.
 //
-// Every scheduling decision a node needs (dispatch admissibility,
-// Lemma 1-3 gates, commit-immediately vs defer, stall victims) is one
-// RPC into the hub's serial section, where the shared protocol driver
-// (scheduler.Driver) takes it over the hub's mirrors — the same gates
-// and victim choice the single-node hosts run, under PRED, the one mode
-// whose decisions are per-event and therefore liftable behind RPCs; the
-// logging transitions are still split between the hub's handlers and
-// the owning node (DESIGN.md §6l). The response carries the stamps
-// under which the node force-logs the corresponding records into its
-// per-node WAL. Stitching the per-node logs by stamp yields one global
-// history that the existing single-node machinery consumes unchanged:
-// wal.Analyze, scheduler.Recover and the batteries' recovery judge —
-// that reuse is the recovery composition.
+// The hub is a full host of the shared protocol driver
+// (scheduler.Driver): a node asks it to drive one of its processes one
+// transition (MsgDispatch), and the hub runs that transition — gates,
+// subsystem invocation, completion, failure plan, abort, 2PC commit,
+// termination — exactly as the single-node hosts do, under PRED. The
+// node is the hub's remote force-log: every record the transition
+// force-logs is stamped, travels back on the reply and is appended to
+// the node's WAL in order. A write-ahead record — one a subsystem commit
+// follows — parks the transition until the node's next request for the
+// process acknowledges the append (DESIGN.md §6l). Stitching the
+// per-node logs by stamp yields one global history that the existing
+// single-node machinery consumes unchanged: wal.Analyze,
+// scheduler.Recover and the batteries' recovery judge — that reuse is
+// the recovery composition.
 //
 // The wire is a hand-rolled length-prefixed binary codec over localhost
 // TCP (dependency-free), behind the two-method Transport. The package
@@ -24,9 +26,9 @@
 // (Config.HubInject, NodeInject) and an unreliable wire is a wrapper a
 // battery puts around Transport (Config.WrapTransport, DESIGN.md §6m).
 // The hub dedups requests by (node, request id), so retries and
-// duplicates are exactly-once; crash consistency of the node-side logging protocol
-// reduces every loss window to a rule recovery already implements
-// (orphan presumed abort, redo-commit, presumed commit after decision).
+// duplicates are exactly-once; the parking rule reduces every loss
+// window to a rule recovery already implements (orphan presumed abort,
+// redo-commit, presumed commit after decision).
 package federation
 
 import (
@@ -34,6 +36,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"transproc/internal/wal"
 )
 
 // MsgType enumerates the federation RPCs. Requests and responses share
@@ -44,45 +48,20 @@ const (
 	// MsgHello introduces a node to the hub.
 	MsgHello MsgType = iota + 1
 	// MsgAdmit admits a process (or restart incarnation) into the
-	// cluster-wide policy view and returns the RecStart stamp.
+	// cluster-wide process table; the reply carries its RecStart record.
 	MsgAdmit
-	// MsgDispatch asks the hub to policy-check and prepare a frontier
-	// activity at its subsystem; returns the transaction and the stamp
-	// for the node's "prepared" outcome record.
+	// MsgDispatch asks the hub to drive a process one transition. It
+	// acknowledges that every record of the process's earlier replies is
+	// in the node's log; the reply carries the records of this one. Flag
+	// marks the re-send of a voided request: the invocation the hub
+	// would make fails instead.
 	MsgDispatch
-	// MsgCommitLocal resolves a prepared frontier activity: commit
-	// immediately (compensatable, or no active conflicting predecessor)
-	// or defer under Lemma 1.
-	MsgCommitLocal
-	// MsgStepDispatch policy-checks and prepares a recovery step
-	// (compensation or forward invocation) per Lemmas 2 and 3.
-	MsgStepDispatch
-	// MsgStepCommit commits a prepared recovery-step transaction after
-	// the node force-logged it (redo-commit crash window).
-	MsgStepCommit
-	// MsgAbortTx rolls back a prepared transaction (abandoned branch or
-	// abort-completion leftovers) and erases its tentative event.
-	MsgAbortTx
-	// MsgAbortBegin transitions a process into backward recovery.
-	MsgAbortBegin
-	// MsgCommitClear is the Lemma-1 gate for a process's deferred 2PC
-	// commit; on success it returns the RecDecision stamp.
-	MsgCommitClear
-	// MsgResolve commits one prepared 2PC participant and finalizes its
-	// tentative event at the resolve stamp.
-	MsgResolve
-	// MsgTerminate emits a process's terminal transition.
-	MsgTerminate
-	// MsgFailed reports an invocation failure the transport could not
-	// mask (or the node observed); the hub runs the permanent-failure
-	// or transient-retry block and returns the plan shape.
-	MsgFailed
 	// MsgCancel resolves an ambiguous dispatch after transport-retry
 	// exhaustion: it replays the cached response if the request ever
 	// executed, or certifies that it never ran.
 	MsgCancel
 	// MsgIdle reports node quiescence for cluster-wide stall detection;
-	// the response may carry a victim designation.
+	// the response may carry an adoption offer.
 	MsgIdle
 	// MsgHeartbeat refreshes the node's membership lease without doing
 	// any scheduling work; the response carries the hub's epoch so a
@@ -108,24 +87,6 @@ func (t MsgType) String() string {
 		return "admit"
 	case MsgDispatch:
 		return "dispatch"
-	case MsgCommitLocal:
-		return "commit-local"
-	case MsgStepDispatch:
-		return "step-dispatch"
-	case MsgStepCommit:
-		return "step-commit"
-	case MsgAbortTx:
-		return "abort-tx"
-	case MsgAbortBegin:
-		return "abort-begin"
-	case MsgCommitClear:
-		return "commit-clear"
-	case MsgResolve:
-		return "resolve"
-	case MsgTerminate:
-		return "terminate"
-	case MsgFailed:
-		return "failed"
 	case MsgCancel:
 		return "cancel"
 	case MsgIdle:
@@ -145,38 +106,28 @@ func (t MsgType) String() string {
 type Status uint8
 
 const (
-	// StOK: the operation executed; stamps/transaction fields are set.
+	// StOK: the request executed; on MsgDispatch, the process moved.
 	StOK Status = iota + 1
-	// StPolicyWait: the policy denied the dispatch; retry later.
-	StPolicyWait
-	// StLockWait: subsystem locks denied the invocation; retry later.
-	StLockWait
-	// StFailedTransient: the invocation failed and the activity is
-	// retriable — the node re-invokes.
-	StFailedTransient
-	// StFailedPermanent: a definitive failure (Definition 4); the node
-	// adopts the failure plan (◁ alternative or backward recovery).
-	StFailedPermanent
-	// StDeferred: the prepared commit is deferred under Lemma 1.
-	StDeferred
-	// StNotClear: the Lemma-1 gate still sees an active conflicting
-	// predecessor; the 2PC commit waits.
-	StNotClear
-	// StVictim: the process was designated a stall victim; the node
-	// must abort (and may restart) it.
-	StVictim
+	// StWait: a policy gate or a subsystem lock holds the process's next
+	// transition back; ask again later.
+	StWait
 	// StPark: the process's remaining recovery steps are blocked by a
 	// dead node's zombie events and can only run after the crash cycle;
 	// the node stops driving it (without a terminate record) and the
 	// composed recovery finishes its group abort in correct global
 	// order.
 	StPark
+	// StDone: the process is terminal. Extra carries its fate (a
+	// Reattach* code) and Flag whether the node may restart the origin
+	// under a fresh incarnation.
+	StDone
 	// StStale: the frame carries an epoch from a hub incarnation that no
 	// longer exists (or comes from a node whose lease expired); the node
 	// must re-hello and re-attach before retrying.
 	StStale
 	// StAdopt: an idle response carrying an orphaned process the node
-	// should adopt (Origin/Proc/Stamp2 describe the new incarnation).
+	// should adopt (Origin, Proc = the new incarnation, Local = its
+	// arrival rank).
 	StAdopt
 	// StError: the hub rejected the request; Err carries the reason.
 	StError
@@ -186,37 +137,44 @@ const (
 
 // Frame is the single wire message shape; each MsgType populates the
 // subset of fields it needs. Keeping one struct makes the codec — and
-// its fuzz target — total over every message type.
+// its fuzz target — total over every message type. Kind, Tx, Service
+// and Subsystem are codec surface no message populates any more (what
+// they said now travels inside Records).
 type Frame struct {
 	Type   MsgType
 	Status Status
-	Kind   uint8 // activity.Kind on dispatch-class messages
-	Flag   bool
-	Flag2  bool
+	Kind   uint8
+	Flag   bool // request: voided re-send (MsgDispatch), finished (MsgIdle), restart wanted (MsgReattach); response: restart granted
+	Flag2  bool // response: the answer to an earlier execution (cancel fetch, replayed admit)
 	Node   uint32
 	Epoch  uint32 // hub incarnation the sender believes in; 0 = unknown (hello)
 	Req    uint64
-	Local  int32
-	Extra  int32 // restarts on MsgAdmit; step kind on step messages
+	Local  int32 // arrival rank (MsgAdmit, StAdopt)
+	Extra  int32 // restarts on MsgAdmit; a Reattach* fate in responses
 	Tx     int64
-	Stamp  int64
-	Stamp2 int64
-	Gen    int64 // progress generation (MsgIdle), original request id (MsgCancel)
+	Stamp  int64 // the RecStart stamp in an admit response
+	Gen    int64 // progress generation (MsgIdle, every response), original request id (MsgCancel)
 
 	Proc      string
 	Origin    string
 	Service   string
 	Subsystem string
-	Victim    string
 	Err       string
+
+	// Records are the stamped log records the request's transition
+	// force-logged, in order; the node appends them to its WAL before it
+	// sends its next request for the process.
+	Records []wal.Record
 }
 
-// Codec limits: a frame is rejected when its payload exceeds MaxFrame
-// or any string exceeds MaxString. The limits bound decoder allocation
-// under malformed (or hostile) input.
+// Codec limits: a frame is rejected when its payload exceeds MaxFrame,
+// any string exceeds MaxString or it carries more than MaxRecords
+// records. The limits bound decoder allocation under malformed (or
+// hostile) input.
 const (
-	MaxFrame  = 1 << 16
-	MaxString = 4096
+	MaxFrame   = 1 << 16
+	MaxString  = 4096
+	MaxRecords = 255
 )
 
 // Codec errors.
@@ -227,26 +185,59 @@ var (
 	ErrBadType       = errors.New("federation: unknown message type")
 	ErrBadStatus     = errors.New("federation: unknown status")
 	ErrBadString     = errors.New("federation: string field exceeds MaxString")
+	ErrBadRecord     = errors.New("federation: malformed log record")
 )
 
-// fixedHeader is the byte count of the fixed-width portion of a payload.
-const fixedHeader = 1 + 1 + 1 + 1 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 8 + 8
+// fixedHeader is the byte count of the fixed-width portion of a payload;
+// recordHeader that of one record (type, flags, local, tx, stamp).
+const (
+	fixedHeader  = 1 + 1 + 1 + 1 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 8
+	recordHeader = 1 + 1 + 4 + 8 + 8
+)
+
+func appendString(b []byte, s string) []byte {
+	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
+	return append(b, s...)
+}
+
+// readString cuts one length-prefixed string off the front of b.
+func readString(b []byte) (string, []byte, error) {
+	if len(b) < 2 {
+		return "", nil, ErrTruncated
+	}
+	n := int(binary.LittleEndian.Uint16(b))
+	b = b[2:]
+	if n > MaxString {
+		return "", nil, ErrBadString
+	}
+	if len(b) < n {
+		return "", nil, ErrTruncated
+	}
+	return string(b[:n]), b[n:], nil
+}
+
+func flagBits(a, b bool) (bits uint8) {
+	if a {
+		bits |= 1
+	}
+	if b {
+		bits |= 2
+	}
+	return bits
+}
 
 // EncodePayload serializes a frame payload (without the length prefix).
 func EncodePayload(f *Frame) []byte {
-	n := fixedHeader
-	for _, s := range []string{f.Proc, f.Origin, f.Service, f.Subsystem, f.Victim, f.Err} {
+	n := fixedHeader + 1
+	for _, s := range []string{f.Proc, f.Origin, f.Service, f.Subsystem, f.Err} {
 		n += 2 + len(s)
 	}
+	for i := range f.Records {
+		r := &f.Records[i]
+		n += recordHeader + 8 + len(r.Proc) + len(r.Service) + len(r.Subsystem) + len(r.Outcome)
+	}
 	b := make([]byte, 0, n)
-	var flags uint8
-	if f.Flag {
-		flags |= 1
-	}
-	if f.Flag2 {
-		flags |= 2
-	}
-	b = append(b, uint8(f.Type), uint8(f.Status), f.Kind, flags)
+	b = append(b, uint8(f.Type), uint8(f.Status), f.Kind, flagBits(f.Flag, f.Flag2))
 	b = binary.LittleEndian.AppendUint32(b, f.Node)
 	b = binary.LittleEndian.AppendUint32(b, f.Epoch)
 	b = binary.LittleEndian.AppendUint64(b, f.Req)
@@ -254,18 +245,28 @@ func EncodePayload(f *Frame) []byte {
 	b = binary.LittleEndian.AppendUint32(b, uint32(f.Extra))
 	b = binary.LittleEndian.AppendUint64(b, uint64(f.Tx))
 	b = binary.LittleEndian.AppendUint64(b, uint64(f.Stamp))
-	b = binary.LittleEndian.AppendUint64(b, uint64(f.Stamp2))
 	b = binary.LittleEndian.AppendUint64(b, uint64(f.Gen))
-	for _, s := range []string{f.Proc, f.Origin, f.Service, f.Subsystem, f.Victim, f.Err} {
-		b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
-		b = append(b, s...)
+	for _, s := range []string{f.Proc, f.Origin, f.Service, f.Subsystem, f.Err} {
+		b = appendString(b, s)
+	}
+	b = append(b, uint8(len(f.Records)))
+	for i := range f.Records {
+		r := &f.Records[i]
+		b = append(b, uint8(r.Type), flagBits(r.Committed, r.Commit))
+		b = binary.LittleEndian.AppendUint32(b, uint32(int32(r.Local)))
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Tx))
+		b = binary.LittleEndian.AppendUint64(b, uint64(r.Stamp))
+		for _, s := range []string{r.Proc, r.Service, r.Subsystem, r.Outcome} {
+			b = appendString(b, s)
+		}
 	}
 	return b
 }
 
 // DecodePayload parses a frame payload. Malformed input returns an
 // error, never panics, and never allocates more than the input length
-// plus MaxFrame.
+// plus MaxFrame: the record list grows as records are actually parsed,
+// never by the count the payload claims.
 func DecodePayload(b []byte) (*Frame, error) {
 	if len(b) > MaxFrame {
 		return nil, ErrFrameTooLarge
@@ -297,23 +298,41 @@ func DecodePayload(b []byte) (*Frame, error) {
 	f.Extra = int32(binary.LittleEndian.Uint32(b[24:]))
 	f.Tx = int64(binary.LittleEndian.Uint64(b[28:]))
 	f.Stamp = int64(binary.LittleEndian.Uint64(b[36:]))
-	f.Stamp2 = int64(binary.LittleEndian.Uint64(b[44:]))
-	f.Gen = int64(binary.LittleEndian.Uint64(b[52:]))
+	f.Gen = int64(binary.LittleEndian.Uint64(b[44:]))
 	rest := b[fixedHeader:]
-	for _, dst := range []*string{&f.Proc, &f.Origin, &f.Service, &f.Subsystem, &f.Victim, &f.Err} {
-		if len(rest) < 2 {
+	var err error
+	for _, dst := range []*string{&f.Proc, &f.Origin, &f.Service, &f.Subsystem, &f.Err} {
+		if *dst, rest, err = readString(rest); err != nil {
+			return nil, err
+		}
+	}
+	if len(rest) < 1 {
+		return nil, ErrTruncated
+	}
+	count := int(rest[0])
+	rest = rest[1:]
+	for i := 0; i < count; i++ {
+		if len(rest) < recordHeader {
 			return nil, ErrTruncated
 		}
-		n := int(binary.LittleEndian.Uint16(rest))
-		rest = rest[2:]
-		if n > MaxString {
-			return nil, ErrBadString
+		r := wal.Record{
+			Type:  wal.RecType(rest[0]),
+			Local: int(int32(binary.LittleEndian.Uint32(rest[2:]))),
+			Tx:    int64(binary.LittleEndian.Uint64(rest[6:])),
+			Stamp: int64(binary.LittleEndian.Uint64(rest[14:])),
 		}
-		if len(rest) < n {
-			return nil, ErrTruncated
+		if r.Type > wal.RecTerminate || rest[1] > 3 {
+			return nil, ErrBadRecord
 		}
-		*dst = string(rest[:n])
-		rest = rest[n:]
+		r.Committed = rest[1]&1 != 0
+		r.Commit = rest[1]&2 != 0
+		rest = rest[recordHeader:]
+		for _, dst := range []*string{&r.Proc, &r.Service, &r.Subsystem, &r.Outcome} {
+			if *dst, rest, err = readString(rest); err != nil {
+				return nil, err
+			}
+		}
+		f.Records = append(f.Records, r)
 	}
 	if len(rest) != 0 {
 		return nil, ErrTrailing
@@ -324,7 +343,7 @@ func DecodePayload(b []byte) (*Frame, error) {
 // WriteFrame writes one length-prefixed frame.
 func WriteFrame(w io.Writer, f *Frame) error {
 	payload := EncodePayload(f)
-	if len(payload) > MaxFrame {
+	if len(payload) > MaxFrame || len(f.Records) > MaxRecords {
 		return ErrFrameTooLarge
 	}
 	var hdr [4]byte

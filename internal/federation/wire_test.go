@@ -2,11 +2,14 @@ package federation
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
+
+	"transproc/internal/wal"
 )
 
 // allMsgTypes enumerates every defined message type.
@@ -37,6 +40,21 @@ func randString(rng *rand.Rand, max int) string {
 	return b.String()
 }
 
+// randRecords draws a record list (nil when empty, as the decoder
+// leaves it).
+func randRecords(rng *rand.Rand, max int) []wal.Record {
+	var recs []wal.Record
+	for n := rng.Intn(max + 1); n > 0; n-- {
+		recs = append(recs, wal.Record{
+			Type: wal.RecType(rng.Intn(int(wal.RecTerminate) + 1)), Proc: randString(rng, 16),
+			Local: int(int32(rng.Uint32())), Service: randString(rng, 16), Subsystem: randString(rng, 16),
+			Tx: rng.Int63() - rng.Int63(), Outcome: randString(rng, 10),
+			Committed: rng.Intn(2) == 0, Commit: rng.Intn(2) == 0, Stamp: rng.Int63(),
+		})
+	}
+	return recs
+}
+
 func randFrame(rng *rand.Rand) *Frame {
 	types := allMsgTypes()
 	statuses := allStatuses()
@@ -58,19 +76,58 @@ func randFrame(rng *rand.Rand) *Frame {
 		Req:    rng.Uint64(),
 		Local:  int32(rng.Uint32()),
 		Extra:  int32(rng.Uint32()),
-		Tx:     i64(), Stamp: i64(), Stamp2: i64(), Gen: i64(),
+		Tx:     i64(), Stamp: i64(), Gen: i64(),
 		Proc: randString(rng, 64), Origin: randString(rng, 64),
 		Service: randString(rng, 64), Subsystem: randString(rng, 64),
-		Victim: randString(rng, 64), Err: randString(rng, 128),
+		Err: randString(rng, 128), Records: randRecords(rng, 6),
+	}
+}
+
+// transitionReplies are the replies of the nine transitions that were
+// message types of their own while the node ran the second half of each:
+// what they said in fixed frame fields they now say as stamped records
+// on a dispatch reply. Named as the messages were.
+func transitionReplies() []struct {
+	name string
+	f    *Frame
+} {
+	rec := func(typ wal.RecType, stamp int64) wal.Record {
+		return wal.Record{Type: typ, Proc: "W1+r2", Local: 4, Service: "rm0/c1", Subsystem: "rm0", Tx: 9, Stamp: stamp}
+	}
+	proc := func(typ wal.RecType, stamp int64) wal.Record {
+		return wal.Record{Type: typ, Proc: "W1+r2", Stamp: stamp}
+	}
+	with := func(r wal.Record, set func(*wal.Record)) wal.Record { set(&r); return r }
+	reply := func(st Status, recs ...wal.Record) *Frame {
+		return &Frame{Type: MsgResponse, Status: st, Epoch: 2, Gen: recs[len(recs)-1].Stamp, Records: recs}
+	}
+	done := reply(StDone, with(proc(wal.RecTerminate, 61), func(r *wal.Record) { r.Committed = true }))
+	done.Extra, done.Flag = ReattachCommitted, false
+	return []struct {
+		name string
+		f    *Frame
+	}{
+		{"commit-local", reply(StOK, with(rec(wal.RecResolved, 43), func(r *wal.Record) { r.Commit = true }))},
+		{"step-dispatch", reply(StOK, with(rec(wal.RecDispatch, 44), func(r *wal.Record) { r.Subsystem, r.Tx = "", 0 }),
+			rec(wal.RecCompensate, 45))},
+		{"step-commit", reply(StOK, with(rec(wal.RecOutcome, 46), func(r *wal.Record) { r.Outcome = "committed" }))},
+		{"failed", reply(StOK, with(rec(wal.RecFailed, 47), func(r *wal.Record) { r.Subsystem, r.Tx = "", 0 }))},
+		{"abort-tx", reply(StOK, rec(wal.RecResolved, 48))},
+		{"abort-begin", reply(StOK, proc(wal.RecAbortBegin, 49))},
+		{"commit-clear", reply(StOK, proc(wal.RecDecision, 50))},
+		{"resolve", reply(StOK, with(rec(wal.RecResolved, 51), func(r *wal.Record) { r.Commit = true }),
+			with(rec(wal.RecResolved, 52), func(r *wal.Record) { r.Commit, r.Local = true, 5 }))},
+		{"terminate", done},
 	}
 }
 
 // TestWireRoundTrip is the codec property test: for every message
-// type — including the zero-value frame of the type and a frame with
-// every string at MaxString and extreme integer values — and for a
-// large randomized sample, encode→decode must reproduce the frame
-// exactly, both at the payload layer and through the length-prefixed
-// stream layer.
+// type — including the zero-value frame of the type, a frame with
+// every string at MaxString and extreme integer values and one with
+// MaxRecords records — for the reply of every transition that once was
+// a message, and for a large randomized sample, encode→decode must
+// reproduce the frame exactly, both at the payload layer and through
+// the length-prefixed stream layer.
 func TestWireRoundTrip(t *testing.T) {
 	check := func(t *testing.T, f *Frame) {
 		t.Helper()
@@ -112,11 +169,25 @@ func TestWireRoundTrip(t *testing.T) {
 				Type: typ, Status: statusMax, Kind: 255, Flag: true, Flag2: true,
 				Node: math.MaxUint32, Epoch: math.MaxUint32, Req: math.MaxUint64,
 				Local: math.MinInt32, Extra: math.MaxInt32,
-				Tx: math.MinInt64, Stamp: math.MaxInt64, Stamp2: -1, Gen: math.MinInt64,
+				Tx: math.MinInt64, Stamp: math.MaxInt64, Gen: math.MinInt64,
 				Proc: maxStr, Origin: maxStr, Service: maxStr,
-				Subsystem: maxStr, Victim: maxStr, Err: maxStr,
+				Subsystem: maxStr, Err: maxStr,
+				Records: []wal.Record{{
+					Type: wal.RecTerminate, Proc: maxStr, Local: math.MinInt32, Service: maxStr,
+					Subsystem: maxStr, Tx: math.MinInt64, Outcome: maxStr, Committed: true, Commit: true, Stamp: math.MaxInt64,
+				}},
 			})
+			// A full record list.
+			full := &Frame{Type: typ, Records: make([]wal.Record, MaxRecords)}
+			for i := range full.Records {
+				full.Records[i] = wal.Record{Type: wal.RecResolved, Proc: "W1", Local: i, Stamp: int64(i + 1), Commit: true}
+			}
+			check(t, full)
 		})
+	}
+
+	for _, tr := range transitionReplies() {
+		t.Run(tr.name, func(t *testing.T) { check(t, tr.f) })
 	}
 
 	rng := rand.New(rand.NewSource(42))
@@ -159,15 +230,61 @@ func TestWireRejectsMalformed(t *testing.T) {
 
 	// A string length claiming more than MaxString is rejected even
 	// when the payload is big enough to hold it.
-	long := &Frame{Type: MsgHello}
-	enc := EncodePayload(long)
-	enc[fixedHeader] = 0xFF // Proc length low byte
-	enc[fixedHeader+1] = 0xFF
-	if _, err := DecodePayload(append(enc, make([]byte, 70000)...)); err != ErrFrameTooLarge {
-		// Oversize total wins first; shrink to stay under MaxFrame.
-		padded := append(enc, make([]byte, MaxFrame-len(enc)-10)...)
-		if _, err := DecodePayload(padded); err != ErrBadString {
-			t.Errorf("oversize string length: got %v, want %v", err, ErrBadString)
+	enc := EncodePayload(&Frame{Type: MsgHello})
+	binary.LittleEndian.PutUint16(enc[fixedHeader:], 0xFFFF) // Proc length
+	if _, err := DecodePayload(append(enc, make([]byte, MaxFrame-len(enc)-10)...)); err != ErrBadString {
+		t.Errorf("oversize string length: got %v, want %v", err, ErrBadString)
+	}
+
+	// The record list is outside input like the rest of the frame.
+	rec := wal.Record{Type: wal.RecOutcome, Proc: "W1", Local: 2, Service: "svc", Subsystem: "rm", Tx: 5, Outcome: "prepared", Stamp: 8}
+	withRecs := EncodePayload(&Frame{Type: MsgResponse, Status: StOK, Records: []wal.Record{rec, rec}})
+	count := len(EncodePayload(&Frame{Type: MsgResponse, Status: StOK})) - 1 // offset of the record count
+	oneRec := (len(withRecs) - count - 1) / 2
+	patch := func(at int, v ...byte) []byte {
+		b := append([]byte{}, withRecs...)
+		copy(b[at:], v)
+		return b
+	}
+	for _, tc := range []struct {
+		name string
+		b    []byte
+		want error
+	}{
+		{"count-missing", withRecs[:count], ErrTruncated},
+		{"list-truncated-between-records", withRecs[:count+1+oneRec], ErrTruncated},
+		{"list-truncated-in-header", withRecs[:count+1+oneRec+5], ErrTruncated},
+		{"list-truncated-in-string", withRecs[:len(withRecs)-2], ErrTruncated},
+		{"count-understates", patch(count, 1), ErrTrailing},
+		{"record-type", patch(count+1, byte(wal.RecCheckpoint)), ErrBadRecord},
+		{"record-flags", patch(count+2, 4), ErrBadRecord},
+		{"record-string-oversize", patch(count+1+recordHeader, 0xFF, 0xFF), ErrBadString},
+	} {
+		if _, err := DecodePayload(tc.b); err != tc.want {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
+	}
+
+	// A count that overruns MaxFrame: 255 records claimed, two present,
+	// garbage up to MaxFrame behind them. Rejected at the first malformed
+	// record, having allocated for the records actually parsed — not for
+	// the claimed count.
+	overrun := append(patch(count, 255), bytes.Repeat([]byte{0xFF}, MaxFrame-len(withRecs))...)
+	var err error
+	allocs := testing.AllocsPerRun(20, func() { _, err = DecodePayload(overrun) })
+	if err != ErrBadRecord {
+		t.Errorf("count overrunning MaxFrame: got %v, want %v", err, ErrBadRecord)
+	}
+	if allocs > 20 {
+		t.Errorf("decoding an overrunning count allocated %.0f times; the list must grow by records parsed", allocs)
+	}
+	if _, err := DecodePayload(overrun[:len(withRecs)]); err != ErrTruncated {
+		t.Errorf("count overrunning the payload: got %v, want %v", err, ErrTruncated)
+	}
+
+	// More records than the count byte can say never reach the wire.
+	tooMany := &Frame{Type: MsgResponse, Records: make([]wal.Record, MaxRecords+1)}
+	if err := WriteFrame(&bytes.Buffer{}, tooMany); err != ErrFrameTooLarge {
+		t.Errorf("writing %d records: got %v, want %v", len(tooMany.Records), err, ErrFrameTooLarge)
 	}
 }

@@ -26,7 +26,9 @@ type Host interface {
 	// ForceLog writes a record ahead of the state change it announces.
 	// false means the record did not reach the log: the transition stops
 	// without applying the change, and the host ends the run for its own
-	// reason (append error, injected crash, run already stopped).
+	// reason (append error, injected crash, run already stopped) — or,
+	// when its log is a round trip away (the hub), makes the same call
+	// again once the append is acknowledged.
 	ForceLog(rec wal.Record) bool
 	// Now is the host clock in virtual ticks, for traces and outcomes.
 	Now() int64
@@ -402,43 +404,61 @@ func (d *Driver) CommitsNow(p *Proc, kind activity.Kind) bool {
 	return !d.Pol.HasActiveConflictPred(d, p.ID)
 }
 
+// outcomeRecord is the write-ahead record of an invocation that left a
+// prepared local transaction. It carries the subsystem and transaction id
+// so that a crash between the force-log and the commit of a recovery step
+// is repaired by recovery's redo rule (Analyze collects these into
+// ProcImage.RedoCommit) instead of presuming abort.
+func outcomeRecord(p *Proc, w Work, sub *subsystem.Subsystem, tx subsystem.TxID) wal.Record {
+	rec := wal.Record{
+		Type: wal.RecOutcome, Proc: string(p.ID), Local: w.Local, Service: w.Service,
+		Subsystem: sub.Name(), Tx: int64(tx), Outcome: "prepared",
+	}
+	switch {
+	case w.IsStep && w.Step.Kind == process.StepCompensate:
+		rec.Type, rec.Outcome = wal.RecCompensate, ""
+	case w.IsStep:
+		rec.Outcome = "committed"
+	}
+	return rec
+}
+
 // Complete handles a finished invocation; res is nil when it failed.
 func (d *Driver) Complete(p *Proc, w Work, res *subsystem.Result) error {
-	d.Undispatch(p, w)
-	d.Reg.ObserveService(w.Service, d.Cost(w.Service))
 	sub, _ := d.Fed.Owner(w.Service)
-	if w.IsStep {
-		return d.completeStep(p, w, sub, res)
-	}
 	// Orphaned completion: while the invocation was in flight, its
 	// branch was abandoned or the process began aborting (a parallel
-	// sibling failed). The outcome is discarded; a successful local
-	// transaction is rolled back — atomicity guarantees no effects.
-	if p.Inst.Status(w.Local) != process.Pending {
+	// sibling failed).
+	orphaned := !w.IsStep && p.Inst.Status(w.Local) != process.Pending
+	// Success: the local transaction is prepared at the subsystem. Until
+	// the record is in the log the transaction stays in doubt — recovery
+	// presumes an in-doubt transaction without a record aborted — and
+	// the invocation stays in flight: nothing below has happened, so a
+	// host whose log refused for now may call Complete again.
+	if res != nil && !orphaned && !d.Host.ForceLog(outcomeRecord(p, w, sub, res.Tx)) {
+		return nil
+	}
+	d.Undispatch(p, w)
+	d.Reg.ObserveService(w.Service, d.Cost(w.Service))
+	switch {
+	case w.IsStep:
+		return d.completeStep(p, w, sub, res)
+	case orphaned:
+		// The outcome is discarded; a successful local transaction is
+		// rolled back — atomicity guarantees no effects.
 		if res != nil {
 			d.rollback(p, w.Local, PreparedTx{Sub: sub, Tx: res.Tx, Service: w.Service}, metrics.RollbacksOrphaned, "orphaned completion")
 		}
 		return nil
-	}
-	if res == nil {
-		if w.Kind.GuaranteedToCommit() {
-			// Transient failure of a retriable activity: re-invoke.
-			d.Metrics.Retries++
-			d.Reg.Inc(metrics.RetriesTransient)
-			d.trace(metrics.TRetry, p, w.Local, w.Service, "")
-			d.Host.ForceLog(wal.Record{Type: wal.RecOutcome, Proc: string(p.ID), Local: w.Local, Service: w.Service, Outcome: "aborted"})
-			return nil
-		}
-		return d.permanentFailure(p, w)
-	}
-	// Success: the local transaction is prepared at the subsystem. Until
-	// the record is in the log the transaction stays in doubt, and
-	// recovery presumes an in-doubt transaction without a record aborted.
-	if !d.Host.ForceLog(wal.Record{
-		Type: wal.RecOutcome, Proc: string(p.ID), Local: w.Local, Service: w.Service,
-		Subsystem: sub.Name(), Tx: int64(res.Tx), Outcome: "prepared",
-	}) {
+	case res == nil && w.Kind.GuaranteedToCommit():
+		// Transient failure of a retriable activity: re-invoke.
+		d.Metrics.Retries++
+		d.Reg.Inc(metrics.RetriesTransient)
+		d.trace(metrics.TRetry, p, w.Local, w.Service, "")
+		d.Host.ForceLog(wal.Record{Type: wal.RecOutcome, Proc: string(p.ID), Local: w.Local, Service: w.Service, Outcome: "aborted"})
 		return nil
+	case res == nil:
+		return d.permanentFailure(p, w)
 	}
 	ev := &policy.Event{
 		Seq: d.Host.NextSeq(), Proc: p.ID, Local: w.Local, Service: w.Service, Kind: w.Kind, Typ: schedule.Invoke,
@@ -475,7 +495,9 @@ func (d *Driver) Complete(p *Proc, w Work, res *subsystem.Result) error {
 	return nil
 }
 
-// completeStep finishes a recovery-step invocation.
+// completeStep finishes a recovery-step invocation whose record, if it
+// succeeded, is in the log: a crash before the log write leaves an orphan
+// that recovery presumes aborted, and the step is re-executed.
 func (d *Driver) completeStep(p *Proc, w Work, sub *subsystem.Subsystem, res *subsystem.Result) error {
 	if res == nil {
 		// Compensations and forward-recovery activities are retriable;
@@ -483,23 +505,6 @@ func (d *Driver) completeStep(p *Proc, w Work, sub *subsystem.Subsystem, res *su
 		d.Metrics.Retries++
 		d.Reg.Inc(metrics.RetriesTransient)
 		d.trace(metrics.TRetry, p, w.Local, w.Service, "recovery step")
-		return nil
-	}
-	// Log the step outcome, then commit its local transaction. The
-	// record carries the subsystem and transaction id so that a crash
-	// in the window between the force-log and the commit is repaired by
-	// recovery's redo rule (Analyze collects these into
-	// ProcImage.RedoCommit) instead of presuming abort; a crash before
-	// the log write leaves an orphan that recovery presumes aborted, and
-	// the step is re-executed.
-	rec := wal.Record{
-		Type: wal.RecCompensate, Proc: string(p.ID), Local: w.Local, Service: w.Service,
-		Subsystem: sub.Name(), Tx: int64(res.Tx),
-	}
-	if w.Step.Kind == process.StepInvoke {
-		rec.Type, rec.Outcome = wal.RecOutcome, "committed"
-	}
-	if !d.Host.ForceLog(rec) {
 		return nil
 	}
 	if err := sub.CommitPrepared(res.Tx); err != nil {

@@ -1,12 +1,14 @@
 package scheduler_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 
 	"transproc/internal/activity"
+	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/scheduler"
 	"transproc/internal/scheduler/policy"
@@ -216,8 +218,9 @@ func procImage(p *scheduler.Proc) string {
 }
 
 // TestDriverRefusedForceLog: a host that refuses the append leaves the
-// Proc, the policy state and the subsystem untouched, for every
-// transition that announces its change in the log first.
+// Proc (a completing invocation still registered in flight), the policy
+// state and the subsystem untouched, for every transition that announces
+// its change in the log first.
 func TestDriverRefusedForceLog(t *testing.T) {
 	refuseAll := func(wal.Record) bool { return true }
 	cases := []struct {
@@ -247,7 +250,6 @@ func TestDriverRefusedForceLog(t *testing.T) {
 			wk := scheduler.Work{Local: 1, Service: "qc", Kind: activity.Compensatable}
 			w.host.refuse = nil
 			res := w.invoke(t, p, wk)
-			w.d.Undispatch(p, wk) // Complete's first act; not what is under test
 			w.host.refuse = refuseAll
 			before, events := procImage(p), len(w.d.Pol.Events())
 			if err := w.d.Complete(p, wk, res); err != nil {
@@ -269,7 +271,6 @@ func TestDriverRefusedForceLog(t *testing.T) {
 			wk := p.StepWork(p.Recovery[0])
 			w.host.refuse = nil
 			res := w.invoke(t, p, wk)
-			w.d.Undispatch(p, wk)
 			w.host.refuse = refuseAll
 			before, events := procImage(p), len(w.d.Pol.Events())
 			if err := w.d.Complete(p, wk, res); err != nil {
@@ -314,6 +315,137 @@ func TestDriverRefusedForceLog(t *testing.T) {
 			c.run(t, w, p)
 			if w.host.seq != seq {
 				t.Fatalf("%d sequence numbers granted to a refused transition", w.host.seq-seq)
+			}
+		})
+	}
+}
+
+// hostLog is a 2PC coordinator log that force-logs through the host, as
+// the hub's does.
+type hostLog struct{ h *fakeHost }
+
+func (l hostLog) Append(rec wal.Record) (int64, error) {
+	if !l.h.ForceLog(rec) {
+		return 0, errors.New("refused")
+	}
+	return 1, nil
+}
+func (l hostLog) Records() ([]wal.Record, error) { return nil, nil }
+func (l hostLog) Close() error                   { return nil }
+
+// TestDriverParkedTransitionReenters: the three write-ahead records — a
+// "prepared" outcome, a recovery-step record, the 2PC decision — are the
+// ones a subsystem commit follows. A host whose log is a round trip away
+// refuses each once and makes the same call again when the append is
+// acknowledged; the transition is then applied exactly once: one policy
+// event, one subsystem commit, every counter counted once.
+func TestDriverParkedTransitionReenters(t *testing.T) {
+	type world struct {
+		*driverWorld
+		reg *metrics.Registry
+	}
+	cases := []struct {
+		name   string
+		refuse func(wal.Record) bool
+		// setup brings the world to the transition and returns the call
+		// the host makes twice.
+		setup func(t *testing.T, w world) (call func() error)
+		// events is how many policy events the transition appends (the
+		// 2PC commit finalizes its tentative event in place); service is
+		// the one whose histogram it observes.
+		events  int
+		service string
+		applied func(w world) bool
+	}{
+		{"prepared outcome", func(r wal.Record) bool { return r.Outcome == "prepared" },
+			func(t *testing.T, w world) func() error {
+				q := w.admit(t, procQ(), 0)
+				wk := scheduler.Work{Local: 1, Service: "qc", Kind: activity.Compensatable}
+				res := w.invoke(t, q, wk)
+				return func() error { return w.d.Complete(q, wk, res) }
+			}, 1, "qc",
+			func(w world) bool {
+				return w.d.Get("Q").Inst.Status(1) == process.Committed && w.reg.Counter(metrics.CommitsImmediate) == 1
+			}},
+		{"recovery step", func(r wal.Record) bool { return r.Type == wal.RecCompensate },
+			func(t *testing.T, w world) func() error {
+				q := w.admit(t, procQ(), 0)
+				w.run(t, q, 1)
+				q.AbortPending = true
+				if err := w.d.BeginAbort(q); err != nil {
+					t.Fatal(err)
+				}
+				wk := q.StepWork(q.Recovery[0])
+				res := w.invoke(t, q, wk)
+				return func() error { return w.d.Complete(q, wk, res) }
+			}, 1, "qc⁻¹",
+			func(w world) bool {
+				q := w.d.Get("Q")
+				return q.Inst.Status(1) == process.Compensated && len(q.Recovery) == 0 && w.reg.Counter(metrics.CompensationsIssued) == 1
+			}},
+		{"2PC decision", func(r wal.Record) bool { return r.Type == wal.RecDecision },
+			func(t *testing.T, w world) func() error {
+				q, p := w.admit(t, procQ(), 0), w.admit(t, procP(), 1)
+				w.run(t, q, 1)
+				w.run(t, p, 1)
+				w.run(t, p, 2) // deferred behind Q
+				if !w.d.Terminate(q, true) {
+					t.Fatal("terminate refused")
+				}
+				return func() error { _, err := w.d.CommitPreparedSet(p); return err }
+			}, 0, "",
+			func(w world) bool {
+				p := w.d.Get("P")
+				return p.Inst.Status(2) == process.Committed && len(p.Prepared) == 0 &&
+					w.reg.Counter(metrics.TwoPCDecisions) == 1 && w.reg.Counter(metrics.DeferredCommitted2PC) == 1
+			}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := world{newDriverWorld(t), metrics.New()}
+			w.d.Reg = w.reg
+			w.d.Coord = twopc.New(hostLog{w.host})
+			w.d.Coord.Metrics = w.reg
+			call := c.setup(t, w)
+
+			parked := false
+			w.host.refuse = func(r wal.Record) bool {
+				if parked || !c.refuse(r) {
+					return false
+				}
+				parked = true
+				return true
+			}
+			image := func() string {
+				snap := w.reg.Snapshot()
+				s := fmt.Sprint(len(w.d.Pol.Events()), inDoubt(w.host.fed), w.host.seq, snap.Counters, snap.Services)
+				for _, p := range w.d.All() {
+					s += procImage(p)
+				}
+				return s
+			}
+			before, events, doubt := image(), len(w.d.Pol.Events()), inDoubt(w.host.fed)
+			_ = call() // a refusing coordinator log surfaces as an error
+			if !parked {
+				t.Fatal("the transition never asked for its write-ahead record")
+			}
+			if after := image(); after != before {
+				t.Fatalf("the refused call moved something:\n%s\n%s", before, after)
+			}
+			if err := call(); err != nil {
+				t.Fatalf("re-entered call: %v", err)
+			}
+			if !c.applied(w) {
+				t.Errorf("transition not applied once: %s", image())
+			}
+			if got := len(w.d.Pol.Events()) - events; got != c.events {
+				t.Errorf("%d policy events appended, want %d", got, c.events)
+			}
+			if got := doubt - inDoubt(w.host.fed); got != 1 {
+				t.Errorf("%d subsystem transactions resolved, want 1", got)
+			}
+			if c.service != "" && w.reg.Snapshot().Services[c.service].Count != 1 {
+				t.Errorf("service %s observed %d times, want 1", c.service, w.reg.Snapshot().Services[c.service].Count)
 			}
 		})
 	}

@@ -80,11 +80,11 @@ func (c *Coordinator) CommitAll(proc string, parts []Participant) error {
 	if len(parts) == 0 {
 		return nil
 	}
-	c.Metrics.Inc(metrics.TwoPCDecisions)
-	c.Metrics.Observe(metrics.HistPreparedSet, int64(len(parts)))
 	if _, err := c.log.Append(wal.Record{Type: wal.RecDecision, Proc: proc}); err != nil {
 		return fmt.Errorf("twopc: logging decision for %s: %w", proc, err)
 	}
+	c.Metrics.Inc(metrics.TwoPCDecisions)
+	c.Metrics.Observe(metrics.HistPreparedSet, int64(len(parts)))
 	if c.CrashAfterDecision {
 		return ErrCrashed
 	}
