@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short loc layers bench-check experiments experiments-check race diff torture chaos fed serve coverage-floor bench fuzz-smoke ci
+.PHONY: build test test-short loc layers grammar bench-check experiments experiments-check race diff torture chaos fed serve coverage-floor bench fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,13 @@ loc:
 layers:
 	@bad=$$($(GO) list -deps ./internal/scheduler ./internal/runtime ./internal/federation ./internal/serve | grep -E 'internal/(fault|chaos|battery)$$'); \
 	if [ -n "$$bad" ]; then echo "product packages depend on:" $$bad >&2; exit 1; fi
+
+# One incarnation-id grammar (process.ID: Origin, Restart, Lineage): no
+# product file outside internal/process prints a "+rN" suffix or splits
+# an id at '+' (internal/fault keeps the oracle's own parser).
+grammar:
+	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' "\"\+r|%s\+r%d|IndexByte\(.*'\+'" internal cmd | grep -vE '^internal/(process|fault)/'); \
+	if [ -n "$$bad" ]; then echo "incarnation-id grammar outside internal/process:" >&2; echo "$$bad" >&2; exit 1; fi
 
 # The benchmark is its own module (bench/) compiled against this tree:
 # a signature change in wal/serve/federation must break here, not in
@@ -98,7 +105,7 @@ fed:
 # shedding, budget exhaustion) against the real HTTP server.
 serve:
 	GOMAXPROCS=4 $(GO) test -race -v ./internal/serve
-	GOMAXPROCS=4 $(BATTERY) TestRestartResumeDifferential
+	GOMAXPROCS=4 $(BATTERY) 'TestRestartResumeDifferential|TestRestartPastPivotRunsOnce'
 	GOMAXPROCS=4 $(BATTERY) 'TestBattery/serve$$' -battery.count=200
 
 # Coverage floor for the recovery-critical packages.
@@ -120,4 +127,4 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzFreeSpaceMap -fuzztime 30s -run '^$$' ./internal/store
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s -run '^$$' ./internal/federation
 
-ci: build layers test bench-check experiments-check race diff torture chaos fed serve coverage-floor
+ci: build layers grammar test bench-check experiments-check race diff torture chaos fed serve coverage-floor

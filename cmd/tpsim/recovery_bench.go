@@ -205,17 +205,13 @@ func recoveryFixture(size int, withCkpt, durable bool, dir string) (recoveryStat
 	}
 
 	startT := time.Now()
-	if durable {
-		rep, err := scheduler.RecoverDurable(w.Fed, rlog, defs, nil)
-		if err != nil {
-			return st, fmt.Errorf("durable recovery: %w", err)
-		}
-		st.RedoItems = rep.RedoItems
-		st.FlushedPages = rep.FlushedPages
-	} else if _, err := scheduler.Recover(w.Fed, rlog, defs); err != nil {
+	rep, err := scheduler.RecoverDurable(w.Fed, rlog, defs, nil)
+	if err != nil {
 		return st, fmt.Errorf("recovery: %w", err)
 	}
 	st.RecoverMillis = float64(time.Since(startT).Microseconds()) / 1000
+	st.RedoItems = rep.RedoItems
+	st.FlushedPages = rep.FlushedPages
 	if durable {
 		// Storage-level post-conditions: no torn page, no stale intent,
 		// pages byte-equal to the sequential oracle.

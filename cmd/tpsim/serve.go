@@ -80,7 +80,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	if rep := s.RecoveryReport(); rep != nil {
+	if len(s.RecoveryReport().Fates) > 0 {
 		fresh, reruns := s.Resumed()
 		fmt.Printf("serve: recovered %s: %d parked submissions resumed, %d crash-interrupted re-run\n",
 			*dir, fresh, reruns)

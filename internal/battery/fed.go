@@ -3,7 +3,6 @@ package battery
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"transproc/internal/chaos"
 	"transproc/internal/fault"
@@ -208,21 +207,13 @@ func altsFired(res *federation.RunResult, rules []fault.SubsystemFail, c *federa
 	failed := make(map[string]bool)
 	for _, r := range recs {
 		if r.Type == wal.RecFailed {
-			origin := r.Proc
-			if i := strings.IndexByte(origin, '+'); i >= 0 {
-				origin = origin[:i]
-			}
-			failed[origin] = true
+			failed[string(process.ID(r.Proc).Origin())] = true
 		}
 	}
 	committed := make(map[string]bool)
 	for id, out := range res.Outcomes {
-		origin := string(id)
-		if i := strings.IndexByte(origin, '+'); i >= 0 {
-			origin = origin[:i]
-		}
 		if out.Committed {
-			committed[origin] = true
+			committed[string(id.Origin())] = true
 		}
 	}
 	for _, r := range rules {

@@ -398,7 +398,20 @@ func checkSettled(s *serve.Server, crashLSNs []int64) error {
 	if err != nil {
 		return fmt.Errorf("reading final log: %w", err)
 	}
-	recs := wal.Expand(raw).Records
+	exp := wal.Expand(raw)
+	recs := exp.Records
+	// Once per submission: at most one incarnation of an origin keeps
+	// committed work no compensation undid. A second one is a submission
+	// executed twice, which the accounting below cannot see — both
+	// executions are in the log it counts.
+	standing := make(map[process.ID]process.ID)
+	for _, i := range wal.EffectiveCommits(recs, nil) {
+		id := process.ID(recs[i].Proc)
+		if prev, ok := standing[id.Origin()]; ok && prev != id {
+			return fmt.Errorf("submission %s executed twice: the work of %s and of %s stands", id.Origin(), prev, id)
+		}
+		standing[id.Origin()] = id
+	}
 	table, err := s.Federation().ConflictTable()
 	if err != nil {
 		return err
@@ -423,7 +436,7 @@ func checkSettled(s *serve.Server, crashLSNs []int64) error {
 	// summaries included).
 	fed := s.Federation()
 	want := make(map[string]int64)
-	if exp := wal.Expand(raw); exp.Checkpoint != nil {
+	if exp.Checkpoint != nil {
 		for svc, n := range exp.Checkpoint.AppliedSvc {
 			spec, ok := fed.Spec(svc)
 			if !ok {

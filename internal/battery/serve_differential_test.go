@@ -3,10 +3,13 @@ package battery
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"testing"
 
 	"transproc/internal/fault"
 	"transproc/internal/serve"
+	"transproc/internal/spec"
+	"transproc/internal/wal"
 )
 
 // TestRestartResumeDifferential is the restart-resume differential: a
@@ -157,5 +160,92 @@ func runDifferential(t *testing.T, seed int64) {
 	// invariants: PRED and exactly-once effects across the crash.
 	if err := checkSettled(final, crashLSNs); err != nil {
 		t.Errorf("seed %d: %v", seed, err)
+	}
+}
+
+// TestRestartPastPivotRunsOnce kills a server at every WAL record of
+// one submission — book (compensatable) → charge (pivot) → confirm
+// (retriable) — and reopens the directory. Whatever the crash position,
+// the submission ends committed with every data item written exactly
+// once. When the crash fell after the pivot committed, recovery
+// completes the process forward (Definition 8.2b) and restart seals that
+// verdict: re-running it as a new incarnation would execute it twice.
+func TestRestartPastPivotRunsOnce(t *testing.T) {
+	trip := serve.SubmitRequest{Tenant: "a", Proc: spec.ProcessSpec{
+		ID: "trip",
+		Activities: []spec.ActivitySpec{
+			{Local: 1, Service: "book"}, {Local: 2, Service: "charge"}, {Local: 3, Service: "confirm"},
+		},
+		Seq: [][2]int{{1, 2}, {2, 3}},
+	}}
+	pastPivot := 0
+	for budget := 1; budget <= 12; budget++ {
+		fed, err := spec.BuildFederation([]spec.SubsystemSpec{
+			{Name: "hotel", Seed: 1, Services: []spec.ServiceSpec{
+				{Name: "book", Kind: "compensatable", Writes: []string{"rooms"}, Cost: 1},
+				{Name: "confirm", Kind: "retriable", Writes: []string{"mail"}, Cost: 1},
+			}},
+			{Name: "pay", Seed: 2, Services: []spec.ServiceSpec{
+				{Name: "charge", Kind: "pivot", Writes: []string{"ledger"}, Cost: 1},
+			}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		dir := t.TempDir()
+		srv, err := serve.Open(fed, serve.Config{Dir: dir, NoSync: true,
+			WrapLog: func(l wal.Log) wal.Log { return fault.WrapWAL(l, budget) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if codes := submitAll("http://"+addr, []serve.SubmitRequest{trip}, false); codes[0] != http.StatusAccepted {
+			t.Fatalf("budget %d: submit: %d", budget, codes[0])
+		}
+		srv.WaitIdle(serveWait)
+		srv.Close()
+		// Was the process past its pivot, and unterminated, at the crash?
+		forward := false
+		if _, crashed := srv.Crashed(); crashed {
+			recs, err := srv.Log().Records()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, r := range recs {
+				forward = forward || r.Local == 2 &&
+					(r.Type == wal.RecOutcome && r.Outcome == "committed" || r.Type == wal.RecResolved && r.Commit)
+				forward = forward && r.Type != wal.RecTerminate
+			}
+		}
+
+		rs, err := serve.Open(fed, serve.Config{Dir: dir, NoSync: true})
+		if err != nil {
+			t.Fatalf("budget %d: reopen: %v", budget, err)
+		}
+		if !rs.WaitIdle(serveWait) {
+			t.Fatalf("budget %d: never idle after reopen", budget)
+		}
+		st, _ := rs.StatusOf("a/trip")
+		if !st.Final || !st.Committed {
+			t.Errorf("budget %d: status after reopen: %+v", budget, st)
+		}
+		if got := fed.Snapshot(); got["hotel/rooms"] != 1 || got["pay/ledger"] != 1 || got["hotel/mail"] != 1 {
+			t.Errorf("budget %d: items after reopen %v, want each exactly 1 (runId %s)", budget, got, st.RunID)
+		}
+		if forward {
+			pastPivot++
+			_, reruns := rs.Resumed()
+			if st.RunID != st.ID || reruns != 0 || !slices.Contains(rs.RecoveryReport().ForwardRecovered, "a/trip") {
+				t.Errorf("budget %d: crash past the pivot: runId %s, %d reruns, report %+v; want no rerun and a/trip forward-recovered",
+					budget, st.RunID, reruns, rs.RecoveryReport())
+			}
+		}
+		rs.Close()
+	}
+	if pastPivot == 0 {
+		t.Error("no budget crashed the submission past its pivot")
 	}
 }

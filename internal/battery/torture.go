@@ -483,10 +483,8 @@ func runTortureScenario(sc TortureScenario, dir string) error {
 				if err := reopenStores(rfed, sc, dir, rw, recInj); err != nil {
 					return fmt.Errorf("reopening stores for interrupted recovery: %w", err)
 				}
-				_, e := scheduler.RecoverDurable(rfed, rw, rdefs, nil)
-				return e
 			}
-			_, e := scheduler.Recover(rfed, rw, rdefs)
+			_, e := scheduler.RecoverDurable(rfed, rw, rdefs, nil)
 			return e
 		})
 		if rerr != nil {
@@ -509,10 +507,8 @@ func runTortureScenario(sc TortureScenario, dir string) error {
 			return fmt.Errorf("seed %d (%s): reopening stores: %w", sc.Seed, sc.Class, err)
 		}
 		fed, defs = ffed, fdefs
-		if _, err := scheduler.RecoverDurable(fed, recLog, defs, nil); err != nil {
-			return fmt.Errorf("seed %d (%s): recovery: %w", sc.Seed, sc.Class, err)
-		}
-	} else if _, err := scheduler.Recover(fed, recLog, defs); err != nil {
+	}
+	if _, err := scheduler.RecoverDurable(fed, recLog, defs, nil); err != nil {
 		return fmt.Errorf("seed %d (%s): recovery: %w", sc.Seed, sc.Class, err)
 	}
 

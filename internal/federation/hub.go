@@ -730,7 +730,7 @@ func (h *Hub) handleReattach(req *Frame) *Frame {
 			out.Extra = ReattachCommitted
 		} else {
 			out.Extra = ReattachAborted
-			h.maybeGrantRestart(req, scheduler.Origin(id), out)
+			h.maybeGrantRestart(req, id.Origin(), out)
 		}
 		return out
 	}
@@ -762,7 +762,7 @@ func (h *Hub) maybeGrantRestart(req *Frame, origin process.ID, out *Frame) {
 	h.maxSuffix[string(origin)] = suffix
 	h.pending[string(origin)] = true
 	out.Flag = true
-	out.Proc = fmt.Sprintf("%s+r%d", origin, suffix)
+	out.Proc = string(origin.Restart(suffix))
 }
 
 // handleIdle is cluster-wide stall detection. A node reports the
@@ -1059,7 +1059,7 @@ func (h *Hub) adoptOrphans(node uint32) {
 		suffix := h.maxSuffix[string(hp.Origin)] + 1
 		h.maxSuffix[string(hp.Origin)] = suffix
 		h.pending[string(hp.Origin)] = true
-		newID := process.ID(fmt.Sprintf("%s+r%d", hp.Origin, suffix))
+		newID := hp.Origin.Restart(suffix)
 		dst := survivors[adopted%len(survivors)]
 		h.nodes[dst].adopts = append(h.nodes[dst].adopts, adoptOffer{
 			origin: hp.Origin, id: newID, arrival: hp.Arrival,

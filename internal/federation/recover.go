@@ -2,8 +2,6 @@ package federation
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 
 	"transproc/internal/metrics"
 	"transproc/internal/process"
@@ -112,47 +110,16 @@ func ReopenHub(fed *subsystem.Federation, defs []*process.Process, logs []wal.Lo
 		tail[i].Stamp = h.next()
 	}
 
-	// Recovered fates (every process in the history is terminal now) and
-	// the restart-suffix floor, so post-reopen grants never collide with
-	// pre-crash incarnation ids.
-	img, err := wal.Analyze(recs)
-	if err != nil {
-		return nil, nil, err
-	}
-	h.fates = make(map[process.ID]bool, len(img))
-	for name, im := range img {
-		id := process.ID(name)
-		h.fates[id] = im.Terminated && im.TerminatedCommitted
-		if s := restartSuffix(name); s > 0 {
-			origin := string(scheduler.Origin(id))
-			if s > h.maxSuffix[origin] {
-				h.maxSuffix[origin] = s
-			}
+	// Recovered fates (recovery's verdict on every incarnation in the
+	// history, all terminal now) and the restart-suffix floor, so
+	// post-reopen grants never collide with pre-crash incarnation ids.
+	h.fates = report.Fates
+	for id := range h.fates {
+		if origin := string(id.Origin()); id.Lineage() > h.maxSuffix[origin] {
+			h.maxSuffix[origin] = id.Lineage()
 		}
-	}
-	// The group abort's terminate records all read as abort completions,
-	// but a forward-recovered (F-REC) process completed PAST its pivot —
-	// its forward work stands, so its fate is committed. Getting this
-	// wrong would grant the origin a restart and double-execute a
-	// committed process.
-	for _, id := range report.ForwardRecovered {
-		h.fates[id] = true
 	}
 	h.reg.Inc(metrics.FedHubReopens)
 
 	return h, &ReopenReport{Log: log, Pre: pre, Report: report, Tail: tail}, nil
-}
-
-// restartSuffix parses the numeric suffix of a restart incarnation id
-// ("p3+r2" → 2); zero for an original incarnation.
-func restartSuffix(id string) int {
-	i := strings.LastIndex(id, "+r")
-	if i < 0 {
-		return 0
-	}
-	n, err := strconv.Atoi(id[i+2:])
-	if err != nil {
-		return 0
-	}
-	return n
 }

@@ -15,12 +15,46 @@ package process
 import (
 	"fmt"
 	"sort"
+	"strconv"
+	"strings"
 
 	"transproc/internal/activity"
 )
 
-// ID identifies a process, e.g. "P1".
+// ID identifies a process, e.g. "P1". An aborted process re-enters as a
+// restart incarnation under a derived id, origin(+rN)*: "P1+r2" is the
+// second restart of P1, "P1+r2+r1" the first restart an engine gave the
+// job it was handed as "P1+r2". A '+' never occurs in an origin.
 type ID string
+
+// Restart returns the id of the n-th restart incarnation of id.
+func (id ID) Restart(n int) ID { return id + ID("+r"+strconv.Itoa(n)) }
+
+// Origin strips every restart suffix ("P1+r2+r1" -> "P1"): the identity
+// under which subsystems track the process's locks and deterministic
+// failure rules, and under which a host folds its incarnations' fates.
+func (id ID) Origin() ID {
+	if i := strings.IndexByte(string(id), '+'); i >= 0 {
+		return id[:i]
+	}
+	return id
+}
+
+// Lineage is the number of the first restart suffix ("P1+r2+r1" -> 2,
+// zero for an origin). Whoever restarts an origin numbers past the
+// highest lineage it has seen; the restarts an engine nests below a job
+// it was handed stay in that job's lineage.
+func (id ID) Lineage() int {
+	rest, ok := strings.CutPrefix(string(id[len(id.Origin()):]), "+r")
+	if !ok {
+		return 0
+	}
+	if i := strings.IndexByte(rest, '+'); i >= 0 {
+		rest = rest[:i]
+	}
+	n, _ := strconv.Atoi(rest) // not a number: not a restart suffix
+	return n
+}
 
 // Activity is one activity a_{i_k} of a process: an invocation of a
 // service with a given termination guarantee. Local ids follow the

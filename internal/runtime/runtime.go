@@ -53,6 +53,7 @@ package runtime
 import (
 	"context"
 	"fmt"
+	"maps"
 	gort "runtime"
 	"sort"
 	"sync"
@@ -165,7 +166,6 @@ type Result struct {
 // them only under it).
 type member struct {
 	*scheduler.Proc
-	adm *admEntry
 
 	// lastEval is the group progress generation at which this process
 	// last found nothing to do; parked marks it blocked in cond.Wait;
@@ -200,13 +200,6 @@ type waitEntry struct {
 	gen       int64
 	arrival   int
 	abortable bool
-}
-
-// admEntry is the admission-control view of one admitted incarnation,
-// guarded by the admission mutex.
-type admEntry struct {
-	fp   []string
-	done bool
 }
 
 // shardGroup is one sharded serial section: the shared protocol driver
@@ -261,10 +254,11 @@ type Runtime struct {
 	gmu         sync.Mutex
 	gcond       *sync.Cond
 	err         error
-	active      int // admitted and not done, across all groups
 	completions int64
 	victims     int
-	admitted    []*admEntry
+	// admitted holds the footprints of the incarnations admitted and not
+	// done, across all groups.
+	admitted map[process.ID][]string
 
 	// Global wait graph (also under gmu): waits holds the registered
 	// wait-for disjunction of every parked process whose edges are
@@ -310,6 +304,7 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 		waits:          make(map[process.ID]*waitEntry),
 		pendingVictims: make(map[process.ID]bool),
 		liveByOrigin:   make(map[process.ID]process.ID),
+		admitted:       make(map[process.ID][]string),
 		nudge:          make(chan struct{}, 1),
 	}
 	r.ckpt = scheduler.Checkpointer{
@@ -671,7 +666,7 @@ func (r *Runtime) worker(g *shardGroup, idx int, job scheduler.Job) {
 	if job.Arrival > 0 {
 		r.sleepTicks(job.Arrival)
 	}
-	p := scheduler.NewProc(job.Proc, idx, scheduler.Origin(job.Proc.ID), job.Proc.ID, 0)
+	p := scheduler.NewProc(job.Proc, idx, job.Proc.ID.Origin(), job.Proc.ID, 0)
 	for {
 		m := r.admit(g, p)
 		if m == nil {
@@ -700,7 +695,7 @@ func (r *Runtime) backoff(n int64) bool {
 	r.gmu.Lock()
 	defer r.gmu.Unlock()
 	target := r.completions + n
-	for r.completions < target && r.active > 0 {
+	for r.completions < target && len(r.admitted) > 0 {
 		if r.stopped.Load() || r.canceled.Load() {
 			return false
 		}
@@ -712,20 +707,18 @@ func (r *Runtime) backoff(n int64) bool {
 // admit blocks until the admission policy lets the process in, then
 // registers it with its group; nil when the run ended first.
 func (r *Runtime) admit(g *shardGroup, p *scheduler.Proc) *member {
-	ent := &admEntry{fp: scheduler.Footprint(p.Def)}
 	r.gmu.Lock()
 	for {
 		if r.stopped.Load() || r.canceled.Load() {
 			r.gmu.Unlock()
 			return nil
 		}
-		if r.mayStartLocked(ent.fp) {
+		if r.mayStartLocked(p.Footprint) {
 			break
 		}
 		r.gcond.Wait()
 	}
-	r.active++
-	r.admitted = append(r.admitted, ent)
+	r.admitted[p.ID] = p.Footprint
 	// Subsystems identify lock holders by origin id (incarnations share
 	// locks); map it to this incarnation for wait-for edges.
 	r.liveByOrigin[p.Origin] = p.ID
@@ -734,10 +727,10 @@ func (r *Runtime) admit(g *shardGroup, p *scheduler.Proc) *member {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !g.drv.Admit(p) {
-		r.retire(p, ent)
+		r.retire(p)
 		return nil
 	}
-	m := &member{Proc: p, adm: ent, lastEval: -1}
+	m := &member{Proc: p, lastEval: -1}
 	g.members = append(g.members, m)
 	g.live++
 	if p.Restarts > 0 {
@@ -751,10 +744,9 @@ func (r *Runtime) admit(g *shardGroup, p *scheduler.Proc) *member {
 // retire takes an incarnation out of admission control (it terminated,
 // or its start record never reached the log) and wakes admission and
 // backoff waiters; the admission mutex is a leaf under any group mutex.
-func (r *Runtime) retire(p *scheduler.Proc, ent *admEntry) {
+func (r *Runtime) retire(p *scheduler.Proc) {
 	r.gmu.Lock()
-	r.active--
-	ent.done = true
+	delete(r.admitted, p.ID)
 	if r.liveByOrigin[p.Origin] == p.ID {
 		delete(r.liveByOrigin, p.Origin)
 	}
@@ -762,34 +754,13 @@ func (r *Runtime) retire(p *scheduler.Proc, ent *admEntry) {
 	r.gmu.Unlock()
 }
 
-// mayStartLocked implements admission control: the worker cap plus the
-// Serial / Conservative admission policies (per-activity decisions for
-// those modes are vacuous — admission is the policy). Called with gmu
-// held.
+// mayStartLocked implements admission control: the worker cap in front
+// of the modes' admission rule. Called with gmu held.
 func (r *Runtime) mayStartLocked(fp []string) bool {
-	if r.cfg.Workers > 0 && r.active >= r.cfg.Workers {
+	if r.cfg.Workers > 0 && len(r.admitted) >= r.cfg.Workers {
 		return false
 	}
-	switch r.cfg.Mode {
-	case scheduler.Serial:
-		return r.active == 0
-	case scheduler.Conservative:
-		for _, ent := range r.admitted {
-			if ent.done {
-				continue
-			}
-			for _, s1 := range fp {
-				for _, s2 := range ent.fp {
-					if r.uni.Conflicts(s1, s2) {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	default:
-		return true
-	}
+	return scheduler.MayAdmit(r.cfg.Mode, r.uni.Conflicts, fp, maps.Values(r.admitted))
 }
 
 // wait blocks the process's worker on the group condition variable
@@ -1330,7 +1301,7 @@ func (g *shardGroup) terminate(m *member, committed bool) stepKind {
 	if !g.drv.Terminate(m.Proc, committed) {
 		return sAgain // not logged: the run is ending, drive's loop head exits
 	}
-	g.r.retire(m.Proc, m.adm)
+	g.r.retire(m.Proc)
 	// Termination released whatever this process still held (2PC commit
 	// or rollback of its prepared set happened on the way here), and a
 	// waiter that found the holder's origin unmapped re-probes; waiters
@@ -1344,7 +1315,7 @@ func (g *shardGroup) stallDump() string {
 	r := g.r
 	r.gmu.Lock()
 	victims := r.victims
-	active := r.active
+	active := len(r.admitted)
 	r.gmu.Unlock()
 	s := fmt.Sprintf("group=%d shards=%v live=%d active=%d inFlight=%d waiting=%d victims=%d progress=%d\n%s",
 		g.idx, g.shards, g.live, active, g.inFlight, g.waiting, victims, g.progress.Load(), g.drv.Dump())

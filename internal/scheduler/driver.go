@@ -66,6 +66,8 @@ type Proc struct {
 	Def    *process.Process
 	Inst   *process.Instance
 	Phase  policy.Phase
+	// Footprint is every service the definition can touch (admission).
+	Footprint []string
 	// Arrival is the admission rank (age priority, victim choice).
 	Arrival  int
 	Restarts int
@@ -92,6 +94,7 @@ func NewProc(def *process.Process, arrival int, origin, base process.ID, restart
 	return &Proc{
 		ID: def.ID, Origin: origin, Base: base, Def: def,
 		Inst: process.NewInstance(def), Arrival: arrival, Restarts: restarts,
+		Footprint:    Footprint(def),
 		Running:      make(map[int]string),
 		Prepared:     make(map[int]PreparedTx),
 		Outcome:      &Outcome{Restarts: restarts},
@@ -102,8 +105,7 @@ func NewProc(def *process.Process, arrival int, origin, base process.ID, restart
 // Restarted creates the incarnation that re-enters, under a derived id,
 // after this one aborted restartably.
 func (p *Proc) Restarted() *Proc {
-	id := process.ID(fmt.Sprintf("%s+r%d", p.Base, p.Restarts+1))
-	return NewProc(p.Def.WithID(id), p.Arrival, p.Origin, p.Base, p.Restarts+1)
+	return NewProc(p.Def.WithID(p.Base.Restart(p.Restarts+1)), p.Arrival, p.Origin, p.Base, p.Restarts+1)
 }
 
 // PredsCommitted reports whether every intra-process predecessor of the

@@ -49,30 +49,18 @@ type DurableReport struct {
 //     will apply through restored in-doubt transactions, and adding
 //     work whose durable fate survived but whose log record did not.
 //
-// Then Recover runs as usual (its invocations write through to the
+// Then recovery runs as usual (its invocations write through to the
 // stores), and the recovered image is flushed so a second crash replays
 // from a consistent base. The federation's subsystems must have their
 // stores attached already; with no store attached anywhere this is
 // exactly RecoverWithMetrics.
 func RecoverDurable(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m *metrics.Registry) (*DurableReport, error) {
-	rep := &DurableReport{}
-	if !fed.Durable() {
-		r, err := RecoverWithMetrics(fed, log, defs, m)
-		rep.RecoveryReport = r
-		return rep, err
-	}
-	raw, err := log.Records()
-	if err != nil {
-		return nil, err
-	}
-	exp := wal.Expand(raw)
-	images, err := wal.Analyze(exp.Records)
-	if err == wal.ErrNoLog {
-		images = nil
-	} else if err != nil {
-		return nil, err
-	}
+	return recoverLog(fed, log, defs, m, true)
+}
 
+// restorePages is the page-level phase (steps 1–3 above) over the
+// expansion and analysis recovery already holds.
+func restorePages(fed *subsystem.Federation, exp wal.Expansion, images map[string]*wal.ProcImage, rep *DurableReport) error {
 	// 1. Transaction-id floors.
 	floors := make(map[string]int64)
 	for _, r := range exp.Records {
@@ -109,7 +97,7 @@ func RecoverDurable(fed *subsystem.Federation, log wal.Log, defs []*process.Proc
 			ptx := img.Prepared[local]
 			sub, ok := fed.Subsystem(ptx.Subsystem)
 			if !ok {
-				return nil, fmt.Errorf("scheduler: log prepares at unknown subsystem %q", ptx.Subsystem)
+				return fmt.Errorf("scheduler: log prepares at unknown subsystem %q", ptx.Subsystem)
 			}
 			if sub.DurableStore() == nil {
 				continue
@@ -121,8 +109,8 @@ func RecoverDurable(fed *subsystem.Federation, log wal.Log, defs []*process.Proc
 			if inDoubtTx(sub, tx) {
 				continue
 			}
-			if err := sub.RestorePrepared(tx, string(resolveOrigin(process.ID(id))), ptx.Service); err != nil {
-				return nil, fmt.Errorf("scheduler: restoring prepared tx %d: %w", ptx.Tx, err)
+			if err := sub.RestorePrepared(tx, string(process.ID(id).Origin()), ptx.Service); err != nil {
+				return fmt.Errorf("scheduler: restoring prepared tx %d: %w", ptx.Tx, err)
 			}
 			rep.RestoredInDoubt++
 		}
@@ -135,30 +123,17 @@ func RecoverDurable(fed *subsystem.Federation, log wal.Log, defs []*process.Proc
 		}
 		expected, err := expectedDurableImage(fed, sub, exp, images)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		redo, undo, err := sub.ReconcileDurable(expected)
 		if err != nil {
-			return nil, fmt.Errorf("scheduler: reconciling %s: %w", sub.Name(), err)
+			return fmt.Errorf("scheduler: reconciling %s: %w", sub.Name(), err)
 		}
 		rep.RedoItems += redo
 		rep.UndoItems += undo
 	}
 
-	r, err := RecoverWithMetrics(fed, log, defs, m)
-	if err != nil {
-		return nil, err
-	}
-	rep.RecoveryReport = r
-
-	for _, sub := range fed.Subsystems() {
-		n, err := sub.FlushStore()
-		if err != nil {
-			return nil, fmt.Errorf("scheduler: flushing %s after recovery: %w", sub.Name(), err)
-		}
-		rep.FlushedPages += n
-	}
-	return rep, nil
+	return nil
 }
 
 // inDoubtTx reports whether tx is currently in doubt at sub.

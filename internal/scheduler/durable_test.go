@@ -2,6 +2,7 @@ package scheduler_test
 
 import (
 	"errors"
+	"maps"
 	"path/filepath"
 	"testing"
 
@@ -11,8 +12,20 @@ import (
 	"transproc/internal/spec"
 	"transproc/internal/store"
 	"transproc/internal/subsystem"
+	"transproc/internal/wal"
 	"transproc/internal/workload"
 )
+
+// countingLog counts full reads of the log it wraps.
+type countingLog struct {
+	wal.Log
+	reads int
+}
+
+func (c *countingLog) Records() ([]wal.Record, error) {
+	c.reads++
+	return c.Log.Records()
+}
 
 // attachFileStores opens one heap file per subsystem under dir and
 // attaches it, mirroring what a durable deployment does at boot.
@@ -35,8 +48,13 @@ func attachFileStores(t *testing.T, fed *subsystem.Federation, dir string) {
 // and RecoverDurable must reconcile them against the log before the
 // composed recovery runs. After recovery: no in-doubt transactions,
 // no negative data items (a compensation never applies without its
-// base), and the stores flush and verify cleanly.
+// base), and the stores flush and verify cleanly. Recovery is the one
+// reader of the log (before phase 1 and after it), and its verdict on
+// each incarnation is final: a second recovery over the log it left
+// reports the same fates, also for the processes it completed forward,
+// whose terminate records read as aborted.
 func TestRecoverDurableAfterCrash(t *testing.T) {
+	forward := 0
 	for k := 2; k <= 22; k += 2 {
 		dir := t.TempDir()
 		p := workload.DefaultProfile(int64(300 + k))
@@ -66,12 +84,35 @@ func TestRecoverDurableAfterCrash(t *testing.T) {
 		for _, j := range w2.Jobs {
 			defs = append(defs, j.Proc)
 		}
-		rep, err := scheduler.RecoverDurable(w2.Fed, eng.Log(), defs, nil)
+		log := &countingLog{Log: eng.Log()}
+		rep, err := scheduler.RecoverDurable(w2.Fed, log, defs, nil)
 		if err != nil {
 			t.Fatalf("k=%d: RecoverDurable: %v", k, err)
 		}
 		if rep.RecoveryReport == nil {
 			t.Fatalf("k=%d: missing composed recovery report", k)
+		}
+		if log.reads > 2 {
+			t.Fatalf("k=%d: durable recovery read the log %d times, want at most 2", k, log.reads)
+		}
+		for _, id := range rep.ForwardRecovered {
+			forward++
+			if !rep.Fates[id] {
+				t.Fatalf("k=%d: %s completed forward, fate says its work does not stand", k, id)
+			}
+		}
+		for _, id := range rep.BackwardRecovered {
+			if rep.Fates[id] {
+				t.Fatalf("k=%d: %s compensated backward, fate says its work stands", k, id)
+			}
+		}
+		log.reads = 0
+		again, err := scheduler.Recover(w2.Fed, log, defs)
+		if err != nil {
+			t.Fatalf("k=%d: second recovery: %v", k, err)
+		}
+		if log.reads > 2 || !maps.Equal(again.Fates, rep.Fates) {
+			t.Fatalf("k=%d: second recovery: %d reads, fates %v; first said %v", k, log.reads, again.Fates, rep.Fates)
 		}
 		if n := len(w2.Fed.InDoubt()); n != 0 {
 			t.Fatalf("k=%d: %d in-doubt transactions after durable recovery", k, n)
@@ -93,6 +134,9 @@ func TestRecoverDurableAfterCrash(t *testing.T) {
 				t.Fatalf("k=%d: %s inconsistent: %v", k, sub.Name(), err)
 			}
 		}
+	}
+	if forward == 0 {
+		t.Fatal("no crash point left a process to complete forward")
 	}
 }
 
@@ -174,7 +218,7 @@ func TestOriginStripsRestartSuffixes(t *testing.T) {
 		"t0/W3+r1":    "t0/W3",
 		"t0/W3+r1+r4": "t0/W3",
 	} {
-		if got := scheduler.Origin(in); got != want {
+		if got := in.Origin(); got != want {
 			t.Fatalf("Origin(%q) = %q, want %q", in, got, want)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"iter"
 
 	"transproc/internal/activity"
 	"transproc/internal/conflict"
@@ -264,7 +265,7 @@ func (e *Engine) RunJobs(jobs []Job) (res *Result, err error) {
 		return nil, err
 	}
 	for i, j := range jobs {
-		e.enqueue(NewProc(j.Proc, i, resolveOrigin(j.Proc.ID), j.Proc.ID, 0), j.Arrival)
+		e.enqueue(NewProc(j.Proc, i, j.Proc.ID.Origin(), j.Proc.ID, 0), j.Arrival)
 	}
 	e.admit()
 
@@ -355,7 +356,7 @@ func (e *Engine) admit() bool {
 	var keep []pendingProc
 	admitted := false
 	for _, pp := range e.pending {
-		if e.mayStart(pp) && e.drv.Admit(pp.Proc) {
+		if pp.at <= e.clock && MayAdmit(e.cfg.Mode, e.table.Conflicts, pp.Footprint, e.active) && e.drv.Admit(pp.Proc) {
 			admitted = true
 		} else {
 			keep = append(keep, pp)
@@ -378,39 +379,37 @@ func (e *Engine) nextArrival() (int64, bool) {
 	return min, found
 }
 
-// mayStart implements the admission policies.
-func (e *Engine) mayStart(pp pendingProc) bool {
-	if pp.at > e.clock {
-		return false
-	}
-	switch e.cfg.Mode {
-	case Serial:
-		for _, o := range e.drv.All() {
-			if o.Phase != policy.Done {
-				return false
-			}
+// active yields the footprints of the admitted, unterminated processes.
+func (e *Engine) active(yield func([]string) bool) {
+	for _, o := range e.drv.All() {
+		if o.Phase != policy.Done && !yield(o.Footprint) {
+			return
 		}
-		return true
+	}
+}
+
+// MayAdmit is the admission rule of the modes that decide at admission
+// (their per-activity decisions are vacuous): Serial admits into an empty
+// system, Conservative when the candidate's full service footprint
+// conflicts with that of no active process. Every other mode admits.
+func MayAdmit(mode Mode, conflicts func(a, b string) bool, fp []string, active iter.Seq[[]string]) bool {
+	switch mode {
+	case Serial:
+		for range active {
+			return false
+		}
 	case Conservative:
-		// Admit only when the process's full service footprint does not
-		// conflict with that of any running process.
-		mine := Footprint(pp.Def)
-		for _, o := range e.drv.All() {
-			if o.Phase == policy.Done {
-				continue
-			}
-			for _, s1 := range mine {
-				for _, s2 := range Footprint(o.Def) {
-					if e.table.Conflicts(s1, s2) {
+		for other := range active {
+			for _, s1 := range fp {
+				for _, s2 := range other {
+					if conflicts(s1, s2) {
 						return false
 					}
 				}
 			}
 		}
-		return true
-	default:
-		return true
 	}
+	return true
 }
 
 // Footprint lists every service a process definition can touch,

@@ -27,6 +27,12 @@ type RecoveryReport struct {
 	ForwardRecovered []process.ID
 	// AlreadyTerminated lists processes the log shows as terminated.
 	AlreadyTerminated []process.ID
+	// Fates is the verdict on every incarnation the analysis saw: true
+	// when its forward work stands (terminated committed, or an abort past
+	// the pivot completed forward, F-REC), false when all of it is
+	// compensated (terminated aborted, or recovered backward, B-REC). A
+	// host decides from this alone which origins it may run again.
+	Fates map[process.ID]bool
 	// Compensations and ForwardInvocations executed during recovery.
 	Compensations      int
 	ForwardInvocations int
@@ -53,6 +59,18 @@ func Recover(fed *subsystem.Federation, log wal.Log, defs []*process.Process) (*
 // decisions are recorded as counters and decision-trace events. A nil
 // registry makes it identical to Recover.
 func RecoverWithMetrics(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m *metrics.Registry) (*RecoveryReport, error) {
+	rep, err := recoverLog(fed, log, defs, m, false)
+	if err != nil {
+		return nil, err
+	}
+	return rep.RecoveryReport, nil
+}
+
+// recoverLog is restart recovery, the only reader and the only judge of
+// the log at restart: one read and analysis, the page-level phase of
+// RecoverDurable on that analysis when pages asks for it and a store is
+// attached, then 2PC resolution, the group abort and the driver run.
+func recoverLog(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m *metrics.Registry, pages bool) (*DurableReport, error) {
 	raw, err := log.Records()
 	if err != nil {
 		return nil, err
@@ -68,11 +86,15 @@ func RecoverWithMetrics(fed *subsystem.Federation, log wal.Log, defs []*process.
 		m.Inc(metrics.CheckpointFallbacks)
 	}
 	images, err := wal.Analyze(exp.Records)
-	if err == wal.ErrNoLog {
-		return &RecoveryReport{}, nil
-	}
-	if err != nil {
+	if err != nil && err != wal.ErrNoLog { // an empty log recovers to an empty report
 		return nil, err
+	}
+	rep := &DurableReport{RecoveryReport: &RecoveryReport{Fates: make(map[process.ID]bool, len(images))}}
+	report := rep.RecoveryReport
+	if pages = pages && fed.Durable(); pages {
+		if err := restorePages(fed, exp, images, rep); err != nil {
+			return nil, err
+		}
 	}
 	byID := make(map[process.ID]*process.Process, len(defs))
 	for _, p := range defs {
@@ -87,7 +109,6 @@ func RecoverWithMetrics(fed *subsystem.Federation, log wal.Log, defs []*process.
 		return nil, err
 	}
 	d := e.drv
-	report := &RecoveryReport{}
 
 	// Deterministic order over processes.
 	var ids []string
@@ -98,15 +119,25 @@ func RecoverWithMetrics(fed *subsystem.Federation, log wal.Log, defs []*process.
 
 	// Phase 1 is redo/undo of the log and has no counterpart before the
 	// crash: resolve in-doubt transactions (presumed commit when a
-	// decision record exists, presumed abort otherwise).
+	// decision record exists, presumed abort otherwise). The instance
+	// rebuild must observe the resolution records this appends (a decided
+	// prepared transaction is now committed, an undecided one rolled
+	// back); recovery never checkpoints, so they extend the expansion's
+	// tail.
+	recs := exp.Records
 	for _, id := range ids {
-		img := images[id]
-		c, a, err := d.Coord.Resolve(fed, img)
+		resolved, err := d.Coord.Resolve(fed, images[id])
 		if err != nil {
 			return nil, fmt.Errorf("scheduler: resolving 2PC for %s: %w", id, err)
 		}
-		report.Resolved2PCCommitted += c
-		report.Resolved2PCAborted += a
+		for _, r := range resolved {
+			if r.Commit {
+				report.Resolved2PCCommitted++
+			} else {
+				report.Resolved2PCAborted++
+			}
+		}
+		recs = append(recs, resolved...)
 	}
 
 	// Phase 1b: orphaned in-doubt transactions. An invocation may have
@@ -158,41 +189,42 @@ func RecoverWithMetrics(fed *subsystem.Federation, log wal.Log, defs []*process.
 		}
 	}
 
-	// Re-read the log: phase 1 appended resolution records that the
-	// instance rebuild must observe (a decided prepared transaction is
-	// now committed, an undecided one rolled back). Recovery never
-	// checkpoints, so the expansion's checkpoint is unchanged and the
-	// new records land in its tail.
-	raw, err = log.Records()
-	if err != nil {
-		return nil, err
-	}
-	exp = wal.Expand(raw)
-	recs := exp.Records
-
 	// Phase 2, analysis: the driver's state one instant before the crash.
 	// Event sequence numbers are log positions, so what the driver appends
 	// from here on sorts after everything the log already holds.
 	e.seq = int64(len(recs))
+	// An abort that completed forward, before the crash or in an earlier
+	// recovery, left a terminate record that reads like a backward one's:
+	// the commits no compensation undid tell the two apart.
+	for _, i := range wal.EffectiveCommits(recs, func(proc string) bool {
+		img := images[proc]
+		return img.Terminated && !img.TerminatedCommitted
+	}) {
+		report.Fates[process.ID(recs[i].Proc)] = true
+	}
 	for _, id := range ids {
-		if images[id].Terminated {
+		if img := images[id]; img.Terminated {
 			report.AlreadyTerminated = append(report.AlreadyTerminated, process.ID(id))
+			report.Fates[process.ID(id)] = report.Fates[process.ID(id)] || img.TerminatedCommitted
 			continue
 		}
-		def := byID[resolveOrigin(process.ID(id))]
+		def := byID[process.ID(id).Origin()]
 		if def == nil {
 			return nil, fmt.Errorf("scheduler: recovery found unknown process %q in the log", id)
 		}
 		def = def.WithID(process.ID(id)) // a restart incarnation runs under a derived id
-		p := NewProc(def, 0, resolveOrigin(def.ID), def.ID, 0)
+		p := NewProc(def, 0, def.ID.Origin(), def.ID, 0)
 		if p.Arrival, err = replayInstance(p.Inst, recs); err != nil {
 			return nil, fmt.Errorf("scheduler: rebuilding %s: %w", id, err)
 		}
 		d.Add(p)
-		if p.Inst.Mode() == process.BREC {
-			report.BackwardRecovered = append(report.BackwardRecovered, p.ID)
-		} else {
+		// Past its pivot (F-REC) the abort completes forward: the terminate
+		// record will read aborted, but the work stands.
+		report.Fates[p.ID] = p.Inst.Mode() != process.BREC
+		if report.Fates[p.ID] {
 			report.ForwardRecovered = append(report.ForwardRecovered, p.ID)
+		} else {
+			report.BackwardRecovered = append(report.BackwardRecovered, p.ID)
 		}
 	}
 	if len(d.All()) > 0 {
@@ -311,26 +343,17 @@ func RecoverWithMetrics(fed *subsystem.Federation, log wal.Log, defs []*process.
 	if e.err != nil {
 		return nil, e.err
 	}
-	return report, nil
-}
-
-// Origin strips an incarnation id's restart suffixes ("P1+r2",
-// "P1+r2+r1" -> "P1"): the identity under which subsystems track the
-// process's locks and deterministic failure rules. Engines resolve
-// every admitted job through it, so work re-submitted under a derived
-// id (restart recovery, the ingestion server's resume set) stays the
-// same process to the federation.
-func Origin(id process.ID) process.ID { return resolveOrigin(id) }
-
-// resolveOrigin strips a restart suffix ("P1+r2" -> "P1").
-func resolveOrigin(id process.ID) process.ID {
-	s := string(id)
-	for i := 0; i < len(s); i++ {
-		if s[i] == '+' {
-			return process.ID(s[:i])
+	if pages {
+		// The recovered image becomes the base a second crash replays from.
+		for _, sub := range fed.Subsystems() {
+			n, err := sub.FlushStore()
+			if err != nil {
+				return nil, fmt.Errorf("scheduler: flushing %s after recovery: %w", sub.Name(), err)
+			}
+			rep.FlushedPages += n
 		}
 	}
-	return id
+	return rep, nil
 }
 
 // replayInstance replays a process's WAL records into its fresh instance

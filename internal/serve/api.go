@@ -133,7 +133,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 
 	s.mu.Lock()
 	if req.Key != "" {
-		if id, ok := s.byKey[req.Tenant+"\x00"+req.Key]; ok {
+		if id, ok := s.byKey[[2]string{req.Tenant, req.Key}]; ok {
 			sub := s.subs[id]
 			st := sub.state
 			s.mu.Unlock()
@@ -191,7 +191,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.order = append(s.order, origin)
 	s.defs[origin] = def
 	if req.Key != "" {
-		s.byKey[req.Tenant+"\x00"+req.Key] = origin
+		s.byKey[[2]string{req.Tenant, req.Key}] = origin
 	}
 	s.reserved++
 	s.mu.Unlock()

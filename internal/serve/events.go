@@ -9,20 +9,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strings"
 	"time"
 
 	"transproc/internal/metrics"
+	"transproc/internal/process"
 )
-
-// traceOrigin resolves a decision-trace event's process id to its
-// origin (incarnation suffixes stripped).
-func traceOrigin(proc string) string {
-	if i := strings.IndexByte(proc, '+'); i >= 0 {
-		return proc[:i]
-	}
-	return proc
-}
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("tenant") + "/" + r.PathValue("id")
@@ -70,7 +61,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			lastSeq = ev.Seq
-			if traceOrigin(ev.Proc) != id {
+			if string(process.ID(ev.Proc).Origin()) != id {
 				continue
 			}
 			send("trace", ev)
@@ -97,7 +88,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 func (s *Server) TraceTail(id string) []metrics.Event {
 	var out []metrics.Event
 	for _, ev := range s.reg.Events() {
-		if traceOrigin(ev.Proc) == id {
+		if string(process.ID(ev.Proc).Origin()) == id {
 			out = append(out, ev)
 		}
 	}

@@ -20,12 +20,13 @@
 //     a kill -9 at any point is recoverable: reopening the same data
 //     directory replays the journal, runs scheduler.Recover over the
 //     WAL (settling in-flight processes backward or forward per
-//     Definition 8.2b), and re-admits every non-final submission
-//     exactly once — committed work is never re-run, interrupted work
-//     is resumed as a fresh incarnation ("id+rN", the engines' own
-//     restart notation, so origin resolution and the PRED checker
-//     apply unchanged). Duplicate client submissions are absorbed by
-//     idempotency keys.
+//     Definition 8.2b), and settles every non-final submission by the
+//     fates recovery reports: work that stands — committed, or completed
+//     forward past its pivot — is sealed and never re-run, work
+//     compensated backward is re-run exactly once as a fresh incarnation
+//     (process.ID.Restart, the engines' own restart notation, so origin
+//     resolution and the PRED checker apply unchanged). Duplicate client
+//     submissions are absorbed by idempotency keys.
 //
 // Execution is micro-batched: a runner goroutine drains the admission
 // queue into small batches, each run to completion on a fresh runtime
@@ -44,7 +45,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -216,7 +216,7 @@ type Server struct {
 	mu       sync.Mutex
 	subs     map[string]*submission // by origin id
 	order    []string               // origin ids in admission order
-	byKey    map[string]string      // tenant+"\x00"+key -> origin id
+	byKey    map[[2]string]string   // {tenant, key} -> origin id
 	defs     map[string]*process.Process
 	reserved int           // admitted but not yet enqueued (queue slots spoken for)
 	held     []*submission // resume set parked by Config.HoldResume
@@ -253,9 +253,11 @@ type Server struct {
 // Open creates or reopens a server over the federation and data
 // directory. Reopening a directory left by a crash runs full restart
 // recovery before the server accepts traffic: journal replay →
-// scheduler.Recover over the WAL → re-admission of every non-final
-// submission (fresh if it never reached the WAL, as a new incarnation
-// otherwise, gated by the tenant's retry budget).
+// scheduler.Recover over the WAL → every non-final submission settled
+// by the report's fates (sealed committed when an incarnation's work
+// stands; resumed as it is when it never reached the WAL; re-run as a
+// new incarnation when recovery compensated it backward, gated by the
+// tenant's retry budget).
 func Open(fed *subsystem.Federation, cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("serve: Config.Dir is required")
@@ -312,7 +314,7 @@ func Open(fed *subsystem.Federation, cfg Config) (*Server, error) {
 		table:  table,
 		tn:     newTenants(cfg.Tenant, cfg.Now),
 		subs:   make(map[string]*submission),
-		byKey:  make(map[string]string),
+		byKey:  make(map[[2]string]string),
 		defs:   make(map[string]*process.Process),
 		stopCh: make(chan struct{}),
 	}
@@ -357,8 +359,8 @@ func (s *Server) Resume() {
 }
 
 // restore rebuilds in-memory state from the intake journal and the
-// WAL, running crash recovery when the log is non-empty. It returns
-// the resume set in admission order.
+// WAL: recovery reads and judges the log, restore folds its fates by
+// origin. It returns the resume set in admission order.
 func (s *Server) restore(entries []JournalEntry) ([]*submission, error) {
 	sealed := make(map[string]JournalEntry)
 	for _, e := range entries {
@@ -380,30 +382,17 @@ func (s *Server) restore(entries []JournalEntry) ([]*submission, error) {
 		s.order = append(s.order, e.ID)
 		s.defs[e.ID] = def
 		if e.Key != "" {
-			s.byKey[e.Tenant+"\x00"+e.Key] = e.ID
+			s.byKey[[2]string{e.Tenant, e.Key}] = e.ID
 		}
 	}
-	recs, err := s.log.Records()
+	report, err := scheduler.RecoverWithMetrics(s.fed, s.log, s.defsList(), s.reg)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: restart recovery: %w", err)
 	}
-	if len(recs) > 0 {
-		report, err := scheduler.RecoverWithMetrics(s.fed, s.log, s.defsList(), s.reg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: restart recovery: %w", err)
-		}
-		s.report = report
-		if recs, err = s.log.Records(); err != nil {
-			return nil, err
-		}
-	}
-	folded := map[string]fold{}
-	if exp := wal.Expand(recs); len(exp.Records) > 0 {
-		images, err := wal.Analyze(exp.Records)
-		if err != nil {
-			return nil, fmt.Errorf("serve: analyze restored log: %w", err)
-		}
-		folded = foldImages(images)
+	s.report = report
+	folded := make(folds)
+	for id, stands := range report.Fates {
+		folded.add(id, stands, 0)
 	}
 	var pending []*submission
 	for _, id := range s.order {
@@ -416,14 +405,8 @@ func (s *Server) restore(entries []JournalEntry) ([]*submission, error) {
 			}
 			continue
 		}
-		f := folded[id]
+		f := folded[process.ID(id)]
 		switch {
-		case f.committed:
-			// Terminal in the WAL but the seal was lost to the crash:
-			// seal it now, never re-run committed work.
-			sub.state = stateCommitted
-			sub.recovered = true
-			s.seal(sub, true)
 		case f.incarnations == 0:
 			// Journaled but never reached the WAL: parked by a drain or
 			// lost mid-admission — resume as-is, exactly once.
@@ -431,14 +414,21 @@ func (s *Server) restore(entries []JournalEntry) ([]*submission, error) {
 			s.resumed++
 			s.reg.Inc(metrics.ServeResumed)
 			pending = append(pending, sub)
+		case f.committed:
+			// The work of one incarnation stands — terminal in the WAL, or
+			// completed forward by recovery — but the seal was lost to the
+			// crash: seal it now, never re-run it.
+			sub.state = stateCommitted
+			sub.recovered = true
+			s.seal(sub, true)
 		default:
-			// Crash-interrupted (settled backward by recovery) or
-			// aborted without a seal (the batch never finished): re-run
-			// once as a fresh incarnation, if the tenant budget allows.
+			// Compensated backward, by recovery or by an abort whose seal
+			// was lost (the batch never finished): re-run once as a fresh
+			// incarnation, if the tenant budget allows.
 			sub.recovered = true
 			sub.restarts = f.incarnations - 1
 			if s.tn.takeRetry(sub.tenant) {
-				sub.runID = fmt.Sprintf("%s+r%d", id, f.maxSuffix+1)
+				sub.runID = string(process.ID(id).Restart(f.lineage + 1))
 				sub.resumed = true
 				s.reruns++
 				s.reg.Inc(metrics.ServeReruns)
@@ -453,42 +443,26 @@ func (s *Server) restore(entries []JournalEntry) ([]*submission, error) {
 	return pending, nil
 }
 
-// fold is the per-origin digest of WAL incarnations.
+// fold is the per-origin digest of a set of incarnations: the origin
+// committed iff any of them did (the differential battery's folding
+// rule).
 type fold struct {
 	committed    bool
 	incarnations int
-	maxSuffix    int // highest +rN suffix seen (engine or server assigned)
+	lineage      int // highest restart number given to the origin
+	restarts     int // engine restarts, summed (runBatch)
 }
 
-// foldImages folds per-incarnation WAL images by origin: an origin
-// committed iff any of its incarnations did (the differential
-// battery's folding rule).
-func foldImages(images map[string]*wal.ProcImage) map[string]fold {
-	out := make(map[string]fold)
-	for id, img := range images {
-		origin := id
-		suffix := 0
-		if i := strings.IndexByte(id, '+'); i >= 0 {
-			origin = id[:i]
-			rest := strings.TrimPrefix(id[i+1:], "r")
-			if j := strings.IndexByte(rest, '+'); j >= 0 {
-				rest = rest[:j]
-			}
-			if n, err := strconv.Atoi(rest); err == nil {
-				suffix = n
-			}
-		}
-		f := out[origin]
-		f.incarnations++
-		if img.Terminated && img.TerminatedCommitted {
-			f.committed = true
-		}
-		if suffix > f.maxSuffix {
-			f.maxSuffix = suffix
-		}
-		out[origin] = f
-	}
-	return out
+type folds map[process.ID]fold
+
+// add folds one incarnation's verdict into its origin's digest.
+func (fs folds) add(id process.ID, committed bool, restarts int) {
+	f := fs[id.Origin()]
+	f.committed = f.committed || committed
+	f.incarnations++
+	f.lineage = max(f.lineage, id.Lineage())
+	f.restarts += restarts
+	fs[id.Origin()] = f
 }
 
 // seal writes the submission's final fate to the journal.
@@ -598,26 +572,14 @@ func (s *Server) runBatch(batch []*submission) {
 		return
 	}
 
-	folded := make(map[string]struct {
-		committed bool
-		restarts  int
-	})
+	folded := make(folds)
 	for id, o := range outcomes {
-		origin := string(id)
-		if i := strings.IndexByte(origin, '+'); i >= 0 {
-			origin = origin[:i]
-		}
-		f := folded[origin]
-		if o.Committed {
-			f.committed = true
-		}
-		f.restarts += o.Restarts
-		folded[origin] = f
+		folded.add(id, o.Committed, o.Restarts)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, sub := range batch {
-		f := folded[sub.id]
+		f := folded[process.ID(sub.id)]
 		s.tn.debitRestarts(sub.tenant, f.restarts)
 		sub.restarts += f.restarts
 		if f.committed {
@@ -888,7 +850,7 @@ func (s *Server) Crashed() (string, bool) {
 	return pt, true
 }
 
-// RecoveryReport returns the restart recovery report (nil on a fresh
+// RecoveryReport returns the restart recovery report (empty on a fresh
 // directory).
 func (s *Server) RecoveryReport() *scheduler.RecoveryReport { return s.report }
 

@@ -130,7 +130,7 @@ func (c *Coordinator) AbortAll(proc string, parts []Participant) error {
 // Resolve finishes in-doubt transactions after a crash: if a decision
 // was logged for the process, unresolved prepared transactions are
 // committed (presumed commit); otherwise they are rolled back (presumed
-// abort). It returns the number of transactions committed and aborted.
+// abort). It returns the resolution records it logged, in log order.
 //
 // Participants are resolved in ascending local order so that recovery
 // writes the same log for the same crash image on every run. If the
@@ -138,7 +138,7 @@ func (c *Coordinator) AbortAll(proc string, parts []Participant) error {
 // subsystem commit/abort and its resolution record), the subsystem's
 // journaled fate wins over the presumption and only the log record is
 // replayed — resolution stays idempotent across repeated recoveries.
-func (c *Coordinator) Resolve(fed *subsystem.Federation, img *wal.ProcImage) (committed, aborted int, err error) {
+func (c *Coordinator) Resolve(fed *subsystem.Federation, img *wal.ProcImage) (resolved []wal.Record, err error) {
 	locals := make([]int, 0, len(img.Prepared))
 	for local := range img.Prepared {
 		if !img.Resolved[local] {
@@ -150,7 +150,7 @@ func (c *Coordinator) Resolve(fed *subsystem.Federation, img *wal.ProcImage) (co
 		ptx := img.Prepared[local]
 		sub, ok := fed.Subsystem(ptx.Subsystem)
 		if !ok {
-			return committed, aborted, fmt.Errorf("twopc: unknown subsystem %q during resolution", ptx.Subsystem)
+			return resolved, fmt.Errorf("twopc: unknown subsystem %q during resolution", ptx.Subsystem)
 		}
 		tx := subsystem.TxID(ptx.Tx)
 		commit := img.Decided
@@ -163,23 +163,23 @@ func (c *Coordinator) Resolve(fed *subsystem.Federation, img *wal.ProcImage) (co
 		if rerr != nil {
 			fate, known := sub.TxFate(tx)
 			if !known {
-				return committed, aborted, rerr
+				return resolved, rerr
 			}
 			commit = fate
 		}
 		if commit {
 			c.Metrics.Inc(metrics.DeferredCommitted2PC)
-			committed++
 		} else {
 			c.Metrics.Inc(metrics.DeferredRolledBack)
-			aborted++
 		}
-		if _, err := c.log.Append(wal.Record{
+		rec := wal.Record{
 			Type: wal.RecResolved, Proc: img.Proc, Local: local,
 			Service: ptx.Service, Subsystem: ptx.Subsystem, Tx: ptx.Tx, Commit: commit,
-		}); err != nil {
-			return committed, aborted, err
 		}
+		if rec.LSN, err = c.log.Append(rec); err != nil {
+			return resolved, err
+		}
+		resolved = append(resolved, rec)
 	}
-	return committed, aborted, nil
+	return resolved, nil
 }

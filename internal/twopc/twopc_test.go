@@ -111,12 +111,12 @@ func TestCrashAfterDecisionThenResolve(t *testing.T) {
 		t.Fatal(err)
 	}
 	c2 := New(log)
-	committed, aborted, err := c2.Resolve(fed, images["P1"])
+	resolved, err := c2.Resolve(fed, images["P1"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if committed != 2 || aborted != 0 {
-		t.Fatalf("resolve = %d committed, %d aborted", committed, aborted)
+	if len(resolved) != 2 || !resolved[0].Commit || !resolved[1].Commit {
+		t.Fatalf("resolve = %+v, want 2 commits", resolved)
 	}
 	if a.Get("x") != 1 || b.Get("y") != 1 {
 		t.Fatal("recovery must finish the commit")
@@ -140,12 +140,12 @@ func TestCrashAfterFirstResolve(t *testing.T) {
 	}
 	recs, _ := log.Records()
 	images, _ := wal.Analyze(recs)
-	committed, _, err := New(log).Resolve(fed, images["P1"])
+	resolved, err := New(log).Resolve(fed, images["P1"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if committed != 1 {
-		t.Fatalf("exactly the unresolved participant must be committed, got %d", committed)
+	if len(resolved) != 1 || !resolved[0].Commit {
+		t.Fatalf("exactly the unresolved participant must be committed, got %+v", resolved)
 	}
 	if a.Get("x") != 1 || b.Get("y") != 1 {
 		t.Fatal("idempotent completion failed")
@@ -165,12 +165,12 @@ func TestResolvePresumedAbort(t *testing.T) {
 	// No decision logged: crash before the decision → presumed abort.
 	recs, _ := log.Records()
 	images, _ := wal.Analyze(recs)
-	committed, aborted, err := New(log).Resolve(fed, images["P1"])
+	resolved, err := New(log).Resolve(fed, images["P1"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if committed != 0 || aborted != 2 {
-		t.Fatalf("resolve = %d, %d", committed, aborted)
+	if len(resolved) != 2 || resolved[0].Commit || resolved[1].Commit {
+		t.Fatalf("resolve = %+v, want 2 rollbacks", resolved)
 	}
 	if a.Get("x") != 0 || b.Get("y") != 0 {
 		t.Fatal("presumed abort must leave no effects")
