@@ -33,7 +33,7 @@ layers:
 # product file outside internal/process prints a "+rN" suffix or splits
 # an id at '+' (internal/fault keeps the oracle's own parser).
 grammar:
-	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' "\"\+r|%s\+r%d|IndexByte\(.*'\+'" internal cmd | grep -vE '^internal/(process|fault)/'); \
+	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' "\"\+r\"|\+r%d|IndexByte\(.*'\+'" internal cmd | grep -vE '^internal/(process|fault)/'); \
 	if [ -n "$$bad" ]; then echo "incarnation-id grammar outside internal/process:" >&2; echo "$$bad" >&2; exit 1; fi
 
 # The benchmark is its own module (bench/) compiled against this tree:

@@ -133,9 +133,9 @@ type hubNode struct {
 // adoptOffer is a queued re-assignment of an orphaned origin to a
 // surviving node, delivered through its idle polls as StAdopt.
 type adoptOffer struct {
-	origin  process.ID
-	id      process.ID // the fresh incarnation the survivor admits
-	arrival int
+	origin   process.ID
+	restarts int // the survivor admits origin.Restart(restarts), a fresh incarnation
+	arrival  int
 }
 
 // Hub is the coordination agent: it owns the subsystem federation, the
@@ -762,7 +762,7 @@ func (h *Hub) maybeGrantRestart(req *Frame, origin process.ID, out *Frame) {
 	h.maxSuffix[string(origin)] = suffix
 	h.pending[string(origin)] = true
 	out.Flag = true
-	out.Proc = string(origin.Restart(suffix))
+	out.Proc, out.Local = string(origin.Restart(suffix)), int32(suffix)
 }
 
 // handleIdle is cluster-wide stall detection. A node reports the
@@ -783,8 +783,8 @@ func (h *Hub) handleIdle(req *Frame) *Frame {
 		n.adopts = n.adopts[1:]
 		out := h.resp(StAdopt)
 		out.Origin = string(of.origin)
-		out.Proc = string(of.id)
-		out.Local = int32(of.arrival)
+		out.Proc = string(of.origin.Restart(of.restarts))
+		out.Local, out.Extra = int32(of.arrival), int32(of.restarts)
 		return out
 	}
 	if req.Flag {
@@ -1059,10 +1059,9 @@ func (h *Hub) adoptOrphans(node uint32) {
 		suffix := h.maxSuffix[string(hp.Origin)] + 1
 		h.maxSuffix[string(hp.Origin)] = suffix
 		h.pending[string(hp.Origin)] = true
-		newID := hp.Origin.Restart(suffix)
 		dst := survivors[adopted%len(survivors)]
 		h.nodes[dst].adopts = append(h.nodes[dst].adopts, adoptOffer{
-			origin: hp.Origin, id: newID, arrival: hp.Arrival,
+			origin: hp.Origin, restarts: suffix, arrival: hp.Arrival,
 		})
 		// The done report, if the survivor already filed one, is stale:
 		// it has work again and must resume polling.

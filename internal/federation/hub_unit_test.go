@@ -245,7 +245,7 @@ func TestHubRestartGrantSingleLineage(t *testing.T) {
 		t.Fatalf("restart request while %s is live: %+v, want no grant", wantID, got)
 	}
 	c2.finish(t, wantID, true)
-	if got := c1.call(&Frame{Type: MsgReattach, Proc: origin, Flag: true}); !got.Flag || got.Proc != origin+"+r2" {
+	if got := c1.call(&Frame{Type: MsgReattach, Proc: origin, Flag: true}); !got.Flag || got.Proc != origin+"+r2" || got.Local != 2 {
 		t.Fatalf("restart request after %s aborted: %+v, want grant of %s+r2", wantID, got, origin)
 	}
 }
@@ -400,7 +400,7 @@ func TestHubLeaseExpiry(t *testing.T) {
 	if n := len(h.nodes[1].adopts); n != 1 {
 		t.Fatalf("survivor holds %d adoption offers, want 1", n)
 	}
-	if offer := h.nodes[1].adopts[0]; string(offer.origin) != origin || string(offer.id) != origin+"+r1" {
+	if offer := h.nodes[1].adopts[0]; string(offer.origin) != origin || offer.restarts != 1 {
 		t.Fatalf("adoption offer %+v, want origin %s as %s+r1", offer, origin, origin)
 	}
 	if !h.pending[origin] {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"time"
 
 	"transproc/internal/metrics"
@@ -265,23 +264,15 @@ func (n *Node) idleSleep() error {
 // adopt queues a fresh incarnation of a dead peer's orphaned origin,
 // granted by the hub through an idle poll (StAdopt).
 func (n *Node) adopt(resp *Frame) {
-	newID, origin := process.ID(resp.Proc), process.ID(resp.Origin)
+	newID := process.ID(resp.Proc)
 	for _, p := range n.procs {
 		if p.id == newID {
 			return // duplicate delivery (lost response replayed)
 		}
 	}
 	n.procs = append(n.procs, &nodeProc{
-		id: newID, origin: origin, arrival: int(resp.Local), restarts: grantedRestarts(newID, origin),
+		id: newID, origin: process.ID(resp.Origin), arrival: int(resp.Local), restarts: int(resp.Extra),
 	})
-}
-
-// grantedRestarts reads the number the hub chose off an incarnation id
-// it granted: the hub numbers below the job id the origin was admitted
-// under (base — itself an incarnation when the job was one) or, serving
-// a recovered fate, below the bare origin.
-func grantedRestarts(id, base process.ID) int {
-	return process.ID(strings.TrimPrefix(string(id), string(base))).Lineage()
 }
 
 // reattach is the hub-restart recovery flow: re-hello (adopting the new
@@ -321,10 +312,9 @@ func (n *Node) reattach() error {
 			// chosen hub-side so it never collides across owners).
 			n.settle(p, resp.Extra == ReattachCommitted)
 			if resp.Flag && resp.Proc != "" {
-				id := process.ID(resp.Proc)
 				n.procs = append(n.procs, &nodeProc{
-					id: id, origin: p.origin, arrival: p.arrival,
-					restarts: grantedRestarts(id, p.origin), backoff: 4,
+					id: process.ID(resp.Proc), origin: p.origin, arrival: p.arrival,
+					restarts: int(resp.Local), backoff: 4,
 				})
 			}
 		case ReattachParked:

@@ -115,9 +115,7 @@ func ReopenHub(fed *subsystem.Federation, defs []*process.Process, logs []wal.Lo
 	// post-reopen grants never collide with pre-crash incarnation ids.
 	h.fates = report.Fates
 	for id := range h.fates {
-		if origin := string(id.Origin()); id.Lineage() > h.maxSuffix[origin] {
-			h.maxSuffix[origin] = id.Lineage()
-		}
+		h.maxSuffix[string(id.Origin())] = max(h.maxSuffix[string(id.Origin())], id.Lineage())
 	}
 	h.reg.Inc(metrics.FedHubReopens)
 

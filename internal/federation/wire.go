@@ -127,7 +127,7 @@ const (
 	StStale
 	// StAdopt: an idle response carrying an orphaned process the node
 	// should adopt (Origin, Proc = the new incarnation, Local = its
-	// arrival rank).
+	// arrival rank, Extra = its restart number).
 	StAdopt
 	// StError: the hub rejected the request; Err carries the reason.
 	StError
@@ -149,8 +149,8 @@ type Frame struct {
 	Node   uint32
 	Epoch  uint32 // hub incarnation the sender believes in; 0 = unknown (hello)
 	Req    uint64
-	Local  int32 // arrival rank (MsgAdmit, StAdopt)
-	Extra  int32 // restarts on MsgAdmit; a Reattach* fate in responses
+	Local  int32 // arrival rank (MsgAdmit, StAdopt); the number of a granted restart (reattach response)
+	Extra  int32 // restarts on MsgAdmit and StAdopt; a Reattach* fate in other responses
 	Tx     int64
 	Stamp  int64 // the RecStart stamp in an admit response
 	Gen    int64 // progress generation (MsgIdle, every response), original request id (MsgCancel)

@@ -29,6 +29,7 @@ func TestIDGrammar(t *testing.T) {
 		{"a/trip+r12", "a/trip", 12},
 		{"P+x", "P", 0}, // not a restart suffix: no lineage
 		{"P+r", "P", 0},
+		{"P+5", "P", 0},
 		{"", "", 0},
 	} {
 		if got := c.id.Origin(); got != c.origin {

@@ -34,10 +34,8 @@ func (id ID) Restart(n int) ID { return id + ID("+r"+strconv.Itoa(n)) }
 // under which subsystems track the process's locks and deterministic
 // failure rules, and under which a host folds its incarnations' fates.
 func (id ID) Origin() ID {
-	if i := strings.IndexByte(string(id), '+'); i >= 0 {
-		return id[:i]
-	}
-	return id
+	origin, _, _ := strings.Cut(string(id), "+")
+	return ID(origin)
 }
 
 // Lineage is the number of the first restart suffix ("P1+r2+r1" -> 2,
@@ -45,13 +43,8 @@ func (id ID) Origin() ID {
 // highest lineage it has seen; the restarts an engine nests below a job
 // it was handed stay in that job's lineage.
 func (id ID) Lineage() int {
-	rest, ok := strings.CutPrefix(string(id[len(id.Origin()):]), "+r")
-	if !ok {
-		return 0
-	}
-	if i := strings.IndexByte(rest, '+'); i >= 0 {
-		rest = rest[:i]
-	}
+	rest, _ := strings.CutPrefix(string(id[len(id.Origin()):]), "+r")
+	rest, _, _ = strings.Cut(rest, "+")
 	n, _ := strconv.Atoi(rest) // not a number: not a restart suffix
 	return n
 }

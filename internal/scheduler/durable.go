@@ -2,7 +2,8 @@ package scheduler
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 
 	"transproc/internal/activity"
@@ -78,19 +79,9 @@ func restorePages(fed *subsystem.Federation, exp wal.Expansion, images map[strin
 	// no record of. A durable fate means the transaction was resolved
 	// pre-crash and phase 1 must consult that fate, not a resurrected
 	// intent; an in-doubt transaction (intent survived) needs nothing.
-	var ids []string
-	for id := range images {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range slices.Sorted(maps.Keys(images)) {
 		img := images[id]
-		var locals []int
-		for local := range img.Prepared {
-			locals = append(locals, local)
-		}
-		sort.Ints(locals)
-		for _, local := range locals {
+		for _, local := range slices.Sorted(maps.Keys(img.Prepared)) {
 			if img.Resolved[local] {
 				continue
 			}
@@ -132,7 +123,6 @@ func restorePages(fed *subsystem.Federation, exp wal.Expansion, images map[strin
 		rep.RedoItems += redo
 		rep.UndoItems += undo
 	}
-
 	return nil
 }
 

@@ -426,15 +426,10 @@ func Footprint(p *process.Process) []string {
 }
 
 func (e *Engine) allDone() bool {
-	if len(e.pending) > 0 {
+	for range e.active {
 		return false
 	}
-	for _, p := range e.drv.All() {
-		if p.Phase != policy.Done {
-			return false
-		}
-	}
-	return true
+	return len(e.pending) == 0
 }
 
 // dispatchAll attempts to make progress on every process; returns true

@@ -3,6 +3,8 @@ package scheduler
 import (
 	"container/heap"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 
 	"transproc/internal/metrics"
@@ -111,11 +113,7 @@ func recoverLog(fed *subsystem.Federation, log wal.Log, defs []*process.Process,
 	d := e.drv
 
 	// Deterministic order over processes.
-	var ids []string
-	for id := range images {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
+	ids := slices.Sorted(maps.Keys(images))
 
 	// Phase 1 is redo/undo of the log and has no counterpart before the
 	// crash: resolve in-doubt transactions (presumed commit when a
@@ -193,19 +191,14 @@ func recoverLog(fed *subsystem.Federation, log wal.Log, defs []*process.Process,
 	// Event sequence numbers are log positions, so what the driver appends
 	// from here on sorts after everything the log already holds.
 	e.seq = int64(len(recs))
-	// An abort that completed forward, before the crash or in an earlier
-	// recovery, left a terminate record that reads like a backward one's:
-	// the commits no compensation undid tell the two apart.
-	for _, i := range wal.EffectiveCommits(recs, func(proc string) bool {
-		img := images[proc]
-		return img.Terminated && !img.TerminatedCommitted
-	}) {
-		report.Fates[process.ID(recs[i].Proc)] = true
-	}
 	for _, id := range ids {
 		if img := images[id]; img.Terminated {
 			report.AlreadyTerminated = append(report.AlreadyTerminated, process.ID(id))
-			report.Fates[process.ID(id)] = report.Fates[process.ID(id)] || img.TerminatedCommitted
+			// An abort that completed forward, before the crash or in an
+			// earlier recovery, left a terminate record that reads like a
+			// backward one's: a commit no compensation undid tells them apart.
+			report.Fates[process.ID(id)] = img.TerminatedCommitted || slices.ContainsFunc(img.Committed,
+				func(local int) bool { return !slices.Contains(img.Compensated, local) })
 			continue
 		}
 		def := byID[process.ID(id).Origin()]
