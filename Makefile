@@ -126,5 +126,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzHeapPageDecode -fuzztime 30s -run '^$$' ./internal/store
 	$(GO) test -fuzz FuzzFreeSpaceMap -fuzztime 30s -run '^$$' ./internal/store
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s -run '^$$' ./internal/federation
+	$(GO) test -fuzz FuzzPolicyIncremental -fuzztime 30s -run '^$$' ./internal/scheduler/policy
 
 ci: build layers grammar test bench-check experiments-check race diff torture chaos fed serve coverage-floor

@@ -132,7 +132,11 @@ type chainKey struct {
 type Instance struct {
 	p      *Process
 	status map[int]Status
-	altIdx map[chainKey]int
+	// statusGen counts the writes to status: a reader that caches
+	// something derived from the status vector (the scheduler's
+	// potential-completion masks) compares it instead of recomputing.
+	statusGen uint64
+	altIdx    map[chainKey]int
 	// commitRank orders the committed activities by when they committed
 	// (1, 2, …): two activities ≪ leaves unordered are compensated in the
 	// reverse of it.
@@ -168,6 +172,16 @@ func (in *Instance) Process() *Process { return in.p }
 
 // Status returns the status of an activity.
 func (in *Instance) Status(local int) Status { return in.status[local] }
+
+// StatusGen changes whenever an activity's status does, and with it
+// possibly Mode, PotentialRecoveryServices and UncommittedServices.
+func (in *Instance) StatusGen() uint64 { return in.statusGen }
+
+// set is the one writer of the status vector after construction.
+func (in *Instance) set(local int, st Status) {
+	in.status[local] = st
+	in.statusGen++
+}
 
 // Terminated reports whether the process has reached a terminal state.
 func (in *Instance) Terminated() bool { return in.terminated }
@@ -306,7 +320,7 @@ func (in *Instance) MarkCommitted(local int) error {
 		// rolled-back retriables.
 		return fmt.Errorf("process %s: activity %d cannot commit from %v", in.p.ID, local, st)
 	}
-	in.status[local] = Committed
+	in.set(local, Committed)
 	in.commitRank[local] = len(in.commitRank) + 1
 	return nil
 }
@@ -357,7 +371,7 @@ func (in *Instance) transition(local int, from, to Status) error {
 	if st != from {
 		return fmt.Errorf("process %s: activity %d is %v, want %v", in.p.ID, local, st, from)
 	}
-	in.status[local] = to
+	in.set(local, to)
 	return nil
 }
 
@@ -398,7 +412,7 @@ func (in *Instance) MarkFailed(local int) (FailurePlan, error) {
 	if st := in.status[local]; st != Pending {
 		return FailurePlan{}, fmt.Errorf("process %s: activity %d is %v, cannot fail", in.p.ID, local, st)
 	}
-	in.status[local] = Failed
+	in.set(local, Failed)
 
 	key, branchHead, ok := in.findChoicePoint(local)
 	if !ok {
@@ -497,7 +511,7 @@ func (in *Instance) abandonNodes(nodes []int) ([]Step, error) {
 		case Prepared:
 			rollback = append(rollback, n)
 		case Pending:
-			in.status[n] = Abandoned
+			in.set(n, Abandoned)
 		}
 	}
 	in.sortReverseOrder(comp)
@@ -507,7 +521,7 @@ func (in *Instance) abandonNodes(nodes []int) ([]Step, error) {
 		steps = append(steps, Step{Kind: StepCompensate, Local: n, Service: in.p.byID[n].Compensation})
 	}
 	for _, n := range rollback {
-		in.status[n] = AbortedPrepared
+		in.set(n, AbortedPrepared)
 		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.byID[n].Service})
 	}
 	return steps, nil
@@ -554,7 +568,7 @@ func (in *Instance) backwardRecoveryPlan() FailurePlan {
 	// non-compensatable activities whose locks would otherwise block the
 	// compensations, and rollback is always safe (atomicity).
 	for _, n := range rollback {
-		in.status[n] = AbortedPrepared
+		in.set(n, AbortedPrepared)
 		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.byID[n].Service})
 	}
 	for _, n := range comp {
@@ -568,7 +582,7 @@ func (in *Instance) beginAbort() {
 	in.aborting = true
 	for _, id := range in.p.order {
 		if in.status[id] == Pending {
-			in.status[id] = Abandoned
+			in.set(id, Abandoned)
 		}
 	}
 }

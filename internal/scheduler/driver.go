@@ -140,6 +140,9 @@ type Table struct {
 	procs []*Proc // admission order (includes done)
 	ids   []process.ID
 	byID  map[process.ID]*Proc
+	// flight is the result buffer of InFlight, which the policy reads
+	// for every live process on every round.
+	flight []string
 }
 
 // Add appends an admitted process.
@@ -194,13 +197,14 @@ func (t *Table) InFlight(id process.ID) []string {
 	if p == nil {
 		return nil
 	}
-	out := make([]string, 0, len(p.Running)+1)
+	out := t.flight[:0]
 	for _, svc := range p.Running {
 		out = append(out, svc)
 	}
 	if p.StepBusy && p.StepSvc != "" {
 		out = append(out, p.StepSvc)
 	}
+	t.flight = out
 	return out
 }
 

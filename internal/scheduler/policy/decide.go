@@ -7,24 +7,19 @@ import (
 	"transproc/internal/schedule"
 )
 
-// activePreds calls yield for each non-terminated process with an edge
-// into id in the conflict graph, in arbitrary order, until yield returns
-// false.
-func (s *State) activePreds(v View, id process.ID, yield func(process.ID) bool) {
-	for k, n := range s.edges {
-		if n > 0 && k[1] == id && v.Phase(k[0]) != Done && !yield(k[0]) {
-			return
-		}
-	}
-}
-
 // HasActiveConflictPred reports whether any non-terminated process has
 // an edge into id in the conflict graph — Lemma 1's commit-deferral
 // condition.
 func (s *State) HasActiveConflictPred(v View, id process.ID) bool {
-	found := false
-	s.activePreds(v, id, func(process.ID) bool { found = true; return false })
-	return found
+	s.refresh(v)
+	if n := s.nodes[id]; n != nil {
+		for q := range n.in {
+			if q.alive {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ActiveConflictPreds lists the non-terminated processes with an edge
@@ -33,27 +28,52 @@ func (s *State) HasActiveConflictPred(v View, id process.ID) bool {
 // the AND-set of one wait-for alternative in the runtime's deadlock
 // detector.
 func (s *State) ActiveConflictPreds(v View, id process.ID) []process.ID {
+	s.refresh(v)
 	var out []process.ID
-	s.activePreds(v, id, func(q process.ID) bool { out = append(out, q); return true })
+	if n := s.nodes[id]; n != nil {
+		for q := range n.in {
+			if q.alive {
+				out = append(out, q.id)
+			}
+		}
+	}
 	return out
 }
 
-// FirstActivePred names one active conflicting predecessor of id — the
-// process a deferred commit is waiting on (trace detail for the
-// defer-commit decision). Which one is named is arbitrary when several
-// exist; "" when none.
+// older orders processes by admission rank, then id.
+func older(v View, a, b process.ID) bool {
+	if ra, rb := v.Arrival(a), v.Arrival(b); ra != rb {
+		return ra < rb
+	}
+	return a < b
+}
+
+// FirstActivePred names the oldest active conflicting predecessor of id
+// — the process a deferred commit is waiting on (trace detail for the
+// defer-commit decision); "" when none.
 func (s *State) FirstActivePred(v View, id process.ID) string {
-	first := ""
-	s.activePreds(v, id, func(q process.ID) bool { first = string(q); return false })
-	return first
+	var first process.ID
+	for _, q := range s.ActiveConflictPreds(v, id) {
+		if first == "" || older(v, q, first) {
+			first = q
+		}
+	}
+	return string(first)
 }
 
 // lemma1Blocks is the Lemma-1 dispatch rule for one conflicting
-// predecessor q of a regular activity on svcID: q blocks the dispatch
+// predecessor q of a regular activity on svc: q blocks the dispatch
 // while it is active, unless it can no longer produce a recovery
 // activity conflicting with the service (quasi-commit, Example 10).
-func (s *State) lemma1Blocks(v View, q process.ID, svcID int) bool {
-	return v.Phase(q) != Done && !s.safeQuasiCommit(v, q, svcID)
+func lemma1Blocks(q *node, svc int) bool {
+	return q.alive && !safeQuasiCommit(q, svc)
+}
+
+// safeQuasiCommit reports whether q can no longer produce a recovery
+// activity conflicting with the service: q is forward-recoverable and
+// none of its potential recovery services conflicts (Example 10).
+func safeQuasiCommit(q *node, svc int) bool {
+	return q.phase == Running && q.frec && !testBit(q.potConf, svc)
 }
 
 // DispatchBlockers lists the active predecessors on which MayDispatch's
@@ -67,68 +87,18 @@ func (s *State) DispatchBlockers(v View, id process.ID, a *process.Activity) []p
 	if s.cfg.Mode != PRED {
 		return nil
 	}
-	svcID := s.u.intern(a.Service)
-	if !anyBit(s.u.mask(svcID)) {
+	svc := s.u.intern(a.Service)
+	if !anyBit(s.u.mask(svc)) {
 		return nil
 	}
+	s.candidate(v, id, svc)
 	var out []process.ID
-	for q := range s.conflictPreds(v, id, svcID) {
-		if s.lemma1Blocks(v, q, svcID) {
-			out = append(out, q)
+	for _, q := range s.preds {
+		if lemma1Blocks(q, svc) {
+			out = append(out, q.id)
 		}
 	}
 	return out
-}
-
-// wouldCycle reports whether adding edges from the given predecessors to
-// `to` closes a cycle in the conflict graph.
-func (s *State) wouldCycle(preds map[process.ID]bool, to process.ID) bool {
-	// DFS from `to` over positive edges; if we reach any pred, the new
-	// edge pred->to closes a cycle.
-	stack := []process.ID{to}
-	seen := map[process.ID]bool{}
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[n] {
-			continue
-		}
-		seen[n] = true
-		if n != to && preds[n] {
-			return true
-		}
-		for k, cnt := range s.edges {
-			if cnt > 0 && k[0] == n {
-				stack = append(stack, k[1])
-			}
-		}
-	}
-	return false
-}
-
-// conflictPreds returns, for a prospective activity of id, the set of
-// processes with an earlier effective conflicting event (executed or in
-// flight). The returned map is scratch, valid until the next
-// conflictPreds call on this state.
-func (s *State) conflictPreds(v View, id process.ID, svcID int) map[process.ID]bool {
-	preds := s.predScratch
-	clear(preds)
-	fc := s.forced(v)
-	mask := s.u.mask(svcID)
-	for svc, owners := range fc.bySvc {
-		if len(owners) == 0 {
-			continue
-		}
-		if w := svc / 64; w >= len(mask) || mask[w]&(1<<(uint(svc)%64)) == 0 {
-			continue
-		}
-		for _, p := range owners {
-			if p != id {
-				preds[p] = true
-			}
-		}
-	}
-	return preds
 }
 
 // MayDispatch implements the per-activity scheduling rules for a regular
@@ -139,57 +109,48 @@ func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (bool, s
 	case Serial, Conservative:
 		return true, "" // admission already serialized conflicts
 	}
-	svcID := s.u.intern(a.Service)
+	svc := s.u.intern(a.Service)
 	// Conflict-free services can never gain predecessors, force an
 	// ordering or close a cycle — only the ablation-mode pivot gate can
-	// still apply. This skips the forced-context machinery entirely for
-	// the commutative bulk of a workload.
-	if !anyBit(s.u.mask(svcID)) {
+	// still apply. This skips the graph entirely for the commutative
+	// bulk of a workload.
+	if !anyBit(s.u.mask(svc)) {
 		if s.cfg.Mode != CCOnly && s.cfg.BlockPivots && a.Kind.NonCompensatable() && s.HasActiveConflictPred(v, id) {
 			return false, "pivot blocked until predecessors terminate (ablation mode)"
 		}
 		return true, ""
 	}
-	preds := s.conflictPreds(v, id, svcID)
+	c := s.candidate(v, id, svc)
 	if s.cfg.Mode == CCOnly {
-		if len(preds) == 0 {
-			return true, ""
-		}
-		if s.wouldCycle(preds, id) {
+		// The new hard edges preds → c close a cycle iff c reaches one
+		// of the predecessors over the edges executed so far.
+		s.stack = append(s.stack, c)
+		if s.search(nil, true, func(n *node) bool { return n.pred == s.epoch }) {
 			return false, "serializability: edge would close a cycle"
 		}
 		return true, ""
 	}
-	// PRED: dependencies on active processes are restricted.
-	for q := range preds {
-		if s.lemma1Blocks(v, q, svcID) {
-			return false, fmt.Sprintf("recovery: depends on active process %s (Lemma 1)", q)
+	// PRED: dependencies on active processes are restricted. The denial
+	// names the oldest blocker.
+	var blocker process.ID
+	for _, q := range s.preds {
+		if lemma1Blocks(q, svc) && (blocker == "" || older(v, q.id, blocker)) {
+			blocker = q.id
 		}
+	}
+	if blocker != "" {
+		return false, fmt.Sprintf("recovery: depends on active process %s (Lemma 1)", blocker)
 	}
 	// The dispatch must keep the forced ordering graph of the completed
 	// current schedule acyclic (prefix-reducibility, maintained
 	// inductively).
-	fc := s.forced(v)
-	if !fc.acyclicWith(fc.newEdges(id, svcID, false)) {
+	if s.closesCycle(c, svc, false) {
 		return false, "completed-schedule ordering would become cyclic"
 	}
 	if s.cfg.BlockPivots && a.Kind.NonCompensatable() && s.HasActiveConflictPred(v, id) {
 		return false, "pivot blocked until predecessors terminate (ablation mode)"
 	}
 	return true, ""
-}
-
-// safeQuasiCommit reports whether q can no longer produce a recovery
-// activity conflicting with the service: q is forward-recoverable and
-// none of its potential recovery services conflicts (Example 10). The
-// potential set is read from the round's forced context (same state
-// version, so it is current).
-func (s *State) safeQuasiCommit(v View, q process.ID, svcID int) bool {
-	inst := v.Instance(q)
-	if v.Phase(q) != Running || inst == nil || inst.Mode() != process.FREC {
-		return false
-	}
-	return !intersects(s.forced(v).pots[q], s.u.mask(svcID))
 }
 
 // Lemma1ClearForward gates a forward-recovery invocation (StepInvoke):
@@ -200,15 +161,13 @@ func (s *State) safeQuasiCommit(v View, q process.ID, svcID int) bool {
 // queued compensations (Lemma3Clear); their remaining forward paths
 // merely order against ours.
 func (s *State) Lemma1ClearForward(v View, id process.ID, st process.Step) bool {
-	svcID := s.u.intern(st.Service)
-	if !anyBit(s.u.mask(svcID)) {
+	svc := s.u.intern(st.Service)
+	if !anyBit(s.u.mask(svc)) {
 		return true
 	}
-	for q := range s.conflictPreds(v, id, svcID) {
-		if ph := v.Phase(q); ph == Done || ph == Aborting {
-			continue
-		}
-		if !s.safeQuasiCommit(v, q, svcID) {
+	s.candidate(v, id, svc)
+	for _, q := range s.preds {
+		if q.phase != Aborting && lemma1Blocks(q, svc) {
 			return false
 		}
 	}
@@ -220,22 +179,14 @@ func (s *State) Lemma1ClearForward(v View, id process.ID, st process.Step) bool 
 // another active process still has effective conflicting work executed
 // after T (that process compensates first — it is cascading).
 func (s *State) Lemma2Clear(v View, id process.ID, st process.Step) bool {
-	svcID := s.u.intern(st.Service)
-	if !anyBit(s.u.mask(svcID)) {
+	svc := s.u.intern(st.Service)
+	if !anyBit(s.u.mask(svc)) {
 		return true
 	}
+	s.refresh(v)
 	baseSeq := s.BaseSeq(id, st.Local)
-	for _, ev := range s.events {
-		if ev.Proc == id || !ev.effective() {
-			continue
-		}
-		if ev.Seq <= baseSeq {
-			continue
-		}
-		if v.Phase(ev.Proc) == Done {
-			continue
-		}
-		if s.u.conflictsID(ev.svc, svcID) {
+	for _, ev := range s.conflicting(svc) {
+		if ev.Proc != id && ev.Seq > baseSeq && ev.owner.alive {
 			return false
 		}
 	}
@@ -249,11 +200,12 @@ func (s *State) Lemma3Clear(v View, id process.ID, st process.Step) bool {
 	if !anyBit(s.u.mask(s.u.intern(st.Service))) {
 		return true
 	}
-	for _, o := range v.Procs() {
-		if o == id || v.Phase(o) == Done {
+	s.refresh(v)
+	for _, o := range s.live {
+		if o.id == id {
 			continue
 		}
-		for _, os := range v.RecoverySteps(o) {
+		for _, os := range v.RecoverySteps(o.id) {
 			if os.Kind == process.StepCompensate && s.u.Conflicts(os.Service, st.Service) {
 				return false
 			}
@@ -264,18 +216,15 @@ func (s *State) Lemma3Clear(v View, id process.ID, st process.Step) bool {
 
 // StepForcedClear checks a forward-recovery step against the forced
 // ordering graph: wait while the step's new edges close a cycle that
-// waiting can still break (some process on the cycle path is active). A
-// cycle whose other participants already terminated cannot be avoided —
-// the completion step must run eventually, so it proceeds.
+// waiting can still break (some process on the cycle is active). Every
+// such cycle runs through the stepping process itself, which is active,
+// so any cycle is a reason to wait.
 func (s *State) StepForcedClear(v View, id process.ID, st process.Step) bool {
-	svcID := s.u.intern(st.Service)
-	if !anyBit(s.u.mask(svcID)) {
+	svc := s.u.intern(st.Service)
+	if !anyBit(s.u.mask(svc)) {
 		return true
 	}
-	fc := s.forced(v)
-	return fc.acyclicWithActive(fc.newEdges(id, svcID, true), func(q process.ID) bool {
-		return v.Phase(q) != Done
-	})
+	return !s.closesCycle(s.candidate(v, id, svc), svc, true)
 }
 
 // DeferToAborting defers a forward-recovery step to aborting processes
@@ -288,31 +237,30 @@ func (s *State) DeferToAborting(v View, id process.ID, st process.Step) (process
 	if !anyBit(s.u.mask(s.u.intern(st.Service))) {
 		return "", false
 	}
-	fc := s.forced(v)
-	for _, o := range v.Procs() {
-		if o == id || v.Phase(o) != Aborting {
+	s.refresh(v)
+	c := s.node(id)
+	for _, o := range s.live {
+		if o == c || o.phase != Aborting {
 			continue
 		}
-		for _, os := range v.RecoverySteps(o) {
+		for _, os := range v.RecoverySteps(o.id) {
 			if os.Kind != process.StepInvoke || !s.u.Conflicts(os.Service, st.Service) {
 				continue
 			}
-			if !fc.pathExists(o, id) {
+			if !s.pathExists(o, c) {
 				continue
 			}
-			if fc.pathExists(id, o) {
-				// Mutual: older (or lower id) goes first.
-				if v.Arrival(id) < v.Arrival(o) || (v.Arrival(id) == v.Arrival(o) && id < o) {
-					continue
-				}
+			// Mutual: older (or lower id) goes first.
+			if s.pathExists(c, o) && older(v, id, o.id) {
+				continue
 			}
-			return o, true
+			return o.id, true
 		}
 	}
 	return "", false
 }
 
-// String renders one effective-history line (diagnostics).
+// String renders one record line (diagnostics).
 func (ev *Event) String() string {
 	if ev.Typ != schedule.Invoke {
 		return fmt.Sprintf("seq=%d %s %v", ev.Seq, ev.Proc, ev.Typ)

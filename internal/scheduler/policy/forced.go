@@ -1,355 +1,379 @@
 package policy
 
 import (
+	"math/bits"
+
 	"transproc/internal/process"
 )
 
-// forcedCtx captures, for one dispatch round, the *forced* ordering
-// edges of the completed current schedule: conflicts between surviving
-// executed activities, and conflicts between a surviving executed
-// activity and a potential completion activity of an active process
-// (completion activities are appended after everything executed, so such
-// a conflict forces the executed activity's process before the active
-// one). Prefix-reducibility is maintained inductively by refusing any
-// dispatch whose new forced edges would close a cycle — the operational
-// form of "the completed process schedule S̃ has always to be considered"
+// node is one process in the forced-order graph of the completed current
+// schedule. Its edges are the *forced* orderings: conflicts between
+// surviving executed activities (hard edges, materialised with reference
+// counts), and conflicts between a surviving activity and a potential
+// completion activity of a live process (soft edges: completion
+// activities are appended after everything executed, so such a conflict
+// forces the executed activity's process before the live one). Soft
+// edges are not stored; soft tests one from the two bitsets involved.
+// Prefix-reducibility is maintained inductively by refusing any dispatch
+// whose new forced edges would close a cycle — the operational form of
+// "the completed process schedule S̃ has always to be considered"
 // (Section 3.5).
-//
-// The context and its maps are reused across rebuilds (a State is
-// driven from one goroutine at a time), and all conflict tests run on
-// interned service ids and bitset masks.
-type forcedCtx struct {
-	s *State
-	// pots maps each non-terminated process to the bitset of services
-	// its future completions might still invoke. For running processes
-	// this is the potential recovery set; for aborting processes the
-	// services of their queued forward steps.
-	pots map[process.ID][]uint64
-	// bySvc indexes the surviving effective activities (executed and
-	// not compensated/erased, plus in-flight invocations) by interned
-	// service id: bySvc[svc] lists the owning processes (deduplicated).
-	bySvc [][]process.ID
-	// edges is the forced edge set.
-	edges map[[2]process.ID]bool
-	// phase snapshots the view's phases at build time (for newEdges'
-	// aborting-process exemption).
-	phase map[process.ID]Phase
+type node struct {
+	id process.ID
 
-	// adj is the adjacency form of edges, built lazily on the first
-	// reachability query of the round.
-	adj map[process.ID][]process.ID
+	// History-derived. events are the process's effective events
+	// (invocations neither erased, compensated nor inverse) in history
+	// order and surv the set of their services; in counts, per hard
+	// predecessor, the event pairs behind the edge (entries are
+	// positive) and out is the set of hard successors.
+	events     []*Event
+	surv       []uint64
+	in         map[*node]int
+	out        map[*node]struct{}
+	terminated bool // its Terminate event is in the record
 
-	// per-query scratch.
-	edgeBuf   [][2]process.ID
-	stack     []process.ID
-	seen      map[process.ID]bool
-	maskAlloc []uint64 // bump allocator for pot masks
+	// View-derived, for a process the view reports live (alive) and
+	// zero otherwise. flight is the set of its in-flight services —
+	// survivors too: they will commit (or vanish atomically) and their
+	// pending conflict edges must be visible to concurrent decisions.
+	// potConf is the set of services conflicting with a potential
+	// completion: the potential recovery set of a running process, the
+	// queued forward steps of an aborting one. frec says a running
+	// process is forward-recoverable. potInst and potGen key the cached
+	// potConf and frec of a running process.
+	alive   bool
+	phase   Phase
+	frec    bool
+	flight  []uint64
+	potConf []uint64
+	potInst *process.Instance
+	potGen  uint64
+
+	// seen and pred equal State.epoch when the current search visited
+	// the node, and when it is a conflict predecessor of the candidate.
+	seen, pred uint64
 }
 
-// forced returns the current round's forced-graph context, rebuilt when
-// the state version moved since the cached one.
-func (s *State) forced(v View) *forcedCtx {
-	if s.fctx == nil || s.fctxVersion != s.version {
-		s.fctx = s.newForcedCtx(v)
-		s.fctxVersion = s.version
+// node returns the graph node of a process, creating it on first sight.
+func (s *State) node(id process.ID) *node {
+	n := s.nodes[id]
+	if n == nil {
+		if s.nodes == nil {
+			s.nodes = make(map[process.ID]*node)
+		}
+		n = &node{id: id}
+		s.nodes[id] = n
 	}
-	return s.fctx
+	return n
 }
 
-// newForcedCtx builds the round context from the view, reusing the
-// previous round's allocations.
-func (s *State) newForcedCtx(v View) *forcedCtx {
-	f := s.fctx
-	if f == nil {
-		f = &forcedCtx{
-			s:     s,
-			pots:  make(map[process.ID][]uint64),
-			edges: make(map[[2]process.ID]bool),
-			phase: make(map[process.ID]Phase),
-			seen:  make(map[process.ID]bool),
-		}
-	} else {
-		clear(f.pots)
-		clear(f.edges)
-		clear(f.phase)
-		f.adj = nil
-	}
-	for i := range f.bySvc {
-		f.bySvc[i] = f.bySvc[i][:0]
-	}
-	f.maskAlloc = f.maskAlloc[:0]
-
-	procs := v.Procs()
-	words := (s.u.Size() + 63) / 64
-	for _, id := range procs {
-		ph := v.Phase(id)
-		f.phase[id] = ph
-		switch ph {
-		case Running:
-			if inst := v.Instance(id); inst != nil {
-				f.pots[id] = f.newMask(inst.PotentialRecoveryServices(), words)
-			}
-		case Aborting:
-			m := f.blankMask(words)
-			for _, st := range v.RecoverySteps(id) {
-				if st.Kind == process.StepInvoke {
-					m = setBit(m, s.u.intern(st.Service))
-				}
-			}
-			f.pots[id] = m
-		}
-	}
-	for _, ev := range s.events {
-		if !ev.effective() {
-			continue
-		}
-		f.addSurvivor(ev.Proc, ev.svc)
-	}
-	// In-flight invocations participate as survivors: they will commit
-	// (or vanish atomically) and their pending conflict edges must be
-	// visible to concurrent dispatch decisions.
-	for _, id := range procs {
-		for _, svc := range v.InFlight(id) {
-			f.addSurvivor(id, s.u.intern(svc))
-		}
-	}
-	// Executed-executed edges.
-	for k, n := range s.edges {
-		if n > 0 {
-			f.edges[k] = true
-		}
-	}
-	// Executed-vs-potential-completion edges, computed per distinct
-	// (survivor service, process potential) pair.
-	for svc, owners := range f.bySvc {
-		if len(owners) == 0 {
-			continue
-		}
-		mask := s.u.mask(svc)
-		for q, pot := range f.pots {
-			if !intersects(pot, mask) {
-				continue
-			}
-			for _, p := range owners {
-				if p != q {
-					f.edges[[2]process.ID{p, q}] = true
-				}
-			}
-		}
-	}
-	return f
-}
-
-// blankMask hands out a zeroed bitset of the given word count from the
-// round's bump allocator.
-func (f *forcedCtx) blankMask(words int) []uint64 {
-	n := len(f.maskAlloc)
-	if cap(f.maskAlloc)-n < words {
-		f.maskAlloc = make([]uint64, 0, 64+words)
-		n = 0
-	}
-	f.maskAlloc = f.maskAlloc[:n+words]
-	m := f.maskAlloc[n : n+words : n+words]
-	for i := range m {
-		m[i] = 0
-	}
-	return m
-}
-
-// newMask interns a service-name set into a bitset.
-func (f *forcedCtx) newMask(set map[string]bool, words int) []uint64 {
-	m := f.blankMask(words)
-	for svc := range set {
-		m = setBit(m, f.s.u.intern(svc))
-	}
-	return m
-}
-
-// addSurvivor records a surviving effective activity owner under its
-// service id, deduplicating owners.
-func (f *forcedCtx) addSurvivor(proc process.ID, svc int) {
-	for len(f.bySvc) <= svc {
-		f.bySvc = append(f.bySvc, nil)
-	}
-	owners := f.bySvc[svc]
-	for _, p := range owners {
-		if p == proc {
-			return
-		}
-	}
-	f.bySvc[svc] = append(owners, proc)
-}
-
-// newEdges computes the forced edges a dispatch of service by proc would
-// add. When the dispatch is a queued forward-recovery step, potential
-// sets of other *aborting* processes do not force edges (the relative
-// order of two queued forward steps is free and realized by actual
-// execution order). The returned slice is scratch, valid until the next
-// newEdges call on this context.
-func (f *forcedCtx) newEdges(proc process.ID, svcID int, isStep bool) [][2]process.ID {
-	out := f.edgeBuf[:0]
-	mask := f.s.u.mask(svcID)
-	for svc, owners := range f.bySvc {
-		if len(owners) == 0 {
-			continue
-		}
-		if w := svc / 64; w >= len(mask) || mask[w]&(1<<(uint(svc)%64)) == 0 {
-			continue
-		}
-		for _, p := range owners {
-			if p != proc {
-				out = append(out, [2]process.ID{p, proc})
-			}
-		}
-	}
-	for q, pot := range f.pots {
-		if q == proc {
-			continue
-		}
-		if isStep && f.phase[q] == Aborting {
-			continue
-		}
-		if intersects(pot, mask) {
-			out = append(out, [2]process.ID{proc, q})
-		}
-	}
-	f.edgeBuf = out
-	return out
-}
-
-// ForcedEdgesFor exposes newEdges for diagnostics (stall dumps); the
-// result is a copy safe to retain.
-func (s *State) ForcedEdgesFor(v View, id process.ID, service string, isStep bool) [][2]process.ID {
-	fc := s.forced(v)
-	edges := fc.newEdges(id, s.u.intern(service), isStep)
-	out := make([][2]process.ID, len(edges))
-	copy(out, edges)
-	return out
-}
-
-// ensureAdj materializes the adjacency form of the forced edges.
-func (f *forcedCtx) ensureAdj() {
-	if f.adj != nil {
+// addEdge counts one more event pair ordering a before b.
+func (s *State) addEdge(a, b *node) {
+	if a == b {
 		return
 	}
-	f.adj = make(map[process.ID][]process.ID, len(f.edges))
-	for k := range f.edges {
-		if k[0] != k[1] {
-			f.adj[k[0]] = append(f.adj[k[0]], k[1])
+	if b.in == nil {
+		b.in = make(map[*node]int)
+	}
+	if a.out == nil {
+		a.out = make(map[*node]struct{})
+	}
+	b.in[a]++
+	a.out[b] = struct{}{}
+}
+
+// conflicting collects the effective events of every service that
+// conflicts with svc. The result is scratch, valid until the next call.
+func (s *State) conflicting(svc int) []*Event {
+	out := s.evBuf[:0]
+	for w, word := range s.u.mask(svc) {
+		for ; word != 0; word &= word - 1 {
+			if other := w<<6 + bits.TrailingZeros64(word); other < len(s.bySvc) {
+				out = append(out, s.bySvc[other]...)
+			}
+		}
+	}
+	s.evBuf = out
+	return out
+}
+
+// enter lists an effective event under its process and its service.
+func (s *State) enter(n *node, ev *Event) {
+	ev.owner = n
+	n.events = append(n.events, ev)
+	n.surv = setBit(n.surv, ev.svc)
+	for len(s.bySvc) <= ev.svc {
+		s.bySvc = append(s.bySvc, nil)
+	}
+	ev.slot = len(s.bySvc[ev.svc])
+	s.bySvc[ev.svc] = append(s.bySvc[ev.svc], ev)
+}
+
+// unindex takes an event out of its service's list.
+func (s *State) unindex(ev *Event) {
+	list := s.bySvc[ev.svc]
+	last := list[len(list)-1]
+	list[ev.slot], last.slot = last, ev.slot
+	list[len(list)-1] = nil
+	s.bySvc[ev.svc] = list[:len(list)-1]
+}
+
+// removeEventEdges releases the edges an event (already out of the
+// index) contributed when it is erased (rollback) or compensated. A
+// process left without predecessors goes onto s.work for prune.
+func (s *State) removeEventEdges(ev *Event) {
+	for _, old := range s.conflicting(ev.svc) {
+		if old.owner == ev.owner {
+			continue
+		}
+		from, to := old.owner, ev.owner
+		if old.Seq >= ev.Seq {
+			from, to = to, from
+		}
+		switch c := to.in[from]; {
+		case c > 1:
+			to.in[from] = c - 1
+		case c == 1:
+			delete(to.in, from)
+			delete(from.out, to)
+			s.work = append(s.work, to)
+		}
+	}
+	s.Bump()
+}
+
+// prune is the node-deletion rule of serialization-graph testing, applied
+// to the nodes on s.work and in cascade to their successors: a process
+// whose Terminate event is in the record and that no unpruned process
+// precedes leaves the graph and the survivor index, with its out-edges.
+//
+// It is safe because a terminated process never gains an in-edge again —
+// a hard one needs it to append an event, a soft one needs it to have
+// potential completions — so it can never lie on a cycle, and every
+// path between two unpruned processes runs only through processes with
+// an unpruned ancestor. As a conflict predecessor it is Done, which
+// Lemma 1, 2 and 3 ignore already. History seeded without Terminate
+// events (restart recovery, SeedSummary stand-ins) is never pruned.
+func (s *State) prune() {
+	for len(s.work) > 0 {
+		t := s.work[len(s.work)-1]
+		s.work = s.work[:len(s.work)-1]
+		if !t.terminated || len(t.in) > 0 || s.nodes[t.id] != t {
+			continue
+		}
+		delete(s.nodes, t.id)
+		for _, ev := range t.events {
+			s.unindex(ev)
+		}
+		for m := range t.out {
+			delete(m.in, t)
+			s.work = append(s.work, m)
+		}
+		t.events, t.out = nil, nil
+	}
+}
+
+// refresh brings the view-derived half up to date, on the first decision
+// after a Bump: it finds the live processes — new entries of v.Procs()
+// that are not Done, and the ones live before that still are not — and
+// re-reads their phase, in-flight services and potential completions.
+func (s *State) refresh(v View) {
+	if s.viewVersion == s.version {
+		return
+	}
+	s.viewVersion = s.version
+	procs := v.Procs()
+	for ; s.cursor < len(procs); s.cursor++ {
+		if id := procs[s.cursor]; v.Phase(id) != Done {
+			s.live = append(s.live, s.node(id))
+		}
+	}
+	live := s.live[:0]
+	for _, n := range s.live {
+		ph := v.Phase(n.id)
+		if ph == Done {
+			n.alive, n.frec, n.potInst = false, false, nil
+			n.flight, n.potConf = n.flight[:0], n.potConf[:0]
+			continue
+		}
+		n.alive, n.phase = true, ph
+		n.flight = n.flight[:0]
+		for _, svc := range v.InFlight(n.id) {
+			n.flight = setBit(n.flight, s.u.intern(svc))
+		}
+		s.readPotentials(v, n, ph)
+		live = append(live, n)
+	}
+	clear(s.live[len(live):])
+	s.live = live
+}
+
+// readPotentials sets n.potConf and n.frec. A running process's potential
+// recovery set is a function of its instance's status vector, so it is
+// recomputed only when that changed.
+func (s *State) readPotentials(v View, n *node, ph Phase) {
+	inst := v.Instance(n.id)
+	if ph == Aborting {
+		inst = nil
+	}
+	if inst != nil && inst == n.potInst && inst.StatusGen() == n.potGen {
+		return
+	}
+	n.potInst, n.frec, n.potConf = inst, false, n.potConf[:0]
+	switch {
+	case ph == Aborting:
+		for _, st := range v.RecoverySteps(n.id) {
+			if st.Kind == process.StepInvoke {
+				n.potConf = orInto(n.potConf, s.u.mask(s.u.intern(st.Service)))
+			}
+		}
+	case inst != nil:
+		n.potGen, n.frec = inst.StatusGen(), inst.Mode() == process.FREC
+		for svc := range inst.PotentialRecoveryServices() {
+			n.potConf = orInto(n.potConf, s.u.mask(s.u.intern(svc)))
 		}
 	}
 }
 
-// reaches reports whether `to` is reachable from `from` over the forced
-// edges plus the extra edge list.
-func (f *forcedCtx) reaches(from, to process.ID, extra [][2]process.ID) bool {
-	f.ensureAdj()
-	clear(f.seen)
-	stack := append(f.stack[:0], from)
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if n == to {
-			f.stack = stack
-			return true
+// soft reports the soft edge p → q: a surviving activity of p, executed
+// or in flight, conflicts with a potential completion of the live q.
+func soft(p, q *node) bool {
+	return p != q && (intersects(q.potConf, p.surv) || intersects(q.potConf, p.flight))
+}
+
+// begin starts the bookkeeping of one decision: no node is seen or marked
+// a predecessor, the search stack is empty.
+func (s *State) begin() {
+	s.epoch++
+	s.stack = s.stack[:0]
+}
+
+// candidate opens the decision on a dispatch of service svc by process
+// id: it brings the view half up to date and collects into s.preds —
+// marking them — the processes with a surviving conflicting activity,
+// executed or in flight: the sources of the hard edges the dispatch
+// would add.
+func (s *State) candidate(v View, id process.ID, svc int) *node {
+	s.refresh(v)
+	s.begin()
+	c := s.node(id)
+	s.preds = s.preds[:0]
+	for _, ev := range s.conflicting(svc) {
+		s.addPred(c, ev.owner)
+	}
+	mask := s.u.mask(svc)
+	for _, q := range s.live {
+		if intersects(q.flight, mask) {
+			s.addPred(c, q)
 		}
-		if f.seen[n] {
+	}
+	return c
+}
+
+// addPred marks p a conflict predecessor of the candidate c, once.
+func (s *State) addPred(c, p *node) {
+	if p != c && p.pred != s.epoch {
+		p.pred = s.epoch
+		s.preds = append(s.preds, p)
+	}
+}
+
+// successors lists the live processes whose potential completions
+// conflict with service svc — the targets of the soft edges a dispatch
+// of svc would add. A queued forward-recovery step (isStep) takes none
+// towards other *aborting* processes: the relative order of two queued
+// forward steps is free and realized by actual execution order.
+func (s *State) successors(c *node, svc int, isStep bool, out []*node) []*node {
+	for _, q := range s.live {
+		if q != c && !(isStep && q.phase == Aborting) && testBit(q.potConf, svc) {
+			out = append(out, q)
+		}
+	}
+	return out
+}
+
+// search runs the one depth-first search of the package: from the nodes
+// on s.stack over hard edges and — unless hardOnly — soft edges, never
+// entering avoid, until it pops a node hit accepts. Nodes seen earlier in
+// the same decision are not revisited.
+func (s *State) search(avoid *node, hardOnly bool, hit func(*node) bool) bool {
+	for len(s.stack) > 0 {
+		n := s.stack[len(s.stack)-1]
+		s.stack = s.stack[:len(s.stack)-1]
+		if n == avoid || n.seen == s.epoch {
 			continue
 		}
-		f.seen[n] = true
-		stack = append(stack, f.adj[n]...)
-		for _, k := range extra {
-			if k[0] == n && k[1] != n {
-				stack = append(stack, k[1])
+		n.seen = s.epoch
+		if hit(n) {
+			return true
+		}
+		for m := range n.out {
+			s.stack = append(s.stack, m)
+		}
+		if hardOnly || !(anyBit(n.surv) || anyBit(n.flight)) {
+			continue
+		}
+		for _, q := range s.live {
+			if q.seen != s.epoch && soft(n, q) {
+				s.stack = append(s.stack, q)
 			}
 		}
 	}
-	f.stack = stack
 	return false
 }
 
-// acyclicWith reports whether none of the given new edges closes a
-// cycle through itself in (base ∪ extra). The base contains
-// conservative soft edges (conflicts with *potential* completions);
-// such over-approximated edges may already form phantom cycles among
-// other processes, which must not veto unrelated dispatches — only a
-// cycle that the candidate's own edges participate in is a reason to
-// deny.
-func (f *forcedCtx) acyclicWith(extra [][2]process.ID) bool {
-	if len(extra) == 0 {
+// closesCycle reports whether the forced edges a dispatch of svc by c
+// would add — preds → c, collected by candidate, and c → successors —
+// close a cycle through one of themselves. The graph contains
+// conservative soft edges (conflicts with *potential* completions); such
+// over-approximated edges may already form phantom cycles among other
+// processes, which must not veto unrelated dispatches — only a cycle
+// that the candidate's own edges participate in is a reason to deny.
+//
+// Every new edge is incident on c, so one pass decides: a new edge c → q
+// closes a cycle iff q reaches, without passing c, a process with an
+// edge into c, old or new; a new edge p → c closes one iff a successor
+// of c, old or new, reaches p without passing c. The second half skips
+// what the first has seen: nothing there reaches a predecessor.
+func (s *State) closesCycle(c *node, svc int, isStep bool) bool {
+	isPred := func(n *node) bool { return n.pred == s.epoch }
+	s.stack = s.successors(c, svc, isStep, s.stack)
+	if s.search(c, false, func(n *node) bool { return isPred(n) || c.in[n] > 0 || soft(n, c) }) {
 		return true
 	}
-	for _, k := range extra {
-		if k[0] == k[1] {
-			continue
-		}
-		if f.reaches(k[1], k[0], extra) {
-			return false
+	if len(s.preds) == 0 {
+		return false
+	}
+	for m := range c.out {
+		s.stack = append(s.stack, m)
+	}
+	for _, q := range s.live {
+		if soft(c, q) {
+			s.stack = append(s.stack, q)
 		}
 	}
-	return true
-}
-
-// acyclicWithActive is acyclicWith, but a cycle only counts when at
-// least one process on the closing path satisfies isActive — cycles
-// consisting entirely of terminated processes cannot be avoided by
-// waiting.
-func (f *forcedCtx) acyclicWithActive(extra [][2]process.ID, isActive func(process.ID) bool) bool {
-	if len(extra) == 0 {
-		return true
-	}
-	f.ensureAdj()
-	neighbors := func(n process.ID, visit func(process.ID)) {
-		for _, m := range f.adj[n] {
-			visit(m)
-		}
-		for _, k := range extra {
-			if k[0] == n && k[1] != n {
-				visit(k[1])
-			}
-		}
-	}
-	for _, k := range extra {
-		if k[0] == k[1] {
-			continue
-		}
-		// DFS from k[1] to k[0]; remember whether any intermediate (or
-		// the endpoints) are active.
-		type node struct {
-			id        process.ID
-			sawActive bool
-		}
-		start := node{k[1], isActive(k[1]) || isActive(k[0])}
-		stack := []node{start}
-		best := make(map[process.ID]int) // 0 unseen, 1 seen-inactive, 2 seen-active
-		closed := false
-		for len(stack) > 0 && !closed {
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			level := 1
-			if n.sawActive {
-				level = 2
-			}
-			if best[n.id] >= level {
-				continue
-			}
-			best[n.id] = level
-			if n.id == k[0] && n.sawActive {
-				closed = true
-				break
-			}
-			neighbors(n.id, func(m process.ID) {
-				stack = append(stack, node{m, n.sawActive || isActive(m)})
-			})
-		}
-		if closed {
-			return false
-		}
-	}
-	return true
+	return s.search(c, false, isPred)
 }
 
 // pathExists reports whether a forced path from a to b exists.
-func (f *forcedCtx) pathExists(a, b process.ID) bool {
-	return f.reaches(a, b, nil)
+func (s *State) pathExists(a, b *node) bool {
+	s.begin()
+	s.stack = append(s.stack, a)
+	return s.search(nil, false, func(n *node) bool { return n == b })
+}
+
+// ForcedEdgesFor lists the forced edges a dispatch of service by id
+// would add, against the unpruned graph (diagnostics); the result is
+// safe to retain.
+func (s *State) ForcedEdgesFor(v View, id process.ID, service string, isStep bool) [][2]process.ID {
+	svc := s.u.intern(service)
+	c := s.candidate(v, id, svc)
+	var out [][2]process.ID
+	for _, p := range s.preds {
+		out = append(out, [2]process.ID{p.id, id})
+	}
+	for _, q := range s.successors(c, svc, isStep, nil) {
+		out = append(out, [2]process.ID{id, q.id})
+	}
+	return out
 }

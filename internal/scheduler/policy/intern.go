@@ -8,17 +8,18 @@ import (
 
 // Universe interns service names into dense integer ids and memoizes
 // the conflict relation as per-service bitsets, so the hot decision
-// paths (forced-graph construction, conflict-predecessor scans, the
-// Lemma gates) test conflicts with an index and a word-AND instead of
-// hashing a pair of strings into a map.
+// paths (survivor index, conflict-predecessor scans, the Lemma gates)
+// test conflicts with an index and a word-AND instead of hashing a pair
+// of strings into a map.
 //
-// The table's conflicting base names are interned at construction, so a
-// service's mask is exact from the first decision on: "no bit set" means
-// the service conflicts with nothing, not "with nothing seen so far".
-// Every other name is interned on first sight, which mutates the
-// universe: one shared across goroutines — the per-shard policy states
-// of the concurrent runtime — must be built over every service they will
-// see.
+// An id stands for a base name: a compensation (or any name the table
+// maps to a base) shares the id of its base, with which it conflicts
+// alike. The table's conflicting base names are interned at
+// construction, so the masks are exact and final from then on: a name
+// seen later is an alias or conflicts with nothing. Seeing one still
+// writes the name table: a universe shared across goroutines — the
+// per-shard policy states of the concurrent runtime — must be built
+// over every service they will see.
 type Universe struct {
 	table *conflict.Table
 	ids   map[string]int
@@ -47,10 +48,14 @@ func NewUniverse(table *conflict.Table, services []string) *Universe {
 // Table returns the conflict table the universe resolves through.
 func (u *Universe) Table() *conflict.Table { return u.table }
 
-// intern assigns (or returns) the id of a service name, growing the
-// conflict masks.
+// intern assigns (or returns) the id of a service name.
 func (u *Universe) intern(name string) int {
 	if id, ok := u.ids[name]; ok {
+		return id
+	}
+	if base := u.table.Base(name); base != name {
+		id := u.intern(base)
+		u.ids[name] = id
 		return id
 	}
 	id := len(u.names)
@@ -76,9 +81,6 @@ func (u *Universe) intern(name string) int {
 	return id
 }
 
-// Size returns the number of interned services.
-func (u *Universe) Size() int { return len(u.names) }
-
 // Conflicts reports whether two services conflict, by interned lookup
 // when both names are known and through the table otherwise.
 func (u *Universe) Conflicts(a, b string) bool {
@@ -91,13 +93,7 @@ func (u *Universe) Conflicts(a, b string) bool {
 }
 
 // conflictsID tests the memoized relation on interned ids.
-func (u *Universe) conflictsID(a, b int) bool {
-	row := u.masks[a]
-	if w := b / 64; w < len(row) {
-		return row[w]&(1<<(uint(b)%64)) != 0
-	}
-	return false
-}
+func (u *Universe) conflictsID(a, b int) bool { return testBit(u.masks[a], b) }
 
 // mask returns the conflict bitset of a service id; callers must not
 // mutate it.
@@ -125,6 +121,23 @@ func intersects(a, b []uint64) bool {
 		}
 	}
 	return false
+}
+
+// testBit reports whether bit id is set.
+func testBit(s []uint64, id int) bool {
+	w := id / 64
+	return w < len(s) && s[w]&(1<<(uint(id)%64)) != 0
+}
+
+// orInto grows dst as needed and sets every bit of src in it.
+func orInto(dst, src []uint64) []uint64 {
+	for len(dst) < len(src) {
+		dst = append(dst, 0)
+	}
+	for i, w := range src {
+		dst[i] |= w
+	}
+	return dst
 }
 
 // setBit grows the bitset as needed and sets bit id.

@@ -20,6 +20,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"transproc/internal/activity"
@@ -107,12 +108,14 @@ const (
 // View supplies the per-process dynamic facts the pure decisions need.
 // The driver's process table (scheduler.Table) is the implementation;
 // all methods must be cheap and must tolerate ids the table does not
-// hold (report them Done).
+// hold (report them Done). A State is driven with one View.
 type View interface {
 	// Procs lists the admitted processes (any phase), in admission
-	// order — decision iteration order follows it.
+	// order — decision iteration order follows it. The list only grows:
+	// the State reads each entry once.
 	Procs() []process.ID
-	// Phase returns the lifecycle phase; Done for unknown ids.
+	// Phase returns the lifecycle phase; Done for unknown ids. Done is
+	// final.
 	Phase(id process.ID) Phase
 	// Arrival is the admission rank used for age-priority tie breaks.
 	Arrival(id process.ID) int
@@ -123,7 +126,8 @@ type View interface {
 	// (compensations and forward invocations not yet executed).
 	RecoverySteps(id process.ID) []process.Step
 	// InFlight lists the services of the process's in-flight
-	// invocations (issued, completion pending).
+	// invocations (issued, completion pending); the result is read
+	// before the next call.
 	InFlight(id process.ID) []string
 }
 
@@ -149,18 +153,26 @@ type Event struct {
 	Compensated bool
 	Committed   bool // Terminate events: regular C_i
 	Group       []process.ID
+	// owner and slot place an effective event in the survivor index: its
+	// process's node, and its position in State.bySvc[svc].
+	owner *node
+	slot  int
 }
 
-// effective reports whether the event currently contributes
-// conflict-graph edges.
-func (ev *Event) effective() bool {
-	return ev.Typ == schedule.Invoke && !ev.Erased && !ev.Compensated && !ev.Inverse
-}
-
-// State is the shared decision state: the event history, the process
-// conflict graph with reference counts (edges to/from terminated
-// processes included — history matters for serializability), and the
-// interned conflict relation.
+// State is the shared decision state: the append-only event record and,
+// over it, the forced-order graph of the completed schedule S̃, kept
+// current by every operation instead of being rebuilt from the record.
+//
+// The graph has two halves. The history-derived half — per process its
+// effective events and hard edges, per service the effective events —
+// changes only in AppendEvent, EraseTentative, MarkCompensated,
+// FinalizeTentative and SeedSummary, at a cost proportional to the
+// events of conflicting services. The view-derived half — phase,
+// potential completions and in-flight invocations of the processes the
+// View reports live — is re-read on the first decision after a Bump, at
+// a cost proportional to the live processes (refresh). A terminated
+// process that nothing unpruned precedes leaves both (prune), so neither
+// grows with the length of the run; only the record does.
 //
 // In the sharded concurrent runtime one State exists per conflict
 // shard; the States then share one Universe and each observes
@@ -171,18 +183,30 @@ type State struct {
 	cfg    Config
 	u      *Universe
 	events []*Event
-	edges  map[[2]process.ID]int
 
-	// forced-graph cache, invalidated whenever effective events, edges,
-	// recovery queues or process states change (Bump).
+	// History-derived half: the unpruned processes and, per interned
+	// service, their effective events. Both are allocated on first use.
+	nodes map[process.ID]*node
+	bySvc [][]*Event
+
+	// View-derived half: the processes the view reports live, in
+	// admission order, found by reading v.Procs() from cursor on and
+	// dropping the ones that turned Done. It is current while
+	// viewVersion equals version.
+	live        []*node
+	cursor      int
 	version     int64
-	fctx        *forcedCtx
-	fctxVersion int64
+	viewVersion int64
 
-	// scratch buffers reused across decisions (a State is always driven
-	// from one goroutine at a time — the engine loop or the shard lock
-	// holder — so per-State scratch needs no synchronization).
-	predScratch map[process.ID]bool
+	// Scratch (a State is always driven from one goroutine at a time —
+	// the engine loop or the shard lock holder). epoch stamps node.seen
+	// and node.pred for one decision; preds holds the candidate's
+	// conflict predecessors, work the nodes prune has to look at.
+	epoch uint64
+	stack []*node
+	preds []*node
+	work  []*node
+	evBuf []*Event
 }
 
 // New creates an empty decision state over a fixed conflict table.
@@ -193,12 +217,7 @@ func New(table *conflict.Table, cfg Config) *State {
 // NewShard creates a decision state over a shared universe — the
 // per-shard constructor of the concurrent runtime.
 func NewShard(u *Universe, cfg Config) *State {
-	return &State{
-		cfg:         cfg,
-		u:           u,
-		edges:       make(map[[2]process.ID]int),
-		predScratch: make(map[process.ID]bool),
-	}
+	return &State{cfg: cfg, u: u, viewVersion: -1}
 }
 
 // Table returns the conflict table decisions are made under.
@@ -207,9 +226,9 @@ func (s *State) Table() *conflict.Table { return s.u.table }
 // Mode returns the configured policy mode.
 func (s *State) Mode() Mode { return s.cfg.Mode }
 
-// Bump invalidates the forced-graph cache; engines call it whenever
-// View-visible state changes (admission, dispatch, completion, phase
-// transitions).
+// Bump tells the state that View-visible facts changed (admission,
+// dispatch, completion, phase transitions): the next decision re-reads
+// the live processes.
 func (s *State) Bump() { s.version++ }
 
 // Conflicts is the interned front end to the conflict table.
@@ -217,25 +236,31 @@ func (s *State) Conflicts(a, b string) bool {
 	return s.u.Conflicts(a, b)
 }
 
-// AppendEvent records an effective event (Seq set by the caller) and
-// adds its conflict-graph edges against all earlier effective events.
-// Inverse (compensating) events never contribute edges: the pair
-// ⟨a a⁻¹⟩ is effect-free, and the Lemma-2 dispatch guard already
-// verified no conflicting later work of another process exists before
-// the compensation ran.
+// AppendEvent records an event (Seq set by the caller). An invocation
+// becomes effective and gains a hard edge from every process with an
+// effective conflicting event. Inverse (compensating) events never
+// contribute edges: the pair ⟨a a⁻¹⟩ is effect-free, and the Lemma-2
+// dispatch guard already verified no conflicting later work of another
+// process exists before the compensation ran. A Terminate event —
+// appended only once the view reports the process Done — makes the
+// process prunable.
 func (s *State) AppendEvent(ev *Event) {
 	ev.svc = -1
-	if ev.Typ == schedule.Invoke && ev.Service != "" {
+	switch {
+	case ev.Typ == schedule.Invoke && ev.Service != "":
 		ev.svc = s.u.intern(ev.Service)
-	}
-	if ev.Typ == schedule.Invoke && !ev.Inverse {
-		for _, old := range s.events {
-			if !old.effective() || old.Proc == ev.Proc {
-				continue
+		if !ev.Inverse {
+			n := s.node(ev.Proc)
+			for _, old := range s.conflicting(ev.svc) {
+				s.addEdge(old.owner, n)
 			}
-			if s.u.conflictsID(old.svc, ev.svc) {
-				s.addEdge(old.Proc, ev.Proc)
-			}
+			s.enter(n, ev)
+		}
+	case ev.Typ == schedule.Terminate:
+		if n := s.nodes[ev.Proc]; n != nil {
+			n.terminated = true
+			s.work = append(s.work, n)
+			s.prune()
 		}
 	}
 	s.events = append(s.events, ev)
@@ -253,79 +278,74 @@ func (s *State) AppendEvent(ev *Event) {
 // like them never holds back a compensation (Lemma2Clear). Nothing is
 // ordered before a stand-in; what preceded the summarized processes is
 // in edges. seq is the history position of the checkpoint's horizon.
+// Having no Terminate event, a stand-in is never pruned.
 func (s *State) SeedSummary(edges [][2]string, shadow map[string][]string, seq int64) {
 	for _, ed := range edges {
-		s.addEdge(process.ID(ed[0]), process.ID(ed[1]))
+		s.addEdge(s.node(process.ID(ed[0])), s.node(process.ID(ed[1])))
 	}
 	for p, services := range shadow {
-		standIn := process.ID(p + "~summarized")
-		s.addEdge(process.ID(p), standIn)
+		standIn := s.node(process.ID(p + "~summarized"))
+		s.addEdge(s.node(process.ID(p)), standIn)
 		for _, svc := range services {
-			s.events = append(s.events, &Event{
-				Seq: seq, Proc: standIn, Service: svc, svc: s.u.intern(svc), Typ: schedule.Invoke,
-			})
+			ev := &Event{Seq: seq, Proc: standIn.id, Service: svc, svc: s.u.intern(svc), Typ: schedule.Invoke}
+			s.enter(standIn, ev)
+			s.events = append(s.events, ev)
 		}
 	}
 	s.Bump()
 }
 
-// Events exposes the raw history (for diagnostics); callers must not
-// mutate the returned slice.
+// Events exposes the append-only record in arrival order (diagnostics);
+// a finalized event keeps its place and carries its commit position in
+// Seq. Callers must not mutate the returned slice.
 func (s *State) Events() []*Event { return s.events }
-
-func (s *State) addEdge(a, b process.ID) {
-	if a == b {
-		return
-	}
-	s.edges[[2]process.ID{a, b}]++
-}
-
-// removeEventEdges decrements the edges an event contributed when it is
-// erased (rollback) or compensated.
-func (s *State) removeEventEdges(ev *Event) {
-	for _, old := range s.events {
-		if old == ev || !old.effective() || old.Proc == ev.Proc {
-			continue
-		}
-		if s.u.conflictsID(old.svc, ev.svc) {
-			var key [2]process.ID
-			if old.Seq < ev.Seq {
-				key = [2]process.ID{old.Proc, ev.Proc}
-			} else {
-				key = [2]process.ID{ev.Proc, old.Proc}
-			}
-			if s.edges[key] > 0 {
-				s.edges[key]--
-			}
-		}
-	}
-	s.Bump()
-}
 
 // EraseTentative erases the live tentative event of (proc, local) —
 // a rolled-back prepared invocation — removing its edges. It reports
 // whether an event was erased.
 func (s *State) EraseTentative(proc process.ID, local int) bool {
-	erased := false
-	for _, ev := range s.events {
-		if ev.Proc == proc && ev.Local == local && ev.Tentative && !ev.Erased {
-			ev.Erased = true
-			s.removeEventEdges(ev)
-			erased = true
-		}
-	}
-	return erased
+	return s.retire(proc, local, true)
 }
 
 // MarkCompensated marks the live base invocation of (proc, local) as
 // compensated; it stops contributing conflict edges.
 func (s *State) MarkCompensated(proc process.ID, local int) {
-	for _, ev := range s.events {
-		if ev.Proc == proc && ev.Local == local && !ev.Inverse && !ev.Compensated && !ev.Erased && ev.Typ == schedule.Invoke {
-			ev.Compensated = true
-			s.removeEventEdges(ev)
-		}
+	s.retire(proc, local, false)
+}
+
+// retire takes the effective events of (proc, local) — with erase only
+// the tentative ones — out of the survivor index and releases the edges
+// they contributed.
+func (s *State) retire(proc process.ID, local int, erase bool) bool {
+	n := s.nodes[proc]
+	if n == nil {
+		return false
 	}
+	found := false
+	for i := 0; i < len(n.events); {
+		ev := n.events[i]
+		if ev.Local != local || (erase && !ev.Tentative) {
+			i++
+			continue
+		}
+		if erase {
+			ev.Erased = true
+		} else {
+			ev.Compensated = true
+		}
+		n.events = append(n.events[:i], n.events[i+1:]...)
+		s.unindex(ev)
+		s.removeEventEdges(ev)
+		found = true
+	}
+	if found {
+		clear(n.surv)
+		for _, ev := range n.events {
+			n.surv = setBit(n.surv, ev.svc)
+		}
+		s.prune()
+	}
+	return found
 }
 
 // FinalizeTentative commits a tentative event at 2PC time: the activity
@@ -333,13 +353,19 @@ func (s *State) MarkCompensated(proc process.ID, local int) {
 // point — a prefix cut between prepare and commit must not contain it
 // (the subsystem's locks guarantee no conflicting activity ran in
 // between, so moving it is conflict-order preserving). The event is
-// re-sequenced to newSeq and moved to the end of the history.
+// re-sequenced to newSeq — what BuildSchedule orders by — and becomes
+// the latest of its process.
 func (s *State) FinalizeTentative(proc process.ID, local int, newSeq int64) bool {
-	for i, ev := range s.events {
-		if ev.Proc == proc && ev.Local == local && ev.Tentative && !ev.Erased {
+	n := s.nodes[proc]
+	if n == nil {
+		return false
+	}
+	for i, ev := range n.events {
+		if ev.Local == local && ev.Tentative {
 			ev.Tentative = false
 			ev.Seq = newSeq
-			s.events = append(append(s.events[:i:i], s.events[i+1:]...), ev)
+			copy(n.events[i:], n.events[i+1:])
+			n.events[len(n.events)-1] = ev
 			s.Bump()
 			return true
 		}
@@ -352,24 +378,27 @@ func (s *State) FinalizeTentative(proc process.ID, local int, newSeq int64) bool
 // exists. It identifies the position T of Lemma 2's "activity executed
 // at T".
 func (s *State) BaseSeq(proc process.ID, local int) int64 {
-	var seq int64
-	for _, ev := range s.events {
-		if ev.Proc == proc && ev.Local == local && ev.Typ == schedule.Invoke &&
-			!ev.Inverse && !ev.Erased && !ev.Compensated {
-			seq = ev.Seq
+	if n := s.nodes[proc]; n != nil {
+		for i := len(n.events) - 1; i >= 0; i-- {
+			if n.events[i].Local == local {
+				return n.events[i].Seq
+			}
 		}
 	}
-	return seq
+	return 0
 }
 
-// EdgeList returns the positive conflict-graph edges (diagnostics).
+// EdgeList returns the hard edges of the unpruned graph, sorted
+// (diagnostics): a terminated process that no live process is ordered
+// before has left it, with every edge out of it.
 func (s *State) EdgeList() [][2]process.ID {
-	out := make([][2]process.ID, 0, len(s.edges))
-	for k, n := range s.edges {
-		if n > 0 {
-			out = append(out, k)
+	var out [][2]process.ID
+	for _, n := range s.nodes {
+		for m := range n.out {
+			out = append(out, [2]process.ID{n.id, m.id})
 		}
 	}
+	slices.SortFunc(out, func(a, b [2]process.ID) int { return slices.Compare(a[:], b[:]) })
 	return out
 }
 
@@ -377,26 +406,11 @@ func (s *State) EdgeList() [][2]process.ID {
 // finalized events; it can be checked with PRED(), Serializable() and
 // ProcessRecoverable().
 func (s *State) BuildSchedule(procs []*process.Process) *schedule.Schedule {
-	sched := schedule.MustNew(s.u.table.Clone())
-	for _, p := range procs {
-		if err := sched.AddProcess(p); err != nil {
-			panic(err)
-		}
-	}
-	for _, ev := range s.events {
-		if ev.Erased || ev.Tentative {
-			continue
-		}
-		sched.AppendUnchecked(schedule.Event{
-			Type: ev.Typ, Proc: ev.Proc, Local: ev.Local, Service: ev.Service,
-			Kind: ev.Kind, Inverse: ev.Inverse, Committed: ev.Committed, Group: ev.Group,
-		})
-	}
-	return sched
+	return MergeSchedules(s.u.table, procs, []*State{s})
 }
 
 // MergeSchedules materializes one observed schedule from several shard
-// states' histories, interleaved by the engine's global sequence
+// states' records, interleaved by the engine's global sequence
 // numbers. Events of different shards never conflict (conflicting
 // services always share a shard), so any seq-consistent interleaving is
 // conflict-equivalent; sorting by Seq reproduces the real-time order in

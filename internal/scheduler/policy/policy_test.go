@@ -412,8 +412,9 @@ func TestTentativeEventLifecycle(t *testing.T) {
 		t.Error("an erased event still contributes")
 	}
 
-	// Prepared again, then committed at 2PC time: the event moves to its
-	// commit point at the end of the history and is no longer tentative.
+	// Prepared again, then committed at 2PC time: the event is no longer
+	// tentative and joins the schedule at its commit point, after the a12
+	// that ran in between. In the record it keeps its place.
 	if err := w.Instance("P2").ResetPrepared(1); err != nil {
 		t.Fatal(err)
 	}
@@ -423,8 +424,12 @@ func TestTentativeEventLifecycle(t *testing.T) {
 		t.Fatal("FinalizeTentative found no live tentative event")
 	}
 	events := w.st.Events()
-	if last := events[len(events)-1]; last.Proc != "P2" || last.Seq != 10 || last.Tentative {
-		t.Errorf("finalized event is %v, want P2/1 at seq 10 at the end of the history", last)
+	if ev := events[len(events)-2]; ev.Proc != "P2" || ev.Seq != 10 || ev.Tentative {
+		t.Errorf("finalized event is %v, want P2/1 at seq 10", ev)
+	}
+	sched := w.st.BuildSchedule([]*process.Process{paper.P1(), paper.P2()}).Events()
+	if last := sched[len(sched)-1]; last.Proc != "P2" || last.Local != 1 {
+		t.Errorf("the schedule ends with %v, want the finalized P2/1", last)
 	}
 	if w.st.BaseSeq("P2", 1) != 10 {
 		t.Errorf("BaseSeq = %d, want the commit point 10", w.st.BaseSeq("P2", 1))
