@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short loc layers grammar bench-check experiments experiments-check race diff torture chaos fed serve coverage-floor bench fuzz-smoke ci
+.PHONY: build test test-short loc layers grammar docs-check bench-check experiments experiments-check race diff torture chaos fed serve coverage-floor bench fuzz-smoke ci
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,13 @@ layers:
 grammar:
 	@bad=$$(grep -rnE --include='*.go' --exclude='*_test.go' "\"\+r\"|\+r%d|IndexByte\(.*'\+'" internal cmd | grep -vE '^internal/(process|fault)/'); \
 	if [ -n "$$bad" ]; then echo "incarnation-id grammar outside internal/process:" >&2; echo "$$bad" >&2; exit 1; fi
+
+# Every Test*/Benchmark*/Fuzz* name, pkg.Name and camelCase identifier
+# that DESIGN.md, README.md or EXPERIMENTS.md quote in backticks occurs
+# as a word in some .go file: a deleted or renamed name leaves the prose
+# in the same PR.
+docs-check:
+	@$(GO) run ./scripts/docscheck
 
 # The benchmark is its own module (bench/) compiled against this tree:
 # a signature change in wal/serve/federation must break here, not in
@@ -127,5 +134,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzFreeSpaceMap -fuzztime 30s -run '^$$' ./internal/store
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s -run '^$$' ./internal/federation
 	$(GO) test -fuzz FuzzPolicyIncremental -fuzztime 30s -run '^$$' ./internal/scheduler/policy
+	$(GO) test -fuzz FuzzLockBlockSharesShard -fuzztime 30s -run '^$$' ./internal/runtime
 
-ci: build layers grammar test bench-check experiments-check race diff torture chaos fed serve coverage-floor
+ci: build layers grammar docs-check test bench-check experiments-check race diff torture chaos fed serve coverage-floor

@@ -95,8 +95,10 @@ type Spec struct {
 	// with each other even though both write (e.g. increments or
 	// appends): the return values are independent of their order. The
 	// unified theory is defined over such semantically rich operations;
-	// a derived conflict table then omits the self-conflict. Conflicts
-	// with *other* services sharing data items are unaffected.
+	// a derived conflict table then omits the self-conflict, unless the
+	// service reads an item it writes (its return value then depends on
+	// the order after all). Conflicts with *other* services sharing data
+	// items are unaffected.
 	Commutative bool
 	// FailureProb is the probability in [0,1) that a single invocation
 	// of this service aborts, used by the simulation substrate. Retriable

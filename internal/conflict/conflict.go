@@ -48,7 +48,11 @@ func NewTable() *Table {
 // the registry (compensations map to their compensatable owners) and whose
 // conflicts are derived from declared read/write sets: two distinct
 // services conflict if one writes a data item the other reads or writes.
-// A service conflicts with itself if it writes any item.
+// A service conflicts with itself if it writes any item, unless it is
+// declared Commutative and reads none of the items it writes: a service
+// that returns an item it also updates sees the order of two invocations,
+// so it does not commute by Definition 6 (and the subsystems' item locks,
+// derived from the same declaration, block the pair).
 func FromRegistry(reg *activity.Registry) *Table {
 	t := NewTable()
 	names := reg.Names()
@@ -80,7 +84,7 @@ func FromRegistry(reg *activity.Registry) *Table {
 	}
 	sort.Strings(bases)
 	for i, a := range bases {
-		if spec, _ := reg.Lookup(a); len(sets[a].w) > 0 && (spec == nil || !spec.Commutative) {
+		if spec, _ := reg.Lookup(a); len(sets[a].w) > 0 && (spec == nil || !spec.Commutative || readsOwnWrite(sets[a].r, sets[a].w)) {
 			t.selfConflict[a] = true
 		}
 		for _, b := range bases[i+1:] {
@@ -90,6 +94,15 @@ func FromRegistry(reg *activity.Registry) *Table {
 		}
 	}
 	return t
+}
+
+func readsOwnWrite(r, w map[string]bool) bool {
+	for item := range w {
+		if r[item] {
+			return true
+		}
+	}
+	return false
 }
 
 func rwConflict(ra, wa, rb, wb map[string]bool) bool {

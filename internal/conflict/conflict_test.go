@@ -219,7 +219,17 @@ func TestCommutativeServicesDoNotSelfConflict(t *testing.T) {
 		Name: "set", Kind: activity.Retriable, Subsystem: "s",
 		WriteSet: []string{"counter"},
 	})
+	// fetchAdd returns the counter it increments: the value each of two
+	// invocations sees depends on their order, whatever the declaration.
+	reg.MustRegister(activity.Spec{
+		Name: "fetchAdd", Kind: activity.Compensatable, Subsystem: "s", Compensation: "fetchSub",
+		ReadSet: []string{"tally"}, WriteSet: []string{"tally"}, Commutative: true,
+	})
+	reg.MustRegister(activity.Spec{Name: "fetchSub", Kind: activity.Compensation, Subsystem: "s"})
 	tab := FromRegistry(reg)
+	if !tab.Conflicts("fetchAdd", "fetchAdd") || !tab.Conflicts("fetchAdd", "fetchSub") {
+		t.Fatal("a commutative service that reads an item it writes conflicts with itself and its compensation")
+	}
 	if tab.Conflicts("incr", "incr") {
 		t.Fatal("commutative writers must not self-conflict (increments commute)")
 	}

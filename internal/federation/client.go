@@ -134,9 +134,6 @@ func NewClient(node uint32, name string, tr Transport, dispatchBudget int, reg *
 	return &Client{node: node, name: name, tr: tr, reg: reg, dispatchBudget: dispatchBudget}
 }
 
-// Epoch reports the hub incarnation the client last learned.
-func (c *Client) Epoch() uint32 { return c.epoch }
-
 // Close severs the transport.
 func (c *Client) Close() { c.tr.Close() }
 

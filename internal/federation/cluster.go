@@ -165,13 +165,6 @@ func (c *Cluster) Hub() *Hub {
 	return c.hub
 }
 
-// NodeLog returns node i's WAL.
-func (c *Cluster) NodeLog(i int) wal.Log {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.logs[i]
-}
-
 // Run drives all nodes concurrently to completion. A node stopped by a
 // crash point is declared dead at the hub (NodeDown), and the survivors
 // keep draining — blocked ones through victim aborts — so the run

@@ -258,13 +258,6 @@ func (h *Hub) injectPoint(p string) {
 	}
 }
 
-// Killed reports whether a hub crash point fired.
-func (h *Hub) Killed() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.killed
-}
-
 // KilledCh closes when a hub crash point fires; the cluster monitor
 // uses it to trigger the reopen cycle.
 func (h *Hub) KilledCh() <-chan struct{} { return h.killedCh }
@@ -282,7 +275,6 @@ type hubHost struct{ h *Hub }
 
 func (hh hubHost) NextSeq() int64 { return hh.h.next() }
 func (hh hubHost) Now() int64     { return hh.h.stamp }
-func (hh hubHost) Released()      {}
 
 // ForceLog stamps the record and puts it on the reply under
 // construction; the owning node appends a reply's records in order
@@ -1073,20 +1065,6 @@ func (h *Hub) adoptOrphans(node uint32) {
 		h.pol.Bump()
 		h.next() // progress bump: idle marks predate the new work
 	}
-}
-
-// Stalls reports how many victim designations the hub performed.
-func (h *Hub) Stalls() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stalls
-}
-
-// Stamp reports the current global stamp (for diagnostics).
-func (h *Hub) Stamp() int64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.stamp
 }
 
 // DumpState renders hub state for stall diagnostics.

@@ -174,7 +174,7 @@ func (in *Instance) Process() *Process { return in.p }
 func (in *Instance) Status(local int) Status { return in.status[local] }
 
 // StatusGen changes whenever an activity's status does, and with it
-// possibly Mode, PotentialRecoveryServices and UncommittedServices.
+// possibly Mode and PotentialRecoveryServices.
 func (in *Instance) StatusGen() uint64 { return in.statusGen }
 
 // set is the one writer of the status vector after construction.
@@ -864,21 +864,6 @@ func (in *Instance) PotentialRecoveryServices() map[string]bool {
 			if !locked {
 				out[a.Compensation] = true
 			}
-		}
-	}
-	return out
-}
-
-// UncommittedServices returns the services of activities that have not
-// (yet) committed — pending, abandoned, prepared or rolled back, on any
-// path. A scheduler uses this as the set of service classes the process
-// may still touch.
-func (in *Instance) UncommittedServices() map[string]bool {
-	out := make(map[string]bool)
-	for _, id := range in.p.order {
-		switch in.status[id] {
-		case Pending, Abandoned, Prepared, AbortedPrepared:
-			out[in.p.byID[id].Service] = true
 		}
 	}
 	return out

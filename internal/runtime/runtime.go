@@ -7,7 +7,7 @@
 // shared driver's (scheduler.Driver over internal/scheduler/policy),
 // called inside a serial section. The runtime adds what a concurrent
 // host needs: goroutines, the group mutexes, admission control and the
-// wait graph.
+// per-group wait-for analysis.
 //
 // The sequential discrete-event engine (internal/scheduler) remains the
 // reference oracle: both host the identical driver, so a schedule the
@@ -22,30 +22,35 @@
 //     components of the job set over the conflict shards of the service
 //     partition (policy.Partition). Two processes whose footprints hit
 //     disjoint shard sets can never conflict, never block on each
-//     other's item locks (a lock-blocking pair always conflicts, hence
-//     shares a shard) and never gate each other's Lemma decisions, so
+//     other's item locks and never gate each other's Lemma decisions, so
 //     each group runs under its own mutex with its own driver (process
 //     table + policy.State) and the groups proceed fully in parallel.
+//     Item locks stay inside a group because the subsystems' lock table
+//     and the conflict table derive from the same read/write/Commutative
+//     declaration: a service a held lock refuses shares a conflict shard
+//     with the holder's work (TestLockBlockSharesShard). So no wait-for
+//     edge, victim designation or wake-up ever crosses a group.
 //   - All group states share one policy.Universe (built over every
 //     service, so only ever read concurrently) and one global
 //     atomic sequence counter, so the per-group histories merge into a
 //     single observed schedule ordered by Seq.
 //   - Admission control (worker cap, Serial/Conservative policies),
-//     completion counting for restart backoff and the crash/error state
-//     are global, guarded by a separate admission mutex. Lock order is
-//     group mutex -> admission mutex; the admission mutex is a leaf.
+//     completion counting for restart backoff, the run's error and the
+//     victims budget are global, guarded by a separate admission mutex,
+//     a leaf under any group mutex.
 //   - Subsystem work (Invoke + simulated service time) runs outside the
 //     group lock; the in-flight invocation is registered first so
 //     concurrent decisions see it as a survivor in the forced-order
-//     graph. Lock ordering is group.mu -> subsystem.mu.
+//     graph. Lock order is group.mu -> admission mutex -> subsystem.mu.
 //   - Each group's condition variable is broadcast after every state
 //     mutation of that group; blocked workers re-evaluate their gates.
 //     Two stall breakers run per group: a precise park-time wait-for
 //     analysis that victim-aborts a member of a closed wait cycle
 //     immediately (without waiting for the rest of the group to go
 //     idle), and the quiescence detector of the sequential engine as a
-//     backstop for waits with incomplete edge information (item locks,
-//     recovery-step gates), declared only when every live worker of the
+//     backstop for waits with incomplete edge information (recovery-step
+//     gates, denials the policy cannot attribute to a predecessor),
+//     declared only when every live worker of the
 //     group has re-evaluated at the current progress generation with
 //     nothing in flight.
 package runtime
@@ -173,33 +178,10 @@ type member struct {
 	// recorded at the last sWait — the process can proceed iff for SOME
 	// alternative ALL listed blockers acted (terminated or released
 	// their locks). nil means the wait has edges the policy cannot name
-	// and only the quiescence backstop may break it. lockProbes lists
-	// the services found item-lock-blocked during the last evaluation;
-	// extLock marks that at least one of those locks is held by a
-	// process of ANOTHER group (commutative services share items without
-	// conflicting, so lock waits may cross the conflict partition) —
-	// such parks are registered globally and woken by cross-group lock
-	// releases.
-	lastEval   int64
-	parked     bool
-	waitAlts   [][]process.ID
-	lockProbes []string
-	extLock    bool
-}
-
-// waitEntry is one parked process's wait-for disjunction in the global
-// wait graph, guarded by the admission mutex. The victim-selection
-// fields (arrival, abortable) are snapshotted at park time so the
-// detector never touches another group's members. An entry is trusted
-// only while gen matches its group's progress generation — a woken but
-// not yet rescheduled process is never mistaken for stuck.
-type waitEntry struct {
-	id        process.ID
-	alts      [][]process.ID
-	g         *shardGroup
-	gen       int64
-	arrival   int
-	abortable bool
+	// and only the quiescence backstop may break it.
+	lastEval int64
+	parked   bool
+	waitAlts [][]process.ID
 }
 
 // shardGroup is one sharded serial section: the shared protocol driver
@@ -211,22 +193,22 @@ type shardGroup struct {
 	idx    int
 	shards []int // conflict shards covered (diagnostics)
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	drv      *scheduler.Driver
-	members  []*member // admission order (includes done)
-	live     int       // workers currently driving a process of this group
-	inFlight int       // workers outside the lock doing subsystem work
-	waiting  int       // workers blocked on cond (diagnostics)
+	mu   sync.Mutex
+	cond *sync.Cond
+	drv  *scheduler.Driver
+	// members holds the live incarnations by origin id — the name the
+	// subsystems know a lock holder by (incarnations share locks).
+	members  map[process.ID]*member
+	live     int // workers currently driving a process of this group
+	inFlight int // workers outside the lock doing subsystem work
+	waiting  int // workers blocked on cond (diagnostics)
 
 	// Quiescence detection, per group: progress increments on every
 	// state change that could unblock a member; upToDate counts live
 	// members whose lastEval equals the current generation. A stall is
 	// declared only when every live member re-evaluated at the current
-	// generation with nothing in flight. progress is atomic because the
-	// global deadlock detector reads other groups' generations without
-	// their mutex.
-	progress atomic.Int64
+	// generation with nothing in flight.
+	progress int64
 	upToDate int
 }
 
@@ -249,8 +231,8 @@ type Runtime struct {
 	stopOnce sync.Once
 
 	// Admission state (worker cap, Serial/Conservative policy, restart
-	// backoff). gmu is a leaf: taken under group mutexes, never the
-	// other way around.
+	// backoff), the run's error and the victims budget. gmu is a leaf:
+	// taken under group mutexes, never the other way around.
 	gmu         sync.Mutex
 	gcond       *sync.Cond
 	err         error
@@ -259,20 +241,6 @@ type Runtime struct {
 	// admitted holds the footprints of the incarnations admitted and not
 	// done, across all groups.
 	admitted map[process.ID][]string
-
-	// Global wait graph (also under gmu): waits holds the registered
-	// wait-for disjunction of every parked process whose edges are
-	// complete; pendingVictims carries victim designations to processes
-	// parked in other groups (consumed on wake-up); liveByOrigin maps a
-	// subsystem lock holder (origin id) to its live incarnation;
-	// extWaiters counts parked processes blocked on another group's
-	// item locks — lock releases nudge the wake-all supervisor only
-	// while it is non-zero.
-	waits          map[process.ID]*waitEntry
-	pendingVictims map[process.ID]bool
-	liveByOrigin   map[process.ID]process.ID
-	extWaiters     int
-	nudge          chan struct{}
 
 	start time.Time
 	ckpt  scheduler.Checkpointer
@@ -298,14 +266,10 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 		// and auto-registered compensations) and ValidateJobs rejects
 		// anything outside it before a run starts, so the shards never
 		// intern into the universe they share.
-		uni:            policy.NewUniverse(table, fed.Services()),
-		part:           policy.NewPartition(table),
-		stopCh:         make(chan struct{}),
-		waits:          make(map[process.ID]*waitEntry),
-		pendingVictims: make(map[process.ID]bool),
-		liveByOrigin:   make(map[process.ID]process.ID),
-		admitted:       make(map[process.ID][]string),
-		nudge:          make(chan struct{}, 1),
+		uni:      policy.NewUniverse(table, fed.Services()),
+		part:     policy.NewPartition(table),
+		stopCh:   make(chan struct{}),
+		admitted: make(map[process.ID][]string),
 	}
 	r.ckpt = scheduler.Checkpointer{
 		Every: cfg.CheckpointEvery, Limit: cfg.CheckpointLimit, Compact: cfg.CompactOnCheckpoint,
@@ -357,35 +321,6 @@ func (r *Runtime) wakeAll() {
 	r.gmu.Unlock()
 }
 
-// nudgeRelease wakes cross-group lock waiters after item locks were
-// released (prepared transactions committed or rolled back). The
-// releaser may hold its own group's mutex, so the wake-up goes through
-// the nudge supervisor; the extWaiters gate keeps the common case (no
-// cross-group waiter) free of wake-all storms. The gate cannot miss a
-// waiter: parking re-probes the lock under gmu after incrementing
-// extWaiters, so a release that observes extWaiters == 0 here happened
-// before that re-probe and the parker saw the lock free.
-func (r *Runtime) nudgeRelease() {
-	r.gmu.Lock()
-	ext := r.extWaiters > 0
-	r.gmu.Unlock()
-	if ext {
-		select {
-		case r.nudge <- struct{}{}:
-		default:
-		}
-	}
-}
-
-// incarnation resolves a subsystem lock holder (an origin id) to its
-// currently live incarnation, if any.
-func (r *Runtime) incarnation(origin process.ID) (process.ID, bool) {
-	r.gmu.Lock()
-	id, ok := r.liveByOrigin[origin]
-	r.gmu.Unlock()
-	return id, ok
-}
-
 // guard runs f, converting an injected-crash sentinel panic into the
 // run-terminating error every worker observes; ok is false when the
 // crash tripped. Callers hold their group mutex — the panic must not
@@ -403,7 +338,6 @@ func (r *Runtime) guard(f func()) (ok bool) {
 type runtimeHost struct{ r *Runtime }
 
 func (h runtimeHost) NextSeq() int64 { return h.r.seq.Add(1) }
-func (h runtimeHost) Released()      { h.r.nudgeRelease() }
 
 // Now converts the wall clock into virtual ticks since the run started
 // (0 when Tick is unset).
@@ -494,7 +428,7 @@ func (r *Runtime) buildGroups(jobs []scheduler.Job) []*shardGroup {
 		root := find(i)
 		g := byRoot[root]
 		if g == nil {
-			g = &shardGroup{r: r, idx: len(r.groups), drv: &scheduler.Driver{
+			g = &shardGroup{r: r, idx: len(r.groups), members: make(map[process.ID]*member), drv: &scheduler.Driver{
 				Host:       runtimeHost{r},
 				Fed:        r.fed,
 				Pol:        policy.NewShard(r.uni, policy.Config{Mode: r.cfg.Mode}),
@@ -544,20 +478,6 @@ func (r *Runtime) Run(ctx context.Context, jobs []scheduler.Job) (*Result, error
 		case <-r.stopCh:
 			r.wakeAll()
 		case <-watchDone:
-		}
-	}()
-	// Nudge supervisor: cross-group lock releases and victim
-	// designations cannot broadcast a foreign group's condition variable
-	// from under their own group mutex (lock order), so they poke this
-	// goroutine, which holds no locks and may wake everyone.
-	go func() {
-		for {
-			select {
-			case <-r.nudge:
-				r.wakeAll()
-			case <-watchDone:
-				return
-			}
 		}
 	}()
 
@@ -635,7 +555,7 @@ func addMetrics(dst, src *scheduler.Metrics) {
 // that may unblock other members, and wakes them to re-evaluate.
 // Called with g.mu held.
 func (g *shardGroup) bump() {
-	g.progress.Add(1)
+	g.progress++
 	g.upToDate = 0
 	g.cond.Broadcast()
 }
@@ -719,9 +639,6 @@ func (r *Runtime) admit(g *shardGroup, p *scheduler.Proc) *member {
 		r.gcond.Wait()
 	}
 	r.admitted[p.ID] = p.Footprint
-	// Subsystems identify lock holders by origin id (incarnations share
-	// locks); map it to this incarnation for wait-for edges.
-	r.liveByOrigin[p.Origin] = p.ID
 	r.gmu.Unlock()
 
 	g.mu.Lock()
@@ -731,7 +648,7 @@ func (r *Runtime) admit(g *shardGroup, p *scheduler.Proc) *member {
 		return nil
 	}
 	m := &member{Proc: p, lastEval: -1}
-	g.members = append(g.members, m)
+	g.members[p.Origin] = m
 	g.live++
 	if p.Restarts > 0 {
 		g.drv.Metrics.Restarts++
@@ -747,9 +664,6 @@ func (r *Runtime) admit(g *shardGroup, p *scheduler.Proc) *member {
 func (r *Runtime) retire(p *scheduler.Proc) {
 	r.gmu.Lock()
 	delete(r.admitted, p.ID)
-	if r.liveByOrigin[p.Origin] == p.ID {
-		delete(r.liveByOrigin, p.Origin)
-	}
 	r.gcond.Broadcast()
 	r.gmu.Unlock()
 }
@@ -764,28 +678,19 @@ func (r *Runtime) mayStartLocked(fp []string) bool {
 }
 
 // wait blocks the process's worker on the group condition variable
-// until some state changes. Three stall breakers guard the park:
+// until some state changes. Two stall breakers guard the park, both
+// over this group's members under g.mu alone:
 //
-//   - When the wait carries complete edge information (m.waitAlts),
-//     the park is registered in the GLOBAL wait graph and a precise
-//     wait-for analysis fires immediately once a closed set of parked
-//     processes waits only on itself — no quiescence needed, so victim
-//     aborts overlap with unrelated in-flight work. The graph is
-//     global because item-lock waits cross the conflict partition:
-//     commutative services share data items without conflicting, so a
-//     lock holder may live in another group.
+//   - When the wait carries complete edge information (m.waitAlts), a
+//     precise wait-for analysis fires immediately once a closed set of
+//     parked members waits only on itself — no quiescence needed, so
+//     victim aborts overlap with unrelated in-flight work.
 //   - The quiescence backstop of the sequential engine: a stall is
 //     declared only once every live member of the group re-evaluated
 //     its gates at the current progress generation and found nothing
 //     to do, with nothing in flight. Merely counting parked workers
 //     would race against workers that were signaled but not yet
-//     rescheduled. The backstop is suppressed while a member with
-//     complete edges waits on another group (its wake-up legitimately
-//     comes from outside; aborting a local victim would be spurious).
-//   - Cross-group lock waits additionally re-probe their locks under
-//     gmu after incrementing extWaiters, closing the race against a
-//     holder that released between the step() probe and the park (the
-//     holder's nudgeRelease is then guaranteed to see extWaiters > 0).
+//     rescheduled.
 //
 // Returns false when the run is over. Called with g.mu held.
 func (g *shardGroup) wait(m *member) bool {
@@ -793,69 +698,17 @@ func (g *shardGroup) wait(m *member) bool {
 	if r.stopped.Load() || r.canceled.Load() {
 		return false
 	}
-	if p := g.progress.Load(); m.lastEval != p {
-		m.lastEval = p
+	if m.lastEval != g.progress {
+		m.lastEval = g.progress
 		g.upToDate++
 	}
-
-	registered := false
-	extCounted := false
-	if m.waitAlts != nil || m.extLock {
-		r.gmu.Lock()
-		// A victim designation from another group's detector may
-		// already be waiting for us.
-		if r.pendingVictims[m.ID] {
-			delete(r.pendingVictims, m.ID)
-			r.gmu.Unlock()
-			g.consumeVictim(m.Proc)
-			return true
-		}
-		if m.extLock {
-			r.extWaiters++
-			extCounted = true
-			for _, svc := range m.lockProbes {
-				if r.fed.Lockable(string(m.Origin), svc) {
-					// Released between probe and park: re-evaluate.
-					r.extWaiters--
-					r.gmu.Unlock()
-					return true
-				}
-			}
-		}
-		if m.waitAlts != nil {
-			e := &waitEntry{
-				id: m.ID, alts: m.waitAlts, g: g, gen: m.lastEval,
-				arrival: m.Arrival, abortable: m.Phase == policy.Running && !m.AbortPending,
-			}
-			r.waits[m.ID] = e
-			registered = true
-			if v := r.detectDeadlockLocked(e); v != nil {
-				if v.g == g {
-					delete(r.waits, m.ID)
-					if extCounted {
-						r.extWaiters--
-					}
-					r.gmu.Unlock()
-					g.consumeVictim(g.drv.Get(v.id))
-					return true
-				}
-				// Foreign victim: deliver the designation through the
-				// nudge supervisor (its group cond cannot be broadcast
-				// from here) and park — its abort unblocks us.
-				r.pendingVictims[v.id] = true
-				select {
-				case r.nudge <- struct{}{}:
-				default:
-				}
-			}
-		}
-		r.gmu.Unlock()
+	if victim := g.detectDeadlock(m); victim != nil {
+		g.drv.MarkVictim(victim.Proc, "wait-for cycle")
+		g.bump()
+		return true
 	}
-
-	if g.upToDate >= g.live && g.inFlight == 0 && !g.actionableAbortPending() && !g.crossGroupWait() {
-		// Genuine stall: every gate was re-checked this generation and
-		// no member's wake-up can come from another group.
-		g.deregister(m, registered, extCounted)
+	if g.upToDate >= g.live && g.inFlight == 0 && !g.actionableAbortPending() {
+		// Genuine stall: every gate was re-checked this generation.
 		if !g.resolveStall() {
 			r.fail(fmt.Errorf("runtime: unresolvable stall (mode %v, group %d)\n%s", r.cfg.Mode, g.idx, g.stallDump()))
 			return false
@@ -863,145 +716,93 @@ func (g *shardGroup) wait(m *member) bool {
 		g.bump()
 		return true
 	}
-
 	m.parked = true
 	g.waiting++
 	g.cond.Wait()
 	g.waiting--
 	m.parked = false
-	if registered || extCounted {
-		r.gmu.Lock()
-		if registered {
-			delete(r.waits, m.ID)
-		}
-		if extCounted {
-			r.extWaiters--
-		}
-		pv := r.pendingVictims[m.ID]
-		if pv {
-			delete(r.pendingVictims, m.ID)
-		}
-		r.gmu.Unlock()
-		if pv {
-			g.consumeVictim(m.Proc)
-		}
-	}
 	return !r.stopped.Load() && !r.canceled.Load()
 }
 
-// deregister undoes wait()'s global registration on a no-park exit.
-// Called with g.mu held.
-func (g *shardGroup) deregister(m *member, registered, extCounted bool) {
-	if !registered && !extCounted {
-		return
-	}
-	r := g.r
-	r.gmu.Lock()
-	if registered {
-		delete(r.waits, m.ID)
-	}
-	if extCounted {
-		r.extWaiters--
-	}
-	r.gmu.Unlock()
-}
-
-// consumeVictim applies a victim designation to one of the group's own
-// processes. The MaxStalls budget was consumed at designation time; a
-// designation that arrives after the process already started aborting
-// (or terminated) is dropped. Called with g.mu held.
-func (g *shardGroup) consumeVictim(p *scheduler.Proc) {
-	if p == nil || p.Phase != policy.Running || p.AbortPending {
-		return
-	}
-	g.drv.MarkVictim(p, "wait-for cycle")
-	g.bump()
-}
-
-// crossGroupWait reports whether some live member's registered wait has
-// a blocker outside this group (an item-lock holder reachable only
-// through a cross-group release). Only members with complete edge
-// information count: they are visible to the global detector, so
-// suppressing the local backstop for them cannot hide a deadlock.
-// Called with g.mu held.
-func (g *shardGroup) crossGroupWait() bool {
-	for _, m := range g.members {
-		if m.Phase != policy.Done && m.extLock && m.waitAlts != nil {
-			return true
-		}
-	}
-	return false
-}
-
-// detectDeadlockLocked checks, at the moment e's process is about to
-// park with complete wait-for information, whether it belongs to a set
-// of parked processes (across ALL groups) that waits only on itself:
-// every member, in each of its wait alternatives, waits on at least one
-// other member. A blocker's edges disappear only when the blocker acts
-// (terminates, commits or rolls back prepared transactions, becomes
-// quasi-safe) — which a parked process never does — so such a set can
-// never be unblocked from outside and one member must be victim-aborted
-// (the youngest abortable one, as in the driver's stall-victim choice).
-// Entries are trusted only if their process re-evaluated its gates at
-// its group's current progress generation, so a signaled-but-not-
-// rescheduled process is never mistaken for stuck. Called with gmu
-// held; returns the chosen victim's entry (nil: no closed set, no
-// abortable member, or MaxStalls exhausted). The victims budget is
-// consumed here.
-func (r *Runtime) detectDeadlockLocked(self *waitEntry) *waitEntry {
-	stuck := make(map[process.ID]*waitEntry, len(r.waits))
-	for id, e := range r.waits {
-		if e == self || e.gen == e.g.progress.Load() {
-			stuck[id] = e
-		}
-	}
-	if len(stuck) < 2 || stuck[self.id] != self {
+// detectDeadlock checks, at the moment self is about to park with
+// complete wait-for information, whether it belongs to a set of parked
+// members that waits only on itself: every member, in each of its wait
+// alternatives, waits on at least one other member. A blocker's edges
+// disappear only when the blocker acts (terminates, commits or rolls
+// back prepared transactions, becomes quasi-safe) — which a parked
+// process never does — so such a set can never be unblocked from outside
+// and one member must be victim-aborted (the youngest abortable one, as
+// in the driver's stall-victim choice). A member counts as parked only
+// if it recorded complete wait-for information at the group's current
+// progress generation: one that was signaled but not yet rescheduled is
+// still marked parked, but its generation is stale, so it is never
+// mistaken for stuck. Called with g.mu held; returns the chosen victim
+// (nil: no closed set, no abortable member, or MaxStalls exhausted).
+func (g *shardGroup) detectDeadlock(self *member) *member {
+	if self.waitAlts == nil {
 		return nil
 	}
-	blockerStuck := func(alt []process.ID) bool {
-		for _, id := range alt {
-			if stuck[id] != nil {
-				return true
+	var set map[process.ID]*member
+	for _, m := range g.members {
+		if m.parked && m.waitAlts != nil && m.lastEval == g.progress {
+			if set == nil {
+				set = map[process.ID]*member{self.ID: self}
 			}
+			set[m.ID] = m
 		}
-		return false
 	}
 	// Greatest fixpoint: drop anyone with an escape alternative (an
 	// alternative none of whose blockers is in the set — those blockers
 	// can still act on their own).
-	for changed := true; changed; {
-		changed = false
-		for id, e := range stuck {
-			escapes := false
-			for _, alt := range e.alts {
-				if !blockerStuck(alt) {
-					escapes = true
-					break
+	escapes := func(m *member) bool {
+	alts:
+		for _, alt := range m.waitAlts {
+			for _, id := range alt {
+				if set[id] != nil {
+					continue alts
 				}
 			}
-			if escapes {
-				delete(stuck, id)
+			return true
+		}
+		return false
+	}
+	for changed := true; changed; {
+		changed = false
+		for id, m := range set {
+			if escapes(m) {
+				delete(set, id)
 				changed = true
 			}
 		}
 	}
-	if stuck[self.id] == nil {
+	if set[self.ID] == nil {
 		return nil
 	}
-	var victim *waitEntry
-	for _, e := range stuck {
-		if !e.abortable {
+	var victim *member
+	for _, m := range set {
+		if m.Phase != policy.Running || m.AbortPending {
 			continue
 		}
-		if victim == nil || e.arrival > victim.arrival {
-			victim = e
+		if victim == nil || m.Arrival > victim.Arrival {
+			victim = m
 		}
 	}
-	if victim == nil || r.victims >= r.cfg.MaxStalls {
+	if victim == nil || !g.r.spendVictim() {
 		return nil
 	}
-	r.victims++
 	return victim
+}
+
+// spendVictim takes one victim abort out of the run-wide MaxStalls
+// budget; false when it is exhausted.
+func (r *Runtime) spendVictim() bool {
+	r.gmu.Lock()
+	defer r.gmu.Unlock()
+	if r.victims >= r.cfg.MaxStalls {
+		return false
+	}
+	r.victims++
+	return true
 }
 
 // actionableAbortPending reports whether some process holds an
@@ -1024,20 +825,10 @@ func (g *shardGroup) actionableAbortPending() bool {
 // resolveStall is the quiescence backstop: the driver's stall-victim
 // choice under the run-wide MaxStalls budget. Called with g.mu held.
 func (g *shardGroup) resolveStall() bool {
-	r := g.r
-	r.gmu.Lock()
-	exhausted := r.victims >= r.cfg.MaxStalls
-	r.gmu.Unlock()
-	if exhausted {
-		return false
-	}
 	victim := g.drv.ChooseVictim(nil)
-	if victim == nil {
+	if victim == nil || !g.r.spendVictim() {
 		return false
 	}
-	r.gmu.Lock()
-	r.victims++
-	r.gmu.Unlock()
 	g.drv.MarkVictim(victim, "stall resolution")
 	return true
 }
@@ -1129,8 +920,6 @@ func (g *shardGroup) driveLocked(m *member) (restart bool) {
 func (g *shardGroup) step(m *member) (stepKind, scheduler.Work) {
 	r, d, p := g.r, g.drv, m.Proc
 	m.waitAlts = nil
-	m.extLock = false
-	m.lockProbes = m.lockProbes[:0]
 	// Recovery steps drain strictly sequentially, before a pending
 	// abort is honoured.
 	if len(p.Recovery) > 0 {
@@ -1143,7 +932,11 @@ func (g *shardGroup) step(m *member) (stepKind, scheduler.Work) {
 			return sWait, scheduler.Work{}
 		}
 		if holder, free := r.fed.LockBlocker(string(p.Origin), st.Service); !free {
-			g.lockWait(m, holder, st.Service)
+			// The single pending step is the only alternative, its lock
+			// holder the only blocker.
+			if cur := g.members[process.ID(holder)]; cur != nil {
+				m.waitAlts = [][]process.ID{{cur.ID}}
+			}
 			return sWait, scheduler.Work{}
 		}
 		return g.register(p, p.StepWork(st))
@@ -1215,18 +1008,13 @@ func (g *shardGroup) step(m *member) (stepKind, scheduler.Work) {
 		// Probe the subsystem's item locks under the serial section: a
 		// held lock means parking here, not an invocation attempt whose
 		// ErrLocked bounce would wake (and be woken by) other blocked
-		// workers in an endless retry storm. The holder — possibly in
-		// another group, since commutative services share items without
-		// conflicting — becomes a wait-for edge.
+		// workers in an endless retry storm. The holder — a member of
+		// this group, see the package comment — becomes a wait-for edge.
 		if holder, free := r.fed.LockBlocker(string(p.Origin), a.Service); !free {
-			m.lockProbes = append(m.lockProbes, a.Service)
-			if cur, ok := r.incarnation(process.ID(holder)); ok {
-				blocked = append(blocked, []process.ID{cur})
-				if d.Get(cur) == nil {
-					m.extLock = true
-				}
+			if cur := g.members[process.ID(holder)]; cur != nil {
+				blocked = append(blocked, []process.ID{cur.ID})
 			} else {
-				complete = false // holder unknown (terminating); re-probe on wake
+				complete = false // not a live member (left in doubt by an earlier run)
 			}
 			continue
 		}
@@ -1236,8 +1024,7 @@ func (g *shardGroup) step(m *member) (stepKind, scheduler.Work) {
 	// frontier alternative was denied by a named blocker set (conflict
 	// predecessors or an item-lock holder); any alternative blocked on
 	// own prepared work or non-pred rules falls back to the quiescence
-	// detector. extLock outlives incompleteness: the park still gets
-	// cross-group nudge wake-ups and the gmu re-probe either way.
+	// detector.
 	if deferAlt != nil {
 		blocked = append(blocked, deferAlt)
 	}
@@ -1245,21 +1032,6 @@ func (g *shardGroup) step(m *member) (stepKind, scheduler.Work) {
 		m.waitAlts = blocked
 	}
 	return sWait, scheduler.Work{}
-}
-
-// lockWait records the wait-for edge of an item-lock-blocked recovery
-// step: the single pending step is the only alternative, its lock
-// holder the only blocker. Called with g.mu held.
-func (g *shardGroup) lockWait(m *member, holder, service string) {
-	m.lockProbes = append(m.lockProbes, service)
-	cur, ok := g.r.incarnation(process.ID(holder))
-	if !ok {
-		return // holder unknown (terminating); quiescence backstop only
-	}
-	m.waitAlts = [][]process.ID{{cur}}
-	if g.drv.Get(cur) == nil {
-		m.extLock = true
-	}
 }
 
 // register passes the dispatch crash point, logs the invocation as in
@@ -1302,11 +1074,7 @@ func (g *shardGroup) terminate(m *member, committed bool) stepKind {
 		return sAgain // not logged: the run is ending, drive's loop head exits
 	}
 	g.r.retire(m.Proc)
-	// Termination released whatever this process still held (2PC commit
-	// or rollback of its prepared set happened on the way here), and a
-	// waiter that found the holder's origin unmapped re-probes; waiters
-	// in other groups only learn about either through a nudge.
-	g.r.nudgeRelease()
+	delete(g.members, m.Origin)
 	return sDone
 }
 
@@ -1318,11 +1086,11 @@ func (g *shardGroup) stallDump() string {
 	active := len(r.admitted)
 	r.gmu.Unlock()
 	s := fmt.Sprintf("group=%d shards=%v live=%d active=%d inFlight=%d waiting=%d victims=%d progress=%d\n%s",
-		g.idx, g.shards, g.live, active, g.inFlight, g.waiting, victims, g.progress.Load(), g.drv.Dump())
-	r.gmu.Lock()
-	for id, e := range r.waits {
-		s += fmt.Sprintf("  wait %s alts=%v fresh=%v\n", id, e.alts, e.gen == e.g.progress.Load())
+		g.idx, g.shards, g.live, active, g.inFlight, g.waiting, victims, g.progress, g.drv.Dump())
+	for _, m := range g.members {
+		if m.parked && m.waitAlts != nil {
+			s += fmt.Sprintf("  wait %s alts=%v fresh=%v\n", m.ID, m.waitAlts, m.lastEval == g.progress)
+		}
 	}
-	r.gmu.Unlock()
 	return s
 }

@@ -32,10 +32,6 @@ type Host interface {
 	ForceLog(rec wal.Record) bool
 	// Now is the host clock in virtual ticks, for traces and outcomes.
 	Now() int64
-	// Released is called after a local transaction committed or rolled
-	// back, i.e. item locks were released that another serial section
-	// may be waiting for.
-	Released()
 }
 
 // PreparedTx is a local transaction in the prepared state.
@@ -483,7 +479,6 @@ func (d *Driver) Complete(p *Proc, w Work, res *subsystem.Result) error {
 		d.Pol.AppendEvent(ev)
 		d.Reg.Inc(metrics.CommitsImmediate)
 		d.trace(metrics.TCommit, p, w.Local, w.Service, "")
-		d.Host.Released()
 		return nil
 	}
 	// Deferred commit (Lemma 1): hold the prepared transaction.
@@ -536,7 +531,6 @@ func (d *Driver) completeStep(p *Proc, w Work, sub *subsystem.Subsystem, res *su
 	if err := p.Inst.ApplyStep(w.Step); err != nil {
 		return fmt.Errorf("scheduler: %w", err)
 	}
-	d.Host.Released()
 	return nil
 }
 
@@ -616,7 +610,6 @@ func (d *Driver) rollback(p *Proc, local int, ptx PreparedTx, counter metrics.Co
 		Type: wal.RecResolved, Proc: string(p.ID), Local: local,
 		Service: ptx.Service, Subsystem: ptx.Sub.Name(), Tx: int64(ptx.Tx), Commit: false,
 	})
-	d.Host.Released()
 }
 
 // AbortPreparedStep resolves the StepAbortPrepared at the head of p's
@@ -738,7 +731,6 @@ func (d *Driver) CommitPreparedSet(p *Proc) (bool, error) {
 		p.blockedSince = -1
 	}
 	d.Pol.Bump()
-	d.Host.Released()
 	return true, nil
 }
 

@@ -22,16 +22,14 @@ import (
 // local transactions in doubt at that moment — the position of the
 // subsystem's commit or rollback relative to the log write.
 type fakeHost struct {
-	fed      *subsystem.Federation
-	calls    []string
-	seq      int64
-	released int
-	refuse   func(wal.Record) bool
+	fed    *subsystem.Federation
+	calls  []string
+	seq    int64
+	refuse func(wal.Record) bool
 }
 
 func (h *fakeHost) NextSeq() int64 { h.seq++; h.calls = append(h.calls, "seq"); return h.seq }
 func (h *fakeHost) Now() int64     { return 0 }
-func (h *fakeHost) Released()      { h.released++ }
 
 func (h *fakeHost) ForceLog(rec wal.Record) bool {
 	tag := rec.Type.String()
@@ -470,14 +468,14 @@ func TestDriverRollbackLeftovers(t *testing.T) {
 	p.Prepared[7] = scheduler.PreparedTx{Sub: sub, Tx: res.Tx, Service: "pr"}
 	w.d.Pol.AppendEvent(&policy.Event{Seq: w.host.NextSeq(), Proc: "P", Local: 7, Service: "pr", Kind: activity.Retriable, Tentative: true})
 
-	mark, released := len(w.host.calls), w.host.released
+	mark := len(w.host.calls)
 	w.d.RollbackLeftovers(p)
 	got := w.host.since(mark)
 	if len(got) != 2 || !strings.HasPrefix(got[0], "log:resolved/commit=false") || !strings.HasPrefix(got[1], "log:resolved/commit=false") {
 		t.Fatalf("host calls %q, want two abort resolutions", got)
 	}
-	if len(p.Prepared) != 0 || inDoubt(w.host.fed) != 0 || w.host.released != released+2 {
-		t.Fatalf("prepared %d, in doubt %d, released %d", len(p.Prepared), inDoubt(w.host.fed), w.host.released-released)
+	if len(p.Prepared) != 0 || inDoubt(w.host.fed) != 0 {
+		t.Fatalf("prepared %d, in doubt %d", len(p.Prepared), inDoubt(w.host.fed))
 	}
 	for _, ev := range w.d.Pol.Events() {
 		if ev.Tentative && !ev.Erased {

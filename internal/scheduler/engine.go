@@ -153,7 +153,6 @@ type engineHost struct{ e *Engine }
 
 func (h engineHost) NextSeq() int64 { h.e.seq++; return h.e.seq }
 func (h engineHost) Now() int64     { return h.e.clock }
-func (h engineHost) Released()      {}
 
 // ForceLog appends a record, bracketing the write with the configured
 // crash points. A failed append ends the run with its error, and every

@@ -361,19 +361,3 @@ func (s *State) pathExists(a, b *node) bool {
 	s.stack = append(s.stack, a)
 	return s.search(nil, false, func(n *node) bool { return n == b })
 }
-
-// ForcedEdgesFor lists the forced edges a dispatch of service by id
-// would add, against the unpruned graph (diagnostics); the result is
-// safe to retain.
-func (s *State) ForcedEdgesFor(v View, id process.ID, service string, isStep bool) [][2]process.ID {
-	svc := s.u.intern(service)
-	c := s.candidate(v, id, svc)
-	var out [][2]process.ID
-	for _, p := range s.preds {
-		out = append(out, [2]process.ID{p.id, id})
-	}
-	for _, q := range s.successors(c, svc, isStep, nil) {
-		out = append(out, [2]process.ID{id, q.id})
-	}
-	return out
-}

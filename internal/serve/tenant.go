@@ -113,21 +113,3 @@ func (t *tenants) debitRestarts(name string, n int) {
 		st.retriesUsed = t.cfg.RetryBudget
 	}
 }
-
-// TenantStatus is the externally visible budget state.
-type TenantStatus struct {
-	Tokens      float64 `json:"tokens"`
-	RetriesUsed int     `json:"retriesUsed"`
-	RetryBudget int     `json:"retryBudget"`
-}
-
-// snapshot reports every tenant's budget state.
-func (t *tenants) snapshot() map[string]TenantStatus {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]TenantStatus, len(t.m))
-	for name, st := range t.m {
-		out[name] = TenantStatus{Tokens: st.tokens, RetriesUsed: st.retriesUsed, RetryBudget: t.cfg.RetryBudget}
-	}
-	return out
-}

@@ -177,3 +177,48 @@ func TestAlternativeChainFromSpec(t *testing.T) {
 		t.Fatalf("Trip1 must commit via the alternative: %s", res.Schedule)
 	}
 }
+
+// A commutative service that reads an item it writes returns a value that
+// depends on invocation order: the derived table must make it conflict
+// with itself (the subsystem's item locks block the pair either way),
+// while a blind commutative writer still commutes with itself.
+func TestCommutativeReadOwnWriteFromSpec(t *testing.T) {
+	t.Parallel()
+	fed, jobs, err := Load([]byte(`{
+  "subsystems": [{"name": "desk", "seed": 1, "services": [
+    {"name": "takeTicket", "kind": "compensatable", "reads": ["ticket"], "writes": ["ticket"], "commutative": true},
+    {"name": "countVisit", "kind": "retriable", "writes": ["visits"], "commutative": true}
+  ]}],
+  "processes": [
+    {"id": "A", "activities": [{"local": 1, "service": "takeTicket"}, {"local": 2, "service": "countVisit"}], "seq": [[1, 2]]},
+    {"id": "B", "activities": [{"local": 1, "service": "takeTicket"}, {"local": 2, "service": "countVisit"}], "seq": [[1, 2]]}
+  ]
+}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	table, err := fed.ConflictTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !table.Conflicts("takeTicket", "takeTicket") || !table.Conflicts("takeTicket", "takeTicket⁻¹") {
+		t.Fatal("takeTicket reads the ticket it writes: it must conflict with itself and its compensation")
+	}
+	if table.Conflicts("countVisit", "countVisit") {
+		t.Fatal("countVisit writes blindly and is declared commutative: it commutes with itself")
+	}
+	eng, err := scheduler.New(fed, scheduler.Config{Mode: scheduler.PRED})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.RunJobs(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Metrics.CommittedProcs != 2 {
+		t.Fatalf("both processes must commit: %+v", res.Metrics)
+	}
+	if ok, _, _, err := res.Schedule.PRED(); err != nil || !ok {
+		t.Fatalf("PRED = %v, %v", ok, err)
+	}
+}

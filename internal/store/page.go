@@ -75,11 +75,6 @@ func NewPage() *Page {
 	return p
 }
 
-// PageFromBuf wraps an existing PageSize buffer without validating it;
-// the caller owns the buffer. Used by the buffer pool for resident
-// frames that were already verified on read.
-func PageFromBuf(buf []byte) *Page { return &Page{buf: buf} }
-
 // DecodePage validates a raw page image: exact size, checksum, and
 // structural bounds of every live slot. It returns ErrTornPage on a
 // checksum mismatch and a descriptive error on structural corruption
@@ -210,17 +205,6 @@ func (p *Page) FreeFor() int {
 		return 0
 	}
 	return free
-}
-
-// CanFit reports whether a record with the given key length fits.
-func (p *Page) CanFit(keyLen int) bool {
-	need := cellOverhead + keyLen
-	dead, deadSlots := p.deadSpace()
-	avail := p.contiguousFree() + dead
-	if deadSlots == 0 {
-		avail -= slotSize
-	}
-	return avail >= need
 }
 
 // Insert adds a record and returns its slot; ok is false when the page
