@@ -134,6 +134,6 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzFreeSpaceMap -fuzztime 30s -run '^$$' ./internal/store
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s -run '^$$' ./internal/federation
 	$(GO) test -fuzz FuzzPolicyIncremental -fuzztime 30s -run '^$$' ./internal/scheduler/policy
-	$(GO) test -fuzz FuzzLockBlockSharesShard -fuzztime 30s -run '^$$' ./internal/runtime
+	$(GO) test -fuzz FuzzLockBlockConflictsWithHeld -fuzztime 30s -run '^$$' ./internal/subsystem
 
 ci: build layers grammar docs-check test bench-check experiments-check race diff torture chaos fed serve coverage-floor

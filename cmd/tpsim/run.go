@@ -57,8 +57,6 @@ func runSpecFile(path string, modeName string, metricsFormat string, engine stri
 		}
 		sched, m = res.Schedule, res.Metrics
 		fmt.Printf("mode: %v (concurrent runtime, %v elapsed)\n", mode, res.Elapsed.Round(time.Millisecond))
-		fmt.Printf("shards: %d scheduling groups over %d conflict components\n",
-			res.ShardGroups, res.ConflictShards)
 		fmt.Println("schedule:", sched)
 	} else {
 		eng, err := scheduler.New(fed, scheduler.Config{Mode: mode, Metrics: reg})

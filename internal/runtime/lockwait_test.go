@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -43,8 +44,8 @@ func (s *scripted) InvokeResilient(proc, service string, _ activity.Kind, mode s
 	return res, 0, err
 }
 
-// lockWorld is one subsystem: w, c and c⁻¹ write item a (so they share a
-// conflict shard and a lock), pre and d touch items of their own.
+// lockWorld is one subsystem: w, c and c⁻¹ write item a (so they
+// conflict and share a lock), pre and d touch items of their own.
 type lockWorld struct {
 	t    *testing.T
 	sub  *subsystem.Subsystem
@@ -54,7 +55,7 @@ type lockWorld struct {
 	done chan *Result
 }
 
-func newLockWorld(t *testing.T) *lockWorld {
+func newLockWorld(t *testing.T, mode scheduler.Mode) *lockWorld {
 	t.Helper()
 	sub := subsystem.New("rm", 1)
 	sub.MustRegister(activity.Spec{Name: "w", Kind: activity.Pivot, Subsystem: "rm", WriteSet: []string{"a"}})
@@ -64,7 +65,7 @@ func newLockWorld(t *testing.T) *lockWorld {
 	fed := subsystem.NewFederation()
 	fed.MustAdd(sub)
 	inv := &scripted{fed: fed, on: make(map[string]func(func() (*subsystem.Result, error)) (*subsystem.Result, error))}
-	rt, err := New(fed, Config{Mode: scheduler.CCOnly, Resilience: inv})
+	rt, err := New(fed, Config{Mode: mode, Resilience: inv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,28 +97,33 @@ func (w *lockWorld) start(defs ...*process.Process) {
 	}()
 }
 
-// awaitParked waits until the process sits in cond.Wait with exactly the
-// given wait-for disjunction, and returns the group's in-flight count at
-// that moment. The caller must have synchronized with a worker first
-// (the groups are built at Run start).
-func (w *lockWorld) awaitParked(id process.ID, alts [][]process.ID) (inFlight int) {
+// awaitSection polls the serial section until cond holds of it; the
+// sleep only paces the poll.
+func (w *lockWorld) awaitSection(what string, cond func() bool) {
 	w.t.Helper()
 	for w.ctx.Err() == nil {
-		for _, g := range w.rt.groups {
-			g.mu.Lock()
-			for _, m := range g.members {
-				if m.ID == id && m.parked && reflect.DeepEqual(m.waitAlts, alts) {
-					inFlight = g.inFlight
-					g.mu.Unlock()
-					return inFlight
-				}
-			}
-			g.mu.Unlock()
+		w.rt.mu.Lock()
+		ok := cond()
+		w.rt.mu.Unlock()
+		if ok {
+			return
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	w.t.Fatalf("%s never parked on %v", id, alts)
-	return 0
+	w.t.Fatalf("never happened: %s", what)
+}
+
+// awaitParked waits until the process sits in cond.Wait with exactly the
+// given wait-for disjunction, and returns the section's in-flight count
+// at that moment.
+func (w *lockWorld) awaitParked(id process.ID, alts [][]process.ID) (inFlight int) {
+	w.t.Helper()
+	w.awaitSection(fmt.Sprintf("%s parked on %v", id, alts), func() bool {
+		m := w.rt.members[id]
+		inFlight = w.rt.inFlight
+		return m != nil && m.ID == id && m.parked && reflect.DeepEqual(m.waitAlts, alts)
+	})
+	return inFlight
 }
 
 func (w *lockWorld) finish() *Result {
@@ -149,7 +155,7 @@ func seq(id process.ID, steps ...string) *process.Process {
 // transaction commits; the holder being in flight, nothing is stalled.
 func TestLockWaitParksOnHolder(t *testing.T) {
 	t.Parallel()
-	w := newLockWorld(t)
+	w := newLockWorld(t, scheduler.CCOnly)
 	held, release := make(chan struct{}), make(chan struct{})
 	w.inv.on["P/w"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
 		res, err := invoke()
@@ -168,9 +174,6 @@ func TestLockWaitParksOnHolder(t *testing.T) {
 	}
 	close(release)
 	res := w.finish()
-	if res.ShardGroups != 1 {
-		t.Errorf("shard groups %d: holder and waiter must share one", res.ShardGroups)
-	}
 	if _, _, denials := w.sub.Stats(); denials != 0 || res.Metrics.LockWaits != 0 {
 		t.Errorf("lock denials %d, lock waits %d: the probe must park Q before it invokes", denials, res.Metrics.LockWaits)
 	}
@@ -183,7 +186,7 @@ func TestLockWaitParksOnHolder(t *testing.T) {
 // comes back ErrLocked, its registration is undone and it re-evaluates.
 func TestLockWaitLostProbeRace(t *testing.T) {
 	t.Parallel()
-	w := newLockWorld(t)
+	w := newLockWorld(t, scheduler.CCOnly)
 	bEntered, aHolds, bDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	w.inv.on["A/w"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
 		w.await(bEntered)
@@ -217,7 +220,7 @@ func TestLockWaitLostProbeRace(t *testing.T) {
 // alternative and runs once the holder commits.
 func TestLockWaitRecoveryStep(t *testing.T) {
 	t.Parallel()
-	w := newLockWorld(t)
+	w := newLockWorld(t, scheduler.CCOnly)
 	w.sub.FailService("Q", "d")
 	cDone, held, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	w.inv.on["Q/d"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
@@ -239,6 +242,50 @@ func TestLockWaitRecoveryStep(t *testing.T) {
 	res := w.finish()
 	if !res.Outcomes["P"].Committed || !res.Outcomes["Q"].Aborted || res.Metrics.Compensations != 1 || w.sub.Get("a") != 1 {
 		t.Errorf("P %+v, Q %+v, compensations %d, a = %d", res.Outcomes["P"], res.Outcomes["Q"], res.Metrics.Compensations, w.sub.Get("a"))
+	}
+}
+
+// TestDisjointProcessesOverlapInOneSection: one serial section does not
+// serialize processes, only decisions. While A's invocation is in flight
+// — outside the section — B, whose footprint conflicts with nothing of
+// A's, dispatches, completes and terminates, and C, which needs the item
+// A writes, parks on A alone and proceeds at A's commit.
+func TestDisjointProcessesOverlapInOneSection(t *testing.T) {
+	t.Parallel()
+	for _, mode := range []scheduler.Mode{scheduler.PRED, scheduler.CCOnly} {
+		t.Run(mode.String(), func(t *testing.T) {
+			t.Parallel()
+			w := newLockWorld(t, mode)
+			held, release := make(chan struct{}), make(chan struct{})
+			w.inv.on["A/w"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
+				res, err := invoke()
+				close(held)
+				w.await(release)
+				return res, err
+			}
+			gate := func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
+				w.await(held)
+				return invoke()
+			}
+			w.inv.on["B/d"], w.inv.on["C/pre"] = gate, gate
+			w.start(seq("A", "w"), seq("B", "d"), seq("C", "pre", "w"))
+			w.await(held)
+			w.awaitSection("B committed while A is in flight", func() bool {
+				b := w.rt.drv.Get("B")
+				return b != nil && b.Outcome.Committed && w.rt.members["B"] == nil && w.rt.members["A"] != nil
+			})
+			if inFlight := w.awaitParked("C", [][]process.ID{{"A"}}); inFlight != 1 {
+				t.Errorf("in flight while C is parked: %d, want A's invocation alone", inFlight)
+			}
+			if e := w.sub.Get("e"); e != 1 {
+				t.Errorf("e = %d before A's commit: B's work must stand", e)
+			}
+			close(release)
+			res := w.finish()
+			if res.Metrics.CommittedProcs != 3 || res.Metrics.VictimAborts != 0 || w.sub.Get("a") != 2 {
+				t.Errorf("committed %d, victims %d, a = %d", res.Metrics.CommittedProcs, res.Metrics.VictimAborts, w.sub.Get("a"))
+			}
+		})
 	}
 }
 
@@ -281,20 +328,20 @@ func TestDetectDeadlock(t *testing.T) {
 		if c.maxStalls > 0 {
 			rt.victims = c.maxStalls
 		}
-		g := &shardGroup{r: rt, progress: 7, members: make(map[process.ID]*member)}
+		rt.progress = 7
 		for i, pk := range []park{c.p, c.q, c.r} {
 			id := process.ID([]string{"P", "Q", "R"}[i])
-			m := &member{Proc: scheduler.NewProc(seq(id, "w"), i, id, id, 0), lastEval: g.progress, waitAlts: pk.alts}
+			m := &member{Proc: scheduler.NewProc(seq(id, "w"), i, id, id, 0), lastEval: rt.progress, waitAlts: pk.alts}
 			m.parked = !pk.running && id != "Q"
 			m.Phase = pk.phase
 			if pk.stale {
 				m.lastEval--
 			}
-			g.members[id] = m
+			rt.members[id] = m
 		}
 		before := rt.victims
 		var got process.ID
-		if v := g.detectDeadlock(g.members["Q"]); v != nil {
+		if v := rt.detectDeadlock(rt.members["Q"]); v != nil {
 			got = v.ID
 		}
 		if got != c.want {

@@ -5,9 +5,10 @@
 // predecessor checks, Lemma-1 commit deferral, Lemma-2/3 recovery
 // ordering, forced-order acyclicity, completions, aborts, 2PC — is the
 // shared driver's (scheduler.Driver over internal/scheduler/policy),
-// called inside a serial section. The runtime adds what a concurrent
-// host needs: goroutines, the group mutexes, admission control and the
-// per-group wait-for analysis.
+// called inside one serial section, as the sequential engine's loop and
+// the hub are. The runtime adds what a concurrent host needs:
+// goroutines, the section's mutex, admission control and the wait-for
+// analysis.
 //
 // The sequential discrete-event engine (internal/scheduler) remains the
 // reference oracle: both host the identical driver, so a schedule the
@@ -16,43 +17,32 @@
 // package asserts exactly that: every concurrently observed schedule is
 // PRED and per-process terminal outcomes match the oracle.
 //
-// Concurrency structure (sharded):
+// Concurrency structure:
 //
-//   - Processes are partitioned into *groups* — the connected
-//     components of the job set over the conflict shards of the service
-//     partition (policy.Partition). Two processes whose footprints hit
-//     disjoint shard sets can never conflict, never block on each
-//     other's item locks and never gate each other's Lemma decisions, so
-//     each group runs under its own mutex with its own driver (process
-//     table + policy.State) and the groups proceed fully in parallel.
-//     Item locks stay inside a group because the subsystems' lock table
-//     and the conflict table derive from the same read/write/Commutative
-//     declaration: a service a held lock refuses shares a conflict shard
-//     with the holder's work (TestLockBlockSharesShard). So no wait-for
-//     edge, victim designation or wake-up ever crosses a group.
-//   - All group states share one policy.Universe (built over every
-//     service, so only ever read concurrently) and one global
-//     atomic sequence counter, so the per-group histories merge into a
-//     single observed schedule ordered by Seq.
+//   - One mutex (Runtime.mu) guards the driver (process table +
+//     policy.State), the live members, the event sequence and the stall
+//     machinery. Parallelism is between activities inside the
+//     subsystems, not between scheduler locks: a decision costs
+//     microseconds, an invocation its service time.
 //   - Admission control (worker cap, Serial/Conservative policies),
 //     completion counting for restart backoff, the run's error and the
-//     victims budget are global, guarded by a separate admission mutex,
-//     a leaf under any group mutex.
+//     victims budget sit under a separate admission mutex (gmu), a leaf
+//     under the section's, so the admission waiters it wakes never
+//     contend for the section.
 //   - Subsystem work (Invoke + simulated service time) runs outside the
-//     group lock; the in-flight invocation is registered first so
+//     section; the in-flight invocation is registered first so
 //     concurrent decisions see it as a survivor in the forced-order
-//     graph. Lock order is group.mu -> admission mutex -> subsystem.mu.
-//   - Each group's condition variable is broadcast after every state
-//     mutation of that group; blocked workers re-evaluate their gates.
-//     Two stall breakers run per group: a precise park-time wait-for
-//     analysis that victim-aborts a member of a closed wait cycle
-//     immediately (without waiting for the rest of the group to go
-//     idle), and the quiescence detector of the sequential engine as a
-//     backstop for waits with incomplete edge information (recovery-step
-//     gates, denials the policy cannot attribute to a predecessor),
-//     declared only when every live worker of the
-//     group has re-evaluated at the current progress generation with
-//     nothing in flight.
+//     graph. Lock order is Runtime.mu -> gmu -> subsystem.mu.
+//   - The section's condition variable is broadcast after every state
+//     mutation; blocked workers re-evaluate their gates. Two stall
+//     breakers run: a precise park-time wait-for analysis that
+//     victim-aborts a member of a closed wait cycle immediately (without
+//     waiting for the rest of the run to go idle), and the quiescence
+//     detector of the sequential engine as a backstop for waits with
+//     incomplete edge information (recovery-step gates, denials the
+//     policy cannot attribute to a predecessor), declared only when
+//     every live worker has re-evaluated at the current progress
+//     generation with nothing in flight.
 package runtime
 
 import (
@@ -60,7 +50,6 @@ import (
 	"fmt"
 	"maps"
 	gort "runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -107,10 +96,10 @@ type Config struct {
 	Inject func(point string)
 	// CheckpointEvery, when positive, takes a fuzzy checkpoint
 	// (wal.TakeCheckpoint) after every that many runtime force-log
-	// appends. The checkpointer runs inside the appending group's
-	// serial section while other groups keep appending — exactly the
-	// fuzzy-checkpoint window the recovery path must tolerate. 0
-	// disables.
+	// appends. The checkpointer runs inside the serial section, so no
+	// force-log of this runtime lands in its fuzzy window; the window is
+	// exercised by TestCheckpointConcurrentWithAppends and by the group
+	// appender only. 0 disables.
 	CheckpointEvery int
 	// CheckpointLimit caps the checkpoints of one run (0 = unlimited).
 	CheckpointLimit int
@@ -148,31 +137,25 @@ func (c Config) withDefaults() Config {
 // Result is the outcome of a concurrent run.
 type Result struct {
 	// Schedule is the observed process schedule (completion order under
-	// the serial sections, merged by global sequence); check it with
-	// PRED(), Serializable() and ProcessRecoverable().
+	// the serial section); check it with PRED(), Serializable() and
+	// ProcessRecoverable().
 	Schedule *schedule.Schedule
 	Metrics  scheduler.Metrics
 	Outcomes map[process.ID]*scheduler.Outcome
 	// Elapsed is the wall-clock duration of the run.
 	Elapsed time.Duration
-	// ShardGroups is the number of disjoint scheduling groups the run
-	// partitioned its processes into — each ran under its own serial
-	// section (1 means every process shared one lock).
+	// ShardGroups is the number of serial sections of the run: always 1.
+	// bench/ still reads it (ROADMAP item 9 retires it).
 	ShardGroups int
-	// ConflictShards is the number of connected components of the
-	// federation's conflict relation, the service-side upper bound on
-	// ShardGroups.
-	ConflictShards int
 }
 
-// member is one process of a shard group: its protocol state (the
-// shared driver's record) plus the park-time stall machinery. All fields
-// are guarded by the owning group's mutex (the owning worker mutates
-// them only under it).
+// member is one live process: its protocol state (the shared driver's
+// record) plus the park-time stall machinery. All fields are guarded by
+// Runtime.mu (the owning worker mutates them only under it).
 type member struct {
 	*scheduler.Proc
 
-	// lastEval is the group progress generation at which this process
+	// lastEval is the progress generation at which this process
 	// last found nothing to do; parked marks it blocked in cond.Wait;
 	// waitAlts, when non-nil, is the complete wait-for disjunction
 	// recorded at the last sWait — the process can proceed iff for SOME
@@ -184,62 +167,49 @@ type member struct {
 	waitAlts [][]process.ID
 }
 
-// shardGroup is one sharded serial section: the shared protocol driver
-// over the processes of one connected component of the conflict
-// partition (with their policy state), plus the group-local stall
-// machinery. All fields below mu are guarded by it.
-type shardGroup struct {
-	r      *Runtime
-	idx    int
-	shards []int // conflict shards covered (diagnostics)
+// Runtime executes processes concurrently, one goroutine each.
+type Runtime struct {
+	cfg Config
+	fed *subsystem.Federation
+	log wal.Log
+	reg *metrics.Registry
 
+	// The serial section: the shared protocol driver over every process
+	// of the run (with their policy state) plus the stall machinery. All
+	// fields down to upToDate are guarded by mu.
 	mu   sync.Mutex
 	cond *sync.Cond
 	drv  *scheduler.Driver
+	seq  int64 // event sequence
 	// members holds the live incarnations by origin id — the name the
 	// subsystems know a lock holder by (incarnations share locks).
 	members  map[process.ID]*member
-	live     int // workers currently driving a process of this group
-	inFlight int // workers outside the lock doing subsystem work
+	live     int // workers currently driving a process
+	inFlight int // workers outside the section doing subsystem work
 	waiting  int // workers blocked on cond (diagnostics)
-
-	// Quiescence detection, per group: progress increments on every
-	// state change that could unblock a member; upToDate counts live
-	// members whose lastEval equals the current generation. A stall is
-	// declared only when every live member re-evaluated at the current
-	// generation with nothing in flight.
+	// Quiescence detection: progress increments on every state change
+	// that could unblock a member; upToDate counts live members whose
+	// lastEval equals the current generation. A stall is declared only
+	// when every live member re-evaluated at the current generation with
+	// nothing in flight.
 	progress int64
 	upToDate int
-}
 
-// Runtime executes processes concurrently, one goroutine each.
-type Runtime struct {
-	cfg   Config
-	fed   *subsystem.Federation
-	log   wal.Log
-	coord *twopc.Coordinator
-	reg   *metrics.Registry
-	uni   *policy.Universe
-	part  *policy.Partition
-
-	groups []*shardGroup // built at Run start, immutable afterwards
-
-	seq      atomic.Int64 // global event sequence across all groups
-	stopped  atomic.Bool  // run crashed or failed; workers drain
+	stopped  atomic.Bool // run crashed or failed; workers drain
 	canceled atomic.Bool
 	stopCh   chan struct{}
 	stopOnce sync.Once
 
 	// Admission state (worker cap, Serial/Conservative policy, restart
 	// backoff), the run's error and the victims budget. gmu is a leaf:
-	// taken under group mutexes, never the other way around.
+	// taken under mu, never the other way around.
 	gmu         sync.Mutex
 	gcond       *sync.Cond
 	err         error
 	completions int64
 	victims     int
 	// admitted holds the footprints of the incarnations admitted and not
-	// done, across all groups.
+	// done.
 	admitted map[process.ID][]string
 
 	start time.Time
@@ -256,39 +226,43 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 	if cfg.GroupCommit.Enabled() {
 		cfg.Log = wal.NewGroupAppender(cfg.Log, cfg.GroupCommit, cfg.Inject)
 	}
+	coord := twopc.New(cfg.Log)
+	coord.Inject = cfg.Inject
 	r := &Runtime{
-		cfg:   cfg,
-		fed:   fed,
-		log:   cfg.Log,
-		coord: twopc.New(cfg.Log),
-		reg:   cfg.Metrics,
-		// The universe covers every routable service (activity services
-		// and auto-registered compensations) and ValidateJobs rejects
-		// anything outside it before a run starts, so the shards never
-		// intern into the universe they share.
-		uni:      policy.NewUniverse(table, fed.Services()),
-		part:     policy.NewPartition(table),
+		cfg:      cfg,
+		fed:      fed,
+		log:      cfg.Log,
+		reg:      cfg.Metrics,
+		members:  make(map[process.ID]*member),
 		stopCh:   make(chan struct{}),
 		admitted: make(map[process.ID][]string),
 	}
+	r.drv = &scheduler.Driver{
+		Host:       runtimeHost{r},
+		Fed:        fed,
+		Pol:        policy.New(table, policy.Config{Mode: cfg.Mode}),
+		Coord:      coord,
+		Reg:        r.reg,
+		Resilience: cfg.Resilience,
+	}
 	r.ckpt = scheduler.Checkpointer{
 		Every: cfg.CheckpointEvery, Limit: cfg.CheckpointLimit, Compact: cfg.CompactOnCheckpoint,
-		Log: cfg.Log, Fed: fed, Conflicts: r.uni.Conflicts, Inject: cfg.Inject, Reg: cfg.Metrics,
+		Log: cfg.Log, Fed: fed, Conflicts: r.drv.Pol.Conflicts, Inject: cfg.Inject, Reg: cfg.Metrics,
 	}
+	r.cond = sync.NewCond(&r.mu)
 	r.gcond = sync.NewCond(&r.gmu)
 	if r.reg != nil {
-		r.coord.Metrics = r.reg
+		coord.Metrics = r.reg
 		fed.SetMetrics(r.reg)
 		if il, ok := r.log.(wal.Instrumented); ok {
 			il.SetMetrics(r.reg)
 		}
 	}
-	r.coord.Inject = cfg.Inject
 	return r, nil
 }
 
 // fail records the first run-terminating error and stops the run; safe
-// to call from any goroutine, with or without a group mutex held.
+// to call from any goroutine, inside or outside the serial section.
 func (r *Runtime) fail(err error) {
 	r.gmu.Lock()
 	if r.err == nil {
@@ -299,8 +273,8 @@ func (r *Runtime) fail(err error) {
 }
 
 // stop flips the run into draining mode and triggers the wake-all
-// supervisor (broadcasting other groups' condition variables directly
-// here could deadlock: the caller may hold its own group's mutex).
+// supervisor (taking mu to broadcast here could deadlock: the caller may
+// hold it).
 func (r *Runtime) stop() {
 	r.stopped.Store(true)
 	r.stopOnce.Do(func() { close(r.stopCh) })
@@ -311,11 +285,9 @@ func (r *Runtime) stop() {
 // cannot miss the wake-up. Called only from supervisor goroutines that
 // hold no locks.
 func (r *Runtime) wakeAll() {
-	for _, g := range r.groups {
-		g.mu.Lock()
-		g.cond.Broadcast()
-		g.mu.Unlock()
-	}
+	r.mu.Lock()
+	r.cond.Broadcast()
+	r.mu.Unlock()
 	r.gmu.Lock()
 	r.gcond.Broadcast()
 	r.gmu.Unlock()
@@ -323,8 +295,8 @@ func (r *Runtime) wakeAll() {
 
 // guard runs f, converting an injected-crash sentinel panic into the
 // run-terminating error every worker observes; ok is false when the
-// crash tripped. Callers hold their group mutex — the panic must not
-// unwind past the critical section, so it is caught right here.
+// crash tripped. Callers hold mu — the panic must not unwind past the
+// critical section, so it is caught right here.
 // Non-sentinel panics propagate.
 func (r *Runtime) guard(f func()) (ok bool) {
 	defer scheduler.OnInjectedCrash(func(point string) {
@@ -334,10 +306,14 @@ func (r *Runtime) guard(f func()) (ok bool) {
 	return true
 }
 
-// runtimeHost is the runtime as the driver's Host, one for all groups.
+// runtimeHost is the runtime as the driver's Host; the driver calls it
+// inside the serial section.
 type runtimeHost struct{ r *Runtime }
 
-func (h runtimeHost) NextSeq() int64 { return h.r.seq.Add(1) }
+func (h runtimeHost) NextSeq() int64 {
+	h.r.seq++
+	return h.r.seq
+}
 
 // Now converts the wall clock into virtual ticks since the run started
 // (0 when Tick is unset).
@@ -349,10 +325,8 @@ func (h runtimeHost) Now() int64 {
 }
 
 // ForceLog appends a record unless the run already crashed. The
-// checkpointer runs inside the appending group's serial section while
-// other groups keep appending — exactly the fuzzy-checkpoint window the
-// recovery path must tolerate — and inside the guard: an injected crash
-// sentinel unwinds into guard's recover like any other force-log crash.
+// checkpointer runs inside the guard: an injected crash sentinel unwinds
+// into guard's recover like any other force-log crash.
 func (h runtimeHost) ForceLog(rec wal.Record) bool {
 	r := h.r
 	if r.stopped.Load() {
@@ -386,82 +360,15 @@ func (r *Runtime) inject(point string) bool {
 	return r.guard(func() { r.cfg.Inject(point) })
 }
 
-// buildGroups partitions the jobs into shard groups: union-find over
-// job indices, joining two jobs whenever their footprints share a
-// conflict shard. Jobs with conflict-free footprints get singleton
-// groups. Restart incarnations keep their footprint, so a process
-// stays in its group across restarts. Returns the per-job group.
-func (r *Runtime) buildGroups(jobs []scheduler.Job) []*shardGroup {
-	parent := make([]int, len(jobs))
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	shardOwner := make(map[int]int)
-	var buf []int
-	for i, j := range jobs {
-		buf = r.part.ShardSet(scheduler.Footprint(j.Proc), buf[:0])
-		for _, s := range buf {
-			if o, ok := shardOwner[s]; ok {
-				union(i, o)
-			} else {
-				shardOwner[s] = i
-			}
-		}
-	}
-	byRoot := make(map[int]*shardGroup)
-	jobGroup := make([]*shardGroup, len(jobs))
-	for i := range jobs {
-		root := find(i)
-		g := byRoot[root]
-		if g == nil {
-			g = &shardGroup{r: r, idx: len(r.groups), members: make(map[process.ID]*member), drv: &scheduler.Driver{
-				Host:       runtimeHost{r},
-				Fed:        r.fed,
-				Pol:        policy.NewShard(r.uni, policy.Config{Mode: r.cfg.Mode}),
-				Coord:      r.coord,
-				Reg:        r.reg,
-				Resilience: r.cfg.Resilience,
-			}}
-			g.cond = sync.NewCond(&g.mu)
-			byRoot[root] = g
-			r.groups = append(r.groups, g)
-		}
-		jobGroup[i] = g
-	}
-	for s, o := range shardOwner {
-		g := byRoot[find(o)]
-		g.shards = append(g.shards, s)
-	}
-	for _, g := range r.groups {
-		sort.Ints(g.shards)
-	}
-	return jobGroup
-}
-
 // Run executes the jobs to completion. Arrival times are in ticks
 // (real delay Arrival*Tick before the process contends for admission).
 // The context cancels the run: in-flight service time finishes, no new
-// work starts, and ctx.Err() is returned.
+// work starts, and ctx.Err() is returned. A Runtime runs once.
 func (r *Runtime) Run(ctx context.Context, jobs []scheduler.Job) (*Result, error) {
 	if err := scheduler.ValidateJobs(r.fed, jobs); err != nil {
 		return nil, err
 	}
 	r.start = time.Now()
-	jobGroup := r.buildGroups(jobs)
 
 	// Supervisors: wake every blocked worker on cancellation or crash.
 	watchDone := make(chan struct{})
@@ -484,41 +391,33 @@ func (r *Runtime) Run(ctx context.Context, jobs []scheduler.Job) (*Result, error
 	var wg sync.WaitGroup
 	for i, j := range jobs {
 		wg.Add(1)
-		go func(g *shardGroup, idx int, job scheduler.Job) {
+		go func() {
 			defer wg.Done()
-			r.worker(g, idx, job)
-		}(jobGroup[i], i, j)
+			r.worker(i, j)
+		}()
 	}
 	wg.Wait()
 	close(watchDone)
 
 	elapsed := time.Since(r.start)
-	var m scheduler.Metrics
-	outcomes := make(map[process.ID]*scheduler.Outcome)
-	var allProcs []*process.Process
-	states := make([]*policy.State, 0, len(r.groups))
-	for _, g := range r.groups {
-		g.mu.Lock()
-		addMetrics(&m, &g.drv.Metrics)
-		for _, p := range g.drv.All() {
-			outcomes[p.ID] = p.Outcome
-			allProcs = append(allProcs, p.Def)
-		}
-		states = append(states, g.drv.Pol)
-		g.mu.Unlock()
-	}
+	m := r.drv.Metrics
 	if r.cfg.Tick > 0 {
 		m.Makespan = int64(elapsed / r.cfg.Tick)
 	} else {
 		m.Makespan = elapsed.Nanoseconds()
 	}
+	outcomes := make(map[process.ID]*scheduler.Outcome)
+	var defs []*process.Process
+	for _, p := range r.drv.All() {
+		outcomes[p.ID] = p.Outcome
+		defs = append(defs, p.Def)
+	}
 	res := &Result{
-		Schedule:       policy.MergeSchedules(r.uni.Table(), allProcs, states),
-		Metrics:        m,
-		Outcomes:       outcomes,
-		Elapsed:        elapsed,
-		ShardGroups:    len(r.groups),
-		ConflictShards: r.part.Shards(),
+		Schedule:    r.drv.Pol.BuildSchedule(defs),
+		Metrics:     m,
+		Outcomes:    outcomes,
+		Elapsed:     elapsed,
+		ShardGroups: 1,
 	}
 	r.gmu.Lock()
 	err := r.err
@@ -532,32 +431,13 @@ func (r *Runtime) Run(ctx context.Context, jobs []scheduler.Job) (*Result, error
 	return res, nil
 }
 
-// addMetrics accumulates one group's counters into the run total.
-func addMetrics(dst, src *scheduler.Metrics) {
-	dst.Invocations += src.Invocations
-	dst.Retries += src.Retries
-	dst.Compensations += src.Compensations
-	dst.Rollbacks += src.Rollbacks
-	dst.Deferrals += src.Deferrals
-	dst.TwoPCCommits += src.TwoPCCommits
-	dst.LockWaits += src.LockWaits
-	dst.PolicyWaits += src.PolicyWaits
-	dst.WeakDeps += src.WeakDeps
-	dst.WeakOrderWaits += src.WeakOrderWaits
-	dst.WeakRestarts += src.WeakRestarts
-	dst.Restarts += src.Restarts
-	dst.VictimAborts += src.VictimAborts
-	dst.CommittedProcs += src.CommittedProcs
-	dst.AbortedProcs += src.AbortedProcs
-}
-
-// bump advances the group's progress generation after a state change
-// that may unblock other members, and wakes them to re-evaluate.
-// Called with g.mu held.
-func (g *shardGroup) bump() {
-	g.progress++
-	g.upToDate = 0
-	g.cond.Broadcast()
+// bump advances the progress generation after a state change that may
+// unblock other members, and wakes them to re-evaluate. Called with mu
+// held.
+func (r *Runtime) bump() {
+	r.progress++
+	r.upToDate = 0
+	r.cond.Broadcast()
 }
 
 // sleepTicks simulates service time. Kernel timer granularity is on
@@ -582,17 +462,17 @@ func (r *Runtime) sleepTicks(n int64) {
 }
 
 // worker drives one process (including its restarts) to termination.
-func (r *Runtime) worker(g *shardGroup, idx int, job scheduler.Job) {
+func (r *Runtime) worker(idx int, job scheduler.Job) {
 	if job.Arrival > 0 {
 		r.sleepTicks(job.Arrival)
 	}
 	p := scheduler.NewProc(job.Proc, idx, job.Proc.ID.Origin(), job.Proc.ID, 0)
 	for {
-		m := r.admit(g, p)
+		m := r.admit(p)
 		if m == nil {
 			break // run is over (error or canceled)
 		}
-		if !g.drive(m) {
+		if !r.drive(m) {
 			break
 		}
 		// Restart under a derived id after exponential backoff. Backoff
@@ -625,8 +505,8 @@ func (r *Runtime) backoff(n int64) bool {
 }
 
 // admit blocks until the admission policy lets the process in, then
-// registers it with its group; nil when the run ended first.
-func (r *Runtime) admit(g *shardGroup, p *scheduler.Proc) *member {
+// registers it with the serial section; nil when the run ended first.
+func (r *Runtime) admit(p *scheduler.Proc) *member {
 	r.gmu.Lock()
 	for {
 		if r.stopped.Load() || r.canceled.Load() {
@@ -641,26 +521,26 @@ func (r *Runtime) admit(g *shardGroup, p *scheduler.Proc) *member {
 	r.admitted[p.ID] = p.Footprint
 	r.gmu.Unlock()
 
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if !g.drv.Admit(p) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if !r.drv.Admit(p) {
 		r.retire(p)
 		return nil
 	}
 	m := &member{Proc: p, lastEval: -1}
-	g.members[p.Origin] = m
-	g.live++
+	r.members[p.Origin] = m
+	r.live++
 	if p.Restarts > 0 {
-		g.drv.Metrics.Restarts++
+		r.drv.Metrics.Restarts++
 		r.reg.Inc(metrics.ProcsRestarted)
 	}
-	g.bump()
+	r.bump()
 	return m
 }
 
 // retire takes an incarnation out of admission control (it terminated,
 // or its start record never reached the log) and wakes admission and
-// backoff waiters; the admission mutex is a leaf under any group mutex.
+// backoff waiters; the admission mutex is a leaf under mu.
 func (r *Runtime) retire(p *scheduler.Proc) {
 	r.gmu.Lock()
 	delete(r.admitted, p.ID)
@@ -674,52 +554,51 @@ func (r *Runtime) mayStartLocked(fp []string) bool {
 	if r.cfg.Workers > 0 && len(r.admitted) >= r.cfg.Workers {
 		return false
 	}
-	return scheduler.MayAdmit(r.cfg.Mode, r.uni.Conflicts, fp, maps.Values(r.admitted))
+	return scheduler.MayAdmit(r.cfg.Mode, r.drv.Pol.Table().Conflicts, fp, maps.Values(r.admitted))
 }
 
-// wait blocks the process's worker on the group condition variable
+// wait blocks the process's worker on the section's condition variable
 // until some state changes. Two stall breakers guard the park, both
-// over this group's members under g.mu alone:
+// over the live members under mu alone:
 //
 //   - When the wait carries complete edge information (m.waitAlts), a
 //     precise wait-for analysis fires immediately once a closed set of
 //     parked members waits only on itself — no quiescence needed, so
 //     victim aborts overlap with unrelated in-flight work.
 //   - The quiescence backstop of the sequential engine: a stall is
-//     declared only once every live member of the group re-evaluated
-//     its gates at the current progress generation and found nothing
-//     to do, with nothing in flight. Merely counting parked workers
+//     declared only once every live member re-evaluated its gates at
+//     the current progress generation and found nothing to do, with
+//     nothing in flight. Merely counting parked workers
 //     would race against workers that were signaled but not yet
 //     rescheduled.
 //
-// Returns false when the run is over. Called with g.mu held.
-func (g *shardGroup) wait(m *member) bool {
-	r := g.r
+// Returns false when the run is over. Called with mu held.
+func (r *Runtime) wait(m *member) bool {
 	if r.stopped.Load() || r.canceled.Load() {
 		return false
 	}
-	if m.lastEval != g.progress {
-		m.lastEval = g.progress
-		g.upToDate++
+	if m.lastEval != r.progress {
+		m.lastEval = r.progress
+		r.upToDate++
 	}
-	if victim := g.detectDeadlock(m); victim != nil {
-		g.drv.MarkVictim(victim.Proc, "wait-for cycle")
-		g.bump()
+	if victim := r.detectDeadlock(m); victim != nil {
+		r.drv.MarkVictim(victim.Proc, "wait-for cycle")
+		r.bump()
 		return true
 	}
-	if g.upToDate >= g.live && g.inFlight == 0 && !g.actionableAbortPending() {
+	if r.upToDate >= r.live && r.inFlight == 0 && !r.actionableAbortPending() {
 		// Genuine stall: every gate was re-checked this generation.
-		if !g.resolveStall() {
-			r.fail(fmt.Errorf("runtime: unresolvable stall (mode %v, group %d)\n%s", r.cfg.Mode, g.idx, g.stallDump()))
+		if !r.resolveStall() {
+			r.fail(fmt.Errorf("runtime: unresolvable stall (mode %v)\n%s", r.cfg.Mode, r.stallDump()))
 			return false
 		}
-		g.bump()
+		r.bump()
 		return true
 	}
 	m.parked = true
-	g.waiting++
-	g.cond.Wait()
-	g.waiting--
+	r.waiting++
+	r.cond.Wait()
+	r.waiting--
 	m.parked = false
 	return !r.stopped.Load() && !r.canceled.Load()
 }
@@ -733,18 +612,18 @@ func (g *shardGroup) wait(m *member) bool {
 // process never does — so such a set can never be unblocked from outside
 // and one member must be victim-aborted (the youngest abortable one, as
 // in the driver's stall-victim choice). A member counts as parked only
-// if it recorded complete wait-for information at the group's current
+// if it recorded complete wait-for information at the current
 // progress generation: one that was signaled but not yet rescheduled is
 // still marked parked, but its generation is stale, so it is never
-// mistaken for stuck. Called with g.mu held; returns the chosen victim
+// mistaken for stuck. Called with mu held; returns the chosen victim
 // (nil: no closed set, no abortable member, or MaxStalls exhausted).
-func (g *shardGroup) detectDeadlock(self *member) *member {
+func (r *Runtime) detectDeadlock(self *member) *member {
 	if self.waitAlts == nil {
 		return nil
 	}
 	var set map[process.ID]*member
-	for _, m := range g.members {
-		if m.parked && m.waitAlts != nil && m.lastEval == g.progress {
+	for _, m := range r.members {
+		if m.parked && m.waitAlts != nil && m.lastEval == r.progress {
 			if set == nil {
 				set = map[process.ID]*member{self.ID: self}
 			}
@@ -787,7 +666,7 @@ func (g *shardGroup) detectDeadlock(self *member) *member {
 			victim = m
 		}
 	}
-	if victim == nil || !g.r.spendVictim() {
+	if victim == nil || !r.spendVictim() {
 		return nil
 	}
 	return victim
@@ -813,8 +692,8 @@ func (r *Runtime) spendVictim() bool {
 // process with gated recovery steps does NOT suppress stall handling —
 // waiting on it could deadlock, so another victim may be taken
 // (bounded by MaxStalls, as in the sequential engine).
-func (g *shardGroup) actionableAbortPending() bool {
-	for _, p := range g.drv.All() {
+func (r *Runtime) actionableAbortPending() bool {
+	for _, p := range r.drv.All() {
 		if p.Phase != policy.Done && p.AbortPending && len(p.Recovery) == 0 && p.Idle() {
 			return true
 		}
@@ -823,13 +702,13 @@ func (g *shardGroup) actionableAbortPending() bool {
 }
 
 // resolveStall is the quiescence backstop: the driver's stall-victim
-// choice under the run-wide MaxStalls budget. Called with g.mu held.
-func (g *shardGroup) resolveStall() bool {
-	victim := g.drv.ChooseVictim(nil)
-	if victim == nil || !g.r.spendVictim() {
+// choice under the run-wide MaxStalls budget. Called with mu held.
+func (r *Runtime) resolveStall() bool {
+	victim := r.drv.ChooseVictim(nil)
+	if victim == nil || !r.spendVictim() {
 		return false
 	}
-	g.drv.MarkVictim(victim, "stall resolution")
+	r.drv.MarkVictim(victim, "stall resolution")
 	return true
 }
 
@@ -845,30 +724,30 @@ const (
 
 // drive runs one admitted process to termination. Returns true when the
 // process aborted restartably and should re-enter.
-func (g *shardGroup) drive(m *member) (restart bool) {
-	g.mu.Lock()
-	restart = g.driveLocked(m)
-	g.live--
-	g.bump()
-	g.mu.Unlock()
+func (r *Runtime) drive(m *member) (restart bool) {
+	r.mu.Lock()
+	restart = r.driveLocked(m)
+	r.live--
+	r.bump()
+	r.mu.Unlock()
 	return restart
 }
 
-func (g *shardGroup) driveLocked(m *member) (restart bool) {
-	r, d, p := g.r, g.drv, m.Proc
+func (r *Runtime) driveLocked(m *member) (restart bool) {
+	d, p := r.drv, m.Proc
 	for {
 		if r.stopped.Load() || r.canceled.Load() {
 			return false
 		}
-		kind, item := g.step(m)
+		kind, item := r.step(m)
 		switch kind {
 		case sAgain:
-			g.bump()
+			r.bump()
 			continue
 		case sDone:
 			return p.Restartable && p.Restarts < r.cfg.MaxRestarts
 		case sWait:
-			if !g.wait(m) {
+			if !r.wait(m) {
 				return false
 			}
 			continue
@@ -876,15 +755,15 @@ func (g *shardGroup) driveLocked(m *member) (restart bool) {
 		// sInvoke: the in-flight registration happened in step(); do the
 		// subsystem work unlocked (the idempotency key is allocated
 		// under the lock).
-		g.inFlight++
+		r.inFlight++
 		key := d.InvokeKey(p)
-		g.mu.Unlock()
+		r.mu.Unlock()
 		res, extraLat, locked := d.Invoke(p, item, key)
 		if !locked {
 			r.sleepTicks(d.Cost(item.Service) + extraLat)
 		}
-		g.mu.Lock()
-		g.inFlight--
+		r.mu.Lock()
+		r.inFlight--
 		if r.stopped.Load() {
 			// The run crashed while this invocation was in flight: do
 			// not commit, log or apply its outcome. A prepared local
@@ -902,23 +781,23 @@ func (g *shardGroup) driveLocked(m *member) (restart bool) {
 			// identity as a wait-for edge.
 			d.Undispatch(p, item)
 			d.LockWait(p, item, "lost the probe/acquire race")
-			g.bump()
+			r.bump()
 			continue
 		}
 		r.noteCompletion()
 		if err := d.Complete(p, item, res); err != nil {
 			r.fail(err)
 		}
-		g.bump()
+		r.bump()
 	}
 }
 
 // step is the serial-section decision: what should this worker do next?
-// Called with g.mu held. Every sWait return records the wait-for edge
+// Called with mu held. Every sWait return records the wait-for edge
 // information of the park in m.waitAlts (nil when the policy cannot
 // name the blockers).
-func (g *shardGroup) step(m *member) (stepKind, scheduler.Work) {
-	r, d, p := g.r, g.drv, m.Proc
+func (r *Runtime) step(m *member) (stepKind, scheduler.Work) {
+	d, p := r.drv, m.Proc
 	m.waitAlts = nil
 	// Recovery steps drain strictly sequentially, before a pending
 	// abort is honoured.
@@ -934,12 +813,12 @@ func (g *shardGroup) step(m *member) (stepKind, scheduler.Work) {
 		if holder, free := r.fed.LockBlocker(string(p.Origin), st.Service); !free {
 			// The single pending step is the only alternative, its lock
 			// holder the only blocker.
-			if cur := g.members[process.ID(holder)]; cur != nil {
+			if cur := r.members[process.ID(holder)]; cur != nil {
 				m.waitAlts = [][]process.ID{{cur.ID}}
 			}
 			return sWait, scheduler.Work{}
 		}
-		return g.register(p, p.StepWork(st))
+		return r.register(p, p.StepWork(st))
 	}
 	if p.AbortPending && p.Phase != policy.Aborting {
 		if err := d.BeginAbort(p); err != nil {
@@ -951,7 +830,7 @@ func (g *shardGroup) step(m *member) (stepKind, scheduler.Work) {
 	if p.Phase == policy.Aborting {
 		// Completion drained: roll back leftovers and terminate.
 		d.RollbackLeftovers(p)
-		return g.terminate(m, false), scheduler.Work{}
+		return r.terminate(m, false), scheduler.Work{}
 	}
 	if p.Inst.Done() {
 		if len(p.Prepared) > 0 {
@@ -962,11 +841,11 @@ func (g *shardGroup) step(m *member) (stepKind, scheduler.Work) {
 				m.waitAlts = [][]process.ID{d.Pol.ActiveConflictPreds(d, p.ID)}
 				return sWait, scheduler.Work{}
 			}
-			if !g.commitPreparedSet(p) {
+			if !r.commitPreparedSet(p) {
 				return sWait, scheduler.Work{}
 			}
 		}
-		return g.terminate(m, true), scheduler.Work{}
+		return r.terminate(m, true), scheduler.Work{}
 	}
 	// Mid-process deferred commits (Lemma 1): successors of a prepared
 	// activity stay off the frontier until the prepared set commits, so
@@ -981,7 +860,7 @@ func (g *shardGroup) step(m *member) (stepKind, scheduler.Work) {
 		if d.Pol.HasActiveConflictPred(d, p.ID) {
 			deferAlt = d.Pol.ActiveConflictPreds(d, p.ID)
 		} else {
-			if !g.commitPreparedSet(p) {
+			if !r.commitPreparedSet(p) {
 				return sWait, scheduler.Work{} // injected crash mid-2PC
 			}
 			return sAgain, scheduler.Work{} // successors joined the frontier
@@ -1008,17 +887,17 @@ func (g *shardGroup) step(m *member) (stepKind, scheduler.Work) {
 		// Probe the subsystem's item locks under the serial section: a
 		// held lock means parking here, not an invocation attempt whose
 		// ErrLocked bounce would wake (and be woken by) other blocked
-		// workers in an endless retry storm. The holder — a member of
-		// this group, see the package comment — becomes a wait-for edge.
+		// workers in an endless retry storm. The holder becomes a
+		// wait-for edge.
 		if holder, free := r.fed.LockBlocker(string(p.Origin), a.Service); !free {
-			if cur := g.members[process.ID(holder)]; cur != nil {
+			if cur := r.members[process.ID(holder)]; cur != nil {
 				blocked = append(blocked, []process.ID{cur.ID})
 			} else {
 				complete = false // not a live member (left in doubt by an earlier run)
 			}
 			continue
 		}
-		return g.register(p, scheduler.Work{Local: local, Service: a.Service, Kind: a.Kind})
+		return r.register(p, scheduler.Work{Local: local, Service: a.Service, Kind: a.Kind})
 	}
 	// The park's wait-for information is complete only when EVERY
 	// frontier alternative was denied by a named blocker set (conflict
@@ -1036,15 +915,15 @@ func (g *shardGroup) step(m *member) (stepKind, scheduler.Work) {
 
 // register passes the dispatch crash point, logs the invocation as in
 // flight and hands it to the worker.
-func (g *shardGroup) register(p *scheduler.Proc, w scheduler.Work) (stepKind, scheduler.Work) {
-	if !g.r.inject("runtime:dispatch") || !g.drv.Dispatch(p, w) {
+func (r *Runtime) register(p *scheduler.Proc, w scheduler.Work) (stepKind, scheduler.Work) {
+	if !r.inject("runtime:dispatch") || !r.drv.Dispatch(p, w) {
 		return sAgain, scheduler.Work{} // crash tripped; drive's loop head exits
 	}
 	return sInvoke, w
 }
 
 // noteCompletion counts one finished invocation and wakes backoff
-// waiters; the admission mutex is a leaf under any group mutex.
+// waiters; the admission mutex is a leaf under mu.
 func (r *Runtime) noteCompletion() {
 	r.gmu.Lock()
 	r.completions++
@@ -1054,42 +933,41 @@ func (r *Runtime) noteCompletion() {
 
 // commitPreparedSet runs the driver's 2PC commit under the crash guard:
 // the coordinator's crash points must not unwind past the critical
-// section. Called with g.mu held (lock order g.mu -> subsystem.mu).
-func (g *shardGroup) commitPreparedSet(p *scheduler.Proc) bool {
+// section. Called with mu held (lock order mu -> subsystem.mu).
+func (r *Runtime) commitPreparedSet(p *scheduler.Proc) bool {
 	var ok bool
 	var err error
-	if !g.r.guard(func() { ok, err = g.drv.CommitPreparedSet(p) }) {
+	if !r.guard(func() { ok, err = r.drv.CommitPreparedSet(p) }) {
 		return false // injected crash mid-2PC; recovery finishes the job
 	}
 	if err != nil {
-		g.r.fail(err)
+		r.fail(err)
 	}
 	return ok
 }
 
 // terminate emits the terminal event and releases the admission slot.
-// Called with g.mu held.
-func (g *shardGroup) terminate(m *member, committed bool) stepKind {
-	if !g.drv.Terminate(m.Proc, committed) {
+// Called with mu held.
+func (r *Runtime) terminate(m *member, committed bool) stepKind {
+	if !r.drv.Terminate(m.Proc, committed) {
 		return sAgain // not logged: the run is ending, drive's loop head exits
 	}
-	g.r.retire(m.Proc)
-	delete(g.members, m.Origin)
+	r.retire(m.Proc)
+	delete(r.members, m.Origin)
 	return sDone
 }
 
-// stallDump renders the group state for stall diagnostics.
-func (g *shardGroup) stallDump() string {
-	r := g.r
+// stallDump renders the section's state for stall diagnostics.
+func (r *Runtime) stallDump() string {
 	r.gmu.Lock()
 	victims := r.victims
 	active := len(r.admitted)
 	r.gmu.Unlock()
-	s := fmt.Sprintf("group=%d shards=%v live=%d active=%d inFlight=%d waiting=%d victims=%d progress=%d\n%s",
-		g.idx, g.shards, g.live, active, g.inFlight, g.waiting, victims, g.progress, g.drv.Dump())
-	for _, m := range g.members {
+	s := fmt.Sprintf("live=%d active=%d inFlight=%d waiting=%d victims=%d progress=%d\n%s",
+		r.live, active, r.inFlight, r.waiting, victims, r.progress, r.drv.Dump())
+	for _, m := range r.members {
 		if m.parked && m.waitAlts != nil {
-			s += fmt.Sprintf("  wait %s alts=%v fresh=%v\n", m.ID, m.waitAlts, m.lastEval == g.progress)
+			s += fmt.Sprintf("  wait %s alts=%v fresh=%v\n", m.ID, m.waitAlts, m.lastEval == r.progress)
 		}
 	}
 	return s

@@ -848,8 +848,11 @@ func (d *Driver) Dump() string {
 // run. Injected crash sentinels do propagate — a crash inside a
 // checkpoint is exactly what the torture battery exercises. The counter
 // handshake runs under a leaf mutex and the checkpoint itself outside
-// it, so concurrent appenders keep appending into the fuzzy window
-// (wal.Expand tolerates the post-horizon tail).
+// it, so an appender that does not go through the caller's serial
+// section may append into the fuzzy window (wal.Expand tolerates the
+// post-horizon tail). Every host calls Appended inside its serial
+// section, so today only TestCheckpointConcurrentWithAppends and the
+// group appender's in-flight batch exercise that window.
 type Checkpointer struct {
 	Every, Limit int // Config.CheckpointEvery, Config.CheckpointLimit
 	Compact      bool

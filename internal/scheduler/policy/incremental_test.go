@@ -76,7 +76,7 @@ func newSim(t testing.TB, seed int64, reached map[string]int) *sim {
 	w.services = names
 	w.cfg = []Config{{Mode: PRED}, {Mode: CCOnly}, {Mode: PRED, BlockPivots: true}}[rng.Intn(3)]
 	w.st = New(table, w.cfg)
-	w.ref = newRefState(NewUniverse(table, nil), w.cfg)
+	w.ref = newRefState(newUniverse(table), w.cfg)
 	return w
 }
 

@@ -1,12 +1,8 @@
 package policy
 
-import (
-	"sort"
+import "transproc/internal/conflict"
 
-	"transproc/internal/conflict"
-)
-
-// Universe interns service names into dense integer ids and memoizes
+// universe interns service names into dense integer ids and memoizes
 // the conflict relation as per-service bitsets, so the hot decision
 // paths (survivor index, conflict-predecessor scans, the Lemma gates)
 // test conflicts with an index and a word-AND instead of hashing a pair
@@ -17,10 +13,9 @@ import (
 // alike. The table's conflicting base names are interned at
 // construction, so the masks are exact and final from then on: a name
 // seen later is an alias or conflicts with nothing. Seeing one still
-// writes the name table: a universe shared across goroutines — the
-// per-shard policy states of the concurrent runtime — must be built
-// over every service they will see.
-type Universe struct {
+// writes the name table, so a universe belongs to the one State that
+// is driven from one goroutine at a time.
+type universe struct {
 	table *conflict.Table
 	ids   map[string]int
 	names []string
@@ -29,27 +24,20 @@ type Universe struct {
 	masks [][]uint64
 }
 
-// NewUniverse builds the universe of a conflict table, with the given
-// service names (duplicates are fine) interned ahead of use. The
-// conflict relation is resolved eagerly through the table, including
-// base-name mapping of compensations.
-func NewUniverse(table *conflict.Table, services []string) *Universe {
-	u := &Universe{table: table, ids: make(map[string]int, len(services))}
+// newUniverse builds the universe of a conflict table. The conflict
+// relation is resolved eagerly through the table, including base-name
+// mapping of compensations.
+func newUniverse(table *conflict.Table) *universe {
+	u := &universe{table: table, ids: make(map[string]int)}
 	for _, p := range table.Pairs() {
 		u.intern(p[0])
 		u.intern(p[1])
 	}
-	for _, s := range services {
-		u.intern(s)
-	}
 	return u
 }
 
-// Table returns the conflict table the universe resolves through.
-func (u *Universe) Table() *conflict.Table { return u.table }
-
 // intern assigns (or returns) the id of a service name.
-func (u *Universe) intern(name string) int {
+func (u *universe) intern(name string) int {
 	if id, ok := u.ids[name]; ok {
 		return id
 	}
@@ -83,7 +71,7 @@ func (u *Universe) intern(name string) int {
 
 // Conflicts reports whether two services conflict, by interned lookup
 // when both names are known and through the table otherwise.
-func (u *Universe) Conflicts(a, b string) bool {
+func (u *universe) Conflicts(a, b string) bool {
 	ia, oka := u.ids[a]
 	ib, okb := u.ids[b]
 	if oka && okb {
@@ -93,11 +81,11 @@ func (u *Universe) Conflicts(a, b string) bool {
 }
 
 // conflictsID tests the memoized relation on interned ids.
-func (u *Universe) conflictsID(a, b int) bool { return testBit(u.masks[a], b) }
+func (u *universe) conflictsID(a, b int) bool { return testBit(u.masks[a], b) }
 
 // mask returns the conflict bitset of a service id; callers must not
 // mutate it.
-func (u *Universe) mask(id int) []uint64 { return u.masks[id] }
+func (u *universe) mask(id int) []uint64 { return u.masks[id] }
 
 // anyBit reports whether the bitset has any bit set.
 func anyBit(s []uint64) bool {
@@ -147,106 +135,4 @@ func setBit(s []uint64, id int) []uint64 {
 	}
 	s[id/64] |= 1 << (uint(id) % 64)
 	return s
-}
-
-// Partition groups services into conflict shards: the connected
-// components of the declared conflict relation. Two services in
-// different shards never conflict, so processes whose footprints hit
-// disjoint shard sets can be scheduled under disjoint locks without
-// ever observing each other. Services that conflict with nothing (not
-// even themselves) belong to no shard (ShardOf returns -1): they can
-// never contribute a conflict edge, a forced ordering or a Lemma gate.
-type Partition struct {
-	shardOf map[string]int // base name -> shard id
-	table   *conflict.Table
-	n       int
-}
-
-// NewPartition computes the conflict shards of a table. The service
-// list is only consulted for base-name resolution of names that never
-// appear in a conflict pair; the components themselves derive from the
-// declared pairs.
-func NewPartition(table *conflict.Table) *Partition {
-	pairs := table.Pairs()
-	parent := make(map[string]string)
-	var find func(string) string
-	find = func(x string) string {
-		p, ok := parent[x]
-		if !ok || p == x {
-			parent[x] = x
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
-	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-	for _, p := range pairs {
-		union(p[0], p[1])
-	}
-	// Deterministic shard numbering: roots sorted by name.
-	rootSet := make(map[string]bool)
-	for x := range parent {
-		rootSet[find(x)] = true
-	}
-	roots := make([]string, 0, len(rootSet))
-	for r := range rootSet {
-		roots = append(roots, r)
-	}
-	sort.Strings(roots)
-	rootID := make(map[string]int, len(roots))
-	for i, r := range roots {
-		rootID[r] = i
-	}
-	shardOf := make(map[string]int, len(parent))
-	for x := range parent {
-		shardOf[x] = rootID[find(x)]
-	}
-	return &Partition{shardOf: shardOf, table: table, n: len(roots)}
-}
-
-// Shards returns the number of conflict shards.
-func (p *Partition) Shards() int { return p.n }
-
-// ShardOf returns the shard of a service (resolved to its base name),
-// or -1 when the service conflicts with nothing.
-func (p *Partition) ShardOf(service string) int {
-	if s, ok := p.shardOf[service]; ok {
-		return s
-	}
-	base := p.table.Base(service)
-	if s, ok := p.shardOf[base]; ok {
-		return s
-	}
-	return -1
-}
-
-// ShardSet returns the sorted, deduplicated shard ids of a service
-// footprint, appending into buf (pass buf[:0] to reuse an allocation).
-// Conflict-free services contribute nothing.
-func (p *Partition) ShardSet(footprint []string, buf []int) []int {
-	out := buf
-	for _, svc := range footprint {
-		s := p.ShardOf(svc)
-		if s < 0 {
-			continue
-		}
-		seen := false
-		for _, have := range out {
-			if have == s {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			out = append(out, s)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

@@ -173,15 +173,9 @@ type Event struct {
 // a cost proportional to the live processes (refresh). A terminated
 // process that nothing unpruned precedes leaves both (prune), so neither
 // grows with the length of the run; only the record does.
-//
-// In the sharded concurrent runtime one State exists per conflict
-// shard; the States then share one Universe and each observes
-// only the events of its own shard (conflicting services always share
-// a shard, so every conflict edge, forced ordering and Lemma gate is
-// fully visible inside one State).
 type State struct {
 	cfg    Config
-	u      *Universe
+	u      *universe
 	events []*Event
 
 	// History-derived half: the unpruned processes and, per interned
@@ -199,9 +193,10 @@ type State struct {
 	viewVersion int64
 
 	// Scratch (a State is always driven from one goroutine at a time —
-	// the engine loop or the shard lock holder). epoch stamps node.seen
-	// and node.pred for one decision; preds holds the candidate's
-	// conflict predecessors, work the nodes prune has to look at.
+	// the engine loop or the holder of the runtime's serial section).
+	// epoch stamps node.seen and node.pred for one decision; preds holds
+	// the candidate's conflict predecessors, work the nodes prune has to
+	// look at.
 	epoch uint64
 	stack []*node
 	preds []*node
@@ -211,13 +206,7 @@ type State struct {
 
 // New creates an empty decision state over a fixed conflict table.
 func New(table *conflict.Table, cfg Config) *State {
-	return NewShard(NewUniverse(table, nil), cfg)
-}
-
-// NewShard creates a decision state over a shared universe — the
-// per-shard constructor of the concurrent runtime.
-func NewShard(u *Universe, cfg Config) *State {
-	return &State{cfg: cfg, u: u, viewVersion: -1}
+	return &State{cfg: cfg, u: newUniverse(table), viewVersion: -1}
 }
 
 // Table returns the conflict table decisions are made under.
@@ -403,31 +392,19 @@ func (s *State) EdgeList() [][2]process.ID {
 }
 
 // BuildSchedule materializes the observed process schedule from the
-// finalized events; it can be checked with PRED(), Serializable() and
+// finalized events, ordered by Seq (a finalized event carries its commit
+// position there); it can be checked with PRED(), Serializable() and
 // ProcessRecoverable().
 func (s *State) BuildSchedule(procs []*process.Process) *schedule.Schedule {
-	return MergeSchedules(s.u.table, procs, []*State{s})
-}
-
-// MergeSchedules materializes one observed schedule from several shard
-// states' records, interleaved by the engine's global sequence
-// numbers. Events of different shards never conflict (conflicting
-// services always share a shard), so any seq-consistent interleaving is
-// conflict-equivalent; sorting by Seq reproduces the real-time order in
-// which the engine finalized them.
-func MergeSchedules(table *conflict.Table, procs []*process.Process, states []*State) *schedule.Schedule {
-	sched := schedule.MustNew(table.Clone())
+	sched := schedule.MustNew(s.u.table.Clone())
 	for _, p := range procs {
 		if err := sched.AddProcess(p); err != nil {
 			panic(err)
 		}
 	}
 	var evs []*Event
-	for _, s := range states {
-		for _, ev := range s.events {
-			if ev.Erased || ev.Tentative {
-				continue
-			}
+	for _, ev := range s.events {
+		if !ev.Erased && !ev.Tentative {
 			evs = append(evs, ev)
 		}
 	}

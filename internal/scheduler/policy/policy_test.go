@@ -374,26 +374,6 @@ func TestDeferToAborting(t *testing.T) {
 	}
 }
 
-func TestPartitionShardOf(t *testing.T) {
-	p := policy.NewPartition(paper.Conflicts())
-	if p.Shards() != 3 {
-		t.Fatalf("%d shards, want 3: {a11 a21 a31} {a12 a24} {a15 a25}", p.Shards())
-	}
-	same := func(a, b string) bool { return p.ShardOf(a) >= 0 && p.ShardOf(a) == p.ShardOf(b) }
-	if !same(paper.SvcA11, paper.SvcA21) || !same(paper.SvcA21, paper.SvcA31) || !same(paper.SvcA12, paper.SvcA24) {
-		t.Error("conflicting services must share a shard")
-	}
-	if same(paper.SvcA11, paper.SvcA12) || same(paper.SvcA12, paper.SvcA15) {
-		t.Error("services of different conflict components share a shard")
-	}
-	if !same(process.DefaultCompensationName(paper.SvcA21), paper.SvcA11) {
-		t.Error("a compensation belongs to its base's shard")
-	}
-	if got := p.ShardOf(paper.SvcA22); got != -1 {
-		t.Errorf("conflict-free a22 in shard %d, want -1", got)
-	}
-}
-
 func TestTentativeEventLifecycle(t *testing.T) {
 	w := newWorld(t, policy.PRED, paper.Conflicts(), paper.P1(), paper.P2())
 	w.exec("P1", 1)

@@ -15,7 +15,7 @@ import (
 // TestIncrementalMatchesReference holds State to its answers.
 type refState struct {
 	cfg    Config
-	u      *Universe
+	u      *universe
 	events []*Event
 	edges  map[[2]process.ID]int
 
@@ -26,7 +26,7 @@ type refState struct {
 	predScratch map[process.ID]bool
 }
 
-func newRefState(u *Universe, cfg Config) *refState {
+func newRefState(u *universe, cfg Config) *refState {
 	return &refState{cfg: cfg, u: u, edges: make(map[[2]process.ID]int), predScratch: make(map[process.ID]bool)}
 }
 

@@ -558,7 +558,7 @@ func (s *Server) runBatch(batch []*submission) {
 		if sub.runID != sub.id {
 			def = def.WithID(process.ID(sub.runID))
 		}
-		jobs[i] = scheduler.Job{Proc: def, Arrival: int64(i)}
+		jobs[i] = scheduler.Job{Proc: def}
 	}
 	s.mu.Unlock()
 

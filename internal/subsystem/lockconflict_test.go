@@ -1,4 +1,4 @@
-package runtime_test
+package subsystem_test
 
 import (
 	"fmt"
@@ -6,20 +6,21 @@ import (
 	"testing"
 
 	"transproc/internal/activity"
-	"transproc/internal/scheduler/policy"
 	"transproc/internal/subsystem"
 )
 
-// lockBlockedOutsideShards builds a random federation (2 subsystems × 3
+// lockBlockedWithoutConflict builds a random federation (2 subsystems × 3
 // items; services with random read/write sets, Commutative flags and
 // compensations), lets process P hold 1–3 prepared transactions — two of
 // them on one item through different families is the degrade-to-exclusive
 // regime of the lock table — and probes every service on behalf of Q. It
-// returns the number of refused probes and those whose service lies
-// outside the conflict shards of what P holds: the runtime's shard groups
-// rest on that list being empty, since a lock wait is only ever analysed,
-// woken and victim-aborted inside the waiter's own group.
-func lockBlockedOutsideShards(seed int64) (blocked int, outside []string, err error) {
+// returns the number of refused probes and those whose service conflicts
+// with nothing P holds: the two readings of one declaration, the lock
+// table (Subsystem.canLock) and the conflict table
+// (conflict.FromRegistry), must agree that this list is empty. It is why
+// Lemma 1 names a lock holder as a conflict predecessor before the lock
+// is ever probed, and why a lock wait always has a policy-visible edge.
+func lockBlockedWithoutConflict(seed int64) (blocked int, bare []string, err error) {
 	rng := rand.New(rand.NewSource(seed))
 	subset := func(sub string) []string {
 		var out []string
@@ -54,7 +55,6 @@ func lockBlockedOutsideShards(seed int64) (blocked int, outside []string, err er
 	if err != nil {
 		return 0, nil, err
 	}
-	part := policy.NewPartition(table)
 	services := fed.Services()
 	var held []string
 	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
@@ -64,56 +64,53 @@ func lockBlockedOutsideShards(seed int64) (blocked int, outside []string, err er
 		}
 		held = append(held, svc)
 	}
-	heldShards := part.ShardSet(held, nil)
 	for _, b := range services {
 		if _, free := fed.LockBlocker("Q", b); free {
 			continue
 		}
 		blocked++
-		in := false
-		for _, s := range heldShards {
-			in = in || s == part.ShardOf(b)
+		conflicts := false
+		for _, h := range held {
+			conflicts = conflicts || table.Conflicts(b, h)
 		}
-		if !in {
-			outside = append(outside, fmt.Sprintf("%s (shard %d) blocked behind %v (shards %v)", b, part.ShardOf(b), held, heldShards))
+		if !conflicts {
+			bare = append(bare, fmt.Sprintf("%s blocked behind %v, conflicting with none of them", b, held))
 		}
 	}
-	return blocked, outside, nil
+	return blocked, bare, nil
 }
 
-// TestLockBlockSharesShard: an item-lock-blocked service always shares a
-// conflict shard with the holder's prepared work, because the lock table
-// (Subsystem.canLock) and the conflict table (conflict.FromRegistry) are
-// derived from the same read/write/Commutative declaration.
-func TestLockBlockSharesShard(t *testing.T) {
+// TestLockBlockConflictsWithHeld: a service a held item lock refuses
+// conflicts with a service the holder has prepared.
+func TestLockBlockConflictsWithHeld(t *testing.T) {
 	t.Parallel()
 	blocked, bad := 0, 0
 	for seed := int64(1); seed <= 5000; seed++ {
-		n, outside, err := lockBlockedOutsideShards(seed)
+		n, bare, err := lockBlockedWithoutConflict(seed)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		blocked += n
-		bad += len(outside)
-		if len(outside) > 0 && bad <= 3 {
-			t.Errorf("seed %d: %v", seed, outside)
+		bad += len(bare)
+		if len(bare) > 0 && bad <= 3 {
+			t.Errorf("seed %d: %v", seed, bare)
 		}
 	}
 	if bad > 0 {
-		t.Fatalf("%d of %d blocked probes leave the holder's shards", bad, blocked)
+		t.Fatalf("%d of %d blocked probes conflict with nothing the holder prepared", bad, blocked)
 	}
 	if blocked == 0 {
 		t.Fatal("no probe was ever refused: the generator no longer reaches the lock table")
 	}
 }
 
-func FuzzLockBlockSharesShard(f *testing.F) {
+func FuzzLockBlockConflictsWithHeld(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
-		if _, outside, err := lockBlockedOutsideShards(seed); err != nil || len(outside) > 0 {
-			t.Fatalf("seed %d: %v %v", seed, err, outside)
+		if _, bare, err := lockBlockedWithoutConflict(seed); err != nil || len(bare) > 0 {
+			t.Fatalf("seed %d: %v %v", seed, err, bare)
 		}
 	})
 }
