@@ -49,3 +49,37 @@ func BenchmarkRuntimeThroughput(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRuntimeBacklog measures what waiting jobs cost the running
+// ones: the rt-long profile of bench/ (8 workers, Tick 0, conflict 0.3,
+// no failures) at 200, 1,000 and 2,000 processes, so 192 to 1,992 jobs
+// are pending throughout. procs/sec is over the Run calls only (workload
+// generation is outside the clock) and must not fall with the backlog. A
+// measurement, not a gate.
+func BenchmarkRuntimeBacklog(b *testing.B) {
+	for _, procs := range []int{200, 1000, 2000} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			var done int
+			var running time.Duration
+			for i := 0; i < b.N; i++ {
+				p := workload.DefaultProfile(int64(i)*31 + 7)
+				p.Processes = procs
+				p.ConflictProb = 0.3
+				p.PermFailureProb = 0
+				p.TransientFailureProb = 0
+				w := workload.MustGenerate(p)
+				r, err := runtime.New(w.Fed, runtime.Config{Mode: scheduler.PRED, Workers: 8})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res, err := r.Run(context.Background(), w.Jobs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				running += res.Elapsed
+				done += res.Metrics.CommittedProcs + res.Metrics.AbortedProcs
+			}
+			b.ReportMetric(float64(done)/running.Seconds(), "procs/sec")
+		})
+	}
+}

@@ -1,13 +1,13 @@
 // Package runtime is the concurrent execution engine for transactional
-// process management: one goroutine per process drives invocations
-// against the (already internally locked) subsystems, while every
-// scheduling decision and every protocol transition — conflict-
+// process management: one goroutine per admitted process drives
+// invocations against the (already internally locked) subsystems, while
+// every scheduling decision and every protocol transition — conflict-
 // predecessor checks, Lemma-1 commit deferral, Lemma-2/3 recovery
 // ordering, forced-order acyclicity, completions, aborts, 2PC — is the
 // shared driver's (scheduler.Driver over internal/scheduler/policy),
 // called inside one serial section, as the sequential engine's loop and
 // the hub are. The runtime adds what a concurrent host needs:
-// goroutines, the section's mutex, admission control and the wait-for
+// goroutines, the section's mutex, the admission queue and the wait-for
 // analysis.
 //
 // The sequential discrete-event engine (internal/scheduler) remains the
@@ -20,19 +20,20 @@
 // Concurrency structure:
 //
 //   - One mutex (Runtime.mu) guards the driver (process table +
-//     policy.State), the live members, the event sequence and the stall
-//     machinery. Parallelism is between activities inside the
-//     subsystems, not between scheduler locks: a decision costs
-//     microseconds, an invocation its service time.
-//   - Admission control (worker cap, Serial/Conservative policies),
-//     completion counting for restart backoff, the run's error and the
-//     victims budget sit under a separate admission mutex (gmu), a leaf
-//     under the section's, so the admission waiters it wakes never
-//     contend for the section.
+//     policy.State), the live members, the pending queue, the event
+//     sequence and the stall machinery. Parallelism is between
+//     activities inside the subsystems, not between scheduler locks: a
+//     decision costs microseconds, an invocation its service time.
+//   - Admission is the sequential engine's: a submitted job, or the next
+//     incarnation of a restartable abort, is an entry of a pending list
+//     that admitPending scans in submission order inside the section
+//     (worker cap, Serial/Conservative rule, restart backoff). A waiting
+//     job is an entry, not a goroutine: no completion wakes it, and
+//     throughput does not depend on the backlog.
 //   - Subsystem work (Invoke + simulated service time) runs outside the
 //     section; the in-flight invocation is registered first so
 //     concurrent decisions see it as a survivor in the forced-order
-//     graph. Lock order is Runtime.mu -> gmu -> subsystem.mu.
+//     graph. Lock order is Runtime.mu -> subsystem.mu.
 //   - The section's condition variable is broadcast after every state
 //     mutation; blocked workers re-evaluate their gates. Two stall
 //     breakers run: a precise park-time wait-for analysis that
@@ -48,7 +49,6 @@ package runtime
 import (
 	"context"
 	"fmt"
-	"maps"
 	gort "runtime"
 	"sync"
 	"sync/atomic"
@@ -167,7 +167,15 @@ type member struct {
 	waitAlts [][]process.ID
 }
 
-// Runtime executes processes concurrently, one goroutine each.
+// pendingProc is a submitted incarnation waiting for admission; after is
+// the completion count a restarted one backs off to (0: a fresh job).
+type pendingProc struct {
+	*scheduler.Proc
+	after int64
+}
+
+// Runtime executes processes concurrently, one goroutine per admitted
+// process.
 type Runtime struct {
 	cfg Config
 	fed *subsystem.Federation
@@ -175,18 +183,25 @@ type Runtime struct {
 	reg *metrics.Registry
 
 	// The serial section: the shared protocol driver over every process
-	// of the run (with their policy state) plus the stall machinery. All
-	// fields down to upToDate are guarded by mu.
+	// of the run (with their policy state), admission and the stall
+	// machinery. All fields down to victims are guarded by mu.
 	mu   sync.Mutex
 	cond *sync.Cond
 	drv  *scheduler.Driver
 	seq  int64 // event sequence
-	// members holds the live incarnations by origin id — the name the
-	// subsystems know a lock holder by (incarnations share locks).
-	members  map[process.ID]*member
-	live     int // workers currently driving a process
-	inFlight int // workers outside the section doing subsystem work
-	waiting  int // workers blocked on cond (diagnostics)
+	// members holds the live incarnations — admitted, not terminated —
+	// by origin id, the name the subsystems know a lock holder by
+	// (incarnations share locks); pending the submitted ones not yet
+	// admitted, in submission order. unfinished counts the jobs not yet
+	// retired (terminated for good, or dropped at the run's end); done is
+	// closed when it reaches zero.
+	members    map[process.ID]*member
+	pending    []pendingProc
+	unfinished int
+	done       chan struct{}
+	live       int // workers currently driving a process
+	inFlight   int // workers outside the section doing subsystem work
+	waiting    int // workers blocked on cond (diagnostics)
 	// Quiescence detection: progress increments on every state change
 	// that could unblock a member; upToDate counts live members whose
 	// lastEval equals the current generation. A stall is declared only
@@ -194,23 +209,16 @@ type Runtime struct {
 	// nothing in flight.
 	progress int64
 	upToDate int
-
-	stopped  atomic.Bool // run crashed or failed; workers drain
-	canceled atomic.Bool
-	stopCh   chan struct{}
-	stopOnce sync.Once
-
-	// Admission state (worker cap, Serial/Conservative policy, restart
-	// backoff), the run's error and the victims budget. gmu is a leaf:
-	// taken under mu, never the other way around.
-	gmu         sync.Mutex
-	gcond       *sync.Cond
-	err         error
+	// completions counts finished invocations (the clock of restart
+	// backoff), victims the victim aborts spent of MaxStalls.
 	completions int64
 	victims     int
-	// admitted holds the footprints of the incarnations admitted and not
-	// done.
-	admitted map[process.ID][]string
+
+	// err is the first run-terminating error (crash or failure), set
+	// lock-free: once it is, workers drain. stopCh is closed with it.
+	err      atomic.Pointer[error]
+	stopCh   chan struct{}
+	canceled atomic.Bool
 
 	start time.Time
 	ckpt  scheduler.Checkpointer
@@ -229,13 +237,13 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 	coord := twopc.New(cfg.Log)
 	coord.Inject = cfg.Inject
 	r := &Runtime{
-		cfg:      cfg,
-		fed:      fed,
-		log:      cfg.Log,
-		reg:      cfg.Metrics,
-		members:  make(map[process.ID]*member),
-		stopCh:   make(chan struct{}),
-		admitted: make(map[process.ID][]string),
+		cfg:     cfg,
+		fed:     fed,
+		log:     cfg.Log,
+		reg:     cfg.Metrics,
+		members: make(map[process.ID]*member),
+		done:    make(chan struct{}),
+		stopCh:  make(chan struct{}),
 	}
 	r.drv = &scheduler.Driver{
 		Host:       runtimeHost{r},
@@ -250,7 +258,6 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 		Log: cfg.Log, Fed: fed, Conflicts: r.drv.Pol.Conflicts, Inject: cfg.Inject, Reg: cfg.Metrics,
 	}
 	r.cond = sync.NewCond(&r.mu)
-	r.gcond = sync.NewCond(&r.gmu)
 	if r.reg != nil {
 		coord.Metrics = r.reg
 		fed.SetMetrics(r.reg)
@@ -261,37 +268,21 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 	return r, nil
 }
 
-// fail records the first run-terminating error and stops the run; safe
-// to call from any goroutine, inside or outside the serial section.
+// fail records the first run-terminating error, which flips the run
+// into draining mode; called from any goroutine, with and without mu.
+// Run, which holds no lock, does the waking (taking mu to broadcast
+// here could deadlock).
 func (r *Runtime) fail(err error) {
-	r.gmu.Lock()
-	if r.err == nil {
-		r.err = err
+	if r.err.CompareAndSwap(nil, &err) {
+		close(r.stopCh)
 	}
-	r.gmu.Unlock()
-	r.stop()
 }
 
-// stop flips the run into draining mode and triggers the wake-all
-// supervisor (taking mu to broadcast here could deadlock: the caller may
-// hold it).
-func (r *Runtime) stop() {
-	r.stopped.Store(true)
-	r.stopOnce.Do(func() { close(r.stopCh) })
-}
+// stopped reports that the run crashed or failed.
+func (r *Runtime) stopped() bool { return r.err.Load() != nil }
 
-// wakeAll wakes every blocked worker. Broadcasts happen under the
-// respective mutex so a worker between its stop-check and cond.Wait
-// cannot miss the wake-up. Called only from supervisor goroutines that
-// hold no locks.
-func (r *Runtime) wakeAll() {
-	r.mu.Lock()
-	r.cond.Broadcast()
-	r.mu.Unlock()
-	r.gmu.Lock()
-	r.gcond.Broadcast()
-	r.gmu.Unlock()
-}
+// over reports that the run crashed, failed or was canceled.
+func (r *Runtime) over() bool { return r.stopped() || r.canceled.Load() }
 
 // guard runs f, converting an injected-crash sentinel panic into the
 // run-terminating error every worker observes; ok is false when the
@@ -329,7 +320,7 @@ func (h runtimeHost) Now() int64 {
 // into guard's recover like any other force-log crash.
 func (h runtimeHost) ForceLog(rec wal.Record) bool {
 	r := h.r
-	if r.stopped.Load() {
+	if r.stopped() {
 		return false
 	}
 	logged := false
@@ -354,50 +345,55 @@ func (r *Runtime) inject(point string) bool {
 	if r.cfg.Inject == nil {
 		return true
 	}
-	if r.stopped.Load() {
+	if r.stopped() {
 		return false
 	}
 	return r.guard(func() { r.cfg.Inject(point) })
 }
 
-// Run executes the jobs to completion. Arrival times are in ticks
-// (real delay Arrival*Tick before the process contends for admission).
-// The context cancels the run: in-flight service time finishes, no new
-// work starts, and ctx.Err() is returned. A Runtime runs once.
+// Run executes the jobs to completion: it submits every job to the
+// pending queue — in job order, one whose arrival (Arrival ticks of
+// real delay) lies ahead when its time comes — and waits until every
+// job is retired. The context cancels the run: in-flight service time
+// finishes, no new work starts, what is still pending is dropped and
+// ctx.Err() is returned. A Runtime runs once.
 func (r *Runtime) Run(ctx context.Context, jobs []scheduler.Job) (*Result, error) {
 	if err := scheduler.ValidateJobs(r.fed, jobs); err != nil {
 		return nil, err
 	}
 	r.start = time.Now()
 
-	// Supervisors: wake every blocked worker on cancellation or crash.
-	watchDone := make(chan struct{})
-	go func() {
-		select {
-		case <-ctx.Done():
-			r.canceled.Store(true)
-			r.wakeAll()
-		case <-watchDone:
-		}
-	}()
-	go func() {
-		select {
-		case <-r.stopCh:
-			r.wakeAll()
-		case <-watchDone:
-		}
-	}()
-
-	var wg sync.WaitGroup
+	r.mu.Lock()
+	r.unfinished = len(jobs) + 1 // Run's own share, until every job is handed over
 	for i, j := range jobs {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.worker(i, j)
-		}()
+		p := scheduler.NewProc(j.Proc, i, j.Proc.ID.Origin(), j.Proc.ID, 0)
+		if j.Arrival > 0 && r.cfg.Tick > 0 {
+			go r.arrive(ctx, p, j.Arrival)
+		} else {
+			r.pending = append(r.pending, pendingProc{Proc: p})
+		}
 	}
-	wg.Wait()
-	close(watchDone)
+	r.admitPending()
+	r.finished()
+	r.mu.Unlock()
+
+	// Run is its own supervisor: on cancellation or crash it drops what
+	// is still pending and wakes every parked worker. The broadcast
+	// happens under mu, so a worker between its over-check and cond.Wait
+	// cannot miss it.
+	select {
+	case <-r.done:
+	case <-ctx.Done():
+		r.canceled.Store(true)
+	case <-r.stopCh:
+	}
+	if r.over() {
+		r.mu.Lock()
+		r.admitPending()
+		r.cond.Broadcast()
+		r.mu.Unlock()
+		<-r.done
+	}
 
 	elapsed := time.Since(r.start)
 	m := r.drv.Metrics
@@ -419,16 +415,99 @@ func (r *Runtime) Run(ctx context.Context, jobs []scheduler.Job) (*Result, error
 		Elapsed:     elapsed,
 		ShardGroups: 1,
 	}
-	r.gmu.Lock()
-	err := r.err
-	r.gmu.Unlock()
-	if err != nil {
-		return res, err
+	if err := r.err.Load(); err != nil {
+		return res, *err
 	}
 	if r.canceled.Load() {
 		return res, ctx.Err()
 	}
 	return res, nil
+}
+
+// arrive submits a job once its arrival time has come. A wait long
+// enough for a kernel timer (see sleepTicks) ends with the run,
+// whichever comes first, and admitPending then drops the job.
+func (r *Runtime) arrive(ctx context.Context, p *scheduler.Proc, at int64) {
+	if d := time.Duration(at) * r.cfg.Tick; d >= 2*time.Millisecond {
+		t := time.NewTimer(d)
+		defer t.Stop()
+		select {
+		case <-t.C:
+		case <-r.stopCh:
+		case <-ctx.Done():
+			r.canceled.Store(true)
+		}
+	} else {
+		r.sleepTicks(at)
+	}
+	r.mu.Lock()
+	r.pending = append(r.pending, pendingProc{Proc: p})
+	r.admitPending()
+	r.mu.Unlock()
+}
+
+// admitPending is admission control, the sequential engine's admit over
+// the section's state: it scans the pending queue in submission order,
+// stops at the worker cap, and steps over — never queues behind — an
+// entry still backing off while anything is admitted or which the
+// mode's admission rule refuses. Each entry it lets in is logged,
+// registered as a member and driven by a goroutine of its own; one whose
+// start record does not reach the log stays pending, for the run is
+// ending — and once it is over, the queue is dropped instead. Called
+// with mu held after every submission, termination and completion.
+func (r *Runtime) admitPending() {
+	if r.over() {
+		dropped := r.pending
+		r.pending = nil
+		for range dropped {
+			r.finished()
+		}
+		return
+	}
+	keep, admitted := r.pending[:0], false
+	for i, pp := range r.pending {
+		if r.cfg.Workers > 0 && len(r.members) >= r.cfg.Workers {
+			keep = append(keep, r.pending[i:]...)
+			break
+		}
+		if pp.after > r.completions && len(r.members) > 0 ||
+			!scheduler.MayAdmit(r.cfg.Mode, r.drv.Pol.Table().Conflicts, pp.Footprint, r.active) ||
+			!r.drv.Admit(pp.Proc) {
+			keep = append(keep, pp)
+			continue
+		}
+		m := &member{Proc: pp.Proc, lastEval: -1}
+		r.members[pp.Origin] = m
+		r.live++
+		if pp.Restarts > 0 {
+			r.drv.Metrics.Restarts++
+			r.reg.Inc(metrics.ProcsRestarted)
+		}
+		admitted = true
+		go r.drive(m)
+	}
+	r.pending = keep
+	if admitted {
+		r.bump()
+	}
+}
+
+// active yields the footprints of the live members.
+func (r *Runtime) active(yield func([]string) bool) {
+	for _, m := range r.members {
+		if !yield(m.Footprint) {
+			return
+		}
+	}
+}
+
+// finished retires one job — its last incarnation terminated, or it was
+// dropped — and ends the run with the last. Called with mu held.
+func (r *Runtime) finished() {
+	r.unfinished--
+	if r.unfinished == 0 {
+		close(r.done)
+	}
 }
 
 // bump advances the progress generation after a state change that may
@@ -461,102 +540,6 @@ func (r *Runtime) sleepTicks(n int64) {
 	}
 }
 
-// worker drives one process (including its restarts) to termination.
-func (r *Runtime) worker(idx int, job scheduler.Job) {
-	if job.Arrival > 0 {
-		r.sleepTicks(job.Arrival)
-	}
-	p := scheduler.NewProc(job.Proc, idx, job.Proc.ID.Origin(), job.Proc.ID, 0)
-	for {
-		m := r.admit(p)
-		if m == nil {
-			break // run is over (error or canceled)
-		}
-		if !r.drive(m) {
-			break
-		}
-		// Restart under a derived id after exponential backoff. Backoff
-		// is measured in system progress, not wall time: the contention
-		// that caused the abort must drain first, so re-entry waits for
-		// exponentially many invocation completions by other processes
-		// (or for the system to go idle). A wall-clock sleep would be
-		// no backoff at all under Tick=0 — the deadlock would re-form
-		// instantly with the same opponents and the same victim.
-		p = p.Restarted()
-		if !r.backoff(int64(4 << p.Restarts)) {
-			break
-		}
-	}
-}
-
-// backoff blocks until `n` further invocations completed or no other
-// process is active; false when the run ended first.
-func (r *Runtime) backoff(n int64) bool {
-	r.gmu.Lock()
-	defer r.gmu.Unlock()
-	target := r.completions + n
-	for r.completions < target && len(r.admitted) > 0 {
-		if r.stopped.Load() || r.canceled.Load() {
-			return false
-		}
-		r.gcond.Wait()
-	}
-	return !r.stopped.Load() && !r.canceled.Load()
-}
-
-// admit blocks until the admission policy lets the process in, then
-// registers it with the serial section; nil when the run ended first.
-func (r *Runtime) admit(p *scheduler.Proc) *member {
-	r.gmu.Lock()
-	for {
-		if r.stopped.Load() || r.canceled.Load() {
-			r.gmu.Unlock()
-			return nil
-		}
-		if r.mayStartLocked(p.Footprint) {
-			break
-		}
-		r.gcond.Wait()
-	}
-	r.admitted[p.ID] = p.Footprint
-	r.gmu.Unlock()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.drv.Admit(p) {
-		r.retire(p)
-		return nil
-	}
-	m := &member{Proc: p, lastEval: -1}
-	r.members[p.Origin] = m
-	r.live++
-	if p.Restarts > 0 {
-		r.drv.Metrics.Restarts++
-		r.reg.Inc(metrics.ProcsRestarted)
-	}
-	r.bump()
-	return m
-}
-
-// retire takes an incarnation out of admission control (it terminated,
-// or its start record never reached the log) and wakes admission and
-// backoff waiters; the admission mutex is a leaf under mu.
-func (r *Runtime) retire(p *scheduler.Proc) {
-	r.gmu.Lock()
-	delete(r.admitted, p.ID)
-	r.gcond.Broadcast()
-	r.gmu.Unlock()
-}
-
-// mayStartLocked implements admission control: the worker cap in front
-// of the modes' admission rule. Called with gmu held.
-func (r *Runtime) mayStartLocked(fp []string) bool {
-	if r.cfg.Workers > 0 && len(r.admitted) >= r.cfg.Workers {
-		return false
-	}
-	return scheduler.MayAdmit(r.cfg.Mode, r.drv.Pol.Table().Conflicts, fp, maps.Values(r.admitted))
-}
-
 // wait blocks the process's worker on the section's condition variable
 // until some state changes. Two stall breakers guard the park, both
 // over the live members under mu alone:
@@ -574,7 +557,7 @@ func (r *Runtime) mayStartLocked(fp []string) bool {
 //
 // Returns false when the run is over. Called with mu held.
 func (r *Runtime) wait(m *member) bool {
-	if r.stopped.Load() || r.canceled.Load() {
+	if r.over() {
 		return false
 	}
 	if m.lastEval != r.progress {
@@ -600,7 +583,7 @@ func (r *Runtime) wait(m *member) bool {
 	r.cond.Wait()
 	r.waiting--
 	m.parked = false
-	return !r.stopped.Load() && !r.canceled.Load()
+	return !r.over()
 }
 
 // detectDeadlock checks, at the moment self is about to park with
@@ -673,10 +656,8 @@ func (r *Runtime) detectDeadlock(self *member) *member {
 }
 
 // spendVictim takes one victim abort out of the run-wide MaxStalls
-// budget; false when it is exhausted.
+// budget; false when it is exhausted. Called with mu held.
 func (r *Runtime) spendVictim() bool {
-	r.gmu.Lock()
-	defer r.gmu.Unlock()
 	if r.victims >= r.cfg.MaxStalls {
 		return false
 	}
@@ -693,8 +674,8 @@ func (r *Runtime) spendVictim() bool {
 // waiting on it could deadlock, so another victim may be taken
 // (bounded by MaxStalls, as in the sequential engine).
 func (r *Runtime) actionableAbortPending() bool {
-	for _, p := range r.drv.All() {
-		if p.Phase != policy.Done && p.AbortPending && len(p.Recovery) == 0 && p.Idle() {
+	for _, m := range r.members {
+		if m.AbortPending && len(m.Recovery) == 0 && m.Idle() {
 			return true
 		}
 	}
@@ -722,21 +703,38 @@ const (
 	sDone                   // process terminated
 )
 
-// drive runs one admitted process to termination. Returns true when the
-// process aborted restartably and should re-enter.
-func (r *Runtime) drive(m *member) (restart bool) {
+// drive is the goroutine of one admitted incarnation: it runs it to
+// termination, then submits the next incarnation of a restartable abort
+// or retires the job, and hands the freed slot to the pending queue.
+func (r *Runtime) drive(m *member) {
 	r.mu.Lock()
-	restart = r.driveLocked(m)
+	restart := r.driveLocked(m)
 	r.live--
 	r.bump()
+	if restart {
+		// Restart under a derived id after exponential backoff. Backoff
+		// is measured in system progress, not wall time: the contention
+		// that caused the abort must drain first, so re-entry waits for
+		// exponentially many invocation completions by other processes
+		// (or for the system to go idle). A wall-clock sleep would be
+		// no backoff at all under Tick=0 — the deadlock would re-form
+		// instantly with the same opponents and the same victim.
+		p := m.Restarted()
+		r.pending = append(r.pending, pendingProc{p, r.completions + int64(4<<p.Restarts)})
+	}
+	r.admitPending()
+	if !restart {
+		r.finished() // last: Run reads the result once every job is retired
+	}
 	r.mu.Unlock()
-	return restart
 }
 
+// driveLocked returns true when the process aborted restartably and
+// should re-enter. Called with mu held; releases it around invocations.
 func (r *Runtime) driveLocked(m *member) (restart bool) {
 	d, p := r.drv, m.Proc
 	for {
-		if r.stopped.Load() || r.canceled.Load() {
+		if r.over() {
 			return false
 		}
 		kind, item := r.step(m)
@@ -764,7 +762,7 @@ func (r *Runtime) driveLocked(m *member) (restart bool) {
 		}
 		r.mu.Lock()
 		r.inFlight--
-		if r.stopped.Load() {
+		if r.stopped() {
 			// The run crashed while this invocation was in flight: do
 			// not commit, log or apply its outcome. A prepared local
 			// transaction stays in doubt with no prepared record — the
@@ -784,7 +782,8 @@ func (r *Runtime) driveLocked(m *member) (restart bool) {
 			r.bump()
 			continue
 		}
-		r.noteCompletion()
+		r.completions++
+		r.admitPending() // a backoff target may be reached
 		if err := d.Complete(p, item, res); err != nil {
 			r.fail(err)
 		}
@@ -922,15 +921,6 @@ func (r *Runtime) register(p *scheduler.Proc, w scheduler.Work) (stepKind, sched
 	return sInvoke, w
 }
 
-// noteCompletion counts one finished invocation and wakes backoff
-// waiters; the admission mutex is a leaf under mu.
-func (r *Runtime) noteCompletion() {
-	r.gmu.Lock()
-	r.completions++
-	r.gcond.Broadcast()
-	r.gmu.Unlock()
-}
-
 // commitPreparedSet runs the driver's 2PC commit under the crash guard:
 // the coordinator's crash points must not unwind past the critical
 // section. Called with mu held (lock order mu -> subsystem.mu).
@@ -946,25 +936,20 @@ func (r *Runtime) commitPreparedSet(p *scheduler.Proc) bool {
 	return ok
 }
 
-// terminate emits the terminal event and releases the admission slot.
-// Called with mu held.
+// terminate emits the terminal event and releases the admission slot
+// (drive hands it on). Called with mu held.
 func (r *Runtime) terminate(m *member, committed bool) stepKind {
 	if !r.drv.Terminate(m.Proc, committed) {
 		return sAgain // not logged: the run is ending, drive's loop head exits
 	}
-	r.retire(m.Proc)
 	delete(r.members, m.Origin)
 	return sDone
 }
 
 // stallDump renders the section's state for stall diagnostics.
 func (r *Runtime) stallDump() string {
-	r.gmu.Lock()
-	victims := r.victims
-	active := len(r.admitted)
-	r.gmu.Unlock()
-	s := fmt.Sprintf("live=%d active=%d inFlight=%d waiting=%d victims=%d progress=%d\n%s",
-		r.live, active, r.inFlight, r.waiting, victims, r.progress, r.drv.Dump())
+	s := fmt.Sprintf("live=%d pending=%d inFlight=%d waiting=%d victims=%d progress=%d\n%s",
+		r.live, len(r.pending), r.inFlight, r.waiting, r.victims, r.progress, r.drv.Dump())
 	for _, m := range r.members {
 		if m.parked && m.waitAlts != nil {
 			s += fmt.Sprintf("  wait %s alts=%v fresh=%v\n", m.ID, m.waitAlts, m.lastEval == r.progress)

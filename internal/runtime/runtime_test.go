@@ -141,14 +141,17 @@ func TestRuntimeAdmissionCap(t *testing.T) {
 }
 
 // TestRuntimeCancellation verifies context-based cancellation: a run
-// with real service time stops promptly and reports the context error.
+// with real service time — and one job that is not due for a minute —
+// stops promptly and reports the context error.
 func TestRuntimeCancellation(t *testing.T) {
 	t.Parallel()
+	const tick = 2 * time.Millisecond
 	p := workload.DefaultProfile(3)
 	p.Processes = 12
 	p.MinCost, p.MaxCost = 8, 16
 	w := workload.MustGenerate(p)
-	rt, err := runtime.New(w.Fed, runtime.Config{Mode: scheduler.PRED, Tick: 2 * time.Millisecond})
+	w.Jobs[len(w.Jobs)-1].Arrival = int64(time.Minute / tick)
+	rt, err := runtime.New(w.Fed, runtime.Config{Mode: scheduler.PRED, Tick: tick})
 	if err != nil {
 		t.Fatal(err)
 	}
