@@ -13,7 +13,6 @@ import (
 	"transproc/internal/scheduler/policy"
 	"transproc/internal/sim"
 	"transproc/internal/spec"
-	"transproc/internal/wal"
 )
 
 // runSpecFile loads a declarative JSON definition and executes it under
@@ -46,7 +45,6 @@ func runSpecFile(path string, modeName string, metricsFormat string, engine stri
 	if engine == "concurrent" {
 		rt, err := runtime.New(fed, runtime.Config{
 			Mode: mode, Metrics: reg, Tick: time.Millisecond,
-			GroupCommit: wal.GroupCommit{MaxBatch: 16},
 		})
 		if err != nil {
 			return err

@@ -37,9 +37,10 @@ type ChaosScenario struct {
 	// crash injector: the run dies after that many WAL appends and must
 	// recover (fault.CheckRecovered judges the result).
 	CrashAfterWAL int
-	// GroupCommit, when enabled, wraps the scenario's log in the
-	// batching appender so chaos (and mid-chaos crashes) also run
-	// through coalesced flushes.
+	// GroupCommit, when enabled, wraps the sequential engine's log in
+	// the group appender so chaos (and mid-chaos crashes) also run
+	// through shared syncs. The runtime groups its syncs on every log
+	// with a sync phase — a crash-armed one included — regardless.
 	GroupCommit wal.GroupCommit
 }
 
@@ -179,7 +180,7 @@ func runChaosScenario(sc ChaosScenario) error {
 	case "runtime":
 		r, nerr := runtime.New(fed, runtime.Config{
 			Mode: scheduler.PRED, Log: log, MaxRestarts: 64,
-			Metrics: reg, Resilience: layer, GroupCommit: sc.GroupCommit,
+			Metrics: reg, Resilience: layer,
 		})
 		if nerr != nil {
 			return fail("new runtime: %v", nerr)

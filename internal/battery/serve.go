@@ -2,7 +2,7 @@
 // a real server over real HTTP. Each scenario generates a deterministic
 // workload, submits it over the wire, kills the server at a seeded
 // crash point (mid-request, mid-ack, mid-drain, mid-batch, inside the
-// engines, inside a group-commit fsync, or under overload), restarts it
+// engines, inside a shared WAL sync, or under overload), restarts it
 // over the same data directory, and judges the restart with
 // fault.CheckRecovered over the server's WAL — then releases the resume
 // set and asserts that every admitted submission settles to a terminal
@@ -61,7 +61,8 @@ type ServeScenario struct {
 	// CheckpointEvery / CompactOnCheckpoint pass through to the engine.
 	CheckpointEvery     int
 	CompactOnCheckpoint bool
-	// GroupCommit batches server-WAL appends.
+	// GroupCommit is passed to serve.Config, which ignores it: the
+	// runtime shares syncs on the server's file log regardless.
 	GroupCommit wal.GroupCommit
 	// Procs and Tenants size the workload.
 	Procs   int
@@ -88,10 +89,10 @@ const serveClasses = 10
 // the enqueue (mid-request), after the enqueue but before the 202
 // (mid-ack, followed by an idempotent retry after restart), inside the
 // drain sequence, on a WAL record budget under load, at the engines'
-// own force-log and 2PC points, between a group-commit batch write and
-// its fsync, under overload with live shedding, a clean mid-flight
-// drain that parks work for the restart, and a double crash where the
-// restarted server dies again while re-running the resume set.
+// own force-log and 2PC points, in a shared WAL sync before it syncs,
+// under overload with live shedding, a clean mid-flight drain that
+// parks work for the restart, and a double crash where the restarted
+// server dies again while re-running the resume set.
 func serveScenarioFor(seed int64) ServeScenario {
 	rng := rand.New(rand.NewSource(seed*2862933555777941757 + 3037000493))
 	sc := ServeScenario{

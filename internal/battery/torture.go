@@ -47,8 +47,10 @@ type TortureScenario struct {
 	CheckpointEvery     int
 	CheckpointLimit     int
 	CompactOnCheckpoint bool
-	// GroupCommit, when enabled, wraps the scenario's log in the
-	// batching appender so crashes land inside coalesced flushes.
+	// GroupCommit, when enabled, wraps the sequential engine's log in
+	// the group appender so crashes land inside shared syncs. The
+	// runtime groups its syncs on every log with a sync phase — the
+	// fault wrapper is one — regardless.
 	GroupCommit wal.GroupCommit
 	// Durable backs every subsystem with a file-backed heap store
 	// (internal/store): the crash kills scheduler state AND the
@@ -83,13 +85,13 @@ type TortureScenario struct {
 // kills, crash-during-recovery double faults, the checkpointing
 // classes — crash mid-checkpoint, crash inside compaction's
 // rename/dir-fsync window, a stale checkpoint under a long tail,
-// crash during recovery-from-checkpoint — a crash between a
-// group-commit batch write and its shared fsync, and the durable-store
-// classes: a torn heap page after the crash, a crash inside a buffer
-// pool eviction, pages flushed ahead of the log, and a crash during
-// the page-recovery pass itself. Independently of the class, half of
-// all scenarios run with group commit enabled so every crash flavour
-// is also exercised through the batching appender.
+// crash during recovery-from-checkpoint — a crash in a shared sync
+// before it syncs, and the durable-store classes: a torn heap page
+// after the crash, a crash inside a buffer pool eviction, pages flushed
+// ahead of the log, and a crash during the page-recovery pass itself.
+// Independently of the class, half of all scenarios run with group
+// commit enabled so every crash flavour of the sequential engine is
+// also exercised through the group appender.
 func tortureScenarioFor(seed int64) TortureScenario {
 	rng := rand.New(rand.NewSource(seed*6364136223846793005 + 1442695040888963407))
 	sc := TortureScenario{Seed: seed, Engine: "engine"}
@@ -195,11 +197,12 @@ func tortureScenarioFor(seed int64) TortureScenario {
 		sc.Plan.CrashAfterWALRecords = budget
 		sc.CrashRecoveryAfter = 1 + rng.Intn(12)
 	case 14:
-		// Crash between a group-commit batch's buffered write and its
-		// shared fsync: every record of the in-flight batch is lost,
-		// but none of them was acknowledged (Append only returns after
-		// the fsync), so recovery must see a merely shorter log. The
-		// concurrent runtime drives real multi-record batches.
+		// Crash in a shared sync before it syncs: on a file log every
+		// record written since the last sync is lost with the write
+		// buffer, but no subsystem commit followed any of them (a
+		// write-ahead record's transition waits for the sync), so
+		// recovery must see a merely shorter log. The concurrent runtime
+		// drives real shared syncs.
 		sc.Class = "group-fsync"
 		sc.Engine = "runtime"
 		sc.GroupCommit = wal.GroupCommit{MaxBatch: 2 + rng.Intn(15)}
@@ -364,14 +367,14 @@ func crashTortureScenario(sc TortureScenario, dir string) (fed *subsystem.Federa
 		return nil, nil, nil, false, err
 	}
 	var inner wal.Log
+	var kl *fault.KillLog
 	var path string
 	if sc.FileWAL {
 		path = filepath.Join(dir, fmt.Sprintf("wal-%d.log", sc.Seed))
-		fl, err := wal.OpenFile(path, false)
-		if err != nil {
+		if kl, err = fault.OpenKillLog(path); err != nil {
 			return nil, nil, nil, false, fmt.Errorf("seed %d: opening log: %w", sc.Seed, err)
 		}
-		inner = fl
+		inner = kl
 	} else {
 		inner = wal.NewMemLog()
 	}
@@ -400,14 +403,22 @@ func crashTortureScenario(sc TortureScenario, dir string) (fed *subsystem.Federa
 		}
 	}
 
-	// Reopen across the crash; torn and garbage tails only exist for
-	// file-backed logs and only make sense when the run actually
-	// crashed (a clean run's final append returned — tearing it would
-	// simulate losing an acknowledged write, which no log survives).
+	// Reopen across the crash. A crash is a process kill: what sat in
+	// the log's write buffer is lost — except in the torn- and
+	// garbage-tail classes, whose final write reached the disk in part.
+	// Those tails only exist for file-backed logs and only make sense
+	// when the run actually crashed (a clean run's final append returned
+	// — tearing it would simulate losing an acknowledged write, which no
+	// log survives).
 	if !sc.FileWAL {
 		return fed, defs, inner, crashed, nil
 	}
-	if err := inner.Close(); err != nil {
+	if crashed && sc.Plan.TornTailBytes == 0 && !sc.GarbageTail {
+		_, err = kl.Kill()
+	} else {
+		err = kl.Close()
+	}
+	if err != nil {
 		return nil, nil, nil, false, fmt.Errorf("seed %d: closing log: %w", sc.Seed, err)
 	}
 	if crashed {
@@ -543,7 +554,7 @@ func runUntilCrash(sc TortureScenario, fed *subsystem.Federation, log wal.Log, i
 		r, err := runtime.New(fed, runtime.Config{
 			Mode: scheduler.PRED, Log: log, MaxRestarts: tortureMaxRestarts, Inject: inj.Point,
 			CheckpointEvery: sc.CheckpointEvery, CheckpointLimit: sc.CheckpointLimit,
-			CompactOnCheckpoint: sc.CompactOnCheckpoint, GroupCommit: sc.GroupCommit,
+			CompactOnCheckpoint: sc.CompactOnCheckpoint,
 		})
 		if err != nil {
 			return false, err

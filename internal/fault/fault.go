@@ -56,8 +56,8 @@ const (
 	PointCheckpointAppend = wal.PointCheckpointAppend
 	PointCompactRename    = wal.PointCompactRename
 	PointCompactDirSync   = wal.PointCompactDirSync
-	// PointGroupFsync fires between a group-commit batch's buffered
-	// write and its fsync; a crash there loses only unacked records.
+	// PointGroupFsync fires before a group appender's shared sync; a
+	// crash there loses only unacked records.
 	PointGroupFsync = wal.PointGroupFsync
 	// Durable-store crash points (defined in internal/store): before a
 	// buffer-pool page write, before the flush fsync, before a

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"os"
 	"sync"
 
 	"transproc/internal/metrics"
@@ -60,7 +61,7 @@ func (w *WAL) Append(rec wal.Record) (int64, error) { return w.append(rec, w.inn
 
 // AppendNoSync implements wal.BatchBackend through the injection seam:
 // same budget accounting and crash window as Append, but the record is
-// only buffered — a group-commit leader syncs the batch afterwards.
+// only buffered — a group appender syncs it afterwards.
 // When the backend has no batch support it degrades to Append.
 func (w *WAL) AppendNoSync(rec wal.Record) (int64, error) {
 	if bb, ok := w.inner.(wal.BatchBackend); ok {
@@ -127,4 +128,49 @@ func (w *WAL) Compact(inject func(string)) error {
 		return c.Compact(inject)
 	}
 	return nil
+}
+
+// KillLog is a file log under the model of a process kill: its Append
+// returns once the record reached the operating system (AppendNoSync,
+// then Sync without fsync), and Kill closes it keeping only what had. A
+// record still in the write buffer dies with the process, which Close
+// alone would have flushed.
+type KillLog struct {
+	*wal.FileLog
+	path string
+}
+
+// OpenKillLog opens (or creates) the file log at path, without fsync.
+func OpenKillLog(path string) (*KillLog, error) {
+	fl, err := wal.OpenFile(path, false)
+	if err != nil {
+		return nil, err
+	}
+	return &KillLog{fl, path}, nil
+}
+
+// Append implements wal.Log: acknowledged means in the operating system.
+func (l *KillLog) Append(rec wal.Record) (int64, error) {
+	lsn, err := l.AppendNoSync(rec)
+	if err == nil {
+		err = l.Sync()
+	}
+	return lsn, err
+}
+
+// Kill closes the log as a kill would: the file is cut back to what had
+// reached the operating system; lost is how many buffered bytes that cost.
+func (l *KillLog) Kill() (lost int64, err error) {
+	fi, err := os.Stat(l.path)
+	if err != nil {
+		return 0, err
+	}
+	if err := l.Close(); err != nil {
+		return 0, err
+	}
+	closed, err := os.Stat(l.path)
+	if err != nil {
+		return 0, err
+	}
+	return closed.Size() - fi.Size(), os.Truncate(l.path, fi.Size())
 }

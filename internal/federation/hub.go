@@ -278,16 +278,16 @@ func (hh hubHost) Now() int64     { return hh.h.stamp }
 
 // ForceLog stamps the record and puts it on the reply under
 // construction; the owning node appends a reply's records in order
-// before it asks for the process again. A write-ahead record — a
-// "prepared" outcome, a recovery-step record, RecDecision: the ones a
-// subsystem commit follows — is refused on the way out, which parks the
-// transition (the driver leaves everything as it was), and accepted
-// when the transition re-enters on the request that acknowledges the
-// append. Every other record announces a change the log may lose with
-// the reply: recovery then redoes or presumes it (DESIGN.md §6j).
+// before it asks for the process again. A write-ahead record
+// (wal.Record.WriteAhead, the runtime's rule too) is refused on the way
+// out, which parks the transition (the driver leaves everything as it
+// was), and accepted when the transition re-enters on the request that
+// acknowledges the append. Every other record announces a change the
+// log may lose with the reply: recovery then redoes or presumes it
+// (DESIGN.md §6j).
 func (hh hubHost) ForceLog(rec wal.Record) bool {
 	h := hh.h
-	ahead := writeAhead(rec)
+	ahead := rec.WriteAhead()
 	var hp *hubProc
 	if ahead {
 		if hp = h.byID[process.ID(rec.Proc)]; hp.acked {
@@ -309,14 +309,6 @@ func (hh hubHost) ForceLog(rec wal.Record) bool {
 		h.injectPoint(PointHubDispatch)
 	}
 	return false
-}
-
-// writeAhead reports a record a subsystem commit follows: a "prepared"
-// outcome, a recovery-step record (RecCompensate, or the "committed"
-// outcome of a forward step), the 2PC decision.
-func writeAhead(rec wal.Record) bool {
-	return rec.Type == wal.RecDecision || rec.Type == wal.RecCompensate ||
-		rec.Type == wal.RecOutcome && rec.Outcome != "aborted"
 }
 
 // errParked is how the 2PC coordinator sees a refused force-log.

@@ -300,7 +300,7 @@ func TestHubParksWriteAheadRecords(t *testing.T) {
 		}
 		done = got.Status == StDone
 		for i, r := range got.Records {
-			ahead := writeAhead(r)
+			ahead := r.WriteAhead()
 			if ahead && i != len(got.Records)-1 {
 				t.Fatalf("write-ahead record %+v is not the last of its reply %+v", r, got.Records)
 			}

@@ -129,7 +129,7 @@ func (n *Node) logAll(p *nodeProc, recs []wal.Record) (parked bool) {
 		}
 		p.last = rec.Type
 	}
-	return len(recs) > 0 && writeAhead(recs[len(recs)-1])
+	return len(recs) > 0 && recs[len(recs)-1].WriteAhead()
 }
 
 // call wraps the client, tracking the progress generation.

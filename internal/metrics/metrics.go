@@ -276,7 +276,7 @@ const (
 	// HistReplaySkipped is the number of summarized records each
 	// recovery pass did NOT have to replay thanks to the checkpoint.
 	HistReplaySkipped
-	// HistWALBatch is the record count of each group-commit batch.
+	// HistWALBatch is the record count each group sync covers.
 	HistWALBatch
 	// HistCheckpointLive is the live-record count captured per
 	// checkpoint (the checkpoint's own size driver).

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -132,13 +133,16 @@ func runDifferential(t *testing.T, seed int64) (committed, aborted int) {
 		t.Fatalf("oracle: %v", err)
 	}
 
-	// The runtime side runs with group commit on so every differential
-	// seed also exercises the batching appender's ack semantics (the
-	// oracle is single-threaded; batching there would never coalesce).
-	r, err := runtime.New(rtW.Fed, runtime.Config{
-		Mode: scheduler.PRED, MaxRestarts: 64,
-		GroupCommit: wal.GroupCommit{MaxBatch: 8},
-	})
+	// The runtime side runs on a file log, which has a sync phase, so
+	// every differential seed also exercises the shared syncs and the
+	// write-ahead re-entry (the oracle is single-threaded; its syncs
+	// would never be shared).
+	log, err := wal.OpenFile(filepath.Join(t.TempDir(), "wal.log"), false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	r, err := runtime.New(rtW.Fed, runtime.Config{Mode: scheduler.PRED, MaxRestarts: 64, Log: log})
 	if err != nil {
 		t.Fatal(err)
 	}

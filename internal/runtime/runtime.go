@@ -34,6 +34,10 @@
 //     section; the in-flight invocation is registered first so
 //     concurrent decisions see it as a survivor in the forced-order
 //     graph. Lock order is Runtime.mu -> subsystem.mu.
+//   - Force-logs are written in section order and synced outside it: on
+//     a log with a sync phase only a write-ahead record waits — its
+//     worker leaves the section, still in flight, until one shared sync
+//     covers the record, and re-enters the transition.
 //   - The section's condition variable is broadcast after every state
 //     mutation; blocked workers re-evaluate their gates. Two stall
 //     breakers run: a precise park-time wait-for analysis that
@@ -98,20 +102,17 @@ type Config struct {
 	// (wal.TakeCheckpoint) after every that many runtime force-log
 	// appends. The checkpointer runs inside the serial section, so no
 	// force-log of this runtime lands in its fuzzy window; the window is
-	// exercised by TestCheckpointConcurrentWithAppends and by the group
-	// appender only. 0 disables.
+	// exercised by TestCheckpointConcurrentWithAppends only. 0 disables.
 	CheckpointEvery int
 	// CheckpointLimit caps the checkpoints of one run (0 = unlimited).
 	CheckpointLimit int
 	// CompactOnCheckpoint rewrites the log as checkpoint + tail after
 	// each checkpoint when the log supports it (wal.Compactor).
 	CompactOnCheckpoint bool
-	// GroupCommit, when enabled (MaxBatch > 0), wraps the log in a
-	// batching appender (wal.GroupAppender): concurrent appends are
-	// coalesced into one buffered write + fsync, acknowledged only
-	// after the shared fsync. Checkpointing, compaction and the 2PC
-	// coordinator all run through the same appender, so the log stays
-	// one logical append stream.
+	// GroupCommit selects nothing: a log with a sync phase
+	// (wal.Buffered) is always wrapped in a wal.GroupAppender, which the
+	// force-logs, checkpointing, compaction and the 2PC coordinator all
+	// write through. bench/ still sets it (ROADMAP item 9 retires it).
 	GroupCommit wal.GroupCommit
 	// Resilience, when non-nil, routes activity invocations through a
 	// resilience layer (internal/chaos) exactly as in the sequential
@@ -165,6 +166,9 @@ type member struct {
 	lastEval int64
 	parked   bool
 	waitAlts [][]process.ID
+	// ahead is the LSN of the write-ahead record a Complete wrote and
+	// refused; the worker waits for its sync and re-enters (0: none).
+	ahead int64
 }
 
 // pendingProc is a submitted incarnation waiting for admission; after is
@@ -180,7 +184,10 @@ type Runtime struct {
 	cfg Config
 	fed *subsystem.Federation
 	log wal.Log
-	reg *metrics.Registry
+	// glog is log when it has a sync phase; nil otherwise (a MemLog:
+	// nothing ever waits for a sync).
+	glog *wal.GroupAppender
+	reg  *metrics.Registry
 
 	// The serial section: the shared protocol driver over every process
 	// of the run (with their policy state), admission and the stall
@@ -231,8 +238,10 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	if cfg.GroupCommit.Enabled() {
-		cfg.Log = wal.NewGroupAppender(cfg.Log, cfg.GroupCommit, cfg.Inject)
+	var glog *wal.GroupAppender
+	if wal.Buffered(cfg.Log) {
+		glog = wal.NewGroupAppender(cfg.Log, wal.GroupCommit{}, cfg.Inject)
+		cfg.Log = glog
 	}
 	coord := twopc.New(cfg.Log)
 	coord.Inject = cfg.Inject
@@ -240,6 +249,7 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 		cfg:     cfg,
 		fed:     fed,
 		log:     cfg.Log,
+		glog:    glog,
 		reg:     cfg.Metrics,
 		members: make(map[process.ID]*member),
 		done:    make(chan struct{}),
@@ -287,8 +297,8 @@ func (r *Runtime) over() bool { return r.stopped() || r.canceled.Load() }
 // guard runs f, converting an injected-crash sentinel panic into the
 // run-terminating error every worker observes; ok is false when the
 // crash tripped. Callers hold mu — the panic must not unwind past the
-// critical section, so it is caught right here.
-// Non-sentinel panics propagate.
+// critical section, so it is caught right here — except when they wait
+// for a sync. Non-sentinel panics propagate.
 func (r *Runtime) guard(f func()) (ok bool) {
 	defer scheduler.OnInjectedCrash(func(point string) {
 		r.fail(fmt.Errorf("%w (injected at %s)", scheduler.ErrCrashed, point))
@@ -315,29 +325,67 @@ func (h runtimeHost) Now() int64 {
 	return int64(time.Since(h.r.start) / h.r.cfg.Tick)
 }
 
-// ForceLog appends a record unless the run already crashed. The
+// ForceLog writes a record unless the run already crashed. The
 // checkpointer runs inside the guard: an injected crash sentinel unwinds
-// into guard's recover like any other force-log crash.
+// into guard's recover like any other force-log crash. On a log with a
+// sync phase nothing waits for a sync here: a write-ahead record is
+// written and refused, its worker waits for the sync outside the section
+// (awaitSync) and re-enters the transition, whose ForceLog accepts it.
 func (h runtimeHost) ForceLog(rec wal.Record) bool {
 	r := h.r
 	if r.stopped() {
 		return false
 	}
-	logged := false
+	var m *member // set for a write-ahead record that must wait
+	if r.glog != nil && rec.WriteAhead() {
+		if m = r.members[process.ID(rec.Proc).Origin()]; m.ahead > 0 {
+			m.ahead = 0 // the re-entry: written and synced
+			return true
+		}
+	}
+	var lsn int64
 	ok := r.guard(func() {
-		lsn, err := r.log.Append(rec)
+		var err error
+		if r.glog != nil {
+			lsn, err = r.glog.AppendNoSync(rec)
+		} else {
+			lsn, err = r.log.Append(rec)
+		}
 		if err != nil {
 			r.fail(fmt.Errorf("runtime: force-log: %w", err))
+			lsn = 0
 			return
 		}
-		// A log that took the record gave it a positive LSN. LSN 0 is
-		// the fault wrapper dropping the write of a system that already
-		// crashed in another worker, whose guard has not stopped the
-		// run yet: the record is not in the log.
-		logged = lsn > 0
 		r.ckpt.Appended()
 	})
-	return ok && logged
+	// A log that took the record gave it a positive LSN. LSN 0 is the
+	// fault wrapper dropping the write of a system that already crashed
+	// in another worker, whose guard has not stopped the run yet: the
+	// record is not in the log.
+	if !ok || lsn == 0 {
+		return false
+	}
+	if m != nil {
+		m.ahead = lsn
+		return false
+	}
+	return true
+}
+
+// awaitSync waits, outside the section and counted in flight, until a
+// sync covered lsn; false when the run stopped meanwhile. Called with mu
+// held.
+func (r *Runtime) awaitSync(lsn int64) bool {
+	r.inFlight++
+	r.mu.Unlock()
+	r.guard(func() {
+		if err := r.glog.WaitDurable(lsn); err != nil {
+			r.fail(fmt.Errorf("runtime: force-log: %w", err))
+		}
+	})
+	r.mu.Lock()
+	r.inFlight--
+	return !r.stopped()
 }
 
 // inject fires a named crash point; false when it tripped the crash.
@@ -393,6 +441,15 @@ func (r *Runtime) Run(ctx context.Context, jobs []scheduler.Job) (*Result, error
 		r.cond.Broadcast()
 		r.mu.Unlock()
 		<-r.done
+	}
+	if r.glog != nil && !r.stopped() {
+		// What the run wrote is durable before its Result is: serve
+		// settles on it.
+		r.guard(func() {
+			if err := r.glog.Sync(); err != nil {
+				r.fail(fmt.Errorf("runtime: force-log: %w", err))
+			}
+		})
 	}
 
 	elapsed := time.Since(r.start)
@@ -784,8 +841,19 @@ func (r *Runtime) driveLocked(m *member) (restart bool) {
 		}
 		r.completions++
 		r.admitPending() // a backoff target may be reached
-		if err := d.Complete(p, item, res); err != nil {
-			r.fail(err)
+		for {
+			if err := d.Complete(p, item, res); err != nil {
+				r.fail(err)
+			}
+			if m.ahead == 0 {
+				break
+			}
+			// Complete wrote its write-ahead record and stopped short
+			// of the subsystem commit that follows it.
+			if !r.awaitSync(m.ahead) {
+				d.Undispatch(p, item) // crashed meanwhile: as above
+				return false
+			}
 		}
 		r.bump()
 	}

@@ -111,11 +111,11 @@ type Config struct {
 	// for the file log, an in-memory splice for MemLog.
 	CompactOnCheckpoint bool
 	// GroupCommit, when enabled (MaxBatch > 0), wraps the log in a
-	// batching appender (wal.GroupAppender). The sequential engine
-	// appends from one goroutine, so batches rarely exceed one record;
-	// the option exists so differential and torture scenarios exercise
-	// the same append stream shape as the concurrent runtime,
-	// including the "wal:group-fsync" crash point.
+	// wal.GroupAppender. The sequential engine appends from one
+	// goroutine, so a sync rarely covers more than one record; the
+	// option exists so torture and chaos scenarios exercise the
+	// appender the concurrent runtime writes through, including the
+	// "wal:group-fsync" crash point.
 	GroupCommit wal.GroupCommit
 	// Resilience, when non-nil, routes regular (strong-order) activity
 	// invocations through a resilience layer (internal/chaos): flaky

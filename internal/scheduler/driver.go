@@ -851,8 +851,8 @@ func (d *Driver) Dump() string {
 // it, so an appender that does not go through the caller's serial
 // section may append into the fuzzy window (wal.Expand tolerates the
 // post-horizon tail). Every host calls Appended inside its serial
-// section, so today only TestCheckpointConcurrentWithAppends and the
-// group appender's in-flight batch exercise that window.
+// section, so today only TestCheckpointConcurrentWithAppends exercises
+// that window.
 type Checkpointer struct {
 	Every, Limit int // Config.CheckpointEvery, Config.CheckpointLimit
 	Compact      bool

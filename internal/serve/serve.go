@@ -98,8 +98,8 @@ type Config struct {
 	// rewrites the log as checkpoint + tail afterwards.
 	CheckpointEvery     int
 	CompactOnCheckpoint bool
-	// GroupCommit batches WAL appends (wal.GroupAppender) when
-	// MaxBatch > 0.
+	// GroupCommit selects nothing: the runtime shares syncs on the
+	// file log regardless. bench/ still sets it (ROADMAP item 9).
 	GroupCommit wal.GroupCommit
 	// Tenant bounds each tenant namespace.
 	Tenant TenantConfig
@@ -609,7 +609,6 @@ func (s *Server) execute(jobs []scheduler.Job) (map[process.ID]*scheduler.Outcom
 		Inject:              s.cfg.Inject,
 		CheckpointEvery:     s.cfg.CheckpointEvery,
 		CompactOnCheckpoint: s.cfg.CompactOnCheckpoint,
-		GroupCommit:         s.cfg.GroupCommit,
 	})
 	if err != nil {
 		return nil, err

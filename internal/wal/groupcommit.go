@@ -2,47 +2,30 @@ package wal
 
 import (
 	"sync"
-	"time"
 
 	"transproc/internal/metrics"
 )
 
-// PointGroupFsync is the named crash point a group-commit flush fires
-// between writing a batch to the backend and syncing it. A crash here
-// must lose at most the records of the in-flight batch: none of them
-// has been acknowledged yet (Append only returns after the shared
-// fsync), so recovery sees a log that is merely a little shorter.
+// PointGroupFsync is the named crash point a group sync fires before it
+// syncs what was written. A crash here must lose at most records no
+// Append acknowledged (Append only returns after a sync covered its
+// record), so recovery sees a log that is merely a little shorter.
 const PointGroupFsync = "wal:group-fsync"
 
-// GroupCommit configures the batching appender. The zero value
-// disables batching (engines then use the log directly).
+// GroupCommit configures the group appender of the sequential engine.
+// The zero value disables it (the engine then uses the log directly).
 type GroupCommit struct {
-	// MaxBatch caps the records coalesced into one buffered write +
-	// fsync. Positive enables group commit; values below 2 are
-	// clamped to a sensible default.
+	// MaxBatch, when positive, enables group commit. It caps nothing: a
+	// sync covers everything written before it began.
 	MaxBatch int
-	// MaxDelay is how long a flush leader waits for a partially
-	// filled batch to grow when other appenders are already queued
-	// behind it. Zero flushes immediately with whatever is queued —
-	// batching then comes only from appends that arrive while the
-	// previous flush is syncing (classic group commit).
-	MaxDelay time.Duration
 }
 
-// Enabled reports whether the configuration asks for batching.
+// Enabled reports whether the configuration asks for group commit.
 func (g GroupCommit) Enabled() bool { return g.MaxBatch > 0 }
 
-func (g GroupCommit) maxBatch() int {
-	if g.MaxBatch < 2 {
-		return 64
-	}
-	return g.MaxBatch
-}
-
-// BatchBackend is the two-phase append a group-commit leader prefers:
-// buffer several records, then make them all durable with one Sync.
-// Backends without it still work — the leader falls back to plain
-// Append per record and the batch only saves lock round-trips.
+// BatchBackend is the two-phase append a group appender prefers: write
+// several records, then make them all durable with one Sync. Backends
+// without it still work — each record is then appended on its own.
 type BatchBackend interface {
 	// AppendNoSync writes a record (assigning its LSN) without forcing
 	// it to stable storage.
@@ -51,64 +34,61 @@ type BatchBackend interface {
 	Sync() error
 }
 
-// pendingAppend is one caller's record waiting in the group-commit
-// queue. done is closed by the flush leader once the outcome (lsn/err,
-// or a crash sentinel to re-panic) is filled in.
-type pendingAppend struct {
-	rec   Record
-	done  chan struct{}
-	lsn   int64
-	err   error
-	crash any
+// Buffered reports whether a log's writes need a Sync to become
+// durable: it has the two-phase append and is not a MemLog, whose
+// Append is as durable as memory gets.
+func Buffered(l Log) bool {
+	_, mem := l.(*MemLog)
+	_, bb := l.(BatchBackend)
+	return bb && !mem
 }
 
-// GroupAppender is a batching front end to a Log: concurrent Append
-// calls are coalesced by a flush leader into one buffered write and a
-// single fsync, and every caller's Append returns only after the
-// shared fsync covered its record (no ack before durability). The
-// first appender to find no leader running becomes the leader and
-// drains the queue — including records that arrive while it is
-// syncing — so under concurrency the fsync cost is paid once per batch
-// instead of once per record.
+// GroupAppender is the log as an ordered write plus a shared-sync
+// watermark. AppendNoSync writes a record in call order without waiting;
+// WaitDurable returns once a sync covered an LSN. Concurrent waiters share
+// one Sync: the first to find none running syncs everything written so
+// far, the others wait for it — and for the next one, when their record
+// came after it began — so the sync cost is paid once per group of
+// waiters. Append is AppendNoSync then WaitDurable: no ack before
+// durability.
 //
-// Crash injection: a sentinel panic raised inside the flush (from the
-// backend's budget wrapper or from the PointGroupFsync hook) is caught
-// by the leader, attached to every queued record, and re-raised from
-// each blocked Append — every appending goroutine observes the crash
-// in its own stack, exactly as if it had performed the append itself.
-// After a crash the appender is inert: later Appends pass straight
-// through to the (tripped, dropping) backend and nothing blocks.
+// Crash injection: a sentinel panic raised by a sync (from the backend's
+// budget wrapper or from the PointGroupFsync hook) is handed to every
+// waiter, each re-raising it in its own stack as if it had synced itself,
+// and every later call raises it too: the crashed appender writes
+// nothing more. A sentinel raised by a write reaches its caller
+// directly (the wrapper that raised it drops later writes itself).
 //
 // The appender implements Log, Instrumented and Compactor, so the
-// engines can use it wherever they used the raw log — checkpointing
-// and compaction keep hooking the single logical append stream.
+// engines can use it wherever they used the raw log — checkpointing and
+// compaction keep hooking the single logical append stream.
 type GroupAppender struct {
 	inner  Log
-	cfg    GroupCommit
+	bb     BatchBackend // nil: each record is appended on its own
 	inject func(string)
 
-	mu      sync.Mutex
-	queue   []*pendingAppend
-	leading bool
-	crashed any // sticky crash sentinel; nil while healthy
-
-	// io serializes batch writes against Records/Compact so a fuzzy
-	// checkpoint never reads a half-written batch.
-	io sync.Mutex
-
-	m *metrics.Registry
+	mu               sync.Mutex
+	synced           sync.Cond // broadcast when a sync ends
+	written, durable int64     // highest LSN written / covered by a sync
+	unsynced         int       // records written since the last sync began
+	syncing          bool
+	crashed          any // sticky crash sentinel; nil while healthy
+	m                *metrics.Registry
 }
 
-// NewGroupAppender wraps a log with group commit. inject (may be nil)
-// receives PointGroupFsync between the batch write and its fsync.
+// NewGroupAppender wraps a log with group commit (cfg only enables it).
+// inject (may be nil) receives PointGroupFsync before every sync.
 func NewGroupAppender(inner Log, cfg GroupCommit, inject func(string)) *GroupAppender {
-	return &GroupAppender{inner: inner, cfg: cfg, inject: inject}
+	g := &GroupAppender{inner: inner, inject: inject}
+	g.bb, _ = inner.(BatchBackend)
+	g.synced.L = &g.mu
+	return g
 }
 
 // Inner returns the wrapped log.
 func (g *GroupAppender) Inner() Log { return g.inner }
 
-// SetMetrics attaches a registry (batch counters here, append counters
+// SetMetrics attaches a registry (sync counters here, append counters
 // in the backend).
 func (g *GroupAppender) SetMetrics(m *metrics.Registry) {
 	g.mu.Lock()
@@ -119,151 +99,112 @@ func (g *GroupAppender) SetMetrics(m *metrics.Registry) {
 	}
 }
 
-// Append implements Log: enqueue, lead or follow, return after the
-// batch containing the record was fsynced.
+// Append implements Log: write, then return once a sync covered the
+// record.
 func (g *GroupAppender) Append(rec Record) (int64, error) {
+	lsn, err := g.AppendNoSync(rec)
+	if err == nil {
+		err = g.WaitDurable(lsn)
+	}
+	return lsn, err
+}
+
+// AppendNoSync writes a record after every record written before it,
+// without waiting for a sync.
+func (g *GroupAppender) AppendNoSync(rec Record) (int64, error) {
 	g.mu.Lock()
+	defer g.mu.Unlock()
 	if g.crashed != nil {
-		g.mu.Unlock()
-		return g.inner.Append(rec) // the tripped backend drops it
+		panic(g.crashed)
 	}
-	p := &pendingAppend{rec: rec, done: make(chan struct{})}
-	g.queue = append(g.queue, p)
-	lead := !g.leading
-	if lead {
-		g.leading = true
+	write := g.inner.Append
+	if g.bb != nil {
+		write = g.bb.AppendNoSync
 	}
+	lsn, err := write(rec)
+	if err == nil && lsn > g.written {
+		g.written = lsn
+		g.unsynced++
+	}
+	return lsn, err
+}
+
+// Sync makes everything written so far durable.
+func (g *GroupAppender) Sync() error {
+	g.mu.Lock()
+	lsn := g.written
 	g.mu.Unlock()
-	if lead {
-		g.lead()
-	}
-	<-p.done
-	if p.crash != nil {
-		panic(p.crash)
-	}
-	return p.lsn, p.err
+	return g.WaitDurable(lsn)
 }
 
-// lead drains the queue batch by batch until it is empty, then steps
-// down. Exactly one leader runs at a time.
-func (g *GroupAppender) lead() {
-	max := g.cfg.maxBatch()
-	waited := false
-	for {
-		g.mu.Lock()
-		n := len(g.queue)
-		if n == 0 {
-			g.leading = false
-			g.mu.Unlock()
-			return
-		}
-		if !waited && n > 1 && n < max && g.cfg.MaxDelay > 0 {
-			// Others are queued and the batch still has room: give
-			// stragglers one MaxDelay window to join before syncing.
-			g.mu.Unlock()
-			time.Sleep(g.cfg.MaxDelay)
-			waited = true
-			continue
-		}
-		if n > max {
-			n = max
-		}
-		batch := g.queue[:n:n]
-		g.queue = g.queue[n:]
-		waited = false
-		g.mu.Unlock()
-		if !g.flush(batch) {
-			return
-		}
-	}
-}
-
-// flush writes one batch and releases its callers; it reports whether
-// the appender is still healthy (false after a crash sentinel, which
-// flush distributes to every queued record before stepping down).
-func (g *GroupAppender) flush(batch []*pendingAppend) (ok bool) {
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		// A crash fired mid-batch (backend budget, or the group-fsync
-		// point). Nothing in this batch was acknowledged; hand every
-		// waiter — this batch and everything still queued — the
-		// sentinel so each goroutine crashes in its own stack.
-		g.mu.Lock()
-		g.crashed = r
-		rest := g.queue
-		g.queue = nil
-		g.leading = false
-		g.mu.Unlock()
-		for _, p := range append(batch, rest...) {
-			p.crash = r
-			close(p.done)
-		}
-		ok = false
-	}()
-
-	g.io.Lock()
-	defer g.io.Unlock()
-	synced := false
-	if bb, isBatch := g.inner.(BatchBackend); isBatch {
-		for _, p := range batch {
-			p.lsn, p.err = bb.AppendNoSync(p.rec)
-		}
-		if g.inject != nil {
-			g.inject(PointGroupFsync)
-		}
-		if err := bb.Sync(); err != nil {
-			for _, p := range batch {
-				if p.err == nil {
-					p.err = err
-				}
+// WaitDurable returns once a sync covered lsn, syncing itself when no
+// sync is running.
+func (g *GroupAppender) WaitDurable(lsn int64) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for g.durable < lsn {
+		switch {
+		case g.crashed != nil:
+			panic(g.crashed)
+		case g.syncing:
+			g.synced.Wait()
+		default:
+			if err := g.syncLocked(); err != nil {
+				return err
 			}
 		}
-		synced = true
-	} else {
-		for _, p := range batch {
-			p.lsn, p.err = g.inner.Append(p.rec)
-		}
-		if g.inject != nil {
-			g.inject(PointGroupFsync)
-		}
 	}
-	g.mu.Lock()
-	m := g.m
-	g.mu.Unlock()
-	m.Inc(metrics.WALGroupBatches)
-	m.Observe(metrics.HistWALBatch, int64(len(batch)))
-	if synced && len(batch) > 1 {
-		m.Add(metrics.WALFsyncsSaved, int64(len(batch)-1))
-	}
-	for _, p := range batch {
-		close(p.done)
-	}
-	return true
+	return nil
 }
 
-// Records implements Log; queued-but-unflushed records are not
-// included (they are not durable and were never acknowledged).
-func (g *GroupAppender) Records() ([]Record, error) {
-	g.io.Lock()
-	defer g.io.Unlock()
-	return g.inner.Records()
+// syncLocked syncs everything written so far. The backend's Sync runs
+// without mu, so writers and new waiters keep coming while it does.
+// Called and returns with mu held.
+func (g *GroupAppender) syncLocked() error {
+	target, n := g.written, g.unsynced
+	g.syncing, g.unsynced = true, 0
+	g.mu.Unlock()
+	crash, err := g.syncBackend()
+	g.mu.Lock()
+	g.syncing = false
+	g.synced.Broadcast()
+	switch {
+	case crash != nil:
+		g.crashed = crash
+		panic(crash)
+	case err != nil:
+		g.unsynced += n
+		return err
+	}
+	g.durable = target
+	g.m.Inc(metrics.WALGroupBatches)
+	g.m.Observe(metrics.HistWALBatch, int64(n))
+	if g.bb != nil && n > 1 {
+		g.m.Add(metrics.WALFsyncsSaved, int64(n-1))
+	}
+	return nil
 }
+
+// syncBackend fires the crash point and syncs, catching a crash sentinel.
+func (g *GroupAppender) syncBackend() (crash any, err error) {
+	defer func() { crash = recover() }()
+	if g.inject != nil {
+		g.inject(PointGroupFsync)
+	}
+	if g.bb != nil {
+		err = g.bb.Sync()
+	}
+	return nil, err
+}
+
+// Records implements Log.
+func (g *GroupAppender) Records() ([]Record, error) { return g.inner.Records() }
 
 // Close implements Log.
-func (g *GroupAppender) Close() error {
-	g.io.Lock()
-	defer g.io.Unlock()
-	return g.inner.Close()
-}
+func (g *GroupAppender) Close() error { return g.inner.Close() }
 
-// Compact forwards to a compaction-capable backend, serialized against
-// in-flight batch writes.
+// Compact forwards to a compaction-capable backend.
 func (g *GroupAppender) Compact(inject func(string)) error {
-	g.io.Lock()
-	defer g.io.Unlock()
 	if c, ok := g.inner.(Compactor); ok {
 		return c.Compact(inject)
 	}

@@ -2,6 +2,7 @@ package wal_test
 
 import (
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -12,14 +13,59 @@ import (
 	"transproc/internal/wal"
 )
 
-// TestGroupCommitConcurrentNoAckedLost hammers the batching appender
-// with concurrent writers while a checkpoint+compact loop runs against
-// the same appender, then verifies (a) every acknowledged record is
-// still replayable through wal.Expand — group commit must not lose or
-// reorder acked records, and compaction must not eat them — and
-// (b) the batch fsync count stayed below the append count (the whole
-// point of group commit). Run under -race this also checks the
-// leader/follower handoff and the io-vs-append interleaving.
+// TestGroupAppenderOneSyncCoversEverythingWritten: records written
+// without a wait stay in the file's buffer, and the first wait syncs
+// them all at once; a wait its record an earlier sync covered returns
+// without a sync of its own.
+func TestGroupAppenderOneSyncCoversEverythingWritten(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "wal.log")
+	inner, err := wal.OpenFile(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer inner.Close()
+	reg := metrics.New()
+	ga := wal.NewGroupAppender(inner, wal.GroupCommit{MaxBatch: 1}, nil)
+	ga.SetMetrics(reg)
+	frames := func() int {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(wal.FrameBounds(data)) - 1
+	}
+	var lsns []int64
+	for i := 1; i <= 5; i++ {
+		lsn, err := ga.AppendNoSync(wal.Record{Type: wal.RecStart, Proc: fmt.Sprintf("P%d", i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lsns = append(lsns, lsn)
+	}
+	if n := frames(); n != 0 {
+		t.Fatalf("%d records reached the file before any sync", n)
+	}
+	for _, lsn := range []int64{lsns[4], lsns[0]} {
+		if err := ga.WaitDurable(lsn); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := frames(); n != 5 {
+		t.Fatalf("%d records reached the file after the sync, want 5", n)
+	}
+	if b, saved := reg.Counter(metrics.WALGroupBatches), reg.Counter(metrics.WALFsyncsSaved); b != 1 || saved != 4 {
+		t.Errorf("syncs = %d, saved = %d, want 1 and 4", b, saved)
+	}
+}
+
+// TestGroupCommitConcurrentNoAckedLost hammers the group appender with
+// concurrent writers while a checkpoint+compact loop runs against the
+// same appender, then verifies (a) every acknowledged record is still
+// replayable through wal.Expand — group commit must not lose or reorder
+// acked records, and compaction must not eat them — and (b) the sync
+// count stayed below the append count (the whole point of group
+// commit). Run under -race this also checks the shared-sync handoff and
+// the compaction-vs-append interleaving.
 func TestGroupCommitConcurrentNoAckedLost(t *testing.T) {
 	const (
 		writers = 8
@@ -30,7 +76,7 @@ func TestGroupCommitConcurrentNoAckedLost(t *testing.T) {
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
-	ga := wal.NewGroupAppender(inner, wal.GroupCommit{MaxBatch: 32, MaxDelay: 200 * time.Microsecond}, nil)
+	ga := wal.NewGroupAppender(inner, wal.GroupCommit{MaxBatch: 32}, nil)
 	ga.SetMetrics(reg)
 
 	var wg sync.WaitGroup
@@ -118,12 +164,11 @@ func TestGroupCommitConcurrentNoAckedLost(t *testing.T) {
 	}
 }
 
-// TestGroupFsyncCrashLosesOnlyUnacked crashes a batch between its
-// buffered write and the shared fsync (the wal:group-fsync point) and
-// verifies the ack contract: every Append that returned without
-// panicking is on disk after reopening the file; every goroutine
-// whose record was caught in the doomed batch observes the crash
-// sentinel from its own Append call.
+// TestGroupFsyncCrashLosesOnlyUnacked crashes a shared sync before it
+// syncs (the wal:group-fsync point) and verifies the ack contract:
+// every Append that returned without panicking is on disk after
+// reopening the file; every goroutine whose record the doomed sync was
+// to cover observes the crash sentinel from its own Append call.
 func TestGroupFsyncCrashLosesOnlyUnacked(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	inner, err := wal.OpenFile(path, true)
@@ -131,7 +176,7 @@ func TestGroupFsyncCrashLosesOnlyUnacked(t *testing.T) {
 		t.Fatalf("open: %v", err)
 	}
 	inj := fault.NewInjector(fault.Plan{CrashAtPoint: fault.PointGroupFsync, CrashAtCount: 5})
-	ga := wal.NewGroupAppender(inner, wal.GroupCommit{MaxBatch: 8, MaxDelay: 100 * time.Microsecond}, inj.Point)
+	ga := wal.NewGroupAppender(inner, wal.GroupCommit{MaxBatch: 8}, inj.Point)
 
 	const writers = 6
 	var (

@@ -105,6 +105,17 @@ type Record struct {
 	Stamp int64 `json:"stamp,omitempty"`
 }
 
+// WriteAhead reports a record a subsystem commit follows, which must
+// therefore be durable before its transition goes on: a "prepared"
+// outcome, a recovery-step record (RecCompensate, or the "committed"
+// outcome of a forward step), the 2PC decision. Every other record may
+// be lost with a crash; recovery then redoes or presumes what it
+// announced (DESIGN.md §6l).
+func (r Record) WriteAhead() bool {
+	return r.Type == RecDecision || r.Type == RecCompensate ||
+		r.Type == RecOutcome && r.Outcome != "aborted"
+}
+
 // Log is an append-only record log. MemLog and FileLog are the default
 // implementations; the interface is also the seam for fault injection —
 // a wrapper (internal/fault) can interpose on Append to simulate crashes
@@ -189,7 +200,8 @@ func (l *FileLog) SetMetrics(m *metrics.Registry) {
 
 // OpenFile opens (or creates) a file log at path. When syncEvery is
 // true every append is flushed and fsynced — the write-ahead guarantee;
-// false trades durability for speed in simulations. A torn tail is
+// false trades durability for speed in simulations: an append stays in
+// the write buffer, not even in the OS, until a Sync. A torn tail is
 // truncated away; any other damage, or a file in another format, is
 // ErrCorrupt and the file is left untouched (see OpenFrameFile).
 func OpenFile(path string, syncEvery bool) (*FileLog, error) {
@@ -226,8 +238,8 @@ func (l *FileLog) Append(r Record) (int64, error) {
 }
 
 // AppendNoSync implements BatchBackend: the record reaches the
-// buffered writer but is not forced to stable storage — a group-commit
-// leader makes the whole batch durable with one Sync.
+// buffered writer only — a group appender makes everything written
+// durable with one Sync.
 func (l *FileLog) AppendNoSync(r Record) (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -249,9 +261,9 @@ func (l *FileLog) appendLocked(r Record) (int64, error) {
 	return r.LSN, nil
 }
 
-// Sync implements BatchBackend: flush the buffered tail and fsync.
-// Under syncEvery=false it still flushes to the OS but skips the
-// fsync, mirroring Append's durability setting.
+// Sync implements BatchBackend: flush the buffered tail to the OS and,
+// under syncEvery, fsync it. Under syncEvery=false Append does neither:
+// its record stays in the buffer until a Sync, Records or Close.
 func (l *FileLog) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
