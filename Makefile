@@ -130,6 +130,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzScheduleReduce -fuzztime 30s ./internal/schedule
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
 	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 30s ./internal/wal
+	$(GO) test -fuzz FuzzRecordDecode -fuzztime 30s -run '^$$' ./internal/wal
 	$(GO) test -fuzz FuzzHeapPageDecode -fuzztime 30s -run '^$$' ./internal/store
 	$(GO) test -fuzz FuzzFreeSpaceMap -fuzztime 30s -run '^$$' ./internal/store
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s -run '^$$' ./internal/federation

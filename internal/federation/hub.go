@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"transproc/internal/conflict"
 	"transproc/internal/metrics"
@@ -337,9 +338,20 @@ func (h *Hub) resp(st Status) *Frame {
 	return &Frame{Type: MsgResponse, Status: st, Gen: h.stamp, Epoch: h.epoch}
 }
 
+// errf builds an error response. The message is clipped to MaxString,
+// with a visible mark, so that a long diagnostic (a stall dump, say)
+// still reaches the node instead of a codec error.
 func (h *Hub) errf(format string, args ...any) *Frame {
 	f := h.resp(StError)
 	f.Err = fmt.Sprintf(format, args...)
+	if len(f.Err) > MaxString {
+		const mark = "… [clipped]"
+		n := MaxString - len(mark)
+		for !utf8.RuneStart(f.Err[n]) {
+			n--
+		}
+		f.Err = f.Err[:n] + mark
+	}
 	return f
 }
 

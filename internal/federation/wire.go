@@ -340,11 +340,15 @@ func DecodePayload(b []byte) (*Frame, error) {
 	return f, nil
 }
 
-// WriteFrame writes one length-prefixed frame.
+// WriteFrame writes one length-prefixed frame. It refuses a frame that
+// ReadFrame would refuse.
 func WriteFrame(w io.Writer, f *Frame) error {
 	payload := EncodePayload(f)
 	if len(payload) > MaxFrame || len(f.Records) > MaxRecords {
 		return ErrFrameTooLarge
+	}
+	if longestString(f) > MaxString {
+		return ErrBadString
 	}
 	var hdr [4]byte
 	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
@@ -353,6 +357,17 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	}
 	_, err := w.Write(payload)
 	return err
+}
+
+// longestString returns the length of f's longest string field, records
+// included.
+func longestString(f *Frame) int {
+	n := max(len(f.Proc), len(f.Origin), len(f.Service), len(f.Subsystem), len(f.Err))
+	for i := range f.Records {
+		r := &f.Records[i]
+		n = max(n, len(r.Proc), len(r.Service), len(r.Subsystem), len(r.Outcome))
+	}
+	return n
 }
 
 // ReadFrame reads one length-prefixed frame.

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"transproc/internal/wal"
 )
@@ -286,5 +287,40 @@ func TestWireRejectsMalformed(t *testing.T) {
 	tooMany := &Frame{Type: MsgResponse, Records: make([]wal.Record, MaxRecords+1)}
 	if err := WriteFrame(&bytes.Buffer{}, tooMany); err != ErrFrameTooLarge {
 		t.Errorf("writing %d records: got %v, want %v", len(tooMany.Records), err, ErrFrameTooLarge)
+	}
+	// Nor does a string the decoder would refuse, in the frame or in a
+	// record.
+	long := strings.Repeat("x", MaxString+1)
+	for _, f := range []*Frame{
+		{Type: MsgResponse, Status: StError, Err: long},
+		{Type: MsgResponse, Records: []wal.Record{{Type: wal.RecStart, Proc: long}}},
+	} {
+		if err := WriteFrame(&bytes.Buffer{}, f); err != ErrBadString {
+			t.Errorf("writing a %d-byte string: got %v, want %v", MaxString+1, err, ErrBadString)
+		}
+	}
+}
+
+// TestHubErrorOverMaxStringReachesNode: a hub diagnostic longer than
+// MaxString (an "unresolvable stall" carries the whole hub dump) is
+// clipped with a visible mark, so the node reads the message instead of
+// a codec error.
+func TestHubErrorOverMaxStringReachesNode(t *testing.T) {
+	for _, msg := range []string{
+		strings.Repeat("d", MaxString+1),
+		strings.Repeat("≪", MaxString), // clipped on a rune boundary
+	} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, (&Hub{}).errf("unresolvable stall\n%s", msg)); err != nil {
+			t.Fatalf("write: %v", err)
+		}
+		got, err := ReadFrame(&buf)
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		if len(got.Err) > MaxString || !strings.HasPrefix(got.Err, "unresolvable stall\n"+msg[:100]) ||
+			!strings.HasSuffix(got.Err, "[clipped]") || !utf8.ValidString(got.Err) {
+			t.Fatalf("clipped message: %d bytes, %q … %q", len(got.Err), got.Err[:40], got.Err[len(got.Err)-40:])
+		}
 	}
 }

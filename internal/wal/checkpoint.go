@@ -10,7 +10,6 @@
 package wal
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 
@@ -136,6 +135,7 @@ func Expand(recs []Record) Expansion {
 		exp.Fallback = true
 	}
 	if cp == nil {
+		exp.Records = make([]Record, 0, len(recs))
 		for _, r := range recs {
 			if r.Type != RecCheckpoint {
 				exp.Records = append(exp.Records, r)
@@ -145,7 +145,7 @@ func Expand(recs []Record) Expansion {
 	}
 	exp.Checkpoint = cp
 	exp.Skipped = cp.Dropped
-	exp.Records = append(exp.Records, cp.Live...)
+	exp.Records = append(make([]Record, 0, len(cp.Live)+len(recs)), cp.Live...)
 	for _, r := range recs {
 		if r.Type != RecCheckpoint && r.LSN > cp.Horizon {
 			exp.Records = append(exp.Records, r)
@@ -482,14 +482,15 @@ func (l *FileLog) Compact(inject func(string)) error {
 		return nil
 	}
 	payloads := make([][]byte, len(kept))
-	for i, r := range kept {
-		if payloads[i], err = json.Marshal(r); err != nil {
-			return fmt.Errorf("wal: compact marshal: %w", err)
+	for i := range kept {
+		if payloads[i], err = encodeRecord(&kept[i]); err != nil {
+			return err
 		}
 	}
 	if err := l.ff.Rewrite(payloads, inject); err != nil {
 		return err
 	}
+	l.frames = len(kept)
 	l.m.Inc(metrics.Compactions)
 	return nil
 }

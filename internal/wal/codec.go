@@ -1,0 +1,203 @@
+package wal
+
+import (
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"maps"
+	"slices"
+)
+
+// The record codec: the payload of every FileLog frame, laid out in
+// DESIGN.md §6k ("WAL records"). The file is outside input: every count
+// and string length is checked against the bytes left before anything is
+// allocated for it.
+const (
+	recordFormat   = 1
+	flagCommitted  = 1
+	flagCommit     = 2
+	flagCheckpoint = 4
+	flagsKnown     = flagCommitted | flagCommit | flagCheckpoint
+	minRecordBody  = 10 // four one-byte varints, Type, flags, four empty strings
+)
+
+// encodeRecord returns r's payload; equal records encode equally.
+func encodeRecord(r *Record) ([]byte, error) {
+	return appendRecordBody([]byte{recordFormat}, r, true)
+}
+
+// appendRecordBody appends r without the format byte (top: not a live record).
+func appendRecordBody(b []byte, r *Record, top bool) ([]byte, error) {
+	if r.Type < 0 || r.Type > RecCheckpoint || r.Checkpoint != nil && !top {
+		return nil, fmt.Errorf("wal: cannot encode a %v record (a live record carries no checkpoint)", r.Type)
+	}
+	for _, v := range [...]int64{r.LSN, int64(r.Local), r.Tx, r.Stamp} {
+		b = binary.AppendVarint(b, v)
+	}
+	b = append(b, byte(r.Type), bit(r.Committed, flagCommitted)|bit(r.Commit, flagCommit)|bit(r.Checkpoint != nil, flagCheckpoint))
+	for _, s := range [...]string{r.Proc, r.Service, r.Subsystem, r.Outcome} {
+		b = appendString(b, s)
+	}
+	c := r.Checkpoint
+	if c == nil {
+		return b, nil
+	}
+	b = binary.AppendUvarint(binary.AppendVarint(b, c.Horizon), uint64(len(c.Live)))
+	for i := range c.Live {
+		var err error
+		if b, err = appendRecordBody(b, &c.Live[i], false); err != nil {
+			return nil, err
+		}
+	}
+	b = binary.AppendUvarint(b, uint64(len(c.AppliedSvc)))
+	for _, k := range slices.Sorted(maps.Keys(c.AppliedSvc)) {
+		b = binary.AppendVarint(appendString(b, k), c.AppliedSvc[k])
+	}
+	b = binary.AppendUvarint(b, uint64(len(c.Edges)))
+	for _, e := range c.Edges {
+		b = appendString(appendString(b, e[0]), e[1])
+	}
+	b = binary.AppendUvarint(b, uint64(len(c.Shadow)))
+	for _, k := range slices.Sorted(maps.Keys(c.Shadow)) {
+		b = binary.AppendUvarint(appendString(b, k), uint64(len(c.Shadow[k])))
+		for _, s := range c.Shadow[k] {
+			b = appendString(b, s)
+		}
+	}
+	b = binary.AppendVarint(binary.AppendVarint(b, int64(c.Procs)), int64(c.Dropped))
+	return append(b, bit(c.Truncated, 1)), nil
+}
+
+func bit(on bool, v byte) byte {
+	if on {
+		return v
+	}
+	return 0
+}
+
+func appendString(b []byte, s string) []byte {
+	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
+}
+
+// decodeRecord parses one payload; DESIGN.md §6k lists what it refuses.
+func decodeRecord(p []byte) (Record, error) {
+	d := decoder{b: p}
+	if f := d.u8(); f == '{' {
+		return Record{}, errors.New("payload in the retired JSON record format (such logs are refused, not migrated)")
+	} else if d.err == nil && f != recordFormat {
+		return Record{}, fmt.Errorf("unknown record format %#x", f)
+	}
+	r := d.record(true)
+	if len(d.b) > 0 {
+		d.fail("%d trailing bytes", len(d.b))
+	}
+	return r, d.err
+}
+
+// decoder reads a payload front to back; after its first failure it reads zeros.
+type decoder struct {
+	b   []byte
+	err error
+}
+
+func (d *decoder) fail(format string, args ...any) {
+	if d.err == nil {
+		d.err = fmt.Errorf(format, args...)
+	}
+	d.b = nil
+}
+
+func (d *decoder) u8() (v byte) {
+	if len(d.b) == 0 {
+		d.fail("truncated record")
+		return 0
+	}
+	v, d.b = d.b[0], d.b[1:]
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	v, n := binary.Varint(d.b)
+	if n <= 0 {
+		d.fail("truncated or overlong varint")
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// count reads a length or entry count and refuses one whose entries, at
+// least size bytes each, could not fit in the bytes left.
+func (d *decoder) count(size int) int {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 || v > uint64((len(d.b)-n)/size) {
+		d.fail("count exceeds the %d bytes left", len(d.b))
+		return 0
+	}
+	d.b = d.b[n:]
+	return int(v)
+}
+
+func (d *decoder) str() string {
+	n := d.count(1)
+	s := string(d.b[:n])
+	d.b = d.b[n:]
+	return s
+}
+
+// list reads a counted list, growing it by the entries actually parsed.
+func list[T any](d *decoder, size int, entry func() T) []T {
+	var out []T
+	for n := d.count(size); n > 0 && d.err == nil; n-- {
+		out = append(out, entry())
+	}
+	return out
+}
+
+// dict reads a counted map of string keys, nil when empty.
+func dict[V any](d *decoder, value func() V) map[string]V {
+	var m map[string]V
+	for n := d.count(2); n > 0 && d.err == nil; n-- {
+		if m == nil {
+			m = make(map[string]V)
+		}
+		k := d.str()
+		m[k] = value()
+	}
+	return m
+}
+
+func (d *decoder) record(top bool) (r Record) {
+	r.LSN, r.Local, r.Tx, r.Stamp = d.varint(), int(d.varint()), d.varint(), d.varint()
+	r.Type = RecType(d.u8())
+	flags := d.u8()
+	switch {
+	case r.Type > RecCheckpoint:
+		d.fail("unknown record type %d", r.Type)
+	case flags&^flagsKnown != 0:
+		d.fail("unknown flag bits %#x", flags)
+	case flags&flagCheckpoint != 0 && !top:
+		d.fail("a live record carries a checkpoint")
+	}
+	r.Committed, r.Commit = flags&flagCommitted != 0, flags&flagCommit != 0
+	r.Proc, r.Service, r.Subsystem, r.Outcome = d.str(), d.str(), d.str(), d.str()
+	if flags&flagCheckpoint != 0 && d.err == nil {
+		r.Checkpoint = d.checkpoint()
+	}
+	return r
+}
+
+func (d *decoder) checkpoint() *Checkpoint {
+	c := &Checkpoint{Horizon: d.varint()}
+	c.Live = list(d, minRecordBody, func() Record { return d.record(false) })
+	c.AppliedSvc = dict(d, d.varint)
+	c.Edges = list(d, 2, func() [2]string { return [2]string{d.str(), d.str()} })
+	c.Shadow = dict(d, func() []string { return list(d, 1, d.str) })
+	c.Procs, c.Dropped = int(d.varint()), int(d.varint())
+	if t := d.u8(); t > 1 {
+		d.fail("bad truncated flag %d", t)
+	} else {
+		c.Truncated = t == 1
+	}
+	return c
+}

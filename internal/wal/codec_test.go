@@ -1,0 +1,213 @@
+package wal
+
+import (
+	"bytes"
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+)
+
+// enc encodes r, panicking on a record the codec refuses (fixtures and
+// fuzz seeds only).
+func enc(r Record) []byte {
+	b, err := encodeRecord(&r)
+	if err != nil {
+		panic(err)
+	}
+	return b
+}
+
+// fullCheckpoint sets every field of a checkpoint.
+func fullCheckpoint() *Checkpoint {
+	return &Checkpoint{
+		Horizon: 41,
+		Live: []Record{
+			{LSN: 3, Type: RecStart, Proc: "L1"},
+			{LSN: 7, Type: RecOutcome, Proc: "L1", Local: -2, Service: "svc⁻¹", Subsystem: "rm0", Tx: math.MinInt64, Outcome: "prepared", Stamp: 9},
+			{LSN: 40, Type: RecResolved, Proc: "L2+r1", Local: 4, Commit: true, Committed: true},
+		},
+		AppliedSvc: map[string]int64{"a": 2, "b": math.MaxInt64, "": 0, "c⁻¹": 1},
+		Edges:      [][2]string{{"L1", "L2+r1"}, {"L2+r1", ""}},
+		Shadow:     map[string][]string{"L1": {"x", "y"}, "L2+r1": {""}, "L3": {"z"}},
+		Procs:      2,
+		Dropped:    math.MaxInt32 + 1,
+		Truncated:  true,
+	}
+}
+
+func TestRecordCodecRoundTrip(t *testing.T) {
+	t.Parallel()
+	long := strings.Repeat("p⁻¹", 50_000)
+	var recs []Record
+	for typ := RecStart; typ <= RecCheckpoint; typ++ {
+		recs = append(recs, Record{LSN: int64(typ) + 1, Type: typ, Proc: "P1"})
+	}
+	recs = append(recs,
+		Record{},
+		Record{LSN: math.MaxInt64, Type: RecOutcome, Proc: long, Local: -7, Service: long, Subsystem: "rm0",
+			Tx: math.MinInt64, Outcome: "committed", Committed: true, Commit: true, Stamp: math.MaxInt64},
+		Record{LSN: math.MinInt64, Type: RecResolved, Local: math.MinInt, Tx: math.MaxInt64, Stamp: math.MinInt64, Commit: true},
+		Record{LSN: 42, Type: RecCheckpoint, Checkpoint: fullCheckpoint()},
+		Record{LSN: 43, Type: RecCheckpoint, Checkpoint: &Checkpoint{}},
+	)
+	for _, r := range recs {
+		got, err := decodeRecord(enc(r))
+		if err != nil {
+			t.Fatalf("decode of %v record: %v", r.Type, err)
+		}
+		if !reflect.DeepEqual(got, r) {
+			t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, r)
+		}
+	}
+}
+
+// Equal checkpoints encode to equal bytes, whatever the order their maps
+// were filled in or are iterated in.
+func TestRecordCodecDeterministic(t *testing.T) {
+	t.Parallel()
+	want := enc(Record{LSN: 42, Type: RecCheckpoint, Checkpoint: fullCheckpoint()})
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100; i++ {
+		cp := fullCheckpoint()
+		applied, shadow := map[string]int64{}, map[string][]string{}
+		for _, j := range rng.Perm(len(cp.AppliedSvc)) {
+			k := []string{"a", "b", "", "c⁻¹"}[j]
+			applied[k] = cp.AppliedSvc[k]
+		}
+		for _, j := range rng.Perm(len(cp.Shadow)) {
+			k := []string{"L1", "L2+r1", "L3"}[j]
+			shadow[k] = cp.Shadow[k]
+		}
+		cp.AppliedSvc, cp.Shadow = applied, shadow
+		if got := enc(Record{LSN: 42, Type: RecCheckpoint, Checkpoint: cp}); !bytes.Equal(got, want) {
+			t.Fatalf("encoding %d differs from the first", i)
+		}
+	}
+}
+
+// nestedCheckpoint is a checkpoint record whose live record carries a
+// checkpoint of its own, which the encoder refuses to write.
+func nestedCheckpoint() []byte {
+	placeholder := Record{LSN: 3, Type: RecStart, Proc: "L1"}
+	outer := enc(Record{LSN: 5, Type: RecCheckpoint, Checkpoint: &Checkpoint{Horizon: 4, Live: []Record{placeholder}}})
+	body, _ := appendRecordBody(nil, &placeholder, false)
+	inner, _ := appendRecordBody(nil, &Record{LSN: 3, Type: RecCheckpoint, Checkpoint: &Checkpoint{Horizon: 2}}, true)
+	return bytes.Replace(outer, body, inner, 1)
+}
+
+func TestRecordCodecRejects(t *testing.T) {
+	t.Parallel()
+	// Small values keep every varint at one byte: Type sits at offset 5
+	// and the flags at offset 6.
+	valid := enc(Record{LSN: 3, Type: RecOutcome, Proc: "P1", Local: 2, Service: "svc", Outcome: "committed"})
+	patch := func(at int, v byte) []byte {
+		b := append([]byte(nil), valid...)
+		b[at] = v
+		return b
+	}
+	for _, tc := range []struct {
+		name, want string
+		p          []byte
+	}{
+		{"empty", "truncated", nil},
+		{"json", "retired JSON", []byte(`{"lsn":1,"type":0,"proc":"W1"}`)},
+		{"format", "unknown record format", patch(0, 2)},
+		{"type", "unknown record type", patch(5, byte(RecCheckpoint)+1)},
+		{"flags", "unknown flag bits", patch(6, 8)},
+		{"trailing", "trailing", append(append([]byte(nil), valid...), 0)},
+		{"string-overruns", "exceeds", patch(7, 100)},
+		{"nested-checkpoint", "live record carries a checkpoint", nestedCheckpoint()},
+	} {
+		if _, err := decodeRecord(tc.p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
+		}
+	}
+
+	// A payload cut at any byte is refused.
+	full := enc(Record{LSN: 42, Type: RecCheckpoint, Proc: "c", Checkpoint: fullCheckpoint()})
+	for k := 0; k < len(full); k++ {
+		if _, err := decodeRecord(full[:k]); err == nil {
+			t.Fatalf("payload cut at %d of %d bytes accepted", k, len(full))
+		}
+	}
+
+	// Nothing the decoder refuses is written in the first place.
+	for _, r := range []Record{
+		{Type: RecCheckpoint + 1},
+		{Type: -1},
+		{Type: RecCheckpoint, Checkpoint: &Checkpoint{Live: []Record{{Type: RecCheckpoint, Checkpoint: &Checkpoint{}}}}},
+	} {
+		if _, err := encodeRecord(&r); err == nil {
+			t.Errorf("encoder accepted %+v", r)
+		}
+	}
+}
+
+// A count is checked against the bytes left before anything is allocated
+// for it, and a list grows by the entries actually parsed: a payload
+// claiming 100,000 live records but holding two and then garbage costs
+// what the two cost.
+func TestRecordCodecCountAllocatesByParsed(t *testing.T) {
+	// Every field of the empty checkpoint after Horizon is one byte:
+	// the Live count and the six after it.
+	head := enc(Record{LSN: 10, Type: RecCheckpoint, Checkpoint: &Checkpoint{Horizon: 9}})
+	live, _ := appendRecordBody(nil, &Record{LSN: 1, Proc: "L1"}, false)
+	claim := func(n uint64, garbage int) []byte {
+		b := binary.AppendUvarint(append([]byte(nil), head[:len(head)-7]...), n)
+		b = append(append(b, live...), live...)
+		return append(b, bytes.Repeat([]byte{0xFF}, garbage)...)
+	}
+	for _, tc := range []struct {
+		name string
+		p    []byte
+	}{
+		{"count over the bytes left", claim(1<<40, 64)},
+		{"count within the bytes left", claim(100_000, 100_000*minRecordBody)},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(20, func() { _, err = decodeRecord(tc.p) })
+		if err == nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		decodeRecord(tc.p)
+		runtime.ReadMemStats(&after)
+		if n := after.TotalAlloc - before.TotalAlloc; allocs > 20 || n > 16<<10 {
+			t.Errorf("%s: %.0f allocations, %d bytes; the list must grow by records parsed", tc.name, allocs, n)
+		}
+	}
+}
+
+// FuzzRecordDecode feeds arbitrary payloads to the record decoder: it
+// never panics, and a payload it accepts re-encodes to one that decodes
+// to an equal record.
+func FuzzRecordDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(enc(Record{LSN: 1, Type: RecStart, Proc: "W1"}))
+	f.Add(enc(Record{LSN: 2, Type: RecOutcome, Proc: "W1", Local: 1, Service: "s", Subsystem: "rm0", Tx: 7, Outcome: "prepared", Stamp: 3}))
+	f.Add(enc(Record{LSN: 42, Type: RecCheckpoint, Checkpoint: fullCheckpoint()}))
+	f.Add(nestedCheckpoint())
+	f.Add([]byte(`{"lsn":1,"type":0,"proc":"W1"}`))
+	f.Fuzz(func(t *testing.T, p []byte) {
+		r, err := decodeRecord(p)
+		if err != nil {
+			return
+		}
+		b, err := encodeRecord(&r)
+		if err != nil {
+			t.Fatalf("accepted record does not re-encode: %v", err)
+		}
+		again, err := decodeRecord(b)
+		if err != nil {
+			t.Fatalf("re-encoded record refused: %v", err)
+		}
+		if !reflect.DeepEqual(again, r) {
+			t.Fatalf("re-encode changed the record:\n got %+v\nwant %+v", again, r)
+		}
+	})
+}

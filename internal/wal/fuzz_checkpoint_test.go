@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"os"
@@ -10,22 +11,28 @@ import (
 
 // FuzzCheckpointDecode feeds arbitrary bytes to the checkpoint
 // expansion path: whatever checkpoint payload is on disk, OpenFile must
-// come up or refuse with ErrCorrupt; when it comes up, Expand must not
+// come up or refuse with ErrCorrupt and leave the file untouched; when it
+// comes up, Expand must not
 // panic, a structurally invalid checkpoint must only widen the replay
 // window (fall back toward full replay, never drop post-horizon records
 // or return an error), and Analyze over the expansion must not panic.
 func FuzzCheckpointDecode(f *testing.F) {
-	valid := `{"lsn":5,"type":9,"proc":"","ckpt":{"horizon":4,"live":[{"lsn":3,"type":0,"proc":"L1"}],"applied":{"a":1},"procs":1,"dropped":4}}`
-	tail := `{"lsn":6,"type":0,"proc":"W9"}`
+	ckpt := func(cp *Checkpoint) string { return string(enc(Record{LSN: 5, Type: RecCheckpoint, Checkpoint: cp})) }
+	valid := ckpt(&Checkpoint{Horizon: 4, Live: []Record{{LSN: 3, Type: RecStart, Proc: "L1"}}, AppliedSvc: map[string]int64{"a": 1}, Procs: 1, Dropped: 4})
+	tail := string(enc(Record{LSN: 6, Type: RecStart, Proc: "W9"}))
 	f.Add(frameImage(valid, tail))
-	f.Add(frameImage(valid[:40], tail))
-	f.Add(frameImage(`{"lsn":5,"type":9,"ckpt":{"horizon":-3}}`, tail))
-	f.Add(frameImage(`{"lsn":5,"type":9,"ckpt":{"horizon":1,"live":[{"lsn":9,"type":0,"proc":"X"}]}}`, tail))
-	f.Add(frameImage(`{"lsn":5,"type":9,"ckpt":{"horizon":2,"applied":{"a":-7}}}`))
-	f.Add(frameImage(`{"lsn":5,"type":9,"ckpt":"garbage"}`, tail))
-	f.Add(frameImage(`{"lsn":5,"type":9}`))
-	// The retired JSON-lines format: rejected.
-	f.Add([]byte(valid + "\n" + tail + "\n"))
+	f.Add(frameImage(valid[:12], tail))
+	f.Add(frameImage(ckpt(&Checkpoint{Horizon: -3}), tail))
+	f.Add(frameImage(ckpt(&Checkpoint{Horizon: 1, Live: []Record{{LSN: 9, Type: RecStart, Proc: "X"}}}), tail))
+	f.Add(frameImage(ckpt(&Checkpoint{Horizon: 2, AppliedSvc: map[string]int64{"a": -7}})))
+	f.Add(frameImage(string(nestedCheckpoint()), tail))
+	f.Add(frameImage(string(enc(Record{LSN: 5, Type: RecCheckpoint}))))
+	// The retired formats, JSON lines and JSON payloads in frames:
+	// refused, file untouched.
+	jsonValid := `{"lsn":5,"type":9,"proc":"","ckpt":{"horizon":4,"live":[{"lsn":3,"type":0,"proc":"L1"}],"applied":{"a":1},"procs":1,"dropped":4}}`
+	jsonTail := `{"lsn":6,"type":0,"proc":"W9"}`
+	f.Add([]byte(jsonValid + "\n" + jsonTail + "\n"))
+	f.Add(frameImage(jsonValid, jsonTail))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.log")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
@@ -33,6 +40,9 @@ func FuzzCheckpointDecode(f *testing.F) {
 		}
 		l, err := OpenFile(path, false)
 		if errors.Is(err, ErrCorrupt) {
+			if after, _ := os.ReadFile(path); !bytes.Equal(after, data) {
+				t.Fatalf("a corrupt log was modified")
+			}
 			return
 		}
 		if err != nil {

@@ -16,8 +16,8 @@ import (
 // append must be durable across a further reopen, and no record the
 // first open returned may disappear.
 func FuzzWALReplay(f *testing.F) {
-	start := `{"lsn":1,"type":0,"proc":"W1"}`
-	torn := frameImage(start, `{"lsn":2,"type":2,"proc":"W1","local":1}`)
+	start := string(enc(Record{LSN: 1, Type: RecStart, Proc: "W1"}))
+	torn := frameImage(start, string(enc(Record{LSN: 2, Type: RecOutcome, Proc: "W1", Local: 1, Service: "svc", Outcome: "committed"})))
 	f.Add([]byte(""))
 	f.Add([]byte(fileMagic))
 	f.Add(frameImage(start))
@@ -25,10 +25,13 @@ func FuzzWALReplay(f *testing.F) {
 	f.Add(frameImage("garbage", start))
 	f.Add(frameImage("", "", ""))
 	f.Add(append(frameImage(start), bytes.Repeat([]byte{0xff, 0x00, '\n'}, 7)...))
-	// The retired JSON-lines format: rejected, not emptied.
-	f.Add([]byte(start + "\n"))
-	f.Add([]byte(start + "\n{\"lsn\":2,\"type\":2,\"pr"))
+	// The retired formats, JSON lines and JSON payloads in frames:
+	// refused, file untouched.
+	jsonStart := `{"lsn":1,"type":0,"proc":"W1"}`
+	f.Add([]byte(jsonStart + "\n"))
+	f.Add([]byte(jsonStart + "\n{\"lsn\":2,\"type\":2,\"pr"))
 	f.Add([]byte("\n\n\n"))
+	f.Add(frameImage(jsonStart))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.log")
 		if err := os.WriteFile(path, data, 0o644); err != nil {

@@ -5,11 +5,10 @@
 // A(P_{n_1} … P_{n_s}) of Definition 8.2b — completing B-REC processes
 // backward and F-REC processes forward. On disk the log is a FrameFile
 // (framefile.go; DESIGN.md §6k, "one log format"), as are the serve
-// intake journal and the hub journal.
+// intake journal and the hub journal; a WAL frame holds one record (codec.go).
 package wal
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -181,13 +180,14 @@ func (l *MemLog) Records() ([]Record, error) {
 // Close implements Log.
 func (l *MemLog) Close() error { return nil }
 
-// FileLog is the file-backed Log: JSON-encoded records in a FrameFile.
+// FileLog is the file-backed Log: one record per FrameFile frame (codec.go).
 type FileLog struct {
-	mu   sync.Mutex
-	ff   *FrameFile
-	next int64
-	sync bool
-	m    *metrics.Registry
+	mu     sync.Mutex
+	ff     *FrameFile
+	next   int64
+	frames int // records in the file: a read allocates its slice once
+	sync   bool
+	m      *metrics.Registry
 }
 
 // SetMetrics attaches a registry; appends, written bytes and fsyncs are
@@ -211,6 +211,7 @@ func OpenFile(path string, syncEvery bool) (*FileLog, error) {
 		// max, not last: compaction puts the checkpoint record ahead
 		// of fuzzy-window records with smaller LSNs.
 		l.next = max(l.next, r.LSN)
+		l.frames++
 		return err
 	})
 	if err != nil {
@@ -218,12 +219,6 @@ func OpenFile(path string, syncEvery bool) (*FileLog, error) {
 	}
 	l.ff = ff
 	return l, nil
-}
-
-func decodeRecord(p []byte) (Record, error) {
-	var r Record
-	err := json.Unmarshal(p, &r)
-	return r, err
 }
 
 // Append implements Log.
@@ -248,14 +243,15 @@ func (l *FileLog) AppendNoSync(r Record) (int64, error) {
 
 func (l *FileLog) appendLocked(r Record) (int64, error) {
 	r.LSN = l.next + 1
-	b, err := json.Marshal(r)
+	b, err := encodeRecord(&r)
 	if err != nil {
-		return 0, fmt.Errorf("wal: marshal: %w", err)
+		return 0, err
 	}
 	if err := l.ff.Append(b); err != nil {
 		return 0, err
 	}
 	l.next = r.LSN
+	l.frames++
 	l.m.Inc(metrics.WALAppends)
 	l.m.Add(metrics.WALBytes, int64(frameHeader+len(b)))
 	return r.LSN, nil
@@ -288,7 +284,7 @@ func (l *FileLog) Records() ([]Record, error) {
 }
 
 func (l *FileLog) recordsLocked() ([]Record, error) {
-	var out []Record
+	out := make([]Record, 0, l.frames)
 	err := l.ff.Scan(func(p []byte) error {
 		r, err := decodeRecord(p)
 		if err != nil {

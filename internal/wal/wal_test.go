@@ -3,10 +3,12 @@ package wal
 import (
 	"bufio"
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -162,13 +164,37 @@ func TestForeignFileIsCorrupt(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wal.log")
 	openMustBeCorrupt(t, path, []byte("{\"lsn\":1,\"type\":0,\"proc\":\"W1\"}\n{\"lsn\":2,\"type\":8,\"proc\":\"W1\"}\n"), "JSONL log")
 	openMustBeCorrupt(t, path, []byte("{\"l"), "short JSONL fragment")
-	// An intact frame whose payload the record codec rejects.
+	// An intact frame, then one whose payload the record codec rejects.
 	_, data := sixRecordLog(t)
-	openMustBeCorrupt(t, path, frameImage("{\"lsn\":1,\"type\":0,\"proc\":\"W1\"}", "not json"), "undecodable payload")
+	openMustBeCorrupt(t, path, frameImage(string(enc(Record{LSN: 1, Type: RecStart, Proc: "W1"})), "not a record"), "undecodable payload")
 	// Intact frames after a frame that was cut short.
 	b := FrameBounds(data)
 	spliced := append(append([]byte(nil), data[:b[3]-4]...), data[b[3]:]...)
 	openMustBeCorrupt(t, path, spliced, "frame cut short mid-file")
+}
+
+// A frame file whose payloads are records in the retired JSON format is
+// refused, by name, and left untouched: there is no JSON reader and no
+// migration.
+func TestRetiredJSONPayloadsAreCorrupt(t *testing.T) {
+	t.Parallel()
+	path := filepath.Join(t.TempDir(), "wal.log")
+	var payloads []string
+	for _, r := range []Record{
+		{LSN: 1, Type: RecStart, Proc: "W1"},
+		{LSN: 2, Type: RecCheckpoint, Checkpoint: &Checkpoint{Horizon: 1, AppliedSvc: map[string]int64{"a": 1}}},
+	} {
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payloads = append(payloads, string(b))
+	}
+	image := frameImage(payloads...)
+	openMustBeCorrupt(t, path, image, "JSON-payload frames")
+	if _, err := OpenFile(path, false); err == nil || !strings.Contains(err.Error(), "retired JSON") {
+		t.Fatalf("error %v does not name the retired format", err)
+	}
 }
 
 // frameImage builds a log image holding the given payloads.
