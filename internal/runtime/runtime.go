@@ -34,10 +34,12 @@
 //     section; the in-flight invocation is registered first so
 //     concurrent decisions see it as a survivor in the forced-order
 //     graph. Lock order is Runtime.mu -> subsystem.mu.
-//   - Force-logs are written in section order and synced outside it: on
-//     a log with a sync phase only a write-ahead record waits — its
+//   - Force-logs, the 2PC coordinator's included, are written in section
+//     order and synced outside it: on a log with a sync phase only a
+//     write-ahead record whose commit is durable on its own waits — its
 //     worker leaves the section, still in flight, until one shared sync
-//     covers the record, and re-enters the transition.
+//     covers the record, and re-enters the transition. A store-backed
+//     subsystem's commit is not: its pages follow the log's sync.
 //   - The section's condition variable is broadcast after every state
 //     mutation; blocked workers re-evaluate their gates. Two stall
 //     breakers run: a precise park-time wait-for analysis that
@@ -52,6 +54,7 @@ package runtime
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	gort "runtime"
 	"sync"
@@ -243,8 +246,6 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 		glog = wal.NewGroupAppender(cfg.Log, wal.GroupCommit{}, cfg.Inject)
 		cfg.Log = glog
 	}
-	coord := twopc.New(cfg.Log)
-	coord.Inject = cfg.Inject
 	r := &Runtime{
 		cfg:     cfg,
 		fed:     fed,
@@ -255,6 +256,8 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 		done:    make(chan struct{}),
 		stopCh:  make(chan struct{}),
 	}
+	coord := twopc.New(coordLog{r})
+	coord.Inject = cfg.Inject
 	r.drv = &scheduler.Driver{
 		Host:       runtimeHost{r},
 		Fed:        fed,
@@ -325,22 +328,32 @@ func (h runtimeHost) Now() int64 {
 	return int64(time.Since(h.r.start) / h.r.cfg.Tick)
 }
 
-// ForceLog writes a record unless the run already crashed. The
-// checkpointer runs inside the guard: an injected crash sentinel unwinds
-// into guard's recover like any other force-log crash. On a log with a
-// sync phase nothing waits for a sync here: a write-ahead record is
-// written and refused, its worker waits for the sync outside the section
-// (awaitSync) and re-enters the transition, whose ForceLog accepts it.
+// ForceLog writes a record unless the run already crashed.
 func (h runtimeHost) ForceLog(rec wal.Record) bool {
-	r := h.r
+	_, ok := h.r.forceLog(rec)
+	return ok
+}
+
+// forceLog writes a record unless the run already crashed, and returns
+// its LSN. The checkpointer runs inside the guard: an injected crash
+// sentinel unwinds into guard's recover like any other force-log crash.
+// On a log with a sync phase nothing waits for a sync here: a
+// write-ahead record that must be durable first (syncFirst) is written
+// and refused, its worker waits for the sync outside the section
+// (awaitSync) and re-enters the transition, whose force-log accepts it.
+func (r *Runtime) forceLog(rec wal.Record) (int64, bool) {
 	if r.stopped() {
-		return false
+		return 0, false
 	}
 	var m *member // set for a write-ahead record that must wait
 	if r.glog != nil && rec.WriteAhead() {
-		if m = r.members[process.ID(rec.Proc).Origin()]; m.ahead > 0 {
+		m = r.members[process.ID(rec.Proc).Origin()]
+		if lsn := m.ahead; lsn > 0 {
 			m.ahead = 0 // the re-entry: written and synced
-			return true
+			return lsn, true
+		}
+		if !r.syncFirst(m, rec) {
+			m = nil
 		}
 	}
 	var lsn int64
@@ -363,14 +376,53 @@ func (h runtimeHost) ForceLog(rec wal.Record) bool {
 	// in another worker, whose guard has not stopped the run yet: the
 	// record is not in the log.
 	if !ok || lsn == 0 {
-		return false
+		return 0, false
 	}
 	if m != nil {
 		m.ahead = lsn
+		return lsn, false
+	}
+	return lsn, true
+}
+
+// syncFirst reports whether a write-ahead record must be durable before
+// its transition goes on, because a commit it announces is durable on
+// its own. At a store-backed subsystem it is not
+// (subsystem.CommitsBehindLog): its pages reach the device only behind
+// the log's own sync, so the record is durable before the commit is,
+// and nothing waits here. A 2PC decision announces the commits of the
+// process's whole prepared set.
+func (r *Runtime) syncFirst(m *member, rec wal.Record) bool {
+	if rec.Type == wal.RecDecision {
+		for _, ptx := range m.Prepared {
+			if !ptx.Sub.CommitsBehindLog() {
+				return true
+			}
+		}
 		return false
 	}
-	return true
+	sub, ok := r.fed.Subsystem(rec.Subsystem)
+	return !ok || !sub.CommitsBehindLog()
 }
+
+// errRefused is how the 2PC coordinator sees a refused force-log.
+var errRefused = errors.New("runtime: force-log refused")
+
+// coordLog is the log of the runtime's 2PC coordinator: the same
+// force-log, so a resolution never waits for a sync and a decision
+// waits outside the section like every other write-ahead record (the
+// hub's coordinator log does the same).
+type coordLog struct{ r *Runtime }
+
+func (l coordLog) Append(rec wal.Record) (int64, error) {
+	lsn, ok := l.r.forceLog(rec)
+	if !ok {
+		return 0, errRefused
+	}
+	return lsn, nil
+}
+func (l coordLog) Records() ([]wal.Record, error) { return l.r.log.Records() }
+func (l coordLog) Close() error                   { return nil }
 
 // awaitSync waits, outside the section and counted in flight, until a
 // sync covered lsn; false when the run stopped meanwhile. Called with mu
@@ -908,7 +960,7 @@ func (r *Runtime) step(m *member) (stepKind, scheduler.Work) {
 				m.waitAlts = [][]process.ID{d.Pol.ActiveConflictPreds(d, p.ID)}
 				return sWait, scheduler.Work{}
 			}
-			if !r.commitPreparedSet(p) {
+			if !r.commitPreparedSet(m) {
 				return sWait, scheduler.Work{}
 			}
 		}
@@ -927,7 +979,7 @@ func (r *Runtime) step(m *member) (stepKind, scheduler.Work) {
 		if d.Pol.HasActiveConflictPred(d, p.ID) {
 			deferAlt = d.Pol.ActiveConflictPreds(d, p.ID)
 		} else {
-			if !r.commitPreparedSet(p) {
+			if !r.commitPreparedSet(m) {
 				return sWait, scheduler.Work{} // injected crash mid-2PC
 			}
 			return sAgain, scheduler.Work{} // successors joined the frontier
@@ -991,17 +1043,31 @@ func (r *Runtime) register(p *scheduler.Proc, w scheduler.Work) (stepKind, sched
 
 // commitPreparedSet runs the driver's 2PC commit under the crash guard:
 // the coordinator's crash points must not unwind past the critical
-// section. Called with mu held (lock order mu -> subsystem.mu).
-func (r *Runtime) commitPreparedSet(p *scheduler.Proc) bool {
-	var ok bool
-	var err error
-	if !r.guard(func() { ok, err = r.drv.CommitPreparedSet(p) }) {
-		return false // injected crash mid-2PC; recovery finishes the job
+// section. A decision that must be durable first is written and
+// refused; the worker waits for its sync outside the section, still in
+// flight, and commits again, which now accepts it — the decision is in
+// the log, so nothing may come between. Called with mu held (lock order
+// mu -> subsystem.mu).
+func (r *Runtime) commitPreparedSet(m *member) bool {
+	for {
+		var ok bool
+		var err error
+		if !r.guard(func() { ok, err = r.drv.CommitPreparedSet(m.Proc) }) {
+			return false // injected crash mid-2PC; recovery finishes the job
+		}
+		switch {
+		case m.ahead > 0:
+			if !r.awaitSync(m.ahead) {
+				return false
+			}
+			continue
+		case errors.Is(err, errRefused):
+			return false // not logged: the run is ending
+		case err != nil:
+			r.fail(err)
+		}
+		return ok
 	}
-	if err != nil {
-		r.fail(err)
-	}
-	return ok
 }
 
 // terminate emits the terminal event and releases the admission slot

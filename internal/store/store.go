@@ -164,6 +164,11 @@ func (s *Store) Health() Health {
 	return s.health
 }
 
+// LogFirst reports whether the write-ahead barrier (Options.Barrier)
+// runs before every page write-back: nothing this store holds reaches
+// the device ahead of the log.
+func (s *Store) LogFirst() bool { return s.opts.Barrier != nil }
+
 // LSN returns the store-wide mutation sequence number.
 func (s *Store) LSN() int64 {
 	s.mu.Lock()

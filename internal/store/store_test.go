@@ -267,25 +267,34 @@ func TestStoreEvictionUnderTinyPool(t *testing.T) {
 	}
 }
 
+// barrierDevice checks the write-ahead rule at the device: every page
+// write comes after a barrier that ran after the last completed
+// mutation, so the log the barrier syncs covers what the page holds.
+type barrierDevice struct {
+	*MemDevice
+	t                   *testing.T
+	mutations, synced   int // completed Puts; mutations at the last barrier
+	writes, barrierRuns int
+}
+
+func (d *barrierDevice) WritePage(id PageID, buf []byte) error {
+	if d.synced != d.mutations {
+		d.t.Errorf("page %d written after %d mutations, but the last barrier ran after %d", id, d.mutations, d.synced)
+	}
+	d.writes++
+	return d.MemDevice.WritePage(id, buf)
+}
+
+func (d *barrierDevice) barrier() error {
+	d.synced = d.mutations
+	d.barrierRuns++
+	return nil
+}
+
 func TestStoreBarrierRunsBeforePageWrites(t *testing.T) {
 	t.Parallel()
-	dev := NewMemDevice()
-	writes, barriers := 0, 0
-	var st *Store
-	var err error
-	st, err = Open(dev, Options{
-		PoolPages: 2,
-		Barrier: func() error {
-			// Write-ahead rule: at each barrier call, no page write may
-			// have happened since the last barrier.
-			if writes != 0 {
-				t.Errorf("page write preceded WAL barrier")
-			}
-			barriers++
-			writes = 0
-			return nil
-		},
-	})
+	dev := &barrierDevice{MemDevice: NewMemDevice(), t: t}
+	st, err := Open(dev, Options{PoolPages: 2, Barrier: dev.barrier})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,12 +302,13 @@ func TestStoreBarrierRunsBeforePageWrites(t *testing.T) {
 		if err := st.Put(fmt.Sprintf("key/%05d", i), int64(i)); err != nil {
 			t.Fatal(err)
 		}
+		dev.mutations++
 	}
 	if _, err := st.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if barriers == 0 {
-		t.Fatal("no barrier calls despite dirty page writes")
+	if dev.writes == 0 || dev.barrierRuns == 0 {
+		t.Fatalf("%d page writes, %d barriers: the pool never wrote back", dev.writes, dev.barrierRuns)
 	}
 }
 

@@ -148,6 +148,17 @@ func (s *Subsystem) DurableStore() *store.Store {
 	return s.durable
 }
 
+// CommitsBehindLog reports whether a commit here reaches stable storage
+// only behind the write-ahead log: an attached store runs the log's
+// sync before every page write-back (store.Store.LogFirst). A commit
+// anywhere else is durable on its own — an external resource manager's,
+// or the in-memory model of one, which a crash does not take — so the
+// record announcing it must be durable before the commit happens.
+func (s *Subsystem) CommitsBehindLog() bool {
+	st := s.DurableStore()
+	return st != nil && st.LogFirst()
+}
+
 // FlushStore flushes the attached store's dirty pages (no-op without
 // one). It returns the number of pages written and the first deferred
 // write-through error, if any.

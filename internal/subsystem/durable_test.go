@@ -23,6 +23,20 @@ func durableSub(t *testing.T, st *store.Store) *Subsystem {
 	return s
 }
 
+// TestCommitsBehindLog: a commit waits for no log sync of its own only
+// at a subsystem whose store runs the log's sync before its pages.
+func TestCommitsBehindLog(t *testing.T) {
+	if New("DB", 1).CommitsBehindLog() {
+		t.Fatal("an in-memory subsystem commits behind the log")
+	}
+	if durableSub(t, store.OpenMem(store.Options{})).CommitsBehindLog() {
+		t.Fatal("a store without a barrier commits behind the log")
+	}
+	if !durableSub(t, store.OpenMem(store.Options{Barrier: func() error { return nil }})).CommitsBehindLog() {
+		t.Fatal("a store with a barrier does not commit behind the log")
+	}
+}
+
 // TestDurableRoundTrip commits work, reopens the store into a fresh
 // subsystem, and expects items, baselines, tx floor and fates back.
 func TestDurableRoundTrip(t *testing.T) {
