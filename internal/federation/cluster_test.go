@@ -168,6 +168,30 @@ func TestClusterBasic(t *testing.T) {
 	checkDriverWorked(t, reg, res)
 }
 
+// TestClusterRefusesUnguaranteedTermination: the hub validates its
+// definitions like the engines validate their jobs, so a process of two
+// pivots in sequence without an all-retriable alternative is refused
+// with the engines' error before any node starts.
+func TestClusterRefusesUnguaranteedTermination(t *testing.T) {
+	w := workload.MustGenerate(fedProfile(1))
+	if len(w.Pool.Pivot) < 2 {
+		t.Fatalf("workload has %d pivot services, want two", len(w.Pool.Pivot))
+	}
+	bad := process.NewBuilder("BAD2").
+		Add(1, w.Pool.Pivot[0], activity.Pivot).
+		Add(2, w.Pool.Pivot[1], activity.Pivot).
+		Seq(1, 2).
+		MustBuild()
+	c, err := federation.NewCluster(w.Fed, append(defsOf(w), bad), federation.Config{Nodes: 2})
+	if err == nil {
+		c.Close()
+		t.Fatal("the cluster accepted a process without guaranteed termination")
+	}
+	if want := "scheduler: process BAD2 lacks guaranteed termination"; !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q, want it to contain %q", err, want)
+	}
+}
+
 // TestClusterFailures injects deterministic permanent failures and
 // checks every origin still reaches a terminal fate across 1, 2 and 4
 // nodes, with the stitched history PRED each time.

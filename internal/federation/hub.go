@@ -189,8 +189,16 @@ type Hub struct {
 }
 
 // NewHub builds the hub over a federation and the process definitions
-// (by origin id; restart incarnations derive from them).
+// (by origin id; restart incarnations derive from them). The definitions
+// pass the same validation as the engines' jobs.
 func NewHub(fed *subsystem.Federation, defs []*process.Process, cfg HubConfig) (*Hub, error) {
+	jobs := make([]scheduler.Job, len(defs))
+	for i, p := range defs {
+		jobs[i] = scheduler.Job{Proc: p}
+	}
+	if err := scheduler.ValidateJobs(fed, jobs); err != nil {
+		return nil, err
+	}
 	table, err := fed.ConflictTable()
 	if err != nil {
 		return nil, err

@@ -13,6 +13,7 @@
 package process
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 	"strconv"
@@ -193,6 +194,32 @@ func (p *Process) String() string {
 		s += p.byID[id].String()
 	}
 	return s + "}"
+}
+
+// ShapeKey is a canonical encoding of exactly what the guaranteed-
+// termination explorer reads of the process: the local ids in ascending
+// order with their kinds, and each node's alternative chains in
+// declaration order. It leaves out the process id, the service names and
+// the compensation names, so processes with equal keys get the same
+// verdict from ValidateGuaranteedTermination; only the names in an error
+// text differ.
+func (p *Process) ShapeKey() string {
+	b := make([]byte, 0, 4*len(p.order))
+	b = binary.AppendUvarint(b, uint64(len(p.order)))
+	for _, id := range p.order {
+		b = binary.AppendUvarint(b, uint64(id))
+		b = append(b, byte(p.byID[id].Kind))
+	}
+	for _, id := range p.order {
+		b = binary.AppendUvarint(b, uint64(len(p.chains[id])))
+		for _, chain := range p.chains[id] {
+			b = binary.AppendUvarint(b, uint64(len(chain)))
+			for _, t := range chain {
+				b = binary.AppendUvarint(b, uint64(t))
+			}
+		}
+	}
+	return string(b)
 }
 
 // DefaultCompensationName derives the compensating service name used when

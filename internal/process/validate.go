@@ -164,7 +164,7 @@ func Executions(p *Process) ([]Execution, error) {
 func ValidateGuaranteedTermination(p *Process) error {
 	var explore func(in *Instance) error
 	explore = func(in *Instance) error {
-		if _, err := in.Clone().Completion(); err != nil {
+		if _, err := in.Completion(); err != nil {
 			return fmt.Errorf("completion not computable: %w", err)
 		}
 		if in.Terminated() || (in.Done() && !in.Aborting()) {

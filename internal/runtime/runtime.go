@@ -146,7 +146,9 @@ type Result struct {
 	Schedule *schedule.Schedule
 	Metrics  scheduler.Metrics
 	Outcomes map[process.ID]*scheduler.Outcome
-	// Elapsed is the wall-clock duration of the run.
+	// Elapsed is the wall-clock duration of the run. It starts after job
+	// validation (scheduler.ValidateJobs) and ends before the Result is
+	// assembled, so it is shorter than the Run call.
 	Elapsed time.Duration
 	// ShardGroups is the number of serial sections of the run: always 1.
 	// bench/ still reads it (ROADMAP item 9 retires it).

@@ -211,12 +211,21 @@ type Job struct {
 
 // ValidateJobs checks that the processes of a job set have guaranteed
 // termination and reference only services the federation provides with
-// matching kinds; both engines run it before execution.
+// matching kinds; the engine, the runtime and the hub run it before
+// execution. Guaranteed termination is a property of the process
+// structure, so each distinct structure (process.ShapeKey) is explored
+// once per call; a failing job is explored on its own and returns at
+// once, so only proven shapes are remembered. The service checks stay
+// per job.
 func ValidateJobs(fed *subsystem.Federation, jobs []Job) error {
+	proven := make(map[string]bool)
 	for _, j := range jobs {
 		p := j.Proc
-		if err := process.ValidateGuaranteedTermination(p); err != nil {
-			return fmt.Errorf("scheduler: process %s lacks guaranteed termination: %w", p.ID, err)
+		if shape := p.ShapeKey(); !proven[shape] {
+			if err := process.ValidateGuaranteedTermination(p); err != nil {
+				return fmt.Errorf("scheduler: process %s lacks guaranteed termination: %w", p.ID, err)
+			}
+			proven[shape] = true
 		}
 		for _, a := range p.Activities() {
 			spec, ok := fed.Spec(a.Service)
