@@ -2,6 +2,8 @@ package process
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 
 	"transproc/internal/activity"
@@ -125,27 +127,49 @@ type chainKey struct {
 	node, idx int
 }
 
+// altPos records that a chain's chosen alternative moved past its
+// preferred one.
+type altPos struct {
+	key chainKey
+	idx int
+}
+
+// actState is an instance's state of one activity. An Instance keeps
+// one per activity, at the activity's position in the process's order.
+type actState struct {
+	status Status
+	// rank orders the committed activities by when they committed (1,
+	// 2, …; 0 for never): two activities ≪ leaves unordered are
+	// compensated in the reverse of it.
+	rank int
+	// comp marks an activity whose compensation is outstanding.
+	comp bool
+	// sel marks an activity on the currently chosen execution path.
+	sel bool
+}
+
 // Instance is the mutable execution state of a single process. It is the
 // control-flow oracle shared by schedulers, the schedule checker (for
 // replay) and the validators. Instance is not safe for concurrent use;
 // callers serialize access.
 type Instance struct {
-	p      *Process
-	status map[int]Status
-	// statusGen counts the writes to status: a reader that caches
+	p    *Process
+	acts []actState
+	// statusGen counts the writes to a status: a reader that caches
 	// something derived from the status vector (the scheduler's
 	// potential-completion masks) compares it instead of recomputing.
 	statusGen uint64
-	altIdx    map[chainKey]int
-	// commitRank orders the committed activities by when they committed
-	// (1, 2, …): two activities ≪ leaves unordered are compensated in the
-	// reverse of it.
-	commitRank map[int]int
+	// alts holds the chains whose alternative index is past 0, the
+	// preferred alternative; it stays empty on a failure-free run.
+	alts    []altPos
+	commits int // activities committed so far
+	// pendingComps counts the activities whose compensation is
+	// outstanding (actState.comp).
+	pendingComps int
 
 	// pendingAdvance holds, while a failure recovery is in progress, the
 	// chain to advance once the branch's compensations have been applied.
 	pendingAdvance *chainKey
-	pendingComp    map[int]bool // locals whose compensation is outstanding
 
 	aborting   bool // Abort was requested; completion in progress
 	terminated bool
@@ -154,24 +178,21 @@ type Instance struct {
 
 // NewInstance returns a fresh instance for the process.
 func NewInstance(p *Process) *Instance {
-	in := &Instance{
-		p:           p,
-		status:      make(map[int]Status, p.Len()),
-		altIdx:      make(map[chainKey]int),
-		commitRank:  make(map[int]int),
-		pendingComp: make(map[int]bool),
-	}
-	for _, id := range p.order {
-		in.status[id] = Pending
-	}
+	in := &Instance{p: p, acts: make([]actState, len(p.order))}
+	in.selectPath()
 	return in
 }
 
 // Process returns the process definition.
 func (in *Instance) Process() *Process { return in.p }
 
-// Status returns the status of an activity.
-func (in *Instance) Status(local int) Status { return in.status[local] }
+// Status returns the status of an activity (Pending for an unknown one).
+func (in *Instance) Status(local int) Status {
+	if i, ok := in.p.pos[local]; ok {
+		return in.acts[i].status
+	}
+	return Pending
+}
 
 // StatusGen changes whenever an activity's status does, and with it
 // possibly Mode and PotentialRecoveryServices.
@@ -179,8 +200,55 @@ func (in *Instance) StatusGen() uint64 { return in.statusGen }
 
 // set is the one writer of the status vector after construction.
 func (in *Instance) set(local int, st Status) {
-	in.status[local] = st
+	in.acts[in.p.pos[local]].status = st
 	in.statusGen++
+}
+
+// alt returns the index of the chosen alternative of a chain.
+func (in *Instance) alt(key chainKey) int {
+	for _, a := range in.alts {
+		if a.key == key {
+			return a.idx
+		}
+	}
+	return 0
+}
+
+// advance moves a chain to its next alternative and recomputes the
+// chosen execution path.
+func (in *Instance) advance(key chainKey) {
+	i := slices.IndexFunc(in.alts, func(a altPos) bool { return a.key == key })
+	if i < 0 {
+		in.alts = append(in.alts, altPos{key: key})
+		i = len(in.alts) - 1
+	}
+	in.alts[i].idx++
+	in.selectPath()
+}
+
+// selectPath marks the activities on the currently chosen execution
+// path. The path depends only on the alternative indexes, so it is
+// recomputed when one of them moves, never on a read.
+func (in *Instance) selectPath() {
+	for i := range in.acts {
+		in.acts[i].sel = false
+	}
+	for _, r := range in.p.roots {
+		in.selectFrom(r)
+	}
+}
+
+func (in *Instance) selectFrom(n int) {
+	st := &in.acts[in.p.pos[n]]
+	if st.sel {
+		return
+	}
+	st.sel = true
+	for ci, chain := range in.p.chains[n] {
+		if k := in.alt(chainKey{n, ci}); k < len(chain) {
+			in.selectFrom(chain[k])
+		}
+	}
 }
 
 // Terminated reports whether the process has reached a terminal state.
@@ -197,35 +265,12 @@ func (in *Instance) CommittedOutcome() bool { return in.terminated && in.committ
 // non-compensatable activity has committed (the state-determining
 // activity s_{i_0} is by construction the first such activity).
 func (in *Instance) Mode() Mode {
-	for id, st := range in.status {
-		if st == Committed && in.p.byID[id].Kind.NonCompensatable() {
+	for i := range in.acts {
+		if in.acts[i].status == Committed && in.p.acts[i].Kind.NonCompensatable() {
 			return FREC
 		}
 	}
 	return BREC
-}
-
-// selected computes the set of activities on the currently chosen
-// execution path.
-func (in *Instance) selected() map[int]bool {
-	sel := make(map[int]bool, in.p.Len())
-	var visit func(n int)
-	visit = func(n int) {
-		if sel[n] {
-			return
-		}
-		sel[n] = true
-		for ci, chain := range in.p.chains[n] {
-			k := in.altIdx[chainKey{n, ci}]
-			if k < len(chain) {
-				visit(chain[k])
-			}
-		}
-	}
-	for _, r := range in.p.roots {
-		visit(r)
-	}
-	return sel
 }
 
 // Frontier returns the local ids of activities that are ready to be
@@ -234,37 +279,34 @@ func (in *Instance) selected() map[int]bool {
 // A merely *prepared* predecessor does not enable its successors: its
 // commit is deferred and it may still be rolled back, and a rolled-back
 // activity must never have committed successors. The result is sorted.
-func (in *Instance) Frontier() []int {
-	if in.terminated || in.aborting {
-		return nil
+func (in *Instance) Frontier() []int { return in.AppendFrontier(nil) }
+
+// AppendFrontier appends Frontier to dst and returns the extended slice,
+// so a caller that keeps a buffer reads the frontier without allocating.
+func (in *Instance) AppendFrontier(dst []int) []int {
+	// While compensations of an abandoned branch are outstanding nothing
+	// is ready: all activities succeeding the abandoned alternative must
+	// have been compensated before the next alternative executes
+	// (Section 3.1).
+	if in.terminated || in.aborting || in.pendingComps > 0 {
+		return dst
 	}
-	sel := in.selected()
-	var out []int
-	for _, id := range in.p.order {
-		if in.status[id] != Pending || !sel[id] {
+	for i, id := range in.p.order {
+		if st := in.acts[i]; st.status != Pending || !st.sel {
 			continue
 		}
 		ready := true
 		for _, h := range in.p.preds[id] {
-			if in.status[h] != Committed {
+			if in.acts[in.p.pos[h]].status != Committed {
 				ready = false
 				break
 			}
 		}
-		if ready && !in.blockedByRecovery(id) {
-			out = append(out, id)
+		if ready {
+			dst = append(dst, id) // p.order is ascending
 		}
 	}
-	sort.Ints(out)
-	return out
-}
-
-// blockedByRecovery reports whether id is the alternative that is waiting
-// for compensations of the abandoned sibling branch to finish: all
-// activities succeeding the abandoned alternative must have been
-// compensated before the next alternative executes (Section 3.1).
-func (in *Instance) blockedByRecovery(id int) bool {
-	return len(in.pendingComp) > 0
+	return dst
 }
 
 // Done reports whether the selected path has fully executed (nothing
@@ -274,12 +316,11 @@ func (in *Instance) Done() bool {
 	if in.terminated {
 		return true
 	}
-	if len(in.pendingComp) > 0 || in.pendingAdvance != nil {
+	if in.pendingComps > 0 || in.pendingAdvance != nil {
 		return false
 	}
-	sel := in.selected()
-	for id, isSel := range sel {
-		if isSel && in.status[id] == Pending {
+	for _, st := range in.acts {
+		if st.sel && st.status == Pending {
 			return false
 		}
 	}
@@ -289,12 +330,11 @@ func (in *Instance) Done() bool {
 // PreparedSet returns the prepared (deferred-commit) activities, sorted.
 func (in *Instance) PreparedSet() []int {
 	var out []int
-	for id, st := range in.status {
-		if st == Prepared {
+	for i, id := range in.p.order {
+		if in.acts[i].status == Prepared {
 			out = append(out, id)
 		}
 	}
-	sort.Ints(out)
 	return out
 }
 
@@ -309,19 +349,21 @@ func (in *Instance) MarkPrepared(local int) error {
 // Pending activities commit directly (no deferral); prepared activities
 // commit when the two phase commit protocol completes.
 func (in *Instance) MarkCommitted(local int) error {
-	st, ok := in.status[local]
+	i, ok := in.p.pos[local]
 	if !ok {
 		return fmt.Errorf("process %s: unknown activity %d", in.p.ID, local)
 	}
-	if st != Pending && st != Prepared && !((st == Abandoned || st == AbortedPrepared) && in.aborting) {
+	st := &in.acts[i]
+	if s := st.status; s != Pending && s != Prepared && !((s == Abandoned || s == AbortedPrepared) && in.aborting) {
 		// Abandoned and rolled-back activities may still commit during
 		// an abort: the forward recovery path re-activates the
 		// lowest-priority retriable alternative and re-invokes
 		// rolled-back retriables.
-		return fmt.Errorf("process %s: activity %d cannot commit from %v", in.p.ID, local, st)
+		return fmt.Errorf("process %s: activity %d cannot commit from %v", in.p.ID, local, s)
 	}
 	in.set(local, Committed)
-	in.commitRank[local] = len(in.commitRank) + 1
+	in.commits++ // an activity commits at most once
+	st.rank = in.commits
 	return nil
 }
 
@@ -332,14 +374,23 @@ func (in *Instance) MarkCompensated(local int) error {
 	if err := in.transition(local, Committed, Compensated); err != nil {
 		return err
 	}
-	if in.pendingComp[local] {
-		delete(in.pendingComp, local)
-		if len(in.pendingComp) == 0 && in.pendingAdvance != nil {
-			in.altIdx[*in.pendingAdvance]++
+	if st := &in.acts[in.p.pos[local]]; st.comp {
+		st.comp = false
+		in.pendingComps--
+		if in.pendingComps == 0 && in.pendingAdvance != nil {
+			in.advance(*in.pendingAdvance)
 			in.pendingAdvance = nil
 		}
 	}
 	return nil
+}
+
+// expectCompensation marks local's compensation as outstanding.
+func (in *Instance) expectCompensation(local int) {
+	if st := &in.acts[in.p.pos[local]]; !st.comp {
+		st.comp = true
+		in.pendingComps++
+	}
 }
 
 // MarkAbortedPrepared records the rollback of a prepared activity.
@@ -364,11 +415,11 @@ func (in *Instance) MarkTerminated(committed bool) {
 }
 
 func (in *Instance) transition(local int, from, to Status) error {
-	st, ok := in.status[local]
+	i, ok := in.p.pos[local]
 	if !ok {
 		return fmt.Errorf("process %s: unknown activity %d", in.p.ID, local)
 	}
-	if st != from {
+	if st := in.acts[i].status; st != from {
 		return fmt.Errorf("process %s: activity %d is %v, want %v", in.p.ID, local, st, from)
 	}
 	in.set(local, to)
@@ -402,14 +453,14 @@ type FailurePlan struct {
 // process aborts; for an F-REC process this would violate guaranteed
 // termination and is reported as an error.
 func (in *Instance) MarkFailed(local int) (FailurePlan, error) {
-	a := in.p.byID[local]
+	a := in.p.Activity(local)
 	if a == nil {
 		return FailurePlan{}, fmt.Errorf("process %s: unknown activity %d", in.p.ID, local)
 	}
 	if a.Kind.GuaranteedToCommit() {
 		return FailurePlan{}, fmt.Errorf("process %s: retriable activity %d cannot fail permanently (Definition 3)", in.p.ID, local)
 	}
-	if st := in.status[local]; st != Pending {
+	if st := in.Status(local); st != Pending {
 		return FailurePlan{}, fmt.Errorf("process %s: activity %d is %v, cannot fail", in.p.ID, local, st)
 	}
 	in.set(local, Failed)
@@ -432,9 +483,9 @@ func (in *Instance) MarkFailed(local int) (FailurePlan, error) {
 	if err != nil {
 		return FailurePlan{}, err
 	}
-	next := in.p.chains[key.node][key.idx][in.altIdx[key]+1]
-	if len(in.pendingComp) == 0 {
-		in.altIdx[key]++
+	next := in.p.chains[key.node][key.idx][in.alt(key)+1]
+	if in.pendingComps == 0 {
+		in.advance(key)
 	} else {
 		k := key
 		in.pendingAdvance = &k
@@ -456,7 +507,7 @@ func (in *Instance) findChoicePoint(failed int) (chainKey, int, bool) {
 	for node, chains := range in.p.chains {
 		for ci, chain := range chains {
 			key := chainKey{node, ci}
-			k := in.altIdx[key]
+			k := in.alt(key)
 			if k >= len(chain)-1 {
 				continue // no later alternative
 			}
@@ -468,7 +519,7 @@ func (in *Instance) findChoicePoint(failed int) (chainKey, int, bool) {
 			// the branch cannot be abandoned (compensation unavailable).
 			pinned := false
 			for _, n := range in.p.Subtree(head) {
-				if in.status[n] == Committed && in.p.byID[n].Kind.NonCompensatable() {
+				if in.Status(n) == Committed && in.p.Activity(n).Kind.NonCompensatable() {
 					pinned = true
 					break
 				}
@@ -501,10 +552,9 @@ func (in *Instance) findChoicePoint(failed int) (chainKey, int, bool) {
 func (in *Instance) abandonNodes(nodes []int) ([]Step, error) {
 	var comp, rollback []int
 	for _, n := range nodes {
-		switch in.status[n] {
+		switch in.Status(n) {
 		case Committed:
-			a := in.p.byID[n]
-			if a.Kind.NonCompensatable() {
+			if in.p.Activity(n).Kind.NonCompensatable() {
 				return nil, fmt.Errorf("process %s: cannot abandon committed non-compensatable activity %d", in.p.ID, n)
 			}
 			comp = append(comp, n)
@@ -517,12 +567,12 @@ func (in *Instance) abandonNodes(nodes []int) ([]Step, error) {
 	in.sortReverseOrder(comp)
 	steps := make([]Step, 0, len(comp)+len(rollback))
 	for _, n := range comp {
-		in.pendingComp[n] = true
-		steps = append(steps, Step{Kind: StepCompensate, Local: n, Service: in.p.byID[n].Compensation})
+		in.expectCompensation(n)
+		steps = append(steps, Step{Kind: StepCompensate, Local: n, Service: in.p.Activity(n).Compensation})
 	}
 	for _, n := range rollback {
 		in.set(n, AbortedPrepared)
-		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.byID[n].Service})
+		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.Activity(n).Service})
 	}
 	return steps, nil
 }
@@ -541,7 +591,7 @@ func (in *Instance) sortReverseOrder(locals []int) {
 		if in.p.Before(a, b) {
 			return false
 		}
-		if ra, rb := in.commitRank[a], in.commitRank[b]; ra != rb {
+		if ra, rb := in.acts[in.p.pos[a]].rank, in.acts[in.p.pos[b]].rank; ra != rb {
 			return ra > rb
 		}
 		return a > b
@@ -553,8 +603,8 @@ func (in *Instance) sortReverseOrder(locals []int) {
 // every prepared activity.
 func (in *Instance) backwardRecoveryPlan() FailurePlan {
 	var comp, rollback []int
-	for _, id := range in.p.order {
-		switch in.status[id] {
+	for i, id := range in.p.order {
+		switch in.acts[i].status {
 		case Committed:
 			comp = append(comp, id)
 		case Prepared:
@@ -569,19 +619,19 @@ func (in *Instance) backwardRecoveryPlan() FailurePlan {
 	// compensations, and rollback is always safe (atomicity).
 	for _, n := range rollback {
 		in.set(n, AbortedPrepared)
-		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.byID[n].Service})
+		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.Activity(n).Service})
 	}
 	for _, n := range comp {
-		in.pendingComp[n] = true
-		steps = append(steps, Step{Kind: StepCompensate, Local: n, Service: in.p.byID[n].Compensation})
+		in.expectCompensation(n)
+		steps = append(steps, Step{Kind: StepCompensate, Local: n, Service: in.p.Activity(n).Compensation})
 	}
 	return FailurePlan{Abort: true, Steps: steps}
 }
 
 func (in *Instance) beginAbort() {
 	in.aborting = true
-	for _, id := range in.p.order {
-		if in.status[id] == Pending {
+	for i, id := range in.p.order {
+		if in.acts[i].status == Pending {
 			in.set(id, Abandoned)
 		}
 	}
@@ -607,8 +657,8 @@ func (in *Instance) Completion() ([]Step, error) {
 
 func (in *Instance) completionBackward() []Step {
 	var comp, rollback []int
-	for _, id := range in.p.order {
-		switch in.status[id] {
+	for i, id := range in.p.order {
+		switch in.acts[i].status {
 		case Committed:
 			comp = append(comp, id)
 		case Prepared:
@@ -619,10 +669,10 @@ func (in *Instance) completionBackward() []Step {
 	in.sortReverseOrder(rollback)
 	steps := make([]Step, 0, len(comp)+len(rollback))
 	for _, n := range rollback {
-		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.byID[n].Service})
+		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.Activity(n).Service})
 	}
 	for _, n := range comp {
-		steps = append(steps, Step{Kind: StepCompensate, Local: n, Service: in.p.byID[n].Compensation})
+		steps = append(steps, Step{Kind: StepCompensate, Local: n, Service: in.p.Activity(n).Compensation})
 	}
 	return steps
 }
@@ -646,7 +696,7 @@ func (in *Instance) completionForward() ([]Step, error) {
 		visited[n] = true
 		for ci, chain := range in.p.chains[n] {
 			key := chainKey{n, ci}
-			k := in.altIdx[key]
+			k := in.alt(key)
 			if k >= len(chain) {
 				continue
 			}
@@ -658,7 +708,7 @@ func (in *Instance) completionForward() ([]Step, error) {
 				j = k
 			}
 			m := chain[j]
-			switch in.status[m] {
+			switch in.Status(m) {
 			case Committed:
 				keep[m] = true
 			case Prepared:
@@ -667,18 +717,18 @@ func (in *Instance) completionForward() ([]Step, error) {
 				// considers committed activities). Roll it back and
 				// re-invoke if it is retriable and on the path.
 				rollback = append(rollback, m)
-				if in.p.byID[m].Kind == activity.Retriable {
+				if in.p.Activity(m).Kind == activity.Retriable {
 					invoke = append(invoke, m)
 				} else {
 					return fmt.Errorf("process %s: prepared non-retriable activity %d on forward recovery path", in.p.ID, m)
 				}
 			case Pending, Abandoned:
-				if in.p.byID[m].Kind != activity.Retriable {
+				if in.p.Activity(m).Kind != activity.Retriable {
 					return fmt.Errorf("process %s: forward recovery path contains non-retriable activity %d: guaranteed termination violated", in.p.ID, m)
 				}
 				invoke = append(invoke, m)
 			case Failed, Compensated, AbortedPrepared:
-				return fmt.Errorf("process %s: forward recovery path reaches activity %d in state %v", in.p.ID, m, in.status[m])
+				return fmt.Errorf("process %s: forward recovery path reaches activity %d in state %v", in.p.ID, m, in.Status(m))
 			}
 			if err := walk(m); err != nil {
 				return err
@@ -687,7 +737,7 @@ func (in *Instance) completionForward() ([]Step, error) {
 		return nil
 	}
 	for _, r := range in.p.roots {
-		switch in.status[r] {
+		switch in.Status(r) {
 		case Committed:
 			keep[r] = true
 		case Prepared:
@@ -697,7 +747,7 @@ func (in *Instance) completionForward() ([]Step, error) {
 			// has not started; it is not required for the completion.
 			continue
 		}
-		if in.status[r] == Committed || in.status[r] == Prepared {
+		if in.Status(r) == Committed || in.Status(r) == Prepared {
 			if err := walk(r); err != nil {
 				return nil, err
 			}
@@ -710,7 +760,7 @@ func (in *Instance) completionForward() ([]Step, error) {
 	var closeUp func(n int)
 	closeUp = func(n int) {
 		for _, h := range in.p.preds[n] {
-			if in.status[h] == Committed && !keepClosed[h] {
+			if in.Status(h) == Committed && !keepClosed[h] {
 				keepClosed[h] = true
 				closeUp(h)
 			}
@@ -726,10 +776,10 @@ func (in *Instance) completionForward() ([]Step, error) {
 
 	var comp []int
 	for _, id := range in.p.order {
-		switch in.status[id] {
+		switch in.Status(id) {
 		case Committed:
 			if !keepClosed[id] {
-				if in.p.byID[id].Kind.NonCompensatable() {
+				if in.p.Activity(id).Kind.NonCompensatable() {
 					return nil, fmt.Errorf("process %s: committed non-compensatable activity %d off the forward recovery path", in.p.ID, id)
 				}
 				comp = append(comp, id)
@@ -763,13 +813,13 @@ func (in *Instance) completionForward() ([]Step, error) {
 
 	steps := make([]Step, 0, len(comp)+len(rollback)+len(invoke))
 	for _, n := range rollback {
-		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.byID[n].Service})
+		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.Activity(n).Service})
 	}
 	for _, n := range comp {
-		steps = append(steps, Step{Kind: StepCompensate, Local: n, Service: in.p.byID[n].Compensation})
+		steps = append(steps, Step{Kind: StepCompensate, Local: n, Service: in.p.Activity(n).Compensation})
 	}
 	for _, n := range invoke {
-		steps = append(steps, Step{Kind: StepInvoke, Local: n, Service: in.p.byID[n].Service})
+		steps = append(steps, Step{Kind: StepInvoke, Local: n, Service: in.p.Activity(n).Service})
 	}
 	return steps, nil
 }
@@ -779,7 +829,7 @@ func (in *Instance) completionForward() ([]Step, error) {
 // to abandon).
 func (in *Instance) branchPinned(head int) bool {
 	for _, n := range in.p.Subtree(head) {
-		if in.status[n] == Committed && in.p.byID[n].Kind.NonCompensatable() {
+		if in.Status(n) == Committed && in.p.Activity(n).Kind.NonCompensatable() {
 			return true
 		}
 	}
@@ -810,7 +860,7 @@ func (in *Instance) ApplyStep(s Step) error {
 	case StepCompensate:
 		return in.MarkCompensated(s.Local)
 	case StepAbortPrepared:
-		if in.status[s.Local] == AbortedPrepared {
+		if in.Status(s.Local) == AbortedPrepared {
 			return nil // already recorded by the plan computation
 		}
 		return in.MarkAbortedPrepared(s.Local)
@@ -833,47 +883,54 @@ func (in *Instance) ApplyStep(s Step) error {
 // (the "quasi commit" exploitation of Example 10).
 func (in *Instance) PotentialRecoveryServices() map[string]bool {
 	out := make(map[string]bool)
-	// Anchors: committed non-compensatable activities.
-	var anchors []int
-	for _, id := range in.p.order {
-		if in.status[id] == Committed && in.p.byID[id].Kind.NonCompensatable() {
-			anchors = append(anchors, id)
-		}
-	}
-	for _, id := range in.p.order {
-		a := in.p.byID[id]
-		switch in.status[id] {
-		case Pending, Abandoned, Prepared, AbortedPrepared, Failed:
-			// Might (re-)execute on some path or during completion.
-			if in.status[id] != Failed {
-				out[a.Service] = true
-			}
-		case Committed:
-			if a.Kind != activity.Compensatable {
-				continue
-			}
-			// Compensation possible unless the activity is locked in
-			// before a committed non-compensatable anchor.
-			locked := false
-			for _, anc := range anchors {
-				if in.p.Before(id, anc) {
-					locked = true
-					break
-				}
-			}
-			if !locked {
-				out[a.Compensation] = true
-			}
-		}
+	for svc := range in.PotentialRecoveryServiceSeq() {
+		out[svc] = true
 	}
 	return out
 }
 
+// PotentialRecoveryServiceSeq yields the services of
+// PotentialRecoveryServices without building the set; a service may
+// come more than once.
+func (in *Instance) PotentialRecoveryServiceSeq() iter.Seq[string] {
+	return func(yield func(string) bool) { in.potentialRecoveryServices(yield) }
+}
+
+func (in *Instance) potentialRecoveryServices(yield func(string) bool) {
+	for i, id := range in.p.order {
+		a := &in.p.acts[i]
+		switch in.acts[i].status {
+		case Pending, Abandoned, Prepared, AbortedPrepared:
+			// Might (re-)execute on some path or during completion.
+			if !yield(a.Service) {
+				return
+			}
+		case Committed:
+			// Compensation possible unless the activity is locked in
+			// before a committed non-compensatable anchor.
+			if a.Kind == activity.Compensatable && !in.beforeAnchor(id) && !yield(a.Compensation) {
+				return
+			}
+		}
+	}
+}
+
+// beforeAnchor reports whether local is ≪-before a committed
+// non-compensatable activity.
+func (in *Instance) beforeAnchor(local int) bool {
+	for i, anc := range in.p.order {
+		if in.acts[i].status == Committed && in.p.acts[i].Kind.NonCompensatable() && in.p.Before(local, anc) {
+			return true
+		}
+	}
+	return false
+}
+
 // Snapshot returns a copy of the per-activity statuses, for reporting.
 func (in *Instance) Snapshot() map[int]Status {
-	out := make(map[int]Status, len(in.status))
-	for k, v := range in.status {
-		out[k] = v
+	out := make(map[int]Status, len(in.acts))
+	for i, id := range in.p.order {
+		out[id] = in.acts[i].status
 	}
 	return out
 }
@@ -881,31 +938,12 @@ func (in *Instance) Snapshot() map[int]Status {
 // Clone returns a deep copy of the instance (used by exhaustive
 // validators).
 func (in *Instance) Clone() *Instance {
-	cp := &Instance{
-		p:           in.p,
-		status:      make(map[int]Status, len(in.status)),
-		altIdx:      make(map[chainKey]int, len(in.altIdx)),
-		commitRank:  make(map[int]int, len(in.commitRank)),
-		pendingComp: make(map[int]bool, len(in.pendingComp)),
-		aborting:    in.aborting,
-		terminated:  in.terminated,
-		committed:   in.committed,
-	}
-	for k, v := range in.status {
-		cp.status[k] = v
-	}
-	for k, v := range in.altIdx {
-		cp.altIdx[k] = v
-	}
-	for k, v := range in.commitRank {
-		cp.commitRank[k] = v
-	}
-	for k, v := range in.pendingComp {
-		cp.pendingComp[k] = v
-	}
+	cp := *in
+	cp.acts = slices.Clone(in.acts)
+	cp.alts = slices.Clone(in.alts)
 	if in.pendingAdvance != nil {
 		k := *in.pendingAdvance
 		cp.pendingAdvance = &k
 	}
-	return cp
+	return &cp
 }

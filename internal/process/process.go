@@ -75,8 +75,13 @@ func (a *Activity) String() string {
 // alternative failed and was compensated). A node may have several
 // chains; the heads of all chains are activated in parallel (AND-split).
 type Process struct {
-	ID    ID
-	byID  map[int]*Activity
+	ID ID
+	// acts holds the activities by position: acts[i] is the activity
+	// with local id order[i]. pos is the lookup from local id to
+	// position; an Instance keeps its per-activity state in slices
+	// indexed the same way.
+	acts  []Activity
+	pos   map[int]int
 	order []int // local ids in deterministic (sorted) order
 
 	chains map[int][][]int // node -> list of alternative chains
@@ -91,15 +96,20 @@ type Process struct {
 
 // Activities returns the activities in ascending local-id order.
 func (p *Process) Activities() []*Activity {
-	out := make([]*Activity, 0, len(p.order))
-	for _, id := range p.order {
-		out = append(out, p.byID[id])
+	out := make([]*Activity, len(p.acts))
+	for i := range p.acts {
+		out[i] = &p.acts[i]
 	}
 	return out
 }
 
 // Activity returns the activity with the given local id, or nil.
-func (p *Process) Activity(local int) *Activity { return p.byID[local] }
+func (p *Process) Activity(local int) *Activity {
+	if i, ok := p.pos[local]; ok {
+		return &p.acts[i]
+	}
+	return nil
+}
 
 // Len returns the number of activities.
 func (p *Process) Len() int { return len(p.order) }
@@ -146,14 +156,13 @@ func (p *Process) Subtree(a int) []int {
 // only of compensatable activities it returns 0 and false.
 func (p *Process) StateDetermining() (int, bool) {
 	candidates := make([]int, 0, 2)
-	for _, id := range p.order {
-		a := p.byID[id]
-		if a.Kind == activity.Compensatable {
+	for i, id := range p.order {
+		if p.acts[i].Kind == activity.Compensatable {
 			continue
 		}
 		first := true
-		for other := range p.byID {
-			if other != id && p.Before(other, id) && p.byID[other].Kind != activity.Compensatable {
+		for j, other := range p.order {
+			if other != id && p.Before(other, id) && p.acts[j].Kind != activity.Compensatable {
 				first = false
 				break
 			}
@@ -173,8 +182,8 @@ func (p *Process) StateDetermining() (int, bool) {
 // sorted; useful for conservative locking baselines.
 func (p *Process) Services() []string {
 	set := make(map[string]bool)
-	for _, a := range p.byID {
-		set[a.Service] = true
+	for i := range p.acts {
+		set[p.acts[i].Service] = true
 	}
 	out := make([]string, 0, len(set))
 	for s := range set {
@@ -187,11 +196,11 @@ func (p *Process) Services() []string {
 // String renders the process compactly.
 func (p *Process) String() string {
 	s := fmt.Sprintf("%s{", p.ID)
-	for i, id := range p.order {
+	for i := range p.acts {
 		if i > 0 {
 			s += " "
 		}
-		s += p.byID[id].String()
+		s += p.acts[i].String()
 	}
 	return s + "}"
 }
@@ -206,9 +215,9 @@ func (p *Process) String() string {
 func (p *Process) ShapeKey() string {
 	b := make([]byte, 0, 4*len(p.order))
 	b = binary.AppendUvarint(b, uint64(len(p.order)))
-	for _, id := range p.order {
+	for i, id := range p.order {
 		b = binary.AppendUvarint(b, uint64(id))
-		b = append(b, byte(p.byID[id].Kind))
+		b = append(b, byte(p.acts[i].Kind))
 	}
 	for _, id := range p.order {
 		b = binary.AppendUvarint(b, uint64(len(p.chains[id])))
@@ -314,27 +323,31 @@ func (b *Builder) Build() (*Process, error) {
 	}
 	p := &Process{
 		ID:     b.id,
-		byID:   make(map[int]*Activity, len(b.acts)),
+		acts:   make([]Activity, 0, len(b.acts)),
+		pos:    make(map[int]int, len(b.acts)),
+		order:  make([]int, 0, len(b.acts)),
 		chains: make(map[int][][]int, len(b.chains)),
 		preds:  make(map[int][]int),
 		succs:  make(map[int][]int),
 		reach:  make(map[int]map[int]bool),
 	}
-	for id, a := range b.acts {
-		cp := *a
-		p.byID[id] = &cp
+	for id := range b.acts {
 		p.order = append(p.order, id)
 	}
 	sort.Ints(p.order)
+	for i, id := range p.order {
+		p.acts = append(p.acts, *b.acts[id])
+		p.pos[id] = i
+	}
 
 	seenEdge := make(map[[2]int]bool)
 	for h, chains := range b.chains {
-		if p.byID[h] == nil {
+		if p.Activity(h) == nil {
 			return nil, fmt.Errorf("process %s: chain from undeclared activity %d", b.id, h)
 		}
 		for _, chain := range chains {
 			for _, t := range chain {
-				if p.byID[t] == nil {
+				if p.Activity(t) == nil {
 					return nil, fmt.Errorf("process %s: chain from %d references undeclared activity %d", b.id, h, t)
 				}
 				if t == h {

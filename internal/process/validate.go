@@ -245,7 +245,7 @@ func IsWellFormedFlex(p *Process) (bool, string) {
 // that a pivot committed earlier on this path.
 func (p *Process) wellFormedFrom(n int, afterPivot bool) (bool, string) {
 	for {
-		a := p.byID[n]
+		a := p.Activity(n)
 		switch a.Kind {
 		case activity.Compensatable:
 			// fine in any position before the next pivot
@@ -323,8 +323,8 @@ func (p *Process) wellFormedFrom(n int, afterPivot bool) (bool, string) {
 // retriable.
 func (p *Process) allRetriableFrom(n int) (bool, string) {
 	for _, m := range p.Subtree(n) {
-		if p.byID[m].Kind != activity.Retriable {
-			return false, fmt.Sprintf("activity %d is %v", m, p.byID[m].Kind)
+		if k := p.Activity(m).Kind; k != activity.Retriable {
+			return false, fmt.Sprintf("activity %d is %v", m, k)
 		}
 	}
 	return true, ""

@@ -225,6 +225,8 @@ type Runtime struct {
 	// backoff), victims the victim aborts spent of MaxStalls.
 	completions int64
 	victims     int
+	// frontier is step's buffer for a process's frontier.
+	frontier []int
 
 	// err is the first run-terminating error (crash or failure), set
 	// lock-free: once it is, workers drain. stopCh is closed with it.
@@ -991,7 +993,8 @@ func (r *Runtime) step(m *member) (stepKind, scheduler.Work) {
 	// branches: pick the first dispatchable frontier activity.
 	var blocked [][]process.ID
 	complete := true
-	for _, local := range p.Inst.Frontier() {
+	r.frontier = p.Inst.AppendFrontier(r.frontier[:0])
+	for _, local := range r.frontier {
 		a := p.Def.Activity(local)
 		if !p.PredsCommitted(local) {
 			complete = false

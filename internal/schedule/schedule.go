@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -36,6 +37,7 @@ func New(table *conflict.Table, procs ...*process.Process) (*Schedule, error) {
 	s := &Schedule{
 		Table: table,
 		procs: make(map[process.ID]*process.Process, len(procs)),
+		order: make([]process.ID, 0, len(procs)),
 	}
 	for _, p := range procs {
 		if _, dup := s.procs[p.ID]; dup {
@@ -97,6 +99,9 @@ func (s *Schedule) append(e Event) error {
 func (s *Schedule) AppendUnchecked(e Event) {
 	s.events = append(s.events, e)
 }
+
+// Grow makes room for n more events, so that n appends do not copy.
+func (s *Schedule) Grow(n int) { s.events = slices.Grow(s.events, n) }
 
 // AddProcess registers an additional process after construction (used
 // for process restarts after cascading aborts).

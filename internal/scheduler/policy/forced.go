@@ -229,7 +229,7 @@ func (s *State) readPotentials(v View, n *node, ph Phase) {
 		}
 	case inst != nil:
 		n.potGen, n.frec = inst.StatusGen(), inst.Mode() == process.FREC
-		for svc := range inst.PotentialRecoveryServices() {
+		for svc := range inst.PotentialRecoveryServiceSeq() {
 			n.potConf = orInto(n.potConf, s.u.mask(s.u.intern(svc)))
 		}
 	}

@@ -396,19 +396,15 @@ func (s *State) EdgeList() [][2]process.ID {
 // position there); it can be checked with PRED(), Serializable() and
 // ProcessRecoverable().
 func (s *State) BuildSchedule(procs []*process.Process) *schedule.Schedule {
-	sched := schedule.MustNew(s.u.table.Clone())
-	for _, p := range procs {
-		if err := sched.AddProcess(p); err != nil {
-			panic(err)
-		}
-	}
-	var evs []*Event
+	sched := schedule.MustNew(s.u.table.Clone(), procs...)
+	evs := make([]*Event, 0, len(s.events))
 	for _, ev := range s.events {
 		if !ev.Erased && !ev.Tentative {
 			evs = append(evs, ev)
 		}
 	}
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Seq < evs[j].Seq })
+	sched.Grow(len(evs))
 	for _, ev := range evs {
 		sched.AppendUnchecked(schedule.Event{
 			Type: ev.Typ, Proc: ev.Proc, Local: ev.Local, Service: ev.Service,

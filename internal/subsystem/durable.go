@@ -233,27 +233,17 @@ func (s *Subsystem) restorePreparedLocked(id TxID, proc, service string) error {
 	if !ok {
 		return fmt.Errorf("subsystem %s: restoring tx %d: unknown service %q", s.name, id, service)
 	}
-	t := &txn{
-		id:      id,
-		proc:    proc,
-		service: service,
-		writes:  make(map[string]int64, len(sv.deltas)),
-		reads:   map[string]int64{},
-	}
-	for item, d := range sv.deltas {
-		t.writes[item] = d
-	}
+	t := &txn{id: id, proc: proc, service: service, writes: sv.writes, prepared: true}
 	// Re-acquire unconditionally: the pre-crash acquisition proved the
 	// locks compatible, and restarts restore intents before any new
 	// invocation runs.
 	s.lock(proc, sv)
-	t.prepared = true
 	s.inDoubt[t.id] = t
 	if id > s.nextTx {
 		s.nextTx = id
 		s.dPut(durNextTx, int64(id))
 	}
-	s.dPut(durIntent+txKey(id, proc, service), 1)
+	s.putIntentLocked(t)
 	return nil
 }
 
@@ -337,6 +327,14 @@ func (s *Subsystem) dDelete(key string) {
 	}
 	if err := s.durable.Delete(key); err != nil && s.durableErr == nil {
 		s.durableErr = err
+	}
+}
+
+// putIntentLocked persists that t is prepared here (no-op without a
+// store: the key is built only for one).
+func (s *Subsystem) putIntentLocked(t *txn) {
+	if s.durable != nil {
+		s.dPut(durIntent+txKey(t.id, t.proc, t.service), 1)
 	}
 }
 

@@ -80,7 +80,8 @@ func TestPropertyCounterAccounting(t *testing.T) {
 }
 
 // Property: the journal's net delta per item always equals the stored
-// value.
+// value, and the journal keeps its mutations in order across the chunks
+// it grows by (up to ~1,000 mutations).
 func TestPropertyJournalConsistency(t *testing.T) {
 	f := func(seed int64, opsRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -93,12 +94,16 @@ func TestPropertyJournalConsistency(t *testing.T) {
 			Name: "b", Kind: activity.Retriable, Subsystem: "rm",
 			WriteSet: []string{"j"}, FailureProb: 0.3,
 		})
-		for i := 0; i < int(opsRaw%40); i++ {
+		for i := 0; i < 3*int(opsRaw); i++ {
 			svc := []string{"a", "a⁻¹", "b"}[rng.Intn(3)]
 			s.Invoke("P", svc, AutoCommit)
 		}
 		net := map[string]int64{}
-		for _, m := range s.Journal() {
+		for i, m := range s.Journal() {
+			if m.Seq != int64(i+1) {
+				t.Logf("seed %d: journal entry %d has seq %d", seed, i, m.Seq)
+				return false
+			}
 			net[m.Item] += m.Delta
 		}
 		for item, v := range s.Snapshot() {

@@ -19,10 +19,12 @@ package subsystem
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
 	"transproc/internal/activity"
+	"transproc/internal/chunk"
 	"transproc/internal/metrics"
 	"transproc/internal/store"
 )
@@ -67,8 +69,7 @@ type txn struct {
 	id       TxID
 	proc     string
 	service  string
-	writes   map[string]int64 // buffered deltas
-	reads    map[string]int64
+	writes   []write // buffered deltas: its service's, shared, never written
 	prepared bool
 	// weakDeps holds commit-order dependencies of a weakly invoked
 	// transaction (Section 3.6); empty for strongly locked ones.
@@ -109,7 +110,7 @@ type Subsystem struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
 	store    map[string]int64
-	journal  []Mutation
+	journal  chunk.List[Mutation]
 	seq      int64
 	nextTx   TxID
 	services map[string]*svc
@@ -155,14 +156,25 @@ type Subsystem struct {
 	fates map[TxID]FateRecord
 }
 
+// write is one item a service writes and the delta it applies there.
+type write struct {
+	item  string
+	delta int64
+}
+
 type svc struct {
 	spec   activity.Spec
-	deltas map[string]int64 // write item -> delta
+	writes []write // one per write-set item, sorted by item
 	// family is the lock-compatibility family: the service's own name,
 	// or the base service's name for an auto-registered compensation
 	// (by perfect commutativity, a commutative service's inverse
 	// commutes with it and with itself).
 	family string
+}
+
+// writesItem reports whether the service writes item.
+func (sv *svc) writesItem(item string) bool {
+	return slices.ContainsFunc(sv.writes, func(w write) bool { return w.item == item })
 }
 
 // New returns an empty subsystem. The seed drives probabilistic failure
@@ -211,15 +223,18 @@ func (s *Subsystem) Register(spec activity.Spec) error {
 	if _, dup := s.services[spec.Name]; dup {
 		return fmt.Errorf("subsystem %s: duplicate service %q", s.name, spec.Name)
 	}
-	deltas := make(map[string]int64, len(spec.WriteSet))
-	for _, item := range spec.WriteSet {
-		deltas[item] = 1
+	items := slices.Clone(spec.WriteSet)
+	slices.Sort(items)
+	items = slices.Compact(items)
+	writes := make([]write, len(items))
+	for i, item := range items {
+		writes[i] = write{item, 1}
 	}
-	s.services[spec.Name] = &svc{spec: spec, deltas: deltas, family: spec.Name}
+	s.services[spec.Name] = &svc{spec: spec, writes: writes, family: spec.Name}
 	if spec.Kind == activity.Compensatable {
-		inv := make(map[string]int64, len(deltas))
-		for item, d := range deltas {
-			inv[item] = -d
+		inv := make([]write, len(writes))
+		for i, w := range writes {
+			inv[i] = write{w.item, -w.delta}
 		}
 		compSpec := activity.Spec{
 			Name:        spec.Compensation,
@@ -233,7 +248,7 @@ func (s *Subsystem) Register(spec activity.Spec) error {
 		if _, dup := s.services[compSpec.Name]; dup {
 			return fmt.Errorf("subsystem %s: compensation %q already registered", s.name, compSpec.Name)
 		}
-		s.services[compSpec.Name] = &svc{spec: compSpec, deltas: inv, family: spec.Name}
+		s.services[compSpec.Name] = &svc{spec: compSpec, writes: inv, family: spec.Name}
 	}
 	return nil
 }
@@ -405,31 +420,32 @@ func (s *Subsystem) invokeLocked(proc, service string, mode Mode) (*Result, erro
 
 	s.nextTx++
 	s.dPut(durNextTx, int64(s.nextTx))
-	t := &txn{
-		id:      s.nextTx,
-		proc:    proc,
-		service: service,
-		writes:  make(map[string]int64, len(sv.deltas)),
-		reads:   make(map[string]int64, len(sv.spec.ReadSet)),
-	}
-	for _, item := range sv.spec.ReadSet {
-		t.reads[item] = s.store[item]
-	}
-	for item, d := range sv.deltas {
-		t.writes[item] = d
-	}
-
+	reads := s.readLocked(sv)
 	if mode == AutoCommit {
-		s.applyLocked(t)
-		return &Result{Tx: t.id, Outcome: activity.Committed, Reads: t.reads}, nil
+		t := txn{id: s.nextTx, proc: proc, service: service, writes: sv.writes}
+		s.applyLocked(&t)
+		return &Result{Tx: t.id, Outcome: activity.Committed, Reads: reads}, nil
 	}
 	// Prepared: take the locks durably until 2PC resolution.
+	t := &txn{id: s.nextTx, proc: proc, service: service, writes: sv.writes, prepared: true}
 	s.lock(proc, sv)
-	t.prepared = true
 	s.inDoubt[t.id] = t
-	s.dPut(durIntent+txKey(t.id, proc, service), 1)
+	s.putIntentLocked(t)
 	s.m.Observe(metrics.HistInDoubt, int64(len(s.inDoubt)))
-	return &Result{Tx: t.id, Outcome: activity.Prepared, Reads: t.reads}, nil
+	return &Result{Tx: t.id, Outcome: activity.Prepared, Reads: reads}, nil
+}
+
+// readLocked returns the values of the service's read set (nil for an
+// empty one).
+func (s *Subsystem) readLocked(sv *svc) map[string]int64 {
+	if len(sv.spec.ReadSet) == 0 {
+		return nil
+	}
+	reads := make(map[string]int64, len(sv.spec.ReadSet))
+	for _, item := range sv.spec.ReadSet {
+		reads[item] = s.store[item]
+	}
+	return reads
 }
 
 // canLock reports whether proc could acquire the service's locks, and
@@ -445,8 +461,8 @@ func (s *Subsystem) canLock(proc string, sv *svc) (string, bool) {
 		}
 	}
 	commOK := sv.spec.Commutative
-	for item := range sv.deltas {
-		ls := s.locks[item]
+	for _, w := range sv.writes {
+		ls := s.locks[w.item]
 		if ls == nil {
 			continue
 		}
@@ -473,8 +489,8 @@ func (s *Subsystem) lock(proc string, sv *svc) {
 		}
 		ls.readers[proc]++
 	}
-	for item := range sv.deltas {
-		ls := s.lockState(item)
+	for _, w := range sv.writes {
+		ls := s.lockState(w.item)
 		if ls.writers == nil {
 			ls.writers = make(map[string]int)
 		}
@@ -505,8 +521,8 @@ func (s *Subsystem) unlock(t *txn) {
 			}
 		}
 	}
-	for item := range sv.deltas {
-		if ls := s.locks[item]; ls != nil && ls.writers[t.proc] > 0 {
+	for _, w := range sv.writes {
+		if ls := s.locks[w.item]; ls != nil && ls.writers[t.proc] > 0 {
 			ls.writers[t.proc]--
 			if ls.writers[t.proc] <= 0 {
 				delete(ls.writers, t.proc)
@@ -529,12 +545,14 @@ func (s *Subsystem) lockState(item string) *lockState {
 
 // applyLocked applies a transaction's writes to the store and journal.
 func (s *Subsystem) applyLocked(t *txn) {
-	for item, d := range t.writes {
-		s.store[item] += d
-		s.dPut(durData+item, s.store[item])
+	for _, w := range t.writes {
+		s.store[w.item] += w.delta
+		if s.durable != nil {
+			s.dPut(durData+w.item, s.store[w.item])
+		}
 		s.seq++
-		s.journal = append(s.journal, Mutation{
-			Seq: s.seq, Tx: t.id, Proc: t.proc, Service: t.service, Item: item, Delta: d,
+		s.journal.Append(Mutation{
+			Seq: s.seq, Tx: t.id, Proc: t.proc, Service: t.service, Item: w.item, Delta: w.delta,
 		})
 	}
 }
@@ -654,7 +672,7 @@ func (s *Subsystem) Snapshot() map[string]int64 {
 func (s *Subsystem) Journal() []Mutation {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return append([]Mutation(nil), s.journal...)
+	return s.journal.AppendTo(nil)
 }
 
 // Stats reports counters: total invocations, aborted invocations and

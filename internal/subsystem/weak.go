@@ -3,6 +3,7 @@ package subsystem
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"transproc/internal/activity"
 	"transproc/internal/metrics"
@@ -73,25 +74,12 @@ func (s *Subsystem) InvokeWeak(proc, service string) (*Result, []TxID, error) {
 
 	s.nextTx++
 	s.dPut(durNextTx, int64(s.nextTx))
-	t := &txn{
-		id:      s.nextTx,
-		proc:    proc,
-		service: service,
-		writes:  make(map[string]int64, len(sv.deltas)),
-		reads:   make(map[string]int64, len(sv.spec.ReadSet)),
-	}
-	for _, item := range sv.spec.ReadSet {
-		t.reads[item] = s.store[item]
-	}
-	for item, d := range sv.deltas {
-		t.writes[item] = d
-	}
-	t.prepared = true
-	t.weakDeps = append(t.weakDeps, deps...)
+	t := &txn{id: s.nextTx, proc: proc, service: service, writes: sv.writes, prepared: true, weakDeps: slices.Clone(deps)}
+	reads := s.readLocked(sv)
 	s.inDoubt[t.id] = t
-	s.dPut(durIntent+txKey(t.id, proc, service), 1)
+	s.putIntentLocked(t)
 	s.m.Observe(metrics.HistInDoubt, int64(len(s.inDoubt)))
-	return &Result{Tx: t.id, Outcome: activity.Prepared, Reads: t.reads}, deps, nil
+	return &Result{Tx: t.id, Outcome: activity.Prepared, Reads: reads}, deps, nil
 }
 
 // itemConflictLocked reports whether two services touch conflicting data
@@ -100,21 +88,14 @@ func (s *Subsystem) itemConflictLocked(a, b *svc) bool {
 	if a == nil || b == nil {
 		return false
 	}
-	for item := range a.deltas {
-		if _, w := b.deltas[item]; w {
+	for _, w := range a.writes {
+		if b.writesItem(w.item) || slices.Contains(b.spec.ReadSet, w.item) {
 			return true
 		}
-		for _, r := range b.spec.ReadSet {
-			if r == item {
-				return true
-			}
-		}
 	}
-	for item := range b.deltas {
-		for _, r := range a.spec.ReadSet {
-			if r == item {
-				return true
-			}
+	for _, w := range b.writes {
+		if slices.Contains(a.spec.ReadSet, w.item) {
+			return true
 		}
 	}
 	return false

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 
+	"transproc/internal/chunk"
 	"transproc/internal/metrics"
 )
 
@@ -452,7 +453,7 @@ type Compactor interface {
 func (l *MemLog) Compact(inject func(string)) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	kept := compacted(l.recs)
+	kept := compacted(l.recs.AppendTo(nil))
 	if kept == nil {
 		return nil
 	}
@@ -460,7 +461,10 @@ func (l *MemLog) Compact(inject func(string)) error {
 		inject(PointCompactRename)
 		inject(PointCompactDirSync)
 	}
-	l.recs = kept
+	l.recs = chunk.List[Record]{}
+	for _, r := range kept {
+		l.recs.Append(r)
+	}
 	l.m.Inc(metrics.Compactions)
 	return nil
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -310,5 +311,45 @@ func TestCheckpointRecordRoundTrips(t *testing.T) {
 	}
 	if len(recs) != 1 || !reflect.DeepEqual(recs[0].Checkpoint, cp) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", recs, cp)
+	}
+}
+
+// TestMemCompactAcrossChunks checkpoints and compacts an in-memory log
+// that spans several chunks, then keeps appending: the compacted log is
+// the checkpoint plus the post-horizon tail, and later records follow it
+// with rising LSNs.
+func TestMemCompactAcrossChunks(t *testing.T) {
+	l := NewMemLog()
+	for i := 0; i < 200; i++ { // 800 records: more than three chunks
+		termProc(t, l, fmt.Sprintf("T%d", i), "a")
+	}
+	liveProc(t, l, "L1", "b")
+	cp, err := TakeCheckpoint(l, nil, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	termProc(t, l, "T-late", "c")
+	if err := l.Compact(nil); err != nil {
+		t.Fatal(err)
+	}
+	recs, _ := l.Records()
+	if len(recs) != 5 || recs[0].Type != RecCheckpoint || recs[0].LSN != cp.Horizon+1 {
+		t.Fatalf("compacted log: %d records, first %v", len(recs), recs[0].Type)
+	}
+	for i := 0; i < 100; i++ {
+		liveProc(t, l, fmt.Sprintf("N%d", i), "d")
+	}
+	recs, _ = l.Records()
+	if len(recs) != 5+300 {
+		t.Fatalf("%d records after compaction and appends, want %d", len(recs), 5+300)
+	}
+	for i := 2; i < len(recs); i++ {
+		if recs[i].LSN <= recs[i-1].LSN {
+			t.Fatalf("record %d: lsn %d after %d", i, recs[i].LSN, recs[i-1].LSN)
+		}
+	}
+	exp := Expand(recs)
+	if exp.Checkpoint == nil || exp.Checkpoint.Horizon != cp.Horizon || len(exp.Records) != 3+4+300 {
+		t.Fatalf("expansion: checkpoint %v, %d records; want horizon %d, L1's 3 + 304 tail records", exp.Checkpoint, len(exp.Records), cp.Horizon)
 	}
 }

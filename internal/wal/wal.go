@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sync"
 
+	"transproc/internal/chunk"
 	"transproc/internal/metrics"
 )
 
@@ -134,10 +135,11 @@ type Instrumented interface {
 	SetMetrics(*metrics.Registry)
 }
 
-// MemLog is an in-memory Log, useful for tests and simulations.
+// MemLog is an in-memory Log, useful for tests and simulations. Its
+// records sit in a chunk list: an append never copies the ones before.
 type MemLog struct {
 	mu   sync.Mutex
-	recs []Record
+	recs chunk.List[Record]
 	next int64
 	m    *metrics.Registry
 }
@@ -158,7 +160,7 @@ func (l *MemLog) Append(r Record) (int64, error) {
 	defer l.mu.Unlock()
 	l.next++
 	r.LSN = l.next
-	l.recs = append(l.recs, r)
+	l.recs.Append(r)
 	l.m.Inc(metrics.WALAppends)
 	return r.LSN, nil
 }
@@ -174,7 +176,7 @@ func (l *MemLog) Sync() error { return nil }
 func (l *MemLog) Records() ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]Record(nil), l.recs...), nil
+	return l.recs.AppendTo(nil), nil
 }
 
 // Close implements Log.

@@ -294,3 +294,40 @@ func TestRecTypeString(t *testing.T) {
 		t.Fatal("unknown label")
 	}
 }
+
+// TestMemLogAcrossChunks appends enough records to fill several chunks
+// of the in-memory log: records and LSNs come back in append order.
+func TestMemLogAcrossChunks(t *testing.T) {
+	l := NewMemLog()
+	const n = 3*256 + 50 // past three full chunks
+	for i := 1; i <= n; i++ {
+		lsn, err := l.Append(Record{Type: RecDispatch, Proc: "P", Local: i})
+		if err != nil || lsn != int64(i) {
+			t.Fatalf("append %d: lsn %d, %v", i, lsn, err)
+		}
+	}
+	recs, _ := l.Records()
+	if len(recs) != n {
+		t.Fatalf("%d records, want %d", len(recs), n)
+	}
+	for i, r := range recs {
+		if r.LSN != int64(i+1) || r.Local != i+1 {
+			t.Fatalf("record %d: lsn %d local %d", i, r.LSN, r.Local)
+		}
+	}
+}
+
+// TestMemLogAppendAllocs guards the log append of the runtime's serial
+// section: an append allocates only when it opens a chunk.
+func TestMemLogAppendAllocs(t *testing.T) {
+	l := NewMemLog()
+	const batch = 1000
+	per := testing.AllocsPerRun(20, func() {
+		for i := 0; i < batch; i++ {
+			l.Append(Record{Type: RecOutcome, Proc: "P", Local: i, Outcome: "committed"})
+		}
+	}) / batch
+	if per >= 0.01 {
+		t.Fatalf("MemLog.Append allocates %.4f times per record, want < 0.01", per)
+	}
+}
