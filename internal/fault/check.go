@@ -2,7 +2,9 @@ package fault
 
 import (
 	"fmt"
+	"maps"
 	"reflect"
+	"slices"
 
 	"transproc/internal/activity"
 	"transproc/internal/conflict"
@@ -75,7 +77,11 @@ func (in CheckInput) reconstruct(table *conflict.Table, recs []wal.Record, bound
 //     activities in that schedule — nothing lost, nothing applied
 //     twice (exactly-once across the crash);
 //  6. a further Recover over the same state is a no-op (idempotent
-//     recovery).
+//     recovery);
+//  7. with the full history on disk, checkpointed recovery equals a
+//     full replay;
+//  8. every prepared set committed atomically: its participants all
+//     committed or all aborted (Section 3.5's 2PC).
 //
 // The returned error describes the first violated invariant.
 func CheckRecovered(in CheckInput) error {
@@ -241,7 +247,9 @@ func CheckRecovered(in CheckInput) error {
 			return fmt.Errorf("checkpoint/full-replay differential: %w", err)
 		}
 	}
-	return nil
+
+	// 8. Atomic commitment.
+	return checkAtomicCommitment(in, recs)
 }
 
 // checkFullReplayEquivalence replays the complete (checkpoint-free)
@@ -322,6 +330,70 @@ func checkFullReplayEquivalence(in CheckInput, raw []wal.Record, expImages map[s
 	for item, v := range want {
 		if v != 0 && got[item] != v {
 			return fmt.Errorf("item %s: full-replay committed work accounts for %d, subsystem has %d", item, v, got[item])
+		}
+	}
+	return nil
+}
+
+// checkAtomicCommitment asserts invariant 8: the participants of every
+// prepared set share one fate. A prepared set is the non-compensatable
+// transactions of a process prepared and still unresolved together where
+// a 2PC decision is logged, or where the crash left them for recovery to
+// resolve as one (compensatable activities commit at completion and are
+// never part of one). A participant's fate is its subsystem's when the
+// subsystem knows it, else the log's resolution record.
+func checkAtomicCommitment(in CheckInput, recs []wal.Record) error {
+	type part struct {
+		proc, sub string
+		local     int
+		tx        int64
+	}
+	open := make(map[string][]part) // by process, in prepare order
+	var sets [][]part
+	take := func(proc string) {
+		if len(open[proc]) > 1 {
+			sets = append(sets, slices.Clone(open[proc]))
+		}
+	}
+	drop := func(proc string, local int) {
+		open[proc] = slices.DeleteFunc(open[proc], func(p part) bool { return p.local == local })
+	}
+	logged := make(map[part]bool) // by proc and local: the last resolution
+	for i, r := range recs {
+		if i == in.PreCrashRecords {
+			for _, proc := range slices.Sorted(maps.Keys(open)) {
+				take(proc)
+			}
+		}
+		switch r.Type {
+		case wal.RecOutcome:
+			if spec, ok := in.Fed.Spec(r.Service); ok && r.Outcome == "prepared" && spec.Kind != activity.Compensatable {
+				drop(r.Proc, r.Local)
+				open[r.Proc] = append(open[r.Proc], part{r.Proc, r.Subsystem, r.Local, r.Tx})
+			}
+		case wal.RecDecision:
+			take(r.Proc)
+		case wal.RecResolved:
+			drop(r.Proc, r.Local)
+			logged[part{proc: r.Proc, local: r.Local}] = r.Commit
+		}
+	}
+	for _, set := range sets {
+		fates := make(map[bool]part)
+		for _, p := range set {
+			committed, known := false, false
+			if sub, ok := in.Fed.Subsystem(p.sub); ok {
+				committed, known = sub.TxFate(subsystem.TxID(p.tx))
+			}
+			if !known {
+				committed, known = logged[part{proc: p.proc, local: p.local}]
+			}
+			if known { // one still in doubt is invariant 2's
+				fates[committed] = p
+			}
+		}
+		if len(fates) > 1 {
+			return fmt.Errorf("prepared set of %s split: %d committed, %d aborted", set[0].proc, fates[true].local, fates[false].local)
 		}
 	}
 	return nil

@@ -209,7 +209,7 @@ func warmInstance(t *testing.T) *process.Instance {
 }
 
 // TestInstanceQueriesDoNotAllocate guards the per-activity path of the
-// runtime's serial section: the queries it asks of an instance after
+// runtime's loop: the queries it asks of an instance after
 // every step allocate nothing.
 func TestInstanceQueriesDoNotAllocate(t *testing.T) {
 	in := warmInstance(t)

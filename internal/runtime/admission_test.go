@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"path/filepath"
 	gort "runtime"
 	"sync"
 	"testing"
@@ -38,7 +39,7 @@ func starts(t *testing.T, log wal.Log) []process.ID {
 }
 
 // hooked is the invocation seam (Config.Resilience) calling the test
-// before every invocation, outside the section.
+// before every invocation, in the loop.
 type hooked struct {
 	fed    *subsystem.Federation
 	before func()
@@ -89,27 +90,19 @@ func TestAdmissionInSubmissionOrder(t *testing.T) {
 func TestAdmissionStepsOverRefused(t *testing.T) {
 	t.Parallel()
 	w := newLockWorld(t, scheduler.Conservative)
-	held, release := make(chan struct{}), make(chan struct{})
-	w.inv.on["A/w"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
-		res, err := invoke()
-		close(held)
-		w.await(release)
-		return res, err
-	}
+	w.inv.slow["A/w"] = []int64{9}
 	w.start(seq("A", "w"), seq("B", "c"), seq("C", "d"))
-	w.await(held)
 	w.awaitSection("C committed past the pending B while A is in flight", func() bool {
 		c := w.rt.drv.Get("C")
 		return c != nil && c.Outcome.Committed && w.rt.members["A"] != nil &&
 			len(w.rt.pending) == 1 && w.rt.pending[0].ID == "B" && w.rt.drv.Get("B") == nil
 	})
-	close(release)
 	res := w.finish()
 	if res.Metrics.CommittedProcs != 3 || w.sub.Get("a") != 2 || w.sub.Get("e") != 1 {
 		t.Errorf("committed %d, a = %d, e = %d", res.Metrics.CommittedProcs, w.sub.Get("a"), w.sub.Get("e"))
 	}
 	// B's start record follows A's termination directly: the slot is handed
-	// on inside the section.
+	// on in the turn that freed it.
 	recs, err := w.rt.log.Records()
 	if err != nil {
 		t.Fatal(err)
@@ -131,37 +124,17 @@ func TestAdmissionStepsOverRefused(t *testing.T) {
 func TestRestartBackoffCountsCompletions(t *testing.T) {
 	t.Parallel()
 	w := newLockWorld(t, scheduler.PRED)
-	// V's invocations stop at the test's gate; O completes one per tick.
-	vIn, vGo, tick := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	w.inv.on["V/pre"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
-		select {
-		case vIn <- struct{}{}:
-		case <-w.ctx.Done():
-		}
-		w.await(vGo)
-		return invoke()
-	}
-	w.inv.on["O/c"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
-		w.await(tick)
-		return invoke()
-	}
+	// V's first pre completes at tick 1 and its compensation at 2, before
+	// O's first c, at 5; O then completes one c per tick. V+r1's pre is in
+	// flight until after O terminated; V+r2's takes one tick.
+	w.inv.slow["V/pre"] = []int64{0, 30, 0}
+	w.inv.slow["O/c"] = []int64{4}
 	markVictim := func(id process.ID) {
-		w.await(vIn)
-		w.rt.mu.Lock()
-		if m := w.rt.members["V"]; m != nil && m.ID == id {
-			w.rt.drv.MarkVictim(m.Proc, "test")
-		} else {
-			t.Errorf("%s is not the live incarnation of V", id)
-		}
-		w.rt.mu.Unlock()
-	}
-	send := func(ch chan struct{}, n int) {
-		for range n {
-			select {
-			case ch <- struct{}{}:
-			case <-w.ctx.Done():
-			}
-		}
+		w.awaitSection(string(id)+" in flight", func() bool {
+			m := w.rt.members["V"]
+			return m != nil && m.ID == id && len(m.Running) == 1
+		})
+		w.rt.drv.MarkVictim(w.rt.members["V"].Proc, "test")
 	}
 	const oSteps, backoff = 12, 4 << 1 // backoff: of the first restart
 	steps := make([]string, oSteps)
@@ -173,7 +146,6 @@ func TestRestartBackoffCountsCompletions(t *testing.T) {
 	// V runs pre, is aborted as a victim, compensates and restarts: two
 	// completions, then a backoff of 4<<1 while O holds a slot.
 	markVictim("V")
-	send(vGo, 1)
 	var target int64
 	w.awaitSection("V+r1 pending", func() bool {
 		if len(w.rt.pending) != 1 || w.rt.pending[0].ID != "V+r1" {
@@ -185,23 +157,18 @@ func TestRestartBackoffCountsCompletions(t *testing.T) {
 		}
 		return true
 	})
-	send(tick, backoff-1)
 	w.awaitSection("one completion short of the target", func() bool { return w.rt.completions == target-1 })
-	w.rt.mu.Lock()
 	if len(w.rt.pending) != 1 || w.rt.drv.Get("V+r1") != nil {
 		t.Errorf("V+r1 admitted at %d completions, target %d", w.rt.completions, target)
 	}
-	w.rt.mu.Unlock()
-	send(tick, 1)
 	// Reaching the target admits it from O's completion. Abort it again,
 	// but let O finish first: with nothing else admitted, V+r2 must not
 	// wait for 4<<2 completions nobody is left to deliver.
 	markVictim("V+r1")
-	send(tick, oSteps-backoff)
 	w.awaitSection("O terminated", func() bool { return w.rt.members["O"] == nil })
-	send(vGo, 1)
-	w.await(vIn) // V+r2 is running
-	send(vGo, 1)
+	if m := w.rt.members["V"]; m == nil || m.ID != "V+r1" || len(m.Running) != 1 {
+		t.Errorf("V+r1 is not in flight when O terminates")
+	}
 	res := w.finish()
 	if res.Metrics.CommittedProcs != 2 || res.Metrics.Restarts != 2 || !res.Outcomes["V+r2"].Committed {
 		t.Errorf("committed %d, restarts %d, V+r2 %+v", res.Metrics.CommittedProcs, res.Metrics.Restarts, res.Outcomes["V+r2"])
@@ -211,8 +178,8 @@ func TestRestartBackoffCountsCompletions(t *testing.T) {
 	}
 }
 
-// awaitGoroutines waits for the goroutine count to come back to base: a
-// worker retires its job inside the section and exits just after.
+// awaitGoroutines waits for the goroutine count to come back to base:
+// Run returns after the syncer, if it had one, exited.
 func awaitGoroutines(t *testing.T, base int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -243,8 +210,8 @@ func TestPendingDroppedAtRunEnd(t *testing.T) {
 				t.Errorf("no outcome for the admitted %s", id)
 			}
 		}
-		if len(rt.pending) != 0 || rt.unfinished != 0 {
-			t.Errorf("%d pending, %d unfinished after the run", len(rt.pending), rt.unfinished)
+		if len(rt.pending) != 0 || len(rt.due) != 0 {
+			t.Errorf("%d pending, %d due after the run", len(rt.pending), len(rt.due))
 		}
 	}
 	t.Run("canceled", func(t *testing.T) {
@@ -257,14 +224,9 @@ func TestPendingDroppedAtRunEnd(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The first invocation cancels the run from inside and goes on
-		// once Run has seen it.
-		inv.before = func() {
-			cancel()
-			for !rt.canceled.Load() {
-				gort.Gosched()
-			}
-		}
+		// The first invocation cancels the run from inside and returns;
+		// the loop sees it at its next turn.
+		inv.before = cancel
 		res, err := rt.Run(ctx, w.Jobs)
 		if err != context.Canceled {
 			t.Fatalf("got %v, want context.Canceled", err)
@@ -289,32 +251,47 @@ func TestPendingDroppedAtRunEnd(t *testing.T) {
 	})
 }
 
-// A waiting job is a queue entry: the run never has more goroutines than
-// admitted processes. Not parallel: it counts goroutines.
+// A process is a record of the loop, not a goroutine: at any worker cap
+// the run adds at most two goroutines, the loop (Run's own, here started
+// apart from the test's) and the syncer of its file log. Not parallel:
+// it counts goroutines.
 func TestRunGoroutinesBoundedByWorkers(t *testing.T) {
-	const jobs, workers, slack = 200, 4, 4
-	base := gort.NumGoroutine()
-	w := failureFree(9, jobs)
-	var mu sync.Mutex
-	peak := 0
-	sample := func() {
-		mu.Lock()
-		peak = max(peak, gort.NumGoroutine())
-		mu.Unlock()
+	const jobs = 60
+	for _, workers := range []int{1, 8, 0} {
+		base := gort.NumGoroutine()
+		w := failureFree(9, jobs)
+		log, err := wal.OpenFile(filepath.Join(t.TempDir(), "wal.log"), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var mu sync.Mutex
+		peak := 0
+		sample := func() {
+			mu.Lock()
+			peak = max(peak, gort.NumGoroutine())
+			mu.Unlock()
+		}
+		rt, err := New(w.Fed, Config{Mode: scheduler.PRED, Workers: workers, Log: log, Resilience: &hooked{w.Fed, sample}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res *Result
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			res, err = rt.Run(context.Background(), w.Jobs)
+		}()
+		<-done
+		log.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Metrics.CommittedProcs != jobs {
+			t.Fatalf("workers %d: %d of %d committed", workers, res.Metrics.CommittedProcs, jobs)
+		}
+		if peak == 0 || peak > base+2 {
+			t.Errorf("workers %d: peak of %d goroutines during the run, %d before it", workers, peak, base)
+		}
+		awaitGoroutines(t, base)
 	}
-	rt, err := New(w.Fed, Config{Mode: scheduler.PRED, Workers: workers, Resilience: &hooked{w.Fed, sample}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := rt.Run(context.Background(), w.Jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.CommittedProcs != jobs {
-		t.Fatalf("%d of %d committed", res.Metrics.CommittedProcs, jobs)
-	}
-	if peak == 0 || peak > base+workers+slack {
-		t.Errorf("peak of %d goroutines during the run, %d before it, %d workers", peak, base, workers)
-	}
-	awaitGoroutines(t, base)
 }

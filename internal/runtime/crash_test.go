@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"transproc/internal/activity"
 	"transproc/internal/fault"
 	"transproc/internal/metrics"
 	"transproc/internal/process"
@@ -44,7 +45,7 @@ func TestRuntimeKillRecover(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			for _, k := range kills {
 				log := wal.NewMemLog()
-				killAndRecover(t, seed, fault.Plan{KillAtDispatch: k}, log, func() wal.Log { return log })
+				killAndRecover(t, fmt.Sprintf("seed %d", seed), killWorkload(seed), fault.Plan{KillAtDispatch: k}, log, func() wal.Log { return log })
 			}
 		}
 	})
@@ -69,7 +70,7 @@ func TestRuntimeKillRecover(t *testing.T) {
 				}
 				var lost int64
 				var reopened wal.Log
-				crashed := killAndRecover(t, seed, plan, fault.WrapWAL(kl, plan.CrashAfterWALRecords), func() wal.Log {
+				crashed := killAndRecover(t, fmt.Sprintf("seed %d", seed), killWorkload(seed), plan, fault.WrapWAL(kl, plan.CrashAfterWALRecords), func() wal.Log {
 					var err error
 					if lost, err = kl.Kill(); err != nil {
 						t.Fatal(err)
@@ -90,6 +91,32 @@ func TestRuntimeKillRecover(t *testing.T) {
 			}
 		}
 		t.Logf("%d of %d kills lost an unsynced tail", tails, runs)
+		// Generated processes never hold two prepared transactions at once
+		// (their non-compensatable activities form one chain), so a 2PC
+		// round with two participants comes from preparedPair, killed
+		// between the participants' commits and after the decision.
+		for _, plan := range []fault.Plan{
+			{CrashAtPoint: fault.PointMidResolve, CrashAtCount: 1}, {CrashAtPoint: fault.PointAfterDecision, CrashAtCount: 1},
+		} {
+			path := filepath.Join(dir, fmt.Sprintf("wal-pair-%s.log", plan.CrashAtPoint))
+			kl, err := fault.OpenKillLog(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var reopened wal.Log
+			if !killAndRecover(t, "prepared pair", preparedPair(), plan, fault.WrapWAL(kl, 0), func() wal.Log {
+				if _, err := kl.Kill(); err != nil {
+					t.Fatal(err)
+				}
+				if reopened, err = wal.OpenFile(path, false); err != nil {
+					t.Fatal(err)
+				}
+				return reopened
+			}) {
+				t.Fatalf("prepared pair: plan %+v never crashed", plan)
+			}
+			reopened.Close()
+		}
 	})
 	// The durable leg keeps every subsystem's state in a heap file whose
 	// pages follow the log's sync (store.Options.Barrier), so no commit
@@ -129,7 +156,7 @@ const killTick = 20 * time.Microsecond
 
 // killWorkload generates the seed's workload of the kill sweeps: a fresh
 // federation over the same definitions on every call.
-func killWorkload(seed int64) (*workload.Workload, []*process.Process) {
+func killWorkload(seed int64) killScenario {
 	p := workload.DefaultProfile(seed)
 	p.Processes = 8
 	p.ConflictProb = 0.4
@@ -140,7 +167,7 @@ func killWorkload(seed int64) (*workload.Workload, []*process.Process) {
 	for _, j := range w.Jobs {
 		defs = append(defs, j.Proc)
 	}
-	return w, defs
+	return killScenario{w, defs}
 }
 
 // attachKillStores opens (or reopens) a heap file per subsystem under
@@ -169,7 +196,8 @@ func killDurableAndRecover(t *testing.T, seed int64, plan fault.Plan, dir string
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, defs := killWorkload(seed)
+	sc := killWorkload(seed)
+	w, defs := sc.w, sc.defs
 	attachKillStores(t, w.Fed, dir, kl.Sync, seed%2 == 1)
 	inj := fault.NewInjector(plan)
 	rt, err := runtime.New(w.Fed, runtime.Config{
@@ -193,7 +221,7 @@ func killDurableAndRecover(t *testing.T, seed int64, plan fault.Plan, dir string
 		t.Fatal(err)
 	}
 	defer survivor.Close()
-	fresh, _ := killWorkload(seed)
+	fresh := killWorkload(seed).w
 	attachKillStores(t, fresh.Fed, dir, survivor.Sync, false)
 	recs, err := survivor.Records()
 	if err != nil {
@@ -216,12 +244,40 @@ func killDurableAndRecover(t *testing.T, seed int64, plan fault.Plan, dir string
 	return lost > 0
 }
 
-// killAndRecover runs the seed's workload on the runtime over log with
-// the plan armed, kills it, and recovers and judges the log that
-// restart returns. It reports whether the run crashed.
-func killAndRecover(t *testing.T, seed int64, plan fault.Plan, log wal.Log, restart func() wal.Log) bool {
+// killScenario is a workload of the kill sweeps: a fresh federation and
+// the jobs' definitions.
+type killScenario struct {
+	w    *workload.Workload
+	defs []*process.Process
+}
+
+// preparedPair is a world whose one 2PC round has two participants. Q
+// commits its pivot on b and runs a long retriable (50 ms at killTick,
+// ample for P under a loaded race run); P, arriving after Q's pivot,
+// follows Q on b (Q is past its pivot, so P may) and then runs two
+// parallel retriables. Both find Q active and defer (Lemma 1), so Q's
+// termination commits them together.
+func preparedPair() killScenario {
+	sub := subsystem.New("rm", 1)
+	sub.MustRegister(activity.Spec{Name: "qp", Kind: activity.Pivot, Subsystem: "rm", WriteSet: []string{"b"}})
+	sub.MustRegister(activity.Spec{Name: "ql", Kind: activity.Retriable, Subsystem: "rm", WriteSet: []string{"q"}, Cost: 2500})
+	sub.MustRegister(activity.Spec{Name: "pc", Kind: activity.Compensatable, Compensation: "pc⁻¹", Subsystem: "rm", WriteSet: []string{"b"}})
+	sub.MustRegister(activity.Spec{Name: "ra", Kind: activity.Retriable, Subsystem: "rm", WriteSet: []string{"x"}})
+	sub.MustRegister(activity.Spec{Name: "rb", Kind: activity.Retriable, Subsystem: "rm", WriteSet: []string{"y"}})
+	fed := subsystem.NewFederation()
+	fed.MustAdd(sub)
+	q := process.NewBuilder("Q").Add(1, "qp", activity.Pivot).Add(2, "ql", activity.Retriable).Seq(1, 2).MustBuild()
+	p := process.NewBuilder("P").Add(1, "pc", activity.Compensatable).Add(2, "ra", activity.Retriable).Add(3, "rb", activity.Retriable).
+		Seq(1, 2).Seq(1, 3).MustBuild()
+	return killScenario{&workload.Workload{Fed: fed, Jobs: []scheduler.Job{{Proc: q}, {Proc: p, Arrival: 2}}}, []*process.Process{q, p}}
+}
+
+// killAndRecover runs a workload on the runtime over log with the plan
+// armed, kills it, and recovers and judges the log that restart returns.
+// It reports whether the run crashed.
+func killAndRecover(t *testing.T, name string, sc killScenario, plan fault.Plan, log wal.Log, restart func() wal.Log) bool {
 	t.Helper()
-	w, defs := killWorkload(seed)
+	w, defs := sc.w, sc.defs
 	inj := fault.NewInjector(plan)
 	rt, err := runtime.New(w.Fed, runtime.Config{
 		Mode: scheduler.PRED, Log: log, MaxRestarts: 64, Inject: inj.Point, Tick: killTick,
@@ -231,7 +287,7 @@ func killAndRecover(t *testing.T, seed int64, plan fault.Plan, log wal.Log, rest
 	}
 	_, err = rt.Run(context.Background(), w.Jobs)
 	if err != nil && !errors.Is(err, scheduler.ErrCrashed) {
-		t.Fatalf("seed %d plan %+v: run: %v", seed, plan, err)
+		t.Fatalf("%s plan %+v: run: %v", name, plan, err)
 	}
 	crashed := err != nil
 	survivor := restart()
@@ -241,12 +297,12 @@ func killAndRecover(t *testing.T, seed int64, plan fault.Plan, log wal.Log, rest
 	}
 	pre := len(recs)
 	if _, err := scheduler.Recover(w.Fed, survivor, defs); err != nil {
-		t.Fatalf("seed %d plan %+v: recover: %v", seed, plan, err)
+		t.Fatalf("%s plan %+v: recover: %v", name, plan, err)
 	}
 	if err := fault.CheckRecovered(fault.CheckInput{
 		Fed: w.Fed, Log: survivor, Defs: defs, PreCrashRecords: pre,
 	}); err != nil {
-		t.Fatalf("seed %d plan %+v (crashed=%v): %v", seed, plan, crashed, err)
+		t.Fatalf("%s plan %+v (crashed=%v): %v", name, plan, crashed, err)
 	}
 	return crashed
 }
@@ -267,7 +323,7 @@ func TestWriteAheadWaitsOnlyForCommitsOnTheirOwn(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			w, _ := killWorkload(seed)
+			w := killWorkload(seed).w
 			if stores {
 				attachKillStores(t, w.Fed, dir, log.Sync, false)
 			}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -14,8 +15,8 @@ import (
 	"transproc/internal/subsystem"
 )
 
-// These tests drive the item-lock wait handling of step / driveLocked on
-// a hand-built federation. They run CCOnly on purpose: under PRED the
+// These tests drive the item-lock wait handling of step and invoke on a
+// hand-built federation. They run CCOnly on purpose: under PRED the
 // policy denies first. A held item lock belongs to an activity that is in
 // flight or prepared, both of which keep its service in the holder's
 // potential-recovery set, so the holder is never quasi-safe for a service
@@ -24,35 +25,40 @@ import (
 // to exclusive by a second family of the same process whose branch was
 // abandoned afterwards.) CCOnly has no Lemma 1 and commits at completion,
 // so a lock is held exactly while its invocation is in flight — and the
-// scripted invoker below decides for how long.
+// scripted invoker below decides for how long, on a clock the test
+// steps by hand.
 
 // scripted is the invocation seam (Config.Resilience) with per-invocation
-// scripts keyed "proc/service"; a script gets the real invocation to call
-// when it wants the subsystem to see it.
+// extra service times, in ticks, keyed "proc/service": each invocation
+// takes the next entry of its list (none left: no extra time).
 type scripted struct {
-	fed *subsystem.Federation
-	on  map[string]func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error)
+	fed  *subsystem.Federation
+	slow map[string][]int64
 }
 
 func (s *scripted) InvokeResilient(proc, service string, _ activity.Kind, mode subsystem.Mode, _ string) (*subsystem.Result, int64, error) {
-	invoke := func() (*subsystem.Result, error) { return s.fed.Invoke(proc, service, mode) }
-	if script := s.on[proc+"/"+service]; script != nil {
-		res, err := script(invoke)
-		return res, 0, err
+	res, err := s.fed.Invoke(proc, service, mode)
+	var extra int64
+	if lat := s.slow[proc+"/"+service]; len(lat) > 0 {
+		extra, s.slow[proc+"/"+service] = lat[0], lat[1:]
 	}
-	res, err := invoke()
-	return res, 0, err
+	return res, extra, err
 }
 
 // lockWorld is one subsystem: w, c and c⁻¹ write item a (so they
-// conflict and share a lock), pre and d touch items of their own.
+// conflict and share a lock), pre and d touch items of their own. Its
+// runtime runs on a stepped clock: every invocation takes one tick plus
+// what the script adds, and the loop waits for the test whenever it has
+// nothing to step.
 type lockWorld struct {
-	t    *testing.T
-	sub  *subsystem.Subsystem
-	rt   *Runtime
-	inv  *scripted
-	ctx  context.Context
-	done chan *Result
+	t     *testing.T
+	sub   *subsystem.Subsystem
+	rt    *Runtime
+	inv   *scripted
+	ctx   context.Context
+	done  chan *Result
+	next  time.Duration // the deadline the waiting loop is handed on resume
+	holds bool          // the loop waits for the test
 }
 
 func newLockWorld(t *testing.T, mode scheduler.Mode) *lockWorld {
@@ -64,23 +70,15 @@ func newLockWorld(t *testing.T, mode scheduler.Mode) *lockWorld {
 	sub.MustRegister(activity.Spec{Name: "d", Kind: activity.Pivot, Subsystem: "rm", WriteSet: []string{"e"}})
 	fed := subsystem.NewFederation()
 	fed.MustAdd(sub)
-	inv := &scripted{fed: fed, on: make(map[string]func(func() (*subsystem.Result, error)) (*subsystem.Result, error))}
-	rt, err := New(fed, Config{Mode: mode, Resilience: inv})
+	inv := &scripted{fed: fed, slow: make(map[string][]int64)}
+	rt, err := New(fed, Config{Mode: mode, Resilience: inv, Tick: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
+	rt.clock = &stepClock{idle: make(chan time.Duration), set: make(chan time.Duration)}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	t.Cleanup(cancel)
 	return &lockWorld{t: t, sub: sub, rt: rt, inv: inv, ctx: ctx, done: make(chan *Result, 1)}
-}
-
-// await blocks a script or the test on an event of the scenario; a
-// scenario that does not unfold as scripted ends with the context.
-func (w *lockWorld) await(ch <-chan struct{}) {
-	select {
-	case <-ch:
-	case <-w.ctx.Done():
-	}
 }
 
 func (w *lockWorld) start(defs ...*process.Process) {
@@ -97,45 +95,70 @@ func (w *lockWorld) start(defs ...*process.Process) {
 	}()
 }
 
-// awaitSection polls the serial section until cond holds of it; the
-// sleep only paces the poll.
-func (w *lockWorld) awaitSection(what string, cond func() bool) {
-	w.t.Helper()
-	for w.ctx.Err() == nil {
-		w.rt.mu.Lock()
-		ok := cond()
-		w.rt.mu.Unlock()
-		if ok {
-			return
+// idle resumes a waiting loop at the deadline it waits for and takes it
+// back at its next wait; false when the run ended instead.
+func (w *lockWorld) idle() (*Result, bool) {
+	if w.holds {
+		w.holds = false
+		select {
+		case w.rt.clock.set <- w.next:
+		case <-w.ctx.Done():
+			w.t.Fatal("the loop never took the clock back")
 		}
-		time.Sleep(100 * time.Microsecond)
 	}
-	w.t.Fatalf("never happened: %s", what)
+	select {
+	case w.next = <-w.rt.clock.idle:
+		w.holds = true
+		return nil, false
+	case res := <-w.done:
+		return res, true
+	case <-w.ctx.Done():
+		w.t.Fatal("the loop never waited")
+	}
+	return nil, false
 }
 
-// awaitParked waits until the process sits in cond.Wait with exactly the
-// given wait-for disjunction, and returns the section's in-flight count
+// awaitSection steps the clock from deadline to deadline until cond holds
+// of the loop's state while it waits; the loop stays waiting, so the test
+// may read and change its state until the next step.
+func (w *lockWorld) awaitSection(what string, cond func() bool) {
+	w.t.Helper()
+	for !w.holds || !cond() {
+		if _, ended := w.idle(); ended {
+			w.t.Fatalf("the run ended first: %s", what)
+		}
+	}
+}
+
+// awaitParked waits until the process is parked with exactly the given
+// wait-for disjunction, and returns how many invocations are in flight
 // at that moment.
 func (w *lockWorld) awaitParked(id process.ID, alts [][]process.ID) (inFlight int) {
 	w.t.Helper()
 	w.awaitSection(fmt.Sprintf("%s parked on %v", id, alts), func() bool {
 		m := w.rt.members[id]
-		inFlight = w.rt.inFlight
-		return m != nil && m.ID == id && m.parked && reflect.DeepEqual(m.waitAlts, alts)
+		inFlight = len(w.rt.due)
+		return m != nil && m.ID == id && slices.Contains(w.rt.parked, m) && reflect.DeepEqual(m.waitAlts, alts)
 	})
 	return inFlight
 }
 
+// finish steps the clock until the run ends.
 func (w *lockWorld) finish() *Result {
 	w.t.Helper()
-	res := <-w.done
-	if res == nil {
-		w.t.Fatal("no result")
+	for {
+		res, ended := w.idle()
+		if !ended {
+			continue
+		}
+		if res == nil {
+			w.t.Fatal("no result")
+		}
+		if n := len(w.rt.fed.InDoubt()); n != 0 {
+			w.t.Fatalf("%d in-doubt transactions remain", n)
+		}
+		return res
 	}
-	if n := len(w.rt.fed.InDoubt()); n != 0 {
-		w.t.Fatalf("%d in-doubt transactions remain", n)
-	}
-	return res
 }
 
 func seq(id process.ID, steps ...string) *process.Process {
@@ -156,23 +179,11 @@ func seq(id process.ID, steps ...string) *process.Process {
 func TestLockWaitParksOnHolder(t *testing.T) {
 	t.Parallel()
 	w := newLockWorld(t, scheduler.CCOnly)
-	held, release := make(chan struct{}), make(chan struct{})
-	w.inv.on["P/w"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
-		res, err := invoke()
-		close(held)
-		w.await(release)
-		return res, err
-	}
-	w.inv.on["Q/pre"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
-		w.await(held)
-		return invoke()
-	}
+	w.inv.slow["P/w"] = []int64{9}
 	w.start(seq("P", "w"), seq("Q", "pre", "w"))
-	w.await(held)
 	if inFlight := w.awaitParked("Q", [][]process.ID{{"P"}}); inFlight != 1 {
 		t.Errorf("in flight while Q is parked: %d, want the holder's invocation", inFlight)
 	}
-	close(release)
 	res := w.finish()
 	if _, _, denials := w.sub.Stats(); denials != 0 || res.Metrics.LockWaits != 0 {
 		t.Errorf("lock denials %d, lock waits %d: the probe must park Q before it invokes", denials, res.Metrics.LockWaits)
@@ -182,94 +193,36 @@ func TestLockWaitParksOnHolder(t *testing.T) {
 	}
 }
 
-// Two workers pass the probe before either acquires: the loser's Invoke
-// comes back ErrLocked, its registration is undone and it re-evaluates.
-func TestLockWaitLostProbeRace(t *testing.T) {
-	t.Parallel()
-	w := newLockWorld(t, scheduler.CCOnly)
-	bEntered, aHolds, bDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	w.inv.on["A/w"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
-		w.await(bEntered)
-		res, err := invoke()
-		close(aHolds)
-		w.await(bDone)
-		return res, err
-	}
-	first := true // B's re-invocation after the lost race is a plain one
-	w.inv.on["B/w"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
-		if !first {
-			return invoke()
-		}
-		first = false
-		close(bEntered)
-		w.await(aHolds)
-		defer close(bDone)
-		return invoke()
-	}
-	w.start(seq("A", "w"), seq("B", "w"))
-	res := w.finish()
-	if _, _, denials := w.sub.Stats(); denials != 1 || res.Metrics.LockWaits != 1 {
-		t.Errorf("lock denials %d, lock waits %d, want the one lost race", denials, res.Metrics.LockWaits)
-	}
-	if res.Metrics.CommittedProcs != 2 || w.sub.Get("a") != 2 {
-		t.Errorf("committed %d, a = %d", res.Metrics.CommittedProcs, w.sub.Get("a"))
-	}
-}
-
 // A recovery step whose item lock is held parks on the holder as its only
 // alternative and runs once the holder commits.
 func TestLockWaitRecoveryStep(t *testing.T) {
 	t.Parallel()
 	w := newLockWorld(t, scheduler.CCOnly)
 	w.sub.FailService("Q", "d")
-	cDone, held, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
-	w.inv.on["Q/d"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
-		close(cDone)
-		w.await(held)
-		return invoke() // fails: Q aborts and must compensate c
-	}
-	w.inv.on["P/w"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
-		w.await(cDone)
-		res, err := invoke()
-		close(held)
-		w.await(release)
-		return res, err
-	}
+	// P's w parks on Q's c, takes a's lock once c committed, and holds
+	// it while Q's d fails and Q must compensate c.
+	w.inv.slow["P/w"] = []int64{9}
 	w.start(seq("Q", "c", "d"), seq("P", "w"))
-	w.await(held)
 	w.awaitParked("Q", [][]process.ID{{"P"}})
-	close(release)
 	res := w.finish()
 	if !res.Outcomes["P"].Committed || !res.Outcomes["Q"].Aborted || res.Metrics.Compensations != 1 || w.sub.Get("a") != 1 {
 		t.Errorf("P %+v, Q %+v, compensations %d, a = %d", res.Outcomes["P"], res.Outcomes["Q"], res.Metrics.Compensations, w.sub.Get("a"))
 	}
 }
 
-// TestDisjointProcessesOverlapInOneSection: one serial section does not
-// serialize processes, only decisions. While A's invocation is in flight
-// — outside the section — B, whose footprint conflicts with nothing of
-// A's, dispatches, completes and terminates, and C, which needs the item
-// A writes, parks on A alone and proceeds at A's commit.
+// TestDisjointProcessesOverlapInOneSection: one loop does not serialize
+// processes, only decisions. While A's invocation is in flight — its
+// service time — B, whose footprint conflicts with nothing of A's,
+// dispatches, completes and terminates, and C, which needs the item A
+// writes, parks on A alone and proceeds at A's commit.
 func TestDisjointProcessesOverlapInOneSection(t *testing.T) {
 	t.Parallel()
 	for _, mode := range []scheduler.Mode{scheduler.PRED, scheduler.CCOnly} {
 		t.Run(mode.String(), func(t *testing.T) {
 			t.Parallel()
 			w := newLockWorld(t, mode)
-			held, release := make(chan struct{}), make(chan struct{})
-			w.inv.on["A/w"] = func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
-				res, err := invoke()
-				close(held)
-				w.await(release)
-				return res, err
-			}
-			gate := func(invoke func() (*subsystem.Result, error)) (*subsystem.Result, error) {
-				w.await(held)
-				return invoke()
-			}
-			w.inv.on["B/d"], w.inv.on["C/pre"] = gate, gate
+			w.inv.slow["A/w"] = []int64{9}
 			w.start(seq("A", "w"), seq("B", "d"), seq("C", "pre", "w"))
-			w.await(held)
 			w.awaitSection("B committed while A is in flight", func() bool {
 				b := w.rt.drv.Get("B")
 				return b != nil && b.Outcome.Committed && w.rt.members["B"] == nil && w.rt.members["A"] != nil
@@ -280,7 +233,6 @@ func TestDisjointProcessesOverlapInOneSection(t *testing.T) {
 			if e := w.sub.Get("e"); e != 1 {
 				t.Errorf("e = %d before A's commit: B's work must stand", e)
 			}
-			close(release)
 			res := w.finish()
 			if res.Metrics.CommittedProcs != 3 || res.Metrics.VictimAborts != 0 || w.sub.Get("a") != 2 {
 				t.Errorf("committed %d, victims %d, a = %d", res.Metrics.CommittedProcs, res.Metrics.VictimAborts, w.sub.Get("a"))
@@ -289,24 +241,24 @@ func TestDisjointProcessesOverlapInOneSection(t *testing.T) {
 	}
 }
 
-// TestDetectDeadlock pins the park-time wait-for analysis on hand-set
-// park states. No run reaches a closed set through item locks (see the
-// head of this file) or through Lemma-1 edges (the forced-order check
-// refuses the dispatch that would close the cycle), so the detector is
-// exercised directly: which sets are closed, that a member signaled but
-// not rescheduled is not stuck, and who the victim is.
+// TestDetectDeadlock pins the wait-for analysis on hand-set park
+// states. No run reaches a closed set through item locks (see the head
+// of this file) or through Lemma-1 edges (the forced-order check refuses
+// the dispatch that would close the cycle), so the detector is exercised
+// directly: which sets are closed, that a member woken but not stepped
+// again is not stuck, and who the victim is.
 func TestDetectDeadlock(t *testing.T) {
 	t.Parallel()
 	type park struct {
 		alts    [][]process.ID
-		running bool // not parked: in flight or evaluating
-		stale   bool // parked at an older progress generation
+		running bool // not parked: in flight or runnable
+		woken   bool // made runnable by a state change, its last wait still recorded
 		phase   policy.Phase
 	}
 	cases := []struct {
 		name      string
 		maxStalls int
-		p, q, r   park // arrivals 0, 1, 2; q is the one about to park
+		p, q, r   park // arrivals 0, 1, 2
 		want      process.ID
 	}{
 		{name: "two-cycle, third member in flight", p: park{alts: [][]process.ID{{"Q"}}}, q: park{alts: [][]process.ID{{"P"}}}, r: park{running: true}, want: "Q"},
@@ -314,7 +266,7 @@ func TestDetectDeadlock(t *testing.T) {
 		{name: "three-cycle takes the youngest", p: park{alts: [][]process.ID{{"Q"}}}, q: park{alts: [][]process.ID{{"R"}}}, r: park{alts: [][]process.ID{{"P"}}}, want: "R"},
 		{name: "escape alternative", p: park{alts: [][]process.ID{{"Q"}}}, q: park{alts: [][]process.ID{{"P"}, {"R"}}}, r: park{running: true}},
 		{name: "escape propagates", p: park{alts: [][]process.ID{{"R"}}}, q: park{alts: [][]process.ID{{"P"}}}, r: park{running: true}},
-		{name: "signaled but not rescheduled", p: park{alts: [][]process.ID{{"Q"}}, stale: true}, q: park{alts: [][]process.ID{{"P"}}}, r: park{running: true}},
+		{name: "woken but not stepped again", p: park{alts: [][]process.ID{{"Q"}}, woken: true}, q: park{alts: [][]process.ID{{"P"}}}, r: park{running: true}},
 		{name: "incomplete edges", p: park{}, q: park{alts: [][]process.ID{{"P"}}}, r: park{running: true}},
 		{name: "aborting member is no victim", p: park{alts: [][]process.ID{{"Q"}}}, q: park{alts: [][]process.ID{{"P"}}, phase: policy.Aborting}, r: park{running: true}, want: "P"},
 		{name: "budget exhausted", maxStalls: 1, p: park{alts: [][]process.ID{{"Q"}}}, q: park{alts: [][]process.ID{{"P"}}}, r: park{running: true}},
@@ -328,20 +280,18 @@ func TestDetectDeadlock(t *testing.T) {
 		if c.maxStalls > 0 {
 			rt.victims = c.maxStalls
 		}
-		rt.progress = 7
 		for i, pk := range []park{c.p, c.q, c.r} {
 			id := process.ID([]string{"P", "Q", "R"}[i])
-			m := &member{Proc: scheduler.NewProc(seq(id, "w"), i, id, id, 0), lastEval: rt.progress, waitAlts: pk.alts}
-			m.parked = !pk.running && id != "Q"
+			m := &member{Proc: scheduler.NewProc(seq(id, "w"), i, id, id, 0), waitAlts: pk.alts}
 			m.Phase = pk.phase
-			if pk.stale {
-				m.lastEval--
-			}
 			rt.members[id] = m
+			if !pk.running && !pk.woken {
+				rt.parked = append(rt.parked, m)
+			}
 		}
 		before := rt.victims
 		var got process.ID
-		if v := rt.detectDeadlock(rt.members["Q"]); v != nil {
+		if v := rt.detectDeadlock(); v != nil {
 			got = v.ID
 		}
 		if got != c.want {

@@ -1,55 +1,42 @@
 // Package runtime is the concurrent execution engine for transactional
-// process management: one goroutine per admitted process drives
-// invocations against the (already internally locked) subsystems, while
-// every scheduling decision and every protocol transition — conflict-
+// process management: the sequential engine's loop on the real clock.
+// One goroutine — Run's — owns the shared driver (scheduler.Driver over
+// internal/scheduler/policy), the members and the pending queue, and
+// makes every scheduling decision and protocol transition — conflict-
 // predecessor checks, Lemma-1 commit deferral, Lemma-2/3 recovery
-// ordering, forced-order acyclicity, completions, aborts, 2PC — is the
-// shared driver's (scheduler.Driver over internal/scheduler/policy),
-// called inside one serial section, as the sequential engine's loop and
-// the hub are. The runtime adds what a concurrent host needs:
-// goroutines, the section's mutex, the admission queue and the wait-for
-// analysis.
+// ordering, forced-order acyclicity, completions, aborts, 2PC — as the
+// engine's loop and the hub do. What overlaps is service time.
 //
 // The sequential discrete-event engine (internal/scheduler) remains the
 // reference oracle: both host the identical driver, so a schedule the
-// runtime produces differs from the oracle's only in
-// interleaving, never in admissibility. The differential test in this
-// package asserts exactly that: every concurrently observed schedule is
-// PRED and per-process terminal outcomes match the oracle.
+// runtime produces differs from the oracle's only in interleaving,
+// never in admissibility. The differential test in this package asserts
+// exactly that: every concurrently observed schedule is PRED and
+// per-process terminal outcomes match the oracle.
 //
-// Concurrency structure:
+// Structure:
 //
-//   - One mutex (Runtime.mu) guards the driver (process table +
-//     policy.State), the live members, the pending queue, the event
-//     sequence and the stall machinery. Parallelism is between
-//     activities inside the subsystems, not between scheduler locks: a
-//     decision costs microseconds, an invocation its service time.
-//   - Admission is the sequential engine's: a submitted job, or the next
-//     incarnation of a restartable abort, is an entry of a pending list
-//     that admitPending scans in submission order inside the section
-//     (worker cap, Serial/Conservative rule, restart backoff). A waiting
-//     job is an entry, not a goroutine: no completion wakes it, and
-//     throughput does not depend on the backlog.
-//   - Subsystem work (Invoke + simulated service time) runs outside the
-//     section; the in-flight invocation is registered first so
-//     concurrent decisions see it as a survivor in the forced-order
-//     graph. Lock order is Runtime.mu -> subsystem.mu.
-//   - Force-logs, the 2PC coordinator's included, are written in section
-//     order and synced outside it: on a log with a sync phase only a
-//     write-ahead record whose commit is durable on its own waits — its
-//     worker leaves the section, still in flight, until one shared sync
-//     covers the record, and re-enters the transition. A store-backed
-//     subsystem's commit is not: its pages follow the log's sync.
-//   - The section's condition variable is broadcast after every state
-//     mutation; blocked workers re-evaluate their gates. Two stall
-//     breakers run: a precise park-time wait-for analysis that
-//     victim-aborts a member of a closed wait cycle immediately (without
-//     waiting for the rest of the run to go idle), and the quiescence
-//     detector of the sequential engine as a backstop for waits with
-//     incomplete edge information (recovery-step gates, denials the
-//     policy cannot attribute to a predecessor), declared only when
-//     every live worker has re-evaluated at the current progress
-//     generation with nothing in flight.
+//   - A member is a record, not a goroutine. Each turn the loop applies
+//     the completions that fell due, steps every runnable member until it
+//     invokes, parks, is held or terminates, and admits from the pending
+//     queue in submission order (worker cap, Serial/Conservative rule,
+//     restart backoff). A state change makes every parked member
+//     runnable again.
+//   - Driver.Invoke runs in the loop, in the same step as the item-lock
+//     probe before it. Its completion falls due (Cost + extra latency) ×
+//     Tick later, in one deadline queue with the jobs that arrive later;
+//     at Tick 0 it is applied at once. With nothing to step, the loop
+//     waits for the earliest deadline, a sync or the context.
+//   - Force-logs, the 2PC coordinator's included, are written in loop
+//     order. On a log with a sync phase a write-ahead record whose commit
+//     is durable on its own holds its member, still in flight, while one
+//     syncer goroutine waits for a sync; the loop then re-enters the
+//     transition. A store-backed subsystem's commit never waits: its
+//     pages follow the log's sync.
+//   - With nothing runnable, a wait-for analysis victim-aborts a member
+//     of a closed set of parked members; with nothing in flight or held
+//     either, the sequential engine's stall-victim choice breaks waits
+//     whose blockers the policy cannot name.
 package runtime
 
 import (
@@ -57,7 +44,8 @@ import (
 	"errors"
 	"fmt"
 	gort "runtime"
-	"sync"
+	"slices"
+	"sort"
 	"sync/atomic"
 	"time"
 
@@ -83,8 +71,8 @@ type Config struct {
 	// (admission control). 0 means unlimited.
 	Workers int
 	// Tick is the real duration of one virtual cost unit of service
-	// time. 0 means services complete without sleeping (maximum
-	// interleaving pressure, minimum wall clock).
+	// time. 0 means none: an invocation completes in the step that
+	// made it, Makespan is 0 and the run is a function of its jobs.
 	Tick time.Duration
 	// MaxRestarts bounds per-process restarts (default 8).
 	MaxRestarts int
@@ -103,9 +91,9 @@ type Config struct {
 	Inject func(point string)
 	// CheckpointEvery, when positive, takes a fuzzy checkpoint
 	// (wal.TakeCheckpoint) after every that many runtime force-log
-	// appends. The checkpointer runs inside the serial section, so no
-	// force-log of this runtime lands in its fuzzy window; the window is
-	// exercised by TestCheckpointConcurrentWithAppends only. 0 disables.
+	// appends. The checkpointer runs in the loop, so no force-log of this
+	// runtime lands in its fuzzy window; the window is exercised by
+	// TestCheckpointConcurrentWithAppends only. 0 disables.
 	CheckpointEvery int
 	// CheckpointLimit caps the checkpoints of one run (0 = unlimited).
 	CheckpointLimit int
@@ -140,8 +128,8 @@ func (c Config) withDefaults() Config {
 
 // Result is the outcome of a concurrent run.
 type Result struct {
-	// Schedule is the observed process schedule (completion order under
-	// the serial section); check it with PRED(), Serializable() and
+	// Schedule is the observed process schedule (completion order in
+	// the loop); check it with PRED(), Serializable() and
 	// ProcessRecoverable().
 	Schedule *schedule.Schedule
 	Metrics  scheduler.Metrics
@@ -156,24 +144,32 @@ type Result struct {
 }
 
 // member is one live process: its protocol state (the shared driver's
-// record) plus the park-time stall machinery. All fields are guarded by
-// Runtime.mu (the owning worker mutates them only under it).
+// record) plus what the loop keeps about it.
 type member struct {
 	*scheduler.Proc
 
-	// lastEval is the progress generation at which this process
-	// last found nothing to do; parked marks it blocked in cond.Wait;
 	// waitAlts, when non-nil, is the complete wait-for disjunction
-	// recorded at the last sWait — the process can proceed iff for SOME
-	// alternative ALL listed blockers acted (terminated or released
-	// their locks). nil means the wait has edges the policy cannot name
-	// and only the quiescence backstop may break it.
-	lastEval int64
-	parked   bool
+	// recorded at the member's last step that found nothing to do — the
+	// process can proceed iff for SOME alternative ALL listed blockers
+	// acted (terminated or released their locks). nil means the wait has
+	// edges the policy cannot name and only the stall backstop may break
+	// it.
 	waitAlts [][]process.ID
-	// ahead is the LSN of the write-ahead record a Complete wrote and
-	// refused; the worker waits for its sync and re-enters (0: none).
-	ahead int64
+	// ahead is the LSN of the write-ahead record a transition wrote and
+	// refused; the member is held until a sync covers it (0: none).
+	// resume is the completion it then re-enters (nil: its 2PC commit).
+	ahead  int64
+	resume *deadline
+}
+
+// deadline is an entry of the loop's deadline queue: the completion of
+// a member's invocation w, or the arrival of a job (arrival set).
+type deadline struct {
+	at      time.Duration // since the run started
+	m       *member
+	w       scheduler.Work
+	res     *subsystem.Result
+	arrival *scheduler.Proc
 }
 
 // pendingProc is a submitted incarnation waiting for admission; after is
@@ -183,8 +179,8 @@ type pendingProc struct {
 	after int64
 }
 
-// Runtime executes processes concurrently, one goroutine per admitted
-// process.
+// Runtime executes processes concurrently: one loop steps every admitted
+// process while their invocations' service times overlap.
 type Runtime struct {
 	cfg Config
 	fed *subsystem.Federation
@@ -194,48 +190,51 @@ type Runtime struct {
 	glog *wal.GroupAppender
 	reg  *metrics.Registry
 
-	// The serial section: the shared protocol driver over every process
-	// of the run (with their policy state), admission and the stall
-	// machinery. All fields down to victims are guarded by mu.
-	mu   sync.Mutex
-	cond *sync.Cond
-	drv  *scheduler.Driver
-	seq  int64 // event sequence
+	// Everything from here down to err is the loop's alone.
+	drv *scheduler.Driver
+	seq int64 // event sequence
 	// members holds the live incarnations — admitted, not terminated —
 	// by origin id, the name the subsystems know a lock holder by
 	// (incarnations share locks); pending the submitted ones not yet
-	// admitted, in submission order. unfinished counts the jobs not yet
-	// retired (terminated for good, or dropped at the run's end); done is
-	// closed when it reaches zero.
-	members    map[process.ID]*member
-	pending    []pendingProc
-	unfinished int
-	done       chan struct{}
-	live       int // workers currently driving a process
-	inFlight   int // workers outside the section doing subsystem work
-	waiting    int // workers blocked on cond (diagnostics)
-	// Quiescence detection: progress increments on every state change
-	// that could unblock a member; upToDate counts live members whose
-	// lastEval equals the current generation. A stall is declared only
-	// when every live member re-evaluated at the current generation with
-	// nothing in flight.
-	progress int64
-	upToDate int
+	// admitted, in submission order.
+	members map[process.ID]*member
+	pending []pendingProc
+	// runnable is stepped in the next turn (spare is the other buffer),
+	// parked waits for a state change (changed: one happened this turn),
+	// held for a sync (syncing: the syncer has a request); due is ordered
+	// by deadline, then by arrival in it.
+	runnable, spare, parked, held []*member
+	changed, syncing              bool
+	due                           []*deadline
 	// completions counts finished invocations (the clock of restart
 	// backoff), victims the victim aborts spent of MaxStalls.
 	completions int64
 	victims     int
 	// frontier is step's buffer for a process's frontier.
 	frontier []int
+	canceled bool
+	// syncReq carries the LSN the loop needs durable to the syncer, and
+	// synced brings it back once a sync covered it.
+	syncReq, synced chan int64
 
-	// err is the first run-terminating error (crash or failure), set
-	// lock-free: once it is, workers drain. stopCh is closed with it.
-	err      atomic.Pointer[error]
-	stopCh   chan struct{}
-	canceled atomic.Bool
+	// err is the first run-terminating error (crash or failure); the
+	// syncer may set it too.
+	err atomic.Pointer[error]
 
 	start time.Time
+	// clock, when set, replaces the real clock: the loop reads it and,
+	// with nothing to step, hands it to the test that set it.
+	clock *stepClock
 	ckpt  scheduler.Checkpointer
+}
+
+// stepClock is a clock in-package tests advance by hand. The loop, with
+// nothing to step, sends the deadline it waits for (-1: none) on idle and
+// reads the new time from set; in between, the test may read and change
+// the loop's state.
+type stepClock struct {
+	now       time.Duration
+	idle, set chan time.Duration
 }
 
 // New creates a runtime over the federation.
@@ -257,8 +256,6 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 		glog:    glog,
 		reg:     cfg.Metrics,
 		members: make(map[process.ID]*member),
-		done:    make(chan struct{}),
-		stopCh:  make(chan struct{}),
 	}
 	coord := twopc.New(coordLog{r})
 	coord.Inject = cfg.Inject
@@ -274,7 +271,6 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 		Every: cfg.CheckpointEvery, Limit: cfg.CheckpointLimit, Compact: cfg.CompactOnCheckpoint,
 		Log: cfg.Log, Fed: fed, Conflicts: r.drv.Pol.Conflicts, Inject: cfg.Inject, Reg: cfg.Metrics,
 	}
-	r.cond = sync.NewCond(&r.mu)
 	if r.reg != nil {
 		coord.Metrics = r.reg
 		fed.SetMetrics(r.reg)
@@ -285,27 +281,21 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 	return r, nil
 }
 
-// fail records the first run-terminating error, which flips the run
-// into draining mode; called from any goroutine, with and without mu.
-// Run, which holds no lock, does the waking (taking mu to broadcast
-// here could deadlock).
+// fail records the first run-terminating error, which ends the run.
 func (r *Runtime) fail(err error) {
-	if r.err.CompareAndSwap(nil, &err) {
-		close(r.stopCh)
-	}
+	r.err.CompareAndSwap(nil, &err)
 }
 
 // stopped reports that the run crashed or failed.
 func (r *Runtime) stopped() bool { return r.err.Load() != nil }
 
 // over reports that the run crashed, failed or was canceled.
-func (r *Runtime) over() bool { return r.stopped() || r.canceled.Load() }
+func (r *Runtime) over() bool { return r.stopped() || r.canceled }
 
 // guard runs f, converting an injected-crash sentinel panic into the
-// run-terminating error every worker observes; ok is false when the
-// crash tripped. Callers hold mu — the panic must not unwind past the
-// critical section, so it is caught right here — except when they wait
-// for a sync. Non-sentinel panics propagate.
+// run-terminating error; ok is false when the crash tripped. The panic
+// must not unwind past the loop (or the syncer), so it is caught right
+// here. Non-sentinel panics propagate.
 func (r *Runtime) guard(f func()) (ok bool) {
 	defer scheduler.OnInjectedCrash(func(point string) {
 		r.fail(fmt.Errorf("%w (injected at %s)", scheduler.ErrCrashed, point))
@@ -314,8 +304,16 @@ func (r *Runtime) guard(f func()) (ok bool) {
 	return true
 }
 
+// now is the time since the run started.
+func (r *Runtime) now() time.Duration {
+	if r.clock != nil {
+		return r.clock.now
+	}
+	return time.Since(r.start)
+}
+
 // runtimeHost is the runtime as the driver's Host; the driver calls it
-// inside the serial section.
+// in the loop.
 type runtimeHost struct{ r *Runtime }
 
 func (h runtimeHost) NextSeq() int64 {
@@ -323,13 +321,13 @@ func (h runtimeHost) NextSeq() int64 {
 	return h.r.seq
 }
 
-// Now converts the wall clock into virtual ticks since the run started
-// (0 when Tick is unset).
+// Now converts the clock into virtual ticks since the run started (0
+// when Tick is unset).
 func (h runtimeHost) Now() int64 {
 	if h.r.cfg.Tick <= 0 {
 		return 0
 	}
-	return int64(time.Since(h.r.start) / h.r.cfg.Tick)
+	return int64(h.r.now() / h.r.cfg.Tick)
 }
 
 // ForceLog writes a record unless the run already crashed.
@@ -343,8 +341,8 @@ func (h runtimeHost) ForceLog(rec wal.Record) bool {
 // sentinel unwinds into guard's recover like any other force-log crash.
 // On a log with a sync phase nothing waits for a sync here: a
 // write-ahead record that must be durable first (syncFirst) is written
-// and refused, its worker waits for the sync outside the section
-// (awaitSync) and re-enters the transition, whose force-log accepts it.
+// and refused, its member is held until a sync covers it, and the
+// transition's re-entry finds it accepted.
 func (r *Runtime) forceLog(rec wal.Record) (int64, bool) {
 	if r.stopped() {
 		return 0, false
@@ -377,8 +375,8 @@ func (r *Runtime) forceLog(rec wal.Record) (int64, bool) {
 	})
 	// A log that took the record gave it a positive LSN. LSN 0 is the
 	// fault wrapper dropping the write of a system that already crashed
-	// in another worker, whose guard has not stopped the run yet: the
-	// record is not in the log.
+	// (in the syncer, say) before the run noticed: the record is not in
+	// the log.
 	if !ok || lsn == 0 {
 		return 0, false
 	}
@@ -413,9 +411,9 @@ func (r *Runtime) syncFirst(m *member, rec wal.Record) bool {
 var errRefused = errors.New("runtime: force-log refused")
 
 // coordLog is the log of the runtime's 2PC coordinator: the same
-// force-log, so a resolution never waits for a sync and a decision
-// waits outside the section like every other write-ahead record (the
-// hub's coordinator log does the same).
+// force-log, so a resolution never waits for a sync and a decision is
+// held for one like every other write-ahead record (the hub's
+// coordinator log does the same).
 type coordLog struct{ r *Runtime }
 
 func (l coordLog) Append(rec wal.Record) (int64, error) {
@@ -428,20 +426,19 @@ func (l coordLog) Append(rec wal.Record) (int64, error) {
 func (l coordLog) Records() ([]wal.Record, error) { return l.r.log.Records() }
 func (l coordLog) Close() error                   { return nil }
 
-// awaitSync waits, outside the section and counted in flight, until a
-// sync covered lsn; false when the run stopped meanwhile. Called with mu
-// held.
-func (r *Runtime) awaitSync(lsn int64) bool {
-	r.inFlight++
-	r.mu.Unlock()
-	r.guard(func() {
-		if err := r.glog.WaitDurable(lsn); err != nil {
-			r.fail(fmt.Errorf("runtime: force-log: %w", err))
-		}
-	})
-	r.mu.Lock()
-	r.inFlight--
-	return !r.stopped()
+// syncer is the one goroutine that waits for syncs: it takes the LSN the
+// loop needs durable, waits until a sync covered it, and posts it back,
+// until syncReq is closed.
+func (r *Runtime) syncer() {
+	defer close(r.synced)
+	for lsn := range r.syncReq {
+		r.guard(func() {
+			if err := r.glog.WaitDurable(lsn); err != nil {
+				r.fail(fmt.Errorf("runtime: force-log: %w", err))
+			}
+		})
+		r.synced <- lsn
+	}
 }
 
 // inject fires a named crash point; false when it tripped the crash.
@@ -457,47 +454,33 @@ func (r *Runtime) inject(point string) bool {
 
 // Run executes the jobs to completion: it submits every job to the
 // pending queue — in job order, one whose arrival (Arrival ticks of
-// real delay) lies ahead when its time comes — and waits until every
-// job is retired. The context cancels the run: in-flight service time
-// finishes, no new work starts, what is still pending is dropped and
+// real delay) lies ahead when its time comes — and runs the loop until
+// every job is retired. The context cancels the run: in-flight service
+// time finishes, no new work starts, what is still pending is dropped and
 // ctx.Err() is returned. A Runtime runs once.
 func (r *Runtime) Run(ctx context.Context, jobs []scheduler.Job) (*Result, error) {
 	if err := scheduler.ValidateJobs(r.fed, jobs); err != nil {
 		return nil, err
 	}
 	r.start = time.Now()
-
-	r.mu.Lock()
-	r.unfinished = len(jobs) + 1 // Run's own share, until every job is handed over
 	for i, j := range jobs {
 		p := scheduler.NewProc(j.Proc, i, j.Proc.ID.Origin(), j.Proc.ID, 0)
 		if j.Arrival > 0 && r.cfg.Tick > 0 {
-			go r.arrive(ctx, p, j.Arrival)
+			r.schedule(&deadline{at: time.Duration(j.Arrival) * r.cfg.Tick, arrival: p})
 		} else {
 			r.pending = append(r.pending, pendingProc{Proc: p})
 		}
 	}
-	r.admitPending()
-	r.finished()
-	r.mu.Unlock()
-
-	// Run is its own supervisor: on cancellation or crash it drops what
-	// is still pending and wakes every parked worker. The broadcast
-	// happens under mu, so a worker between its over-check and cond.Wait
-	// cannot miss it.
-	select {
-	case <-r.done:
-	case <-ctx.Done():
-		r.canceled.Store(true)
-	case <-r.stopCh:
+	if r.glog != nil {
+		r.syncReq, r.synced = make(chan int64, 1), make(chan int64, 1)
+		go r.syncer()
+		defer func() {
+			close(r.syncReq)
+			for range r.synced { // a post the loop left, until the syncer exits
+			}
+		}()
 	}
-	if r.over() {
-		r.mu.Lock()
-		r.admitPending()
-		r.cond.Broadcast()
-		r.mu.Unlock()
-		<-r.done
-	}
+	r.loop(ctx.Done())
 	if r.glog != nil && !r.stopped() {
 		// What the run wrote is durable before its Result is: serve
 		// settles on it.
@@ -511,9 +494,7 @@ func (r *Runtime) Run(ctx context.Context, jobs []scheduler.Job) (*Result, error
 	elapsed := time.Since(r.start)
 	m := r.drv.Metrics
 	if r.cfg.Tick > 0 {
-		m.Makespan = int64(elapsed / r.cfg.Tick)
-	} else {
-		m.Makespan = elapsed.Nanoseconds()
+		m.Makespan = int64(r.now() / r.cfg.Tick)
 	}
 	outcomes := make(map[process.ID]*scheduler.Outcome)
 	var defs []*process.Process
@@ -531,53 +512,162 @@ func (r *Runtime) Run(ctx context.Context, jobs []scheduler.Job) (*Result, error
 	if err := r.err.Load(); err != nil {
 		return res, *err
 	}
-	if r.canceled.Load() {
+	if r.canceled {
 		return res, ctx.Err()
 	}
 	return res, nil
 }
 
-// arrive submits a job once its arrival time has come. A wait long
-// enough for a kernel timer (see sleepTicks) ends with the run,
-// whichever comes first, and admitPending then drops the job.
-func (r *Runtime) arrive(ctx context.Context, p *scheduler.Proc, at int64) {
-	if d := time.Duration(at) * r.cfg.Tick; d >= 2*time.Millisecond {
-		t := time.NewTimer(d)
-		defer t.Stop()
+// loop is the runtime: each turn applies the completions that fell due
+// (and releases the members a sync covered), steps the runnable members
+// and admits; with nothing to step it breaks a stall or waits. It returns once every job is retired, or once the
+// run is over: at a crash or failure at once, at a cancellation when
+// what is in flight or held has finished.
+func (r *Runtime) loop(done <-chan struct{}) {
+	for {
 		select {
-		case <-t.C:
-		case <-r.stopCh:
-		case <-ctx.Done():
-			r.canceled.Store(true)
+		case <-done:
+			r.canceled, done = true, nil
+		case lsn := <-r.synced:
+			r.release(lsn)
+		default:
 		}
-	} else {
-		r.sleepTicks(at)
+		r.applyDue()
+		if r.over() {
+			r.pending = nil
+			r.due = slices.DeleteFunc(r.due, func(d *deadline) bool { return d.arrival != nil })
+			if r.stopped() || len(r.due) == 0 && !r.syncing {
+				return
+			}
+			r.sleep(done)
+			continue
+		}
+		batch := r.runnable
+		r.runnable = r.spare[:0]
+		for _, m := range batch {
+			if r.stopped() {
+				break
+			}
+			r.advance(m)
+		}
+		r.spare = batch[:0]
+		if r.over() {
+			continue
+		}
+		r.admitPending()
+		if r.changed {
+			r.wake()
+		}
+		if len(r.runnable) > 0 {
+			continue
+		}
+		if victim := r.detectDeadlock(); victim != nil {
+			r.drv.MarkVictim(victim.Proc, "wait-for cycle")
+			r.wake()
+			continue
+		}
+		if len(r.due) > 0 || r.syncing {
+			r.sleep(done)
+			continue
+		}
+		if len(r.members) == 0 {
+			return // admitPending admits into an empty system: nothing is pending
+		}
+		// Genuine stall: every member is parked, nothing is in flight.
+		if !r.resolveStall() {
+			r.fail(fmt.Errorf("runtime: unresolvable stall (mode %v)\n%s", r.cfg.Mode, r.stallDump()))
+			return
+		}
+		r.wake()
 	}
-	r.mu.Lock()
-	r.pending = append(r.pending, pendingProc{Proc: p})
-	r.admitPending()
-	r.mu.Unlock()
 }
 
-// admitPending is admission control, the sequential engine's admit over
-// the section's state: it scans the pending queue in submission order,
-// stops at the worker cap, and steps over — never queues behind — an
-// entry still backing off while anything is admitted or which the
-// mode's admission rule refuses. Each entry it lets in is logged,
-// registered as a member and driven by a goroutine of its own; one whose
-// start record does not reach the log stays pending, for the run is
-// ending — and once it is over, the queue is dropped instead. Called
-// with mu held after every submission, termination and completion.
-func (r *Runtime) admitPending() {
-	if r.over() {
-		dropped := r.pending
-		r.pending = nil
-		for range dropped {
-			r.finished()
+// schedule queues a deadline after every earlier or equal one.
+func (r *Runtime) schedule(d *deadline) {
+	i := sort.Search(len(r.due), func(i int) bool { return r.due[i].at > d.at })
+	r.due = slices.Insert(r.due, i, d)
+}
+
+// applyDue submits the arrivals and applies the completions whose
+// deadline passed, in deadline order.
+func (r *Runtime) applyDue() {
+	for len(r.due) > 0 && !r.stopped() && r.due[0].at <= r.now() {
+		d := r.due[0]
+		r.due = slices.Delete(r.due, 0, 1)
+		if d.arrival != nil {
+			r.pending = append(r.pending, pendingProc{Proc: d.arrival})
+			continue
+		}
+		r.completions++
+		r.finish(d.m, d.w, d.res)
+	}
+}
+
+// sleep waits, with nothing to step, for the earliest deadline, a sync
+// or the context. Kernel timer granularity is on the order of a
+// millisecond, which would inflate every sub-millisecond service time
+// several-fold and make throughput numbers measure timer resolution
+// instead of scheduling; a shorter wait therefore yield-spins on the
+// monotonic clock.
+func (r *Runtime) sleep(done <-chan struct{}) {
+	at := time.Duration(-1)
+	if len(r.due) > 0 {
+		at = r.due[0].at
+	}
+	if r.clock != nil {
+		select {
+		case r.clock.idle <- at:
+			select {
+			case r.clock.now = <-r.clock.set:
+			case <-done:
+				r.canceled = true
+			}
+		case <-done:
+			r.canceled = true
 		}
 		return
 	}
-	keep, admitted := r.pending[:0], false
+	if wait := at - r.now(); at < 0 || wait >= 2*time.Millisecond {
+		var timeout <-chan time.Time
+		if at >= 0 {
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			timeout = t.C
+		}
+		select {
+		case <-timeout:
+		case lsn := <-r.synced:
+			r.release(lsn)
+		case <-done:
+			r.canceled = true
+		}
+		return
+	}
+	for r.now() < at {
+		select {
+		case lsn := <-r.synced:
+			r.release(lsn)
+			return
+		case <-done:
+			r.canceled = true
+			return
+		default:
+			gort.Gosched()
+		}
+	}
+}
+
+// admitPending is the sequential engine's admit: it scans the pending
+// queue in submission order, stops at the worker cap, and steps over —
+// never queues behind — an entry still backing off while anything is
+// admitted or which the mode's admission rule refuses. Each entry it lets
+// in is logged and becomes a runnable member; one whose start record
+// does not reach the log stays pending, for the run is ending.
+func (r *Runtime) admitPending() {
+	if r.cfg.Workers > 0 && len(r.members) >= r.cfg.Workers {
+		return
+	}
+	keep := r.pending[:0]
 	for i, pp := range r.pending {
 		if r.cfg.Workers > 0 && len(r.members) >= r.cfg.Workers {
 			keep = append(keep, r.pending[i:]...)
@@ -589,20 +679,16 @@ func (r *Runtime) admitPending() {
 			keep = append(keep, pp)
 			continue
 		}
-		m := &member{Proc: pp.Proc, lastEval: -1}
+		m := &member{Proc: pp.Proc}
 		r.members[pp.Origin] = m
-		r.live++
 		if pp.Restarts > 0 {
 			r.drv.Metrics.Restarts++
 			r.reg.Inc(metrics.ProcsRestarted)
 		}
-		admitted = true
-		go r.drive(m)
+		r.runnable = append(r.runnable, m)
+		r.changed = true
 	}
 	r.pending = keep
-	if admitted {
-		r.bump()
-	}
 }
 
 // active yields the footprints of the live members.
@@ -614,115 +700,28 @@ func (r *Runtime) active(yield func([]string) bool) {
 	}
 }
 
-// finished retires one job — its last incarnation terminated, or it was
-// dropped — and ends the run with the last. Called with mu held.
-func (r *Runtime) finished() {
-	r.unfinished--
-	if r.unfinished == 0 {
-		close(r.done)
-	}
+// wake makes every parked member runnable after a state change.
+func (r *Runtime) wake() {
+	r.runnable = append(r.runnable, r.parked...)
+	r.parked = r.parked[:0]
+	r.changed = false
 }
 
-// bump advances the progress generation after a state change that may
-// unblock other members, and wakes them to re-evaluate. Called with mu
-// held.
-func (r *Runtime) bump() {
-	r.progress++
-	r.upToDate = 0
-	r.cond.Broadcast()
-}
-
-// sleepTicks simulates service time. Kernel timer granularity is on
-// the order of a millisecond, which would inflate every
-// sub-millisecond service time several-fold and make throughput
-// numbers measure timer resolution instead of scheduling — short
-// waits therefore yield-spin on the monotonic clock, which keeps the
-// wait accurate while still ceding the CPU to runnable workers.
-func (r *Runtime) sleepTicks(n int64) {
-	if r.cfg.Tick <= 0 || n <= 0 {
-		return
-	}
-	d := time.Duration(n) * r.cfg.Tick
-	if d >= 2*time.Millisecond {
-		time.Sleep(d)
-		return
-	}
-	deadline := time.Now().Add(d)
-	for time.Now().Before(deadline) {
-		gort.Gosched()
-	}
-}
-
-// wait blocks the process's worker on the section's condition variable
-// until some state changes. Two stall breakers guard the park, both
-// over the live members under mu alone:
-//
-//   - When the wait carries complete edge information (m.waitAlts), a
-//     precise wait-for analysis fires immediately once a closed set of
-//     parked members waits only on itself — no quiescence needed, so
-//     victim aborts overlap with unrelated in-flight work.
-//   - The quiescence backstop of the sequential engine: a stall is
-//     declared only once every live member re-evaluated its gates at
-//     the current progress generation and found nothing to do, with
-//     nothing in flight. Merely counting parked workers
-//     would race against workers that were signaled but not yet
-//     rescheduled.
-//
-// Returns false when the run is over. Called with mu held.
-func (r *Runtime) wait(m *member) bool {
-	if r.over() {
-		return false
-	}
-	if m.lastEval != r.progress {
-		m.lastEval = r.progress
-		r.upToDate++
-	}
-	if victim := r.detectDeadlock(m); victim != nil {
-		r.drv.MarkVictim(victim.Proc, "wait-for cycle")
-		r.bump()
-		return true
-	}
-	if r.upToDate >= r.live && r.inFlight == 0 && !r.actionableAbortPending() {
-		// Genuine stall: every gate was re-checked this generation.
-		if !r.resolveStall() {
-			r.fail(fmt.Errorf("runtime: unresolvable stall (mode %v)\n%s", r.cfg.Mode, r.stallDump()))
-			return false
-		}
-		r.bump()
-		return true
-	}
-	m.parked = true
-	r.waiting++
-	r.cond.Wait()
-	r.waiting--
-	m.parked = false
-	return !r.over()
-}
-
-// detectDeadlock checks, at the moment self is about to park with
-// complete wait-for information, whether it belongs to a set of parked
-// members that waits only on itself: every member, in each of its wait
-// alternatives, waits on at least one other member. A blocker's edges
-// disappear only when the blocker acts (terminates, commits or rolls
-// back prepared transactions, becomes quasi-safe) — which a parked
-// process never does — so such a set can never be unblocked from outside
-// and one member must be victim-aborted (the youngest abortable one, as
-// in the driver's stall-victim choice). A member counts as parked only
-// if it recorded complete wait-for information at the current
-// progress generation: one that was signaled but not yet rescheduled is
-// still marked parked, but its generation is stale, so it is never
-// mistaken for stuck. Called with mu held; returns the chosen victim
-// (nil: no closed set, no abortable member, or MaxStalls exhausted).
-func (r *Runtime) detectDeadlock(self *member) *member {
-	if self.waitAlts == nil {
-		return nil
-	}
-	var set map[process.ID]*member
-	for _, m := range r.members {
-		if m.parked && m.waitAlts != nil && m.lastEval == r.progress {
-			if set == nil {
-				set = map[process.ID]*member{self.ID: self}
-			}
+// detectDeadlock checks, with nothing left to step, whether some set of
+// parked members waits only on itself: every member, in each of its wait
+// alternatives, waits on at least one other member of the set. A
+// blocker's edges disappear only when the blocker acts (terminates,
+// commits or rolls back prepared transactions, becomes quasi-safe) —
+// which a parked process never does — so such a set can never be
+// unblocked from outside, even while other work is in flight, and one
+// member must be victim-aborted (the youngest abortable one, as in the
+// driver's stall-victim choice). Only members parked with complete
+// wait-for information count. Returns the chosen victim (nil: no closed
+// set, no abortable member, or MaxStalls exhausted).
+func (r *Runtime) detectDeadlock() *member {
+	set := make(map[process.ID]*member)
+	for _, m := range r.parked {
+		if m.waitAlts != nil {
 			set[m.ID] = m
 		}
 	}
@@ -750,9 +749,6 @@ func (r *Runtime) detectDeadlock(self *member) *member {
 			}
 		}
 	}
-	if set[self.ID] == nil {
-		return nil
-	}
 	var victim *member
 	for _, m := range set {
 		if m.Phase != policy.Running || m.AbortPending {
@@ -769,7 +765,7 @@ func (r *Runtime) detectDeadlock(self *member) *member {
 }
 
 // spendVictim takes one victim abort out of the run-wide MaxStalls
-// budget; false when it is exhausted. Called with mu held.
+// budget; false when it is exhausted.
 func (r *Runtime) spendVictim() bool {
 	if r.victims >= r.cfg.MaxStalls {
 		return false
@@ -778,25 +774,8 @@ func (r *Runtime) spendVictim() bool {
 	return true
 }
 
-// actionableAbortPending reports whether some process holds an
-// unconsumed abort request its worker can act on immediately (no queued
-// recovery steps that could be gated). While one exists, declaring a
-// new stall would be spurious: the woken workers merely re-blocked
-// before that victim's worker consumed the flag. An abortPending
-// process with gated recovery steps does NOT suppress stall handling —
-// waiting on it could deadlock, so another victim may be taken
-// (bounded by MaxStalls, as in the sequential engine).
-func (r *Runtime) actionableAbortPending() bool {
-	for _, m := range r.members {
-		if m.AbortPending && len(m.Recovery) == 0 && m.Idle() {
-			return true
-		}
-	}
-	return false
-}
-
 // resolveStall is the quiescence backstop: the driver's stall-victim
-// choice under the run-wide MaxStalls budget. Called with mu held.
+// choice under the run-wide MaxStalls budget.
 func (r *Runtime) resolveStall() bool {
 	victim := r.drv.ChooseVictim(nil)
 	if victim == nil || !r.spendVictim() {
@@ -806,119 +785,148 @@ func (r *Runtime) resolveStall() bool {
 	return true
 }
 
-// stepKind is the action the serial section hands a worker.
+// stepKind is what a step of a member came to.
 type stepKind int
 
 const (
-	sWait   stepKind = iota // nothing dispatchable; block
-	sAgain                  // progressed under the lock; re-evaluate
-	sInvoke                 // perform the prepared invocation outside the lock
+	sWait   stepKind = iota // nothing dispatchable (or held for a sync)
+	sAgain                  // progressed; step again
+	sInvoke                 // the returned work is dispatched; invoke it
 	sDone                   // process terminated
 )
 
-// drive is the goroutine of one admitted incarnation: it runs it to
-// termination, then submits the next incarnation of a restartable abort
-// or retires the job, and hands the freed slot to the pending queue.
-func (r *Runtime) drive(m *member) {
-	r.mu.Lock()
-	restart := r.driveLocked(m)
-	r.live--
-	r.bump()
-	if restart {
-		// Restart under a derived id after exponential backoff. Backoff
-		// is measured in system progress, not wall time: the contention
-		// that caused the abort must drain first, so re-entry waits for
-		// exponentially many invocation completions by other processes
-		// (or for the system to go idle). A wall-clock sleep would be
-		// no backoff at all under Tick=0 — the deadlock would re-form
-		// instantly with the same opponents and the same victim.
-		p := m.Restarted()
-		r.pending = append(r.pending, pendingProc{p, r.completions + int64(4<<p.Restarts)})
-	}
-	r.admitPending()
-	if !restart {
-		r.finished() // last: Run reads the result once every job is retired
-	}
-	r.mu.Unlock()
-}
-
-// driveLocked returns true when the process aborted restartably and
-// should re-enter. Called with mu held; releases it around invocations.
-func (r *Runtime) driveLocked(m *member) (restart bool) {
-	d, p := r.drv, m.Proc
-	for {
-		if r.over() {
-			return false
-		}
-		kind, item := r.step(m)
+// advance steps a runnable member until it invokes, parks, is held or
+// terminates.
+func (r *Runtime) advance(m *member) {
+	for !r.stopped() {
+		kind, w := r.step(m)
 		switch kind {
 		case sAgain:
-			r.bump()
+			r.changed = true
 			continue
-		case sDone:
-			return p.Restartable && p.Restarts < r.cfg.MaxRestarts
+		case sInvoke:
+			if r.invoke(m, w) {
+				continue
+			}
 		case sWait:
-			if !r.wait(m) {
-				return false
+			if m.ahead > 0 {
+				r.hold(m, nil) // its 2PC decision waits for a sync
+			} else {
+				r.parked = append(r.parked, m)
 			}
-			continue
-		}
-		// sInvoke: the in-flight registration happened in step(); do the
-		// subsystem work unlocked (the idempotency key is allocated
-		// under the lock).
-		r.inFlight++
-		key := d.InvokeKey(p)
-		r.mu.Unlock()
-		res, extraLat, locked := d.Invoke(p, item, key)
-		if !locked {
-			r.sleepTicks(d.Cost(item.Service) + extraLat)
-		}
-		r.mu.Lock()
-		r.inFlight--
-		if r.stopped() {
-			// The run crashed while this invocation was in flight: do
-			// not commit, log or apply its outcome. A prepared local
-			// transaction stays in doubt with no prepared record — the
-			// orphan recovery rule presumes it aborted.
-			d.Undispatch(p, item)
-			return false
-		}
-		d.Metrics.Invocations++
-		if locked {
-			// Lost the probe/acquire race: a conflicting local
-			// transaction grabbed the item locks between step()'s probe
-			// and the Invoke. Undo the registration and re-evaluate —
-			// the next step() re-probes and parks with the holder's
-			// identity as a wait-for edge.
-			d.Undispatch(p, item)
-			d.LockWait(p, item, "lost the probe/acquire race")
-			r.bump()
-			continue
-		}
-		r.completions++
-		r.admitPending() // a backoff target may be reached
-		for {
-			if err := d.Complete(p, item, res); err != nil {
-				r.fail(err)
+		case sDone:
+			p := m.Proc
+			if p.Restartable && p.Restarts < r.cfg.MaxRestarts {
+				// Restart under a derived id after exponential backoff.
+				// Backoff is measured in system progress, not wall time:
+				// the contention that caused the abort must drain first,
+				// so re-entry waits for exponentially many invocation
+				// completions by other processes (or for the system to go
+				// idle). A wall-clock sleep would be no backoff at all
+				// under Tick=0 — the deadlock would re-form instantly with
+				// the same opponents and the same victim.
+				np := p.Restarted()
+				r.pending = append(r.pending, pendingProc{np, r.completions + int64(4<<np.Restarts)})
 			}
-			if m.ahead == 0 {
-				break
-			}
-			// Complete wrote its write-ahead record and stopped short
-			// of the subsystem commit that follows it.
-			if !r.awaitSync(m.ahead) {
-				d.Undispatch(p, item) // crashed meanwhile: as above
-				return false
-			}
+			r.changed = true
 		}
-		r.bump()
+		return
 	}
 }
 
-// step is the serial-section decision: what should this worker do next?
-// Called with mu held. Every sWait return records the wait-for edge
-// information of the park in m.waitAlts (nil when the policy cannot
-// name the blockers).
+// invoke calls the subsystem for the work step dispatched and schedules
+// its completion after its service time. At Tick 0 the completion is
+// applied now, and invoke reports whether the member steps on in this
+// turn. A locked answer (item locks the probe found free) parks the
+// member with no wait-for edges, as the sequential engine retries it.
+func (r *Runtime) invoke(m *member, w scheduler.Work) bool {
+	d, p := r.drv, m.Proc
+	res, extraLat, locked := d.Invoke(p, w, d.InvokeKey(p))
+	d.Metrics.Invocations++
+	if locked {
+		d.Undispatch(p, w)
+		d.LockWait(p, w, "")
+		r.parked = append(r.parked, m)
+		return false
+	}
+	if r.cfg.Tick <= 0 {
+		r.completions++
+		return r.apply(m, w, res)
+	}
+	at := r.now() + time.Duration(d.Cost(w.Service)+extraLat)*r.cfg.Tick
+	r.schedule(&deadline{at: at, m: m, w: w, res: res})
+	return false
+}
+
+// finish applies a completion that fell due and makes its member
+// runnable.
+func (r *Runtime) finish(m *member, w scheduler.Work, res *subsystem.Result) {
+	if r.apply(m, w, res) {
+		r.runnable = append(r.runnable, m)
+	}
+}
+
+// apply applies a completion, unless the write-ahead record it wrote
+// must be durable first: then the member is held until a sync covers it
+// and apply reports false.
+func (r *Runtime) apply(m *member, w scheduler.Work, res *subsystem.Result) bool {
+	if err := r.drv.Complete(m.Proc, w, res); err != nil {
+		r.fail(err)
+	}
+	if m.ahead > 0 {
+		r.hold(m, &deadline{m: m, w: w, res: res})
+		return false
+	}
+	r.changed = true
+	return true
+}
+
+// hold keeps a member until a sync covers its write-ahead record.
+func (r *Runtime) hold(m *member, resume *deadline) {
+	m.resume = resume
+	r.held = append(r.held, m)
+	r.requestSync()
+}
+
+// requestSync asks the syncer, when it is idle, for a sync covering
+// every held member: the last one held wrote the last record.
+func (r *Runtime) requestSync() {
+	if !r.syncing && len(r.held) > 0 {
+		r.syncing = true
+		r.syncReq <- r.held[len(r.held)-1].ahead
+	}
+}
+
+// release re-enters the transition of every held member whose record a
+// sync covered up to lsn: the re-entered force-log accepts it, and
+// nothing came between.
+func (r *Runtime) release(lsn int64) {
+	r.syncing = false
+	if r.stopped() {
+		return
+	}
+	held := r.held
+	r.held = nil
+	for _, m := range held {
+		switch {
+		case m.ahead > lsn:
+			r.held = append(r.held, m)
+		case m.resume != nil:
+			d := m.resume
+			m.resume = nil
+			r.finish(m, d.w, d.res)
+		default:
+			r.commitPreparedSet(m)
+			r.changed = true
+			r.runnable = append(r.runnable, m)
+		}
+	}
+	r.requestSync()
+}
+
+// step is the loop's decision for one member: what should it do next?
+// Every sWait return records the wait-for edge information of the park
+// in m.waitAlts (nil when the policy cannot name the blockers).
 func (r *Runtime) step(m *member) (stepKind, scheduler.Work) {
 	d, p := r.drv, m.Proc
 	m.waitAlts = nil
@@ -984,13 +992,14 @@ func (r *Runtime) step(m *member) (stepKind, scheduler.Work) {
 			deferAlt = d.Pol.ActiveConflictPreds(d, p.ID)
 		} else {
 			if !r.commitPreparedSet(m) {
-				return sWait, scheduler.Work{} // injected crash mid-2PC
+				return sWait, scheduler.Work{} // held for the decision's sync, or an injected crash mid-2PC
 			}
 			return sAgain, scheduler.Work{} // successors joined the frontier
 		}
 	}
-	// Regular forward execution. The single worker linearizes parallel
-	// branches: pick the first dispatchable frontier activity.
+	// Regular forward execution. One invocation per member at a time
+	// linearizes parallel branches: pick the first dispatchable frontier
+	// activity.
 	var blocked [][]process.ID
 	complete := true
 	r.frontier = p.Inst.AppendFrontier(r.frontier[:0])
@@ -1008,11 +1017,11 @@ func (r *Runtime) step(m *member) (stepKind, scheduler.Work) {
 			}
 			continue
 		}
-		// Probe the subsystem's item locks under the serial section: a
-		// held lock means parking here, not an invocation attempt whose
-		// ErrLocked bounce would wake (and be woken by) other blocked
-		// workers in an endless retry storm. The holder becomes a
-		// wait-for edge.
+		// Probe the subsystem's item locks: a held lock means parking
+		// here, not an invocation attempt whose ErrLocked bounce would
+		// wake (and be woken by) other parked members in an endless retry
+		// storm. The holder becomes a wait-for edge. The invocation
+		// follows in the same step, so the answer holds for it.
 		if holder, free := r.fed.LockBlocker(string(p.Origin), a.Service); !free {
 			if cur := r.members[process.ID(holder)]; cur != nil {
 				blocked = append(blocked, []process.ID{cur.ID})
@@ -1026,8 +1035,8 @@ func (r *Runtime) step(m *member) (stepKind, scheduler.Work) {
 	// The park's wait-for information is complete only when EVERY
 	// frontier alternative was denied by a named blocker set (conflict
 	// predecessors or an item-lock holder); any alternative blocked on
-	// own prepared work or non-pred rules falls back to the quiescence
-	// detector.
+	// own prepared work or non-pred rules falls back to the stall
+	// backstop.
 	if deferAlt != nil {
 		blocked = append(blocked, deferAlt)
 	}
@@ -1037,61 +1046,52 @@ func (r *Runtime) step(m *member) (stepKind, scheduler.Work) {
 	return sWait, scheduler.Work{}
 }
 
-// register passes the dispatch crash point, logs the invocation as in
-// flight and hands it to the worker.
+// register passes the dispatch crash point and logs the invocation as in
+// flight, so decisions taken during its service time see it as a
+// survivor in the forced-order graph.
 func (r *Runtime) register(p *scheduler.Proc, w scheduler.Work) (stepKind, scheduler.Work) {
 	if !r.inject("runtime:dispatch") || !r.drv.Dispatch(p, w) {
-		return sAgain, scheduler.Work{} // crash tripped; drive's loop head exits
+		return sAgain, scheduler.Work{} // crash tripped; advance stops
 	}
 	return sInvoke, w
 }
 
 // commitPreparedSet runs the driver's 2PC commit under the crash guard:
-// the coordinator's crash points must not unwind past the critical
-// section. A decision that must be durable first is written and
-// refused; the worker waits for its sync outside the section, still in
-// flight, and commits again, which now accepts it — the decision is in
-// the log, so nothing may come between. Called with mu held (lock order
-// mu -> subsystem.mu).
+// the coordinator's crash points must not unwind past the loop. A
+// decision that must be durable first is written and refused (m.ahead):
+// the member is held, and its release commits again, which now accepts
+// it — the decision is in the log, so nothing may come between.
 func (r *Runtime) commitPreparedSet(m *member) bool {
-	for {
-		var ok bool
-		var err error
-		if !r.guard(func() { ok, err = r.drv.CommitPreparedSet(m.Proc) }) {
-			return false // injected crash mid-2PC; recovery finishes the job
-		}
-		switch {
-		case m.ahead > 0:
-			if !r.awaitSync(m.ahead) {
-				return false
-			}
-			continue
-		case errors.Is(err, errRefused):
-			return false // not logged: the run is ending
-		case err != nil:
-			r.fail(err)
-		}
-		return ok
+	var ok bool
+	var err error
+	if !r.guard(func() { ok, err = r.drv.CommitPreparedSet(m.Proc) }) {
+		return false // injected crash mid-2PC; recovery finishes the job
 	}
+	switch {
+	case m.ahead > 0, errors.Is(err, errRefused):
+		return false // held, or not logged: the run is ending
+	case err != nil:
+		r.fail(err)
+	}
+	return ok
 }
 
-// terminate emits the terminal event and releases the admission slot
-// (drive hands it on). Called with mu held.
+// terminate emits the terminal event and releases the admission slot.
 func (r *Runtime) terminate(m *member, committed bool) stepKind {
 	if !r.drv.Terminate(m.Proc, committed) {
-		return sAgain // not logged: the run is ending, drive's loop head exits
+		return sAgain // not logged: the run is ending, advance stops
 	}
 	delete(r.members, m.Origin)
 	return sDone
 }
 
-// stallDump renders the section's state for stall diagnostics.
+// stallDump renders the loop's state for stall diagnostics.
 func (r *Runtime) stallDump() string {
-	s := fmt.Sprintf("live=%d pending=%d inFlight=%d waiting=%d victims=%d progress=%d\n%s",
-		r.live, len(r.pending), r.inFlight, r.waiting, r.victims, r.progress, r.drv.Dump())
-	for _, m := range r.members {
-		if m.parked && m.waitAlts != nil {
-			s += fmt.Sprintf("  wait %s alts=%v fresh=%v\n", m.ID, m.waitAlts, m.lastEval == r.progress)
+	s := fmt.Sprintf("members=%d pending=%d due=%d held=%d victims=%d\n%s",
+		len(r.members), len(r.pending), len(r.due), len(r.held), r.victims, r.drv.Dump())
+	for _, m := range r.parked {
+		if m.waitAlts != nil {
+			s += fmt.Sprintf("  wait %s alts=%v\n", m.ID, m.waitAlts)
 		}
 	}
 	return s

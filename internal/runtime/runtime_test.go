@@ -2,11 +2,15 @@ package runtime_test
 
 import (
 	"context"
+	"reflect"
+	gort "runtime"
 	"testing"
 	"time"
 
 	"transproc/internal/metrics"
+	"transproc/internal/process"
 	"transproc/internal/runtime"
+	"transproc/internal/schedule"
 	"transproc/internal/scheduler"
 	"transproc/internal/workload"
 )
@@ -215,5 +219,60 @@ func TestRuntimeDecisionTrace(t *testing.T) {
 	}
 	if committed == 0 {
 		t.Fatal("no process committed")
+	}
+}
+
+// TestRuntimeDeterministic: at Tick 0 no service time overlaps and the
+// one loop makes every decision, so a run is a function of its jobs —
+// the same schedule, outcomes and metrics twice over at every GOMAXPROCS.
+// The workload is bench/'s rt-abort profile: dense conflicts, permanent
+// and transient failures, compensation and victim restarts. Not
+// parallel: it sets GOMAXPROCS.
+func TestRuntimeDeterministic(t *testing.T) {
+	type run struct {
+		events   []schedule.Event
+		outcomes map[process.ID]*scheduler.Outcome
+		metrics  scheduler.Metrics
+	}
+	once := func(seed int64) run {
+		p := workload.DefaultProfile(seed)
+		p.Processes = 150
+		p.ConflictProb = 0.6
+		p.PermFailureProb = 0.1
+		p.TransientFailureProb = 0.1
+		w := workload.MustGenerate(p)
+		rt, err := runtime.New(w.Fed, runtime.Config{Mode: scheduler.PRED, Workers: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := rt.Run(context.Background(), w.Jobs)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		return run{res.Schedule.Events(), res.Outcomes, res.Metrics}
+	}
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(0))
+	for seed := int64(1); seed <= 5; seed++ {
+		var first run
+		for i, procs := range []int{1, 1, 2, 2, 4, 4} {
+			gort.GOMAXPROCS(procs)
+			got := once(seed)
+			if i == 0 {
+				first = got
+				if first.metrics.AbortedProcs == 0 || first.metrics.Compensations == 0 {
+					t.Fatalf("seed %d: no abort or compensation: %+v", seed, first.metrics)
+				}
+				continue
+			}
+			if !reflect.DeepEqual(got.events, first.events) {
+				t.Errorf("seed %d, GOMAXPROCS %d: the schedule differs", seed, procs)
+			}
+			if !reflect.DeepEqual(got.outcomes, first.outcomes) {
+				t.Errorf("seed %d, GOMAXPROCS %d: the outcomes differ", seed, procs)
+			}
+			if got.metrics != first.metrics {
+				t.Errorf("seed %d, GOMAXPROCS %d: metrics %+v, first run %+v", seed, procs, got.metrics, first.metrics)
+			}
+		}
 	}
 }

@@ -18,7 +18,7 @@ import (
 
 // Host is what differs between the hosts of the protocol driver: the
 // sequential engine (event heap, virtual clock), the concurrent runtime
-// (goroutines, group mutex) and the federation hub. Every transition of
+// (the same loop on the real clock) and the federation hub. Every transition of
 // the per-process protocol is written once, on Driver, against it.
 type Host interface {
 	// NextSeq grants the next global event sequence number.
@@ -208,7 +208,7 @@ func (t *Table) InFlight(id process.ID) []string {
 // deferred 2PC commit, Lemma 2/3 ordered completions, Definition 4
 // failure plans, the abort of Definition 8.2b — as one set of
 // transitions over a process table and a policy state. A host serializes
-// the calls (event loop, group mutex, hub mutex) and decides when to
+// the calls (event loop, real-clock loop, hub mutex) and decides when to
 // make them; what a transition does is the same everywhere.
 type Driver struct {
 	Table

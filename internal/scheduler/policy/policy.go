@@ -7,11 +7,10 @@
 //
 // The protocol driver (scheduler.Driver) calls this layer for all of its
 // hosts: the sequential discrete-event engine (internal/scheduler) — the
-// reference oracle — the concurrent goroutine-per-process runtime
-// (internal/runtime) and the federation hub. The policy State is NOT
-// internally synchronized: each host calls it from its serial section
-// (the engine's single event loop, the runtime's group mutex, the hub
-// mutex).
+// reference oracle — the concurrent runtime (internal/runtime) and the
+// federation hub. The policy State is NOT internally synchronized: each
+// host calls it from its serial section (the engine's event loop, the
+// runtime's loop on the real clock, the hub mutex).
 //
 // Host-dynamic facts (process phases, instances, queued recovery steps,
 // in-flight invocations) are supplied through the View interface so
@@ -193,7 +192,7 @@ type State struct {
 	viewVersion int64
 
 	// Scratch (a State is always driven from one goroutine at a time —
-	// the engine loop or the holder of the runtime's serial section).
+	// the engine loop, the runtime loop or the holder of the hub mutex).
 	// epoch stamps node.seen and node.pred for one decision; preds holds
 	// the candidate's conflict predecessors, work the nodes prune has to
 	// look at.

@@ -294,8 +294,9 @@ func (s *Subsystem) FailService(proc, service string) {
 // Lockable reports whether proc could currently acquire the service's
 // strict-2PL item locks (a snapshot; no state changes). Schedulers use
 // it to park a process instead of burning an invocation attempt that
-// would return ErrLocked; a racing acquisition between the probe and
-// the Invoke still yields ErrLocked, so the probe is advisory.
+// would return ErrLocked. The runtime invokes in the same step of its
+// loop as it probes, so nothing acquires in between and a free answer
+// holds for the Invoke.
 func (s *Subsystem) Lockable(proc, service string) bool {
 	_, free := s.LockBlocker(proc, service)
 	return free
@@ -305,8 +306,7 @@ func (s *Subsystem) Lockable(proc, service string) bool {
 // holding a conflicting item lock (the first found; "" when the service
 // is lockable or unknown). Schedulers use the holder as a wait-for edge:
 // the probe can only stop failing after that holder releases its locks
-// by committing or rolling back, so parking on the holder is sound even
-// though the probe is advisory.
+// by committing or rolling back, so parking on the holder is sound.
 func (s *Subsystem) LockBlocker(proc, service string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
