@@ -73,6 +73,28 @@ func RecoverWithMetrics(fed *subsystem.Federation, log wal.Log, defs []*process.
 // RecoverDurable on that analysis when pages asks for it and a store is
 // attached, then 2PC resolution, the group abort and the driver run.
 func recoverLog(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m *metrics.Registry, pages bool) (*DurableReport, error) {
+	r, err := restart(fed, log, defs, m, pages)
+	if err != nil {
+		return nil, err
+	}
+	return r.groupAbort()
+}
+
+// restarted is restart recovery one instant before the group abort: the
+// driver holds every interrupted process as the log rebuilds it.
+type restarted struct {
+	e     *Engine
+	m     *metrics.Registry
+	rep   *DurableReport
+	ckpt  *wal.Checkpoint // the replay starts from it; nil for a full replay
+	recs  []wal.Record    // the replay view and phase 1's resolution records
+	pages bool
+}
+
+// restart reads and analyzes the log, runs the page-level phase when
+// pages asks for it, resolves in-doubt transactions (phases 1 and 1b)
+// and rebuilds the interrupted processes (phase 2).
+func restart(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m *metrics.Registry, pages bool) (*restarted, error) {
 	raw, err := log.Records()
 	if err != nil {
 		return nil, err
@@ -121,7 +143,7 @@ func recoverLog(fed *subsystem.Federation, log wal.Log, defs []*process.Process,
 	// rebuild must observe the resolution records this appends (a decided
 	// prepared transaction is now committed, an undecided one rolled
 	// back); recovery never checkpoints, so they extend the expansion's
-	// tail.
+	// tail. The view may share raw's array, which nothing else holds.
 	recs := exp.Records
 	for _, id := range ids {
 		resolved, err := d.Coord.Resolve(fed, images[id])
@@ -154,16 +176,28 @@ func recoverLog(fed *subsystem.Federation, log wal.Log, defs []*process.Process,
 		sub string
 		tx  int64
 	}
-	known, redo := make(map[txKey]bool), make(map[txKey]bool)
-	for _, img := range images {
-		for _, ptx := range img.Prepared {
-			known[txKey{ptx.Subsystem, ptx.Tx}] = true
-		}
-		for _, ptx := range img.RedoCommit {
-			redo[txKey{ptx.Subsystem, ptx.Tx}] = true
+	// Only the transactions still in doubt are looked up in the images;
+	// the history's committed ones are not indexed.
+	inDoubt := fed.InDoubt()
+	doubt, known, redo := make(map[txKey]bool), make(map[txKey]bool), make(map[txKey]bool)
+	for subName, recsInDoubt := range inDoubt {
+		for _, r := range recsInDoubt {
+			doubt[txKey{subName, int64(r.Tx)}] = true
 		}
 	}
-	for subName, recsInDoubt := range fed.InDoubt() {
+	for _, img := range images {
+		for _, ptx := range img.Prepared {
+			if k := (txKey{ptx.Subsystem, ptx.Tx}); doubt[k] {
+				known[k] = true
+			}
+		}
+		for _, ptx := range img.RedoCommit {
+			if k := (txKey{ptx.Subsystem, ptx.Tx}); doubt[k] {
+				redo[k] = true
+			}
+		}
+	}
+	for subName, recsInDoubt := range inDoubt {
 		sub, _ := fed.Subsystem(subName)
 		for _, r := range recsInDoubt {
 			if known[txKey{subName, int64(r.Tx)}] {
@@ -206,11 +240,12 @@ func recoverLog(fed *subsystem.Federation, log wal.Log, defs []*process.Process,
 			return nil, fmt.Errorf("scheduler: recovery found unknown process %q in the log", id)
 		}
 		def = def.WithID(process.ID(id)) // a restart incarnation runs under a derived id
-		p := NewProc(def, 0, def.ID.Origin(), def.ID, 0)
-		if p.Arrival, err = replayInstance(p.Inst, recs); err != nil {
-			return nil, fmt.Errorf("scheduler: rebuilding %s: %w", id, err)
-		}
-		d.Add(p)
+		d.Add(NewProc(def, -1, def.ID.Origin(), def.ID, 0))
+	}
+	if err := rebuild(d, recs); err != nil {
+		return nil, err
+	}
+	for _, p := range d.All() {
 		// Past its pivot (F-REC) the abort completes forward: the terminate
 		// record will read aborted, but the work stands.
 		report.Fates[p.ID] = p.Inst.Mode() != process.BREC
@@ -220,6 +255,14 @@ func recoverLog(fed *subsystem.Federation, log wal.Log, defs []*process.Process,
 			report.BackwardRecovered = append(report.BackwardRecovered, p.ID)
 		}
 	}
+	return &restarted{e: e, m: m, rep: rep, ckpt: exp.Checkpoint, recs: recs, pages: pages}, nil
+}
+
+// groupAbort is phase 3: the group abort of every rebuilt process, run by
+// the driver to quiescence, and the recovered image made durable.
+func (r *restarted) groupAbort() (*DurableReport, error) {
+	e, m, recs, rep := r.e, r.m, r.recs, r.rep
+	d, fed, report := e.drv, e.fed, rep.RecoveryReport
 	if len(d.All()) > 0 {
 		// One group abort covers all interrupted processes
 		// (Definition 8.2b): each one's completion becomes its recovery
@@ -262,7 +305,7 @@ func recoverLog(fed *subsystem.Federation, log wal.Log, defs []*process.Process,
 		}
 	}
 	evs := wal.EffectiveCommits(recs, keep)
-	if ckpt := exp.Checkpoint; forward && ckpt != nil {
+	if ckpt := r.ckpt; forward && ckpt != nil {
 		horizon := sort.SearchInts(evs, len(ckpt.Live))
 		seed(evs[:horizon])
 		d.Pol.SeedSummary(ckpt.Edges, ckpt.Shadow, int64(len(ckpt.Live)))
@@ -336,7 +379,7 @@ func recoverLog(fed *subsystem.Federation, log wal.Log, defs []*process.Process,
 	if e.err != nil {
 		return nil, e.err
 	}
-	if pages {
+	if r.pages {
 		// The recovered image becomes the base a second crash replays from.
 		for _, sub := range fed.Subsystems() {
 			n, err := sub.FlushStore()
@@ -349,21 +392,25 @@ func recoverLog(fed *subsystem.Federation, log wal.Log, defs []*process.Process,
 	return rep, nil
 }
 
-// replayInstance replays a process's WAL records into its fresh instance
-// and returns the position of the first one (the process's age).
-func replayInstance(inst *process.Instance, recs []wal.Record) (first int, err error) {
-	id := string(inst.Process().ID)
-	first = -1
+// rebuild replays the log into the fresh instances of the driver's
+// processes, all in one pass, and sets each one's arrival to the position
+// of its first record (its age).
+func rebuild(d *Driver, recs []wal.Record) error {
+	if len(d.All()) == 0 {
+		return nil
+	}
 	for i, r := range recs {
-		if r.Proc != id {
+		p := d.Get(process.ID(r.Proc))
+		if p == nil {
 			continue
 		}
-		if first < 0 {
-			first = i
+		if p.Arrival < 0 {
+			p.Arrival = i
 		}
 		// (record, status) -> transition; anything else leaves the instance
 		// as it is (a redo-commit's second resolution, an outcome of an
 		// abandoned branch).
+		inst := p.Inst
 		var err error
 		switch st := inst.Status(r.Local); {
 		case r.Type == wal.RecOutcome && r.Outcome == "committed" && (st == process.Pending || st == process.Prepared),
@@ -383,8 +430,8 @@ func replayInstance(inst *process.Instance, recs []wal.Record) (first int, err e
 			err = inst.MarkCompensated(r.Local)
 		}
 		if err != nil {
-			return 0, err
+			return fmt.Errorf("scheduler: rebuilding %s: %w", p.ID, err)
 		}
 	}
-	return first, nil
+	return nil
 }

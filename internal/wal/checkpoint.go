@@ -105,7 +105,9 @@ type Expansion struct {
 	// Records is what recovery replays: the latest valid checkpoint's
 	// live records followed by every non-checkpoint record past the
 	// horizon, in log order. Without a usable checkpoint it is simply
-	// every non-checkpoint record.
+	// every non-checkpoint record. When the log holds no checkpoint
+	// record at all it is Expand's input itself, sharing its backing
+	// array: callers only read it.
 	Records []Record
 	// Checkpoint is the checkpoint the view is based on; nil means
 	// full replay.
@@ -136,6 +138,10 @@ func Expand(recs []Record) Expansion {
 		exp.Fallback = true
 	}
 	if cp == nil {
+		if !exp.Fallback {
+			exp.Records = recs // no checkpoint record to drop
+			return exp
+		}
 		exp.Records = make([]Record, 0, len(recs))
 		for _, r := range recs {
 			if r.Type != RecCheckpoint {

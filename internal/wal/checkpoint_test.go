@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -352,4 +353,51 @@ func TestMemCompactAcrossChunks(t *testing.T) {
 	if exp.Checkpoint == nil || exp.Checkpoint.Horizon != cp.Horizon || len(exp.Records) != 3+4+300 {
 		t.Fatalf("expansion: checkpoint %v, %d records; want horizon %d, L1's 3 + 304 tail records", exp.Checkpoint, len(exp.Records), cp.Horizon)
 	}
+}
+
+// TestExpandSharesCheckpointFreeLogs pins the contract of
+// Expansion.Records: a log without a checkpoint record is its own replay
+// view, shared and not copied; a log whose only checkpoint is invalid
+// still loses that record and falls back; a valid checkpoint's view is
+// unchanged.
+func TestExpandSharesCheckpointFreeLogs(t *testing.T) {
+	plain := []Record{
+		{LSN: 1, Type: RecStart, Proc: "P1"},
+		{LSN: 2, Type: RecStart, Proc: "P2"},
+		{LSN: 3, Type: RecTerminate, Proc: "P2", Committed: true},
+		{LSN: 4, Type: RecOutcome, Proc: "P1", Local: 1, Service: "s", Outcome: "committed"},
+	}
+	t.Run("no checkpoint", func(t *testing.T) {
+		var exp Expansion
+		if allocs := testing.AllocsPerRun(10, func() { exp = Expand(plain) }); allocs != 0 {
+			t.Errorf("Expand allocated %.0f times", allocs)
+		}
+		if &exp.Records[0] != &plain[0] || len(exp.Records) != len(plain) {
+			t.Error("the view of a checkpoint-free log is not the log itself")
+		}
+		if exp.Checkpoint != nil || exp.Fallback || exp.Skipped != 0 {
+			t.Errorf("expansion = %+v", exp)
+		}
+	})
+	t.Run("invalid checkpoint only", func(t *testing.T) {
+		recs := append(slices.Clone(plain[:3]), Record{LSN: 4, Type: RecCheckpoint, Checkpoint: &Checkpoint{Horizon: -1}}, plain[3])
+		exp := Expand(recs)
+		if !exp.Fallback || exp.Checkpoint != nil {
+			t.Errorf("Fallback %v, Checkpoint %v; want a fallback to full replay", exp.Fallback, exp.Checkpoint)
+		}
+		if !reflect.DeepEqual(exp.Records, plain) {
+			t.Errorf("records = %+v, want the log without its checkpoint record", exp.Records)
+		}
+	})
+	t.Run("valid checkpoint", func(t *testing.T) {
+		cp := &Checkpoint{Horizon: 3, Live: plain[:1], Procs: 1, Dropped: 2}
+		recs := append(slices.Clone(plain[:3]), Record{LSN: 5, Type: RecCheckpoint, Checkpoint: cp}, plain[3])
+		exp := Expand(recs)
+		if exp.Checkpoint != cp || exp.Fallback || exp.Skipped != 2 {
+			t.Errorf("expansion = %+v", exp)
+		}
+		if want := []Record{plain[0], plain[3]}; !reflect.DeepEqual(exp.Records, want) {
+			t.Errorf("records = %+v, want %+v", exp.Records, want)
+		}
+	})
 }

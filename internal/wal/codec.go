@@ -80,8 +80,17 @@ func appendString(b []byte, s string) []byte {
 }
 
 // decodeRecord parses one payload; DESIGN.md §6k lists what it refuses.
-func decodeRecord(p []byte) (Record, error) {
-	d := decoder{b: p}
+func decodeRecord(p []byte) (Record, error) { return parseRecord(p, false) }
+
+// scanRecord validates one payload under exactly decodeRecord's rules and
+// returns its LSN, materialising no string, list or map.
+func scanRecord(p []byte) (int64, error) {
+	r, err := parseRecord(p, true)
+	return r.LSN, err
+}
+
+func parseRecord(p []byte, skip bool) (Record, error) {
+	d := decoder{b: p, skip: skip}
 	if f := d.u8(); f == '{' {
 		return Record{}, errors.New("payload in the retired JSON record format (such logs are refused, not migrated)")
 	} else if d.err == nil && f != recordFormat {
@@ -94,10 +103,13 @@ func decodeRecord(p []byte) (Record, error) {
 	return r, d.err
 }
 
-// decoder reads a payload front to back; after its first failure it reads zeros.
+// decoder reads a payload front to back; after its first failure it reads
+// zeros. A skipping decoder checks everything and keeps no string, list
+// entry or map entry.
 type decoder struct {
-	b   []byte
-	err error
+	b    []byte
+	err  error
+	skip bool
 }
 
 func (d *decoder) fail(format string, args ...any) {
@@ -138,9 +150,11 @@ func (d *decoder) count(size int) int {
 	return int(v)
 }
 
-func (d *decoder) str() string {
+func (d *decoder) str() (s string) {
 	n := d.count(1)
-	s := string(d.b[:n])
+	if !d.skip {
+		s = string(d.b[:n])
+	}
 	d.b = d.b[n:]
 	return s
 }
@@ -149,7 +163,9 @@ func (d *decoder) str() string {
 func list[T any](d *decoder, size int, entry func() T) []T {
 	var out []T
 	for n := d.count(size); n > 0 && d.err == nil; n-- {
-		out = append(out, entry())
+		if e := entry(); !d.skip {
+			out = append(out, e)
+		}
 	}
 	return out
 }
@@ -158,11 +174,13 @@ func list[T any](d *decoder, size int, entry func() T) []T {
 func dict[V any](d *decoder, value func() V) map[string]V {
 	var m map[string]V
 	for n := d.count(2); n > 0 && d.err == nil; n-- {
-		if m == nil {
-			m = make(map[string]V)
-		}
 		k := d.str()
-		m[k] = value()
+		if v := value(); !d.skip {
+			if m == nil {
+				m = make(map[string]V)
+			}
+			m[k] = v
+		}
 	}
 	return m
 }

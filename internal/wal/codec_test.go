@@ -3,6 +3,7 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -151,7 +152,13 @@ func TestRecordCodecRejects(t *testing.T) {
 // for it, and a list grows by the entries actually parsed: a payload
 // claiming 100,000 live records but holding two and then garbage costs
 // what the two cost.
-func TestRecordCodecCountAllocatesByParsed(t *testing.T) {
+// hostileCounts returns two checkpoint payloads whose Live count claims
+// far more records than follow: one more than the bytes left could hold,
+// one within them but padded with garbage.
+func hostileCounts() []struct {
+	name string
+	p    []byte
+} {
 	// Every field of the empty checkpoint after Horizon is one byte:
 	// the Live count and the six after it.
 	head := enc(Record{LSN: 10, Type: RecCheckpoint, Checkpoint: &Checkpoint{Horizon: 9}})
@@ -161,13 +168,17 @@ func TestRecordCodecCountAllocatesByParsed(t *testing.T) {
 		b = append(append(b, live...), live...)
 		return append(b, bytes.Repeat([]byte{0xFF}, garbage)...)
 	}
-	for _, tc := range []struct {
+	return []struct {
 		name string
 		p    []byte
 	}{
 		{"count over the bytes left", claim(1<<40, 64)},
 		{"count within the bytes left", claim(100_000, 100_000*minRecordBody)},
-	} {
+	}
+}
+
+func TestRecordCodecCountAllocatesByParsed(t *testing.T) {
+	for _, tc := range hostileCounts() {
 		var err error
 		allocs := testing.AllocsPerRun(20, func() { _, err = decodeRecord(tc.p) })
 		if err == nil {
@@ -183,9 +194,22 @@ func TestRecordCodecCountAllocatesByParsed(t *testing.T) {
 	}
 }
 
+// TestScanRecordAllocatesNothing pins what OpenFile pays per frame: the
+// validating scan reads the LSN of a record with four strings without
+// allocating.
+func TestScanRecordAllocatesNothing(t *testing.T) {
+	p := enc(Record{LSN: 9, Type: RecOutcome, Proc: "W1", Local: 1, Service: "s", Subsystem: "rm0", Tx: 7, Outcome: "committed"})
+	var lsn int64
+	var err error
+	if allocs := testing.AllocsPerRun(100, func() { lsn, err = scanRecord(p) }); allocs != 0 || err != nil || lsn != 9 {
+		t.Fatalf("scanRecord = %d, %v with %.0f allocations; want 9, nil with none", lsn, err, allocs)
+	}
+}
+
 // FuzzRecordDecode feeds arbitrary payloads to the record decoder: it
-// never panics, and a payload it accepts re-encodes to one that decodes
-// to an equal record.
+// never panics, the validating scan OpenFile runs accepts exactly what it
+// accepts (same LSN, same error), and a payload it accepts re-encodes to
+// one that decodes to an equal record.
 func FuzzRecordDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(enc(Record{LSN: 1, Type: RecStart, Proc: "W1"}))
@@ -193,8 +217,15 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add(enc(Record{LSN: 42, Type: RecCheckpoint, Checkpoint: fullCheckpoint()}))
 	f.Add(nestedCheckpoint())
 	f.Add([]byte(`{"lsn":1,"type":0,"proc":"W1"}`))
+	for _, tc := range hostileCounts() {
+		f.Add(tc.p)
+	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		r, err := decodeRecord(p)
+		lsn, serr := scanRecord(p)
+		if fmt.Sprint(serr) != fmt.Sprint(err) || err == nil && lsn != r.LSN {
+			t.Fatalf("scan and decode disagree: scan %d, %v; decode %d, %v", lsn, serr, r.LSN, err)
+		}
 		if err != nil {
 			return
 		}

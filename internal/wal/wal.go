@@ -209,10 +209,10 @@ func (l *FileLog) SetMetrics(m *metrics.Registry) {
 func OpenFile(path string, syncEvery bool) (*FileLog, error) {
 	l := &FileLog{sync: syncEvery}
 	ff, err := OpenFrameFile(path, syncEvery, func(p []byte) error {
-		r, err := decodeRecord(p)
+		lsn, err := scanRecord(p)
 		// max, not last: compaction puts the checkpoint record ahead
 		// of fuzzy-window records with smaller LSNs.
-		l.next = max(l.next, r.LSN)
+		l.next = max(l.next, lsn)
 		l.frames++
 		return err
 	})
@@ -325,13 +325,15 @@ type ProcImage struct {
 	Compensated []int
 	// Failed activities.
 	Failed []int
-	// Prepared holds in-doubt transactions keyed by local id.
+	// Prepared holds in-doubt transactions keyed by local id; nil when
+	// the process prepared none.
 	Prepared map[int]PreparedTx
 	// Decided is set when a 2PC commit decision was logged but not all
 	// RecResolved records followed: recovery must re-commit the
 	// prepared transactions (presumed commit after decision).
 	Decided bool
-	// Resolved holds local ids whose prepared transaction was resolved.
+	// Resolved holds local ids whose prepared transaction was resolved;
+	// nil when none was.
 	Resolved map[int]bool
 	// Aborting is true when RecAbortBegin was logged without a
 	// RecTerminate.
@@ -366,11 +368,7 @@ func Analyze(recs []Record) (map[string]*ProcImage, error) {
 	img := func(proc string) *ProcImage {
 		im := images[proc]
 		if im == nil {
-			im = &ProcImage{
-				Proc:     proc,
-				Prepared: make(map[int]PreparedTx),
-				Resolved: make(map[int]bool),
-			}
+			im = &ProcImage{Proc: proc}
 			images[proc] = im
 		}
 		return im
@@ -389,6 +387,9 @@ func Analyze(recs []Record) (map[string]*ProcImage, error) {
 					im.RedoCommit = append(im.RedoCommit, PreparedTx{Subsystem: r.Subsystem, Tx: r.Tx, Service: r.Service})
 				}
 			case "prepared":
+				if im.Prepared == nil {
+					im.Prepared = make(map[int]PreparedTx)
+				}
 				im.Prepared[r.Local] = PreparedTx{Subsystem: r.Subsystem, Tx: r.Tx, Service: r.Service}
 			}
 		case RecCompensate:
@@ -406,6 +407,9 @@ func Analyze(recs []Record) (map[string]*ProcImage, error) {
 			img(r.Proc).Decided = true
 		case RecResolved:
 			im := img(r.Proc)
+			if im.Resolved == nil {
+				im.Resolved = make(map[int]bool)
+			}
 			im.Resolved[r.Local] = true
 			if r.Commit {
 				im.Committed = append(im.Committed, r.Local)
