@@ -150,8 +150,8 @@ type Hub struct {
 	table *conflict.Table
 	pol   *policy.State
 	// drv is the shared protocol driver, hosted in full: its process
-	// table is the policy view and every transition of a process is one
-	// of its calls (advance).
+	// table is the policy view and what a process does next is its Next
+	// (advance).
 	drv *scheduler.Driver
 	// out is the reply under construction: the records the current
 	// request's transition force-logs land on it (hubHost.ForceLog).
@@ -558,13 +558,15 @@ func (h *Hub) handleDispatch(req *Frame) *Frame {
 	return h.out
 }
 
-// advance drives hp one transition — the engine's dispatchProc with the
-// hub's own gates in front: a parked process bounces, a parked
-// transition re-enters before anything else is looked at, and work
-// conflicting with a parked footprint waits. voided marks the re-send
-// of a request the transport gave up on (Cancel certified it never
-// ran): the invocation this call would make fails instead — the
-// engine's path for a failure the resilience layer could not mask.
+// advance drives hp one transition: the hub's own gates in front — a
+// parked process bounces, a parked completion re-enters before anything
+// else is looked at — then Driver.Next, whose exec is the hub's. A parked
+// 2PC decision re-enters through Next too: it asks Lemma 1 again, whose
+// answer cannot turn back (active conflicting predecessor sets only
+// shrink), and carries the commit through. voided marks the re-send of a
+// request the transport gave up on (Cancel certified it never ran): the
+// invocation this call would make fails instead — the engine's path for a
+// failure the resilience layer could not mask.
 func (h *Hub) advance(hp *hubProc, voided bool) (Status, error) {
 	d, p := h.drv, &hp.Proc
 	switch {
@@ -577,68 +579,47 @@ func (h *Hub) advance(hp *hubProc, voided bool) (Status, error) {
 		return StDone, nil
 	case hp.call != nil:
 		return h.complete(hp)
-	case hp.decided:
-		return h.finish(hp)
 	}
-	// Recovery steps run strictly sequentially and drain before a
-	// pending abort is honoured.
-	if len(p.Recovery) > 0 {
-		st := p.Recovery[0]
-		if st.Kind == process.StepAbortPrepared {
-			d.AbortPreparedStep(p)
-			return StOK, nil
-		}
-		if h.parkedConflict(p.ID, st.Service) || !d.StepGate(p, st) {
-			return StWait, nil
-		}
-		return h.invoke(hp, p.StepWork(st), voided)
+	act, w, err := d.Next(p, func(_ *scheduler.Proc, w scheduler.Work) (scheduler.Wait, bool) {
+		return h.exec(hp, w, voided)
+	})
+	switch {
+	case errors.Is(err, errParked):
+		return StOK, nil // the decision is on its way to the log
+	case err != nil:
+		return StOK, err
 	}
-	if p.AbortPending && p.Phase != policy.Aborting {
-		return StOK, d.BeginAbort(p)
-	}
-	if p.Phase == policy.Aborting {
-		// The completion drained: conclude the abort.
-		d.RollbackLeftovers(p)
-		d.Terminate(p, false)
+	hp.decided = false
+	switch act {
+	case scheduler.ActInvoke:
+		d.Dispatch(p, w)
+		return h.complete(hp)
+	case scheduler.ActWait:
+		return StWait, nil
+	case scheduler.ActDone:
 		return StDone, nil
 	}
-	if p.Inst.Done() {
-		return h.finish(hp)
-	}
-	for _, local := range p.Inst.Frontier() {
-		a := p.Def.Activity(local)
-		if !p.PredsCommitted(local) || !d.MayDispatch(p, a) || h.parkedConflict(p.ID, a.Service) {
-			continue
-		}
-		st, err := h.invoke(hp, scheduler.Work{Local: local, Service: a.Service, Kind: a.Kind}, voided)
-		if st != StWait || err != nil {
-			return st, err
-		}
-	}
-	if p.HasDeferred() {
-		// Nothing else moves: poll the Lemma-1 gate of the deferred set
-		// that blocks the successors (the engine unblocks such sets when
-		// a predecessor terminates; here the owner's requests do).
-		return h.finish(hp)
-	}
-	return StWait, nil
+	return StOK, nil
 }
 
-// invoke performs a subsystem invocation and, unless item locks deny it,
-// its completion.
-func (h *Hub) invoke(hp *hubProc, w scheduler.Work, voided bool) (Status, error) {
-	d, p := h.drv, &hp.Proc
+// exec is the hub's hand in Driver.Next: work conflicting with a parked
+// process's remaining steps waits on it; otherwise the subsystem is
+// invoked (unless voided), and the first invocation item locks do not
+// deny is taken, its completion parked on hp.call until advance has
+// logged the dispatch.
+func (h *Hub) exec(hp *hubProc, w scheduler.Work, voided bool) (scheduler.Wait, bool) {
+	if q := h.parkedConflict(hp.ID, w.Service); q != "" {
+		return scheduler.Wait{Rule: scheduler.RuleParked, Blockers: [][]process.ID{{q}}}, true
+	}
 	var res *subsystem.Result
 	if !voided {
 		var locked bool
-		if res, _, locked = d.Invoke(p, w, ""); locked {
-			d.LockWait(p, w, "")
-			return StWait, nil
+		if res, _, locked = h.drv.Invoke(&hp.Proc, w, ""); locked {
+			return h.drv.LockWait(&hp.Proc, w, ""), true
 		}
 	}
-	d.Dispatch(p, w)
 	hp.call = &hubCall{w, res}
-	return h.complete(hp)
+	return scheduler.Wait{}, false
 }
 
 // complete applies (or re-enters) the completion of hp's invocation; it
@@ -649,35 +630,6 @@ func (h *Hub) complete(hp *hubProc) (Status, error) {
 		hp.call = nil
 	}
 	return StOK, err
-}
-
-// finish is the engine's tryFinish: the prepared set commits atomically
-// via 2PC once no active conflicting predecessor remains (Lemma 1) —
-// granting is stable: active conflicting predecessor sets only shrink,
-// so a decision handed out is carried through without asking again —
-// and a process whose path has fully executed then terminates. The
-// engine's sweep over waiting prepared sets after a terminate has no
-// hub-side equivalent: blocked owners poll finish and observe the
-// unblocking themselves.
-func (h *Hub) finish(hp *hubProc) (Status, error) {
-	d, p := h.drv, &hp.Proc
-	if len(p.Prepared) > 0 {
-		if !hp.decided && d.Lemma1Blocked(p) {
-			return StWait, nil
-		}
-		if _, err := d.CommitPreparedSet(p); err != nil {
-			if errors.Is(err, errParked) {
-				err = nil
-			}
-			return StOK, err
-		}
-		hp.decided = false
-	}
-	if !p.Inst.Done() {
-		return StOK, nil
-	}
-	d.Terminate(p, true)
-	return StDone, nil
 }
 
 // Reattach fates, carried in the response Extra field. After a hub
@@ -884,8 +836,8 @@ func (h *Hub) parkBlocked() *Frame {
 	return h.resp(StOK)
 }
 
-// parkedConflict reports whether a service conflicts with any parked
-// process's remaining forward/compensation steps. Those steps execute
+// parkedConflict names a parked process whose remaining forward or
+// compensation steps conflict with a service ("" for none). Those steps execute
 // only during post-run composed recovery — after every live event in
 // the stitched log — so conflicting live work admitted now would be
 // ordered before them, inverting the serialization order the forced
@@ -893,7 +845,7 @@ func (h *Hub) parkBlocked() *Frame {
 // quiesce and feed the victim/park cascade until recovery owns all the
 // remaining conflicting work. StepAbortPrepared entries are skipped:
 // parkBlocked already rolled the prepared transactions back.
-func (h *Hub) parkedConflict(id process.ID, svc string) bool {
+func (h *Hub) parkedConflict(id process.ID, svc string) process.ID {
 	for _, qid := range h.drv.Procs() {
 		q := h.byID[qid]
 		if !q.parked || q.ID == id {
@@ -904,11 +856,11 @@ func (h *Hub) parkedConflict(id process.ID, svc string) bool {
 				continue
 			}
 			if h.table.Conflicts(st.Service, svc) {
-				return true
+				return q.ID
 			}
 		}
 	}
-	return false
+	return ""
 }
 
 // designateVictim is the driver's stall-victim choice over live-owned,

@@ -138,7 +138,7 @@ func (w *lockWorld) awaitParked(id process.ID, alts [][]process.ID) (inFlight in
 	w.awaitSection(fmt.Sprintf("%s parked on %v", id, alts), func() bool {
 		m := w.rt.members[id]
 		inFlight = len(w.rt.due)
-		return m != nil && m.ID == id && slices.Contains(w.rt.parked, m) && reflect.DeepEqual(m.waitAlts, alts)
+		return m != nil && m.ID == id && slices.Contains(w.rt.parked, m) && reflect.DeepEqual(m.Wait.Blockers, alts)
 	})
 	return inFlight
 }
@@ -282,7 +282,8 @@ func TestDetectDeadlock(t *testing.T) {
 		}
 		for i, pk := range []park{c.p, c.q, c.r} {
 			id := process.ID([]string{"P", "Q", "R"}[i])
-			m := &member{Proc: scheduler.NewProc(seq(id, "w"), i, id, id, 0), waitAlts: pk.alts}
+			m := &member{Proc: scheduler.NewProc(seq(id, "w"), i, id, id, 0)}
+			m.Wait = scheduler.Wait{Rule: scheduler.RuleLock, Blockers: pk.alts}
 			m.Phase = pk.phase
 			rt.members[id] = m
 			if !pk.running && !pk.woken {

@@ -148,13 +148,6 @@ type Result struct {
 type member struct {
 	*scheduler.Proc
 
-	// waitAlts, when non-nil, is the complete wait-for disjunction
-	// recorded at the member's last step that found nothing to do — the
-	// process can proceed iff for SOME alternative ALL listed blockers
-	// acted (terminated or released their locks). nil means the wait has
-	// edges the policy cannot name and only the stall backstop may break
-	// it.
-	waitAlts [][]process.ID
 	// ahead is the LSN of the write-ahead record a transition wrote and
 	// refused; the member is held until a sync covers it (0: none).
 	// resume is the completion it then re-enters (nil: its 2PC commit).
@@ -210,9 +203,7 @@ type Runtime struct {
 	// backoff), victims the victim aborts spent of MaxStalls.
 	completions int64
 	victims     int
-	// frontier is step's buffer for a process's frontier.
-	frontier []int
-	canceled bool
+	canceled    bool
 	// syncReq carries the LSN the loop needs durable to the syncer, and
 	// synced brings it back once a sync covered it.
 	syncReq, synced chan int64
@@ -715,13 +706,13 @@ func (r *Runtime) wake() {
 // which a parked process never does — so such a set can never be
 // unblocked from outside, even while other work is in flight, and one
 // member must be victim-aborted (the youngest abortable one, as in the
-// driver's stall-victim choice). Only members parked with complete
-// wait-for information count. Returns the chosen victim (nil: no closed
+// driver's stall-victim choice). Only members parked on a Wait that names
+// its blockers count. Returns the chosen victim (nil: no closed
 // set, no abortable member, or MaxStalls exhausted).
 func (r *Runtime) detectDeadlock() *member {
 	set := make(map[process.ID]*member)
 	for _, m := range r.parked {
-		if m.waitAlts != nil {
+		if len(m.Wait.Blockers) > 0 {
 			set[m.ID] = m
 		}
 	}
@@ -730,7 +721,7 @@ func (r *Runtime) detectDeadlock() *member {
 	// can still act on their own).
 	escapes := func(m *member) bool {
 	alts:
-		for _, alt := range m.waitAlts {
+		for _, alt := range m.Wait.Blockers {
 			for _, id := range alt {
 				if set[id] != nil {
 					continue alts
@@ -785,37 +776,47 @@ func (r *Runtime) resolveStall() bool {
 	return true
 }
 
-// stepKind is what a step of a member came to.
-type stepKind int
-
-const (
-	sWait   stepKind = iota // nothing dispatchable (or held for a sync)
-	sAgain                  // progressed; step again
-	sInvoke                 // the returned work is dispatched; invoke it
-	sDone                   // process terminated
-)
-
-// advance steps a runnable member until it invokes, parks, is held or
-// terminates.
+// advance steps a runnable member — Driver.Next under the crash guard —
+// until it invokes, parks, is held or terminates.
 func (r *Runtime) advance(m *member) {
+	d, p := r.drv, m.Proc
 	for !r.stopped() {
-		kind, w := r.step(m)
-		switch kind {
-		case sAgain:
+		var act scheduler.Act
+		var w scheduler.Work
+		var err error
+		if !r.guard(func() { act, w, err = d.Next(p, r.lockProbe) }) {
+			return // injected crash mid-2PC; recovery finishes the job
+		}
+		switch {
+		case errors.Is(err, errRefused):
+			// A 2PC decision that must be durable first was written and
+			// refused (m.ahead): the member is held, and on its release
+			// Next commits again, which now accepts it — the decision is
+			// in the log, so nothing may come between. Unheld, the run is
+			// ending.
+			if m.ahead > 0 {
+				r.hold(m, nil)
+			}
+			return
+		case err != nil:
+			r.fail(err)
+			return
+		}
+		switch act {
+		case scheduler.ActAgain:
 			r.changed = true
 			continue
-		case sInvoke:
-			if r.invoke(m, w) {
+		case scheduler.ActInvoke:
+			// The dispatch crash point, then the invocation logged as in
+			// flight, so decisions taken during its service time see it as
+			// a survivor in the forced-order graph.
+			if r.inject("runtime:dispatch") && d.Dispatch(p, w) && r.invoke(m, w) {
 				continue
 			}
-		case sWait:
-			if m.ahead > 0 {
-				r.hold(m, nil) // its 2PC decision waits for a sync
-			} else {
-				r.parked = append(r.parked, m)
-			}
-		case sDone:
-			p := m.Proc
+		case scheduler.ActWait:
+			r.parked = append(r.parked, m)
+		case scheduler.ActDone:
+			delete(r.members, m.Origin)
 			if p.Restartable && p.Restarts < r.cfg.MaxRestarts {
 				// Restart under a derived id after exponential backoff.
 				// Backoff is measured in system progress, not wall time:
@@ -834,18 +835,31 @@ func (r *Runtime) advance(m *member) {
 	}
 }
 
+// lockProbe is the loop's hand in Driver.Next: it probes the subsystem's
+// item locks of the work. A held lock means parking on its holder, not an
+// invocation attempt whose ErrLocked bounce would wake (and be woken by)
+// other parked members in an endless retry storm. A free one takes the
+// work, which advance invokes in the same step, so the answer holds for
+// it.
+func (r *Runtime) lockProbe(p *scheduler.Proc, w scheduler.Work) (scheduler.Wait, bool) {
+	if holder, free := r.fed.LockBlocker(string(p.Origin), w.Service); !free {
+		return r.drv.Held(holder), true
+	}
+	return scheduler.Wait{}, false
+}
+
 // invoke calls the subsystem for the work step dispatched and schedules
 // its completion after its service time. At Tick 0 the completion is
 // applied now, and invoke reports whether the member steps on in this
 // turn. A locked answer (item locks the probe found free) parks the
-// member with no wait-for edges, as the sequential engine retries it.
+// member on the lock's holder, as the sequential engine retries it.
 func (r *Runtime) invoke(m *member, w scheduler.Work) bool {
 	d, p := r.drv, m.Proc
 	res, extraLat, locked := d.Invoke(p, w, d.InvokeKey(p))
 	d.Metrics.Invocations++
 	if locked {
 		d.Undispatch(p, w)
-		d.LockWait(p, w, "")
+		p.Wait = d.LockWait(p, w, "")
 		r.parked = append(r.parked, m)
 		return false
 	}
@@ -915,184 +929,15 @@ func (r *Runtime) release(lsn int64) {
 			d := m.resume
 			m.resume = nil
 			r.finish(m, d.w, d.res)
-		default:
-			r.commitPreparedSet(m)
-			r.changed = true
+		default: // its 2PC decision: Next re-enters the commit
 			r.runnable = append(r.runnable, m)
 		}
 	}
 	r.requestSync()
 }
 
-// step is the loop's decision for one member: what should it do next?
-// Every sWait return records the wait-for edge information of the park
-// in m.waitAlts (nil when the policy cannot name the blockers).
-func (r *Runtime) step(m *member) (stepKind, scheduler.Work) {
-	d, p := r.drv, m.Proc
-	m.waitAlts = nil
-	// Recovery steps drain strictly sequentially, before a pending
-	// abort is honoured.
-	if len(p.Recovery) > 0 {
-		st := p.Recovery[0]
-		if st.Kind == process.StepAbortPrepared {
-			d.AbortPreparedStep(p)
-			return sAgain, scheduler.Work{}
-		}
-		if !d.StepGate(p, st) {
-			return sWait, scheduler.Work{}
-		}
-		if holder, free := r.fed.LockBlocker(string(p.Origin), st.Service); !free {
-			// The single pending step is the only alternative, its lock
-			// holder the only blocker.
-			if cur := r.members[process.ID(holder)]; cur != nil {
-				m.waitAlts = [][]process.ID{{cur.ID}}
-			}
-			return sWait, scheduler.Work{}
-		}
-		return r.register(p, p.StepWork(st))
-	}
-	if p.AbortPending && p.Phase != policy.Aborting {
-		if err := d.BeginAbort(p); err != nil {
-			r.fail(err)
-			return sDone, scheduler.Work{}
-		}
-		return sAgain, scheduler.Work{}
-	}
-	if p.Phase == policy.Aborting {
-		// Completion drained: roll back leftovers and terminate.
-		d.RollbackLeftovers(p)
-		return r.terminate(m, false), scheduler.Work{}
-	}
-	if p.Inst.Done() {
-		if len(p.Prepared) > 0 {
-			if d.Lemma1Blocked(p) {
-				// Lemma 1: hold the 2PC commit. The wait resolves only
-				// when every active conflict predecessor terminated —
-				// one AND-alternative for the deadlock detector.
-				m.waitAlts = [][]process.ID{d.Pol.ActiveConflictPreds(d, p.ID)}
-				return sWait, scheduler.Work{}
-			}
-			if !r.commitPreparedSet(m) {
-				return sWait, scheduler.Work{}
-			}
-		}
-		return r.terminate(m, true), scheduler.Work{}
-	}
-	// Mid-process deferred commits (Lemma 1): successors of a prepared
-	// activity stay off the frontier until the prepared set commits, so
-	// a process wedges behind its own deferral unless it is resolved
-	// here the moment the last active conflict predecessor terminates
-	// (the sequential engine does this for every waiting process when a
-	// process terminates). While predecessors are still active, the
-	// deferral contributes one AND-alternative to the wait-for
-	// disjunction below — parallel branches may keep executing.
-	var deferAlt []process.ID
-	if p.HasDeferred() {
-		if d.Pol.HasActiveConflictPred(d, p.ID) {
-			deferAlt = d.Pol.ActiveConflictPreds(d, p.ID)
-		} else {
-			if !r.commitPreparedSet(m) {
-				return sWait, scheduler.Work{} // held for the decision's sync, or an injected crash mid-2PC
-			}
-			return sAgain, scheduler.Work{} // successors joined the frontier
-		}
-	}
-	// Regular forward execution. One invocation per member at a time
-	// linearizes parallel branches: pick the first dispatchable frontier
-	// activity.
-	var blocked [][]process.ID
-	complete := true
-	r.frontier = p.Inst.AppendFrontier(r.frontier[:0])
-	for _, local := range r.frontier {
-		a := p.Def.Activity(local)
-		if !p.PredsCommitted(local) {
-			complete = false
-			continue
-		}
-		if !d.MayDispatch(p, a) {
-			if bs := d.Pol.DispatchBlockers(d, p.ID, a); len(bs) > 0 {
-				blocked = append(blocked, bs)
-			} else {
-				complete = false // denial without pred-wait semantics
-			}
-			continue
-		}
-		// Probe the subsystem's item locks: a held lock means parking
-		// here, not an invocation attempt whose ErrLocked bounce would
-		// wake (and be woken by) other parked members in an endless retry
-		// storm. The holder becomes a wait-for edge. The invocation
-		// follows in the same step, so the answer holds for it.
-		if holder, free := r.fed.LockBlocker(string(p.Origin), a.Service); !free {
-			if cur := r.members[process.ID(holder)]; cur != nil {
-				blocked = append(blocked, []process.ID{cur.ID})
-			} else {
-				complete = false // not a live member (left in doubt by an earlier run)
-			}
-			continue
-		}
-		return r.register(p, scheduler.Work{Local: local, Service: a.Service, Kind: a.Kind})
-	}
-	// The park's wait-for information is complete only when EVERY
-	// frontier alternative was denied by a named blocker set (conflict
-	// predecessors or an item-lock holder); any alternative blocked on
-	// own prepared work or non-pred rules falls back to the stall
-	// backstop.
-	if deferAlt != nil {
-		blocked = append(blocked, deferAlt)
-	}
-	if complete && len(blocked) > 0 {
-		m.waitAlts = blocked
-	}
-	return sWait, scheduler.Work{}
-}
-
-// register passes the dispatch crash point and logs the invocation as in
-// flight, so decisions taken during its service time see it as a
-// survivor in the forced-order graph.
-func (r *Runtime) register(p *scheduler.Proc, w scheduler.Work) (stepKind, scheduler.Work) {
-	if !r.inject("runtime:dispatch") || !r.drv.Dispatch(p, w) {
-		return sAgain, scheduler.Work{} // crash tripped; advance stops
-	}
-	return sInvoke, w
-}
-
-// commitPreparedSet runs the driver's 2PC commit under the crash guard:
-// the coordinator's crash points must not unwind past the loop. A
-// decision that must be durable first is written and refused (m.ahead):
-// the member is held, and its release commits again, which now accepts
-// it — the decision is in the log, so nothing may come between.
-func (r *Runtime) commitPreparedSet(m *member) bool {
-	var ok bool
-	var err error
-	if !r.guard(func() { ok, err = r.drv.CommitPreparedSet(m.Proc) }) {
-		return false // injected crash mid-2PC; recovery finishes the job
-	}
-	switch {
-	case m.ahead > 0, errors.Is(err, errRefused):
-		return false // held, or not logged: the run is ending
-	case err != nil:
-		r.fail(err)
-	}
-	return ok
-}
-
-// terminate emits the terminal event and releases the admission slot.
-func (r *Runtime) terminate(m *member, committed bool) stepKind {
-	if !r.drv.Terminate(m.Proc, committed) {
-		return sAgain // not logged: the run is ending, advance stops
-	}
-	delete(r.members, m.Origin)
-	return sDone
-}
-
 // stallDump renders the loop's state for stall diagnostics.
 func (r *Runtime) stallDump() string {
-	s := fmt.Sprintf("members=%d pending=%d due=%d held=%d victims=%d\n%s",
+	return fmt.Sprintf("members=%d pending=%d due=%d held=%d victims=%d\n%s",
 		len(r.members), len(r.pending), len(r.due), len(r.held), r.victims, r.drv.Dump())
-	for _, m := range r.parked {
-		if m.waitAlts != nil {
-			s += fmt.Sprintf("  wait %s alts=%v\n", m.ID, m.waitAlts)
-		}
-	}
-	return s
 }

@@ -79,6 +79,9 @@ type Proc struct {
 	keySeq       int  // idempotency-key counter (resilient invocations)
 
 	Outcome *Outcome
+	// Wait is why the process waited at its last Next (zero while it
+	// moves): what the runtime's deadlock detector reads and Dump prints.
+	Wait Wait
 	// blockedSince is the clock at which the finished process first
 	// found its deferred 2PC commit blocked by an active conflicting
 	// predecessor (-1 while not blocked); feeds HistProcBlocked.
@@ -221,6 +224,8 @@ type Driver struct {
 	// Config.Resilience).
 	Resilience subsystem.ResilientInvoker
 	Metrics    Metrics
+	// frontier is Next's buffer for a process's frontier.
+	frontier []int
 }
 
 // trace records a decision event. Callers whose detail argument costs
@@ -254,66 +259,297 @@ func (d *Driver) Admit(p *Proc) bool {
 	return true
 }
 
-// MayDispatch is the policy gate of a frontier activity; a denial is
-// counted and traced with the denying rule.
-func (d *Driver) MayDispatch(p *Proc, a *process.Activity) bool {
-	ok, why := d.Pol.MayDispatch(d, p.ID, a)
-	if !ok {
-		d.Metrics.PolicyWaits++
-		d.Reg.Inc(metrics.InvokePolicyBlocked)
-		d.trace(metrics.TPolicyWait, p, a.Local, a.Service, why)
-	}
-	return ok
+// Rule names what a waiting process stands behind (Wait.Rule).
+type Rule string
+
+// The rules of a Wait, each with the blockers it names — except the
+// last three, which name none, and why:
+const (
+	RuleBusy       Rule = "busy"              // its own work in flight: the process itself
+	RuleLemma1     Rule = "lemma1"            // Lemma 1 at dispatch: the active predecessors (policy.State.DispatchBlockers)
+	RuleCommit     Rule = "commit"            // Lemma 1's 2PC commit deferral: the active conflict predecessors
+	RulePivot      Rule = "pivot"             // the ablation pivot gate: the same
+	RuleLemma2     Rule = "lemma2"            // a compensation behind later conflicting work: its owners
+	RuleLemma3     Rule = "lemma3"            // a forward step behind queued conflicting compensations: their owners
+	RuleLemma1Fwd  Rule = "lemma1fwd"         // a forward step behind predecessors that may still recover: them
+	RuleDeferAbort Rule = "defer-to-aborting" // a forward step deferred to an aborting process: it
+	RuleLock       Rule = "lock"              // an item lock: the live incarnation holding it
+	RuleParked     Rule = "parked"            // (hub) conflicting with a parked process's remaining steps: it
+
+	RuleForced Rule = "forced-cycle"    // the forced-order search finds that a path closes, not the cycle's processes
+	RuleCycle  Rule = "serializability" // CCOnly's conflict-graph search, likewise
+	RuleWeak   Rule = "weak-order"      // (engine) a weak commit order waits on subsystem transactions, not processes
+)
+
+// Wait is why a process cannot move now: the rule that holds it and the
+// processes that must act first. Blockers is a disjunction of
+// conjunctions — the process can move once, for some alternative, every
+// listed process acted (terminated, committed or rolled back, released a
+// lock). A wait with an alternative whose rule names no blockers (the
+// last three rules, RuleLock on a holder with no live incarnation — a
+// transaction an earlier run left in doubt — and RuleBusy with nothing on
+// the frontier) carries that rule and no blockers: only quiescence may
+// break it. Next records every wait on Proc.Wait.
+type Wait struct {
+	Rule     Rule
+	Blockers [][]process.ID
 }
 
-// LockWait counts and traces an invocation denied by subsystem locks.
-func (d *Driver) LockWait(p *Proc, w Work, why string) {
+// Act is what Next decided.
+type Act uint8
+
+const (
+	ActWait   Act = iota // nothing may happen now; Proc.Wait says why
+	ActAgain             // a transition changed state: ask again
+	ActInvoke            // the exec hook took the returned work
+	ActDone              // the process terminated
+)
+
+// Exec is the host's hand in Next: it is offered each work item that
+// passed every gate of the driver, in frontier order, and either refuses
+// it with the wait that holds it (an item lock, a parked conflict) or
+// takes it — invokes it, or claims it for the invocation the host makes
+// once Next returns ActInvoke. more reports whether Next walks on over
+// the rest of the frontier: the engine dispatches every dispatchable
+// activity, the runtime and the hub the first.
+type Exec func(p *Proc, w Work) (refused Wait, more bool)
+
+// Next decides what p does next, in the one order of every host: the
+// recovery step at the head of its queue, a pending abort, the drain of
+// an abort, finishing (Lemma 1's gate on the 2PC commit of the prepared
+// set, the commit, terminate), a deferred set mid-process, then the
+// frontier. Transitions that call no service (an abandoned branch's
+// rollback, the abort's begin and conclusion, a 2PC commit, a terminate)
+// happen here; an invocation goes to exec. An error is a broken
+// transition, or the 2PC coordinator's log refusing the decision — the
+// host's own error, on which it holds or parks p until the append is
+// acknowledged.
+func (d *Driver) Next(p *Proc, exec Exec) (Act, Work, error) {
+	var rule, unnamed Rule
+	blockers := p.Wait.Blockers[:0]
+	p.Wait = Wait{}
+	// wait adds alternatives: p may move once, for one of them, every
+	// process listed acted. None, or an empty one, is a rule that cannot
+	// name its blockers.
+	wait := func(r Rule, alts ...[]process.ID) {
+		if rule == "" {
+			rule = r
+		}
+		if len(alts) > 0 && len(alts[0]) > 0 {
+			blockers = append(blockers, alts...)
+		} else if unnamed == "" {
+			unnamed = r
+		}
+	}
+	park := func() (Act, Work, error) {
+		switch {
+		case unnamed != "":
+			p.Wait = Wait{Rule: unnamed}
+		case rule == "": // nothing on the frontier: only p's own work can change that
+			p.Wait = Wait{Rule: RuleBusy}
+		default:
+			p.Wait = Wait{Rule: rule, Blockers: blockers}
+		}
+		return ActWait, Work{}, nil
+	}
+
+	// Recovery steps run strictly sequentially and drain before a pending
+	// abort is honoured (the instance's alternative bookkeeping must settle
+	// before the completion is computed).
+	if len(p.Recovery) > 0 {
+		st := p.Recovery[0]
+		switch {
+		case p.StepBusy:
+			wait(RuleBusy, []process.ID{p.ID})
+			return park()
+		case st.Kind == process.StepAbortPrepared:
+			d.AbortPreparedStep(p)
+			return ActAgain, Work{}, nil
+		}
+		if rule, ids := d.stepWait(p, st); rule != "" {
+			wait(rule, ids)
+			return park()
+		}
+		w := p.StepWork(st)
+		if no, _ := exec(p, w); no.Rule != "" {
+			wait(no.Rule, no.Blockers...)
+			return park()
+		}
+		return ActInvoke, w, nil
+	}
+	// An abort requested while work was in flight starts once it drained.
+	if p.AbortPending && p.Phase != policy.Aborting && p.Idle() {
+		return ActAgain, Work{}, d.BeginAbort(p)
+	}
+	if p.Phase == policy.Aborting {
+		if !p.Idle() {
+			wait(RuleBusy, []process.ID{p.ID})
+			return park()
+		}
+		// The completion drained: conclude the abort.
+		d.RollbackLeftovers(p)
+		if !d.Terminate(p, false) {
+			return ActAgain, Work{}, nil // not logged: the host ends the run
+		}
+		return ActDone, Work{}, nil
+	}
+	// Finish: the prepared set commits atomically via 2PC once no active
+	// conflicting predecessor remains (Lemma 1), then C_i is emitted.
+	if p.Inst.Done() && len(p.Running) == 0 {
+		if len(p.Prepared) > 0 {
+			if d.Pol.HasActiveConflictPred(d, p.ID) {
+				if p.blockedSince < 0 {
+					p.blockedSince = d.Host.Now()
+				}
+				wait(RuleCommit, d.Pol.ActiveConflictPreds(d, p.ID))
+				return park()
+			}
+			if ok, err := d.CommitPreparedSet(p); err != nil {
+				return ActAgain, Work{}, err
+			} else if !ok {
+				wait(RuleWeak)
+				return park()
+			}
+		}
+		if !d.Terminate(p, true) {
+			return ActAgain, Work{}, nil
+		}
+		return ActDone, Work{}, nil
+	}
+	// A deferred set mid-process: the successors of a prepared activity
+	// stay off the frontier until it commits, so it commits the moment
+	// Lemma 1 releases it. Until then the deferral is one alternative of
+	// the wait; parallel branches may keep executing.
+	if !p.AbortPending && p.HasDeferred() {
+		if ok, err := d.settle(p); ok || err != nil {
+			return ActAgain, Work{}, err
+		}
+		if preds := d.Pol.ActiveConflictPreds(d, p.ID); len(preds) > 0 {
+			wait(RuleCommit, preds)
+		} else {
+			wait(RuleWeak)
+		}
+	}
+	if len(p.Running) > 0 {
+		wait(RuleBusy, []process.ID{p.ID})
+	}
+	// The frontier: each activity is one more alternative of the wait.
+	var took Work
+	taken := false
+	d.frontier = p.Inst.AppendFrontier(d.frontier[:0])
+	for _, local := range d.frontier {
+		if _, inFlight := p.Running[local]; inFlight || !p.PredsCommitted(local) {
+			continue // in flight, or behind p's own deferred set
+		}
+		a := p.Def.Activity(local)
+		if ok, why := d.Pol.MayDispatch(d, p.ID, a); !ok {
+			d.Metrics.PolicyWaits++
+			d.Reg.Inc(metrics.InvokePolicyBlocked)
+			d.trace(metrics.TPolicyWait, p, a.Local, a.Service, why)
+			switch why {
+			case policy.DenyForced:
+				wait(RuleForced)
+			case policy.DenyCycle:
+				wait(RuleCycle)
+			case policy.DenyPivot:
+				wait(RulePivot, d.Pol.ActiveConflictPreds(d, p.ID))
+			default:
+				wait(RuleLemma1, d.Pol.DispatchBlockers(d, p.ID, a))
+			}
+			continue
+		}
+		w := Work{Local: local, Service: a.Service, Kind: a.Kind}
+		no, more := exec(p, w)
+		if no.Rule != "" {
+			wait(no.Rule, no.Blockers...)
+		} else {
+			took, taken = w, true
+		}
+		if !more {
+			break
+		}
+	}
+	if taken {
+		return ActInvoke, took, nil
+	}
+	return park()
+}
+
+// settle commits the deferred set of a running process mid-process once
+// Lemma 1 released it (no active conflicting predecessor remains) and
+// reports whether it did. Next asks it before the frontier; the engine
+// also asks it of every process right after a terminate, before later
+// processes dispatch in the same pass.
+func (d *Driver) settle(p *Proc) (bool, error) {
+	if p.Phase != policy.Running || p.AbortPending || len(p.Recovery) > 0 || !p.HasDeferred() ||
+		d.Pol.HasActiveConflictPred(d, p.ID) {
+		return false, nil
+	}
+	return d.CommitPreparedSet(p)
+}
+
+// stepWait gates the recovery step at the head of p's queue: a
+// compensation waits while another active process holds conflicting work
+// executed after its base (Lemma 2); a forward-recovery invocation waits
+// for conflicting queued compensations (Lemma 3), for active conflict
+// predecessors that may still need a conflicting recovery (Lemma 1), for
+// forced-order cycles that waiting can break, and for aborting processes
+// whose conflicting forward steps are forced before it. CCOnly ignores
+// recovery ordering. A denial returns its rule and blockers, counted and
+// traced; "" means the step may run.
+func (d *Driver) stepWait(p *Proc, st process.Step) (rule Rule, ids []process.ID) {
+	if d.Pol.Mode() == CCOnly {
+		return "", nil
+	}
+	switch st.Kind {
+	case process.StepCompensate:
+		if ids = d.Pol.Lemma2Blockers(d, p.ID, st); ids != nil {
+			rule = RuleLemma2
+		}
+	case process.StepInvoke:
+		if ids = d.Pol.Lemma3Blockers(d, p.ID, st); ids != nil {
+			rule = RuleLemma3
+		} else if ids = d.Pol.Lemma1ForwardBlockers(d, p.ID, st); ids != nil {
+			rule = RuleLemma1Fwd
+		} else if !d.Pol.StepForcedClear(d, p.ID, st) {
+			rule = RuleForced
+		} else if o, wait := d.Pol.DeferToAborting(d, p.ID, st); wait {
+			rule, ids = RuleDeferAbort, []process.ID{o}
+		}
+	}
+	if rule != "" {
+		d.Metrics.PolicyWaits++
+		if d.Reg != nil {
+			why := string(rule)
+			if rule == RuleDeferAbort {
+				why = "defer-to-" + string(ids[0])
+			}
+			d.trace(metrics.TPolicyWait, p, st.Local, st.Service, why)
+		}
+	}
+	return rule, ids
+}
+
+// LockWait counts and traces an invocation denied by subsystem locks and
+// returns its wait (Held).
+func (d *Driver) LockWait(p *Proc, w Work, why string) Wait {
 	d.Metrics.LockWaits++
 	d.Reg.Inc(metrics.InvokeLockBlocked)
 	d.trace(metrics.TLockWait, p, w.Local, w.Service, why)
+	holder, _ := d.Fed.LockBlocker(string(p.Origin), w.Service)
+	return d.Held(holder)
 }
 
-// StepGate decides whether the recovery step at the head of p's queue
-// may be invoked now: a compensation waits while another active process
-// holds conflicting work executed after its base (Lemma 2); a
-// forward-recovery invocation waits for conflicting queued compensations
-// (Lemma 3), for active conflict predecessors that may still need a
-// conflicting recovery (Lemma 1), for forced-order cycles that waiting
-// can break, and for aborting processes whose conflicting forward steps
-// are forced before it. CCOnly ignores recovery ordering.
-func (d *Driver) StepGate(p *Proc, st process.Step) bool {
-	if d.Pol.Mode() == CCOnly {
-		return true
-	}
-	why := ""
-	switch st.Kind {
-	case process.StepCompensate:
-		if !d.Pol.Lemma2Clear(d, p.ID, st) {
-			why = "lemma2"
-		}
-	case process.StepInvoke:
-		switch {
-		case !d.Pol.Lemma3Clear(d, p.ID, st):
-			why = "lemma3"
-		case !d.Pol.Lemma1ClearForward(d, p.ID, st):
-			why = "lemma1fwd"
-		case !d.Pol.StepForcedClear(d, p.ID, st):
-			why = "forced-cycle"
-		default:
-			if o, wait := d.Pol.DeferToAborting(d, p.ID, st); wait {
-				why = "defer-to-aborting"
-				if d.Reg != nil {
-					why = "defer-to-" + string(o)
-				}
-			}
+// Held is the wait on an item lock whose holder a subsystem knows as
+// holder (an origin): on that origin's live incarnation, the latest one
+// admitted, or unnamed when none is live.
+func (d *Driver) Held(holder string) Wait {
+	for i := len(d.procs) - 1; i >= 0; i-- {
+		if q := d.procs[i]; string(q.Origin) == holder && q.Phase != policy.Done {
+			return Wait{Rule: RuleLock, Blockers: [][]process.ID{{q.ID}}}
 		}
 	}
-	if why == "" {
-		return true
-	}
-	d.Metrics.PolicyWaits++
-	d.trace(metrics.TPolicyWait, p, st.Local, st.Service, why)
-	return false
+	return Wait{Rule: RuleLock}
 }
 
 // Dispatch force-logs an invocation and registers it as in flight, so
@@ -650,18 +886,6 @@ func (p *Proc) HasDeferred() bool {
 	return false
 }
 
-// Lemma1Blocked reports whether an active conflicting predecessor still
-// holds back the 2PC commit of p's prepared set.
-func (d *Driver) Lemma1Blocked(p *Proc) bool {
-	if !d.Pol.HasActiveConflictPred(d, p.ID) {
-		return false
-	}
-	if p.blockedSince < 0 {
-		p.blockedSince = d.Host.Now()
-	}
-	return true
-}
-
 // CommitPreparedSet performs the atomic 2PC commit of p's prepared set
 // once Lemma 1 released it. false without an error means the set did not
 // commit yet (a weak-order participant must wait or was rolled back for
@@ -819,8 +1043,9 @@ func (d *Driver) MarkVictim(p *Proc, why string) {
 	p.AbortPending = true
 }
 
-// Dump renders the live processes, the conflict edges and the in-doubt
-// transactions for stall diagnostics.
+// Dump renders the live processes — each waiting one with its last Wait
+// — the conflict edges and the in-doubt transactions for stall
+// diagnostics.
 func (d *Driver) Dump() string {
 	var s string
 	for _, p := range d.procs {
@@ -831,6 +1056,9 @@ func (d *Driver) Dump() string {
 			p.ID, p.Phase, p.Inst.Mode(), p.Inst.Done(), len(p.Running), len(p.Recovery), p.StepBusy, p.AbortPending, len(p.Prepared), p.Inst.Frontier())
 		if len(p.Recovery) > 0 {
 			s += fmt.Sprintf("    next step: %v\n", p.Recovery[0])
+		}
+		if p.Wait.Rule != "" {
+			s += fmt.Sprintf("    wait %s on %v\n", p.Wait.Rule, p.Wait.Blockers)
 		}
 	}
 	for _, k := range d.Pol.EdgeList() {

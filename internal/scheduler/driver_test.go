@@ -9,7 +9,9 @@ import (
 
 	"transproc/internal/activity"
 	"transproc/internal/metrics"
+	"transproc/internal/paper"
 	"transproc/internal/process"
+	"transproc/internal/schedule"
 	"transproc/internal/scheduler"
 	"transproc/internal/scheduler/policy"
 	"transproc/internal/subsystem"
@@ -132,6 +134,10 @@ func procP() *process.Process {
 		Add(1, "pc", activity.Compensatable).Add(2, "pp", activity.Pivot).Seq(1, 2).MustBuild()
 }
 
+// claim is an Exec that takes every work item Next offers and stops the
+// walk, as the runtime's and the hub's do.
+func claim(*scheduler.Proc, scheduler.Work) (scheduler.Wait, bool) { return scheduler.Wait{}, false }
+
 // since returns the host calls recorded after mark.
 func (h *fakeHost) since(mark int) []string { return h.calls[mark:] }
 
@@ -185,16 +191,17 @@ func TestDriverLogsBeforeItCommits(t *testing.T) {
 			t.Fatal(err)
 		}
 		for len(p.Recovery) > 0 {
-			st := p.Recovery[0]
-			if st.Kind == process.StepAbortPrepared {
-				w.d.AbortPreparedStep(p)
+			act, wk, err := w.d.Next(p, claim)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if act == scheduler.ActAgain { // the prepared pp rolled back
 				continue
 			}
-			if !w.d.StepGate(p, st) {
-				t.Fatalf("step %v of P gated", st)
+			if act != scheduler.ActInvoke {
+				t.Fatalf("step %v of P gated: %+v", p.Recovery[0], p.Wait)
 			}
 			mark := len(w.host.calls)
-			wk := p.StepWork(st)
 			if err := w.d.Complete(p, wk, w.invoke(t, p, wk)); err != nil {
 				t.Fatal(err)
 			}
@@ -521,5 +528,234 @@ func TestDriverChooseVictim(t *testing.T) {
 	}
 	if v := w.d.ChooseVictim(nil); v != nil {
 		t.Fatalf("victim %v, want none left", v.ID)
+	}
+}
+
+// newPaperWorld hosts the driver over the paper's federation and
+// processes P1, P2 and P3 (admitted in that order), under the paper's
+// conflict relation plus the extra conflicting pairs a case asks for.
+func newPaperWorld(t *testing.T, cfg policy.Config, extra ...[2]string) *driverWorld {
+	t.Helper()
+	fed := paper.Federation(1)
+	table := paper.Conflicts()
+	for _, c := range extra {
+		table.AddConflict(c[0], c[1])
+	}
+	w := &driverWorld{host: &fakeHost{fed: fed}, log: wal.NewMemLog()}
+	w.d = &scheduler.Driver{Host: w.host, Fed: fed, Pol: policy.New(table, cfg), Coord: twopc.New(w.log)}
+	for i, def := range []*process.Process{paper.P1(), paper.P2(), paper.P3()} {
+		w.admit(t, def, i)
+	}
+	return w
+}
+
+// commit puts the committed execution of activities into the history,
+// past every gate, as the schedules of the paper's figures have them.
+func (w *driverWorld) commit(t *testing.T, id process.ID, locals ...int) {
+	t.Helper()
+	p := w.d.Get(id)
+	for _, l := range locals {
+		a := p.Def.Activity(l)
+		if err := p.Inst.MarkCommitted(l); err != nil {
+			t.Fatal(err)
+		}
+		w.d.Pol.AppendEvent(&policy.Event{Seq: w.host.NextSeq(), Proc: id, Local: l, Service: a.Service, Kind: a.Kind, Typ: schedule.Invoke})
+	}
+}
+
+// aborting puts a process into its abort with the given completion queued.
+func (w *driverWorld) aborting(id process.ID, steps ...process.Step) {
+	p := w.d.Get(id)
+	p.Phase, p.Recovery = policy.Aborting, steps
+	w.d.Pol.Bump()
+}
+
+func stepInvoke(local int, svc string) process.Step {
+	return process.Step{Kind: process.StepInvoke, Local: local, Service: svc}
+}
+
+func compensate(local int, base string) process.Step {
+	return process.Step{Kind: process.StepCompensate, Local: local, Service: process.DefaultCompensationName(base)}
+}
+
+// probe is the runtime's Exec: a held item lock refuses the work.
+func (w *driverWorld) probe(p *scheduler.Proc, wk scheduler.Work) (scheduler.Wait, bool) {
+	if holder, free := w.d.Fed.LockBlocker(string(p.Origin), wk.Service); !free {
+		return w.d.Held(holder), true
+	}
+	return scheduler.Wait{}, false
+}
+
+// TestDriverNext asks Driver.Next of one process in a geometry of the
+// paper's Figures 4, 7, 8 and 9 and checks what it decided: one case per
+// rule of Wait with its blockers, one per rule that names none, and the
+// other answers.
+func TestDriverNext(t *testing.T) {
+	pred := policy.Config{Mode: policy.PRED}
+	ids := func(alts ...[]process.ID) [][]process.ID { return alts }
+	cases := []struct {
+		name  string
+		cfg   policy.Config
+		extra [][2]string
+		// setup brings the world to the geometry and names the process
+		// asked and the Exec it is asked with (nil: claim).
+		setup  func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec)
+		act    scheduler.Act
+		wait   scheduler.Wait
+		invoke string // the service of the work taken (ActInvoke)
+	}{
+		{name: "frontier: the first activity is taken", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) { return "P1", nil },
+			act:   scheduler.ActInvoke, invoke: paper.SvcA11},
+		{name: "a pending abort begins", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				w.commit(t, "P1", 1)
+				w.d.Get("P1").AbortPending = true
+				return "P1", nil
+			}, act: scheduler.ActAgain},
+		{name: "a finished process terminates", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				w.commit(t, "P3", 1, 2, 3)
+				return "P3", nil
+			},
+			act: scheduler.ActDone},
+		{name: "a recovery step is taken", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				w.commit(t, "P1", 1)
+				w.aborting("P1", compensate(1, paper.SvcA11))
+				return "P1", nil
+			}, act: scheduler.ActInvoke, invoke: process.DefaultCompensationName(paper.SvcA11)},
+		{name: "busy: its own invocation in flight", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				p := w.d.Get("P1")
+				w.d.Dispatch(p, scheduler.Work{Local: 1, Service: paper.SvcA11, Kind: activity.Compensatable})
+				return "P1", nil
+			}, wait: scheduler.Wait{Rule: scheduler.RuleBusy, Blockers: ids([]process.ID{"P1"})}},
+		// Figure 8: a21 after a11 of the backward-recoverable P1.
+		{name: "lemma1: dispatch behind an active predecessor", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				w.commit(t, "P1", 1)
+				return "P2", nil
+			},
+			wait: scheduler.Wait{Rule: scheduler.RuleLemma1, Blockers: ids([]process.ID{"P1"})}},
+		// Figure 9: a31 may follow a11 of the forward-recoverable P1, but
+		// the pivot a32 defers its commit behind P1, and a33 behind it.
+		{name: "commit: a deferred set mid-process", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				w.commit(t, "P1", 1, 2)
+				w.run(t, w.d.Get("P3"), 1)
+				w.run(t, w.d.Get("P3"), 2)
+				return "P3", nil
+			}, wait: scheduler.Wait{Rule: scheduler.RuleCommit, Blockers: ids([]process.ID{"P1"})}},
+		{name: "pivot: the ablation gate", cfg: policy.Config{Mode: policy.PRED, BlockPivots: true},
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				w.commit(t, "P1", 1)
+				w.commit(t, "P2", 1, 2)
+				return "P2", nil
+			}, wait: scheduler.Wait{Rule: scheduler.RulePivot, Blockers: ids([]process.ID{"P1"})}},
+		// Figure 7's completion: a21 followed a11, so a21⁻¹ goes first.
+		{name: "lemma2: a compensation behind later conflicting work", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				w.commit(t, "P1", 1)
+				w.commit(t, "P2", 1)
+				w.aborting("P1", compensate(1, paper.SvcA11))
+				return "P1", nil
+			}, wait: scheduler.Wait{Rule: scheduler.RuleLemma2, Blockers: ids([]process.ID{"P2"})}},
+		{name: "lemma3: a forward step behind a queued compensation", cfg: pred, extra: [][2]string{{paper.SvcA11, paper.SvcA33}},
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				w.commit(t, "P1", 1)
+				w.aborting("P1", compensate(1, paper.SvcA11))
+				w.aborting("P3", stepInvoke(3, paper.SvcA33))
+				return "P3", nil
+			}, wait: scheduler.Wait{Rule: scheduler.RuleLemma3, Blockers: ids([]process.ID{"P1"})}},
+		{name: "lemma1fwd: a forward step behind a backward-recoverable predecessor", cfg: pred, extra: [][2]string{{paper.SvcA11, paper.SvcA24}},
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				w.commit(t, "P1", 1)
+				w.aborting("P2", stepInvoke(4, paper.SvcA24))
+				return "P2", nil
+			}, wait: scheduler.Wait{Rule: scheduler.RuleLemma1Fwd, Blockers: ids([]process.ID{"P1"})}},
+		{name: "defer-to-aborting: a forward step forced after an aborting one", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				w.commit(t, "P1", 1)
+				w.commit(t, "P2", 1)
+				w.aborting("P1", stepInvoke(5, paper.SvcA15))
+				w.aborting("P2", stepInvoke(5, paper.SvcA25))
+				return "P2", nil
+			}, wait: scheduler.Wait{Rule: scheduler.RuleDeferAbort, Blockers: ids([]process.ID{"P1"})}},
+		{name: "lock: held by a live process", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				if _, err := w.d.Fed.Invoke("P1", paper.SvcA11, subsystem.Prepare); err != nil {
+					t.Fatal(err)
+				}
+				return "P2", w.probe
+			}, wait: scheduler.Wait{Rule: scheduler.RuleLock, Blockers: ids([]process.ID{"P1"})}},
+		{name: "parked: the hub's exec refuses", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				return "P1", func(*scheduler.Proc, scheduler.Work) (scheduler.Wait, bool) {
+					return scheduler.Wait{Rule: scheduler.RuleParked, Blockers: ids([]process.ID{"P3"})}, true
+				}
+			}, wait: scheduler.Wait{Rule: scheduler.RuleParked, Blockers: ids([]process.ID{"P3"})}},
+		// The rules that name no blockers.
+		{name: "forced-cycle: a forward step would close a forced-order cycle", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				w.commit(t, "P2", 1)
+				w.commit(t, "P1", 1, 2)
+				w.aborting("P2", stepInvoke(4, paper.SvcA24))
+				return "P2", nil
+			}, wait: scheduler.Wait{Rule: scheduler.RuleForced}},
+		// Figure 4b: a12 after a24 would close the cycle P1→P2→P1.
+		{name: "serializability: cc-only", cfg: policy.Config{Mode: policy.CCOnly},
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				w.commit(t, "P1", 1)
+				w.commit(t, "P2", 1, 2, 3, 4)
+				return "P1", nil
+			}, wait: scheduler.Wait{Rule: scheduler.RuleCycle}},
+		{name: "weak-order: a weak commit behind an in-doubt predecessor", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				sub, _ := w.d.Fed.Owner(paper.SvcA21)
+				if _, _, err := sub.InvokeWeak("P1", paper.SvcA11); err != nil {
+					t.Fatal(err)
+				}
+				res, deps, err := sub.InvokeWeak("P2", paper.SvcA21)
+				if err != nil || len(deps) != 1 {
+					t.Fatalf("weak invoke: deps %v, %v", deps, err)
+				}
+				p := w.d.Get("P2")
+				if err := p.Inst.MarkPrepared(1); err != nil {
+					t.Fatal(err)
+				}
+				p.Prepared[1] = scheduler.PreparedTx{Sub: sub, Tx: res.Tx, Service: paper.SvcA21, Weak: true}
+				return "P2", nil
+			}, wait: scheduler.Wait{Rule: scheduler.RuleWeak}},
+		{name: "lock: held by no live process", cfg: pred,
+			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				if _, err := w.d.Fed.Invoke("ghost", paper.SvcA11, subsystem.Prepare); err != nil {
+					t.Fatal(err)
+				}
+				return "P2", w.probe
+			}, wait: scheduler.Wait{Rule: scheduler.RuleLock}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			w := newPaperWorld(t, c.cfg, c.extra...)
+			id, exec := c.setup(t, w)
+			if exec == nil {
+				exec = claim
+			}
+			p := w.d.Get(id)
+			act, wk, err := w.d.Next(p, exec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if act != c.act || !reflect.DeepEqual(p.Wait, c.wait) {
+				t.Fatalf("Next(%s) = %v, wait %+v; want %v, wait %+v", id, act, p.Wait, c.act, c.wait)
+			}
+			if wk.Service != c.invoke {
+				t.Fatalf("Next(%s) took %q, want %q", id, wk.Service, c.invoke)
+			}
+			if act == scheduler.ActWait && !strings.Contains(w.d.Dump(), fmt.Sprintf("wait %s on %v", c.wait.Rule, c.wait.Blockers)) {
+				t.Fatalf("Dump does not show the wait:\n%s", w.d.Dump())
+			}
+		})
 	}
 }

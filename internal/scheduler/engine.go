@@ -440,83 +440,55 @@ func (e *Engine) allDone() bool {
 	return len(e.pending) == 0
 }
 
-// dispatchAll attempts to make progress on every process; returns true
-// when at least one new invocation was issued or terminal transition
-// occurred.
+// dispatchAll asks the driver what every process does next; returns
+// true when at least one new invocation was issued or some other
+// transition occurred.
 func (e *Engine) dispatchAll() bool {
 	progressed := false
 	for _, p := range e.drv.All() {
 		if e.err != nil {
 			break
 		}
-		if p.Phase != policy.Done && e.dispatchProc(p) {
+		if p.Phase != policy.Done && e.next(p) {
 			progressed = true
 		}
 	}
 	return progressed
 }
 
-func (e *Engine) dispatchProc(p *Proc) bool {
-	d := e.drv
-	// Recovery steps run strictly sequentially and drain before a
-	// pending abort is honoured (the instance's alternative bookkeeping
-	// must settle before the completion is computed).
-	if len(p.Recovery) > 0 {
-		if p.StepBusy {
-			return false
-		}
-		st := p.Recovery[0]
-		if st.Kind == process.StepAbortPrepared {
-			// Resolve immediately (no subsystem work to simulate).
-			d.AbortPreparedStep(p)
-			return true
-		}
-		return d.StepGate(p, st) && e.invoke(p, p.StepWork(st))
+// next runs Driver.Next for p, invoking every dispatchable activity, and
+// reports whether p moved. After a terminate the prepared sets that
+// waited on p commit at once, before later processes dispatch in the
+// same pass, and an aborted victim restarts.
+func (e *Engine) next(p *Proc) bool {
+	act, _, err := e.drv.Next(p, e.invoke)
+	if err != nil {
+		e.fail(err)
 	}
-	// Abort requested while work was in flight: start it when drained.
-	if p.AbortPending && p.Idle() && p.Phase != policy.Aborting {
-		if err := d.BeginAbort(p); err != nil {
+	if act != ActDone {
+		return act != ActWait
+	}
+	for _, q := range e.drv.All() {
+		if e.err != nil {
+			break
+		}
+		if _, err := e.drv.settle(q); err != nil {
 			e.fail(err)
 		}
-		return p.Phase == policy.Aborting
 	}
-	if p.Phase == policy.Aborting {
-		if !p.Idle() {
-			return false
-		}
-		// The completion drained: conclude the abort.
-		d.RollbackLeftovers(p)
-		if !e.terminate(p, false) {
-			return false
-		}
-		if p.Restartable && p.Restarts < e.cfg.MaxRestarts {
-			e.restart(p)
-		}
-		return true
+	if !p.Outcome.Committed && p.Restartable && p.Restarts < e.cfg.MaxRestarts {
+		e.restart(p)
 	}
-	// Regular execution: finish or dispatch frontier activities.
-	if p.Inst.Done() && len(p.Running) == 0 {
-		return e.tryFinish(p)
-	}
-	progressed := false
-	for _, local := range p.Inst.Frontier() {
-		if _, inFlight := p.Running[local]; inFlight || !p.PredsCommitted(local) {
-			continue
-		}
-		a := p.Def.Activity(local)
-		if d.MayDispatch(p, a) && e.invoke(p, Work{Local: local, Service: a.Service, Kind: a.Kind}) {
-			progressed = true
-		}
-	}
-	return progressed
+	return true
 }
 
-// invoke issues a subsystem invocation and schedules its completion.
-// In weak-order mode, regular activity invocations never block on
-// subsystem locks: conflicting in-doubt transactions become commit-order
-// dependencies instead (Section 3.6). Recovery steps always use the
-// strong order.
-func (e *Engine) invoke(p *Proc, w Work) bool {
+// invoke is the engine's hand in Driver.Next: it issues a subsystem
+// invocation and schedules its completion, or returns the wait that
+// refused it, and walks on over the frontier. In weak-order mode,
+// regular activity invocations never block on subsystem locks:
+// conflicting in-doubt transactions become commit-order dependencies
+// instead (Section 3.6). Recovery steps always use the strong order.
+func (e *Engine) invoke(p *Proc, w Work) (Wait, bool) {
 	d := e.drv
 	var res *subsystem.Result
 	var extraLat int64
@@ -550,7 +522,7 @@ func (e *Engine) invoke(p *Proc, w Work) bool {
 					}
 					d.Metrics.Invocations++
 					d.LockWait(p, w, "weak-order dependency on non-compensatable")
-					return false
+					return Wait{Rule: RuleWeak}, true
 				}
 			}
 		}
@@ -561,17 +533,16 @@ func (e *Engine) invoke(p *Proc, w Work) bool {
 	}
 	d.Metrics.Invocations++
 	if locked {
-		d.LockWait(p, w, "")
-		return false
+		return d.LockWait(p, w, ""), true
 	}
 	if !d.Dispatch(p, w) {
-		return false // not logged: the prepared transaction stays in doubt for recovery
+		return Wait{}, true // not logged: the prepared transaction stays in doubt for recovery, the run ends
 	}
 	e.order++
 	heap.Push(&e.queue, &completion{
 		Work: w, at: e.clock + d.Cost(w.Service) + extraLat, order: e.order, proc: p, res: res,
 	})
-	return true
+	return Wait{}, true
 }
 
 // handleCompletion processes one finished invocation.
@@ -612,44 +583,6 @@ func (e *Engine) handleCompletion(c *completion) {
 	}
 }
 
-// tryFinish commits a process whose selected path has fully executed:
-// the prepared non-compensatable activities are committed atomically
-// via 2PC once no active conflicting predecessor remains (Lemma 1),
-// then C_i is emitted.
-func (e *Engine) tryFinish(p *Proc) bool {
-	if len(p.Prepared) > 0 && (e.drv.Lemma1Blocked(p) || !e.commitPreparedSet(p)) {
-		return false
-	}
-	return e.terminate(p, true)
-}
-
-func (e *Engine) commitPreparedSet(p *Proc) bool {
-	ok, err := e.drv.CommitPreparedSet(p)
-	if err != nil {
-		e.fail(err)
-	}
-	return ok
-}
-
-// terminate emits the terminal event of a process. Other processes
-// waiting on it may now commit their prepared sets and continue (their
-// successors were deferred).
-func (e *Engine) terminate(p *Proc, committed bool) bool {
-	if !e.drv.Terminate(p, committed) {
-		return false
-	}
-	for _, q := range e.drv.All() {
-		if e.err != nil {
-			break
-		}
-		if q.Phase == policy.Running && len(q.Prepared) > 0 && !q.AbortPending && len(q.Recovery) == 0 &&
-			!e.drv.Pol.HasActiveConflictPred(e.drv, q.ID) {
-			e.commitPreparedSet(q)
-		}
-	}
-	return true
-}
-
 // restart re-enters an aborted process as a fresh instance under a
 // derived id, admitted (and logged) after an exponential backoff so the
 // contention that caused the abort can drain first.
@@ -667,7 +600,7 @@ func (e *Engine) resolveStall() bool {
 		return false
 	}
 	e.drv.MarkVictim(victim, "stall resolution")
-	return e.dispatchProc(victim)
+	return e.next(victim)
 }
 
 // stallDump renders the engine state for stall diagnostics.

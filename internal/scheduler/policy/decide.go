@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 
 	"transproc/internal/process"
 	"transproc/internal/schedule"
@@ -79,10 +80,8 @@ func safeQuasiCommit(q *node, svc int) bool {
 // DispatchBlockers lists the active predecessors on which MayDispatch's
 // Lemma-1 rule denies a regular dispatch of a by id: the processes that
 // must all terminate (or become exempt by acting) before the activity
-// can run. An empty result means the denial — if any — came from a rule
-// without pred-wait semantics (forced-order acyclicity, the ablation
-// pivot gate, or a non-PRED mode), so the caller has no edge information
-// and must fall back to quiescence-based stall handling.
+// can run. An empty result means the denial — if any — came from another
+// rule, which MayDispatch names by a Deny constant.
 func (s *State) DispatchBlockers(v View, id process.ID, a *process.Activity) []process.ID {
 	if s.cfg.Mode != PRED {
 		return nil
@@ -101,9 +100,20 @@ func (s *State) DispatchBlockers(v View, id process.ID, a *process.Activity) []p
 	return out
 }
 
+// The denials of MayDispatch other than Lemma 1's, for which
+// DispatchBlockers is empty: the forced-order graph would become cyclic
+// (PRED), the ablation pivot gate, and the conflict graph would become
+// cyclic (CCOnly).
+const (
+	DenyForced = "completed-schedule ordering would become cyclic"
+	DenyPivot  = "pivot blocked until predecessors terminate (ablation mode)"
+	DenyCycle  = "serializability: edge would close a cycle"
+)
+
 // MayDispatch implements the per-activity scheduling rules for a regular
 // (non-recovery) invocation of the given activity by process id. When
-// denied, the returned string names the rule.
+// denied, the returned string names the rule: a Lemma-1 denial names its
+// oldest blocker, every other denial is one of the Deny constants.
 func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (bool, string) {
 	switch s.cfg.Mode {
 	case Serial, Conservative:
@@ -116,7 +126,7 @@ func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (bool, s
 	// bulk of a workload.
 	if !anyBit(s.u.mask(svc)) {
 		if s.cfg.Mode != CCOnly && s.cfg.BlockPivots && a.Kind.NonCompensatable() && s.HasActiveConflictPred(v, id) {
-			return false, "pivot blocked until predecessors terminate (ablation mode)"
+			return false, DenyPivot
 		}
 		return true, ""
 	}
@@ -126,7 +136,7 @@ func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (bool, s
 		// of the predecessors over the edges executed so far.
 		s.stack = append(s.stack, c)
 		if s.search(nil, true, func(n *node) bool { return n.pred == s.epoch }) {
-			return false, "serializability: edge would close a cycle"
+			return false, DenyCycle
 		}
 		return true, ""
 	}
@@ -145,73 +155,81 @@ func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (bool, s
 	// current schedule acyclic (prefix-reducibility, maintained
 	// inductively).
 	if s.closesCycle(c, svc, false) {
-		return false, "completed-schedule ordering would become cyclic"
+		return false, DenyForced
 	}
 	if s.cfg.BlockPivots && a.Kind.NonCompensatable() && s.HasActiveConflictPred(v, id) {
-		return false, "pivot blocked until predecessors terminate (ablation mode)"
+		return false, DenyPivot
 	}
 	return true, ""
 }
 
-// Lemma1ClearForward gates a forward-recovery invocation (StepInvoke):
+// Lemma1ForwardBlockers gates a forward-recovery invocation (StepInvoke):
 // it must not conflict-follow an effective activity of an active
 // process that could still need a conflicting recovery of its own
 // (the "arbitrary conflicts can be introduced to S̃" hazard of
-// Section 3.5). Aborting processes are waited for only through their
-// queued compensations (Lemma3Clear); their remaining forward paths
-// merely order against ours.
-func (s *State) Lemma1ClearForward(v View, id process.ID, st process.Step) bool {
+// Section 3.5). It lists those processes — the step may run once all of
+// them acted — and nil when the step is clear. Aborting processes are
+// waited for only through their queued compensations (Lemma3Blockers);
+// their remaining forward paths merely order against ours.
+func (s *State) Lemma1ForwardBlockers(v View, id process.ID, st process.Step) []process.ID {
 	svc := s.u.intern(st.Service)
 	if !anyBit(s.u.mask(svc)) {
-		return true
+		return nil
 	}
 	s.candidate(v, id, svc)
+	var out []process.ID
 	for _, q := range s.preds {
 		if q.phase != Aborting && lemma1Blocks(q, svc) {
-			return false
+			out = append(out, q.id)
 		}
 	}
-	return true
+	return out
 }
 
-// Lemma2Clear enforces the cross-process reverse order of compensations:
-// the compensation of an activity executed at sequence T must wait while
-// another active process still has effective conflicting work executed
-// after T (that process compensates first — it is cascading).
-func (s *State) Lemma2Clear(v View, id process.ID, st process.Step) bool {
+// Lemma2Blockers enforces the cross-process reverse order of
+// compensations: the compensation of an activity executed at sequence T
+// waits while another active process still has effective conflicting
+// work executed after T (that process compensates first — it is
+// cascading). It lists the owners of that work, each once; nil when the
+// compensation is clear.
+func (s *State) Lemma2Blockers(v View, id process.ID, st process.Step) []process.ID {
 	svc := s.u.intern(st.Service)
 	if !anyBit(s.u.mask(svc)) {
-		return true
+		return nil
 	}
 	s.refresh(v)
 	baseSeq := s.BaseSeq(id, st.Local)
+	var out []process.ID
 	for _, ev := range s.conflicting(svc) {
-		if ev.Proc != id && ev.Seq > baseSeq && ev.owner.alive {
-			return false
+		if ev.Proc != id && ev.Seq > baseSeq && ev.owner.alive && !slices.Contains(out, ev.Proc) {
+			out = append(out, ev.Proc)
 		}
 	}
-	return true
+	return out
 }
 
-// Lemma3Clear defers a forward-recovery invocation while another active
-// process has a conflicting compensation still queued: compensations
+// Lemma3Blockers defers a forward-recovery invocation while other active
+// processes have a conflicting compensation still queued: compensations
 // precede conflicting retriable activities in the completion (Lemma 3).
-func (s *State) Lemma3Clear(v View, id process.ID, st process.Step) bool {
+// It lists those processes; nil when the step is clear.
+func (s *State) Lemma3Blockers(v View, id process.ID, st process.Step) []process.ID {
 	if !anyBit(s.u.mask(s.u.intern(st.Service))) {
-		return true
+		return nil
 	}
 	s.refresh(v)
+	var out []process.ID
 	for _, o := range s.live {
 		if o.id == id {
 			continue
 		}
 		for _, os := range v.RecoverySteps(o.id) {
 			if os.Kind == process.StepCompensate && s.u.Conflicts(os.Service, st.Service) {
-				return false
+				out = append(out, o.id)
+				break
 			}
 		}
 	}
-	return true
+	return out
 }
 
 // StepForcedClear checks a forward-recovery step against the forced

@@ -41,6 +41,15 @@ type sim struct {
 	maxLive  int
 	ops      int
 	reached  map[string]int
+	// waits holds, after each check, every denied candidate that names
+	// its blockers, for the soundness check after the next operation.
+	waits map[string]wait
+}
+
+// wait is a denied candidate of process proc and its sorted blockers.
+type wait struct {
+	proc     process.ID
+	blockers []process.ID
 }
 
 func (w *sim) Procs() []process.ID { return w.ids }
@@ -170,12 +179,13 @@ func (w *sim) terminate(p *simProc) {
 	w.append(Event{Proc: p.id, Typ: schedule.Terminate, Committed: true})
 }
 
-// op performs one random operation.
-func (w *sim) op() {
+// op performs one random operation and returns the process it moved
+// ("" for none).
+func (w *sim) op() process.ID {
 	live := w.live()
 	if len(live) < 2 || (len(live) < w.maxLive && w.rng.Intn(6) == 0) {
 		w.admit()
-		return
+		return w.ids[len(w.ids)-1]
 	}
 	p := live[w.rng.Intn(len(live))]
 	acts := p.def.Activities()
@@ -243,14 +253,32 @@ func (w *sim) op() {
 		w.append(ev)
 	default:
 		w.bump()
+		return ""
 	}
+	return p.id
 }
 
-// check compares every answer the hosts ask for, for every live process.
-func (w *sim) check(step int) {
+// check compares every answer the hosts ask for, for every live process,
+// after the operation that moved mover. It also holds every wait to its
+// blockers (soundness): a candidate denied with named blockers, neither
+// it nor any of whose blockers moved, is denied again with the same
+// blockers — and the mover, when its own new work made it one more.
+func (w *sim) check(step int, mover process.ID) {
 	fail := func(format string, args ...any) {
 		w.t.Helper()
 		w.t.Fatalf("%v, step %d: %s", w.cfg, step, fmt.Sprintf(format, args...))
+	}
+	waits := map[string]wait{}
+	denied := func(key string, p process.ID, blockers []process.ID) {
+		if len(blockers) > 0 {
+			waits[key] = wait{p, blockers}
+		}
+	}
+	// same compares blocker lists as sets, and sorts both.
+	same := func(got, want []process.ID) bool {
+		slices.Sort(got)
+		slices.Sort(want)
+		return slices.Equal(got, want)
 	}
 	kinds := []activity.Kind{activity.Compensatable}
 	if w.cfg.BlockPivots {
@@ -270,11 +298,10 @@ func (w *sim) check(step int) {
 			}
 			a := &process.Activity{Local: 1, Service: svc}
 			got, want := w.st.DispatchBlockers(w, p.id, a), w.ref.DispatchBlockers(w, p.id, a)
-			slices.Sort(got)
-			slices.Sort(want)
-			if !slices.Equal(got, want) {
+			if !same(got, want) {
 				fail("DispatchBlockers(%s, %s) = %v, reference %v", p.id, svc, got, want)
 			}
+			denied(fmt.Sprint("dispatch ", p.id, svc), p.id, got)
 		}
 		if got, want := w.st.HasActiveConflictPred(w, p.id), w.ref.HasActiveConflictPred(w, p.id); got != want {
 			fail("HasActiveConflictPred(%s) = %v, reference %v", p.id, got, want)
@@ -282,44 +309,67 @@ func (w *sim) check(step int) {
 		if got, want := w.st.FirstActivePred(w, p.id), w.ref.FirstActivePred(w, p.id); got != want {
 			fail("FirstActivePred(%s) = %q, reference %q", p.id, got, want)
 		}
+		got := w.st.ActiveConflictPreds(w, p.id)
+		slices.Sort(got)
+		denied(fmt.Sprint("commit ", p.id), p.id, got)
 		for _, a := range p.def.Activities() {
 			if got, want := w.st.BaseSeq(p.id, a.Local), w.ref.BaseSeq(p.id, a.Local); got != want {
 				fail("BaseSeq(%s, %d) = %d, reference %d", p.id, a.Local, got, want)
 			}
 		}
 		for _, st := range p.steps {
-			rule := func(name string, got, want bool) {
-				if got != want {
+			rule := func(name string, got, want []process.ID) {
+				if !same(got, want) {
 					fail("%s(%s, %v) = %v, reference %v", name, p.id, st, got, want)
 				}
-				if !got {
+				if len(got) > 0 {
 					w.reached[name]++
 				}
+				denied(fmt.Sprint(name, p.id, st), p.id, got)
 			}
 			switch st.Kind {
 			case process.StepCompensate:
-				rule("Lemma2Clear", w.st.Lemma2Clear(w, p.id, st), w.ref.Lemma2Clear(w, p.id, st))
+				rule("Lemma2Blockers", w.st.Lemma2Blockers(w, p.id, st), w.ref.Lemma2Blockers(w, p.id, st))
 			case process.StepInvoke:
-				rule("Lemma3Clear", w.st.Lemma3Clear(w, p.id, st), w.ref.Lemma3Clear(w, p.id, st))
-				rule("Lemma1ClearForward", w.st.Lemma1ClearForward(w, p.id, st), w.ref.Lemma1ClearForward(w, p.id, st))
-				rule("StepForcedClear", w.st.StepForcedClear(w, p.id, st), w.ref.StepForcedClear(w, p.id, st))
+				rule("Lemma3Blockers", w.st.Lemma3Blockers(w, p.id, st), w.ref.Lemma3Blockers(w, p.id, st))
+				rule("Lemma1ForwardBlockers", w.st.Lemma1ForwardBlockers(w, p.id, st), w.ref.Lemma1ForwardBlockers(w, p.id, st))
+				if got, want := w.st.StepForcedClear(w, p.id, st), w.ref.StepForcedClear(w, p.id, st); got != want {
+					fail("StepForcedClear(%s, %v) = %v, reference %v", p.id, st, got, want)
+				} else if !got {
+					w.reached["StepForcedClear"]++
+				}
 				to, deferred := w.st.DeferToAborting(w, p.id, st)
 				refTo, refDeferred := w.ref.DeferToAborting(w, p.id, st)
-				if to != refTo {
+				if to != refTo || deferred != refDeferred {
 					fail("DeferToAborting(%s, %v) = %q, reference %q", p.id, st, to, refTo)
 				}
-				rule("DeferToAborting", !deferred, !refDeferred)
+				if deferred {
+					w.reached["DeferToAborting"]++
+					denied(fmt.Sprint("DeferToAborting", p.id, st), p.id, []process.ID{to})
+				}
 			}
 		}
 	}
+	for key, was := range w.waits {
+		if was.proc == mover || slices.Contains(was.blockers, mover) {
+			continue
+		}
+		// The mover itself may join: new conflicting work of its own
+		// makes it one more process to wait for.
+		now := slices.DeleteFunc(slices.Clone(waits[key].blockers), func(id process.ID) bool { return id == mover })
+		if !slices.Equal(now, was.blockers) {
+			fail("%s: waited on %v, none of which moved (%q did), now on %v", key, was.blockers, mover, waits[key].blockers)
+		}
+		w.reached["held"]++
+	}
+	w.waits = waits
 }
 
 // runStream is the body of the oracle test and of the fuzz target.
 func runStream(t testing.TB, seed int64, reached map[string]int) {
 	w := newSim(t, seed, reached)
 	for step := 0; step < w.ops; step++ {
-		w.op()
-		w.check(step)
+		w.check(step, w.op())
 	}
 	// Both outcomes of the deletion rule must occur: a terminated process
 	// gone from the graph, and one kept behind a live predecessor.
@@ -344,8 +394,8 @@ func TestIncrementalMatchesReference(t *testing.T) {
 	}
 	for _, rule := range []string{
 		"recovery", "complete", "serializ", "pivot bl",
-		"Lemma2Clear", "Lemma3Clear", "Lemma1ClearForward", "StepForcedClear", "DeferToAborting",
-		"pruned", "kept",
+		"Lemma2Blockers", "Lemma3Blockers", "Lemma1ForwardBlockers", "StepForcedClear", "DeferToAborting",
+		"pruned", "kept", "held",
 	} {
 		if reached[rule] == 0 {
 			t.Errorf("no stream reached %q", rule)

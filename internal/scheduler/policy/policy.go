@@ -263,7 +263,7 @@ func (s *State) AppendEvent(ev *Event) {
 // precedes. The stand-in is in no process table, so it reads as
 // terminated (View.Phase): it orders every later conflicting event and
 // completion step after p, as the summarized processes would have, and
-// like them never holds back a compensation (Lemma2Clear). Nothing is
+// like them never holds back a compensation (Lemma2Blockers). Nothing is
 // ordered before a stand-in; what preceded the summarized processes is
 // in edges. seq is the history position of the checkpoint's horizon.
 // Having no Terminate event, a stand-in is never pruned.

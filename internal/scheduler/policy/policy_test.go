@@ -263,22 +263,22 @@ func TestLemma1ClearForward(t *testing.T) {
 	w.exec("P1", 1)
 	w.exec("P1", 2)
 	w.set("P2", policy.Aborting, a24)
-	if !w.st.Lemma1ClearForward(w, "P2", a24) {
-		t.Error("a24 behind forward-recoverable P1 must be clear")
+	if got := w.st.Lemma1ForwardBlockers(w, "P2", a24); got != nil {
+		t.Errorf("a24 behind forward-recoverable P1 must be clear, blockers %v", got)
 	}
 	// Deny: with (a11, a24) conflicting, P1 — still backward-recoverable
 	// after a11 — may compensate a11 after our a24.
 	w = newWorld(t, policy.PRED, with([2]string{paper.SvcA11, paper.SvcA24}), p1, p2)
 	w.exec("P1", 1)
 	w.set("P2", policy.Aborting, a24)
-	if w.st.Lemma1ClearForward(w, "P2", a24) {
-		t.Error("a24 behind backward-recoverable P1 must wait")
+	if got := w.st.Lemma1ForwardBlockers(w, "P2", a24); !reflect.DeepEqual(got, []process.ID{"P1"}) {
+		t.Errorf("a24 behind backward-recoverable P1 must wait on it, blockers %v", got)
 	}
 	// An aborting predecessor is waited for through its queued
 	// compensations (Lemma 3), not here.
 	w.set("P1", policy.Aborting, compensate(1, paper.SvcA11))
-	if !w.st.Lemma1ClearForward(w, "P2", a24) {
-		t.Error("an aborting predecessor must not block Lemma 1's forward gate")
+	if got := w.st.Lemma1ForwardBlockers(w, "P2", a24); got != nil {
+		t.Errorf("an aborting predecessor must not block Lemma 1's forward gate, blockers %v", got)
 	}
 }
 
@@ -287,15 +287,15 @@ func TestLemma2Clear(t *testing.T) {
 	w := newWorld(t, policy.PRED, paper.Conflicts(), paper.P1(), paper.P2())
 	w.exec("P1", 1)
 	w.exec("P2", 1)
-	if w.st.Lemma2Clear(w, "P1", compensate(1, paper.SvcA11)) {
-		t.Error("a11⁻¹ must wait for the later conflicting a21 of the active P2")
+	if got := w.st.Lemma2Blockers(w, "P1", compensate(1, paper.SvcA11)); !reflect.DeepEqual(got, []process.ID{"P2"}) {
+		t.Errorf("a11⁻¹ must wait for the later conflicting a21 of the active P2, blockers %v", got)
 	}
-	if !w.st.Lemma2Clear(w, "P2", compensate(1, paper.SvcA21)) {
-		t.Error("a21⁻¹ has nothing after it")
+	if got := w.st.Lemma2Blockers(w, "P2", compensate(1, paper.SvcA21)); got != nil {
+		t.Errorf("a21⁻¹ has nothing after it, blockers %v", got)
 	}
 	w.st.MarkCompensated("P2", 1)
-	if !w.st.Lemma2Clear(w, "P1", compensate(1, paper.SvcA11)) {
-		t.Error("a11⁻¹ is clear once a21 is compensated")
+	if got := w.st.Lemma2Blockers(w, "P1", compensate(1, paper.SvcA11)); got != nil {
+		t.Errorf("a11⁻¹ is clear once a21 is compensated, blockers %v", got)
 	}
 }
 
@@ -306,12 +306,12 @@ func TestLemma3Clear(t *testing.T) {
 	w.exec("P1", 1)
 	a33 := invoke(3, paper.SvcA33)
 	w.set("P1", policy.Aborting, compensate(1, paper.SvcA11))
-	if w.st.Lemma3Clear(w, "P3", a33) {
-		t.Error("a33 must wait for the queued conflicting compensation a11⁻¹")
+	if got := w.st.Lemma3Blockers(w, "P3", a33); !reflect.DeepEqual(got, []process.ID{"P1"}) {
+		t.Errorf("a33 must wait for P1's queued conflicting compensation a11⁻¹, blockers %v", got)
 	}
 	w.set("P1", policy.Aborting) // compensation done
-	if !w.st.Lemma3Clear(w, "P3", a33) {
-		t.Error("a33 is clear once no conflicting compensation is queued")
+	if got := w.st.Lemma3Blockers(w, "P3", a33); got != nil {
+		t.Errorf("a33 is clear once no conflicting compensation is queued, blockers %v", got)
 	}
 	// A restart: every process enters aborting and no decision has named
 	// a service yet. A mask that only knew the services interned so far
@@ -319,8 +319,8 @@ func TestLemma3Clear(t *testing.T) {
 	w = newWorld(t, policy.PRED, with([2]string{paper.SvcA11, paper.SvcA33}), paper.P1(), paper.P3())
 	w.set("P1", policy.Aborting, compensate(1, paper.SvcA11))
 	w.set("P3", policy.Aborting, a33)
-	if w.st.Lemma3Clear(w, "P3", a33) {
-		t.Error("fresh state: a33 must wait for the queued conflicting compensation a11⁻¹")
+	if got := w.st.Lemma3Blockers(w, "P3", a33); !reflect.DeepEqual(got, []process.ID{"P1"}) {
+		t.Errorf("fresh state: a33 must wait for the queued conflicting compensation a11⁻¹, blockers %v", got)
 	}
 }
 

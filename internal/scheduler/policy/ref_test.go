@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"slices"
 
 	"transproc/internal/process"
 	"transproc/internal/schedule"
@@ -672,39 +673,42 @@ func (s *refState) safeQuasiCommit(v View, q process.ID, svcID int) bool {
 	return !intersects(s.forced(v).pots[q], s.u.mask(svcID))
 }
 
-// Lemma1ClearForward gates a forward-recovery invocation (StepInvoke):
+// Lemma1ForwardBlockers gates a forward-recovery invocation (StepInvoke):
 // it must not conflict-follow an effective activity of an active
 // process that could still need a conflicting recovery of its own
 // (the "arbitrary conflicts can be introduced to S̃" hazard of
-// Section 3.5). Aborting processes are waited for only through their
-// queued compensations (Lemma3Clear); their remaining forward paths
-// merely order against ours.
-func (s *refState) Lemma1ClearForward(v View, id process.ID, st process.Step) bool {
+// Section 3.5); it lists those processes. Aborting processes are waited
+// for only through their queued compensations (Lemma3Blockers); their
+// remaining forward paths merely order against ours.
+func (s *refState) Lemma1ForwardBlockers(v View, id process.ID, st process.Step) []process.ID {
 	svcID := s.u.intern(st.Service)
 	if !anyBit(s.u.mask(svcID)) {
-		return true
+		return nil
 	}
+	var out []process.ID
 	for q := range s.conflictPreds(v, id, svcID) {
 		if ph := v.Phase(q); ph == Done || ph == Aborting {
 			continue
 		}
 		if !s.safeQuasiCommit(v, q, svcID) {
-			return false
+			out = append(out, q)
 		}
 	}
-	return true
+	return out
 }
 
-// Lemma2Clear enforces the cross-process reverse order of compensations:
-// the compensation of an activity executed at sequence T must wait while
-// another active process still has effective conflicting work executed
-// after T (that process compensates first — it is cascading).
-func (s *refState) Lemma2Clear(v View, id process.ID, st process.Step) bool {
+// Lemma2Blockers enforces the cross-process reverse order of
+// compensations: the compensation of an activity executed at sequence T
+// must wait while another active process still has effective
+// conflicting work executed after T (that process compensates first — it
+// is cascading); it lists those processes.
+func (s *refState) Lemma2Blockers(v View, id process.ID, st process.Step) []process.ID {
 	svcID := s.u.intern(st.Service)
 	if !anyBit(s.u.mask(svcID)) {
-		return true
+		return nil
 	}
 	baseSeq := s.BaseSeq(id, st.Local)
+	var out []process.ID
 	for _, ev := range s.events {
 		if ev.Proc == id || !ev.effective() {
 			continue
@@ -715,31 +719,34 @@ func (s *refState) Lemma2Clear(v View, id process.ID, st process.Step) bool {
 		if v.Phase(ev.Proc) == Done {
 			continue
 		}
-		if s.u.conflictsID(ev.svc, svcID) {
-			return false
+		if s.u.conflictsID(ev.svc, svcID) && !slices.Contains(out, ev.Proc) {
+			out = append(out, ev.Proc)
 		}
 	}
-	return true
+	return out
 }
 
-// Lemma3Clear defers a forward-recovery invocation while another active
-// process has a conflicting compensation still queued: compensations
+// Lemma3Blockers defers a forward-recovery invocation while other active
+// processes have a conflicting compensation still queued: compensations
 // precede conflicting retriable activities in the completion (Lemma 3).
-func (s *refState) Lemma3Clear(v View, id process.ID, st process.Step) bool {
+// It lists those processes.
+func (s *refState) Lemma3Blockers(v View, id process.ID, st process.Step) []process.ID {
 	if !anyBit(s.u.mask(s.u.intern(st.Service))) {
-		return true
+		return nil
 	}
+	var out []process.ID
 	for _, o := range v.Procs() {
 		if o == id || v.Phase(o) == Done {
 			continue
 		}
 		for _, os := range v.RecoverySteps(o) {
 			if os.Kind == process.StepCompensate && s.u.Conflicts(os.Service, st.Service) {
-				return false
+				out = append(out, o)
+				break
 			}
 		}
 	}
-	return true
+	return out
 }
 
 // StepForcedClear checks a forward-recovery step against the forced

@@ -47,8 +47,9 @@ type RecoveryReport struct {
 // forward along their retriable paths. Recovery rebuilds the process
 // table and the policy state as they stood one instant before the crash
 // and hosts the protocol driver (DESIGN.md §6l): every completion step
-// passes the same gates (Lemmas 2 and 3, forced order) and is logged and
-// committed by the same transition as in an abort before the crash.
+// is decided by the same Driver.Next (Lemmas 2 and 3, forced order) and
+// logged and committed by the same transition as in an abort before the
+// crash.
 //
 // The federation must be the surviving subsystem state; defs the process
 // definitions known to the scheduler (by original id).
@@ -314,32 +315,40 @@ func (r *restarted) groupAbort() (*DurableReport, error) {
 	seed(evs)
 
 	// Phase 3: run the driver to quiescence. What a step does and whether
-	// it may run now is the driver's; which of the head steps that pass
-	// their gate goes next is the host's. The log's judge wants the
-	// compensations of the whole group abort in strictly decreasing order
-	// of their bases' commit positions, conflicting or not
-	// (fault.CheckRecovered, invariant 4) — more than Lemma 2 gives: so the
-	// compensation with the latest base goes first, and a forward step
-	// only when no compensation can.
+	// it may run now is the driver's (Next); which of the head steps that
+	// pass their gate goes next is the host's, so exec only claims them.
+	// The log's judge wants the compensations of the whole group abort in
+	// strictly decreasing order of their bases' commit positions,
+	// conflicting or not (fault.CheckRecovered, invariant 4) — more than
+	// Lemma 2 gives: so the compensation with the latest base goes first,
+	// and a forward step only when no compensation can.
+	claim := func(*Proc, Work) (Wait, bool) { return Wait{}, false }
 	for !e.allDone() && e.err == nil {
 		var pick *Proc
+		var step Work
 		var latest int64
 		progressed := false
 		for _, p := range d.All() {
-			switch {
-			case p.Phase == policy.Done:
-			case len(p.Recovery) == 0 || p.Recovery[0].Kind == process.StepAbortPrepared:
-				// Nothing to invoke: the engine settles a rollback phase 1
-				// already resolved, and concludes a drained abort.
-				progressed = e.dispatchProc(p) || progressed
-			case d.StepGate(p, p.Recovery[0]):
+			if p.Phase == policy.Done {
+				continue
+			}
+			act, w, err := d.Next(p, claim)
+			if err != nil {
+				e.fail(err)
+			}
+			switch act {
+			case ActInvoke:
 				var base int64 // a forward step: after every compensation
-				if st := p.Recovery[0]; st.Kind == process.StepCompensate {
-					base = d.Pol.BaseSeq(p.ID, st.Local)
+				if w.Step.Kind == process.StepCompensate {
+					base = d.Pol.BaseSeq(p.ID, w.Local)
 				}
 				if pick == nil || base > latest {
-					pick, latest = p, base
+					pick, step, latest = p, w, base
 				}
+			case ActAgain, ActDone:
+				// Nothing to invoke: a rollback phase 1 already resolved
+				// settled, or a drained abort concluded.
+				progressed = true
 			}
 		}
 		if pick == nil {
@@ -348,27 +357,26 @@ func (r *restarted) groupAbort() (*DurableReport, error) {
 			}
 			continue
 		}
-		st := pick.Recovery[0]
-		if _, ok := fed.Owner(st.Service); !ok {
-			return nil, fmt.Errorf("scheduler: recovery found unknown service %q", st.Service)
+		if _, ok := fed.Owner(step.Service); !ok {
+			return nil, fmt.Errorf("scheduler: recovery found unknown service %q", step.Service)
 		}
 		// The engine's own invocation and completion, one step at a time. A
 		// refused force-log ends recovery (e.err) before the step commits:
 		// the prepared transaction stays in doubt, the next recovery
 		// presumes it aborted and re-executes the step.
-		if !e.invoke(pick, pick.StepWork(st)) {
-			if e.err == nil {
-				// Lock conflicts cannot persist here: phase 1 released the
-				// in-doubt locks and no other step is in flight.
-				return nil, fmt.Errorf("scheduler: recovery invoking %s for %s: item locks held", st.Service, pick.ID)
-			}
+		if refused, _ := e.invoke(pick, step); refused.Rule != "" {
+			// Lock conflicts cannot persist here: phase 1 released the
+			// in-doubt locks and no other step is in flight.
+			return nil, fmt.Errorf("scheduler: recovery invoking %s for %s: item locks held", step.Service, pick.ID)
+		}
+		if e.err != nil {
 			continue
 		}
 		c := heap.Pop(&e.queue).(*completion)
 		e.handleCompletion(c)
 		switch {
 		case c.res == nil || e.err != nil: // transient failure (the driver retries), or not logged
-		case st.Kind == process.StepCompensate:
+		case step.Step.Kind == process.StepCompensate:
 			report.Compensations++
 			m.Inc(metrics.RecoveryCompensations)
 		default:

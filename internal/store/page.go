@@ -7,7 +7,7 @@
 // pages it exposes a string→int64 record store — exactly the shape of
 // a simulated resource manager's data items — so subsystem-local ACID
 // state survives a crash and composes with the process-level WAL into
-// end-to-end recovery (ROADMAP item 4).
+// end-to-end recovery (DESIGN.md §6g).
 //
 // The package is a leaf: it depends only on internal/metrics. Crash
 // points ("store:page-write", "store:page-fsync", "store:evict",
