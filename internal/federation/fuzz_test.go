@@ -43,6 +43,11 @@ func FuzzWireDecode(f *testing.F) {
 	bad := append([]byte{}, full...)
 	bad[0] = 200 // unknown type
 	f.Add(bad)
+	// A record whose LSN 0 is written in two bytes: decodes to the same
+	// value, so only the minimal-varint rule keeps the codec canonical.
+	one := EncodePayload(&Frame{Type: MsgResponse, Records: []wal.Record{{Type: wal.RecStart, Proc: "W1"}}})
+	at := len(EncodePayload(&Frame{Type: MsgResponse})) // the record's first byte
+	f.Add(append(append(append([]byte{}, one[:at]...), 0x80, 0x00), one[at+1:]...))
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		fr, err := DecodePayload(b)

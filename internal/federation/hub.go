@@ -63,7 +63,7 @@ const (
 )
 
 // leaseChunk is how far past the journaled floor the hub extends its
-// stamp lease per force-log: one journal fsync amortizes over this many
+// stamp lease per force-log: one journal append amortizes over this many
 // stamps, and a reopened hub's counter jumps at most this far ahead.
 const leaseChunk = 512
 
@@ -223,7 +223,7 @@ func NewHub(fed *subsystem.Federation, defs []*process.Process, cfg HubConfig) (
 		maxSuffix: make(map[string]int),
 		pending:   make(map[string]bool),
 	}
-	h.drv = &scheduler.Driver{Host: hubHost{h}, Fed: fed, Pol: h.pol, Coord: twopc.New(hubLog{h}), Reg: cfg.Metrics}
+	h.drv = &scheduler.Driver{Host: hubHost{h}, Fed: fed, Pol: h.pol, Coord: twopc.New(h.twopcAppend), Reg: cfg.Metrics}
 	if cfg.Metrics != nil {
 		h.drv.Coord.Metrics = cfg.Metrics
 		fed.SetMetrics(cfg.Metrics)
@@ -323,21 +323,18 @@ func (hh hubHost) ForceLog(rec wal.Record) bool {
 // errParked is how the 2PC coordinator sees a refused force-log.
 var errParked = errors.New("federation: write-ahead record awaits the node's acknowledgement")
 
-// hubLog is the log of the hub's 2PC coordinator: the same force-log,
-// so the decision parks like every other write-ahead record.
-type hubLog struct{ h *Hub }
-
-func (l hubLog) Append(rec wal.Record) (int64, error) {
-	if !(hubHost{l.h}).ForceLog(rec) {
+// twopcAppend is the append function of the hub's 2PC coordinator: the
+// same force-log, so the decision parks like every other write-ahead
+// record, and a logged resolution is the PointHubResolve crash point.
+func (h *Hub) twopcAppend(rec wal.Record) (int64, error) {
+	if !(hubHost{h}).ForceLog(rec) {
 		return 0, errParked
 	}
 	if rec.Type == wal.RecResolved {
-		l.h.injectPoint(PointHubResolve)
+		h.injectPoint(PointHubResolve)
 	}
-	return l.h.stamp, nil
+	return h.stamp, nil
 }
-func (l hubLog) Records() ([]wal.Record, error) { return nil, nil }
-func (l hubLog) Close() error                   { return nil }
 
 // resp builds a response frame, carrying the current progress
 // generation so idle nodes can tell stale quiescence from real, and the

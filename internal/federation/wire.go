@@ -21,7 +21,9 @@
 // the recovery composition.
 //
 // The wire is a hand-rolled length-prefixed binary codec over localhost
-// TCP (dependency-free), behind the two-method Transport. The package
+// TCP (dependency-free), behind the two-method Transport; the records a
+// frame carries are in the WAL's own record encoding (internal/wal's
+// codec), the one the node writes them to disk in. The package
 // knows no fault model: crash points fire through injected hooks
 // (Config.HubInject, NodeInject) and an unreliable wire is a wrapper a
 // battery puts around Transport (Config.WrapTransport, DESIGN.md §6m).
@@ -188,12 +190,8 @@ var (
 	ErrBadRecord     = errors.New("federation: malformed log record")
 )
 
-// fixedHeader is the byte count of the fixed-width portion of a payload;
-// recordHeader that of one record (type, flags, local, tx, stamp).
-const (
-	fixedHeader  = 1 + 1 + 1 + 1 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 8
-	recordHeader = 1 + 1 + 4 + 8 + 8
-)
+// fixedHeader is the byte count of the fixed-width portion of a payload.
+const fixedHeader = 1 + 1 + 1 + 1 + 4 + 4 + 8 + 4 + 4 + 8 + 8 + 8
 
 func appendString(b []byte, s string) []byte {
 	b = binary.LittleEndian.AppendUint16(b, uint16(len(s)))
@@ -226,15 +224,23 @@ func flagBits(a, b bool) (bits uint8) {
 	return bits
 }
 
-// EncodePayload serializes a frame payload (without the length prefix).
+// EncodePayload serializes a frame payload (without the length prefix):
+// the fixed-width header, the frame's strings, then the records as the
+// WAL codec's counted list of live records (wal.AppendRecords). It is
+// nil for a frame whose records the codec refuses.
 func EncodePayload(f *Frame) []byte {
+	b, _ := encodePayload(f)
+	return b
+}
+
+func encodePayload(f *Frame) ([]byte, error) {
 	n := fixedHeader + 1
 	for _, s := range []string{f.Proc, f.Origin, f.Service, f.Subsystem, f.Err} {
 		n += 2 + len(s)
 	}
 	for i := range f.Records {
 		r := &f.Records[i]
-		n += recordHeader + 8 + len(r.Proc) + len(r.Service) + len(r.Subsystem) + len(r.Outcome)
+		n += 32 + len(r.Proc) + len(r.Service) + len(r.Subsystem) + len(r.Outcome)
 	}
 	b := make([]byte, 0, n)
 	b = append(b, uint8(f.Type), uint8(f.Status), f.Kind, flagBits(f.Flag, f.Flag2))
@@ -249,18 +255,24 @@ func EncodePayload(f *Frame) []byte {
 	for _, s := range []string{f.Proc, f.Origin, f.Service, f.Subsystem, f.Err} {
 		b = appendString(b, s)
 	}
-	b = append(b, uint8(len(f.Records)))
-	for i := range f.Records {
-		r := &f.Records[i]
-		b = append(b, uint8(r.Type), flagBits(r.Committed, r.Commit))
-		b = binary.LittleEndian.AppendUint32(b, uint32(int32(r.Local)))
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.Tx))
-		b = binary.LittleEndian.AppendUint64(b, uint64(r.Stamp))
-		for _, s := range []string{r.Proc, r.Service, r.Subsystem, r.Outcome} {
-			b = appendString(b, s)
-		}
+	b, err := wal.AppendRecords(b, f.Records, MaxString)
+	if err != nil {
+		return nil, recordErr(err)
 	}
-	return b
+	return b, nil
+}
+
+// recordErr names a refusal of the WAL record codec by the wire's
+// sentinel for its class.
+func recordErr(err error) error {
+	switch {
+	case errors.Is(err, wal.ErrShortRecord):
+		return ErrTruncated
+	case errors.Is(err, wal.ErrLongString):
+		return ErrBadString
+	default:
+		return ErrBadRecord
+	}
 }
 
 // DecodePayload parses a frame payload. Malformed input returns an
@@ -306,33 +318,8 @@ func DecodePayload(b []byte) (*Frame, error) {
 			return nil, err
 		}
 	}
-	if len(rest) < 1 {
-		return nil, ErrTruncated
-	}
-	count := int(rest[0])
-	rest = rest[1:]
-	for i := 0; i < count; i++ {
-		if len(rest) < recordHeader {
-			return nil, ErrTruncated
-		}
-		r := wal.Record{
-			Type:  wal.RecType(rest[0]),
-			Local: int(int32(binary.LittleEndian.Uint32(rest[2:]))),
-			Tx:    int64(binary.LittleEndian.Uint64(rest[6:])),
-			Stamp: int64(binary.LittleEndian.Uint64(rest[14:])),
-		}
-		if r.Type > wal.RecTerminate || rest[1] > 3 {
-			return nil, ErrBadRecord
-		}
-		r.Committed = rest[1]&1 != 0
-		r.Commit = rest[1]&2 != 0
-		rest = rest[recordHeader:]
-		for _, dst := range []*string{&r.Proc, &r.Service, &r.Subsystem, &r.Outcome} {
-			if *dst, rest, err = readString(rest); err != nil {
-				return nil, err
-			}
-		}
-		f.Records = append(f.Records, r)
+	if f.Records, rest, err = wal.DecodeRecords(rest, MaxRecords, MaxString); err != nil {
+		return nil, recordErr(err)
 	}
 	if len(rest) != 0 {
 		return nil, ErrTrailing
@@ -343,11 +330,14 @@ func DecodePayload(b []byte) (*Frame, error) {
 // WriteFrame writes one length-prefixed frame. It refuses a frame that
 // ReadFrame would refuse.
 func WriteFrame(w io.Writer, f *Frame) error {
-	payload := EncodePayload(f)
+	payload, err := encodePayload(f)
+	if err != nil {
+		return err
+	}
 	if len(payload) > MaxFrame || len(f.Records) > MaxRecords {
 		return ErrFrameTooLarge
 	}
-	if longestString(f) > MaxString {
+	if max(len(f.Proc), len(f.Origin), len(f.Service), len(f.Subsystem), len(f.Err)) > MaxString {
 		return ErrBadString
 	}
 	var hdr [4]byte
@@ -355,19 +345,8 @@ func WriteFrame(w io.Writer, f *Frame) error {
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
 	}
-	_, err := w.Write(payload)
+	_, err = w.Write(payload)
 	return err
-}
-
-// longestString returns the length of f's longest string field, records
-// included.
-func longestString(f *Frame) int {
-	n := max(len(f.Proc), len(f.Origin), len(f.Service), len(f.Subsystem), len(f.Err))
-	for i := range f.Records {
-		r := &f.Records[i]
-		n = max(n, len(r.Proc), len(r.Service), len(r.Subsystem), len(r.Outcome))
-	}
-	return n
 }
 
 // ReadFrame reads one length-prefixed frame.

@@ -237,15 +237,23 @@ func TestWireRejectsMalformed(t *testing.T) {
 		t.Errorf("oversize string length: got %v, want %v", err, ErrBadString)
 	}
 
-	// The record list is outside input like the rest of the frame.
+	// The record list is outside input like the rest of the frame. It is
+	// the WAL codec's counted list of live records: a uvarint count, then
+	// per record four zigzag varints (LSN, Local, Tx, Stamp; one byte each
+	// here), Type, flags and four uvarint-prefixed strings.
 	rec := wal.Record{Type: wal.RecOutcome, Proc: "W1", Local: 2, Service: "svc", Subsystem: "rm", Tx: 5, Outcome: "prepared", Stamp: 8}
 	withRecs := EncodePayload(&Frame{Type: MsgResponse, Status: StOK, Records: []wal.Record{rec, rec}})
 	count := len(EncodePayload(&Frame{Type: MsgResponse, Status: StOK})) - 1 // offset of the record count
 	oneRec := (len(withRecs) - count - 1) / 2
+	const typeAt, flagsAt, procAt = 4, 5, 6 // offsets within a record
 	patch := func(at int, v ...byte) []byte {
 		b := append([]byte{}, withRecs...)
 		copy(b[at:], v)
 		return b
+	}
+	// splice replaces the byte at at with v.
+	splice := func(at int, v ...byte) []byte {
+		return append(append(append([]byte{}, withRecs[:at]...), v...), withRecs[at+1:]...)
 	}
 	for _, tc := range []struct {
 		name string
@@ -257,9 +265,12 @@ func TestWireRejectsMalformed(t *testing.T) {
 		{"list-truncated-in-header", withRecs[:count+1+oneRec+5], ErrTruncated},
 		{"list-truncated-in-string", withRecs[:len(withRecs)-2], ErrTruncated},
 		{"count-understates", patch(count, 1), ErrTrailing},
-		{"record-type", patch(count+1, byte(wal.RecCheckpoint)), ErrBadRecord},
-		{"record-flags", patch(count+2, 4), ErrBadRecord},
-		{"record-string-oversize", patch(count+1+recordHeader, 0xFF, 0xFF), ErrBadString},
+		{"count-over-MaxRecords", splice(count, 0x80, 0x02), ErrBadRecord},
+		{"record-type", patch(count+1+typeAt, byte(wal.RecCheckpoint)), ErrBadRecord},
+		{"record-flags", patch(count+1+flagsAt, 4), ErrBadRecord},
+		{"record-flags-unknown", patch(count+1+flagsAt, 8), ErrBadRecord},
+		{"record-string-oversize", patch(count+1+procAt, 0x81, 0x20), ErrBadString}, // MaxString+1
+		{"record-varint-overlong", splice(count+1, 0x80, 0x00), ErrBadRecord},       // LSN 0 in two bytes
 	} {
 		if _, err := DecodePayload(tc.b); err != tc.want {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
@@ -270,7 +281,8 @@ func TestWireRejectsMalformed(t *testing.T) {
 	// garbage up to MaxFrame behind them. Rejected at the first malformed
 	// record, having allocated for the records actually parsed — not for
 	// the claimed count.
-	overrun := append(patch(count, 255), bytes.Repeat([]byte{0xFF}, MaxFrame-len(withRecs))...)
+	claimed := splice(count, 0xFF, 0x01)
+	overrun := append(claimed, bytes.Repeat([]byte{0xFF}, MaxFrame-len(claimed))...)
 	var err error
 	allocs := testing.AllocsPerRun(20, func() { _, err = DecodePayload(overrun) })
 	if err != ErrBadRecord {
@@ -279,11 +291,11 @@ func TestWireRejectsMalformed(t *testing.T) {
 	if allocs > 20 {
 		t.Errorf("decoding an overrunning count allocated %.0f times; the list must grow by records parsed", allocs)
 	}
-	if _, err := DecodePayload(overrun[:len(withRecs)]); err != ErrTruncated {
+	if _, err := DecodePayload(claimed); err != ErrTruncated {
 		t.Errorf("count overrunning the payload: got %v, want %v", err, ErrTruncated)
 	}
 
-	// More records than the count byte can say never reach the wire.
+	// More records than MaxRecords never reach the wire.
 	tooMany := &Frame{Type: MsgResponse, Records: make([]wal.Record, MaxRecords+1)}
 	if err := WriteFrame(&bytes.Buffer{}, tooMany); err != ErrFrameTooLarge {
 		t.Errorf("writing %d records: got %v, want %v", len(tooMany.Records), err, ErrFrameTooLarge)
@@ -297,6 +309,13 @@ func TestWireRejectsMalformed(t *testing.T) {
 	} {
 		if err := WriteFrame(&bytes.Buffer{}, f); err != ErrBadString {
 			t.Errorf("writing a %d-byte string: got %v, want %v", MaxString+1, err, ErrBadString)
+		}
+	}
+	// Nor does a record that is no live record: a checkpoint never travels.
+	for _, r := range []wal.Record{{Type: wal.RecCheckpoint}, {Type: wal.RecStart, Checkpoint: &wal.Checkpoint{}}} {
+		f := &Frame{Type: MsgResponse, Records: []wal.Record{r}}
+		if err := WriteFrame(&bytes.Buffer{}, f); err != ErrBadRecord {
+			t.Errorf("writing a %v record with checkpoint %v: got %v, want %v", r.Type, r.Checkpoint != nil, err, ErrBadRecord)
 		}
 	}
 }

@@ -248,7 +248,10 @@ func New(fed *subsystem.Federation, cfg Config) (*Runtime, error) {
 		reg:     cfg.Metrics,
 		members: make(map[process.ID]*member),
 	}
-	coord := twopc.New(coordLog{r})
+	// The coordinator logs through the same force-log, so a resolution
+	// never waits for a sync and a decision is held for one like every
+	// other write-ahead record.
+	coord := twopc.New(r.forceLog)
 	coord.Inject = cfg.Inject
 	r.drv = &scheduler.Driver{
 		Host:       runtimeHost{r},
@@ -323,27 +326,28 @@ func (h runtimeHost) Now() int64 {
 
 // ForceLog writes a record unless the run already crashed.
 func (h runtimeHost) ForceLog(rec wal.Record) bool {
-	_, ok := h.r.forceLog(rec)
-	return ok
+	_, err := h.r.forceLog(rec)
+	return err == nil
 }
 
 // forceLog writes a record unless the run already crashed, and returns
-// its LSN. The checkpointer runs inside the guard: an injected crash
-// sentinel unwinds into guard's recover like any other force-log crash.
+// its LSN, or errRefused for a record it did not accept. The
+// checkpointer runs inside the guard: an injected crash sentinel unwinds
+// into guard's recover like any other force-log crash.
 // On a log with a sync phase nothing waits for a sync here: a
 // write-ahead record that must be durable first (syncFirst) is written
 // and refused, its member is held until a sync covers it, and the
 // transition's re-entry finds it accepted.
-func (r *Runtime) forceLog(rec wal.Record) (int64, bool) {
+func (r *Runtime) forceLog(rec wal.Record) (int64, error) {
 	if r.stopped() {
-		return 0, false
+		return 0, errRefused
 	}
 	var m *member // set for a write-ahead record that must wait
 	if r.glog != nil && rec.WriteAhead() {
 		m = r.members[process.ID(rec.Proc).Origin()]
 		if lsn := m.ahead; lsn > 0 {
 			m.ahead = 0 // the re-entry: written and synced
-			return lsn, true
+			return lsn, nil
 		}
 		if !r.syncFirst(m, rec) {
 			m = nil
@@ -369,13 +373,13 @@ func (r *Runtime) forceLog(rec wal.Record) (int64, bool) {
 	// (in the syncer, say) before the run noticed: the record is not in
 	// the log.
 	if !ok || lsn == 0 {
-		return 0, false
+		return 0, errRefused
 	}
 	if m != nil {
 		m.ahead = lsn
-		return lsn, false
+		return 0, errRefused
 	}
-	return lsn, true
+	return lsn, nil
 }
 
 // syncFirst reports whether a write-ahead record must be durable before
@@ -398,24 +402,8 @@ func (r *Runtime) syncFirst(m *member, rec wal.Record) bool {
 	return !ok || !sub.CommitsBehindLog()
 }
 
-// errRefused is how the 2PC coordinator sees a refused force-log.
+// errRefused is a force-log that did not accept its record.
 var errRefused = errors.New("runtime: force-log refused")
-
-// coordLog is the log of the runtime's 2PC coordinator: the same
-// force-log, so a resolution never waits for a sync and a decision is
-// held for one like every other write-ahead record (the hub's
-// coordinator log does the same).
-type coordLog struct{ r *Runtime }
-
-func (l coordLog) Append(rec wal.Record) (int64, error) {
-	lsn, ok := l.r.forceLog(rec)
-	if !ok {
-		return 0, errRefused
-	}
-	return lsn, nil
-}
-func (l coordLog) Records() ([]wal.Record, error) { return l.r.log.Records() }
-func (l coordLog) Close() error                   { return nil }
 
 // syncer is the one goroutine that waits for syncs: it takes the LSN the
 // loop needs durable, waits until a sync covered it, and posts it back,

@@ -88,7 +88,7 @@ func newDriverWorld(t *testing.T) *driverWorld {
 	w.d = &scheduler.Driver{
 		Host: w.host, Fed: fed,
 		Pol:   policy.New(table, policy.Config{Mode: policy.PRED}),
-		Coord: twopc.New(w.log),
+		Coord: twopc.New(w.log.Append),
 	}
 	return w
 }
@@ -325,18 +325,14 @@ func TestDriverRefusedForceLog(t *testing.T) {
 	}
 }
 
-// hostLog is a 2PC coordinator log that force-logs through the host, as
-// the hub's does.
-type hostLog struct{ h *fakeHost }
-
-func (l hostLog) Append(rec wal.Record) (int64, error) {
-	if !l.h.ForceLog(rec) {
+// forceLog is a 2PC coordinator append function that force-logs through
+// the host, as the hub's does.
+func (h *fakeHost) forceLog(rec wal.Record) (int64, error) {
+	if !h.ForceLog(rec) {
 		return 0, errors.New("refused")
 	}
 	return 1, nil
 }
-func (l hostLog) Records() ([]wal.Record, error) { return nil, nil }
-func (l hostLog) Close() error                   { return nil }
 
 // TestDriverParkedTransitionReenters: the three write-ahead records — a
 // "prepared" outcome, a recovery-step record, the 2PC decision — are the
@@ -409,7 +405,7 @@ func TestDriverParkedTransitionReenters(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			w := world{newDriverWorld(t), metrics.New()}
 			w.d.Reg = w.reg
-			w.d.Coord = twopc.New(hostLog{w.host})
+			w.d.Coord = twopc.New(w.host.forceLog)
 			w.d.Coord.Metrics = w.reg
 			call := c.setup(t, w)
 
@@ -542,7 +538,7 @@ func newPaperWorld(t *testing.T, cfg policy.Config, extra ...[2]string) *driverW
 		table.AddConflict(c[0], c[1])
 	}
 	w := &driverWorld{host: &fakeHost{fed: fed}, log: wal.NewMemLog()}
-	w.d = &scheduler.Driver{Host: w.host, Fed: fed, Pol: policy.New(table, cfg), Coord: twopc.New(w.log)}
+	w.d = &scheduler.Driver{Host: w.host, Fed: fed, Pol: policy.New(table, cfg), Coord: twopc.New(w.log.Append)}
 	for i, def := range []*process.Process{paper.P1(), paper.P2(), paper.P3()} {
 		w.admit(t, def, i)
 	}

@@ -125,7 +125,7 @@ func New(fed *subsystem.Federation, cfg Config) (*Engine, error) {
 		Host:       engineHost{e},
 		Fed:        fed,
 		Pol:        policy.New(table, policy.Config{Mode: cfg.Mode, BlockPivots: cfg.BlockPivots}),
-		Coord:      twopc.New(cfg.Log),
+		Coord:      twopc.New(cfg.Log.Append),
 		Reg:        cfg.Metrics,
 		Resilience: cfg.Resilience,
 	}

@@ -153,13 +153,3 @@ func (d *MemDevice) Pages() (int, error) {
 }
 
 func (d *MemDevice) Close() error { return nil }
-
-// Corrupt flips a byte inside a page, simulating a torn write. Test
-// harness hook; no-op for out-of-range pages.
-func (d *MemDevice) Corrupt(id PageID, off int) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if int(id) < len(d.pages) && off >= 0 && off < PageSize {
-		d.pages[id][off] ^= 0xff
-	}
-}

@@ -37,18 +37,11 @@ type Participant struct {
 // Coordinator drives the second phase of 2PC against the subsystems,
 // journaling to the write-ahead log.
 type Coordinator struct {
-	log wal.Log
+	log func(wal.Record) (int64, error)
 	// Metrics is the optional observability registry (nil = no-op): it
 	// receives decision counts, per-participant resolution counters and
 	// the prepared-set size histogram.
 	Metrics *metrics.Registry
-	// CrashAfterDecision, when set, makes CommitAll stop right after
-	// logging the decision and before resolving any participant — a
-	// deterministic crash-injection point for recovery tests.
-	CrashAfterDecision bool
-	// CrashAfterFirstResolve stops after resolving exactly one
-	// participant.
-	CrashAfterFirstResolve bool
 	// Inject, when non-nil, is called at named crash points:
 	// "twopc:after-decision" right after the decision record is forced,
 	// and "twopc:mid-resolve" after the first participant's resolution
@@ -58,12 +51,10 @@ type Coordinator struct {
 	Inject func(point string)
 }
 
-// ErrCrashed is returned when an injected crash point stopped the
-// protocol; the decision is durable and recovery must finish the job.
-var ErrCrashed = fmt.Errorf("twopc: injected crash")
-
-// New returns a coordinator writing to the given log.
-func New(log wal.Log) *Coordinator { return &Coordinator{log: log} }
+// New returns a coordinator that logs through the host's append
+// function (a wal.Log's Append, or the host's own force-log), which
+// returns the record's LSN.
+func New(log func(wal.Record) (int64, error)) *Coordinator { return &Coordinator{log: log} }
 
 func (c *Coordinator) inject(point string) {
 	if c.Inject != nil {
@@ -80,48 +71,24 @@ func (c *Coordinator) CommitAll(proc string, parts []Participant) error {
 	if len(parts) == 0 {
 		return nil
 	}
-	if _, err := c.log.Append(wal.Record{Type: wal.RecDecision, Proc: proc}); err != nil {
+	if _, err := c.log(wal.Record{Type: wal.RecDecision, Proc: proc}); err != nil {
 		return fmt.Errorf("twopc: logging decision for %s: %w", proc, err)
 	}
 	c.Metrics.Inc(metrics.TwoPCDecisions)
 	c.Metrics.Observe(metrics.HistPreparedSet, int64(len(parts)))
-	if c.CrashAfterDecision {
-		return ErrCrashed
-	}
 	c.inject("twopc:after-decision")
 	for i, p := range parts {
 		if err := p.Sub.CommitPrepared(p.Tx); err != nil {
 			return fmt.Errorf("twopc: committing %s tx %d at %s: %w", proc, p.Tx, p.Sub.Name(), err)
 		}
-		if _, err := c.log.Append(wal.Record{
+		if _, err := c.log(wal.Record{
 			Type: wal.RecResolved, Proc: proc, Local: p.Local,
 			Service: p.Service, Subsystem: p.Sub.Name(), Tx: int64(p.Tx), Commit: true,
 		}); err != nil {
 			return fmt.Errorf("twopc: logging resolution: %w", err)
 		}
-		if c.CrashAfterFirstResolve && i == 0 {
-			return ErrCrashed
-		}
 		if i == 0 {
 			c.inject("twopc:mid-resolve")
-		}
-	}
-	return nil
-}
-
-// AbortAll rolls back the prepared transactions of a process (no
-// decision record needed: presumed abort when no decision was logged).
-func (c *Coordinator) AbortAll(proc string, parts []Participant) error {
-	for _, p := range parts {
-		if err := p.Sub.AbortPrepared(p.Tx); err != nil {
-			return fmt.Errorf("twopc: aborting %s tx %d at %s: %w", proc, p.Tx, p.Sub.Name(), err)
-		}
-		c.Metrics.Inc(metrics.DeferredRolledBack)
-		if _, err := c.log.Append(wal.Record{
-			Type: wal.RecResolved, Proc: proc, Local: p.Local,
-			Service: p.Service, Subsystem: p.Sub.Name(), Tx: int64(p.Tx), Commit: false,
-		}); err != nil {
-			return fmt.Errorf("twopc: logging resolution: %w", err)
 		}
 	}
 	return nil
@@ -176,7 +143,7 @@ func (c *Coordinator) Resolve(fed *subsystem.Federation, img *wal.ProcImage) (re
 			Type: wal.RecResolved, Proc: img.Proc, Local: local,
 			Service: ptx.Service, Subsystem: ptx.Subsystem, Tx: ptx.Tx, Commit: commit,
 		}
-		if rec.LSN, err = c.log.Append(rec); err != nil {
+		if rec.LSN, err = c.log(rec); err != nil {
 			return resolved, err
 		}
 		resolved = append(resolved, rec)

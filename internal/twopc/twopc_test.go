@@ -39,7 +39,7 @@ func prepareBoth(t *testing.T, a, b *subsystem.Subsystem) []Participant {
 func TestCommitAll(t *testing.T) {
 	_, a, b := setup(t)
 	log := wal.NewMemLog()
-	c := New(log)
+	c := New(log.Append)
 	parts := prepareBoth(t, a, b)
 	if err := c.CommitAll("P1", parts); err != nil {
 		t.Fatal(err)
@@ -58,7 +58,7 @@ func TestCommitAll(t *testing.T) {
 
 func TestCommitAllEmpty(t *testing.T) {
 	log := wal.NewMemLog()
-	if err := New(log).CommitAll("P1", nil); err != nil {
+	if err := New(log.Append).CommitAll("P1", nil); err != nil {
 		t.Fatal(err)
 	}
 	if recs, _ := log.Records(); len(recs) != 0 {
@@ -66,30 +66,28 @@ func TestCommitAllEmpty(t *testing.T) {
 	}
 }
 
-func TestAbortAll(t *testing.T) {
-	_, a, b := setup(t)
-	log := wal.NewMemLog()
-	c := New(log)
-	parts := prepareBoth(t, a, b)
-	if err := c.AbortAll("P1", parts); err != nil {
-		t.Fatal(err)
-	}
-	if a.Get("x") != 0 || b.Get("y") != 0 {
-		t.Fatal("aborted participants must leave no effects")
-	}
-	recs, _ := log.Records()
-	for _, r := range recs {
-		if r.Type == wal.RecDecision {
-			t.Fatal("presumed abort: no decision record")
+// crashAt runs CommitAll with a crash at the named point, as a fault plan
+// arms it: Inject panics with the point's name, and the test fails
+// unless that is what stopped CommitAll.
+func crashAt(t *testing.T, c *Coordinator, point string, parts []Participant) {
+	t.Helper()
+	c.Inject = func(p string) {
+		if p == point {
+			panic(p)
 		}
 	}
+	defer func() {
+		if r := recover(); r != point {
+			t.Fatalf("CommitAll did not crash at %s (recovered %v)", point, r)
+		}
+	}()
+	c.CommitAll("P1", parts)
 }
 
 func TestCrashAfterDecisionThenResolve(t *testing.T) {
 	fed, a, b := setup(t)
 	log := wal.NewMemLog()
-	c := New(log)
-	c.CrashAfterDecision = true
+	c := New(log.Append)
 	parts := prepareBoth(t, a, b)
 	// Record the prepared outcomes like the scheduler would.
 	for _, p := range parts {
@@ -98,9 +96,7 @@ func TestCrashAfterDecisionThenResolve(t *testing.T) {
 			Service: p.Service, Subsystem: p.Sub.Name(), Tx: int64(p.Tx), Outcome: "prepared",
 		})
 	}
-	if err := c.CommitAll("P1", parts); err != ErrCrashed {
-		t.Fatalf("err = %v", err)
-	}
+	crashAt(t, c, "twopc:after-decision", parts)
 	if a.Get("x") != 0 {
 		t.Fatal("nothing committed before crash")
 	}
@@ -110,7 +106,7 @@ func TestCrashAfterDecisionThenResolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2 := New(log)
+	c2 := New(log.Append)
 	resolved, err := c2.Resolve(fed, images["P1"])
 	if err != nil {
 		t.Fatal(err)
@@ -126,8 +122,7 @@ func TestCrashAfterDecisionThenResolve(t *testing.T) {
 func TestCrashAfterFirstResolve(t *testing.T) {
 	fed, a, b := setup(t)
 	log := wal.NewMemLog()
-	c := New(log)
-	c.CrashAfterFirstResolve = true
+	c := New(log.Append)
 	parts := prepareBoth(t, a, b)
 	for _, p := range parts {
 		log.Append(wal.Record{
@@ -135,12 +130,10 @@ func TestCrashAfterFirstResolve(t *testing.T) {
 			Service: p.Service, Subsystem: p.Sub.Name(), Tx: int64(p.Tx), Outcome: "prepared",
 		})
 	}
-	if err := c.CommitAll("P1", parts); err != ErrCrashed {
-		t.Fatalf("err = %v", err)
-	}
+	crashAt(t, c, "twopc:mid-resolve", parts)
 	recs, _ := log.Records()
 	images, _ := wal.Analyze(recs)
-	resolved, err := New(log).Resolve(fed, images["P1"])
+	resolved, err := New(log.Append).Resolve(fed, images["P1"])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +158,7 @@ func TestResolvePresumedAbort(t *testing.T) {
 	// No decision logged: crash before the decision → presumed abort.
 	recs, _ := log.Records()
 	images, _ := wal.Analyze(recs)
-	resolved, err := New(log).Resolve(fed, images["P1"])
+	resolved, err := New(log.Append).Resolve(fed, images["P1"])
 	if err != nil {
 		t.Fatal(err)
 	}

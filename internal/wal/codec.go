@@ -26,10 +26,11 @@ func encodeRecord(r *Record) ([]byte, error) {
 	return appendRecordBody([]byte{recordFormat}, r, true)
 }
 
-// appendRecordBody appends r without the format byte (top: not a live record).
+// appendRecordBody appends r without the format byte (top: not a live
+// record, which is neither a checkpoint nor carries one).
 func appendRecordBody(b []byte, r *Record, top bool) ([]byte, error) {
-	if r.Type < 0 || r.Type > RecCheckpoint || r.Checkpoint != nil && !top {
-		return nil, fmt.Errorf("wal: cannot encode a %v record (a live record carries no checkpoint)", r.Type)
+	if r.Type < 0 || r.Type > RecCheckpoint || !top && (r.Type == RecCheckpoint || r.Checkpoint != nil) {
+		return nil, fmt.Errorf("wal: cannot encode a %v record (a live record is no checkpoint and carries none)", r.Type)
 	}
 	for _, v := range [...]int64{r.LSN, int64(r.Local), r.Tx, r.Stamp} {
 		b = binary.AppendVarint(b, v)
@@ -79,6 +80,52 @@ func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
+// The classes of refusal DecodeRecords and AppendRecords report: every
+// error they return wraps one.
+var (
+	ErrShortRecord = errors.New("wal: record list truncated")
+	ErrLongString  = errors.New("wal: string over its cap")
+	ErrBadRecord   = errors.New("wal: malformed record")
+)
+
+// AppendRecords appends recs as a counted list of live records, each the
+// codec's record body without the format byte: the list DecodeRecords
+// reads, for a reader that frames records itself (the federation wire).
+// It refuses a record that is no live record (a Type past RecTerminate,
+// a checkpoint) and a string longer than maxString.
+func AppendRecords(b []byte, recs []Record, maxString int) ([]byte, error) {
+	b = binary.AppendUvarint(b, uint64(len(recs)))
+	for i := range recs {
+		r := &recs[i]
+		if max(len(r.Proc), len(r.Service), len(r.Subsystem), len(r.Outcome)) > maxString {
+			return nil, ErrLongString
+		}
+		var err error
+		if b, err = appendRecordBody(b, r, false); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrBadRecord, err)
+		}
+	}
+	return b, nil
+}
+
+// DecodeRecords reads a list AppendRecords wrote from the front of b and
+// returns it with the bytes after it. b is outside input, held to the
+// rules of a WAL payload and to two caps: at most maxRecords records,
+// no string longer than maxString. A refusal wraps ErrShortRecord when b
+// ends inside the list, ErrLongString for a string over the cap, and
+// ErrBadRecord for anything else.
+func DecodeRecords(b []byte, maxRecords, maxString int) ([]Record, []byte, error) {
+	if len(b) > 0 && b[0] == 0 {
+		return nil, b[1:], nil // an empty list, what most frames carry
+	}
+	d := decoder{b: b, maxString: maxString}
+	recs := list(&d, d.count(minRecordBody, maxRecords, ErrBadRecord), func() Record { return d.record(false) })
+	if d.err != nil {
+		return nil, nil, fmt.Errorf("%w: %v", d.class, d.err)
+	}
+	return recs, d.b, nil
+}
+
 // decodeRecord parses one payload; DESIGN.md §6k lists what it refuses.
 func decodeRecord(p []byte) (Record, error) { return parseRecord(p, false) }
 
@@ -98,60 +145,87 @@ func parseRecord(p []byte, skip bool) (Record, error) {
 	}
 	r := d.record(true)
 	if len(d.b) > 0 {
-		d.fail("%d trailing bytes", len(d.b))
+		d.fail(ErrBadRecord, "%d trailing bytes", len(d.b))
 	}
 	return r, d.err
 }
 
 // decoder reads a payload front to back; after its first failure it reads
 // zeros. A skipping decoder checks everything and keeps no string, list
-// entry or map entry.
+// entry or map entry. maxString, when positive, caps every string.
 type decoder struct {
-	b    []byte
-	err  error
-	skip bool
+	b         []byte
+	err       error
+	class     error // the refusal class err belongs to
+	skip      bool
+	maxString int
 }
 
-func (d *decoder) fail(format string, args ...any) {
+func (d *decoder) fail(class error, format string, args ...any) {
 	if d.err == nil {
-		d.err = fmt.Errorf(format, args...)
+		d.err, d.class = fmt.Errorf(format, args...), class
 	}
 	d.b = nil
 }
 
 func (d *decoder) u8() (v byte) {
 	if len(d.b) == 0 {
-		d.fail("truncated record")
+		d.fail(ErrShortRecord, "truncated record")
 		return 0
 	}
 	v, d.b = d.b[0], d.b[1:]
 	return v
 }
 
-func (d *decoder) varint() int64 {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("truncated or overlong varint")
+// uvarint reads an unsigned varint.
+func (d *decoder) uvarint() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 || n > 1 && d.b[n-1] == 0 {
+		d.badVarint(n)
 		return 0
 	}
 	d.b = d.b[n:]
 	return v
 }
 
-// count reads a length or entry count and refuses one whose entries, at
-// least size bytes each, could not fit in the bytes left.
-func (d *decoder) count(size int) int {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 || v > uint64((len(d.b)-n)/size) {
-		d.fail("count exceeds the %d bytes left", len(d.b))
-		return 0
+// badVarint fails on a varint binary.Uvarint read as n bytes: truncated
+// (0), overflowing (< 0), or not minimal (a final zero byte after the
+// first), which the decoder refuses so one value has one encoding.
+func (d *decoder) badVarint(n int) {
+	if n == 0 {
+		d.fail(ErrShortRecord, "truncated varint")
+	} else {
+		d.fail(ErrBadRecord, "overlong varint")
 	}
-	d.b = d.b[n:]
-	return int(v)
+}
+
+// varint reads a zigzag varint under uvarint's rules.
+func (d *decoder) varint() int64 {
+	u := d.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+// count reads a length or entry count under uvarint's rules. It refuses
+// one over limit (when positive) as class over, and one whose entries,
+// at least size bytes each, could not fit in the bytes left.
+func (d *decoder) count(size, limit int, over error) int {
+	v, n := binary.Uvarint(d.b)
+	switch {
+	case n <= 0 || n > 1 && d.b[n-1] == 0:
+		d.badVarint(n)
+	case limit > 0 && v > uint64(limit):
+		d.fail(over, "count %d over the cap of %d", v, limit)
+	case v > uint64((len(d.b)-n)/size):
+		d.fail(ErrShortRecord, "count exceeds the %d bytes left", len(d.b))
+	default:
+		d.b = d.b[n:]
+		return int(v)
+	}
+	return 0
 }
 
 func (d *decoder) str() (s string) {
-	n := d.count(1)
+	n := d.count(1, d.maxString, ErrLongString)
 	if !d.skip {
 		s = string(d.b[:n])
 	}
@@ -159,10 +233,10 @@ func (d *decoder) str() (s string) {
 	return s
 }
 
-// list reads a counted list, growing it by the entries actually parsed.
-func list[T any](d *decoder, size int, entry func() T) []T {
+// list reads n entries, growing the list by the entries actually parsed.
+func list[T any](d *decoder, n int, entry func() T) []T {
 	var out []T
-	for n := d.count(size); n > 0 && d.err == nil; n-- {
+	for ; n > 0 && d.err == nil; n-- {
 		if e := entry(); !d.skip {
 			out = append(out, e)
 		}
@@ -173,7 +247,7 @@ func list[T any](d *decoder, size int, entry func() T) []T {
 // dict reads a counted map of string keys, nil when empty.
 func dict[V any](d *decoder, value func() V) map[string]V {
 	var m map[string]V
-	for n := d.count(2); n > 0 && d.err == nil; n-- {
+	for n := d.count(2, 0, nil); n > 0 && d.err == nil; n-- {
 		k := d.str()
 		if v := value(); !d.skip {
 			if m == nil {
@@ -191,11 +265,13 @@ func (d *decoder) record(top bool) (r Record) {
 	flags := d.u8()
 	switch {
 	case r.Type > RecCheckpoint:
-		d.fail("unknown record type %d", r.Type)
+		d.fail(ErrBadRecord, "unknown record type %d", r.Type)
 	case flags&^flagsKnown != 0:
-		d.fail("unknown flag bits %#x", flags)
+		d.fail(ErrBadRecord, "unknown flag bits %#x", flags)
 	case flags&flagCheckpoint != 0 && !top:
-		d.fail("a live record carries a checkpoint")
+		d.fail(ErrBadRecord, "a live record carries a checkpoint")
+	case r.Type == RecCheckpoint && !top:
+		d.fail(ErrBadRecord, "a live record of type checkpoint")
 	}
 	r.Committed, r.Commit = flags&flagCommitted != 0, flags&flagCommit != 0
 	r.Proc, r.Service, r.Subsystem, r.Outcome = d.str(), d.str(), d.str(), d.str()
@@ -207,13 +283,13 @@ func (d *decoder) record(top bool) (r Record) {
 
 func (d *decoder) checkpoint() *Checkpoint {
 	c := &Checkpoint{Horizon: d.varint()}
-	c.Live = list(d, minRecordBody, func() Record { return d.record(false) })
+	c.Live = list(d, d.count(minRecordBody, 0, nil), func() Record { return d.record(false) })
 	c.AppliedSvc = dict(d, d.varint)
-	c.Edges = list(d, 2, func() [2]string { return [2]string{d.str(), d.str()} })
-	c.Shadow = dict(d, func() []string { return list(d, 1, d.str) })
+	c.Edges = list(d, d.count(2, 0, nil), func() [2]string { return [2]string{d.str(), d.str()} })
+	c.Shadow = dict(d, func() []string { return list(d, d.count(1, 0, nil), d.str) })
 	c.Procs, c.Dropped = int(d.varint()), int(d.varint())
 	if t := d.u8(); t > 1 {
-		d.fail("bad truncated flag %d", t)
+		d.fail(ErrBadRecord, "bad truncated flag %d", t)
 	} else {
 		c.Truncated = t == 1
 	}

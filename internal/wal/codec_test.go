@@ -110,6 +110,17 @@ func TestRecordCodecRejects(t *testing.T) {
 		b[at] = v
 		return b
 	}
+	// overlong writes the one-byte varint at at in two bytes: the same
+	// value, not in its one encoding.
+	overlong := func(p []byte, at int) []byte {
+		return append(append(append([]byte(nil), p[:at]...), p[at]|0x80, 0), p[at+1:]...)
+	}
+	// An empty checkpoint's Live count is its seventh byte from the end.
+	ckpt := enc(Record{LSN: 10, Type: RecCheckpoint, Checkpoint: &Checkpoint{Horizon: 9}})
+	// A live record whose Type says checkpoint: its Type byte follows the
+	// 11-byte outer header, Horizon, the Live count and four varints.
+	liveType := enc(Record{LSN: 5, Type: RecCheckpoint, Checkpoint: &Checkpoint{Horizon: 4, Live: []Record{{LSN: 3, Proc: "L1"}}}})
+	liveType[11+2+4] = byte(RecCheckpoint)
 	for _, tc := range []struct {
 		name, want string
 		p          []byte
@@ -122,6 +133,10 @@ func TestRecordCodecRejects(t *testing.T) {
 		{"trailing", "trailing", append(append([]byte(nil), valid...), 0)},
 		{"string-overruns", "exceeds", patch(7, 100)},
 		{"nested-checkpoint", "live record carries a checkpoint", nestedCheckpoint()},
+		{"live-checkpoint-type", "live record of type checkpoint", liveType},
+		{"overlong-lsn", "overlong varint", overlong(valid, 1)},
+		{"overlong-string-length", "overlong varint", overlong(valid, 7)},
+		{"overlong-checkpoint-count", "overlong varint", overlong(ckpt, len(ckpt)-7)},
 	} {
 		if _, err := decodeRecord(tc.p); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: got %v, want an error containing %q", tc.name, err, tc.want)
@@ -141,6 +156,7 @@ func TestRecordCodecRejects(t *testing.T) {
 		{Type: RecCheckpoint + 1},
 		{Type: -1},
 		{Type: RecCheckpoint, Checkpoint: &Checkpoint{Live: []Record{{Type: RecCheckpoint, Checkpoint: &Checkpoint{}}}}},
+		{Type: RecCheckpoint, Checkpoint: &Checkpoint{Live: []Record{{Type: RecCheckpoint}}}},
 	} {
 		if _, err := encodeRecord(&r); err == nil {
 			t.Errorf("encoder accepted %+v", r)
@@ -216,6 +232,8 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Add(enc(Record{LSN: 2, Type: RecOutcome, Proc: "W1", Local: 1, Service: "s", Subsystem: "rm0", Tx: 7, Outcome: "prepared", Stamp: 3}))
 	f.Add(enc(Record{LSN: 42, Type: RecCheckpoint, Checkpoint: fullCheckpoint()}))
 	f.Add(nestedCheckpoint())
+	lsn := enc(Record{LSN: 1, Type: RecStart, Proc: "W1"})
+	f.Add(append([]byte{lsn[0], lsn[1] | 0x80, 0}, lsn[2:]...)) // overlong LSN
 	f.Add([]byte(`{"lsn":1,"type":0,"proc":"W1"}`))
 	for _, tc := range hostileCounts() {
 		f.Add(tc.p)
