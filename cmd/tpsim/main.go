@@ -15,8 +15,9 @@
 // and mode is pred (default), serial, conservative or cc-only. "run"
 // executes a declarative process definition (see internal/spec for the
 // format and examples/specs for samples);
-// -runtime=concurrent executes it on the goroutine-per-process runtime
-// (internal/runtime) instead of the sequential discrete-event engine.
+// -runtime=concurrent executes it on the concurrent runtime
+// (internal/runtime: the same loop on the real clock) instead of the
+// sequential discrete-event engine.
 // "battery" runs one of the five seeded batteries (internal/battery):
 // crash torture (-ckpt / -durable force fuzzy checkpointing with
 // compaction, or file-backed stores, onto every scenario), subsystem

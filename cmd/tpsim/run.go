@@ -21,7 +21,7 @@ import (
 // metricsFormat ("text" or "json") attaches an observability registry
 // and dumps its snapshot after the run. engine selects the execution
 // engine: the sequential discrete-event scheduler (default) or the
-// concurrent goroutine-per-process runtime.
+// concurrent runtime.
 func runSpecFile(path string, modeName string, metricsFormat string, engine string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {

@@ -18,10 +18,8 @@ type Config struct {
 	// Nodes is the scheduler-node count; processes are partitioned
 	// round-robin by arrival rank.
 	Nodes int
-	// MaxRestarts per origin process; MaxStalls bounds cluster-wide
-	// victim designations.
+	// MaxRestarts per origin process.
 	MaxRestarts int
-	MaxStalls   int
 	Metrics     *metrics.Registry
 	// WrapTransport, if set, wraps each node's TCP transport to the hub
 	// (a fault model drops, loses or duplicates deliveries here, keyed
@@ -110,7 +108,7 @@ func NewCluster(fed *subsystem.Federation, defs []*process.Process, cfg Config) 
 		cfg.HubJournal = NewMemJournal()
 	}
 	hubCfg := HubConfig{
-		MaxStalls: cfg.MaxStalls, Metrics: cfg.Metrics,
+		Metrics: cfg.Metrics,
 		Journal: cfg.HubJournal, LeaseTTL: cfg.LeaseTTL, Inject: cfg.HubInject,
 	}
 	hub, err := NewHub(fed, defs, hubCfg)

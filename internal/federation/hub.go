@@ -20,8 +20,6 @@ import (
 
 // HubConfig configures the coordination hub.
 type HubConfig struct {
-	// MaxStalls bounds cluster-wide victim designations.
-	MaxStalls int
 	// Metrics is the optional observability registry.
 	Metrics *metrics.Registry
 	// Journal force-logs the two facts only the hub knows and that
@@ -44,6 +42,9 @@ type HubConfig struct {
 	// Now is the lease clock (default time.Now); tests pin it.
 	Now func() time.Time
 }
+
+// maxStalls bounds the cluster-wide victim designations of one hub.
+const maxStalls = 4096
 
 // Crash points fired inside the hub's serial section, each right after
 // the record it names was stamped onto the reply the kill destroys:
@@ -202,9 +203,6 @@ func NewHub(fed *subsystem.Federation, defs []*process.Process, cfg HubConfig) (
 	table, err := fed.ConflictTable()
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MaxStalls <= 0 {
-		cfg.MaxStalls = 4096
 	}
 	h := &Hub{
 		fed:       fed,
@@ -610,9 +608,9 @@ func (h *Hub) exec(hp *hubProc, w scheduler.Work, voided bool) (scheduler.Wait, 
 	}
 	var res *subsystem.Result
 	if !voided {
-		var locked bool
-		if res, _, locked = h.drv.Invoke(&hp.Proc, w, ""); locked {
-			return h.drv.LockWait(&hp.Proc, w, ""), true
+		var held scheduler.Wait
+		if res, _, held = h.drv.Invoke(&hp.Proc, w); held.Rule != "" {
+			return held, true
 		}
 	}
 	hp.call = &hubCall{w, res}
@@ -762,7 +760,7 @@ func (h *Hub) handleIdle(req *Frame) *Frame {
 	}
 	// Cluster-wide quiescence: designate a victim.
 	h.stalls++
-	if h.stalls > h.cfg.MaxStalls {
+	if h.stalls > maxStalls {
 		return h.errf("stalled with active processes and no progress (%d designations)", h.stalls)
 	}
 	victim := h.designateVictim()

@@ -257,7 +257,7 @@ func TestDetectDeadlock(t *testing.T) {
 	}
 	cases := []struct {
 		name      string
-		maxStalls int
+		exhausted bool // the victim budget is spent
 		p, q, r   park // arrivals 0, 1, 2
 		want      process.ID
 	}{
@@ -269,16 +269,16 @@ func TestDetectDeadlock(t *testing.T) {
 		{name: "woken but not stepped again", p: park{alts: [][]process.ID{{"Q"}}, woken: true}, q: park{alts: [][]process.ID{{"P"}}}, r: park{running: true}},
 		{name: "incomplete edges", p: park{}, q: park{alts: [][]process.ID{{"P"}}}, r: park{running: true}},
 		{name: "aborting member is no victim", p: park{alts: [][]process.ID{{"Q"}}}, q: park{alts: [][]process.ID{{"P"}}, phase: policy.Aborting}, r: park{running: true}, want: "P"},
-		{name: "budget exhausted", maxStalls: 1, p: park{alts: [][]process.ID{{"Q"}}}, q: park{alts: [][]process.ID{{"P"}}}, r: park{running: true}},
+		{name: "budget exhausted", exhausted: true, p: park{alts: [][]process.ID{{"Q"}}}, q: park{alts: [][]process.ID{{"P"}}}, r: park{running: true}},
 	}
 	fed := subsystem.NewFederation()
 	for _, c := range cases {
-		rt, err := New(fed, Config{Mode: scheduler.PRED, MaxStalls: c.maxStalls})
+		rt, err := New(fed, Config{Mode: scheduler.PRED})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if c.maxStalls > 0 {
-			rt.victims = c.maxStalls
+		if c.exhausted {
+			rt.victims = maxStalls
 		}
 		for i, pk := range []park{c.p, c.q, c.r} {
 			id := process.ID([]string{"P", "Q", "R"}[i])

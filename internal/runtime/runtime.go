@@ -61,9 +61,8 @@ import (
 
 // Config parameterizes a runtime run.
 type Config struct {
-	// Mode selects the scheduling policy. The runtime supports PRED,
-	// Serial, Conservative and CCOnly; the weak order of the sequential
-	// engine is not implemented here.
+	// Mode selects the scheduling policy: PRED, Serial, Conservative or
+	// CCOnly. The runtime invokes no work under the weak order.
 	Mode scheduler.Mode
 	// Log is the write-ahead log; defaults to an in-memory log.
 	Log wal.Log
@@ -76,8 +75,6 @@ type Config struct {
 	Tick time.Duration
 	// MaxRestarts bounds per-process restarts (default 8).
 	MaxRestarts int
-	// MaxStalls bounds stall-resolution victim aborts (default 256).
-	MaxStalls int
 	// Metrics is the observability registry; nil is a no-op sink.
 	Metrics *metrics.Registry
 	// Inject, when non-nil, is called at named crash points — the
@@ -119,9 +116,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRestarts == 0 {
 		c.MaxRestarts = 8
-	}
-	if c.MaxStalls == 0 {
-		c.MaxStalls = 256
 	}
 	return c
 }
@@ -200,7 +194,7 @@ type Runtime struct {
 	changed, syncing              bool
 	due                           []*deadline
 	// completions counts finished invocations (the clock of restart
-	// backoff), victims the victim aborts spent of MaxStalls.
+	// backoff), victims the victim aborts spent of maxStalls.
 	completions int64
 	victims     int
 	canceled    bool
@@ -499,9 +493,10 @@ func (r *Runtime) Run(ctx context.Context, jobs []scheduler.Job) (*Result, error
 
 // loop is the runtime: each turn applies the completions that fell due
 // (and releases the members a sync covered), steps the runnable members
-// and admits; with nothing to step it breaks a stall or waits. It returns once every job is retired, or once the
-// run is over: at a crash or failure at once, at a cancellation when
-// what is in flight or held has finished.
+// and admits; with nothing to step it breaks a stall or waits. It
+// returns once every job is retired, or once the run is over: at a crash
+// or failure at once, at a cancellation when what is in flight or held
+// has finished.
 func (r *Runtime) loop(done <-chan struct{}) {
 	for {
 		select {
@@ -696,7 +691,7 @@ func (r *Runtime) wake() {
 // member must be victim-aborted (the youngest abortable one, as in the
 // driver's stall-victim choice). Only members parked on a Wait that names
 // its blockers count. Returns the chosen victim (nil: no closed
-// set, no abortable member, or MaxStalls exhausted).
+// set, no abortable member, or maxStalls exhausted).
 func (r *Runtime) detectDeadlock() *member {
 	set := make(map[process.ID]*member)
 	for _, m := range r.parked {
@@ -743,10 +738,13 @@ func (r *Runtime) detectDeadlock() *member {
 	return victim
 }
 
-// spendVictim takes one victim abort out of the run-wide MaxStalls
+// maxStalls bounds the victim aborts of one run.
+const maxStalls = 256
+
+// spendVictim takes one victim abort out of the run-wide maxStalls
 // budget; false when it is exhausted.
 func (r *Runtime) spendVictim() bool {
-	if r.victims >= r.cfg.MaxStalls {
+	if r.victims >= maxStalls {
 		return false
 	}
 	r.victims++
@@ -754,7 +752,7 @@ func (r *Runtime) spendVictim() bool {
 }
 
 // resolveStall is the quiescence backstop: the driver's stall-victim
-// choice under the run-wide MaxStalls budget.
+// choice under the run-wide maxStalls budget.
 func (r *Runtime) resolveStall() bool {
 	victim := r.drv.ChooseVictim(nil)
 	if victim == nil || !r.spendVictim() {
@@ -843,11 +841,10 @@ func (r *Runtime) lockProbe(p *scheduler.Proc, w scheduler.Work) (scheduler.Wait
 // member on the lock's holder, as the sequential engine retries it.
 func (r *Runtime) invoke(m *member, w scheduler.Work) bool {
 	d, p := r.drv, m.Proc
-	res, extraLat, locked := d.Invoke(p, w, d.InvokeKey(p))
-	d.Metrics.Invocations++
-	if locked {
+	res, extraLat, held := d.Invoke(p, w)
+	if held.Rule != "" {
 		d.Undispatch(p, w)
-		p.Wait = d.LockWait(p, w, "")
+		p.Wait = held
 		r.parked = append(r.parked, m)
 		return false
 	}

@@ -84,9 +84,6 @@ type Config struct {
 	// histograms and the decision trace into. nil (the default) is a
 	// no-op sink that adds zero allocations to the hot path.
 	Metrics *metrics.Registry
-	// MaxStalls bounds deadlock-resolution victim aborts per run.
-	// Default 256.
-	MaxStalls int
 	// Inject, when non-nil, is called at named crash points around the
 	// engine's force-log sites ("sched:before-forcelog",
 	// "sched:after-forcelog") and is propagated to the 2PC coordinator
@@ -135,9 +132,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRestarts == 0 {
 		c.MaxRestarts = 8
-	}
-	if c.MaxStalls == 0 {
-		c.MaxStalls = 256
 	}
 	return c
 }

@@ -278,7 +278,7 @@ const (
 
 	RuleForced Rule = "forced-cycle"    // the forced-order search finds that a path closes, not the cycle's processes
 	RuleCycle  Rule = "serializability" // CCOnly's conflict-graph search, likewise
-	RuleWeak   Rule = "weak-order"      // (engine) a weak commit order waits on subsystem transactions, not processes
+	RuleWeak   Rule = "weak-order"      // a weak commit order waits on subsystem transactions, not processes
 )
 
 // Wait is why a process cannot move now: the rule that holds it and the
@@ -530,9 +530,9 @@ func (d *Driver) stepWait(p *Proc, st process.Step) (rule Rule, ids []process.ID
 	return rule, ids
 }
 
-// LockWait counts and traces an invocation denied by subsystem locks and
+// lockWait counts and traces an invocation denied by subsystem locks and
 // returns its wait (Held).
-func (d *Driver) LockWait(p *Proc, w Work, why string) Wait {
+func (d *Driver) lockWait(p *Proc, w Work, why string) Wait {
 	d.Metrics.LockWaits++
 	d.Reg.Inc(metrics.InvokeLockBlocked)
 	d.trace(metrics.TLockWait, p, w.Local, w.Service, why)
@@ -580,35 +580,68 @@ func (d *Driver) Undispatch(p *Proc, w Work) {
 	d.Pol.Bump()
 }
 
-// InvokeKey allocates the idempotency key of one logical invocation:
+// invokeKey allocates the idempotency key of one logical invocation:
 // fresh per invocation and per incarnation (the id carries the restart
 // suffix), reused by the resilience layer across transport attempts.
-// "" without a resilience layer.
-func (d *Driver) InvokeKey(p *Proc) string {
-	if d.Resilience == nil {
-		return ""
-	}
+func (p *Proc) invokeKey() string {
 	key := fmt.Sprintf("%s#%d", p.ID, p.keySeq)
 	p.keySeq++
 	return key
 }
 
-// Invoke performs the strong-order subsystem invocation of a work item
-// into the prepared state. It reads only immutable fields of p, so a host
-// may call it outside its serial section. res is nil when the invocation
-// provably left no prepared transaction: locked (item locks held; retry
-// later), or failed — a genuine local abort, or a transport failure the
-// resilience layer could not mask (retry budget exhausted, circuit open,
-// non-retriable kind), which Complete takes down the failure path.
-func (d *Driver) Invoke(p *Proc, w Work, key string) (res *subsystem.Result, extraLat int64, locked bool) {
+// Invoke counts and performs the subsystem invocation of a work item
+// into the prepared state: under the weak order when the work is Weak,
+// else through the resilience layer when there is one. res is nil when
+// the invocation provably left no prepared transaction: held — the wait
+// names what holds it, and the host retries later — or failed: a genuine
+// local abort, or a transport failure the resilience layer could not
+// mask (retry budget exhausted, circuit open, non-retriable kind), which
+// Complete takes down the failure path.
+func (d *Driver) Invoke(p *Proc, w Work) (res *subsystem.Result, extraLat int64, held Wait) {
+	d.Metrics.Invocations++
 	var err error
-	if d.Resilience != nil {
-		res, extraLat, err = d.Resilience.InvokeResilient(string(p.Origin), w.Service, w.Kind, subsystem.Prepare, key)
-	} else {
+	switch {
+	case w.Weak:
+		return d.invokeWeak(p, w)
+	case d.Resilience != nil:
+		res, extraLat, err = d.Resilience.InvokeResilient(string(p.Origin), w.Service, w.Kind, subsystem.Prepare, p.invokeKey())
+	default:
 		res, err = d.Fed.Invoke(string(p.Origin), w.Service, subsystem.Prepare)
 	}
-	res, locked = invoked(p, w, res, err)
-	return res, extraLat, locked
+	res, locked := invoked(p, w, res, err)
+	if locked {
+		return nil, 0, d.lockWait(p, w, "")
+	}
+	return res, extraLat, Wait{}
+}
+
+// invokeWeak is the weak invocation of Section 3.6: conflicting in-doubt
+// transactions become commit-order dependencies (checked by Complete and
+// CommitPreparedSet) instead of lock waits. A dependency is only safe on
+// a transaction that resolves at its own completion — a compensatable
+// activity's or a compensation. A non-compensatable one may have its 2PC
+// commit deferred until p terminates (Lemma 1), which would deadlock the
+// commit order: on such a dependency p rolls back and waits.
+func (d *Driver) invokeWeak(p *Proc, w Work) (*subsystem.Result, int64, Wait) {
+	sub, ok := d.Fed.Owner(w.Service)
+	if !ok {
+		panic(fmt.Sprintf("scheduler: unknown service %q", w.Service))
+	}
+	prepared, deps, err := sub.InvokeWeak(string(p.Origin), w.Service)
+	res, _ := invoked(p, w, prepared, err) // the weak order takes no item locks
+	for _, dep := range deps {
+		svc, ok := sub.TxService(dep)
+		if spec, found := d.Fed.Spec(svc); !ok || found && spec.Kind != activity.Compensatable && spec.Kind != activity.Compensation {
+			if err := sub.AbortPrepared(res.Tx); err != nil {
+				panic(fmt.Sprintf("scheduler: weak fallback rollback: %v", err))
+			}
+			d.lockWait(p, w, "weak-order dependency on non-compensatable")
+			return nil, 0, Wait{Rule: RuleWeak}
+		}
+	}
+	d.Metrics.WeakDeps += int64(len(deps))
+	d.Reg.Add(metrics.WeakDeps, int64(len(deps)))
+	return res, 0, Wait{}
 }
 
 // invoked sorts a subsystem's answer to an invocation into prepared
@@ -625,13 +658,13 @@ func invoked(p *Proc, w Work, res *subsystem.Result, err error) (*subsystem.Resu
 	return res, false
 }
 
-// CommitsNow decides whether an activity's local transaction commits
+// commitsNow decides whether an activity's local transaction commits
 // right at completion. Compensatable activities always do (they are
 // undoable); non-compensatable ones only when the mode ignores recovery
 // (CCOnly) or never interleaves (Serial/Conservative), or when the
 // process has no active conflicting predecessor (Lemma 1's deferral
 // condition is already satisfied).
-func (d *Driver) CommitsNow(p *Proc, kind activity.Kind) bool {
+func (d *Driver) commitsNow(p *Proc, kind activity.Kind) bool {
 	if kind == activity.Compensatable {
 		return true
 	}
@@ -661,6 +694,12 @@ func outcomeRecord(p *Proc, w Work, sub *subsystem.Subsystem, tx subsystem.TxID)
 	return rec
 }
 
+// errCommitOrder is Complete's answer when a weakly invoked transaction
+// that would commit now has a commit-order predecessor still in doubt:
+// nothing happened, the invocation stays in flight, and the host
+// completes it again later.
+var errCommitOrder = errors.New("scheduler: weak commit waits for its commit-order predecessors")
+
 // Complete handles a finished invocation; res is nil when it failed.
 func (d *Driver) Complete(p *Proc, w Work, res *subsystem.Result) error {
 	sub, _ := d.Fed.Owner(w.Service)
@@ -668,6 +707,17 @@ func (d *Driver) Complete(p *Proc, w Work, res *subsystem.Result) error {
 	// branch was abandoned or the process began aborting (a parallel
 	// sibling failed).
 	orphaned := !w.IsStep && p.Inst.Status(w.Local) != process.Pending
+	// Commit-order serializability (Section 3.6) runs ahead of the rest,
+	// so a waiting transaction stays in flight and unlogged — in doubt.
+	if w.Weak && res != nil && !orphaned && d.commitsNow(p, w.Kind) {
+		switch err := d.weakGate(p, w.Local, PreparedTx{Sub: sub, Tx: res.Tx, Service: w.Service}); {
+		case errors.Is(err, errWeakRestart):
+			d.Undispatch(p, w)
+			return nil
+		case err != nil:
+			return err
+		}
+	}
 	// Success: the local transaction is prepared at the subsystem. Until
 	// the record is in the log the transaction stays in doubt — recovery
 	// presumes an in-doubt transaction without a record aborted — and
@@ -701,7 +751,7 @@ func (d *Driver) Complete(p *Proc, w Work, res *subsystem.Result) error {
 	ev := &policy.Event{
 		Seq: d.Host.NextSeq(), Proc: p.ID, Local: w.Local, Service: w.Service, Kind: w.Kind, Typ: schedule.Invoke,
 	}
-	if d.CommitsNow(p, w.Kind) {
+	if d.commitsNow(p, w.Kind) {
 		if err := sub.CommitPrepared(res.Tx); err != nil {
 			return fmt.Errorf("scheduler: commit %s/%s: %w", p.ID, w.Service, err)
 		}
@@ -901,24 +951,19 @@ func (d *Driver) CommitPreparedSet(p *Proc) (bool, error) {
 	if len(locals) == 0 {
 		return true, nil
 	}
-	// Weak-order preflight: every weakly invoked participant must be
-	// committable (its commit-order predecessors committed). A still-
-	// pending predecessor delays the whole set; an aborted predecessor
-	// rolls the participant back for re-invocation.
+	// Weak-order preflight: a still-pending commit-order predecessor of
+	// a participant delays the whole set; an aborted one rolls the
+	// participant back for re-invocation.
 	for _, l := range locals {
 		ptx := p.Prepared[l]
 		if !ptx.Weak {
 			continue
 		}
-		switch err := ptx.Sub.WeakCommittable(ptx.Tx); {
-		case errors.Is(err, subsystem.ErrOrder):
-			d.weakWait(p, l, ptx.Service)
+		switch err := d.weakGate(p, l, ptx); {
+		case errors.Is(err, errCommitOrder):
 			return false, nil
-		case errors.Is(err, subsystem.ErrDependencyAborted):
+		case errors.Is(err, errWeakRestart):
 			d.Reg.Inc(metrics.DeferredRolledBack)
-			if err := d.weakRestart(p, l, ptx); err != nil {
-				return false, err
-			}
 			if err := p.Inst.ResetPrepared(l); err != nil {
 				return false, fmt.Errorf("scheduler: %w", err)
 			}
@@ -927,7 +972,7 @@ func (d *Driver) CommitPreparedSet(p *Proc) (bool, error) {
 			d.Pol.Bump()
 			return false, nil // the activity re-invokes; try again later
 		case err != nil:
-			return false, fmt.Errorf("scheduler: weak committable: %w", err)
+			return false, err
 		}
 	}
 	parts := make([]twopc.Participant, 0, len(locals))
@@ -958,23 +1003,32 @@ func (d *Driver) CommitPreparedSet(p *Proc) (bool, error) {
 	return true, nil
 }
 
-// weakWait counts a weak commit delayed by its commit-order
-// predecessors (Section 3.6).
-func (d *Driver) weakWait(p *Proc, local int, service string) {
-	d.Metrics.WeakOrderWaits++
-	d.Reg.Inc(metrics.WeakOrderWaits)
-	d.trace(metrics.TWeakWait, p, local, service, "")
-}
+// errWeakRestart is weakGate's answer when it rolled the transaction back.
+var errWeakRestart = errors.New("scheduler: weak commit-order predecessor aborted")
 
-// weakRestart rolls back a weakly invoked transaction whose commit-order
-// predecessor aborted; the activity stays pending and is re-invoked —
-// this is not a failure of the process (Section 3.6).
-func (d *Driver) weakRestart(p *Proc, local int, ptx PreparedTx) error {
-	d.Metrics.WeakRestarts++
-	d.Reg.Inc(metrics.WeakRestarts)
-	d.trace(metrics.TWeakRestart, p, local, ptx.Service, "")
-	if err := ptx.Sub.AbortPrepared(ptx.Tx); err != nil {
-		return fmt.Errorf("scheduler: weak rollback %s/%s: %w", p.ID, ptx.Service, err)
+// weakGate asks, before a weakly invoked transaction commits, whether
+// its commit-order predecessors did (Section 3.6): nil when they all
+// committed; errCommitOrder, counted, while one is in doubt; and when one
+// aborted, errWeakRestart once the transaction is rolled back — the
+// activity stays pending and is re-invoked, which is not a failure of
+// the process.
+func (d *Driver) weakGate(p *Proc, local int, ptx PreparedTx) error {
+	switch err := ptx.Sub.WeakCommittable(ptx.Tx); {
+	case errors.Is(err, subsystem.ErrOrder):
+		d.Metrics.WeakOrderWaits++
+		d.Reg.Inc(metrics.WeakOrderWaits)
+		d.trace(metrics.TWeakWait, p, local, ptx.Service, "")
+		return errCommitOrder
+	case errors.Is(err, subsystem.ErrDependencyAborted):
+		d.Metrics.WeakRestarts++
+		d.Reg.Inc(metrics.WeakRestarts)
+		d.trace(metrics.TWeakRestart, p, local, ptx.Service, "")
+		if err := ptx.Sub.AbortPrepared(ptx.Tx); err != nil {
+			return fmt.Errorf("scheduler: weak rollback %s/%s: %w", p.ID, ptx.Service, err)
+		}
+		return errWeakRestart
+	case err != nil:
+		return fmt.Errorf("scheduler: weak commit %s/%s: %w", p.ID, ptx.Service, err)
 	}
 	return nil
 }

@@ -109,9 +109,9 @@ func (w *driverWorld) invoke(t *testing.T, p *scheduler.Proc, wk scheduler.Work)
 	if !w.d.Dispatch(p, wk) {
 		t.Fatalf("dispatch %s/%d refused", p.ID, wk.Local)
 	}
-	res, _, locked := w.d.Invoke(p, wk, "")
-	if locked || res == nil {
-		t.Fatalf("invoke %s/%s: locked=%v res=%v", p.ID, wk.Service, locked, res)
+	res, _, held := w.d.Invoke(p, wk)
+	if held.Rule != "" || res == nil {
+		t.Fatalf("invoke %s/%s: held=%v res=%v", p.ID, wk.Service, held, res)
 	}
 	return res
 }
@@ -708,14 +708,21 @@ func TestDriverNext(t *testing.T) {
 			}, wait: scheduler.Wait{Rule: scheduler.RuleCycle}},
 		{name: "weak-order: a weak commit behind an in-doubt predecessor", cfg: pred,
 			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
+				weak := func(id process.ID) *subsystem.Result {
+					p := w.d.Get(id)
+					a := p.Def.Activity(1)
+					res, _, held := w.d.Invoke(p, scheduler.Work{Local: 1, Service: a.Service, Kind: a.Kind, Weak: true})
+					if res == nil || held.Rule != "" {
+						t.Fatalf("weak invoke %s: held=%v", id, held)
+					}
+					return res
+				}
+				weak("P1")
+				res := weak("P2")
+				if w.d.Metrics.WeakDeps != 1 {
+					t.Fatalf("weak invoke: %d commit-order dependencies, want 1", w.d.Metrics.WeakDeps)
+				}
 				sub, _ := w.d.Fed.Owner(paper.SvcA21)
-				if _, _, err := sub.InvokeWeak("P1", paper.SvcA11); err != nil {
-					t.Fatal(err)
-				}
-				res, deps, err := sub.InvokeWeak("P2", paper.SvcA21)
-				if err != nil || len(deps) != 1 {
-					t.Fatalf("weak invoke: deps %v, %v", deps, err)
-				}
 				p := w.d.Get("P2")
 				if err := p.Inst.MarkPrepared(1); err != nil {
 					t.Fatal(err)

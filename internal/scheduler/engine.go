@@ -39,6 +39,9 @@ func OnInjectedCrash(died func(point string)) {
 	died(crash.InjectedCrash())
 }
 
+// maxStalls bounds the stall-resolution victim aborts of one run.
+const maxStalls = 256
+
 // pendingProc is an incarnation waiting for admission: a submitted job
 // before its arrival time (or behind Serial/Conservative gating), or a
 // restart serving its backoff.
@@ -80,8 +83,8 @@ func (h *completionHeap) Pop() any {
 // decisions (conflict graph, forced ordering, Lemma 1-3 gates) live in
 // internal/scheduler/policy and the per-process protocol transitions in
 // Driver, both shared with the concurrent runtime; the engine hosts the
-// driver with a discrete-event loop and virtual time, invokes the
-// subsystems inline and adds the weak order.
+// driver with a discrete-event loop and virtual time and invokes the
+// subsystems inline.
 type Engine struct {
 	cfg   Config
 	fed   *subsystem.Federation
@@ -299,7 +302,7 @@ func (e *Engine) RunJobs(jobs []Job) (res *Result, err error) {
 				continue
 			}
 			stalls++
-			if stalls > e.cfg.MaxStalls {
+			if stalls > maxStalls {
 				return nil, fmt.Errorf("scheduler: stalled with active processes and no progress (mode %v)\n%s", e.cfg.Mode, e.stallDump())
 			}
 			if !e.resolveStall() {
@@ -322,7 +325,7 @@ func (e *Engine) RunJobs(jobs []Job) (res *Result, err error) {
 		if ev.at > e.clock {
 			e.clock = ev.at
 		}
-		e.handleCompletion(ev)
+		e.complete(ev)
 		e.completions++
 		if e.cfg.CrashAfterEvents > 0 && e.completions >= e.cfg.CrashAfterEvents {
 			e.crashed = true
@@ -484,56 +487,15 @@ func (e *Engine) next(p *Proc) bool {
 
 // invoke is the engine's hand in Driver.Next: it issues a subsystem
 // invocation and schedules its completion, or returns the wait that
-// refused it, and walks on over the frontier. In weak-order mode,
-// regular activity invocations never block on subsystem locks:
-// conflicting in-doubt transactions become commit-order dependencies
-// instead (Section 3.6). Recovery steps always use the strong order.
+// refused it, and walks on over the frontier. In weak-order mode
+// regular activities are invoked under the weak order (Section 3.6);
+// recovery steps always use the strong order.
 func (e *Engine) invoke(p *Proc, w Work) (Wait, bool) {
 	d := e.drv
-	var res *subsystem.Result
-	var extraLat int64
-	var locked bool
 	w.Weak = e.cfg.WeakOrder && !w.IsStep && e.cfg.Mode == PRED
-	if w.Weak {
-		sub, ok := e.fed.Owner(w.Service)
-		if !ok {
-			panic(fmt.Sprintf("scheduler: unknown service %q", w.Service))
-		}
-		prepared, deps, err := sub.InvokeWeak(string(p.Origin), w.Service)
-		res, locked = invoked(p, w, prepared, err)
-		// A commit-order dependency is only safe on a transaction that
-		// resolves at its own completion — a compensatable activity's
-		// local transaction. Non-compensatable ones may have their 2PC
-		// commit deferred until *our* process terminates (Lemma 1),
-		// which would deadlock the commit order. On such a dependency,
-		// roll back and wait like a strong lock conflict.
-		if err == nil {
-			for _, dep := range deps {
-				svc, ok := sub.TxService(dep)
-				risky := !ok
-				if ok {
-					if spec, found := e.fed.Spec(svc); found {
-						risky = spec.Kind != activity.Compensatable && spec.Kind != activity.Compensation
-					}
-				}
-				if risky {
-					if rbErr := sub.AbortPrepared(res.Tx); rbErr != nil {
-						panic(fmt.Sprintf("scheduler: weak fallback rollback: %v", rbErr))
-					}
-					d.Metrics.Invocations++
-					d.LockWait(p, w, "weak-order dependency on non-compensatable")
-					return Wait{Rule: RuleWeak}, true
-				}
-			}
-		}
-		d.Metrics.WeakDeps += int64(len(deps))
-		d.Reg.Add(metrics.WeakDeps, int64(len(deps)))
-	} else {
-		res, extraLat, locked = d.Invoke(p, w, d.InvokeKey(p))
-	}
-	d.Metrics.Invocations++
-	if locked {
-		return d.LockWait(p, w, ""), true
+	res, extraLat, held := d.Invoke(p, w)
+	if held.Rule != "" {
+		return held, true
 	}
 	if !d.Dispatch(p, w) {
 		return Wait{}, true // not logged: the prepared transaction stays in doubt for recovery, the run ends
@@ -545,40 +507,18 @@ func (e *Engine) invoke(p *Proc, w Work) (Wait, bool) {
 	return Wait{}, true
 }
 
-// handleCompletion processes one finished invocation.
-func (e *Engine) handleCompletion(c *completion) {
-	d, p := e.drv, c.proc
-	// Commit-order serializability (Section 3.6): a weakly invoked
-	// transaction that would commit at its completion may have to wait
-	// for weakly preceding transactions, or be redone when one of them
-	// aborted. The check runs ahead of the shared completion, so a
-	// waiting transaction stays in flight and unlogged — in doubt.
-	if c.Weak && c.res != nil && p.Inst.Status(c.Local) == process.Pending && d.CommitsNow(p, c.Kind) {
-		sub, _ := e.fed.Owner(c.Service)
-		switch err := sub.WeakCommittable(c.res.Tx); {
-		case errors.Is(err, subsystem.ErrOrder):
-			c.tries++
-			if c.tries > 100000 {
-				e.fail(fmt.Errorf("scheduler: weak commit of %s/%s starved (commit-order wait)", p.ID, c.Service))
-				return
-			}
-			d.weakWait(p, c.Local, c.Service)
-			e.order++
-			c.at, c.order = e.clock+1, e.order
-			heap.Push(&e.queue, c)
-			return
-		case errors.Is(err, subsystem.ErrDependencyAborted):
-			d.Undispatch(p, c.Work)
-			if err := d.weakRestart(p, c.Local, PreparedTx{Sub: sub, Tx: c.res.Tx, Service: c.Service}); err != nil {
-				e.fail(err)
-			}
-			return
-		case err != nil:
-			e.fail(fmt.Errorf("scheduler: weak commit %s/%s: %w", p.ID, c.Service, err))
-			return
-		}
-	}
-	if err := d.Complete(p, c.Work, c.res); err != nil {
+// complete applies one finished invocation. A weak commit waiting for
+// its commit-order predecessors is re-queued one tick later.
+func (e *Engine) complete(c *completion) {
+	switch err := e.drv.Complete(c.proc, c.Work, c.res); {
+	case errors.Is(err, errCommitOrder) && c.tries < 100000:
+		c.tries++
+		e.order++
+		c.at, c.order = e.clock+1, e.order
+		heap.Push(&e.queue, c)
+	case errors.Is(err, errCommitOrder):
+		e.fail(fmt.Errorf("scheduler: weak commit of %s/%s starved (commit-order wait)", c.proc.ID, c.Service))
+	case err != nil:
 		e.fail(err)
 	}
 }

@@ -1,7 +1,6 @@
 package scheduler
 
 import (
-	"container/heap"
 	"fmt"
 	"maps"
 	"slices"
@@ -360,22 +359,24 @@ func (r *restarted) groupAbort() (*DurableReport, error) {
 		if _, ok := fed.Owner(step.Service); !ok {
 			return nil, fmt.Errorf("scheduler: recovery found unknown service %q", step.Service)
 		}
-		// The engine's own invocation and completion, one step at a time. A
-		// refused force-log ends recovery (e.err) before the step commits:
-		// the prepared transaction stays in doubt, the next recovery
-		// presumes it aborted and re-executes the step.
-		if refused, _ := e.invoke(pick, step); refused.Rule != "" {
+		// Invoke, dispatch and complete, one step at a time. A refused
+		// force-log ends recovery (e.err) before the step commits: the
+		// prepared transaction stays in doubt, the next recovery presumes
+		// it aborted and re-executes the step.
+		res, _, held := d.Invoke(pick, step)
+		if held.Rule != "" {
 			// Lock conflicts cannot persist here: phase 1 released the
 			// in-doubt locks and no other step is in flight.
 			return nil, fmt.Errorf("scheduler: recovery invoking %s for %s: item locks held", step.Service, pick.ID)
 		}
-		if e.err != nil {
+		if !d.Dispatch(pick, step) {
 			continue
 		}
-		c := heap.Pop(&e.queue).(*completion)
-		e.handleCompletion(c)
+		if err := d.Complete(pick, step, res); err != nil {
+			e.fail(err)
+		}
 		switch {
-		case c.res == nil || e.err != nil: // transient failure (the driver retries), or not logged
+		case res == nil || e.err != nil: // transient failure (the driver retries), or not logged
 		case step.Step.Kind == process.StepCompensate:
 			report.Compensations++
 			m.Inc(metrics.RecoveryCompensations)

@@ -118,8 +118,8 @@ func TestDurableIntentRestored(t *testing.T) {
 		t.Fatalf("in-doubt after restore = %+v", ind)
 	}
 	// The restored transaction holds its write lock against others.
-	if s2.Lockable("P2", "book") {
-		t.Fatal("conflicting lock not restored")
+	if holder, free := s2.LockBlocker("P2", "book"); free || holder != "P1" {
+		t.Fatalf("conflicting lock not restored: holder %q, free %v", holder, free)
 	}
 	if err := s2.CommitPrepared(res.Tx); err != nil {
 		t.Fatal(err)

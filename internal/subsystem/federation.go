@@ -82,16 +82,6 @@ func (f *Federation) Owner(service string) (*Subsystem, bool) {
 	return s, ok
 }
 
-// Lockable reports whether proc could currently acquire the item locks
-// of the named service (false for unknown services).
-func (f *Federation) Lockable(proc, service string) bool {
-	s, ok := f.route[service]
-	if !ok {
-		return false
-	}
-	return s.Lockable(proc, service)
-}
-
 // LockBlocker routes Subsystem.LockBlocker to the owning subsystem:
 // whether proc could acquire the service's item locks, and if not, one
 // process currently holding a conflicting lock.

@@ -291,22 +291,13 @@ func (s *Subsystem) FailService(proc, service string) {
 	s.failRules[proc+"/"+service] = true
 }
 
-// Lockable reports whether proc could currently acquire the service's
-// strict-2PL item locks (a snapshot; no state changes). Schedulers use
-// it to park a process instead of burning an invocation attempt that
-// would return ErrLocked. The runtime invokes in the same step of its
-// loop as it probes, so nothing acquires in between and a free answer
-// holds for the Invoke.
-func (s *Subsystem) Lockable(proc, service string) bool {
-	_, free := s.LockBlocker(proc, service)
-	return free
-}
-
-// LockBlocker is Lockable plus the identity of one process currently
-// holding a conflicting item lock (the first found; "" when the service
-// is lockable or unknown). Schedulers use the holder as a wait-for edge:
-// the probe can only stop failing after that holder releases its locks
-// by committing or rolling back, so parking on the holder is sound.
+// LockBlocker reports whether proc could currently acquire the
+// service's strict-2PL item locks (a snapshot; no state changes) and, if
+// not, one process holding a conflicting lock (the first found; "" when
+// the service is lockable or unknown). Schedulers park on the holder
+// instead of burning an invocation that would return ErrLocked: the
+// probe can only stop failing after that holder commits or rolls back,
+// so the wait-for edge is sound.
 func (s *Subsystem) LockBlocker(proc, service string) (string, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -15,7 +15,7 @@ set -euo pipefail
 FLOOR="${1:-75}"
 PKGS=(
   ./internal/wal
-  ./internal/scheduler
+  ./internal/scheduler:91
   ./internal/fault
   ./internal/chaos
   ./internal/twopc
