@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"transproc"
-	"transproc/internal/composite"
 	"transproc/internal/metrics"
 	"transproc/internal/paper"
 	"transproc/internal/process"
@@ -252,73 +251,6 @@ func BenchmarkQuasiCommitAblation(b *testing.B) {
 			}
 			b.ReportMetric(float64(last.Metrics.Makespan), "vticks")
 			b.ReportMetric(float64(last.Metrics.Deferrals), "deferrals")
-		})
-	}
-}
-
-// --- E12: weak vs strong order (Section 3.6) -------------------------------
-
-// BenchmarkE12_WeakOrder measures the composite executor under both
-// orders on a conflict chain (experiment E12): the reported vticks make
-// the parallelism gain of the weak order visible.
-func BenchmarkE12_WeakOrder(b *testing.B) {
-	mk := func(n int) ([]composite.Txn, []composite.Order) {
-		txns := make([]composite.Txn, n)
-		var orders []composite.Order
-		for i := range txns {
-			txns[i] = composite.Txn{ID: fmt.Sprintf("t%03d", i), Cost: 10}
-			if i > 0 {
-				orders = append(orders, composite.Order{
-					Before: fmt.Sprintf("t%03d", i-1), After: fmt.Sprintf("t%03d", i),
-				})
-			}
-		}
-		return txns, orders
-	}
-	for _, mode := range []composite.Mode{composite.Strong, composite.Weak} {
-		b.Run(mode.String(), func(b *testing.B) {
-			txns, orders := mk(16)
-			var last *composite.Stats
-			for i := 0; i < b.N; i++ {
-				st, err := composite.NewExecutor(mode, 0, 7).Run(append([]composite.Txn(nil), txns...), orders)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = st
-			}
-			b.ReportMetric(float64(last.Makespan), "vticks")
-		})
-	}
-}
-
-// BenchmarkWeakOrderEngine compares the engine with and without the
-// Section-3.6 weak order under contention.
-func BenchmarkWeakOrderEngine(b *testing.B) {
-	for _, v := range []struct {
-		name string
-		weak bool
-	}{
-		{"strong", false},
-		{"weak", true},
-	} {
-		b.Run(v.name, func(b *testing.B) {
-			p := benchProfile(0.6, 0.05)
-			var last *scheduler.Result
-			for i := 0; i < b.N; i++ {
-				w := workload.MustGenerate(p)
-				eng, err := scheduler.New(w.Fed, scheduler.Config{Mode: scheduler.PRED, WeakOrder: v.weak})
-				if err != nil {
-					b.Fatal(err)
-				}
-				res, err := eng.RunJobs(w.Jobs)
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(float64(last.Metrics.Makespan), "vticks")
-			b.ReportMetric(float64(last.Metrics.LockWaits), "lockWaits")
-			b.ReportMetric(float64(last.Metrics.WeakDeps), "weakDeps")
 		})
 	}
 }

@@ -395,26 +395,6 @@ func e11() error {
 		"identical schedules, different verdicts: the completions introduce the deciding conflicts; S̃ must always be considered (Section 3.5)")
 }
 
-// e12 compares weak vs strong order (Section 3.6): first standalone
-// inside one subsystem, then integrated into the scheduler engine.
-func e12() error {
-	t, err := sim.WeakOrderSweep([]int{2, 4, 8, 16, 32}, 10, 0.1, 7)
-	if err != nil {
-		return err
-	}
-	t.Render(os.Stdout)
-	p := workload.DefaultProfile(42)
-	p.Processes = 24
-	p.ConflictProb = 0.6
-	t2, err := sim.WeakOrderEngineAblation(p)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	t2.Render(os.Stdout)
-	return verdict(true, "weak order increases parallelism of conflicting activities (Section 3.6)")
-}
-
 // e13 sweeps the transport outage rate through the resilience layer
 // (flaky transport + typed retries + circuit breakers) and checks that
 // guaranteed termination survives an unreliable network: at every rate

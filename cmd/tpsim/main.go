@@ -1,6 +1,7 @@
 // Command tpsim regenerates every experiment of the reproduction: the
-// paper's figures and examples (E1-E12) as checked artifacts, and the
-// quantitative benchmarks (B1-B4) of the scheduler protocols.
+// paper's figures and examples (E1-E11) as checked artifacts, the sweeps
+// E13-E14, and the quantitative benchmarks (B1-B5) of the scheduler
+// protocols.
 //
 // Usage:
 //
@@ -11,7 +12,7 @@
 //	tpsim fed [-metrics[=text|json]] [-nodes N] [-procs P] [-seed S] [-benchhub] [-json]
 //	tpsim serve [-addr A] [-dir D] [-world spec.json] [-mode M] [-fed N]
 //
-// where experiment is one of e1..e14, b1, b2, b4, b5, or "all" (default),
+// where experiment is one of e1..e11, e13, e14, b1, b2, b4, b5, or "all" (default),
 // and mode is pred (default), serial, conservative or cc-only. "run"
 // executes a declarative process definition (see internal/spec for the
 // format and examples/specs for samples);
@@ -66,7 +67,6 @@ func main() {
 		{"e9", "Theorem 1 property check on random schedules", e9},
 		{"e10", "Lemmas 1-3 checks on scheduler executions", e10},
 		{"e11", "Section 3.5: no SOT-like criterion for processes", e11},
-		{"e12", "Section 3.6: weak vs strong order", e12},
 		{"e13", "Resilience sweep: termination under increasing outage rate", e13},
 		{"e14", "Bounded-time recovery: checkpoint + compaction vs full replay", e14},
 		{"b1", "B1: scheduler comparison and conflict sweep", b1},

@@ -58,11 +58,6 @@ const (
 	RecoveryCompensations
 	RecoveryForwardInvokes
 
-	// Weak order (Section 3.6).
-	WeakDeps
-	WeakOrderWaits
-	WeakRestarts
-
 	// Subsystem-level.
 	SubInvocations
 	SubAborts
@@ -177,9 +172,6 @@ var counterNames = [numCounters]string{
 	GroupAborts:            "recovery.group_aborts",
 	RecoveryCompensations:  "recovery.compensations",
 	RecoveryForwardInvokes: "recovery.forward_invocations",
-	WeakDeps:               "sched.weak.deps",
-	WeakOrderWaits:         "sched.weak.order_waits",
-	WeakRestarts:           "sched.weak.restarts",
 	SubInvocations:         "subsystem.invocations",
 	SubAborts:              "subsystem.aborts",
 	SubLockDenials:         "subsystem.lock_denials",
@@ -438,8 +430,6 @@ const (
 	TVictim
 	TTerminate
 	TGroupAbort
-	TWeakWait
-	TWeakRestart
 
 	numTraceKinds
 )
@@ -463,8 +453,6 @@ var traceKindNames = [numTraceKinds]string{
 	TVictim:        "victim-abort",
 	TTerminate:     "terminate",
 	TGroupAbort:    "group-abort",
-	TWeakWait:      "weak-order-wait",
-	TWeakRestart:   "weak-restart",
 }
 
 // String returns the kind label.

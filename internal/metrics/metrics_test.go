@@ -217,7 +217,7 @@ func TestNoopRegistryZeroAlloc(t *testing.T) {
 	var r *Registry
 	allocs := testing.AllocsPerRun(1000, func() {
 		r.Inc(InvokeDispatched)
-		r.Add(WeakDeps, 3)
+		r.Add(SubInvocations, 3)
 		r.Observe(HistProcDuration, 42)
 		r.ObserveService("svc", 7)
 		r.Trace(TDeferCommit, 99, "P1", 4, "svc", "P2")

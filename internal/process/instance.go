@@ -400,7 +400,7 @@ func (in *Instance) MarkAbortedPrepared(local int) error {
 
 // ResetPrepared returns a prepared activity to pending: its local
 // transaction was rolled back for reasons that are not a failure of the
-// process (e.g. a weak-order dependency aborted, Section 3.6) and it
+// process (recovery presumed the in-doubt transaction aborted) and it
 // will simply be re-invoked.
 func (in *Instance) ResetPrepared(local int) error {
 	return in.transition(local, Prepared, Pending)

@@ -62,7 +62,7 @@ import (
 // Config parameterizes a runtime run.
 type Config struct {
 	// Mode selects the scheduling policy: PRED, Serial, Conservative or
-	// CCOnly. The runtime invokes no work under the weak order.
+	// CCOnly.
 	Mode scheduler.Mode
 	// Log is the write-ahead log; defaults to an in-memory log.
 	Log wal.Log

@@ -71,14 +71,6 @@ type Config struct {
 	// "do not even execute them while conflicting predecessors are
 	// active" (the ablation of the deferred-commit design).
 	BlockPivots bool
-	// WeakOrder executes activity invocations under the weak order of
-	// Section 3.6: conflicting local transactions may overlap inside a
-	// subsystem, with the commit order enforced by the subsystem
-	// (commit-order serializability). When a weakly preceding
-	// transaction aborts, overlapped dependents are rolled back and
-	// re-invoked — not treated as failures of their processes. Applies
-	// to PRED only.
-	WeakOrder bool
 	// Metrics is the observability registry the engine (and the
 	// subsystems, 2PC coordinator and WAL it drives) records counters,
 	// histograms and the decision trace into. nil (the default) is a
@@ -114,15 +106,15 @@ type Config struct {
 	// appender the concurrent runtime writes through, including the
 	// "wal:group-fsync" crash point.
 	GroupCommit wal.GroupCommit
-	// Resilience, when non-nil, routes regular (strong-order) activity
-	// invocations through a resilience layer (internal/chaos): flaky
-	// transport, typed retries, circuit breakers. The layer surfaces
-	// only outcomes the engine already handles — ErrLocked parks the
-	// activity, invocation failures (ErrAborted/ErrTransient/ErrTimeout)
-	// take the failed-completion path: retriable activities are
-	// re-invoked, everything else steers onto ◁ alternatives or backward
-	// recovery. Weak-order invocations and 2PC resolution stay on the
-	// direct path (the chaos boundary is invocation delivery).
+	// Resilience, when non-nil, routes activity invocations through a
+	// resilience layer (internal/chaos): flaky transport, typed retries,
+	// circuit breakers. The layer surfaces only outcomes the engine
+	// already handles — ErrLocked parks the activity, invocation
+	// failures (ErrAborted/ErrTransient/ErrTimeout) take the
+	// failed-completion path: retriable activities are re-invoked,
+	// everything else steers onto ◁ alternatives or backward recovery.
+	// 2PC resolution stays on the direct path (the chaos boundary is
+	// invocation delivery).
 	Resilience subsystem.ResilientInvoker
 }
 
@@ -147,9 +139,6 @@ type Metrics struct {
 	TwoPCCommits   int64 // prepared transactions committed via 2PC
 	LockWaits      int64 // dispatch attempts denied by subsystem locks
 	PolicyWaits    int64 // dispatch attempts denied by the policy
-	WeakDeps       int64 // commit-order dependencies recorded (weak order)
-	WeakOrderWaits int64 // weak commits delayed by ErrOrder
-	WeakRestarts   int64 // re-invocations forced by aborted weak dependencies
 	Restarts       int64 // process restarts
 	VictimAborts   int64 // stall-resolution aborts
 	CommittedProcs int

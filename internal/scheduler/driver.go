@@ -39,7 +39,6 @@ type PreparedTx struct {
 	Sub     *subsystem.Subsystem
 	Tx      subsystem.TxID
 	Service string
-	Weak    bool // invoked under the weak order (Section 3.6)
 }
 
 // Work is one invocation handed to a host: a frontier activity, or the
@@ -50,7 +49,6 @@ type Work struct {
 	Kind    activity.Kind
 	IsStep  bool
 	Step    process.Step
-	Weak    bool // invoked under the weak order (Section 3.6)
 }
 
 // Proc is the protocol state of one process incarnation. Its fields are
@@ -220,7 +218,7 @@ type Driver struct {
 	Pol   *policy.State
 	Coord *twopc.Coordinator
 	Reg   *metrics.Registry // nil = no-op
-	// Resilience, when non-nil, carries strong-order invocations (see
+	// Resilience, when non-nil, carries the invocations (see
 	// Config.Resilience).
 	Resilience subsystem.ResilientInvoker
 	Metrics    Metrics
@@ -263,7 +261,7 @@ func (d *Driver) Admit(p *Proc) bool {
 type Rule string
 
 // The rules of a Wait, each with the blockers it names — except the
-// last three, which name none, and why:
+// last two, which name none, and why:
 const (
 	RuleBusy       Rule = "busy"              // its own work in flight: the process itself
 	RuleLemma1     Rule = "lemma1"            // Lemma 1 at dispatch: the active predecessors (policy.State.DispatchBlockers)
@@ -278,7 +276,6 @@ const (
 
 	RuleForced Rule = "forced-cycle"    // the forced-order search finds that a path closes, not the cycle's processes
 	RuleCycle  Rule = "serializability" // CCOnly's conflict-graph search, likewise
-	RuleWeak   Rule = "weak-order"      // a weak commit order waits on subsystem transactions, not processes
 )
 
 // Wait is why a process cannot move now: the rule that holds it and the
@@ -286,7 +283,7 @@ const (
 // conjunctions — the process can move once, for some alternative, every
 // listed process acted (terminated, committed or rolled back, released a
 // lock). A wait with an alternative whose rule names no blockers (the
-// last three rules, RuleLock on a holder with no live incarnation — a
+// last two rules, RuleLock on a holder with no live incarnation — a
 // transaction an earlier run left in doubt — and RuleBusy with nothing on
 // the frontier) carries that rule and no blockers: only quiescence may
 // break it. Next records every wait on Proc.Wait.
@@ -404,11 +401,8 @@ func (d *Driver) Next(p *Proc, exec Exec) (Act, Work, error) {
 				wait(RuleCommit, d.Pol.ActiveConflictPreds(d, p.ID))
 				return park()
 			}
-			if ok, err := d.CommitPreparedSet(p); err != nil {
+			if err := d.CommitPreparedSet(p); err != nil {
 				return ActAgain, Work{}, err
-			} else if !ok {
-				wait(RuleWeak)
-				return park()
 			}
 		}
 		if !d.Terminate(p, true) {
@@ -424,11 +418,7 @@ func (d *Driver) Next(p *Proc, exec Exec) (Act, Work, error) {
 		if ok, err := d.settle(p); ok || err != nil {
 			return ActAgain, Work{}, err
 		}
-		if preds := d.Pol.ActiveConflictPreds(d, p.ID); len(preds) > 0 {
-			wait(RuleCommit, preds)
-		} else {
-			wait(RuleWeak)
-		}
+		wait(RuleCommit, d.Pol.ActiveConflictPreds(d, p.ID))
 	}
 	if len(p.Running) > 0 {
 		wait(RuleBusy, []process.ID{p.ID})
@@ -485,7 +475,7 @@ func (d *Driver) settle(p *Proc) (bool, error) {
 		d.Pol.HasActiveConflictPred(d, p.ID) {
 		return false, nil
 	}
-	return d.CommitPreparedSet(p)
+	return true, d.CommitPreparedSet(p)
 }
 
 // stepWait gates the recovery step at the head of p's queue: a
@@ -528,16 +518,6 @@ func (d *Driver) stepWait(p *Proc, st process.Step) (rule Rule, ids []process.ID
 		}
 	}
 	return rule, ids
-}
-
-// lockWait counts and traces an invocation denied by subsystem locks and
-// returns its wait (Held).
-func (d *Driver) lockWait(p *Proc, w Work, why string) Wait {
-	d.Metrics.LockWaits++
-	d.Reg.Inc(metrics.InvokeLockBlocked)
-	d.trace(metrics.TLockWait, p, w.Local, w.Service, why)
-	holder, _ := d.Fed.LockBlocker(string(p.Origin), w.Service)
-	return d.Held(holder)
 }
 
 // Held is the wait on an item lock whose holder a subsystem knows as
@@ -590,72 +570,35 @@ func (p *Proc) invokeKey() string {
 }
 
 // Invoke counts and performs the subsystem invocation of a work item
-// into the prepared state: under the weak order when the work is Weak,
-// else through the resilience layer when there is one. res is nil when
-// the invocation provably left no prepared transaction: held — the wait
-// names what holds it, and the host retries later — or failed: a genuine
+// into the prepared state, through the resilience layer when there is
+// one. res is nil when the invocation provably left no prepared
+// transaction: held — counted and traced as a lock wait whose Wait names
+// the holder (Held), and the host retries later — or failed: a genuine
 // local abort, or a transport failure the resilience layer could not
 // mask (retry budget exhausted, circuit open, non-retriable kind), which
-// Complete takes down the failure path.
+// Complete takes down the failure path. Any other error is a broken
+// world.
 func (d *Driver) Invoke(p *Proc, w Work) (res *subsystem.Result, extraLat int64, held Wait) {
 	d.Metrics.Invocations++
 	var err error
-	switch {
-	case w.Weak:
-		return d.invokeWeak(p, w)
-	case d.Resilience != nil:
+	if d.Resilience != nil {
 		res, extraLat, err = d.Resilience.InvokeResilient(string(p.Origin), w.Service, w.Kind, subsystem.Prepare, p.invokeKey())
-	default:
+	} else {
 		res, err = d.Fed.Invoke(string(p.Origin), w.Service, subsystem.Prepare)
 	}
-	res, locked := invoked(p, w, res, err)
-	if locked {
-		return nil, 0, d.lockWait(p, w, "")
-	}
-	return res, extraLat, Wait{}
-}
-
-// invokeWeak is the weak invocation of Section 3.6: conflicting in-doubt
-// transactions become commit-order dependencies (checked by Complete and
-// CommitPreparedSet) instead of lock waits. A dependency is only safe on
-// a transaction that resolves at its own completion — a compensatable
-// activity's or a compensation. A non-compensatable one may have its 2PC
-// commit deferred until p terminates (Lemma 1), which would deadlock the
-// commit order: on such a dependency p rolls back and waits.
-func (d *Driver) invokeWeak(p *Proc, w Work) (*subsystem.Result, int64, Wait) {
-	sub, ok := d.Fed.Owner(w.Service)
-	if !ok {
-		panic(fmt.Sprintf("scheduler: unknown service %q", w.Service))
-	}
-	prepared, deps, err := sub.InvokeWeak(string(p.Origin), w.Service)
-	res, _ := invoked(p, w, prepared, err) // the weak order takes no item locks
-	for _, dep := range deps {
-		svc, ok := sub.TxService(dep)
-		if spec, found := d.Fed.Spec(svc); !ok || found && spec.Kind != activity.Compensatable && spec.Kind != activity.Compensation {
-			if err := sub.AbortPrepared(res.Tx); err != nil {
-				panic(fmt.Sprintf("scheduler: weak fallback rollback: %v", err))
-			}
-			d.lockWait(p, w, "weak-order dependency on non-compensatable")
-			return nil, 0, Wait{Rule: RuleWeak}
-		}
-	}
-	d.Metrics.WeakDeps += int64(len(deps))
-	d.Reg.Add(metrics.WeakDeps, int64(len(deps)))
-	return res, 0, Wait{}
-}
-
-// invoked sorts a subsystem's answer to an invocation into prepared
-// (res), locked, or failed (neither); anything else is a broken world.
-func invoked(p *Proc, w Work, res *subsystem.Result, err error) (*subsystem.Result, bool) {
 	switch {
 	case errors.Is(err, subsystem.ErrLocked):
-		return nil, true
+		d.Metrics.LockWaits++
+		d.Reg.Inc(metrics.InvokeLockBlocked)
+		d.trace(metrics.TLockWait, p, w.Local, w.Service, "")
+		holder, _ := d.Fed.LockBlocker(string(p.Origin), w.Service)
+		return nil, 0, d.Held(holder)
 	case subsystem.IsInvocationFailure(err):
-		return nil, false
+		return nil, extraLat, Wait{}
 	case err != nil:
 		panic(fmt.Sprintf("scheduler: invoke %s/%s: %v", p.ID, w.Service, err))
 	}
-	return res, false
+	return res, extraLat, Wait{}
 }
 
 // commitsNow decides whether an activity's local transaction commits
@@ -694,12 +637,6 @@ func outcomeRecord(p *Proc, w Work, sub *subsystem.Subsystem, tx subsystem.TxID)
 	return rec
 }
 
-// errCommitOrder is Complete's answer when a weakly invoked transaction
-// that would commit now has a commit-order predecessor still in doubt:
-// nothing happened, the invocation stays in flight, and the host
-// completes it again later.
-var errCommitOrder = errors.New("scheduler: weak commit waits for its commit-order predecessors")
-
 // Complete handles a finished invocation; res is nil when it failed.
 func (d *Driver) Complete(p *Proc, w Work, res *subsystem.Result) error {
 	sub, _ := d.Fed.Owner(w.Service)
@@ -707,17 +644,6 @@ func (d *Driver) Complete(p *Proc, w Work, res *subsystem.Result) error {
 	// branch was abandoned or the process began aborting (a parallel
 	// sibling failed).
 	orphaned := !w.IsStep && p.Inst.Status(w.Local) != process.Pending
-	// Commit-order serializability (Section 3.6) runs ahead of the rest,
-	// so a waiting transaction stays in flight and unlogged — in doubt.
-	if w.Weak && res != nil && !orphaned && d.commitsNow(p, w.Kind) {
-		switch err := d.weakGate(p, w.Local, PreparedTx{Sub: sub, Tx: res.Tx, Service: w.Service}); {
-		case errors.Is(err, errWeakRestart):
-			d.Undispatch(p, w)
-			return nil
-		case err != nil:
-			return err
-		}
-	}
 	// Success: the local transaction is prepared at the subsystem. Until
 	// the record is in the log the transaction stays in doubt — recovery
 	// presumes an in-doubt transaction without a record aborted — and
@@ -776,7 +702,7 @@ func (d *Driver) Complete(p *Proc, w Work, res *subsystem.Result) error {
 	if err := p.Inst.MarkPrepared(w.Local); err != nil {
 		return fmt.Errorf("scheduler: %w", err)
 	}
-	p.Prepared[w.Local] = PreparedTx{Sub: sub, Tx: res.Tx, Service: w.Service, Weak: w.Weak}
+	p.Prepared[w.Local] = PreparedTx{Sub: sub, Tx: res.Tx, Service: w.Service}
 	ev.Tentative = true
 	d.Pol.AppendEvent(ev)
 	return nil
@@ -937,10 +863,8 @@ func (p *Proc) HasDeferred() bool {
 }
 
 // CommitPreparedSet performs the atomic 2PC commit of p's prepared set
-// once Lemma 1 released it. false without an error means the set did not
-// commit yet (a weak-order participant must wait or was rolled back for
-// re-invocation).
-func (d *Driver) CommitPreparedSet(p *Proc) (bool, error) {
+// once Lemma 1 released it.
+func (d *Driver) CommitPreparedSet(p *Proc) error {
 	locals := make([]int, 0, len(p.Prepared))
 	for l := range p.Prepared {
 		if p.Inst.Status(l) == process.Prepared {
@@ -949,31 +873,7 @@ func (d *Driver) CommitPreparedSet(p *Proc) (bool, error) {
 	}
 	sort.Ints(locals)
 	if len(locals) == 0 {
-		return true, nil
-	}
-	// Weak-order preflight: a still-pending commit-order predecessor of
-	// a participant delays the whole set; an aborted one rolls the
-	// participant back for re-invocation.
-	for _, l := range locals {
-		ptx := p.Prepared[l]
-		if !ptx.Weak {
-			continue
-		}
-		switch err := d.weakGate(p, l, ptx); {
-		case errors.Is(err, errCommitOrder):
-			return false, nil
-		case errors.Is(err, errWeakRestart):
-			d.Reg.Inc(metrics.DeferredRolledBack)
-			if err := p.Inst.ResetPrepared(l); err != nil {
-				return false, fmt.Errorf("scheduler: %w", err)
-			}
-			d.Pol.EraseTentative(p.ID, l)
-			delete(p.Prepared, l)
-			d.Pol.Bump()
-			return false, nil // the activity re-invokes; try again later
-		case err != nil:
-			return false, err
-		}
+		return nil
 	}
 	parts := make([]twopc.Participant, 0, len(locals))
 	for _, l := range locals {
@@ -983,14 +883,14 @@ func (d *Driver) CommitPreparedSet(p *Proc) (bool, error) {
 		})
 	}
 	if err := d.Coord.CommitAll(string(p.ID), parts); err != nil {
-		return false, fmt.Errorf("scheduler: 2PC commit of %s: %w", p.ID, err)
+		return fmt.Errorf("scheduler: 2PC commit of %s: %w", p.ID, err)
 	}
 	for _, l := range locals {
 		d.Metrics.TwoPCCommits++
 		d.Reg.Inc(metrics.DeferredCommitted2PC)
 		d.trace(metrics.TTwoPCCommit, p, l, p.Prepared[l].Service, "")
 		if err := p.Inst.MarkCommitted(l); err != nil {
-			return false, fmt.Errorf("scheduler: %w", err)
+			return fmt.Errorf("scheduler: %w", err)
 		}
 		d.Pol.FinalizeTentative(p.ID, l, d.Host.NextSeq())
 		delete(p.Prepared, l)
@@ -1000,36 +900,6 @@ func (d *Driver) CommitPreparedSet(p *Proc) (bool, error) {
 		p.blockedSince = -1
 	}
 	d.Pol.Bump()
-	return true, nil
-}
-
-// errWeakRestart is weakGate's answer when it rolled the transaction back.
-var errWeakRestart = errors.New("scheduler: weak commit-order predecessor aborted")
-
-// weakGate asks, before a weakly invoked transaction commits, whether
-// its commit-order predecessors did (Section 3.6): nil when they all
-// committed; errCommitOrder, counted, while one is in doubt; and when one
-// aborted, errWeakRestart once the transaction is rolled back — the
-// activity stays pending and is re-invoked, which is not a failure of
-// the process.
-func (d *Driver) weakGate(p *Proc, local int, ptx PreparedTx) error {
-	switch err := ptx.Sub.WeakCommittable(ptx.Tx); {
-	case errors.Is(err, subsystem.ErrOrder):
-		d.Metrics.WeakOrderWaits++
-		d.Reg.Inc(metrics.WeakOrderWaits)
-		d.trace(metrics.TWeakWait, p, local, ptx.Service, "")
-		return errCommitOrder
-	case errors.Is(err, subsystem.ErrDependencyAborted):
-		d.Metrics.WeakRestarts++
-		d.Reg.Inc(metrics.WeakRestarts)
-		d.trace(metrics.TWeakRestart, p, local, ptx.Service, "")
-		if err := ptx.Sub.AbortPrepared(ptx.Tx); err != nil {
-			return fmt.Errorf("scheduler: weak rollback %s/%s: %w", p.ID, ptx.Service, err)
-		}
-		return errWeakRestart
-	case err != nil:
-		return fmt.Errorf("scheduler: weak commit %s/%s: %w", p.ID, ptx.Service, err)
-	}
 	return nil
 }
 

@@ -393,7 +393,7 @@ func TestDriverParkedTransitionReenters(t *testing.T) {
 				if !w.d.Terminate(q, true) {
 					t.Fatal("terminate refused")
 				}
-				return func() error { _, err := w.d.CommitPreparedSet(p); return err }
+				return func() error { return w.d.CommitPreparedSet(p) }
 			}, 0, "",
 			func(w world) bool {
 				p := w.d.Get("P")
@@ -706,30 +706,6 @@ func TestDriverNext(t *testing.T) {
 				w.commit(t, "P2", 1, 2, 3, 4)
 				return "P1", nil
 			}, wait: scheduler.Wait{Rule: scheduler.RuleCycle}},
-		{name: "weak-order: a weak commit behind an in-doubt predecessor", cfg: pred,
-			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
-				weak := func(id process.ID) *subsystem.Result {
-					p := w.d.Get(id)
-					a := p.Def.Activity(1)
-					res, _, held := w.d.Invoke(p, scheduler.Work{Local: 1, Service: a.Service, Kind: a.Kind, Weak: true})
-					if res == nil || held.Rule != "" {
-						t.Fatalf("weak invoke %s: held=%v", id, held)
-					}
-					return res
-				}
-				weak("P1")
-				res := weak("P2")
-				if w.d.Metrics.WeakDeps != 1 {
-					t.Fatalf("weak invoke: %d commit-order dependencies, want 1", w.d.Metrics.WeakDeps)
-				}
-				sub, _ := w.d.Fed.Owner(paper.SvcA21)
-				p := w.d.Get("P2")
-				if err := p.Inst.MarkPrepared(1); err != nil {
-					t.Fatal(err)
-				}
-				p.Prepared[1] = scheduler.PreparedTx{Sub: sub, Tx: res.Tx, Service: paper.SvcA21, Weak: true}
-				return "P2", nil
-			}, wait: scheduler.Wait{Rule: scheduler.RuleWeak}},
 		{name: "lock: held by no live process", cfg: pred,
 			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
 				if _, err := w.d.Fed.Invoke("ghost", paper.SvcA11, subsystem.Prepare); err != nil {

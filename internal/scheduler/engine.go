@@ -56,7 +56,6 @@ type completion struct {
 	at, order int64 // order breaks ties: invocation order
 	proc      *Proc
 	res       *subsystem.Result // nil: the local transaction aborted
-	tries     int               // commit-order wait retries (safety bound)
 }
 
 type completionHeap []*completion
@@ -487,12 +486,9 @@ func (e *Engine) next(p *Proc) bool {
 
 // invoke is the engine's hand in Driver.Next: it issues a subsystem
 // invocation and schedules its completion, or returns the wait that
-// refused it, and walks on over the frontier. In weak-order mode
-// regular activities are invoked under the weak order (Section 3.6);
-// recovery steps always use the strong order.
+// refused it, and walks on over the frontier.
 func (e *Engine) invoke(p *Proc, w Work) (Wait, bool) {
 	d := e.drv
-	w.Weak = e.cfg.WeakOrder && !w.IsStep && e.cfg.Mode == PRED
 	res, extraLat, held := d.Invoke(p, w)
 	if held.Rule != "" {
 		return held, true
@@ -507,18 +503,9 @@ func (e *Engine) invoke(p *Proc, w Work) (Wait, bool) {
 	return Wait{}, true
 }
 
-// complete applies one finished invocation. A weak commit waiting for
-// its commit-order predecessors is re-queued one tick later.
+// complete applies one finished invocation.
 func (e *Engine) complete(c *completion) {
-	switch err := e.drv.Complete(c.proc, c.Work, c.res); {
-	case errors.Is(err, errCommitOrder) && c.tries < 100000:
-		c.tries++
-		e.order++
-		c.at, c.order = e.clock+1, e.order
-		heap.Push(&e.queue, c)
-	case errors.Is(err, errCommitOrder):
-		e.fail(fmt.Errorf("scheduler: weak commit of %s/%s starved (commit-order wait)", c.proc.ID, c.Service))
-	case err != nil:
+	if err := e.drv.Complete(c.proc, c.Work, c.res); err != nil {
 		e.fail(err)
 	}
 }

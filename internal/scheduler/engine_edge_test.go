@@ -191,7 +191,10 @@ func TestMaxRestartsExhaustion(t *testing.T) {
 }
 
 // TestDeferredCommitVisibleOnlyAfter2PC verifies a deferred pivot's
-// effects are invisible until the predecessor terminates.
+// effects are invisible until the predecessor terminates. P1 passes its
+// pivot before P2 reads what P1 wrote, so P2 may run (Lemma 1 holds a
+// compensatable only behind a backward-recoverable predecessor), and
+// P2's pivot completes while P1's long retriable tail keeps P1 active.
 func TestDeferredCommitVisibleOnlyAfter2PC(t *testing.T) {
 	fed := subsystem.NewFederation()
 	rm := subsystem.New("rm", 1)
@@ -207,15 +210,20 @@ func TestDeferredCommitVisibleOnlyAfter2PC(t *testing.T) {
 		Name: "piv", Kind: activity.Pivot, Subsystem: "rm", WriteSet: []string{"done"}, Cost: 1,
 	})
 	rm.MustRegister(activity.Spec{
+		Name: "piv1", Kind: activity.Pivot, Subsystem: "rm", WriteSet: []string{"mark"}, Cost: 1,
+	})
+	rm.MustRegister(activity.Spec{
 		Name: "slowR", Kind: activity.Retriable, Subsystem: "rm", WriteSet: []string{"tail"}, Cost: 30,
 	})
 	fed.MustAdd(rm)
 
-	// P1: slowC (writes shared) then a long retriable tail; stays active.
+	// P1: slowC (writes shared), its pivot, then a long retriable tail;
+	// stays active.
 	p1 := process.NewBuilder("P1").
 		Add(1, "slowC", activity.Compensatable).
-		Add(2, "slowR", activity.Retriable).
-		Seq(1, 2).MustBuild()
+		Add(2, "piv1", activity.Pivot).
+		Add(3, "slowR", activity.Retriable).
+		Seq(1, 2).Seq(2, 3).MustBuild()
 	// P2: readShared (conflicts slowC) then pivot; its pivot's commit
 	// must be deferred until C_1.
 	p2 := process.NewBuilder("P2").
@@ -232,8 +240,8 @@ func TestDeferredCommitVisibleOnlyAfter2PC(t *testing.T) {
 	if res.Metrics.CommittedProcs != 2 {
 		t.Fatalf("both must commit: %+v", res.Metrics)
 	}
-	if res.Metrics.Deferrals == 0 {
-		t.Skip("interleaving produced no dependency; nothing to assert")
+	if res.Metrics.Deferrals == 0 || res.Metrics.TwoPCCommits == 0 {
+		t.Fatalf("P2's pivot must be deferred behind P1 and committed via 2PC: %+v\n%s", res.Metrics, res.Schedule)
 	}
 	// The schedule must order C_1 before P2's pivot's commit position.
 	evs := res.Schedule.Events()
@@ -283,5 +291,82 @@ func TestWorkloadCCOnlyRunsToCompletion(t *testing.T) {
 	}
 	if res.Metrics.CommittedProcs+res.Metrics.AbortedProcs < p.Processes {
 		t.Fatalf("not all processes terminated: %+v", res.Metrics)
+	}
+}
+
+// TestNestedAlternativesUnderScheduler executes a deeply nested
+// well-formed structure (three pivots, two nested alternatives) through
+// failures of every pivot.
+func TestNestedAlternativesUnderScheduler(t *testing.T) {
+	// c1 ≪ p1 ≪ (c2 ≪ p2 ≪ (c3 ≪ p3 | r3) | r2) with retriable tails.
+	build := func() *process.Process {
+		return process.NewBuilder("NEST").
+			Add(1, "c1", activity.Compensatable).
+			Add(2, "p1", activity.Pivot).
+			Add(3, "c2", activity.Compensatable).
+			Add(4, "p2", activity.Pivot).
+			Add(5, "c3", activity.Compensatable).
+			Add(6, "p3", activity.Pivot).
+			Add(7, "r3", activity.Retriable).
+			Add(8, "r2", activity.Retriable).
+			Seq(1, 2).
+			Chain(2, 3, 8). // after p1: nested structure or retriable r2
+			Seq(3, 4).
+			Chain(4, 5, 7). // after p2: deeper structure or retriable r3
+			Seq(5, 6).
+			MustBuild()
+	}
+	mkFed := func() (*subsystem.Federation, *subsystem.Subsystem) {
+		sub := subsystem.New("rm", 1)
+		for _, svc := range []struct {
+			name string
+			kind activity.Kind
+		}{
+			{"c1", activity.Compensatable}, {"c2", activity.Compensatable}, {"c3", activity.Compensatable},
+			{"p1", activity.Pivot}, {"p2", activity.Pivot}, {"p3", activity.Pivot},
+			{"r2", activity.Retriable}, {"r3", activity.Retriable},
+		} {
+			spec := activity.Spec{
+				Name: svc.name, Kind: svc.kind, Subsystem: "rm",
+				WriteSet: []string{"item_" + svc.name},
+			}
+			if svc.kind == activity.Compensatable {
+				spec.Compensation = svc.name + "⁻¹"
+			}
+			sub.MustRegister(spec)
+		}
+		fed := subsystem.NewFederation()
+		fed.MustAdd(sub)
+		return fed, sub
+	}
+	for _, failSvc := range []string{"", "p2", "p3", "c2", "c3"} {
+		t.Run("fail="+failSvc, func(t *testing.T) {
+			fed, sub := mkFed()
+			if failSvc != "" {
+				sub.ForceFail(failSvc, 1)
+			}
+			eng, err := scheduler.New(fed, scheduler.Config{Mode: scheduler.PRED})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := eng.Run([]*process.Process{build()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Outcomes["NEST"].Committed {
+				t.Fatalf("nested process must commit via an alternative: %s", res.Schedule)
+			}
+			ok, _, _, err := res.Schedule.PRED()
+			if err != nil || !ok {
+				t.Fatalf("PRED = %v %v", ok, err)
+			}
+			// Compensation accounting: every committed compensatable on
+			// an abandoned branch was undone.
+			for item, v := range fed.Snapshot() {
+				if v < 0 {
+					t.Fatalf("%s negative", item)
+				}
+			}
+		})
 	}
 }

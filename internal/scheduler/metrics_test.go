@@ -11,14 +11,14 @@ import (
 
 // instrumentedRun executes a fault-injected workload with a registry
 // large enough to retain the full decision trace.
-func instrumentedRun(t *testing.T, seed int64, mode scheduler.Mode, weak bool) (*scheduler.Result, *metrics.Registry) {
+func instrumentedRun(t *testing.T, seed int64, mode scheduler.Mode) (*scheduler.Result, *metrics.Registry) {
 	t.Helper()
 	p := workload.DefaultProfile(seed)
 	p.PermFailureProb = 0.15
 	p.TransientFailureProb = 0.1
 	w := workload.MustGenerate(p)
 	reg := metrics.NewSized(1 << 16)
-	eng, err := scheduler.New(w.Fed, scheduler.Config{Mode: mode, Metrics: reg, WeakOrder: weak})
+	eng, err := scheduler.New(w.Fed, scheduler.Config{Mode: mode, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func instrumentedRun(t *testing.T, seed int64, mode scheduler.Mode, weak bool) (
 func TestMetricsInvariants(t *testing.T) {
 	const mode = scheduler.PRED
 	for seed := int64(1); seed <= 6; seed++ {
-		res, reg := instrumentedRun(t, seed, mode, false)
+		res, reg := instrumentedRun(t, seed, mode)
 		m := res.Metrics
 
 		// Compensations: engine counter == registry counter ==
@@ -95,20 +95,6 @@ func TestMetricsInvariants(t *testing.T) {
 		// Dispatch/trace agreement.
 		if d, tr := reg.Counter(metrics.InvokeDispatched), reg.CountTrace(metrics.TDispatch); d != tr {
 			t.Errorf("%v seed %d: dispatched %d, dispatch trace events %d", mode, seed, d, tr)
-		}
-	}
-}
-
-// TestMetricsInvariantsWeakOrder repeats the deferral accounting under
-// the Section-3.6 weak order, where rollbacks can additionally come
-// from aborted commit-order dependencies.
-func TestMetricsInvariantsWeakOrder(t *testing.T) {
-	for seed := int64(10); seed <= 14; seed++ {
-		_, reg := instrumentedRun(t, seed, scheduler.PRED, true)
-		deferred := reg.Counter(metrics.CommitsDeferred)
-		resolved := reg.Counter(metrics.DeferredCommitted2PC) + reg.Counter(metrics.DeferredRolledBack)
-		if deferred != resolved {
-			t.Errorf("weak seed %d: %d deferred commits but %d resolutions", seed, deferred, resolved)
 		}
 	}
 }

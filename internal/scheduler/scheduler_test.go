@@ -176,9 +176,9 @@ func runConcurrent(t *testing.T, mode scheduler.Mode, seed int64) (*scheduler.Re
 }
 
 func TestConcurrentPREDModes(t *testing.T) {
-	for _, m := range sweepRuns(scheduler.Serial, scheduler.Conservative) {
-		t.Run(m.name, func(t *testing.T) {
-			res, _ := runConcurrent(t, m.mode, 7)
+	for _, mode := range []scheduler.Mode{scheduler.PRED, scheduler.Serial, scheduler.Conservative} {
+		t.Run(mode.String(), func(t *testing.T) {
+			res, _ := runConcurrent(t, mode, 7)
 			s := verifySchedule(t, res)
 			if res.Metrics.CommittedProcs < 3 {
 				t.Fatalf("all three processes must commit, got %d (schedule %s)", res.Metrics.CommittedProcs, s)
@@ -220,11 +220,14 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestLemma1DeferralObserved(t *testing.T) {
-	// P1 and P2 conflict via (a11, a21): whichever runs a21 second must
-	// defer its pivot a23's commit until C_1 (or vice versa). With both
-	// started together, at least one deferral must occur in PRED mode
-	// when the conflict materializes.
+	// P1 and P2 conflict via (a11, a21). P2's a21 waits until P1's pivot
+	// a12 made P1 forward-recoverable. P1's second pivot a14 fails, so P1
+	// compensates a13 and runs its retriable alternative a15 ≪ a16 (Example
+	// 2's F-REC completion) and is still active when P2's pivot a23
+	// completes: a23's commit is deferred until C_1 (Lemma 1).
 	fed := paper.Federation(3)
+	subD, _ := fed.Subsystem("subD")
+	subD.ForceFail(paper.SvcA14, 1)
 	eng, _ := scheduler.New(fed, scheduler.Config{Mode: scheduler.PRED})
 	res, err := eng.Run([]*process.Process{paper.P1(), paper.P2()})
 	if err != nil {
@@ -232,7 +235,19 @@ func TestLemma1DeferralObserved(t *testing.T) {
 	}
 	s := verifySchedule(t, res)
 	if res.Metrics.Deferrals == 0 {
-		t.Skipf("no conflict materialized in this interleaving: %s", s)
+		t.Fatalf("P2's pivot a23 must be deferred behind P1: %s", s)
+	}
+	c1, a23 := -1, -1
+	for i, e := range res.Schedule.Events() {
+		switch {
+		case e.Type == schedule.Terminate && e.Proc == "P1":
+			c1 = i
+		case e.Type == schedule.Invoke && e.Proc == "P2" && e.Service == paper.SvcA23:
+			a23 = i
+		}
+	}
+	if c1 < 0 || a23 < c1 {
+		t.Fatalf("a23 must commit after C_1: C1@%d a23@%d\n%s", c1, a23, s)
 	}
 	if res.Metrics.TwoPCCommits == 0 {
 		t.Fatal("deferred commits must be resolved via 2PC")

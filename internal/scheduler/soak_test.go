@@ -8,23 +8,6 @@ import (
 	"transproc/internal/workload"
 )
 
-// modeRun is one block of subtests in a sweep over modes.
-type modeRun struct {
-	name string
-	mode scheduler.Mode
-}
-
-// sweepRuns lists the blocks of a sweep over PRED and the given other
-// modes. "pred-cascade" is the id of a mode that was removed because it
-// never cascaded; the id stays and runs PRED, as the mode did.
-func sweepRuns(others ...scheduler.Mode) []modeRun {
-	runs := []modeRun{{"pred", scheduler.PRED}, {"pred-cascade", scheduler.PRED}}
-	for _, m := range others {
-		runs = append(runs, modeRun{m.String(), m})
-	}
-	return runs
-}
-
 // TestProtocolSoak sweeps generated workloads across modes, conflict
 // rates and failure rates, asserting the central protocol invariant:
 // every schedule produced by a PRED-family scheduler is
@@ -35,11 +18,10 @@ func TestProtocolSoak(t *testing.T) {
 	if testing.Short() {
 		seeds = 4
 	}
-	for _, run := range sweepRuns(scheduler.Serial, scheduler.Conservative, scheduler.CCOnly) {
-		mode := run.mode
+	for _, mode := range []scheduler.Mode{scheduler.PRED, scheduler.Serial, scheduler.Conservative, scheduler.CCOnly} {
 		for _, conflictProb := range []float64{0.2, 0.5, 0.8} {
 			for _, failProb := range []float64{0.0, 0.1, 0.25} {
-				name := fmt.Sprintf("%s/c%.1f/f%.2f", run.name, conflictProb, failProb)
+				name := fmt.Sprintf("%s/c%.1f/f%.2f", mode, conflictProb, failProb)
 				t.Run(name, func(t *testing.T) {
 					for seed := int64(1); seed <= seeds; seed++ {
 						p := workload.DefaultProfile(seed)

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"strings"
 
-	"transproc/internal/composite"
 	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/scheduler"
@@ -228,72 +227,6 @@ func QuasiCommitAblation(p workload.Profile) (*Table, error) {
 			fmt.Sprintf("%d", m.Deferrals),
 			fmt.Sprintf("%d", m.TwoPCCommits),
 			fmt.Sprintf("%d", m.PolicyWaits))
-	}
-	return t, nil
-}
-
-// WeakOrderEngineAblation runs the same workload with and without the
-// engine-level weak order (Section 3.6 integrated into the scheduler):
-// conflicting local transactions overlap inside subsystems; commit-order
-// serializability and the restart cascade handle correctness.
-func WeakOrderEngineAblation(p workload.Profile) (*Table, error) {
-	t := &Table{
-		Title:   fmt.Sprintf("E12b engine weak-order ablation (procs=%d, conflict=%.2f, seed=%d)", p.Processes, p.ConflictProb, p.Seed),
-		Columns: []string{"variant", "makespan", "throughput", "lockWaits", "weakDeps", "orderWaits", "weakRestarts"},
-	}
-	for _, v := range []struct {
-		name string
-		cfg  scheduler.Config
-	}{
-		{"pred strong order", scheduler.Config{Mode: scheduler.PRED}},
-		{"pred weak order", scheduler.Config{Mode: scheduler.PRED, WeakOrder: true}},
-	} {
-		res, err := RunMode(p, v.cfg)
-		if err != nil {
-			return nil, fmt.Errorf("sim: %s: %w", v.name, err)
-		}
-		m := res.Metrics
-		t.AddRow(v.name,
-			fmt.Sprintf("%d", m.Makespan),
-			fmt.Sprintf("%.2f", m.Throughput()),
-			fmt.Sprintf("%d", m.LockWaits),
-			fmt.Sprintf("%d", m.WeakDeps),
-			fmt.Sprintf("%d", m.WeakOrderWaits),
-			fmt.Sprintf("%d", m.WeakRestarts))
-	}
-	return t, nil
-}
-
-// WeakOrderSweep compares strong vs weak order inside a subsystem
-// (experiment E12, Section 3.6) across chain lengths of conflicting
-// transactions.
-func WeakOrderSweep(lengths []int, cost int64, abortProb float64, seed int64) (*Table, error) {
-	t := &Table{
-		Title:   fmt.Sprintf("E12 weak vs strong order (cost=%d, abortProb=%.2f)", cost, abortProb),
-		Columns: []string{"chainLen", "strong", "weak", "speedup", "weakAborts", "cascadeRestarts"},
-	}
-	for _, n := range lengths {
-		txns := make([]composite.Txn, n)
-		var orders []composite.Order
-		for i := range txns {
-			txns[i] = composite.Txn{ID: fmt.Sprintf("t%03d", i), Cost: cost, AbortProb: abortProb, MaxAborts: 2}
-			if i > 0 {
-				orders = append(orders, composite.Order{
-					Before: fmt.Sprintf("t%03d", i-1), After: fmt.Sprintf("t%03d", i),
-				})
-			}
-		}
-		strong, weak, err := composite.Compare(txns, orders, 0, seed)
-		if err != nil {
-			return nil, err
-		}
-		speedup := float64(strong.Makespan) / float64(weak.Makespan)
-		t.AddRow(fmt.Sprintf("%d", n),
-			fmt.Sprintf("%d", strong.Makespan),
-			fmt.Sprintf("%d", weak.Makespan),
-			fmt.Sprintf("%.2fx", speedup),
-			fmt.Sprintf("%d", weak.Aborts),
-			fmt.Sprintf("%d", weak.CascadeRestarts))
 	}
 	return t, nil
 }

@@ -90,20 +90,6 @@ func TestQuasiCommitAblation(t *testing.T) {
 	}
 }
 
-func TestWeakOrderSweep(t *testing.T) {
-	tab, err := WeakOrderSweep([]int{2, 8}, 5, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tab.Rows) != 2 {
-		t.Fatalf("rows = %d", len(tab.Rows))
-	}
-	// Longer chains gain more from the weak order.
-	if !strings.HasSuffix(tab.Rows[1][3], "x") {
-		t.Fatalf("speedup cell = %q", tab.Rows[1][3])
-	}
-}
-
 func TestCrashRecoverySweep(t *testing.T) {
 	tab, err := CrashRecoverySweep(testProfile(), []int{3, 10, 100000})
 	if err != nil {

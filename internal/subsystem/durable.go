@@ -31,9 +31,7 @@ import (
 // The store is a cache of applied state plus 2PC bookkeeping; the WAL
 // stays the source of truth. Durability of any individual record is
 // only guaranteed after FlushStore — the composed recovery re-derives
-// whatever a crash took (or tore) from the log. Weak-order commit
-// dependencies (weakDeps) are deliberately not persisted: a restored
-// intent re-enters the strict-2PL regime, which is conservative.
+// whatever a crash took (or tore) from the log.
 
 const (
 	durData   = "d/"

@@ -28,17 +28,17 @@ var ErrTimeout = errors.New("subsystem: invocation timed out")
 
 // SubsystemError is the typed error every subsystem-boundary failure is
 // wrapped in: it names the subsystem and service and carries the error
-// kind (one of the sentinels above, plus the weak-order sentinels), so
-// call sites can route on errors.Is(err, ErrX) and still recover the
-// failing service via errors.As.
+// kind (one of the sentinels above), so call sites can route on
+// errors.Is(err, ErrX) and still recover the failing service via
+// errors.As.
 type SubsystemError struct {
 	// Subsystem is the owning resource manager ("" when routing failed
 	// before an owner was known).
 	Subsystem string
 	// Service is the invoked service.
 	Service string
-	// Kind is the failure class: ErrLocked, ErrAborted, ErrTransient,
-	// ErrTimeout, ErrOrder or ErrDependencyAborted.
+	// Kind is the failure class: ErrLocked, ErrAborted, ErrTransient or
+	// ErrTimeout.
 	Kind error
 	// Detail is an optional human-readable qualifier (e.g. the lock
 	// holder, or "circuit open").
@@ -60,7 +60,7 @@ func (e *SubsystemError) Unwrap() error { return e.Kind }
 // FailureKind extracts the kind sentinel of a subsystem-boundary error
 // (nil when err carries none of the known sentinels).
 func FailureKind(err error) error {
-	for _, kind := range []error{ErrLocked, ErrAborted, ErrTransient, ErrTimeout, ErrOrder, ErrDependencyAborted} {
+	for _, kind := range []error{ErrLocked, ErrAborted, ErrTransient, ErrTimeout} {
 		if errors.Is(err, kind) {
 			return kind
 		}

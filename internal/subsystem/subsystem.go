@@ -71,9 +71,6 @@ type txn struct {
 	service  string
 	writes   []write // buffered deltas: its service's, shared, never written
 	prepared bool
-	// weakDeps holds commit-order dependencies of a weakly invoked
-	// transaction (Section 3.6); empty for strongly locked ones.
-	weakDeps []TxID
 }
 
 // lockState tracks item locks, keyed by owning process (activities of
@@ -117,10 +114,9 @@ type Subsystem struct {
 	locks    map[string]*lockState
 	inDoubt  map[TxID]*txn
 	// resolved records, for transactions that were once in doubt,
-	// whether they committed (true) or aborted (false); weak-order
-	// dependents consult it to learn their dependencies' outcomes, and
-	// crash recovery consults it (TxFate) to tolerate a crash between a
-	// resolution's subsystem-side apply and its log record.
+	// whether they committed (true) or aborted (false); crash recovery
+	// consults it (TxFate) to tolerate a crash between a resolution's
+	// subsystem-side apply and its log record.
 	resolved map[TxID]bool
 	// forced failure outcomes per service (deterministic injection).
 	forceFail map[string]int
@@ -557,15 +553,8 @@ func (s *Subsystem) CommitPrepared(id TxID) error {
 	if !ok {
 		return fmt.Errorf("subsystem %s: transaction %d is not in doubt", s.name, id)
 	}
-	if err := s.weakCommittableLocked(t); err != nil {
-		// Weak-order dependencies must have committed first (Section
-		// 3.6); strongly locked transactions have none and pass.
-		return err
-	}
 	s.applyLocked(t)
-	if len(t.weakDeps) == 0 {
-		s.unlock(t)
-	}
+	s.unlock(t)
 	s.resolved[id] = true
 	s.recordFateLocked(t, true)
 	delete(s.inDoubt, id)
@@ -583,9 +572,7 @@ func (s *Subsystem) AbortPrepared(id TxID) error {
 	}
 	s.aborts++
 	s.m.Inc(metrics.SubAborts)
-	if len(t.weakDeps) == 0 {
-		s.unlock(t)
-	}
+	s.unlock(t)
 	s.resolved[id] = false
 	s.recordFateLocked(t, false)
 	delete(s.inDoubt, id)

@@ -65,13 +65,8 @@ func TestArrivalSpacing(t *testing.T) {
 }
 
 func TestGeneratedWorkloadRunsUnderAllModes(t *testing.T) {
-	// "pred-cascade" is the id of a mode that was removed because it never
-	// cascaded; the id stays and runs PRED, as the mode did.
-	for name, mode := range map[string]scheduler.Mode{
-		"pred": scheduler.PRED, "pred-cascade": scheduler.PRED, "serial": scheduler.Serial,
-		"conservative": scheduler.Conservative, "cc-only": scheduler.CCOnly,
-	} {
-		t.Run(name, func(t *testing.T) {
+	for _, mode := range []scheduler.Mode{scheduler.PRED, scheduler.Serial, scheduler.Conservative, scheduler.CCOnly} {
+		t.Run(mode.String(), func(t *testing.T) {
 			p := DefaultProfile(7)
 			p.Processes = 8
 			w := MustGenerate(p)

@@ -2,11 +2,12 @@
 // identifier the documents quote in backticks must still occur, as a
 // word, in some .go file of the tree. Checked are Test*/Benchmark*/Fuzz*
 // names wherever a code span mentions one (a name followed by "/" or "*"
-// is a prefix: `TestLemma1/2/3`, `TestWeakOrder*`), and, in a span that
+// is a prefix: `TestLemma1/2/3`, `TestDifferential*`), and, in a span that
 // is nothing but an identifier or a selector chain, its camelCase parts
 // and the exported names it selects (`pkg.Name`, `Type.Method()`). Shell
 // lines, expressions, file names, metric names and flags pass unread.
-// Run from the repository root (make docs-check); exits 1 listing what
+// The walk skips this command's own directory, so the names its comments
+// quote vouch for nothing. Run from the repository root (make docs-check); exits 1 listing what
 // the documents still name and the code no longer has.
 package main
 
@@ -21,6 +22,7 @@ import (
 
 var (
 	docs = []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"}
+	self = filepath.Join("scripts", "docscheck")
 
 	word     = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*`)
 	codeSpan = regexp.MustCompile("`[^`\n]+`")
@@ -37,7 +39,7 @@ func main() {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+		if d.IsDir() && (path != "." && strings.HasPrefix(d.Name(), ".") || path == self) {
 			return filepath.SkipDir
 		}
 		if d.IsDir() || !strings.HasSuffix(path, ".go") {

@@ -19,8 +19,7 @@
 //     exploitation (Example 10), optional cascading aborts, write-ahead
 //     logging and crash recovery via the group abort (Definition 8);
 //   - baseline schedulers (serial, conservative locking, CC-only) and a
-//     workload generator for quantitative comparison;
-//   - the weak/strong order executor of Section 3.6 (composite systems).
+//     workload generator for quantitative comparison.
 //
 // # Quick start
 //
@@ -43,7 +42,6 @@ package transproc
 
 import (
 	"transproc/internal/activity"
-	"transproc/internal/composite"
 	"transproc/internal/conflict"
 	"transproc/internal/process"
 	"transproc/internal/schedule"
@@ -226,20 +224,3 @@ func EffectiveKind(p *Process) string { return process.EffectiveKind(p) }
 // processes (see package transproc/internal/spec for the format) and
 // materializes the federation and jobs.
 func LoadSpec(data []byte) (*Federation, []Job, error) { return spec.Load(data) }
-
-// Weak/strong order execution (Section 3.6).
-type (
-	// CompositeTxn is one local transaction for the weak/strong order
-	// executor.
-	CompositeTxn = composite.Txn
-	// CompositeOrder is a pairwise order constraint.
-	CompositeOrder = composite.Order
-	// CompositeStats reports one executor run.
-	CompositeStats = composite.Stats
-)
-
-// CompareOrders runs a batch under both the strong and the weak order
-// and returns (strong, weak) stats.
-func CompareOrders(txns []CompositeTxn, orders []CompositeOrder, parallelism int, seed int64) (*CompositeStats, *CompositeStats, error) {
-	return composite.Compare(txns, orders, parallelism, seed)
-}

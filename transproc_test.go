@@ -125,19 +125,6 @@ func TestFacadeWorkloadAndRecovery(t *testing.T) {
 	_ = report
 }
 
-// TestFacadeCompositeOrders exercises the Section-3.6 API.
-func TestFacadeCompositeOrders(t *testing.T) {
-	txns := []transproc.CompositeTxn{{ID: "a", Cost: 5}, {ID: "b", Cost: 5}}
-	orders := []transproc.CompositeOrder{{Before: "a", After: "b"}}
-	strong, weak, err := transproc.CompareOrders(txns, orders, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if weak.Makespan > strong.Makespan {
-		t.Fatalf("weak (%d) must not exceed strong (%d)", weak.Makespan, strong.Makespan)
-	}
-}
-
 // TestFacadeSpecAndCompose exercises the declarative definitions and
 // subprocess composition through the façade.
 func TestFacadeSpecAndCompose(t *testing.T) {
@@ -198,26 +185,5 @@ func TestFacadeSpecAndCompose(t *testing.T) {
 	}
 	if !res2.Outcomes["Pipeline"].Committed {
 		t.Fatal("pipeline must commit")
-	}
-}
-
-// TestFacadeWeakOrder runs a workload with the Section-3.6 weak order
-// enabled via the façade config.
-func TestFacadeWeakOrder(t *testing.T) {
-	w, err := transproc.GenerateWorkload(transproc.DefaultWorkloadProfile(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := transproc.NewEngine(w.Fed, transproc.Config{Mode: transproc.PRED, WeakOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := eng.RunJobs(w.Jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ok, _, _, err := res.Schedule.PRED()
-	if err != nil || !ok {
-		t.Fatalf("PRED = %v, %v", ok, err)
 	}
 }
