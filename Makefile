@@ -131,6 +131,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
 	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 30s ./internal/wal
 	$(GO) test -fuzz FuzzRecordDecode -fuzztime 30s -run '^$$' ./internal/wal
+	$(GO) test -fuzz FuzzReplayView -fuzztime 30s -run '^$$' ./internal/wal
 	$(GO) test -fuzz FuzzHeapPageDecode -fuzztime 30s -run '^$$' ./internal/store
 	$(GO) test -fuzz FuzzFreeSpaceMap -fuzztime 30s -run '^$$' ./internal/store
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s -run '^$$' ./internal/federation

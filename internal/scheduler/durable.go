@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"slices"
-	"strconv"
 
 	"transproc/internal/activity"
 	"transproc/internal/metrics"
@@ -60,15 +59,39 @@ func RecoverDurable(fed *subsystem.Federation, log wal.Log, defs []*process.Proc
 }
 
 // restorePages is the page-level phase (steps 1–3 above) over the
-// expansion and analysis recovery already holds.
-func restorePages(fed *subsystem.Federation, exp wal.Expansion, images map[string]*wal.ProcImage, rep *DurableReport) error {
-	// 1. Transaction-id floors.
+// replay view and images recovery already holds, with one more walk over
+// the view.
+func restorePages(fed *subsystem.Federation, rp *wal.Replay, rep *DurableReport) error {
+	images := rp.Images
+	// The walk: each subsystem's highest transaction id (step 1) and the
+	// log's committed work (step 3): one entry per committed (proc,
+	// local) — a redo-commit's RecResolved does not double a committed
+	// outcome already in the log — plus every compensation. The walk's
+	// strings share the log image and do not outlive this call.
+	type procLocal struct {
+		proc  string
+		local int
+	}
 	floors := make(map[string]int64)
-	for _, r := range exp.Records {
+	var work []logged
+	seen := make(map[procLocal]bool)
+	if err := rp.Each(func(r *wal.Record) {
 		if r.Subsystem != "" && r.Tx > floors[r.Subsystem] {
 			floors[r.Subsystem] = r.Tx
 		}
+		if r.Commits() {
+			if k := (procLocal{r.Proc, r.Local}); !seen[k] {
+				seen[k] = true
+				work = append(work, logged{r.Service, r.Tx})
+			}
+		} else if r.Type == wal.RecCompensate {
+			work = append(work, logged{r.Service, r.Tx})
+		}
+	}); err != nil {
+		return err
 	}
+
+	// 1. Transaction-id floors.
 	for name, tx := range floors {
 		if sub, ok := fed.Subsystem(name); ok {
 			sub.EnsureTxFloor(subsystem.TxID(tx))
@@ -112,7 +135,7 @@ func restorePages(fed *subsystem.Federation, exp wal.Expansion, images map[strin
 		if sub.DurableStore() == nil {
 			continue
 		}
-		expected, err := expectedDurableImage(fed, sub, exp, images)
+		expected, err := expectedDurableImage(fed, sub, rp.Checkpoint, work, images)
 		if err != nil {
 			return err
 		}
@@ -136,14 +159,23 @@ func inDoubtTx(sub *subsystem.Subsystem, tx subsystem.TxID) bool {
 	return false
 }
 
+// logged is one committed or compensating step of the log: its service
+// and its transaction.
+type logged struct {
+	service string
+	tx      int64
+}
+
 // expectedDurableImage computes, for one subsystem, the data-item image
 // its pages must show *before* the normal recovery runs: exactly the
-// committed work of the expanded log (mirroring the exactly-once
-// accounting of fault.CheckRecovered), minus the work recovery's 2PC
-// resolution will itself apply through in-doubt transactions, plus the
-// work whose durable fate survived the crash but whose log record did
-// not (phase 1 re-logs those from TxFate without re-applying).
-func expectedDurableImage(fed *subsystem.Federation, sub *subsystem.Subsystem, exp wal.Expansion, images map[string]*wal.ProcImage) (map[string]int64, error) {
+// committed work of the replay view (work: each one's service and
+// transaction, as restorePages collects them; mirroring the exactly-once
+// accounting of fault.CheckRecovered) and of the checkpoint it starts
+// from, minus the work recovery's 2PC resolution will itself apply
+// through in-doubt transactions, plus the work whose durable fate
+// survived the crash but whose log record did not (phase 1 re-logs those
+// from TxFate without re-applying).
+func expectedDurableImage(fed *subsystem.Federation, sub *subsystem.Subsystem, ckpt *wal.Checkpoint, work []logged, images map[string]*wal.ProcImage) (map[string]int64, error) {
 	expected := make(map[string]int64)
 	for item, v := range sub.Baselines() {
 		expected[item] = v
@@ -169,8 +201,8 @@ func expectedDurableImage(fed *subsystem.Federation, sub *subsystem.Subsystem, e
 		owner, ok := fed.Owner(service)
 		return ok && owner == sub
 	}
-	if exp.Checkpoint != nil {
-		for svc, n := range exp.Checkpoint.AppliedSvc {
+	if ckpt != nil {
+		for svc, n := range ckpt.AppliedSvc {
 			if !owns(svc) {
 				continue
 			}
@@ -179,31 +211,18 @@ func expectedDurableImage(fed *subsystem.Federation, sub *subsystem.Subsystem, e
 			}
 		}
 	}
-	seen := make(map[string]bool)        // "proc/local" commit dedup
 	contributing := make(map[int64]bool) // txs the log already accounts
-	for _, r := range exp.Records {
-		committed := (r.Type == wal.RecOutcome && r.Outcome == "committed") ||
-			(r.Type == wal.RecResolved && r.Commit)
-		if !committed && r.Type != wal.RecCompensate {
+	for _, r := range work {
+		if !owns(r.service) {
 			continue
 		}
-		if committed {
-			key := r.Proc + "/" + strconv.Itoa(r.Local)
-			if seen[key] {
-				continue
-			}
-			seen[key] = true
-		}
-		if !owns(r.Service) {
-			continue
-		}
-		if r.Tx != 0 {
-			contributing[r.Tx] = true
-			if doubt[r.Tx] {
+		if r.tx != 0 {
+			contributing[r.tx] = true
+			if doubt[r.tx] {
 				continue
 			}
 		}
-		if err := addSvc(r.Service, 1); err != nil {
+		if err := addSvc(r.service, 1); err != nil {
 			return nil, err
 		}
 	}

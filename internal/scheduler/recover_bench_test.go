@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"transproc/internal/fault"
@@ -18,8 +19,16 @@ import (
 // wal.OpenFile on a file log of 50,000 records of terminated history — a
 // clean 12-process generated run cloned under renamed process ids — with
 // the same workload crashed on top, then Recover. Every iteration
-// recovers a fresh copy; only the open and the recovery are timed.
+// recovers a fresh copy; only the open and the recovery are timed. In
+// first-record-live, an interrupted restart incarnation of one of the
+// workload's processes wrote the log's first record, so the records
+// recovery decodes in full span the whole log.
 func BenchmarkRecover(b *testing.B) {
+	b.Run("tail", func(b *testing.B) { benchmarkRecover(b, false) })
+	b.Run("first-record-live", func(b *testing.B) { benchmarkRecover(b, true) })
+}
+
+func benchmarkRecover(b *testing.B, firstLive bool) {
 	profile := workload.DefaultProfile(12)
 	profile.Processes, profile.ConflictProb = 12, 0.4
 	tmpl := wal.NewMemLog()
@@ -40,6 +49,11 @@ func BenchmarkRecover(b *testing.B) {
 	flog, err := wal.OpenFile(filepath.Join(dir, "history.log"), false)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if firstLive {
+		if _, err := flog.Append(wal.Record{Type: wal.RecStart, Proc: string(w.Jobs[0].Proc.ID.Restart(1))}); err != nil {
+			b.Fatal(err)
+		}
 	}
 	for n, k := 0, 0; n < 50_000; k++ {
 		for _, r := range recs {
@@ -104,6 +118,9 @@ func BenchmarkRecover(b *testing.B) {
 		b.StopTimer()
 		if len(rep.ForwardRecovered)+len(rep.BackwardRecovered) == 0 {
 			b.Fatal("the crash interrupted no process")
+		}
+		if first := w.Jobs[0].Proc.ID.Restart(1); firstLive && !slices.Contains(rep.BackwardRecovered, first) {
+			b.Fatalf("%s, live since the log's first record, was not recovered: %v", first, rep.BackwardRecovered)
 		}
 		if err := log.Close(); err != nil {
 			b.Fatal(err)

@@ -83,40 +83,44 @@ func recoverLog(fed *subsystem.Federation, log wal.Log, defs []*process.Process,
 // restarted is restart recovery one instant before the group abort: the
 // driver holds every interrupted process as the log rebuilds it.
 type restarted struct {
-	e     *Engine
-	m     *metrics.Registry
+	e  *Engine
+	m  *metrics.Registry
+	rp *wal.Replay // the log's replay view, folded
+	// recs are the records of the interrupted processes followed by
+	// phase 1's resolution records, pos their positions in the view.
+	recs  []wal.Record
+	pos   []int
 	rep   *DurableReport
-	ckpt  *wal.Checkpoint // the replay starts from it; nil for a full replay
-	recs  []wal.Record    // the replay view and phase 1's resolution records
 	pages bool
 }
 
-// restart reads and analyzes the log, runs the page-level phase when
-// pages asks for it, resolves in-doubt transactions (phases 1 and 1b)
-// and rebuilds the interrupted processes (phase 2).
+// restart reads and folds the log, runs the page-level phase when pages
+// asks for it, resolves in-doubt transactions (phases 1 and 1b) and
+// rebuilds the interrupted processes (phase 2).
 func restart(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m *metrics.Registry, pages bool) (*restarted, error) {
-	raw, err := log.Records()
+	// Phase 1b below looks up only the transactions still in doubt at the
+	// subsystems, a subset of those in doubt now: the fold keeps the
+	// redo-commit entries of these alone, not the whole history's.
+	doubt := doubtSet(fed.InDoubt())
+	// Bounded replay: the view starts from the latest valid checkpoint
+	// instead of LSN 1 — its live records plus the post-horizon tail, or
+	// every record when no (valid) checkpoint exists, including the
+	// corrupt-checkpoint fallback. Terminated history enters as images
+	// only; the interrupted processes' records are decoded in full.
+	rp, err := wal.ReadReplay(log, func(ptx wal.PreparedTx) bool { return doubt[txKey{ptx.Subsystem, ptx.Tx}] })
 	if err != nil {
 		return nil, err
 	}
-	// Bounded replay: start from the latest valid checkpoint instead of
-	// LSN 1. Expand yields the checkpoint's live records plus the
-	// post-horizon tail — or the full record list when no (valid)
-	// checkpoint exists, including the corrupt-checkpoint fallback.
-	exp := wal.Expand(raw)
-	m.Observe(metrics.HistReplayRecords, int64(len(exp.Records)))
-	m.Observe(metrics.HistReplaySkipped, int64(exp.Skipped))
-	if exp.Fallback {
+	m.Observe(metrics.HistReplayRecords, int64(rp.Len()))
+	m.Observe(metrics.HistReplaySkipped, int64(rp.Skipped))
+	if rp.Fallback {
 		m.Inc(metrics.CheckpointFallbacks)
 	}
-	images, err := wal.Analyze(exp.Records)
-	if err != nil && err != wal.ErrNoLog { // an empty log recovers to an empty report
-		return nil, err
-	}
+	images := rp.Images
 	rep := &DurableReport{RecoveryReport: &RecoveryReport{Fates: make(map[process.ID]bool, len(images))}}
 	report := rep.RecoveryReport
 	if pages = pages && fed.Durable(); pages {
-		if err := restorePages(fed, exp, images, rep); err != nil {
+		if err := restorePages(fed, rp, rep); err != nil {
 			return nil, err
 		}
 	}
@@ -142,9 +146,8 @@ func restart(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m 
 	// decision record exists, presumed abort otherwise). The instance
 	// rebuild must observe the resolution records this appends (a decided
 	// prepared transaction is now committed, an undecided one rolled
-	// back); recovery never checkpoints, so they extend the expansion's
-	// tail. The view may share raw's array, which nothing else holds.
-	recs := exp.Records
+	// back); recovery never checkpoints, so they extend the view.
+	recs, pos, next := rp.Live, rp.Pos, rp.Len()
 	for _, id := range ids {
 		resolved, err := d.Coord.Resolve(fed, images[id])
 		if err != nil {
@@ -156,8 +159,9 @@ func restart(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m 
 			} else {
 				report.Resolved2PCAborted++
 			}
+			recs, pos = append(recs, r), append(pos, next)
+			next++
 		}
-		recs = append(recs, resolved...)
 	}
 
 	// Phase 1b: orphaned in-doubt transactions. An invocation may have
@@ -172,19 +176,9 @@ func restart(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m 
 	// before the subsystem commit was applied. Such transactions are
 	// in doubt at the subsystem with no prepared record, but they must
 	// be committed, not presumed aborted — the log is the authority.
-	type txKey struct {
-		sub string
-		tx  int64
-	}
-	// Only the transactions still in doubt are looked up in the images;
-	// the history's committed ones are not indexed.
 	inDoubt := fed.InDoubt()
-	doubt, known, redo := make(map[txKey]bool), make(map[txKey]bool), make(map[txKey]bool)
-	for subName, recsInDoubt := range inDoubt {
-		for _, r := range recsInDoubt {
-			doubt[txKey{subName, int64(r.Tx)}] = true
-		}
-	}
+	doubt = doubtSet(inDoubt)
+	known, redo := make(map[txKey]bool), make(map[txKey]bool)
 	for _, img := range images {
 		for _, ptx := range img.Prepared {
 			if k := (txKey{ptx.Subsystem, ptx.Tx}); doubt[k] {
@@ -224,15 +218,11 @@ func restart(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m 
 	// Phase 2, analysis: the driver's state one instant before the crash.
 	// Event sequence numbers are log positions, so what the driver appends
 	// from here on sorts after everything the log already holds.
-	e.seq = int64(len(recs))
+	e.seq = int64(next)
 	for _, id := range ids {
 		if img := images[id]; img.Terminated {
 			report.AlreadyTerminated = append(report.AlreadyTerminated, process.ID(id))
-			// An abort that completed forward, before the crash or in an
-			// earlier recovery, left a terminate record that reads like a
-			// backward one's: a commit no compensation undid tells them apart.
-			report.Fates[process.ID(id)] = img.TerminatedCommitted || slices.ContainsFunc(img.Committed,
-				func(local int) bool { return !slices.Contains(img.Compensated, local) })
+			report.Fates[process.ID(id)] = img.Stands
 			continue
 		}
 		def := byID[process.ID(id).Origin()]
@@ -242,7 +232,7 @@ func restart(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m 
 		def = def.WithID(process.ID(id)) // a restart incarnation runs under a derived id
 		d.Add(NewProc(def, -1, def.ID.Origin(), def.ID, 0))
 	}
-	if err := rebuild(d, recs); err != nil {
+	if err := rebuild(d, recs, pos); err != nil {
 		return nil, err
 	}
 	for _, p := range d.All() {
@@ -255,13 +245,30 @@ func restart(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m 
 			report.BackwardRecovered = append(report.BackwardRecovered, p.ID)
 		}
 	}
-	return &restarted{e: e, m: m, rep: rep, ckpt: exp.Checkpoint, recs: recs, pages: pages}, nil
+	return &restarted{e: e, m: m, rp: rp, recs: recs, pos: pos, rep: rep, pages: pages}, nil
+}
+
+// txKey names a transaction at a subsystem.
+type txKey struct {
+	sub string
+	tx  int64
+}
+
+// doubtSet indexes the transactions a federation holds in doubt.
+func doubtSet(inDoubt map[string][]subsystem.InDoubtRecord) map[txKey]bool {
+	set := make(map[txKey]bool)
+	for sub, recs := range inDoubt {
+		for _, r := range recs {
+			set[txKey{sub, int64(r.Tx)}] = true
+		}
+	}
+	return set
 }
 
 // groupAbort is phase 3: the group abort of every rebuilt process, run by
 // the driver to quiescence, and the recovered image made durable.
 func (r *restarted) groupAbort() (*DurableReport, error) {
-	e, m, recs, rep := r.e, r.m, r.recs, r.rep
+	e, m, rep := r.e, r.m, r.rep
 	d, fed, report := e.drv, e.fed, rep.RecoveryReport
 	if len(d.All()) > 0 {
 		// One group abort covers all interrupted processes
@@ -292,20 +299,32 @@ func (r *restarted) groupAbort() (*DurableReport, error) {
 	// its closure edges and, at the horizon, its shadow services
 	// (policy.State.SeedSummary).
 	keep := func(proc string) bool { return d.Get(process.ID(proc)) != nil }
+	recs, pos := r.recs, r.pos
 	if forward {
-		keep = nil
+		// Every record of the view, then phase 1's: the history's commits
+		// too, which only the fold's images summarized.
+		view, err := r.rp.Records()
+		if err != nil {
+			return nil, err
+		}
+		recs = append(slices.Clip(view), recs[len(r.rp.Live):]...)
+		pos, keep = nil, nil
 	}
 	seed := func(evs []int) {
 		for _, i := range evs {
+			seq := i + 1 // with forward, recs is the whole view
+			if pos != nil {
+				seq = pos[i] + 1
+			}
 			// Kind only feeds BuildSchedule, which recovery never calls.
 			d.Pol.AppendEvent(&policy.Event{
-				Seq: int64(i + 1), Proc: process.ID(recs[i].Proc), Local: recs[i].Local,
+				Seq: int64(seq), Proc: process.ID(recs[i].Proc), Local: recs[i].Local,
 				Service: recs[i].Service, Typ: schedule.Invoke,
 			})
 		}
 	}
 	evs := wal.EffectiveCommits(recs, keep)
-	if ckpt := r.ckpt; forward && ckpt != nil {
+	if ckpt := r.rp.Checkpoint; forward && ckpt != nil {
 		horizon := sort.SearchInts(evs, len(ckpt.Live))
 		seed(evs[:horizon])
 		d.Pol.SeedSummary(ckpt.Edges, ckpt.Shadow, int64(len(ckpt.Live)))
@@ -401,10 +420,10 @@ func (r *restarted) groupAbort() (*DurableReport, error) {
 	return rep, nil
 }
 
-// rebuild replays the log into the fresh instances of the driver's
-// processes, all in one pass, and sets each one's arrival to the position
-// of its first record (its age).
-func rebuild(d *Driver, recs []wal.Record) error {
+// rebuild replays the records of the driver's processes into their fresh
+// instances, all in one pass, and sets each one's arrival to the view
+// position (pos) of its first record (its age).
+func rebuild(d *Driver, recs []wal.Record, pos []int) error {
 	if len(d.All()) == 0 {
 		return nil
 	}
@@ -414,7 +433,7 @@ func rebuild(d *Driver, recs []wal.Record) error {
 			continue
 		}
 		if p.Arrival < 0 {
-			p.Arrival = i
+			p.Arrival = pos[i]
 		}
 		// (record, status) -> transition; anything else leaves the instance
 		// as it is (a redo-commit's second resolution, an outcome of an

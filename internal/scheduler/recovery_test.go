@@ -3,6 +3,7 @@ package scheduler
 import (
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -58,19 +59,7 @@ func historyRecords(t testing.TB, procs int) []wal.Record {
 func crashedTail(t testing.TB, fed *subsystem.Federation, log wal.Log) {
 	t.Helper()
 	invoke := func(proc string, local int, service string, mode subsystem.Mode, outcome string) {
-		sub, ok := fed.Owner(service)
-		if !ok {
-			t.Fatalf("no subsystem offers %s", service)
-		}
-		res, err := sub.Invoke(proc, service, mode)
-		if err != nil {
-			t.Fatalf("%s %s: %v", proc, service, err)
-		}
-		appendAll(t, log, wal.Record{Type: wal.RecDispatch, Proc: proc, Local: local, Service: service, Subsystem: sub.Name()})
-		if outcome != "" {
-			appendAll(t, log, wal.Record{Type: wal.RecOutcome, Proc: proc, Local: local, Service: service,
-				Subsystem: sub.Name(), Tx: int64(res.Tx), Outcome: outcome})
-		}
+		invokeLogged(t, fed, log, proc, local, service, mode, outcome)
 	}
 	appendAll(t, log, wal.Record{Type: wal.RecStart, Proc: "P1"}, wal.Record{Type: wal.RecStart, Proc: "P3"})
 	invoke("P1", 1, paper.SvcA11, subsystem.AutoCommit, "committed")
@@ -83,6 +72,25 @@ func crashedTail(t testing.TB, fed *subsystem.Federation, log wal.Log) {
 	appendAll(t, log, wal.Record{Type: wal.RecDecision, Proc: "P1"})
 	invoke("P3", 3, paper.SvcA33, subsystem.Prepare, "")
 	invoke("P2", 3, paper.SvcA23, subsystem.Prepare, "prepared")
+}
+
+// invokeLogged invokes service for proc at its subsystem and logs the
+// dispatch and, unless outcome is empty, the outcome.
+func invokeLogged(t testing.TB, fed *subsystem.Federation, log wal.Log, proc string, local int, service string, mode subsystem.Mode, outcome string) {
+	t.Helper()
+	sub, ok := fed.Owner(service)
+	if !ok {
+		t.Fatalf("no subsystem offers %s", service)
+	}
+	res, err := sub.Invoke(proc, service, mode)
+	if err != nil {
+		t.Fatalf("%s %s: %v", proc, service, err)
+	}
+	appendAll(t, log, wal.Record{Type: wal.RecDispatch, Proc: proc, Local: local, Service: service, Subsystem: sub.Name()})
+	if outcome != "" {
+		appendAll(t, log, wal.Record{Type: wal.RecOutcome, Proc: proc, Local: local, Service: service,
+			Subsystem: sub.Name(), Tx: int64(res.Tx), Outcome: outcome})
+	}
 }
 
 func appendAll(t testing.TB, log wal.Log, recs ...wal.Record) {
@@ -162,5 +170,55 @@ func TestRecoveryRebuildPinned(t *testing.T) {
 	}
 	if doubt := fed.InDoubt(); len(doubt) != 0 {
 		t.Errorf("in doubt after recovery: %v", doubt)
+	}
+}
+
+// TestRecoveryAllocatesPerProcess pins what restart recovery allocates
+// for the history behind a crash: a constant per process of terminated
+// history, not a constant per record. Each size recovers cloned P1/P2/P3
+// history (14 records a process) and one interrupted P2 that prepared
+// a23 without a decision, so that recovery runs backward only (forward
+// recovery seeds the whole history into the policy state, ROADMAP item
+// 21). Measured: about 1 allocation a process plus 550; a full decode of
+// the log costs about 3.5 a record, 50 a process.
+func TestRecoveryAllocatesPerProcess(t *testing.T) {
+	const perProc, fixed = 1.5, 1000
+	for _, procs := range []int{300, 1200} {
+		path := filepath.Join(t.TempDir(), "wal.log")
+		flog, err := wal.OpenFile(path, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendAll(t, flog, historyRecords(t, procs)...)
+		fed := paper.Federation(7)
+		appendAll(t, flog, wal.Record{Type: wal.RecStart, Proc: "P2"})
+		invokeLogged(t, fed, flog, "P2", 1, paper.SvcA21, subsystem.AutoCommit, "committed")
+		invokeLogged(t, fed, flog, "P2", 2, paper.SvcA22, subsystem.AutoCommit, "committed")
+		invokeLogged(t, fed, flog, "P2", 3, paper.SvcA23, subsystem.Prepare, "prepared")
+		if err := flog.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		log, err := wal.OpenFile(path, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		rep, err := Recover(fed, log, []*process.Process{paper.P1(), paper.P2(), paper.P3()})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(rep.BackwardRecovered, []process.ID{"P2"}) || len(rep.ForwardRecovered) != 0 {
+			t.Fatalf("recovered backward %v, forward %v; want P2 backward only", rep.BackwardRecovered, rep.ForwardRecovered)
+		}
+		if allocs, bound := after.Mallocs-before.Mallocs, uint64(perProc*float64(procs)+fixed); allocs > bound {
+			t.Errorf("%d processes of history: recovery allocated %d times, over %d (%.1f a process + %d)",
+				procs, allocs, bound, perProc, fixed)
+		}
 	}
 }

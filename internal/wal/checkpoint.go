@@ -100,7 +100,7 @@ func (c *Checkpoint) valid() bool {
 	return true
 }
 
-// Expansion is the replay view Expand derives from a raw record list.
+// Expansion is the replay view of a raw record list (replay.go).
 type Expansion struct {
 	// Records is what recovery replays: the latest valid checkpoint's
 	// live records followed by every non-checkpoint record past the
@@ -122,43 +122,12 @@ type Expansion struct {
 }
 
 // Expand turns a raw record list (as returned by Log.Records, from a
-// compacted or uncompacted log) into the bounded replay view. It never
-// fails: a corrupt checkpoint only widens the replay window.
+// compacted or uncompacted log) into the bounded replay view: the view's
+// slice source. It never fails: a corrupt checkpoint only widens the
+// replay window.
 func Expand(recs []Record) Expansion {
-	var exp Expansion
-	var cp *Checkpoint
-	for i := len(recs) - 1; i >= 0; i-- {
-		if recs[i].Type != RecCheckpoint {
-			continue
-		}
-		if recs[i].Checkpoint.valid() {
-			cp = recs[i].Checkpoint
-			break
-		}
-		exp.Fallback = true
-	}
-	if cp == nil {
-		if !exp.Fallback {
-			exp.Records = recs // no checkpoint record to drop
-			return exp
-		}
-		exp.Records = make([]Record, 0, len(recs))
-		for _, r := range recs {
-			if r.Type != RecCheckpoint {
-				exp.Records = append(exp.Records, r)
-			}
-		}
-		return exp
-	}
-	exp.Checkpoint = cp
-	exp.Skipped = cp.Dropped
-	exp.Records = append(make([]Record, 0, len(cp.Live)+len(recs)), cp.Live...)
-	for _, r := range recs {
-		if r.Type != RecCheckpoint && r.LSN > cp.Horizon {
-			exp.Records = append(exp.Records, r)
-		}
-	}
-	return exp
+	v := viewOf(recs)
+	return Expansion{Records: v.head, Checkpoint: v.Checkpoint, Skipped: v.Skipped, Fallback: v.Fallback}
 }
 
 // BuildCheckpoint computes a fuzzy checkpoint over a log snapshot,
@@ -206,8 +175,7 @@ func BuildCheckpoint(recs []Record, conflicts func(a, b string) bool) *Checkpoin
 		switch {
 		case r.Type == RecCompensate:
 			cp.AppliedSvc[r.Service]++
-		case (r.Type == RecOutcome && r.Outcome == "committed") ||
-			(r.Type == RecResolved && r.Commit):
+		case r.Commits():
 			key := fmt.Sprintf("%s/%d", r.Proc, r.Local)
 			if !counted[key] {
 				counted[key] = true
@@ -256,9 +224,7 @@ func EffectiveCommits(recs []Record, keep func(proc string) bool) []int {
 	var out []int
 	emitted := make(map[key]bool)
 	for i, r := range recs {
-		committed := (r.Type == RecOutcome && r.Outcome == "committed") ||
-			(r.Type == RecResolved && r.Commit)
-		if !committed || (keep != nil && !keep(r.Proc)) {
+		if !r.Commits() || (keep != nil && !keep(r.Proc)) {
 			continue
 		}
 		k := key{r.Proc, r.Local}
@@ -500,7 +466,7 @@ func (l *FileLog) Compact(inject func(string)) error {
 	if err := l.ff.Rewrite(payloads, inject); err != nil {
 		return err
 	}
-	l.frames = len(kept)
+	l.frames, l.ckpts = len(kept), []int{0}
 	l.m.Inc(metrics.Compactions)
 	return nil
 }
@@ -508,27 +474,15 @@ func (l *FileLog) Compact(inject func(string)) error {
 // compacted returns [latest valid checkpoint record, post-horizon
 // tail] of recs, or nil without a usable checkpoint.
 func compacted(recs []Record) []Record {
-	idx := latestCheckpoint(recs)
+	v, idx, _ := startOf(recs)
 	if idx < 0 {
 		return nil
 	}
-	cp := recs[idx].Checkpoint
 	kept := []Record{recs[idx]}
-	for _, r := range recs {
-		if r.Type != RecCheckpoint && r.LSN > cp.Horizon {
-			kept = append(kept, r)
+	for i := range recs {
+		if v.holds(&recs[i]) {
+			kept = append(kept, recs[i])
 		}
 	}
 	return kept
-}
-
-// latestCheckpoint returns the index of the last structurally valid
-// checkpoint record, or -1.
-func latestCheckpoint(recs []Record) int {
-	for i := len(recs) - 1; i >= 0; i-- {
-		if recs[i].Type == RecCheckpoint && recs[i].Checkpoint.valid() {
-			return i
-		}
-	}
-	return -1
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"maps"
 	"slices"
+	"unsafe"
 )
 
 // The record codec: the payload of every FileLog frame, laid out in
@@ -119,7 +120,7 @@ func DecodeRecords(b []byte, maxRecords, maxString int) ([]Record, []byte, error
 		return nil, b[1:], nil // an empty list, what most frames carry
 	}
 	d := decoder{b: b, maxString: maxString}
-	recs := list(&d, d.count(minRecordBody, maxRecords, ErrBadRecord), func() Record { return d.record(false) })
+	recs := list(&d, d.count(minRecordBody, maxRecords, ErrBadRecord), d.liveRecord)
 	if d.err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", d.class, d.err)
 	}
@@ -127,32 +128,37 @@ func DecodeRecords(b []byte, maxRecords, maxString int) ([]Record, []byte, error
 }
 
 // decodeRecord parses one payload; DESIGN.md §6k lists what it refuses.
-func decodeRecord(p []byte) (Record, error) { return parseRecord(p, false) }
-
-// scanRecord validates one payload under exactly decodeRecord's rules and
-// returns its LSN, materialising no string, list or map.
-func scanRecord(p []byte) (int64, error) {
-	r, err := parseRecord(p, true)
-	return r.LSN, err
+func decodeRecord(p []byte) (r Record, err error) {
+	err = parseRecord(p, false, &r)
+	return r, err
 }
 
-func parseRecord(p []byte, skip bool) (Record, error) {
+// scanRecord validates one payload under exactly decodeRecord's rules and
+// reads its record into r without materialising anything: no checkpoint
+// payload, and strings that share p's bytes, so a caller clones the ones
+// it keeps.
+func scanRecord(p []byte, r *Record) error { return parseRecord(p, true, r) }
+
+func parseRecord(p []byte, skip bool, r *Record) error {
 	d := decoder{b: p, skip: skip}
 	if f := d.u8(); f == '{' {
-		return Record{}, errors.New("payload in the retired JSON record format (such logs are refused, not migrated)")
+		*r = Record{}
+		return errors.New("payload in the retired JSON record format (such logs are refused, not migrated)")
 	} else if d.err == nil && f != recordFormat {
-		return Record{}, fmt.Errorf("unknown record format %#x", f)
+		*r = Record{}
+		return fmt.Errorf("unknown record format %#x", f)
 	}
-	r := d.record(true)
+	d.record(r, true)
 	if len(d.b) > 0 {
 		d.fail(ErrBadRecord, "%d trailing bytes", len(d.b))
 	}
-	return r, d.err
+	return d.err
 }
 
 // decoder reads a payload front to back; after its first failure it reads
-// zeros. A skipping decoder checks everything and keeps no string, list
-// entry or map entry. maxString, when positive, caps every string.
+// zeros. A skipping decoder checks everything and keeps no list entry, map
+// entry or checkpoint; its strings share the payload's bytes instead of
+// copying them. maxString, when positive, caps every string.
 type decoder struct {
 	b         []byte
 	err       error
@@ -226,7 +232,11 @@ func (d *decoder) count(size, limit int, over error) int {
 
 func (d *decoder) str() (s string) {
 	n := d.count(1, d.maxString, ErrLongString)
-	if !d.skip {
+	switch {
+	case n == 0:
+	case d.skip:
+		s = unsafe.String(&d.b[0], n)
+	default:
 		s = string(d.b[:n])
 	}
 	d.b = d.b[n:]
@@ -259,7 +269,13 @@ func dict[V any](d *decoder, value func() V) map[string]V {
 	return m
 }
 
-func (d *decoder) record(top bool) (r Record) {
+// liveRecord reads a live record: a checkpoint's, or one of a list.
+func (d *decoder) liveRecord() (r Record) {
+	d.record(&r, false)
+	return r
+}
+
+func (d *decoder) record(r *Record, top bool) {
 	r.LSN, r.Local, r.Tx, r.Stamp = d.varint(), int(d.varint()), d.varint(), d.varint()
 	r.Type = RecType(d.u8())
 	flags := d.u8()
@@ -275,15 +291,17 @@ func (d *decoder) record(top bool) (r Record) {
 	}
 	r.Committed, r.Commit = flags&flagCommitted != 0, flags&flagCommit != 0
 	r.Proc, r.Service, r.Subsystem, r.Outcome = d.str(), d.str(), d.str(), d.str()
+	r.Checkpoint = nil
 	if flags&flagCheckpoint != 0 && d.err == nil {
-		r.Checkpoint = d.checkpoint()
+		if c := d.checkpoint(); !d.skip {
+			r.Checkpoint = c
+		}
 	}
-	return r
 }
 
 func (d *decoder) checkpoint() *Checkpoint {
 	c := &Checkpoint{Horizon: d.varint()}
-	c.Live = list(d, d.count(minRecordBody, 0, nil), func() Record { return d.record(false) })
+	c.Live = list(d, d.count(minRecordBody, 0, nil), d.liveRecord)
 	c.AppliedSvc = dict(d, d.varint)
 	c.Edges = list(d, d.count(2, 0, nil), func() [2]string { return [2]string{d.str(), d.str()} })
 	c.Shadow = dict(d, func() []string { return list(d, d.count(1, 0, nil), d.str) })

@@ -210,21 +210,23 @@ func TestRecordCodecCountAllocatesByParsed(t *testing.T) {
 	}
 }
 
-// TestScanRecordAllocatesNothing pins what OpenFile pays per frame: the
-// validating scan reads the LSN of a record with four strings without
-// allocating.
+// TestScanRecordAllocatesNothing pins what OpenFile and the replay fold
+// pay per frame: the validating scan reads a record with four strings
+// without allocating.
 func TestScanRecordAllocatesNothing(t *testing.T) {
-	p := enc(Record{LSN: 9, Type: RecOutcome, Proc: "W1", Local: 1, Service: "s", Subsystem: "rm0", Tx: 7, Outcome: "committed"})
-	var lsn int64
+	want := Record{LSN: 9, Type: RecOutcome, Proc: "W1", Local: 1, Service: "s", Subsystem: "rm0", Tx: 7, Outcome: "committed"}
+	p := enc(want)
+	var r Record
 	var err error
-	if allocs := testing.AllocsPerRun(100, func() { lsn, err = scanRecord(p) }); allocs != 0 || err != nil || lsn != 9 {
-		t.Fatalf("scanRecord = %d, %v with %.0f allocations; want 9, nil with none", lsn, err, allocs)
+	if allocs := testing.AllocsPerRun(100, func() { err = scanRecord(p, &r) }); allocs != 0 || err != nil || r != want {
+		t.Fatalf("scanRecord = %+v, %v with %.0f allocations; want %+v, nil with none", r, err, allocs, want)
 	}
 }
 
 // FuzzRecordDecode feeds arbitrary payloads to the record decoder: it
-// never panics, the validating scan OpenFile runs accepts exactly what it
-// accepts (same LSN, same error), and a payload it accepts re-encodes to
+// never panics, the validating scan OpenFile and the replay fold run
+// accepts exactly what it accepts (same error) and reads the same record
+// but for the checkpoint payload, and a payload it accepts re-encodes to
 // one that decodes to an equal record.
 func FuzzRecordDecode(f *testing.F) {
 	f.Add([]byte{})
@@ -240,9 +242,12 @@ func FuzzRecordDecode(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, p []byte) {
 		r, err := decodeRecord(p)
-		lsn, serr := scanRecord(p)
-		if fmt.Sprint(serr) != fmt.Sprint(err) || err == nil && lsn != r.LSN {
-			t.Fatalf("scan and decode disagree: scan %d, %v; decode %d, %v", lsn, serr, r.LSN, err)
+		var s Record
+		serr := scanRecord(p, &s)
+		bare := r
+		bare.Checkpoint = nil
+		if fmt.Sprint(serr) != fmt.Sprint(err) || err == nil && s != bare {
+			t.Fatalf("scan and decode disagree: scan %+v, %v; decode %+v, %v", s, serr, r, err)
 		}
 		if err != nil {
 			return

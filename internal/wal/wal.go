@@ -116,6 +116,12 @@ func (r Record) WriteAhead() bool {
 		r.Type == RecOutcome && r.Outcome != "aborted"
 }
 
+// Commits reports a record that commits an activity: a committed
+// outcome, or a committing resolution of a prepared one.
+func (r *Record) Commits() bool {
+	return r.Type == RecOutcome && r.Outcome == "committed" || r.Type == RecResolved && r.Commit
+}
+
 // Log is an append-only record log. MemLog and FileLog are the default
 // implementations; the interface is also the seam for fault injection —
 // a wrapper (internal/fault) can interpose on Append to simulate crashes
@@ -188,8 +194,11 @@ type FileLog struct {
 	ff     *FrameFile
 	next   int64
 	frames int // records in the file: a read allocates its slice once
-	sync   bool
-	m      *metrics.Registry
+	// ckpts holds the frame index of every checkpoint record in the file,
+	// in order, so a replay knows its checkpoint before it reads a record.
+	ckpts []int
+	sync  bool
+	m     *metrics.Registry
 }
 
 // SetMetrics attaches a registry; appends, written bytes and fsyncs are
@@ -208,12 +217,13 @@ func (l *FileLog) SetMetrics(m *metrics.Registry) {
 // ErrCorrupt and the file is left untouched (see OpenFrameFile).
 func OpenFile(path string, syncEvery bool) (*FileLog, error) {
 	l := &FileLog{sync: syncEvery}
+	var r Record
 	ff, err := OpenFrameFile(path, syncEvery, func(p []byte) error {
-		lsn, err := scanRecord(p)
+		err := scanRecord(p, &r)
 		// max, not last: compaction puts the checkpoint record ahead
 		// of fuzzy-window records with smaller LSNs.
-		l.next = max(l.next, lsn)
-		l.frames++
+		l.next = max(l.next, r.LSN)
+		l.note(r.Type)
 		return err
 	})
 	if err != nil {
@@ -253,10 +263,18 @@ func (l *FileLog) appendLocked(r Record) (int64, error) {
 		return 0, err
 	}
 	l.next = r.LSN
-	l.frames++
+	l.note(r.Type)
 	l.m.Inc(metrics.WALAppends)
 	l.m.Add(metrics.WALBytes, int64(frameHeader+len(b)))
 	return r.LSN, nil
+}
+
+// note counts a frame of type t appended to the file.
+func (l *FileLog) note(t RecType) {
+	if t == RecCheckpoint {
+		l.ckpts = append(l.ckpts, l.frames)
+	}
+	l.frames++
 }
 
 // Sync implements BatchBackend: flush the buffered tail to the OS and,
@@ -348,6 +366,12 @@ type ProcImage struct {
 	// Terminated and TerminatedCommitted mirror RecTerminate.
 	Terminated          bool
 	TerminatedCommitted bool
+	// Stands is set when the process terminated committed, or when an
+	// activity it committed was never compensated. For a terminated
+	// incarnation it is the verdict on its forward work: an abort past
+	// the pivot completed forward leaves a terminate record that reads
+	// like a backward one's, and only Stands tells them apart.
+	Stands bool
 }
 
 // PreparedTx identifies an in-doubt transaction at a subsystem.
@@ -357,72 +381,17 @@ type PreparedTx struct {
 	Service   string
 }
 
-// Analyze scans the log and reconstructs per-process images. Processes
-// that already terminated are included with Terminated set; the caller
-// selects the active ones for the group abort.
+// Analyze folds a record list into per-process images (the fold of
+// replay.go, the one image transition). Processes that already
+// terminated are included with Terminated set; the caller selects the
+// active ones for the group abort.
 func Analyze(recs []Record) (map[string]*ProcImage, error) {
 	if len(recs) == 0 {
 		return nil, ErrNoLog
 	}
-	images := make(map[string]*ProcImage)
-	img := func(proc string) *ProcImage {
-		im := images[proc]
-		if im == nil {
-			im = &ProcImage{Proc: proc}
-			images[proc] = im
-		}
-		return im
+	f := newFold(true)
+	for i := range recs {
+		f.add(&recs[i])
 	}
-	for _, r := range recs {
-		switch r.Type {
-		case RecStart:
-			img(r.Proc)
-		case RecOutcome:
-			im := img(r.Proc)
-			switch r.Outcome {
-			case "committed":
-				im.Committed = append(im.Committed, r.Local)
-				delete(im.Prepared, r.Local)
-				if r.Tx != 0 && r.Subsystem != "" {
-					im.RedoCommit = append(im.RedoCommit, PreparedTx{Subsystem: r.Subsystem, Tx: r.Tx, Service: r.Service})
-				}
-			case "prepared":
-				if im.Prepared == nil {
-					im.Prepared = make(map[int]PreparedTx)
-				}
-				im.Prepared[r.Local] = PreparedTx{Subsystem: r.Subsystem, Tx: r.Tx, Service: r.Service}
-			}
-		case RecCompensate:
-			im := img(r.Proc)
-			im.Compensated = append(im.Compensated, r.Local)
-			if r.Tx != 0 && r.Subsystem != "" {
-				im.RedoCommit = append(im.RedoCommit, PreparedTx{Subsystem: r.Subsystem, Tx: r.Tx, Service: r.Service})
-			}
-		case RecFailed:
-			im := img(r.Proc)
-			im.Failed = append(im.Failed, r.Local)
-		case RecAbortBegin:
-			img(r.Proc).Aborting = true
-		case RecDecision:
-			img(r.Proc).Decided = true
-		case RecResolved:
-			im := img(r.Proc)
-			if im.Resolved == nil {
-				im.Resolved = make(map[int]bool)
-			}
-			im.Resolved[r.Local] = true
-			if r.Commit {
-				im.Committed = append(im.Committed, r.Local)
-				if r.Tx != 0 && r.Subsystem != "" {
-					im.RedoCommit = append(im.RedoCommit, PreparedTx{Subsystem: r.Subsystem, Tx: r.Tx, Service: r.Service})
-				}
-			}
-			delete(im.Prepared, r.Local)
-		case RecTerminate:
-			im := img(r.Proc)
-			im.Terminated = true
-			im.TerminatedCommitted = r.Committed
-		}
-	}
-	return images, nil
+	return f.images(), nil
 }
