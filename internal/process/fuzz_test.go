@@ -1,19 +1,39 @@
 package process_test
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"transproc/internal/activity"
 	"transproc/internal/process"
 )
 
-// decodeProcess builds a process from fuzz bytes: a byte-driven mix of
+// fuzzDef is a process definition decoded from fuzz bytes, kept as
+// declared so a test can work out on its own what Build must make of it.
+// Activity i+1 has kinds[i] and services[i].
+type fuzzDef struct {
+	kinds    []activity.Kind
+	services []string
+	chains   []fuzzChain // in declaration order
+}
+
+// fuzzChain is one declared chain: alts leave h, in preference order.
+type fuzzChain struct {
+	h    int
+	alts []int
+}
+
+// decodeDef decodes fuzz bytes into a definition: a byte-driven mix of
 // activity kinds, sequential (AND) edges and alternative (preference)
-// chains over a small service pool. Returns nil when the bytes do not
-// encode a buildable process (cycles, duplicate edges, bad alternative
-// structure — the builder rejects those).
-func decodeProcess(data []byte) *process.Process {
+// chains over a small service pool, shaped as a tree in which activity i
+// hangs below an earlier one. With extra, it then declares up to three
+// further Seq edges between any two distinct activities, never twice the
+// same: joins, and back edges that may close a cycle. It returns nil for
+// fewer than three bytes.
+func decodeDef(data []byte, extra bool) *fuzzDef {
 	if len(data) < 3 {
 		return nil
 	}
@@ -28,33 +48,232 @@ func decodeProcess(data []byte) *process.Process {
 		return v
 	}
 	kinds := []activity.Kind{activity.Compensatable, activity.Pivot, activity.Retriable}
-	b := process.NewBuilder("F")
+	d := &fuzzDef{}
 	for i := 1; i <= n; i++ {
-		b.Add(i, fmt.Sprintf("s%d", int(next())%6), kinds[int(next())%3])
+		d.services = append(d.services, fmt.Sprintf("s%d", int(next())%6))
+		d.kinds = append(d.kinds, kinds[int(next())%3])
 	}
 	for i := 2; i <= n; {
 		v := next()
 		h := int(v)%(i-1) + 1
 		if v%5 == 0 && i < n {
-			b.Chain(h, i, i+1) // alternative branch in preference order
+			d.chains = append(d.chains, fuzzChain{h, []int{i, i + 1}}) // alternative branch in preference order
 			i += 2
 		} else {
-			b.Seq(h, i)
+			d.chains = append(d.chains, fuzzChain{h, []int{i}})
 			i++
 		}
 	}
-	p, err := b.Build()
+	if extra {
+		for e := int(next()) % 4; e > 0; e-- {
+			h, t := int(next())%n+1, int(next())%n+1
+			if h != t && !slices.Contains(d.succs(h), t) {
+				d.chains = append(d.chains, fuzzChain{h, []int{t}})
+			}
+		}
+	}
+	return d
+}
+
+// build declares the definition on a builder and builds it.
+func (d *fuzzDef) build() (*process.Process, error) {
+	b := process.NewBuilder("F")
+	for i, k := range d.kinds {
+		b.Add(i+1, d.services[i], k)
+	}
+	for _, c := range d.chains {
+		b.Chain(c.h, c.alts...)
+	}
+	return b.Build()
+}
+
+// succs returns the declared direct successors of activity a, ascending
+// and without repeats.
+func (d *fuzzDef) succs(a int) []int {
+	var out []int
+	for _, c := range d.chains {
+		if c.h == a {
+			out = append(out, c.alts...)
+		}
+	}
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
+// preds returns the declared direct predecessors of activity a, ascending.
+func (d *fuzzDef) preds(a int) []int {
+	var out []int
+	for h := 1; h <= len(d.kinds); h++ {
+		if slices.Contains(d.succs(h), a) {
+			out = append(out, h)
+		}
+	}
+	return out
+}
+
+// closure returns ≪'s transitive closure of the declared edges by a
+// depth-first search from every activity: reach[a][b] for a ≪ b.
+func (d *fuzzDef) closure() [][]bool {
+	n := len(d.kinds)
+	reach := make([][]bool, n+1)
+	for a := 1; a <= n; a++ {
+		reach[a] = make([]bool, n+1)
+		stack := d.succs(a)
+		for len(stack) > 0 {
+			x := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			if !reach[a][x] {
+				reach[a][x] = true
+				stack = append(stack, d.succs(x)...)
+			}
+		}
+	}
+	return reach
+}
+
+// alternativesScoped is the alternative check of Build, read off the
+// closure: every node in the subtree of an entry of a chain with
+// alternatives has its predecessors inside that subtree, except that the
+// entry itself is also entered from the chain's source.
+func (d *fuzzDef) alternativesScoped(reach [][]bool) bool {
+	for _, c := range d.chains {
+		if len(c.alts) == 1 {
+			continue
+		}
+		for _, t := range c.alts {
+			in := func(x int) bool { return x == t || reach[t][x] }
+			for n := 1; n <= len(d.kinds); n++ {
+				if !in(n) {
+					continue
+				}
+				for _, pr := range d.preds(n) {
+					if !in(pr) && (n != t || pr != c.h) {
+						return false
+					}
+				}
+			}
+		}
+	}
+	return true
+}
+
+// decodeProcess builds the tree-shaped definition of decodeDef, without
+// extra edges. Returns nil when the bytes do not encode a buildable
+// process (bad alternative structure — the builder rejects those).
+func decodeProcess(data []byte) *process.Process {
+	d := decodeDef(data, false)
+	if d == nil {
+		return nil
+	}
+	p, err := d.build()
 	if err != nil {
 		return nil
 	}
 	return p
 }
 
-// FuzzProcessValidate cross-checks the paper's structural guarantee on
-// random process graphs: any process the well-formed flex grammar
-// accepts (IsWellFormedFlex, the [ZNBB94] shape) must also pass the
-// exhaustive guaranteed-termination exploration, and its execution tree
-// must be enumerable. A divergence means either the grammar admits a
+// checkStructure holds Build to an oracle computed from the declared
+// edges alone: its verdict (accepted, refused for a cycle, or refused
+// for an alternative entered from outside), and on acceptance every
+// structural accessor.
+func checkStructure(t *testing.T, d *fuzzDef) *process.Process {
+	t.Helper()
+	p, err := d.build()
+	n := len(d.kinds)
+	reach := d.closure()
+	cyclic := false
+	for a := 1; a <= n; a++ {
+		cyclic = cyclic || reach[a][a]
+	}
+	switch {
+	case cyclic:
+		if err == nil || !strings.Contains(err.Error(), "cycle") {
+			t.Fatalf("declared edges have a cycle, Build returned %v", err)
+		}
+		return nil
+	case !d.alternativesScoped(reach):
+		if err == nil || !strings.Contains(err.Error(), "external predecessor") {
+			t.Fatalf("an alternative branch is entered from outside, Build returned %v", err)
+		}
+		return nil
+	case err != nil:
+		t.Fatalf("Build refused a well-scoped acyclic definition: %v", err)
+	}
+
+	var roots []int
+	key := binary.AppendUvarint(nil, uint64(n))
+	for a := 1; a <= n; a++ {
+		key = binary.AppendUvarint(key, uint64(a))
+		key = append(key, byte(d.kinds[a-1]))
+	}
+	sd := 0
+	for a := 1; a <= n; a++ {
+		subtree := []int{a}
+		first := d.kinds[a-1] != activity.Compensatable
+		for b := 0; b <= n+1; b++ {
+			want := b >= 1 && b <= n && reach[a][b]
+			if p.Before(a, b) != want {
+				t.Fatalf("Before(%d, %d) = %v, closure says %v\n%s", a, b, !want, want, p)
+			}
+			if want {
+				subtree = append(subtree, b)
+			}
+			if b >= 1 && b <= n && reach[b][a] && d.kinds[b-1] != activity.Compensatable {
+				first = false
+			}
+		}
+		slices.Sort(subtree)
+		if got := p.Subtree(a); !slices.Equal(got, subtree) {
+			t.Fatalf("Subtree(%d) = %v, want %v\n%s", a, got, subtree, p)
+		}
+		if got, want := p.Preds(a), d.preds(a); !slices.Equal(got, want) {
+			t.Fatalf("Preds(%d) = %v, want %v\n%s", a, got, want, p)
+		}
+		if got, want := p.Succs(a), d.succs(a); !slices.Equal(got, want) {
+			t.Fatalf("Succs(%d) = %v, want %v\n%s", a, got, want, p)
+		}
+		if len(d.preds(a)) == 0 {
+			roots = append(roots, a)
+		}
+		var chains [][]int
+		for _, c := range d.chains {
+			if c.h == a {
+				chains = append(chains, c.alts)
+			}
+		}
+		if got := p.Chains(a); !slices.EqualFunc(got, chains, slices.Equal) {
+			t.Fatalf("Chains(%d) = %v, want %v\n%s", a, got, chains, p)
+		}
+		key = binary.AppendUvarint(key, uint64(len(chains)))
+		for _, c := range chains {
+			key = binary.AppendUvarint(key, uint64(len(c)))
+			for _, x := range c {
+				key = binary.AppendUvarint(key, uint64(x))
+			}
+		}
+		if first && sd == 0 {
+			sd = a
+		}
+	}
+	if got := p.Roots(); !slices.Equal(got, roots) {
+		t.Fatalf("Roots() = %v, want %v\n%s", got, roots, p)
+	}
+	if got, ok := p.StateDetermining(); got != sd || ok != (sd != 0) {
+		t.Fatalf("StateDetermining() = %d, %v, want %d\n%s", got, ok, sd, p)
+	}
+	if p.ShapeKey() != string(key) {
+		t.Fatalf("ShapeKey() does not encode the declared ids, kinds and chains\n%s", p)
+	}
+	return p
+}
+
+// FuzzProcessValidate holds Build to a structural oracle computed from
+// the declared edges (checkStructure), on definitions with joins, back
+// edges and cycles, and cross-checks the paper's structural guarantee on
+// what it accepts: any process the well-formed flex grammar accepts
+// (IsWellFormedFlex, the [ZNBB94] shape) must also pass the exhaustive
+// guaranteed-termination exploration, and its execution tree must be
+// enumerable. A divergence means either the grammar admits a
 // non-terminating structure or the explorer is broken — both are
 // protocol-level bugs.
 func FuzzProcessValidate(f *testing.F) {
@@ -66,10 +285,24 @@ func FuzzProcessValidate(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 1, 1, 2, 2, 4, 2, 5, 10})
 	// Parallel joins (multiple Seq edges from one head).
 	f.Add([]byte{6, 0, 0, 1, 0, 2, 0, 3, 1, 4, 2, 1, 1, 2, 1, 3})
+	// Extra edges 2 -> 1, a back edge closing a cycle, and 2 -> 5, a join.
+	f.Add([]byte{3, 3, 6, 0, 6, 1, 1, 4})
+	// The extra edge 3 -> 2 joins 2 below 1 and 3.
+	f.Add([]byte{2, 1, 6, 1, 3, 2, 5, 0, 6, 3, 2, 2})
+	// The alternatives 4 and 5 of 3 both lead into 2, which 1 enters too:
+	// refused.
+	f.Add([]byte{3, 5, 6, 3, 6, 5, 3, 4, 6})
+	// The chain 1 -> 2 -> 3, the alternatives [4 5] of 3 and the extra
+	// edge 1 -> 3, a join above the choice: accepted.
+	f.Add([]byte{3, 6, 3, 5, 6, 0, 2, 5, 1, 4, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p := decodeProcess(data)
+		d := decodeDef(data, true)
+		if d == nil {
+			return
+		}
+		p := checkStructure(t, d)
 		if p == nil {
-			t.Skip("unbuildable byte encoding")
+			return
 		}
 		wf, why := process.IsWellFormedFlex(p)
 		err := process.ValidateGuaranteedTermination(p)

@@ -122,7 +122,8 @@ func (s Step) String() string {
 	return fmt.Sprintf("%s(a_%d:%s)", s.Kind, s.Local, s.Service)
 }
 
-// chainKey addresses one alternative chain: the idx-th chain leaving node.
+// chainKey addresses one alternative chain: the idx-th chain leaving the
+// activity at position node.
 type chainKey struct {
 	node, idx int
 }
@@ -178,7 +179,7 @@ type Instance struct {
 
 // NewInstance returns a fresh instance for the process.
 func NewInstance(p *Process) *Instance {
-	in := &Instance{p: p, acts: make([]actState, len(p.order))}
+	in := &Instance{p: p, acts: make([]actState, len(p.acts))}
 	in.selectPath()
 	return in
 }
@@ -188,7 +189,7 @@ func (in *Instance) Process() *Process { return in.p }
 
 // Status returns the status of an activity (Pending for an unknown one).
 func (in *Instance) Status(local int) Status {
-	if i, ok := in.p.pos[local]; ok {
+	if i, ok := in.p.index(local); ok {
 		return in.acts[i].status
 	}
 	return Pending
@@ -198,9 +199,10 @@ func (in *Instance) Status(local int) Status {
 // possibly Mode and PotentialRecoveryServices.
 func (in *Instance) StatusGen() uint64 { return in.statusGen }
 
-// set is the one writer of the status vector after construction.
-func (in *Instance) set(local int, st Status) {
-	in.acts[in.p.pos[local]].status = st
+// set is the one writer of the status vector after construction; i is
+// a position.
+func (in *Instance) set(i int, st Status) {
+	in.acts[i].status = st
 	in.statusGen++
 }
 
@@ -239,7 +241,7 @@ func (in *Instance) selectPath() {
 }
 
 func (in *Instance) selectFrom(n int) {
-	st := &in.acts[in.p.pos[n]]
+	st := &in.acts[n]
 	if st.sel {
 		return
 	}
@@ -296,8 +298,8 @@ func (in *Instance) AppendFrontier(dst []int) []int {
 			continue
 		}
 		ready := true
-		for _, h := range in.p.preds[id] {
-			if in.acts[in.p.pos[h]].status != Committed {
+		for _, h := range in.p.preds[i] {
+			if in.acts[h].status != Committed {
 				ready = false
 				break
 			}
@@ -342,14 +344,15 @@ func (in *Instance) PreparedSet() []int {
 // successfully with its commit deferred (non-compensatable activities
 // under Lemma 1).
 func (in *Instance) MarkPrepared(local int) error {
-	return in.transition(local, Pending, Prepared)
+	_, err := in.transition(local, Pending, Prepared)
+	return err
 }
 
 // MarkCommitted records the commit of the activity's local transaction.
 // Pending activities commit directly (no deferral); prepared activities
 // commit when the two phase commit protocol completes.
 func (in *Instance) MarkCommitted(local int) error {
-	i, ok := in.p.pos[local]
+	i, ok := in.p.index(local)
 	if !ok {
 		return fmt.Errorf("process %s: unknown activity %d", in.p.ID, local)
 	}
@@ -361,7 +364,7 @@ func (in *Instance) MarkCommitted(local int) error {
 		// rolled-back retriables.
 		return fmt.Errorf("process %s: activity %d cannot commit from %v", in.p.ID, local, s)
 	}
-	in.set(local, Committed)
+	in.set(i, Committed)
 	in.commits++ // an activity commits at most once
 	st.rank = in.commits
 	return nil
@@ -371,10 +374,11 @@ func (in *Instance) MarkCommitted(local int) error {
 // committed. When all compensations of an abandoned branch have been
 // applied, the next alternative becomes executable.
 func (in *Instance) MarkCompensated(local int) error {
-	if err := in.transition(local, Committed, Compensated); err != nil {
+	i, err := in.transition(local, Committed, Compensated)
+	if err != nil {
 		return err
 	}
-	if st := &in.acts[in.p.pos[local]]; st.comp {
+	if st := &in.acts[i]; st.comp {
 		st.comp = false
 		in.pendingComps--
 		if in.pendingComps == 0 && in.pendingAdvance != nil {
@@ -385,9 +389,10 @@ func (in *Instance) MarkCompensated(local int) error {
 	return nil
 }
 
-// expectCompensation marks local's compensation as outstanding.
-func (in *Instance) expectCompensation(local int) {
-	if st := &in.acts[in.p.pos[local]]; !st.comp {
+// expectCompensation marks the compensation of the activity at position
+// i as outstanding.
+func (in *Instance) expectCompensation(i int) {
+	if st := &in.acts[i]; !st.comp {
 		st.comp = true
 		in.pendingComps++
 	}
@@ -395,7 +400,8 @@ func (in *Instance) expectCompensation(local int) {
 
 // MarkAbortedPrepared records the rollback of a prepared activity.
 func (in *Instance) MarkAbortedPrepared(local int) error {
-	return in.transition(local, Prepared, AbortedPrepared)
+	_, err := in.transition(local, Prepared, AbortedPrepared)
+	return err
 }
 
 // ResetPrepared returns a prepared activity to pending: its local
@@ -403,7 +409,8 @@ func (in *Instance) MarkAbortedPrepared(local int) error {
 // process (recovery presumed the in-doubt transaction aborted) and it
 // will simply be re-invoked.
 func (in *Instance) ResetPrepared(local int) error {
-	return in.transition(local, Prepared, Pending)
+	_, err := in.transition(local, Prepared, Pending)
+	return err
 }
 
 // MarkTerminated records the terminal event of the process. committed is
@@ -414,16 +421,18 @@ func (in *Instance) MarkTerminated(committed bool) {
 	in.committed = committed
 }
 
-func (in *Instance) transition(local int, from, to Status) error {
-	i, ok := in.p.pos[local]
+// transition moves an activity from one status to another and returns
+// its position.
+func (in *Instance) transition(local int, from, to Status) (int, error) {
+	i, ok := in.p.index(local)
 	if !ok {
-		return fmt.Errorf("process %s: unknown activity %d", in.p.ID, local)
+		return 0, fmt.Errorf("process %s: unknown activity %d", in.p.ID, local)
 	}
 	if st := in.acts[i].status; st != from {
-		return fmt.Errorf("process %s: activity %d is %v, want %v", in.p.ID, local, st, from)
+		return 0, fmt.Errorf("process %s: activity %d is %v, want %v", in.p.ID, local, st, from)
 	}
-	in.set(local, to)
-	return nil
+	in.set(i, to)
+	return i, nil
 }
 
 // FailurePlan is the reaction to the permanent failure of an activity
@@ -453,19 +462,19 @@ type FailurePlan struct {
 // process aborts; for an F-REC process this would violate guaranteed
 // termination and is reported as an error.
 func (in *Instance) MarkFailed(local int) (FailurePlan, error) {
-	a := in.p.Activity(local)
-	if a == nil {
+	i, ok := in.p.index(local)
+	if !ok {
 		return FailurePlan{}, fmt.Errorf("process %s: unknown activity %d", in.p.ID, local)
 	}
-	if a.Kind.GuaranteedToCommit() {
+	if in.p.acts[i].Kind.GuaranteedToCommit() {
 		return FailurePlan{}, fmt.Errorf("process %s: retriable activity %d cannot fail permanently (Definition 3)", in.p.ID, local)
 	}
-	if st := in.Status(local); st != Pending {
+	if st := in.acts[i].status; st != Pending {
 		return FailurePlan{}, fmt.Errorf("process %s: activity %d is %v, cannot fail", in.p.ID, local, st)
 	}
-	in.set(local, Failed)
+	in.set(i, Failed)
 
-	key, branchHead, ok := in.findChoicePoint(local)
+	key, branchHead, ok := in.findChoicePoint(i)
 	if !ok {
 		if in.Mode() == FREC {
 			return FailurePlan{}, fmt.Errorf("process %s: activity %d failed in F-REC with no alternative: guaranteed termination violated", in.p.ID, local)
@@ -478,12 +487,11 @@ func (in *Instance) MarkFailed(local int) (FailurePlan, error) {
 	// Abandon the branch rooted at branchHead: compensate its committed
 	// activities (reverse precedence order), roll back its prepared
 	// ones, abandon its pending ones.
-	branch := in.p.Subtree(branchHead)
-	steps, err := in.abandonNodes(branch)
+	steps, err := in.abandonNodes(in.p.appendSubtree(nil, branchHead))
 	if err != nil {
 		return FailurePlan{}, err
 	}
-	next := in.p.chains[key.node][key.idx][in.alt(key)+1]
+	next := in.p.order[in.p.chains[key.node][key.idx][in.alt(key)+1]]
 	if in.pendingComps == 0 {
 		in.advance(key)
 	} else {
@@ -497,7 +505,8 @@ func (in *Instance) MarkFailed(local int) (FailurePlan, error) {
 // current alternative's branch contains the failed activity and which has
 // an untried later alternative not blocked by a committed
 // non-compensatable activity inside the branch. "Nearest" means the
-// branch head is maximal in the precedence order.
+// branch head is maximal in the precedence order. Activities are
+// positions.
 func (in *Instance) findChoicePoint(failed int) (chainKey, int, bool) {
 	type cand struct {
 		key  chainKey
@@ -512,19 +521,12 @@ func (in *Instance) findChoicePoint(failed int) (chainKey, int, bool) {
 				continue // no later alternative
 			}
 			head := chain[k]
-			if head != failed && !in.p.Before(head, failed) {
+			if head != failed && !in.p.before(head, failed) {
 				continue // failed activity not inside this branch
 			}
 			// A committed non-compensatable inside the branch pins it:
 			// the branch cannot be abandoned (compensation unavailable).
-			pinned := false
-			for _, n := range in.p.Subtree(head) {
-				if in.Status(n) == Committed && in.p.Activity(n).Kind.NonCompensatable() {
-					pinned = true
-					break
-				}
-			}
-			if !pinned {
+			if !in.branchPinned(head) {
 				cands = append(cands, cand{key, head})
 			}
 		}
@@ -535,10 +537,10 @@ func (in *Instance) findChoicePoint(failed int) (chainKey, int, bool) {
 	// Nearest: branch head maximal in ≪; ties broken by id for
 	// determinism.
 	sort.Slice(cands, func(i, j int) bool {
-		if in.p.Before(cands[j].head, cands[i].head) {
+		if in.p.before(cands[j].head, cands[i].head) {
 			return true
 		}
-		if in.p.Before(cands[i].head, cands[j].head) {
+		if in.p.before(cands[i].head, cands[j].head) {
 			return false
 		}
 		return cands[i].head > cands[j].head
@@ -546,16 +548,16 @@ func (in *Instance) findChoicePoint(failed int) (chainKey, int, bool) {
 	return cands[0].key, cands[0].head, true
 }
 
-// abandonNodes marks the given nodes abandoned/compensating and returns
-// the recovery steps (compensations in reverse precedence order first,
-// then rollbacks of prepared activities).
+// abandonNodes marks the activities at the given positions
+// abandoned/compensating and returns the recovery steps (compensations in
+// reverse precedence order first, then rollbacks of prepared activities).
 func (in *Instance) abandonNodes(nodes []int) ([]Step, error) {
 	var comp, rollback []int
 	for _, n := range nodes {
-		switch in.Status(n) {
+		switch in.acts[n].status {
 		case Committed:
-			if in.p.Activity(n).Kind.NonCompensatable() {
-				return nil, fmt.Errorf("process %s: cannot abandon committed non-compensatable activity %d", in.p.ID, n)
+			if in.p.acts[n].Kind.NonCompensatable() {
+				return nil, fmt.Errorf("process %s: cannot abandon committed non-compensatable activity %d", in.p.ID, in.p.order[n])
 			}
 			comp = append(comp, n)
 		case Prepared:
@@ -568,30 +570,41 @@ func (in *Instance) abandonNodes(nodes []int) ([]Step, error) {
 	steps := make([]Step, 0, len(comp)+len(rollback))
 	for _, n := range comp {
 		in.expectCompensation(n)
-		steps = append(steps, Step{Kind: StepCompensate, Local: n, Service: in.p.Activity(n).Compensation})
+		steps = append(steps, in.step(StepCompensate, n))
 	}
 	for _, n := range rollback {
 		in.set(n, AbortedPrepared)
-		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.Activity(n).Service})
+		steps = append(steps, in.step(StepAbortPrepared, n))
 	}
 	return steps, nil
 }
 
-// sortReverseOrder sorts locals so that ≪-later activities come first
-// (compensating activities must be executed in reverse order of the
+// step is the recovery step of the given kind for the activity at
+// position i: a compensation invokes its compensating service, anything
+// else its service.
+func (in *Instance) step(kind StepKind, i int) Step {
+	a := &in.p.acts[i]
+	if kind == StepCompensate {
+		return Step{Kind: kind, Local: a.Local, Service: a.Compensation}
+	}
+	return Step{Kind: kind, Local: a.Local, Service: a.Service}
+}
+
+// sortReverseOrder sorts positions so that ≪-later activities come
+// first (compensating activities must be executed in reverse order of the
 // original activities, Lemma 2); activities ≪ leaves unordered come in
 // the reverse of the order they committed in, which is the order of the
 // schedule they are part of.
-func (in *Instance) sortReverseOrder(locals []int) {
-	sort.Slice(locals, func(i, j int) bool {
-		a, b := locals[i], locals[j]
-		if in.p.Before(b, a) {
+func (in *Instance) sortReverseOrder(pos []int) {
+	sort.Slice(pos, func(i, j int) bool {
+		a, b := pos[i], pos[j]
+		if in.p.before(b, a) {
 			return true
 		}
-		if in.p.Before(a, b) {
+		if in.p.before(a, b) {
 			return false
 		}
-		if ra, rb := in.acts[in.p.pos[a]].rank, in.acts[in.p.pos[b]].rank; ra != rb {
+		if ra, rb := in.acts[a].rank, in.acts[b].rank; ra != rb {
 			return ra > rb
 		}
 		return a > b
@@ -602,37 +615,26 @@ func (in *Instance) sortReverseOrder(locals []int) {
 // compensatable in B-REC) in reverse precedence order and rolls back
 // every prepared activity.
 func (in *Instance) backwardRecoveryPlan() FailurePlan {
-	var comp, rollback []int
-	for i, id := range in.p.order {
-		switch in.acts[i].status {
-		case Committed:
-			comp = append(comp, id)
-		case Prepared:
-			rollback = append(rollback, id)
-		}
-	}
-	in.sortReverseOrder(comp)
-	in.sortReverseOrder(rollback)
-	steps := make([]Step, 0, len(comp)+len(rollback))
+	steps := in.completionBackward()
 	// Prepared activities are rolled back first: they may be
 	// non-compensatable activities whose locks would otherwise block the
 	// compensations, and rollback is always safe (atomicity).
-	for _, n := range rollback {
-		in.set(n, AbortedPrepared)
-		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.Activity(n).Service})
-	}
-	for _, n := range comp {
-		in.expectCompensation(n)
-		steps = append(steps, Step{Kind: StepCompensate, Local: n, Service: in.p.Activity(n).Compensation})
+	for _, s := range steps {
+		i, _ := in.p.index(s.Local)
+		if s.Kind == StepAbortPrepared {
+			in.set(i, AbortedPrepared)
+		} else {
+			in.expectCompensation(i)
+		}
 	}
 	return FailurePlan{Abort: true, Steps: steps}
 }
 
 func (in *Instance) beginAbort() {
 	in.aborting = true
-	for i, id := range in.p.order {
+	for i := range in.acts {
 		if in.acts[i].status == Pending {
-			in.set(id, Abandoned)
+			in.set(i, Abandoned)
 		}
 	}
 }
@@ -655,24 +657,26 @@ func (in *Instance) Completion() ([]Step, error) {
 	return in.completionForward()
 }
 
+// completionBackward rolls back every prepared activity and compensates
+// every committed one, both in reverse precedence order.
 func (in *Instance) completionBackward() []Step {
 	var comp, rollback []int
-	for i, id := range in.p.order {
+	for i := range in.acts {
 		switch in.acts[i].status {
 		case Committed:
-			comp = append(comp, id)
+			comp = append(comp, i)
 		case Prepared:
-			rollback = append(rollback, id)
+			rollback = append(rollback, i)
 		}
 	}
 	in.sortReverseOrder(comp)
 	in.sortReverseOrder(rollback)
 	steps := make([]Step, 0, len(comp)+len(rollback))
 	for _, n := range rollback {
-		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.Activity(n).Service})
+		steps = append(steps, in.step(StepAbortPrepared, n))
 	}
 	for _, n := range comp {
-		steps = append(steps, Step{Kind: StepCompensate, Local: n, Service: in.p.Activity(n).Compensation})
+		steps = append(steps, in.step(StepCompensate, n))
 	}
 	return steps
 }
@@ -683,10 +687,11 @@ func (in *Instance) completionBackward() []Step {
 // point), compensate committed compensatable activities that are not
 // needed by that path, and invoke the path's remaining activities.
 func (in *Instance) completionForward() ([]Step, error) {
-	keep := make(map[int]bool) // committed work the path builds on
-	var invoke []int           // pending activities of the forward path
-	var rollback []int         // prepared activities to roll back
-	visited := make(map[int]bool)
+	keep := make([]bool, len(in.acts))    // committed work the path builds on
+	visited := make([]bool, len(in.acts)) // walked by the path
+	var invoke []int                      // pending activities of the forward path
+	var rollback []int                    // prepared activities to roll back
+	local := in.p.order
 
 	var walk func(n int) error
 	walk = func(n int) error {
@@ -708,7 +713,7 @@ func (in *Instance) completionForward() ([]Step, error) {
 				j = k
 			}
 			m := chain[j]
-			switch in.Status(m) {
+			switch st := in.acts[m].status; st {
 			case Committed:
 				keep[m] = true
 			case Prepared:
@@ -717,18 +722,18 @@ func (in *Instance) completionForward() ([]Step, error) {
 				// considers committed activities). Roll it back and
 				// re-invoke if it is retriable and on the path.
 				rollback = append(rollback, m)
-				if in.p.Activity(m).Kind == activity.Retriable {
+				if in.p.acts[m].Kind == activity.Retriable {
 					invoke = append(invoke, m)
 				} else {
-					return fmt.Errorf("process %s: prepared non-retriable activity %d on forward recovery path", in.p.ID, m)
+					return fmt.Errorf("process %s: prepared non-retriable activity %d on forward recovery path", in.p.ID, local[m])
 				}
 			case Pending, Abandoned:
-				if in.p.Activity(m).Kind != activity.Retriable {
-					return fmt.Errorf("process %s: forward recovery path contains non-retriable activity %d: guaranteed termination violated", in.p.ID, m)
+				if in.p.acts[m].Kind != activity.Retriable {
+					return fmt.Errorf("process %s: forward recovery path contains non-retriable activity %d: guaranteed termination violated", in.p.ID, local[m])
 				}
 				invoke = append(invoke, m)
 			case Failed, Compensated, AbortedPrepared:
-				return fmt.Errorf("process %s: forward recovery path reaches activity %d in state %v", in.p.ID, m, in.Status(m))
+				return fmt.Errorf("process %s: forward recovery path reaches activity %d in state %v", in.p.ID, local[m], st)
 			}
 			if err := walk(m); err != nil {
 				return err
@@ -737,63 +742,54 @@ func (in *Instance) completionForward() ([]Step, error) {
 		return nil
 	}
 	for _, r := range in.p.roots {
-		switch in.Status(r) {
+		switch in.acts[r].status {
 		case Committed:
 			keep[r] = true
 		case Prepared:
 			rollback = append(rollback, r)
-		case Pending:
+		default:
 			// Root never ran: in F-REC this means a parallel root branch
 			// has not started; it is not required for the completion.
 			continue
 		}
-		if in.Status(r) == Committed || in.Status(r) == Prepared {
-			if err := walk(r); err != nil {
-				return nil, err
-			}
+		if err := walk(r); err != nil {
+			return nil, err
 		}
 	}
 
 	// keep must be closed under predecessors: committed work the path's
 	// activities depend on is retained.
-	keepClosed := make(map[int]bool)
 	var closeUp func(n int)
 	closeUp = func(n int) {
 		for _, h := range in.p.preds[n] {
-			if in.Status(h) == Committed && !keepClosed[h] {
-				keepClosed[h] = true
+			if in.acts[h].status == Committed && !keep[h] {
+				keep[h] = true
 				closeUp(h)
 			}
 		}
 	}
-	for n := range keep {
-		keepClosed[n] = true
-		closeUp(n)
+	for i := range keep {
+		if keep[i] {
+			closeUp(i)
+		}
 	}
-	for _, n := range invoke {
-		closeUp(n)
+	for _, i := range invoke {
+		closeUp(i)
 	}
 
 	var comp []int
-	for _, id := range in.p.order {
-		switch in.Status(id) {
+	for i := range in.acts {
+		switch in.acts[i].status {
 		case Committed:
-			if !keepClosed[id] {
-				if in.p.Activity(id).Kind.NonCompensatable() {
-					return nil, fmt.Errorf("process %s: committed non-compensatable activity %d off the forward recovery path", in.p.ID, id)
+			if !keep[i] {
+				if in.p.acts[i].Kind.NonCompensatable() {
+					return nil, fmt.Errorf("process %s: committed non-compensatable activity %d off the forward recovery path", in.p.ID, local[i])
 				}
-				comp = append(comp, id)
+				comp = append(comp, i)
 			}
 		case Prepared:
-			found := false
-			for _, r := range rollback {
-				if r == id {
-					found = true
-					break
-				}
-			}
-			if !found {
-				rollback = append(rollback, id)
+			if !slices.Contains(rollback, i) {
+				rollback = append(rollback, i)
 			}
 		}
 	}
@@ -802,34 +798,34 @@ func (in *Instance) completionForward() ([]Step, error) {
 	// Order the invocations in precedence order.
 	sort.Slice(invoke, func(i, j int) bool {
 		a, b := invoke[i], invoke[j]
-		if in.p.Before(a, b) {
+		if in.p.before(a, b) {
 			return true
 		}
-		if in.p.Before(b, a) {
+		if in.p.before(b, a) {
 			return false
 		}
 		return a < b
 	})
 
 	steps := make([]Step, 0, len(comp)+len(rollback)+len(invoke))
-	for _, n := range rollback {
-		steps = append(steps, Step{Kind: StepAbortPrepared, Local: n, Service: in.p.Activity(n).Service})
+	for _, i := range rollback {
+		steps = append(steps, in.step(StepAbortPrepared, i))
 	}
-	for _, n := range comp {
-		steps = append(steps, Step{Kind: StepCompensate, Local: n, Service: in.p.Activity(n).Compensation})
+	for _, i := range comp {
+		steps = append(steps, in.step(StepCompensate, i))
 	}
-	for _, n := range invoke {
-		steps = append(steps, Step{Kind: StepInvoke, Local: n, Service: in.p.Activity(n).Service})
+	for _, i := range invoke {
+		steps = append(steps, in.step(StepInvoke, i))
 	}
 	return steps, nil
 }
 
-// branchPinned reports whether the branch rooted at head contains a
-// committed non-compensatable activity (which makes the branch impossible
-// to abandon).
+// branchPinned reports whether the branch rooted at position head
+// contains a committed non-compensatable activity (which makes the branch
+// impossible to abandon).
 func (in *Instance) branchPinned(head int) bool {
-	for _, n := range in.p.Subtree(head) {
-		if in.Status(n) == Committed && in.p.Activity(n).Kind.NonCompensatable() {
+	for i := range in.acts {
+		if (i == head || in.p.before(head, i)) && in.acts[i].status == Committed && in.p.acts[i].Kind.NonCompensatable() {
 			return true
 		}
 	}
@@ -897,7 +893,7 @@ func (in *Instance) PotentialRecoveryServiceSeq() iter.Seq[string] {
 }
 
 func (in *Instance) potentialRecoveryServices(yield func(string) bool) {
-	for i, id := range in.p.order {
+	for i := range in.acts {
 		a := &in.p.acts[i]
 		switch in.acts[i].status {
 		case Pending, Abandoned, Prepared, AbortedPrepared:
@@ -908,18 +904,18 @@ func (in *Instance) potentialRecoveryServices(yield func(string) bool) {
 		case Committed:
 			// Compensation possible unless the activity is locked in
 			// before a committed non-compensatable anchor.
-			if a.Kind == activity.Compensatable && !in.beforeAnchor(id) && !yield(a.Compensation) {
+			if a.Kind == activity.Compensatable && !in.beforeAnchor(i) && !yield(a.Compensation) {
 				return
 			}
 		}
 	}
 }
 
-// beforeAnchor reports whether local is ≪-before a committed
-// non-compensatable activity.
-func (in *Instance) beforeAnchor(local int) bool {
-	for i, anc := range in.p.order {
-		if in.acts[i].status == Committed && in.p.acts[i].Kind.NonCompensatable() && in.p.Before(local, anc) {
+// beforeAnchor reports whether the activity at position i is ≪-before a
+// committed non-compensatable activity.
+func (in *Instance) beforeAnchor(i int) bool {
+	for j := range in.acts {
+		if in.acts[j].status == Committed && in.p.acts[j].Kind.NonCompensatable() && in.p.before(i, j) {
 			return true
 		}
 	}

@@ -13,8 +13,11 @@
 package process
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -74,24 +77,61 @@ func (a *Activity) String() string {
 // preferred; later entries are executed only after the earlier
 // alternative failed and was compensated). A node may have several
 // chains; the heads of all chains are activated in parallel (AND-split).
+//
+// A definition holds no map. Position i is the activity with local id
+// order[i]; order ascends, so a local id's position is a binary search.
+// Every per-activity field is a slice indexed by position, edges and
+// chains name positions, and ≪'s transitive closure is one flat bitset.
+// An Instance keeps its per-activity state in slices indexed the same
+// way. The exported accessors take and return local ids, and what they
+// return is a copy.
 type Process struct {
-	ID ID
-	// acts holds the activities by position: acts[i] is the activity
-	// with local id order[i]. pos is the lookup from local id to
-	// position; an Instance keeps its per-activity state in slices
-	// indexed the same way.
-	acts  []Activity
-	pos   map[int]int
-	order []int // local ids in deterministic (sorted) order
+	ID    ID
+	order []int      // local ids, ascending
+	acts  []Activity // acts[i] is the activity with local id order[i]
 
-	chains map[int][][]int // node -> list of alternative chains
-	preds  map[int][]int   // direct precedence predecessors
-	succs  map[int][]int   // direct precedence successors (all alternatives)
-	roots  []int           // nodes with no predecessor
+	chains [][][]int // chains[i]: the chains leaving i, in declaration order
+	preds  [][]int   // preds[i]: the direct ≪-predecessors of i, ascending
+	succs  [][]int   // succs[i]: the direct ≪-successors of i over every chain, ascending
+	roots  []int     // the positions without a predecessor, ascending
 
-	// reach[a] is the set of nodes reachable from a via succs (excluding
-	// a itself); precomputed for alternative-subtree bookkeeping.
-	reach map[int]map[int]bool
+	// reach is ≪'s closure, w words a row: bit j of row i is set when
+	// order[i] ≪ order[j].
+	reach []uint64
+	w     int
+}
+
+// index returns the position of a local id.
+func (p *Process) index(local int) (int, bool) { return slices.BinarySearch(p.order, local) }
+
+// before reports whether order[i] ≪ order[j].
+func (p *Process) before(i, j int) bool { return p.reach[i*p.w+j/64]&(1<<(j%64)) != 0 }
+
+// appendSubtree appends i and every position ≪-reachable from it to
+// dst, in ascending order.
+func (p *Process) appendSubtree(dst []int, i int) []int {
+	for k, word := range p.reach[i*p.w : (i+1)*p.w] {
+		if k == i/64 {
+			word |= 1 << (i % 64) // a row never holds its own bit
+		}
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, k*64+bits.TrailingZeros64(word))
+		}
+	}
+	return dst
+}
+
+// locals returns the local ids of positions, in a fresh slice (nil for
+// none).
+func (p *Process) locals(pos []int) []int {
+	if len(pos) == 0 {
+		return nil
+	}
+	out := make([]int, len(pos))
+	for k, i := range pos {
+		out[k] = p.order[i]
+	}
+	return out
 }
 
 // Activities returns the activities in ascending local-id order.
@@ -105,7 +145,7 @@ func (p *Process) Activities() []*Activity {
 
 // Activity returns the activity with the given local id, or nil.
 func (p *Process) Activity(local int) *Activity {
-	if i, ok := p.pos[local]; ok {
+	if i, ok := p.index(local); ok {
 		return &p.acts[i]
 	}
 	return nil
@@ -115,37 +155,56 @@ func (p *Process) Activity(local int) *Activity {
 func (p *Process) Len() int { return len(p.order) }
 
 // Roots returns the local ids of activities without predecessors.
-func (p *Process) Roots() []int { return append([]int(nil), p.roots...) }
+func (p *Process) Roots() []int { return p.locals(p.roots) }
 
 // Chains returns the alternative chains leaving node h. The first entry
 // of each chain is the preferred successor.
 func (p *Process) Chains(h int) [][]int {
-	out := make([][]int, len(p.chains[h]))
-	for i, c := range p.chains[h] {
-		out[i] = append([]int(nil), c...)
+	i, ok := p.index(h)
+	if !ok {
+		return [][]int{}
+	}
+	out := make([][]int, len(p.chains[i]))
+	for k, c := range p.chains[i] {
+		out[k] = p.locals(c)
 	}
 	return out
 }
 
 // Preds returns the direct precedence predecessors of a node.
-func (p *Process) Preds(local int) []int { return append([]int(nil), p.preds[local]...) }
+func (p *Process) Preds(local int) []int {
+	if i, ok := p.index(local); ok {
+		return p.locals(p.preds[i])
+	}
+	return nil
+}
 
 // Succs returns all direct precedence successors of a node, across all
 // chains and chain positions.
-func (p *Process) Succs(local int) []int { return append([]int(nil), p.succs[local]...) }
+func (p *Process) Succs(local int) []int {
+	if i, ok := p.index(local); ok {
+		return p.locals(p.succs[i])
+	}
+	return nil
+}
 
 // Before reports whether a ≪ b in the precedence order (strictly).
 func (p *Process) Before(a, b int) bool {
-	return p.reach[a][b]
+	i, okA := p.index(a)
+	j, okB := p.index(b)
+	return okA && okB && p.before(i, j)
 }
 
 // Subtree returns a plus every node reachable from a, in ascending order.
 func (p *Process) Subtree(a int) []int {
-	out := []int{a}
-	for n := range p.reach[a] {
-		out = append(out, n)
+	i, ok := p.index(a)
+	if !ok {
+		return []int{a}
 	}
-	sort.Ints(out)
+	out := p.appendSubtree(nil, i)
+	for k, j := range out {
+		out[k] = p.order[j]
+	}
 	return out
 }
 
@@ -153,32 +212,28 @@ func (p *Process) Subtree(a int) []int {
 // s_{i_0}: the first non-compensatable activity of the process in the
 // precedence order (i.e., a non-compensatable activity all of whose
 // proper ≪-predecessors are compensatable). For processes consisting
-// only of compensatable activities it returns 0 and false.
+// only of compensatable activities it returns 0 and false. Of several
+// candidates it returns the smallest local id.
 func (p *Process) StateDetermining() (int, bool) {
-	candidates := make([]int, 0, 2)
-	for i, id := range p.order {
+	for i := range p.acts {
 		if p.acts[i].Kind == activity.Compensatable {
 			continue
 		}
 		first := true
-		for j, other := range p.order {
-			if other != id && p.Before(other, id) && p.acts[j].Kind != activity.Compensatable {
+		for j := range p.acts {
+			if p.before(j, i) && p.acts[j].Kind != activity.Compensatable {
 				first = false
 				break
 			}
 		}
 		if first {
-			candidates = append(candidates, id)
+			return p.order[i], true
 		}
 	}
-	if len(candidates) == 0 {
-		return 0, false
-	}
-	sort.Ints(candidates)
-	return candidates[0], true
+	return 0, false
 }
 
-// Subsystems returns the distinct service names used by the process,
+// Services returns the distinct service names used by the process,
 // sorted; useful for conservative locking baselines.
 func (p *Process) Services() []string {
 	set := make(map[string]bool)
@@ -219,12 +274,12 @@ func (p *Process) ShapeKey() string {
 		b = binary.AppendUvarint(b, uint64(id))
 		b = append(b, byte(p.acts[i].Kind))
 	}
-	for _, id := range p.order {
-		b = binary.AppendUvarint(b, uint64(len(p.chains[id])))
-		for _, chain := range p.chains[id] {
+	for _, chains := range p.chains {
+		b = binary.AppendUvarint(b, uint64(len(chains)))
+		for _, chain := range chains {
 			b = binary.AppendUvarint(b, uint64(len(chain)))
 			for _, t := range chain {
-				b = binary.AppendUvarint(b, uint64(t))
+				b = binary.AppendUvarint(b, uint64(p.order[t]))
 			}
 		}
 	}
@@ -248,19 +303,17 @@ func (p *Process) WithID(id ID) *Process {
 // Builder assembles a Process. The zero value is not usable; use New.
 type Builder struct {
 	id     ID
-	acts   map[int]*Activity
-	chains map[int][][]int
+	acts   []Activity  // ascending local id
+	chains []chainDecl // in declaration order
+	alts   []int       // the declared chains' entries, back to back
 	errs   []error
 }
 
+// chainDecl is one declared chain: alts[lo:hi] leave h.
+type chainDecl struct{ h, lo, hi int }
+
 // NewBuilder returns a builder for process id.
-func NewBuilder(id ID) *Builder {
-	return &Builder{
-		id:     id,
-		acts:   make(map[int]*Activity),
-		chains: make(map[int][][]int),
-	}
-}
+func NewBuilder(id ID) *Builder { return &Builder{id: id} }
 
 // Add declares activity with the given local id, service and kind. For
 // compensatable activities the compensating service defaults to
@@ -271,10 +324,11 @@ func (b *Builder) Add(local int, service string, kind activity.Kind) *Builder {
 
 // AddComp is Add with an explicit compensating service name.
 func (b *Builder) AddComp(local int, service string, kind activity.Kind, compensation string) *Builder {
+	i, dup := slices.BinarySearchFunc(b.acts, local, func(a Activity, local int) int { return cmp.Compare(a.Local, local) })
 	switch {
 	case local <= 0:
 		b.errs = append(b.errs, fmt.Errorf("process %s: local id %d must be positive", b.id, local))
-	case b.acts[local] != nil:
+	case dup:
 		b.errs = append(b.errs, fmt.Errorf("process %s: duplicate local id %d", b.id, local))
 	case service == "":
 		b.errs = append(b.errs, fmt.Errorf("process %s: activity %d has empty service", b.id, local))
@@ -290,7 +344,7 @@ func (b *Builder) AddComp(local int, service string, kind activity.Kind, compens
 			b.errs = append(b.errs, fmt.Errorf("process %s: activity %d (%v) cannot have a compensation", b.id, local, kind))
 			return b
 		}
-		b.acts[local] = &Activity{Local: local, Service: service, Kind: kind, Compensation: compensation}
+		b.acts = slices.Insert(b.acts, i, Activity{Local: local, Service: service, Kind: kind, Compensation: compensation})
 	}
 	return b
 }
@@ -309,67 +363,31 @@ func (b *Builder) Chain(h int, alts ...int) *Builder {
 		b.errs = append(b.errs, fmt.Errorf("process %s: empty chain from %d", b.id, h))
 		return b
 	}
-	b.chains[h] = append(b.chains[h], append([]int(nil), alts...))
+	b.chains = append(b.chains, chainDecl{h: h, lo: len(b.alts), hi: len(b.alts) + len(alts)})
+	b.alts = append(b.alts, alts...)
 	return b
 }
 
-// Build validates the structure and returns the immutable process.
+// Build validates the structure and returns the immutable process. A
+// definition with several defects reports the same one every time: the
+// first declaration error, else the first edge error in ascending local
+// id of the chains' sources, else a cycle, else the first alternative
+// branch, in the same order, that is entered from outside.
 func (b *Builder) Build() (*Process, error) {
 	if len(b.errs) > 0 {
 		return nil, b.errs[0]
 	}
-	if len(b.acts) == 0 {
+	n := len(b.acts)
+	if n == 0 {
 		return nil, fmt.Errorf("process %s: no activities", b.id)
 	}
-	p := &Process{
-		ID:     b.id,
-		acts:   make([]Activity, 0, len(b.acts)),
-		pos:    make(map[int]int, len(b.acts)),
-		order:  make([]int, 0, len(b.acts)),
-		chains: make(map[int][][]int, len(b.chains)),
-		preds:  make(map[int][]int),
-		succs:  make(map[int][]int),
-		reach:  make(map[int]map[int]bool),
+	w := (n + 63) / 64
+	p := &Process{ID: b.id, order: make([]int, n), acts: slices.Clone(b.acts), reach: make([]uint64, n*w), w: w}
+	for i := range p.acts {
+		p.order[i] = p.acts[i].Local
 	}
-	for id := range b.acts {
-		p.order = append(p.order, id)
-	}
-	sort.Ints(p.order)
-	for i, id := range p.order {
-		p.acts = append(p.acts, *b.acts[id])
-		p.pos[id] = i
-	}
-
-	seenEdge := make(map[[2]int]bool)
-	for h, chains := range b.chains {
-		if p.Activity(h) == nil {
-			return nil, fmt.Errorf("process %s: chain from undeclared activity %d", b.id, h)
-		}
-		for _, chain := range chains {
-			for _, t := range chain {
-				if p.Activity(t) == nil {
-					return nil, fmt.Errorf("process %s: chain from %d references undeclared activity %d", b.id, h, t)
-				}
-				if t == h {
-					return nil, fmt.Errorf("process %s: self edge on %d", b.id, h)
-				}
-				e := [2]int{h, t}
-				if seenEdge[e] {
-					return nil, fmt.Errorf("process %s: duplicate edge %d->%d", b.id, h, t)
-				}
-				seenEdge[e] = true
-				p.succs[h] = append(p.succs[h], t)
-				p.preds[t] = append(p.preds[t], h)
-			}
-			p.chains[h] = append(p.chains[h], append([]int(nil), chain...))
-		}
-	}
-	for _, id := range p.order {
-		sort.Ints(p.succs[id])
-		sort.Ints(p.preds[id])
-		if len(p.preds[id]) == 0 {
-			p.roots = append(p.roots, id)
-		}
+	if err := p.addEdges(b); err != nil {
+		return nil, err
 	}
 	if err := p.computeReach(); err != nil {
 		return nil, err
@@ -389,40 +407,95 @@ func (b *Builder) MustBuild() *Process {
 	return p
 }
 
-// computeReach computes transitive reachability and rejects cycles: both
-// ≪ and ◁ are irreflexive, transitive and acyclic (Section 3.1).
-func (p *Process) computeReach() error {
-	// Kahn topological sort to detect cycles.
-	indeg := make(map[int]int, len(p.order))
-	for _, id := range p.order {
-		indeg[id] = len(p.preds[id])
+// addEdges checks the declared chains, their sources in ascending local
+// id and one source's chains in declaration order, and fills chains,
+// succs, preds and roots, and the direct edges' bits of reach.
+func (p *Process) addEdges(b *Builder) error {
+	n := len(p.order)
+	slices.SortStableFunc(b.chains, func(x, y chainDecl) int { return cmp.Compare(x.h, y.h) })
+	alts := make([]int, len(b.alts)) // b.alts as positions
+	chains := make([][]int, len(b.chains))
+	deg := make([]int, 2*n) // out-degrees, then in-degrees
+	p.chains = make([][][]int, n)
+	first := 0 // the first of h's chains
+	for k, c := range b.chains {
+		h, ok := p.index(c.h)
+		if !ok {
+			return fmt.Errorf("process %s: chain from undeclared activity %d", p.ID, c.h)
+		}
+		for e := c.lo; e < c.hi; e++ {
+			t, ok := p.index(b.alts[e])
+			switch {
+			case !ok:
+				return fmt.Errorf("process %s: chain from %d references undeclared activity %d", p.ID, c.h, b.alts[e])
+			case t == h:
+				return fmt.Errorf("process %s: self edge on %d", p.ID, c.h)
+			case p.before(h, t):
+				return fmt.Errorf("process %s: duplicate edge %d->%d", p.ID, c.h, b.alts[e])
+			}
+			p.reach[h*p.w+t/64] |= 1 << (t % 64)
+			alts[e] = t
+			deg[h]++
+			deg[n+t]++
+		}
+		chains[k] = alts[c.lo:c.hi]
+		if k+1 == len(b.chains) || b.chains[k+1].h != c.h {
+			p.chains[h] = chains[first : k+1]
+			first = k + 1
+		}
 	}
-	queue := append([]int(nil), p.roots...)
-	var topo []int
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		topo = append(topo, n)
-		for _, s := range p.succs[n] {
-			indeg[s]--
-			if indeg[s] == 0 {
-				queue = append(queue, s)
+	// Each list gets its exact share of one array; filling them by
+	// source in ascending order leaves every preds list ascending.
+	lists, edges := make([][]int, 2*n), make([]int, 2*len(alts))
+	p.succs, p.preds = lists[:n], lists[n:]
+	for i := range lists {
+		lists[i], edges = edges[:0:deg[i]], edges[deg[i]:]
+	}
+	for h, chains := range p.chains {
+		for _, chain := range chains {
+			for _, t := range chain {
+				p.succs[h] = append(p.succs[h], t)
+				p.preds[t] = append(p.preds[t], h)
+			}
+		}
+		slices.Sort(p.succs[h])
+	}
+	for i, preds := range p.preds {
+		if len(preds) == 0 {
+			p.roots = append(p.roots, i)
+		}
+	}
+	return nil
+}
+
+// computeReach rejects cycles — ≪ and ◁ are irreflexive, transitive and
+// acyclic (Section 3.1) — and closes reach under transitivity: Kahn's
+// sort orders the positions, and in reverse of that order each row ORs
+// in the rows of its direct successors.
+func (p *Process) computeReach() error {
+	n := len(p.order)
+	indeg := make([]int, 2*n)
+	topo := indeg[n:n]
+	for i, preds := range p.preds {
+		indeg[i] = len(preds)
+	}
+	topo = append(topo, p.roots...)
+	for k := 0; k < len(topo); k++ {
+		for _, s := range p.succs[topo[k]] {
+			if indeg[s]--; indeg[s] == 0 {
+				topo = append(topo, s)
 			}
 		}
 	}
-	if len(topo) != len(p.order) {
+	if len(topo) != n {
 		return fmt.Errorf("process %s: precedence order ≪ contains a cycle", p.ID)
 	}
-	for _, id := range p.order {
-		p.reach[id] = make(map[int]bool)
-	}
-	// Propagate reachability in reverse topological order.
-	for i := len(topo) - 1; i >= 0; i-- {
-		n := topo[i]
-		for _, s := range p.succs[n] {
-			p.reach[n][s] = true
-			for r := range p.reach[s] {
-				p.reach[n][r] = true
+	for k := n - 1; k >= 0; k-- {
+		i := topo[k]
+		row := p.reach[i*p.w : (i+1)*p.w]
+		for _, s := range p.succs[i] {
+			for x, word := range p.reach[s*p.w : (s+1)*p.w] {
+				row[x] |= word
 			}
 		}
 	}
@@ -430,41 +503,30 @@ func (p *Process) computeReach() error {
 }
 
 // validateAlternatives checks that alternative branches are well-scoped:
-// every node inside the subtree of a non-preferred position of a chain is
-// reachable only via nodes of that subtree (so the branch can be
-// abandoned or compensated as a unit), and that a node does not appear in
-// two positions of the same chain.
+// every node inside the subtree of an entry of a chain with alternatives
+// is entered only from inside that subtree (its head also from the
+// chain's source), so the branch can be abandoned or compensated as a
+// unit. Sources, chains and subtrees are walked in ascending local id
+// and declaration order. A node twice in one chain is a duplicate edge,
+// which addEdges refuses.
 func (p *Process) validateAlternatives() error {
+	var sub []int
 	for h, chains := range p.chains {
 		for _, chain := range chains {
-			seen := make(map[int]bool, len(chain))
-			for _, t := range chain {
-				if seen[t] {
-					return fmt.Errorf("process %s: node %d appears twice in a chain from %d", p.ID, t, h)
-				}
-				seen[t] = true
-			}
 			if len(chain) == 1 {
 				continue
 			}
 			for _, t := range chain {
-				sub := make(map[int]bool)
-				for _, n := range p.Subtree(t) {
-					sub[n] = true
-				}
-				for n := range sub {
-					if n == t {
-						// The branch head is entered from h itself.
-						for _, pr := range p.preds[n] {
-							if pr != h && !sub[pr] {
-								return fmt.Errorf("process %s: alternative branch head %d has external predecessor %d", p.ID, n, pr)
-							}
-						}
-						continue
-					}
+				sub = p.appendSubtree(sub[:0], t)
+				for _, n := range sub {
 					for _, pr := range p.preds[n] {
-						if !sub[pr] {
-							return fmt.Errorf("process %s: node %d inside alternative branch %d has external predecessor %d", p.ID, n, t, pr)
+						switch {
+						case pr == t || p.before(t, pr):
+							// inside the branch
+						case n != t:
+							return fmt.Errorf("process %s: node %d inside alternative branch %d has external predecessor %d", p.ID, p.order[n], p.order[t], p.order[pr])
+						case pr != h:
+							return fmt.Errorf("process %s: alternative branch head %d has external predecessor %d", p.ID, p.order[n], p.order[pr])
 						}
 					}
 				}

@@ -101,6 +101,77 @@ func TestBuilderErrors(t *testing.T) {
 	}
 }
 
+// TestBuildErrorDeterministic builds definitions with two defects of
+// one kind each: Build must report the same one every time, because
+// serve returns its text as the body of a 400.
+func TestBuildErrorDeterministic(t *testing.T) {
+	t.Parallel()
+	fixtures := map[string]func() *process.Builder{
+		// Chains from two undeclared activities.
+		"undeclared sources": func() *process.Builder {
+			return process.NewBuilder("P").
+				Add(1, "a", activity.Compensatable).
+				Add(2, "b", activity.Retriable).
+				Seq(9, 2).
+				Seq(7, 1)
+		},
+		// Two alternative branch heads, 3 and 6, each entered from outside.
+		"external heads": func() *process.Builder {
+			return process.NewBuilder("P").
+				Add(1, "a", activity.Compensatable).
+				Add(2, "b", activity.Compensatable).
+				Add(3, "c", activity.Retriable).
+				Add(4, "d", activity.Compensatable).
+				Add(5, "e", activity.Compensatable).
+				Add(6, "f", activity.Retriable).
+				Chain(4, 5, 6).
+				Chain(1, 2, 3).
+				Seq(4, 3).
+				Seq(1, 6)
+		},
+	}
+	for name, build := range fixtures {
+		texts := make(map[string]int)
+		for i := 0; i < 100; i++ {
+			if _, err := build().Build(); err != nil {
+				texts[err.Error()]++
+			} else {
+				t.Fatalf("%s: built", name)
+			}
+		}
+		if len(texts) != 1 {
+			t.Errorf("%s: %d error texts over 100 builds: %v", name, len(texts), texts)
+		}
+	}
+}
+
+// TestBuildAllocations pins what constructing and building a small
+// definition allocates: a definition is slices by position and one
+// closure bitset, with no map.
+func TestBuildAllocations(t *testing.T) {
+	build := func() {
+		process.NewBuilder("P").
+			Add(1, "c1", activity.Compensatable).
+			Add(2, "c2", activity.Compensatable).
+			Add(3, "p3", activity.Pivot).
+			Add(4, "c4", activity.Compensatable).
+			Add(5, "p5", activity.Pivot).
+			Add(6, "r6", activity.Retriable).
+			Add(7, "r7", activity.Retriable).
+			Add(8, "r8", activity.Retriable).
+			Seq(1, 2).
+			Seq(2, 3).
+			Chain(3, 4, 6).
+			Seq(4, 5).
+			Seq(6, 7).
+			Seq(7, 8).
+			MustBuild()
+	}
+	if n := testing.AllocsPerRun(100, build); n > 60 {
+		t.Fatalf("constructing and building an 8-activity definition allocates %v times, want at most 60", n)
+	}
+}
+
 func TestBuilderExternalPredecessorIntoAlternative(t *testing.T) {
 	t.Parallel()
 	// A node inside an alternative branch must not be entered from

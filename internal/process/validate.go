@@ -226,11 +226,11 @@ func ValidateGuaranteedTermination(p *Process) error {
 func IsWellFormedFlex(p *Process) (bool, string) {
 	// Reject non-chain precedence: a node with more than one chain or a
 	// chain head with external joins.
-	for _, id := range p.order {
-		if len(p.chains[id]) > 1 {
+	for i, id := range p.order {
+		if len(p.chains[i]) > 1 {
 			return false, fmt.Sprintf("activity %d has parallel successors; grammar check applies to chains only", id)
 		}
-		if len(p.preds[id]) > 1 {
+		if len(p.preds[i]) > 1 {
 			return false, fmt.Sprintf("activity %d has multiple predecessors; grammar check applies to chains only", id)
 		}
 	}
@@ -241,12 +241,11 @@ func IsWellFormedFlex(p *Process) (bool, string) {
 	return ok, why
 }
 
-// wellFormedFrom checks the grammar starting at node n. afterPivot marks
-// that a pivot committed earlier on this path.
+// wellFormedFrom checks the grammar starting at position n. afterPivot
+// marks that a pivot committed earlier on this path.
 func (p *Process) wellFormedFrom(n int, afterPivot bool) (bool, string) {
 	for {
-		a := p.Activity(n)
-		switch a.Kind {
+		switch p.acts[n].Kind {
 		case activity.Compensatable:
 			// fine in any position before the next pivot
 		case activity.Retriable:
@@ -268,13 +267,13 @@ func (p *Process) wellFormedFrom(n int, afterPivot bool) (bool, string) {
 				if ok, _ := p.allRetriableFrom(chain[0]); ok {
 					return true, ""
 				}
-				return false, fmt.Sprintf("pivot %d is followed by a non-retriable continuation without an alternative", n)
+				return false, fmt.Sprintf("pivot %d is followed by a non-retriable continuation without an alternative", p.order[n])
 			}
 			// Alternatives exist: the last must be all-retriable, the
 			// earlier ones nested well-formed structures.
 			last := chain[len(chain)-1]
 			if ok, why := p.allRetriableFrom(last); !ok {
-				return false, fmt.Sprintf("lowest-priority alternative after pivot %d is not all-retriable: %s", n, why)
+				return false, fmt.Sprintf("lowest-priority alternative after pivot %d is not all-retriable: %s", p.order[n], why)
 			}
 			for _, alt := range chain[:len(chain)-1] {
 				if ok, why := p.wellFormedFrom(alt, true); !ok {
@@ -283,7 +282,7 @@ func (p *Process) wellFormedFrom(n int, afterPivot bool) (bool, string) {
 			}
 			return true, ""
 		case activity.Compensation:
-			return false, fmt.Sprintf("activity %d is a compensation", n)
+			return false, fmt.Sprintf("activity %d is a compensation", p.order[n])
 		}
 		chains := p.chains[n]
 		if len(chains) == 0 {
@@ -299,7 +298,7 @@ func (p *Process) wellFormedFrom(n int, afterPivot bool) (bool, string) {
 			last := chain[len(chain)-1]
 			if afterPivot {
 				if ok, why := p.allRetriableFrom(last); !ok {
-					return false, fmt.Sprintf("lowest-priority alternative after %d must be all-retriable: %s", n, why)
+					return false, fmt.Sprintf("lowest-priority alternative after %d must be all-retriable: %s", p.order[n], why)
 				}
 				for _, alt := range chain[:len(chain)-1] {
 					if ok, why := p.wellFormedFrom(alt, true); !ok {
@@ -319,12 +318,12 @@ func (p *Process) wellFormedFrom(n int, afterPivot bool) (bool, string) {
 	}
 }
 
-// allRetriableFrom checks that node n and everything reachable from it is
-// retriable.
+// allRetriableFrom checks that position n and everything reachable from
+// it is retriable.
 func (p *Process) allRetriableFrom(n int) (bool, string) {
-	for _, m := range p.Subtree(n) {
-		if k := p.Activity(m).Kind; k != activity.Retriable {
-			return false, fmt.Sprintf("activity %d is %v", m, k)
+	for _, m := range p.appendSubtree(nil, n) {
+		if k := p.acts[m].Kind; k != activity.Retriable {
+			return false, fmt.Sprintf("activity %d is %v", p.order[m], k)
 		}
 	}
 	return true, ""

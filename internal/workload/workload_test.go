@@ -167,3 +167,17 @@ func TestParallelBranchGeneration(t *testing.T) {
 		t.Fatalf("PRED=%v at=%d err=%v", ok, at, err)
 	}
 }
+
+// BenchmarkGenerate generates a workload the size of the rt-long
+// benchmark's: 200 processes on the default profile, the federation
+// and every process definition.
+func BenchmarkGenerate(b *testing.B) {
+	p := DefaultProfile(7)
+	p.Processes = 200
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Generate(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
