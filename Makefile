@@ -24,10 +24,14 @@ loc:
 
 # Fault model at the edges (DESIGN.md §6m): the engines, the federation
 # and the service reach faults only through injected hooks, so none of
-# them may depend on the fault libraries or the batteries.
+# them may depend on the fault libraries or the batteries. The service
+# runs one executor, the concurrent runtime (DESIGN.md §6i), so it may
+# not depend on the federation either.
 layers:
 	@bad=$$($(GO) list -deps ./internal/scheduler ./internal/runtime ./internal/federation ./internal/serve | grep -E 'internal/(fault|chaos|battery)$$'); \
 	if [ -n "$$bad" ]; then echo "product packages depend on:" $$bad >&2; exit 1; fi
+	@if $(GO) list -deps ./internal/serve | grep -qE 'internal/federation$$'; then \
+		echo "internal/serve depends on internal/federation" >&2; exit 1; fi
 
 # One incarnation-id grammar (process.ID: Origin, Restart, Lineage): no
 # product file outside internal/process prints a "+rN" suffix or splits

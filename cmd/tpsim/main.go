@@ -10,7 +10,7 @@
 //	tpsim run [-metrics[=text|json]] [-runtime=concurrent] <spec.json> [mode]
 //	tpsim battery <torture|chaos|fed|hub|serve> [-seeds N] [-first S] [-seed K] [-ckpt] [-durable] [-json]
 //	tpsim fed [-metrics[=text|json]] [-nodes N] [-procs P] [-seed S] [-benchhub] [-json]
-//	tpsim serve [-addr A] [-dir D] [-world spec.json] [-mode M] [-fed N]
+//	tpsim serve [-addr A] [-dir D] [-world spec.json] [-mode M]
 //
 // where experiment is one of e1..e11, e13, e14, b1, b2, b4, b5, or "all" (default),
 // and mode is pred (default), serial, conservative or cc-only. "run"
@@ -31,9 +31,8 @@
 // schedule; -benchhub measures hub-kill MTTR (BENCH_fed_hub.json).
 // "serve" runs the long-running ingestion service (internal/serve):
 // an HTTP API that admits declarative processes into the concurrent
-// runtime (or a federation cluster with -fed) with admission control,
-// per-tenant budgets, graceful drain on SIGTERM and crash-safe restart
-// over its data directory.
+// runtime with admission control, per-tenant budgets, graceful drain
+// on SIGTERM and crash-safe restart over its data directory.
 //
 // -metrics attaches an observability registry to the run and dumps its
 // snapshot (counters, histograms, per-service latencies, WAL totals and

@@ -20,29 +20,24 @@ import (
 // service.
 //
 //	tpsim serve [-addr :8080] [-dir serve-data] [-world spec.json]
-//	            [-mode M] [-fed N] [-lease D] [-heartbeat D]
-//	            [-queue N] [-batch N] [-tick D] [-drain D] [-ckpt N]
-//	            [-compact] [-nosync] [-rate R] [-burst B] [-retries N]
+//	            [-mode M] [-queue N] [-batch N] [-tick D] [-drain D]
+//	            [-ckpt N] [-compact] [-nosync] [-rate R] [-burst B]
+//	            [-retries N]
 //
 // The default form opens (or re-opens, recovering) the data directory,
 // builds the subsystem federation from -world (a spec file whose
 // "subsystems" section declares the services; its "processes" section
 // is ignored — processes arrive over HTTP) or from a built-in demo
 // world, and serves the ingestion API until SIGINT/SIGTERM triggers a
-// graceful drain. -fed N routes batches through an N-node federation
-// cluster instead of the in-process runtime (mode pred only). The serve
-// crash battery is `tpsim battery serve`; load is measured by the
-// layered benchmark's open-loop serve-open workload (`go run -C bench .
-// -workload serve-open`, E17).
+// graceful drain. The serve crash battery is `tpsim battery serve`;
+// load is measured by the layered benchmark's open-loop serve-open
+// workload (`go run -C bench . -workload serve-open`, E17).
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	dir := fs.String("dir", "serve-data", "data directory (wal.log + intake.journal)")
 	world := fs.String("world", "", "spec file declaring the subsystem federation (default: built-in demo world)")
-	modeName := fs.String("mode", "pred", "scheduling mode: pred, serial, conservative or cc-only (-fed runs pred only)")
-	fed := fs.Int("fed", 0, "route batches through an N-node federation cluster (0 = in-process runtime)")
-	lease := fs.Duration("lease", 0, "federation: lease TTL for hub membership (0 = explicit death reports; /readyz degrades while the hub is unreachable)")
-	heartbeat := fs.Duration("heartbeat", 0, "federation: node heartbeat interval (default lease/4 when -lease is set)")
+	modeName := fs.String("mode", "pred", "scheduling mode: pred, serial, conservative or cc-only")
 	queue := fs.Int("queue", 64, "admission queue depth (shed with 429 beyond it)")
 	batch := fs.Int("batch", 8, "max submissions per runner micro-batch")
 	tick := fs.Duration("tick", 0, "real duration of one virtual service cost unit")
@@ -65,12 +60,8 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	if *lease > 0 && *heartbeat <= 0 {
-		*heartbeat = *lease / 4
-	}
 	cfg := serve.Config{
-		Dir: *dir, Mode: mode, FedNodes: *fed,
-		FedLeaseTTL: *lease, FedHeartbeat: *heartbeat,
+		Dir: *dir, Mode: mode,
 		QueueDepth: *queue, BatchMax: *batch, Tick: *tick,
 		DrainTimeout: *drain, CheckpointEvery: *ckpt,
 		CompactOnCheckpoint: *compact, NoSync: *nosync,
@@ -89,11 +80,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("serve: listening on %s (dir=%s mode=%s queue=%d batch=%d", bound, *dir, mode, *queue, *batch)
-	if *fed > 0 {
-		fmt.Printf(" fed=%d nodes", *fed)
-	}
-	fmt.Println(")")
+	fmt.Printf("serve: listening on %s (dir=%s mode=%s queue=%d batch=%d)\n", bound, *dir, mode, *queue, *batch)
 	fmt.Printf("serve: try: curl -s localhost%s/healthz\n", portOf(bound))
 
 	sig := make(chan os.Signal, 2)

@@ -23,8 +23,6 @@ import (
 
 	"transproc/internal/activity"
 	"transproc/internal/fault"
-	"transproc/internal/federation"
-	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/schedule"
 	"transproc/internal/scheduler"
@@ -70,18 +68,10 @@ type ServeScenario struct {
 	// Tick slows virtual service time so drains and overloads catch
 	// work in flight.
 	Tick time.Duration
-	// FedNodes > 0 routes batches through a federation cluster;
-	// FedHubPoint/FedHubCount arm a hub kill -9 inside the first batch
-	// (the server must ride through the reopen), and the lease knobs
-	// exercise the membership plumbing.
-	FedNodes     int
-	FedHubPoint  string
-	FedHubCount  int
-	FedLeaseTTL  time.Duration
-	FedHeartbeat time.Duration
 }
 
-// serveClasses is the scenario-class cycle.
+// serveClasses is the scenario-class cycle: ten seeds, nine classes
+// (seeds ≡ 9 run wal-budget as well as seeds ≡ 3).
 const serveClasses = 10
 
 // serveScenarioFor derives the deterministic scenario of a seed. Nine
@@ -124,7 +114,7 @@ func serveScenarioFor(seed int64) ServeScenario {
 		sc.Plan.CrashAtPoint = serve.PointDrain
 		sc.Plan.CrashAtCount = 1
 		sc.Tick = 200 * time.Microsecond
-	case 3:
+	case 3, 9:
 		sc.Class = "wal-budget"
 		sc.Plan.CrashAfterWALRecords = budget
 	case 4:
@@ -156,31 +146,6 @@ func serveScenarioFor(seed int64) ServeScenario {
 		sc.Class = "double-crash"
 		sc.Plan.CrashAfterWALRecords = budget
 		sc.RerunBudget = 5 + rng.Intn(40)
-	case 9:
-		// The coordination hub of a federated batch dies kill -9 style
-		// mid-batch; the serve layer must ride through the reopen (its
-		// readiness probe degrading in the window) and still settle every
-		// acked submission exactly once. The generous lease keeps healthy
-		// heartbeating nodes from spurious expiry — lease-expiry torture
-		// proper lives in the federation hub battery.
-		sc.Class = "fed-hub-bounce"
-		sc.FedNodes = 2 + rng.Intn(2)
-		// Dispatch kills are guaranteed to fire (any admitted work hits
-		// them) so they carry double weight; the 2PC-window kills ride
-		// along when the batch exercises those paths.
-		pts := []string{federation.PointHubDispatch, federation.PointHubDispatch,
-			federation.PointHubDecision, federation.PointHubResolve}
-		sc.FedHubPoint = pts[rng.Intn(len(pts))]
-		if sc.FedHubPoint == federation.PointHubDispatch {
-			sc.FedHubCount = 1 + rng.Intn(4)
-		} else {
-			sc.FedHubCount = 1
-		}
-		sc.FedLeaseTTL = 200 * time.Millisecond
-		sc.FedHeartbeat = 10 * time.Millisecond
-		sc.Procs = 12
-		sc.CheckpointEvery = 0 // LSN epoch boundaries must survive verbatim
-		sc.CompactOnCheckpoint = false
 	}
 	return sc
 }
@@ -250,7 +215,7 @@ func serveWorldFrom(sc ServeScenario, p workload.Profile) (*subsystem.Federation
 }
 
 // scenarioConfig builds the server config of one incarnation.
-func scenarioConfig(sc ServeScenario, fed *subsystem.Federation, dir string, plan fault.Plan, walBudget int, hold bool) serve.Config {
+func scenarioConfig(sc ServeScenario, dir string, plan fault.Plan, walBudget int, hold bool) serve.Config {
 	cfg := serve.Config{
 		Dir: dir, NoSync: true,
 		Tick:            sc.Tick,
@@ -266,37 +231,6 @@ func scenarioConfig(sc ServeScenario, fed *subsystem.Federation, dir string, pla
 	if sc.Park {
 		cfg.BatchMax = 2
 		cfg.DrainTimeout = 25 * time.Millisecond
-	}
-	if sc.FedNodes > 0 {
-		cfg.FedNodes = sc.FedNodes
-		cfg.FedLeaseTTL = sc.FedLeaseTTL
-		cfg.FedHeartbeat = sc.FedHeartbeat
-		// One batch holds the whole workload, so the armed hub kill is
-		// guaranteed to fire inside it.
-		cfg.BatchMax = sc.Procs
-		cfg.BatchWait = 30 * time.Millisecond
-		if !hold {
-			// Only the first incarnation arms the kill; a restart resumes
-			// over a healthy hub. The injector is inert after it trips, so
-			// only the first batch's hub dies. Every mid-batch reopen is
-			// judged at its boundary: the stitched history plus the
-			// reopen's recovery tail must satisfy the same invariants a
-			// single-node crash recovery is held to.
-			inj := fault.NewInjector(fault.Plan{CrashAtPoint: sc.FedHubPoint, CrashAtCount: sc.FedHubCount})
-			cfg.FedCluster = func(fc *federation.Config, defs []*process.Process) {
-				fc.HubInject = inj.Point
-				record := fc.OnReopen
-				fc.OnReopen = func(rep *federation.ReopenReport) error {
-					if err := record(rep); err != nil {
-						return err
-					}
-					return fault.CheckRecovered(fault.CheckInput{
-						Fed: fed, Log: rep.Log, Defs: defs,
-						PreCrashRecords: rep.Pre, PreCrashFull: rep.Pre,
-					})
-				}
-			}
-		}
 	}
 	if plan.CrashAtPoint != "" {
 		inj := fault.NewInjector(plan)
@@ -489,7 +423,7 @@ func checkSettled(s *serve.Server, crashLSNs []int64) error {
 // post-recovery point, then releases the resume set. walBudget > 0 arms
 // the next crash.
 func restartAndJudge(sc ServeScenario, fed *subsystem.Federation, dir string, pre, preFull, walBudget int, priorLSNs []int64) (*serve.Server, error) {
-	srv, err := serve.Open(fed, scenarioConfig(sc, fed, dir, fault.Plan{}, walBudget, true))
+	srv, err := serve.Open(fed, scenarioConfig(sc, dir, fault.Plan{}, walBudget, true))
 	if err != nil {
 		return nil, fmt.Errorf("restart: %w", err)
 	}
@@ -520,7 +454,7 @@ func runServeScenario(sc ServeScenario, dir string) error {
 	if err != nil {
 		return err
 	}
-	srv, err := serve.Open(fed, scenarioConfig(sc, fed, dir, sc.Plan, sc.Plan.CrashAfterWALRecords, false))
+	srv, err := serve.Open(fed, scenarioConfig(sc, dir, sc.Plan, sc.Plan.CrashAfterWALRecords, false))
 	if err != nil {
 		return fail("open: %v", err)
 	}
@@ -575,34 +509,16 @@ func runServeScenario(sc ServeScenario, dir string) error {
 	srv.Close()
 	flushAbandoned(srv)
 
-	// Hub-bounce scenarios must actually have bounced: the armed kill
-	// fired, the cluster reopened the hub, and the readiness probe is
-	// back out of its degraded window.
-	reopenLSNs := srv.ReopenBoundaries()
-	if sc.FedNodes > 0 && sc.FedHubPoint != "" {
-		// hub:dispatch fires on any admitted work, so its kill MUST have
-		// been ridden out; decision/resolve points fire only when the
-		// batch exercises cross-node 2PC windows (soft, as in the
-		// federation hub battery).
-		if got := srv.Metrics().Counter(metrics.FedHubReopens); got == 0 && sc.FedHubPoint == federation.PointHubDispatch {
-			return fail("armed hub kill at %q never fired (no reopen)", sc.FedHubPoint)
-		}
-		if srv.HubDegraded() {
-			return fail("readiness still degraded after the batch settled")
-		}
-	}
-
-	// The crash boundary, read from the abandoned WAL. Mid-batch hub
-	// reopens are earlier crash epochs of the same history.
+	// The crash boundary, read from the abandoned WAL.
 	pre, preFull, lsn, err := preCrashBoundary(dir)
 	if err != nil {
 		return fail("pre-crash boundary: %v", err)
 	}
-	crashLSNs := append(append([]int64(nil), reopenLSNs...), lsn)
+	crashLSNs := []int64{lsn}
 
 	// Restart over the same directory; judge recovery, then release the
 	// resume set.
-	srv2, err := restartAndJudge(sc, fed, dir, pre, preFull, sc.RerunBudget, reopenLSNs)
+	srv2, err := restartAndJudge(sc, fed, dir, pre, preFull, sc.RerunBudget, nil)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -647,8 +563,7 @@ func runServeScenario(sc ServeScenario, dir string) error {
 			return fail("second boundary: %v", err)
 		}
 		crashLSNs = append(crashLSNs, lsn2)
-		srv3, err := restartAndJudge(sc, fed, dir, pre2, preFull2, 0,
-			append(append([]int64(nil), reopenLSNs...), lsn))
+		srv3, err := restartAndJudge(sc, fed, dir, pre2, preFull2, 0, []int64{lsn})
 		if err != nil {
 			return fail("second restart: %v", err)
 		}
@@ -721,7 +636,7 @@ var Serve = &Battery{
 	Name: "serve",
 	Classes: []string{
 		"admit-crash", "ack-crash", "drain-crash", "wal-budget", "engine-point",
-		"group-fsync", "overload", "drain-park", "double-crash", "fed-hub-bounce",
+		"group-fsync", "overload", "drain-park", "double-crash",
 	},
 	ScenarioFor: func(seed int64, _ Variants) (string, string) {
 		sc := serveScenarioFor(seed)

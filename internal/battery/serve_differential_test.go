@@ -24,10 +24,8 @@ import (
 func TestRestartResumeDifferential(t *testing.T) {
 	// Crash classes only (admit-crash, ack-crash, wal-budget,
 	// engine-point, group-fsync, double-crash): overload sheds a
-	// timing-dependent subset, drains park rather than kill, and
-	// fed-hub-bounce kills a different process than the one being
-	// differenced, so none of those compare 1:1 against an
-	// uninterrupted run.
+	// timing-dependent subset and drains park rather than kill, so
+	// neither compares 1:1 against an uninterrupted run.
 	seeds := []int64{0, 1, 3, 4, 5, 8, 10, 13, 14, 15, 18, 21}
 	if testing.Short() {
 		seeds = seeds[:6]
@@ -50,7 +48,7 @@ func runDifferential(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	dirA := t.TempDir()
-	srvA, err := serve.Open(fedA, scenarioConfig(sc, fedA, dirA, fault.Plan{}, 0, false))
+	srvA, err := serve.Open(fedA, scenarioConfig(sc, dirA, fault.Plan{}, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +85,7 @@ func runDifferential(t *testing.T, seed int64) {
 		t.Fatal(err)
 	}
 	dirB := t.TempDir()
-	srv, err := serve.Open(fedB, scenarioConfig(sc, fedB, dirB, sc.Plan, sc.Plan.CrashAfterWALRecords, false))
+	srv, err := serve.Open(fedB, scenarioConfig(sc, dirB, sc.Plan, sc.Plan.CrashAfterWALRecords, false))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +111,7 @@ func runDifferential(t *testing.T, seed int64) {
 	}
 	var final *serve.Server
 	for attempt := 0; attempt < 4; attempt++ {
-		rs, err := serve.Open(fedB, scenarioConfig(sc, fedB, dirB, fault.Plan{}, 0, false))
+		rs, err := serve.Open(fedB, scenarioConfig(sc, dirB, fault.Plan{}, 0, false))
 		if err != nil {
 			t.Fatalf("restart %d: %v", attempt, err)
 		}

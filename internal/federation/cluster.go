@@ -51,8 +51,8 @@ type Config struct {
 	// battery judges the reopen's stitched history here). An error fails
 	// the run.
 	OnReopen func(*ReopenReport) error
-	// OnHubDown / OnHubUp observe the hub availability window (the serve
-	// layer degrades its readiness probe between them).
+	// OnHubDown / OnHubUp observe the hub availability window (`tpsim
+	// fed -benchhub` times a reopen's MTTR between them).
 	OnHubDown func()
 	OnHubUp   func()
 	// NodeWAL supplies per-node logs (default: fresh MemLogs).

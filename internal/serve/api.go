@@ -12,6 +12,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -59,7 +60,7 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/processes/{tenant}/{id}/events", s.guard(s.handleEvents))
 	mux.HandleFunc("POST /v1/drain", s.guard(s.handleDrain))
 	mux.HandleFunc("GET /healthz", s.guard(s.handleHealthz))
-	mux.HandleFunc("GET /readyz", s.guard(s.handleReadyz))
+	mux.HandleFunc("GET /readyz", s.handleReadyz) // answers "crashed" itself
 	mux.HandleFunc("GET /metricz", s.guard(s.handleMetricz))
 	return mux
 }
@@ -93,6 +94,12 @@ func shed(w http.ResponseWriter, retryAfter time.Duration, msg string) {
 	writeJSON(w, http.StatusTooManyRequests, apiError{Error: msg, RetryAfter: secs})
 }
 
+// maxSubmitBytes caps a POST /v1/processes body. Its journal entry
+// re-encodes the same spec, so the cap keeps every entry far below the
+// 16 MiB frame limit of the journal's wal.FrameFile: an entry over that
+// limit would fail the force-log, which the server treats as fatal.
+const maxSubmitBytes = 1 << 20
+
 func validName(sv string) bool {
 	if sv == "" {
 		return false
@@ -116,9 +123,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeJSON(w, http.StatusRequestEntityTooLarge, apiError{Error: fmt.Sprintf("request body exceeds %d bytes", maxSubmitBytes)})
+			return
+		}
 		writeJSON(w, http.StatusBadRequest, apiError{Error: fmt.Sprintf("bad request: %v", err)})
 		return
 	}
@@ -283,8 +295,6 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		reason = "closed"
 	case s.draining.Load():
 		reason = "draining"
-	case s.hubDegraded.Load():
-		reason = "federation hub unreachable"
 	default:
 		s.mu.Lock()
 		queued := len(s.queue) + s.reserved

@@ -1,9 +1,8 @@
 // Package serve is the long-running ingestion service over the
 // transactional process engines: a dependency-free HTTP/JSON server
 // that accepts declarative process specs (internal/spec), executes
-// them on the concurrent runtime (or a federation cluster) against one
-// durable write-ahead log, and streams per-process status and
-// decision-trace events.
+// them on the concurrent runtime against one durable write-ahead log,
+// and streams per-process status and decision-trace events.
 //
 // Robustness is the design center:
 //
@@ -51,7 +50,6 @@ import (
 	"time"
 
 	"transproc/internal/conflict"
-	"transproc/internal/federation"
 	"transproc/internal/metrics"
 	"transproc/internal/process"
 	"transproc/internal/runtime"
@@ -66,8 +64,7 @@ import (
 type Config struct {
 	// Dir is the data directory: wal.log + intake.journal.
 	Dir string
-	// Mode is the scheduling policy (default PRED). With FedNodes > 0 it
-	// must be PRED, the one mode the federation runs.
+	// Mode is the scheduling policy (default PRED).
 	Mode scheduler.Mode
 	// Workers caps concurrently admitted processes inside a batch
 	// (0 = unlimited).
@@ -121,24 +118,6 @@ type Config struct {
 	// (CheckRecovered's invariants speak about recovery's log tail)
 	// before the resumed work starts appending records of its own.
 	HoldResume bool
-	// FedNodes > 0 routes batches through a federation cluster of that
-	// many scheduler nodes instead of the in-process runtime; the
-	// stitched per-node WALs are appended to the server log after each
-	// batch as an audit copy (weaker mid-batch crash-safety: the
-	// journal, not the server WAL, is what restarts resume from).
-	FedNodes int
-	// FedLeaseTTL / FedHeartbeat enable lease-based membership inside
-	// the federation cluster (zero = disabled): a silent node's lease
-	// expires and its safe orphans re-home to survivors mid-batch.
-	FedLeaseTTL  time.Duration
-	FedHeartbeat time.Duration
-	// FedCluster, if set, edits each federated batch's cluster
-	// configuration before the cluster is built; defs are the batch's
-	// process definitions. A battery arms a hub kill (HubInject) and
-	// chains its recovery judge behind OnReopen here — the hub then dies
-	// kill -9 style mid-batch and the cluster reopens it from the
-	// stitched WALs plus its journal while /readyz reports degraded.
-	FedCluster func(cfg *federation.Config, defs []*process.Process)
 }
 
 // Crash points fired by the server: after a submission was journaled
@@ -227,14 +206,13 @@ type Server struct {
 	// no window where dequeued-but-unsealed work looks idle.
 	pending atomic.Int64
 
-	draining    atomic.Bool
-	crashed     atomic.Bool
-	closed      atomic.Bool
-	hubDegraded atomic.Bool  // federation hub unreachable (reopen in progress)
-	crashPt     atomic.Value // string
-	stopOnce    sync.Once
-	stopCh      chan struct{}
-	drainMu     sync.Mutex
+	draining atomic.Bool
+	crashed  atomic.Bool
+	closed   atomic.Bool
+	crashPt  atomic.Value // string
+	stopOnce sync.Once
+	stopCh   chan struct{}
+	drainMu  sync.Mutex
 
 	runnerWG sync.WaitGroup
 	httpSrv  *http.Server
@@ -243,11 +221,6 @@ type Server struct {
 	report  *scheduler.RecoveryReport
 	resumed int
 	reruns  int
-
-	// reopenLSNs are the server-log LSN boundaries of federation hub
-	// reopens ridden through by this incarnation's batches (guarded by
-	// mu; see ReopenBoundaries).
-	reopenLSNs []int64
 }
 
 // Open creates or reopens a server over the federation and data
@@ -261,9 +234,6 @@ type Server struct {
 func Open(fed *subsystem.Federation, cfg Config) (*Server, error) {
 	if cfg.Dir == "" {
 		return nil, fmt.Errorf("serve: Config.Dir is required")
-	}
-	if cfg.FedNodes > 0 && cfg.Mode != scheduler.PRED {
-		return nil, fmt.Errorf("serve: mode %v cannot run federated (FedNodes=%d): the federation runs PRED only", cfg.Mode, cfg.FedNodes)
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
@@ -594,11 +564,8 @@ func (s *Server) runBatch(batch []*submission) {
 	s.pending.Add(-int64(len(batch)))
 }
 
-// execute runs one batch on the configured engine flavor.
+// execute runs one batch to completion on a fresh runtime.
 func (s *Server) execute(jobs []scheduler.Job) (map[process.ID]*scheduler.Outcome, error) {
-	if s.cfg.FedNodes > 0 {
-		return s.executeFed(jobs)
-	}
 	rt, err := runtime.New(s.fed, runtime.Config{
 		Mode:                s.cfg.Mode,
 		Log:                 s.view,
@@ -618,90 +585,6 @@ func (s *Server) execute(jobs []scheduler.Job) (map[process.ID]*scheduler.Outcom
 		return nil, err
 	}
 	return res.Outcomes, err
-}
-
-// executeFed routes the batch through a federation cluster; the
-// stitched per-node WALs are appended to the server log afterwards as
-// an audit copy.
-func (s *Server) executeFed(jobs []scheduler.Job) (map[process.ID]*scheduler.Outcome, error) {
-	defs := make([]*process.Process, len(jobs))
-	for i, j := range jobs {
-		defs[i] = j.Proc
-	}
-	var bmu sync.Mutex
-	var boundStamps []int64 // first re-stamped tail stamp per hub reopen
-	fcfg := federation.Config{
-		Nodes: s.cfg.FedNodes, MaxRestarts: s.cfg.MaxRestarts, Metrics: s.reg,
-		LeaseTTL: s.cfg.FedLeaseTTL, HeartbeatEvery: s.cfg.FedHeartbeat,
-		OnHubDown: func() { s.hubDegraded.Store(true) },
-		OnHubUp:   func() { s.hubDegraded.Store(false) },
-		OnReopen: func(rep *federation.ReopenReport) error {
-			bmu.Lock()
-			if len(rep.Tail) > 0 {
-				boundStamps = append(boundStamps, rep.Tail[0].Stamp)
-			}
-			bmu.Unlock()
-			return nil
-		},
-	}
-	if s.cfg.FedCluster != nil {
-		s.cfg.FedCluster(&fcfg, defs)
-	}
-	c, err := federation.NewCluster(s.fed, defs, fcfg)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Close()
-	res := c.Run()
-	if res.HubErr != nil {
-		return nil, fmt.Errorf("hub reopen: %w", res.HubErr)
-	}
-	for i, nerr := range res.NodeErrs {
-		if nerr != nil {
-			return nil, fmt.Errorf("node %d: %w", i, nerr)
-		}
-	}
-	recs, err := c.Stitched()
-	if err != nil {
-		return nil, err
-	}
-	// While copying the stitched batch history into the server log,
-	// translate each reopen's stamp boundary into a server-log LSN (the
-	// last record stamped before the reopen's re-stamped recovery tail).
-	// The end-state judges need these: recovery-tail records replay in
-	// recovering mode, not as ordinary forward work.
-	bmu.Lock()
-	bounds := append([]int64(nil), boundStamps...)
-	bmu.Unlock()
-	boundLSNs := make([]int64, len(bounds))
-	for _, rec := range recs {
-		if rec.Type == wal.RecCheckpoint {
-			continue
-		}
-		lsn, err := s.log.Append(rec)
-		if err != nil {
-			return nil, err
-		}
-		for i, b := range bounds {
-			if rec.Stamp < b {
-				boundLSNs[i] = lsn
-			}
-		}
-	}
-	s.mu.Lock()
-	s.reopenLSNs = append(s.reopenLSNs, boundLSNs...)
-	s.mu.Unlock()
-	return res.Outcomes, nil
-}
-
-// ReopenBoundaries returns the server-log LSN boundary of every
-// federation hub reopen its batches rode through, in occurrence order —
-// the crash-epoch boundaries a judge of the accumulated history needs
-// (recovery-tail records replay in recovering mode).
-func (s *Server) ReopenBoundaries() []int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]int64(nil), s.reopenLSNs...)
 }
 
 // idle reports whether no work is queued or running.
@@ -871,10 +754,6 @@ func (s *Server) Defs() []*process.Process {
 	defer s.mu.Unlock()
 	return s.defsList()
 }
-
-// HubDegraded reports whether a federated batch's hub is unreachable (a
-// reopen is in progress); /readyz answers 503 meanwhile.
-func (s *Server) HubDegraded() bool { return s.hubDegraded.Load() }
 
 // Metrics returns the server's registry.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }

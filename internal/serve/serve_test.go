@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,10 +11,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"transproc/internal/scheduler"
 	"transproc/internal/spec"
 	"transproc/internal/subsystem"
 	"transproc/internal/wal"
@@ -247,27 +249,124 @@ func journalAfterRun(t *testing.T) (dir, path string, data []byte) {
 	return dir, path, data
 }
 
-// The federation runs PRED only. Any other mode with FedNodes > 0 is
-// refused before the data directory exists: accepted, the first batch
-// would fail after its submissions were journaled and acknowledged, and
-// every restart would replay the journal into the same failure.
-func TestOpenRejectsFederatedNonPRED(t *testing.T) {
-	for _, mode := range []scheduler.Mode{scheduler.Serial, scheduler.Conservative, scheduler.CCOnly} {
-		dir := filepath.Join(t.TempDir(), "data")
-		srv, err := Open(testWorld(t), Config{Dir: dir, Mode: mode, FedNodes: 2, NoSync: true})
-		if err == nil {
-			srv.Close()
-			t.Fatalf("mode %v with FedNodes=2: server opened", mode)
-		}
-		if _, statErr := os.Stat(dir); !os.IsNotExist(statErr) {
-			t.Fatalf("mode %v: refused with %v, but the data directory was created", mode, err)
-		}
-	}
-	srv, err := Open(testWorld(t), Config{Dir: t.TempDir(), FedNodes: 2, NoSync: true})
+// crashAt is the injected kill -9: a panic carrying the sentinel method
+// scheduler.OnInjectedCrash recognizes.
+type crashAt string
+
+func (c crashAt) InjectedCrash() string { return string(c) }
+
+// submit posts one submission straight to the handler.
+func submit(h http.Handler, req SubmitRequest) *httptest.ResponseRecorder {
+	body, _ := json.Marshal(req)
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/processes", bytes.NewReader(body)))
+	return rec
+}
+
+// A submission body over maxSubmitBytes is refused with 413 before it
+// reaches the journal, and the server keeps admitting. The process id
+// here is longer than the journal's 16 MiB frame limit: without the
+// cap its journal append failed and the server crashed.
+func TestSubmitOversizedBody(t *testing.T) {
+	srv, err := Open(testWorld(t), Config{Dir: t.TempDir(), NoSync: true})
 	if err != nil {
-		t.Fatalf("PRED with FedNodes=2: %v", err)
+		t.Fatal(err)
 	}
-	srv.Close()
+	defer srv.Close()
+	h := srv.Handler()
+	if rec := submit(h, SubmitRequest{Tenant: "acme", Proc: tripSpec(strings.Repeat("a", 17<<20))}); rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submission: want 413, got %d %.200s", rec.Code, rec.Body.String())
+	}
+	if pt, crashed := srv.Crashed(); crashed {
+		t.Fatalf("oversized submission crashed the server at %s", pt)
+	}
+	if rec := submit(h, SubmitRequest{Tenant: "acme", Proc: tripSpec("trip0")}); rec.Code != http.StatusAccepted {
+		t.Fatalf("submission after the oversized one: want 202, got %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestReadyz pins each 503 reason of /readyz. A submission held at
+// serve:admit (journaled, its queue slot reserved, not yet enqueued)
+// fills a one-slot queue and keeps a drain waiting.
+func TestReadyz(t *testing.T) {
+	cases := []struct {
+		reason string
+		cfg    Config
+		// provoke brings the server into the state; hold is the
+		// submission parked at serve:admit.
+		provoke func(t *testing.T, srv *Server, hold func())
+	}{
+		{"overloaded", Config{QueueDepth: 1}, func(t *testing.T, srv *Server, hold func()) { hold() }},
+		{"draining", Config{}, func(t *testing.T, srv *Server, hold func()) {
+			hold()
+			go srv.Drain(context.Background())
+			for !srv.draining.Load() {
+				time.Sleep(time.Millisecond)
+			}
+		}},
+		{"closed", Config{}, func(t *testing.T, srv *Server, hold func()) {
+			if _, err := srv.Drain(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"crashed", Config{Inject: func(point string) {
+			if point == PointAck {
+				panic(crashAt(point))
+			}
+		}}, func(t *testing.T, srv *Server, hold func()) {
+			submit(srv.Handler(), SubmitRequest{Tenant: "acme", Proc: tripSpec("trip0")})
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.reason, func(t *testing.T) {
+			admitted, release := make(chan struct{}), make(chan struct{})
+			inject := tc.cfg.Inject
+			tc.cfg.Dir, tc.cfg.NoSync = t.TempDir(), true
+			var holding atomic.Bool
+			tc.cfg.Inject = func(point string) {
+				if point == PointAdmit && holding.Load() {
+					close(admitted)
+					<-release
+				}
+				if inject != nil {
+					inject(point)
+				}
+			}
+			srv, err := Open(testWorld(t), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			h := srv.Handler()
+			readyz := func() (int, string) {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+				var body struct{ Reason string }
+				json.Unmarshal(rec.Body.Bytes(), &body)
+				return rec.Code, body.Reason
+			}
+			if code, reason := readyz(); code != http.StatusOK {
+				t.Fatalf("fresh server: readyz %d %q", code, reason)
+			}
+			var wg sync.WaitGroup
+			defer wg.Wait()
+			var once sync.Once
+			defer once.Do(func() { close(release) })
+			hold := func() {
+				holding.Store(true)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					submit(h, SubmitRequest{Tenant: "acme", Proc: tripSpec("held")})
+				}()
+				<-admitted
+			}
+			tc.provoke(t, srv, hold)
+			if code, reason := readyz(); code != http.StatusServiceUnavailable || reason != tc.reason {
+				t.Fatalf("readyz %d %q, want 503 %q", code, reason, tc.reason)
+			}
+		})
+	}
 }
 
 // An interior-corrupt intake journal refuses to open, loudly, and is
