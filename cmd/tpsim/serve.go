@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -29,7 +30,8 @@ import (
 // "subsystems" section declares the services; its "processes" section
 // is ignored — processes arrive over HTTP) or from a built-in demo
 // world, and serves the ingestion API until SIGINT/SIGTERM triggers a
-// graceful drain. The serve crash battery is `tpsim battery serve`;
+// graceful drain, or until a drain through the API, after which it
+// exits 0 as well. The serve crash battery is `tpsim battery serve`;
 // load is measured by the layered benchmark's open-loop serve-open
 // workload (`go run -C bench . -workload serve-open`, E17).
 func runServe(args []string) error {
@@ -85,14 +87,28 @@ func runServe(args []string) error {
 
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	got := <-sig
-	fmt.Printf("serve: %v: draining (deadline %s; second signal force-quits)\n", got, *drain)
-	go func() {
-		<-sig
-		fmt.Fprintln(os.Stderr, "serve: force quit")
-		os.Exit(1)
-	}()
+	return awaitDrain(s, sig, *drain)
+}
+
+// awaitDrain waits for SIGINT/SIGTERM or for a drain through POST
+// /v1/drain, whichever comes first, and drains on a signal. A server
+// that is already closed has drained cleanly: that is no error.
+func awaitDrain(s *serve.Server, sig <-chan os.Signal, deadline time.Duration) error {
+	select {
+	case got := <-sig:
+		fmt.Printf("serve: %v: draining (deadline %s; second signal force-quits)\n", got, deadline)
+		go func() {
+			<-sig
+			fmt.Fprintln(os.Stderr, "serve: force quit")
+			os.Exit(1)
+		}()
+	case <-s.Drained():
+	}
 	rep, err := s.Drain(context.Background())
+	if errors.Is(err, serve.ErrClosed) {
+		fmt.Println("serve: drained through the API")
+		return nil
+	}
 	if err != nil {
 		return err
 	}

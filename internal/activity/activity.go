@@ -293,21 +293,3 @@ func (r *Registry) Validate() error {
 	}
 	return nil
 }
-
-// BaseOf returns, for a Compensation-kind service, the name of the
-// compensatable service it inverts; for any other service it returns the
-// service's own name. Perfect commutativity (Section 3.2) means a
-// compensating activity has exactly the conflicts of its base activity,
-// so conflict relations are keyed on base names.
-func (r *Registry) BaseOf(name string) string {
-	s, ok := r.specs[name]
-	if !ok || s.Kind != Compensation {
-		return name
-	}
-	for owner, os := range r.specs {
-		if os.Kind == Compensatable && os.Compensation == name {
-			return owner
-		}
-	}
-	return name
-}

@@ -248,20 +248,6 @@ func TestRegistryValidateOrphanCompensation(t *testing.T) {
 	}
 }
 
-func TestBaseOf(t *testing.T) {
-	t.Parallel()
-	r := newTestRegistry(t)
-	if got := r.BaseOf("cancel"); got != "book" {
-		t.Errorf("BaseOf(cancel) = %q, want book", got)
-	}
-	if got := r.BaseOf("book"); got != "book" {
-		t.Errorf("BaseOf(book) = %q, want book", got)
-	}
-	if got := r.BaseOf("unknown"); got != "unknown" {
-		t.Errorf("BaseOf(unknown) = %q, want unknown", got)
-	}
-}
-
 func TestRegistryNames(t *testing.T) {
 	t.Parallel()
 	r := newTestRegistry(t)

@@ -85,17 +85,6 @@ func TestBase(t *testing.T) {
 	}
 }
 
-func TestConflictingWith(t *testing.T) {
-	t.Parallel()
-	tab := NewTable()
-	tab.AddConflict("a", "b")
-	tab.AddConflict("a", "c")
-	got := tab.ConflictingWith("a", []string{"b", "c", "d", "b"})
-	if len(got) != 2 || got[0] != "b" || got[1] != "c" {
-		t.Fatalf("ConflictingWith = %v, want [b c]", got)
-	}
-}
-
 func TestPairsAndString(t *testing.T) {
 	t.Parallel()
 	tab := NewTable()
@@ -238,5 +227,59 @@ func TestCommutativeServicesDoNotSelfConflict(t *testing.T) {
 	}
 	if !tab.Conflicts("incr", "set") {
 		t.Fatal("distinct services on the same item still conflict")
+	}
+}
+
+func TestFromRegistryKeysItemsBySubsystem(t *testing.T) {
+	t.Parallel()
+	reg := activity.NewRegistry()
+	// Both subsystems declare an item x; they are two items.
+	reg.MustRegister(activity.Spec{Name: "s1.write", Kind: activity.Retriable, Subsystem: "s1", WriteSet: []string{"x"}})
+	reg.MustRegister(activity.Spec{Name: "s1.read", Kind: activity.Retriable, Subsystem: "s1", ReadSet: []string{"x"}})
+	reg.MustRegister(activity.Spec{Name: "s2.write", Kind: activity.Retriable, Subsystem: "s2", WriteSet: []string{"x"}})
+	reg.MustRegister(activity.Spec{Name: "s2.read", Kind: activity.Retriable, Subsystem: "s2", ReadSet: []string{"x"}})
+	tab := FromRegistry(reg)
+	for _, p := range [][2]string{{"s1.write", "s2.write"}, {"s1.write", "s2.read"}, {"s2.write", "s1.read"}} {
+		if tab.Conflicts(p[0], p[1]) {
+			t.Errorf("%s and %s touch x on different subsystems, yet conflict", p[0], p[1])
+		}
+	}
+	for _, p := range [][2]string{{"s1.write", "s1.read"}, {"s2.write", "s2.read"}, {"s1.write", "s1.write"}} {
+		if !tab.Conflicts(p[0], p[1]) {
+			t.Errorf("%s and %s share x on one subsystem, yet commute", p[0], p[1])
+		}
+	}
+	if got := tab.String(); got != "{s1.read~s1.write, s1.write~s1.write, s2.read~s2.write, s2.write~s2.write}" {
+		t.Errorf("String = %s", got)
+	}
+}
+
+// A relation taken from a table keeps its answers, and may be read
+// without locks, while the table and its clones change.
+func TestRelationUnchangedByLaterChanges(t *testing.T) {
+	t.Parallel()
+	tab := NewTable()
+	tab.MapBase("a⁻¹", "a")
+	tab.AddConflict("a", "b")
+	rel := tab.Relation()
+	cp := tab.Clone()
+	done := make(chan bool)
+	go func() {
+		ok := true
+		for i := 0; i < 1000; i++ {
+			ok = ok && rel.Conflicts("a⁻¹", "b") && !rel.Conflicts("a", "c")
+		}
+		done <- ok
+	}()
+	for i := 0; i < 100; i++ {
+		tab.AddConflict("a", "c")
+		cp.MapBase("a⁻¹", "c")
+		tab.MapBase(string(rune('d'+i%20)), "a")
+	}
+	if !<-done {
+		t.Fatal("a relation changed after the table it was taken from did")
+	}
+	if !tab.Conflicts("a", "c") || cp.Conflicts("a⁻¹", "b") || !cp.Conflicts("a", "b") {
+		t.Fatalf("table %s or clone %s lost a change", tab, cp)
 	}
 }

@@ -229,7 +229,7 @@ func (s *refState) newForcedCtx(v View) *refForcedCtx {
 	f.maskAlloc = f.maskAlloc[:0]
 
 	procs := v.Procs()
-	words := (len(s.u.names) + 63) / 64
+	words := (s.u.rel.Len() + len(s.u.extra) + 63) / 64
 	for _, id := range procs {
 		ph := v.Phase(id)
 		f.phase[id] = ph

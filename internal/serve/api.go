@@ -270,12 +270,15 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	rep, err := s.Drain(r.Context())
+	rep, err := s.drain(r.Context())
 	if err != nil {
 		writeJSON(w, http.StatusConflict, apiError{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
+	// The reply is out before Drained lets a waiting process exit.
+	http.NewResponseController(w).Flush()
+	s.markDrained()
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

@@ -213,6 +213,10 @@ type Server struct {
 	stopOnce sync.Once
 	stopCh   chan struct{}
 	drainMu  sync.Mutex
+	// drained is closed once a drain has finished, after the reply of
+	// a POST /v1/drain is written.
+	drainedOnce sync.Once
+	drained     chan struct{}
 
 	runnerWG sync.WaitGroup
 	httpSrv  *http.Server
@@ -276,17 +280,18 @@ func Open(fed *subsystem.Federation, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s := &Server{
-		cfg:    cfg,
-		fed:    fed,
-		reg:    cfg.Metrics,
-		log:    log,
-		jr:     jr,
-		table:  table,
-		tn:     newTenants(cfg.Tenant, cfg.Now),
-		subs:   make(map[string]*submission),
-		byKey:  make(map[[2]string]string),
-		defs:   make(map[string]*process.Process),
-		stopCh: make(chan struct{}),
+		cfg:     cfg,
+		fed:     fed,
+		reg:     cfg.Metrics,
+		log:     log,
+		jr:      jr,
+		table:   table,
+		tn:      newTenants(cfg.Tenant, cfg.Now),
+		subs:    make(map[string]*submission),
+		byKey:   make(map[[2]string]string),
+		defs:    make(map[string]*process.Process),
+		stopCh:  make(chan struct{}),
+		drained: make(chan struct{}),
 	}
 	s.view = wal.Log(log)
 	if cfg.WrapLog != nil {
@@ -622,15 +627,33 @@ func (s *Server) WaitIdle(timeout time.Duration) bool {
 	return false
 }
 
+// ErrClosed is Drain's error on a server that a drain already closed.
+var ErrClosed = errors.New("serve: already closed")
+
 // Drain performs the graceful shutdown sequence: stop admission, wait
 // for in-flight work up to the deadline (the remainder stays parked in
 // the journal), fire the serve:drain crash point, checkpoint and close
 // the WAL and journal.
 func (s *Server) Drain(ctx context.Context) (*DrainReport, error) {
+	rep, err := s.drain(ctx)
+	if err == nil {
+		s.markDrained()
+	}
+	return rep, err
+}
+
+// Drained returns a channel that is closed once a drain has finished,
+// through Drain or POST /v1/drain.
+func (s *Server) Drained() <-chan struct{} { return s.drained }
+
+// markDrained closes the Drained channel after a successful drain.
+func (s *Server) markDrained() { s.drainedOnce.Do(func() { close(s.drained) }) }
+
+func (s *Server) drain(ctx context.Context) (*DrainReport, error) {
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
 	if s.closed.Load() {
-		return nil, fmt.Errorf("serve: already closed")
+		return nil, ErrClosed
 	}
 	if s.crashed.Load() {
 		return nil, fmt.Errorf("serve: crashed at %v", s.crashPt.Load())
