@@ -604,7 +604,7 @@ func (h *Hub) advance(hp *hubProc, voided bool) (Status, error) {
 // logged the dispatch.
 func (h *Hub) exec(hp *hubProc, w scheduler.Work, voided bool) (scheduler.Wait, bool) {
 	if q := h.parkedConflict(hp.ID, w.Service); q != "" {
-		return scheduler.Wait{Rule: scheduler.RuleParked, Blockers: [][]process.ID{{q}}}, true
+		return scheduler.Wait{Rule: policy.RuleParked, Blockers: [][]process.ID{{q}}}, true
 	}
 	var res *subsystem.Result
 	if !voided {

@@ -419,7 +419,6 @@ const (
 	TFail
 	TCommit
 	TDeferCommit
-	TTwoPCDecision
 	TTwoPCCommit
 	TRollback
 	TCompensate
@@ -435,24 +434,23 @@ const (
 )
 
 var traceKindNames = [numTraceKinds]string{
-	TAdmit:         "admit",
-	TDispatch:      "dispatch",
-	TLockWait:      "lock-wait",
-	TPolicyWait:    "policy-wait",
-	TFail:          "fail",
-	TCommit:        "commit",
-	TDeferCommit:   "defer-commit",
-	TTwoPCDecision: "2pc-decision",
-	TTwoPCCommit:   "2pc-commit",
-	TRollback:      "rollback",
-	TCompensate:    "compensate",
-	TRecoveryStep:  "recovery-step",
-	TRetry:         "retry",
-	TBackward:      "backward-recovery",
-	TForward:       "forward-recovery",
-	TVictim:        "victim-abort",
-	TTerminate:     "terminate",
-	TGroupAbort:    "group-abort",
+	TAdmit:        "admit",
+	TDispatch:     "dispatch",
+	TLockWait:     "lock-wait",
+	TPolicyWait:   "policy-wait",
+	TFail:         "fail",
+	TCommit:       "commit",
+	TDeferCommit:  "defer-commit",
+	TTwoPCCommit:  "2pc-commit",
+	TRollback:     "rollback",
+	TCompensate:   "compensate",
+	TRecoveryStep: "recovery-step",
+	TRetry:        "retry",
+	TBackward:     "backward-recovery",
+	TForward:      "forward-recovery",
+	TVictim:       "victim-abort",
+	TTerminate:    "terminate",
+	TGroupAbort:   "group-abort",
 }
 
 // String returns the kind label.

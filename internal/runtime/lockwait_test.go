@@ -283,7 +283,7 @@ func TestDetectDeadlock(t *testing.T) {
 		for i, pk := range []park{c.p, c.q, c.r} {
 			id := process.ID([]string{"P", "Q", "R"}[i])
 			m := &member{Proc: scheduler.NewProc(seq(id, "w"), i, id, id, 0)}
-			m.Wait = scheduler.Wait{Rule: scheduler.RuleLock, Blockers: pk.alts}
+			m.Wait = scheduler.Wait{Rule: policy.RuleLock, Blockers: pk.alts}
 			m.Phase = pk.phase
 			rt.members[id] = m
 			if !pk.running && !pk.woken {

@@ -3,6 +3,7 @@ package scheduler
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -227,8 +228,8 @@ type Driver struct {
 }
 
 // trace records a decision event. Callers whose detail argument costs
-// something to build (a formatted reason, FirstActivePred) guard it with
-// d.Reg != nil themselves.
+// something to build (a rendered Wait) guard it with d.Reg != nil
+// themselves.
 func (d *Driver) trace(kind metrics.TraceKind, p *Proc, local int, service, other string) {
 	if d.Reg != nil {
 		d.Reg.Trace(kind, d.Host.Now(), string(p.ID), local, service, other)
@@ -257,39 +258,35 @@ func (d *Driver) Admit(p *Proc) bool {
 	return true
 }
 
-// Rule names what a waiting process stands behind (Wait.Rule).
-type Rule string
-
-// The rules of a Wait, each with the blockers it names — except the
-// last two, which name none, and why:
-const (
-	RuleBusy       Rule = "busy"              // its own work in flight: the process itself
-	RuleLemma1     Rule = "lemma1"            // Lemma 1 at dispatch: the active predecessors (policy.State.DispatchBlockers)
-	RuleCommit     Rule = "commit"            // Lemma 1's 2PC commit deferral: the active conflict predecessors
-	RulePivot      Rule = "pivot"             // the ablation pivot gate: the same
-	RuleLemma2     Rule = "lemma2"            // a compensation behind later conflicting work: its owners
-	RuleLemma3     Rule = "lemma3"            // a forward step behind queued conflicting compensations: their owners
-	RuleLemma1Fwd  Rule = "lemma1fwd"         // a forward step behind predecessors that may still recover: them
-	RuleDeferAbort Rule = "defer-to-aborting" // a forward step deferred to an aborting process: it
-	RuleLock       Rule = "lock"              // an item lock: the live incarnation holding it
-	RuleParked     Rule = "parked"            // (hub) conflicting with a parked process's remaining steps: it
-
-	RuleForced Rule = "forced-cycle"    // the forced-order search finds that a path closes, not the cycle's processes
-	RuleCycle  Rule = "serializability" // CCOnly's conflict-graph search, likewise
-)
-
 // Wait is why a process cannot move now: the rule that holds it and the
 // processes that must act first. Blockers is a disjunction of
 // conjunctions — the process can move once, for some alternative, every
 // listed process acted (terminated, committed or rolled back, released a
-// lock). A wait with an alternative whose rule names no blockers (the
-// last two rules, RuleLock on a holder with no live incarnation — a
-// transaction an earlier run left in doubt — and RuleBusy with nothing on
-// the frontier) carries that rule and no blockers: only quiescence may
-// break it. Next records every wait on Proc.Wait.
+// lock). A wait with an alternative whose rule names no blockers (a
+// forced-order or CCOnly cycle, RuleLock on a holder with no live
+// incarnation — a transaction an earlier run left in doubt — and RuleBusy
+// with nothing on the frontier) carries that rule and no blockers: only
+// quiescence may break it. Next records every wait on Proc.Wait. The
+// rules are policy.Rule's.
 type Wait struct {
-	Rule     Rule
+	Rule     policy.Rule
 	Blockers [][]process.ID
+}
+
+// String renders the wait for traces and Dump: "lemma1 on P1,P3 or P2".
+func (w Wait) String() string {
+	b, sep := []byte(w.Rule), " on "
+	for _, alt := range w.Blockers {
+		for j, id := range alt {
+			if j == 0 {
+				b, sep = append(b, sep...), " or "
+			} else {
+				b = append(b, ',')
+			}
+			b = append(b, id...)
+		}
+	}
+	return string(b)
 }
 
 // Act is what Next decided.
@@ -322,20 +319,27 @@ type Exec func(p *Proc, w Work) (refused Wait, more bool)
 // host's own error, on which it holds or parks p until the append is
 // acknowledged.
 func (d *Driver) Next(p *Proc, exec Exec) (Act, Work, error) {
-	var rule, unnamed Rule
+	var rule, unnamed policy.Rule
 	blockers := p.Wait.Blockers[:0]
 	p.Wait = Wait{}
 	// wait adds alternatives: p may move once, for one of them, every
 	// process listed acted. None, or an empty one, is a rule that cannot
-	// name its blockers.
-	wait := func(r Rule, alts ...[]process.ID) {
+	// name its blockers. Each alternative is copied into p's own storage
+	// (the policy answers from its buffers), reusing the last wait's.
+	wait := func(r policy.Rule, alts ...[]process.ID) {
 		if rule == "" {
 			rule = r
 		}
-		if len(alts) > 0 && len(alts[0]) > 0 {
-			blockers = append(blockers, alts...)
-		} else if unnamed == "" {
-			unnamed = r
+		if len(alts) == 0 || len(alts[0]) == 0 {
+			if unnamed == "" {
+				unnamed = r
+			}
+			return
+		}
+		for _, alt := range alts {
+			n := len(blockers)
+			blockers = slices.Grow(blockers, 1)[:n+1]
+			blockers[n] = append(blockers[n][:0], alt...)
 		}
 	}
 	park := func() (Act, Work, error) {
@@ -343,7 +347,7 @@ func (d *Driver) Next(p *Proc, exec Exec) (Act, Work, error) {
 		case unnamed != "":
 			p.Wait = Wait{Rule: unnamed}
 		case rule == "": // nothing on the frontier: only p's own work can change that
-			p.Wait = Wait{Rule: RuleBusy}
+			p.Wait = Wait{Rule: policy.RuleBusy}
 		default:
 			p.Wait = Wait{Rule: rule, Blockers: blockers}
 		}
@@ -357,7 +361,7 @@ func (d *Driver) Next(p *Proc, exec Exec) (Act, Work, error) {
 		st := p.Recovery[0]
 		switch {
 		case p.StepBusy:
-			wait(RuleBusy, []process.ID{p.ID})
+			wait(policy.RuleBusy, []process.ID{p.ID})
 			return park()
 		case st.Kind == process.StepAbortPrepared:
 			d.AbortPreparedStep(p)
@@ -380,7 +384,7 @@ func (d *Driver) Next(p *Proc, exec Exec) (Act, Work, error) {
 	}
 	if p.Phase == policy.Aborting {
 		if !p.Idle() {
-			wait(RuleBusy, []process.ID{p.ID})
+			wait(policy.RuleBusy, []process.ID{p.ID})
 			return park()
 		}
 		// The completion drained: conclude the abort.
@@ -394,11 +398,11 @@ func (d *Driver) Next(p *Proc, exec Exec) (Act, Work, error) {
 	// conflicting predecessor remains (Lemma 1), then C_i is emitted.
 	if p.Inst.Done() && len(p.Running) == 0 {
 		if len(p.Prepared) > 0 {
-			if d.Pol.HasActiveConflictPred(d, p.ID) {
+			if preds := d.Pol.ActiveConflictPreds(d, p.ID); len(preds) > 0 {
 				if p.blockedSince < 0 {
 					p.blockedSince = d.Host.Now()
 				}
-				wait(RuleCommit, d.Pol.ActiveConflictPreds(d, p.ID))
+				wait(policy.RuleCommit, preds)
 				return park()
 			}
 			if err := d.CommitPreparedSet(p); err != nil {
@@ -418,10 +422,10 @@ func (d *Driver) Next(p *Proc, exec Exec) (Act, Work, error) {
 		if ok, err := d.settle(p); ok || err != nil {
 			return ActAgain, Work{}, err
 		}
-		wait(RuleCommit, d.Pol.ActiveConflictPreds(d, p.ID))
+		wait(policy.RuleCommit, d.Pol.ActiveConflictPreds(d, p.ID))
 	}
 	if len(p.Running) > 0 {
-		wait(RuleBusy, []process.ID{p.ID})
+		wait(policy.RuleBusy, []process.ID{p.ID})
 	}
 	// The frontier: each activity is one more alternative of the wait.
 	var took Work
@@ -432,20 +436,13 @@ func (d *Driver) Next(p *Proc, exec Exec) (Act, Work, error) {
 			continue // in flight, or behind p's own deferred set
 		}
 		a := p.Def.Activity(local)
-		if ok, why := d.Pol.MayDispatch(d, p.ID, a); !ok {
+		if r, ids := d.Pol.MayDispatch(d, p.ID, a); r != "" {
 			d.Metrics.PolicyWaits++
 			d.Reg.Inc(metrics.InvokePolicyBlocked)
-			d.trace(metrics.TPolicyWait, p, a.Local, a.Service, why)
-			switch why {
-			case policy.DenyForced:
-				wait(RuleForced)
-			case policy.DenyCycle:
-				wait(RuleCycle)
-			case policy.DenyPivot:
-				wait(RulePivot, d.Pol.ActiveConflictPreds(d, p.ID))
-			default:
-				wait(RuleLemma1, d.Pol.DispatchBlockers(d, p.ID, a))
+			if d.Reg != nil {
+				d.trace(metrics.TPolicyWait, p, a.Local, a.Service, Wait{r, [][]process.ID{ids}}.String())
 			}
+			wait(r, ids)
 			continue
 		}
 		w := Work{Local: local, Service: a.Service, Kind: a.Kind}
@@ -487,34 +484,30 @@ func (d *Driver) settle(p *Proc) (bool, error) {
 // whose conflicting forward steps are forced before it. CCOnly ignores
 // recovery ordering. A denial returns its rule and blockers, counted and
 // traced; "" means the step may run.
-func (d *Driver) stepWait(p *Proc, st process.Step) (rule Rule, ids []process.ID) {
+func (d *Driver) stepWait(p *Proc, st process.Step) (rule policy.Rule, ids []process.ID) {
 	if d.Pol.Mode() == CCOnly {
 		return "", nil
 	}
 	switch st.Kind {
 	case process.StepCompensate:
 		if ids = d.Pol.Lemma2Blockers(d, p.ID, st); ids != nil {
-			rule = RuleLemma2
+			rule = policy.RuleLemma2
 		}
 	case process.StepInvoke:
 		if ids = d.Pol.Lemma3Blockers(d, p.ID, st); ids != nil {
-			rule = RuleLemma3
+			rule = policy.RuleLemma3
 		} else if ids = d.Pol.Lemma1ForwardBlockers(d, p.ID, st); ids != nil {
-			rule = RuleLemma1Fwd
+			rule = policy.RuleLemma1Fwd
 		} else if !d.Pol.StepForcedClear(d, p.ID, st) {
-			rule = RuleForced
+			rule = policy.RuleForced
 		} else if o, wait := d.Pol.DeferToAborting(d, p.ID, st); wait {
-			rule, ids = RuleDeferAbort, []process.ID{o}
+			rule, ids = policy.RuleDeferAbort, []process.ID{o}
 		}
 	}
 	if rule != "" {
 		d.Metrics.PolicyWaits++
 		if d.Reg != nil {
-			why := string(rule)
-			if rule == RuleDeferAbort {
-				why = "defer-to-" + string(ids[0])
-			}
-			d.trace(metrics.TPolicyWait, p, st.Local, st.Service, why)
+			d.trace(metrics.TPolicyWait, p, st.Local, st.Service, Wait{rule, [][]process.ID{ids}}.String())
 		}
 	}
 	return rule, ids
@@ -526,10 +519,10 @@ func (d *Driver) stepWait(p *Proc, st process.Step) (rule Rule, ids []process.ID
 func (d *Driver) Held(holder string) Wait {
 	for i := len(d.procs) - 1; i >= 0; i-- {
 		if q := d.procs[i]; string(q.Origin) == holder && q.Phase != policy.Done {
-			return Wait{Rule: RuleLock, Blockers: [][]process.ID{{q.ID}}}
+			return Wait{Rule: policy.RuleLock, Blockers: [][]process.ID{{q.ID}}}
 		}
 	}
-	return Wait{Rule: RuleLock}
+	return Wait{Rule: policy.RuleLock}
 }
 
 // Dispatch force-logs an invocation and registers it as in flight, so
@@ -697,7 +690,8 @@ func (d *Driver) Complete(p *Proc, w Work, res *subsystem.Result) error {
 	d.Metrics.Deferrals++
 	d.Reg.Inc(metrics.CommitsDeferred)
 	if d.Reg != nil {
-		d.trace(metrics.TDeferCommit, p, w.Local, w.Service, d.Pol.FirstActivePred(d, p.ID))
+		preds := d.Pol.ActiveConflictPreds(d, p.ID)
+		d.trace(metrics.TDeferCommit, p, w.Local, w.Service, Wait{policy.RuleCommit, [][]process.ID{preds}}.String())
 	}
 	if err := p.Inst.MarkPrepared(w.Local); err != nil {
 		return fmt.Errorf("scheduler: %w", err)
@@ -982,7 +976,7 @@ func (d *Driver) Dump() string {
 			s += fmt.Sprintf("    next step: %v\n", p.Recovery[0])
 		}
 		if p.Wait.Rule != "" {
-			s += fmt.Sprintf("    wait %s on %v\n", p.Wait.Rule, p.Wait.Blockers)
+			s += "    wait " + p.Wait.String() + "\n"
 		}
 	}
 	for _, k := range d.Pol.EdgeList() {

@@ -626,14 +626,14 @@ func TestDriverNext(t *testing.T) {
 				p := w.d.Get("P1")
 				w.d.Dispatch(p, scheduler.Work{Local: 1, Service: paper.SvcA11, Kind: activity.Compensatable})
 				return "P1", nil
-			}, wait: scheduler.Wait{Rule: scheduler.RuleBusy, Blockers: ids([]process.ID{"P1"})}},
+			}, wait: scheduler.Wait{Rule: policy.RuleBusy, Blockers: ids([]process.ID{"P1"})}},
 		// Figure 8: a21 after a11 of the backward-recoverable P1.
 		{name: "lemma1: dispatch behind an active predecessor", cfg: pred,
 			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
 				w.commit(t, "P1", 1)
 				return "P2", nil
 			},
-			wait: scheduler.Wait{Rule: scheduler.RuleLemma1, Blockers: ids([]process.ID{"P1"})}},
+			wait: scheduler.Wait{Rule: policy.RuleLemma1, Blockers: ids([]process.ID{"P1"})}},
 		// Figure 9: a31 may follow a11 of the forward-recoverable P1, but
 		// the pivot a32 defers its commit behind P1, and a33 behind it.
 		{name: "commit: a deferred set mid-process", cfg: pred,
@@ -642,13 +642,13 @@ func TestDriverNext(t *testing.T) {
 				w.run(t, w.d.Get("P3"), 1)
 				w.run(t, w.d.Get("P3"), 2)
 				return "P3", nil
-			}, wait: scheduler.Wait{Rule: scheduler.RuleCommit, Blockers: ids([]process.ID{"P1"})}},
+			}, wait: scheduler.Wait{Rule: policy.RuleCommit, Blockers: ids([]process.ID{"P1"})}},
 		{name: "pivot: the ablation gate", cfg: policy.Config{Mode: policy.PRED, BlockPivots: true},
 			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
 				w.commit(t, "P1", 1)
 				w.commit(t, "P2", 1, 2)
 				return "P2", nil
-			}, wait: scheduler.Wait{Rule: scheduler.RulePivot, Blockers: ids([]process.ID{"P1"})}},
+			}, wait: scheduler.Wait{Rule: policy.RulePivot, Blockers: ids([]process.ID{"P1"})}},
 		// Figure 7's completion: a21 followed a11, so a21⁻¹ goes first.
 		{name: "lemma2: a compensation behind later conflicting work", cfg: pred,
 			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
@@ -656,20 +656,20 @@ func TestDriverNext(t *testing.T) {
 				w.commit(t, "P2", 1)
 				w.aborting("P1", compensate(1, paper.SvcA11))
 				return "P1", nil
-			}, wait: scheduler.Wait{Rule: scheduler.RuleLemma2, Blockers: ids([]process.ID{"P2"})}},
+			}, wait: scheduler.Wait{Rule: policy.RuleLemma2, Blockers: ids([]process.ID{"P2"})}},
 		{name: "lemma3: a forward step behind a queued compensation", cfg: pred, extra: [][2]string{{paper.SvcA11, paper.SvcA33}},
 			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
 				w.commit(t, "P1", 1)
 				w.aborting("P1", compensate(1, paper.SvcA11))
 				w.aborting("P3", stepInvoke(3, paper.SvcA33))
 				return "P3", nil
-			}, wait: scheduler.Wait{Rule: scheduler.RuleLemma3, Blockers: ids([]process.ID{"P1"})}},
+			}, wait: scheduler.Wait{Rule: policy.RuleLemma3, Blockers: ids([]process.ID{"P1"})}},
 		{name: "lemma1fwd: a forward step behind a backward-recoverable predecessor", cfg: pred, extra: [][2]string{{paper.SvcA11, paper.SvcA24}},
 			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
 				w.commit(t, "P1", 1)
 				w.aborting("P2", stepInvoke(4, paper.SvcA24))
 				return "P2", nil
-			}, wait: scheduler.Wait{Rule: scheduler.RuleLemma1Fwd, Blockers: ids([]process.ID{"P1"})}},
+			}, wait: scheduler.Wait{Rule: policy.RuleLemma1Fwd, Blockers: ids([]process.ID{"P1"})}},
 		{name: "defer-to-aborting: a forward step forced after an aborting one", cfg: pred,
 			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
 				w.commit(t, "P1", 1)
@@ -677,20 +677,20 @@ func TestDriverNext(t *testing.T) {
 				w.aborting("P1", stepInvoke(5, paper.SvcA15))
 				w.aborting("P2", stepInvoke(5, paper.SvcA25))
 				return "P2", nil
-			}, wait: scheduler.Wait{Rule: scheduler.RuleDeferAbort, Blockers: ids([]process.ID{"P1"})}},
+			}, wait: scheduler.Wait{Rule: policy.RuleDeferAbort, Blockers: ids([]process.ID{"P1"})}},
 		{name: "lock: held by a live process", cfg: pred,
 			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
 				if _, err := w.d.Fed.Invoke("P1", paper.SvcA11, subsystem.Prepare); err != nil {
 					t.Fatal(err)
 				}
 				return "P2", w.probe
-			}, wait: scheduler.Wait{Rule: scheduler.RuleLock, Blockers: ids([]process.ID{"P1"})}},
+			}, wait: scheduler.Wait{Rule: policy.RuleLock, Blockers: ids([]process.ID{"P1"})}},
 		{name: "parked: the hub's exec refuses", cfg: pred,
 			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
 				return "P1", func(*scheduler.Proc, scheduler.Work) (scheduler.Wait, bool) {
-					return scheduler.Wait{Rule: scheduler.RuleParked, Blockers: ids([]process.ID{"P3"})}, true
+					return scheduler.Wait{Rule: policy.RuleParked, Blockers: ids([]process.ID{"P3"})}, true
 				}
-			}, wait: scheduler.Wait{Rule: scheduler.RuleParked, Blockers: ids([]process.ID{"P3"})}},
+			}, wait: scheduler.Wait{Rule: policy.RuleParked, Blockers: ids([]process.ID{"P3"})}},
 		// The rules that name no blockers.
 		{name: "forced-cycle: a forward step would close a forced-order cycle", cfg: pred,
 			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
@@ -698,21 +698,21 @@ func TestDriverNext(t *testing.T) {
 				w.commit(t, "P1", 1, 2)
 				w.aborting("P2", stepInvoke(4, paper.SvcA24))
 				return "P2", nil
-			}, wait: scheduler.Wait{Rule: scheduler.RuleForced}},
+			}, wait: scheduler.Wait{Rule: policy.RuleForced}},
 		// Figure 4b: a12 after a24 would close the cycle P1→P2→P1.
 		{name: "serializability: cc-only", cfg: policy.Config{Mode: policy.CCOnly},
 			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
 				w.commit(t, "P1", 1)
 				w.commit(t, "P2", 1, 2, 3, 4)
 				return "P1", nil
-			}, wait: scheduler.Wait{Rule: scheduler.RuleCycle}},
+			}, wait: scheduler.Wait{Rule: policy.RuleCycle}},
 		{name: "lock: held by no live process", cfg: pred,
 			setup: func(t *testing.T, w *driverWorld) (process.ID, scheduler.Exec) {
 				if _, err := w.d.Fed.Invoke("ghost", paper.SvcA11, subsystem.Prepare); err != nil {
 					t.Fatal(err)
 				}
 				return "P2", w.probe
-			}, wait: scheduler.Wait{Rule: scheduler.RuleLock}},
+			}, wait: scheduler.Wait{Rule: policy.RuleLock}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -732,9 +732,27 @@ func TestDriverNext(t *testing.T) {
 			if wk.Service != c.invoke {
 				t.Fatalf("Next(%s) took %q, want %q", id, wk.Service, c.invoke)
 			}
-			if act == scheduler.ActWait && !strings.Contains(w.d.Dump(), fmt.Sprintf("wait %s on %v", c.wait.Rule, c.wait.Blockers)) {
+			if act == scheduler.ActWait && !strings.Contains(w.d.Dump(), "wait "+c.wait.String()+"\n") {
 				t.Fatalf("Dump does not show the wait:\n%s", w.d.Dump())
 			}
 		})
+	}
+}
+
+// TestWaitString pins the one rendering of a wait, which Dump and the
+// policy-wait and defer-commit trace details share.
+func TestWaitString(t *testing.T) {
+	for _, c := range []struct {
+		wait scheduler.Wait
+		want string
+	}{
+		{scheduler.Wait{Rule: policy.RuleLemma1, Blockers: [][]process.ID{{"P1", "P3"}, {"P2"}}}, "lemma1 on P1,P3 or P2"},
+		{scheduler.Wait{Rule: policy.RuleDeferAbort, Blockers: [][]process.ID{{"P4"}}}, "defer-to-aborting on P4"},
+		{scheduler.Wait{Rule: policy.RuleForced}, "forced-cycle"},
+		{scheduler.Wait{Rule: policy.RuleForced, Blockers: [][]process.ID{nil}}, "forced-cycle"},
+	} {
+		if got := c.wait.String(); got != c.want {
+			t.Errorf("%+v renders %q, want %q", c.wait, got, c.want)
+		}
 	}
 }

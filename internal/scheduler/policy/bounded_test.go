@@ -124,7 +124,7 @@ func prunedWindow(t *testing.T) {
 				continue
 			}
 			a := p.def.Activities()[p.next]
-			if ok, _ := st.MayDispatch(v, p.def.ID, a); !ok {
+			if rule, _ := st.MayDispatch(v, p.def.ID, a); rule != "" {
 				continue
 			}
 			if err := v.running[p.def.ID].MarkCommitted(a.Local); err != nil {
@@ -190,8 +190,8 @@ func pruneWaitsForLivePredecessor(t *testing.T) {
 	}
 	// P1 must not come after P3: the path P1 → P2 → P3 runs through
 	// terminated processes only.
-	if ok, why := st.MayDispatch(v, "P1", &process.Activity{Local: 2, Service: "b"}); ok || why != "serializability: edge would close a cycle" {
-		t.Errorf("P1 after P3: %v %q, want the cycle refused", ok, why)
+	if rule, blockers := st.MayDispatch(v, "P1", &process.Activity{Local: 2, Service: "b"}); rule != RuleCycle || blockers != nil {
+		t.Errorf("P1 after P3: %s %v, want the cycle refused", rule, blockers)
 	}
 	terminate("P1")
 	if nodes, edges, survivors := graphSize(st); nodes+edges+survivors != 0 {
@@ -246,7 +246,7 @@ func BenchmarkPolicyDecide(b *testing.B) {
 			step := func(p *running) {
 				id := p.def.ID
 				a := p.def.Activities()[p.next]
-				if ok, _ := st.MayDispatch(v, id, a); ok {
+				if rule, _ := st.MayDispatch(v, id, a); rule == "" {
 					if err := v.running[id].MarkCommitted(a.Local); err != nil {
 						b.Fatal(err)
 					}

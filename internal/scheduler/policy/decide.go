@@ -1,11 +1,34 @@
 package policy
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
 	"transproc/internal/process"
 	"transproc/internal/schedule"
+)
+
+// Rule names what a waiting process stands behind (scheduler.Wait), each
+// with the blockers it names — except the last two, which name none, and
+// why. MayDispatch denies with lemma1, pivot, forced-cycle and
+// serializability:
+type Rule string
+
+const (
+	RuleBusy       Rule = "busy"              // its own work in flight: the process itself
+	RuleLemma1     Rule = "lemma1"            // Lemma 1 at dispatch: the active predecessors it blocks on
+	RuleCommit     Rule = "commit"            // Lemma 1's 2PC commit deferral: the active conflict predecessors
+	RulePivot      Rule = "pivot"             // the ablation pivot gate: the same
+	RuleLemma2     Rule = "lemma2"            // a compensation behind later conflicting work: its owners
+	RuleLemma3     Rule = "lemma3"            // a forward step behind queued conflicting compensations: their owners
+	RuleLemma1Fwd  Rule = "lemma1fwd"         // a forward step behind predecessors that may still recover: them
+	RuleDeferAbort Rule = "defer-to-aborting" // a forward step deferred to an aborting process: it
+	RuleLock       Rule = "lock"              // an item lock: the live incarnation holding it
+	RuleParked     Rule = "parked"            // (hub) conflicting with a parked process's remaining steps: it
+
+	RuleForced Rule = "forced-cycle"    // the forced-order search finds that a path closes, not the cycle's processes
+	RuleCycle  Rule = "serializability" // CCOnly's conflict-graph search, likewise
 )
 
 // HasActiveConflictPred reports whether any non-terminated process has
@@ -23,43 +46,38 @@ func (s *State) HasActiveConflictPred(v View, id process.ID) bool {
 	return false
 }
 
-// ActiveConflictPreds lists the non-terminated processes with an edge
-// into id — the processes a Lemma-1 commit deferral is waiting on. The
-// deferral resolves only when all of them terminated, so the list is
-// the AND-set of one wait-for alternative in the runtime's deadlock
-// detector.
+// ActiveConflictPreds lists, in admission order, the non-terminated
+// processes with an edge into id — the processes a Lemma-1 commit
+// deferral is waiting on. The deferral resolves only when all of them
+// terminated, so the list is the AND-set of one wait-for alternative in
+// the runtime's deadlock detector. The list is the State's buffer, as
+// MayDispatch's blockers are.
 func (s *State) ActiveConflictPreds(v View, id process.ID) []process.ID {
 	s.refresh(v)
-	var out []process.ID
+	s.blockers = s.blockers[:0]
 	if n := s.nodes[id]; n != nil {
 		for q := range n.in {
 			if q.alive {
-				out = append(out, q.id)
+				s.blockers = append(s.blockers, q.id)
 			}
 		}
 	}
-	return out
+	return byAdmission(v, s.blockers)
 }
 
-// older orders processes by admission rank, then id.
-func older(v View, a, b process.ID) bool {
-	if ra, rb := v.Arrival(a), v.Arrival(b); ra != rb {
-		return ra < rb
-	}
-	return a < b
+// admission orders processes by admission rank, then id.
+func admission(v View, a, b process.ID) int {
+	return cmp.Or(cmp.Compare(v.Arrival(a), v.Arrival(b)), cmp.Compare(a, b))
 }
 
-// FirstActivePred names the oldest active conflicting predecessor of id
-// — the process a deferred commit is waiting on (trace detail for the
-// defer-commit decision); "" when none.
-func (s *State) FirstActivePred(v View, id process.ID) string {
-	var first process.ID
-	for _, q := range s.ActiveConflictPreds(v, id) {
-		if first == "" || older(v, q, first) {
-			first = q
-		}
-	}
-	return string(first)
+// older reports whether a was admitted before b.
+func older(v View, a, b process.ID) bool { return admission(v, a, b) < 0 }
+
+// byAdmission sorts ids into admission order, the order of a wait's
+// blockers.
+func byAdmission(v View, ids []process.ID) []process.ID {
+	slices.SortFunc(ids, func(a, b process.ID) int { return admission(v, a, b) })
+	return ids
 }
 
 // lemma1Blocks is the Lemma-1 dispatch rule for one conflicting
@@ -77,90 +95,60 @@ func safeQuasiCommit(q *node, svc int) bool {
 	return q.phase == Running && q.frec && !testBit(q.potConf, svc)
 }
 
-// DispatchBlockers lists the active predecessors on which MayDispatch's
-// Lemma-1 rule denies a regular dispatch of a by id: the processes that
-// must all terminate (or become exempt by acting) before the activity
-// can run. An empty result means the denial — if any — came from another
-// rule, which MayDispatch names by a Deny constant.
-func (s *State) DispatchBlockers(v View, id process.ID, a *process.Activity) []process.ID {
-	if s.cfg.Mode != PRED {
-		return nil
-	}
-	svc := s.u.intern(a.Service)
-	if !anyBit(s.u.mask(svc)) {
-		return nil
-	}
-	s.candidate(v, id, svc)
-	var out []process.ID
-	for _, q := range s.preds {
-		if lemma1Blocks(q, svc) {
-			out = append(out, q.id)
-		}
-	}
-	return out
-}
-
-// The denials of MayDispatch other than Lemma 1's, for which
-// DispatchBlockers is empty: the forced-order graph would become cyclic
-// (PRED), the ablation pivot gate, and the conflict graph would become
-// cyclic (CCOnly).
-const (
-	DenyForced = "completed-schedule ordering would become cyclic"
-	DenyPivot  = "pivot blocked until predecessors terminate (ablation mode)"
-	DenyCycle  = "serializability: edge would close a cycle"
-)
-
 // MayDispatch implements the per-activity scheduling rules for a regular
-// (non-recovery) invocation of the given activity by process id. When
-// denied, the returned string names the rule: a Lemma-1 denial names its
-// oldest blocker, every other denial is one of the Deny constants.
-func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (bool, string) {
+// (non-recovery) invocation of the given activity by process id. It
+// returns "" when the dispatch may run, else the rule that denies it and
+// the processes that must all act first, in admission order: for Lemma 1
+// every active predecessor it blocks on, for the ablation pivot gate the
+// active conflict predecessors, none for a forced-order or CCOnly cycle.
+// The blockers are the State's buffer, valid until its next MayDispatch
+// or ActiveConflictPreds.
+func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (Rule, []process.ID) {
 	switch s.cfg.Mode {
 	case Serial, Conservative:
-		return true, "" // admission already serialized conflicts
+		return "", nil // admission already serialized conflicts
 	}
 	svc := s.u.intern(a.Service)
 	// Conflict-free services can never gain predecessors, force an
 	// ordering or close a cycle — only the ablation-mode pivot gate can
 	// still apply. This skips the graph entirely for the commutative
 	// bulk of a workload.
-	if !anyBit(s.u.mask(svc)) {
-		if s.cfg.Mode != CCOnly && s.cfg.BlockPivots && a.Kind.NonCompensatable() && s.HasActiveConflictPred(v, id) {
-			return false, DenyPivot
+	if anyBit(s.u.mask(svc)) {
+		c := s.candidate(v, id, svc)
+		if s.cfg.Mode == CCOnly {
+			// The new hard edges preds → c close a cycle iff c reaches one
+			// of the predecessors over the edges executed so far.
+			s.stack = append(s.stack, c)
+			if s.search(nil, true, func(n *node) bool { return n.pred == s.epoch }) {
+				return RuleCycle, nil
+			}
+			return "", nil
 		}
-		return true, ""
-	}
-	c := s.candidate(v, id, svc)
-	if s.cfg.Mode == CCOnly {
-		// The new hard edges preds → c close a cycle iff c reaches one
-		// of the predecessors over the edges executed so far.
-		s.stack = append(s.stack, c)
-		if s.search(nil, true, func(n *node) bool { return n.pred == s.epoch }) {
-			return false, DenyCycle
+		// PRED: dependencies on active processes are restricted.
+		s.blockers = s.blockers[:0]
+		for _, q := range s.preds {
+			if lemma1Blocks(q, svc) {
+				s.blockers = append(s.blockers, q.id)
+			}
 		}
-		return true, ""
-	}
-	// PRED: dependencies on active processes are restricted. The denial
-	// names the oldest blocker.
-	var blocker process.ID
-	for _, q := range s.preds {
-		if lemma1Blocks(q, svc) && (blocker == "" || older(v, q.id, blocker)) {
-			blocker = q.id
+		if len(s.blockers) > 0 {
+			return RuleLemma1, byAdmission(v, s.blockers)
+		}
+		// The dispatch must keep the forced ordering graph of the completed
+		// current schedule acyclic (prefix-reducibility, maintained
+		// inductively).
+		if s.closesCycle(c, svc, false) {
+			return RuleForced, nil
 		}
 	}
-	if blocker != "" {
-		return false, fmt.Sprintf("recovery: depends on active process %s (Lemma 1)", blocker)
+	// The ablation mode's pivot gate (Config.BlockPivots).
+	if s.cfg.Mode == CCOnly || !s.cfg.BlockPivots || !a.Kind.NonCompensatable() {
+		return "", nil
 	}
-	// The dispatch must keep the forced ordering graph of the completed
-	// current schedule acyclic (prefix-reducibility, maintained
-	// inductively).
-	if s.closesCycle(c, svc, false) {
-		return false, DenyForced
+	if preds := s.ActiveConflictPreds(v, id); len(preds) > 0 {
+		return RulePivot, preds
 	}
-	if s.cfg.BlockPivots && a.Kind.NonCompensatable() && s.HasActiveConflictPred(v, id) {
-		return false, DenyPivot
-	}
-	return true, ""
+	return "", nil
 }
 
 // Lemma1ForwardBlockers gates a forward-recovery invocation (StepInvoke):

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"transproc/internal/activity"
@@ -284,33 +285,48 @@ func (w *sim) check(step int, mover process.ID) {
 	if w.cfg.BlockPivots {
 		kinds = append(kinds, activity.Pivot)
 	}
+	inOrder := func(ids []process.ID) bool {
+		return slices.IsSortedFunc(ids, func(a, b process.ID) int { return admission(w, a, b) })
+	}
 	for _, p := range w.live() {
 		for _, svc := range w.services {
 			for _, kind := range kinds {
 				a := &process.Activity{Local: 1, Service: svc, Kind: kind}
-				ok, why := w.st.MayDispatch(w, p.id, a)
-				if refOK, refWhy := w.ref.MayDispatch(w, p.id, a); ok != refOK || why != refWhy {
-					fail("MayDispatch(%s, %s) = %v %q, reference %v %q", p.id, svc, ok, why, refOK, refWhy)
+				rule, blockers := w.st.MayDispatch(w, p.id, a)
+				blockers = slices.Clone(blockers)
+				_, refWhy := w.ref.MayDispatch(w, p.id, a)
+				refRule, refFirst := refDenial(refWhy)
+				if rule != refRule || refFirst != "" && (len(blockers) == 0 || blockers[0] != refFirst) {
+					fail("MayDispatch(%s, %s %v) = %s %v, reference %q", p.id, svc, kind, rule, blockers, refWhy)
 				}
-				if !ok {
-					w.reached[why[:8]]++
+				// The blockers: Lemma 1's are the reference's, the pivot
+				// gate's every active conflict predecessor.
+				want := w.ref.DispatchBlockers(w, p.id, a)
+				if rule == RulePivot {
+					want = refActivePreds(w, p.id)
+				}
+				if !inOrder(blockers) || !same(slices.Clone(blockers), want) {
+					fail("MayDispatch(%s, %s %v) = %s %v, reference blockers %v", p.id, svc, kind, rule, blockers, want)
+				}
+				if rule != "" {
+					w.reached[string(rule)]++
+				}
+				// A pivot wait's blockers are the commit wait's, held
+				// below; Lemma 1 is the first gate, so a mover can only
+				// join its wait, never pre-empt it.
+				if rule == RuleLemma1 {
+					denied(fmt.Sprint("dispatch ", p.id, svc, kind), p.id, blockers)
 				}
 			}
-			a := &process.Activity{Local: 1, Service: svc}
-			got, want := w.st.DispatchBlockers(w, p.id, a), w.ref.DispatchBlockers(w, p.id, a)
-			if !same(got, want) {
-				fail("DispatchBlockers(%s, %s) = %v, reference %v", p.id, svc, got, want)
-			}
-			denied(fmt.Sprint("dispatch ", p.id, svc), p.id, got)
 		}
 		if got, want := w.st.HasActiveConflictPred(w, p.id), w.ref.HasActiveConflictPred(w, p.id); got != want {
 			fail("HasActiveConflictPred(%s) = %v, reference %v", p.id, got, want)
 		}
-		if got, want := w.st.FirstActivePred(w, p.id), w.ref.FirstActivePred(w, p.id); got != want {
-			fail("FirstActivePred(%s) = %q, reference %q", p.id, got, want)
+		got := slices.Clone(w.st.ActiveConflictPreds(w, p.id))
+		if want := refActivePreds(w, p.id); !inOrder(got) || !same(slices.Clone(got), want) ||
+			len(got) > 0 && got[0] != process.ID(w.ref.FirstActivePred(w, p.id)) {
+			fail("ActiveConflictPreds(%s) = %v, reference %v", p.id, got, want)
 		}
-		got := w.st.ActiveConflictPreds(w, p.id)
-		slices.Sort(got)
 		denied(fmt.Sprint("commit ", p.id), p.id, got)
 		for _, a := range p.def.Activities() {
 			if got, want := w.st.BaseSeq(p.id, a.Local), w.ref.BaseSeq(p.id, a.Local); got != want {
@@ -365,6 +381,33 @@ func (w *sim) check(step int, mover process.ID) {
 	w.waits = waits
 }
 
+// refDenial reads the reference's denial text as the rule it names and,
+// for Lemma 1, the blocker it names: the oldest.
+func refDenial(why string) (Rule, process.ID) {
+	const lemma1 = "recovery: depends on active process "
+	switch why {
+	case "":
+		return "", ""
+	case "completed-schedule ordering would become cyclic":
+		return RuleForced, ""
+	case "pivot blocked until predecessors terminate (ablation mode)":
+		return RulePivot, ""
+	case "serializability: edge would close a cycle":
+		return RuleCycle, ""
+	}
+	if first, ok := strings.CutPrefix(why, lemma1); ok {
+		return RuleLemma1, process.ID(strings.TrimSuffix(first, " (Lemma 1)"))
+	}
+	return Rule(why), ""
+}
+
+// refActivePreds lists the reference's active conflict predecessors.
+func refActivePreds(w *sim, id process.ID) []process.ID {
+	var out []process.ID
+	w.ref.activePreds(w, id, func(q process.ID) bool { out = append(out, q); return true })
+	return out
+}
+
 // runStream is the body of the oracle test and of the fuzz target.
 func runStream(t testing.TB, seed int64, reached map[string]int) {
 	w := newSim(t, seed, reached)
@@ -393,7 +436,7 @@ func TestIncrementalMatchesReference(t *testing.T) {
 		runStream(t, seed, reached)
 	}
 	for _, rule := range []string{
-		"recovery", "complete", "serializ", "pivot bl",
+		string(RuleLemma1), string(RuleForced), string(RuleCycle), string(RulePivot),
 		"Lemma2Blockers", "Lemma3Blockers", "Lemma1ForwardBlockers", "StepForcedClear", "DeferToAborting",
 		"pruned", "kept", "held",
 	} {

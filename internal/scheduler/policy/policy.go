@@ -195,12 +195,14 @@ type State struct {
 	// the engine loop, the runtime loop or the holder of the hub mutex).
 	// epoch stamps node.seen and node.pred for one decision; preds holds
 	// the candidate's conflict predecessors, work the nodes prune has to
-	// look at.
-	epoch uint64
-	stack []*node
-	preds []*node
-	work  []*node
-	evBuf []*Event
+	// look at, blockers the list MayDispatch and ActiveConflictPreds
+	// answer with.
+	epoch    uint64
+	stack    []*node
+	preds    []*node
+	work     []*node
+	evBuf    []*Event
+	blockers []process.ID
 }
 
 // New creates an empty decision state over a fixed conflict table.

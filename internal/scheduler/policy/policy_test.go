@@ -2,6 +2,7 @@ package policy_test
 
 import (
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -131,38 +132,29 @@ func with(pairs ...[2]string) *conflict.Table {
 
 func TestMayDispatchAndBlockers(t *testing.T) {
 	p1, p2, p3 := paper.P1(), paper.P2(), paper.P3()
+	// deny asserts MayDispatch's answer: the rule and the blockers.
+	deny := func(t *testing.T, w *world, id process.ID, a *process.Activity, rule policy.Rule, blockers ...process.ID) {
+		t.Helper()
+		if got, ids := w.st.MayDispatch(w, id, a); got != rule || !slices.Equal(ids, blockers) {
+			t.Errorf("MayDispatch(%s, %s) = %q %v, want %q %v", id, a.Service, got, ids, rule, blockers)
+		}
+	}
 
 	t.Run("figure 8: a21 behind backward-recoverable P1 is denied", func(t *testing.T) {
 		w := newWorld(t, policy.PRED, paper.Conflicts(), p1, p2)
 		w.exec("P1", 1)
-		ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(1))
-		if ok || rule != "recovery: depends on active process P1 (Lemma 1)" {
-			t.Errorf("MayDispatch = %v %q", ok, rule)
-		}
-		if got := w.st.DispatchBlockers(w, "P2", p2.Activity(1)); !reflect.DeepEqual(got, []process.ID{"P1"}) {
-			t.Errorf("DispatchBlockers = %v, want [P1]", got)
-		}
+		deny(t, w, "P2", p2.Activity(1), policy.RuleLemma1, "P1")
 		// Once P1 terminated the dependency is on history, not on an
 		// active process.
 		w.set("P1", policy.Done)
-		if ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(1)); !ok {
-			t.Errorf("after P1 terminated: denied by %q", rule)
-		}
-		if got := w.st.DispatchBlockers(w, "P2", p2.Activity(1)); len(got) != 0 {
-			t.Errorf("after P1 terminated: blockers %v", got)
-		}
+		deny(t, w, "P2", p2.Activity(1), "")
 	})
 
 	t.Run("figure 9: a31 behind quasi-committed P1 is allowed", func(t *testing.T) {
 		w := newWorld(t, policy.PRED, paper.Conflicts(), p1, p3)
 		w.exec("P1", 1)
 		w.exec("P1", 2) // pivot a12: P1 is forward-recoverable, a11 is locked in
-		if ok, rule := w.st.MayDispatch(w, "P3", p3.Activity(1)); !ok {
-			t.Errorf("denied by %q", rule)
-		}
-		if got := w.st.DispatchBlockers(w, "P3", p3.Activity(1)); len(got) != 0 {
-			t.Errorf("blockers %v", got)
-		}
+		deny(t, w, "P3", p3.Activity(1), "")
 	})
 
 	t.Run("figure 7 under PRED: waits for a12", func(t *testing.T) {
@@ -172,34 +164,29 @@ func TestMayDispatchAndBlockers(t *testing.T) {
 		// until the pivot a12 locks a11 in.
 		w := newWorld(t, policy.PRED, paper.Conflicts(), p1, p2)
 		w.exec("P1", 1)
-		ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(1))
-		if ok || !strings.Contains(rule, "Lemma 1") || !strings.Contains(rule, "P1") {
-			t.Errorf("MayDispatch = %v %q, want a Lemma 1 denial naming P1", ok, rule)
-		}
-		if got := w.st.DispatchBlockers(w, "P2", p2.Activity(1)); !reflect.DeepEqual(got, []process.ID{"P1"}) {
-			t.Errorf("DispatchBlockers = %v, want [P1]", got)
-		}
+		deny(t, w, "P2", p2.Activity(1), policy.RuleLemma1, "P1")
 		w.exec("P1", 2)
-		if ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(1)); !ok {
-			t.Errorf("after a12: denied by %q", rule)
-		}
+		deny(t, w, "P2", p2.Activity(1), "")
+	})
+
+	t.Run("blockers in admission order", func(t *testing.T) {
+		// P3 and P1 both ran a service a21 conflicts with; P3 was
+		// admitted first, so it leads the list whatever the ids say.
+		table := with([2]string{"a31", "a21"})
+		w := newWorld(t, policy.PRED, table, p3, p1, p2)
+		w.exec("P1", 1)
+		w.exec("P3", 1)
+		deny(t, w, "P2", p2.Activity(1), policy.RuleLemma1, "P3", "P1")
 	})
 
 	t.Run("non-conflicting and admission-level modes", func(t *testing.T) {
 		w := newWorld(t, policy.PRED, paper.Conflicts(), p1, p2)
 		w.exec("P1", 1)
-		if ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(2)); !ok { // a22 conflicts with nothing
-			t.Errorf("a22 denied by %q", rule)
-		}
+		deny(t, w, "P2", p2.Activity(2), "") // a22 conflicts with nothing
 		for _, mode := range []policy.Mode{policy.Serial, policy.Conservative, policy.CCOnly} {
 			w := newWorld(t, mode, paper.Conflicts(), p1, p2)
 			w.exec("P1", 1)
-			if ok, rule := w.st.MayDispatch(w, "P2", p2.Activity(1)); !ok {
-				t.Errorf("%v: a21 denied by %q", mode, rule)
-			}
-			if got := w.st.DispatchBlockers(w, "P2", p2.Activity(1)); got != nil {
-				t.Errorf("%v: blockers %v", mode, got)
-			}
+			deny(t, w, "P2", p2.Activity(1), "")
 		}
 		// CC-only still refuses a conflict cycle: a11 a21 a25 then a15
 		// would order P1 both before and after P2.
@@ -207,10 +194,23 @@ func TestMayDispatchAndBlockers(t *testing.T) {
 		cc.exec("P1", 1)
 		cc.exec("P2", 1)
 		cc.exec("P2", 5)
-		if ok, rule := cc.st.MayDispatch(cc, "P1", p1.Activity(5)); ok || rule != "serializability: edge would close a cycle" {
-			t.Errorf("cc-only cycle: %v %q", ok, rule)
-		}
+		deny(t, cc, "P1", p1.Activity(5), policy.RuleCycle)
 	})
+}
+
+// TestLemma1DenialAllocatesNothing holds the policy's answer to a
+// Lemma-1 denial to data: the rule and the blockers, from a buffer the
+// State reuses, with no text formatted for it.
+func TestLemma1DenialAllocatesNothing(t *testing.T) {
+	p1, p2 := paper.P1(), paper.P2()
+	w := newWorld(t, policy.PRED, paper.Conflicts(), p1, p2)
+	w.exec("P1", 1)
+	if rule, _ := w.st.MayDispatch(w, "P2", p2.Activity(1)); rule != policy.RuleLemma1 {
+		t.Fatalf("MayDispatch = %q, want a Lemma 1 denial", rule)
+	}
+	if n := testing.AllocsPerRun(100, func() { w.st.MayDispatch(w, "P2", p2.Activity(1)) }); n != 0 {
+		t.Errorf("a Lemma-1 denial allocates %v times per call", n)
+	}
 }
 
 func TestHasActiveConflictPred(t *testing.T) {
@@ -223,9 +223,6 @@ func TestHasActiveConflictPred(t *testing.T) {
 	if got := w.st.ActiveConflictPreds(w, "P2"); !reflect.DeepEqual(got, []process.ID{"P1"}) {
 		t.Errorf("ActiveConflictPreds(P2) = %v, want [P1]", got)
 	}
-	if got := w.st.FirstActivePred(w, "P2"); got != "P1" {
-		t.Errorf("FirstActivePred(P2) = %q, want P1", got)
-	}
 	if w.st.HasActiveConflictPred(w, "P1") {
 		t.Error("P1 has no predecessor")
 	}
@@ -234,7 +231,7 @@ func TestHasActiveConflictPred(t *testing.T) {
 		t.Errorf("HasActiveConflictPred allocates %v times per call", n)
 	}
 	w.set("P1", policy.Done)
-	if w.st.HasActiveConflictPred(w, "P2") || w.st.ActiveConflictPreds(w, "P2") != nil || w.st.FirstActivePred(w, "P2") != "" {
+	if w.st.HasActiveConflictPred(w, "P2") || len(w.st.ActiveConflictPreds(w, "P2")) != 0 {
 		t.Error("a terminated predecessor defers nothing")
 	}
 }

@@ -276,8 +276,11 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, rep)
-	// The reply is out before Drained lets a waiting process exit.
+	// The reply is out before Drained lets a waiting process exit. The
+	// server shuts down behind it: Shutdown waits for this handler's own
+	// connection to go idle, which it does once the handler returns.
 	http.NewResponseController(w).Flush()
+	go s.shutdownHTTP()
 	s.markDrained()
 }
 

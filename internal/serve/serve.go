@@ -637,9 +637,20 @@ var ErrClosed = errors.New("serve: already closed")
 func (s *Server) Drain(ctx context.Context) (*DrainReport, error) {
 	rep, err := s.drain(ctx)
 	if err == nil {
+		s.shutdownHTTP()
 		s.markDrained()
 	}
 	return rep, err
+}
+
+// shutdownHTTP stops the HTTP server after a drain: the listener closes
+// at once, each connection once it is idle, for up to a second.
+func (s *Server) shutdownHTTP() {
+	if srv := s.httpSrv; srv != nil {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	}
 }
 
 // Drained returns a channel that is closed once a drain has finished,
@@ -702,11 +713,6 @@ func (s *Server) drain(ctx context.Context) (*DrainReport, error) {
 		}
 	}
 	s.mu.Unlock()
-	if srv := s.httpSrv; srv != nil {
-		sctx, cancel := context.WithTimeout(context.Background(), time.Second)
-		defer cancel()
-		srv.Shutdown(sctx)
-	}
 	return rep, nil
 }
 

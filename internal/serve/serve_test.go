@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -213,6 +214,38 @@ func TestServeLifecycle(t *testing.T) {
 	st2, ok := srv2.StatusOf("acme/trip0")
 	if !ok || st2.State != stateCommitted {
 		t.Fatalf("restart lost status: %+v (ok=%v)", st2, ok)
+	}
+}
+
+// TestAPIDrainIsPrompt holds a drain through the API to the drain's own
+// work: the HTTP shutdown behind it must not wait for the connection
+// that carries the reply, and the listener closes afterwards.
+func TestAPIDrainIsPrompt(t *testing.T) {
+	srv, err := Open(testWorld(t), Config{Dir: t.TempDir(), NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	addr, err := srv.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if resp, body := postJSON(t, "http://"+addr+"/v1/drain", struct{}{}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("drain: %d %s", resp.StatusCode, body)
+	}
+	if took := time.Since(start); took > 500*time.Millisecond {
+		t.Errorf("an idle server's drain through the API took %v", took)
+	}
+	for deadline := time.Now().Add(2 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		c, err := net.Dial("tcp", addr)
+		if err != nil {
+			break
+		}
+		c.Close()
+		if time.Now().After(deadline) {
+			t.Fatal("the listener still accepts after the drain")
+		}
 	}
 }
 
