@@ -237,9 +237,9 @@ func TestClusterFailures(t *testing.T) {
 	}
 }
 
-// TestClusterCascadeMode runs a failure-injected workload across node
+// TestClusterFailuresUnderTightRestartBound runs a failure-injected workload across node
 // boundaries under a tight restart bound.
-func TestClusterCascadeMode(t *testing.T) {
+func TestClusterFailuresUnderTightRestartBound(t *testing.T) {
 	w := workload.MustGenerate(fedProfile(5))
 	defs := defsOf(w)
 	injectRules(t, w.Fed, chooseRules(w, 5))

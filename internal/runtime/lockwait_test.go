@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
@@ -138,7 +137,7 @@ func (w *lockWorld) awaitParked(id process.ID, alts [][]process.ID) (inFlight in
 	w.awaitSection(fmt.Sprintf("%s parked on %v", id, alts), func() bool {
 		m := w.rt.members[id]
 		inFlight = len(w.rt.due)
-		return m != nil && m.ID == id && slices.Contains(w.rt.parked, m) && reflect.DeepEqual(m.Wait.Blockers, alts)
+		return m != nil && m.ID == id && reflect.DeepEqual(m.Wait.Blockers, alts)
 	})
 	return inFlight
 }
@@ -251,8 +250,8 @@ func TestDetectDeadlock(t *testing.T) {
 	t.Parallel()
 	type park struct {
 		alts    [][]process.ID
-		running bool // not parked: in flight or runnable
-		woken   bool // made runnable by a state change, its last wait still recorded
+		running bool // not parked: in flight or ready
+		woken   bool // parked, then woken by a blocker's transition and not asked again
 		phase   policy.Phase
 	}
 	cases := []struct {
@@ -283,12 +282,15 @@ func TestDetectDeadlock(t *testing.T) {
 		for i, pk := range []park{c.p, c.q, c.r} {
 			id := process.ID([]string{"P", "Q", "R"}[i])
 			m := &member{Proc: scheduler.NewProc(seq(id, "w"), i, id, id, 0)}
+			if !rt.drv.Admit(m.Proc) {
+				t.Fatal("admit refused")
+			}
 			m.Wait = scheduler.Wait{Rule: policy.RuleLock, Blockers: pk.alts}
+			if pk.woken {
+				rt.drv.Wake(m.Proc)
+			}
 			m.Phase = pk.phase
 			rt.members[id] = m
-			if !pk.running && !pk.woken {
-				rt.parked = append(rt.parked, m)
-			}
 		}
 		before := rt.victims
 		var got process.ID

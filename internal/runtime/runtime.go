@@ -17,11 +17,13 @@
 // Structure:
 //
 //   - A member is a record, not a goroutine. Each turn the loop applies
-//     the completions that fell due, steps every runnable member until it
-//     invokes, parks, is held or terminates, and admits from the pending
-//     queue in submission order (worker cap, Serial/Conservative rule,
-//     restart backoff). A state change makes every parked member
-//     runnable again.
+//     the completions that fell due, steps the members the driver marked
+//     ready, in admission order, until each invokes, waits, is held or
+//     terminates, and admits from the pending queue in submission order
+//     (worker cap, Serial/Conservative rule, restart backoff). A member
+//     that waits is marked again only when a process its wait names
+//     moves (or, for a wait that names no one, when any process does);
+//     one in flight or held for a sync, at its completion or release.
 //   - Driver.Invoke runs in the loop, in the same step as the item-lock
 //     probe before it. Its completion falls due (Cost + extra latency) ×
 //     Tick later, in one deadline queue with the jobs that arrive later;
@@ -33,8 +35,8 @@
 //     syncer goroutine waits for a sync; the loop then re-enters the
 //     transition. A store-backed subsystem's commit never waits: its
 //     pages follow the log's sync.
-//   - With nothing runnable, a wait-for analysis victim-aborts a member
-//     of a closed set of parked members; with nothing in flight or held
+//   - With nothing ready, a wait-for analysis victim-aborts a member of
+//     a closed set of waiting members; with nothing in flight or held
 //     either, the sequential engine's stall-victim choice breaks waits
 //     whose blockers the policy cannot name.
 package runtime
@@ -143,10 +145,12 @@ type member struct {
 	*scheduler.Proc
 
 	// ahead is the LSN of the write-ahead record a transition wrote and
-	// refused; the member is held until a sync covers it (0: none).
-	// resume is the completion it then re-enters (nil: its 2PC commit).
+	// refused; the member is held until a sync covers it (0: none), and
+	// keeps the LSN until the transition re-enters. resume is the
+	// completion it then re-enters (nil: its 2PC commit).
 	ahead  int64
 	resume *deadline
+	held   bool // on the held list: not stepped until its release
 }
 
 // deadline is an entry of the loop's deadline queue: the completion of
@@ -182,17 +186,17 @@ type Runtime struct {
 	seq int64 // event sequence
 	// members holds the live incarnations — admitted, not terminated —
 	// by origin id, the name the subsystems know a lock holder by
-	// (incarnations share locks); pending the submitted ones not yet
-	// admitted, in submission order.
+	// (incarnations share locks); slots every admitted one by its slot in
+	// the driver's table; pending the submitted ones not yet admitted, in
+	// submission order.
 	members map[process.ID]*member
+	slots   []*member
 	pending []pendingProc
-	// runnable is stepped in the next turn (spare is the other buffer),
-	// parked waits for a state change (changed: one happened this turn),
-	// held for a sync (syncing: the syncer has a request); due is ordered
-	// by deadline, then by arrival in it.
-	runnable, spare, parked, held []*member
-	changed, syncing              bool
-	due                           []*deadline
+	// held waits for a sync (syncing: the syncer has a request); due is
+	// ordered by deadline, then by arrival in it.
+	held    []*member
+	syncing bool
+	due     []*deadline
 	// completions counts finished invocations (the clock of restart
 	// backoff), victims the victim aborts spent of maxStalls.
 	completions int64
@@ -492,8 +496,8 @@ func (r *Runtime) Run(ctx context.Context, jobs []scheduler.Job) (*Result, error
 }
 
 // loop is the runtime: each turn applies the completions that fell due
-// (and releases the members a sync covered), steps the runnable members
-// and admits; with nothing to step it breaks a stall or waits. It
+// (and releases the members a sync covered), steps the ready members and
+// admits; with nothing to step it breaks a stall or waits. It
 // returns once every job is retired, or once the run is over: at a crash
 // or failure at once, at a cancellation when what is in flight or held
 // has finished.
@@ -516,28 +520,25 @@ func (r *Runtime) loop(done <-chan struct{}) {
 			r.sleep(done)
 			continue
 		}
-		batch := r.runnable
-		r.runnable = r.spare[:0]
-		for _, m := range batch {
+		for s, p := range r.drv.Ready() {
 			if r.stopped() {
 				break
 			}
-			r.advance(m)
+			// A member in flight or held for a sync is marked again at its
+			// completion or release.
+			if m := r.slots[s]; p.Phase != policy.Done && p.Idle() && !m.held {
+				r.advance(m)
+			}
 		}
-		r.spare = batch[:0]
 		if r.over() {
 			continue
 		}
 		r.admitPending()
-		if r.changed {
-			r.wake()
-		}
-		if len(r.runnable) > 0 {
+		if r.drv.AnyReady() {
 			continue
 		}
 		if victim := r.detectDeadlock(); victim != nil {
 			r.drv.MarkVictim(victim.Proc, "wait-for cycle")
-			r.wake()
 			continue
 		}
 		if len(r.due) > 0 || r.syncing {
@@ -547,12 +548,11 @@ func (r *Runtime) loop(done <-chan struct{}) {
 		if len(r.members) == 0 {
 			return // admitPending admits into an empty system: nothing is pending
 		}
-		// Genuine stall: every member is parked, nothing is in flight.
+		// Genuine stall: every member waits, nothing is in flight.
 		if !r.resolveStall() {
 			r.fail(fmt.Errorf("runtime: unresolvable stall (mode %v)\n%s", r.cfg.Mode, r.stallDump()))
 			return
 		}
-		r.wake()
 	}
 }
 
@@ -573,7 +573,7 @@ func (r *Runtime) applyDue() {
 			continue
 		}
 		r.completions++
-		r.finish(d.m, d.w, d.res)
+		r.apply(d.m, d.w, d.res)
 	}
 }
 
@@ -635,7 +635,7 @@ func (r *Runtime) sleep(done <-chan struct{}) {
 // queue in submission order, stops at the worker cap, and steps over —
 // never queues behind — an entry still backing off while anything is
 // admitted or which the mode's admission rule refuses. Each entry it lets
-// in is logged and becomes a runnable member; one whose start record
+// in is logged and becomes a member, marked ready; one whose start record
 // does not reach the log stays pending, for the run is ending.
 func (r *Runtime) admitPending() {
 	if r.cfg.Workers > 0 && len(r.members) >= r.cfg.Workers {
@@ -655,12 +655,11 @@ func (r *Runtime) admitPending() {
 		}
 		m := &member{Proc: pp.Proc}
 		r.members[pp.Origin] = m
+		r.slots = append(r.slots, m) // the driver admits only here
 		if pp.Restarts > 0 {
 			r.drv.Metrics.Restarts++
 			r.reg.Inc(metrics.ProcsRestarted)
 		}
-		r.runnable = append(r.runnable, m)
-		r.changed = true
 	}
 	r.pending = keep
 }
@@ -674,27 +673,21 @@ func (r *Runtime) active(yield func([]string) bool) {
 	}
 }
 
-// wake makes every parked member runnable after a state change.
-func (r *Runtime) wake() {
-	r.runnable = append(r.runnable, r.parked...)
-	r.parked = r.parked[:0]
-	r.changed = false
-}
-
 // detectDeadlock checks, with nothing left to step, whether some set of
-// parked members waits only on itself: every member, in each of its wait
+// waiting members waits only on itself: every member, in each of its wait
 // alternatives, waits on at least one other member of the set. A
 // blocker's edges disappear only when the blocker acts (terminates,
 // commits or rolls back prepared transactions, becomes quasi-safe) —
-// which a parked process never does — so such a set can never be
+// which a waiting process never does — so such a set can never be
 // unblocked from outside, even while other work is in flight, and one
 // member must be victim-aborted (the youngest abortable one, as in the
-// driver's stall-victim choice). Only members parked on a Wait that names
-// its blockers count. Returns the chosen victim (nil: no closed
-// set, no abortable member, or maxStalls exhausted).
+// driver's stall-victim choice). Only members whose registered Wait (a
+// woken one's is cleared) names its blockers count. Returns the chosen
+// victim (nil: no closed set, no abortable member, or maxStalls
+// exhausted).
 func (r *Runtime) detectDeadlock() *member {
 	set := make(map[process.ID]*member)
-	for _, m := range r.parked {
+	for _, m := range r.members {
 		if len(m.Wait.Blockers) > 0 {
 			set[m.ID] = m
 		}
@@ -762,8 +755,8 @@ func (r *Runtime) resolveStall() bool {
 	return true
 }
 
-// advance steps a runnable member — Driver.Next under the crash guard —
-// until it invokes, parks, is held or terminates.
+// advance steps a ready member — Driver.Next under the crash guard —
+// until it invokes, waits, is held or terminates.
 func (r *Runtime) advance(m *member) {
 	d, p := r.drv, m.Proc
 	for !r.stopped() {
@@ -790,7 +783,6 @@ func (r *Runtime) advance(m *member) {
 		}
 		switch act {
 		case scheduler.ActAgain:
-			r.changed = true
 			continue
 		case scheduler.ActInvoke:
 			// The dispatch crash point, then the invocation logged as in
@@ -799,8 +791,6 @@ func (r *Runtime) advance(m *member) {
 			if r.inject("runtime:dispatch") && d.Dispatch(p, w) && r.invoke(m, w) {
 				continue
 			}
-		case scheduler.ActWait:
-			r.parked = append(r.parked, m)
 		case scheduler.ActDone:
 			delete(r.members, m.Origin)
 			if p.Restartable && p.Restarts < r.cfg.MaxRestarts {
@@ -815,16 +805,15 @@ func (r *Runtime) advance(m *member) {
 				np := p.Restarted()
 				r.pending = append(r.pending, pendingProc{np, r.completions + int64(4<<np.Restarts)})
 			}
-			r.changed = true
 		}
 		return
 	}
 }
 
 // lockProbe is the loop's hand in Driver.Next: it probes the subsystem's
-// item locks of the work. A held lock means parking on its holder, not an
+// item locks of the work. A held lock means waiting on its holder, not an
 // invocation attempt whose ErrLocked bounce would wake (and be woken by)
-// other parked members in an endless retry storm. A free one takes the
+// other waiting members in an endless retry storm. A free one takes the
 // work, which advance invokes in the same step, so the answer holds for
 // it.
 func (r *Runtime) lockProbe(p *scheduler.Proc, w scheduler.Work) (scheduler.Wait, bool) {
@@ -837,15 +826,14 @@ func (r *Runtime) lockProbe(p *scheduler.Proc, w scheduler.Work) (scheduler.Wait
 // invoke calls the subsystem for the work step dispatched and schedules
 // its completion after its service time. At Tick 0 the completion is
 // applied now, and invoke reports whether the member steps on in this
-// turn. A locked answer (item locks the probe found free) parks the
-// member on the lock's holder, as the sequential engine retries it.
+// turn. A locked answer (item locks the probe found free) leaves the
+// member marked ready by its dispatch: its next step probes again and
+// waits on the holder, as the sequential engine retries it.
 func (r *Runtime) invoke(m *member, w scheduler.Work) bool {
 	d, p := r.drv, m.Proc
 	res, extraLat, held := d.Invoke(p, w)
 	if held.Rule != "" {
 		d.Undispatch(p, w)
-		p.Wait = held
-		r.parked = append(r.parked, m)
 		return false
 	}
 	if r.cfg.Tick <= 0 {
@@ -857,17 +845,9 @@ func (r *Runtime) invoke(m *member, w scheduler.Work) bool {
 	return false
 }
 
-// finish applies a completion that fell due and makes its member
-// runnable.
-func (r *Runtime) finish(m *member, w scheduler.Work, res *subsystem.Result) {
-	if r.apply(m, w, res) {
-		r.runnable = append(r.runnable, m)
-	}
-}
-
-// apply applies a completion, unless the write-ahead record it wrote
-// must be durable first: then the member is held until a sync covers it
-// and apply reports false.
+// apply applies a completion, which marks its member ready, unless the
+// write-ahead record it wrote must be durable first: then the member is
+// held until a sync covers it and apply reports false.
 func (r *Runtime) apply(m *member, w scheduler.Work, res *subsystem.Result) bool {
 	if err := r.drv.Complete(m.Proc, w, res); err != nil {
 		r.fail(err)
@@ -876,13 +856,12 @@ func (r *Runtime) apply(m *member, w scheduler.Work, res *subsystem.Result) bool
 		r.hold(m, &deadline{m: m, w: w, res: res})
 		return false
 	}
-	r.changed = true
 	return true
 }
 
 // hold keeps a member until a sync covers its write-ahead record.
 func (r *Runtime) hold(m *member, resume *deadline) {
-	m.resume = resume
+	m.resume, m.held = resume, true
 	r.held = append(r.held, m)
 	r.requestSync()
 }
@@ -907,15 +886,16 @@ func (r *Runtime) release(lsn int64) {
 	held := r.held
 	r.held = nil
 	for _, m := range held {
-		switch {
-		case m.ahead > lsn:
+		if m.ahead > lsn {
 			r.held = append(r.held, m)
-		case m.resume != nil:
-			d := m.resume
+			continue
+		}
+		m.held = false
+		if d := m.resume; d != nil {
 			m.resume = nil
-			r.finish(m, d.w, d.res)
-		default: // its 2PC decision: Next re-enters the commit
-			r.runnable = append(r.runnable, m)
+			r.apply(m, d.w, d.res)
+		} else { // its 2PC decision: Next re-enters the commit
+			r.drv.Wake(m.Proc)
 		}
 	}
 	r.requestSync()

@@ -103,22 +103,6 @@ func (s *Schedule) AppendUnchecked(e Event) {
 // Grow makes room for n more events, so that n appends do not copy.
 func (s *Schedule) Grow(n int) { s.events = slices.Grow(s.events, n) }
 
-// AddProcess registers an additional process after construction (used
-// for process restarts after cascading aborts).
-func (s *Schedule) AddProcess(p *process.Process) error {
-	if _, dup := s.procs[p.ID]; dup {
-		return fmt.Errorf("schedule: duplicate process %s", p.ID)
-	}
-	s.procs[p.ID] = p
-	s.order = append(s.order, p.ID)
-	for _, a := range p.Activities() {
-		if a.Kind == activity.Compensatable {
-			s.Table.MapBase(a.Compensation, a.Service)
-		}
-	}
-	return nil
-}
-
 // Invoke appends the committed invocation of activity local of proc.
 func (s *Schedule) Invoke(proc process.ID, local int) error {
 	p := s.procs[proc]

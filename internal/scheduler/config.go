@@ -129,6 +129,10 @@ func (c Config) withDefaults() Config {
 }
 
 // Metrics aggregates counters of one run. Times are in virtual ticks.
+// LockWaits and PolicyWaits count one per denial: the engine, recovery
+// and the runtime ask a waiting process again only once the wait index
+// woke it (a process its wait names moved), the hub on every request of
+// the owning node.
 type Metrics struct {
 	Makespan       int64
 	Invocations    int64 // subsystem invocations attempted (incl. retries)

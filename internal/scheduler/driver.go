@@ -3,6 +3,8 @@ package scheduler
 import (
 	"errors"
 	"fmt"
+	"iter"
+	"math/bits"
 	"slices"
 	"sort"
 	"sync"
@@ -78,9 +80,12 @@ type Proc struct {
 	keySeq       int  // idempotency-key counter (resilient invocations)
 
 	Outcome *Outcome
-	// Wait is why the process waited at its last Next (zero while it
-	// moves): what the runtime's deadlock detector reads and Dump prints.
-	Wait Wait
+	// Wait is why the process waited at its last Next, until it is woken
+	// (zero while it may move): what the runtime's deadlock detector
+	// reads and Dump prints.
+	Wait    Wait
+	slot    int     // index in Table.All
+	waiters []*Proc // processes whose wait named this one since it last moved
 	// blockedSince is the clock at which the finished process first
 	// found its deferred 2PC commit blocked by an active conflicting
 	// predecessor (-1 while not blocked); feeds HistProcBlocked.
@@ -141,13 +146,20 @@ type Table struct {
 	// flight is the result buffer of InFlight, which the policy reads
 	// for every live process on every round.
 	flight []string
+	// ready is the wait index's bitset: one mark per slot, set for a
+	// process a host is to ask (again).
+	ready []uint64
 }
 
-// Add appends an admitted process.
+// Add appends an admitted process, marked ready.
 func (t *Table) Add(p *Proc) {
 	if t.byID == nil {
 		t.byID = make(map[process.ID]*Proc)
 	}
+	if p.slot = len(t.procs); p.slot&63 == 0 {
+		t.ready = append(t.ready, 0)
+	}
+	t.ready[p.slot>>6] |= 1 << (p.slot & 63)
 	t.procs = append(t.procs, p)
 	t.ids = append(t.ids, p.ID)
 	t.byID[p.ID] = p
@@ -159,6 +171,33 @@ func (t *Table) Get(id process.ID) *Proc { return t.byID[id] }
 // All lists the admitted processes in admission order; callers must not
 // mutate the slice.
 func (t *Table) All() []*Proc { return t.procs }
+
+// Ready yields the processes marked ready and their slots in admission
+// order, clearing each mark as it yields it: one marked during the walk
+// at a later slot comes in the same walk, any other in the next.
+func (t *Table) Ready() iter.Seq2[int, *Proc] {
+	return func(yield func(int, *Proc) bool) {
+		for s := t.nextReady(0); s >= 0; s = t.nextReady(s + 1) {
+			t.ready[s>>6] &^= 1 << (s & 63)
+			if !yield(s, t.procs[s]) {
+				return
+			}
+		}
+	}
+}
+
+// AnyReady reports whether some process is marked ready.
+func (t *Table) AnyReady() bool { return t.nextReady(0) >= 0 }
+
+// nextReady is the first slot at or after s marked ready, or -1.
+func (t *Table) nextReady(s int) int {
+	for i := s >> 6; i < len(t.ready); i, s = i+1, 0 {
+		if w := t.ready[i] >> (s & 63); w != 0 {
+			return i<<6 + s&63 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
 
 func (t *Table) Procs() []process.ID { return t.ids }
 
@@ -225,6 +264,9 @@ type Driver struct {
 	Metrics    Metrics
 	// frontier is Next's buffer for a process's frontier.
 	frontier []int
+	// unnamed lists the processes whose wait names no blocker, or one
+	// that is not live, since the last transition.
+	unnamed []*Proc
 }
 
 // trace records a decision event. Callers whose detail argument costs
@@ -317,8 +359,77 @@ type Exec func(p *Proc, w Work) (refused Wait, more bool)
 // happen here; an invocation goes to exec. An error is a broken
 // transition, or the 2PC coordinator's log refusing the decision — the
 // host's own error, on which it holds or parks p until the append is
-// acknowledged.
+// acknowledged. A wait is registered in the wait index (park); any other
+// answer is a transition (moved).
 func (d *Driver) Next(p *Proc, exec Exec) (Act, Work, error) {
+	act, w, err := d.next(p, exec)
+	if act == ActWait {
+		d.park(p)
+	} else {
+		d.moved(p)
+	}
+	return act, w, err
+}
+
+// park registers p, which answered ActWait, in the wait index — the
+// driver's answer to whom the engine, recovery and the runtime ask again
+// — and clears its mark: on the waiter list of every blocker its wait
+// names, or on the unnamed list when it names no one or a process that
+// is not live. A transition of a process — Next answering anything else,
+// Complete, MarkVictim, a settle that committed — wakes the process, its
+// waiters and the unnamed list: only these may answer differently now. A
+// list holds a process once however often it is asked (the hub asks on
+// every request); an entry a later wait no longer names costs one extra
+// ask. Admission marks the admitted process alone: with no history and
+// nothing in flight it can release no wait.
+func (d *Driver) park(p *Proc) {
+	d.ready[p.slot>>6] &^= 1 << (p.slot & 63)
+	named := len(p.Wait.Blockers) > 0
+	for _, alt := range p.Wait.Blockers {
+		for _, id := range alt {
+			if b := d.byID[id]; b != nil && b.Phase != policy.Done {
+				b.waiters = enlist(b.waiters, p)
+			} else {
+				named = false
+			}
+		}
+	}
+	if !named {
+		d.unnamed = enlist(d.unnamed, p)
+	}
+}
+
+// enlist adds p to l unless it is there.
+func enlist(l []*Proc, p *Proc) []*Proc {
+	if slices.Contains(l, p) {
+		return l
+	}
+	return append(l, p)
+}
+
+// moved wakes p, its waiters and the unnamed list after a transition of p.
+func (d *Driver) moved(p *Proc) {
+	for _, l := range [...]*[]*Proc{&p.waiters, &d.unnamed} {
+		for _, q := range *l {
+			d.Wake(q)
+		}
+		*l = (*l)[:0]
+	}
+	d.Wake(p)
+}
+
+// Wake clears p's wait and marks it ready unless it terminated: the
+// driver wakes whom a transition may release, a host one that a gate of
+// its own (a sync) held.
+func (d *Driver) Wake(p *Proc) {
+	p.Wait = Wait{Blockers: p.Wait.Blockers[:0]}
+	if p.Phase != policy.Done {
+		d.ready[p.slot>>6] |= 1 << (p.slot & 63)
+	}
+}
+
+// next is Next before the wait index sees the answer.
+func (d *Driver) next(p *Proc, exec Exec) (Act, Work, error) {
 	var rule, unnamed policy.Rule
 	blockers := p.Wait.Blockers[:0]
 	p.Wait = Wait{}
@@ -465,13 +576,14 @@ func (d *Driver) Next(p *Proc, exec Exec) (Act, Work, error) {
 // settle commits the deferred set of a running process mid-process once
 // Lemma 1 released it (no active conflicting predecessor remains) and
 // reports whether it did. Next asks it before the frontier; the engine
-// also asks it of every process right after a terminate, before later
-// processes dispatch in the same pass.
+// also asks it of every ready process right after a terminate, before
+// later processes dispatch in the same pass.
 func (d *Driver) settle(p *Proc) (bool, error) {
 	if p.Phase != policy.Running || p.AbortPending || len(p.Recovery) > 0 || !p.HasDeferred() ||
 		d.Pol.HasActiveConflictPred(d, p.ID) {
 		return false, nil
 	}
+	defer d.moved(p)
 	return true, d.CommitPreparedSet(p)
 }
 
@@ -632,6 +744,7 @@ func outcomeRecord(p *Proc, w Work, sub *subsystem.Subsystem, tx subsystem.TxID)
 
 // Complete handles a finished invocation; res is nil when it failed.
 func (d *Driver) Complete(p *Proc, w Work, res *subsystem.Result) error {
+	defer d.moved(p)
 	sub, _ := d.Fed.Owner(w.Service)
 	// Orphaned completion: while the invocation was in flight, its
 	// branch was abandoned or the process began aborting (a parallel
@@ -959,6 +1072,7 @@ func (d *Driver) MarkVictim(p *Proc, why string) {
 	d.trace(metrics.TVictim, p, 0, "", why)
 	p.Restartable = true
 	p.AbortPending = true
+	d.moved(p)
 }
 
 // Dump renders the live processes — each waiting one with its last Wait

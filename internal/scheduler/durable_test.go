@@ -263,12 +263,12 @@ func cascadeWorld(t *testing.T) (*subsystem.Federation, []scheduler.Job) {
 	return fed, jobs
 }
 
-// TestCascadeModeDefersFigure7Dependency pins how PRED handles the
+// TestLemma1DefersFigure7Dependency pins how PRED handles the
 // Figure-7 geometry: P2's readX conflicts with P1's executed writeX while
 // P1 can still compensate it, so Lemma 1 holds readX back. P2 waits out
 // P1's abort instead of risking a cascade: P1 aborts alone, P2 commits
 // untouched and is never restarted.
-func TestCascadeModeDefersFigure7Dependency(t *testing.T) {
+func TestLemma1DefersFigure7Dependency(t *testing.T) {
 	fed, jobs := cascadeWorld(t)
 	s2, _ := fed.Subsystem("s2")
 	s2.ForceFail("gate", 1)

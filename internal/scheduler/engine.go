@@ -281,15 +281,13 @@ func (e *Engine) RunJobs(jobs []Job) (res *Result, err error) {
 
 	stalls := 0
 	for !e.crashed {
-		progressed := e.dispatchAll()
-		if e.admit() {
-			progressed = true
-		}
+		e.dispatchAll()
+		e.admit()
 		if e.err != nil {
 			return nil, e.err
 		}
 		if len(e.queue) == 0 {
-			if progressed {
+			if e.drv.AnyReady() {
 				continue
 			}
 			if e.allDone() {
@@ -360,20 +358,15 @@ func (e *Engine) enqueue(p *Proc, at int64) {
 	e.pending = append(e.pending, pendingProc{p, at})
 }
 
-// admit moves pending processes into the running set per the policy and
-// reports whether any process was admitted.
-func (e *Engine) admit() bool {
+// admit moves pending processes into the running set per the policy.
+func (e *Engine) admit() {
 	var keep []pendingProc
-	admitted := false
 	for _, pp := range e.pending {
-		if pp.at <= e.clock && MayAdmit(e.cfg.Mode, e.table.Conflicts, pp.Footprint, e.active) && e.drv.Admit(pp.Proc) {
-			admitted = true
-		} else {
+		if pp.at > e.clock || !MayAdmit(e.cfg.Mode, e.table.Conflicts, pp.Footprint, e.active) || !e.drv.Admit(pp.Proc) {
 			keep = append(keep, pp)
 		}
 	}
 	e.pending = keep
-	return admitted
 }
 
 // nextArrival returns the earliest future arrival among pending jobs.
@@ -442,46 +435,40 @@ func (e *Engine) allDone() bool {
 	return len(e.pending) == 0
 }
 
-// dispatchAll asks the driver what every process does next; returns
-// true when at least one new invocation was issued or some other
-// transition occurred.
-func (e *Engine) dispatchAll() bool {
-	progressed := false
-	for _, p := range e.drv.All() {
+// dispatchAll asks the driver what each ready process does next, in
+// admission order.
+func (e *Engine) dispatchAll() {
+	for _, p := range e.drv.Ready() {
 		if e.err != nil {
 			break
 		}
-		if p.Phase != policy.Done && e.next(p) {
-			progressed = true
+		if p.Phase != policy.Done {
+			e.next(p)
 		}
 	}
-	return progressed
 }
 
-// next runs Driver.Next for p, invoking every dispatchable activity, and
-// reports whether p moved. After a terminate the prepared sets that
-// waited on p commit at once, before later processes dispatch in the
-// same pass, and an aborted victim restarts.
-func (e *Engine) next(p *Proc) bool {
-	act, _, err := e.drv.Next(p, e.invoke)
+// next runs Driver.Next for p, invoking every dispatchable activity.
+// After a terminate the ready prepared sets that waited on p commit at
+// once, before later processes dispatch in the same pass, and an aborted
+// victim restarts.
+func (e *Engine) next(p *Proc) {
+	d := e.drv
+	act, _, err := d.Next(p, e.invoke)
 	if err != nil {
 		e.fail(err)
 	}
 	if act != ActDone {
-		return act != ActWait
+		return
 	}
-	for _, q := range e.drv.All() {
-		if e.err != nil {
-			break
-		}
-		if _, err := e.drv.settle(q); err != nil {
+	for s := d.nextReady(0); s >= 0 && e.err == nil; s = d.nextReady(s + 1) {
+		if _, err := d.settle(d.procs[s]); err != nil {
 			e.fail(err)
 		}
 	}
 	if !p.Outcome.Committed && p.Restartable && p.Restarts < e.cfg.MaxRestarts {
 		e.restart(p)
 	}
-	return true
 }
 
 // invoke is the engine's hand in Driver.Next: it issues a subsystem
@@ -527,7 +514,8 @@ func (e *Engine) resolveStall() bool {
 		return false
 	}
 	e.drv.MarkVictim(victim, "stall resolution")
-	return e.next(victim)
+	e.next(victim)
+	return victim.Wait.Rule == "" // it moved
 }
 
 // stallDump renders the engine state for stall diagnostics.

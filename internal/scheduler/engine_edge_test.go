@@ -370,3 +370,35 @@ func TestNestedAlternativesUnderScheduler(t *testing.T) {
 		})
 	}
 }
+
+// TestEngineAsksOnlyWhatMoved pins the wait index on the backlog of
+// BenchmarkEngineBacklog's first iteration (200 processes, conflict 0.3,
+// no failures, PRED): a process that waits is asked again only when a
+// process its wait names moves, so the policy's denials stay a small
+// multiple of the invocations. Asking every process on every pass costs
+// about 76 denials per invocation here; the index about 8.
+func TestEngineAsksOnlyWhatMoved(t *testing.T) {
+	p := workload.DefaultProfile(7)
+	p.Processes = 200
+	p.ConflictProb = 0.3
+	p.PermFailureProb = 0
+	p.TransientFailureProb = 0
+	w := workload.MustGenerate(p)
+	e, err := scheduler.New(w.Fed, scheduler.Config{Mode: scheduler.PRED})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := e.RunJobs(w.Jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := res.Metrics
+	if m.CommittedProcs != 200 {
+		t.Fatalf("committed %d of 200", m.CommittedProcs)
+	}
+	if m.PolicyWaits > 16*m.Invocations {
+		t.Errorf("%d policy waits for %d invocations (%.1f each), want at most 16 each",
+			m.PolicyWaits, m.Invocations, float64(m.PolicyWaits)/float64(m.Invocations))
+	}
+	t.Logf("%d invocations, %d policy waits", m.Invocations, m.PolicyWaits)
+}

@@ -333,8 +333,9 @@ func (r *restarted) groupAbort() (*DurableReport, error) {
 	seed(evs)
 
 	// Phase 3: run the driver to quiescence. What a step does and whether
-	// it may run now is the driver's (Next); which of the head steps that
-	// pass their gate goes next is the host's, so exec only claims them.
+	// it may run now is the driver's (Next), asked of the ready processes
+	// only; which of the head steps that pass their gate goes next is the
+	// host's, so exec only claims them.
 	// The log's judge wants the compensations of the whole group abort in
 	// strictly decreasing order of their bases' commit positions,
 	// conflicting or not (fault.CheckRecovered, invariant 4) — more than
@@ -345,8 +346,7 @@ func (r *restarted) groupAbort() (*DurableReport, error) {
 		var pick *Proc
 		var step Work
 		var latest int64
-		progressed := false
-		for _, p := range d.All() {
+		for _, p := range d.Ready() {
 			if p.Phase == policy.Done {
 				continue
 			}
@@ -354,8 +354,7 @@ func (r *restarted) groupAbort() (*DurableReport, error) {
 			if err != nil {
 				e.fail(err)
 			}
-			switch act {
-			case ActInvoke:
+			if act == ActInvoke {
 				var base int64 // a forward step: after every compensation
 				if w.Step.Kind == process.StepCompensate {
 					base = d.Pol.BaseSeq(p.ID, w.Local)
@@ -363,14 +362,14 @@ func (r *restarted) groupAbort() (*DurableReport, error) {
 				if pick == nil || base > latest {
 					pick, step, latest = p, w, base
 				}
-			case ActAgain, ActDone:
-				// Nothing to invoke: a rollback phase 1 already resolved
-				// settled, or a drained abort concluded.
-				progressed = true
 			}
 		}
 		if pick == nil {
-			if !progressed && e.err == nil {
+			// Nothing to invoke. A rollback phase 1 already resolved that
+			// settled, or a drained abort that concluded, marked whom it may
+			// release; with no one marked and the group not done, no gate
+			// will clear.
+			if e.err == nil && !d.AnyReady() && !e.allDone() {
 				return nil, fmt.Errorf("scheduler: recovery stalled: no step of the group abort passes its gate\n%s", d.Dump())
 			}
 			continue

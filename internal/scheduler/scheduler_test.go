@@ -254,7 +254,7 @@ func TestLemma1DeferralObserved(t *testing.T) {
 	}
 }
 
-func TestCascadeModeUnderPredecessorAbort(t *testing.T) {
+func TestConflictingWorkSurvivesPredecessorAbort(t *testing.T) {
 	// Force P1's pivot a12 to fail so P1 backward-recovers a11; P2's
 	// conflicting a21 must survive that exactly once, however the two
 	// were interleaved.

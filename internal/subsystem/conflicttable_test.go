@@ -1,8 +1,11 @@
 package subsystem_test
 
 import (
+	gort "runtime"
 	"testing"
 
+	"transproc/internal/activity"
+	"transproc/internal/conflict"
 	"transproc/internal/runtime"
 	"transproc/internal/scheduler"
 	"transproc/internal/subsystem"
@@ -58,5 +61,37 @@ func TestConflictTableAllocations(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(50, derive); n > 200 {
 		t.Fatalf("deriving the conflict table of 64 services allocates %v times, want at most 200", n)
+	}
+}
+
+// TestConflictTableReusesRegistry: the federation validates its registry
+// once, so a second derivation on an unchanged federation allocates less
+// than the first, and a subsystem added after a derivation is seen by
+// the next one.
+func TestConflictTableReusesRegistry(t *testing.T) {
+	fed := generatedFederation(t)
+	var before, after gort.MemStats
+	derive := func() *conflict.Table {
+		gort.ReadMemStats(&before)
+		table, err := fed.ConflictTable()
+		gort.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return table
+	}
+	derive()
+	first := after.Mallocs - before.Mallocs
+	derive()
+	if again := after.Mallocs - before.Mallocs; again >= first {
+		t.Errorf("second derivation allocates %d times, the first %d: the registry was built again", again, first)
+	}
+
+	late := subsystem.New("late", 1)
+	late.MustRegister(activity.Spec{Name: "lateW", Kind: activity.Pivot, Subsystem: "late", WriteSet: []string{"x"}})
+	late.MustRegister(activity.Spec{Name: "lateR", Kind: activity.Pivot, Subsystem: "late", ReadSet: []string{"x"}})
+	fed.MustAdd(late)
+	if !derive().Conflicts("lateW", "lateR") {
+		t.Error("a subsystem added after a derivation is missing from the next one")
 	}
 }

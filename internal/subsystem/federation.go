@@ -3,6 +3,7 @@ package subsystem
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"transproc/internal/activity"
 	"transproc/internal/conflict"
@@ -17,6 +18,10 @@ type Federation struct {
 	subs  map[string]*Subsystem
 	route map[string]*Subsystem // service -> subsystem
 	order []string
+	// reg is the validated registry, built by the first Registry call
+	// (engines, runtimes and the hub each derive their conflict table
+	// from it) and dropped by Add.
+	reg atomic.Pointer[activity.Registry]
 }
 
 // NewFederation returns an empty federation.
@@ -43,6 +48,7 @@ func (f *Federation) Add(s *Subsystem) error {
 	for _, svc := range s.Services() {
 		f.route[svc] = s
 	}
+	f.reg.Store(nil)
 	return nil
 }
 
@@ -141,8 +147,13 @@ func (f *Federation) Services() []string {
 	return out
 }
 
-// Registry builds the activity registry Â of the federation.
+// Registry returns the validated activity registry Â of the federation.
+// It is built once until Add changes the federation, and every caller
+// shares it: none may register into it.
 func (f *Federation) Registry() (*activity.Registry, error) {
+	if reg := f.reg.Load(); reg != nil {
+		return reg, nil
+	}
 	reg := activity.NewRegistry()
 	for _, name := range f.order {
 		s := f.subs[name]
@@ -156,6 +167,7 @@ func (f *Federation) Registry() (*activity.Registry, error) {
 	if err := reg.Validate(); err != nil {
 		return nil, err
 	}
+	f.reg.Store(reg)
 	return reg, nil
 }
 

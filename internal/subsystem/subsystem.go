@@ -168,11 +168,6 @@ type svc struct {
 	family string
 }
 
-// writesItem reports whether the service writes item.
-func (sv *svc) writesItem(item string) bool {
-	return slices.ContainsFunc(sv.writes, func(w write) bool { return w.item == item })
-}
-
 // New returns an empty subsystem. The seed drives probabilistic failure
 // injection; subsystems with the same seed and call sequence behave
 // identically.
