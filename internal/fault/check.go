@@ -81,7 +81,10 @@ func (in CheckInput) reconstruct(table *conflict.Table, recs []wal.Record, bound
 //  7. with the full history on disk, checkpointed recovery equals a
 //     full replay;
 //  8. every prepared set committed atomically: its participants all
-//     committed or all aborted (Section 3.5's 2PC).
+//     committed or all aborted (Section 3.5's 2PC);
+//  9. no origin has two incarnations whose work stands: a restart
+//     re-runs only an incarnation whose abort undid its work
+//     (OncePerOrigin).
 //
 // The returned error describes the first violated invariant.
 func CheckRecovered(in CheckInput) error {
@@ -249,7 +252,28 @@ func CheckRecovered(in CheckInput) error {
 	}
 
 	// 8. Atomic commitment.
-	return checkAtomicCommitment(in, recs)
+	if err := checkAtomicCommitment(in, recs); err != nil {
+		return err
+	}
+
+	// 9. Each origin's work stands at most once.
+	return OncePerOrigin(recs)
+}
+
+// OncePerOrigin reports an origin two of whose incarnations keep
+// committed work no compensation undid (wal.EffectiveCommits): the
+// origin's work ran twice. An abort past the pivot completes forward,
+// so its work stands and the incarnation must not be restarted.
+func OncePerOrigin(recs []wal.Record) error {
+	standing := make(map[process.ID]process.ID)
+	for _, i := range wal.EffectiveCommits(recs, nil) {
+		id := process.ID(recs[i].Proc)
+		if prev, ok := standing[id.Origin()]; ok && prev != id {
+			return fmt.Errorf("origin %s ran twice: the work of %s and of %s stands", id.Origin(), prev, id)
+		}
+		standing[id.Origin()] = id
+	}
+	return nil
 }
 
 // checkFullReplayEquivalence replays the complete (checkpoint-free)

@@ -10,6 +10,7 @@ import (
 	"transproc/internal/federation"
 	"transproc/internal/process"
 	"transproc/internal/scheduler"
+	"transproc/internal/wal"
 	"transproc/internal/workload"
 )
 
@@ -29,21 +30,35 @@ import (
 // failure the oracle never saw, legitimately diverging the fates.
 const fedDiffSeeds = 60
 
+// foldOutcomes reduces the oracle's per-incarnation outcomes to a
+// per-origin fate: an origin's work stands iff some incarnation's does —
+// it committed, or a victim abort past its pivot completed it forward.
 func foldOutcomes(out map[process.ID]*scheduler.Outcome) map[string]bool {
 	m := make(map[string]bool)
 	for id, o := range out {
-		origin := string(id)
-		for i := 0; i < len(origin); i++ {
-			if origin[i] == '+' {
-				origin = origin[:i]
-				break
-			}
-		}
-		if o.Committed {
-			m[origin] = true
-		} else if _, seen := m[origin]; !seen {
-			m[origin] = false
-		}
+		origin := string(id.Origin())
+		m[origin] = m[origin] || o.Stands
+	}
+	return m
+}
+
+// foldStitched is foldOutcomes over the cluster's stitched log, whose
+// images carry the verdict (wal.ProcImage.Stands) that the nodes' fate
+// codes, committed or aborted, do not.
+func foldStitched(t *testing.T, c *federation.Cluster) map[string]bool {
+	t.Helper()
+	recs, err := c.Stitched()
+	if err != nil {
+		t.Fatalf("stitching WALs: %v", err)
+	}
+	images, err := wal.Analyze(recs)
+	if err != nil {
+		t.Fatalf("analyzing the stitched log: %v", err)
+	}
+	m := make(map[string]bool)
+	for id, img := range images {
+		origin := string(process.ID(id).Origin())
+		m[origin] = m[origin] || img.Stands
 	}
 	return m
 }
@@ -93,7 +108,7 @@ func runFedDifferential(t *testing.T, seed int64, nodes int, wire bool) (committ
 
 	// 2. Terminal per-origin outcomes match the sequential oracle.
 	want := foldOutcomes(oracleRes.Outcomes)
-	got := foldOutcomes(res.Outcomes)
+	got := foldStitched(t, c)
 	if len(want) != len(got) {
 		t.Fatalf("origin sets differ: oracle %d, federation %d", len(want), len(got))
 	}
@@ -103,7 +118,7 @@ func runFedDifferential(t *testing.T, seed int64, nodes int, wire bool) (committ
 			t.Fatalf("origin %s missing from federation outcomes", origin)
 		}
 		if g != w {
-			t.Fatalf("origin %s: oracle committed=%v, federation committed=%v\nrules: %v\nhub:\n%s",
+			t.Fatalf("origin %s: work stands in the oracle: %v, in the federation: %v\nrules: %v\nhub:\n%s",
 				origin, w, g, rules, c.Hub().DumpState())
 		}
 		if g {

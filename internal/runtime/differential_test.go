@@ -94,8 +94,9 @@ func injectRules(t *testing.T, fed *subsystem.Federation, rules []failRule) {
 }
 
 // foldOutcomes reduces per-incarnation outcomes (W3, W3+r1, ...) to a
-// per-origin terminal fate: an origin committed iff any incarnation
-// committed.
+// per-origin terminal fate: an origin's work stands iff some
+// incarnation's does — it committed, or a victim abort past its pivot
+// completed it forward (and it was not restarted).
 func foldOutcomes(out map[process.ID]*scheduler.Outcome) map[string]bool {
 	m := make(map[string]bool)
 	for id, o := range out {
@@ -103,7 +104,7 @@ func foldOutcomes(out map[process.ID]*scheduler.Outcome) map[string]bool {
 		if i := strings.IndexByte(origin, '+'); i >= 0 {
 			origin = origin[:i]
 		}
-		if o.Committed {
+		if o.Stands {
 			m[origin] = true
 		} else if _, seen := m[origin]; !seen {
 			m[origin] = false

@@ -5,8 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"transproc/internal/fault"
+	"transproc/internal/process"
 	"transproc/internal/runtime"
 	"transproc/internal/scheduler"
+	"transproc/internal/wal"
 	"transproc/internal/workload"
 )
 
@@ -33,9 +36,10 @@ func TestRuntimeCCOnlyVictimResolution(t *testing.T) {
 		p.PermFailureProb = 0
 		p.TransientFailureProb = 0
 		w := workload.MustGenerate(p)
+		log := wal.NewMemLog()
 		rt, err := runtime.New(w.Fed, runtime.Config{
 			Mode: scheduler.CCOnly, Workers: 16, MaxRestarts: 64,
-			Tick: 100 * time.Microsecond,
+			Tick: 100 * time.Microsecond, Log: log,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -44,8 +48,26 @@ func TestRuntimeCCOnlyVictimResolution(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if res.Metrics.CommittedProcs < p.Processes {
-			t.Fatalf("seed %d: %d of %d origins committed", seed, res.Metrics.CommittedProcs, p.Processes)
+		// Every origin terminal, none run twice: a victim aborted before
+		// its pivot restarts until an incarnation commits; one aborted
+		// past it completes forward and is not restarted.
+		stands := map[process.ID]bool{}
+		for id, o := range res.Outcomes {
+			if o.Stands {
+				stands[id.Origin()] = true
+			}
+		}
+		for _, j := range w.Jobs {
+			if !stands[j.Proc.ID.Origin()] {
+				t.Fatalf("seed %d: no incarnation of %s committed or completed forward", seed, j.Proc.ID)
+			}
+		}
+		recs, err := log.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fault.OncePerOrigin(recs); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
 		victims += res.Metrics.VictimAborts
 		for item, v := range w.Fed.Snapshot() {

@@ -161,7 +161,10 @@ func (m Metrics) Throughput() float64 {
 type Outcome struct {
 	Committed bool
 	Aborted   bool
-	Restarts  int
-	Start     int64
-	End       int64
+	// Stands is set when the work stands: the process committed, or it
+	// aborted past its pivot, which completes it forward.
+	Stands   bool
+	Restarts int
+	Start    int64
+	End      int64
 }
