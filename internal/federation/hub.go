@@ -816,17 +816,17 @@ func (h *Hub) parkBlocked() *Frame {
 		if n == nil || n.dead || hp.zombie || hp.Phase != policy.Aborting || !hp.Idle() {
 			continue
 		}
-		for local, ptx := range hp.Prepared {
+		for ptx := range hp.PreparedSet() {
 			_ = ptx.Sub.AbortPrepared(ptx.Tx)
-			delete(hp.Prepared, local)
+			hp.TakePrepared(ptx.Local)
 		}
 		hp.Phase, hp.parked = policy.Done, true
+		h.pol.Bump(hp.ID)
 		parked++
 	}
 	if parked == 0 {
 		return h.errf("unresolvable stall\n%s", h.dumpLocked())
 	}
-	h.pol.Bump()
 	h.next() // progress bump: every idle mark is now stale
 	return h.resp(StOK)
 }
@@ -921,7 +921,7 @@ func (h *Hub) nodeDownLocked(node uint32) bool {
 			continue // parked residue was already settled by parkBlocked
 		}
 		if hp.decided {
-			for _, ptx := range hp.Prepared {
+			for ptx := range hp.PreparedSet() {
 				_ = ptx.Sub.CommitPrepared(ptx.Tx)
 			}
 			continue
@@ -932,11 +932,10 @@ func (h *Hub) nodeDownLocked(node uint32) bool {
 			h.drv.Undispatch(&hp.Proc, c.w)
 			hp.call, hp.sent = nil, false
 		}
-		for _, ptx := range hp.Prepared {
+		for ptx := range hp.PreparedSet() {
 			_ = ptx.Sub.AbortPrepared(ptx.Tx)
 		}
 	}
-	h.pol.Bump()
 	return true
 }
 
@@ -1002,11 +1001,12 @@ func (h *Hub) adoptOrphans(node uint32) {
 		// Erase the tentative events of the (already aborted) Lemma-1
 		// deferred set and retire the incarnation; recovery will
 		// abort-terminate it from its RecStart record.
-		for local := range hp.Prepared {
-			h.pol.EraseTentative(hp.ID, local)
-			delete(hp.Prepared, local)
+		for ptx := range hp.PreparedSet() {
+			h.pol.EraseTentative(hp.ID, ptx.Local)
+			hp.TakePrepared(ptx.Local)
 		}
 		hp.Phase = policy.Done
+		h.pol.Bump(hp.ID)
 		suffix := h.maxSuffix[string(hp.Origin)] + 1
 		h.maxSuffix[string(hp.Origin)] = suffix
 		h.pending[string(hp.Origin)] = true
@@ -1021,7 +1021,6 @@ func (h *Hub) adoptOrphans(node uint32) {
 		h.reg.Inc(metrics.FedAdoptions)
 	}
 	if adopted > 0 {
-		h.pol.Bump()
 		h.next() // progress bump: idle marks predate the new work
 	}
 }

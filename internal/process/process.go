@@ -143,6 +143,13 @@ func (p *Process) Activities() []*Activity {
 	return out
 }
 
+// Pos returns the position of a local id: its index in ascending
+// local-id order, which ActivityAt and Activities share.
+func (p *Process) Pos(local int) (int, bool) { return p.index(local) }
+
+// ActivityAt returns the activity at a position.
+func (p *Process) ActivityAt(pos int) *Activity { return &p.acts[pos] }
+
 // Activity returns the activity with the given local id, or nil.
 func (p *Process) Activity(local int) *Activity {
 	if i, ok := p.index(local); ok {
@@ -268,7 +275,11 @@ func (p *Process) String() string {
 // verdict from ValidateGuaranteedTermination; only the names in an error
 // text differ.
 func (p *Process) ShapeKey() string {
-	b := make([]byte, 0, 4*len(p.order))
+	return string(p.AppendShapeKey(make([]byte, 0, 4*len(p.order))))
+}
+
+// AppendShapeKey appends ShapeKey's encoding to b.
+func (p *Process) AppendShapeKey(b []byte) []byte {
 	b = binary.AppendUvarint(b, uint64(len(p.order)))
 	for i, id := range p.order {
 		b = binary.AppendUvarint(b, uint64(id))
@@ -283,7 +294,7 @@ func (p *Process) ShapeKey() string {
 			}
 		}
 	}
-	return string(b)
+	return b
 }
 
 // DefaultCompensationName derives the compensating service name used when

@@ -23,6 +23,16 @@ import (
 // when the run ends, and that a waiting job is an entry, not a goroutine.
 
 // starts lists the processes of the log's RecStart records, in log order.
+// member is the live member of an origin, or nil.
+func (r *Runtime) member(origin process.ID) *member {
+	for _, m := range r.members {
+		if m.Origin == origin {
+			return m
+		}
+	}
+	return nil
+}
+
 func starts(t *testing.T, log wal.Log) []process.ID {
 	t.Helper()
 	recs, err := log.Records()
@@ -94,7 +104,7 @@ func TestAdmissionStepsOverRefused(t *testing.T) {
 	w.start(seq("A", "w"), seq("B", "c"), seq("C", "d"))
 	w.awaitSection("C committed past the pending B while A is in flight", func() bool {
 		c := w.rt.drv.Get("C")
-		return c != nil && c.Outcome.Committed && w.rt.members["A"] != nil &&
+		return c != nil && c.Outcome.Committed && w.rt.member("A") != nil &&
 			len(w.rt.pending) == 1 && w.rt.pending[0].ID == "B" && w.rt.drv.Get("B") == nil
 	})
 	res := w.finish()
@@ -131,10 +141,10 @@ func TestRestartBackoffCountsCompletions(t *testing.T) {
 	w.inv.slow["O/c"] = []int64{4}
 	markVictim := func(id process.ID) {
 		w.awaitSection(string(id)+" in flight", func() bool {
-			m := w.rt.members["V"]
-			return m != nil && m.ID == id && len(m.Running) == 1
+			m := w.rt.member("V")
+			return m != nil && m.ID == id && m.InFlight() == 1
 		})
-		w.rt.drv.MarkVictim(w.rt.members["V"].Proc, "test")
+		w.rt.drv.MarkVictim(w.rt.member("V").Proc, "test")
 	}
 	const oSteps, backoff = 12, 4 << 1 // backoff: of the first restart
 	steps := make([]string, oSteps)
@@ -165,8 +175,8 @@ func TestRestartBackoffCountsCompletions(t *testing.T) {
 	// but let O finish first: with nothing else admitted, V+r2 must not
 	// wait for 4<<2 completions nobody is left to deliver.
 	markVictim("V+r1")
-	w.awaitSection("O terminated", func() bool { return w.rt.members["O"] == nil })
-	if m := w.rt.members["V"]; m == nil || m.ID != "V+r1" || len(m.Running) != 1 {
+	w.awaitSection("O terminated", func() bool { return w.rt.member("O") == nil })
+	if m := w.rt.member("V"); m == nil || m.ID != "V+r1" || m.InFlight() != 1 {
 		t.Errorf("V+r1 is not in flight when O terminates")
 	}
 	res := w.finish()

@@ -3,6 +3,7 @@ package runtime_test
 import (
 	"context"
 	"fmt"
+	gort "runtime"
 	"testing"
 	"time"
 
@@ -83,5 +84,43 @@ func BenchmarkRuntimeBacklog(b *testing.B) {
 			}
 			b.ReportMetric(float64(done)/running.Seconds(), "procs/sec")
 		})
+	}
+}
+
+// allocsPerProc is TestRunAllocationsPerProcess's bound: 35 measured
+// (61.5 before names were resolved once), plus 10 %.
+const allocsPerProc = 39
+
+// TestRunAllocationsPerProcess bounds what Run allocates per process on
+// the 200-process rt-long profile of BenchmarkRuntimeBacklog (job
+// validation included, workload generation and runtime.New not): each
+// name resolves once at admission, and the lock table, the routes and a
+// process's in-flight and prepared work allocate nothing per call.
+func TestRunAllocationsPerProcess(t *testing.T) {
+	const procs = 200
+	p := workload.DefaultProfile(7)
+	p.Processes = procs
+	p.ConflictProb = 0.3
+	p.PermFailureProb = 0
+	p.TransientFailureProb = 0
+	w := workload.MustGenerate(p)
+	r, err := runtime.New(w.Fed, runtime.Config{Mode: scheduler.PRED, Workers: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after gort.MemStats
+	gort.ReadMemStats(&before)
+	res, err := r.Run(context.Background(), w.Jobs)
+	gort.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Metrics.CommittedProcs + res.Metrics.AbortedProcs; n != procs {
+		t.Fatalf("%d of %d processes terminated", n, procs)
+	}
+	perProc := float64(after.Mallocs-before.Mallocs) / procs
+	t.Logf("%.1f allocations per process", perProc)
+	if perProc > allocsPerProc {
+		t.Fatalf("Run allocates %.1f times per process, want at most %d", perProc, allocsPerProc)
 	}
 }

@@ -135,7 +135,7 @@ func (w *lockWorld) awaitSection(what string, cond func() bool) {
 func (w *lockWorld) awaitParked(id process.ID, alts [][]process.ID) (inFlight int) {
 	w.t.Helper()
 	w.awaitSection(fmt.Sprintf("%s parked on %v", id, alts), func() bool {
-		m := w.rt.members[id]
+		m := w.rt.member(id)
 		inFlight = len(w.rt.due)
 		return m != nil && m.ID == id && reflect.DeepEqual(m.Wait.Blockers, alts)
 	})
@@ -224,7 +224,7 @@ func TestDisjointProcessesOverlapInOneSection(t *testing.T) {
 			w.start(seq("A", "w"), seq("B", "d"), seq("C", "pre", "w"))
 			w.awaitSection("B committed while A is in flight", func() bool {
 				b := w.rt.drv.Get("B")
-				return b != nil && b.Outcome.Committed && w.rt.members["B"] == nil && w.rt.members["A"] != nil
+				return b != nil && b.Outcome.Committed && w.rt.member("B") == nil && w.rt.member("A") != nil
 			})
 			if inFlight := w.awaitParked("C", [][]process.ID{{"A"}}); inFlight != 1 {
 				t.Errorf("in flight while C is parked: %d, want A's invocation alone", inFlight)
@@ -290,7 +290,7 @@ func TestDetectDeadlock(t *testing.T) {
 				rt.drv.Wake(m.Proc)
 			}
 			m.Phase = pk.phase
-			rt.members[id] = m
+			rt.members = append(rt.members, m)
 		}
 		before := rt.victims
 		var got process.ID

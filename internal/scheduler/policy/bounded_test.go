@@ -112,7 +112,6 @@ func prunedWindow(t *testing.T) {
 		for len(live) < width && admitted < procs {
 			live = append(live, &running{def: v.admit(shapes)})
 			admitted++
-			st.Bump()
 		}
 		progressed := false
 		for i := 0; i < len(live); i++ {

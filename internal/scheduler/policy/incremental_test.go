@@ -119,8 +119,10 @@ func (w *sim) append(ev Event) {
 	w.ref.AppendEvent(&theirs)
 }
 
-func (w *sim) bump() {
-	w.st.Bump()
+// bump names the process whose view facts an operation changed without
+// an event of its own; the reference re-reads everything anyway.
+func (w *sim) bump(id process.ID) {
+	w.st.Bump(id)
 	w.ref.Bump()
 }
 
@@ -154,8 +156,8 @@ func (w *sim) admit() {
 	def, err := b.Build()
 	w.must(err)
 	w.procs[id] = &simProc{id: id, def: def, inst: process.NewInstance(def), arrival: len(w.ids)}
-	w.ids = append(w.ids, id)
-	w.bump()
+	w.ids = append(w.ids, id) // new in Procs(): read without a bump
+	w.ref.Bump()
 }
 
 func (w *sim) live() []*simProc {
@@ -174,7 +176,7 @@ func (w *sim) live() []*simProc {
 func (w *sim) terminate(p *simProc) {
 	p.phase, p.steps, p.inFlight = Done, nil, nil
 	if w.rng.Intn(5) == 0 {
-		w.bump()
+		w.bump(p.id)
 		return
 	}
 	w.append(Event{Proc: p.id, Typ: schedule.Terminate, Committed: true})
@@ -201,7 +203,7 @@ func (w *sim) op() process.ID {
 		case p.next < len(acts):
 			p.inFlight = []string{acts[p.next].Service}
 		}
-		w.bump()
+		w.bump(p.id)
 	case p.phase == Aborting && len(p.steps) == 0:
 		w.terminate(p)
 	case p.phase == Aborting: // run the head of the completion
@@ -218,7 +220,7 @@ func (w *sim) op() process.ID {
 			if w.st.EraseTentative(p.id, st.Local) != w.ref.EraseTentative(p.id, st.Local) {
 				w.t.Fatalf("EraseTentative(%s, %d) disagrees", p.id, st.Local)
 			}
-			w.bump()
+			w.bump(p.id)
 		}
 		w.must(p.inst.ApplyStep(st))
 	case p.tentative != 0 && roll < 6: // the deferred commit happens
@@ -253,7 +255,6 @@ func (w *sim) op() process.ID {
 		}
 		w.append(ev)
 	default:
-		w.bump()
 		return ""
 	}
 	return p.id

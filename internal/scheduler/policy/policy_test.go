@@ -35,6 +35,7 @@ type world struct {
 	t     *testing.T
 	st    *policy.State
 	procs []*proc
+	ids   []process.ID // Procs(), which the State reads at every decision
 	seq   int64
 }
 
@@ -43,6 +44,7 @@ func newWorld(t *testing.T, mode policy.Mode, table *conflict.Table, defs ...*pr
 	w := &world{t: t, st: policy.New(table, policy.Config{Mode: mode})}
 	for _, d := range defs {
 		w.procs = append(w.procs, &proc{id: d.ID, inst: process.NewInstance(d)})
+		w.ids = append(w.ids, d.ID)
 	}
 	return w
 }
@@ -56,13 +58,7 @@ func (w *world) find(id process.ID) (int, *proc) {
 	return -1, nil
 }
 
-func (w *world) Procs() []process.ID {
-	ids := make([]process.ID, len(w.procs))
-	for i, p := range w.procs {
-		ids[i] = p.id
-	}
-	return ids
-}
+func (w *world) Procs() []process.ID { return w.ids }
 
 func (w *world) Phase(id process.ID) policy.Phase {
 	if _, p := w.find(id); p != nil {
@@ -111,7 +107,7 @@ func (w *world) prepare(id process.ID, local int) {
 func (w *world) set(id process.ID, ph policy.Phase, steps ...process.Step) {
 	_, p := w.find(id)
 	p.phase, p.steps = ph, steps
-	w.st.Bump()
+	w.st.Bump(id)
 }
 
 func compensate(local int, base string) process.Step {

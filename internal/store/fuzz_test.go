@@ -10,7 +10,9 @@ import (
 // must be rejected cleanly (almost always by checksum); to also reach
 // the structural validation, the harness reseals the image — a valid
 // checksum over hostile structure — and requires decode to either
-// reject it or yield a page that iterates and round-trips safely.
+// reject it or yield a page that iterates and round-trips safely, and
+// whose live-byte and dead-slot counters equal a recount of its slot
+// directory after every operation.
 func FuzzHeapPageDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, PageSize))
@@ -43,13 +45,26 @@ func FuzzHeapPageDecode(f *testing.F) {
 		}
 		// Structurally accepted: every operation must stay in bounds
 		// and the page must survive a mutate/seal/decode round trip.
+		checkCounters(t, p, "decode")
 		recs := records(p)
 		if _, ok := p.Insert("fuzz/extra", 1); ok {
 			if got := records(p); len(got) != len(recs)+1 {
 				t.Fatalf("insert changed record count %d -> %d", len(recs), len(got))
 			}
 		}
+		checkCounters(t, p, "insert")
+		// Delete and re-insert at slots the image's own bytes pick.
+		for i, b := range data[headerSize : headerSize+16] {
+			if p.SlotCount() == 0 {
+				break
+			}
+			p.Delete(int(b) % p.SlotCount())
+			checkCounters(t, p, "delete")
+			p.Insert(fmt.Sprintf("fuzz/%d", i), int64(b))
+			checkCounters(t, p, "re-insert")
+		}
 		p.Compact()
+		checkCounters(t, p, "compact")
 		p.Seal()
 		q, err := DecodePage(p.Buf())
 		if err != nil {

@@ -64,8 +64,16 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // from the header, and cells growing down from the end. Records are
 // (key, int64) pairs; dead slots (length 0) are reused and their cell
 // space reclaimed by in-place compaction.
+//
+// live and dead account for the slot directory in memory only — the
+// bytes of live cells and the number of dead slots — and no slot below
+// deadFrom is dead, so that FreeFor and Insert need not walk it.
+// DecodePage counts them from the image; format, Insert and Delete keep
+// them, and Compact moves cells without changing any. The page image
+// does not carry them.
 type Page struct {
-	buf []byte
+	buf                  []byte
+	live, dead, deadFrom int
 }
 
 // NewPage returns a freshly formatted empty page.
@@ -90,6 +98,7 @@ func DecodePage(data []byte) (*Page, error) {
 	if err := p.validate(); err != nil {
 		return nil, err
 	}
+	p.live, p.dead = p.recount()
 	return p, nil
 }
 
@@ -128,6 +137,7 @@ func (p *Page) format(lsn int64) {
 	p.SetLSN(lsn)
 	p.setSlotCount(0)
 	p.setCellStart(PageSize)
+	p.live, p.dead, p.deadFrom = 0, 0, 0
 	p.Seal()
 }
 
@@ -174,31 +184,26 @@ func (p *Page) contiguousFree() int {
 	return p.cellStart() - (headerSize + slotSize*p.SlotCount())
 }
 
-// deadSpace is the cell space held by dead slots, reclaimable by
-// Compact.
-func (p *Page) deadSpace() (bytes int, deadSlots int) {
+// recount walks the slot directory for the bytes of live cells and the
+// number of dead slots: what p.live and p.dead hold.
+func (p *Page) recount() (liveBytes, deadSlots int) {
 	for i := 0; i < p.SlotCount(); i++ {
 		if _, length := p.slot(i); length == 0 {
 			deadSlots++
+		} else {
+			liveBytes += length
 		}
 	}
-	live := 0
-	for i := 0; i < p.SlotCount(); i++ {
-		if _, length := p.slot(i); length > 0 {
-			live += length
-		}
-	}
-	return PageSize - p.cellStart() - live, deadSlots
+	return liveBytes, deadSlots
 }
 
 // FreeFor reports the bytes available to a future insert after an
-// in-place compaction: the contiguous gap plus dead cell space. A new
-// record of key length k needs cellOverhead+k bytes plus (when no dead
-// slot is reusable) slotSize for its directory entry.
+// in-place compaction: the contiguous gap plus the cell space of dead
+// slots. A new record of key length k needs cellOverhead+k bytes plus
+// (when no dead slot is reusable) slotSize for its directory entry.
 func (p *Page) FreeFor() int {
-	dead, deadSlots := p.deadSpace()
-	free := p.contiguousFree() + dead
-	if deadSlots == 0 {
+	free := p.contiguousFree() + PageSize - p.cellStart() - p.live
+	if p.dead == 0 {
 		free -= slotSize
 	}
 	if free < 0 {
@@ -216,7 +221,7 @@ func (p *Page) Insert(key string, value int64) (slot int, ok bool) {
 	cellLen := cellOverhead + len(key)
 	// Reuse a dead slot when available, else extend the directory.
 	slot = -1
-	for i := 0; i < p.SlotCount(); i++ {
+	for i := p.deadFrom; p.dead > 0 && i < p.SlotCount(); i++ {
 		if _, length := p.slot(i); length == 0 {
 			slot = i
 			break
@@ -235,7 +240,11 @@ func (p *Page) Insert(key string, value int64) (slot int, ok bool) {
 	if slot < 0 {
 		slot = p.SlotCount()
 		p.setSlotCount(slot + 1)
+	} else {
+		p.dead--
+		p.deadFrom = slot + 1
 	}
+	p.live += cellLen
 	off := p.cellStart() - cellLen
 	p.setCellStart(off)
 	binary.BigEndian.PutUint16(p.buf[off:off+2], uint16(len(key)))
@@ -279,6 +288,11 @@ func (p *Page) Delete(slot int) {
 	if slot < 0 || slot >= p.SlotCount() {
 		return
 	}
+	if _, length := p.slot(slot); length > 0 {
+		p.live -= length
+		p.dead++
+		p.deadFrom = min(p.deadFrom, slot)
+	}
 	p.setSlot(slot, 0, 0)
 	// Trim trailing dead slots so empty pages shrink back to zero.
 	n := p.SlotCount()
@@ -287,6 +301,7 @@ func (p *Page) Delete(slot int) {
 			break
 		}
 		n--
+		p.dead--
 	}
 	p.setSlotCount(n)
 	if n == 0 {
@@ -316,28 +331,21 @@ func (p *Page) Range(fn func(slot int, key string, value int64) bool) {
 	}
 }
 
-// Compact repacks live cells against the end of the page, preserving
-// slot numbering, so dead cell space becomes contiguous free space.
+// Compact repacks live cells against the end of the page in slot order,
+// preserving slot numbering, so dead cell space becomes contiguous free
+// space. The cells are read from a copy of the page on the stack.
 func (p *Page) Compact() {
-	type cell struct {
-		slot int
-		data []byte
-	}
-	var cells []cell
+	var old [PageSize]byte
+	copy(old[:], p.buf)
+	off := PageSize
 	for i := 0; i < p.SlotCount(); i++ {
-		off, length := p.slot(i)
+		from, length := p.slot(i)
 		if length == 0 {
 			continue
 		}
-		d := make([]byte, length)
-		copy(d, p.buf[off:off+length])
-		cells = append(cells, cell{slot: i, data: d})
-	}
-	off := PageSize
-	for _, c := range cells {
-		off -= len(c.data)
-		copy(p.buf[off:], c.data)
-		p.setSlot(c.slot, off, len(c.data))
+		off -= length
+		copy(p.buf[off:], old[from:from+length])
+		p.setSlot(i, off, length)
 	}
 	p.setCellStart(off)
 	// Zero the reclaimed gap so page images stay deterministic.

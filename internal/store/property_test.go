@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -19,6 +20,52 @@ func pageImage(seed int64, n int) []byte {
 	}
 	p.Seal()
 	return p.Buf()
+}
+
+// checkCounters fails unless the page's live-byte and dead-slot
+// counters equal a recount of its slot directory.
+func checkCounters(t testing.TB, p *Page, after string) {
+	t.Helper()
+	if live, dead := p.recount(); live != p.live || dead != p.dead {
+		t.Fatalf("after %s: counters say %d live bytes, %d dead slots; the directory has %d, %d", after, p.live, p.dead, live, dead)
+	}
+	for i := 0; i < min(p.deadFrom, p.SlotCount()); i++ {
+		if _, length := p.slot(i); length == 0 {
+			t.Fatalf("after %s: slot %d is dead, below deadFrom %d", after, i, p.deadFrom)
+		}
+	}
+}
+
+// TestPageCountersMatchRecount runs random insert/delete/compact
+// sequences on one page, from empty to full and back, and compares its
+// counters with a recount after every operation.
+func TestPageCountersMatchRecount(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	p := NewPage()
+	var slots []int
+	for i := 0; i < 5000; i++ {
+		switch op := rng.Intn(10); {
+		case op < 6 && i%1000 < 600:
+			if slot, ok := p.Insert(fmt.Sprintf("key/%d/%s", i, strings.Repeat("x", rng.Intn(40))), int64(i)); ok {
+				slots = append(slots, slot)
+			}
+		case op < 9 && len(slots) > 0:
+			j := rng.Intn(len(slots))
+			p.Delete(slots[j])
+			slots = append(slots[:j], slots[j+1:]...)
+		default:
+			p.Compact()
+		}
+		checkCounters(t, p, fmt.Sprintf("op %d", i))
+		p.Seal()
+		q, err := DecodePage(append([]byte(nil), p.Buf()...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.FreeFor() != p.FreeFor() {
+			t.Fatalf("op %d: FreeFor %d, decoded image says %d", i, p.FreeFor(), q.FreeFor())
+		}
+	}
 }
 
 // records extracts the logical content of a decoded page.
