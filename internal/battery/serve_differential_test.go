@@ -5,11 +5,14 @@ import (
 	"net/http"
 	"slices"
 	"testing"
+	"time"
 
 	"transproc/internal/fault"
+	"transproc/internal/scheduler"
 	"transproc/internal/serve"
 	"transproc/internal/spec"
 	"transproc/internal/wal"
+	"transproc/internal/workload"
 )
 
 // TestRestartResumeDifferential is the restart-resume differential: a
@@ -245,5 +248,73 @@ func TestRestartPastPivotRunsOnce(t *testing.T) {
 	}
 	if pastPivot == 0 {
 		t.Error("no budget crashed the submission past its pivot")
+	}
+}
+
+// TestServeSealsStandingVictim runs the CCOnly contention that wedges
+// processes (TestRuntimeCCOnlyVictimResolution's world) through a
+// server, so the runtime picks victims, some of them past their pivot.
+// Such a victim completes forward and is not restarted; its work stands,
+// so the server must seal it committed — as restart recovery seals the
+// same history. The check is checkSettled's seal check; the rest of
+// checkSettled asks for a prefix-reducible schedule, which CCOnly does
+// not promise.
+func TestServeSealsStandingVictim(t *testing.T) {
+	forward := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		p := workload.DefaultProfile(seed)
+		p.Processes = 16
+		p.ConflictProb = 0.9
+		p.ParallelProb = 0.5
+		p.PermFailureProb = 0
+		p.TransientFailureProb = 0
+		w := workload.MustGenerate(p)
+		reqs := make([]serve.SubmitRequest, len(w.Jobs))
+		for i, j := range w.Jobs {
+			reqs[i] = serve.SubmitRequest{Tenant: "t", Proc: spec.FromProcess(j.Proc)}
+		}
+		srv, err := serve.Open(w.Fed, serve.Config{
+			Dir: t.TempDir(), NoSync: true, Mode: scheduler.CCOnly,
+			Workers: 16, MaxRestarts: 64, Tick: 100 * time.Microsecond,
+			BatchMax: len(reqs), BatchWait: 20 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		addr, err := srv.Start("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, c := range submitAll("http://"+addr, reqs, false) {
+			if c != http.StatusAccepted {
+				t.Fatalf("seed %d: submission %d: HTTP %d", seed, i, c)
+			}
+		}
+		if !srv.WaitIdle(serveWait) {
+			t.Fatalf("seed %d: never idle", seed)
+		}
+		recs, err := srv.Log().Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fault.OncePerOrigin(recs); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		if err := sealsMatchWork(srv.Statuses("", ""), recs); err != nil {
+			t.Errorf("seed %d: %v", seed, err)
+		}
+		images, err := wal.Analyze(recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, img := range images {
+			if img.Stands && !img.TerminatedCommitted {
+				forward++
+			}
+		}
+		srv.Close()
+	}
+	if forward == 0 {
+		t.Fatal("no victim was aborted past its pivot across the seeds (seed drift?)")
 	}
 }

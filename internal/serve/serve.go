@@ -419,8 +419,8 @@ func (s *Server) restore(entries []JournalEntry) ([]*submission, error) {
 }
 
 // fold is the per-origin digest of a set of incarnations: the origin
-// committed iff any of them did (the differential battery's folding
-// rule).
+// committed iff the work of any of them stands (the differential
+// battery's folding rule).
 type fold struct {
 	committed    bool
 	incarnations int
@@ -547,9 +547,12 @@ func (s *Server) runBatch(batch []*submission) {
 		return
 	}
 
+	// An incarnation whose work stands seals its submission committed,
+	// as restart does: a victim aborted past its pivot completed forward
+	// and is not restarted.
 	folded := make(folds)
 	for id, o := range outcomes {
-		folded.add(id, o.Committed, o.Restarts)
+		folded.add(id, o.Stands, o.Restarts)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -118,7 +118,10 @@ func TestDurableIntentRestored(t *testing.T) {
 		t.Fatalf("in-doubt after restore = %+v", ind)
 	}
 	// The restored transaction holds its write lock against others.
-	if holder, free := s2.LockBlocker("P2", "book"); free || holder != "P1" {
+	fed := NewFederation()
+	fed.MustAdd(s2)
+	book, _ := fed.Route("book")
+	if holder, free := book.LockBlocker("P2"); free || holder != "P1" {
 		t.Fatalf("conflicting lock not restored: holder %q, free %v", holder, free)
 	}
 	if err := s2.CommitPrepared(res.Tx); err != nil {

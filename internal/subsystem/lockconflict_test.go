@@ -65,7 +65,8 @@ func lockBlockedWithoutConflict(seed int64) (blocked int, bare []string, err err
 		held = append(held, svc)
 	}
 	for _, b := range services {
-		if _, free := fed.LockBlocker("Q", b); free {
+		r, _ := fed.Route(b)
+		if _, free := r.LockBlocker("Q"); free {
 			continue
 		}
 		blocked++
