@@ -173,11 +173,16 @@ func compareInstances(t *testing.T, in *process.Instance, ref *refInstance, wher
 		t.Fatalf("%s: PotentialRecoveryServices %v, reference %v", where, got, pot)
 	}
 	seq := make(map[string]bool)
-	for svc := range in.PotentialRecoveryServiceSeq() {
-		seq[svc] = true
+	for i, comp := range in.PotentialRecoverySeq() {
+		a := in.Process().ActivityAt(i)
+		name := a.Service
+		if comp {
+			name = a.Compensation
+		}
+		seq[name] = true
 	}
 	if !maps.Equal(seq, pot) {
-		t.Fatalf("%s: PotentialRecoveryServiceSeq %v, reference %v", where, seq, pot)
+		t.Fatalf("%s: PotentialRecoverySeq %v, reference %v", where, seq, pot)
 	}
 	steps, err := in.Completion()
 	rsteps, rerr := ref.Completion()
@@ -226,9 +231,9 @@ func TestInstanceQueriesDoNotAllocate(t *testing.T) {
 			buf = in.AppendFrontier(buf[:0])
 			sink += len(buf)
 		},
-		"PotentialRecoveryServiceSeq": func() {
-			for svc := range in.PotentialRecoveryServiceSeq() {
-				sink += len(svc)
+		"PotentialRecoverySeq": func() {
+			for i := range in.PotentialRecoverySeq() {
+				sink += i
 			}
 		},
 	} {

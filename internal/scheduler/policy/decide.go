@@ -36,7 +36,7 @@ const (
 // condition.
 func (s *State) HasActiveConflictPred(v View, id process.ID) bool {
 	s.refresh(v)
-	if n := s.nodes[id]; n != nil {
+	if n := s.lookup(id); n != nil {
 		for q := range n.in {
 			if q.alive {
 				return true
@@ -55,7 +55,7 @@ func (s *State) HasActiveConflictPred(v View, id process.ID) bool {
 func (s *State) ActiveConflictPreds(v View, id process.ID) []process.ID {
 	s.refresh(v)
 	s.blockers = s.blockers[:0]
-	if n := s.nodes[id]; n != nil {
+	if n := s.lookup(id); n != nil {
 		for q := range n.in {
 			if q.alive {
 				s.blockers = append(s.blockers, q.id)
@@ -108,7 +108,7 @@ func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (Rule, [
 	case Serial, Conservative:
 		return "", nil // admission already serialized conflicts
 	}
-	svc := s.u.intern(a.Service)
+	svc := s.svcID(s.lookup(id), a.Local, a.Service)
 	// Conflict-free services can never gain predecessors, force an
 	// ordering or close a cycle — only the ablation-mode pivot gate can
 	// still apply. This skips the graph entirely for the commutative
@@ -160,7 +160,7 @@ func (s *State) MayDispatch(v View, id process.ID, a *process.Activity) (Rule, [
 // waited for only through their queued compensations (Lemma3Blockers);
 // their remaining forward paths merely order against ours.
 func (s *State) Lemma1ForwardBlockers(v View, id process.ID, st process.Step) []process.ID {
-	svc := s.u.intern(st.Service)
+	svc := s.svcID(s.lookup(id), st.Local, st.Service)
 	if !anyBit(s.u.mask(svc)) {
 		return nil
 	}
@@ -181,7 +181,7 @@ func (s *State) Lemma1ForwardBlockers(v View, id process.ID, st process.Step) []
 // cascading). It lists the owners of that work, each once; nil when the
 // compensation is clear.
 func (s *State) Lemma2Blockers(v View, id process.ID, st process.Step) []process.ID {
-	svc := s.u.intern(st.Service)
+	svc := s.svcID(s.lookup(id), st.Local, st.Service)
 	if !anyBit(s.u.mask(svc)) {
 		return nil
 	}
@@ -201,7 +201,7 @@ func (s *State) Lemma2Blockers(v View, id process.ID, st process.Step) []process
 // precede conflicting retriable activities in the completion (Lemma 3).
 // It lists those processes; nil when the step is clear.
 func (s *State) Lemma3Blockers(v View, id process.ID, st process.Step) []process.ID {
-	if !anyBit(s.u.mask(s.u.intern(st.Service))) {
+	if !anyBit(s.u.mask(s.svcID(s.lookup(id), st.Local, st.Service))) {
 		return nil
 	}
 	s.refresh(v)
@@ -226,7 +226,7 @@ func (s *State) Lemma3Blockers(v View, id process.ID, st process.Step) []process
 // such cycle runs through the stepping process itself, which is active,
 // so any cycle is a reason to wait.
 func (s *State) StepForcedClear(v View, id process.ID, st process.Step) bool {
-	svc := s.u.intern(st.Service)
+	svc := s.svcID(s.lookup(id), st.Local, st.Service)
 	if !anyBit(s.u.mask(svc)) {
 		return true
 	}
@@ -240,7 +240,7 @@ func (s *State) StepForcedClear(v View, id process.ID, st process.Step) bool {
 // mutual wait cannot deadlock. It returns the process deferred to, if
 // any.
 func (s *State) DeferToAborting(v View, id process.ID, st process.Step) (process.ID, bool) {
-	if !anyBit(s.u.mask(s.u.intern(st.Service))) {
+	if !anyBit(s.u.mask(s.svcID(s.lookup(id), st.Local, st.Service))) {
 		return "", false
 	}
 	s.refresh(v)
