@@ -141,5 +141,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s -run '^$$' ./internal/federation
 	$(GO) test -fuzz FuzzPolicyIncremental -fuzztime 30s -run '^$$' ./internal/scheduler/policy
 	$(GO) test -fuzz FuzzLockBlockConflictsWithHeld -fuzztime 30s -run '^$$' ./internal/subsystem
+	$(GO) test -fuzz FuzzFromRegistryMatchesPairwise -fuzztime 30s -run '^$$' ./internal/conflict
+	$(GO) test -fuzz FuzzTableMatchesReference -fuzztime 30s -run '^$$' ./internal/conflict
 
 ci: build layers grammar docs-check test bench-check experiments-check race diff torture chaos fed serve coverage-floor

@@ -43,8 +43,7 @@ func foldOutcomes(out map[process.ID]*scheduler.Outcome) map[string]bool {
 }
 
 // foldStitched is foldOutcomes over the cluster's stitched log, whose
-// images carry the verdict (wal.ProcImage.Stands) that the nodes' fate
-// codes, committed or aborted, do not.
+// images carry the verdict (wal.ProcImage.Stands) on their own.
 func foldStitched(t *testing.T, c *federation.Cluster) map[string]bool {
 	t.Helper()
 	recs, err := c.Stitched()
@@ -106,21 +105,29 @@ func runFedDifferential(t *testing.T, seed int64, nodes int, wire bool) (committ
 	// transaction is left in doubt.
 	checkStitched(t, c, fedW.Fed, defs)
 
-	// 2. Terminal per-origin outcomes match the sequential oracle.
+	// 2. Terminal per-origin outcomes match the sequential oracle, both
+	// as the nodes filed them from the hub's answers and as the stitched
+	// log shows them.
 	want := foldOutcomes(oracleRes.Outcomes)
-	got := foldStitched(t, c)
-	if len(want) != len(got) {
-		t.Fatalf("origin sets differ: oracle %d, federation %d", len(want), len(got))
+	for _, src := range []struct {
+		name string
+		got  map[string]bool
+	}{{"node outcomes", foldOutcomes(res.Outcomes)}, {"stitched log", foldStitched(t, c)}} {
+		if len(want) != len(src.got) {
+			t.Fatalf("%s: origin sets differ: oracle %d, federation %d", src.name, len(want), len(src.got))
+		}
+		for origin, w := range want {
+			g, okG := src.got[origin]
+			if !okG {
+				t.Fatalf("%s: origin %s missing from federation outcomes", src.name, origin)
+			}
+			if g != w {
+				t.Fatalf("%s: origin %s: work stands in the oracle: %v, in the federation: %v\nrules: %v\nhub:\n%s",
+					src.name, origin, w, g, rules, c.Hub().DumpState())
+			}
+		}
 	}
-	for origin, w := range want {
-		g, okG := got[origin]
-		if !okG {
-			t.Fatalf("origin %s missing from federation outcomes", origin)
-		}
-		if g != w {
-			t.Fatalf("origin %s: work stands in the oracle: %v, in the federation: %v\nrules: %v\nhub:\n%s",
-				origin, w, g, rules, c.Hub().DumpState())
-		}
+	for _, g := range want {
 		if g {
 			committed++
 		} else {

@@ -473,15 +473,24 @@ func (h *Hub) handleCancel(req *Frame, cache map[uint64]*Frame) *Frame {
 }
 
 // done answers for a settled incarnation: its fate (an incarnation
-// retired without a terminate record counts as aborted), and whether
-// the owner may restart the origin.
+// retired without a terminate record counts as aborted), whether its
+// work stands, and whether the owner may restart the origin.
 func (h *Hub) done(hp *hubProc) *Frame {
 	out := h.resp(StDone)
 	out.Extra, out.Flag = ReattachAborted, hp.Restartable
 	if hp.Outcome.Committed {
 		out.Extra = ReattachCommitted
 	}
+	out.Kind = standing(hp.Outcome.Stands)
 	return out
+}
+
+// standing is Frame.Kind for a settled incarnation's answer.
+func standing(stands bool) uint8 {
+	if stands {
+		return KindStands
+	}
+	return 0
 }
 
 func (h *Hub) handleAdmit(req *Frame) *Frame {
@@ -662,6 +671,7 @@ func (h *Hub) handleReattach(req *Frame) *Frame {
 	id := process.ID(req.Proc)
 	out := h.resp(StOK)
 	if hp := h.byID[id]; hp != nil {
+		out.Kind = standing(hp.Outcome.Stands) // set only when it settles
 		switch {
 		case hp.settled() && hp.Outcome.Committed:
 			out.Extra = ReattachCommitted
@@ -676,7 +686,9 @@ func (h *Hub) handleReattach(req *Frame) *Frame {
 		return out
 	}
 	if fate, ok := h.fates[id]; ok {
-		// Recovered fate from the reopen's composed recovery pass.
+		// Recovered fate from the reopen's composed recovery pass: true
+		// when the incarnation's work stands.
+		out.Kind = standing(fate)
 		if fate {
 			out.Extra = ReattachCommitted
 		} else {

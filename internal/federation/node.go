@@ -310,7 +310,7 @@ func (n *Node) reattach() error {
 			// or in the recovery tail) — log nothing. An aborted origin
 			// may come with a hub-granted restart incarnation (suffix
 			// chosen hub-side so it never collides across owners).
-			n.settle(p, resp.Extra == ReattachCommitted)
+			n.settleAs(p, resp)
 			if resp.Flag && resp.Proc != "" {
 				n.procs = append(n.procs, &nodeProc{
 					id: process.ID(resp.Proc), origin: p.origin, arrival: p.arrival,
@@ -318,7 +318,7 @@ func (n *Node) reattach() error {
 				})
 			}
 		case ReattachParked:
-			n.settle(p, false)
+			n.settle(p, false, false)
 		case ReattachLive:
 			// Still tracked live (the hub never actually died from this
 			// node's perspective — e.g. a revived membership): keep going.
@@ -338,13 +338,18 @@ func (n *Node) reattach() error {
 // recovery steps blocked behind a dead node's zombie events — counts as
 // aborted: no terminate record is logged, so the composed recovery sees
 // it non-terminal and finishes its group abort in correct global order.
-func (n *Node) settle(p *nodeProc, committed bool) {
+func (n *Node) settle(p *nodeProc, committed, stands bool) {
 	p.done = true
 	if n.Outcomes[p.id] == nil {
 		n.Outcomes[p.id] = &scheduler.Outcome{}
 	}
 	out := n.Outcomes[p.id]
-	out.Committed, out.Aborted, out.Restarts = committed, !committed, p.restarts
+	out.Committed, out.Aborted, out.Stands, out.Restarts = committed, !committed, stands, p.restarts
+}
+
+// settleAs files a process as over with the fate a hub answer carries.
+func (n *Node) settleAs(p *nodeProc, resp *Frame) {
+	n.settle(p, resp.Extra == ReattachCommitted, resp.Kind == KindStands)
 }
 
 func (n *Node) admit(p *nodeProc) error {
@@ -363,7 +368,7 @@ func (n *Node) admit(p *nodeProc) error {
 		// The replayed incarnation was settled while this node was out
 		// (re-homed after a lease expiry, or finished by another owner):
 		// file the fate instead of driving a dead incarnation.
-		n.settle(p, resp.Extra == ReattachCommitted)
+		n.settleAs(p, resp)
 		return nil
 	}
 	p.admitted = true
@@ -402,10 +407,10 @@ func (n *Node) drive(p *nodeProc) (progress bool, err error) {
 	case StPark:
 		// The hub parked the process: stop driving it, log nothing more —
 		// post-run recovery replans and executes the remaining steps.
-		n.settle(p, false)
+		n.settle(p, false, false)
 		return true, nil
 	case StDone:
-		n.settle(p, resp.Extra == ReattachCommitted)
+		n.settleAs(p, resp)
 		if resp.Flag && p.restarts < n.cfg.MaxRestarts {
 			n.restart(p)
 		}

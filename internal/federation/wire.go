@@ -137,17 +137,23 @@ const (
 	statusMax = StError
 )
 
+// KindStands marks, in Frame.Kind, a settled incarnation whose work
+// stands: it committed, or it aborted past its pivot and completed
+// forward (scheduler.Outcome.Stands). Flag2 cannot carry it: a cancel
+// fetch sets Flag2 on the reply it replays.
+const KindStands uint8 = 1
+
 // Frame is the single wire message shape; each MsgType populates the
 // subset of fields it needs. Keeping one struct makes the codec — and
-// its fuzz target — total over every message type. Kind, Tx, Service
-// and Subsystem are codec surface no message populates any more (what
-// they said now travels inside Records).
+// its fuzz target — total over every message type. Tx, Service and
+// Subsystem are codec surface no message populates any more (what they
+// said now travels inside Records).
 type Frame struct {
 	Type   MsgType
 	Status Status
-	Kind   uint8
-	Flag   bool // request: voided re-send (MsgDispatch), finished (MsgIdle), restart wanted (MsgReattach); response: restart granted
-	Flag2  bool // response: the answer to an earlier execution (cancel fetch, replayed admit)
+	Kind   uint8 // response: KindStands when a settled incarnation's work stands (StDone, a settled fate's reattach answer)
+	Flag   bool  // request: voided re-send (MsgDispatch), finished (MsgIdle), restart wanted (MsgReattach); response: restart granted
+	Flag2  bool  // response: the answer to an earlier execution (cancel fetch, replayed admit)
 	Node   uint32
 	Epoch  uint32 // hub incarnation the sender believes in; 0 = unknown (hello)
 	Req    uint64

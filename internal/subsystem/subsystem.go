@@ -49,9 +49,9 @@ type Result struct {
 	Tx      TxID
 	Outcome activity.Outcome
 	// Reads holds the values of the service's read set at execution
-	// time; commutativity is defined over such return values
-	// (Definition 6).
-	Reads map[string]int64
+	// time, in the order of its ReadSet (nil for an empty one);
+	// commutativity is defined over such return values (Definition 6).
+	Reads []int64
 }
 
 // Mutation is one applied write, kept in the subsystem journal.
@@ -443,16 +443,16 @@ func (s *Subsystem) invokeLocked(proc string, sv *svc, mode Mode) (*Result, erro
 	return &Result{Tx: t.id, Outcome: activity.Prepared, Reads: reads}, nil
 }
 
-// readLocked returns the values of the service's read set (nil for an
-// empty one).
-func (s *Subsystem) readLocked(sv *svc) map[string]int64 {
-	if len(sv.spec.ReadSet) == 0 {
+// readLocked returns the values of the service's read set in the order
+// of its ReadSet (nil for an empty one).
+func (s *Subsystem) readLocked(sv *svc) []int64 {
+	entries, _ := s.entries(sv)
+	if len(entries) == 0 {
 		return nil
 	}
-	reads := make(map[string]int64, len(sv.spec.ReadSet))
-	entries, _ := s.entries(sv)
-	for i, item := range sv.spec.ReadSet {
-		reads[item] = entries[i].val
+	reads := make([]int64, len(entries))
+	for i, e := range entries {
+		reads[i] = e.val
 	}
 	return reads
 }
