@@ -92,7 +92,7 @@ torture:
 	$(GO) test -race -run TestRuntimeKillRecover ./internal/runtime
 	$(GO) test -race -run TestCheckpointConcurrentWithAppends ./internal/runtime
 
-# Unreliable subsystems: flaky transport, retries, breakers, ◁ failover.
+# Unreliable subsystems: flaky transport, the driver's typed re-invocation, ◁ failover.
 chaos:
 	GOMAXPROCS=4 $(BATTERY) 'TestBattery/chaos$$' -battery.count=200
 

@@ -395,11 +395,11 @@ func e11() error {
 		"identical schedules, different verdicts: the completions introduce the deciding conflicts; S̃ must always be considered (Section 3.5)")
 }
 
-// e13 sweeps the transport outage rate through the resilience layer
-// (flaky transport + typed retries + circuit breakers) and checks that
-// guaranteed termination survives an unreliable network: at every rate
-// each process must still reach commit or abort, with the retry and
-// breaker work the sweep reports as its price.
+// e13 sweeps the outage rate of the fault-injecting transport and checks
+// that guaranteed termination survives an unreliable network: at every
+// rate each process must still reach commit or abort, with the driver's
+// re-invocations and the recovered replies the sweep reports as its
+// price.
 func e13() error {
 	p := workload.DefaultProfile(42)
 	p.Processes = 16

@@ -72,12 +72,12 @@ func dumpSnapshot(reg *metrics.Registry, format string) error {
 
 // metricsDemo (bare "tpsim -metrics") runs a fault-injected workload
 // under the instrumented PRED scheduler — behind a mildly flaky
-// chaos transport so the resilience counters (retries, idempotent
-// replays, breaker transitions, retry-latency histograms) show up
-// alongside the scheduler's — and dumps the full observability
-// snapshot: lifecycle counters, deferred-commit and compensation
-// totals, per-service latency histograms, WAL totals and the tail of
-// the decision trace.
+// chaos transport so its counters (injected faults, idempotent
+// replays, recovered replies) and the driver's re-invocations show up
+// alongside the rest — and dumps the full observability snapshot:
+// lifecycle counters, deferred-commit and compensation totals,
+// per-service latency histograms, WAL totals and the tail of the
+// decision trace.
 func metricsDemo(format string) error {
 	p := workload.DefaultProfile(7)
 	p.PermFailureProb = 0.15
@@ -87,9 +87,8 @@ func metricsDemo(format string) error {
 	}
 	reg := metrics.New()
 	plan := chaos.Plan{Seed: p.Seed, PTransient: 0.12, PTimeout: 0.05, PDuplicate: 0.05, PSlow: 0.08}
-	layer := chaos.NewLayer(w.Fed, plan, chaos.RetryPolicy{}, chaos.BreakerConfig{}, reg)
 	eng, err := scheduler.New(w.Fed, scheduler.Config{
-		Mode: scheduler.PRED, Metrics: reg, Resilience: layer,
+		Mode: scheduler.PRED, Metrics: reg, Resilience: chaos.NewTransport(w.Fed, plan, reg),
 	})
 	if err != nil {
 		return err

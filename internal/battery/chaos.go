@@ -20,20 +20,17 @@ import (
 )
 
 // ChaosScenario is one fully determined chaos case: a seeded workload (or a
-// directed paper fixture), a transport-fault plan, the retry/breaker
-// configuration and the engine to run it under. chaosScenarioFor(seed) is a
-// pure function, so a failing seed reproduces the exact same scenario
-// anywhere.
+// directed paper fixture), a transport-fault plan and the engine to run it
+// under. chaosScenarioFor(seed) is a pure function, so a failing seed
+// reproduces the exact same scenario anywhere.
 type ChaosScenario struct {
 	Seed  int64
 	Class string
 	// Engine selects the execution engine: "engine" (sequential) or
 	// "runtime" (concurrent).
-	Engine  string
-	Plan    chaos.Plan
-	Policy  chaos.RetryPolicy
-	Breaker chaos.BreakerConfig
-	// CrashAfterWAL, when positive, composes the chaos layer with the
+	Engine string
+	Plan   chaos.Plan
+	// CrashAfterWAL, when positive, composes the chaos transport with the
 	// crash injector: the run dies after that many WAL appends and must
 	// recover (fault.CheckRecovered judges the result).
 	CrashAfterWAL int
@@ -82,14 +79,12 @@ func chaosScenarioFor(seed int64) ChaosScenario {
 		// transport, and the construction process must take its ◁
 		// alternative (document the CAD drawing) instead of stalling.
 		sc.Plan.Outages = []chaos.Outage{{Subsystem: "pdm", From: 0, To: 1 << 40}}
-		sc.Breaker = chaos.BreakerConfig{FailThreshold: 2, Cooldown: 16}
 	case 5:
 		sc.Class = "outage-backward"
 		// The production floor never answers: produce (pivot, no
 		// alternative) fails and the production process falls back to
 		// backward recovery, compensating everything before the pivot.
 		sc.Plan.Outages = []chaos.Outage{{Subsystem: "floor", From: 0, To: 1 << 40}}
-		sc.Breaker = chaos.BreakerConfig{FailThreshold: 2, Cooldown: 16}
 	case 6:
 		sc.Class = "runtime-mixed"
 		sc.Engine = "runtime"
@@ -163,7 +158,7 @@ func runChaosScenario(sc ChaosScenario) error {
 		defs = append(defs, j.Proc)
 	}
 	reg := metrics.New()
-	layer := chaos.NewLayer(fed, sc.Plan, sc.Policy, sc.Breaker, reg)
+	tr := chaos.NewTransport(fed, sc.Plan, reg)
 
 	// The run writes through the (possibly crash-armed) wrapper; recovery
 	// and checks read and write the backend directly — the wrapper drops
@@ -180,7 +175,7 @@ func runChaosScenario(sc ChaosScenario) error {
 	case "runtime":
 		r, nerr := runtime.New(fed, runtime.Config{
 			Mode: scheduler.PRED, Log: log, MaxRestarts: 64,
-			Metrics: reg, Resilience: layer,
+			Metrics: reg, Resilience: tr,
 		})
 		if nerr != nil {
 			return fail("new runtime: %v", nerr)
@@ -199,7 +194,7 @@ func runChaosScenario(sc ChaosScenario) error {
 	default:
 		eng, nerr := scheduler.New(fed, scheduler.Config{
 			Mode: scheduler.PRED, Log: log, MaxRestarts: 64,
-			Metrics: reg, Resilience: layer, GroupCommit: sc.GroupCommit,
+			Metrics: reg, Resilience: tr, GroupCommit: sc.GroupCommit,
 		})
 		if nerr != nil {
 			return fail("new engine: %v", nerr)
@@ -260,16 +255,11 @@ func runChaosScenario(sc ChaosScenario) error {
 		return fail("%v", err)
 	}
 
-	// Resilience-layer invariants: internal accounting consistent, no
-	// breaker left open against a subsystem whose last delivery worked.
-	if err := layer.CheckConsistent(); err != nil {
+	if err := tr.CheckConsistent(); err != nil {
 		return fail("%v", err)
 	}
-	if stuck := layer.StuckBreakers(); len(stuck) > 0 {
-		return fail("stuck breakers (open but last delivery succeeded): %v", stuck)
-	}
 
-	return checkChaosClass(sc, fed, layer, res, fail)
+	return checkChaosClass(sc, fed, tr.Stats(), res, fail)
 }
 
 // chaosResult is the engine-independent slice of a run result the checks
@@ -281,10 +271,7 @@ type chaosResult struct {
 }
 
 // checkChaosClass asserts the scenario class did what it is named for.
-func checkChaosClass(sc ChaosScenario, fed *subsystem.Federation, layer *chaos.Layer, res chaosResult, fail func(string, ...any) error) error {
-	ts := layer.Transport().Stats()
-	ls := layer.Stats()
-	bt := layer.Breakers().Transitions()
+func checkChaosClass(sc ChaosScenario, fed *subsystem.Federation, ts chaos.TransportStats, res chaosResult, fail func(string, ...any) error) error {
 	switch sc.Class {
 	case "transient-storm":
 		if ts.Attempts >= 30 && ts.Transient == 0 {
@@ -315,8 +302,7 @@ func checkChaosClass(sc ChaosScenario, fed *subsystem.Federation, layer *chaos.L
 	case "outage-failover":
 		// The ◁-path assertion of the battery: with the PDM dead, every
 		// construction process must still commit — via the docCAD
-		// alternative — and the breaker must have tripped and steered
-		// later processes past the dead subsystem without touching it.
+		// alternative.
 		for id, o := range res.outcomes {
 			if !o.Committed {
 				return fail("class assert: process %s did not commit despite ◁ alternative", id)
@@ -331,12 +317,6 @@ func checkChaosClass(sc ChaosScenario, fed *subsystem.Federation, layer *chaos.L
 		if alt == 0 {
 			return fail("class assert: no process took the %s ◁ alternative", paper.SvcDocCAD)
 		}
-		if bt.Opened == 0 {
-			return fail("class assert: pdm outage never opened its breaker")
-		}
-		if ls.FastFails == 0 {
-			return fail("class assert: open breaker never fast-failed a pdm invocation")
-		}
 	case "outage-backward":
 		// No alternative avoids the floor: every production process must
 		// terminate via backward recovery, compensating its
@@ -349,9 +329,6 @@ func checkChaosClass(sc ChaosScenario, fed *subsystem.Federation, layer *chaos.L
 		if res.metrics.Compensations < 3 {
 			return fail("class assert: only %d compensations (want >= 3 per aborted process)", res.metrics.Compensations)
 		}
-		if bt.Opened == 0 {
-			return fail("class assert: floor outage never opened its breaker")
-		}
 	case "runtime-mixed":
 		if ts.Attempts == 0 {
 			return fail("class assert: runtime run made no transport attempts")
@@ -362,10 +339,10 @@ func checkChaosClass(sc ChaosScenario, fed *subsystem.Federation, layer *chaos.L
 	return nil
 }
 
-// Chaos is the unreliable-subsystem battery: flaky transport, typed
-// retries, circuit breakers and ◁-path failover through both engines,
+// Chaos is the unreliable-subsystem battery: flaky transport, the
+// driver's typed re-invocation and ◁-path failover through both engines,
 // judged by fault.CheckRecovered, PRED of the observed schedule, the
-// Lemma-2 log check and the resilience layer's own accounting.
+// Lemma-2 log check and the transport's own accounting.
 var Chaos = &Battery{
 	Name: "chaos",
 	Classes: []string{

@@ -63,11 +63,22 @@ func TestSeedClassTable(t *testing.T) {
 // other parameter of every seed across the removal. So is the group
 // commit's MaxDelay, which was zero in every scenario, and so are the
 // five federation fields serve scenarios closed with, zero in every
-// class but fed-hub-bounce.
+// class but fed-hub-bounce, and the retry policy and circuit breaker
+// chaos scenarios carried before the driver became the only retry loop:
+// the policy was all defaults, and the two outage classes (seed ≡ 4, 5
+// mod 8) set a breaker.
 func tableDesc(name string, seed int64, class, desc string) string {
 	desc = regexp.MustCompile(`GroupCommit:\{MaxBatch:(\d+)\}`).ReplaceAllString(desc, "GroupCommit:{MaxBatch:$1 MaxDelay:0s}")
-	if name == "serve" {
+	switch name {
+	case "serve":
 		desc = strings.TrimSuffix(desc, "}") + " FedNodes:0 FedHubPoint: FedHubCount:0 FedLeaseTTL:0s FedHeartbeat:0s}"
+	case "chaos":
+		breaker := "{FailThreshold:0 Cooldown:0}"
+		if seed%8 == 4 || seed%8 == 5 {
+			breaker = "{FailThreshold:2 Cooldown:16}"
+		}
+		desc = strings.Replace(desc, " CrashAfterWAL:",
+			" Policy:{MaxAttempts:0 BackoffBase:0 BackoffCap:0 Deadline:0 ProcessBudget:0} Breaker:"+breaker+" CrashAfterWAL:", 1)
 	}
 	cascade := seed%3 == 0
 	switch name {

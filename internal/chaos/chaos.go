@@ -1,31 +1,19 @@
-// Package chaos is the resilience layer between the scheduler engines
-// and the transactional subsystems: it makes the subsystem boundary
-// unreliable on purpose and keeps the paper's guarantees anyway.
+// Package chaos is the fault model of the subsystem boundary: it makes
+// the boundary unreliable on purpose so that the batteries can show the
+// paper's guarantees hold anyway.
 //
 // The paper's guaranteed-termination result (Definition 5, Theorem 1)
 // rests on activity typing: retriable activities may be re-invoked
 // arbitrarily often, pivot failures are absorbed by alternative
 // execution paths in preference order ◁, and compensation undoes
-// committed compensatable work. This package exercises exactly that
-// machinery under the transient-failure regime real autonomous
-// subsystems exhibit:
-//
-//   - Transport (transport.go) wraps a Federation with a seedable,
-//     deterministic per-(process,service) fault plan injecting transient
-//     delivery failures, latency spikes, timeouts (whose execute/lost
-//     ambiguity only the idempotency table can resolve), duplicate
-//     deliveries and sustained per-subsystem outages.
-//   - Layer (layer.go) is the typed retry policy engine the engines
-//     call through (subsystem.ResilientInvoker): exponential backoff
-//     with seeded jitter, per-process retry budgets and deadline
-//     propagation; only retriable-class activities are retried at the
-//     transport level, per the paper's typing, and budget exhaustion
-//     surfaces as the activity abort the scheduler already handles.
-//   - BreakerSet (breaker.go) keeps a closed/open/half-open circuit
-//     breaker per subsystem; an open breaker fails invocations fast, so
-//     processes steer onto their next ◁ alternative instead of burning
-//     retries against a dead subsystem, falling back to backward
-//     recovery only when no alternative avoids it.
+// committed compensatable work. The driver applies that typing to every
+// failed invocation; this package supplies the failures. Transport
+// (transport.go) wraps a Federation with a seedable, deterministic
+// per-(process,service) fault plan injecting transient delivery
+// failures, latency spikes, timeouts (whose execute/lost ambiguity only
+// the idempotency table can resolve), duplicate deliveries and
+// sustained per-subsystem outages. It makes one delivery attempt per
+// call and retries nothing.
 //
 // The package is a library: the engines reach it only as an injected
 // subsystem.ResilientInvoker, and the seeded chaos battery that drives
@@ -84,7 +72,7 @@ func (p Plan) withDefaults() Plan {
 // attempt with per-subsystem index in [From, To) fails. Measuring the
 // window in delivery attempts (rather than ticks) keeps scenarios
 // deterministic in the sequential engine and guarantees the window
-// passes: every retry and every breaker probe advances the index.
+// passes: every re-invocation advances the index.
 type Outage struct {
 	Subsystem string
 	From, To  int64
@@ -129,7 +117,8 @@ func unit(h uint64) float64 {
 
 // hashAt derives the decision hash of one (proc, service, attempt)
 // triple under the plan's seed. A further salt decorrelates independent
-// decisions of the same attempt (fate vs. executed-bit vs. jitter).
+// decisions of the same attempt (fate vs. executed-bit vs. outage
+// flavour).
 func (p Plan) hashAt(proc, service string, attempt int64, salt uint64) uint64 {
 	h := mix64(uint64(p.Seed) ^ 0x9e3779b97f4a7c15)
 	h = mix64(h ^ hashStr(proc))

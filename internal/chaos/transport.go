@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 
 	"transproc/internal/metrics"
@@ -10,20 +11,23 @@ import (
 
 // TransportStats aggregates what a Transport injected and delivered.
 type TransportStats struct {
-	Attempts   int64 // transport attempts observed
-	Delivered  int64 // attempts that reached a subsystem
-	Transient  int64 // injected transient delivery failures
-	Timeouts   int64 // injected timeouts (executed or not)
-	Duplicates int64 // injected duplicate deliveries
-	Slow       int64 // injected latency spikes
-	OutageHits int64 // attempts swallowed by an outage window
+	Attempts         int64 // delivery attempts, one per InvokeResilient call
+	Delivered        int64 // attempts that reached a subsystem
+	Transient        int64 // injected transient delivery failures
+	Timeouts         int64 // injected timeouts (executed or not)
+	Duplicates       int64 // injected duplicate deliveries
+	Slow             int64 // injected latency spikes
+	OutageHits       int64 // attempts swallowed by an outage window
+	RepliesRecovered int64 // timeouts resolved to success via the idem table
 }
 
-// Transport wraps a Federation with the deterministic fault plan: each
-// delivery attempt is either passed through (possibly duplicated or
-// slowed) or fails with a typed transport error. All deliveries go
-// through the idempotency table (InvokeIdem), so duplicates and
-// timeout-recovery replays stay exactly-once.
+// Transport wraps a Federation with the deterministic fault plan and
+// implements subsystem.ResilientInvoker: each call is one delivery
+// attempt that either passes through (possibly duplicated or slowed) or
+// fails with a typed transport error. It never retries; the driver
+// re-invokes what the paper's typing lets it re-invoke. All deliveries
+// go through the idempotency table (InvokeIdem), so duplicates and
+// lost replies stay exactly-once.
 type Transport struct {
 	fed  *subsystem.Federation
 	plan Plan
@@ -36,22 +40,17 @@ type Transport struct {
 	// subTries counts delivery attempts per subsystem; outage windows
 	// are measured against it.
 	subTries map[string]int64
-	// lastFailed records, per subsystem, whether the most recent
-	// delivery attempt failed at the transport level (the stuck-breaker
-	// invariant consults it).
-	lastFailed map[string]bool
-	stats      TransportStats
+	stats    TransportStats
 }
 
 // NewTransport wraps the federation with a fault plan. reg may be nil.
 func NewTransport(fed *subsystem.Federation, plan Plan, reg *metrics.Registry) *Transport {
 	return &Transport{
-		fed:        fed,
-		plan:       plan.withDefaults(),
-		reg:        reg,
-		attempts:   make(map[string]int64),
-		subTries:   make(map[string]int64),
-		lastFailed: make(map[string]bool),
+		fed:      fed,
+		plan:     plan.withDefaults(),
+		reg:      reg,
+		attempts: make(map[string]int64),
+		subTries: make(map[string]int64),
 	}
 }
 
@@ -62,27 +61,42 @@ func (t *Transport) Stats() TransportStats {
 	return t.stats
 }
 
-// LastDeliveryFailed reports whether the most recent delivery attempt
-// to the subsystem failed at the transport level.
-func (t *Transport) LastDeliveryFailed(sub string) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.lastFailed[sub]
+// CheckConsistent checks the transport's own accounting (battery hook).
+func (t *Transport) CheckConsistent() error {
+	if st := t.Stats(); st.Delivered > st.Attempts {
+		return fmt.Errorf("transport accounting broken: delivered=%d > attempts=%d", st.Delivered, st.Attempts)
+	}
+	return nil
 }
 
-// Federation exposes the wrapped federation (the reliable control
-// plane: 2PC resolution, recovery and idempotency lookups bypass the
-// flaky delivery path).
-func (t *Transport) Federation() *subsystem.Federation { return t.fed }
+// InvokeResilient implements subsystem.ResilientInvoker with one
+// delivery attempt of the keyed invocation. A timeout is resolved
+// through the reliable control plane before it surfaces: if the
+// invocation executed and only the reply was lost, its outcome is
+// recorded under key and returned as a success, since surfacing a
+// failure would orphan a prepared transaction.
+func (t *Transport) InvokeResilient(proc, service string, mode subsystem.Mode, key string) (*subsystem.Result, int64, error) {
+	res, lat, err := t.deliver(key, proc, service, mode)
+	if errors.Is(err, subsystem.ErrTimeout) {
+		if rec, found := t.fed.LookupIdem(service, key); found {
+			t.mu.Lock()
+			t.stats.RepliesRecovered++
+			t.mu.Unlock()
+			t.reg.Inc(metrics.RepliesRecovered)
+			return rec, lat, nil
+		}
+	}
+	return res, lat, err
+}
 
-// Invoke delivers one attempt of the keyed invocation. It returns the
+// deliver makes one attempt of the keyed invocation. It returns the
 // subsystem's Result on delivery, the virtual latency the transport
 // added, and a typed error: the subsystem's own (ErrLocked/ErrAborted,
 // passed through) or an injected transport failure (ErrTransient,
 // ErrTimeout). An outage window swallows every attempt to the affected
 // subsystem; each swallowed attempt still advances the per-subsystem
 // index, so finite windows always pass.
-func (t *Transport) Invoke(key, proc, service string, mode subsystem.Mode) (*subsystem.Result, int64, error) {
+func (t *Transport) deliver(key, proc, service string, mode subsystem.Mode) (*subsystem.Result, int64, error) {
 	sub, ok := t.fed.Owner(service)
 	if !ok {
 		res, err := t.fed.Invoke(proc, service, mode)
@@ -101,7 +115,6 @@ func (t *Transport) Invoke(key, proc, service string, mode subsystem.Mode) (*sub
 	for _, o := range t.plan.Outages {
 		if o.Subsystem == subName && n >= o.From && n < o.To {
 			t.stats.OutageHits++
-			t.lastFailed[subName] = true
 			// Alternate transient/timeout flavours deterministically.
 			kind := subsystem.ErrTransient
 			lat := int64(0)
@@ -121,7 +134,6 @@ func (t *Transport) Invoke(key, proc, service string, mode subsystem.Mode) (*sub
 	switch f {
 	case fateTransient:
 		t.stats.Transient++
-		t.lastFailed[subName] = true
 		t.mu.Unlock()
 		t.reg.Inc(metrics.ChaosTransient)
 		return nil, 0, &subsystem.SubsystemError{
@@ -129,7 +141,6 @@ func (t *Transport) Invoke(key, proc, service string, mode subsystem.Mode) (*sub
 		}
 	case fateTimeout:
 		t.stats.Timeouts++
-		t.lastFailed[subName] = true
 		t.mu.Unlock()
 		t.reg.Inc(metrics.ChaosTimeouts)
 		return nil, t.plan.TimeoutTicks, &subsystem.SubsystemError{
@@ -142,7 +153,6 @@ func (t *Transport) Invoke(key, proc, service string, mode subsystem.Mode) (*sub
 	switch f {
 	case fateTimeoutEx:
 		t.stats.Timeouts++
-		t.lastFailed[subName] = true
 		t.mu.Unlock()
 		t.reg.Inc(metrics.ChaosTimeouts)
 		// Execute, then lose the reply: the ambiguity the idempotency
@@ -164,36 +174,18 @@ func (t *Transport) Invoke(key, proc, service string, mode subsystem.Mode) (*sub
 		if err == nil {
 			res, _, err = t.fed.InvokeIdem(key, proc, service, mode)
 		}
-		t.noteDelivery(subName, err)
 		return res, 0, err
 	case fateSlow:
 		t.stats.Slow++
 		t.mu.Unlock()
 		t.reg.Inc(metrics.ChaosSlow)
 		res, _, err := t.fed.InvokeIdem(key, proc, service, mode)
-		t.noteDelivery(subName, err)
 		return res, t.plan.SlowTicks, err
 	default:
 		t.mu.Unlock()
 		res, _, err := t.fed.InvokeIdem(key, proc, service, mode)
-		t.noteDelivery(subName, err)
 		return res, 0, err
 	}
-}
-
-// noteDelivery records that the subsystem answered (success, lock
-// conflict or genuine abort all count: the transport worked).
-func (t *Transport) noteDelivery(subName string, err error) {
-	t.mu.Lock()
-	t.lastFailed[subName] = false
-	t.mu.Unlock()
-	_ = err
-}
-
-// Lookup resolves an idempotency key through the reliable control
-// plane (timeout-ambiguity resolution).
-func (t *Transport) Lookup(service, key string) (*subsystem.Result, bool) {
-	return t.fed.LookupIdem(service, key)
 }
 
 // incKind bumps the matching injection counter.

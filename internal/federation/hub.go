@@ -570,7 +570,7 @@ func (h *Hub) handleDispatch(req *Frame) *Frame {
 // shrink), and carries the commit through. voided marks the re-send of a
 // request the transport gave up on (Cancel certified it never ran): the
 // invocation this call would make fails instead — the engine's path for a
-// failure the resilience layer could not mask.
+// delivery failure at the invocation boundary.
 func (h *Hub) advance(hp *hubProc, voided bool) (Status, error) {
 	d, p := h.drv, &hp.Proc
 	switch {

@@ -64,21 +64,13 @@ const (
 	SubLockDenials
 	IdemReplays
 
-	// Resilience layer (internal/chaos): injected transport faults,
-	// typed retries and reply recovery through the idempotency table.
+	// Fault-injecting transport (internal/chaos): injected transport
+	// faults and reply recovery through the idempotency table.
 	ChaosTransient
 	ChaosTimeouts
 	ChaosDuplicates
 	ChaosSlow
-	TransportRetries
-	RetryBudgetExhausted
 	RepliesRecovered
-
-	// Circuit breakers: state transitions and open-state fast failures.
-	BreakerOpened
-	BreakerHalfOpen
-	BreakerClosed
-	BreakerFastFails
 
 	// Write-ahead log.
 	WALAppends
@@ -180,13 +172,7 @@ var counterNames = [numCounters]string{
 	ChaosTimeouts:          "chaos.injected.timeouts",
 	ChaosDuplicates:        "chaos.injected.duplicates",
 	ChaosSlow:              "chaos.injected.slow",
-	TransportRetries:       "chaos.retries",
-	RetryBudgetExhausted:   "chaos.retry_budget_exhausted",
 	RepliesRecovered:       "chaos.replies_recovered",
-	BreakerOpened:          "breaker.opened",
-	BreakerHalfOpen:        "breaker.half_open",
-	BreakerClosed:          "breaker.closed",
-	BreakerFastFails:       "breaker.fast_fails",
 	WALAppends:             "wal.appends",
 	WALBytes:               "wal.bytes",
 	WALFsyncs:              "wal.fsyncs",
@@ -255,12 +241,6 @@ const (
 	// HistInDoubt is the subsystem in-doubt set size observed after
 	// each prepare.
 	HistInDoubt
-	// HistRetryLatency is the extra virtual latency (backoff + spikes)
-	// a resilient invocation accumulated before it resolved.
-	HistRetryLatency
-	// HistRetryAttempts is the transport attempts per resilient
-	// invocation (1 = first try succeeded).
-	HistRetryAttempts
 	// HistReplayRecords is the number of records each recovery pass
 	// actually replayed (checkpoint live set + tail); bounded by the
 	// tail length once checkpointing is on.
@@ -293,8 +273,6 @@ var histNames = [numHists]string{
 	HistProcBlocked:     "proc.blocked_commit_ticks",
 	HistPreparedSet:     "twopc.prepared_set_size",
 	HistInDoubt:         "subsystem.in_doubt_size",
-	HistRetryLatency:    "chaos.retry_latency_ticks",
-	HistRetryAttempts:   "chaos.attempts_per_invoke",
 	HistReplayRecords:   "recovery.replay_records",
 	HistReplaySkipped:   "recovery.replay_skipped",
 	HistWALBatch:        "wal.batch_size",

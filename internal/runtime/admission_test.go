@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"transproc/internal/activity"
 	"transproc/internal/fault"
 	"transproc/internal/process"
 	"transproc/internal/scheduler"
@@ -55,7 +54,7 @@ type hooked struct {
 	before func()
 }
 
-func (h *hooked) InvokeResilient(proc, service string, _ activity.Kind, mode subsystem.Mode, _ string) (*subsystem.Result, int64, error) {
+func (h *hooked) InvokeResilient(proc, service string, mode subsystem.Mode, _ string) (*subsystem.Result, int64, error) {
 	h.before()
 	res, err := h.fed.Invoke(proc, service, mode)
 	return res, 0, err

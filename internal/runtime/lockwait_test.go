@@ -35,7 +35,7 @@ type scripted struct {
 	slow map[string][]int64
 }
 
-func (s *scripted) InvokeResilient(proc, service string, _ activity.Kind, mode subsystem.Mode, _ string) (*subsystem.Result, int64, error) {
+func (s *scripted) InvokeResilient(proc, service string, mode subsystem.Mode, _ string) (*subsystem.Result, int64, error) {
 	res, err := s.fed.Invoke(proc, service, mode)
 	var extra int64
 	if lat := s.slow[proc+"/"+service]; len(lat) > 0 {

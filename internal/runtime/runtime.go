@@ -104,11 +104,11 @@ type Config struct {
 	// force-logs, checkpointing, compaction and the 2PC coordinator all
 	// write through. bench/ still sets it (ROADMAP item 9 retires it).
 	GroupCommit wal.GroupCommit
-	// Resilience, when non-nil, routes activity invocations through a
-	// resilience layer (internal/chaos) exactly as in the sequential
-	// engine (scheduler.Config.Resilience): typed retries, breakers and
-	// flaky transport at the invocation boundary; 2PC resolution and
-	// recovery stay on the direct path.
+	// Resilience, when non-nil, routes activity invocations through an
+	// invocation boundary (a fault model such as internal/chaos, or a
+	// test) exactly as in the sequential engine
+	// (scheduler.Config.Resilience); 2PC resolution and recovery stay on
+	// the direct path.
 	Resilience subsystem.ResilientInvoker
 }
 

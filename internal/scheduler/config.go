@@ -106,15 +106,15 @@ type Config struct {
 	// appender the concurrent runtime writes through, including the
 	// "wal:group-fsync" crash point.
 	GroupCommit wal.GroupCommit
-	// Resilience, when non-nil, routes activity invocations through a
-	// resilience layer (internal/chaos): flaky transport, typed retries,
-	// circuit breakers. The layer surfaces only outcomes the engine
-	// already handles — ErrLocked parks the activity, invocation
-	// failures (ErrAborted/ErrTransient/ErrTimeout) take the
-	// failed-completion path: retriable activities are re-invoked,
-	// everything else steers onto ◁ alternatives or backward recovery.
-	// 2PC resolution stays on the direct path (the chaos boundary is
-	// invocation delivery).
+	// Resilience, when non-nil, routes activity invocations through an
+	// invocation boundary: a fault model such as internal/chaos's flaky
+	// transport, or a test. It retries nothing and surfaces only
+	// outcomes the engine already handles — ErrLocked parks the
+	// activity, invocation failures (ErrAborted/ErrTransient/ErrTimeout)
+	// take the failed-completion path: retriable activities and
+	// recovery steps are re-invoked, everything else steers onto ◁
+	// alternatives or backward recovery. 2PC resolution stays on the
+	// direct path (the boundary is invocation delivery).
 	Resilience subsystem.ResilientInvoker
 }
 

@@ -806,7 +806,7 @@ func (d *Driver) Undispatch(p *Proc, w Work) {
 
 // invokeKey allocates the idempotency key of one logical invocation:
 // fresh per invocation and per incarnation (the id carries the restart
-// suffix), reused by the resilience layer across transport attempts.
+// suffix), so a re-invocation is a new execution to the idempotency table.
 func (p *Proc) invokeKey() string {
 	key := fmt.Sprintf("%s#%d", p.ID, p.keySeq)
 	p.keySeq++
@@ -814,21 +814,19 @@ func (p *Proc) invokeKey() string {
 }
 
 // Invoke counts and performs the subsystem invocation of a work item
-// into the prepared state, through the resilience layer when there is
+// into the prepared state, through the invocation boundary when there is
 // one. res is nil when the invocation provably left no prepared
 // transaction: held — counted and traced as a lock wait whose Wait names
 // the holder (Held), and the host retries later — or failed: a genuine
-// local abort, or a transport failure the resilience layer could not
-// mask (retry budget exhausted, circuit open, non-retriable kind), which
-// Complete takes down the failure path. Any other error is a broken
-// world.
+// local abort or a delivery failure at the boundary, which Complete
+// takes down the failure path. Any other error is a broken world.
 func (d *Driver) Invoke(p *Proc, w Work) (res *subsystem.Result, extraLat int64, held Wait) {
 	d.Metrics.Invocations++
 	var err error
 	r := d.route(w)
 	switch {
 	case d.Resilience != nil:
-		res, extraLat, err = d.Resilience.InvokeResilient(string(p.Origin), w.Service, w.Kind, subsystem.Prepare, p.invokeKey())
+		res, extraLat, err = d.Resilience.InvokeResilient(string(p.Origin), w.Service, subsystem.Prepare, p.invokeKey())
 	case r.Valid():
 		res, err = r.Invoke(string(p.Origin), subsystem.Prepare)
 	default:

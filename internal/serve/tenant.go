@@ -1,7 +1,5 @@
 // Per-tenant budgets: a token-bucket rate limit on admissions and a
-// retry budget consumed by restarts, mirroring the bounded-retry
-// semantics of the resilience layer (internal/chaos) at the ingestion
-// boundary. Both are deterministic given the injected clock, so
+// retry budget consumed by restarts at the ingestion boundary. Both are deterministic given the injected clock, so
 // batteries can drive them with a virtual clock and assert exact shed
 // decisions.
 package serve

@@ -135,7 +135,7 @@ func CompareSchedulers(p workload.Profile, modes []scheduler.Mode) (*Table, erro
 			fmt.Sprintf("%.1f", meanBlocked),
 			fmt.Sprintf("%d", m.TwoPCCommits),
 			fmt.Sprintf("%d", m.Restarts),
-			fmt.Sprintf("%d", reg.Counter(metrics.TransportRetries)),
+			fmt.Sprintf("%d", m.Retries),
 			fmt.Sprintf("%d", m.PolicyWaits),
 			fmt.Sprintf("%d", m.LockWaits),
 			pred)

@@ -41,7 +41,7 @@ type SubsystemError struct {
 	// ErrTimeout.
 	Kind error
 	// Detail is an optional human-readable qualifier (e.g. the lock
-	// holder, or "circuit open").
+	// holder, or "outage").
 	Detail string
 }
 

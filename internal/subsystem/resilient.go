@@ -1,30 +1,28 @@
 package subsystem
 
-import "transproc/internal/activity"
-
-// ResilientInvoker is the seam through which an engine reaches the
-// subsystems when a resilience layer is configured (internal/chaos):
-// the layer owns transport-level failure handling — typed retries with
-// backoff for retriable activities, idempotent redelivery, circuit
-// breakers — and surfaces to the engine only outcomes the scheduler
-// already knows how to handle:
+// ResilientInvoker is the invocation boundary between an engine and the
+// subsystems, filled by a fault model (internal/chaos) or by a test.
+// There is no retry policy behind it: each call is one logical delivery,
+// and re-invoking a failed invocation is the driver's decision, made by
+// the paper's typing. An implementation surfaces only outcomes the
+// engine already handles:
 //
 //   - (res, lat, nil): the invocation executed; res is its Result and
-//     lat the extra virtual latency (spikes, backoff) the transport
+//     lat the extra virtual latency (spikes, timeouts) the boundary
 //     added on top of the service cost.
 //   - errors.Is(err, ErrLocked): a lock conflict at the subsystem; the
 //     engine parks the activity as usual.
-//   - IsInvocationFailure(err): the invocation failed — a genuine
-//     local abort (ErrAborted) or a transport failure that exhausted
-//     the typed retry policy (ErrTransient/ErrTimeout, both resolved
-//     to provably-not-executed via the idempotency table first). The
-//     engine re-invokes retriable activities and takes the ◁
-//     alternative / backward-recovery path for everything else.
+//   - IsInvocationFailure(err): the invocation left no prepared
+//     transaction — a genuine local abort (ErrAborted) or a delivery
+//     failure (ErrTransient, or ErrTimeout resolved to not-executed
+//     through the idempotency table first). The engine re-invokes
+//     retriable activities and recovery steps and takes the ◁
+//     alternative or backward recovery for everything else.
 //
-// key identifies the logical invocation for idempotent redelivery: the
-// caller must use a fresh key per logical invocation (including each
-// engine-level retry of a retriable activity, which is a new execution
-// per the paper) and the layer reuses it across transport attempts.
+// key identifies the logical invocation for idempotent delivery: the
+// caller uses a fresh key per logical invocation, including each
+// re-invocation of a retriable activity, which is a new execution per
+// the paper.
 type ResilientInvoker interface {
-	InvokeResilient(proc, service string, kind activity.Kind, mode Mode, key string) (res *Result, lat int64, err error)
+	InvokeResilient(proc, service string, mode Mode, key string) (res *Result, lat int64, err error)
 }
