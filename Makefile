@@ -130,10 +130,10 @@ bench:
 
 # Short native-fuzzing smoke (CI runs 30s per target).
 fuzz-smoke:
-	$(GO) test -fuzz FuzzProcessValidate -fuzztime 30s ./internal/process
-	$(GO) test -fuzz FuzzScheduleReduce -fuzztime 30s ./internal/schedule
-	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
-	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 30s ./internal/wal
+	$(GO) test -fuzz FuzzProcessValidate -fuzztime 30s -run '^$$' ./internal/process
+	$(GO) test -fuzz FuzzScheduleReduce -fuzztime 30s -run '^$$' ./internal/schedule
+	$(GO) test -fuzz FuzzWALReplay -fuzztime 30s -run '^$$' ./internal/wal
+	$(GO) test -fuzz FuzzCheckpointDecode -fuzztime 30s -run '^$$' ./internal/wal
 	$(GO) test -fuzz FuzzRecordDecode -fuzztime 30s -run '^$$' ./internal/wal
 	$(GO) test -fuzz FuzzReplayView -fuzztime 30s -run '^$$' ./internal/wal
 	$(GO) test -fuzz FuzzHeapPageDecode -fuzztime 30s -run '^$$' ./internal/store

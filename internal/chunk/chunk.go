@@ -5,11 +5,18 @@
 // allocator's small size classes.
 package chunk
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 const (
 	firstChunk = 16  // elements in the first chunk
 	maxChunk   = 256 // elements in a chunk at most; chunks double up to it
+	// rampChunks are the chunks smaller than maxChunk (16, 32, 64, 128),
+	// holding rampLen elements.
+	rampChunks = 4
+	rampLen    = firstChunk * (1<<rampChunks - 1)
 )
 
 // List is an append-only sequence of T. The zero value is an empty list.
@@ -32,6 +39,17 @@ func (l *List[T]) Append(v T) {
 	}
 	l.chunks[k-1] = append(l.chunks[k-1], v)
 	l.n++
+}
+
+// At returns the i-th element, 0 ≤ i < Len(), in place: the pointer stays
+// valid as the list grows.
+func (l *List[T]) At(i int) *T {
+	if i >= rampLen {
+		i -= rampLen
+		return &l.chunks[rampChunks+i/maxChunk][i%maxChunk]
+	}
+	k := bits.Len(uint(i/firstChunk+1)) - 1
+	return &l.chunks[k][i-firstChunk*(1<<k-1)]
 }
 
 // Len returns the number of elements.

@@ -32,6 +32,15 @@ func TestListKeepsOrderAcrossChunks(t *testing.T) {
 	if got := l.AppendTo([]int{-1}); got[0] != -1 || !slices.Equal(got[1:], want) {
 		t.Fatal("AppendTo must keep what dst held")
 	}
+	if rampLen != maxChunk-firstChunk || cap(l.chunks[rampChunks]) != maxChunk || cap(l.chunks[rampChunks-1]) == maxChunk {
+		t.Fatalf("the ramp of %d chunks holds %d elements; the chunks are %d, %d", rampChunks, rampLen,
+			cap(l.chunks[rampChunks-1]), cap(l.chunks[rampChunks]))
+	}
+	for i, v := range want {
+		if got := *l.At(i); got != v {
+			t.Fatalf("At(%d) = %d, want %d", i, got, v)
+		}
+	}
 }
 
 func TestListAppendNeverCopies(t *testing.T) {

@@ -466,10 +466,6 @@ func (l *FileLog) Compact(inject func(string)) error {
 	if err := l.ff.Rewrite(payloads, inject); err != nil {
 		return err
 	}
-	l.frames, l.ckpts, l.starts = 0, nil, 0
-	for i := range kept {
-		l.note(kept[i].Type)
-	}
 	l.m.Inc(metrics.Compactions)
 	return nil
 }

@@ -124,7 +124,7 @@ func DecodeRecords(b []byte, maxRecords, maxString int) ([]Record, []byte, error
 	if d.err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", d.class, d.err)
 	}
-	return recs, d.b, nil
+	return recs, d.rest(), nil
 }
 
 // decodeRecord parses one payload; DESIGN.md §6k lists what it refuses.
@@ -139,6 +139,28 @@ func decodeRecord(p []byte) (r Record, err error) {
 // it keeps.
 func scanRecord(p []byte, r *Record) error { return parseRecord(p, true, r) }
 
+// txOf reads the transaction a payload scanRecord accepted names: its
+// Tx, Service and Subsystem, where d.record reads them from
+// (FuzzRecordDecode holds the two to the same fields). It checks
+// nothing, and its strings share p's bytes.
+func txOf(p []byte) PreparedTx {
+	var v [7]uint64 // LSN, Local, Tx, Stamp, then the lengths of Proc, Service and Subsystem
+	var s [3]string
+	i := 1 // past the format byte
+	for k := range v {
+		if k == 4 {
+			i += 2 // Type and flags
+		}
+		var n int
+		v[k], n = binary.Uvarint(p[i:])
+		if i += n; k >= 4 {
+			s[k-4] = unsafe.String(unsafe.SliceData(p[i:]), v[k])
+			i += int(v[k])
+		}
+	}
+	return PreparedTx{Subsystem: s[2], Tx: int64(v[2]>>1) ^ -int64(v[2]&1), Service: s[1]}
+}
+
 func parseRecord(p []byte, skip bool, r *Record) error {
 	d := decoder{b: p, skip: skip}
 	if f := d.u8(); f == '{' {
@@ -149,18 +171,21 @@ func parseRecord(p []byte, skip bool, r *Record) error {
 		return fmt.Errorf("unknown record format %#x", f)
 	}
 	d.record(r, true)
-	if len(d.b) > 0 {
-		d.fail(ErrBadRecord, "%d trailing bytes", len(d.b))
+	if n := len(d.rest()); n > 0 {
+		d.fail(ErrBadRecord, "%d trailing bytes", n)
 	}
 	return d.err
 }
 
-// decoder reads a payload front to back; after its first failure it reads
-// zeros. A skipping decoder checks everything and keeps no list entry, map
-// entry or checkpoint; its strings share the payload's bytes instead of
-// copying them. maxString, when positive, caps every string.
+// decoder reads a payload front to back, b[i:] being what is left; after
+// its first failure it reads zeros. A cursor, not a reslice, so that a
+// read stores no pointer. A skipping decoder checks everything and keeps
+// no list entry, map entry or checkpoint; its strings share the
+// payload's bytes instead of copying them. maxString, when positive,
+// caps every string.
 type decoder struct {
 	b         []byte
+	i         int
 	err       error
 	class     error // the refusal class err belongs to
 	skip      bool
@@ -171,38 +196,42 @@ func (d *decoder) fail(class error, format string, args ...any) {
 	if d.err == nil {
 		d.err, d.class = fmt.Errorf(format, args...), class
 	}
-	d.b = nil
+	d.i = len(d.b)
 }
 
+// rest returns the bytes left.
+func (d *decoder) rest() []byte { return d.b[d.i:] }
+
 func (d *decoder) u8() (v byte) {
-	if len(d.b) == 0 {
+	if d.i >= len(d.b) {
 		d.fail(ErrShortRecord, "truncated record")
 		return 0
 	}
-	v, d.b = d.b[0], d.b[1:]
+	v = d.b[d.i]
+	d.i++
 	return v
 }
 
-// uvarint reads an unsigned varint.
+// uvarint reads an unsigned varint, most often one byte. It refuses a
+// truncated varint, an overflowing one and one that is not minimal (a
+// final zero byte after the first), so that one value has one encoding.
 func (d *decoder) uvarint() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 || n > 1 && d.b[n-1] == 0 {
-		d.badVarint(n)
-		return 0
+	if d.i < len(d.b) && d.b[d.i] < 0x80 {
+		d.i++
+		return uint64(d.b[d.i-1])
 	}
-	d.b = d.b[n:]
-	return v
-}
-
-// badVarint fails on a varint binary.Uvarint read as n bytes: truncated
-// (0), overflowing (< 0), or not minimal (a final zero byte after the
-// first), which the decoder refuses so one value has one encoding.
-func (d *decoder) badVarint(n int) {
-	if n == 0 {
+	b := d.rest()
+	v, n := binary.Uvarint(b)
+	switch {
+	case n == 0:
 		d.fail(ErrShortRecord, "truncated varint")
-	} else {
+	case n < 0 || n > 1 && b[n-1] == 0:
 		d.fail(ErrBadRecord, "overlong varint")
+	default:
+		d.i += n
+		return v
 	}
+	return 0
 }
 
 // varint reads a zigzag varint under uvarint's rules.
@@ -213,18 +242,18 @@ func (d *decoder) varint() int64 {
 
 // count reads a length or entry count under uvarint's rules. It refuses
 // one over limit (when positive) as class over, and one whose entries,
-// at least size bytes each, could not fit in the bytes left.
+// at least size bytes each, could not fit in the bytes left: v ≤ left
+// keeps v*size from overflowing, size being a small constant.
 func (d *decoder) count(size, limit int, over error) int {
-	v, n := binary.Uvarint(d.b)
-	switch {
-	case n <= 0 || n > 1 && d.b[n-1] == 0:
-		d.badVarint(n)
+	had := len(d.rest())
+	v := d.uvarint()
+	switch left := uint64(len(d.rest())); {
+	case d.err != nil:
 	case limit > 0 && v > uint64(limit):
 		d.fail(over, "count %d over the cap of %d", v, limit)
-	case v > uint64((len(d.b)-n)/size):
-		d.fail(ErrShortRecord, "count exceeds the %d bytes left", len(d.b))
+	case v > left || v*uint64(size) > left:
+		d.fail(ErrShortRecord, "count exceeds the %d bytes left", had)
 	default:
-		d.b = d.b[n:]
 		return int(v)
 	}
 	return 0
@@ -235,11 +264,11 @@ func (d *decoder) str() (s string) {
 	switch {
 	case n == 0:
 	case d.skip:
-		s = unsafe.String(&d.b[0], n)
+		s = unsafe.String(&d.b[d.i], n)
 	default:
-		s = string(d.b[:n])
+		s = string(d.b[d.i : d.i+n])
 	}
-	d.b = d.b[n:]
+	d.i += n
 	return s
 }
 

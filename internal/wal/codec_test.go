@@ -210,6 +210,37 @@ func TestRecordCodecCountAllocatesByParsed(t *testing.T) {
 	}
 }
 
+// TestRecordCodecCountEdges holds a count to the bytes left at its exact
+// edges: entries that fill them are accepted, one more is short, and a
+// count whose entries' size would wrap 64 bits is refused, not wrapped.
+func TestRecordCodecCountEdges(t *testing.T) {
+	for _, size := range []int{1, 2, minRecordBody} {
+		for _, tc := range []struct {
+			n    uint64
+			left int
+			ok   bool
+		}{
+			{3, 3 * size, true},
+			{4, 4*size - 1, false},
+			{200, 200 * size, true}, // a two-byte count
+			{201, 201*size - 1, false},
+			{math.MaxUint64/uint64(size) + 1, 64, false},
+		} {
+			if size == 1 && tc.n == 0 {
+				continue // MaxUint64 + 1: no count to write
+			}
+			d := decoder{b: append(binary.AppendUvarint(nil, tc.n), make([]byte, tc.left)...)}
+			got := d.count(size, 0, nil)
+			switch {
+			case tc.ok && (d.err != nil || got != int(tc.n) || len(d.rest()) != tc.left):
+				t.Errorf("size %d: count %d over %d bytes = %d, %v with %d bytes left; want it accepted", size, tc.n, tc.left, got, d.err, len(d.rest()))
+			case !tc.ok && (d.err == nil || d.class != ErrShortRecord):
+				t.Errorf("size %d: count %d over %d bytes = %d, %v (%v); want ErrShortRecord", size, tc.n, tc.left, got, d.err, d.class)
+			}
+		}
+	}
+}
+
 // TestScanRecordAllocatesNothing pins what OpenFile and the replay fold
 // pay per frame: the validating scan reads a record with four strings
 // without allocating.
@@ -251,6 +282,9 @@ func FuzzRecordDecode(f *testing.F) {
 		}
 		if err != nil {
 			return
+		}
+		if tx := txOf(p); tx != r.tx() {
+			t.Fatalf("txOf = %+v, the record names %+v", tx, r.tx())
 		}
 		b, err := encodeRecord(&r)
 		if err != nil {

@@ -47,20 +47,22 @@ type FrameFile struct {
 // unacknowledged append is lost and later appends never splice onto
 // garbage. With fsync false, Sync and Close only reach the OS.
 func OpenFrameFile(path string, fsync bool, visit func(payload []byte) error) (*FrameFile, error) {
-	ff, _, err := openFrameFile(path, fsync, visit)
+	ff, _, err := openFrameFile(path, fsync, func(data []byte) (int, error) { return walkFrames(data, visit) })
 	return ff, err
 }
 
-// openFrameFile is OpenFrameFile that also returns the image it read and
-// checked, its torn tail cut off (nil for a new file). The image is the
-// caller's: the FrameFile keeps no copy of its file.
-func openFrameFile(path string, fsync bool, visit func(payload []byte) error) (*FrameFile, []byte, error) {
+// openFrameFile is OpenFrameFile with the walk of the file's data left to
+// walk, which returns where the intact prefix ends (walkFrames). It also
+// returns the image it read and walk checked, its torn tail cut off (nil
+// for a new file). The image is the caller's: the FrameFile keeps no copy
+// of its file.
+func openFrameFile(path string, fsync bool, walk func(data []byte) (int, error)) (*FrameFile, []byte, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
 	ff := &FrameFile{path: path, f: f, w: bufio.NewWriter(f), fsync: fsync}
-	image, err := ff.replay(visit)
+	image, err := ff.replay(walk)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
@@ -68,12 +70,12 @@ func openFrameFile(path string, fsync bool, visit func(payload []byte) error) (*
 	return ff, image, nil
 }
 
-func (ff *FrameFile) replay(visit func([]byte) error) ([]byte, error) {
+func (ff *FrameFile) replay(walk func([]byte) (int, error)) ([]byte, error) {
 	data, err := ff.read()
 	if err != nil {
 		return nil, err
 	}
-	end, err := walkFrames(data, visit)
+	end, err := walk(data)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", ff.path, err)
 	}
@@ -227,15 +229,22 @@ func (ff *FrameFile) scan(image []byte, visit func(payload []byte) error) error 
 	return nil
 }
 
-// frameAt returns where in image the frame of payload p begins; p is a
-// payload walkFrames passed for image (or for a longer image it is a
-// prefix of), so both end where the backing array ends.
-func frameAt(image, p []byte) int { return cap(image) - cap(p) - frameHeader }
+// nextFrame returns the payload of the frame at off in a log image
+// walkFrames checked, and where the frame after it begins.
+func nextFrame(image []byte, off int) (p []byte, next int) {
+	next = off + frameHeader + int(binary.LittleEndian.Uint32(image[off:]))
+	return image[off+frameHeader : next], next
+}
 
-// framePayload returns the payload of the intact frame at off in image.
-func framePayload(image []byte, off uint32) []byte {
-	n := binary.LittleEndian.Uint32(image[off:])
-	return image[off+frameHeader : off+frameHeader+n]
+// frameCount returns how many frames the length fields of a log image
+// chain through, a torn tail's included, checking nothing: a bound to
+// size what a walk keeps per frame by.
+func frameCount(image []byte) int {
+	n := 0
+	for off := len(fileMagic); off+frameHeader <= len(image); n++ {
+		off += frameHeader + int(binary.LittleEndian.Uint32(image[off:]))
+	}
+	return n
 }
 
 // Rewrite atomically replaces the file's contents (frames still

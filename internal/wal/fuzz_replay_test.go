@@ -18,7 +18,7 @@ import (
 // written as it is, torn tail included; any other input drives a
 // generator whose records are framed with their own LSNs — held both by
 // a FileLog and by a MemLog. On both logs, straight after the open (the
-// file log's view walks the image its open read), again after a
+// file log's view is the walk its open made), again after a
 // checkpoint is taken and after compaction, ReadReplay must equal Expand
 // + Analyze over the log's Records: the same view (length, records,
 // checkpoint, Skipped, Fallback), the live records at their positions,
@@ -39,6 +39,23 @@ func FuzzReplayView(f *testing.F) {
 	f.Add(frameImage(ckpt(&Checkpoint{Horizon: 4, Live: []Record{{LSN: 3, Type: RecStart, Proc: "L1"}}, Procs: -1000}), tail))
 	f.Add(frameImage(ckpt(&Checkpoint{Horizon: 4, Procs: 1 << 40}), tail))
 	f.Add(frameImage(string(nestedCheckpoint()), tail))
+	// Checkpoints past the first frame, which leave the fold to the walk's
+	// end: one whose fuzzy window (LSNs 3 and 4, past its horizon) lies
+	// before its frame; a valid one, then an invalid one (Fallback); and
+	// two valid ones, the second adopted.
+	rec := func(r Record) string { return string(enc(r)) }
+	l1 := Record{LSN: 1, Type: RecStart, Proc: "L1"}
+	w3 := Record{LSN: 3, Type: RecStart, Proc: "W3"}
+	w4 := Record{LSN: 4, Type: RecOutcome, Proc: "W3", Local: 1, Service: "svc1", Subsystem: "s1", Tx: 6, Outcome: "committed"}
+	at := func(lsn int64, cp *Checkpoint) string {
+		return string(enc(Record{LSN: lsn, Type: RecCheckpoint, Checkpoint: cp}))
+	}
+	f.Add(frameImage(rec(l1), rec(Record{LSN: 2, Type: RecStart, Proc: "P2"}), rec(w3), rec(w4),
+		at(5, &Checkpoint{Horizon: 2, Live: []Record{l1}, Procs: 1, Dropped: 1}), tail))
+	f.Add(frameImage(rec(l1), at(2, &Checkpoint{Horizon: 1, Live: []Record{l1}, Procs: 1}), rec(w3), rec(w4),
+		at(5, &Checkpoint{Horizon: 4, AppliedSvc: map[string]int64{"a": -1}}), tail))
+	f.Add(frameImage(rec(l1), at(2, &Checkpoint{Horizon: 1, Live: []Record{l1}, Procs: 1}), rec(w3), rec(w4),
+		at(5, &Checkpoint{Horizon: 3, Live: []Record{l1, w3}, Procs: 2, Dropped: 1}), tail))
 	f.Add(frameImage(string(enc(Record{LSN: 5, Type: RecCheckpoint}))))
 	f.Add([]byte{})
 	f.Add([]byte("\x00\x01\x04\x05\x08\x09\x0c\x0d\x10\x11\x14\x15\x18\x19\x1c\x1d\x20\x21\x24\x26\x27\x28\x29"))
@@ -155,7 +172,7 @@ func genRecords(data []byte) []Record {
 }
 
 // logImage is recs as a file log holds them, LSNs included.
-func logImage(t *testing.T, recs []Record) []byte {
+func logImage(t testing.TB, recs []Record) []byte {
 	var buf bytes.Buffer
 	w := bufio.NewWriter(&buf)
 	w.WriteString(fileMagic)

@@ -1,11 +1,12 @@
 package wal
 
 import (
-	"errors"
 	"fmt"
-	"math"
 	"math/bits"
-	"strings"
+	"slices"
+	"unsafe"
+
+	"transproc/internal/chunk"
 )
 
 // The replay view and the fold over it (DESIGN.md §6e, §6l). The view is
@@ -13,11 +14,14 @@ import (
 // every non-checkpoint record past its horizon, in log order — every
 // non-checkpoint record when no checkpoint is usable. It has one
 // definition and two sources: a record slice (Expand, and every log but a
-// FileLog), and a FileLog's file image, walked by the validating decoder
-// without materialising a record. A restart reads its file once: the
-// view walks the image OpenFile read and checked, re-verifying every
-// checksum on it, and the log drops that image at its first read, append
-// or compaction, so the view holds the only copy from then on.
+// FileLog), and a FileLog's file image, folded by a walk that checks each
+// frame, scans its record once and folds it without materialising it. A
+// restart reads, checksums and scans its file once: OpenFile's walk of
+// the file is that walk, and the first ReadReplay takes over the image
+// and the fold it kept. A log read anew after an append or a compaction
+// is walked the same way. The log drops what its open kept at its first
+// read, append, compaction or close, so the view holds the only copy of
+// the image from then on.
 
 // View is a log's replay view.
 type View struct {
@@ -31,25 +35,20 @@ type View struct {
 	Fallback bool
 	head     []Record // slice source: the whole view; file source: the checkpoint's live records
 	image    []byte   // file source: the file image the records after head are read from
-	offs     []uint32 // file source: where in image each record after head is framed
+	in       bitset   // file source: the frames of image whose records are in the view
+	n        int      // file source: how many
 }
 
-// start adopts, among n checkpoint records in log order (at(i) the
-// i-th), the last valid one; every checkpoint after it is invalid and
-// the view falls back past it. It returns the adopted one's index, or -1.
-func (v *View) start(n int, at func(i int) (*Checkpoint, error)) (int, error) {
-	for k := n - 1; k >= 0; k-- {
-		cp, err := at(k)
-		if err != nil {
-			return -1, err
-		}
-		if cp.valid() {
-			v.Checkpoint, v.Skipped = cp, cp.Dropped
-			return k, nil
-		}
+// meet notes a checkpoint record of the log, met in log order: a valid
+// one becomes the view's start, and an invalid one after it makes the
+// view fall back past it. It reports whether cp became the start.
+func (v *View) meet(cp *Checkpoint) bool {
+	if !cp.valid() {
 		v.Fallback = true
+		return false
 	}
-	return -1, nil
+	v.Checkpoint, v.Skipped, v.Fallback = cp, cp.Dropped, false
+	return true
 }
 
 // holds reports whether a record of the log belongs to the view, after
@@ -62,17 +61,16 @@ func (v *View) holds(r *Record) bool {
 // recs of the checkpoint record it starts from (-1 for none), and
 // whether recs holds a checkpoint record at all.
 func startOf(recs []Record) (v View, idx int, ckpts bool) {
-	var cands []int
+	idx = -1
 	for i := range recs {
 		if recs[i].Type == RecCheckpoint {
-			cands = append(cands, i)
+			ckpts = true
+			if v.meet(recs[i].Checkpoint) {
+				idx = i
+			}
 		}
 	}
-	k, _ := v.start(len(cands), func(i int) (*Checkpoint, error) { return recs[cands[i]].Checkpoint, nil })
-	if k < 0 {
-		return v, -1, len(cands) > 0
-	}
-	return v, cands[k], true
+	return v, idx, ckpts
 }
 
 // viewOf is the view's slice source. When recs holds no checkpoint
@@ -96,78 +94,127 @@ func viewOf(recs []Record) View {
 	return v
 }
 
-// view is the view's file source: it walks the file image once, checks
-// each frame's checksum, and folds every record of the view into f, in
-// order, returning each position's slot. A record past the checkpoint's
-// live ones is scanned, not decoded: its strings share the image
-// (scanRecord).
-func (l *FileLog) view(f *fold) (View, []int32, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	image, err := l.contents()
-	if err != nil {
-		return View{}, nil, err
-	}
-	if uint64(len(image)) > math.MaxUint32 {
-		return View{}, nil, fmt.Errorf("wal: a %d-byte log is past the replay view's 4 GiB offsets", len(image))
-	}
-	v := View{image: image, offs: make([]uint32, 0, l.frames)}
-	if err := l.ff.scan(image, func(p []byte) error {
-		v.offs = append(v.offs, uint32(frameAt(image, p)))
-		return nil
-	}); err != nil {
-		return View{}, nil, err
-	}
-	if _, err := v.start(len(l.ckpts), func(i int) (*Checkpoint, error) {
-		k := l.ckpts[i]
-		if k >= len(v.offs) {
-			return nil, fmt.Errorf("%w: checkpoint frame %d past the end", ErrCorrupt, k)
-		}
-		r, err := decodeRecord(v.payload(k))
-		if err == nil && r.Type != RecCheckpoint {
-			err = errors.New("not a checkpoint record")
-		}
-		if err != nil {
-			return nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, k, err)
-		}
-		return r.Checkpoint, nil
-	}); err != nil {
-		return View{}, nil, err
-	}
-	f.shared = true
-	// The checkpoint's process count is only a capacity hint: it is read
-	// from the file, and no process has more slots than records.
-	procs := l.starts
-	if cp := v.Checkpoint; cp != nil {
-		v.head = cp.Live
-		procs += min(max(cp.Procs, 0), len(cp.Live))
-	}
-	f.reserve(procs)
-	owner := make([]int32, 0, len(v.head)+len(v.offs))
-	for i := range v.head {
-		owner = append(owner, f.add(&v.head[i]))
-	}
-	n := 0
-	var r Record
-	for i, o := range v.offs {
-		if err := scanRecord(v.payload(i), &r); err != nil {
-			return View{}, nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
-		}
-		if v.holds(&r) {
-			v.offs[n] = o
-			n++
-			owner = append(owner, f.add(&r))
-		}
-	}
-	v.offs = v.offs[:n]
-	return v, owner, nil
+// walk is the view's file source: the one construction that checks a log
+// image frame by frame (walkFrames), scans each record and folds the
+// view's records as it meets them. OpenFile's own walk of the file is
+// one, kept on the log for its first ReadReplay; a file read anew is
+// walked by another. A valid checkpoint at the first frame (a compacted
+// log) starts the fold from its live records at no cost; a valid one
+// further on leaves the fold to finish, which folds the view once, from
+// the last valid checkpoint, so that no record is scanned more than twice.
+type walk struct {
+	v     View
+	f     *fold   // nil while the fold waits for finish
+	owner []int32 // each position of the view: its process's slot in f
+	ckpts []int   // the frames holding checkpoint records, in order
+	// frames counts the frames walked; hint bounds how many the image
+	// holds (frameCount), which sizes owner.
+	frames, hint int
+	next         int64 // the highest LSN walked
+	r            Record
 }
 
-// payload returns the payload of the i-th framed record of a file view.
-func (v *View) payload(i int) []byte { return framePayload(v.image, v.offs[i]) }
+func newWalk(image []byte) *walk {
+	return &walk{v: View{image: image}, hint: frameCount(image)}
+}
+
+// frame checks and folds the record of the next frame, payload p.
+func (w *walk) frame(p []byte) error {
+	i, r := w.frames, &w.r
+	w.frames++
+	if err := scanRecord(p, r); err != nil {
+		return err
+	}
+	// max, not last: compaction puts the checkpoint record ahead of
+	// fuzzy-window records with smaller LSNs.
+	w.next = max(w.next, r.LSN)
+	if r.Type == RecCheckpoint {
+		w.ckpts = append(w.ckpts, i)
+		c, err := decodeRecord(p)
+		if err != nil {
+			return err
+		}
+		if w.v.meet(c.Checkpoint) && i > 0 {
+			w.f = nil
+		}
+	}
+	if i == 0 {
+		w.begin()
+	}
+	if w.f != nil {
+		w.add(i, r)
+	}
+	return nil
+}
+
+// begin starts the fold at the view's head: the live records of its
+// checkpoint, if it has one.
+func (w *walk) begin() {
+	w.f = newFold(false)
+	w.f.shared = true
+	w.v.head = nil
+	if cp := w.v.Checkpoint; cp != nil {
+		w.v.head = cp.Live
+	}
+	w.owner = slices.Grow(w.owner[:0], len(w.v.head)+w.hint)
+	for i := range w.v.head {
+		w.owner = append(w.owner, w.f.add(&w.v.head[i]))
+	}
+}
+
+// add folds the record of frame i if the view holds it.
+func (w *walk) add(i int, r *Record) {
+	if w.v.holds(r) {
+		w.v.in.add(i)
+		w.owner = append(w.owner, w.f.add(r))
+	}
+}
+
+// finish returns the walked view, its fold and each position's slot.
+// When a checkpoint past the first frame left the fold to it (or no
+// frame started one), it folds the view from the last valid checkpoint:
+// every frame but the checkpoints' is scanned a second time.
+func (w *walk) finish() (View, *fold, []int32, error) {
+	if w.f == nil {
+		w.begin()
+		clear(w.v.in)
+		ckpts := w.ckpts
+		for i, off := 0, len(fileMagic); i < w.frames; i++ {
+			var p []byte
+			p, off = nextFrame(w.v.image, off)
+			if len(ckpts) > 0 && ckpts[0] == i {
+				ckpts = ckpts[1:]
+				continue
+			}
+			if err := scanRecord(p, &w.r); err != nil {
+				return View{}, nil, nil, fmt.Errorf("%w: frame %d: %v", ErrCorrupt, i, err)
+			}
+			w.add(i, &w.r)
+		}
+	}
+	w.v.n = len(w.owner) - len(w.v.head)
+	return w.v, w.f, w.owner, nil
+}
 
 // Len is the number of records in the view.
-func (v *View) Len() int { return len(v.head) + len(v.offs) }
+func (v *View) Len() int { return len(v.head) + v.n }
+
+// frames passes each record of the view read from the file to visit, as
+// its position in the view and its payload, in order.
+func (v *View) frames(visit func(pos int, p []byte) error) error {
+	pos, end := len(v.head), v.Len()
+	for i, off := 0, len(fileMagic); pos < end; i++ {
+		var p []byte
+		p, off = nextFrame(v.image, off)
+		if v.in.has(i) {
+			if err := visit(pos, p); err != nil {
+				return err
+			}
+			pos++
+		}
+	}
+	return nil
+}
 
 // Each passes every record of the view to visit, in order. A record read
 // from a file shares the file image's bytes: visit clones the strings it
@@ -177,38 +224,31 @@ func (v *View) Each(visit func(r *Record)) error {
 		visit(&v.head[i])
 	}
 	var r Record
-	for i := range v.offs {
-		if err := scanRecord(v.payload(i), &r); err != nil {
+	return v.frames(func(_ int, p []byte) error {
+		if err := scanRecord(p, &r); err != nil {
 			return err
 		}
 		visit(&r)
-	}
-	return nil
+		return nil
+	})
 }
 
 // Records returns the view's records, decoded in full; the slice
 // source's view is returned as it is.
 func (v *View) Records() ([]Record, error) {
-	if len(v.offs) == 0 {
+	if v.n == 0 {
 		return v.head, nil
 	}
 	out := append(make([]Record, 0, v.Len()), v.head...)
-	for i := range v.offs {
-		r, err := decodeRecord(v.payload(i))
-		if err != nil {
-			return nil, err
-		}
+	err := v.frames(func(_ int, p []byte) error {
+		r, err := decodeRecord(p)
 		out = append(out, r)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
-}
-
-// record returns the record at position i of the view, decoded in full.
-func (v *View) record(i int) (Record, error) {
-	if i < len(v.head) {
-		return v.head[i], nil
-	}
-	return decodeRecord(v.payload(i - len(v.head)))
 }
 
 // Replay is a log's replay view folded in one pass: what restart
@@ -229,61 +269,119 @@ type Replay struct {
 
 // ReadReplay reads log's replay view and folds it in one pass; only the
 // records of processes still open at its end are then decoded in full. A
-// FileLog is read from its file; any other log streams its Records
-// through the same fold. keepRedo, when non-nil, selects the RedoCommit
-// entries the images keep.
+// FileLog is read from its file, through the walk its open made if
+// nothing read the log since; any other log streams its Records through
+// the same fold. keepRedo, when non-nil, selects the RedoCommit entries
+// the images keep.
 func ReadReplay(log Log, keepRedo func(PreparedTx) bool) (*Replay, error) {
-	f := newFold(false)
-	f.keepRedo = keepRedo
-	var owner []int32 // each position's slot in the fold
 	var rp Replay
-	var err error
+	var f *fold
+	var owner []int32 // each position's slot in the fold
 	if fl, ok := log.(*FileLog); ok {
-		rp.View, owner, err = fl.view(f)
-	} else {
-		var recs []Record
-		if recs, err = log.Records(); err == nil {
-			rp.View = viewOf(recs)
-			owner = make([]int32, 0, rp.Len())
-			err = rp.Each(func(r *Record) { owner = append(owner, f.add(r)) })
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	rp.Images = f.images()
-	for pos, s := range owner {
-		if sl := &f.slots[s]; !sl.imaged || sl.img.Terminated {
-			continue
-		}
-		r, err := rp.record(pos)
+		w, err := fl.walked()
 		if err != nil {
 			return nil, err
 		}
-		rp.Live = append(rp.Live, r)
-		rp.Pos = append(rp.Pos, pos)
+		if rp.View, f, owner, err = w.finish(); err != nil {
+			return nil, err
+		}
+	} else {
+		recs, err := log.Records()
+		if err != nil {
+			return nil, err
+		}
+		rp.View, f = viewOf(recs), newFold(false)
+		owner = make([]int32, 0, rp.Len())
+		for i := range rp.head {
+			owner = append(owner, f.add(&rp.head[i]))
+		}
+	}
+	rp.Images = f.images()
+	// The fold marked the records that may redo a commit; keepRedo
+	// chooses among them now.
+	redo := func(s int32, ptx PreparedTx) {
+		if keepRedo == nil || keepRedo(ptx) {
+			im := &f.at(s).img
+			im.RedoCommit = append(im.RedoCommit, f.own(ptx))
+		}
+	}
+	open := make(bitset, 0, (f.slots.Len()+63)/64) // the slots of the processes still open
+	for i := range f.slots.Len() {
+		if sl := f.slots.At(i); sl.imaged && !sl.img.Terminated {
+			open.add(i)
+		}
+	}
+	for pos := range rp.head {
+		r, s := &rp.head[pos], owner[pos]
+		if f.cands.has(pos) {
+			redo(s, r.tx())
+		}
+		if open.has(int(s)) {
+			rp.Live, rp.Pos = append(rp.Live, *r), append(rp.Pos, pos)
+		}
+	}
+	err := rp.frames(func(pos int, p []byte) error {
+		switch s := owner[pos]; {
+		case open.has(int(s)):
+			r, err := decodeRecord(p)
+			if err != nil {
+				return err
+			}
+			if f.cands.has(pos) {
+				redo(s, r.tx())
+			}
+			rp.Live, rp.Pos = append(rp.Live, r), append(rp.Pos, pos)
+		case f.cands.has(pos):
+			redo(s, txOf(p))
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return &rp, nil
 }
+
+// bitset is a set of non-negative integers, one bit each.
+type bitset []uint64
+
+func (b *bitset) add(i int) {
+	for len(*b) <= i/64 {
+		*b = append(*b, 0)
+	}
+	(*b)[i/64] |= 1 << (i % 64)
+}
+
+func (b bitset) has(i int) bool { return i/64 < len(b) && b[i/64]&(1<<(i%64)) != 0 }
 
 // fold is the per-record image transition applied across a view: the one
 // implementation behind Analyze (full images) and ReadReplay (summaries).
 // What an activity went through is kept per process in bit sets, and a
 // prepared transaction in one map for the whole fold until it is
-// resolved, so that a summary costs its process no allocation but the
-// copy of its id; a full image also lists its activities.
+// resolved, so that a summary costs its process no allocation of its
+// own; a full image also lists its activities.
 type fold struct {
 	slot  map[string]int32 // process -> index in slots
-	slots []foldSlot
+	slots chunk.List[foldSlot]
+	// last is the slot of the last record folded, lastProc its process:
+	// a process's records often come in runs.
+	last     int32
+	lastProc string
 	// pending holds the prepared transactions not yet resolved.
 	pending map[actKey]PreparedTx
 	// wide holds the steps of activities whose local id no bit set has.
-	wide     map[actKey]uint8
-	full     bool
-	keepRedo func(PreparedTx) bool
+	wide map[actKey]uint8
+	full bool
+	// n counts the records folded: the position in the view of the next.
+	// A summary marks in cands the positions of the records that may
+	// redo a commit, which ReadReplay's keepRedo chooses from; a full
+	// image keeps every one.
+	n     int
+	cands bitset
 	// shared marks records whose strings share a file image: what a
-	// summary keeps of them is copied.
+	// summary keeps of them is copied, into arena.
 	shared bool
+	arena  []byte
 }
 
 type foldSlot struct {
@@ -310,20 +408,20 @@ const (
 	nSteps
 )
 
+// arenaBlock is the size of the blocks a fold copies shared strings into.
+const arenaBlock = 4 << 10
+
 func newFold(full bool) *fold {
-	return &fold{slot: make(map[string]int32), pending: make(map[actKey]PreparedTx), full: full}
+	return &fold{slot: make(map[string]int32), last: -1, pending: make(map[actKey]PreparedTx), full: full}
 }
 
-// reserve sizes an empty fold for procs processes.
-func (f *fold) reserve(procs int) {
-	f.slot = make(map[string]int32, procs)
-	f.slots = make([]foldSlot, 0, procs)
-}
+// at returns slot s.
+func (f *fold) at(s int32) *foldSlot { return f.slots.At(int(s)) }
 
-// mark notes that activity local of slot s took step.
-func (f *fold) mark(s int32, local, step int) {
+// mark notes that activity local of slot s, sl, took step.
+func (f *fold) mark(sl *foldSlot, s int32, local, step int) {
 	if uint(local) < 64 {
-		f.slots[s].steps[step] |= 1 << local
+		sl.steps[step] |= 1 << local
 		return
 	}
 	if f.wide == nil {
@@ -335,7 +433,7 @@ func (f *fold) mark(s int32, local, step int) {
 // took reports whether activity local of slot s took step.
 func (f *fold) took(s int32, local, step int) bool {
 	if uint(local) < 64 {
-		return f.slots[s].steps[step]&(1<<local) != 0
+		return f.at(s).steps[step]&(1<<local) != 0
 	}
 	return f.wide[actKey{s, local}]&(1<<step) != 0
 }
@@ -344,22 +442,42 @@ func (r *Record) tx() PreparedTx {
 	return PreparedTx{Subsystem: r.Subsystem, Tx: r.Tx, Service: r.Service}
 }
 
-// own returns ptx with strings of its own.
-func (ptx PreparedTx) own() PreparedTx {
-	ptx.Subsystem, ptx.Service = strings.Clone(ptx.Subsystem), strings.Clone(ptx.Service)
+// clone returns s, copied into the arena when it shares a file image: the
+// ids of thousands of processes cost a few blocks, not an allocation each.
+func (f *fold) clone(s string) string {
+	if !f.shared || s == "" {
+		return s
+	}
+	if len(s) > cap(f.arena)-len(f.arena) {
+		f.arena = make([]byte, 0, max(arenaBlock, len(s)))
+	}
+	f.arena = append(f.arena, s...)
+	return unsafe.String(&f.arena[len(f.arena)-len(s)], len(s))
+}
+
+// own returns ptx with strings the image does not share.
+func (f *fold) own(ptx PreparedTx) PreparedTx {
+	ptx.Subsystem, ptx.Service = f.clone(ptx.Subsystem), f.clone(ptx.Service)
 	return ptx
 }
 
 // redo notes the transaction a record shows committed.
 func (f *fold) redo(im *ProcImage, r *Record) {
-	if r.Tx == 0 || r.Subsystem == "" || f.keepRedo != nil && !f.keepRedo(r.tx()) {
-		return
+	switch {
+	case r.Tx == 0 || r.Subsystem == "":
+	case f.full:
+		im.RedoCommit = append(im.RedoCommit, r.tx())
+	default:
+		f.cands.add(f.n - 1)
 	}
-	ptx := r.tx()
-	if f.shared {
-		ptx = ptx.own()
+}
+
+// resolve drops act, of slot sl, from the prepared transactions: a map
+// operation only for a process that prepared one.
+func (f *fold) resolve(sl *foldSlot, act actKey) {
+	if sl.prepared {
+		delete(f.pending, act)
 	}
-	im.RedoCommit = append(im.RedoCommit, ptx)
 }
 
 // list appends local to a full image's list.
@@ -372,17 +490,19 @@ func (f *fold) list(l *[]int, local int) {
 // add folds one record into its process's image and returns the
 // process's slot.
 func (f *fold) add(r *Record) int32 {
-	s, ok := f.slot[r.Proc]
+	f.n++
+	s, ok := f.last, f.last >= 0 && r.Proc == f.lastProc
 	if !ok {
-		s = int32(len(f.slots))
-		proc := r.Proc
-		if f.shared {
-			proc = strings.Clone(proc)
-		}
-		f.slot[proc] = s
-		f.slots = append(f.slots, foldSlot{img: ProcImage{Proc: proc}})
+		s, ok = f.slot[r.Proc]
 	}
-	sl := &f.slots[s]
+	if !ok {
+		s = int32(f.slots.Len())
+		proc := f.clone(r.Proc)
+		f.slot[proc] = s
+		f.slots.Append(foldSlot{img: ProcImage{Proc: proc}})
+	}
+	sl := f.at(s)
+	f.last, f.lastProc = s, sl.img.Proc
 	im := &sl.img
 	act := actKey{s, r.Local}
 	switch r.Type {
@@ -391,8 +511,8 @@ func (f *fold) add(r *Record) int32 {
 		switch r.Outcome {
 		case "committed":
 			f.list(&im.Committed, r.Local)
-			f.mark(s, r.Local, stepCommitted)
-			delete(f.pending, act)
+			f.mark(sl, s, r.Local, stepCommitted)
+			f.resolve(sl, act)
 			f.redo(im, r)
 		case "prepared":
 			sl.prepared = true
@@ -400,7 +520,7 @@ func (f *fold) add(r *Record) int32 {
 		}
 	case RecCompensate:
 		f.list(&im.Compensated, r.Local)
-		f.mark(s, r.Local, stepCompensated)
+		f.mark(sl, s, r.Local, stepCompensated)
 		f.redo(im, r)
 	case RecFailed:
 		f.list(&im.Failed, r.Local)
@@ -410,13 +530,13 @@ func (f *fold) add(r *Record) int32 {
 		im.Decided = true
 	case RecResolved:
 		sl.resolved = true
-		f.mark(s, r.Local, stepResolved)
+		f.mark(sl, s, r.Local, stepResolved)
 		if r.Commit {
 			f.list(&im.Committed, r.Local)
-			f.mark(s, r.Local, stepCommitted)
+			f.mark(sl, s, r.Local, stepCommitted)
 			f.redo(im, r)
 		}
-		delete(f.pending, act)
+		f.resolve(sl, act)
 	case RecTerminate:
 		im.Terminated = true
 		im.TerminatedCommitted = r.Committed
@@ -430,8 +550,8 @@ func (f *fold) add(r *Record) int32 {
 // images completes the fold: the verdicts, and the transactions still
 // prepared, into the image of every process some record imaged.
 func (f *fold) images() map[string]*ProcImage {
-	for i := range f.slots {
-		sl := &f.slots[i]
+	for i := range f.slots.Len() {
+		sl := f.slots.At(i)
 		sl.img.Stands = sl.img.TerminatedCommitted || sl.steps[stepCommitted]&^sl.steps[stepCompensated] != 0
 		if f.full && sl.prepared {
 			sl.img.Prepared = make(map[int]PreparedTx)
@@ -444,7 +564,7 @@ func (f *fold) images() map[string]*ProcImage {
 		}
 	}
 	for k, steps := range f.wide {
-		im := &f.slots[k.slot].img
+		im := &f.at(k.slot).img
 		if steps&(1<<stepCommitted) != 0 && steps&(1<<stepCompensated) == 0 {
 			im.Stands = true
 		}
@@ -453,14 +573,11 @@ func (f *fold) images() map[string]*ProcImage {
 		}
 	}
 	for k, ptx := range f.pending {
-		im := &f.slots[k.slot].img
+		im := &f.at(k.slot).img
 		if im.Prepared == nil {
 			im.Prepared = make(map[int]PreparedTx)
 		}
-		if f.shared {
-			ptx = ptx.own()
-		}
-		im.Prepared[k.local] = ptx
+		im.Prepared[k.local] = f.own(ptx)
 		if !f.full && f.took(k.slot, k.local, stepResolved) {
 			if im.Resolved == nil {
 				im.Resolved = make(map[int]bool)
@@ -468,9 +585,9 @@ func (f *fold) images() map[string]*ProcImage {
 			im.Resolved[k.local] = true
 		}
 	}
-	out := make(map[string]*ProcImage, len(f.slots))
-	for i := range f.slots {
-		if sl := &f.slots[i]; sl.imaged {
+	out := make(map[string]*ProcImage, f.slots.Len())
+	for i := range f.slots.Len() {
+		if sl := f.slots.At(i); sl.imaged {
 			out[sl.img.Proc] = &sl.img
 		}
 	}

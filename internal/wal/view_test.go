@@ -52,8 +52,9 @@ func memLogOf(recs []Record) *MemLog {
 }
 
 // sameReplay fails unless ReadReplay on l, and l.Records after it, equal
-// what the slice source (viewOf, behind a MemLog) makes of want.
-func sameReplay(t *testing.T, name string, l Log, want []Record) {
+// what the slice source (viewOf, behind a MemLog) makes of want. It
+// returns the replay.
+func sameReplay(t *testing.T, name string, l Log, want []Record) *Replay {
 	t.Helper()
 	rp, err := ReadReplay(l, keepOdd)
 	if err != nil {
@@ -83,14 +84,47 @@ func sameReplay(t *testing.T, name string, l Log, want []Record) {
 	if !reflect.DeepEqual(recs, want) {
 		t.Fatalf("%s: %d records read back, want %d", name, len(recs), len(want))
 	}
+	return rp
+}
+
+// logWith returns recs numbered in log order with a checkpoint record
+// put before each index in at: the k-th is ckpt(k, the log before it).
+func logWith(recs []Record, at []int, ckpt func(k int, before []Record) *Checkpoint) []Record {
+	var out []Record
+	add := func(r Record) {
+		r.LSN = int64(len(out) + 1)
+		out = append(out, r)
+	}
+	next := 0
+	for k, i := range at {
+		for ; next < i; next++ {
+			add(recs[next])
+		}
+		add(Record{Type: RecCheckpoint, Checkpoint: ckpt(k, out)})
+	}
+	for ; next < len(recs); next++ {
+		add(recs[next])
+	}
+	return out
+}
+
+// fuzzy is a valid checkpoint over all but the last lag records before
+// it: those lie past its horizon though its frame follows them, in the
+// window a fuzzy checkpoint's build leaves.
+func fuzzy(lag int) func(int, []Record) *Checkpoint {
+	return func(_ int, before []Record) *Checkpoint { return BuildCheckpoint(before[:len(before)-lag], nil) }
 }
 
 // TestFileViewMatchesSliceSource holds the file log's view to the slice
-// source's on the image its open kept, on a file read anew after an
-// append or a compaction, and on an image whose torn tail the open cut.
+// source's: on the walk its open made, for a plain log, a compacted one,
+// a checkpoint past the first frame with a fuzzy window before it, a
+// valid checkpoint then an invalid one and the reverse, two valid ones
+// and a torn tail;
+// and on a file read anew, after Records, an append or a compaction. The
+// log keeps nothing of its open after its first read, an append or a
+// close.
 func TestFileViewMatchesSliceSource(t *testing.T) {
 	recs := historyRecords(60)
-	image := logImage(t, recs)
 	open := func(t *testing.T, image []byte) *FileLog {
 		t.Helper()
 		path := filepath.Join(t.TempDir(), "wal.log")
@@ -104,22 +138,69 @@ func TestFileViewMatchesSliceSource(t *testing.T) {
 		t.Cleanup(func() { l.Close() })
 		return l
 	}
-
+	mid := []int{len(recs) / 3}
+	// lag is how many records of the view before its checkpoint's frame
+	// lie past its horizon; -1 for a view without a checkpoint.
+	cases := []struct {
+		name     string
+		log      []Record
+		lag      int
+		fallback bool
+	}{
+		{"plain", recs, -1, false},
+		{"compacted", compacted(logWith(recs, mid, fuzzy(5))), 0, false},
+		{"fuzzy window", logWith(recs, mid, fuzzy(5)), 5, false},
+		{"valid then invalid", logWith(recs, []int{len(recs) / 3, 2 * len(recs) / 3}, func(k int, before []Record) *Checkpoint {
+			if k == 1 {
+				return &Checkpoint{Horizon: -1}
+			}
+			return fuzzy(3)(k, before)
+		}), 3, true},
+		{"invalid then valid", logWith(recs, []int{len(recs) / 3, 2 * len(recs) / 3}, func(k int, before []Record) *Checkpoint {
+			if k == 0 {
+				return &Checkpoint{Horizon: -1}
+			}
+			return fuzzy(3)(k, before)
+		}), 3, false},
+		{"two valid", logWith(recs, []int{len(recs) / 3, 2 * len(recs) / 3}, fuzzy(4)), 4, false},
+	}
 	t.Run("open", func(t *testing.T) {
-		l := open(t, image)
-		if l.image == nil {
-			t.Fatal("the open kept no image")
-		}
-		sameReplay(t, "replay first", l, recs)
-		if l.image != nil {
-			t.Fatal("the first read left the image on the log")
-		}
-		l = open(t, image)
-		got, err := l.Records()
-		if err != nil || !reflect.DeepEqual(got, recs) || l.image != nil {
-			t.Fatalf("records first: %d records, %v; image dropped: %v", len(got), err, l.image == nil)
+		for _, tc := range cases {
+			t.Run(tc.name, func(t *testing.T) {
+				image := logImage(t, tc.log)
+				l := open(t, image)
+				if l.opened == nil {
+					t.Fatal("the open kept no walk")
+				}
+				rp := sameReplay(t, "replay first", l, tc.log)
+				lag := -1
+				if cp := rp.Checkpoint; cp != nil {
+					lag = 0
+					for _, r := range tc.log {
+						if r.Type == RecCheckpoint && reflect.DeepEqual(r.Checkpoint, cp) {
+							break
+						}
+						if r.Type != RecCheckpoint && r.LSN > cp.Horizon {
+							lag++
+						}
+					}
+				}
+				if lag != tc.lag || rp.Fallback != tc.fallback {
+					t.Fatalf("a view with %d records past its horizon before its checkpoint, fallback %v; want %d, %v", lag, rp.Fallback, tc.lag, tc.fallback)
+				}
+				if l.opened != nil {
+					t.Fatal("the first read left the open's walk on the log")
+				}
+				l = open(t, image)
+				got, err := l.Records()
+				if err != nil || !reflect.DeepEqual(got, tc.log) || l.opened != nil {
+					t.Fatalf("records first: %d records, %v; walk dropped: %v", len(got), err, l.opened == nil)
+				}
+				sameReplay(t, "replay after records", l, tc.log)
+			})
 		}
 	})
+	image := logImage(t, recs)
 	t.Run("append", func(t *testing.T) {
 		l := open(t, image)
 		r := Record{Type: RecStart, Proc: "W1"}
@@ -127,11 +208,20 @@ func TestFileViewMatchesSliceSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if l.image != nil {
-			t.Fatal("an append left the image on the log")
+		if l.opened != nil {
+			t.Fatal("an append left the open's walk on the log")
 		}
 		r.LSN = lsn
 		sameReplay(t, "after an append", l, append(recs[:len(recs):len(recs)], r))
+	})
+	t.Run("close", func(t *testing.T) {
+		l := open(t, image)
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if l.opened != nil {
+			t.Fatal("a close left the open's walk on the log")
+		}
 	})
 	t.Run("compact", func(t *testing.T) {
 		l, ml := open(t, image), memLogOf(recs)
@@ -196,4 +286,34 @@ func TestReplayReadsTheFileOnce(t *testing.T) {
 		t.Errorf("open + replay of %d records (%d bytes) allocated %d bytes, over %d (the file + %d a record)",
 			len(recs), len(image), got, bound, perRecord)
 	}
+}
+
+// BenchmarkReplay times what a restart reads of its log, in the WAL
+// alone: OpenFile and ReadReplay over historyRecords(2800), about 51,800
+// records with nothing in doubt, reported per record as well as per op.
+func BenchmarkReplay(b *testing.B) {
+	recs := historyRecords(2800)
+	path := filepath.Join(b.TempDir(), "wal.log")
+	if err := os.WriteFile(path, logImage(b, recs), 0o644); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		l, err := OpenFile(path, false)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rp, err := ReadReplay(l, func(PreparedTx) bool { return false })
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rp.Len() != len(recs) {
+			b.Fatalf("a view of %d records, want %d", rp.Len(), len(recs))
+		}
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
 }

@@ -190,21 +190,15 @@ func (l *MemLog) Close() error { return nil }
 
 // FileLog is the file-backed Log: one record per FrameFile frame (codec.go).
 type FileLog struct {
-	mu     sync.Mutex
-	ff     *FrameFile
-	next   int64
-	frames int // records in the file: a read allocates its slice once
-	// ckpts holds the frame index of every checkpoint record in the file,
-	// in order, so a replay knows its checkpoint before it reads a record.
-	ckpts []int
-	// starts counts the RecStart frames after the last checkpoint frame:
-	// a replay sizes its per-process state from it.
-	starts int
-	// image is the file as OpenFile read and checked it, kept for the
-	// first read and dropped by it, by an append or by a compaction.
-	image []byte
-	sync  bool
-	m     *metrics.Registry
+	mu   sync.Mutex
+	ff   *FrameFile
+	next int64
+	// opened is OpenFile's walk of the file: the image it read and checked
+	// and the replay view it folded (replay.go), kept for the first read
+	// and dropped by it, by an append, a compaction or a close.
+	opened *walk
+	sync   bool
+	m      *metrics.Registry
 }
 
 // SetMetrics attaches a registry; appends, written bytes and fsyncs are
@@ -222,20 +216,18 @@ func (l *FileLog) SetMetrics(m *metrics.Registry) {
 // truncated away; any other damage, or a file in another format, is
 // ErrCorrupt and the file is left untouched (see OpenFrameFile).
 func OpenFile(path string, syncEvery bool) (*FileLog, error) {
-	l := &FileLog{sync: syncEvery}
-	var r Record
-	ff, image, err := openFrameFile(path, syncEvery, func(p []byte) error {
-		err := scanRecord(p, &r)
-		// max, not last: compaction puts the checkpoint record ahead
-		// of fuzzy-window records with smaller LSNs.
-		l.next = max(l.next, r.LSN)
-		l.note(r.Type)
-		return err
+	var w *walk
+	ff, image, err := openFrameFile(path, syncEvery, func(data []byte) (int, error) {
+		w = newWalk(data)
+		return walkFrames(data, w.frame)
 	})
 	if err != nil {
 		return nil, err
 	}
-	l.ff, l.image = ff, image
+	l := &FileLog{ff: ff, next: w.next, sync: syncEvery}
+	if image != nil {
+		w.v.image, l.opened = image, w
+	}
 	return l, nil
 }
 
@@ -260,7 +252,7 @@ func (l *FileLog) AppendNoSync(r Record) (int64, error) {
 }
 
 func (l *FileLog) appendLocked(r Record) (int64, error) {
-	l.image = nil
+	l.opened = nil
 	r.LSN = l.next + 1
 	b, err := encodeRecord(&r)
 	if err != nil {
@@ -270,32 +262,36 @@ func (l *FileLog) appendLocked(r Record) (int64, error) {
 		return 0, err
 	}
 	l.next = r.LSN
-	l.note(r.Type)
 	l.m.Inc(metrics.WALAppends)
 	l.m.Add(metrics.WALBytes, int64(frameHeader+len(b)))
 	return r.LSN, nil
 }
 
-// note counts a frame of type t appended to the file.
-func (l *FileLog) note(t RecType) {
-	switch t {
-	case RecCheckpoint:
-		l.ckpts = append(l.ckpts, l.frames)
-		l.starts = 0
-	case RecStart:
-		l.starts++
-	}
-	l.frames++
-}
-
 // contents returns the file's frames: the image OpenFile kept, which
 // it drops, or else the file read anew.
 func (l *FileLog) contents() ([]byte, error) {
-	if image := l.image; image != nil {
-		l.image = nil
-		return image, nil
+	if w := l.opened; w != nil {
+		l.opened = nil
+		return w.v.image, nil
 	}
 	return l.ff.contents()
+}
+
+// walked returns a walk of the file (replay.go): the one OpenFile kept,
+// which it drops, or else one of the file read anew.
+func (l *FileLog) walked() (*walk, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if w := l.opened; w != nil {
+		l.opened = nil
+		return w, nil
+	}
+	image, err := l.ff.contents()
+	if err != nil {
+		return nil, err
+	}
+	w := newWalk(image)
+	return w, l.ff.scan(image, w.frame)
 }
 
 // Sync implements BatchBackend: flush the buffered tail to the OS and,
@@ -329,7 +325,7 @@ func (l *FileLog) recordsLocked() ([]Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Record, 0, l.frames)
+	out := make([]Record, 0, frameCount(image))
 	err = l.ff.scan(image, func(p []byte) error {
 		r, err := decodeRecord(p)
 		if err != nil {
@@ -349,7 +345,7 @@ func (l *FileLog) recordsLocked() ([]Record, error) {
 func (l *FileLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.image = nil
+	l.opened = nil
 	err := l.ff.Close()
 	if err == nil && l.sync {
 		l.m.Inc(metrics.WALFsyncs)
