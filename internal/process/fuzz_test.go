@@ -267,34 +267,55 @@ func checkStructure(t *testing.T, d *fuzzDef) *process.Process {
 	return p
 }
 
+// processSeeds are FuzzProcessValidate's seeds, which the judges of the
+// explorer also read.
+var processSeeds = [][]byte{
+	// c -> p -> r chain (the canonical well-formed shape).
+	{1, 0, 0, 1, 1, 2, 2, 1, 1},
+	// Longer mixed chain.
+	{4, 0, 0, 3, 0, 1, 1, 2, 2, 5, 2, 1, 1, 1},
+	// Alternative branch (byte divisible by five triggers Chain).
+	{3, 0, 0, 1, 1, 2, 2, 4, 2, 5, 10},
+	// Parallel joins (multiple Seq edges from one head).
+	{6, 0, 0, 1, 0, 2, 0, 3, 1, 4, 2, 1, 1, 2, 1, 3},
+	// Extra edges 2 -> 1, a back edge closing a cycle, and 2 -> 5, a join.
+	{3, 3, 6, 0, 6, 1, 1, 4},
+	// The extra edge 3 -> 2 joins 2 below 1 and 3.
+	{2, 1, 6, 1, 3, 2, 5, 0, 6, 3, 2, 2},
+	// The alternatives 4 and 5 of 3 both lead into 2, which 1 enters too:
+	// refused.
+	{3, 5, 6, 3, 6, 5, 3, 4, 6},
+	// The chain 1 -> 2 -> 3, the alternatives [4 5] of 3 and the extra
+	// edge 1 -> 3, a join above the choice: accepted.
+	{3, 6, 3, 5, 6, 0, 2, 5, 1, 4, 4},
+}
+
+// seedProcesses returns the processes Build accepts among processSeeds'
+// definitions.
+func seedProcesses() []*process.Process {
+	var out []*process.Process
+	for _, data := range processSeeds {
+		if p, err := decodeDef(data, true).build(); err == nil {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
 // FuzzProcessValidate holds Build to a structural oracle computed from
 // the declared edges (checkStructure), on definitions with joins, back
 // edges and cycles, and cross-checks the paper's structural guarantee on
 // what it accepts: any process the well-formed flex grammar accepts
 // (IsWellFormedFlex, the [ZNBB94] shape) must also pass the exhaustive
 // guaranteed-termination exploration, and its execution tree must be
-// enumerable. A divergence means either the grammar admits a
-// non-terminating structure or the explorer is broken — both are
-// protocol-level bugs.
+// enumerable. It also holds the explorer to its reference,
+// refValidateGuaranteedTermination, verdict and error text. A divergence
+// means either the grammar admits a non-terminating structure or the
+// explorer is broken — both are protocol-level bugs.
 func FuzzProcessValidate(f *testing.F) {
-	// c -> p -> r chain (the canonical well-formed shape).
-	f.Add([]byte{1, 0, 0, 1, 1, 2, 2, 1, 1})
-	// Longer mixed chain.
-	f.Add([]byte{4, 0, 0, 3, 0, 1, 1, 2, 2, 5, 2, 1, 1, 1})
-	// Alternative branch (byte divisible by five triggers Chain).
-	f.Add([]byte{3, 0, 0, 1, 1, 2, 2, 4, 2, 5, 10})
-	// Parallel joins (multiple Seq edges from one head).
-	f.Add([]byte{6, 0, 0, 1, 0, 2, 0, 3, 1, 4, 2, 1, 1, 2, 1, 3})
-	// Extra edges 2 -> 1, a back edge closing a cycle, and 2 -> 5, a join.
-	f.Add([]byte{3, 3, 6, 0, 6, 1, 1, 4})
-	// The extra edge 3 -> 2 joins 2 below 1 and 3.
-	f.Add([]byte{2, 1, 6, 1, 3, 2, 5, 0, 6, 3, 2, 2})
-	// The alternatives 4 and 5 of 3 both lead into 2, which 1 enters too:
-	// refused.
-	f.Add([]byte{3, 5, 6, 3, 6, 5, 3, 4, 6})
-	// The chain 1 -> 2 -> 3, the alternatives [4 5] of 3 and the extra
-	// edge 1 -> 3, a join above the choice: accepted.
-	f.Add([]byte{3, 6, 3, 5, 6, 0, 2, 5, 1, 4, 4})
+	for _, data := range processSeeds {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d := decodeDef(data, true)
 		if d == nil {
@@ -305,7 +326,10 @@ func FuzzProcessValidate(f *testing.F) {
 			return
 		}
 		wf, why := process.IsWellFormedFlex(p)
-		err := process.ValidateGuaranteedTermination(p)
+		err := process.ExploreTermination(p)
+		if ref := refValidateGuaranteedTermination(p); fmt.Sprint(err) != fmt.Sprint(ref) {
+			t.Fatalf("explorer answered %v, the reference %v\n%s", err, ref, p)
+		}
 		if wf && err != nil {
 			t.Fatalf("grammar accepts (%s) but termination is not guaranteed: %v\n%s", why, err, p)
 		}

@@ -273,7 +273,8 @@ func (p *Process) String() string {
 // declaration order. It leaves out the process id, the service names and
 // the compensation names, so processes with equal keys get the same
 // verdict from ValidateGuaranteedTermination; only the names in an error
-// text differ.
+// text differ. That validation's set of proven shapes rests on this: a
+// change to what the explorer reads must change the key.
 func (p *Process) ShapeKey() string {
 	return string(p.AppendShapeKey(make([]byte, 0, 4*len(p.order))))
 }

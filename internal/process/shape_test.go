@@ -47,8 +47,8 @@ func TestShapeKeyIgnoresNames(t *testing.T) {
 		if p.ShapeKey() != p.WithID("Q").ShapeKey() {
 			t.Errorf("%s: WithID changed the key", p.ID)
 		}
-		pErr := process.ValidateGuaranteedTermination(p)
-		qErr := process.ValidateGuaranteedTermination(q)
+		pErr := process.ExploreTermination(p)
+		qErr := process.ExploreTermination(q)
 		if (pErr == nil) != (qErr == nil) {
 			t.Errorf("%s: verdict %v, relabelled %v", p.ID, pErr, qErr)
 		}
@@ -112,7 +112,7 @@ func TestShapeKeyEqualKeysEqualVerdicts(t *testing.T) {
 	verdicts := make(map[string]bool)
 	repeats := 0
 	for _, p := range corpus(1, 3000) {
-		ok := process.ValidateGuaranteedTermination(p) == nil
+		ok := process.ExploreTermination(p) == nil
 		key := p.ShapeKey()
 		if prev, seen := verdicts[key]; seen {
 			repeats++

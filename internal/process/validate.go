@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"transproc/internal/activity"
 )
@@ -158,25 +159,93 @@ func Executions(p *Process) ([]Execution, error) {
 //  3. Backward recovery never needs to compensate a non-compensatable
 //     activity.
 //
+// The property belongs to the process's structure, which ShapeKey
+// encodes exactly: processes with equal keys get the same verdict. So
+// each shape is proven once per OS process: a key found in the package's
+// set of proven shapes answers at once, without allocating, and only an
+// exploration that succeeds adds its key, so a failing process is
+// explored on its own and reports its own names. The set is shared by
+// every caller, safe for concurrent use, and empties when it reaches
+// provenCap keys.
+//
 // The exploration is exponential in the number of non-retriable
 // activities and intended for process definitions of realistic size
 // (tens of activities).
 func ValidateGuaranteedTermination(p *Process) error {
+	var buf [256]byte
+	key := p.AppendShapeKey(buf[:0])
+	proven.Lock()
+	_, ok := proven.keys[string(key)]
+	proven.Unlock()
+	if ok {
+		return nil
+	}
+	if err := exploreTermination(p); err != nil {
+		return err
+	}
+	recordProven(key)
+	return nil
+}
+
+// provenCap bounds the set of proven shapes. It is far above the 16
+// shapes a generated workload draws, and a set that reaches it empties
+// rather than grows, so a stream of distinct shapes holds at most
+// provenCap keys of a few dozen bytes each.
+const provenCap = 1024
+
+// proven is the set of ShapeKeys whose guaranteed termination
+// exploreTermination proved.
+var proven = struct {
+	sync.Mutex
+	keys map[string]struct{}
+}{keys: make(map[string]struct{})}
+
+// recordProven adds a proven key, emptying the set first when it is full.
+func recordProven(key []byte) {
+	proven.Lock()
+	if len(proven.keys) >= provenCap {
+		clear(proven.keys)
+	}
+	proven.keys[string(key)] = struct{}{}
+	proven.Unlock()
+}
+
+// ResetProvenShapes empties the set of proven shapes, so that the next
+// validation of every shape explores it again: for tests and benchmarks
+// of the first proof.
+func ResetProvenShapes() {
+	proven.Lock()
+	clear(proven.keys)
+	proven.Unlock()
+}
+
+// exploreTermination is ValidateGuaranteedTermination's exploration,
+// depth first with the commit of each invocation before its failure. At
+// a state that branches it explores the commit on a clone and then
+// continues the failure on the instance it was given, which nothing
+// reads afterwards; a retriable activity commits in place. One frontier
+// buffer serves the whole exploration.
+func exploreTermination(p *Process) error {
+	var frontier []int
 	var explore func(in *Instance) error
 	explore = func(in *Instance) error {
-		if _, err := in.Completion(); err != nil {
-			return fmt.Errorf("completion not computable: %w", err)
-		}
-		if in.Terminated() || (in.Done() && !in.Aborting()) {
-			return nil
-		}
-		frontier := in.Frontier()
-		if len(frontier) == 0 {
-			return fmt.Errorf("process %s: stuck non-terminal state", p.ID)
-		}
-		next := frontier[0]
-		a := p.Activity(next)
-		{
+		for {
+			if _, err := in.Completion(); err != nil {
+				return fmt.Errorf("completion not computable: %w", err)
+			}
+			if in.Terminated() || (in.Done() && !in.Aborting()) {
+				return nil
+			}
+			if frontier = in.AppendFrontier(frontier[:0]); len(frontier) == 0 {
+				return fmt.Errorf("process %s: stuck non-terminal state", p.ID)
+			}
+			next := frontier[0]
+			if p.Activity(next).Kind.GuaranteedToCommit() {
+				if err := in.MarkCommitted(next); err != nil {
+					return err
+				}
+				continue
+			}
 			c := in.Clone()
 			if err := c.MarkCommitted(next); err != nil {
 				return err
@@ -184,32 +253,25 @@ func ValidateGuaranteedTermination(p *Process) error {
 			if err := explore(c); err != nil {
 				return err
 			}
-		}
-		if !a.Kind.GuaranteedToCommit() {
-			c := in.Clone()
-			plan, err := c.MarkFailed(next)
+			plan, err := in.MarkFailed(next)
 			if err != nil {
 				return err
 			}
 			for _, s := range plan.Steps {
-				if err := c.ApplyStep(s); err != nil {
+				if err := in.ApplyStep(s); err != nil {
 					return err
 				}
 			}
 			if plan.Abort {
 				// Backward recovery must leave no committed activities.
-				for local, st := range c.Snapshot() {
-					if st == Committed {
-						return fmt.Errorf("process %s: backward recovery left activity %d committed", p.ID, local)
+				for i := range in.acts {
+					if in.acts[i].status == Committed {
+						return fmt.Errorf("process %s: backward recovery left activity %d committed", p.ID, p.order[i])
 					}
 				}
-				c.MarkTerminated(false)
-			}
-			if err := explore(c); err != nil {
-				return err
+				in.MarkTerminated(false)
 			}
 		}
-		return nil
 	}
 	return explore(NewInstance(p))
 }

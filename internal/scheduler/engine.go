@@ -215,10 +215,11 @@ type Job struct {
 // termination and reference only services the federation provides with
 // matching kinds; the engine, the runtime and the hub run it before
 // execution. Guaranteed termination is a property of the process
-// structure, so each distinct structure (process.ShapeKey) is explored
-// once per call; a failing job is explored on its own and returns at
-// once, so only proven shapes are remembered. The service checks stay
-// per job.
+// structure, which process.ShapeKey encodes exactly (equal keys, equal
+// verdicts), so process.ValidateGuaranteedTermination explores each
+// structure once per shape per OS process and answers it from a set of
+// at most 1,024 proven shapes after that; a failing job is explored on
+// its own and returns at once. The service checks stay per job.
 func ValidateJobs(fed *subsystem.Federation, jobs []Job) error {
 	return validateJobs(fed, jobs, nil)
 }
@@ -247,15 +248,10 @@ func JobProcs(fed *subsystem.Federation, jobs []Job) ([]*Proc, error) {
 // validateJobs is ValidateJobs, storing each activity's route into
 // routes, in job and activity order, when it is not nil.
 func validateJobs(fed *subsystem.Federation, jobs []Job, routes []subsystem.Route) error {
-	proven := make(map[string]bool)
-	var shape []byte
 	for _, j := range jobs {
 		p := j.Proc
-		if shape = p.AppendShapeKey(shape[:0]); !proven[string(shape)] {
-			if err := process.ValidateGuaranteedTermination(p); err != nil {
-				return fmt.Errorf("scheduler: process %s lacks guaranteed termination: %w", p.ID, err)
-			}
-			proven[string(shape)] = true
+		if err := process.ValidateGuaranteedTermination(p); err != nil {
+			return fmt.Errorf("scheduler: process %s lacks guaranteed termination: %w", p.ID, err)
 		}
 		for i := range p.Len() {
 			a := p.ActivityAt(i)

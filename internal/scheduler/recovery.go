@@ -107,7 +107,7 @@ func restart(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m 
 	// every record when no (valid) checkpoint exists, including the
 	// corrupt-checkpoint fallback. Terminated history enters as images
 	// only; the interrupted processes' records are decoded in full.
-	rp, err := wal.ReadReplay(log, func(ptx wal.PreparedTx) bool { return doubt[txKey{ptx.Subsystem, ptx.Tx}] })
+	rp, err := wal.ReadReplay(log, doubt)
 	if err != nil {
 		return nil, err
 	}
@@ -181,13 +181,13 @@ func restart(fed *subsystem.Federation, log wal.Log, defs []*process.Process, m 
 	known, redo := make(map[txKey]bool), make(map[txKey]bool)
 	for _, img := range images {
 		for _, ptx := range img.Prepared {
-			if k := (txKey{ptx.Subsystem, ptx.Tx}); doubt[k] {
-				known[k] = true
+			if doubt.Has(ptx.Subsystem, ptx.Tx) {
+				known[txKey{ptx.Subsystem, ptx.Tx}] = true
 			}
 		}
 		for _, ptx := range img.RedoCommit {
-			if k := (txKey{ptx.Subsystem, ptx.Tx}); doubt[k] {
-				redo[k] = true
+			if doubt.Has(ptx.Subsystem, ptx.Tx) {
+				redo[txKey{ptx.Subsystem, ptx.Tx}] = true
 			}
 		}
 	}
@@ -255,11 +255,11 @@ type txKey struct {
 }
 
 // doubtSet indexes the transactions a federation holds in doubt.
-func doubtSet(inDoubt map[string][]subsystem.InDoubtRecord) map[txKey]bool {
-	set := make(map[txKey]bool)
+func doubtSet(inDoubt map[string][]subsystem.InDoubtRecord) wal.TxSet {
+	set := make(wal.TxSet)
 	for sub, recs := range inDoubt {
 		for _, r := range recs {
-			set[txKey{sub, int64(r.Tx)}] = true
+			set.Add(sub, int64(r.Tx))
 		}
 	}
 	return set

@@ -96,7 +96,9 @@ func TestValidateJobsMatchesPerJobLoop(t *testing.T) {
 }
 
 // BenchmarkValidateJobs validates the 200 processes of one rep of the
-// rt-long profile of bench/ (conflict 0.3, no failures).
+// rt-long profile of bench/ (conflict 0.3, no failures): cold with the
+// set of proven shapes emptied before each op, so every shape is
+// explored once, and warm, where every shape is answered from the set.
 func BenchmarkValidateJobs(b *testing.B) {
 	p := workload.DefaultProfile(12)
 	p.Processes = 200
@@ -104,11 +106,25 @@ func BenchmarkValidateJobs(b *testing.B) {
 	p.PermFailureProb = 0
 	p.TransientFailureProb = 0
 	w := workload.MustGenerate(p)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := scheduler.ValidateJobs(w.Fed, w.Jobs); err != nil {
-			b.Fatal(err)
+	for _, cold := range []bool{true, false} {
+		name := "warm"
+		if cold {
+			name = "cold"
 		}
+		b.Run(name, func(b *testing.B) {
+			if err := scheduler.ValidateJobs(w.Fed, w.Jobs); err != nil { // warm starts with every shape proven
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for range b.N {
+				if cold {
+					process.ResetProvenShapes()
+				}
+				if err := scheduler.ValidateJobs(w.Fed, w.Jobs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

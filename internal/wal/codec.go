@@ -161,6 +161,18 @@ func txOf(p []byte) PreparedTx {
 	return PreparedTx{Subsystem: s[2], Tx: int64(v[2]>>1) ^ -int64(v[2]&1), Service: s[1]}
 }
 
+// txIDOf reads the Tx of a payload scanRecord accepted, where txOf
+// reads it, and nothing after it.
+func txIDOf(p []byte) int64 {
+	i := 1        // past the format byte
+	for range 2 { // LSN and Local
+		_, n := binary.Uvarint(p[i:])
+		i += n
+	}
+	v, _ := binary.Uvarint(p[i:])
+	return int64(v>>1) ^ -int64(v&1)
+}
+
 func parseRecord(p []byte, skip bool, r *Record) error {
 	d := decoder{b: p, skip: skip}
 	if f := d.u8(); f == '{' {

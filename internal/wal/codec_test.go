@@ -286,6 +286,9 @@ func FuzzRecordDecode(f *testing.F) {
 		if tx := txOf(p); tx != r.tx() {
 			t.Fatalf("txOf = %+v, the record names %+v", tx, r.tx())
 		}
+		if id := txIDOf(p); id != r.Tx {
+			t.Fatalf("txIDOf = %d, the record names %d", id, r.Tx)
+		}
 		b, err := encodeRecord(&r)
 		if err != nil {
 			t.Fatalf("accepted record does not re-encode: %v", err)

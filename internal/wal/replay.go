@@ -258,7 +258,7 @@ type Replay struct {
 	// Images summarizes every process in the view: Analyze's image with
 	// Committed, Compensated and Failed left empty (Stands carries the
 	// verdict), Resolved holding only locals still in Prepared, and
-	// RedoCommit only the entries ReadReplay's keepRedo accepts.
+	// RedoCommit only the entries of the transactions in ReadReplay's keep.
 	Images map[string]*ProcImage
 	// Live holds, decoded in full and in view order, the records of
 	// every process still open at the end of the view (imaged and not
@@ -271,9 +271,10 @@ type Replay struct {
 // records of processes still open at its end are then decoded in full. A
 // FileLog is read from its file, through the walk its open made if
 // nothing read the log since; any other log streams its Records through
-// the same fold. keepRedo, when non-nil, selects the RedoCommit entries
-// the images keep.
-func ReadReplay(log Log, keepRedo func(PreparedTx) bool) (*Replay, error) {
+// the same fold. The images keep the RedoCommit entries of the
+// transactions in keep alone; with keep empty no candidate's transaction
+// is read.
+func ReadReplay(log Log, keep TxSet) (*Replay, error) {
 	var rp Replay
 	var f *fold
 	var owner []int32 // each position's slot in the fold
@@ -297,13 +298,11 @@ func ReadReplay(log Log, keepRedo func(PreparedTx) bool) (*Replay, error) {
 		}
 	}
 	rp.Images = f.images()
-	// The fold marked the records that may redo a commit; keepRedo
-	// chooses among them now.
+	// The fold marked the records that may redo a commit; keep chooses
+	// among them now.
 	redo := func(s int32, ptx PreparedTx) {
-		if keepRedo == nil || keepRedo(ptx) {
-			im := &f.at(s).img
-			im.RedoCommit = append(im.RedoCommit, f.own(ptx))
-		}
+		im := &f.at(s).img
+		im.RedoCommit = append(im.RedoCommit, f.own(ptx))
 	}
 	open := make(bitset, 0, (f.slots.Len()+63)/64) // the slots of the processes still open
 	for i := range f.slots.Len() {
@@ -313,7 +312,7 @@ func ReadReplay(log Log, keepRedo func(PreparedTx) bool) (*Replay, error) {
 	}
 	for pos := range rp.head {
 		r, s := &rp.head[pos], owner[pos]
-		if f.cands.has(pos) {
+		if f.cands.has(pos) && keep.Has(r.Subsystem, r.Tx) {
 			redo(s, r.tx())
 		}
 		if open.has(int(s)) {
@@ -327,12 +326,14 @@ func ReadReplay(log Log, keepRedo func(PreparedTx) bool) (*Replay, error) {
 			if err != nil {
 				return err
 			}
-			if f.cands.has(pos) {
+			if f.cands.has(pos) && keep.Has(r.Subsystem, r.Tx) {
 				redo(s, r.tx())
 			}
 			rp.Live, rp.Pos = append(rp.Live, r), append(rp.Pos, pos)
-		case f.cands.has(pos):
-			redo(s, txOf(p))
+		case len(keep) > 0 && f.cands.has(pos) && keep.hasID(txIDOf(p)):
+			if ptx := txOf(p); keep.Has(ptx.Subsystem, ptx.Tx) {
+				redo(s, ptx)
+			}
 		}
 		return nil
 	})
@@ -340,6 +341,42 @@ func ReadReplay(log Log, keepRedo func(PreparedTx) bool) (*Replay, error) {
 		return nil, err
 	}
 	return &rp, nil
+}
+
+// TxSet is a set of transactions, each named by its id and its
+// subsystem: the transactions whose redo-commit entries ReadReplay keeps.
+// It is indexed by id, so a record whose Tx is not in it is passed over
+// before its strings are read.
+type TxSet map[int64]txSubs
+
+// txSubs are the subsystems that hold one transaction id of a TxSet:
+// nearly always one, which costs no allocation of its own.
+type txSubs struct {
+	first string
+	more  []string
+}
+
+// Add puts transaction tx at subsystem sub in the set.
+func (s TxSet) Add(sub string, tx int64) {
+	switch e, ok := s[tx]; {
+	case !ok:
+		s[tx] = txSubs{first: sub}
+	case e.first != sub && !slices.Contains(e.more, sub):
+		e.more = append(e.more, sub)
+		s[tx] = e
+	}
+}
+
+// Has reports whether transaction tx at subsystem sub is in the set.
+func (s TxSet) Has(sub string, tx int64) bool {
+	e, ok := s[tx]
+	return ok && (e.first == sub || slices.Contains(e.more, sub))
+}
+
+// hasID reports whether some subsystem's transaction tx is in the set.
+func (s TxSet) hasID(tx int64) bool {
+	_, ok := s[tx]
+	return ok
 }
 
 // bitset is a set of non-negative integers, one bit each.
@@ -374,7 +411,7 @@ type fold struct {
 	full bool
 	// n counts the records folded: the position in the view of the next.
 	// A summary marks in cands the positions of the records that may
-	// redo a commit, which ReadReplay's keepRedo chooses from; a full
+	// redo a commit, which ReadReplay's keep chooses from; a full
 	// image keeps every one.
 	n     int
 	cands bitset

@@ -56,11 +56,12 @@ func memLogOf(recs []Record) *MemLog {
 // returns the replay.
 func sameReplay(t *testing.T, name string, l Log, want []Record) *Replay {
 	t.Helper()
-	rp, err := ReadReplay(l, keepOdd)
+	keep := keepOdd(want)
+	rp, err := ReadReplay(l, keep)
 	if err != nil {
 		t.Fatalf("%s: replay: %v", name, err)
 	}
-	ref, err := ReadReplay(memLogOf(want), keepOdd)
+	ref, err := ReadReplay(memLogOf(want), keep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestReplayReadsTheFileOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Nothing is in doubt: recovery keeps no redo-commit entry.
-	rp, err := ReadReplay(l, func(PreparedTx) bool { return false })
+	rp, err := ReadReplay(l, nil)
 	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +305,7 @@ func BenchmarkReplay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		rp, err := ReadReplay(l, func(PreparedTx) bool { return false })
+		rp, err := ReadReplay(l, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -14,6 +14,7 @@ set -euo pipefail
 
 FLOOR="${1:-75}"
 PKGS=(
+  ./internal/process:90
   ./internal/wal
   ./internal/scheduler:91
   ./internal/fault
